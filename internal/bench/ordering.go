@@ -148,6 +148,13 @@ type OrderingResult struct {
 	AchievedTPS float64 `json:"achieved_tps,omitempty"`
 	P50CommitMS float64 `json:"p50_commit_ms,omitempty"`
 	P99CommitMS float64 `json:"p99_commit_ms,omitempty"`
+	// Repo-benchmark columns: populated by records copied from
+	// `bash benchmark/run.sh` result lines (node CPU per 1000 committed
+	// transactions, all nodes and the orderer alone; orderer seal stamp →
+	// Client.Submit returns), absent everywhere else.
+	CPUSPerKTx        float64 `json:"cpu_s_per_ktx,omitempty"`
+	OrdererCPUSPerKTx float64 `json:"orderer_cpu_s_per_ktx,omitempty"`
+	SealToResultP50MS float64 `json:"seal_to_result_p50_ms,omitempty"`
 }
 
 // RunOrdering drives one scheduler over a pre-generated stream, cutting a

@@ -139,9 +139,9 @@ type Options struct {
 	RemotePeers []string
 	// OnResult, when set, observes every transaction result the lead
 	// replica resolves (commits, early aborts, duplicates) — the hook the
-	// process-per-node orderer uses to serve result polls to wire clients.
-	// Called from pipeline goroutines; implementations must be fast and
-	// thread-safe.
+	// process-per-node orderer uses to answer and wake wire clients' result
+	// requests. Called from pipeline goroutines; implementations must be
+	// fast and thread-safe.
 	OnResult func(TxResult)
 	// Tracer, when set, records stage timestamps (order, seal) for every
 	// transaction the lead orderer processes — write-only side telemetry

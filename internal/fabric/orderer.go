@@ -301,7 +301,8 @@ func (o *orderer) cut() {
 		// Ordering-only process: there is no local commit barrier to settle
 		// waiters, and the sealed verdicts already ARE the final codes (the
 		// agreement property — every peer's validation must byte-match
-		// them or fail fatally). Resolve at seal so wire clients can poll.
+		// them or fail fatally). Resolve at seal: that wakes the wire clients
+		// waiting on these results.
 		for i, tx := range res.Ordered {
 			o.net.resolve(tx.ID, TxResult{TxID: tx.ID, Code: codes[i], Block: num})
 		}

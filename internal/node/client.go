@@ -16,9 +16,9 @@ import (
 const clientDialBudget = 500 * time.Millisecond
 
 // Client drives a process-per-node cluster over TCP: proposals to peers
-// (round-robin), submits to the ordering cluster, result polling by TxID. A
-// Client is single-goroutine (use one per worker); Dial absorbs cluster
-// startup with bounded retry.
+// (round-robin), submits to the ordering cluster, one parked result request
+// per TxID. A Client is single-goroutine (use one per worker); Dial absorbs
+// cluster startup with bounded retry.
 //
 // Submission survives orderer failover: a connection failure rotates to the
 // next orderer address with jittered exponential backoff, and a NotLeader
@@ -34,10 +34,8 @@ type Client struct {
 	bo           *transport.Backoff
 	rr           uint64
 	seq          uint64
-	// PollInterval is the result-poll cadence (default 2ms).
-	PollInterval time.Duration
-	// SubmitTimeout bounds Submit waiting for a result, and SubmitTx/poll
-	// retrying across failovers (default 30s).
+	// SubmitTimeout bounds SubmitTx, WaitResult and OrdererStatus each,
+	// retries across failovers included (default 30s).
 	SubmitTimeout time.Duration
 	// Redirects counts NotLeader redirects this client followed.
 	Redirects metrics.Counter
@@ -56,7 +54,6 @@ func DialClient(name string, ordererAddrs, peerAddrs []string, dialTimeout time.
 		name:          name,
 		ordererAddrs:  ordererAddrs,
 		bo:            transport.NewBackoff(10*time.Millisecond, time.Second, 0),
-		PollInterval:  2 * time.Millisecond,
 		SubmitTimeout: 30 * time.Second,
 	}
 	deadline := time.Now().Add(dialTimeout)
@@ -234,15 +231,19 @@ func (c *Client) SubmitTx(tx *protocol.Transaction) error {
 	}
 }
 
-// PollResult asks the ordering cluster once for a transaction's fate; a
-// broken connection fails over to the next orderer (every replica resolves
-// identical results, so any of them can answer).
-func (c *Client) PollResult(txID string) (wire.Result, error) {
+// WaitResult asks the ordering cluster for a transaction's fate and blocks
+// until it has one: the orderer answers at once if the transaction has
+// resolved and otherwise parks the request until it does, so a transaction
+// normally costs one request. The orderer gives up a parked request after a
+// bound of its own and answers "not found"; that answer, like a broken
+// connection, moves the client to the next orderer after a backoff step
+// (every replica resolves identical results, so any of them can answer).
+func (c *Client) WaitResult(txID string) (wire.Result, error) {
 	deadline := time.Now().Add(c.SubmitTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && !time.Now().Before(deadline) {
-			return wire.Result{}, fmt.Errorf("node: poll %s: %w", txID, lastErr)
+			return wire.Result{}, fmt.Errorf("node: result %s: gave up after %s: %w", txID, c.SubmitTimeout, lastErr)
 		}
 		conn, err := c.ordererConn(deadline)
 		if err != nil {
@@ -251,20 +252,29 @@ func (c *Client) PollResult(txID string) (wire.Result, error) {
 		}
 		typ, resp, err := conn.Call(wire.MsgResultPoll, []byte(txID))
 		if err != nil {
-			lastErr = fmt.Errorf("node: poll: %w", err)
+			lastErr = fmt.Errorf("node: result: %w", err)
 			c.dropOrderer(true)
 			c.pause(deadline)
 			continue
 		}
 		if typ != wire.MsgResult {
-			return wire.Result{}, fmt.Errorf("node: poll answered with %v", typ)
+			return wire.Result{}, fmt.Errorf("node: result request answered with %v", typ)
 		}
-		return wire.DecodeResult(resp)
+		res, err := wire.DecodeResult(resp)
+		if err != nil {
+			return wire.Result{}, err
+		}
+		if res.Found {
+			return res, nil
+		}
+		lastErr = fmt.Errorf("node: result: %s gave up waiting", conn.RemoteAddr())
+		c.dropOrderer(true)
+		c.pause(deadline)
 	}
 }
 
 // Submit is the full client lifecycle: endorse on a peer, submit to the
-// ordering cluster, poll until the transaction resolves (committed or
+// ordering cluster, wait for the transaction to resolve (committed or
 // aborted).
 func (c *Client) Submit(contract, function string, args ...string) (wire.Result, error) {
 	tx, err := c.Endorse(contract, function, args...)
@@ -274,20 +284,7 @@ func (c *Client) Submit(contract, function string, args ...string) (wire.Result,
 	if err := c.SubmitTx(tx); err != nil {
 		return wire.Result{}, err
 	}
-	deadline := time.Now().Add(c.SubmitTimeout)
-	for {
-		res, err := c.PollResult(string(tx.ID))
-		if err != nil {
-			return wire.Result{}, err
-		}
-		if res.Found {
-			return res, nil
-		}
-		if time.Now().After(deadline) {
-			return wire.Result{}, fmt.Errorf("node: transaction %s timed out", tx.ID)
-		}
-		time.Sleep(c.PollInterval)
-	}
+	return c.WaitResult(string(tx.ID))
 }
 
 // OrdererStatus fetches the connected orderer's chain position, failing

@@ -14,20 +14,25 @@ import (
 const dialTimeout = 10 * time.Second
 
 // bootCluster starts an orderer and n peers on ephemeral 127.0.0.1 ports,
-// registering cleanup. It returns the running nodes.
-func bootCluster(t *testing.T, system sched.System, n int) (*Orderer, []*Peer) {
+// registering cleanup. It returns the running nodes. A tune function may
+// adjust the orderer's config before it starts.
+func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*OrdererConfig)) (*Orderer, []*Peer) {
 	t.Helper()
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("peer%d", i)
 	}
-	ord, err := StartOrderer(OrdererConfig{
+	cfg := OrdererConfig{
 		Listen:       "127.0.0.1:0",
 		System:       system,
 		PeerNames:    names,
 		BlockSize:    10,
 		BlockTimeout: 25 * time.Millisecond,
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	ord, err := StartOrderer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,8 @@ func peerAddrs(peers []*Peer) []string {
 
 // driveContended pipelines txs contended read-modify-writes over hotKeys
 // counters through the cluster: endorse + submit everything first (so many
-// transactions share a snapshot — real contention), then poll every result.
+// transactions share a snapshot — real contention), then wait for every
+// result.
 func driveContended(t *testing.T, client *Client, txs, hotKeys int) (committed, aborted int) {
 	t.Helper()
 	ids := make([]string, 0, txs)
@@ -75,25 +81,15 @@ func driveContended(t *testing.T, client *Client, txs, hotKeys int) (committed, 
 		}
 		ids = append(ids, string(tx.ID))
 	}
-	deadline := time.Now().Add(60 * time.Second)
 	for _, id := range ids {
-		for {
-			res, err := client.PollResult(id)
-			if err != nil {
-				t.Fatalf("poll %s: %v", id, err)
-			}
-			if res.Found {
-				if res.Code == protocol.Valid {
-					committed++
-				} else {
-					aborted++
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("result %s never resolved", id)
-			}
-			time.Sleep(2 * time.Millisecond)
+		res, err := client.WaitResult(id)
+		if err != nil {
+			t.Fatalf("result %s: %v", id, err)
+		}
+		if res.Code == protocol.Valid {
+			committed++
+		} else {
+			aborted++
 		}
 	}
 	return committed, aborted
@@ -115,13 +111,15 @@ func awaitConvergence(t *testing.T, client *Client, ord *Orderer) {
 			if err != nil {
 				t.Fatalf("peer %d status: %v", i, err)
 			}
-			if st.Blocks >= ordStatus.Blocks {
+			// A peer appends a block to its chain before it applies it to
+			// state, so the chain length alone does not mean it is done.
+			if st.Blocks >= ordStatus.Blocks && st.Height >= ordStatus.Height {
 				statuses[i] = st
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("peer %d stuck at %d/%d blocks (orderer err: %v)",
-					i, st.Blocks, ordStatus.Blocks, ord.Err())
+				t.Fatalf("peer %d stuck at %d/%d blocks, state height %d (orderer err: %v)",
+					i, st.Blocks, ordStatus.Blocks, st.Height, ord.Err())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

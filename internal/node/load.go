@@ -122,10 +122,10 @@ const loadJobBuffer = 1 << 20
 
 // RunLoad drives an open-loop load run: a token-bucket pacer schedules
 // submissions at TargetTPS onto a deep queue, and a fixed worker pool
-// executes them (endorse → submit → poll) against the cluster. Latency is
-// measured from the scheduled instant, and an HDR histogram (lock-free,
-// fixed memory) absorbs any sample volume. Cancel ctx to stop early; the
-// report covers whatever completed.
+// executes them (endorse → submit → wait for the result) against the
+// cluster. Latency is measured from the scheduled instant, and an HDR
+// histogram (lock-free, fixed memory) absorbs any sample volume. Cancel ctx
+// to stop early; the report covers whatever completed.
 func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {

@@ -12,7 +12,7 @@
 //	client ──proposal──▶ peer (simulate + endorse)
 //	client ──submit────▶ orderer (dedup, schedule, cut, seal verdicts)
 //	orderer ──blocks───▶ every peer (validate, assert sealed verdicts, commit)
-//	client ──poll──────▶ orderer (result by TxID, resolved at seal)
+//	client ──result-wait▶ orderer (parked by TxID, woken at seal)
 //
 // Identity in this mode comes from the deterministic dev MSP
 // (identity.Deterministic): every process derives the cluster's well-known
@@ -33,7 +33,7 @@ import (
 )
 
 // DefaultResultHorizon bounds the orderer's result map: results older than
-// this many resolutions are forgotten (a poller that slow has timed out
+// this many resolutions are forgotten (a client that slow has timed out
 // anyway).
 const DefaultResultHorizon = 1 << 17
 
@@ -54,45 +54,92 @@ func needsMVCC(system sched.System) (bool, error) {
 	return s.NeedsMVCCValidation(), nil
 }
 
-// resultStore is a bounded TxID → result map with FIFO eviction.
+// resultStore is a bounded TxID → result map with FIFO eviction, plus the
+// handlers parked on results that have not resolved yet. It holds each
+// TxID's own fate — the arrival abort or sealed verdict of its first
+// submission — never the fate of a replay.
 type resultStore struct {
 	mu      sync.Mutex
 	results map[protocol.TxID]fabric.TxResult
 	order   []protocol.TxID
 	horizon int
+	// waiters holds one buffered channel per parked handler; put claims
+	// them under mu and hands each the result.
+	waiters map[protocol.TxID][]chan fabric.TxResult
 }
 
 func newResultStore(horizon int) *resultStore {
 	if horizon <= 0 {
 		horizon = DefaultResultHorizon
 	}
-	return &resultStore{results: map[protocol.TxID]fabric.TxResult{}, horizon: horizon}
+	return &resultStore{
+		results: map[protocol.TxID]fabric.TxResult{},
+		waiters: map[protocol.TxID][]chan fabric.TxResult{},
+		horizon: horizon,
+	}
 }
 
 func (r *resultStore) put(res fabric.TxResult) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, dup := r.results[res.TxID]; !dup {
-		r.order = append(r.order, res.TxID)
-	} else if res.Code == protocol.AbortDuplicate && prev.Code != protocol.AbortDuplicate {
-		// A client that resubmitted across an orderer failover can race its
-		// own first submission: the replay resolves AbortDuplicate *after*
-		// the original's real verdict. The first real verdict wins — it is
-		// what the sealed block records.
+	if res.Code == protocol.AbortDuplicate {
+		// The orderer resolves a replayed TxID at arrival, which can be
+		// before the original (pending in the block being assembled) gets
+		// its sealed verdict — a client that resubmitted across a failover
+		// races its own first submission exactly so. AbortDuplicate is the
+		// replay's fate; the TxID's fate is the original's verdict, already
+		// stored or still to come, and only that is ever published.
 		return
+	}
+	r.mu.Lock()
+	if _, dup := r.results[res.TxID]; !dup {
+		r.order = append(r.order, res.TxID)
 	}
 	r.results[res.TxID] = res
 	for len(r.order) > r.horizon {
 		delete(r.results, r.order[0])
 		r.order = r.order[1:]
 	}
+	woken := r.waiters[res.TxID]
+	delete(r.waiters, res.TxID)
+	r.mu.Unlock()
+	for _, ch := range woken {
+		ch <- res // buffered, and this is its only send: never blocks
+	}
 }
 
-func (r *resultStore) get(id protocol.TxID) (fabric.TxResult, bool) {
+// getOrPark returns id's result if it has resolved; otherwise it registers
+// a waiter under the same lock as the lookup — a put cannot slip between
+// the miss and the registration — and returns the channel put will deliver
+// to. The caller must unpark a channel it stops waiting on.
+func (r *resultStore) getOrPark(id protocol.TxID) (fabric.TxResult, <-chan fabric.TxResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	res, ok := r.results[id]
-	return res, ok
+	if res, ok := r.results[id]; ok {
+		return res, nil
+	}
+	ch := make(chan fabric.TxResult, 1)
+	r.waiters[id] = append(r.waiters[id], ch)
+	return fabric.TxResult{}, ch
+}
+
+// unpark withdraws a waiter that gave up. It reports false when a put has
+// already claimed the waiter: the result is on its way down ch and the
+// caller must take it.
+func (r *resultStore) unpark(id protocol.TxID, ch <-chan fabric.TxResult) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ws := r.waiters[id]
+	for i, w := range ws {
+		if w != ch {
+			continue
+		}
+		if len(ws) == 1 {
+			delete(r.waiters, id)
+		} else {
+			r.waiters[id] = append(ws[:i], ws[i+1:]...)
+		}
+		return true
+	}
+	return false
 }
 
 // committedTxCount walks the chain tallying committed verdicts — the

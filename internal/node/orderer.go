@@ -19,7 +19,7 @@ import (
 
 // OrdererConfig parameterizes an ordering process.
 type OrdererConfig struct {
-	// Listen is the TCP address for client submits/polls and peer
+	// Listen is the TCP address for client submits/result waits and peer
 	// subscriptions ("127.0.0.1:0" picks an ephemeral port).
 	Listen string
 	// System selects the ordering-phase concurrency control.
@@ -228,8 +228,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 		case wire.MsgSubmit:
 			o.handleSubmit(c, payload)
 		case wire.MsgResultPoll:
-			id := protocol.TxID(payload)
-			res, ok := o.results.get(id)
+			res, ok := o.awaitResult(protocol.TxID(payload))
 			_ = c.Send(wire.MsgResult, wire.EncodeResult(wire.Result{
 				Found: ok, TxID: string(res.TxID), Code: res.Code, Block: res.Block,
 			}))
@@ -265,6 +264,36 @@ func (o *Orderer) handle(c *transport.Conn) {
 			return
 		}
 	}
+}
+
+// resultWaitBound is how long a result request may stay parked. The handler
+// does not read its connection while parked, so the bound is what reclaims
+// the handler of a client that died, and what sends a client stuck on a
+// replica that will never seal the transaction to another one. It sits far
+// above a healthy submit→seal time (one cut timer, plus an election after a
+// leader loss), so a live client's request is answered by a wake-up.
+const resultWaitBound = 2 * time.Second
+
+// awaitResult answers a result request: at once if the transaction has
+// resolved, otherwise after parking until the result store wakes it. ok is
+// false when the bound elapsed or the orderer is closing first.
+func (o *Orderer) awaitResult(id protocol.TxID) (fabric.TxResult, bool) {
+	res, parked := o.results.getOrPark(id)
+	if parked == nil {
+		return res, true
+	}
+	bound := time.NewTimer(resultWaitBound)
+	defer bound.Stop()
+	select {
+	case res := <-parked:
+		return res, true
+	case <-bound.C:
+	case <-o.done:
+	}
+	if !o.results.unpark(id, parked) {
+		return <-parked, true
+	}
+	return fabric.TxResult{}, false
 }
 
 func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/wire"
 )
 
 // reserveAddrs grabs n distinct ephemeral 127.0.0.1 ports and releases them,
@@ -90,19 +92,19 @@ func driveCommitted(t *testing.T, client *Client, txs, hotKeys int) int {
 	return committed
 }
 
-// TestRaftClusterFailoverConvergence is the chaos smoke in miniature: a
-// 3-orderer Raft cluster with 2 peers loses its leader mid-load; clients
-// follow the NotLeader redirects, no committed transaction is lost, and the
-// surviving orderers plus both peers end bit-identical.
-func TestRaftClusterFailoverConvergence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process-shaped Raft cluster is not a -short test")
-	}
+// bootRaftCluster starts a 3-orderer Raft cluster (Fabric#, rescue on) with
+// two peers subscribed to all of it, registering cleanup. A tune function
+// may adjust every orderer's config before it starts.
+func bootRaftCluster(t *testing.T, tune ...func(*OrdererConfig)) (ords []*Orderer, ordererAddrs []string, peers []*Peer) {
+	t.Helper()
 	peerNames := []string{"peer0", "peer1"}
 	cfgs := raftOrdererConfigs(t, sched.SystemSharp, 3, peerNames)
-	ords := make([]*Orderer, len(cfgs))
-	ordererAddrs := make([]string, len(cfgs))
+	ords = make([]*Orderer, len(cfgs))
+	ordererAddrs = make([]string, len(cfgs))
 	for i, cfg := range cfgs {
+		for _, f := range tune {
+			f(&cfg)
+		}
 		o, err := StartOrderer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +113,7 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 		ords[i] = o
 		ordererAddrs[i] = o.Addr()
 	}
-	peers := make([]*Peer, len(peerNames))
+	peers = make([]*Peer, len(peerNames))
 	for i, name := range peerNames {
 		p, err := StartPeer(PeerConfig{
 			Name:         name,
@@ -127,6 +129,18 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 		t.Cleanup(func() { p.Close() })
 		peers[i] = p
 	}
+	return ords, ordererAddrs, peers
+}
+
+// TestRaftClusterFailoverConvergence is the chaos smoke in miniature: a
+// 3-orderer Raft cluster with 2 peers loses its leader mid-load; clients
+// follow the NotLeader redirects, no committed transaction is lost, and the
+// surviving orderers plus both peers end bit-identical.
+func TestRaftClusterFailoverConvergence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process-shaped Raft cluster is not a -short test")
+	}
+	ords, ordererAddrs, peers := bootRaftCluster(t)
 	client, err := DialClient("chaos", ordererAddrs, peerAddrs(peers), dialTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +220,84 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 	}
 	if client.Redirects.Value() == 0 && peers[0].Failovers()+peers[1].Failovers() == 0 {
 		t.Log("note: failover happened without redirects or resubscriptions (timing)")
+	}
+}
+
+// TestRaftLeaderKillWithRequestsParked kills the leader while clients are
+// parked on it waiting for verdicts of transactions it has already acked.
+// Half of them submitted twice first — what a client does when a failover
+// leaves it unsure its submit landed — so the log carries replays that
+// resolve AbortDuplicate at arrival, ahead of the originals' block. Every
+// client must re-ask a survivor and get exactly what the survivors' ledger
+// records: no acked transaction lost, no replay's AbortDuplicate handed out.
+func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process-shaped Raft cluster is not a -short test")
+	}
+	const n = 8
+	ords, ordererAddrs, peers := bootRaftCluster(t, func(c *OrdererConfig) {
+		// No cut before the kill: the block must still be open when the
+		// leader dies, so every request is parked there.
+		c.BlockSize = 4 * n
+		c.BlockTimeout = time.Second
+	})
+	lead := waitRaftLeader(t, ords, 10*time.Second)
+	results := make([]wire.Result, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		client, err := DialClient(fmt.Sprintf("parked%d", i), ordererAddrs, peerAddrs(peers), dialTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		tx, err := client.Endorse("kv", "put", fmt.Sprintf("key%d", i), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sends := 1 + i%2; sends > 0; sends-- {
+			if err := client.SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := client.WaitResult(string(tx.ID))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+			results[i] = res
+		}(i)
+	}
+	awaitParked(t, ords[lead], n)
+	ords[lead].Close()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, o := range ords {
+		if i == lead {
+			continue
+		}
+		chain := o.Network().OrdererChain(0)
+		// The survivor that answered has sealed the block; give the other
+		// one time to seal it too.
+		for deadline := time.Now().Add(10 * time.Second); chain.Len() == 0 && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		for c, res := range results {
+			code, block, ok := sealedVerdict(chain, res.TxID)
+			if !ok {
+				t.Fatalf("orderer %d lost acked transaction %s", i, res.TxID)
+			}
+			if res.Code != code || res.Block != block {
+				t.Fatalf("client %d got %v in block %d, orderer %d records %v in block %d",
+					c, res.Code, res.Block, i, code, block)
+			}
+			if !code.Committed() {
+				t.Fatalf("uncontended transaction %s sealed %v", res.TxID, code)
+			}
+		}
 	}
 }
 

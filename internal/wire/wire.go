@@ -63,9 +63,14 @@ const (
 	MsgProposal MsgType = 3
 	// MsgProposalResp answers MsgProposal with the endorsed Transaction.
 	MsgProposalResp MsgType = 4
-	// MsgResultPoll asks the orderer for a transaction's fate.
+	// MsgResultPoll asks the orderer for a transaction's fate and waits for
+	// it: the orderer answers at once if the transaction has resolved and
+	// otherwise holds the request until it does, or until a bound of its own
+	// elapses. The identifier still says "poll" because the frozen benchmark
+	// harness refers to it by name.
 	MsgResultPoll MsgType = 5
-	// MsgResult answers MsgResultPoll.
+	// MsgResult answers MsgResultPoll; Found is false only when the
+	// orderer's bound elapsed (or it is shutting down) first.
 	MsgResult MsgType = 6
 	// MsgSubscribe opens a block-delivery stream from the given height.
 	MsgSubscribe MsgType = 7
@@ -102,7 +107,7 @@ func (t MsgType) String() string {
 	case MsgProposalResp:
 		return "proposal-resp"
 	case MsgResultPoll:
-		return "result-poll"
+		return "result-wait"
 	case MsgResult:
 		return "result"
 	case MsgSubscribe:
@@ -511,7 +516,7 @@ func DecodeBlock(b []byte) (*ledger.Block, error) {
 // ---------------------------------------------------------------------------
 
 // Proposal asks a peer to simulate and endorse one invocation. The client
-// mints the transaction ID so it can poll for the result by ID regardless of
+// mints the transaction ID so it can ask for the result by ID regardless of
 // which peer endorsed.
 type Proposal struct {
 	ClientID string
@@ -622,8 +627,9 @@ func DecodeAck(b []byte) (Ack, error) {
 	return a, nil
 }
 
-// Result reports a transaction's fate to a polling client. Found is false
-// while the transaction is still in flight (or unknown).
+// Result reports a transaction's fate to the client waiting for it. Found is
+// false when the orderer gave the wait up with the transaction still in
+// flight (or unknown); the client asks again, preferably elsewhere.
 type Result struct {
 	Found bool
 	TxID  string
