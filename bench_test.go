@@ -9,8 +9,12 @@ package fabricsharp
 // regenerates the entire evaluation. cmd/benchall prints the full tables.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"fabricsharp/internal/bench"
@@ -125,7 +129,7 @@ func BenchmarkSingleRunPerSystem(b *testing.B) {
 // BenchmarkOrdering drives each scheduler's bare OnArrival/OnBlockFormation
 // hot path over the two canonical SmallBank stream shapes (contended and
 // conflict-free), reporting allocations — the perf-trajectory benchmark whose
-// results BENCH_PR2.json records (see docs/perf.md).
+// results BENCH.json records under kind "ordering" (see docs/perf.md).
 func BenchmarkOrdering(b *testing.B) {
 	const blockSize = 100
 	for _, system := range sched.Systems() {
@@ -288,6 +292,66 @@ func BenchmarkValidationMVCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := network.VerifySerializability(res); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTrajectoryFile holds BENCH.json to its two schemas: it decodes with no
+// unknown field (so benchall's append rewrites every record intact), each
+// record fills exactly the half its kind names, and cluster metrics use the
+// names BENCHMARK.json declares.
+func TestTrajectoryFile(t *testing.T) {
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		known[m.Name] = true
+	}
+
+	raw, err = os.ReadFile("BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bench.BenchFile
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&file); err != nil {
+		t.Fatalf("BENCH.json: %v", err)
+	}
+	if len(file.Records) == 0 {
+		t.Fatal("BENCH.json holds no records")
+	}
+	for _, rec := range file.Records {
+		switch rec.Kind {
+		case "ordering":
+			if len(rec.Results) == 0 || len(rec.Runs) != 0 {
+				t.Errorf("%s: an ordering record holds results and no runs", rec.Label)
+			}
+		case "cluster":
+			if len(rec.Runs) == 0 || len(rec.Results) != 0 {
+				t.Errorf("%s: a cluster record holds runs and no results", rec.Label)
+			}
+			for _, run := range rec.Runs {
+				if len(run.Metrics) == 0 {
+					t.Errorf("%s %s %s: no metrics", rec.Label, run.Workload, run.Run)
+				}
+				for name := range run.Metrics {
+					if !known[name] && !strings.HasPrefix(name, "load.") {
+						t.Errorf("%s %s %s: metric %q is not declared in BENCHMARK.json", rec.Label, run.Workload, run.Run, name)
+					}
+				}
+			}
+		default:
+			t.Errorf("%s: unknown record kind %q", rec.Label, rec.Kind)
 		}
 	}
 }

@@ -8,10 +8,10 @@
 //	         [-cpuprofile path] [-memprofile path]
 //
 // where id is one of: 1, t1, 10, 11, 12, 13, 14, 15, reorder, ablation,
-// ordering, all. With -fig ordering, -json appends a labelled record to the
-// benchmark trajectory file (BENCH_PR2.json at the repo root is the
-// committed history — the ongoing append-only trajectory; the PR-2 name
-// just records which PR introduced the file).
+// ordering, all. With -fig ordering, -json appends a labelled kind=ordering
+// record to the benchmark trajectory file (BENCH.json at the repo root is
+// the committed append-only history; its kind=cluster records are preserved
+// as they are).
 package main
 
 import (

@@ -4,13 +4,14 @@
 //
 // A minimal 3-process cluster (see docs/transport.md and README):
 //
-//	fabricnode -role orderer -listen 127.0.0.1:7050 -peers peer0,peer1 -system fabric#
-//	fabricnode -role peer -name peer0 -listen 127.0.0.1:7051 -orderer 127.0.0.1:7050 -peers peer0,peer1 -system fabric#
-//	fabricnode -role peer -name peer1 -listen 127.0.0.1:7052 -orderer 127.0.0.1:7050 -peers peer0,peer1 -system fabric#
+//	fabricnode -role orderer -listen 127.0.0.1:7050 -peers peer0,peer1 -system fabric# -workload msmallbank
+//	fabricnode -role peer -name peer0 -listen 127.0.0.1:7051 -orderer 127.0.0.1:7050 -peers peer0,peer1 -system fabric# -workload msmallbank
+//	fabricnode -role peer -name peer1 -listen 127.0.0.1:7052 -orderer 127.0.0.1:7050 -peers peer0,peer1 -system fabric# -workload msmallbank
 //
 // then drive it with `sharpnet load -orderer 127.0.0.1:7050 -peer-addrs
-// 127.0.0.1:7051,127.0.0.1:7052` (add -target-tps for open-loop pacing, and
-// `sharpnet trace` to drain the stage-tracing rings — docs/observability.md).
+// 127.0.0.1:7051,127.0.0.1:7052 -target-tps 500` (open-loop pacing over the
+// genesis-seeded msmallbank pool; `sharpnet trace` drains the stage-tracing
+// rings — docs/observability.md).
 // Nodes shut down gracefully on SIGINT or SIGTERM (peers finish committing
 // every delivered block first).
 package main

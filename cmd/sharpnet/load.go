@@ -4,93 +4,28 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fabricsharp/internal/node"
-	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/trace"
-	"fabricsharp/internal/wire"
-	"fabricsharp/internal/workload"
 )
 
-// loadFlags configures `sharpnet load`. TargetTPS > 0 selects the open-loop
-// generator (rate-paced submissions, stage-trace report); TargetTPS == 0
-// runs the legacy closed-loop -clients/-txs mix.
-type loadFlags struct {
-	Orderers    []string
-	Peers       []string
-	DialTimeout time.Duration
-
-	// Closed-loop shape.
-	Clients int
-	Txs     int
-
-	// Shared workload shape.
-	Accounts int
-	Workload string
-	Seed     int64
-
-	// Open-loop shape.
-	TargetTPS int
-	Duration  time.Duration
-	Workers   int
-	Theta     float64
-	ReadHot   float64
-	WriteHot  float64
-}
-
-func (f loadFlags) openLoop() bool { return f.TargetTPS > 0 }
-
-// loadOptions maps the open-loop flag shape onto the library surface.
-func (f loadFlags) loadOptions() node.LoadOptions {
-	return node.LoadOptions{
-		Orderers:    f.Orderers,
-		Peers:       f.Peers,
-		TargetTPS:   f.TargetTPS,
-		Duration:    f.Duration,
-		Workload:    f.Workload,
-		Accounts:    f.Accounts,
-		Theta:       f.Theta,
-		ReadHot:     f.ReadHot,
-		WriteHot:    f.WriteHot,
-		Workers:     f.Workers,
-		Seed:        f.Seed,
-		DialTimeout: f.DialTimeout,
-	}
-}
+// loadFlags configures `sharpnet load`: the flag set maps one to one onto
+// the library's open-loop generator options.
+type loadFlags node.LoadOptions
 
 func (f loadFlags) validate() error {
 	if len(f.Orderers) == 0 || len(f.Peers) == 0 {
 		return fmt.Errorf("load requires -orderer and -peer-addrs")
 	}
-	if f.openLoop() {
-		return f.loadOptions().Validate()
+	if f.TargetTPS <= 0 {
+		return fmt.Errorf("load requires -target-tps: the offered rate in tx/s, got %d", f.TargetTPS)
 	}
-	if f.Duration != 0 {
-		return fmt.Errorf("-duration paces the open-loop generator; it requires -target-tps")
+	if f.Accounts < 0 {
+		return fmt.Errorf("-accounts must be non-negative (0 = scenario default), got %d", f.Accounts)
 	}
-	if f.Clients <= 0 {
-		return fmt.Errorf("-clients must be positive, got %d", f.Clients)
-	}
-	if f.Txs <= 0 {
-		return fmt.Errorf("-txs must be positive, got %d", f.Txs)
-	}
-	if f.Workload != "" {
-		if _, ok := scenario.Get(f.Workload); !ok {
-			return fmt.Errorf("unknown -workload %q (have %s)", f.Workload, strings.Join(scenario.Names(), ", "))
-		}
-		if f.Accounts < 0 {
-			return fmt.Errorf("-accounts must be non-negative with -workload (0 = scenario default), got %d", f.Accounts)
-		}
-	} else if f.Accounts <= 0 {
-		return fmt.Errorf("-accounts must be positive, got %d", f.Accounts)
-	}
-	return nil
+	return node.LoadOptions(f).Validate()
 }
 
 func cmdLoad(args []string) int {
@@ -100,35 +35,24 @@ func cmdLoad(args []string) int {
 	fs.StringVar(&orderers, "orderer", "", "comma-separated orderer addresses")
 	fs.StringVar(&peers, "peer-addrs", "", "comma-separated peer addresses")
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", 30*time.Second, "how long to retry dialing the cluster")
-	fs.IntVar(&f.Clients, "clients", 4, "closed-loop concurrent clients")
-	fs.IntVar(&f.Txs, "txs", 125, "closed-loop transactions per client")
-	fs.IntVar(&f.Accounts, "accounts", 32, "account pool: SmallBank accounts to create, or with -workload the scenario pool override")
-	fs.StringVar(&f.Workload, "workload", "", "registered scenario to drive instead of the built-in SmallBank mix; the cluster must have been booted with the same -workload/-accounts genesis (open loop defaults to msmallbank)")
+	fs.IntVar(&f.TargetTPS, "target-tps", 0, "offered rate in tx/s (required)")
+	fs.DurationVar(&f.Duration, "duration", 10*time.Second, "how long to offer load")
+	fs.StringVar(&f.Workload, "workload", "", "registered scenario to drive (default msmallbank); the cluster must have been booted with the same -workload/-accounts genesis")
+	fs.IntVar(&f.Accounts, "accounts", 0, "scenario pool-size override (0 = scenario default)")
 	fs.Int64Var(&f.Seed, "seed", 42, "base seed; worker i draws from an explicit rand.Rand seeded with seed+i")
-	fs.IntVar(&f.TargetTPS, "target-tps", 0, "open-loop offered rate in tx/s (0 = legacy closed loop)")
-	fs.DurationVar(&f.Duration, "duration", 0, "open-loop run length (default 10s; requires -target-tps)")
-	fs.IntVar(&f.Workers, "workers", 0, "open-loop submission concurrency (0 = 4×GOMAXPROCS)")
-	fs.Float64Var(&f.Theta, "theta", 0, "open-loop zipfian skew over the account pool (0 = scenario default)")
-	fs.Float64Var(&f.ReadHot, "read-hot", 0, "open-loop modified-SmallBank hot-read ratio (0 = scenario default)")
-	fs.Float64Var(&f.WriteHot, "write-hot", 0, "open-loop modified-SmallBank hot-write ratio (0 = scenario default)")
+	fs.IntVar(&f.Workers, "workers", 0, "submission concurrency (0 = 4×GOMAXPROCS)")
+	fs.Float64Var(&f.Theta, "theta", 0, "zipfian skew over the account pool (0 = scenario default)")
+	fs.Float64Var(&f.ReadHot, "read-hot", 0, "modified-SmallBank hot-read ratio (0 = scenario default)")
+	fs.Float64Var(&f.WriteHot, "write-hot", 0, "modified-SmallBank hot-write ratio (0 = scenario default)")
 	_ = fs.Parse(args)
 	f.Orderers, f.Peers = splitAddrs(orderers), splitAddrs(peers)
-	if f.openLoop() && f.Duration == 0 {
-		f.Duration = 10 * time.Second
-	}
 	if err := f.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "sharpnet load:", err)
+		fs.Usage()
 		return 2
 	}
-	if f.openLoop() {
-		return openLoopLoad(f)
-	}
-	return closedLoopLoad(f)
+	return load(node.LoadOptions(f))
 }
-
-// ---------------------------------------------------------------------------
-// open loop: rate-paced generation plus the stage-trace report
-// ---------------------------------------------------------------------------
 
 // fullPipelineStages is the stage set every committed transaction must
 // exhibit for the coverage assertion (raft-commit is omitted: standalone
@@ -138,8 +62,9 @@ var fullPipelineStages = []trace.Stage{
 	trace.StageDeliver, trace.StageValidate, trace.StageCommit,
 }
 
-func openLoopLoad(f loadFlags) int {
-	opts := f.loadOptions()
+// load runs the rate-paced generator, then joins every node's stage ring
+// into the per-stage latency report.
+func load(opts node.LoadOptions) int {
 	report, err := node.RunLoad(context.Background(), opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sharpnet load:", err)
@@ -159,17 +84,17 @@ func openLoopLoad(f loadFlags) int {
 
 	// Convergence before draining the rings: peers may still be applying
 	// delivered blocks, and commit-stage events trail the client acks.
-	if why := awaitAgreement(f.Orderers, f.Peers, 0, 60*time.Second); why != "" {
+	if why := awaitAgreement(opts.Orderers, opts.Peers, 0, 60*time.Second); why != "" {
 		fmt.Fprintf(os.Stderr, "CONVERGENCE FAILED: %s\n", why)
 		return 1
 	}
-	addrs := append(append([]string{}, f.Orderers...), f.Peers...)
+	addrs := append(append([]string{}, opts.Orderers...), opts.Peers...)
 	deadline := time.Now().Add(30 * time.Second)
 	var tls []trace.Timeline
 	var cov float64
 	for {
 		var err error
-		tls, _, err = node.FetchTimelines(addrs, f.DialTimeout)
+		tls, _, err = node.FetchTimelines(addrs, opts.DialTimeout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sharpnet load:", err)
 			return 1
@@ -194,163 +119,6 @@ func openLoopLoad(f loadFlags) int {
 		fmt.Fprintln(os.Stderr, "LOAD FAILED: some submissions errored")
 		return 1
 	}
-	fmt.Println("CONVERGED: all peers at bit-identical chain tips and state fingerprints")
-	return 0
-}
-
-// ---------------------------------------------------------------------------
-// closed loop: the legacy fixed-count wire client
-// ---------------------------------------------------------------------------
-
-// smallbankOp draws one contended SmallBank operation from an explicit rng
-// (never the global math/rand: each worker owns a deterministic stream, so
-// runs are reproducible regardless of scheduling or parallel harnesses).
-func smallbankOp(rng *rand.Rand, accounts int) (string, []string) {
-	a := fmt.Sprintf("acct%d", rng.Intn(accounts))
-	b := fmt.Sprintf("acct%d", rng.Intn(accounts))
-	amount := fmt.Sprint(1 + rng.Intn(50))
-	switch rng.Intn(5) {
-	case 0:
-		return "deposit_checking", []string{a, amount}
-	case 1:
-		return "transact_savings", []string{a, amount}
-	case 2:
-		return "write_check", []string{a, amount}
-	case 3:
-		return "amalgamate", []string{a, b}
-	default:
-		return "send_payment", []string{a, b, amount}
-	}
-}
-
-func closedLoopLoad(f loadFlags) int {
-	var sc scenario.Scenario
-	if f.Workload != "" {
-		sc, _ = scenario.Get(f.Workload) // existence validated already
-	}
-	start := time.Now()
-
-	// Phase 0 (built-in SmallBank mix only): seed the account pool with
-	// blind, contention-free writes. A named scenario skips this — its
-	// genesis was installed by every fabricnode booted with the same
-	// -workload/-accounts pair.
-	seeded := int64(0)
-	if f.Workload == "" {
-		seeder, err := node.DialClient("seeder", f.Orderers, f.Peers, f.DialTimeout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for i := 0; i < f.Accounts; i++ {
-			res, err := seeder.Submit("smallbank", "create_account", fmt.Sprintf("acct%d", i), "1000", "1000")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "seeding account %d: %v\n", i, err)
-				return 1
-			}
-			if !res.Code.Committed() {
-				fmt.Fprintf(os.Stderr, "seeding account %d aborted: %s\n", i, res.Code)
-				return 1
-			}
-		}
-		seeder.Close()
-		seeded = int64(f.Accounts)
-	}
-
-	// Phase 1: contended traffic from independent workers.
-	var committed, aborted, failed int64
-	var wg sync.WaitGroup
-	for c := 0; c < f.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(f.Seed + int64(c)))
-			var gen workload.Generator
-			if f.Workload != "" {
-				var err error
-				if gen, err = sc.Generator(rng, scenario.Params{Accounts: f.Accounts}); err != nil {
-					fmt.Fprintf(os.Stderr, "client %d: %v\n", c, err)
-					atomic.AddInt64(&failed, int64(f.Txs))
-					return
-				}
-			}
-			client, err := node.DialClient(fmt.Sprintf("load%d", c), f.Orderers, f.Peers, f.DialTimeout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				atomic.AddInt64(&failed, int64(f.Txs))
-				return
-			}
-			defer client.Close()
-			for i := 0; i < f.Txs; i++ {
-				contract := "smallbank"
-				var function string
-				var args []string
-				if gen != nil {
-					op := gen.Next()
-					contract, function, args = op.Contract, op.Function, op.Args
-				} else {
-					function, args = smallbankOp(rng, f.Accounts)
-				}
-				res, err := client.Submit(contract, function, args...)
-				switch {
-				case err != nil && strings.Contains(err.Error(), "endorsement refused"):
-					// The contract itself rejected the invocation (e.g. a
-					// losing auction bid): an abort by design, not a failure.
-					atomic.AddInt64(&aborted, 1)
-				case err != nil:
-					atomic.AddInt64(&failed, 1)
-					fmt.Fprintf(os.Stderr, "client %d: %v\n", c, err)
-				case res.Code.Committed():
-					atomic.AddInt64(&committed, 1)
-				default:
-					atomic.AddInt64(&aborted, 1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	// Phase 2: convergence. Every peer must reach the orderer's sealed
-	// chain and agree bit for bit. Status probes ride StatusAtRetry so a
-	// node mid-restart (chaos smoke) costs a retry, not the whole run.
-	var ordStatus wire.Status
-	var stErr error
-	for _, addr := range f.Orderers {
-		if ordStatus, stErr = node.StatusAtRetry(addr, time.Now().Add(f.DialTimeout)); stErr == nil {
-			break
-		}
-	}
-	if stErr != nil {
-		fmt.Fprintln(os.Stderr, stErr)
-		return 1
-	}
-	fmt.Printf("\norderer    %d blocks sealed, tip %x\n", ordStatus.Blocks, ordStatus.TipHash)
-	fmt.Printf("submitted  %d (%d committed, %d aborted, %d failed) in %.1fs\n",
-		seeded+committed+aborted+failed, committed, aborted, failed, elapsed.Seconds())
-	fmt.Printf("throughput %.0f tx/s end-to-end over TCP\n",
-		float64(seeded+committed+aborted)/elapsed.Seconds())
-
-	if why := awaitAgreement(f.Orderers, f.Peers, 0, 60*time.Second); why != "" {
-		fmt.Fprintf(os.Stderr, "CONVERGENCE FAILED: %s\n", why)
-		return 1
-	}
-	for _, addr := range f.Peers {
-		st, err := node.StatusAtRetry(addr, time.Now().Add(f.DialTimeout))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("peer %-8s %d blocks, height %d, tip %x, state %.16s…\n",
-			st.Name, st.Blocks, st.Height, st.TipHash, st.StateHash)
-	}
-	if failed > 0 {
-		fmt.Fprintln(os.Stderr, "LOAD FAILED: some submissions errored")
-		return 1
-	}
-	// Machine-readable tally for the chaos smoke: every one of these
-	// transactions was acked committed to a client, so the surviving
-	// cluster's ledger must account for all of them (check mode asserts it).
-	fmt.Printf("COMMITTED_TOTAL %d\n", seeded+committed)
 	fmt.Println("CONVERGED: all peers at bit-identical chain tips and state fingerprints")
 	return 0
 }

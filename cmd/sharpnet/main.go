@@ -5,14 +5,12 @@
 //	                   zero-setup way to watch the execute-order-validate
 //	                   pipeline and the Sharp reordering at work.
 //	sharpnet load    — act as a pure wire client against a process-per-node
-//	                   cluster (cmd/fabricnode). With -target-tps it is an
-//	                   open-loop generator: submissions are paced at the
-//	                   target rate regardless of completion latency, and the
-//	                   run ends with per-stage latency quantiles joined from
-//	                   every node's trace ring. Without -target-tps it runs
-//	                   the legacy closed-loop -clients/-txs mix. Either way
-//	                   it finally asserts that every peer converged to
-//	                   bit-identical chain tips and state fingerprints.
+//	                   cluster (cmd/fabricnode): an open-loop generator
+//	                   (node.RunLoad) pacing submissions at -target-tps
+//	                   regardless of completion latency. The run ends with
+//	                   per-stage latency quantiles joined from every node's
+//	                   trace ring, after asserting that every peer converged
+//	                   to bit-identical chain tips and state fingerprints.
 //	sharpnet trace   — drain the always-on stage-tracing rings of live
 //	                   orderers and peers and print merged per-stage latency
 //	                   quantiles (submit → order → seal → deliver → validate
@@ -29,12 +27,8 @@
 //	sharpnet demo [-system fabric#] [-clients 4] [-txs 200]
 //	sharpnet load -orderer 127.0.0.1:7050 -peer-addrs 127.0.0.1:7051,127.0.0.1:7052 \
 //	         -target-tps 500 -duration 10s [-workload msmallbank] [-accounts 100000]
-//	sharpnet load -orderer ... -peer-addrs ... [-clients 4] [-txs 125] [-accounts 32]
 //	sharpnet trace -orderer ... -peer-addrs ...
 //	sharpnet check -orderer ... -peer-addrs ... -expect-committed 500
-//
-// The pre-subcommand CLI (`sharpnet -mode load ...`) still works through a
-// deprecation shim that maps -mode onto the matching subcommand.
 package main
 
 import (
@@ -52,11 +46,6 @@ func main() {
 			usage(os.Stdout)
 			return
 		}
-	}
-	args, legacyMode := legacyArgs(args)
-	if legacyMode != "" {
-		fmt.Fprintf(os.Stderr,
-			"sharpnet: the -mode flag is deprecated; use `sharpnet %s` with the same flags\n", legacyMode)
 	}
 	if len(args) == 0 {
 		usage(os.Stderr)
@@ -88,8 +77,8 @@ func usage(w io.Writer) {
 
 commands:
   demo    run the in-process network demo (no cluster needed)
-  load    drive a fabricnode cluster: open-loop at -target-tps with stage
-          tracing, or the legacy closed-loop -clients/-txs mix
+  load    drive a fabricnode cluster open-loop at -target-tps and report
+          per-stage latency from the merged trace rings
   trace   drain every node's stage-tracing ring and print merged per-stage
           latency quantiles
   status  print one line per reachable cluster member
@@ -98,35 +87,6 @@ commands:
 
 run 'sharpnet <command> -h' for that command's flags.
 `)
-}
-
-// legacyArgs maps the pre-subcommand flag soup (`sharpnet -mode load ...`,
-// default mode demo) onto the subcommand CLI: the -mode pair is stripped and
-// its value becomes the leading subcommand. The second return is the mapped
-// mode ("" when the invocation was already subcommand-shaped), so main
-// prints exactly one deprecation warning.
-func legacyArgs(args []string) ([]string, string) {
-	if len(args) == 0 || !strings.HasPrefix(args[0], "-") {
-		return args, ""
-	}
-	mode := "demo"
-	rest := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		switch a := args[i]; {
-		case a == "-mode" || a == "--mode":
-			if i+1 < len(args) {
-				i++
-				mode = args[i]
-			}
-		case strings.HasPrefix(a, "-mode="):
-			mode = a[len("-mode="):]
-		case strings.HasPrefix(a, "--mode="):
-			mode = a[len("--mode="):]
-		default:
-			rest = append(rest, a)
-		}
-	}
-	return append([]string{mode}, rest...), mode
 }
 
 func splitAddrs(s string) []string {

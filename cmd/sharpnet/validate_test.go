@@ -1,7 +1,6 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +15,6 @@ func TestValidateAcceptsWellFormedCommands(t *testing.T) {
 	peers := []string{"127.0.0.1:7051", "127.0.0.1:7052"}
 	for name, f := range map[string]validator{
 		"demo":            demoFlags{Clients: 4, Txs: 200, Hot: 8},
-		"load closed":     loadFlags{Orderers: cluster, Peers: peers, Clients: 4, Txs: 125, Accounts: 32},
-		"load scenario":   loadFlags{Orderers: cluster, Peers: peers, Clients: 4, Txs: 125, Workload: "auction"},
 		"load open loop":  loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 500, Duration: 10 * time.Second},
 		"load open pool":  loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 500, Duration: time.Second, Workload: "token", Accounts: 100000},
 		"status both":     statusFlags{Orderers: cluster, Peers: peers},
@@ -43,21 +40,16 @@ func TestValidateRejectsMisuse(t *testing.T) {
 		"demo zero clients":     {demoFlags{Txs: 1, Hot: 1}, "-clients must be positive"},
 		"demo zero txs":         {demoFlags{Clients: 1, Hot: 1}, "-txs must be positive"},
 		"demo zero hot":         {demoFlags{Clients: 1, Txs: 1}, "-hot must be positive"},
-		"load without orderers": {loadFlags{Peers: peers, Clients: 1, Txs: 1, Accounts: 1}, "requires -orderer"},
-		"load without peers":    {loadFlags{Orderers: cluster, Clients: 1, Txs: 1, Accounts: 1}, "requires -orderer and -peer-addrs"},
-		"load zero accounts":    {loadFlags{Orderers: cluster, Peers: peers, Clients: 1, Txs: 1}, "-accounts must be positive"},
-		"load unknown workload": {loadFlags{Orderers: cluster, Peers: peers, Clients: 1, Txs: 1, Workload: "nosuch"}, "unknown -workload"},
-		"load negative pool":    {loadFlags{Orderers: cluster, Peers: peers, Clients: 1, Txs: 1, Workload: "token", Accounts: -1}, "non-negative"},
-		"load stray duration":   {loadFlags{Orderers: cluster, Peers: peers, Clients: 1, Txs: 1, Accounts: 1, Duration: time.Second}, "requires -target-tps"},
-		"open loop no duration": {loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 100}, "positive duration"},
-		"open loop bad workload": {
-			loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 100, Duration: time.Second, Workload: "nosuch"},
-			"unknown workload",
-		},
-		"status no targets":  {statusFlags{}, "needs -orderer and/or -peer-addrs"},
-		"check without peer": {checkFlags{Orderers: cluster, ConvergeTimeout: time.Minute}, "requires -orderer and -peer-addrs"},
-		"check zero timeout": {checkFlags{Orderers: cluster, Peers: peers}, "-converge-timeout must be positive"},
-		"trace no targets":   {traceFlags{}, "needs -orderer and/or -peer-addrs"},
+		"load without orderers": {loadFlags{Peers: peers, TargetTPS: 100, Duration: time.Second}, "requires -orderer"},
+		"load without peers":    {loadFlags{Orderers: cluster, TargetTPS: 100, Duration: time.Second}, "requires -orderer and -peer-addrs"},
+		"load without rate":     {loadFlags{Orderers: cluster, Peers: peers, Duration: time.Second}, "requires -target-tps"},
+		"load no duration":      {loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 100}, "positive duration"},
+		"load unknown workload": {loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 100, Duration: time.Second, Workload: "nosuch"}, "unknown workload"},
+		"load negative pool":    {loadFlags{Orderers: cluster, Peers: peers, TargetTPS: 100, Duration: time.Second, Workload: "token", Accounts: -1}, "non-negative"},
+		"status no targets":     {statusFlags{}, "needs -orderer and/or -peer-addrs"},
+		"check without peer":    {checkFlags{Orderers: cluster, ConvergeTimeout: time.Minute}, "requires -orderer and -peer-addrs"},
+		"check zero timeout":    {checkFlags{Orderers: cluster, Peers: peers}, "-converge-timeout must be positive"},
+		"trace no targets":      {traceFlags{}, "needs -orderer and/or -peer-addrs"},
 	}
 	for name, c := range cases {
 		err := c.flags.validate()
@@ -67,54 +59,6 @@ func TestValidateRejectsMisuse(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: error %q does not contain %q", name, err, c.wantErr)
-		}
-	}
-}
-
-// TestLegacyArgs pins the deprecation shim: every pre-subcommand flag-soup
-// invocation maps onto the matching subcommand with its flags intact, and
-// subcommand-shaped invocations pass through untouched.
-func TestLegacyArgs(t *testing.T) {
-	cases := map[string]struct {
-		in       []string
-		want     []string
-		wantMode string
-	}{
-		"subcommand passthrough": {
-			in: []string{"load", "-orderer", "a"}, want: []string{"load", "-orderer", "a"}, wantMode: "",
-		},
-		"empty passthrough": {in: nil, want: nil, wantMode: ""},
-		"mode pair": {
-			in:       []string{"-mode", "load", "-orderer", "a", "-txs", "5"},
-			want:     []string{"load", "-orderer", "a", "-txs", "5"},
-			wantMode: "load",
-		},
-		"mode equals": {
-			in:       []string{"-mode=check", "-expect-committed", "500"},
-			want:     []string{"check", "-expect-committed", "500"},
-			wantMode: "check",
-		},
-		"double dash mode": {
-			in:       []string{"--mode", "status", "-orderer", "a"},
-			want:     []string{"status", "-orderer", "a"},
-			wantMode: "status",
-		},
-		"bare flags default to demo": {
-			in:       []string{"-system", "fabric#", "-clients", "2"},
-			want:     []string{"demo", "-system", "fabric#", "-clients", "2"},
-			wantMode: "demo",
-		},
-		"mode mid-args": {
-			in:       []string{"-orderer", "a", "-mode", "load", "-peer-addrs", "b"},
-			want:     []string{"load", "-orderer", "a", "-peer-addrs", "b"},
-			wantMode: "load",
-		},
-	}
-	for name, c := range cases {
-		got, mode := legacyArgs(c.in)
-		if !reflect.DeepEqual(got, c.want) || mode != c.wantMode {
-			t.Errorf("%s: legacyArgs(%v) = (%v, %q), want (%v, %q)",
-				name, c.in, got, mode, c.want, c.wantMode)
 		}
 	}
 }

@@ -140,21 +140,6 @@ type OrderingResult struct {
 	// (sampled after every cut) — the memory-residency figure the churn
 	// shape exists to bound. omitempty keeps pre-PR-4 records intact.
 	MaxResidentKeys int `json:"max_resident_keys,omitempty"`
-	// Open-loop wire-cluster columns: populated by records captured from
-	// `sharpnet load -target-tps` runs (offered rate, achieved completion
-	// rate, and scheduled-instant submit→commit latency quantiles), absent
-	// for the in-process ordering microbenchmarks.
-	TargetTPS   int     `json:"target_tps,omitempty"`
-	AchievedTPS float64 `json:"achieved_tps,omitempty"`
-	P50CommitMS float64 `json:"p50_commit_ms,omitempty"`
-	P99CommitMS float64 `json:"p99_commit_ms,omitempty"`
-	// Repo-benchmark columns: populated by records copied from
-	// `bash benchmark/run.sh` result lines (node CPU per 1000 committed
-	// transactions, all nodes and the orderer alone; orderer seal stamp →
-	// Client.Submit returns), absent everywhere else.
-	CPUSPerKTx        float64 `json:"cpu_s_per_ktx,omitempty"`
-	OrdererCPUSPerKTx float64 `json:"orderer_cpu_s_per_ktx,omitempty"`
-	SealToResultP50MS float64 `json:"seal_to_result_p50_ms,omitempty"`
 }
 
 // RunOrdering drives one scheduler over a pre-generated stream, cutting a
@@ -406,13 +391,14 @@ func Ordering(o Options) (*Table, []OrderingResult, error) {
 	return t, all, nil
 }
 
-// BenchRecord is one entry of the repository's benchmark trajectory file:
-// a labelled snapshot of the ordering-phase results on one machine. The
-// committed history lives in BENCH_PR2.json at the repo root — the name
-// records the PR that introduced the file, not its scope; it is the ongoing
-// append-only trajectory, and every PR appends records rather than
-// overwriting them.
+// BenchRecord is one entry of BENCH.json, the repository's append-only
+// benchmark trajectory. Kind says which half is filled: "ordering" records
+// hold the scheduler hot-path Results that benchall measures; "cluster"
+// records hold Runs copied from the multi-process benchmark's result lines
+// (`bash benchmark/run.sh`), which no code here produces — the type exists
+// so that appending an ordering record rewrites them intact.
 type BenchRecord struct {
+	Kind       string           `json:"kind"`
 	Label      string           `json:"label"`
 	Captured   string           `json:"captured"`
 	GoVersion  string           `json:"go"`
@@ -420,7 +406,23 @@ type BenchRecord struct {
 	TxCount    int              `json:"tx_count"`
 	BlockSize  int              `json:"block_size"`
 	Seed       int64            `json:"seed"`
-	Results    []OrderingResult `json:"results"`
+	Results    []OrderingResult `json:"results,omitempty"`
+	Runs       []ClusterRun     `json:"runs,omitempty"`
+}
+
+// ClusterRun is one run of one BENCHMARK.json workload. Run names the plan,
+// seed and side of a comparison ("trace0 seed1 parent"); RateTPS is the
+// open-loop rate, 0 for the closed loop, as in the benchmark's phase lines.
+// Metrics is keyed by the metric names in BENCHMARK.json; a figure only
+// `sharpnet load` prints carries a "load." prefix.
+type ClusterRun struct {
+	System    string             `json:"system"`
+	Workload  string             `json:"workload"`
+	Run       string             `json:"run"`
+	RateTPS   int                `json:"rate_tps"`
+	Offered   int                `json:"offered"`
+	Committed int                `json:"committed"`
+	Metrics   map[string]float64 `json:"metrics"`
 }
 
 // BenchFile is the trajectory file layout.
@@ -433,7 +435,7 @@ type BenchFile struct {
 // file back, preserving earlier records — the append-only perf history.
 func AppendBenchRecord(path string, rec BenchRecord) error {
 	file := BenchFile{
-		Comment: "Ordering-phase hot-path benchmark trajectory; append one record per PR (cmd/benchall -fig ordering -json <path> -label <pr>).",
+		Comment: "Benchmark trajectory, append-only; see docs/perf.md for the two record kinds.",
 	}
 	if raw, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(raw, &file); err != nil {
@@ -453,6 +455,7 @@ func AppendBenchRecord(path string, rec BenchRecord) error {
 // NewBenchRecord assembles a record for the current machine and options.
 func NewBenchRecord(label string, o Options, results []OrderingResult) BenchRecord {
 	return BenchRecord{
+		Kind:       "ordering",
 		Label:      label,
 		Captured:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),

@@ -2,13 +2,16 @@ package commit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
@@ -317,11 +320,83 @@ func TestCommitterPipeline(t *testing.T) {
 	if st.TxsValidated.Value() != blocks*4 {
 		t.Errorf("TxsValidated = %d", st.TxsValidated.Value())
 	}
-	if st.CommitLatencyMS.N() != blocks {
-		t.Errorf("latency samples = %d", st.CommitLatencyMS.N())
+	if st.CommitLatencyNS.Count() != blocks {
+		t.Errorf("latency samples = %d", st.CommitLatencyNS.Count())
 	}
 	if st.QueueDepth.Value() != 0 {
 		t.Errorf("queue depth = %d", st.QueueDepth.Value())
+	}
+}
+
+// TestCommitterStatsHDR pins the always-on stats to the lock-free HDR
+// histogram's contract: one sample per block, counted exactly, and latency
+// quantiles within the bucket resolution (1/32 ≈ 3.2 %) of an exact
+// reference. The reference is rebuilt from the histogram's own exact running
+// sum: blocks go through one at a time, so each sum delta is that block's
+// recorded latency.
+func TestCommitterStatsHDR(t *testing.T) {
+	env := newTestEnv(t)
+	source, _ := ledger.NewChain(nil)
+	state, _ := statedb.New(statedb.Options{})
+	peerChain, _ := ledger.NewChain(nil)
+	c := New(Config{
+		Name:       "peer-stats",
+		State:      state,
+		Chain:      peerChain,
+		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
+		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
+	})
+	c.Start()
+	defer c.Close()
+	st := c.Stats()
+	const blocks = 100 // q·blocks is integral for 0.5 and 0.99: both quantile conventions pick the same rank
+	var exact metrics.Histogram
+	var sum float64
+	for b := 0; b < blocks; b++ {
+		var txs []*protocol.Transaction
+		for i := 0; i <= b%3; i++ { // 1–3 disjoint writers: 1–3 conflict groups
+			tx := &protocol.Transaction{
+				ID: protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
+				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{
+					{Key: fmt.Sprintf("key-%d-%d", b, i), Value: []byte("v")},
+				}},
+			}
+			env.sign(tx)
+			txs = append(txs, tx)
+		}
+		blk, err := source.Seal(txs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Deliver(blk)
+		for !c.Idle() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if got := st.CommitLatencyNS.Count(); got != uint64(b+1) {
+			t.Fatalf("after block %d: %d latency samples", b+1, got)
+		}
+		if got := st.GroupsPerBlock.Count(); got != uint64(b+1) {
+			t.Fatalf("after block %d: %d group samples", b+1, got)
+		}
+		now := math.Round(st.CommitLatencyNS.Mean() * float64(b+1))
+		exact.Add(now - sum)
+		sum = now
+	}
+	if st.RescueRoundsPerBlock.Count() != 0 {
+		t.Errorf("rescue rounds sampled %d times with rescue off", st.RescueRoundsPerBlock.Count())
+	}
+	if lo, hi := st.GroupsPerBlock.Quantile(0.01), st.GroupsPerBlock.Quantile(1); lo != 1 || hi != 3 {
+		t.Errorf("groups per block span [%d, %d], want [1, 3]", lo, hi)
+	}
+	got := st.CommitLatencyNS.Quantiles(0.5, 0.99)
+	want := exact.Quantiles(0.5, 0.99)
+	for i, name := range []string{"p50", "p99"} {
+		if want[i] <= 0 {
+			t.Fatalf("%s reference latency %v ns", name, want[i])
+		}
+		if rel := math.Abs(float64(got[i])-want[i]) / want[i]; rel > 1.0/32 {
+			t.Errorf("%s = %d ns, exact %v ns: off by %.1f%%, bucket bound is 3.2%%", name, got[i], want[i], 100*rel)
+		}
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"fabricsharp/internal/trace"
 )
 
-// DefaultQueueDepth is the delivery-channel buffer when Config leaves it
-// unset: deep enough that ordering rarely blocks on a slow peer, bounded so
-// a stalled peer exerts backpressure instead of hoarding unbounded memory.
-const DefaultQueueDepth = 64
+// queueDepth buffers the delivery channel: deep enough that ordering rarely
+// blocks on a slow peer, bounded so a stalled peer exerts backpressure
+// instead of hoarding unbounded memory.
+const queueDepth = 64
 
 // Config wires a Committer to one peer's state and ledger. The Committer
 // deliberately knows nothing about the network that feeds it — completion
@@ -33,8 +33,6 @@ type Config struct {
 	Chain *ledger.Chain
 	// Validation configures the parallel validator.
 	Validation Options
-	// QueueDepth buffers the delivery channel (default DefaultQueueDepth).
-	QueueDepth int
 	// OnCommit, when set, fires after each block commits, from the committer
 	// goroutine, with the peer's appended block and its validation codes.
 	OnCommit func(blk *ledger.Block, codes []protocol.ValidationCode)
@@ -62,10 +60,10 @@ type Stats struct {
 	ValidationGroups metrics.Counter
 	// GroupsPerBlock samples the per-block conflict-group count — the
 	// available intra-block parallelism.
-	GroupsPerBlock metrics.SyncHistogram
-	// CommitLatencyMS samples per-block commit latency (validate + apply),
-	// in milliseconds.
-	CommitLatencyMS metrics.SyncHistogram
+	GroupsPerBlock metrics.HDRHistogram
+	// CommitLatencyNS samples per-block commit latency (validate + apply),
+	// in nanoseconds.
+	CommitLatencyNS metrics.HDRHistogram
 	// RescueAttempts counts MVCC-aborted transactions the post-order rescue
 	// phase re-executed; RescueCommitted those it flipped to Rescued and
 	// RescueStillAborted those it deterministically left aborted.
@@ -75,7 +73,7 @@ type Stats struct {
 	// RescueRoundsPerBlock samples the speculative round count of blocks
 	// whose rescue phase had candidates — the retry cost of optimistic
 	// re-execution.
-	RescueRoundsPerBlock metrics.SyncHistogram
+	RescueRoundsPerBlock metrics.HDRHistogram
 }
 
 // Committer is one peer's pipelined validation/commit stage: a goroutine
@@ -96,11 +94,7 @@ type Committer struct {
 
 // New builds a Committer. Call Start to launch its goroutine.
 func New(cfg Config) *Committer {
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
-	return &Committer{cfg: cfg, deliver: make(chan *ledger.Block, depth)}
+	return &Committer{cfg: cfg, deliver: make(chan *ledger.Block, queueDepth)}
 }
 
 // Start launches the committer goroutine. It is idempotent.
@@ -153,7 +147,7 @@ func (c *Committer) run() {
 			if err := c.commit(blk); err != nil {
 				c.fail(err)
 			} else {
-				c.stats.CommitLatencyMS.Add(float64(start.ElapsedNS()) / 1e6)
+				c.stats.CommitLatencyNS.Record(start.ElapsedNS())
 			}
 		}
 		c.pending.Add(-1)
@@ -215,13 +209,13 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	c.stats.TxsValidated.Add(uint64(len(peerBlk.Transactions)))
 	if res.Groups > 0 {
 		c.stats.ValidationGroups.Add(uint64(res.Groups))
-		c.stats.GroupsPerBlock.Add(float64(res.Groups))
+		c.stats.GroupsPerBlock.Record(int64(res.Groups))
 	}
 	if res.Rescue.Attempted > 0 {
 		c.stats.RescueAttempts.Add(uint64(res.Rescue.Attempted))
 		c.stats.RescueCommitted.Add(uint64(res.Rescue.Rescued))
 		c.stats.RescueStillAborted.Add(uint64(res.Rescue.StillAborted()))
-		c.stats.RescueRoundsPerBlock.Add(float64(res.Rescue.Rounds))
+		c.stats.RescueRoundsPerBlock.Record(int64(res.Rescue.Rounds))
 	}
 	if c.cfg.OnCommit != nil {
 		c.cfg.OnCommit(peerBlk, res.Codes)

@@ -2,7 +2,9 @@
 // ordering phase. Fabric outsources this to Kafka (Section 2.1); the Kafka
 // type reproduces the properties the schedulers rely on — a single durable,
 // totally ordered, replayable stream that every orderer consumes
-// identically — using an in-process broker.
+// identically — using an in-process broker. RaftCore (raftcore.go) is the
+// crash-fault-tolerant alternative: the pure replicated-log state machine
+// that internal/transport.RaftService drives over TCP.
 package consensus
 
 import (

@@ -13,10 +13,10 @@ import "fmt"
 // network: no double vote in a term, log-matching truncation, commit only
 // through a current-term entry, leader completeness via the up-to-date check.
 //
-// Unlike the in-process Raft above (deterministic elections, one address
-// space), RaftCore models real cluster membership: each OS process owns one
+// RaftCore models real cluster membership: each OS process owns one
 // replica, messages arrive from sockets in any order, and liveness comes
-// from the driver's randomized election timeouts.
+// from the driver's randomized election timeouts. It is the only Raft in
+// the repository.
 //
 // Scope note: the log itself is volatile (a restarted node rejoins empty and
 // is caught up by the leader from index 1), while term and vote may be made

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/protocol"
@@ -54,7 +55,7 @@ func (c *Client) SubmitAsync(contract, function string, args ...string) (protoco
 	// Execution phase: any one peer endorses (Section 5.1's policy);
 	// clients rotate to spread load.
 	peer := c.net.peers[atomic.AddUint64(&c.endorser, 1)%uint64(len(c.net.peers))]
-	if _, err := peer.Endorse(c.net.registry, tx); err != nil {
+	if _, err := Endorse(peer.state, peer.id, c.net.registry, tx); err != nil {
 		return "", nil, err
 	}
 	// Fill the key caches while the client still has exclusive access: every
@@ -103,6 +104,6 @@ func (c *Client) Query(contract, function string, args ...string) ([]byte, error
 	if !ok {
 		return nil, fmt.Errorf("fabric: unknown contract %q", contract)
 	}
-	_, result, err := simulateOnPeer(cc, function, args, peer)
+	_, result, err := chaincode.SimulateFull(cc, function, args, peer.state.LatestSnapshot())
 	return result, err
 }

@@ -108,7 +108,7 @@ func (c *Client) SubmitCommitted(contract, function string, args ...string) (TxR
 		Args:     args,
 	}
 	peer := c.net.peers[0]
-	if _, err := peer.Endorse(c.net.registry, tx); err != nil {
+	if _, err := Endorse(peer.state, peer.id, c.net.registry, tx); err != nil {
 		return TxResult{}, err
 	}
 	tx.RWSet.Precompute()

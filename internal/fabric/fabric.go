@@ -31,7 +31,6 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
-	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
@@ -97,23 +96,12 @@ type Options struct {
 	DataDir string
 	// Ordering, when set, injects an externally built consensus service —
 	// typically a transport.RaftService joining this process to a Raft
-	// ordering cluster over TCP — instead of constructing an in-process one
-	// from Consensus/RaftNodes. Every process consuming the same replicated
-	// stream seals byte-identical blocks, which is what makes a multi-process
-	// ordering cluster interchangeable with the in-process backends. The
+	// ordering cluster over TCP — instead of the default in-process
+	// consensus.Kafka. Every process consuming the same replicated stream
+	// seals byte-identical blocks, which is what makes a multi-process
+	// ordering cluster interchangeable with the in-process broker. The
 	// network takes ownership: Close closes it.
 	Ordering consensus.Service
-	// Consensus selects the ordering service backend: "kafka" (default,
-	// the paper's setup) or "raft" (the crash-fault replicated log that
-	// replaced Kafka in later Fabric versions). The schedulers are
-	// oblivious to the choice. Ignored when Ordering is set.
-	Consensus string
-	// RaftNodes sizes the raft cluster (default 3; kafka ignores it).
-	RaftNodes int
-	// CommitQueueDepth buffers each peer's block-delivery channel (default
-	// commit.DefaultQueueDepth). Ordering only blocks when a peer falls this
-	// many blocks behind.
-	CommitQueueDepth int
 	// DedupHorizon bounds the orderers' duplicate-suppression memory: a
 	// TxID first seen while block B was being assembled is forgotten once
 	// block B+DedupHorizon seals (default DefaultDedupHorizon). Eviction
@@ -182,12 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SubmitTimeout == 0 {
 		o.SubmitTimeout = 10 * time.Second
-	}
-	if o.Consensus == "" {
-		o.Consensus = "kafka"
-	}
-	if o.RaftNodes == 0 {
-		o.RaftNodes = 3
 	}
 	if o.DedupHorizon == 0 {
 		o.DedupHorizon = DefaultDedupHorizon
@@ -291,16 +273,9 @@ func NewNetwork(opts Options) (*Network, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	var ordering consensus.Service
-	switch {
-	case opts.Ordering != nil:
-		ordering = opts.Ordering
-	case opts.Consensus == "kafka":
+	ordering := opts.Ordering
+	if ordering == nil {
 		ordering = consensus.NewKafka()
-	case opts.Consensus == "raft":
-		ordering = consensus.NewRaft(opts.RaftNodes)
-	default:
-		return nil, fmt.Errorf("fabric: unknown consensus backend %q", opts.Consensus)
 	}
 	n := &Network{
 		opts:        opts,
@@ -449,7 +424,6 @@ func NewNetwork(opts Options) (*Network, error) {
 				Rescue:   opts.Rescue,
 				Registry: n.registry,
 			},
-			QueueDepth: opts.CommitQueueDepth,
 			OnCommit: func(blk *ledger.Block, codes []protocol.ValidationCode) {
 				n.peerCommitted(i, blk, codes)
 			},
@@ -803,48 +777,26 @@ func (n *Network) resolve(id protocol.TxID, res TxResult) {
 	}
 }
 
-// snapshotReader performs Algorithm 1's snapshot reads on a peer.
-type snapshotReader struct {
-	state *statedb.DB
-	snap  uint64
-}
-
-func (r snapshotReader) Read(key string) ([]byte, seqno.Seq, bool, error) {
-	vv, ok, err := r.state.GetAt(key, r.snap)
-	if err != nil || !ok {
-		return nil, seqno.Seq{}, false, err
-	}
-	return vv.Value, vv.Version, true, nil
-}
-
-// ReadRange implements chaincode.RangeReader over the same snapshot.
-func (r snapshotReader) ReadRange(start, end string) ([]string, error) {
-	return r.state.KeysInRange(start, end, r.snap), nil
-}
-
-// simulateOnPeer runs a read-only evaluation against the peer's latest
-// snapshot (the query path — no endorsement, no ordering).
-func simulateOnPeer(contract chaincode.Contract, function string, args []string, p *Peer) (protocol.RWSet, []byte, error) {
-	return chaincode.SimulateFull(contract, function, args, snapshotReader{state: p.state, snap: p.state.Height()})
-}
-
-// Endorse simulates a proposal on this peer against its latest block
-// snapshot and signs the result.
-func (p *Peer) Endorse(registry *chaincode.Registry, tx *protocol.Transaction) ([]byte, error) {
+// Endorse is the execution phase on one peer, shared by the in-process
+// client and the wire peer's proposal handler: simulate tx's invocation
+// against state's latest block snapshot (Algorithm 1), record the snapshot
+// and read/write set on tx, and append id's signature over the result. It
+// returns the contract's result payload.
+func Endorse(state *statedb.DB, id *identity.Identity, registry *chaincode.Registry, tx *protocol.Transaction) ([]byte, error) {
 	contract, ok := registry.Get(tx.Contract)
 	if !ok {
 		return nil, fmt.Errorf("fabric: unknown contract %q", tx.Contract)
 	}
-	snap := p.state.Height()
-	rwset, result, err := chaincode.SimulateFull(contract, tx.Function, tx.Args, snapshotReader{state: p.state, snap: snap})
+	snap := state.LatestSnapshot()
+	rwset, result, err := chaincode.SimulateFull(contract, tx.Function, tx.Args, snap)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: simulation failed: %w", err)
 	}
-	tx.SnapshotBlock = snap
+	tx.SnapshotBlock = snap.Block()
 	tx.RWSet = rwset
 	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
-		EndorserID: p.id.ID,
-		Signature:  p.id.Sign(tx.Digest()),
+		EndorserID: id.ID,
+		Signature:  id.Sign(tx.Digest()),
 	})
 	return result, nil
 }

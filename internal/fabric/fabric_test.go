@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/transport"
 )
 
 func newNet(t *testing.T, opts Options) *Network {
@@ -295,8 +297,44 @@ func TestVanillaFabricAbortsStaleReads(t *testing.T) {
 	}
 }
 
+// TestRaftConsensusBackend orders through the one Raft the repository has:
+// three transport.RaftService members on loopback sockets, the leader's
+// service injected through Options.Ordering. The schedulers are oblivious to
+// the backend, and every member's log commits what the network ordered.
 func TestRaftConsensusBackend(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp, Consensus: "raft", RaftNodes: 3})
+	addrs := make([]string, 3)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+		_ = l.Close() // reserved: the member rebinds it below
+	}
+	members := make([]*transport.RaftService, len(addrs))
+	for i, addr := range addrs {
+		m, err := transport.StartRaft(transport.RaftConfig{
+			ID: addr, Cluster: addrs, ElectionTimeout: 100 * time.Millisecond, Seed: int64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close) // idempotent: the network also closes the leader's
+		members[i] = m
+	}
+	var leader *transport.RaftService
+	for deadline := time.Now().Add(10 * time.Second); leader == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no raft leader elected")
+		}
+		for _, m := range members {
+			if m.IsLeader() {
+				leader = m
+			}
+		}
+	}
+
+	n := newNet(t, Options{System: sched.SystemSharp, Ordering: leader})
 	client, err := n.NewClient("raft-client")
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +347,17 @@ func TestRaftConsensusBackend(t *testing.T) {
 	if !bytes.Equal(n.Peer(0).Chain().TipHash(), n.Peer(1).Chain().TipHash()) {
 		t.Error("peers diverged under raft ordering")
 	}
-	if _, err := NewNetwork(Options{Consensus: "carrier-pigeon"}); err == nil {
-		t.Error("unknown consensus backend accepted")
+	// Followers replicate the stream the network sealed from: a second
+	// process consuming any member would derive the same blocks.
+	want := leader.CommitIndex()
+	if want < 10 {
+		t.Fatalf("leader committed %d entries for 10 transactions", want)
+	}
+	for i, m := range members {
+		for deadline := time.Now().Add(10 * time.Second); m.CommitIndex() < want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("member %d stuck at commit %d, leader at %d", i, m.CommitIndex(), want)
+			}
+		}
 	}
 }

@@ -230,8 +230,8 @@ func TestCommitPipelineStats(t *testing.T) {
 		if st.TxsValidated.Value() == 0 {
 			t.Errorf("peer %d: no transactions validated", i)
 		}
-		if st.CommitLatencyMS.N() != int(blocks) {
-			t.Errorf("peer %d: %d latency samples want %d", i, st.CommitLatencyMS.N(), blocks)
+		if st.CommitLatencyNS.Count() != blocks {
+			t.Errorf("peer %d: %d latency samples want %d", i, st.CommitLatencyNS.Count(), blocks)
 		}
 		// Disjoint-key puts: each block's transactions form independent
 		// conflict groups, so parallelism was available and recorded.

@@ -124,6 +124,11 @@ type Chain struct {
 	mu     sync.RWMutex
 	blocks []*Block
 	store  *kvstore.DB
+	// committed tallies the Committed verdicts over every block, kept in
+	// step under mu wherever a block's Validation is installed, so status
+	// probes read one number instead of walking verdict slices the
+	// committer may be replacing.
+	committed uint64
 }
 
 const blockKeyPrefix = "b/"
@@ -150,6 +155,7 @@ func NewChain(store *kvstore.DB) (*Chain, error) {
 		}
 		b := blk
 		c.blocks = append(c.blocks, &b)
+		c.committed += uint64(b.CommittedCount())
 	}
 	// Keys are big-endian block numbers, so iteration order is block order.
 	if err := c.verifyLocked(); err != nil {
@@ -258,6 +264,7 @@ func (c *Chain) appendLocked(blk *Block) error {
 		return fmt.Errorf("ledger: block %d validation metadata length mismatch", blk.Header.Number)
 	}
 	c.blocks = append(c.blocks, blk)
+	c.committed += uint64(blk.CommittedCount())
 	if c.store != nil {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blk); err != nil {
@@ -298,7 +305,9 @@ func (c *Chain) setValidation(number uint64, codes []protocol.ValidationCode, se
 	if len(codes) != len(blk.Transactions) {
 		return fmt.Errorf("ledger: validation metadata length mismatch")
 	}
+	c.committed -= uint64(blk.CommittedCount())
 	blk.Validation = codes
+	c.committed += uint64(blk.CommittedCount())
 	if setDigest {
 		blk.RescueDigest = rescueDigest
 	}
@@ -348,6 +357,16 @@ func (c *Chain) TipHash() []byte {
 		return nil
 	}
 	return HashHeader(c.blocks[len(c.blocks)-1].Header)
+}
+
+// CommittedTxs returns how many transactions across the whole chain carry a
+// Committed verdict (valid or rescued) — the ledger-side tally the chaos
+// smoke compares against the clients' acks. Each TxID is sealed with exactly
+// one verdict, so the tally is immune to client retries.
+func (c *Chain) CommittedTxs() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.committed
 }
 
 // ForEach visits blocks in order.

@@ -125,6 +125,21 @@ func TestValidationMetadata(t *testing.T) {
 	if got.ValidCount() != 2 {
 		t.Errorf("ValidCount = %d want 2", got.ValidCount())
 	}
+	if n := c.CommittedTxs(); n != 2 {
+		t.Errorf("CommittedTxs = %d want 2", n)
+	}
+	// Replacing a block's verdicts replaces its share of the tally; a
+	// block sealed with verdicts adds to it at once.
+	rescued := []protocol.ValidationCode{protocol.Valid, protocol.Rescued, protocol.Valid}
+	if err := c.SetValidationRescued(1, rescued, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Seal(txs("d", "e"), []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.CommittedTxs(); n != 4 {
+		t.Errorf("CommittedTxs = %d want 4 (3 in block 1, 1 in block 2)", n)
+	}
 	if err := c.SetValidation(1, codes[:1]); err == nil {
 		t.Error("length mismatch accepted")
 	}
@@ -174,6 +189,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(c2.TipHash(), tip) {
 		t.Error("tip hash changed across reload")
+	}
+	if n := c2.CommittedTxs(); n != 5 {
+		t.Errorf("CommittedTxs rebuilt as %d on reopen, want 5", n)
 	}
 	if err := c2.Verify(); err != nil {
 		t.Fatal(err)
@@ -234,5 +252,44 @@ func TestAgreementTipHashEquality(t *testing.T) {
 	}
 	if !bytes.Equal(a.TipHash(), b.TipHash()) {
 		t.Error("replicas diverged on identical input")
+	}
+}
+
+// TestCommittedTxsConcurrentWithSetValidation is the status-probe race: one
+// goroutine installs verdicts block by block (the committer) while another
+// reads the tally (the MsgStatusReq handlers). Run under -race.
+func TestCommittedTxsConcurrentWithSetValidation(t *testing.T) {
+	c, _ := NewChain(nil)
+	const blocks = 200
+	for i := 0; i < blocks; i++ {
+		if _, err := c.Seal(txs(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(1); i <= blocks; i++ {
+			if err := c.SetValidationRescued(i, []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var last uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		n := c.CommittedTxs()
+		if n < last || n > blocks {
+			t.Fatalf("tally went %d → %d (max %d)", last, n, blocks)
+		}
+		last = n
+	}
+	if n := c.CommittedTxs(); n != blocks {
+		t.Errorf("CommittedTxs = %d want %d", n, blocks)
 	}
 }

@@ -113,22 +113,19 @@ func TestHDRRecordZeroAllocs(t *testing.T) {
 }
 
 // TestHistogramQuantilesMatchOracle pins Quantiles to the sorted-slice
-// oracle (and to the legacy Percentile) below the reservoir bound.
+// oracle (and to Percentile).
 func TestHistogramQuantilesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var h Histogram
-	var sh SyncHistogram
 	samples := make([]float64, 0, 2000)
 	for i := 0; i < 2000; i++ {
 		v := rng.Float64() * 100
 		samples = append(samples, v)
 		h.Add(v)
-		sh.Add(v)
 	}
 	sort.Float64s(samples)
 	qs := []float64{0.5, 0.9, 0.99, 0.999, 1}
 	got := h.Quantiles(qs...)
-	gotSync := sh.Quantiles(qs...)
 	for i, q := range qs {
 		idx := int(q*float64(len(samples))) - 1
 		if idx < 0 {
@@ -136,9 +133,6 @@ func TestHistogramQuantilesMatchOracle(t *testing.T) {
 		}
 		if got[i] != samples[idx] {
 			t.Errorf("Histogram q%v = %v, oracle %v", q, got[i], samples[idx])
-		}
-		if gotSync[i] != samples[idx] {
-			t.Errorf("SyncHistogram q%v = %v, oracle %v", q, gotSync[i], samples[idx])
 		}
 		if p := h.Percentile(100 * q); p != got[i] {
 			t.Errorf("Quantiles(%v) = %v disagrees with Percentile = %v", q, got[i], p)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,80 +100,12 @@ type ConsensusMetrics struct {
 	SubmitRedirects Counter
 }
 
-// maxRetainedSamples bounds a SyncHistogram's memory: beyond it, new
-// samples reservoir-replace retained ones, keeping a uniform subsample.
-const maxRetainedSamples = 4096
-
-// SyncHistogram is a histogram safe for concurrent recording and for
-// always-on collectors (the commit pipeline's per-peer latency stats): the
-// total count and mean stay exact forever, while retained samples — and
-// thus percentiles — are a bounded uniform reservoir, so a long-running
-// network cannot grow it without bound. The zero value is ready to use.
-type SyncHistogram struct {
-	mu  sync.Mutex
-	h   Histogram
-	n   int     // total samples recorded
-	sum float64 // exact running sum
-	rng uint64  // xorshift state for reservoir replacement
-}
-
-// Add records one sample.
-func (h *SyncHistogram) Add(v float64) {
-	h.mu.Lock()
-	h.n++
-	h.sum += v
-	if len(h.h.samples) < maxRetainedSamples {
-		h.h.Add(v)
-	} else {
-		// Reservoir sampling: replace a random retained slot with
-		// probability maxRetainedSamples/n.
-		h.rng = h.rng*6364136223846793005 + 1442695040888963407
-		if j := int(h.rng % uint64(h.n)); j < maxRetainedSamples {
-			h.h.samples[j] = v
-			h.h.sorted = false
-		}
-	}
-	h.mu.Unlock()
-}
-
-// Snapshot copies the retained samples into a plain Histogram for
-// percentile reporting (exact below maxRetainedSamples, a uniform
-// subsample beyond).
-func (h *SyncHistogram) Snapshot() Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Histogram{samples: append([]float64(nil), h.h.samples...)}
-}
-
-// N returns the total number of samples recorded (exact).
-func (h *SyncHistogram) N() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Mean returns the arithmetic mean over all recorded samples (exact),
-// 0 if empty.
-func (h *SyncHistogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantiles returns the q-quantiles (0 < q <= 1, e.g. 0.5, 0.99, 0.999)
-// over one snapshot of the retained samples: a single copy + sort answers
-// every requested quantile, instead of re-snapshotting per percentile.
-// Exact below the reservoir bound, a uniform subsample beyond it.
-func (h *SyncHistogram) Quantiles(qs ...float64) []float64 {
-	snap := h.Snapshot()
-	return snap.Quantiles(qs...)
-}
-
 // Histogram collects float64 samples (seconds, milliseconds — caller's
-// choice) and answers summary statistics. The zero value is ready to use.
+// choice) and answers exact summary statistics. It keeps every sample and
+// is not safe for concurrent use: it serves the simulator's offline paper
+// figures, where exactness matters and runs are bounded. Always-on,
+// concurrent recording goes to HDRHistogram. The zero value is ready to
+// use.
 type Histogram struct {
 	samples []float64
 	sorted  bool

@@ -143,46 +143,3 @@ func TestGaugeConcurrentMax(t *testing.T) {
 		t.Errorf("Max = %d", g.Max())
 	}
 }
-
-func TestSyncHistogram(t *testing.T) {
-	var h SyncHistogram
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 100; i++ {
-				h.Add(float64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if h.N() != 400 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Mean() != 50.5 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	snap := h.Snapshot()
-	if snap.P50() != 50 || snap.Max() != 100 {
-		t.Errorf("snapshot P50 = %v Max = %v", snap.P50(), snap.Max())
-	}
-}
-
-func TestSyncHistogramBoundedRetention(t *testing.T) {
-	var h SyncHistogram
-	const total = 3 * maxRetainedSamples
-	for i := 0; i < total; i++ {
-		h.Add(7)
-	}
-	if h.N() != total {
-		t.Errorf("N = %d want %d", h.N(), total)
-	}
-	if h.Mean() != 7 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	snap := h.Snapshot()
-	if got := snap.N(); got != maxRetainedSamples {
-		t.Errorf("retained %d samples, want cap %d", got, maxRetainedSamples)
-	}
-}

@@ -26,16 +26,14 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/fabric"
-	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 )
 
-// DefaultResultHorizon bounds the orderer's result map: results older than
-// this many resolutions are forgotten (a client that slow has timed out
-// anyway).
-const DefaultResultHorizon = 1 << 17
+// resultHorizon bounds the orderer's result map: results older than this
+// many resolutions are forgotten (a client that slow has timed out anyway).
+const resultHorizon = 1 << 17
 
 // defaultContracts is the contract suite every node deploys: the scenario
 // registry's union, so every replica can endorse every registered scenario
@@ -62,20 +60,15 @@ type resultStore struct {
 	mu      sync.Mutex
 	results map[protocol.TxID]fabric.TxResult
 	order   []protocol.TxID
-	horizon int
 	// waiters holds one buffered channel per parked handler; put claims
 	// them under mu and hands each the result.
 	waiters map[protocol.TxID][]chan fabric.TxResult
 }
 
-func newResultStore(horizon int) *resultStore {
-	if horizon <= 0 {
-		horizon = DefaultResultHorizon
-	}
+func newResultStore() *resultStore {
 	return &resultStore{
 		results: map[protocol.TxID]fabric.TxResult{},
 		waiters: map[protocol.TxID][]chan fabric.TxResult{},
-		horizon: horizon,
 	}
 }
 
@@ -94,7 +87,7 @@ func (r *resultStore) put(res fabric.TxResult) {
 		r.order = append(r.order, res.TxID)
 	}
 	r.results[res.TxID] = res
-	for len(r.order) > r.horizon {
+	for len(r.order) > resultHorizon {
 		delete(r.results, r.order[0])
 		r.order = r.order[1:]
 	}
@@ -140,19 +133,6 @@ func (r *resultStore) unpark(id protocol.TxID, ch <-chan fabric.TxResult) bool {
 		return true
 	}
 	return false
-}
-
-// committedTxCount walks the chain tallying committed verdicts — the
-// ledger-side count the chaos smoke compares against the client-side one
-// (each TxID is sealed with exactly one verdict, so the tally is immune to
-// client retries).
-func committedTxCount(chain *ledger.Chain) uint64 {
-	var total uint64
-	chain.ForEach(func(blk *ledger.Block) bool {
-		total += uint64(blk.CommittedCount())
-		return true
-	})
-	return total
 }
 
 // errOnce records a node's first fatal error.

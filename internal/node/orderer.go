@@ -36,8 +36,6 @@ type OrdererConfig struct {
 	MaxSpan      uint64
 	CompactEvery uint64
 	DedupHorizon uint64
-	// ResultHorizon bounds the result map (default DefaultResultHorizon).
-	ResultHorizon int
 	// Rescue enables post-order speculative re-execution of MVCC-aborted
 	// transactions; must match the peers' setting (the rescue digest is
 	// byte-asserted across the cluster).
@@ -115,7 +113,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		name = cfg.RaftID
 	}
 	o := &Orderer{
-		results:   newResultStore(cfg.ResultHorizon),
+		results:   newResultStore(),
 		redirects: cfg.RaftRedirects,
 		name:      name,
 		tracer:    trace.New(name, "orderer", cfg.TraceEvents),
@@ -248,7 +246,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 				Height:      height,
 				Blocks:      uint64(chain.Len()),
 				TipHash:     chain.TipHash(),
-				CommittedTx: committedTxCount(chain),
+				CommittedTx: chain.CommittedTxs(),
 			}
 			if o.raft != nil {
 				st.Term = o.raft.Term()

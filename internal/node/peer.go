@@ -8,13 +8,13 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/commit"
+	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
-	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
@@ -57,8 +57,6 @@ type PeerConfig struct {
 	// ValidationWorkers caps intra-block validation parallelism
 	// (default GOMAXPROCS).
 	ValidationWorkers int
-	// QueueDepth buffers the committer's delivery channel.
-	QueueDepth int
 	// Rescue enables post-order speculative re-execution of MVCC-aborted
 	// transactions; must match the orderer's setting (the rescue digest is
 	// byte-asserted across the cluster).
@@ -184,9 +182,8 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 			Rescue:   cfg.Rescue,
 			Registry: p.registry,
 		},
-		QueueDepth: cfg.QueueDepth,
-		OnError:    func(err error) { p.errs.set(err) },
-		Tracer:     p.tracer,
+		OnError: func(err error) { p.errs.set(err) },
+		Tracer:  p.tracer,
 	})
 	p.committer.Start()
 	p.sub = &transport.Subscriber{
@@ -277,7 +274,7 @@ func (p *Peer) handle(c *transport.Conn) {
 				Blocks:      uint64(p.chain.Len()),
 				TipHash:     p.chain.TipHash(),
 				StateHash:   p.state.StateFingerprint(),
-				CommittedTx: committedTxCount(p.chain),
+				CommittedTx: p.chain.CommittedTxs(),
 			}))
 		case wire.MsgTraceReq:
 			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(p.tracer.Dump())))
@@ -288,9 +285,8 @@ func (p *Peer) handle(c *transport.Conn) {
 	}
 }
 
-// handleProposal runs the execution phase for a wire client: simulate the
-// invocation against this peer's latest committed snapshot (Algorithm 1)
-// and sign the effects — the same endorsement the in-process path produces.
+// handleProposal runs the execution phase for a wire client through
+// fabric.Endorse — the same routine the in-process client calls.
 func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 	fail := func(err error) {
 		_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{Err: err.Error()}))
@@ -300,50 +296,16 @@ func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 		fail(err)
 		return
 	}
-	contract, ok := p.registry.Get(prop.Contract)
-	if !ok {
-		fail(fmt.Errorf("node: unknown contract %q", prop.Contract))
-		return
-	}
-	snap := p.state.Height()
-	rwset, _, err := chaincode.SimulateFull(contract, prop.Function, prop.Args,
-		snapshotReader{state: p.state, snap: snap})
-	if err != nil {
-		fail(fmt.Errorf("node: simulation failed: %w", err))
-		return
-	}
 	tx := &protocol.Transaction{
-		ID:            protocol.TxID(prop.TxID),
-		ClientID:      prop.ClientID,
-		Contract:      prop.Contract,
-		Function:      prop.Function,
-		Args:          prop.Args,
-		SnapshotBlock: snap,
-		RWSet:         rwset,
+		ID:       protocol.TxID(prop.TxID),
+		ClientID: prop.ClientID,
+		Contract: prop.Contract,
+		Function: prop.Function,
+		Args:     prop.Args,
 	}
-	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
-		EndorserID: p.id.ID,
-		Signature:  p.id.Sign(tx.Digest()),
-	})
+	if _, err := fabric.Endorse(p.state, p.id, p.registry, tx); err != nil {
+		fail(err)
+		return
+	}
 	_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{OK: true, Tx: tx}))
-}
-
-// snapshotReader performs snapshot reads against a block height, mirroring
-// the in-process endorsement path.
-type snapshotReader struct {
-	state *statedb.DB
-	snap  uint64
-}
-
-func (r snapshotReader) Read(key string) ([]byte, seqno.Seq, bool, error) {
-	vv, ok, err := r.state.GetAt(key, r.snap)
-	if err != nil || !ok {
-		return nil, seqno.Seq{}, false, err
-	}
-	return vv.Value, vv.Version, true, nil
-}
-
-// ReadRange implements chaincode.RangeReader over the same snapshot.
-func (r snapshotReader) ReadRange(start, end string) ([]string, error) {
-	return r.state.KeysInRange(start, end, r.snap), nil
 }

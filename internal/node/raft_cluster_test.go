@@ -181,7 +181,7 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ledgerCommitted := committedTxCount(survivors[0].Network().OrdererChain(0))
+	ledgerCommitted := survivors[0].Network().OrdererChain(0).CommittedTxs()
 	if ledgerCommitted < uint64(committed) {
 		t.Fatalf("lost committed transactions: clients saw %d, ledger holds %d", committed, ledgerCommitted)
 	}

@@ -91,7 +91,7 @@ func sealedVerdict(chain *ledger.Chain, id string) (code protocol.ValidationCode
 // replay's AbortDuplicate neither answers nor wakes a request, whether it
 // arrives before or after the original's verdict.
 func TestResultStoreKeepsTheOriginalsVerdict(t *testing.T) {
-	r := newResultStore(0)
+	r := newResultStore()
 	r.put(fabric.TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
 	_, parked := r.getOrPark("tx")
 	if parked == nil {

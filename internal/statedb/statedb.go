@@ -215,6 +215,21 @@ func (s *Snapshot) Get(key string) (VersionedValue, bool, error) {
 	return s.db.GetAt(key, s.block)
 }
 
+// Read implements chaincode.StateReader: Algorithm 1's snapshot read, the
+// one reader both endorsement paths (in-process and wire) simulate against.
+func (s *Snapshot) Read(key string) ([]byte, seqno.Seq, bool, error) {
+	vv, ok, err := s.Get(key)
+	if err != nil || !ok {
+		return nil, seqno.Seq{}, false, err
+	}
+	return vv.Value, vv.Version, true, nil
+}
+
+// ReadRange implements chaincode.RangeReader over the same snapshot.
+func (s *Snapshot) ReadRange(start, end string) ([]string, error) {
+	return s.db.KeysInRange(start, end, s.block), nil
+}
+
 // ApplyBlock commits the writes of block `block`'s valid transactions, in
 // order. Versions are assigned as (block, pos) per the EOV model. Blocks
 // must be applied in strictly increasing order; an empty writes slice is

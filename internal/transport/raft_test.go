@@ -134,6 +134,11 @@ func envKey(e consensus.Envelope) string {
 func TestWireRaftElectsAndReplicates(t *testing.T) {
 	svcs := startRaftCluster(t, 3, nil)
 	lead := waitLeader(t, svcs, 10*time.Second)
+	// A subscriber attached before any submission tails the log live; the
+	// ones collectStream opens afterwards replay it. Both must read the
+	// same stream.
+	live, cancelLive := svcs[lead].Subscribe()
+	defer cancelLive()
 
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -147,6 +152,17 @@ func TestWireRaftElectsAndReplicates(t *testing.T) {
 	waitCommit(t, svcs, idx, 10*time.Second)
 
 	want := collectStream(t, svcs[lead], int(idx), 10*time.Second)
+	for j := range want {
+		select {
+		case seq := <-live:
+			if seq.Offset != uint64(j) || envKey(seq.Env) != envKey(want[j]) {
+				t.Fatalf("live subscriber diverges from the replaying one at %d: offset %d %q vs %q",
+					j, seq.Offset, envKey(seq.Env), envKey(want[j]))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("live subscriber stalled at %d/%d", j, len(want))
+		}
+	}
 	for i, s := range svcs {
 		got := collectStream(t, s, int(idx), 10*time.Second)
 		for j := range want {
@@ -199,6 +215,7 @@ func TestWireRaftLeaderFailover(t *testing.T) {
 	var ms [3]metrics.ConsensusMetrics
 	svcs := startRaftCluster(t, 3, func(i int, cfg *RaftConfig) {
 		cfg.Metrics = &ms[i]
+		cfg.SubmitTimeout = time.Second // bounds the no-quorum submit below
 	})
 	lead := waitLeader(t, svcs, 10*time.Second)
 
@@ -256,6 +273,25 @@ func TestWireRaftLeaderFailover(t *testing.T) {
 	}
 	if ms[lead].Elections.Value() == 0 {
 		t.Fatal("new leader won without an election being counted")
+	}
+
+	// Quorum loss: with a second member gone the last one is a minority of
+	// three. It must refuse to acknowledge — nothing new commits — and once
+	// closed it must refuse outright.
+	for i, s := range svcs {
+		if s != nil && i != lead {
+			s.Close()
+		}
+	}
+	if err := svcs[lead].Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "no-quorum"}); err == nil {
+		t.Fatal("a one-of-three minority acknowledged a submission")
+	}
+	if got := svcs[lead].CommitIndex(); got != after {
+		t.Fatalf("commit index moved %d → %d without a quorum", after, got)
+	}
+	svcs[lead].Close()
+	if err := svcs[lead].Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "late"}); err == nil {
+		t.Fatal("submit after close succeeded")
 	}
 }
 

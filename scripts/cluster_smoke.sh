@@ -1,37 +1,33 @@
 #!/usr/bin/env bash
-# cluster_smoke.sh — boot a real multi-OS-process EOV cluster, drive
-# SmallBank traffic (or any registered scenario, via WORKLOAD=) through it
-# with the sharpnet wire client, and assert
-# every replica converges to bit-identical chain tip hashes and state
-# fingerprints. Runs once per requested system. CI runs this as the
-# cluster-smoke job; node logs land in $LOGDIR for artifact upload.
+# cluster_smoke.sh — boot a real multi-OS-process EOV cluster, drive it with
+# open-loop bursts from the sharpnet wire client (`sharpnet load
+# -target-tps`, the one wire load generator), and assert every replica
+# converges to bit-identical chain tip hashes and state fingerprints. Runs
+# once per requested system. CI runs this as the cluster-smoke job; node
+# logs land in $LOGDIR for artifact upload.
 #
 # Two shapes:
-#   default   1 orderer + 2 peers, plain convergence, then a short
-#             open-loop burst (`sharpnet load -target-tps`) asserting the
-#             achieved rate reaches >=95% of the target and the merged
-#             stage traces cover >=99% of the burst's committed txs.
+#   default   1 orderer + 2 peers and one burst, asserting convergence, an
+#             achieved rate >=95% of the target, and merged stage traces
+#             covering >=99% of the burst's committed txs.
 #   CHAOS=1   3 Raft orderers + 2 peers; the Raft leader is SIGKILLed
-#             mid-load, restarted, and the re-elected leader is killed
-#             too. Asserts zero lost committed transactions and
-#             bit-identical survivors (the fault-tolerance contract).
+#             mid-burst and restarted once a successor leads, then the
+#             successor is killed and restarted the same way. Asserts the
+#             ledger accounts for every transaction acked committed and
+#             all five nodes end bit-identical (the fault-tolerance
+#             contract).
 #
 # Environment knobs:
 #   SYSTEMS     systems to exercise            (default: "fabric# focc-l";
 #               chaos uses the first one only)
-#   CLIENTS     concurrent load clients        (default: 4)
-#   TXS         transactions per client        (default: 118)
-#   ACCOUNTS    SmallBank account pool, or the scenario's pool size when
-#               WORKLOAD is set                (default: 28; total tx =
-#               ACCOUNTS + CLIENTS*TXS = 500 with the defaults)
 #   WORKLOAD    registered scenario name (see `fabricsim -list-workloads`,
-#               docs/workloads.md). When set, the closed-loop clients drive
-#               its generator instead of the built-in SmallBank seeding,
-#               and the open-loop burst uses it too (default: "", which
-#               still installs the msmallbank genesis for the burst)
-#   TARGET_TPS  open-loop burst offered rate   (default: 150)
-#   OL_DURATION open-loop burst length         (default: 3s)
-#   OL_WORKERS  open-loop submission workers   (default: 32)
+#               docs/workloads.md); every node installs its genesis and the
+#               burst drives its generator     (default: msmallbank)
+#   ACCOUNTS    the scenario's pool size       (default: 28)
+#   TARGET_TPS  burst offered rate             (default: 150)
+#   OL_DURATION burst length                   (default: 4s; chaos 8s — both
+#               offer 500+ transactions at the default rate)
+#   OL_WORKERS  burst submission workers       (default: 32)
 #   PORT_BASE   first TCP port                 (default: 27050)
 #   LOGDIR      where node logs go             (default: ./cluster-logs)
 #   RESCUE      1 = post-order re-execution on (default: 1; set 0 to disable)
@@ -39,12 +35,9 @@
 set -euo pipefail
 
 SYSTEMS=${SYSTEMS:-"fabric# focc-l"}
-CLIENTS=${CLIENTS:-4}
-TXS=${TXS:-118}
 ACCOUNTS=${ACCOUNTS:-28}
-WORKLOAD=${WORKLOAD:-}
+WORKLOAD=${WORKLOAD:-msmallbank}
 TARGET_TPS=${TARGET_TPS:-150}
-OL_DURATION=${OL_DURATION:-3s}
 OL_WORKERS=${OL_WORKERS:-32}
 PORT_BASE=${PORT_BASE:-27050}
 LOGDIR=${LOGDIR:-cluster-logs}
@@ -57,17 +50,15 @@ if [ "$RESCUE" = "1" ]; then
   RESCUE_FLAG="-rescue"
 fi
 
-# Every node installs a scenario genesis (identical cluster-wide): the
-# WORKLOAD override's, or msmallbank's so the open-loop burst has an account
-# pool seeded at block 0. The closed-loop clients drive WORKLOAD's generator
-# when set, else the built-in SmallBank mix (whose create_account seeding
-# coexists with the genesis keys).
-OL_WORKLOAD=${WORKLOAD:-msmallbank}
-NODE_WL_FLAGS="-workload $OL_WORKLOAD -accounts $ACCOUNTS"
-LOAD_WL_FLAGS=""
-if [ -n "$WORKLOAD" ]; then
-  LOAD_WL_FLAGS="-workload $WORKLOAD"
+if [ "$CHAOS" = "1" ]; then
+  OL_DURATION=${OL_DURATION:-8s}
+else
+  OL_DURATION=${OL_DURATION:-4s}
 fi
+
+# Every node installs the scenario's genesis (identical cluster-wide), so
+# the burst finds its account pool seeded at block 0.
+WL_FLAGS="-workload $WORKLOAD -accounts $ACCOUNTS"
 
 mkdir -p "$LOGDIR"
 go build -o "$BIN" ./cmd/fabricnode ./cmd/sharpnet
@@ -109,7 +100,7 @@ if [ "$CHAOS" = "1" ]; then
     esac
     "$BIN/fabricnode" -role orderer -listen "$caddr" \
         -peers peer0,peer1 -system "$system" -block-size 50 -block-timeout 50ms \
-        -orderers 1 $RESCUE_FLAG $NODE_WL_FLAGS \
+        -orderers 1 $RESCUE_FLAG $WL_FLAGS \
         -raft-id "$raddr" -raft-cluster "$CLUSTER" -raft-redirects "$REDIRECTS" \
         -raft-dir "$RAFT_DIR/member$1" -raft-election-timeout 150ms \
         >> "$LOGDIR/orderer$1-$slug.log" 2>&1 &
@@ -141,36 +132,42 @@ if [ "$CHAOS" = "1" ]; then
   echo "=== chaos smoke: $system (orderers $ORDS, raft $CLUSTER, peers $PEERS) ==="
   start_orderer 0; start_orderer 1; start_orderer 2
   "$BIN/fabricnode" -role peer -name peer0 -listen "$P0" \
-      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $NODE_WL_FLAGS \
+      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer0-$slug.log" 2>&1 &
   PIDS+=($!)
   "$BIN/fabricnode" -role peer -name peer1 -listen "$P1" \
-      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $NODE_WL_FLAGS \
+      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer1-$slug.log" 2>&1 &
   PIDS+=($!)
 
   "$BIN/sharpnet" load -orderer "$ORDS" -peer-addrs "$PEERS" \
-      -clients "$CLIENTS" -txs "$TXS" -accounts "$ACCOUNTS" $LOAD_WL_FLAGS \
+      -target-tps "$TARGET_TPS" -duration "$OL_DURATION" -workers "$OL_WORKERS" $WL_FLAGS \
       > "$LOGDIR/load-$slug.log" 2>&1 &
   LOAD_PID=$!
   PIDS+=($LOAD_PID)
 
-  sleep 2  # let the load get going before the first kill
-  LEADER1=$(wait_leader)
-  echo "chaos: killing leader $LEADER1 (pid ${ORD_PID[$LEADER1]})"
-  kill -9 "${ORD_PID[$LEADER1]}" 2>/dev/null || true
-  LEADER2=$(wait_leader "$LEADER1")
-  echo "chaos: new leader $LEADER2; restarting the killed member"
-  case "$LEADER1" in
-    "$C0") start_orderer 0 ;;
-    "$C1") start_orderer 1 ;;
-    "$C2") start_orderer 2 ;;
-  esac
+  # kill_and_restart SIGKILLs the current leader, waits for a successor,
+  # and only then restarts the killed member: the cluster rides out the gap
+  # on two of three, and the burst's closing trace drain finds all five
+  # nodes up.
+  kill_and_restart() {
+    local victim successor
+    victim=$(wait_leader)
+    echo "chaos: killing leader $victim (pid ${ORD_PID[$victim]})"
+    kill -9 "${ORD_PID[$victim]}" 2>/dev/null || true
+    successor=$(wait_leader "$victim")
+    echo "chaos: new leader $successor; restarting the killed member"
+    case "$victim" in
+      "$C0") start_orderer 0 ;;
+      "$C1") start_orderer 1 ;;
+      "$C2") start_orderer 2 ;;
+    esac
+  }
 
+  sleep 2  # let the burst get going before the first kill
+  kill_and_restart
   sleep 1  # more load under the new leader
-  LEADER2=$(wait_leader)  # re-read: leadership may have moved again
-  echo "chaos: killing re-elected leader $LEADER2 (pid ${ORD_PID[$LEADER2]})"
-  kill -9 "${ORD_PID[$LEADER2]}" 2>/dev/null || true
+  kill_and_restart
 
   if ! wait "$LOAD_PID"; then
     echo "chaos: load run failed (see $LOGDIR/load-$slug.log)" >&2
@@ -178,12 +175,9 @@ if [ "$CHAOS" = "1" ]; then
     exit 1
   fi
   cat "$LOGDIR/load-$slug.log"
-  TOTAL=$((ACCOUNTS + CLIENTS * TXS))
-  if [ -n "$WORKLOAD" ]; then
-    TOTAL=$((CLIENTS * TXS))  # scenario mode seeds via genesis, not load txs
-  fi
-  if [ "$TOTAL" -lt 500 ]; then
-    echo "chaos: only $TOTAL transactions driven, need 500+ (raise CLIENTS/TXS/ACCOUNTS)" >&2
+  OFFERED=$(sed -n 's/^offered  *\([0-9][0-9]*\) scheduled.*/\1/p' "$LOGDIR/load-$slug.log")
+  if [ -z "$OFFERED" ] || [ "$OFFERED" -lt 500 ]; then
+    echo "chaos: only ${OFFERED:-0} transactions offered, need 500+ (raise TARGET_TPS/OL_DURATION)" >&2
     exit 1
   fi
   COMMITTED=$(sed -n 's/^COMMITTED_TOTAL //p' "$LOGDIR/load-$slug.log")
@@ -195,7 +189,7 @@ if [ "$CHAOS" = "1" ]; then
       -expect-committed "$COMMITTED" | tee "$LOGDIR/check-$slug.log"
 
   teardown
-  echo "=== chaos smoke: OK ($COMMITTED committed transactions, two leader kills) ==="
+  echo "=== chaos smoke: OK ($COMMITTED of $OFFERED offered transactions committed, two leader kills) ==="
   exit 0
 fi
 
@@ -208,34 +202,28 @@ for system in $SYSTEMS; do
 
   "$BIN/fabricnode" -role orderer -listen "127.0.0.1:$orderer_port" \
       -peers peer0,peer1 -system "$system" -block-size 50 -block-timeout 50ms \
-      $RESCUE_FLAG $NODE_WL_FLAGS \
+      $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/orderer-$slug.log" 2>&1 &
   PIDS+=($!)
   "$BIN/fabricnode" -role peer -name peer0 -listen "127.0.0.1:$peer0_port" \
       -orderer "127.0.0.1:$orderer_port" -peers peer0,peer1 -system "$system" \
-      $RESCUE_FLAG $NODE_WL_FLAGS \
+      $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer0-$slug.log" 2>&1 &
   PIDS+=($!)
   "$BIN/fabricnode" -role peer -name peer1 -listen "127.0.0.1:$peer1_port" \
       -orderer "127.0.0.1:$orderer_port" -peers peer0,peer1 -system "$system" \
-      $RESCUE_FLAG $NODE_WL_FLAGS \
+      $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer1-$slug.log" 2>&1 &
   PIDS+=($!)
 
   # The wire client retries dials, so no explicit readiness wait is needed.
+  # The load exits nonzero unless every peer converged bit for bit; on top
+  # of that the pacer must sustain >=95% of the target rate, and the merged
+  # stage traces must cover >=99% of the committed transactions end to end.
+  echo "--- open-loop burst: $TARGET_TPS tx/s for $OL_DURATION ($WORKLOAD) ---"
   "$BIN/sharpnet" load -orderer "127.0.0.1:$orderer_port" \
       -peer-addrs "127.0.0.1:$peer0_port,127.0.0.1:$peer1_port" \
-      -clients "$CLIENTS" -txs "$TXS" -accounts "$ACCOUNTS" $LOAD_WL_FLAGS \
-      | tee "$LOGDIR/load-$slug.log"
-
-  # Open-loop burst against the same (already converged) cluster: the pacer
-  # must sustain >=95% of the target rate, and the merged stage traces must
-  # cover >=99% of the burst's committed transactions end to end.
-  echo "--- open-loop burst: $TARGET_TPS tx/s for $OL_DURATION ($OL_WORKLOAD) ---"
-  "$BIN/sharpnet" load -orderer "127.0.0.1:$orderer_port" \
-      -peer-addrs "127.0.0.1:$peer0_port,127.0.0.1:$peer1_port" \
-      -target-tps "$TARGET_TPS" -duration "$OL_DURATION" -workers "$OL_WORKERS" \
-      -workload "$OL_WORKLOAD" -accounts "$ACCOUNTS" \
+      -target-tps "$TARGET_TPS" -duration "$OL_DURATION" -workers "$OL_WORKERS" $WL_FLAGS \
       | tee "$LOGDIR/openloop-$slug.log"
   ACHIEVED=$(sed -n 's/^ACHIEVED_TPS //p' "$LOGDIR/openloop-$slug.log")
   COVERAGE=$(sed -n 's/^TRACE_COVERAGE_PCT //p' "$LOGDIR/openloop-$slug.log")

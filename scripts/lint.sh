@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# lint.sh — the local mirror of CI's lint job: formatting, go vet, and the
-# sharpvet determinism suite (docs/determinism.md). Run it before pushing;
+# lint.sh — the local mirror of CI's lint job: formatting, go vet, the
+# sharpvet determinism suite (docs/determinism.md), and the line-count
+# ratchet (scripts/loc.sh). Run it before pushing;
 # CI runs exactly these gates and will reject what this rejects.
 #
 # Usage: scripts/lint.sh
@@ -23,5 +24,8 @@ echo "== sharpvet (replica-identical determinism contract)"
 # every justified exception; any unsuppressed finding or inventory drift
 # exits nonzero.
 go run ./cmd/sharpvet -list ./...
+
+echo "== line-count ratchet"
+scripts/loc.sh
 
 echo "lint: all gates green"
