@@ -354,4 +354,38 @@ func TestTrajectoryFile(t *testing.T) {
 			t.Errorf("%s: unknown record kind %q", rec.Label, rec.Kind)
 		}
 	}
+
+	// The ordering gate: the host-independent columns are a pure function of
+	// system × shape × seed, so the newest ordering record must reproduce
+	// its predecessor's on every run both hold. A scheduler change that
+	// moves one of them is a behaviour change, not a measurement.
+	var ordering []bench.BenchRecord
+	for _, rec := range file.Records {
+		if rec.Kind == "ordering" {
+			ordering = append(ordering, rec)
+		}
+	}
+	if len(ordering) < 2 {
+		return
+	}
+	prev, last := ordering[len(ordering)-2], ordering[len(ordering)-1]
+	if prev.Seed != last.Seed || prev.TxCount != last.TxCount || prev.BlockSize != last.BlockSize {
+		return // different streams: nothing is comparable
+	}
+	type run struct {
+		system, shape string
+		rescue        bool
+	}
+	type counts struct{ admitted, committed, valid, rescued int }
+	before := map[run]counts{}
+	for _, r := range prev.Results {
+		before[run{r.System, r.Shape, r.Rescue}] = counts{r.Admitted, r.Committed, r.Valid, r.Rescued}
+	}
+	for _, r := range last.Results {
+		want, ok := before[run{r.System, r.Shape, r.Rescue}]
+		if got := (counts{r.Admitted, r.Committed, r.Valid, r.Rescued}); ok && got != want {
+			t.Errorf("%s vs %s, %s/%s rescue=%v seed %d: admitted/committed/valid/rescued %+v, was %+v",
+				last.Label, prev.Label, r.System, r.Shape, r.Rescue, last.Seed, got, want)
+		}
+	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"fabricsharp/internal/node"
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
@@ -96,17 +97,19 @@ func main() {
 	switch *role {
 	case "orderer":
 		ord, err := node.StartOrderer(node.OrdererConfig{
+			Options: orderer.Options{
+				System:       sched.System(*system),
+				Orderers:     *orderers,
+				BlockSize:    *blockSize,
+				BlockTimeout: *blockTimeout,
+				MaxSpan:      *maxSpan,
+				CompactEvery: *compactEvery,
+				DedupHorizon: *dedupHorizon,
+				Rescue:       *rescue,
+				Genesis:      genesis,
+			},
 			Listen:              *listen,
-			System:              sched.System(*system),
 			PeerNames:           names,
-			Orderers:            *orderers,
-			BlockSize:           *blockSize,
-			BlockTimeout:        *blockTimeout,
-			MaxSpan:             *maxSpan,
-			CompactEvery:        *compactEvery,
-			DedupHorizon:        *dedupHorizon,
-			Rescue:              *rescue,
-			Genesis:             genesis,
 			RaftID:              *raftID,
 			RaftCluster:         nf.RaftCluster,
 			RaftRedirects:       redirects,

@@ -20,6 +20,7 @@ var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/core":       true,
 	ModulePath + "/internal/intern":     true,
 	ModulePath + "/internal/kvstore":    true,
+	ModulePath + "/internal/orderer":    true,
 	ModulePath + "/internal/protocol":   true,
 	ModulePath + "/internal/reexec":     true,
 	ModulePath + "/internal/sched":      true,
@@ -29,30 +30,11 @@ var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/wire":       true,
 }
 
-// deterministicFiles extends the contract into packages that are only
-// partially consensus-critical: the sealing half of internal/fabric (the
-// orderer replica loop that seals blocks and the commitment broker that
-// fixes disclosure order) is deterministic, while the client/network glue
-// around it is free to touch wall clocks and sockets.
-var deterministicFiles = map[string]map[string]bool{
-	ModulePath + "/internal/fabric": {
-		"orderer.go":    true,
-		"commitment.go": true,
-	},
-}
-
-// Deterministic reports whether file (base name) of package pkgPath is
-// bound by the replica-identical contract.
-func Deterministic(pkgPath, file string) bool {
-	if deterministicPackages[pkgPath] {
-		return true
-	}
-	return deterministicFiles[pkgPath][file]
-}
-
 // DeterministicScope is the Scope shared by the analyzers that police the
-// replica-identical contract (maporder, wallclock, seaminject).
-func DeterministicScope(pkgPath, file string) bool { return Deterministic(pkgPath, file) }
+// replica-identical contract (maporder, wallclock, seaminject). The contract
+// covers whole packages only: code that must touch wall clocks or sockets
+// lives in a package outside it.
+func DeterministicScope(pkgPath, file string) bool { return deterministicPackages[pkgPath] }
 
 // PackageScope returns a Scope covering every file of the given module
 // packages (named by their path below ModulePath, e.g. "internal/transport").
@@ -70,17 +52,12 @@ func ModuleScope(pkgPath, file string) bool {
 	return pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/")
 }
 
-// DeterministicPackages lists the fully-covered packages plus the
-// file-scoped extensions, for docs and the CLI's -contract listing.
+// DeterministicPackages lists the covered packages, for docs and the CLI's
+// -contract listing.
 func DeterministicPackages() []string {
 	var out []string
 	for p := range deterministicPackages {
 		out = append(out, p)
-	}
-	for p, files := range deterministicFiles {
-		for f := range files {
-			out = append(out, p+"/"+f)
-		}
 	}
 	sort.Strings(out)
 	return out

@@ -82,9 +82,7 @@ func ablationStream(opts core.Options) (accepted, cycleAborts uint64) {
 			cycleAborts++
 		}
 		if (i+1)%100 == 0 {
-			if ids, block, err := m.OnBlockFormation(); err != nil {
-				panic(err)
-			} else if len(ids) > 0 {
+			if ids, block := m.OnBlockFormation(); len(ids) > 0 {
 				height = block
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fabricsharp/internal/intern"
-	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/seqno"
 )
 
@@ -27,10 +26,7 @@ func benchArrivals(b *testing.B, opts Options, keySpace, blockSize int) {
 			b.Fatal(err)
 		}
 		if m.PendingCount() >= blockSize {
-			ids, block, err := m.OnBlockFormation()
-			if err != nil {
-				b.Fatal(err)
-			}
+			ids, block := m.OnBlockFormation()
 			if len(ids) > 0 {
 				height = block
 			}
@@ -63,43 +59,10 @@ func BenchmarkMemIndexPutAfter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key := ks[i%64]
 		seq := seqno.Commit(uint64(i/100+1), uint32(i%100+1))
-		if err := idx.Put(key, seq, TxID(fmt.Sprintf("t%d", i))); err != nil {
-			b.Fatal(err)
-		}
-		var err error
-		if buf, err = idx.After(buf[:0], key, seqno.Snapshot(uint64(i/100))); err != nil {
-			b.Fatal(err)
-		}
+		idx.Put(key, seq, TxID(fmt.Sprintf("t%d", i)))
+		buf = idx.After(buf[:0], key, seqno.Snapshot(uint64(i/100)))
 		if i%1000 == 999 {
-			if err := idx.PruneBefore(uint64(i/100) - 5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkKVIndexPutAfter(b *testing.B) {
-	db, err := kvstore.Open(kvstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := intern.NewTable()
-	idx := NewKVIndex(db, keys)
-	ks := make([]intern.Key, 64)
-	for i := range ks {
-		ks[i] = keys.Intern(fmt.Sprintf("k%d", i))
-	}
-	var buf []TxID
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := ks[i%64]
-		seq := seqno.Commit(uint64(i/100+1), uint32(i%100+1))
-		if err := idx.Put(key, seq, TxID(fmt.Sprintf("t%d", i))); err != nil {
-			b.Fatal(err)
-		}
-		var err error
-		if buf, err = idx.After(buf[:0], key, seqno.Snapshot(uint64(i/100))); err != nil {
-			b.Fatal(err)
+			idx.PruneBefore(uint64(i/100) - 5)
 		}
 	}
 }

@@ -183,9 +183,7 @@ func TestManagerStatsTimersAdvance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := m.OnBlockFormation(); err != nil {
-		t.Fatal(err)
-	}
+	m.OnBlockFormation()
 	st := m.Stats()
 	if st.IdentifyConflictNS <= 0 || st.UpdateGraphNS <= 0 || st.IndexRecordNS <= 0 {
 		t.Errorf("arrival timers did not advance: %+v", st)

@@ -17,12 +17,9 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 
 	"fabricsharp/internal/intern"
-	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -30,72 +27,32 @@ import (
 // TxID aliases the protocol transaction identifier.
 type TxID = protocol.TxID
 
-// VersionIndex is the committed-transaction index shape of Section 4.3:
-// CommittedWriteTxns (CW) and CommittedReadTxns (CR) both map a record key
-// plus the commit sequence of the accessing transaction to that
-// transaction's identifier, and support the point and range queries the
-// dependency resolution needs. Keys are interned KeyIDs; implementations
-// that persist (KVIndex) resolve them back to strings through the shared
-// intern.Table, so the disk layout stays keyed by record-key bytes.
-//
-// Like the Manager that owns them, indices are confined to the orderer's
-// single goroutine; they are not safe for concurrent use.
-type VersionIndex interface {
-	// Put records that transaction id accessed key at commit sequence seq.
-	Put(key intern.Key, seq seqno.Seq, id TxID) error
-	// After appends to dst, in commit order, every transaction that accessed
-	// key with commit sequence >= from (the CW[key][from:] range query).
-	// Passing a reusable dst buffer keeps the arrival path allocation-free.
-	After(dst []TxID, key intern.Key, from seqno.Seq) ([]TxID, error)
-	// Before returns the last transaction that accessed key strictly before
-	// `before` (the CW.Before point query).
-	Before(key intern.Key, before seqno.Seq) (TxID, bool, error)
-	// Last returns the most recent transaction that accessed key
-	// (the CW.Last point query).
-	Last(key intern.Key) (TxID, bool, error)
-	// All appends to dst, in commit order, every retained transaction that
-	// accessed key (the CR[key] query).
-	All(dst []TxID, key intern.Key) ([]TxID, error)
-	// PruneBefore removes every entry whose commit sequence's block is
-	// strictly below minBlock (Section 4.6's index pruning).
-	PruneBefore(minBlock uint64) error
-	// MarkLive sets live[k] = true for every KeyID with at least one
-	// retained entry — the index's contribution to the liveness set of an
-	// epoch compaction. Keys at or beyond len(live) are ignored (they were
-	// interned after the caller sized the slice and are handled separately).
-	MarkLive(live []bool) error
-	// Remap informs the index that the shared intern table was compacted:
-	// remap[old] is each old KeyID's new identity, or intern.Dropped.
-	// In-memory implementations move their KeyID-indexed slots; disk-backed
-	// ones whose layout is keyed by record-key bytes (KVIndex) have nothing
-	// to move and only keep resolving through the compacted table.
-	Remap(remap []intern.Key, newLen int) error
-}
-
-// ---------------------------------------------------------------------------
-// In-memory index
-// ---------------------------------------------------------------------------
-
 type memEntry struct {
 	seq seqno.Seq
 	id  TxID
 }
 
-// MemIndex is a purely in-memory VersionIndex: per KeyID, an append-ordered
+// MemIndex is the committed-transaction index shape of Section 4.3:
+// CommittedWriteTxns (CW) and CommittedReadTxns (CR) both map a record key
+// plus the commit sequence of the accessing transaction to that
+// transaction's identifier, and support the point and range queries the
+// dependency resolution needs. Per interned KeyID it keeps an append-ordered
 // slice of (commit seq, txn) entries — a plain slice lookup per query.
 // Commit sequences arrive in increasing order, so the slices stay sorted
 // without explicit sorting.
 //
+// Like the Manager that owns them, indices are confined to the orderer's
+// single goroutine; they are not safe for concurrent use.
+//
 // Memory: pruning empties a key's slot but the slot itself (one slice
 // header per KeyID ever issued) is retained — the cost of slice indexing
 // over string hashing. See the trade-off note in docs/perf.md; workloads
-// with unboundedly growing key spaces should cap the orderer's lifetime or
-// restart on a horizon (the persistence/FastForward path).
+// with unboundedly growing key spaces set CompactEvery.
 type MemIndex struct {
 	entries [][]memEntry // indexed by intern.Key
 }
 
-// NewMemIndex returns an empty in-memory index.
+// NewMemIndex returns an empty index.
 func NewMemIndex() *MemIndex { return &MemIndex{} }
 
 // grow ensures the entry table covers key.
@@ -105,104 +62,107 @@ func (m *MemIndex) grow(key intern.Key) {
 	}
 }
 
-// Put implements VersionIndex. Each (key, seq) pair must be written at most
-// once — the Manager guarantees this, since commit sequences (block, pos)
-// are unique. Distinct sequences may arrive out of order (the defensive
-// branch below); replaying the SAME sequence is out of contract (MemIndex
-// would keep both entries where KVIndex overwrites).
-func (m *MemIndex) Put(key intern.Key, seq seqno.Seq, id TxID) error {
+// Put records that transaction id accessed key at commit sequence seq. Each
+// (key, seq) pair must be written at most once — the Manager guarantees
+// this, since commit sequences (block, pos) are unique.
+func (m *MemIndex) Put(key intern.Key, seq seqno.Seq, id TxID) {
 	m.grow(key)
 	es := m.entries[key]
 	if n := len(es); n > 0 && !es[n-1].seq.Less(seq) {
-		// Defensive: out-of-order insert keeps the slice sorted. (The manager
-		// always commits in increasing sequence order; this path mirrors
-		// KVIndex, whose sorted on-disk layout gives the same behavior for
-		// free — see TestIndexOutOfOrderInsertAgreement.)
+		// Defensive: an out-of-order insert keeps the slice sorted (the
+		// schedulers always commit in increasing sequence order).
 		i := sort.Search(n, func(i int) bool { return !es[i].seq.Less(seq) })
 		es = append(es, memEntry{})
 		copy(es[i+1:], es[i:])
 		es[i] = memEntry{seq: seq, id: id}
 		m.entries[key] = es
-		return nil
+		return
 	}
 	m.entries[key] = append(es, memEntry{seq: seq, id: id})
-	return nil
 }
 
-// After implements VersionIndex.
-func (m *MemIndex) After(dst []TxID, key intern.Key, from seqno.Seq) ([]TxID, error) {
+// After appends to dst, in commit order, every transaction that accessed key
+// with commit sequence >= from (the CW[key][from:] range query). Passing a
+// reusable dst buffer keeps the arrival path allocation-free.
+func (m *MemIndex) After(dst []TxID, key intern.Key, from seqno.Seq) []TxID {
 	if int(key) >= len(m.entries) {
-		return dst, nil
+		return dst
 	}
 	es := m.entries[key]
 	i := sort.Search(len(es), func(i int) bool { return !es[i].seq.Less(from) })
 	for ; i < len(es); i++ {
 		dst = append(dst, es[i].id)
 	}
-	return dst, nil
+	return dst
 }
 
-// Before implements VersionIndex.
-func (m *MemIndex) Before(key intern.Key, before seqno.Seq) (TxID, bool, error) {
+// Before returns the last transaction that accessed key strictly before
+// `before` (the CW.Before point query).
+func (m *MemIndex) Before(key intern.Key, before seqno.Seq) (TxID, bool) {
 	if int(key) >= len(m.entries) {
-		return "", false, nil
+		return "", false
 	}
 	es := m.entries[key]
 	i := sort.Search(len(es), func(i int) bool { return !es[i].seq.Less(before) })
 	if i == 0 {
-		return "", false, nil
+		return "", false
 	}
-	return es[i-1].id, true, nil
+	return es[i-1].id, true
 }
 
-// Last implements VersionIndex.
-func (m *MemIndex) Last(key intern.Key) (TxID, bool, error) {
+// Last returns the most recent transaction that accessed key (the CW.Last
+// point query).
+func (m *MemIndex) Last(key intern.Key) (TxID, bool) {
 	if int(key) >= len(m.entries) {
-		return "", false, nil
+		return "", false
 	}
 	es := m.entries[key]
 	if len(es) == 0 {
-		return "", false, nil
+		return "", false
 	}
-	return es[len(es)-1].id, true, nil
+	return es[len(es)-1].id, true
 }
 
-// All implements VersionIndex.
-func (m *MemIndex) All(dst []TxID, key intern.Key) ([]TxID, error) {
+// All appends to dst, in commit order, every retained transaction that
+// accessed key (the CR[key] query).
+func (m *MemIndex) All(dst []TxID, key intern.Key) []TxID {
 	if int(key) >= len(m.entries) {
-		return dst, nil
+		return dst
 	}
 	for _, e := range m.entries[key] {
 		dst = append(dst, e.id)
 	}
-	return dst, nil
+	return dst
 }
 
-// MarkLive implements VersionIndex.
-func (m *MemIndex) MarkLive(live []bool) error {
+// MarkLive sets live[k] = true for every KeyID with at least one retained
+// entry — the index's contribution to the liveness set of an epoch
+// compaction. Keys at or beyond len(live) are ignored (they were interned
+// after the caller sized the slice and are handled separately).
+func (m *MemIndex) MarkLive(live []bool) {
 	for key, es := range m.entries {
 		if len(es) > 0 && key < len(live) {
 			live[key] = true
 		}
 	}
-	return nil
 }
 
-// Remap implements VersionIndex: slots of retained keys move to their new
-// dense index (keeping their backing arrays), slots of dropped keys are
-// released to the GC — this is where a churn workload's retired key slots
-// are actually reclaimed.
-func (m *MemIndex) Remap(remap []intern.Key, newLen int) error {
+// Remap informs the index that the shared intern table was compacted:
+// remap[old] is each old KeyID's new identity, or intern.Dropped. Slots of
+// retained keys move to their new dense index (keeping their backing
+// arrays), slots of dropped keys are released to the GC — this is where a
+// churn workload's retired key slots are actually reclaimed.
+func (m *MemIndex) Remap(remap []intern.Key, newLen int) {
 	m.entries = intern.RemapSlots(m.entries, remap, newLen)
-	return nil
 }
 
 // Slots returns the number of KeyID slots currently held (tests, metrics):
 // the quantity compaction bounds for churn workloads.
 func (m *MemIndex) Slots() int { return len(m.entries) }
 
-// PruneBefore implements VersionIndex.
-func (m *MemIndex) PruneBefore(minBlock uint64) error {
+// PruneBefore removes every entry whose commit sequence's block is strictly
+// below minBlock (Section 4.6's index pruning).
+func (m *MemIndex) PruneBefore(minBlock uint64) {
 	for key, es := range m.entries {
 		i := 0
 		for i < len(es) && es[i].seq.Block < minBlock {
@@ -223,182 +183,7 @@ func (m *MemIndex) PruneBefore(minBlock uint64) error {
 		}
 		m.entries[key] = es[:n]
 	}
-	return nil
 }
-
-// ---------------------------------------------------------------------------
-// kvstore-backed index
-// ---------------------------------------------------------------------------
-
-// KVIndex is a VersionIndex persisted in a kvstore.DB, mirroring the
-// paper's LevelDB layout: the primary records are keyed
-// "p/<record key>\x00<commit seq>" so that a prefix scan walks one record
-// key's accesses in commit order, and a secondary family
-// "b/<commit seq>\x00<record key>" supports pruning whole block ranges.
-// KeyIDs are resolved back to record-key strings through the shared intern
-// table, keeping the disk layout independent of any one process's interning
-// order. Record keys must not contain NUL bytes (all workload keys are
-// printable).
-//
-// Because the on-disk layout sorts by (record key, commit seq), an
-// out-of-order Put lands in its sorted position automatically — the disk
-// index gets MemIndex's defensive insert path for free.
-type KVIndex struct {
-	db   *kvstore.DB
-	keys *intern.Table
-}
-
-// NewKVIndex wraps db as a VersionIndex resolving KeyIDs through keys (use
-// the owning Manager's table, Manager.Keys()).
-func NewKVIndex(db *kvstore.DB, keys *intern.Table) *KVIndex {
-	return &KVIndex{db: db, keys: keys}
-}
-
-func kvPrimaryKey(key string, seq seqno.Seq) []byte {
-	out := make([]byte, 0, 2+len(key)+1+seqno.EncodedLen())
-	out = append(out, 'p', '/')
-	out = append(out, key...)
-	out = append(out, 0)
-	return seq.AppendTo(out)
-}
-
-func kvPrimaryPrefix(key string) []byte {
-	out := make([]byte, 0, 2+len(key)+1)
-	out = append(out, 'p', '/')
-	out = append(out, key...)
-	return append(out, 0)
-}
-
-func kvSecondaryKey(key string, seq seqno.Seq) []byte {
-	out := make([]byte, 0, 2+seqno.EncodedLen()+1+len(key))
-	out = append(out, 'b', '/')
-	out = seq.AppendTo(out)
-	out = append(out, 0)
-	return append(out, key...)
-}
-
-// Put implements VersionIndex.
-func (k *KVIndex) Put(key intern.Key, seq seqno.Seq, id TxID) error {
-	s := k.keys.Lookup(key)
-	if err := k.db.Put(kvPrimaryKey(s, seq), []byte(id)); err != nil {
-		return err
-	}
-	return k.db.Put(kvSecondaryKey(s, seq), nil)
-}
-
-// After implements VersionIndex.
-func (k *KVIndex) After(dst []TxID, key intern.Key, from seqno.Seq) ([]TxID, error) {
-	s := k.keys.Lookup(key)
-	start := kvPrimaryKey(s, from)
-	limit := kvstore.PrefixSuccessor(kvPrimaryPrefix(s))
-	for it := k.db.NewIterator(start, limit); it.Valid(); it.Next() {
-		dst = append(dst, TxID(it.Value()))
-	}
-	return dst, nil
-}
-
-// Before implements VersionIndex.
-func (k *KVIndex) Before(key intern.Key, before seqno.Seq) (TxID, bool, error) {
-	s := k.keys.Lookup(key)
-	prefix := kvPrimaryPrefix(s)
-	limit := kvPrimaryKey(s, before)
-	var (
-		id    TxID
-		found bool
-	)
-	for it := k.db.NewIterator(prefix, limit); it.Valid(); it.Next() {
-		id, found = TxID(it.Value()), true
-	}
-	return id, found, nil
-}
-
-// Last implements VersionIndex.
-func (k *KVIndex) Last(key intern.Key) (TxID, bool, error) {
-	var (
-		id    TxID
-		found bool
-	)
-	for it := k.db.NewPrefixIterator(kvPrimaryPrefix(k.keys.Lookup(key))); it.Valid(); it.Next() {
-		id, found = TxID(it.Value()), true
-	}
-	return id, found, nil
-}
-
-// All implements VersionIndex.
-func (k *KVIndex) All(dst []TxID, key intern.Key) ([]TxID, error) {
-	for it := k.db.NewPrefixIterator(kvPrimaryPrefix(k.keys.Lookup(key))); it.Valid(); it.Next() {
-		dst = append(dst, TxID(it.Value()))
-	}
-	return dst, nil
-}
-
-// PruneBefore implements VersionIndex. All deletions are collected into a
-// single kvstore.ApplyBatch — one lock acquisition instead of one round-trip
-// per entry, and no other mutation can interleave mid-prune. Primaries are
-// deleted before their secondaries within the batch: if a crash replays only
-// a WAL prefix, the survivors are dangling "b/" keys the next prune simply
-// re-deletes, never orphaned primaries that no future prune would find.
-func (k *KVIndex) PruneBefore(minBlock uint64) error {
-	limit := []byte{'b', '/'}
-	limit = (seqno.Seq{Block: minBlock}).AppendTo(limit)
-	var primaries, secondaries [][]byte
-	for it := k.db.NewIterator([]byte("b/"), limit); it.Valid(); it.Next() {
-		sk := append([]byte(nil), it.Key()...)
-		secondaries = append(secondaries, sk)
-		// Decode "b/<seq>\x00<record key>" back into the primary key.
-		body := sk[2:]
-		seq, err := seqno.FromBytes(body)
-		if err != nil {
-			return err
-		}
-		rest := body[seqno.EncodedLen():]
-		if len(rest) > 0 && rest[0] == 0 {
-			rest = rest[1:]
-		}
-		primaries = append(primaries, kvPrimaryKey(string(rest), seq))
-	}
-	if len(secondaries) == 0 {
-		return nil
-	}
-	ops := make([]kvstore.BatchOp, 0, len(primaries)+len(secondaries))
-	for _, pk := range primaries {
-		ops = append(ops, kvstore.BatchOp{Key: pk, Delete: true})
-	}
-	for _, sk := range secondaries {
-		ops = append(ops, kvstore.BatchOp{Key: sk, Delete: true})
-	}
-	return k.db.ApplyBatch(ops)
-}
-
-// MarkLive implements VersionIndex: one scan over the primary family marks
-// every record key that still has a retained entry. The on-disk layout is
-// string-keyed, so keys resolve back to KeyIDs through the shared table —
-// every key with disk entries was interned when it was Put, so Find always
-// hits while the table and index are driven by the same manager.
-func (k *KVIndex) MarkLive(live []bool) error {
-	for it := k.db.NewPrefixIterator([]byte("p/")); it.Valid(); it.Next() {
-		body := it.Key()[2:]
-		i := bytes.IndexByte(body, 0)
-		if i < 0 {
-			return fmt.Errorf("core: malformed primary index key %q", it.Key())
-		}
-		if id, ok := k.keys.Find(string(body[:i])); ok && int(id) < len(live) {
-			live[id] = true
-		}
-	}
-	return nil
-}
-
-// Remap implements VersionIndex: nothing moves — the disk layout is keyed by
-// record-key bytes, independent of any interning order, and queries resolve
-// KeyIDs through the (now compacted) shared table.
-func (k *KVIndex) Remap([]intern.Key, int) error { return nil }
-
-// ensure interface compliance
-var (
-	_ VersionIndex = (*MemIndex)(nil)
-	_ VersionIndex = (*KVIndex)(nil)
-)
 
 // CompactKeyState is the shared liveness+remap core of epoch compaction for
 // schedulers whose interned-key state is (CW, CR, pending-writer/reader
@@ -409,14 +194,10 @@ var (
 // tables are rebuilt. Keeping this protocol in one place is what keeps the
 // per-scheduler compactions replica-deterministic in lockstep — callers add
 // structure-specific steps (scratch truncation, stamp resets) on top.
-func CompactKeyState[T any](tbl *intern.Table, cw, cr VersionIndex, pw, pr [][]T, extraLive func(live []bool)) (newPW, newPR [][]T, remap []intern.Key, err error) {
+func CompactKeyState[T any](tbl *intern.Table, cw, cr *MemIndex, pw, pr [][]T, extraLive func(live []bool)) (newPW, newPR [][]T, remap []intern.Key) {
 	live := make([]bool, tbl.Len())
-	if err := cw.MarkLive(live); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := cr.MarkLive(live); err != nil {
-		return nil, nil, nil, err
-	}
+	cw.MarkLive(live)
+	cr.MarkLive(live)
 	for k := range pw {
 		if len(pw[k]) > 0 {
 			live[k] = true
@@ -432,11 +213,7 @@ func CompactKeyState[T any](tbl *intern.Table, cw, cr VersionIndex, pw, pr [][]T
 	}
 	remap = tbl.Compact(func(k intern.Key) bool { return live[k] })
 	newLen := tbl.Len()
-	if err := cw.Remap(remap, newLen); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := cr.Remap(remap, newLen); err != nil {
-		return nil, nil, nil, err
-	}
-	return intern.RemapSlots(pw, remap, newLen), intern.RemapSlots(pr, remap, newLen), remap, nil
+	cw.Remap(remap, newLen)
+	cr.Remap(remap, newLen)
+	return intern.RemapSlots(pw, remap, newLen), intern.RemapSlots(pr, remap, newLen), remap
 }

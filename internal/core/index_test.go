@@ -2,373 +2,123 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"fabricsharp/internal/intern"
-	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/seqno"
 )
 
-func newKVIndexForTest(t *testing.T, keys *intern.Table) *KVIndex {
-	t.Helper()
-	db, err := kvstore.Open(kvstore.Options{}) // in-memory
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewKVIndex(db, keys)
-}
-
-func testIndexBasics(t *testing.T, keys *intern.Table, idx VersionIndex) {
-	t.Helper()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+func TestMemIndexBasics(t *testing.T) {
+	keys, idx := intern.NewTable(), NewMemIndex()
 	kA, kB, kMissing := keys.Intern("A"), keys.Intern("B"), keys.Intern("missing")
-	must(idx.Put(kA, seqno.Commit(3, 2), "txn1"))
-	must(idx.Put(kA, seqno.Commit(4, 1), "txn7"))
-	must(idx.Put(kA, seqno.Commit(5, 3), "txn9"))
-	must(idx.Put(kB, seqno.Commit(4, 2), "txn8"))
+	idx.Put(kA, seqno.Commit(3, 2), "txn1")
+	idx.Put(kA, seqno.Commit(4, 1), "txn7")
+	idx.Put(kA, seqno.Commit(5, 3), "txn9")
+	idx.Put(kB, seqno.Commit(4, 2), "txn8")
 
 	// Last
-	if id, ok, _ := idx.Last(kA); !ok || id != "txn9" {
+	if id, ok := idx.Last(kA); !ok || id != "txn9" {
 		t.Errorf("Last(A) = %v,%v", id, ok)
 	}
-	if _, ok, _ := idx.Last(kMissing); ok {
+	if _, ok := idx.Last(kMissing); ok {
 		t.Error("Last(missing) found something")
 	}
 	// Before: the paper's CW.Before(key, seq) — last committed strictly
 	// earlier than seq.
-	if id, ok, _ := idx.Before(kA, seqno.Snapshot(3)); !ok || id != "txn1" {
+	if id, ok := idx.Before(kA, seqno.Snapshot(3)); !ok || id != "txn1" {
 		t.Errorf("Before(A,(4,0)) = %v,%v want txn1", id, ok)
 	}
-	if _, ok, _ := idx.Before(kA, seqno.Commit(3, 2)); ok {
+	if _, ok := idx.Before(kA, seqno.Commit(3, 2)); ok {
 		t.Error("Before at the exact first seq should be empty")
 	}
 	// After: CW[key][seq:].
-	got, _ := idx.After(nil, kA, seqno.Snapshot(3))
-	if fmt.Sprint(got) != "[txn7 txn9]" {
+	if got := idx.After(nil, kA, seqno.Snapshot(3)); fmt.Sprint(got) != "[txn7 txn9]" {
 		t.Errorf("After(A,(4,0)) = %v", got)
 	}
-	got, _ = idx.After(nil, kA, seqno.Seq{})
-	if fmt.Sprint(got) != "[txn1 txn7 txn9]" {
+	if got := idx.After(nil, kA, seqno.Seq{}); fmt.Sprint(got) != "[txn1 txn7 txn9]" {
 		t.Errorf("After(A,zero) = %v", got)
 	}
 	// After appends to the passed buffer.
-	buf := []TxID{"sentinel"}
-	got, _ = idx.After(buf, kA, seqno.Snapshot(3))
-	if fmt.Sprint(got) != "[sentinel txn7 txn9]" {
+	if got := idx.After([]TxID{"sentinel"}, kA, seqno.Snapshot(3)); fmt.Sprint(got) != "[sentinel txn7 txn9]" {
 		t.Errorf("After with buffer = %v", got)
 	}
 	// All
-	got, _ = idx.All(nil, kB)
-	if fmt.Sprint(got) != "[txn8]" {
+	if got := idx.All(nil, kB); fmt.Sprint(got) != "[txn8]" {
 		t.Errorf("All(B) = %v", got)
 	}
 	// PruneBefore drops block < 4.
-	must(idx.PruneBefore(4))
-	got, _ = idx.All(nil, kA)
-	if fmt.Sprint(got) != "[txn7 txn9]" {
+	idx.PruneBefore(4)
+	if got := idx.All(nil, kA); fmt.Sprint(got) != "[txn7 txn9]" {
 		t.Errorf("after prune All(A) = %v", got)
 	}
-	if id, ok, _ := idx.Last(kB); !ok || id != "txn8" {
+	if id, ok := idx.Last(kB); !ok || id != "txn8" {
 		t.Errorf("prune damaged B: %v,%v", id, ok)
 	}
 }
 
-func TestMemIndexBasics(t *testing.T) {
-	testIndexBasics(t, intern.NewTable(), NewMemIndex())
-}
-
-func TestKVIndexBasics(t *testing.T) {
-	keys := intern.NewTable()
-	testIndexBasics(t, keys, newKVIndexForTest(t, keys))
-}
-
-func TestIndexDifferential(t *testing.T) {
-	// MemIndex and KVIndex must agree on every query under a random
-	// operation stream — the kvstore-backed index is the LevelDB-equivalent
-	// layout, the memory index is the model.
-	keys := intern.NewTable()
-	mem := NewMemIndex()
-	kv := newKVIndexForTest(t, keys)
-	rng := rand.New(rand.NewSource(5))
-	var ks []intern.Key
-	for _, s := range []string{"A", "B", "acct:17", "checking:alice"} {
-		ks = append(ks, keys.Intern(s))
-	}
-	seq := seqno.Seq{Block: 1, Pos: 1}
-	for i := 0; i < 500; i++ {
-		key := ks[rng.Intn(len(ks))]
-		id := TxID(fmt.Sprintf("t%d", i))
-		if err := mem.Put(key, seq, id); err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(key, seq, id); err != nil {
-			t.Fatal(err)
-		}
-		// advance commit seq
-		if rng.Intn(3) == 0 {
-			seq = seqno.Commit(seq.Block+1, 1)
-		} else {
-			seq = seqno.Commit(seq.Block, seq.Pos+1)
-		}
-		if rng.Intn(40) == 0 {
-			h := seq.Block / 2
-			if err := mem.PruneBefore(h); err != nil {
-				t.Fatal(err)
-			}
-			if err := kv.PruneBefore(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Compare queries at random probe points.
-		probe := seqno.Commit(uint64(rng.Intn(int(seq.Block)+1)), uint32(rng.Intn(4)))
-		for _, k := range ks {
-			ma, _ := mem.After(nil, k, probe)
-			ka, _ := kv.After(nil, k, probe)
-			if fmt.Sprint(ma) != fmt.Sprint(ka) {
-				t.Fatalf("After(%d,%v) diverged: %v vs %v", k, probe, ma, ka)
-			}
-			mb, mok, _ := mem.Before(k, probe)
-			kb, kok, _ := kv.Before(k, probe)
-			if mok != kok || mb != kb {
-				t.Fatalf("Before(%d,%v) diverged: %v,%v vs %v,%v", k, probe, mb, mok, kb, kok)
-			}
-			ml, mok2, _ := mem.Last(k)
-			kl, kok2, _ := kv.Last(k)
-			if mok2 != kok2 || ml != kl {
-				t.Fatalf("Last(%d) diverged", k)
-			}
-			mall, _ := mem.All(nil, k)
-			kall, _ := kv.All(nil, k)
-			if fmt.Sprint(mall) != fmt.Sprint(kall) {
-				t.Fatalf("All(%d) diverged: %v vs %v", k, mall, kall)
-			}
-		}
-	}
-}
-
-// TestIndexOutOfOrderInsertAgreement covers MemIndex's defensive out-of-
-// order insert branch and proves KVIndex takes the equivalent path "for
-// free": its on-disk layout sorts by (record key, commit seq), so a late
-// Put of an earlier sequence lands in sorted position without special
-// casing. Both indices must answer every query identically afterwards.
-func TestIndexOutOfOrderInsertAgreement(t *testing.T) {
-	keys := intern.NewTable()
-	mem := NewMemIndex()
-	kv := newKVIndexForTest(t, keys)
-	k := keys.Intern("K")
+// TestMemIndexOutOfOrderInsert covers the defensive out-of-order insert
+// branch: a late Put of an earlier sequence lands in sorted position, and
+// every query and a later prune see the sorted slice.
+func TestMemIndexOutOfOrderInsert(t *testing.T) {
+	idx := NewMemIndex()
+	k := intern.NewTable().Intern("K")
 	// Arrive out of order: (5,1) then (3,1) then (4,2).
-	inserts := []struct {
-		seq seqno.Seq
-		id  TxID
-	}{
-		{seqno.Commit(5, 1), "late"},
-		{seqno.Commit(3, 1), "early"},
-		{seqno.Commit(4, 2), "middle"},
+	idx.Put(k, seqno.Commit(5, 1), "late")
+	idx.Put(k, seqno.Commit(3, 1), "early")
+	idx.Put(k, seqno.Commit(4, 2), "middle")
+	if got := idx.All(nil, k); fmt.Sprint(got) != "[early middle late]" {
+		t.Errorf("All = %v, want [early middle late]", got)
 	}
-	for _, in := range inserts {
-		if err := mem.Put(k, in.seq, in.id); err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(k, in.seq, in.id); err != nil {
-			t.Fatal(err)
-		}
+	if got := idx.After(nil, k, seqno.Snapshot(3)); fmt.Sprint(got) != "[middle late]" {
+		t.Errorf("After((4,0)) = %v, want [middle late]", got)
 	}
-	for _, idx := range []VersionIndex{mem, kv} {
-		if got, _ := idx.All(nil, k); fmt.Sprint(got) != "[early middle late]" {
-			t.Errorf("%T All = %v, want [early middle late]", idx, got)
-		}
-		if got, _ := idx.After(nil, k, seqno.Snapshot(3)); fmt.Sprint(got) != "[middle late]" {
-			t.Errorf("%T After((4,0)) = %v, want [middle late]", idx, got)
-		}
-		if id, ok, _ := idx.Before(k, seqno.Snapshot(4)); !ok || id != "middle" {
-			t.Errorf("%T Before((5,0)) = %v,%v, want middle", idx, id, ok)
-		}
-		if id, ok, _ := idx.Last(k); !ok || id != "late" {
-			t.Errorf("%T Last = %v,%v, want late", idx, id, ok)
-		}
+	if id, ok := idx.Before(k, seqno.Snapshot(4)); !ok || id != "middle" {
+		t.Errorf("Before((5,0)) = %v,%v, want middle", id, ok)
 	}
-	// Pruning after an out-of-order insert keeps both aligned too.
-	if err := mem.PruneBefore(4); err != nil {
-		t.Fatal(err)
+	if id, ok := idx.Last(k); !ok || id != "late" {
+		t.Errorf("Last = %v,%v, want late", id, ok)
 	}
-	if err := kv.PruneBefore(4); err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []VersionIndex{mem, kv} {
-		if got, _ := idx.All(nil, k); fmt.Sprint(got) != "[middle late]" {
-			t.Errorf("%T post-prune All = %v, want [middle late]", idx, got)
-		}
+	idx.PruneBefore(4)
+	if got := idx.All(nil, k); fmt.Sprint(got) != "[middle late]" {
+		t.Errorf("post-prune All = %v, want [middle late]", got)
 	}
 }
 
-// TestIndexMarkLiveRemapAgreement drives MemIndex and KVIndex through the
-// compaction protocol side by side: after identical puts and pruning, both
-// must report the same liveness set, and after the shared table compacts,
-// both must answer every query identically through the remapped KeyIDs.
-func TestIndexMarkLiveRemapAgreement(t *testing.T) {
+// TestMemIndexMarkLiveRemap drives the index through the compaction
+// protocol: after puts and pruning it reports the liveness set, and after
+// the shared table compacts it answers every query through the remapped
+// KeyIDs.
+func TestMemIndexMarkLiveRemap(t *testing.T) {
 	keys := intern.NewTable()
-	mem := NewMemIndex()
-	kv := newKVIndexForTest(t, keys)
-	var ks []intern.Key
-	for i := 0; i < 6; i++ {
-		ks = append(ks, keys.Intern(fmt.Sprintf("key%d", i)))
-	}
+	idx := NewMemIndex()
 	// key0..key2 get entries in old blocks (pruned away), key3..key5 recent.
-	for i, k := range ks {
-		seq := seqno.Commit(uint64(i+1), 1)
-		id := TxID(fmt.Sprintf("t%d", i))
-		if err := mem.Put(k, seq, id); err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(k, seq, id); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 6; i++ {
+		idx.Put(keys.Intern(fmt.Sprintf("key%d", i)), seqno.Commit(uint64(i+1), 1), TxID(fmt.Sprintf("t%d", i)))
 	}
-	for _, idx := range []VersionIndex{mem, kv} {
-		if err := idx.PruneBefore(4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	memLive := make([]bool, keys.Len())
-	kvLive := make([]bool, keys.Len())
-	if err := mem.MarkLive(memLive); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.MarkLive(kvLive); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(memLive) != fmt.Sprint(kvLive) {
-		t.Fatalf("liveness diverged: mem %v kv %v", memLive, kvLive)
-	}
-	if fmt.Sprint(memLive) != "[false false false true true true]" {
-		t.Fatalf("liveness = %v", memLive)
+	idx.PruneBefore(4)
+	live := make([]bool, keys.Len())
+	idx.MarkLive(live)
+	if fmt.Sprint(live) != "[false false false true true true]" {
+		t.Fatalf("liveness = %v", live)
 	}
 
-	remap := keys.Compact(func(k intern.Key) bool { return memLive[k] })
-	for _, idx := range []VersionIndex{mem, kv} {
-		if err := idx.Remap(remap, keys.Len()); err != nil {
-			t.Fatal(err)
-		}
+	remap := keys.Compact(func(k intern.Key) bool { return live[k] })
+	idx.Remap(remap, keys.Len())
+	if idx.Slots() != 3 {
+		t.Fatalf("slots = %d, want 3 (retired slots reclaimed)", idx.Slots())
 	}
-	if mem.Slots() != 3 {
-		t.Fatalf("mem slots = %d, want 3 (retired slots reclaimed)", mem.Slots())
-	}
-	// Every retained key answers identically through its new KeyID; the
-	// re-interned incarnation of a dropped key is empty in both.
+	// Every retained key answers through its new KeyID; the re-interned
+	// incarnation of a dropped key is empty.
 	for i := 3; i < 6; i++ {
 		nk, ok := keys.Find(fmt.Sprintf("key%d", i))
 		if !ok {
 			t.Fatalf("key%d lost by compaction", i)
 		}
-		for _, idx := range []VersionIndex{mem, kv} {
-			id, found, err := idx.Last(nk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !found || id != TxID(fmt.Sprintf("t%d", i)) {
-				t.Errorf("%T Last(key%d) = %v,%v after remap", idx, i, id, found)
-			}
+		if id, found := idx.Last(nk); !found || id != TxID(fmt.Sprintf("t%d", i)) {
+			t.Errorf("Last(key%d) = %v,%v after remap", i, id, found)
 		}
 	}
-	dropped := keys.Intern("key0")
-	for _, idx := range []VersionIndex{mem, kv} {
-		if got, _ := idx.All(nil, dropped); len(got) != 0 {
-			t.Errorf("%T re-interned dropped key has entries: %v", idx, got)
-		}
-	}
-}
-
-// TestKVIndexPruneBatchAtomic pins the batched prune: a prune over many
-// entries must leave no secondary "b/" key behind (they would otherwise
-// resurrect as phantom prune work) and must keep retained entries intact —
-// the all-or-nothing ApplyBatch path.
-func TestKVIndexPruneBatchAtomic(t *testing.T) {
-	keys := intern.NewTable()
-	kv := newKVIndexForTest(t, keys)
-	for b := uint64(1); b <= 10; b++ {
-		for i := 0; i < 5; i++ {
-			k := keys.Intern(fmt.Sprintf("k%d", i))
-			if err := kv.Put(k, seqno.Commit(b, uint32(i+1)), TxID(fmt.Sprintf("t%d-%d", b, i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := kv.PruneBefore(8); err != nil {
-		t.Fatal(err)
-	}
-	live := make([]bool, keys.Len())
-	if err := kv.MarkLive(live); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		k, _ := keys.Find(fmt.Sprintf("k%d", i))
-		got, err := kv.All(nil, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 3 { // blocks 8, 9, 10
-			t.Errorf("k%d retained %d entries, want 3: %v", i, len(got), got)
-		}
-		if !live[k] {
-			t.Errorf("k%d not marked live despite retained entries", i)
-		}
-	}
-	// No stale secondaries: a second prune at the same horizon is a no-op
-	// and must not fail decoding leftovers.
-	if err := kv.PruneBefore(8); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestManagerWithKVIndices(t *testing.T) {
-	// The manager must behave identically over kvstore-backed indices.
-	mkManager := func(kvBacked bool) *Manager {
-		opts := Options{}
-		if kvBacked {
-			keys := intern.NewTable()
-			dbw, _ := kvstore.Open(kvstore.Options{})
-			dbr, _ := kvstore.Open(kvstore.Options{})
-			opts.Keys = keys
-			opts.CW = NewKVIndex(dbw, keys)
-			opts.CR = NewKVIndex(dbr, keys)
-		}
-		return NewManager(opts)
-	}
-	run := func(m *Manager) []string {
-		var log []string
-		height := uint64(0)
-		for i := 0; i < 150; i++ {
-			r := fmt.Sprintf("k%d", (i*3)%7)
-			w := fmt.Sprintf("k%d", (i*5)%7)
-			code, err := m.OnArrival(TxID(fmt.Sprintf("t%d", i)), height, []string{r}, []string{w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			log = append(log, fmt.Sprintf("%d:%v", i, code))
-			if (i+1)%25 == 0 {
-				ids, block, err := m.OnBlockFormation()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ids) > 0 {
-					height = block
-				}
-				log = append(log, fmt.Sprint(ids))
-			}
-		}
-		return log
-	}
-	a := run(mkManager(false))
-	b := run(mkManager(true))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("kv-backed manager diverges at %d: %q vs %q", i, a[i], b[i])
-		}
+	if got := idx.All(nil, keys.Intern("key0")); len(got) != 0 {
+		t.Errorf("re-interned dropped key has entries: %v", got)
 	}
 }

@@ -37,13 +37,6 @@ type Options struct {
 	// default) disables compaction: tables stay append-only, the pre-PR-4
 	// behavior, appropriate for bounded key universes.
 	CompactEvery uint64
-	// Keys is the record-key intern table every index shares. Defaults to a
-	// fresh table; pass one explicitly when wiring KVIndex-backed CW/CR
-	// (they must resolve the same KeyIDs the Manager assigns).
-	Keys *intern.Table
-	// CW and CR supply the committed write/read indices. Defaults to fresh
-	// in-memory indices; pass KVIndex-backed ones for persistence.
-	CW, CR VersionIndex
 }
 
 func (o Options) withDefaults() Options {
@@ -58,15 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelayBlocks == 0 {
 		o.RelayBlocks = 2 * o.MaxSpan
-	}
-	if o.Keys == nil {
-		o.Keys = intern.NewTable()
-	}
-	if o.CW == nil {
-		o.CW = NewMemIndex()
-	}
-	if o.CR == nil {
-		o.CR = NewMemIndex()
 	}
 	return o
 }
@@ -136,8 +120,8 @@ type Manager struct {
 	opts Options
 	g    *graph
 	keys *intern.Table
-	cw   VersionIndex
-	cr   VersionIndex
+	cw   *MemIndex
+	cr   *MemIndex
 	// Pending transaction set P with its PW / PR key indices: per-KeyID
 	// slices of pending writers/readers (slice indexing, no string hashing).
 	pending []*txNode
@@ -168,18 +152,16 @@ func NewManager(opts Options) *Manager {
 	return &Manager{
 		opts:      opts,
 		g:         newGraph(opts.BloomBits, opts.BloomHashes),
-		keys:      opts.Keys,
-		cw:        opts.CW,
-		cr:        opts.CR,
-		pending:   nil,
+		keys:      intern.NewTable(),
+		cw:        NewMemIndex(),
+		cr:        NewMemIndex(),
 		nextBlock: 1,
 		predSet:   make(map[*txNode]struct{}),
 		succSet:   make(map[*txNode]struct{}),
 	}
 }
 
-// Keys exposes the Manager's intern table — wire it into NewKVIndex when
-// backing CW/CR with a kvstore.
+// Keys exposes the Manager's intern table (resident-key accounting).
 func (m *Manager) Keys() *intern.Table { return m.keys }
 
 // NextBlock returns M, the number of the block the next formation will seal.
@@ -252,8 +234,8 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 	// Phase 1 (Figure 12: "Identify conflict"): resolve the dependency sets
 	// of Section 4.3 — everything except c-ww among pending transactions.
 	// The working sets are reused scratch; the deferred clear covers every
-	// exit path (including index errors), so a failed arrival can never
-	// leak stale nodes into the next one's analysis.
+	// exit path, so an aborted arrival can never leak stale nodes into the
+	// next one's analysis.
 	t0 := metrics.StartWatch()
 	pred, succ := m.predSet, m.succSet
 	defer func() {
@@ -265,13 +247,10 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 			set[n] = struct{}{}
 		}
 	}
-	var err error
 	for _, r := range m.rbuf {
 		// anti-rw: committed writers at or after the snapshot, plus pending
 		// writers. These must serialize after the new transaction.
-		if m.idbuf, err = m.cw.After(m.idbuf[:0], r, startTS); err != nil {
-			return 0, err
-		}
+		m.idbuf = m.cw.After(m.idbuf[:0], r, startTS)
 		for _, txid := range m.idbuf {
 			addTo(succ, txid)
 		}
@@ -279,17 +258,13 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 			succ[n] = struct{}{}
 		}
 		// n-wr: the writer of the version actually read.
-		if txid, ok, err := m.cw.Before(r, startTS); err != nil {
-			return 0, err
-		} else if ok {
+		if txid, ok := m.cw.Before(r, startTS); ok {
 			addTo(pred, txid)
 		}
 	}
 	for _, w := range m.wbuf {
 		// rw: committed and pending readers of the keys we overwrite.
-		if m.idbuf, err = m.cr.All(m.idbuf[:0], w); err != nil {
-			return 0, err
-		}
+		m.idbuf = m.cr.All(m.idbuf[:0], w)
 		for _, txid := range m.idbuf {
 			addTo(pred, txid)
 		}
@@ -297,9 +272,7 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 			pred[n] = struct{}{}
 		}
 		// ww against the last committed writer.
-		if txid, ok, err := m.cw.Last(w); err != nil {
-			return 0, err
-		} else if ok {
+		if txid, ok := m.cw.Last(w); ok {
 			addTo(pred, txid)
 		}
 	}
@@ -342,9 +315,9 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 // empties P. It returns the ordered transaction IDs and the sealed block
 // number. With no pending transactions it returns (nil, next block) without
 // consuming a block number.
-func (m *Manager) OnBlockFormation() ([]TxID, uint64, error) {
+func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 	if len(m.pending) == 0 {
-		return nil, m.nextBlock, nil
+		return nil, m.nextBlock
 	}
 	block := m.nextBlock
 	m.stats.Formations++
@@ -402,14 +375,10 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64, error) {
 	for i, n := range order {
 		ids[i] = n.id
 		for _, w := range n.writeKeys {
-			if err := m.cw.Put(w, n.endTS, n.id); err != nil {
-				return nil, 0, err
-			}
+			m.cw.Put(w, n.endTS, n.id)
 		}
 		for _, r := range n.readKeys {
-			if err := m.cr.Put(r, n.endTS, n.id); err != nil {
-				return nil, 0, err
-			}
+			m.cr.Put(r, n.endTS, n.id)
 		}
 	}
 	for _, n := range order {
@@ -430,12 +399,8 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64, error) {
 	m.nextBlock++
 	if h, ok := m.horizon(); ok {
 		m.stats.PrunedNodes += uint64(m.g.prune(h))
-		if err := m.cw.PruneBefore(h); err != nil {
-			return nil, 0, err
-		}
-		if err := m.cr.PruneBefore(h); err != nil {
-			return nil, 0, err
-		}
+		m.cw.PruneBefore(h)
+		m.cr.PruneBefore(h)
 	}
 	if block%m.opts.RelayBlocks == 0 {
 		m.g.rebuildReachability()
@@ -447,14 +412,12 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64, error) {
 	// keys still referenced by retained state.
 	if m.opts.CompactEvery > 0 && block%m.opts.CompactEvery == 0 {
 		t4 := metrics.StartWatch()
-		if err := m.compact(); err != nil {
-			return nil, 0, err
-		}
+		m.compact()
 		m.stats.CompactNS += t4.ElapsedNS()
 	}
 
 	m.stats.Committed += uint64(len(ids))
-	return ids, block, nil
+	return ids, block
 }
 
 // compact is the deterministic epoch compaction: it collects the liveness
@@ -467,7 +430,7 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64, error) {
 // because a dropped key by construction has no retained entries anywhere,
 // every index query on it answers "empty" exactly as before — compaction
 // cannot change scheduling decisions (asserted by the equivalence tests).
-func (m *Manager) compact() error {
+func (m *Manager) compact() {
 	// Committed-but-unpruned nodes keep their key sets (only pending nodes'
 	// sets are read again, but a stale KeyID anywhere is a latent
 	// corruption), so every live node pins its keys.
@@ -481,11 +444,8 @@ func (m *Manager) compact() error {
 			}
 		}
 	}
-	pw, pr, remap, err := CompactKeyState(m.keys, m.cw, m.cr, m.pw, m.pr, markNodes)
-	if err != nil {
-		return err
-	}
-	m.pw, m.pr = pw, pr
+	var remap []intern.Key
+	m.pw, m.pr, remap = CompactKeyState(m.keys, m.cw, m.cr, m.pw, m.pr, markNodes)
 	newLen := m.keys.Len()
 	m.stats.Compactions++
 	m.stats.CompactedKeys += uint64(len(remap) - newLen)
@@ -504,7 +464,6 @@ func (m *Manager) compact() error {
 		m.wwGroups[i] = nil
 	}
 	m.wwGroups = m.wwGroups[:0]
-	return nil
 }
 
 // FastForward moves a fresh manager's block cursor past an externally

@@ -22,10 +22,7 @@ func arrive(t *testing.T, m *Manager, id string, snap uint64, reads, writes []st
 // form is a test helper forming a block and returning the order as strings.
 func form(t *testing.T, m *Manager) []string {
 	t.Helper()
-	ids, _, err := m.OnBlockFormation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids, _ := m.OnBlockFormation()
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = string(id)
@@ -188,9 +185,9 @@ func TestFutureSnapshotRejected(t *testing.T) {
 
 func TestEmptyFormationDoesNotAdvance(t *testing.T) {
 	m := NewManager(Options{})
-	ids, block, err := m.OnBlockFormation()
-	if err != nil || ids != nil || block != 1 {
-		t.Fatalf("empty formation: %v %d %v", ids, block, err)
+	ids, block := m.OnBlockFormation()
+	if ids != nil || block != 1 {
+		t.Fatalf("empty formation: %v %d", ids, block)
 	}
 	if m.NextBlock() != 1 {
 		t.Error("empty formation consumed a block number")
@@ -305,10 +302,7 @@ func TestDeterministicReplication(t *testing.T) {
 			}
 			log = append(log, fmt.Sprintf("%s:%v", ev.id, code))
 			if (i+1)%37 == 0 {
-				ids, block, err := m.OnBlockFormation()
-				if err != nil {
-					t.Fatal(err)
-				}
+				ids, block := m.OnBlockFormation()
 				if len(ids) > 0 {
 					height = block
 				}
@@ -405,10 +399,7 @@ func churnArrive(t *testing.T, m *Manager, blocks, perBlock int) (distinct int) 
 			n++
 			distinct += 2
 		}
-		ids, block, err := m.OnBlockFormation()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ids, block := m.OnBlockFormation()
 		if len(ids) > 0 {
 			height = block
 		}
@@ -421,8 +412,7 @@ func churnArrive(t *testing.T, m *Manager, blocks, perBlock int) (distinct int) 
 // intern table and MemIndex slot count to a horizon-sized window while the
 // total distinct-key universe keeps growing.
 func TestCompactionBoundsResidency(t *testing.T) {
-	cw, cr := NewMemIndex(), NewMemIndex()
-	m := NewManager(Options{MaxSpan: 4, CompactEvery: 4, CW: cw, CR: cr})
+	m := NewManager(Options{MaxSpan: 4, CompactEvery: 4})
 	distinct := churnArrive(t, m, 60, 10)
 	// Horizon window: MaxSpan blocks x 20 keys/block, plus up to
 	// CompactEvery blocks of growth since the last compaction.
@@ -430,10 +420,10 @@ func TestCompactionBoundsResidency(t *testing.T) {
 	if got := m.Keys().Len(); got > bound || got == 0 {
 		t.Fatalf("resident keys = %d, want 1..%d (distinct keys seen: %d)", got, bound, distinct)
 	}
-	if got := cw.Slots(); got > bound {
+	if got := m.cw.Slots(); got > bound {
 		t.Fatalf("CW slots = %d, want <= %d", got, bound)
 	}
-	if got := cr.Slots(); got > bound {
+	if got := m.cr.Slots(); got > bound {
 		t.Fatalf("CR slots = %d, want <= %d", got, bound)
 	}
 	st := m.Stats()
@@ -474,10 +464,7 @@ func TestCompactionDecisionEquivalence(t *testing.T) {
 				log = append(log, fmt.Sprintf("%d:%v", n, code))
 				n++
 			}
-			ids, block, err := m.OnBlockFormation()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids, block := m.OnBlockFormation()
 			if len(ids) > 0 {
 				height = block
 			}

@@ -178,10 +178,7 @@ func runRandomWorkload(t *testing.T, seed int64, nTxs, nKeys, formEvery int, opt
 			byID[tx.id] = &cp
 		}
 		if (i+1)%formEvery == 0 {
-			ids, block, err := m.OnBlockFormation()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids, block := m.OnBlockFormation()
 			if len(ids) > 0 {
 				height = block
 			}
@@ -276,10 +273,7 @@ func TestThroughputAdvantageOverStrictPolicy(t *testing.T) {
 			strictCommitted++
 		}
 		if (i+1)%20 == 0 {
-			ids, block, err := m.OnBlockFormation()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids, block := m.OnBlockFormation()
 			if len(ids) > 0 {
 				height = block
 				for _, w := range pendingWrites {

@@ -389,51 +389,3 @@ func TestCompactionLeadFollowerAgreement(t *testing.T) {
 		})
 	}
 }
-
-// TestDedupSeenEviction checks the orderers' duplicate-suppression memory is
-// bounded by DedupHorizon: TxIDs resolved more than the horizon ago are
-// forgotten, recent ones retained.
-func TestDedupSeenEviction(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp, BlockSize: 2, DedupHorizon: 2})
-	client, err := n.NewClient("dedup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var firstID, lastID protocol.TxID
-	for i := 0; i < 12; i++ {
-		id, ch, err := client.SubmitAsync("kv", "put", fmt.Sprintf("k%d", i), "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			firstID = id
-		}
-		lastID = id
-		if res := <-ch; !res.Committed() {
-			t.Fatalf("tx %d aborted: %v", i, res.Code)
-		}
-	}
-	if !n.WaitIdle(5 * time.Second) {
-		t.Fatal("network did not go idle")
-	}
-	sealed := uint64(n.OrdererChain(0).Len())
-	if sealed < 4 {
-		t.Fatalf("only %d blocks sealed", sealed)
-	}
-	// Orderer goroutines must be quiesced before inspecting their maps.
-	n.Close()
-	for _, o := range n.orderers {
-		if o.seen[firstID] {
-			t.Errorf("orderer %s: first TxID still deduped after %d blocks (horizon 2)", o.name, sealed)
-		}
-		if !o.seen[lastID] {
-			t.Errorf("orderer %s: most recent TxID evicted", o.name)
-		}
-		if len(o.seenByBlock) > 3 {
-			t.Errorf("orderer %s: %d dedup buckets retained (horizon 2)", o.name, len(o.seenByBlock))
-		}
-		if o.seenFloor+2 < sealed {
-			t.Errorf("orderer %s: eviction floor %d lags sealed height %d", o.name, o.seenFloor, sealed)
-		}
-	}
-}

@@ -17,13 +17,8 @@ type Client struct {
 	endorser uint64 // round-robin cursor over peers
 }
 
-// NewClient enrolls a client with the membership service. An ordering-only
-// network has no local peers to endorse, so its clients live in other
-// processes and speak the wire protocol instead.
+// NewClient enrolls a client with the membership service.
 func (n *Network) NewClient(name string) (*Client, error) {
-	if len(n.peers) == 0 {
-		return nil, fmt.Errorf("fabric: network has no local peers to endorse; submit over the wire instead")
-	}
 	id, err := n.msp.Enroll(name, identity.RoleClient)
 	if err != nil {
 		return nil, err
@@ -40,11 +35,15 @@ func (n *Network) nextTxID(client string) protocol.TxID {
 	return protocol.TxID(fmt.Sprintf("%s-%06d", client, seq))
 }
 
-// SubmitAsync runs the execution phase (endorsement on a round-robin peer)
-// and broadcasts the endorsed transaction to the ordering service. It
-// returns immediately with the transaction ID and a channel that yields the
-// final TxResult.
-func (c *Client) SubmitAsync(contract, function string, args ...string) (protocol.TxID, <-chan TxResult, error) {
+// nextPeer rotates over the peers: any one endorses (Section 5.1's policy),
+// so clients spread the load.
+func (c *Client) nextPeer() *Peer {
+	return c.net.peers[atomic.AddUint64(&c.endorser, 1)%uint64(len(c.net.peers))]
+}
+
+// endorse runs the execution phase on peer and registers the waiter the
+// transaction's result will be delivered to.
+func (c *Client) endorse(peer *Peer, contract, function string, args []string) (*protocol.Transaction, chan TxResult, error) {
 	tx := &protocol.Transaction{
 		ID:       c.net.nextTxID(c.id.ID),
 		ClientID: c.id.ID,
@@ -52,11 +51,8 @@ func (c *Client) SubmitAsync(contract, function string, args ...string) (protoco
 		Function: function,
 		Args:     args,
 	}
-	// Execution phase: any one peer endorses (Section 5.1's policy);
-	// clients rotate to spread load.
-	peer := c.net.peers[atomic.AddUint64(&c.endorser, 1)%uint64(len(c.net.peers))]
-	if _, err := Endorse(peer.state, peer.id, c.net.registry, tx); err != nil {
-		return "", nil, err
+	if _, err := peer.Endorse(tx); err != nil {
+		return nil, nil, err
 	}
 	// Fill the key caches while the client still has exclusive access: every
 	// orderer and validator downstream reads them.
@@ -65,13 +61,58 @@ func (c *Client) SubmitAsync(contract, function string, args ...string) (protoco
 	c.net.waitersMu.Lock()
 	c.net.waiters[tx.ID] = ch
 	c.net.waitersMu.Unlock()
-	if err := c.net.submission.Submit(consensus.Envelope{Tx: tx, SubmittedBy: c.id.ID}); err != nil {
+	return tx, ch, nil
+}
+
+// submit sequences env; on failure it withdraws tx's waiter.
+func (c *Client) submit(id protocol.TxID, env consensus.Envelope) error {
+	env.SubmittedBy = c.id.ID
+	err := c.net.ordering.Submit(env)
+	if err != nil {
 		c.net.waitersMu.Lock()
-		delete(c.net.waiters, tx.ID)
+		delete(c.net.waiters, id)
 		c.net.waitersMu.Unlock()
+	}
+	return err
+}
+
+// SubmitAsync runs the execution phase (endorsement on a round-robin peer)
+// and broadcasts the endorsed transaction to the ordering service. It
+// returns immediately with the transaction ID and a channel that yields the
+// final TxResult.
+func (c *Client) SubmitAsync(contract, function string, args ...string) (protocol.TxID, <-chan TxResult, error) {
+	tx, ch, err := c.endorse(c.nextPeer(), contract, function, args)
+	if err != nil {
+		return "", nil, err
+	}
+	if err := c.submit(tx.ID, consensus.Envelope{Tx: tx}); err != nil {
 		return "", nil, err
 	}
 	return tx.ID, ch, nil
+}
+
+// SubmitCommitted runs the Section 3.5 two-phase submission against
+// reordering abuse: the transaction's digest is sequenced first; once its
+// position is fixed, the payload is disclosed. With Options.HashCommitment
+// enabled the orderers only act on the disclosure, in commitment order
+// (orderer.CommitmentBroker).
+func (c *Client) SubmitCommitted(contract, function string, args ...string) (TxResult, error) {
+	if !c.net.opts.HashCommitment {
+		return TxResult{}, fmt.Errorf("fabric: network does not run the hash-commitment protocol")
+	}
+	tx, ch, err := c.endorse(c.net.peers[0], contract, function, args)
+	if err != nil {
+		return TxResult{}, err
+	}
+	// Phase 1: publish only the digest.
+	if err := c.submit(tx.ID, consensus.Envelope{Commitment: tx.DigestHex()}); err != nil {
+		return TxResult{}, err
+	}
+	// Phase 2: disclose the payload (a separate consensus message).
+	if err := c.submit(tx.ID, consensus.Envelope{Tx: tx, Disclosure: true}); err != nil {
+		return TxResult{}, err
+	}
+	return c.net.awaitResult(tx.ID, ch)
 }
 
 // Submit is SubmitAsync plus waiting for the commit (or early abort).
@@ -99,11 +140,10 @@ func (c *Client) MustSubmit(contract, function string, args ...string) (TxResult
 // Fabric's query path. The result payload is whatever the contract set via
 // SetResult.
 func (c *Client) Query(contract, function string, args ...string) ([]byte, error) {
-	peer := c.net.peers[atomic.AddUint64(&c.endorser, 1)%uint64(len(c.net.peers))]
 	cc, ok := c.net.registry.Get(contract)
 	if !ok {
 		return nil, fmt.Errorf("fabric: unknown contract %q", contract)
 	}
-	_, result, err := chaincode.SimulateFull(cc, function, args, peer.state.LatestSnapshot())
+	_, result, err := chaincode.SimulateFull(cc, function, args, c.nextPeer().state.LatestSnapshot())
 	return result, err
 }

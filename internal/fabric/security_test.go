@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
-	"fabricsharp/internal/seqno"
 )
 
 // TestFrontRunningAttack demonstrates the Section 3.5 vulnerability the
@@ -56,6 +56,57 @@ func TestFrontRunningAttack(t *testing.T) {
 	}
 }
 
+// TestForgedFutureSnapshotRejected is the hostile-input regression for the
+// ordering path: an unendorsed envelope claiming a snapshot at or above the
+// block being assembled used to reach the scheduler, whose contract error
+// (core.Manager.OnArrival) took down every fabric# replica on the same
+// stream entry. No honest endorsement can carry such a snapshot, so every
+// system must reject it before the scheduler as an early abort, stay
+// healthy, and go on committing honest traffic.
+func TestForgedFutureSnapshotRejected(t *testing.T) {
+	for _, system := range sched.Systems() {
+		system := system
+		t.Run(string(system), func(t *testing.T) {
+			stream := consensus.NewKafka()
+			n := newNet(t, Options{System: system, Ordering: stream})
+			// Mallory bypasses the client API, so park the waiter a client
+			// would have registered by hand.
+			results := make(chan TxResult, 1)
+			n.waitersMu.Lock()
+			n.waiters["forged"] = results
+			n.waitersMu.Unlock()
+			forged := &protocol.Transaction{
+				ID:            "forged",
+				ClientID:      "mallory",
+				SnapshotBlock: 1, // the block being assembled: not yet sealed
+				RWSet:         protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("v")}}},
+			}
+			forged.RWSet.Precompute()
+			if err := stream.Submit(consensus.Envelope{Tx: forged, SubmittedBy: "mallory"}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case res := <-results:
+				if res.TxID != "forged" || res.Code != protocol.EndorsementFailure || res.Block != 0 {
+					t.Fatalf("forged transaction resolved as %+v, want an early EndorsementFailure abort", res)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("forged transaction never resolved (network error: %v)", n.Err())
+			}
+			client, err := n.NewClient("honest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.MustSubmit("kv", "put", "after", "forgery"); err != nil {
+				t.Fatalf("honest transaction after the forgery: %v", err)
+			}
+			if err := n.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestHashCommitmentEndToEnd(t *testing.T) {
 	n := newNet(t, Options{System: sched.SystemSharp, HashCommitment: true})
 	client, err := n.NewClient("committed-client")
@@ -80,73 +131,6 @@ func TestHashCommitmentRequiresOption(t *testing.T) {
 	client, _ := n.NewClient("c")
 	if _, err := client.SubmitCommitted("kv", "put", "x", "y"); err == nil {
 		t.Error("SubmitCommitted worked without the protocol enabled")
-	}
-}
-
-func TestCommitmentBrokerOrdering(t *testing.T) {
-	b := NewCommitmentBroker()
-	tx := func(id string) *protocol.Transaction {
-		return &protocol.Transaction{ID: protocol.TxID(id), SnapshotBlock: 1,
-			RWSet: protocol.RWSet{Reads: []protocol.ReadItem{{Key: id, Version: seqno.Commit(1, 1)}}}}
-	}
-	t1, t2, t3 := tx("t1"), tx("t2"), tx("t3")
-	// Commitments sequenced t1, t2, t3; disclosures arrive out of order.
-	b.Commit(t1.DigestHex())
-	b.Commit(t2.DigestHex())
-	b.Commit(t3.DigestHex())
-	if b.PendingCommitments() != 3 {
-		t.Fatalf("pending = %d", b.PendingCommitments())
-	}
-	rel, err := b.Disclose(t2)
-	if err != nil || len(rel) != 0 {
-		t.Fatalf("t2 disclosure released %v, %v (t1 still sealed)", rel, err)
-	}
-	rel, err = b.Disclose(t1)
-	if err != nil || len(rel) != 2 || rel[0].ID != "t1" || rel[1].ID != "t2" {
-		t.Fatalf("t1 disclosure released %v, %v", ids(rel), err)
-	}
-	rel, err = b.Disclose(t3)
-	if err != nil || len(rel) != 1 || rel[0].ID != "t3" {
-		t.Fatalf("t3 disclosure released %v, %v", ids(rel), err)
-	}
-	if b.PendingCommitments() != 0 {
-		t.Fatalf("pending = %d", b.PendingCommitments())
-	}
-}
-
-func ids(txs []*protocol.Transaction) []string {
-	out := make([]string, len(txs))
-	for i, tx := range txs {
-		out[i] = string(tx.ID)
-	}
-	return out
-}
-
-func TestCommitmentBrokerRejectsTampering(t *testing.T) {
-	b := NewCommitmentBroker()
-	honest := &protocol.Transaction{ID: "tx", RWSet: protocol.RWSet{
-		Writes: []protocol.WriteItem{{Key: "k", Value: []byte("promised")}}}}
-	b.Commit(honest.DigestHex())
-	// The client mutates the payload after sequencing the commitment.
-	tampered := &protocol.Transaction{ID: "tx", RWSet: protocol.RWSet{
-		Writes: []protocol.WriteItem{{Key: "k", Value: []byte("mutated")}}}}
-	if _, err := b.Disclose(tampered); err == nil {
-		t.Error("tampered disclosure accepted")
-	}
-	// The honest disclosure still goes through.
-	if rel, err := b.Disclose(honest); err != nil || len(rel) != 1 {
-		t.Errorf("honest disclosure: %v %v", rel, err)
-	}
-	// Replayed disclosure rejected.
-	if _, err := b.Disclose(honest); err == nil {
-		t.Error("replayed disclosure accepted")
-	}
-}
-
-func TestCommitmentBrokerRejectsUncommittedDisclosure(t *testing.T) {
-	b := NewCommitmentBroker()
-	if _, err := b.Disclose(&protocol.Transaction{ID: "ghost"}); err == nil {
-		t.Error("disclosure without commitment accepted")
 	}
 }
 

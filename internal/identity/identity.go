@@ -124,6 +124,19 @@ func Deterministic(id string, role Role) *Identity {
 	}
 }
 
+// DevMSP builds the development MSP of a cluster from its peer names alone:
+// every name's Deterministic public key is registered, and the returned
+// policy is the paper's any-single-peer endorsement (Section 5.1). Every
+// process of a cluster — and the in-process network — calls it with the same
+// names and gets a service that verifies the others' endorsements.
+func DevMSP(peerNames ...string) (*Service, Policy) {
+	s := NewService()
+	for _, name := range peerNames {
+		s.members[name] = memberRecord{role: RolePeer, pub: Deterministic(name, RolePeer).pub}
+	}
+	return s, AnyPeerOf(peerNames...)
+}
+
 // Revoke bans a member; its signatures stop verifying.
 func (s *Service) Revoke(id string) {
 	s.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,12 +260,6 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 		}
 	}
 	return nil, false, nil
-}
-
-// Has reports whether key is present.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, found, err := db.Get(key)
-	return found, err
 }
 
 // maybeFlushLocked flushes the memtable to a new SSTable when it exceeds
@@ -542,20 +535,3 @@ func (it *Iterator) Key() []byte { return it.key }
 // Value returns the current value. The slice is reused by Next; copy to
 // retain.
 func (it *Iterator) Value() []byte { return it.value }
-
-// Collect drains the iterator into (key, value) pairs — convenient for the
-// short range scans the dependency indices perform.
-func (it *Iterator) Collect() (keys, values [][]byte) {
-	for ; it.Valid(); it.Next() {
-		keys = append(keys, append([]byte(nil), it.Key()...))
-		values = append(values, append([]byte(nil), it.Value()...))
-	}
-	return keys, values
-}
-
-// SortedKeys is a test helper returning every live key in order.
-func (db *DB) SortedKeys() [][]byte {
-	keys, _ := db.NewIterator(nil, nil).Collect()
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-	return keys
-}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fabricsharp/internal/metrics"
@@ -133,17 +134,6 @@ func (c *Client) preferOrderer(addr string) bool {
 	return false
 }
 
-// pause sleeps one jittered backoff step, bounded by the deadline.
-func (c *Client) pause(deadline time.Time) {
-	d := c.bo.Next()
-	if r := time.Until(deadline); d > r {
-		d = r
-	}
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // nextTxID mints a client-unique transaction identifier.
 func (c *Client) nextTxID() string {
 	c.seq++
@@ -179,56 +169,73 @@ func (c *Client) Endorse(contract, function string, args ...string) (*protocol.T
 	return pr.Tx, nil
 }
 
-// SubmitTx broadcasts an endorsed transaction to the ordering cluster,
-// surviving leader failover: connection errors rotate to the next orderer,
-// NotLeader acks follow the redirect hint, and every retry backs off with
-// jitter. A nil return means the ordering service durably accepted the
-// transaction (Raft clusters ack only after quorum commit).
-func (c *Client) SubmitTx(tx *protocol.Transaction) error {
-	payload := wire.EncodeTransaction(tx)
+// call is the one failover loop behind SubmitTx, WaitResult and
+// OrdererStatus: reach an orderer through the address rotation, send the
+// request, and hand the reply (already of type want) to handle — until handle
+// is done or SubmitTimeout passes. A connection error rotates to the next
+// orderer; handle returns again=false with the call's final error, or
+// again=true with the reason after pointing the rotation at the next attempt
+// (dropOrderer). Retries back off with jitter; what and id only name errors.
+func (c *Client) call(what, id string, typ, want wire.MsgType, payload []byte, handle func(resp []byte) (again bool, err error)) error {
 	deadline := time.Now().Add(c.SubmitTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && !time.Now().Before(deadline) {
-			return fmt.Errorf("node: submit %s: gave up after %s: %w", tx.ID, c.SubmitTimeout, lastErr)
+			return fmt.Errorf("node: %s: gave up after %s: %w", strings.TrimSpace(what+" "+id), c.SubmitTimeout, lastErr)
 		}
 		conn, err := c.ordererConn(deadline)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		typ, resp, err := conn.Call(wire.MsgSubmit, payload)
-		if err != nil {
-			// Connection died (possibly the leader we were talking to):
-			// rotate and retry. The transaction may or may not have been
-			// accepted; resubmission is dedup-safe.
-			lastErr = fmt.Errorf("node: submit: %w", err)
-			c.dropOrderer(true)
-			c.pause(deadline)
-			continue
-		}
-		if typ != wire.MsgAck {
-			return fmt.Errorf("node: submit answered with %v", typ)
-		}
-		ack, err := wire.DecodeAck(resp)
-		if err != nil {
-			return err
-		}
+		got, resp, err := conn.Call(typ, payload)
 		switch {
+		case err != nil:
+			// Connection died (possibly the leader we were talking to):
+			// rotate and retry.
+			lastErr = fmt.Errorf("node: %s: %w", what, err)
+			c.dropOrderer(true)
+		case got != want:
+			return fmt.Errorf("node: %s answered with %v", what, got)
+		default:
+			again, err := handle(resp)
+			if !again {
+				return err
+			}
+			lastErr = err
+		}
+		// One jittered backoff step, bounded by the deadline.
+		if d := min(c.bo.Next(), time.Until(deadline)); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
+
+// SubmitTx broadcasts an endorsed transaction to the ordering cluster,
+// surviving leader failover: connection errors rotate to the next orderer
+// (the transaction may or may not have been accepted; resubmission is
+// dedup-safe), NotLeader acks follow the redirect hint. A nil return means
+// the ordering service durably accepted the transaction (Raft clusters ack
+// only after quorum commit).
+func (c *Client) SubmitTx(tx *protocol.Transaction) error {
+	return c.call("submit", string(tx.ID), wire.MsgSubmit, wire.MsgAck, wire.EncodeTransaction(tx), func(resp []byte) (bool, error) {
+		ack, err := wire.DecodeAck(resp)
+		switch {
+		case err != nil:
+			return false, err
 		case ack.OK:
-			return nil
+			return false, nil
 		case ack.NotLeader:
 			// Redirect: reconnect to the hinted leader (or rotate while the
 			// cluster is mid-election).
 			c.Redirects.Inc()
-			lastErr = fmt.Errorf("node: submit: not leader (hint %q)", ack.Leader)
 			followed := ack.Leader != "" && c.preferOrderer(ack.Leader)
 			c.dropOrderer(!followed)
-			c.pause(deadline)
+			return true, fmt.Errorf("node: submit: not leader (hint %q)", ack.Leader)
 		default:
-			return fmt.Errorf("node: submit rejected: %s", ack.Err)
+			return false, fmt.Errorf("node: submit rejected: %s", ack.Err)
 		}
-	}
+	})
 }
 
 // WaitResult asks the ordering cluster for a transaction's fate and blocks
@@ -239,38 +246,17 @@ func (c *Client) SubmitTx(tx *protocol.Transaction) error {
 // connection, moves the client to the next orderer after a backoff step
 // (every replica resolves identical results, so any of them can answer).
 func (c *Client) WaitResult(txID string) (wire.Result, error) {
-	deadline := time.Now().Add(c.SubmitTimeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && !time.Now().Before(deadline) {
-			return wire.Result{}, fmt.Errorf("node: result %s: gave up after %s: %w", txID, c.SubmitTimeout, lastErr)
+	var res wire.Result
+	err := c.call("result", txID, wire.MsgResultPoll, wire.MsgResult, []byte(txID), func(resp []byte) (bool, error) {
+		var err error
+		if res, err = wire.DecodeResult(resp); err != nil || res.Found {
+			return false, err
 		}
-		conn, err := c.ordererConn(deadline)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		typ, resp, err := conn.Call(wire.MsgResultPoll, []byte(txID))
-		if err != nil {
-			lastErr = fmt.Errorf("node: result: %w", err)
-			c.dropOrderer(true)
-			c.pause(deadline)
-			continue
-		}
-		if typ != wire.MsgResult {
-			return wire.Result{}, fmt.Errorf("node: result request answered with %v", typ)
-		}
-		res, err := wire.DecodeResult(resp)
-		if err != nil {
-			return wire.Result{}, err
-		}
-		if res.Found {
-			return res, nil
-		}
-		lastErr = fmt.Errorf("node: result: %s gave up waiting", conn.RemoteAddr())
+		err = fmt.Errorf("node: result: %s gave up waiting", c.orderer.RemoteAddr())
 		c.dropOrderer(true)
-		c.pause(deadline)
-	}
+		return true, err
+	})
+	return res, err
 }
 
 // Submit is the full client lifecycle: endorse on a peer, submit to the
@@ -290,26 +276,13 @@ func (c *Client) Submit(contract, function string, args ...string) (wire.Result,
 // OrdererStatus fetches the connected orderer's chain position, failing
 // over on a dead connection.
 func (c *Client) OrdererStatus() (wire.Status, error) {
-	deadline := time.Now().Add(c.SubmitTimeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && !time.Now().Before(deadline) {
-			return wire.Status{}, fmt.Errorf("node: status: %w", lastErr)
-		}
-		conn, err := c.ordererConn(deadline)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		st, err := status(conn)
-		if err != nil {
-			lastErr = err
-			c.dropOrderer(true)
-			c.pause(deadline)
-			continue
-		}
-		return st, nil
-	}
+	var st wire.Status
+	err := c.call("status", "", wire.MsgStatusReq, wire.MsgStatus, nil, func(resp []byte) (bool, error) {
+		var err error
+		st, err = wire.DecodeStatus(resp)
+		return false, err
+	})
+	return st, err
 }
 
 // PeerStatus fetches peer i's chain/state position.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/wire"
@@ -23,11 +24,13 @@ func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*Orderer
 		names[i] = fmt.Sprintf("peer%d", i)
 	}
 	cfg := OrdererConfig{
-		Listen:       "127.0.0.1:0",
-		System:       system,
-		PeerNames:    names,
-		BlockSize:    10,
-		BlockTimeout: 25 * time.Millisecond,
+		Options: orderer.Options{
+			System:       system,
+			BlockSize:    10,
+			BlockTimeout: 25 * time.Millisecond,
+		},
+		Listen:    "127.0.0.1:0",
+		PeerNames: names,
 	}
 	for _, f := range tune {
 		f(&cfg)
@@ -189,7 +192,7 @@ func TestClusterSealedVerdictsTravel(t *testing.T) {
 	defer client.Close()
 	driveContended(t, client, 40, 2)
 	awaitConvergence(t, client, ord)
-	ordChain := ord.Network().OrdererChain(0)
+	ordChain := ord.Chain()
 	for _, p := range peers {
 		if p.Chain().Len() != ordChain.Len() {
 			t.Fatalf("chain length mismatch: %d vs %d", p.Chain().Len(), ordChain.Len())

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
@@ -26,12 +27,14 @@ func bootScenarioCluster(t *testing.T, system sched.System, n int, workload stri
 		names[i] = fmt.Sprintf("peer%d", i)
 	}
 	ord, err := StartOrderer(OrdererConfig{
-		Listen:       "127.0.0.1:0",
-		System:       system,
-		PeerNames:    names,
-		BlockSize:    25,
-		BlockTimeout: 25 * time.Millisecond,
-		Genesis:      genesis,
+		Options: orderer.Options{
+			System:       system,
+			BlockSize:    25,
+			BlockTimeout: 25 * time.Millisecond,
+			Genesis:      genesis,
+		},
+		Listen:    "127.0.0.1:0",
+		PeerNames: names,
 	})
 	if err != nil {
 		t.Fatal(err)

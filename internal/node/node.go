@@ -1,8 +1,9 @@
-// Package node assembles process-per-node deployments of the EOV network:
-// an ordering process (consensus + replicated orderers + shadow validation
-// behind a TCP server), standalone validating-peer processes (endorsement +
-// pipelined commit fed by a reconnecting block subscription), and the wire
-// client that drives them. cmd/fabricnode is a thin flag wrapper around
+// Package node is the process-per-node deployment of the EOV network: the
+// two pipeline types every deployment shares, plus sockets. Orderer is an
+// orderer.Service behind a TCP server (result store, block streams, status
+// and trace handlers); Peer is a fabric.Peer behind one (proposal handler,
+// reconnecting block subscription feeding its committer); Client is the
+// wire client that drives them. cmd/fabricnode is a thin flag wrapper around
 // this package; the in-process cluster tests boot the same types on
 // 127.0.0.1 listeners, so the OS-process deployment and the test cluster
 // exercise identical code.
@@ -15,42 +16,23 @@
 //	client ──result-wait▶ orderer (parked by TxID, woken at seal)
 //
 // Identity in this mode comes from the deterministic dev MSP
-// (identity.Deterministic): every process derives the cluster's well-known
+// (identity.DevMSP): every process derives the cluster's well-known
 // key pairs locally, so real ed25519 endorsements verify across process
-// boundaries without a key-exchange protocol. See that function's caveats.
+// boundaries without a key-exchange protocol. See identity.Deterministic's
+// caveats.
 package node
 
 import (
 	"fmt"
 	"sync"
 
-	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/scenario"
-	"fabricsharp/internal/sched"
 )
 
 // resultHorizon bounds the orderer's result map: results older than this
 // many resolutions are forgotten (a client that slow has timed out anyway).
 const resultHorizon = 1 << 17
-
-// defaultContracts is the contract suite every node deploys: the scenario
-// registry's union, so every replica can endorse every registered scenario
-// and all replicas agree on the deployed set.
-func defaultContracts() []chaincode.Contract {
-	return scenario.AllContracts()
-}
-
-// needsMVCC reports whether the system's validation phase must re-check
-// serializability — the switch every peer must agree on with the orderer.
-func needsMVCC(system sched.System) (bool, error) {
-	s, err := sched.New(system, sched.Options{})
-	if err != nil {
-		return false, err
-	}
-	return s.NeedsMVCCValidation(), nil
-}
 
 // resultStore is a bounded TxID → result map with FIFO eviction, plus the
 // handlers parked on results that have not resolved yet. It holds each

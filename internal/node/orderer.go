@@ -6,12 +6,15 @@ import (
 	"sync"
 	"time"
 
+	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/fabric"
+	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/sched"
+	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
@@ -19,33 +22,22 @@ import (
 
 // OrdererConfig parameterizes an ordering process.
 type OrdererConfig struct {
+	// Options tune the ordering service itself (system, replicas, block
+	// cutting, compaction, dedup, rescue, genesis). Rescue and Genesis must
+	// match the peers': the rescue digest is byte-asserted across the
+	// cluster, and every replica — orderer shadows and remote peers alike —
+	// must install the identical genesis or MVCC verdicts diverge (resolve
+	// it once from the scenario registry and hand the same slice to every
+	// node config).
+	orderer.Options
 	// Listen is the TCP address for client submits/result waits and peer
 	// subscriptions ("127.0.0.1:0" picks an ephemeral port).
 	Listen string
-	// System selects the ordering-phase concurrency control.
-	System sched.System
 	// PeerNames are the validating peers of the cluster (remote processes).
+	// Their deterministic public keys form this process's MSP, so
+	// endorsements signed across the wire verify here, and the endorsement
+	// policy is any-of them.
 	PeerNames []string
-	// Orderers is the number of in-process orderer replicas (default 2:
-	// lead + follower, keeping the agreement property under live exercise).
-	Orderers int
-	// BlockSize, BlockTimeout, MaxSpan, CompactEvery, DedupHorizon tune the
-	// schedulers exactly as in fabric.Options.
-	BlockSize    int
-	BlockTimeout time.Duration
-	MaxSpan      uint64
-	CompactEvery uint64
-	DedupHorizon uint64
-	// Rescue enables post-order speculative re-execution of MVCC-aborted
-	// transactions; must match the peers' setting (the rescue digest is
-	// byte-asserted across the cluster).
-	Rescue bool
-	// Genesis writes seed the orderer's shadow validation states (and any
-	// in-process peer states) at the shared genesis version; every replica
-	// of the cluster — orderers and remote peers alike — must receive the
-	// identical set or MVCC verdicts diverge. Resolve it once from the
-	// scenario registry and hand the same slice to every node config.
-	Genesis []protocol.WriteItem
 
 	// RaftCluster, when non-empty, joins this process to a wire Raft
 	// ordering cluster: submissions go through the replicated log, every
@@ -76,16 +68,17 @@ type OrdererConfig struct {
 	TraceEvents int
 }
 
-// Orderer is a running ordering process: an ordering-only fabric.Network
-// behind a TCP server speaking the wire protocol.
+// Orderer is a running ordering process: an orderer.Service plus sockets —
+// the result store wire clients park on, the block streams peers subscribe
+// to, and the status and trace handlers.
 type Orderer struct {
-	net     *fabric.Network
+	svc     *orderer.Service
 	srv     *transport.Server
 	results *resultStore
 
 	// raft is the wire consensus service when RaftCluster is configured;
-	// nil for a standalone orderer. The fabric network owns its lifecycle
-	// (Network.Close closes it), but the node keeps the handle for redirect
+	// nil for a standalone orderer. The ordering service owns its lifecycle
+	// (Service.Close closes it), but the node keeps the handle for redirect
 	// hints and status reporting.
 	raft      *transport.RaftService
 	redirects map[string]string
@@ -100,7 +93,6 @@ type Orderer struct {
 
 	done      chan struct{}
 	closeOnce sync.Once
-	errs      errOnce
 }
 
 // StartOrderer boots an ordering process and starts serving.
@@ -108,33 +100,16 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 	if err := nonEmpty(cfg.PeerNames, "PeerNames"); err != nil {
 		return nil, err
 	}
-	name := "orderer0"
-	if len(cfg.RaftCluster) > 0 {
-		name = cfg.RaftID
-	}
 	o := &Orderer{
 		results:   newResultStore(),
 		redirects: cfg.RaftRedirects,
-		name:      name,
-		tracer:    trace.New(name, "orderer", cfg.TraceEvents),
+		name:      "orderer0",
 		sealed:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	opts := fabric.Options{
-		System:       cfg.System,
-		RemotePeers:  cfg.PeerNames,
-		Orderers:     cfg.Orderers,
-		BlockSize:    cfg.BlockSize,
-		BlockTimeout: cfg.BlockTimeout,
-		MaxSpan:      cfg.MaxSpan,
-		CompactEvery: cfg.CompactEvery,
-		DedupHorizon: cfg.DedupHorizon,
-		Rescue:       cfg.Rescue,
-		Genesis:      cfg.Genesis,
-		Tracer:       o.tracer,
-		OnResult:     func(res fabric.TxResult) { o.results.put(res) },
-	}
+	var ordering consensus.Service = consensus.NewKafka()
 	if len(cfg.RaftCluster) > 0 {
+		o.name = cfg.RaftID
 		raft, err := transport.StartRaft(transport.RaftConfig{
 			ID:              cfg.RaftID,
 			Cluster:         cfg.RaftCluster,
@@ -146,63 +121,76 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.raft = raft
-		opts.Ordering = raft
+		o.raft, ordering = raft, raft
 	}
-	net, err := fabric.NewNetwork(opts)
+	o.tracer = trace.New(o.name, "orderer", cfg.TraceEvents)
+	msp, policy := identity.DevMSP(cfg.PeerNames...)
+	svc, err := orderer.New(orderer.Config{
+		Options:  cfg.Options,
+		MSP:      msp,
+		Policy:   policy,
+		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+		Ordering: ordering,
+		// Sealed blocks leave through the subscription streams, and results
+		// resolve at seal time from the shadow verdicts — which the
+		// agreement property guarantees equal the codes every peer will
+		// derive (a peer's validation must byte-match them or fail fatally).
+		Deliveries: []transport.Delivery{transport.DeliveryFunc(o.sealedBlock)},
+		OnAbort: func(id protocol.TxID, code protocol.ValidationCode) {
+			o.results.put(fabric.TxResult{TxID: id, Code: code})
+		},
+		Tracer: o.tracer,
+	})
 	if err != nil {
-		if o.raft != nil {
-			o.raft.Close()
-		}
+		ordering.Close()
 		return nil, err
 	}
-	o.net = net
-	// Block delivery: the notifier wakes every subscription stream; the
-	// streams read sealed blocks (with verdicts) off the lead orderer's
-	// chain at their own pace — catch-up and live tail are the same loop.
-	net.AttachDelivery(transport.DeliveryFunc(func(*ledger.Block) error {
-		o.sealedMu.Lock()
-		close(o.sealed)
-		o.sealed = make(chan struct{})
-		o.sealedMu.Unlock()
-		return nil
-	}))
+	o.svc = svc
+	svc.Start()
 	srv, err := transport.Listen(cfg.Listen, o.handle)
 	if err != nil {
-		net.Close()
+		svc.Close()
 		return nil, err
 	}
 	o.srv = srv
 	return o, nil
 }
 
+// sealedBlock is the service's delivery. It wakes every subscription
+// stream — the streams read sealed blocks (with verdicts) off the lead
+// replica's chain at their own pace; catch-up and live tail are the same
+// loop — and then resolves the block's results, waking the wire clients
+// parked on them.
+func (o *Orderer) sealedBlock(blk *ledger.Block) error {
+	o.sealedMu.Lock()
+	close(o.sealed)
+	o.sealed = make(chan struct{})
+	o.sealedMu.Unlock()
+	for i, tx := range blk.Transactions {
+		o.results.put(fabric.TxResult{TxID: tx.ID, Code: blk.Validation[i], Block: blk.Header.Number})
+	}
+	return nil
+}
+
 // Addr returns the server's bound address.
 func (o *Orderer) Addr() string { return o.srv.Addr() }
 
-// Network exposes the underlying ordering network (tests, metrics).
-func (o *Orderer) Network() *fabric.Network { return o.net }
+// Chain exposes the lead replica's sealed chain (tests, tools).
+func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain(0) }
 
 // Raft exposes the wire consensus service; nil for a standalone orderer.
 func (o *Orderer) Raft() *transport.RaftService { return o.raft }
 
-// ConsensusMetrics exposes this member's election/replication counters.
-func (o *Orderer) ConsensusMetrics() *metrics.ConsensusMetrics { return &o.consensus }
-
 // Err returns the node's first fatal error, nil while healthy.
-func (o *Orderer) Err() error {
-	if err := o.errs.get(); err != nil {
-		return err
-	}
-	return o.net.Err()
-}
+func (o *Orderer) Err() error { return o.svc.Err() }
 
 // Close shuts the process down: stop accepting, close every conn (delivery
-// streams unblock), drain the ordering network.
+// streams unblock), stop the ordering service.
 func (o *Orderer) Close() error {
 	o.closeOnce.Do(func() {
 		close(o.done)
 		_ = o.srv.Close()
-		o.net.Close()
+		o.svc.Close()
 	})
 	return nil
 }
@@ -238,7 +226,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 			o.streamBlocks(c, sub.From)
 			return // the stream owns the connection until it dies
 		case wire.MsgStatusReq:
-			chain := o.net.OrdererChain(0)
+			chain := o.svc.Chain(0)
 			height, _ := chain.Height()
 			st := wire.Status{
 				Role:        "orderer",
@@ -303,7 +291,7 @@ func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {
 	o.tracer.Record(string(tx.ID), trace.StageSubmit, 0)
 	// DecodeTransaction precomputed the key caches, so the schedulers see
 	// exactly what an in-process submit would hand them.
-	if err := o.net.SubmitEnvelope(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID}); err != nil {
+	if err := o.svc.Submit(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID}); err != nil {
 		var nl consensus.ErrNotLeader
 		if errors.As(err, &nl) {
 			// Not this member's job: redirect the client to the leader's
@@ -345,7 +333,7 @@ func (o *Orderer) leaderHint() string {
 // Slow consumers exert backpressure only on their own stream; the ordering
 // pipeline never waits for a peer.
 func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
-	chain := o.net.OrdererChain(0)
+	chain := o.svc.Chain(0)
 	next := from + 1
 	for {
 		// Fetch the wakeup channel BEFORE probing the chain: a seal landing

@@ -2,25 +2,20 @@ package node
 
 import (
 	"fmt"
-	"path/filepath"
-	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/commit"
 	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
-	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
-	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
-	"fabricsharp/internal/validation"
 	"fabricsharp/internal/wire"
-	"fabricsharp/internal/workload"
 )
 
 // PeerConfig parameterizes a validating-peer process.
@@ -43,8 +38,6 @@ type PeerConfig struct {
 	// restart resumes from the stored chain and re-subscribes from its
 	// height (catch-up over the wire).
 	DataDir string
-	// Contracts to deploy (default: the scenario registry's union).
-	Contracts []chaincode.Contract
 	// Genesis writes seed a fresh peer's state database at the shared
 	// genesis version before any block is delivered; the set must be
 	// identical on every replica (peers and orderer shadows) or MVCC
@@ -66,21 +59,15 @@ type PeerConfig struct {
 	TraceEvents int
 }
 
-// Peer is a running validating-peer process: endorsement and status over
-// TCP, block delivery via a reconnecting subscription feeding the pipelined
-// committer.
+// Peer is a running validating-peer process: a fabric.Peer plus sockets —
+// endorsement and status over TCP, block delivery via a reconnecting
+// subscription feeding the pipelined committer.
 type Peer struct {
-	name      string
-	id        *identity.Identity
-	msp       *identity.Service
-	registry  *chaincode.Registry
-	state     *statedb.DB
-	chain     *ledger.Chain
-	committer *commit.Committer
-	srv       *transport.Server
-	sub       *transport.Subscriber
-	tracer    *trace.Tracer
-	closers   []interface{ Close() error }
+	*fabric.Peer
+	name   string
+	srv    *transport.Server
+	sub    *transport.Subscriber
+	tracer *trace.Tracer
 
 	// delivered tracks the highest block number handed to the committer —
 	// the resubscription cursor. Monotonic; duplicates the orderer replays
@@ -94,98 +81,49 @@ type Peer struct {
 	errs   errOnce
 }
 
-// StartPeer boots a validating-peer process: state, ledger, committer,
-// block subscription, and the TCP server.
+// StartPeer boots a validating-peer process: the peer, its block
+// subscription, and the TCP server.
 func StartPeer(cfg PeerConfig) (*Peer, error) {
-	if err := nonEmpty(cfg.PeerNames, "PeerNames"); err != nil {
-		return nil, err
+	if !slices.Contains(cfg.PeerNames, cfg.Name) {
+		return nil, fmt.Errorf("node: peer %q not in cluster peer set %v", cfg.Name, cfg.PeerNames)
 	}
-	mvcc, err := needsMVCC(cfg.System)
+	// Whether validation must re-check serializability is the system's
+	// property — the switch every peer shares with the orderer.
+	scheduler, err := sched.New(cfg.System, sched.Options{})
 	if err != nil {
 		return nil, err
 	}
-	contracts := cfg.Contracts
-	if len(contracts) == 0 {
-		contracts = defaultContracts()
-	}
 	p := &Peer{
-		name:     cfg.Name,
-		msp:      identity.NewService(),
-		registry: chaincode.NewRegistry(contracts...),
-		tracer:   trace.New(cfg.Name, "peer", cfg.TraceEvents),
-		closed:   make(chan struct{}),
+		name:   cfg.Name,
+		tracer: trace.New(cfg.Name, "peer", cfg.TraceEvents),
+		closed: make(chan struct{}),
 	}
 	// The deterministic dev MSP: every cluster process derives the same
 	// key pairs, so endorsements verify across process boundaries.
-	for _, name := range cfg.PeerNames {
-		id := identity.Deterministic(name, identity.RolePeer)
-		if err := p.msp.Register(name, identity.RolePeer, id.Public()); err != nil {
-			return nil, err
-		}
-		if name == cfg.Name {
-			p.id = id
-		}
-	}
-	if p.id == nil {
-		return nil, fmt.Errorf("node: peer %q not in cluster peer set %v", cfg.Name, cfg.PeerNames)
-	}
-	var stateOpts statedb.Options
-	var chainKV *kvstore.DB
-	if cfg.DataDir != "" {
-		stateKV, err := kvstore.Open(kvstore.Options{Dir: filepath.Join(cfg.DataDir, "state")})
-		if err != nil {
-			return nil, err
-		}
-		p.closers = append(p.closers, stateKV)
-		stateOpts.Backing = stateKV
-		if chainKV, err = kvstore.Open(kvstore.Options{Dir: filepath.Join(cfg.DataDir, "blocks")}); err != nil {
-			p.closeStores()
-			return nil, err
-		}
-		p.closers = append(p.closers, chainKV)
-	}
-	if p.state, err = statedb.New(stateOpts); err != nil {
-		p.closeStores()
-		return nil, err
-	}
-	if p.chain, err = ledger.NewChain(chainKV); err != nil {
-		p.closeStores()
-		return nil, err
-	}
-	if height, ok := p.chain.Height(); ok {
-		// Resuming from disk: the committer's chain and state already hold
-		// the stored blocks; the subscription resumes just above them.
-		p.delivered.Store(height)
-	} else if p.state.Keys() == 0 {
-		// Fresh replica: install the scenario genesis before the first block
-		// can be delivered, at the same version every other replica uses.
-		if err := workload.SeedGenesis(p.state, cfg.Genesis); err != nil {
-			p.closeStores()
-			return nil, fmt.Errorf("node: peer %s genesis: %w", cfg.Name, err)
-		}
-	}
-	workers := cfg.ValidationWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p.committer = commit.New(commit.Config{
-		Name:  cfg.Name,
-		State: p.state,
-		Chain: p.chain,
-		Validation: commit.Options{
-			Options: validation.Options{
-				MVCC:   mvcc,
-				MSP:    p.msp,
-				Policy: identity.AnyPeerOf(cfg.PeerNames...),
-			},
-			Workers:  workers,
-			Rescue:   cfg.Rescue,
-			Registry: p.registry,
-		},
-		OnError: func(err error) { p.errs.set(err) },
-		Tracer:  p.tracer,
+	msp, policy := identity.DevMSP(cfg.PeerNames...)
+	p.Peer, err = fabric.NewPeer(fabric.PeerConfig{
+		ID:     identity.Deterministic(cfg.Name, identity.RolePeer),
+		MSP:    msp,
+		Policy: policy,
+		// The scenario registry's union: every replica can endorse every
+		// registered scenario and all replicas agree on the deployed set.
+		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+		MVCC:     scheduler.NeedsMVCCValidation(),
+		Rescue:   cfg.Rescue,
+		Workers:  cfg.ValidationWorkers,
+		DataDir:  cfg.DataDir,
+		Genesis:  cfg.Genesis,
+		Tracer:   p.tracer,
+		OnError:  p.errs.set,
 	})
-	p.committer.Start()
+	if err != nil {
+		return nil, fmt.Errorf("node: peer %s: %w", cfg.Name, err)
+	}
+	// Resuming from disk, the chain and state already hold the stored
+	// blocks; the subscription resumes just above them.
+	height, _ := p.Chain().Height()
+	p.delivered.Store(height)
+	p.Committer().Start()
 	p.sub = &transport.Subscriber{
 		Addrs:  cfg.OrdererAddrs,
 		Height: p.delivered.Load,
@@ -198,11 +136,11 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 			if err := p.errs.get(); err != nil {
 				return err // committer poisoned: stop pulling blocks
 			}
-			p.committer.Deliver(blk)
+			p.Committer().Deliver(blk)
 			p.delivered.Store(blk.Header.Number)
 			return nil
 		}),
-		OnError:    func(err error) { p.errs.set(err) },
+		OnError:    p.errs.set,
 		OnFailover: p.failovers.Inc,
 		Dial:       cfg.DialOrderer,
 	}
@@ -210,18 +148,11 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	srv, err := transport.Listen(cfg.Listen, p.handle)
 	if err != nil {
 		p.sub.Close()
-		p.committer.Close()
-		p.closeStores()
+		p.Peer.Close()
 		return nil, err
 	}
 	p.srv = srv
 	return p, nil
-}
-
-func (p *Peer) closeStores() {
-	for _, c := range p.closers {
-		_ = c.Close()
-	}
 }
 
 // Addr returns the server's bound address.
@@ -230,15 +161,9 @@ func (p *Peer) Addr() string { return p.srv.Addr() }
 // Err returns the peer's first fatal error, nil while healthy.
 func (p *Peer) Err() error { return p.errs.get() }
 
-// Chain exposes the peer's ledger (tests, tools).
-func (p *Peer) Chain() *ledger.Chain { return p.chain }
-
 // Failovers reports how many times the block subscription moved to a
 // different orderer.
 func (p *Peer) Failovers() uint64 { return p.failovers.Value() }
-
-// State exposes the peer's state database (tests, tools).
-func (p *Peer) State() *statedb.DB { return p.state }
 
 // Close shuts the peer down: stop the subscription, drain the committer,
 // stop serving, close the stores. Idempotent.
@@ -250,9 +175,8 @@ func (p *Peer) Close() error {
 		close(p.closed)
 	}
 	p.sub.Close()
-	p.committer.Close()
 	_ = p.srv.Close()
-	p.closeStores()
+	p.Peer.Close()
 	return nil
 }
 
@@ -270,11 +194,11 @@ func (p *Peer) handle(c *transport.Conn) {
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(wire.Status{
 				Role:        "peer",
 				Name:        p.name,
-				Height:      p.state.Height(),
-				Blocks:      uint64(p.chain.Len()),
-				TipHash:     p.chain.TipHash(),
-				StateHash:   p.state.StateFingerprint(),
-				CommittedTx: p.chain.CommittedTxs(),
+				Height:      p.State().Height(),
+				Blocks:      uint64(p.Chain().Len()),
+				TipHash:     p.Chain().TipHash(),
+				StateHash:   p.State().StateFingerprint(),
+				CommittedTx: p.Chain().CommittedTxs(),
 			}))
 		case wire.MsgTraceReq:
 			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(p.tracer.Dump())))
@@ -286,7 +210,7 @@ func (p *Peer) handle(c *transport.Conn) {
 }
 
 // handleProposal runs the execution phase for a wire client through
-// fabric.Endorse — the same routine the in-process client calls.
+// fabric.Peer.Endorse — the same routine the in-process client calls.
 func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 	fail := func(err error) {
 		_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{Err: err.Error()}))
@@ -303,7 +227,7 @@ func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 		Function: prop.Function,
 		Args:     prop.Args,
 	}
-	if _, err := fabric.Endorse(p.state, p.id, p.registry, tx); err != nil {
+	if _, err := p.Endorse(tx); err != nil {
 		fail(err)
 		return
 	}

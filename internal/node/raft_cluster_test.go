@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/wire"
 )
@@ -42,13 +43,15 @@ func raftOrdererConfigs(t *testing.T, system sched.System, n int, peerNames []st
 	cfgs := make([]OrdererConfig, n)
 	for i := range cfgs {
 		cfgs[i] = OrdererConfig{
+			Options: orderer.Options{
+				System:       system,
+				Orderers:     1, // the Raft cluster is the replication under test
+				BlockSize:    10,
+				BlockTimeout: 25 * time.Millisecond,
+				Rescue:       true,
+			},
 			Listen:              clientAddrs[i],
-			System:              system,
 			PeerNames:           peerNames,
-			Orderers:            1, // the Raft cluster is the replication under test
-			BlockSize:           10,
-			BlockTimeout:        25 * time.Millisecond,
-			Rescue:              true,
 			RaftID:              raftAddrs[i],
 			RaftCluster:         raftAddrs,
 			RaftRedirects:       redirects,
@@ -172,7 +175,7 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		a, b := survivors[0].Network().OrdererChain(0), survivors[1].Network().OrdererChain(0)
+		a, b := survivors[0].Chain(), survivors[1].Chain()
 		if a.Len() == b.Len() && bytes.Equal(a.TipHash(), b.TipHash()) && a.Len() > 0 {
 			break
 		}
@@ -181,7 +184,7 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ledgerCommitted := survivors[0].Network().OrdererChain(0).CommittedTxs()
+	ledgerCommitted := survivors[0].Chain().CommittedTxs()
 	if ledgerCommitted < uint64(committed) {
 		t.Fatalf("lost committed transactions: clients saw %d, ledger holds %d", committed, ledgerCommitted)
 	}
@@ -279,7 +282,7 @@ func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
 		if i == lead {
 			continue
 		}
-		chain := o.Network().OrdererChain(0)
+		chain := o.Chain()
 		// The survivor that answered has sealed the block; give the other
 		// one time to seal it too.
 		for deadline := time.Now().Add(10 * time.Second); chain.Len() == 0 && time.Now().Before(deadline); {
@@ -371,7 +374,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	if ords[liveIdx] == nil {
 		liveIdx = (down + 1) % len(ords)
 	}
-	want := ords[liveIdx].Network().OrdererChain(0)
+	want := ords[liveIdx].Chain()
 	if want.Len() < 8 {
 		t.Fatalf("sealed only %d blocks, need >= 8 (four compaction epochs)", want.Len())
 	}
@@ -386,7 +389,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	t.Cleanup(func() { reborn.Close() })
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		got := reborn.Network().OrdererChain(0)
+		got := reborn.Chain()
 		if got.Len() >= want.Len() && bytes.Equal(got.TipHash(), want.TipHash()) {
 			break
 		}
@@ -398,7 +401,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	}
 	for n := uint64(1); n <= uint64(want.Len()); n++ {
 		wb, _ := want.Get(n)
-		gb, ok := reborn.Network().OrdererChain(0).Get(n)
+		gb, ok := reborn.Chain().Get(n)
 		if !ok {
 			t.Fatalf("restarted orderer missing block %d", n)
 		}

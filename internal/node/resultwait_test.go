@@ -10,6 +10,7 @@ import (
 
 	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/transport"
@@ -50,8 +51,10 @@ func ordererHandlers() int {
 func startLoneOrderer(t *testing.T) *Orderer {
 	t.Helper()
 	ord, err := StartOrderer(OrdererConfig{
+		Options: orderer.Options{
+			System: sched.SystemSharp,
+		},
 		Listen:    "127.0.0.1:0",
-		System:    sched.SystemSharp,
 		PeerNames: []string{"peer0"},
 	})
 	if err != nil {
@@ -143,7 +146,7 @@ func TestReplayBeforeTheCutGetsTheSealedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, block, ok := sealedVerdict(ord.Network().OrdererChain(0), string(tx.ID))
+	code, block, ok := sealedVerdict(ord.Chain(), string(tx.ID))
 	if !ok {
 		t.Fatalf("got %v for a transaction the ledger does not hold", res.Code)
 	}
@@ -285,7 +288,7 @@ func TestOneBlockWakesEveryParkedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	chain := ord.Network().OrdererChain(0)
+	chain := ord.Chain()
 	for i, res := range results {
 		code, block, ok := sealedVerdict(chain, res.TxID)
 		if !ok || !res.Found || res.Code != code || res.Block != block || block != 1 {

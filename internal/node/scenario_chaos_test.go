@@ -194,7 +194,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			// With every result resolved no new blocks can seal, so all
 			// replicas converge to one final chain. The reference is the
 			// orderer that led through the outage.
-			ref := ords[lead].Network().OrdererChain(0)
+			ref := ords[lead].Chain()
 			deadline := time.Now().Add(60 * time.Second)
 			waitTip := func(what string, tip func() (int, []byte)) {
 				t.Helper()
@@ -216,7 +216,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 				}
 				o := o
 				waitTip(fmt.Sprintf("orderer %d", i), func() (int, []byte) {
-					ch := o.Network().OrdererChain(0)
+					ch := o.Chain()
 					return ch.Len(), ch.TipHash()
 				})
 			}

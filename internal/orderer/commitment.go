@@ -1,10 +1,9 @@
-package fabric
+package orderer
 
 import (
 	"fmt"
 	"sync"
 
-	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/protocol"
 )
 
@@ -28,7 +27,7 @@ import (
 
 // CommitmentBroker sequences hash commitments and releases payloads to the
 // scheduler in commitment order. It sits between the consensus stream and a
-// scheduler; the fabric orderer uses it when Options.HashCommitment is set.
+// scheduler; the replicas use it when Config.HashCommitment is set.
 type CommitmentBroker struct {
 	mu        sync.Mutex
 	order     []string                         // digests in consensus order
@@ -64,10 +63,10 @@ func (b *CommitmentBroker) Disclose(tx *protocol.Transaction) ([]*protocol.Trans
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("fabric: disclosure without commitment (digest %.12s...)", digest)
+		return nil, fmt.Errorf("orderer: disclosure without commitment (digest %.12s...)", digest)
 	}
 	if _, dup := b.disclosed[digest]; dup {
-		return nil, fmt.Errorf("fabric: duplicate disclosure (digest %.12s...)", digest)
+		return nil, fmt.Errorf("orderer: duplicate disclosure (digest %.12s...)", digest)
 	}
 	b.disclosed[digest] = tx
 	// Release the longest disclosed prefix.
@@ -90,53 +89,4 @@ func (b *CommitmentBroker) PendingCommitments() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.order) - b.released
-}
-
-// SubmitCommitted runs the two-phase submission: the digest commitment is
-// sequenced first; once it is in the stream, the payload is disclosed. With
-// Options.HashCommitment enabled the orderers only act on the disclosure,
-// in commitment order.
-func (c *Client) SubmitCommitted(contract, function string, args ...string) (TxResult, error) {
-	if !c.net.opts.HashCommitment {
-		return TxResult{}, fmt.Errorf("fabric: network does not run the hash-commitment protocol")
-	}
-	tx := &protocol.Transaction{
-		ID:       c.net.nextTxID(c.id.ID),
-		ClientID: c.id.ID,
-		Contract: contract,
-		Function: function,
-		Args:     args,
-	}
-	peer := c.net.peers[0]
-	if _, err := Endorse(peer.state, peer.id, c.net.registry, tx); err != nil {
-		return TxResult{}, err
-	}
-	tx.RWSet.Precompute()
-	ch := make(chan TxResult, 1)
-	c.net.waitersMu.Lock()
-	c.net.waiters[tx.ID] = ch
-	c.net.waitersMu.Unlock()
-	dropWaiter := func() {
-		c.net.waitersMu.Lock()
-		delete(c.net.waiters, tx.ID)
-		c.net.waitersMu.Unlock()
-	}
-	// Phase 1: publish only the digest.
-	if err := c.net.submission.Submit(consensus.Envelope{
-		SubmittedBy: c.id.ID,
-		Commitment:  tx.DigestHex(),
-	}); err != nil {
-		dropWaiter()
-		return TxResult{}, err
-	}
-	// Phase 2: disclose the payload (a separate consensus message).
-	if err := c.net.submission.Submit(consensus.Envelope{
-		SubmittedBy: c.id.ID,
-		Tx:          tx,
-		Disclosure:  true,
-	}); err != nil {
-		dropWaiter()
-		return TxResult{}, err
-	}
-	return c.net.awaitResult(tx.ID, ch)
 }

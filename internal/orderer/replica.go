@@ -1,4 +1,4 @@
-package fabric
+package orderer
 
 import (
 	"fmt"
@@ -14,10 +14,10 @@ import (
 	"fabricsharp/internal/validation"
 )
 
-// orderer is one replicated orderer: it consumes the consensus stream, runs
+// replica is one replicated orderer: it consumes the consensus stream, runs
 // its scheduler (Algorithm 2 on arrival, Algorithm 3 at formation for
 // Sharp), seals blocks on its own hash chain, and — when it is the lead
-// replica — fans them out to the peers' committers. Because every replica
+// replica — hands them to the service's deliveries. Because every replica
 // runs the same deterministic scheduler over the same stream, all orderer
 // chains are identical (the agreement property of Section 3.5, asserted in
 // tests).
@@ -32,14 +32,17 @@ import (
 // positions. The peers' committers assert byte-equality against the
 // embedded codes, so a drift between the two derivations fails loudly.
 //
-// The orderer never touches peer state: delivery is a channel send, and
-// consensus-stream consumption stays pipelined with peer commits.
-type orderer struct {
-	net       *Network
+// A replica never touches peer state: delivery is a channel send or a
+// wake-up, and consensus-stream consumption stays pipelined with peer
+// commits.
+type replica struct {
+	svc       *Service
 	name      string
 	scheduler sched.Scheduler
 	chain     *ledger.Chain
-	deliver   bool
+	// lead marks the one replica that reports aborts, records trace stages
+	// and delivers its sealed blocks, so observers see each event once.
+	lead bool
 	// shadow is the replica's version state (value-tracking when rescue is
 	// on); vopts carries the same validation switches the peers run, so
 	// ComputeVerdicts here and ValidateBlock there are the same function
@@ -56,15 +59,15 @@ type orderer struct {
 	seen        map[protocol.TxID]bool
 	seenByBlock map[uint64][]protocol.TxID
 	seenFloor   uint64
-	broker      *CommitmentBroker // non-nil when the network runs hash commitments
+	broker      *CommitmentBroker // non-nil when the service runs hash commitments
 }
 
-func (o *orderer) run() {
-	defer o.net.wg.Done()
-	stream, cancel := o.net.kafka.Subscribe()
+func (o *replica) run() {
+	defer o.svc.wg.Done()
+	stream, cancel := o.svc.cfg.Ordering.Subscribe()
 	defer cancel()
 	//sharp:allow seaminject block-cut timer only proposes TTC cut markers into the consensus stream; sealed output remains a pure function of that stream
-	timer := time.NewTimer(o.net.opts.BlockTimeout)
+	timer := time.NewTimer(o.svc.cfg.BlockTimeout)
 	defer timer.Stop()
 	timerArmed := false
 	disarm := func() {
@@ -78,7 +81,7 @@ func (o *orderer) run() {
 	}
 	arm := func() {
 		disarm()
-		timer.Reset(o.net.opts.BlockTimeout)
+		timer.Reset(o.svc.cfg.BlockTimeout)
 		timerArmed = true
 	}
 
@@ -88,14 +91,14 @@ func (o *orderer) run() {
 		// winning over the closed fatalCh and the orderer would go on
 		// driving a faulted scheduler.
 		select {
-		case <-o.net.fatalCh:
+		case <-o.svc.fatalCh:
 			return
 		default:
 		}
 		select {
-		case <-o.net.done:
+		case <-o.svc.done:
 			return
-		case <-o.net.fatalCh:
+		case <-o.svc.fatalCh:
 			// A poisoned block or scheduler fault elsewhere: stop consuming
 			// rather than extending a chain nobody will commit.
 			return
@@ -110,7 +113,7 @@ func (o *orderer) run() {
 				// re-arm and keep proposing until the cut lands. Without the
 				// retry a replica that fired as a follower and later won an
 				// election would sit on pending transactions forever.
-				_ = o.net.kafka.Submit(consensusCutMarker(o.name, o.nextCutBlock()))
+				_ = o.svc.cfg.Ordering.Submit(consensus.Envelope{SubmittedBy: o.name, CutBlock: o.nextCutBlock()})
 				arm()
 			}
 		case seq, ok := <-stream:
@@ -146,9 +149,7 @@ func (o *orderer) run() {
 				if err != nil {
 					// Disclosure without (or not matching) a commitment:
 					// the client broke its security commitment.
-					if o.deliver {
-						o.net.resolve(seq.Env.Tx.ID, TxResult{TxID: seq.Env.Tx.ID, Code: protocol.EndorsementFailure})
-					}
+					o.abort(seq.Env.Tx.ID, protocol.EndorsementFailure)
 					continue
 				}
 				for _, tx := range released {
@@ -163,33 +164,38 @@ func (o *orderer) run() {
 
 // processArrival runs one transaction through dedup and the scheduler,
 // cutting a block when the batch fills.
-func (o *orderer) processArrival(tx *protocol.Transaction, arm, disarm func()) {
+func (o *replica) processArrival(tx *protocol.Transaction, arm, disarm func()) {
 	if o.seen[tx.ID] {
-		if o.deliver {
-			o.net.resolve(tx.ID, TxResult{TxID: tx.ID, Code: protocol.AbortDuplicate})
-		}
+		o.abort(tx.ID, protocol.AbortDuplicate)
 		return
 	}
 	o.seen[tx.ID] = true
 	bucket := o.nextCutBlock()
 	o.seenByBlock[bucket] = append(o.seenByBlock[bucket], tx.ID)
+	if tx.SnapshotBlock >= bucket {
+		// A snapshot at or above the block being assembled: no peer can have
+		// endorsed against a block that is not sealed yet, so the envelope
+		// is forged. Rejecting it here — a pure function of the stream
+		// position — keeps hostile input from reaching the schedulers'
+		// contract checks (core.Manager.OnArrival would turn it fatal).
+		o.abort(tx.ID, protocol.EndorsementFailure)
+		return
+	}
 	code, err := o.scheduler.OnArrival(tx)
 	if err != nil {
-		o.net.fail(fmt.Errorf("fabric: orderer %s arrival: %w", o.name, err))
+		o.svc.Fail(fmt.Errorf("orderer: %s arrival: %w", o.name, err))
 		return
 	}
 	if code != protocol.Valid {
-		if o.deliver {
-			o.net.resolve(tx.ID, TxResult{TxID: tx.ID, Code: code})
-		}
+		o.abort(tx.ID, code)
 		return
 	}
-	if o.deliver {
-		// Stage telemetry (lead replica only, so one event per tx): the
-		// scheduler admitted the transaction from the consensus stream.
-		o.net.opts.Tracer.Record(string(tx.ID), trace.StageOrder, 0)
+	if o.lead {
+		// Stage telemetry: the scheduler admitted the transaction from the
+		// consensus stream.
+		o.svc.cfg.Tracer.Record(string(tx.ID), trace.StageOrder, 0)
 	}
-	if o.scheduler.PendingCount() >= o.net.opts.BlockSize {
+	if o.scheduler.PendingCount() >= o.svc.cfg.BlockSize {
 		o.cut()
 		disarm()
 	} else if o.scheduler.PendingCount() == 1 {
@@ -198,15 +204,8 @@ func (o *orderer) processArrival(tx *protocol.Transaction, arm, disarm func()) {
 }
 
 // nextCutBlock returns the number of the block currently being assembled.
-func (o *orderer) nextCutBlock() uint64 {
+func (o *replica) nextCutBlock() uint64 {
 	return uint64(o.chain.Len()) + 1
-}
-
-// consensusCutMarker builds a TTC control envelope.
-func consensusCutMarker(from string, block uint64) (env consensus.Envelope) {
-	env.SubmittedBy = from
-	env.CutBlock = block
-	return env
 }
 
 // evictSeen drops dedup entries first seen while assembling blocks at least
@@ -216,8 +215,8 @@ func consensusCutMarker(from string, block uint64) (env consensus.Envelope) {
 // original fell past the horizon is re-admitted; the horizon bounds the map
 // for sustained million-transaction runs and is sized so that only a client
 // deliberately replaying ancient transactions can cross it.
-func (o *orderer) evictSeen(sealed uint64) {
-	horizon := o.net.opts.DedupHorizon
+func (o *replica) evictSeen(sealed uint64) {
+	horizon := o.svc.cfg.DedupHorizon
 	if sealed < horizon {
 		return
 	}
@@ -230,34 +229,31 @@ func (o *orderer) evictSeen(sealed uint64) {
 	}
 }
 
-// cut forms a block, seals it on the orderer's chain with the shadow
+// cut forms a block, seals it on the replica's chain with the shadow
 // verdicts embedded, feeds those verdicts to the scheduler, and (lead only)
-// fans the block out to every peer's committer. Ordering never waits for
-// validation: the only way this blocks is backpressure from a full delivery
-// queue.
+// hands the block to the deliveries. Ordering never waits for validation:
+// the only way this blocks is backpressure from a delivery.
 //
 // The cut is also where intern-table epoch compaction fires (inside
 // OnBlockFormation, when Options.CompactEvery is set): a cut lands at the
 // same consensus-stream position on every replica, which is what makes the
 // KeyID remappings replica-deterministic. The shadow validator's state is
 // string-keyed and unaffected.
-func (o *orderer) cut() {
+func (o *replica) cut() {
 	res, err := o.scheduler.OnBlockFormation()
 	if err != nil {
-		o.net.fail(fmt.Errorf("fabric: orderer %s formation: %w", o.name, err))
+		o.svc.Fail(fmt.Errorf("orderer: %s formation: %w", o.name, err))
 		return
 	}
 	for _, d := range res.DroppedTxs {
-		if o.deliver {
-			o.net.resolve(d.Tx.ID, TxResult{TxID: d.Tx.ID, Code: d.Code})
-		}
+		o.abort(d.Tx.ID, d.Code)
 	}
 	if len(res.Ordered) == 0 {
 		return
 	}
 	num := o.nextCutBlock()
 	if res.Block != num {
-		o.net.fail(fmt.Errorf("fabric: orderer %s block numbering drifted: scheduler %d, chain %d", o.name, res.Block, num))
+		o.svc.Fail(fmt.Errorf("orderer: %s block numbering drifted: scheduler %d, chain %d", o.name, res.Block, num))
 		return
 	}
 	// The shadow validation pass: the same verdict function the peers run,
@@ -277,34 +273,32 @@ func (o *orderer) cut() {
 	var rescueDigest []byte
 	if o.rescue {
 		out := reexec.Run(o.shadow, num, res.Ordered, codes,
-			reexec.Options{Registry: o.net.registry, Workers: runtime.GOMAXPROCS(0)})
+			reexec.Options{Registry: o.svc.cfg.Registry, Workers: runtime.GOMAXPROCS(0)})
 		codes = out.Codes
 		rescueWrites = out.Writes
 		rescueDigest = out.Digest
 	}
 	blk, err := o.chain.SealRescued(res.Ordered, codes, rescueDigest)
 	if err != nil {
-		o.net.fail(fmt.Errorf("fabric: orderer %s seal: %w", o.name, err))
+		o.svc.Fail(fmt.Errorf("orderer: %s seal: %w", o.name, err))
 		return
 	}
 	o.shadow.ApplyRescued(num, res.Ordered, codes, rescueWrites)
 	o.scheduler.OnBlockCommitted(num, res.Ordered, codes)
 	o.evictSeen(num)
-	if !o.deliver {
+	if !o.lead {
 		return
 	}
 	for _, tx := range res.Ordered {
-		o.net.opts.Tracer.Record(string(tx.ID), trace.StageSeal, num)
+		o.svc.cfg.Tracer.Record(string(tx.ID), trace.StageSeal, num)
 	}
-	o.net.dispatch(blk)
-	if len(o.net.peers) == 0 {
-		// Ordering-only process: there is no local commit barrier to settle
-		// waiters, and the sealed verdicts already ARE the final codes (the
-		// agreement property — every peer's validation must byte-match
-		// them or fail fatally). Resolve at seal: that wakes the wire clients
-		// waiting on these results.
-		for i, tx := range res.Ordered {
-			o.net.resolve(tx.ID, TxResult{TxID: tx.ID, Code: codes[i], Block: num})
-		}
+	o.svc.dispatch(blk)
+}
+
+// abort reports, from the lead replica only, a transaction resolved before
+// it reached a block.
+func (o *replica) abort(id protocol.TxID, code protocol.ValidationCode) {
+	if o.lead && o.svc.cfg.OnAbort != nil {
+		o.svc.cfg.OnAbort(id, code)
 	}
 }

@@ -34,17 +34,12 @@ import (
 // Nothing happens on block formation ("Focc-s does nothing on block
 // formation"), and since every admitted transaction is certified
 // serializable, the validation phase skips the MVCC check.
-// Index errors — possible once CW/CR are KVIndex-backed — are propagated to
-// the caller, never swallowed: a disk fault that silently dropped an index
-// write would corrupt certification state and make replicas diverge, so the
-// orderer treats a returned error as fatal (Network.Err), matching the
-// divergence policy of the commit pipeline.
 type FoccS struct {
 	maxSpan      uint64
 	compactEvery uint64
 	keys         *intern.Table
-	cw           core.VersionIndex // committed writes: key -> (commit seq, tx)
-	cr           core.VersionIndex // committed reads:  key -> (commit seq, tx)
+	cw           *core.MemIndex // committed writes: key -> (commit seq, tx)
+	cr           *core.MemIndex // committed reads:  key -> (commit seq, tx)
 	flags        map[protocol.TxID]*rwFlags
 	endBlock     map[protocol.TxID]uint64  // commit block, for flag pruning
 	pw           [][]*protocol.Transaction // pending writers per KeyID
@@ -74,23 +69,12 @@ func NewFoccS(opts Options) *FoccS {
 	if opts.MaxSpan == 0 {
 		opts.MaxSpan = 10
 	}
-	keys := opts.Keys
-	if keys == nil {
-		keys = intern.NewTable()
-	}
-	cw, cr := opts.CW, opts.CR
-	if cw == nil {
-		cw = core.NewMemIndex()
-	}
-	if cr == nil {
-		cr = core.NewMemIndex()
-	}
 	return &FoccS{
 		maxSpan:      opts.MaxSpan,
 		compactEvery: opts.CompactEvery,
-		keys:         keys,
-		cw:           cw,
-		cr:           cr,
+		keys:         intern.NewTable(),
+		cw:           core.NewMemIndex(),
+		cr:           core.NewMemIndex(),
 		flags:        map[protocol.TxID]*rwFlags{},
 		endBlock:     map[protocol.TxID]uint64{},
 		nextBlock:    1,
@@ -111,19 +95,18 @@ func (f *FoccS) grow() {
 	}
 }
 
-// OnArrival implements Scheduler: the certification step. An index error
-// aborts certification and is returned — the orderer turns it fatal.
+// OnArrival implements Scheduler: the certification step.
 func (f *FoccS) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
 	w := startWatch()
-	code, err := f.certify(tx)
+	code := f.certify(tx)
 	f.timing.Arrivals++
 	f.timing.ArrivalNS += w.elapsedNS()
-	return code, err
+	return code, nil
 }
 
-func (f *FoccS) certify(tx *protocol.Transaction) (protocol.ValidationCode, error) {
+func (f *FoccS) certify(tx *protocol.Transaction) protocol.ValidationCode {
 	if f.nextBlock > f.maxSpan && tx.SnapshotBlock <= f.nextBlock-f.maxSpan {
-		return protocol.AbortStaleSnapshot, nil
+		return protocol.AbortStaleSnapshot
 	}
 	startTS := tx.StartTS()
 	f.rbuf = f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys())
@@ -134,28 +117,20 @@ func (f *FoccS) certify(tx *protocol.Transaction) (protocol.ValidationCode, erro
 	// whose cost Figure 11 charts as the write-hot ratio grows).
 	for _, k := range f.wbuf {
 		if len(f.pw[k]) > 0 {
-			return protocol.AbortConcurrentWW, nil
+			return protocol.AbortConcurrentWW
 		}
-		committed, err := f.cw.After(f.idbuf[:0], k, startTS)
-		f.idbuf = committed[:0]
-		if err != nil {
-			return 0, err
-		}
-		if len(committed) > 0 {
-			return protocol.AbortConcurrentWW, nil
+		f.idbuf = f.cw.After(f.idbuf[:0], k, startTS)
+		if len(f.idbuf) > 0 {
+			return protocol.AbortConcurrentWW
 		}
 	}
 
 	// Outgoing anti-rw edges: tx reads k, a concurrent transaction that
 	// commits first (already committed after tx's snapshot, or pending and
 	// ahead in FIFO order) overwrites k.
-	var err error
 	outWriters := f.outWriters[:0]
 	for _, k := range f.rbuf {
-		if outWriters, err = f.cw.After(outWriters, k, startTS); err != nil {
-			f.outWriters = outWriters[:0]
-			return 0, err
-		}
+		outWriters = f.cw.After(outWriters, k, startTS)
 		for _, w := range f.pw[k] {
 			outWriters = append(outWriters, w.ID)
 		}
@@ -164,10 +139,7 @@ func (f *FoccS) certify(tx *protocol.Transaction) (protocol.ValidationCode, erro
 	// overwrites (it commits first: c-rw into tx).
 	inReaders := f.inReaders[:0]
 	for _, k := range f.wbuf {
-		if inReaders, err = f.cr.After(inReaders, k, startTS); err != nil {
-			f.outWriters, f.inReaders = outWriters[:0], inReaders[:0]
-			return 0, err
-		}
+		inReaders = f.cr.After(inReaders, k, startTS)
 		for _, r := range f.pr[k] {
 			inReaders = append(inReaders, r.ID)
 		}
@@ -177,13 +149,13 @@ func (f *FoccS) certify(tx *protocol.Transaction) (protocol.ValidationCode, erro
 	// Rule 2, the dangerous structure. tx itself as pivot: its outgoing
 	// edges are all anti-rw, so in+out suffices ...
 	if len(inReaders) > 0 && len(outWriters) > 0 {
-		return protocol.AbortDangerousStructure, nil
+		return protocol.AbortDangerousStructure
 	}
 	// ... or a neighbouring writer becoming one: tx's anti-rw out edge is
 	// W's incoming rw; W is dangerous if W already has an anti-rw out.
 	for _, w := range outWriters {
 		if fl := f.flags[w]; fl != nil && fl.outAnti {
-			return protocol.AbortDangerousStructure, nil
+			return protocol.AbortDangerousStructure
 		}
 	}
 	// Readers feeding into tx gain only a c-rw out edge (they commit
@@ -208,13 +180,11 @@ func (f *FoccS) certify(tx *protocol.Transaction) (protocol.ValidationCode, erro
 		f.pw[k] = append(f.pw[k], tx)
 	}
 	f.pending = append(f.pending, tx)
-	return protocol.Valid, nil
+	return protocol.Valid
 }
 
 // OnBlockFormation implements Scheduler: FIFO emission, bookkeeping of the
 // committed indices, window pruning, and (when enabled) epoch compaction.
-// Index errors surface to the caller rather than silently desynchronizing
-// the certifier from its committed state.
 func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
@@ -225,15 +195,11 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	for i, tx := range f.pending {
 		seq := seqno.Commit(block, uint32(i+1))
 		for _, k := range f.keys.InternAll(f.wbuf[:0], tx.RWSet.WriteKeys()) {
-			if err := f.cw.Put(k, seq, tx.ID); err != nil {
-				return FormationResult{}, err
-			}
+			f.cw.Put(k, seq, tx.ID)
 			f.pw[k] = f.pw[k][:0]
 		}
 		for _, k := range f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys()) {
-			if err := f.cr.Put(k, seq, tx.ID); err != nil {
-				return FormationResult{}, err
-			}
+			f.cr.Put(k, seq, tx.ID)
 			f.pr[k] = f.pr[k][:0]
 		}
 		f.endBlock[tx.ID] = block
@@ -242,12 +208,8 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	f.nextBlock++
 	if f.nextBlock > f.maxSpan {
 		h := f.nextBlock - f.maxSpan
-		if err := f.cw.PruneBefore(h); err != nil {
-			return FormationResult{}, err
-		}
-		if err := f.cr.PruneBefore(h); err != nil {
-			return FormationResult{}, err
-		}
+		f.cw.PruneBefore(h)
+		f.cr.PruneBefore(h)
 		// A committed transaction can gain edges only while some arrival's
 		// snapshot predates its commit; beyond the max-span horizon none
 		// can, so its flags are garbage.
@@ -259,9 +221,7 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 		}
 	}
 	if f.compactEvery > 0 && block%f.compactEvery == 0 {
-		if err := f.compact(); err != nil {
-			return FormationResult{}, err
-		}
+		f.compact()
 	}
 	f.timing.Formations++
 	f.timing.FormationNS += w.elapsedNS()
@@ -274,14 +234,9 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 // KeyID-indexed slot tables. Runs at sealed-block boundaries only, so every
 // replica compacts identically; a dropped key has no retained entries, so
 // certification decisions are unchanged (see TestFoccSCompactionEquivalence).
-func (f *FoccS) compact() error {
-	pw, pr, _, err := core.CompactKeyState(f.keys, f.cw, f.cr, f.pw, f.pr, nil)
-	if err != nil {
-		return err
-	}
-	f.pw, f.pr = pw, pr
+func (f *FoccS) compact() {
+	f.pw, f.pr, _ = core.CompactKeyState(f.keys, f.cw, f.cr, f.pw, f.pr, nil)
 	f.rbuf, f.wbuf = f.rbuf[:0], f.wbuf[:0]
-	return nil
 }
 
 // OnBlockCommitted implements Scheduler (certification already decided).

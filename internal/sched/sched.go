@@ -17,8 +17,6 @@
 package sched
 
 import (
-	"fabricsharp/internal/core"
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 )
@@ -164,21 +162,10 @@ type Options struct {
 	// committed-version retention window focc-l's compaction keeps.
 	// Default 10.
 	MaxSpan uint64
-	// BloomBits / BloomHashes size sharp's reachability filters.
-	BloomBits   uint64
-	BloomHashes int
-	// RelayBlocks is sharp's filter relay period.
-	RelayBlocks uint64
 	// CompactEvery enables deterministic epoch compaction of the
 	// key-interning schedulers' tables every CompactEvery sealed blocks
 	// (see core.Options.CompactEvery). 0 (default) keeps tables append-only.
 	CompactEvery uint64
-	// Keys, CW and CR wire an external intern table and committed
-	// write/read indices into the schedulers that keep committed key state
-	// (sharp, focc-s) — pass core.KVIndex-backed indices resolving through
-	// Keys for persistence. nil means fresh in-memory state.
-	Keys   *intern.Table
-	CW, CR core.VersionIndex
 }
 
 // ReadsAcrossBlocks reports whether the simulation read versions from a

@@ -1,12 +1,9 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
-	"fabricsharp/internal/core"
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -376,77 +373,6 @@ func TestSortTxIDsHelper(t *testing.T) {
 	txs := []*protocol.Transaction{mkTx("b", 0, nil, nil), mkTx("a", 0, nil, nil)}
 	if got := sortTxIDs(txs); fmt.Sprint(got) != "[a b]" {
 		t.Errorf("sortTxIDs = %v", got)
-	}
-}
-
-// failingIndex wraps a VersionIndex and fails every operation once armed —
-// the disk-fault model for the error-propagation tests.
-type failingIndex struct {
-	core.VersionIndex
-	armed bool
-}
-
-var errIndexBoom = errors.New("index: injected disk fault")
-
-func (f *failingIndex) Put(key intern.Key, seq seqno.Seq, id protocol.TxID) error {
-	if f.armed {
-		return errIndexBoom
-	}
-	return f.VersionIndex.Put(key, seq, id)
-}
-
-func (f *failingIndex) After(dst []protocol.TxID, key intern.Key, from seqno.Seq) ([]protocol.TxID, error) {
-	if f.armed {
-		return dst, errIndexBoom
-	}
-	return f.VersionIndex.After(dst, key, from)
-}
-
-func (f *failingIndex) PruneBefore(minBlock uint64) error {
-	if f.armed {
-		return errIndexBoom
-	}
-	return f.VersionIndex.PruneBefore(minBlock)
-}
-
-// TestFoccSIndexErrorPropagation pins the PR 4 bugfix: Focc-s used to
-// swallow every index error (`_ = f.cw.Put(...)`), so a failing disk-backed
-// index silently corrupted certification state. Errors must now surface from
-// OnArrival and OnBlockFormation — the orderer turns them into a fatal
-// Network.Err, the same policy as a validation divergence.
-func TestFoccSIndexErrorPropagation(t *testing.T) {
-	cw := &failingIndex{VersionIndex: core.NewMemIndex()}
-	f := NewFoccS(Options{CW: cw})
-	mustArrive(t, f, mkTx("t0", 0, []string{"a"}, []string{"b"}), protocol.Valid)
-
-	// Arrival path: the certify queries hit the failing index.
-	cw.armed = true
-	if _, err := f.OnArrival(mkTx("t1", 0, []string{"b"}, []string{"c"})); !errors.Is(err, errIndexBoom) {
-		t.Fatalf("OnArrival swallowed the index error: %v", err)
-	}
-
-	// Formation path: the commit bookkeeping hits the failing index.
-	cw.armed = false
-	mustArrive(t, f, mkTx("t2", 0, []string{"x"}, []string{"y"}), protocol.Valid)
-	cw.armed = true
-	if _, err := f.OnBlockFormation(); !errors.Is(err, errIndexBoom) {
-		t.Fatalf("OnBlockFormation swallowed the index error: %v", err)
-	}
-
-	// Prune path: formation past the horizon prunes through the index too.
-	cw.armed = false
-	f2 := NewFoccS(Options{MaxSpan: 2, CW: &failingIndex{VersionIndex: core.NewMemIndex()}})
-	for b := 0; b < 3; b++ {
-		mustArrive(t, f2, mkTx(fmt.Sprintf("p%d", b), uint64(b), []string{"r"}, nil), protocol.Valid)
-		if _, err := f2.OnBlockFormation(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A read-only transaction touches cw only via PruneBefore at formation.
-	mustArrive(t, f2, mkTx("p4", 3, []string{"r2"}, nil), protocol.Valid)
-	f2.cw.(*failingIndex).armed = true
-	if _, err := f2.OnBlockFormation(); !errors.Is(err, errIndexBoom) {
-		t.Fatalf("prune error swallowed: %v", err)
 	}
 }
 

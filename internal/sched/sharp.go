@@ -23,13 +23,7 @@ func NewSharp(opts Options) *Sharp {
 	return &Sharp{
 		mgr: core.NewManager(core.Options{
 			MaxSpan:      opts.MaxSpan,
-			BloomBits:    opts.BloomBits,
-			BloomHashes:  opts.BloomHashes,
-			RelayBlocks:  opts.RelayBlocks,
 			CompactEvery: opts.CompactEvery,
-			Keys:         opts.Keys,
-			CW:           opts.CW,
-			CR:           opts.CR,
 		}),
 		byID: map[protocol.TxID]*protocol.Transaction{},
 	}
@@ -60,10 +54,7 @@ func (s *Sharp) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, er
 // OnBlockFormation implements Scheduler: Algorithm 3.
 func (s *Sharp) OnBlockFormation() (FormationResult, error) {
 	w := startWatch()
-	ids, block, err := s.mgr.OnBlockFormation()
-	if err != nil {
-		return FormationResult{}, err
-	}
+	ids, block := s.mgr.OnBlockFormation()
 	res := FormationResult{Block: block, Ordered: make([]*protocol.Transaction, 0, len(ids))}
 	for _, id := range ids {
 		tx, ok := s.byID[id]
@@ -94,12 +85,7 @@ func (s *Sharp) PendingCount() int { return s.mgr.PendingCount() }
 func (s *Sharp) ResidentKeys() int { return s.mgr.Keys().Len() }
 
 // FastForward implements Scheduler.
-func (s *Sharp) FastForward(height uint64) error {
-	if err := s.mgr.FastForward(height); err != nil {
-		return err
-	}
-	return nil
-}
+func (s *Sharp) FastForward(height uint64) error { return s.mgr.FastForward(height) }
 
 // Timing implements Scheduler.
 func (s *Sharp) Timing() Timing { return s.timing }

@@ -50,9 +50,6 @@ func (s Seq) Compare(t Seq) int {
 // Less reports whether s orders strictly before t.
 func (s Seq) Less(t Seq) bool { return s.Compare(t) < 0 }
 
-// LessEq reports whether s orders before or equal to t.
-func (s Seq) LessEq(t Seq) bool { return s.Compare(t) <= 0 }
-
 // IsSnapshot reports whether s denotes a blockchain snapshot (Pos == 0).
 func (s Seq) IsSnapshot() bool { return s.Pos == 0 }
 

@@ -69,15 +69,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Stages lists every defined stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, 0, NumStages)
-	for s := StageSubmit; s < stageEnd; s++ {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {
 	// TxID is the transaction identifier (truncated to MaxTxIDLen bytes).

@@ -3,16 +3,12 @@
 // shutdown, dialers with bounded retry, and a reconnecting block-delivery
 // subscriber.
 //
-// The package also defines the two seams the fabric layer is built against:
-//
-//   - Delivery: where sealed blocks go (a peer's committer, a TCP fan-out,
-//     or both). The in-process channels that wired orderers to peers before
-//     this package existed are now just the loopback Delivery
-//     implementation inside internal/fabric.
-//   - Submission: where endorsed transactions enter ordering. The
-//     in-process consensus.Service satisfies it directly, so a network fed
-//     from a socket and a network fed from a local client share every line
-//     of orderer/committer code.
+// The package also defines the seam an ordering service (internal/orderer)
+// hands sealed blocks through — Delivery: a peer's committer, a TCP fan-out,
+// or a test's collector. The in-process network's channels to its peers are
+// the loopback Delivery inside internal/fabric; a network fed from a socket
+// and one fed from a local client share every line of orderer and committer
+// code.
 //
 // Backpressure is structural: block delivery is driven by the *consumer*
 // (the subscriber reads frames at its own pace, and the server-side stream
@@ -27,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/wire"
 )
@@ -38,15 +33,6 @@ import (
 type Delivery interface {
 	Deliver(blk *ledger.Block) error
 }
-
-// Submission accepts envelopes for total ordering. consensus.Service
-// implementations satisfy it directly.
-type Submission interface {
-	Submit(env consensus.Envelope) error
-}
-
-// Assert the in-process consensus backends remain valid Submissions.
-var _ Submission = (consensus.Service)(nil)
 
 // DeliveryFunc adapts a function to the Delivery interface.
 type DeliveryFunc func(blk *ledger.Block) error
