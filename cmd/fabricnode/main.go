@@ -41,7 +41,7 @@ func main() {
 	system := flag.String("system", "fabric#", "fabric | fabric++ | fabric# | focc-s | focc-l")
 	blockSize := flag.Int("block-size", 100, "transactions per block (orderer)")
 	blockTimeout := flag.Duration("block-timeout", 100*time.Millisecond, "partial-block cut timeout (orderer)")
-	orderers := flag.Int("orderers", 2, "in-process orderer replicas (orderer)")
+	orderers := flag.Int("orderers", 1, "accepted for the benchmark harness only: must be 1 (replicate ordering with -raft-cluster)")
 	maxSpan := flag.Uint64("max-span", 0, "Sharp pruning horizon (0 = default)")
 	compactEvery := flag.Uint64("compact-every", 0, "intern-table compaction epoch in blocks (0 = off)")
 	dedupHorizon := flag.Uint64("dedup-horizon", 0, "duplicate-suppression horizon in blocks (0 = default)")
@@ -75,6 +75,7 @@ func main() {
 		RaftElection:  *raftElection,
 		Workload:      *workloadName,
 		Accounts:      *accounts,
+		Orderers:      *orderers,
 	}
 	if err := nf.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "fabricnode:", err)
@@ -99,7 +100,6 @@ func main() {
 		ord, err := node.StartOrderer(node.OrdererConfig{
 			Options: orderer.Options{
 				System:       sched.System(*system),
-				Orderers:     *orderers,
 				BlockSize:    *blockSize,
 				BlockTimeout: *blockTimeout,
 				MaxSpan:      *maxSpan,

@@ -26,6 +26,7 @@ type nodeFlags struct {
 	RaftElection  time.Duration
 	Workload      string
 	Accounts      int
+	Orderers      int
 }
 
 func (f nodeFlags) validate() error {
@@ -34,6 +35,9 @@ func (f nodeFlags) validate() error {
 	}
 	if dup := firstDuplicate(f.PeerNames); dup != "" {
 		return fmt.Errorf("-peers lists %q twice", dup)
+	}
+	if f.Orderers != 1 {
+		return fmt.Errorf("-orderers %d: a node runs one ordering state machine; replicate the ordering service with -raft-cluster (the flag survives, as 1, for the benchmark harness only)", f.Orderers)
 	}
 	if f.Workload == "" {
 		if f.Accounts != 0 {

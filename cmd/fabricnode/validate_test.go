@@ -10,6 +10,7 @@ func ordererFlags() nodeFlags {
 	return nodeFlags{
 		Role:      "orderer",
 		PeerNames: []string{"peer0", "peer1"},
+		Orderers:  1,
 	}
 }
 
@@ -33,6 +34,7 @@ func peerFlags() nodeFlags {
 		Name:         "peer0",
 		OrdererAddrs: []string{"127.0.0.1:7050"},
 		PeerNames:    []string{"peer0", "peer1"},
+		Orderers:     1,
 	}
 }
 
@@ -94,6 +96,10 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		"orderer with peer name": {
 			base:    func() nodeFlags { f := ordererFlags(); f.Name = "peer0"; return f },
 			wantErr: "-name is a peer flag",
+		},
+		"in-process replica set": {
+			base:    func() nodeFlags { f := ordererFlags(); f.Orderers = 2; return f },
+			wantErr: "-raft-cluster",
 		},
 		"peer without name": {
 			base:    func() nodeFlags { f := peerFlags(); f.Name = ""; return f },

@@ -181,7 +181,7 @@ func (c *Committer) commit(blk *ledger.Block) error {
 		c.cfg.Tracer.Record(string(tx.ID), trace.StageValidate, peerBlk.Header.Number)
 	}
 	if blk.Validation != nil {
-		if err := assertVerdictsEqual(blk.Header.Number, blk.Validation, res.Codes); err != nil {
+		if err := AssertVerdictsEqual(blk.Header.Number, blk.Validation, res.Codes); err != nil {
 			return err
 		}
 		// The rescue digest is part of the same agreement contract: the
@@ -223,9 +223,10 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	return nil
 }
 
-// assertVerdictsEqual compares the orderer's precomputed codes against the
-// peer's own, reporting the first divergent transaction.
-func assertVerdictsEqual(block uint64, precomputed, derived []protocol.ValidationCode) error {
+// AssertVerdictsEqual compares the orderer's precomputed codes against the
+// peer's own, reporting the first divergent transaction. The simulator's
+// commit station holds its reference validator to the same assertion.
+func AssertVerdictsEqual(block uint64, precomputed, derived []protocol.ValidationCode) error {
 	if len(precomputed) != len(derived) {
 		return fmt.Errorf("block %d: %d precomputed verdicts vs %d derived", block, len(precomputed), len(derived))
 	}
@@ -291,7 +292,7 @@ func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincod
 		}
 	}
 	out := reexec.Run(base, blk.Header.Number, blk.Transactions, pre, reexec.Options{Registry: registry})
-	if err := assertVerdictsEqual(blk.Header.Number, blk.Validation, out.Codes); err != nil {
+	if err := AssertVerdictsEqual(blk.Header.Number, blk.Validation, out.Codes); err != nil {
 		return reexec.Outcome{}, fmt.Errorf("rescue replay: %w", err)
 	}
 	if !bytes.Equal(blk.RescueDigest, out.Digest) {

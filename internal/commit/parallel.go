@@ -84,36 +84,35 @@ type BlockResult struct {
 // transactions that share a key, so key-disjoint groups validate
 // independently without changing any verdict.
 func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult {
-	n := len(blk.Transactions)
-	codes := make([]protocol.ValidationCode, n)
+	codes := make([]protocol.ValidationCode, len(blk.Transactions))
 	workers := opts.workers()
 
 	// Phase 1: endorsement-signature checks — per-transaction, stateless,
 	// and the dominant CPU cost (ed25519 verification) — across all workers.
-	if opts.MSP != nil && opts.Policy != nil {
-		conflict.ParallelFor(n, workers, func(i int) {
-			if err := opts.MSP.CheckEndorsements(blk.Transactions[i], opts.Policy); err != nil {
-				codes[i] = protocol.EndorsementFailure
-			}
-		})
+	for i, failed := range validation.PrecheckEndorsements(blk.Transactions, opts.Options, workers) {
+		if failed {
+			codes[i] = protocol.EndorsementFailure
+		}
 	}
 
 	// Phase 2: MVCC, partitioned by read/write-key overlap. Transactions
 	// already failed by endorsement write nothing and constrain nothing, so
 	// they stay out of the partition.
-	groups := 0
+	var res BlockResult
 	if opts.MVCC {
 		groupList := conflict.Partition(blk.Transactions, func(i int) bool {
 			return codes[i] == protocol.Valid
 		})
-		groups = len(groupList)
+		res.Groups = len(groupList)
 		base := validation.DBVersions(db)
-		conflict.RunGroups(groupList, workers, func(group []int) {
+		// Groups touch disjoint key sets, so their overlays never interact and
+		// the shared base is only read.
+		conflict.ParallelFor(len(groupList), workers, func(g int) {
 			overlay := validation.NewOverlay()
 			current := func(key string) (seqno.Seq, bool) {
 				return overlay.Version(base, key)
 			}
-			for _, i := range group {
+			for _, i := range groupList[g] {
 				tx := blk.Transactions[i]
 				if !validation.ReadsFresh(tx, current) {
 					codes[i] = protocol.MVCCConflict
@@ -128,7 +127,6 @@ func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult 
 	// committed state under the block's valid writes. db still sits at the
 	// pre-block height here (writes apply after validation), matching the
 	// orderer's shadow view at cut time.
-	res := BlockResult{Groups: groups}
 	if opts.rescueEnabled() {
 		res.Rescue = reexec.Run(reexec.DBSource(db), blk.Header.Number, blk.Transactions, codes,
 			reexec.Options{Registry: opts.Registry, Workers: workers})

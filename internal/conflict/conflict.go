@@ -129,10 +129,3 @@ func ParallelFor(n, workers int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-// RunGroups dispatches conflict groups to up to `workers` goroutines. Groups
-// touch disjoint key sets, so their per-group state never interacts and any
-// shared base is only read.
-func RunGroups(groups [][]int, workers int, fn func(group []int)) {
-	ParallelFor(len(groups), workers, func(i int) { fn(groups[i]) })
-}

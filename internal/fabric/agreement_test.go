@@ -9,9 +9,13 @@ import (
 	"time"
 
 	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/consensus"
+	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/wire"
 )
 
 // TestShadowVerdictsMatchPeerValidation runs a contended workload through
@@ -61,7 +65,7 @@ func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 			}
 			aborts := 0
 			peer.Chain().ForEach(func(pb *ledger.Block) bool {
-				ob, ok := n.OrdererChain(0).Get(pb.Header.Number)
+				ob, ok := n.OrdererChain().Get(pb.Header.Number)
 				if !ok {
 					t.Fatalf("orderer chain missing block %d", pb.Header.Number)
 				}
@@ -92,15 +96,14 @@ func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 	}
 }
 
-// TestFoccLLeadFollowerAgreement pins the agreement property this PR turned
-// from best-effort into exact: Focc-l is the one scheduler whose block
-// contents depend on commit feedback, so before feedback became a
-// deterministic function of the stream, lead and follower orderers could
-// seal different chains under contention. Now every replica derives
-// identical verdicts at identical stream positions, and the chains —
-// contents, hashes, and sealed verdicts — must match bit for bit.
+// TestFoccLLeadFollowerAgreement pins the agreement property for the one
+// scheduler whose block contents depend on commit feedback: Focc-l. Feedback
+// is a deterministic function of the stream — every replica derives
+// identical verdicts at identical stream positions — so follower Cores fed
+// the lead's stream must match its chain bit for bit: contents, hashes and
+// sealed verdicts.
 func TestFoccLLeadFollowerAgreement(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemFoccL, Orderers: 3, BlockSize: 8})
+	n := newNet(t, Options{System: sched.SystemFoccL, BlockSize: 8})
 	client, err := n.NewClient("bank")
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +136,7 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Followers consume the same stream asynchronously; give them a bounded
-	// moment to reach the lead's tip before demanding exact agreement.
-	awaitFollowers(n, 5*time.Second)
-	lead := n.OrdererChain(0)
+	lead := n.OrdererChain()
 
 	if lead.Len() < 2 {
 		t.Fatalf("only %d blocks sealed — stream not contended enough", lead.Len())
@@ -154,64 +154,65 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 		t.Error("no MVCC conflicts on the lead chain — Focc-l's doomed path not exercised")
 	}
 
-	assertOrderersAgree(t, n)
+	assertOrderersAgree(t, n, nil)
 }
 
-// awaitFollowers gives the follower orderers (which consume the same stream
-// asynchronously) a bounded moment to reach the lead's tip.
-func awaitFollowers(n *Network, timeout time.Duration) {
-	lead := n.OrdererChain(0)
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		caughtUp := true
-		for i := 1; i < n.Orderers(); i++ {
-			if !bytes.Equal(n.OrdererChain(i).TipHash(), lead.TipHash()) {
-				caughtUp = false
+// discardEvents is the orderer.Events of a replay that only compares chains.
+type discardEvents struct{}
+
+func (discardEvents) Admitted(protocol.TxID)                         {}
+func (discardEvents) Aborted(protocol.TxID, protocol.ValidationCode) {}
+func (discardEvents) Sealed(*ledger.Block)                           {}
+
+// assertOrderersAgree demands that follower orderers agree with n's: two
+// fresh orderer.Cores are folded over the consensus stream n retained —
+// transactions and time-to-cut markers alike, after adopting stored when the
+// network itself resumed from it — and each must seal n's chain bit for bit.
+// wire.EncodeBlock covers hashes, contents, sealed verdicts and the rescue
+// digest. n must be idle and built by newNet (which injects the retained
+// stream).
+func assertOrderersAgree(t *testing.T, n *Network, stored *ledger.Chain) {
+	t.Helper()
+	stream := n.opts.Ordering.(*consensus.Kafka)
+	replay, cancel := stream.Subscribe()
+	defer cancel()
+	envs := make([]consensus.Envelope, stream.Len())
+	for i := range envs {
+		envs[i] = (<-replay).Env
+	}
+	names := make([]string, len(n.peers))
+	for i := range names {
+		names[i] = fmt.Sprintf("peer%d", i)
+	}
+	msp, policy := identity.DevMSP(names...)
+	lead := n.OrdererChain()
+	for i := 1; i <= 2; i++ {
+		follower, err := orderer.NewCore(orderer.CoreConfig{
+			Options:  n.opts.ordering(),
+			MSP:      msp,
+			Policy:   policy,
+			Registry: n.registry,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored != nil {
+			if err := follower.Replay(stored); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if caughtUp {
-			return
+		for _, env := range envs {
+			if err := follower.Step(env, discardEvents{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// assertOrderersAgree demands bit-identical chains — lengths, hashes, block
-// contents, sealed verdicts — on every orderer replica.
-func assertOrderersAgree(t *testing.T, n *Network) {
-	t.Helper()
-	lead := n.OrdererChain(0)
-	for i := 1; i < n.Orderers(); i++ {
-		follower := n.OrdererChain(i)
-		if follower.Len() != lead.Len() {
-			t.Fatalf("orderer %d sealed %d blocks, lead %d", i, follower.Len(), lead.Len())
-		}
-		if !bytes.Equal(follower.TipHash(), lead.TipHash()) {
-			t.Fatalf("orderer %d tip diverged from lead", i)
+		if got := follower.Chain().Len(); got != lead.Len() {
+			t.Fatalf("orderer %d sealed %d blocks, lead %d", i, got, lead.Len())
 		}
 		lead.ForEach(func(lb *ledger.Block) bool {
-			fb, ok := follower.Get(lb.Header.Number)
-			if !ok {
-				t.Fatalf("orderer %d missing block %d", i, lb.Header.Number)
-			}
-			if !bytes.Equal(fb.Hash(), lb.Hash()) {
-				t.Fatalf("orderer %d block %d hash diverged", i, lb.Header.Number)
-			}
-			// The rescue digest is block metadata (outside the header hash),
-			// so agreement on it must be asserted separately.
-			if !bytes.Equal(fb.RescueDigest, lb.RescueDigest) {
-				t.Fatalf("orderer %d block %d rescue digest diverged: %x vs lead %x",
-					i, lb.Header.Number, fb.RescueDigest, lb.RescueDigest)
-			}
-			for j := range lb.Transactions {
-				if fb.Transactions[j].ID != lb.Transactions[j].ID {
-					t.Fatalf("orderer %d block %d position %d: tx %s vs lead %s",
-						i, lb.Header.Number, j, fb.Transactions[j].ID, lb.Transactions[j].ID)
-				}
-				if fb.Validation[j] != lb.Validation[j] {
-					t.Fatalf("orderer %d block %d tx %d: verdict %v vs lead %v",
-						i, lb.Header.Number, j, fb.Validation[j], lb.Validation[j])
-				}
+			fb, _ := follower.Chain().Get(lb.Header.Number)
+			if !bytes.Equal(wire.EncodeBlock(fb), wire.EncodeBlock(lb)) {
+				t.Fatalf("orderer %d block %d diverged from lead", i, lb.Header.Number)
 			}
 			return true
 		})
@@ -219,7 +220,7 @@ func assertOrderersAgree(t *testing.T, n *Network) {
 }
 
 // TestRescueLeadFollowerAgreement pins the determinism of the post-order
-// rescue phase: with Rescue enabled, every orderer replica re-executes the
+// rescue phase: with Rescue enabled, every orderer re-executes the
 // block's MVCC casualties against its own shadow state and must seal
 // bit-identical verdicts AND bit-identical rescue write-set digests — the
 // digest is a hash of the re-executed values themselves, so agreement means
@@ -231,7 +232,7 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 	for _, system := range []sched.System{sched.SystemFabric, sched.SystemFoccL} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{System: system, Orderers: 3, BlockSize: 8, Rescue: true})
+			n := newNet(t, Options{System: system, BlockSize: 8, Rescue: true})
 			client, err := n.NewClient("bank")
 			if err != nil {
 				t.Fatal(err)
@@ -262,12 +263,11 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 			if err := n.Err(); err != nil {
 				t.Fatal(err)
 			}
-			awaitFollowers(n, 5*time.Second)
 
 			// The contended stream must actually have exercised the rescue
 			// path, or the agreement below says nothing about it.
 			rescued, digests := 0, 0
-			lead := n.OrdererChain(0)
+			lead := n.OrdererChain()
 			lead.ForEach(func(lb *ledger.Block) bool {
 				for _, c := range lb.Validation {
 					if c == protocol.Rescued {
@@ -286,7 +286,7 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 				t.Fatal("Rescued verdicts present but no block carries a rescue digest")
 			}
 
-			assertOrderersAgree(t, n)
+			assertOrderersAgree(t, n, nil)
 
 			// Peers derived the same verdicts (including Rescued) from the
 			// sealed blocks.
@@ -345,7 +345,6 @@ func TestCompactionLeadFollowerAgreement(t *testing.T) {
 		t.Run(string(system), func(t *testing.T) {
 			n := newNet(t, Options{
 				System:       system,
-				Orderers:     3,
 				BlockSize:    4,
 				MaxSpan:      4,
 				CompactEvery: 2,
@@ -379,13 +378,12 @@ func TestCompactionLeadFollowerAgreement(t *testing.T) {
 			if err := n.Err(); err != nil {
 				t.Fatal(err)
 			}
-			awaitFollowers(n, 5*time.Second)
 			// ≥2 compaction boundaries: with CompactEvery=2 that means at
 			// least 4 sealed blocks.
-			if sealed := n.OrdererChain(0).Len(); sealed < 4 {
+			if sealed := n.OrdererChain().Len(); sealed < 4 {
 				t.Fatalf("only %d blocks sealed — fewer than two compaction epochs", sealed)
 			}
-			assertOrderersAgree(t, n)
+			assertOrderersAgree(t, n, nil)
 		})
 	}
 }

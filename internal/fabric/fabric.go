@@ -37,25 +37,24 @@ import (
 	"fabricsharp/internal/transport"
 )
 
-// Options configures a network. System, Orderers, BlockSize, BlockTimeout,
-// MaxSpan, CompactEvery, DedupHorizon, Rescue and Genesis are the ordering
-// service's tunables, documented (with their defaults) on orderer.Options;
+// Options configures a network. System, BlockSize, BlockTimeout, MaxSpan,
+// CompactEvery, DedupHorizon, Rescue and Genesis are the ordering service's
+// tunables, documented (with their defaults) on orderer.Options;
 // Rescue and Genesis reach the peers too.
 type Options struct {
 	System       sched.System
-	Orderers     int
 	BlockSize    int
 	BlockTimeout time.Duration
 	MaxSpan      uint64
 	CompactEvery uint64
 	DedupHorizon uint64
 	// Rescue enables post-order speculative re-execution of MVCC-aborted
-	// transactions at every replica (orderer shadows and peer committers
+	// transactions at every replica (the orderer's shadow and peer committers
 	// alike); the rescued write sets commit under the Rescued verdict.
 	Rescue bool
 	// Genesis, when non-empty, is the block-0 write set every replica
 	// installs before the first block seals: peer state databases (NewPeer)
-	// and each orderer's shadow state. Scenario-driven deployments fill it
+	// and the orderer's shadow state. Scenario-driven deployments fill it
 	// from scenario.Scenario.GenesisWrites. Ignored on a DataDir resume whose
 	// stored state already contains the genesis.
 	Genesis []protocol.WriteItem
@@ -111,7 +110,6 @@ func (o Options) withDefaults() Options {
 func (o Options) ordering() orderer.Options {
 	return orderer.Options{
 		System:       o.System,
-		Orderers:     o.Orderers,
 		BlockSize:    o.BlockSize,
 		BlockTimeout: o.BlockTimeout,
 		MaxSpan:      o.MaxSpan,
@@ -184,13 +182,15 @@ func NewNetwork(opts Options) (*Network, error) {
 		pendingAcks: map[uint64]*blockAck{},
 	}
 	ordering, err := orderer.New(orderer.Config{
-		Options:        opts.ordering(),
-		MSP:            msp,
-		Policy:         policy,
-		Registry:       n.registry,
-		Ordering:       consensusSvc,
-		HashCommitment: opts.HashCommitment,
-		Deliveries:     []transport.Delivery{transport.DeliveryFunc(n.deliver)},
+		CoreConfig: orderer.CoreConfig{
+			Options:        opts.ordering(),
+			MSP:            msp,
+			Policy:         policy,
+			Registry:       n.registry,
+			HashCommitment: opts.HashCommitment,
+		},
+		Ordering:   consensusSvc,
+		Deliveries: []transport.Delivery{transport.DeliveryFunc(n.deliver)},
 		OnAbort: func(id protocol.TxID, code protocol.ValidationCode) {
 			n.resolve(TxResult{TxID: id, Code: code})
 		},
@@ -238,7 +238,7 @@ func NewNetwork(opts Options) (*Network, error) {
 	}
 	// When resuming from disk, adopt the stored chain everywhere — on the
 	// in-memory peers through the same committer apply path live commits
-	// use — before the orderers start consuming the stream.
+	// use — before the orderer starts consuming the stream.
 	if stored := n.peers[0].chain; stored.Len() > 0 {
 		if err := n.replayStoredChain(stored); err != nil {
 			n.Close()
@@ -267,7 +267,7 @@ func (n *Network) deliver(blk *ledger.Block) error {
 // the designated lead peer's (peer 0) verdicts, once every peer has
 // committed the block — so a Submit that returns implies read-your-writes
 // on any peer. The schedulers are NOT fed from here: commit feedback is
-// derived deterministically by each orderer's shadow validator at cut time,
+// derived deterministically by the orderer's shadow validator at cut time,
 // so this barrier only settles client waiters.
 func (n *Network) peerCommitted(peerIdx int, blk *ledger.Block, codes []protocol.ValidationCode) {
 	num := blk.Header.Number
@@ -317,7 +317,7 @@ func (n *Network) replayStoredChain(stored *ledger.Chain) error {
 	return n.ordering.Resume(stored)
 }
 
-// Close shuts the network down: the orderers stop consuming consensus, the
+// Close shuts the network down: the orderer stops consuming consensus, the
 // commit pipeline drains every delivered block, and only then do the
 // durable stores close.
 func (n *Network) Close() {
@@ -330,11 +330,8 @@ func (n *Network) Close() {
 // Peer returns peer i.
 func (n *Network) Peer(i int) *Peer { return n.peers[i] }
 
-// Orderers returns the number of orderer replicas.
-func (n *Network) Orderers() int { return n.ordering.Replicas() }
-
-// OrdererChain exposes orderer i's sealed chain (agreement checks).
-func (n *Network) OrdererChain(i int) *ledger.Chain { return n.ordering.Chain(i) }
+// OrdererChain exposes the orderer's sealed chain (agreement checks).
+func (n *Network) OrdererChain() *ledger.Chain { return n.ordering.Chain() }
 
 // Height returns the lead peer's committed block height.
 func (n *Network) Height() uint64 { return n.peers[0].state.Height() }
@@ -436,9 +433,8 @@ func (n *Network) claimWaiter(id protocol.TxID, ch <-chan TxResult) (TxResult, b
 	return <-ch, true
 }
 
-// resolve delivers a transaction result to its waiter. Only the lead
-// replica's aborts and the commit barrier call it, so each transaction
-// resolves once.
+// resolve delivers a transaction result to its waiter. Only the orderer's
+// aborts and the commit barrier call it, so each transaction resolves once.
 func (n *Network) resolve(res TxResult) {
 	n.waitersMu.Lock()
 	ch, ok := n.waiters[res.TxID]

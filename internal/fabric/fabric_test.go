@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/transport"
+	"fabricsharp/internal/transport/transporttest"
 )
 
 func newNet(t *testing.T, opts Options) *Network {
@@ -21,6 +22,11 @@ func newNet(t *testing.T, opts Options) *Network {
 	}
 	if opts.BlockTimeout == 0 {
 		opts.BlockTimeout = 50 * time.Millisecond
+	}
+	if opts.Ordering == nil {
+		// The in-process broker NewNetwork would build anyway, kept
+		// reachable: it retains the stream assertOrderersAgree replays.
+		opts.Ordering = consensus.NewKafka()
 	}
 	n, err := NewNetwork(opts)
 	if err != nil {
@@ -87,7 +93,7 @@ func TestAllSystemsEndToEnd(t *testing.T) {
 func TestOrdererAgreement(t *testing.T) {
 	// Section 3.5: replicated orderers running the deterministic reordering
 	// over the same consensus stream produce identical ledgers.
-	n := newNet(t, Options{System: sched.SystemSharp, Orderers: 3})
+	n := newNet(t, Options{System: sched.SystemSharp})
 	client, _ := n.NewClient("c")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -103,30 +109,10 @@ func TestOrdererAgreement(t *testing.T) {
 	if !n.WaitIdle(5 * time.Second) {
 		t.Fatal("network did not go idle")
 	}
-	// Lead and follower orderers sealed identical chains.
-	tip := n.OrdererChain(0).TipHash()
-	if tip == nil {
+	if n.OrdererChain().TipHash() == nil {
 		t.Fatal("no blocks sealed")
 	}
-	for i := 1; i < n.Orderers(); i++ {
-		// Followers may lag by the in-flight tail; compare the common
-		// prefix block by block.
-		lead, follower := n.OrdererChain(0), n.OrdererChain(i)
-		common := lead.Len()
-		if follower.Len() < common {
-			common = follower.Len()
-		}
-		if common == 0 {
-			t.Fatalf("orderer %d sealed no blocks", i)
-		}
-		for b := uint64(1); b <= uint64(common); b++ {
-			lb, _ := lead.Get(b)
-			fb, _ := follower.Get(b)
-			if !bytes.Equal(lb.Hash(), fb.Hash()) {
-				t.Fatalf("orderer %d diverged at block %d", i, b)
-			}
-		}
-	}
+	assertOrderersAgree(t, n, nil)
 }
 
 func TestSmallbankTransfersConserveMoney(t *testing.T) {
@@ -302,25 +288,25 @@ func TestVanillaFabricAbortsStaleReads(t *testing.T) {
 // service injected through Options.Ordering. The schedulers are oblivious to
 // the backend, and every member's log commits what the network ordered.
 func TestRaftConsensusBackend(t *testing.T) {
-	addrs := make([]string, 3)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	var members []*transport.RaftService
+	transporttest.BootOnFreePorts(t, 3, func(addrs []string) error {
+		members = nil
+		for i, addr := range addrs {
+			m, err := transport.StartRaft(transport.RaftConfig{
+				ID: addr, Cluster: addrs, ElectionTimeout: 100 * time.Millisecond, Seed: int64(i + 1),
+			})
+			if err != nil {
+				for _, started := range members {
+					started.Close()
+				}
+				return err
+			}
+			members = append(members, m)
 		}
-		addrs[i] = l.Addr().String()
-		_ = l.Close() // reserved: the member rebinds it below
-	}
-	members := make([]*transport.RaftService, len(addrs))
-	for i, addr := range addrs {
-		m, err := transport.StartRaft(transport.RaftConfig{
-			ID: addr, Cluster: addrs, ElectionTimeout: 100 * time.Millisecond, Seed: int64(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	for _, m := range members {
 		t.Cleanup(m.Close) // idempotent: the network also closes the leader's
-		members[i] = m
 	}
 	var leader *transport.RaftService
 	for deadline := time.Now().Add(10 * time.Second); leader == nil; time.Sleep(5 * time.Millisecond) {

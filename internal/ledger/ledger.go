@@ -277,20 +277,10 @@ func (c *Chain) appendLocked(blk *Block) error {
 	return nil
 }
 
-// SetValidation records validation codes on an already appended block (the
-// validation phase runs after delivery) and re-persists it. The block's
-// rescue digest, if any, is left untouched.
-func (c *Chain) SetValidation(number uint64, codes []protocol.ValidationCode) error {
-	return c.setValidation(number, codes, false, nil)
-}
-
-// SetValidationRescued is SetValidation plus the re-derived rescue digest
-// (nil when no transaction was rescued).
+// SetValidationRescued records validation codes and the re-derived rescue
+// digest (nil when no transaction was rescued) on an already appended block
+// (the validation phase runs after delivery) and re-persists it.
 func (c *Chain) SetValidationRescued(number uint64, codes []protocol.ValidationCode, rescueDigest []byte) error {
-	return c.setValidation(number, codes, true, rescueDigest)
-}
-
-func (c *Chain) setValidation(number uint64, codes []protocol.ValidationCode, setDigest bool, rescueDigest []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.blocks) == 0 {
@@ -308,9 +298,7 @@ func (c *Chain) setValidation(number uint64, codes []protocol.ValidationCode, se
 	c.committed -= uint64(blk.CommittedCount())
 	blk.Validation = codes
 	c.committed += uint64(blk.CommittedCount())
-	if setDigest {
-		blk.RescueDigest = rescueDigest
-	}
+	blk.RescueDigest = rescueDigest
 	if c.store != nil {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(blk); err != nil {

@@ -118,7 +118,7 @@ func TestValidationMetadata(t *testing.T) {
 	c, _ := NewChain(nil)
 	b, _ := c.Seal(txs("a", "b", "c"), nil)
 	codes := []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict, protocol.Valid}
-	if err := c.SetValidation(b.Header.Number, codes); err != nil {
+	if err := c.SetValidationRescued(b.Header.Number, codes, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(1)
@@ -140,10 +140,10 @@ func TestValidationMetadata(t *testing.T) {
 	if n := c.CommittedTxs(); n != 4 {
 		t.Errorf("CommittedTxs = %d want 4 (3 in block 1, 1 in block 2)", n)
 	}
-	if err := c.SetValidation(1, codes[:1]); err == nil {
+	if err := c.SetValidationRescued(1, codes[:1], nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if err := c.SetValidation(9, codes); err == nil {
+	if err := c.SetValidationRescued(9, codes, nil); err == nil {
 		t.Error("missing block accepted")
 	}
 }

@@ -1,14 +1,15 @@
 // Package network models the full execute-order-validate pipeline on the
-// discrete-event simulator: clients submitting at a request rate, endorsing
-// peers running real contract simulations against the real state database
-// (with per-read intervals and, for vanilla Fabric, the simulation/commit
-// read-write lock), the client delay, the consensus latency, a replicated
-// orderer running one of the five schedulers, the block cutter (size or
-// timeout), and the validation phase committing to state and hash-chained
-// ledger.
+// discrete-event simulator, as a virtual-time driver of orderer.Core: clients
+// submitting at a request rate, endorsing peers running real contract
+// simulations against the real state database (with per-read intervals and,
+// for vanilla Fabric, the simulation/commit read-write lock), the client
+// delay, the consensus latency, an orderer station whose arrival and
+// formation jobs call Core.Arrive and Core.Cut (cut on size or timeout), and
+// the validation phase committing to state.
 //
 // Every commit/abort/reorder decision comes from the real implementations in
-// internal/{sched,core,validation,chaincode,statedb,ledger}; only service
+// internal/{orderer,sched,core,validation,chaincode,statedb,ledger} — the
+// ordering state machine is the one a live orderer.Service runs; only service
 // times are modelled, calibrated to the constants the paper reports
 // (Section 5: ~677 tps Fabric raw peak, ~3114 tps FastFabric raw, Fabric++
 // reorder 4.3 ms @ 50 txns to 401 ms @ 500, Focc-l 0.12 ms to 5.19 ms).

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 
 	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/commit"
 	"fabricsharp/internal/core"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
@@ -63,15 +65,15 @@ func (r *Result) AbortRate() float64 {
 	return 1 - float64(r.Committed)/float64(r.Submitted)
 }
 
-// pipeline is the wired-up network.
+// pipeline is the wired-up network: the virtual-time driver of one
+// orderer.Core, between modelled endorsers and a modelled validating peer.
 type pipeline struct {
-	cfg       Config
-	eng       *sim.Engine
-	rng       *rand.Rand
-	registry  *chaincode.Registry
-	state     *statedb.DB
-	chain     *ledger.Chain
-	scheduler sched.Scheduler
+	cfg      Config
+	eng      *sim.Engine
+	rng      *rand.Rand
+	registry *chaincode.Registry
+	state    *statedb.DB
+	core     *orderer.Core
 
 	endorsers *sim.Station
 	orderer   *sim.Station
@@ -121,11 +123,18 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("network: seeding workload: %w", err)
 	}
 	genesis := state.Clone()
-	scheduler, err := sched.New(cfg.System, sched.Options{MaxSpan: cfg.MaxSpan})
-	if err != nil {
-		return nil, err
-	}
-	chain, err := ledger.NewChain(nil)
+	// The Core's shadow starts from the genesis its peer installs.
+	var seeded []protocol.WriteItem
+	state.ForEachLatest(func(key string, vv statedb.VersionedValue) bool {
+		seeded = append(seeded, protocol.WriteItem{Key: key, Value: vv.Value})
+		return true
+	})
+	core, err := orderer.NewCore(orderer.CoreConfig{Options: orderer.Options{
+		System:    cfg.System,
+		BlockSize: cfg.BlockSize,
+		MaxSpan:   cfg.MaxSpan,
+		Genesis:   seeded,
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +145,7 @@ func Run(cfg Config) (*Result, error) {
 		rng:         rng,
 		registry:    chaincode.NewRegistry(cfg.Contracts...),
 		state:       state,
-		chain:       chain,
-		scheduler:   scheduler,
+		core:        core,
 		endorsers:   sim.NewStation(eng, cfg.Timing.EndorserSlots),
 		orderer:     sim.NewStation(eng, 1),
 		validator:   sim.NewStation(eng, 1),
@@ -147,7 +155,7 @@ func Run(cfg Config) (*Result, error) {
 			Config:      cfg,
 			EarlyAborts: metrics.AbortTally{},
 			LateAborts:  metrics.AbortTally{},
-			Chain:       chain,
+			Chain:       core.Chain(),
 			State:       state,
 			Genesis:     genesis,
 		},
@@ -292,17 +300,17 @@ func (p *pipeline) endorse(proc *sim.Proc, id protocol.TxID, op workload.Op, sub
 // processing.
 func (p *pipeline) ordererArrive(tx *protocol.Transaction) {
 	p.orderer.Submit(arrivalCost(p.cfg.System), func() {
-		code, err := p.scheduler.OnArrival(tx)
+		code, err := p.core.Arrive(tx)
 		if err != nil {
 			// Arrival errors indicate a pipeline bug; surface loudly.
-			panic(fmt.Sprintf("network: scheduler arrival: %v", err))
+			panic(fmt.Sprintf("network: %v", err))
 		}
 		if code != protocol.Valid {
 			p.res.EarlyAborts.Inc(code)
 			delete(p.submittedAt, tx.ID)
 			return
 		}
-		n := p.scheduler.PendingCount()
+		n := p.core.Pending()
 		if n >= p.cfg.BlockSize {
 			p.cutBlock()
 			return
@@ -311,7 +319,7 @@ func (p *pipeline) ordererArrive(tx *protocol.Transaction) {
 			// First transaction since the last cut: arm the batch timeout.
 			gen := p.cutGen
 			p.eng.After(p.cfg.BlockTimeout, func() {
-				if p.cutGen == gen && p.scheduler.PendingCount() > 0 {
+				if p.cutGen == gen && p.core.Pending() > 0 {
 					p.cutBlock()
 				}
 			})
@@ -321,25 +329,22 @@ func (p *pipeline) ordererArrive(tx *protocol.Transaction) {
 
 // cutBlock runs the formation step on the orderer (occupying it for the
 // system's reordering cost — Fabric++'s expensive reorder stalls arrivals
-// exactly as the paper describes).
+// exactly as the paper describes). The block leaves the Core sealed, its
+// verdicts embedded and already fed back, as at a real orderer's cut.
 func (p *pipeline) cutBlock() {
 	p.cutGen++
-	n := p.scheduler.PendingCount()
+	n := p.core.Pending()
 	p.orderer.Submit(formationCost(p.cfg.System, n), func() {
-		res, err := p.scheduler.OnBlockFormation()
+		blk, dropped, err := p.core.Cut()
 		if err != nil {
-			panic(fmt.Sprintf("network: formation: %v", err))
+			panic(fmt.Sprintf("network: %v", err))
 		}
-		for _, d := range res.DroppedTxs {
+		for _, d := range dropped {
 			p.res.EarlyAborts.Inc(d.Code)
 			delete(p.submittedAt, d.Tx.ID)
 		}
-		if len(res.Ordered) == 0 {
+		if blk == nil {
 			return
-		}
-		blk, err := p.chain.Seal(res.Ordered, nil)
-		if err != nil {
-			panic(fmt.Sprintf("network: seal: %v", err))
 		}
 		p.eng.After(p.cfg.Timing.DeliveryLatency, func() { p.deliver(blk) })
 	})
@@ -355,14 +360,16 @@ func (p *pipeline) deliver(blk *ledger.Block) {
 
 // commit applies a validated block to the ledger state. Under vanilla
 // Fabric it first takes the write lock, waiting out every in-flight
-// simulation — the contention that collapses Figure 14's vanilla curve.
+// simulation — the contention that collapses Figure 14's vanilla curve. The
+// reference validator's codes must equal the ones the orderer sealed.
 func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 	vanilla := p.cfg.System == sched.SystemFabric
 	if vanilla {
 		proc.Block(p.stateLock.AcquireWrite)
 	}
 	proc.Sleep(p.cfg.Timing.CommitTime)
-	if !p.scheduler.NeedsMVCCValidation() {
+	mvcc := p.core.Scheduler().NeedsMVCCValidation()
+	if !mvcc {
 		// Count the transactions only the ordering-phase guarantee saves
 		// (stale against committed state yet serializable): Figure 15's
 		// "antiRW" share.
@@ -372,19 +379,16 @@ func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 			}
 		}
 	}
-	codes, err := validation.ValidateAndCommit(p.state, blk, validation.Options{
-		MVCC: p.scheduler.NeedsMVCCValidation(),
-	})
+	codes, err := validation.ValidateAndCommit(p.state, blk, validation.Options{MVCC: mvcc})
 	if err != nil {
 		panic(fmt.Sprintf("network: commit: %v", err))
 	}
 	if vanilla {
 		p.stateLock.ReleaseWrite()
 	}
-	if err := p.chain.SetValidation(blk.Header.Number, codes); err != nil {
-		panic(err)
+	if err := commit.AssertVerdictsEqual(blk.Header.Number, blk.Validation, codes); err != nil {
+		panic(fmt.Sprintf("network: commit: %v", err))
 	}
-	p.scheduler.OnBlockCommitted(blk.Header.Number, blk.Transactions, codes)
 
 	now := p.eng.Now()
 	inWindow := now <= p.cfg.Duration
@@ -419,8 +423,8 @@ func (p *pipeline) finalize() {
 	durationSec := p.cfg.Duration.Seconds()
 	p.res.RawTPS = float64(p.windowInLedger) / durationSec
 	p.res.EffectiveTPS = float64(p.windowCommitted) / durationSec
-	p.res.SchedulerTiming = p.scheduler.Timing()
-	if s, ok := p.scheduler.(*sched.Sharp); ok {
+	p.res.SchedulerTiming = p.core.Scheduler().Timing()
+	if s, ok := p.core.Scheduler().(*sched.Sharp); ok {
 		stats := s.Manager().Stats()
 		p.res.SharpStats = &stats
 	}

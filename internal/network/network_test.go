@@ -1,13 +1,16 @@
 package network
 
 import (
-	"fmt"
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/sim"
+	"fabricsharp/internal/validation"
+	"fabricsharp/internal/wire"
 	"fabricsharp/internal/workload"
 )
 
@@ -154,7 +157,7 @@ func TestFabricPPSimulationAborts(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	for _, system := range []sched.System{sched.SystemSharp, sched.SystemFabric} {
+	for _, system := range sched.Systems() {
 		a, err := Run(smallRun(system, 11))
 		if err != nil {
 			t.Fatal(err)
@@ -167,12 +170,73 @@ func TestDeterministicRuns(t *testing.T) {
 			t.Fatalf("%s runs diverged: %d/%d/%d vs %d/%d/%d", system,
 				a.Committed, a.InLedger, a.Blocks, b.Committed, b.InLedger, b.Blocks)
 		}
-		if fmt.Sprintf("%x", a.Chain.TipHash()) != fmt.Sprintf("%x", b.Chain.TipHash()) {
+		if a.Chain.Len() == 0 || !bytes.Equal(a.Chain.TipHash(), b.Chain.TipHash()) {
 			t.Fatalf("%s ledgers diverged", system)
 		}
+		// The tip hash chains the transactions; the sealed verdicts are block
+		// metadata outside it.
+		a.Chain.ForEach(func(ab *ledger.Block) bool {
+			bb, _ := b.Chain.Get(ab.Header.Number)
+			if !bytes.Equal(wire.EncodeBlock(ab), wire.EncodeBlock(bb)) {
+				t.Fatalf("%s block %d diverged", system, ab.Header.Number)
+			}
+			return true
+		})
 		if a.State.StateFingerprint() != b.State.StateFingerprint() {
 			t.Fatalf("%s final states diverged", system)
 		}
+	}
+}
+
+// TestSealedVerdictsMatchCommit checks, for every system, that the verdicts
+// the orderer.Core sealed at each cut — from its shadow state, before the
+// block was delivered — are the codes the sequential reference validator
+// derives replaying the sealed chain over the genesis state. (The commit
+// station asserts the same per block at run time; this checks the recorded
+// chain independently.)
+func TestSealedVerdictsMatchCommit(t *testing.T) {
+	for _, system := range sched.Systems() {
+		system := system
+		t.Run(string(system), func(t *testing.T) {
+			res, err := Run(smallRun(system, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Chain.Len() == 0 {
+				t.Fatal("no blocks sealed")
+			}
+			state := res.Genesis.Clone()
+			scheduler, err := sched.New(system, sched.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mvcc := scheduler.NeedsMVCCValidation()
+			aborts := 0
+			res.Chain.ForEach(func(blk *ledger.Block) bool {
+				codes, err := validation.ValidateAndCommit(state, blk, validation.Options{MVCC: mvcc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(blk.Validation) != len(codes) {
+					t.Fatalf("block %d sealed %d verdicts for %d transactions", blk.Header.Number, len(blk.Validation), len(codes))
+				}
+				for i, code := range codes {
+					if blk.Validation[i] != code {
+						t.Fatalf("block %d tx %d: sealed %v, reference validation %v", blk.Header.Number, i, blk.Validation[i], code)
+					}
+					if code != protocol.Valid {
+						aborts++
+					}
+				}
+				return true
+			})
+			if state.StateFingerprint() != res.State.StateFingerprint() {
+				t.Fatal("replaying the sealed chain does not reproduce the run's final state")
+			}
+			if (system == sched.SystemFabric || system == sched.SystemFoccL) && aborts == 0 {
+				t.Error("no validation aborts under contention — the equality above was never exercised")
+			}
+		})
 	}
 }
 

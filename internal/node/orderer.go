@@ -22,13 +22,12 @@ import (
 
 // OrdererConfig parameterizes an ordering process.
 type OrdererConfig struct {
-	// Options tune the ordering service itself (system, replicas, block
-	// cutting, compaction, dedup, rescue, genesis). Rescue and Genesis must
-	// match the peers': the rescue digest is byte-asserted across the
-	// cluster, and every replica — orderer shadows and remote peers alike —
-	// must install the identical genesis or MVCC verdicts diverge (resolve
-	// it once from the scenario registry and hand the same slice to every
-	// node config).
+	// Options tune the ordering service itself (system, block cutting,
+	// compaction, dedup, rescue, genesis). Rescue and Genesis must match the
+	// peers': the rescue digest is byte-asserted across the cluster, and
+	// every replica — orderer shadows and remote peers alike — must install
+	// the identical genesis or MVCC verdicts diverge (resolve it once from
+	// the scenario registry and hand the same slice to every node config).
 	orderer.Options
 	// Listen is the TCP address for client submits/result waits and peer
 	// subscriptions ("127.0.0.1:0" picks an ephemeral port).
@@ -126,10 +125,12 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 	o.tracer = trace.New(o.name, "orderer", cfg.TraceEvents)
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
 	svc, err := orderer.New(orderer.Config{
-		Options:  cfg.Options,
-		MSP:      msp,
-		Policy:   policy,
-		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+		CoreConfig: orderer.CoreConfig{
+			Options:  cfg.Options,
+			MSP:      msp,
+			Policy:   policy,
+			Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+		},
 		Ordering: ordering,
 		// Sealed blocks leave through the subscription streams, and results
 		// resolve at seal time from the shadow verdicts — which the
@@ -157,10 +158,9 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 }
 
 // sealedBlock is the service's delivery. It wakes every subscription
-// stream — the streams read sealed blocks (with verdicts) off the lead
-// replica's chain at their own pace; catch-up and live tail are the same
-// loop — and then resolves the block's results, waking the wire clients
-// parked on them.
+// stream — the streams read sealed blocks (with verdicts) off the service's
+// chain at their own pace; catch-up and live tail are the same loop — and
+// then resolves the block's results, waking the wire clients parked on them.
 func (o *Orderer) sealedBlock(blk *ledger.Block) error {
 	o.sealedMu.Lock()
 	close(o.sealed)
@@ -175,8 +175,8 @@ func (o *Orderer) sealedBlock(blk *ledger.Block) error {
 // Addr returns the server's bound address.
 func (o *Orderer) Addr() string { return o.srv.Addr() }
 
-// Chain exposes the lead replica's sealed chain (tests, tools).
-func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain(0) }
+// Chain exposes the sealed chain (tests, tools).
+func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain() }
 
 // Raft exposes the wire consensus service; nil for a standalone orderer.
 func (o *Orderer) Raft() *transport.RaftService { return o.raft }
@@ -226,7 +226,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 			o.streamBlocks(c, sub.From)
 			return // the stream owns the connection until it dies
 		case wire.MsgStatusReq:
-			chain := o.svc.Chain(0)
+			chain := o.svc.Chain()
 			height, _ := chain.Height()
 			st := wire.Status{
 				Role:        "orderer",
@@ -328,12 +328,12 @@ func (o *Orderer) leaderHint() string {
 	return leader
 }
 
-// streamBlocks walks the lead orderer's sealed chain from block from+1,
-// sending each block and waiting for the next seal when it reaches the tip.
+// streamBlocks walks the sealed chain from block from+1, sending each block
+// and waiting for the next seal when it reaches the tip.
 // Slow consumers exert backpressure only on their own stream; the ordering
 // pipeline never waits for a peer.
 func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
-	chain := o.svc.Chain(0)
+	chain := o.svc.Chain()
 	next := from + 1
 	for {
 		// Fetch the wakeup channel BEFORE probing the chain: a seal landing

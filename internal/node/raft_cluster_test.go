@@ -3,62 +3,67 @@ package node
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/transport/transporttest"
 	"fabricsharp/internal/wire"
 )
 
-// reserveAddrs grabs n distinct ephemeral 127.0.0.1 ports and releases them,
-// so the Raft membership and redirect map are known before any process
-// starts.
-func reserveAddrs(t *testing.T, n int) []string {
+// startRaftOrderers boots n orderers forming one Raft cluster — client and
+// Raft ports picked up front, a full redirect map, fast timers — registering
+// cleanup. tune, when non-nil, adjusts member i's config before it starts. It
+// returns the configs too: a test that kills a member restarts it from its
+// own.
+func startRaftOrderers(t *testing.T, system sched.System, n int, peerNames []string, tune func(i int, cfg *OrdererConfig)) ([]OrdererConfig, []*Orderer, []string) {
 	t.Helper()
+	var cfgs []OrdererConfig
+	var ords []*Orderer
+	transporttest.BootOnFreePorts(t, 2*n, func(addrs []string) error {
+		clientAddrs, raftAddrs := addrs[:n], addrs[n:]
+		redirects := make(map[string]string, n)
+		for i := range raftAddrs {
+			redirects[raftAddrs[i]] = clientAddrs[i]
+		}
+		cfgs, ords = make([]OrdererConfig, n), nil
+		for i := range cfgs {
+			cfgs[i] = OrdererConfig{
+				Options: orderer.Options{
+					System:       system,
+					BlockSize:    10,
+					BlockTimeout: 25 * time.Millisecond,
+					Rescue:       true,
+				},
+				Listen:              clientAddrs[i],
+				PeerNames:           peerNames,
+				RaftID:              raftAddrs[i],
+				RaftCluster:         raftAddrs,
+				RaftRedirects:       redirects,
+				RaftElectionTimeout: 100 * time.Millisecond,
+			}
+			if tune != nil {
+				tune(i, &cfgs[i])
+			}
+			o, err := StartOrderer(cfgs[i])
+			if err != nil {
+				for _, started := range ords {
+					started.Close()
+				}
+				return err
+			}
+			ords = append(ords, o)
+		}
+		return nil
+	})
 	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		_ = l.Close()
+	for i, o := range ords {
+		t.Cleanup(func() { o.Close() })
+		addrs[i] = o.Addr()
 	}
-	return addrs
-}
-
-// raftOrdererConfigs builds n orderer configs forming one Raft cluster:
-// pre-reserved client and Raft ports, a full redirect map, fast timers.
-func raftOrdererConfigs(t *testing.T, system sched.System, n int, peerNames []string) []OrdererConfig {
-	t.Helper()
-	clientAddrs := reserveAddrs(t, n)
-	raftAddrs := reserveAddrs(t, n)
-	redirects := make(map[string]string, n)
-	for i := range raftAddrs {
-		redirects[raftAddrs[i]] = clientAddrs[i]
-	}
-	cfgs := make([]OrdererConfig, n)
-	for i := range cfgs {
-		cfgs[i] = OrdererConfig{
-			Options: orderer.Options{
-				System:       system,
-				Orderers:     1, // the Raft cluster is the replication under test
-				BlockSize:    10,
-				BlockTimeout: 25 * time.Millisecond,
-				Rescue:       true,
-			},
-			Listen:              clientAddrs[i],
-			PeerNames:           peerNames,
-			RaftID:              raftAddrs[i],
-			RaftCluster:         raftAddrs,
-			RaftRedirects:       redirects,
-			RaftElectionTimeout: 100 * time.Millisecond,
-		}
-	}
-	return cfgs
+	return cfgs, ords, addrs
 }
 
 // waitRaftLeader polls until one live orderer leads, returning its index.
@@ -101,21 +106,11 @@ func driveCommitted(t *testing.T, client *Client, txs, hotKeys int) int {
 func bootRaftCluster(t *testing.T, tune ...func(*OrdererConfig)) (ords []*Orderer, ordererAddrs []string, peers []*Peer) {
 	t.Helper()
 	peerNames := []string{"peer0", "peer1"}
-	cfgs := raftOrdererConfigs(t, sched.SystemSharp, 3, peerNames)
-	ords = make([]*Orderer, len(cfgs))
-	ordererAddrs = make([]string, len(cfgs))
-	for i, cfg := range cfgs {
+	_, ords, ordererAddrs = startRaftOrderers(t, sched.SystemSharp, 3, peerNames, func(_ int, cfg *OrdererConfig) {
 		for _, f := range tune {
-			f(&cfg)
+			f(cfg)
 		}
-		o, err := StartOrderer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { o.Close() })
-		ords[i] = o
-		ordererAddrs[i] = o.Addr()
-	}
+	})
 	peers = make([]*Peer, len(peerNames))
 	for i, name := range peerNames {
 		p, err := StartPeer(PeerConfig{
@@ -315,24 +310,12 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 		t.Skip("multi-process-shaped Raft cluster is not a -short test")
 	}
 	peerNames := []string{"peer0"}
-	cfgs := raftOrdererConfigs(t, sched.SystemSharp, 3, peerNames)
-	for i := range cfgs {
-		cfgs[i].BlockSize = 2
-		cfgs[i].MaxSpan = 4
-		cfgs[i].CompactEvery = 2
-		cfgs[i].RaftDir = t.TempDir()
-	}
-	ords := make([]*Orderer, len(cfgs))
-	ordererAddrs := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		o, err := StartOrderer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { o.Close() })
-		ords[i] = o
-		ordererAddrs[i] = o.Addr()
-	}
+	cfgs, ords, ordererAddrs := startRaftOrderers(t, sched.SystemSharp, 3, peerNames, func(_ int, cfg *OrdererConfig) {
+		cfg.BlockSize = 2
+		cfg.MaxSpan = 4
+		cfg.CompactEvery = 2
+		cfg.RaftDir = t.TempDir()
+	})
 	peer, err := StartPeer(PeerConfig{
 		Name:         "peer0",
 		Listen:       "127.0.0.1:0",

@@ -93,28 +93,16 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			genesis := sc.GenesisWrites(params)
 			peerNames := []string{"peer0", "peer1"}
 
-			cfgs := raftOrdererConfigs(t, system, 3, peerNames)
-			for i := range cfgs {
-				cfgs[i].BlockSize = 4
-				cfgs[i].MaxSpan = 8
-				cfgs[i].CompactEvery = 2
-				cfgs[i].RaftDir = t.TempDir()
-				cfgs[i].Genesis = genesis
+			cfgs, ords, ordererAddrs := startRaftOrderers(t, system, 3, peerNames, func(i int, cfg *OrdererConfig) {
+				cfg.BlockSize = 4
+				cfg.MaxSpan = 8
+				cfg.CompactEvery = 2
+				cfg.RaftDir = t.TempDir()
+				cfg.Genesis = genesis
 				// Raft absorbs dropped frames through retransmission, so the
 				// inter-orderer links take the full fault menu.
-				cfgs[i].RaftDial = chaosDial(int64(1+1000*si+i), 0.2, 0.15)
-			}
-			ords := make([]*Orderer, len(cfgs))
-			ordererAddrs := make([]string, len(cfgs))
-			for i, cfg := range cfgs {
-				o, err := StartOrderer(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { o.Close() })
-				ords[i] = o
-				ordererAddrs[i] = o.Addr()
-			}
+				cfg.RaftDial = chaosDial(int64(1+1000*si+i), 0.2, 0.15)
+			})
 			peerCfg := func(pn string) PeerConfig {
 				return PeerConfig{
 					Name:         pn,

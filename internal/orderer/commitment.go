@@ -2,7 +2,6 @@ package orderer
 
 import (
 	"fmt"
-	"sync"
 
 	"fabricsharp/internal/protocol"
 )
@@ -27,9 +26,9 @@ import (
 
 // CommitmentBroker sequences hash commitments and releases payloads to the
 // scheduler in commitment order. It sits between the consensus stream and a
-// scheduler; the replicas use it when Config.HashCommitment is set.
+// scheduler; a Core owns one when CoreConfig.HashCommitment is set, and like
+// the Core it is not goroutine-safe.
 type CommitmentBroker struct {
-	mu        sync.Mutex
 	order     []string                         // digests in consensus order
 	disclosed map[string]*protocol.Transaction // digest -> payload
 	released  int                              // prefix of order already released
@@ -42,8 +41,6 @@ func NewCommitmentBroker() *CommitmentBroker {
 
 // Commit records a sequenced digest commitment.
 func (b *CommitmentBroker) Commit(digest string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.order = append(b.order, digest)
 }
 
@@ -53,8 +50,6 @@ func (b *CommitmentBroker) Commit(digest string) {
 // transaction after sequencing).
 func (b *CommitmentBroker) Disclose(tx *protocol.Transaction) ([]*protocol.Transaction, error) {
 	digest := tx.DigestHex()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	found := false
 	for _, d := range b.order[b.released:] {
 		if d == digest {
@@ -86,7 +81,5 @@ func (b *CommitmentBroker) Disclose(tx *protocol.Transaction) ([]*protocol.Trans
 // PendingCommitments returns how many sequenced digests still await
 // disclosure.
 func (b *CommitmentBroker) PendingCommitments() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.order) - b.released
 }

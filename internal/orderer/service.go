@@ -1,14 +1,18 @@
-// Package orderer is the ordering role of Section 2.1 as one service: it
-// subscribes replicated orderer replicas to a consensus stream, runs each
-// through dedup → scheduler → cut → shadow verdicts → rescue → seal, and
-// hands the lead replica's sealed blocks (verdicts embedded) to the attached
-// transport.Delivery consumers. It knows nothing about peers, clients or
-// sockets: the in-process fabric.Network and the TCP node.Orderer are both
-// this Service plus their own delivery and result plumbing.
+// Package orderer is the ordering role of Section 2.1, split the way
+// consensus.RaftCore and transport.RaftService split Raft. Core (core.go) is
+// the ordering state machine — dedup → scheduler → cut → shadow verdicts →
+// rescue → seal → commit feedback — with no goroutine, clock or channel.
+// Service (this file) is its real-time driver: it folds Core.Step over a
+// consensus stream, proposes time-to-cut markers from a timer, and hands the
+// sealed blocks to the attached transport.Delivery consumers;
+// internal/network drives the same Core in virtual time. Neither knows about
+// peers, clients or sockets: fabric.Network and node.Orderer are both this
+// Service plus their own delivery and result plumbing.
 //
-// Everything a replica seals is a pure function of the consensus stream, so
-// the whole package is bound by the determinism contract
-// (docs/determinism.md).
+// Replication is the consensus stream's job: N Services on one
+// consensus.Service — which is what a Raft ordering cluster is — seal
+// byte-identical chains, because everything a Core seals is a pure function
+// of the stream (docs/determinism.md).
 package orderer
 
 import (
@@ -16,17 +20,12 @@ import (
 	"sync"
 	"time"
 
-	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/commit"
 	"fabricsharp/internal/consensus"
-	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
-	"fabricsharp/internal/validation"
-	"fabricsharp/internal/workload"
 )
 
 // Options are the ordering tunables every deployment shares.
@@ -34,10 +33,6 @@ type Options struct {
 	// System selects the ordering-phase concurrency control
 	// (default sched.SystemSharp).
 	System sched.System
-	// Orderers is the number of replicated orderers (default 2). All run
-	// the same scheduler on the same consensus stream; the first one
-	// delivers blocks.
-	Orderers int
 	// BlockSize cuts a block at this many pending transactions
 	// (default 100).
 	BlockSize int
@@ -68,11 +63,11 @@ type Options struct {
 	// and the rescued write sets commit under the Rescued verdict; it must
 	// match the peers' setting (the rescue digest is byte-asserted). A no-op
 	// for systems whose ordering phase already guarantees serializability.
-	// Replicas running with rescue keep a value-tracking shadow, trading
+	// An orderer running with rescue keeps a value-tracking shadow, trading
 	// memory for the re-execution capability.
 	Rescue bool
-	// Genesis, when non-empty, is the block-0 write set seeded into every
-	// replica's shadow state at workload.GenesisVersion — it must be the set
+	// Genesis, when non-empty, is the block-0 write set seeded into the
+	// orderer's shadow state at workload.GenesisVersion — it must be the set
 	// the peers install, or shadow MVCC verdicts would diverge from peer
 	// validation.
 	Genesis []protocol.WriteItem
@@ -89,9 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.System == "" {
 		o.System = sched.SystemSharp
 	}
-	if o.Orderers == 0 {
-		o.Orderers = 2
-	}
 	if o.BlockSize == 0 {
 		o.BlockSize = 100
 	}
@@ -107,164 +99,161 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Config is what a Service is assembled from.
+// Config is what a Service is assembled from: its Core's configuration plus
+// the real-time plumbing around it.
 type Config struct {
-	Options
-	// MSP and Policy verify endorsements in the shadow validation pass —
-	// the same pair the peers validate with.
-	MSP    *identity.Service
-	Policy identity.Policy
-	// Registry resolves contracts for the rescue re-execution.
-	Registry *chaincode.Registry
-	// Ordering is the consensus stream the replicas consume. The Service
-	// takes ownership: Close closes it.
+	CoreConfig
+	// Ordering is the consensus stream the Core consumes. The Service takes
+	// ownership: Close closes it.
 	Ordering consensus.Service
-	// HashCommitment makes the replicas honour the Section 3.5 two-phase
-	// submission: disclosures are processed in commitment order.
-	HashCommitment bool
-	// Deliveries receive the lead replica's sealed blocks, verdicts
-	// embedded, in chain order from the lead's goroutine. A returned error
-	// is fatal to the service.
+	// Deliveries receive the sealed blocks, verdicts embedded, in chain
+	// order from the Service's goroutine. A returned error is fatal to the
+	// service.
 	Deliveries []transport.Delivery
-	// OnAbort, when set, observes every transaction the lead replica
-	// resolves before it reaches a block: duplicates, early aborts, broken
-	// disclosures and formation drops. Called from the lead's goroutine;
-	// must be fast and thread-safe.
+	// OnAbort, when set, observes every transaction resolved before it
+	// reaches a block: duplicates, early aborts, broken disclosures and
+	// formation drops. Called from the Service's goroutine; must be fast
+	// and thread-safe.
 	OnAbort func(id protocol.TxID, code protocol.ValidationCode)
 	// Tracer, when set, records the order and seal stage of every
-	// transaction the lead replica processes — write-only telemetry (see
-	// internal/trace). Nil disables recording at zero cost.
+	// transaction processed — write-only telemetry (see internal/trace).
+	// Nil disables recording at zero cost.
 	Tracer *trace.Tracer
 }
 
-// Service is a running ordering service.
+// Service is a running ordering service: one Core, driven in real time.
 type Service struct {
-	cfg      Config
-	replicas []*replica
-	done     chan struct{}
-	wg       sync.WaitGroup
-	stop     sync.Once
+	cfg  Config
+	core *Core
+	done chan struct{}
+	wg   sync.WaitGroup
+	stop sync.Once
 
 	// The first failure is recorded and fatalCh closed, atomically under
-	// errMu; submitters and replicas observe it and stop. A poisoned block
-	// must not crash the process.
+	// errMu; submitters and the run loop observe it and stop. A poisoned
+	// block must not crash the process.
 	errMu    sync.Mutex
 	fatalErr error
 	fatalCh  chan struct{}
 }
 
-// New builds the replicas — scheduler, empty chain and genesis-seeded shadow
-// each — without consuming the stream yet: Resume may adopt a stored chain
-// first, Start begins ordering.
+// New builds the Core without consuming the stream yet: Resume may adopt a
+// stored chain first, Start begins ordering.
 func New(cfg Config) (*Service, error) {
 	cfg.Options = cfg.Options.withDefaults()
-	s := &Service{cfg: cfg, done: make(chan struct{}), fatalCh: make(chan struct{})}
-	for i := 0; i < cfg.Orderers; i++ {
-		scheduler, err := sched.New(cfg.System, sched.Options{MaxSpan: cfg.MaxSpan, CompactEvery: cfg.CompactEvery})
-		if err != nil {
-			return nil, err
-		}
-		chain, err := ledger.NewChain(nil)
-		if err != nil {
-			return nil, err
-		}
-		shadow := validation.NewShadowState()
-		if cfg.Rescue {
-			// Rescue re-executes chaincode here, which needs the committed
-			// values, not just versions.
-			shadow = validation.NewValueShadowState()
-		}
-		// The shadow must agree with the peers' seeded states key for key:
-		// an endorsement over a genesis key carries workload.GenesisVersion
-		// in its read set, and the shadow validator has to see that same
-		// version or its sealed verdict would diverge from peer validation.
-		for _, w := range cfg.Genesis {
-			if !w.Delete {
-				shadow.Seed(w.Key, w.Value, workload.GenesisVersion())
-			}
-		}
-		r := &replica{
-			svc:       s,
-			name:      fmt.Sprintf("orderer%d", i),
-			scheduler: scheduler,
-			chain:     chain,
-			lead:      i == 0,
-			shadow:    shadow,
-			rescue:    cfg.Rescue && scheduler.NeedsMVCCValidation(),
-			vopts: validation.Options{
-				MVCC:   scheduler.NeedsMVCCValidation(),
-				MSP:    cfg.MSP,
-				Policy: cfg.Policy,
-			},
-			seen:        map[protocol.TxID]bool{},
-			seenByBlock: map[uint64][]protocol.TxID{},
-			seenFloor:   1,
-		}
-		if cfg.HashCommitment {
-			r.broker = NewCommitmentBroker()
-		}
-		s.replicas = append(s.replicas, r)
+	core, err := NewCore(cfg.CoreConfig)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Service{cfg: cfg, core: core, done: make(chan struct{}), fatalCh: make(chan struct{})}, nil
 }
 
-// Resume adopts a stored chain on every replica before Start: each block is
-// appended, the shadow version state rebuilt from the stored verdicts, and
-// the schedulers fast-forwarded past the stored height. Restart semantics
-// are clean-shutdown: nothing was pending across the restart, so new
-// transactions (whose snapshots are at or above the stored height) cannot
-// conflict with pre-restart history and the schedulers may start from an
-// empty dependency graph — but the shadow state MUST resume exactly where
-// the peers' state databases do, or the first post-restart shadow
-// validation would diverge from peer validation.
-func (s *Service) Resume(stored *ledger.Chain) error {
-	var walkErr error
-	stored.ForEach(func(b *ledger.Block) bool {
-		if len(b.Validation) != len(b.Transactions) {
-			walkErr = fmt.Errorf("orderer: stored block %d missing validation metadata", b.Header.Number)
-			return false
-		}
-		for _, r := range s.replicas {
-			blk := *b
-			if walkErr = r.chain.Append(&blk); walkErr != nil {
-				return false
-			}
-			// Rescued verdicts carry no write sets in the block: re-derive
-			// them by re-running the deterministic rescue phase against the
-			// shadow's replayed state, asserting the sealed digest.
-			if b.RescueDigest != nil && !r.shadow.TracksValues() {
-				walkErr = fmt.Errorf("orderer: stored block %d carries rescued verdicts; the network must boot with Rescue enabled to replay it", b.Header.Number)
-				return false
-			}
-			out, err := commit.ReplayRescue(r.shadow, b, s.cfg.Registry)
-			if err != nil {
-				walkErr = fmt.Errorf("orderer: %w", err)
-				return false
-			}
-			r.shadow.ApplyRescued(b.Header.Number, b.Transactions, b.Validation, out.Writes)
-		}
-		return true
-	})
-	if walkErr != nil {
-		return walkErr
-	}
-	height, _ := stored.Height()
-	for _, r := range s.replicas {
-		// Dedup buckets resume past the stored chain too, so the first
-		// post-restart eviction does not walk empty pre-restart blocks.
-		r.seenFloor = height + 1
-		if err := r.scheduler.FastForward(height); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Resume adopts a stored chain before Start; Core.Replay has the contract.
+func (s *Service) Resume(stored *ledger.Chain) error { return s.core.Replay(stored) }
 
-// Start begins consuming the consensus stream on every replica.
+// Start begins consuming the consensus stream.
 func (s *Service) Start() {
-	for _, r := range s.replicas {
-		s.wg.Add(1)
-		go r.run()
+	s.wg.Add(1)
+	go s.run()
+}
+
+// run folds Core.Step over the stream. The Core never touches peer state:
+// delivery is a channel send or a wake-up, so stream consumption stays
+// pipelined with peer commits and the only way a step blocks is
+// backpressure from a delivery.
+func (s *Service) run() {
+	defer s.wg.Done()
+	stream, cancel := s.cfg.Ordering.Subscribe()
+	defer cancel()
+	//sharp:allow seaminject block-cut timer only proposes TTC cut markers into the consensus stream; sealed output remains a pure function of that stream
+	timer := time.NewTimer(s.cfg.BlockTimeout)
+	defer timer.Stop()
+
+	for {
+		// Fatal check first, non-blocking: select picks ready cases at
+		// random, so without this a busy consensus stream could keep
+		// winning over the closed fatalCh and the orderer would go on
+		// driving a faulted scheduler.
+		select {
+		case <-s.fatalCh:
+			return
+		default:
+		}
+		select {
+		case <-s.done:
+			return
+		case <-s.fatalCh:
+			// A poisoned block or scheduler fault elsewhere: stop consuming
+			// rather than extending a chain nobody will commit.
+			return
+		case <-timer.C:
+			if s.core.Pending() > 0 {
+				// Do not cut locally: post a time-to-cut marker through
+				// consensus so every replica cuts at the same stream
+				// position (deterministic block boundaries). The submit is
+				// best-effort — on a Raft follower it fails with ErrNotLeader
+				// by design (the leader's Service proposes the marker) — so
+				// re-arm and keep proposing until the cut lands. Without the
+				// retry a Service that fired as a follower and later won an
+				// election would sit on pending transactions forever.
+				_ = s.cfg.Ordering.Submit(consensus.Envelope{SubmittedBy: "orderer", CutBlock: s.core.NextBlock()})
+				timer.Reset(s.cfg.BlockTimeout)
+			}
+		case seq, ok := <-stream:
+			if !ok {
+				// Consensus closed: cut the tail so waiters resolve.
+				if s.core.Pending() > 0 {
+					if err := s.core.cut(s); err != nil {
+						s.Fail(err)
+					}
+				}
+				return
+			}
+			was, assembling := s.core.Pending(), s.core.NextBlock()
+			if err := s.core.Step(seq.Env, s); err != nil {
+				s.Fail(err)
+				return
+			}
+			// The timer runs from the first admission into an empty batch
+			// until that batch is cut.
+			if was == 0 || s.core.NextBlock() != assembling {
+				if !timer.Stop() {
+					select {
+					case <-timer.C:
+					default:
+					}
+				}
+				if s.core.Pending() > 0 {
+					timer.Reset(s.cfg.BlockTimeout)
+				}
+			}
+		}
+	}
+}
+
+// Admitted implements Events with the order stage's telemetry.
+func (s *Service) Admitted(id protocol.TxID) {
+	s.cfg.Tracer.Record(string(id), trace.StageOrder, 0)
+}
+
+// Aborted implements Events.
+func (s *Service) Aborted(id protocol.TxID, code protocol.ValidationCode) {
+	if s.cfg.OnAbort != nil {
+		s.cfg.OnAbort(id, code)
+	}
+}
+
+// Sealed implements Events: it hands the block to every delivery. Ordering
+// never waits for validation.
+func (s *Service) Sealed(blk *ledger.Block) {
+	for _, tx := range blk.Transactions {
+		s.cfg.Tracer.Record(string(tx.ID), trace.StageSeal, blk.Header.Number)
+	}
+	for _, d := range s.cfg.Deliveries {
+		if err := d.Deliver(blk); err != nil {
+			s.Fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
+			return
+		}
 	}
 }
 
@@ -277,8 +266,8 @@ func (s *Service) Submit(env consensus.Envelope) error {
 	return s.cfg.Ordering.Submit(env)
 }
 
-// Close stops the replicas and closes the consensus service; it returns once
-// every replica goroutine has exited. Idempotent.
+// Close stops the run loop and closes the consensus service; it returns once
+// the goroutine has exited. Idempotent.
 func (s *Service) Close() {
 	s.stop.Do(func() {
 		close(s.done)
@@ -287,21 +276,17 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// Replicas returns the number of orderer replicas.
-func (s *Service) Replicas() int { return len(s.replicas) }
-
-// Chain exposes replica i's sealed chain; replica 0 is the lead, whose
-// blocks are the ones delivered.
-func (s *Service) Chain(i int) *ledger.Chain { return s.replicas[i].chain }
+// Chain exposes the sealed chain, whose blocks are the ones delivered.
+func (s *Service) Chain() *ledger.Chain { return s.core.Chain() }
 
 // NeedsMVCCValidation reports whether the configured system leaves the
 // stale-read check to the validation phase — the switch every peer must
-// share with the replicas' shadow validator.
-func (s *Service) NeedsMVCCValidation() bool { return s.replicas[0].vopts.MVCC }
+// share with the Core's shadow validator.
+func (s *Service) NeedsMVCCValidation() bool { return s.core.Scheduler().NeedsMVCCValidation() }
 
 // Fail records the service's first fatal error and unblocks everyone
 // waiting on it. The process stays alive: submitters get the error and the
-// replicas stop consuming. Peers sharing the service's fate (a committer
+// run loop stops consuming. Peers sharing the service's fate (a committer
 // that diverged from the sealed verdicts) report through it too.
 func (s *Service) Fail(err error) {
 	s.errMu.Lock()
@@ -321,13 +306,3 @@ func (s *Service) Err() error {
 
 // Fatal returns a channel closed on the first fatal error.
 func (s *Service) Fatal() <-chan struct{} { return s.fatalCh }
-
-// dispatch hands a sealed block to every delivery.
-func (s *Service) dispatch(blk *ledger.Block) {
-	for _, d := range s.cfg.Deliveries {
-		if err := d.Deliver(blk); err != nil {
-			s.Fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
-			return
-		}
-	}
-}

@@ -2,54 +2,46 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/transport/transporttest"
 )
 
-// reserveAddrs grabs n distinct ephemeral 127.0.0.1 ports and releases them,
-// so a cluster's full membership is known before any member starts. The
-// window between release and rebind is racy in principle; in practice the
-// kernel does not hand the port out again this quickly.
-func reserveAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		_ = l.Close()
-	}
-	return addrs
-}
-
-// startRaftCluster boots n members with fast timers. mutate, when non-nil,
-// adjusts each member's config before start (fault seams, state dirs).
+// startRaftCluster boots n members with fast timers on ports picked up front
+// (a cluster's full membership must be known before any member starts).
+// mutate, when non-nil, adjusts each member's config before start (fault
+// seams, state dirs).
 func startRaftCluster(t *testing.T, n int, mutate func(i int, cfg *RaftConfig)) []*RaftService {
 	t.Helper()
-	addrs := reserveAddrs(t, n)
-	svcs := make([]*RaftService, n)
-	for i, addr := range addrs {
-		cfg := RaftConfig{
-			ID:              addr,
-			Cluster:         addrs,
-			ElectionTimeout: 100 * time.Millisecond,
-			Seed:            int64(1000 * (i + 1)),
+	var svcs []*RaftService
+	transporttest.BootOnFreePorts(t, n, func(addrs []string) error {
+		svcs = nil
+		for i, addr := range addrs {
+			cfg := RaftConfig{
+				ID:              addr,
+				Cluster:         addrs,
+				ElectionTimeout: 100 * time.Millisecond,
+				Seed:            int64(1000 * (i + 1)),
+			}
+			if mutate != nil {
+				mutate(i, &cfg)
+			}
+			s, err := StartRaft(cfg)
+			if err != nil {
+				for _, started := range svcs {
+					started.Close()
+				}
+				return err
+			}
+			svcs = append(svcs, s)
 		}
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		s, err := StartRaft(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	for _, s := range svcs {
 		t.Cleanup(s.Close)
-		svcs[i] = s
 	}
 	return svcs
 }

@@ -1,9 +1,7 @@
 package validation
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
@@ -188,34 +186,9 @@ func PrecheckEndorsements(txs []*protocol.Transaction, opts Options, workers int
 		return nil
 	}
 	failed := make([]bool, len(txs))
-	check := func(i int) {
+	conflict.ParallelFor(len(txs), workers, func(i int) {
 		failed[i] = opts.MSP.CheckEndorsements(txs[i], opts.Policy) != nil
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers <= 1 {
-		for i := range txs {
-			check(i)
-		}
-		return failed
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(txs) {
-					return
-				}
-				check(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return failed
 }
 
