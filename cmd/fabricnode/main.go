@@ -19,6 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only under -pprof-addr
 	"os"
 	"os/signal"
 	"strings"
@@ -56,6 +58,7 @@ func main() {
 	workloadName := flag.String("workload", "", "registered scenario whose genesis state this node installs (identical cluster-wide; empty = no genesis)")
 	accounts := flag.Int("accounts", 0, "scenario pool-size override (requires -workload; 0 = scenario default)")
 	traceEvents := flag.Int("trace-events", 0, "stage-tracing ring capacity in events (0 = default; tracing is always on)")
+	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this loopback address (empty = off; docs/observability.md)")
 	flag.Parse()
 
 	names := splitNonEmpty(*peerNames)
@@ -82,6 +85,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fabricnode -role orderer|peer [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+	if *pprofAddr != "" {
+		go func() { fatal(http.ListenAndServe(*pprofAddr, nil)) }()
 	}
 	// Every node of a cluster resolves the same -workload/-accounts pair to
 	// the same write set, so all replicas install bit-identical genesis.

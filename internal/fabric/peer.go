@@ -52,7 +52,10 @@ type PeerConfig struct {
 // Peer is an endorsing + validating peer with its own state, ledger, and
 // pipelined committer.
 type Peer struct {
-	id        *identity.Identity
+	id *identity.Identity
+	// signed signs this peer's endorsements and remembers them, so its own
+	// committer does not verify them again a block later.
+	signed    *identity.SignedRing
 	registry  *chaincode.Registry
 	state     *statedb.DB
 	chain     *ledger.Chain
@@ -66,7 +69,7 @@ type Peer struct {
 // by a buffered delivery channel. The caller starts the committer once
 // anything it wants replayed (Committer().ReplayStored) is in.
 func NewPeer(cfg PeerConfig) (*Peer, error) {
-	p := &Peer{id: cfg.ID, registry: cfg.Registry}
+	p := &Peer{id: cfg.ID, signed: identity.NewSignedRing(cfg.ID), registry: cfg.Registry}
 	var stateOpts statedb.Options
 	var chainKV *kvstore.DB
 	if cfg.DataDir != "" {
@@ -102,7 +105,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		State: p.state,
 		Chain: p.chain,
 		Validation: commit.Options{
-			Options:  validation.Options{MVCC: cfg.MVCC, MSP: cfg.MSP, Policy: cfg.Policy},
+			Options:  validation.Options{MVCC: cfg.MVCC, MSP: cfg.MSP, Policy: cfg.Policy, Self: p.signed},
 			Workers:  cfg.Workers,
 			Rescue:   cfg.Rescue,
 			Registry: cfg.Registry,
@@ -155,7 +158,7 @@ func (p *Peer) Endorse(tx *protocol.Transaction) ([]byte, error) {
 	tx.RWSet = rwset
 	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
 		EndorserID: p.id.ID,
-		Signature:  p.id.Sign(tx.Digest()),
+		Signature:  p.signed.Sign(tx.Digest()),
 	})
 	return result, nil
 }

@@ -107,6 +107,60 @@ func TestForgedFutureSnapshotRejected(t *testing.T) {
 	}
 }
 
+// TestEndorsingPeerRejectsItsAlteredEndorsement is TestEndorsementBindsRWSet
+// end to end: a peer endorses a transaction, the write set is altered with
+// the signature kept, and the envelope is ordered behind an honest one the
+// same peer endorsed. The orderer (which has no signed-endorsement ring)
+// seals Valid then EndorsementFailure, and the endorsing peer — whose ring
+// recorded both signatures — must derive the same codes as the other three,
+// or its committer fails the byte assertion against the sealed verdicts.
+func TestEndorsingPeerRejectsItsAlteredEndorsement(t *testing.T) {
+	stream := consensus.NewKafka()
+	n := newNet(t, Options{System: sched.SystemFabric, Ordering: stream, BlockSize: 2})
+	results := make(chan TxResult, 2)
+	var txs []*protocol.Transaction
+	n.waitersMu.Lock()
+	for _, id := range []protocol.TxID{"honest", "altered"} {
+		tx := &protocol.Transaction{ID: id, ClientID: "mallory", Contract: "kv", Function: "put", Args: []string{string(id), "v"}}
+		if _, err := n.Peer(0).Endorse(tx); err != nil {
+			t.Fatal(err)
+		}
+		n.waiters[id] = results
+		txs = append(txs, tx)
+	}
+	n.waitersMu.Unlock()
+	txs[1].RWSet.Writes[0].Value = []byte("not what peer0 signed")
+	for _, tx := range txs {
+		tx.RWSet.Precompute()
+		if err := stream.Submit(consensus.Envelope{Tx: tx, SubmittedBy: "mallory"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[protocol.TxID]protocol.ValidationCode{"honest": protocol.Valid, "altered": protocol.EndorsementFailure}
+	for range txs {
+		select {
+		case res := <-results:
+			if res.Code != want[res.TxID] {
+				t.Fatalf("%s resolved %v, want %v", res.TxID, res.Code, want[res.TxID])
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a transaction never resolved (network error: %v)", n.Err())
+		}
+	}
+	if !n.WaitIdle(10 * time.Second) {
+		t.Fatal("network did not go idle")
+	}
+	if err := n.Err(); err != nil {
+		t.Fatalf("a peer diverged from the sealed verdicts: %v", err)
+	}
+	if _, ok := n.Peer(0).State().Get("honest"); !ok {
+		t.Fatal("the honest write did not reach the endorsing peer's state")
+	}
+	if _, ok := n.Peer(0).State().Get("altered"); ok {
+		t.Fatal("the altered write reached the endorsing peer's state")
+	}
+}
+
 func TestHashCommitmentEndToEnd(t *testing.T) {
 	n := newNet(t, Options{System: sched.SystemSharp, HashCommitment: true})
 	client, err := n.NewClient("committed-client")

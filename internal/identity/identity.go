@@ -8,8 +8,8 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"fabricsharp/internal/protocol"
@@ -147,17 +147,6 @@ func (s *Service) Revoke(id string) {
 	}
 }
 
-// RoleOf returns the member's role.
-func (s *Service) RoleOf(id string) (Role, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, ok := s.members[id]
-	if !ok || rec.revoked {
-		return 0, false
-	}
-	return rec.role, true
-}
-
 // Verify checks that sig is member id's signature over msg.
 func (s *Service) Verify(id string, msg, sig []byte) bool {
 	s.mu.RLock()
@@ -167,20 +156,6 @@ func (s *Service) Verify(id string, msg, sig []byte) bool {
 		return false
 	}
 	return ed25519.Verify(rec.pub, msg, sig)
-}
-
-// Members lists enrolled, unrevoked member IDs with the given role, sorted.
-func (s *Service) Members(role Role) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for id, rec := range s.members {
-		if rec.role == role && !rec.revoked {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Policy is an endorsement policy: a predicate over the set of members that
@@ -245,16 +220,20 @@ func (p kOutOf) String() string {
 
 // CheckEndorsements verifies every endorsement signature on tx against the
 // membership service, then evaluates the policy over the set of valid
-// endorsers. Non-peer or revoked signers never count.
-func (s *Service) CheckEndorsements(tx *protocol.Transaction, policy Policy) error {
+// endorsers. Non-peer or revoked signers never count. self, when non-nil, is
+// the checking peer's own SignedRing: an endorsement it produced is counted
+// without repeating the ed25519 verification.
+func (s *Service) CheckEndorsements(tx *protocol.Transaction, policy Policy, self *SignedRing) error {
 	digest := tx.Digest()
 	valid := make(map[string]bool, len(tx.Endorsements))
 	for _, e := range tx.Endorsements {
-		role, ok := s.RoleOf(e.EndorserID)
-		if !ok || role != RolePeer {
+		s.mu.RLock()
+		rec, ok := s.members[e.EndorserID]
+		s.mu.RUnlock()
+		if !ok || rec.revoked || rec.role != RolePeer {
 			continue
 		}
-		if s.Verify(e.EndorserID, digest, e.Signature) {
+		if self.signed(e.EndorserID, rec.pub, digest, e.Signature) || ed25519.Verify(rec.pub, digest, e.Signature) {
 			valid[e.EndorserID] = true
 		}
 	}
@@ -262,4 +241,66 @@ func (s *Service) CheckEndorsements(tx *protocol.Transaction, policy Policy) err
 		return fmt.Errorf("identity: endorsement policy %s unsatisfied by %d valid endorsements", policy, len(valid))
 	}
 	return nil
+}
+
+// signedRingSize is how many of its own endorsements a peer remembers
+// (~400 KB). An endorsement is validated a block or two after it is signed,
+// so at the rates one peer endorses this is seconds of history; an older one
+// is simply verified again.
+const signedRingSize = 4096
+
+// SignedRing signs endorsements for one peer and remembers the last
+// signedRingSize (signature → digest) pairs, so the same peer's validation
+// need not verify what it signed itself: ed25519 is deterministic and
+// correct, so Verify(pub, digest, sig) is true for every pair Sign produced.
+// Sign is the only way in — nothing a verification accepted, and nothing from
+// outside the process, is ever recorded — and a hit demands the member's
+// registered key, the recomputed digest and the full signature all match.
+// Safe for concurrent use.
+type SignedRing struct {
+	id *Identity
+
+	mu    sync.Mutex
+	next  uint32
+	slots [signedRingSize]signedEntry
+	index map[uint64]uint32 // leading signature bytes → slot
+}
+
+type signedEntry struct {
+	sig    [ed25519.SignatureSize]byte
+	digest [sha256.Size]byte
+}
+
+// NewSignedRing returns an empty ring signing as id.
+func NewSignedRing(id *Identity) *SignedRing {
+	return &SignedRing{id: id, index: make(map[uint64]uint32, signedRingSize)}
+}
+
+// Sign signs a transaction digest as the ring's member and records the pair,
+// evicting the oldest.
+func (r *SignedRing) Sign(digest []byte) []byte {
+	sig := r.id.Sign(digest)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := &r.slots[r.next]
+	if old := binary.LittleEndian.Uint64(e.sig[:]); r.index[old] == r.next {
+		delete(r.index, old) // the evicted entry's; a no-op for a slot never used
+	}
+	copy(e.sig[:], sig)
+	copy(e.digest[:], digest)
+	r.index[binary.LittleEndian.Uint64(sig)] = r.next
+	r.next = (r.next + 1) % signedRingSize
+	return sig
+}
+
+// signed reports whether the ring itself produced sig over digest as member
+// id, whose registered public key is pub. A nil ring never did.
+func (r *SignedRing) signed(id string, pub ed25519.PublicKey, digest, sig []byte) bool {
+	if r == nil || id != r.id.ID || len(sig) != ed25519.SignatureSize || !pub.Equal(r.id.pub) {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, ok := r.index[binary.LittleEndian.Uint64(sig)]
+	return ok && string(r.slots[i].sig[:]) == string(sig) && string(r.slots[i].digest[:]) == string(digest)
 }

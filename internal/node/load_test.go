@@ -162,7 +162,7 @@ func TestTraceDumpOverWire(t *testing.T) {
 	if committed == 0 {
 		t.Fatal("nothing committed")
 	}
-	awaitConvergence(t, client, ord)
+	awaitConvergence(t, ord, peerAddrs(peers))
 
 	ordDump, err := TraceAt(ord.Addr(), dialTimeout)
 	if err != nil {

@@ -11,9 +11,9 @@
 // The division of labour mirrors deployed Fabric:
 //
 //	client ──proposal──▶ peer (simulate + endorse)
-//	client ──submit────▶ orderer (dedup, schedule, cut, seal verdicts)
+//	client ──submit────▶ orderer (dedup, schedule, cut, seal verdicts; the
+//	                     request parks by TxID and is answered at seal)
 //	orderer ──blocks───▶ every peer (validate, assert sealed verdicts, commit)
-//	client ──result-wait▶ orderer (parked by TxID, woken at seal)
 //
 // Identity in this mode comes from the deterministic dev MSP
 // (identity.DevMSP): every process derives the cluster's well-known

@@ -157,18 +157,19 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 	return o, nil
 }
 
-// sealedBlock is the service's delivery. It wakes every subscription
-// stream — the streams read sealed blocks (with verdicts) off the service's
-// chain at their own pace; catch-up and live tail are the same loop — and
-// then resolves the block's results, waking the wire clients parked on them.
+// sealedBlock is the service's delivery. It resolves the block's results
+// first — the parked submit handlers answer their clients while nothing else
+// wants the CPU — and then wakes every subscription stream; the streams read
+// sealed blocks (with verdicts) off the service's chain at their own pace,
+// catch-up and live tail in the same loop.
 func (o *Orderer) sealedBlock(blk *ledger.Block) error {
+	for i, tx := range blk.Transactions {
+		o.results.put(fabric.TxResult{TxID: tx.ID, Code: blk.Validation[i], Block: blk.Header.Number})
+	}
 	o.sealedMu.Lock()
 	close(o.sealed)
 	o.sealed = make(chan struct{})
 	o.sealedMu.Unlock()
-	for i, tx := range blk.Transactions {
-		o.results.put(fabric.TxResult{TxID: tx.ID, Code: blk.Validation[i], Block: blk.Header.Number})
-	}
 	return nil
 }
 
@@ -214,10 +215,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 		case wire.MsgSubmit:
 			o.handleSubmit(c, payload)
 		case wire.MsgResultPoll:
-			res, ok := o.awaitResult(protocol.TxID(payload))
-			_ = c.Send(wire.MsgResult, wire.EncodeResult(wire.Result{
-				Found: ok, TxID: string(res.TxID), Code: res.Code, Block: res.Block,
-			}))
+			o.answerResult(c, protocol.TxID(payload))
 		case wire.MsgSubscribe:
 			sub, err := wire.DecodeSubscribe(payload)
 			if err != nil {
@@ -252,17 +250,27 @@ func (o *Orderer) handle(c *transport.Conn) {
 	}
 }
 
-// resultWaitBound is how long a result request may stay parked. The handler
-// does not read its connection while parked, so the bound is what reclaims
-// the handler of a client that died, and what sends a client stuck on a
-// replica that will never seal the transaction to another one. It sits far
-// above a healthy submit→seal time (one cut timer, plus an election after a
-// leader loss), so a live client's request is answered by a wake-up.
+// resultWaitBound is how long a request may stay parked on a result. The
+// handler does not read its connection while parked, so the bound is what
+// reclaims the handler of a client that died, and what sends a client stuck
+// on a replica that will never seal the transaction to another one. It sits
+// far above a healthy submit→seal time (one cut timer, plus an election after
+// a leader loss), so a live client's request is answered by a wake-up.
 const resultWaitBound = 2 * time.Second
 
-// awaitResult answers a result request: at once if the transaction has
-// resolved, otherwise after parking until the result store wakes it. ok is
-// false when the bound elapsed or the orderer is closing first.
+// answerResult answers an accepted submit — or a bare result request for a
+// TxID, which any replica serves without the transaction being re-sent —
+// with the transaction's fate; Found is false when awaitResult gave up.
+func (o *Orderer) answerResult(c *transport.Conn, id protocol.TxID) {
+	res, ok := o.awaitResult(id)
+	_ = c.Send(wire.MsgResult, wire.EncodeResult(wire.Result{
+		Found: ok, TxID: string(res.TxID), Code: res.Code, Block: res.Block,
+	}))
+}
+
+// awaitResult returns a transaction's fate: at once if it has resolved,
+// otherwise after parking until the result store wakes it. ok is false when
+// the bound elapsed or the orderer is closing first.
 func (o *Orderer) awaitResult(id protocol.TxID) (fabric.TxResult, bool) {
 	res, parked := o.results.getOrPark(id)
 	if parked == nil {
@@ -282,29 +290,27 @@ func (o *Orderer) awaitResult(id protocol.TxID) (fabric.TxResult, bool) {
 	return fabric.TxResult{}, false
 }
 
+// handleSubmit hands a transaction to the ordering service and answers with
+// its result. What the service does not accept — an undecodable payload, a
+// refusal, a submit to a Raft follower — gets a MsgAck instead, at once.
 func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {
 	tx, err := wire.DecodeTransaction(payload)
-	if err != nil {
-		_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{Err: err.Error()}))
-		return
+	if err == nil {
+		o.tracer.Record(string(tx.ID), trace.StageSubmit, 0)
+		// DecodeTransaction precomputed the key caches, so the schedulers see
+		// exactly what an in-process submit would hand them.
+		err = o.svc.Submit(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID})
 	}
-	o.tracer.Record(string(tx.ID), trace.StageSubmit, 0)
-	// DecodeTransaction precomputed the key caches, so the schedulers see
-	// exactly what an in-process submit would hand them.
-	if err := o.svc.Submit(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID}); err != nil {
+	if err != nil {
+		ack := wire.Ack{Err: err.Error()}
 		var nl consensus.ErrNotLeader
 		if errors.As(err, &nl) {
 			// Not this member's job: redirect the client to the leader's
 			// client-facing address (empty while an election is in flight —
 			// the client rotates until a leader emerges).
-			_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{
-				NotLeader: true,
-				Leader:    o.redirects[nl.LeaderID],
-				Err:       err.Error(),
-			}))
-			return
+			ack.NotLeader, ack.Leader = true, o.redirects[nl.LeaderID]
 		}
-		_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{Err: err.Error()}))
+		_ = c.Send(wire.MsgAck, wire.EncodeAck(ack))
 		return
 	}
 	if o.raft != nil {
@@ -312,7 +318,7 @@ func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {
 		// replicated log — the raft-commit stage boundary.
 		o.tracer.Record(string(tx.ID), trace.StageRaftCommit, 0)
 	}
-	_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{OK: true}))
+	o.answerResult(c, tx.ID)
 }
 
 // leaderHint maps the raft leader's member address to its client-facing

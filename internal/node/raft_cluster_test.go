@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"fabricsharp/internal/orderer"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/transport"
 	"fabricsharp/internal/transport/transporttest"
 	"fabricsharp/internal/wire"
 )
@@ -186,48 +188,20 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 
 	// Both peers (whose subscriptions failed over) converge on the same
 	// chain and state.
-	st, err := client.OrdererStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range peers {
-		for {
-			ps, err := client.PeerStatus(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ps.Blocks >= st.Blocks && bytes.Equal(ps.TipHash, st.TipHash) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("peer %d stuck at %d/%d blocks", i, ps.Blocks, st.Blocks)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	s0, err := client.PeerStatus(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := client.PeerStatus(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s0.StateHash != s1.StateHash {
-		t.Fatalf("peer state fingerprints diverge: %s vs %s", s0.StateHash, s1.StateHash)
-	}
+	awaitConvergence(t, survivors[0], peerAddrs(peers))
 	if client.Redirects.Value() == 0 && peers[0].Failovers()+peers[1].Failovers() == 0 {
 		t.Log("note: failover happened without redirects or resubscriptions (timing)")
 	}
 }
 
 // TestRaftLeaderKillWithRequestsParked kills the leader while clients are
-// parked on it waiting for verdicts of transactions it has already acked.
-// Half of them submitted twice first — what a client does when a failover
-// leaves it unsure its submit landed — so the log carries replays that
-// resolve AbortDuplicate at arrival, ahead of the originals' block. Every
-// client must re-ask a survivor and get exactly what the survivors' ledger
-// records: no acked transaction lost, no replay's AbortDuplicate handed out.
+// parked on it, their submits quorum-committed and waiting for verdicts.
+// Half of the transactions were sent twice — what a client does when a
+// failover leaves it unsure its submit landed — so the log carries replays
+// that resolve AbortDuplicate at arrival, ahead of the originals' block.
+// Every client must send again to a survivor and get exactly what the
+// survivors' ledger records: no accepted transaction lost or sealed twice,
+// no replay's AbortDuplicate handed out.
 func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process-shaped Raft cluster is not a -short test")
@@ -252,22 +226,27 @@ func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for sends := 1 + i%2; sends > 0; sends-- {
-			if err := client.SubmitTx(tx); err != nil {
+		if i%2 == 1 {
+			replay, err := transport.Dial(ords[lead].Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer replay.Close()
+			if err := replay.Send(wire.MsgSubmit, wire.EncodeTransaction(tx)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := client.WaitResult(string(tx.ID))
+			res, err := client.SubmitTx(tx)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
 			results[i] = res
 		}(i)
 	}
-	awaitParked(t, ords[lead], n)
+	awaitParked(t, ords[lead], n+n/2)
 	ords[lead].Close()
 	wg.Wait()
 	if t.Failed() {
@@ -296,6 +275,38 @@ func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
 				t.Fatalf("uncontended transaction %s sealed %v", res.TxID, code)
 			}
 		}
+		if got := chain.CommittedTxs(); got != n {
+			t.Fatalf("orderer %d committed %d transactions, want each of the %d once", i, got, n)
+		}
+	}
+}
+
+// TestFollowerAnswersSubmitAtOnce: a submit to a Raft follower is not
+// accepted, so it is answered with the NotLeader redirect immediately and
+// parks nothing.
+func TestFollowerAnswersSubmitAtOnce(t *testing.T) {
+	ords, _, _ := bootRaftCluster(t)
+	lead := waitRaftLeader(t, ords, 10*time.Second)
+	follower := ords[(lead+1)%len(ords)]
+	conn, err := transport.Dial(follower.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	typ, resp, err := conn.Call(wire.MsgSubmit, wire.EncodeTransaction(&protocol.Transaction{ID: "misdirected"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.DecodeAck(resp)
+	if typ != wire.MsgAck || err != nil || !ack.NotLeader || ack.Leader != ords[lead].Addr() {
+		t.Fatalf("follower answered %v %+v (%v), want a NotLeader ack naming %s", typ, ack, err, ords[lead].Addr())
+	}
+	if took := time.Since(start); took > resultWaitBound/2 {
+		t.Fatalf("the redirect took %v: the request parked", took)
+	}
+	if n := parkedWaiters(follower); n != 0 {
+		t.Fatalf("%d requests parked on a follower that accepted nothing", n)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"fabricsharp/internal/wire"
 )
 
-// parkedWaiters counts the result requests parked on o.
+// parkedWaiters counts the requests parked on o for a result.
 func parkedWaiters(o *Orderer) int {
 	o.results.mu.Lock()
 	defer o.results.mu.Unlock()
@@ -28,13 +28,13 @@ func parkedWaiters(o *Orderer) int {
 	return n
 }
 
-// awaitParked waits until exactly want result requests are parked on o.
+// awaitParked waits until exactly want requests are parked on o.
 func awaitParked(t *testing.T, o *Orderer, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for parkedWaiters(o) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d result requests parked, want %d", parkedWaiters(o), want)
+			t.Fatalf("%d requests parked, want %d", parkedWaiters(o), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -46,13 +46,15 @@ func ordererHandlers() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "node.(*Orderer).handle(")
 }
 
-// startLoneOrderer boots an orderer with no peer process behind it: enough
-// to serve result requests.
+// startLoneOrderer boots an orderer with no peer process behind it and no
+// cut in reach: it accepts submits and seals nothing, so every one parks.
 func startLoneOrderer(t *testing.T) *Orderer {
 	t.Helper()
 	ord, err := StartOrderer(OrdererConfig{
 		Options: orderer.Options{
-			System: sched.SystemSharp,
+			System:       sched.SystemSharp,
+			BlockSize:    1 << 20,
+			BlockTimeout: time.Hour,
 		},
 		Listen:    "127.0.0.1:0",
 		PeerNames: []string{"peer0"},
@@ -64,9 +66,16 @@ func startLoneOrderer(t *testing.T) *Orderer {
 	return ord
 }
 
-// requestResult makes one raw result request on conn.
-func requestResult(conn *transport.Conn, id string) (wire.Result, error) {
-	typ, resp, err := conn.Call(wire.MsgResultPoll, []byte(id))
+// submitFrame is the payload of a submit the orderer accepts (endorsements
+// are checked at the cut, not at arrival).
+func submitFrame(id string) []byte {
+	return wire.EncodeTransaction(&protocol.Transaction{ID: protocol.TxID(id), ClientID: "raw"})
+}
+
+// callForResult makes one raw request on conn — a submit, or a bare result
+// request for a TxID — and decodes the result it is answered with.
+func callForResult(conn *transport.Conn, typ wire.MsgType, payload []byte) (wire.Result, error) {
+	typ, resp, err := conn.Call(typ, payload)
 	if err != nil {
 		return wire.Result{}, err
 	}
@@ -122,8 +131,8 @@ func TestResultStoreKeepsTheOriginalsVerdict(t *testing.T) {
 // TestReplayBeforeTheCutGetsTheSealedVerdict is the regression for a replay
 // racing its original: the same endorsed transaction is ordered twice
 // before the block is cut, so the orderer resolves the second copy
-// AbortDuplicate while the first is still pending. The one result request
-// must come back with what the ledger records.
+// AbortDuplicate while the first is still pending. Both requests must come
+// back with what the ledger records.
 func TestReplayBeforeTheCutGetsTheSealedVerdict(t *testing.T) {
 	ord, peers := bootCluster(t, sched.SystemSharp, 1, func(c *OrdererConfig) {
 		c.BlockTimeout = 100 * time.Millisecond
@@ -137,12 +146,20 @@ func TestReplayBeforeTheCutGetsTheSealedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := client.SubmitTx(tx); err != nil {
-			t.Fatal(err)
-		}
+	replay, err := transport.Dial(ord.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := client.WaitResult(string(tx.ID))
+	defer replay.Close()
+	replayed := make(chan wire.Result, 1)
+	go func() {
+		res, err := callForResult(replay, wire.MsgSubmit, wire.EncodeTransaction(tx))
+		if err != nil {
+			t.Errorf("replay: %v", err)
+		}
+		replayed <- res
+	}()
+	res, err := client.SubmitTx(tx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +167,18 @@ func TestReplayBeforeTheCutGetsTheSealedVerdict(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %v for a transaction the ledger does not hold", res.Code)
 	}
-	if res.Code != code || res.Block != block {
-		t.Fatalf("got %v in block %d, ledger records %v in block %d", res.Code, res.Block, code, block)
+	for _, got := range []wire.Result{res, <-replayed} {
+		if got.Code != code || got.Block != block {
+			t.Fatalf("got %v in block %d, ledger records %v in block %d", got.Code, got.Block, code, block)
+		}
+	}
+	if n := ord.Chain().CommittedTxs(); n != 1 {
+		t.Fatalf("the ledger committed %d transactions, want the one", n)
 	}
 }
 
-// TestOrdererCloseReleasesParkedRequests: closing an orderer with result
-// requests parked on it returns long before their bound, answers or
+// TestOrdererCloseReleasesParkedRequests: closing an orderer with submits
+// parked on it returns long before their bound, answers or
 // disconnects every one of them, and leaves no goroutine behind.
 func TestOrdererCloseReleasesParkedRequests(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -172,7 +194,7 @@ func TestOrdererCloseReleasesParkedRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if res, err := requestResult(conn, fmt.Sprintf("never-%d", i)); err == nil && res.Found {
+			if res, err := callForResult(conn, wire.MsgSubmit, submitFrame(fmt.Sprintf("never-%d", i))); err == nil && res.Found {
 				t.Errorf("request %d answered with a verdict for an unknown transaction", i)
 			}
 		}(i)
@@ -197,26 +219,34 @@ func TestOrdererCloseReleasesParkedRequests(t *testing.T) {
 	}
 }
 
-// TestParkedRequestOfADeadClientIsReclaimed: a handler does not read its
-// connection while parked, so it cannot see the client go; the bound is what
-// frees it.
-func TestParkedRequestOfADeadClientIsReclaimed(t *testing.T) {
+// TestParkedRequestsOfDeadClientsAreReclaimed: a handler does not read its
+// connection while parked on its submit, so it cannot see the client go; the
+// bound is what frees it. 512 clients — the benchmark's pool — vanish
+// mid-wait, and the handler count returns to zero.
+func TestParkedRequestsOfDeadClientsAreReclaimed(t *testing.T) {
 	ord := startLoneOrderer(t)
-	conn, err := transport.Dial(ord.Addr())
-	if err != nil {
-		t.Fatal(err)
+	const n = 512
+	conns := make([]*transport.Conn, n)
+	for i := range conns {
+		conn, err := transport.Dial(ord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(wire.MsgSubmit, submitFrame(fmt.Sprintf("never-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
 	}
-	if err := conn.Send(wire.MsgResultPoll, []byte("never")); err != nil {
-		t.Fatal(err)
+	awaitParked(t, ord, n)
+	if got := ordererHandlers(); got != n {
+		t.Fatalf("%d handlers while %d submits are parked", got, n)
 	}
-	awaitParked(t, ord, 1)
-	conn.Close()
-	if n := ordererHandlers(); n != 1 {
-		t.Fatalf("%d handlers while one request is parked", n)
+	for _, conn := range conns {
+		conn.Close()
 	}
 	for deadline := time.Now().Add(resultWaitBound + 5*time.Second); ordererHandlers() != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("handler of a dead client still parked %v past the bound", 5*time.Second)
+			t.Fatalf("%d handlers of dead clients still parked %v past the bound", ordererHandlers(), 5*time.Second)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -225,9 +255,8 @@ func TestParkedRequestOfADeadClientIsReclaimed(t *testing.T) {
 	}
 }
 
-// TestResolvedResultIsAnsweredWithoutParking: a verdict stored before the
-// request arrives (a pre-ordering abort resolves at arrival, ahead of the
-// client's request) is answered at once.
+// TestResolvedResultIsAnsweredWithoutParking: a bare result request for a
+// transaction that has already resolved is answered at once.
 func TestResolvedResultIsAnsweredWithoutParking(t *testing.T) {
 	ord := startLoneOrderer(t)
 	ord.results.put(fabric.TxResult{TxID: "early", Code: protocol.AbortStaleSnapshot})
@@ -240,7 +269,7 @@ func TestResolvedResultIsAnsweredWithoutParking(t *testing.T) {
 	}
 	defer conn.Close()
 	start := time.Now()
-	res, err := requestResult(conn, "early")
+	res, err := callForResult(conn, wire.MsgResultPoll, []byte("early"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +327,15 @@ func TestOneBlockWakesEveryParkedRequest(t *testing.T) {
 	}
 }
 
-// TestCommittedSubmitCostsTheOrdererTwoRequests pins the property the
-// parked wait exists for: a committed Client.Submit reaches the orderer as
-// exactly one submit and one result request. The frames are counted by a
-// relay the client dials in the orderer's place.
-func TestCommittedSubmitCostsTheOrdererTwoRequests(t *testing.T) {
-	ord, peers := bootCluster(t, sched.SystemSharp, 2, func(c *OrdererConfig) {
-		c.BlockTimeout = 50 * time.Millisecond
-	})
+// countingRelay stands in the orderer's place and forwards every request to
+// it, counting the frames clients send by type. cut, when non-nil, decides
+// per frame (one call at a time) whether the relay drops the client's
+// connection right after forwarding — the request reaches the orderer, the
+// answer never comes back.
+func countingRelay(t *testing.T, ord *Orderer, cut func(wire.MsgType) bool) (addr string, served func() map[wire.MsgType]int) {
+	t.Helper()
 	var mu sync.Mutex
-	served := map[wire.MsgType]int{}
+	counts := map[wire.MsgType]int{}
 	relay, err := transport.Listen("127.0.0.1:0", func(down *transport.Conn) {
 		up, err := transport.Dial(ord.Addr())
 		if err != nil {
@@ -320,8 +348,17 @@ func TestCommittedSubmitCostsTheOrdererTwoRequests(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			served[typ]++
+			counts[typ]++
+			cutNow := cut != nil && cut(typ)
 			mu.Unlock()
+			if cutNow {
+				_ = up.Send(typ, payload)
+				// Hold the cut until the orderer has accepted the request.
+				for deadline := time.Now().Add(5 * time.Second); parkedWaiters(ord) == 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				return
+			}
 			typ, payload, err = up.Call(typ, payload)
 			if err != nil || down.Send(typ, payload) != nil {
 				return
@@ -331,8 +368,27 @@ func TestCommittedSubmitCostsTheOrdererTwoRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer relay.Close()
-	client, err := DialClient("budget", []string{relay.Addr()}, peerAddrs(peers), dialTimeout)
+	t.Cleanup(func() { relay.Close() })
+	return relay.Addr(), func() map[wire.MsgType]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := map[wire.MsgType]int{}
+		for typ, n := range counts {
+			out[typ] = n
+		}
+		return out
+	}
+}
+
+// TestCommittedSubmitCostsTheOrdererOneRequest pins the message budget: a
+// committed Client.Submit reaches the orderer as exactly one frame, the
+// submit, which the result answers.
+func TestCommittedSubmitCostsTheOrdererOneRequest(t *testing.T) {
+	ord, peers := bootCluster(t, sched.SystemSharp, 2, func(c *OrdererConfig) {
+		c.BlockTimeout = 50 * time.Millisecond
+	})
+	addr, served := countingRelay(t, ord, nil)
+	client, err := DialClient("budget", []string{addr}, peerAddrs(peers), dialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +403,44 @@ func TestCommittedSubmitCostsTheOrdererTwoRequests(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, res.Code)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(served) != 2 || served[wire.MsgSubmit] != txs || served[wire.MsgResultPoll] != txs {
-		t.Fatalf("%d committed submits cost the orderer %v, want %d %v and %d %v",
-			txs, served, txs, wire.MsgSubmit, txs, wire.MsgResultPoll)
+	if got := served(); len(got) != 1 || got[wire.MsgSubmit] != txs {
+		t.Fatalf("%d committed submits cost the orderer %v, want %d %v and nothing else", txs, got, txs, wire.MsgSubmit)
+	}
+}
+
+// TestCutConnectionResendGetsTheOriginalsVerdict: the client's connection
+// is cut after the orderer accepted its submit and before the block seals.
+// The client sends the same transaction again; the copy is dropped as a
+// duplicate, and the answer is the original's sealed verdict — committed
+// once on the ledger, the replay's AbortDuplicate never surfacing.
+func TestCutConnectionResendGetsTheOriginalsVerdict(t *testing.T) {
+	ord, peers := bootCluster(t, sched.SystemSharp, 1, func(c *OrdererConfig) {
+		c.BlockTimeout = 200 * time.Millisecond
+	})
+	first := true
+	addr, served := countingRelay(t, ord, func(typ wire.MsgType) bool {
+		cut := first && typ == wire.MsgSubmit
+		first = false
+		return cut
+	})
+	client, err := DialClient("cut", []string{addr}, peerAddrs(peers), dialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, err := client.Submit("kv", "put", "k", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := served()[wire.MsgSubmit]; got != 2 {
+		t.Fatalf("the client sent %d submits, want the original and one re-send", got)
+	}
+	code, block, ok := sealedVerdict(ord.Chain(), res.TxID)
+	if !ok || res.Code != code || res.Block != block || code != protocol.Valid {
+		t.Fatalf("got %v in block %d; ledger: held=%v %v in block %d, want Valid", res.Code, res.Block, ok, code, block)
+	}
+	awaitConvergence(t, ord, peerAddrs(peers))
+	if n := ord.Chain().CommittedTxs(); n != 1 {
+		t.Fatalf("the ledger committed %d transactions, want the one", n)
 	}
 }

@@ -22,9 +22,10 @@
 //     shard's read lock;
 //   - mutators (ApplyBlock, PruneSnapshots) take applyMu plus each touched
 //     shard's write lock;
-//   - whole-database views (Clone, StateFingerprint, ForEachLatest, Keys)
-//     take applyMu alone — it excludes every mutator, and concurrent shard
-//     readers are harmless.
+//   - whole-database views (Clone, ForEachLatest, Keys) take applyMu
+//     alone — it excludes every mutator, and concurrent shard readers are
+//     harmless; StateFingerprint takes it too, to read the running digest
+//     the mutators maintain.
 //
 // Snapshot isolation does not depend on the locks: ApplyBlock publishes the
 // new height only after every shard write of the block has landed, and
@@ -96,6 +97,7 @@ type DB struct {
 	hasAny  atomic.Bool   // whether any block has been applied
 	backing *kvstore.DB
 	batch   []kvstore.BatchOp // per-block persist batch, reused
+	live    liveSum           // fingerprint of the live contents, guarded by applyMu
 }
 
 const (
@@ -137,6 +139,7 @@ func New(opts Options) (*DB, error) {
 		val := append([]byte(nil), raw[seqno.EncodedLen():]...)
 		sh := &db.shards[shardFor(key)]
 		sh.hist[key] = []VersionedValue{{Value: val, Version: ver}}
+		db.live.add(pairDigest(key, val))
 	}
 	return db, nil
 }
@@ -254,8 +257,15 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites) error {
 			}
 			sh := &db.shards[shardFor(w.Key)]
 			sh.mu.Lock()
-			sh.hist[w.Key] = append(sh.hist[w.Key], vv)
+			versions := sh.hist[w.Key]
+			sh.hist[w.Key] = append(versions, vv)
 			sh.mu.Unlock()
+			if n := len(versions); n > 0 && !versions[n-1].Deleted {
+				db.live.sub(pairDigest(w.Key, versions[n-1].Value))
+			}
+			if !w.Delete {
+				db.live.add(pairDigest(w.Key, vv.Value))
+			}
 			if db.backing != nil {
 				batch = append(batch, persistOp(w.Key, vv))
 			}
@@ -357,7 +367,7 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 	for i := range db.shards {
-		//sharp:orderinvariant visitation API documented as unordered; deterministic consumers must sort (StateFingerprint does)
+		//sharp:orderinvariant visitation API documented as unordered; deterministic consumers must sort or fold commutatively
 		for key, versions := range db.shards[i].hist {
 			last := versions[len(versions)-1]
 			if last.Deleted {
@@ -399,7 +409,7 @@ func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 		}
 		sh.mu.RUnlock()
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -409,7 +419,7 @@ func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 func (db *DB) Clone() *DB {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	out := &DB{}
+	out := &DB{live: db.live}
 	out.height.Store(db.height.Load())
 	out.hasAny.Store(db.hasAny.Load())
 	for i := range db.shards {
@@ -427,32 +437,13 @@ func (db *DB) Clone() *DB {
 	return out
 }
 
-// StateFingerprint folds every live (key, value) pair into a deterministic
-// digest, ignoring versions. Two databases with identical live contents
-// produce identical fingerprints; the serializability property tests compare
-// end states with it.
+// StateFingerprint digests the live (key, value) pairs, ignoring versions and
+// history: two databases with identical live contents produce identical
+// fingerprints (the serializability property tests and the status probes
+// compare end states with it). ApplyBlock maintains it, so reading it costs
+// nothing however large the state is.
 func (db *DB) StateFingerprint() string {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	type kv struct {
-		key string
-		val []byte
-	}
-	var live []kv
-	for i := range db.shards {
-		//sharp:orderinvariant live set is sorted by key before hashing, washing iteration order
-		for k, versions := range db.shards[i].hist {
-			last := versions[len(versions)-1]
-			if !last.Deleted {
-				live = append(live, kv{key: k, val: last.Value})
-			}
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
-	h := newFNV()
-	for _, e := range live {
-		h.writeString(e.key)
-		h.write(e.val)
-	}
-	return h.sum()
+	return db.live.String()
 }

@@ -236,6 +236,93 @@ func TestStateFingerprint(t *testing.T) {
 	}
 }
 
+// foldLive computes the fingerprint from scratch: one pass over the live
+// pairs, the reference the maintained value is held to.
+func foldLive(db *DB) string {
+	var sum liveSum
+	db.ForEachLatest(func(key string, vv VersionedValue) bool {
+		sum.add(pairDigest(key, vv.Value))
+		return true
+	})
+	return sum.String()
+}
+
+// TestMaintainedFingerprintEqualsAFold drives random blocks of puts,
+// overwrites, deletes, deletes of absent keys and re-creations into a durable
+// database and a clone of it, then a second database through a different
+// history to the same live contents: after every block the maintained
+// fingerprint equals the from-scratch fold, it survives Clone and reopening
+// from the backing store, and equal contents agree whatever built them.
+func TestMaintainedFingerprintEqualsAFold(t *testing.T) {
+	kv, err := kvstore.Open(kvstore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	db, err := New(Options{Backing: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := db.StateFingerprint()
+	rng := rand.New(rand.NewSource(11))
+	model := map[string]string{}
+	for block := uint64(1); block <= 60; block++ {
+		var writes []BlockWrites
+		for pos := uint32(1); pos <= uint32(1+rng.Intn(4)); pos++ {
+			var items []protocol.WriteItem
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				key := fmt.Sprintf("k%d", rng.Intn(12))
+				if rng.Intn(4) == 0 {
+					items = append(items, protocol.WriteItem{Key: key, Delete: true})
+					delete(model, key)
+				} else {
+					val := fmt.Sprintf("v%d", rng.Intn(5))
+					items = append(items, put(key, val))
+					model[key] = val
+				}
+			}
+			writes = append(writes, BlockWrites{Pos: pos, Writes: items})
+		}
+		apply(t, db, block, writes...)
+		if block%7 == 0 {
+			db.PruneSnapshots(block - 2)
+		}
+		if got, want := db.StateFingerprint(), foldLive(db); got != want {
+			t.Fatalf("block %d: maintained fingerprint %s, from-scratch fold %s", block, got, want)
+		}
+	}
+	want := db.StateFingerprint()
+	if clone := db.Clone(); clone.StateFingerprint() != want {
+		t.Error("Clone dropped the fingerprint")
+	}
+	reopened, err := New(Options{Backing: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.StateFingerprint(); got != want || got != foldLive(reopened) {
+		t.Errorf("reopened fingerprint %s, want %s", got, want)
+	}
+	// The same live contents in one block, written in Go's map order.
+	other := mustNew(t)
+	var items []protocol.WriteItem
+	for key, val := range model {
+		items = append(items, put(key, val))
+	}
+	apply(t, other, 1, BlockWrites{Pos: 1, Writes: items})
+	if got := other.StateFingerprint(); got != want {
+		t.Errorf("equal contents, different histories: %s vs %s", got, want)
+	}
+	// Deleting everything returns to the empty database's fingerprint.
+	items = items[:0]
+	for key := range model {
+		items = append(items, protocol.WriteItem{Key: key, Delete: true})
+	}
+	apply(t, other, 2, BlockWrites{Pos: 1, Writes: items})
+	if got := other.StateFingerprint(); got != empty {
+		t.Errorf("emptied database fingerprints %s, an empty one %s", got, empty)
+	}
+}
+
 func TestKeysAndForEach(t *testing.T) {
 	db := mustNew(t)
 	apply(t, db, 1, BlockWrites{Pos: 1, Writes: []protocol.WriteItem{put("a", "1"), put("b", "2"), put("c", "3")}})

@@ -187,7 +187,7 @@ func PrecheckEndorsements(txs []*protocol.Transaction, opts Options, workers int
 	}
 	failed := make([]bool, len(txs))
 	conflict.ParallelFor(len(txs), workers, func(i int) {
-		failed[i] = opts.MSP.CheckEndorsements(txs[i], opts.Policy) != nil
+		failed[i] = opts.MSP.CheckEndorsements(txs[i], opts.Policy, opts.Self) != nil
 	})
 	return failed
 }

@@ -3,6 +3,7 @@ package validation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fabricsharp/internal/identity"
@@ -175,6 +176,56 @@ func TestComputeVerdictsEndorsementPolicy(t *testing.T) {
 	}
 	if PrecheckEndorsements(txs, Options{MVCC: true}, 4) != nil {
 		t.Error("precheck without MSP/policy should report nothing to check")
+	}
+}
+
+// TestPrecheckWithTheSignedRingMatchesWithout builds a seeded block mixing
+// a peer's own endorsements, another peer's, forged ones, tampered ones and a
+// revoked peer's, and checks the failure mask is the same slice with the
+// peer's SignedRing and without it, at several worker counts.
+func TestPrecheckWithTheSignedRingMatchesWithout(t *testing.T) {
+	msp := identity.NewService()
+	self, _ := msp.Enroll("self", identity.RolePeer)
+	other, _ := msp.Enroll("other", identity.RolePeer)
+	gone, _ := msp.Enroll("gone", identity.RolePeer)
+	ring, goneRing := identity.NewSignedRing(self), identity.NewSignedRing(gone)
+	rng := rand.New(rand.NewSource(23))
+	var txs []*protocol.Transaction
+	var want []bool
+	for i := 0; i < 200; i++ {
+		tx := &protocol.Transaction{
+			ID:    protocol.TxID(fmt.Sprintf("tx%d", i)),
+			RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: fmt.Sprintf("k%d", rng.Intn(16)), Value: []byte("v")}}},
+		}
+		sign := func(id string, sig []byte) {
+			tx.Endorsements = []protocol.Endorsement{{EndorserID: id, Signature: sig}}
+		}
+		kind := rng.Intn(5)
+		switch kind {
+		case 0: // own, through the ring
+			sign("self", ring.Sign(tx.Digest()))
+		case 1: // another peer's
+			sign("other", other.Sign(tx.Digest()))
+		case 2: // forged under the peer's own name
+			sign("self", other.Sign(tx.Digest()))
+		case 3: // own, write set altered afterwards
+			sign("self", ring.Sign(tx.Digest()))
+			tx.RWSet.Writes[0].Value = []byte("tampered")
+		case 4: // a peer revoked below, which recorded its signature
+			sign("gone", goneRing.Sign(tx.Digest()))
+		}
+		txs = append(txs, tx)
+		want = append(want, kind >= 2)
+	}
+	msp.Revoke("gone")
+	opts := Options{MSP: msp, Policy: identity.AnyPeerOf("self", "other", "gone")}
+	for _, self := range []*identity.SignedRing{nil, ring, goneRing} {
+		opts.Self = self
+		for _, workers := range []int{1, 4} {
+			if got := PrecheckEndorsements(txs, opts, workers); !slices.Equal(got, want) {
+				t.Fatalf("ring %v, %d workers: failure mask differs from the expected one", self != nil, workers)
+			}
+		}
 	}
 }
 

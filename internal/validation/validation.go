@@ -36,6 +36,11 @@ type Options struct {
 	// MSP and Policy, when both set, enable endorsement verification.
 	MSP    *identity.Service
 	Policy identity.Policy
+	// Self, set only by the peer that owns it, is that peer's record of the
+	// endorsements it signed; its own are then not verified a second time.
+	// It cannot change a verdict (identity.SignedRing), so peers with one
+	// and orderers without derive the same codes.
+	Self *identity.SignedRing
 }
 
 // Overlay tracks the versions written by earlier valid transactions of the

@@ -55,22 +55,23 @@ type MsgType uint8
 // The message vocabulary of the process-per-node deployment.
 const (
 	// MsgSubmit carries an endorsed Transaction from a client to the
-	// ordering service.
+	// ordering service, which holds the request until the transaction has
+	// resolved and answers with its MsgResult.
 	MsgSubmit MsgType = 1
-	// MsgAck answers MsgSubmit (and other fire-and-forget requests).
+	// MsgAck answers what is refused — a submit that does not decode, is
+	// rejected or reached a Raft follower (NotLeader), an unknown request —
+	// at once; no node sends an OK ack.
 	MsgAck MsgType = 2
 	// MsgProposal asks a peer to simulate and endorse an invocation.
 	MsgProposal MsgType = 3
 	// MsgProposalResp answers MsgProposal with the endorsed Transaction.
 	MsgProposalResp MsgType = 4
-	// MsgResultPoll asks the orderer for a transaction's fate and waits for
-	// it: the orderer answers at once if the transaction has resolved and
-	// otherwise holds the request until it does, or until a bound of its own
-	// elapses. The identifier still says "poll" because the frozen benchmark
-	// harness refers to it by name.
+	// MsgResultPoll asks for the fate of a TxID without sending the
+	// transaction; it waits like a submit does. The identifier still says
+	// "poll" because the frozen benchmark harness refers to it by name.
 	MsgResultPoll MsgType = 5
-	// MsgResult answers MsgResultPoll; Found is false only when the
-	// orderer's bound elapsed (or it is shutting down) first.
+	// MsgResult answers MsgSubmit and MsgResultPoll; Found is false only when
+	// the orderer's bound elapsed (or it is shutting down) first.
 	MsgResult MsgType = 6
 	// MsgSubscribe opens a block-delivery stream from the given height.
 	MsgSubscribe MsgType = 7
