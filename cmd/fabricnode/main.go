@@ -47,7 +47,7 @@ func main() {
 	maxSpan := flag.Uint64("max-span", 0, "Sharp pruning horizon (0 = default)")
 	compactEvery := flag.Uint64("compact-every", 0, "intern-table compaction epoch in blocks (0 = off)")
 	dedupHorizon := flag.Uint64("dedup-horizon", 0, "duplicate-suppression horizon in blocks (0 = default)")
-	dataDir := flag.String("data-dir", "", "persist ledger+state under this directory (role peer)")
+	dataDir := flag.String("data-dir", "", "persist ledger+state in one kvstore under this directory: b/ block records, s/ state, meta/height (role peer)")
 	workers := flag.Int("workers", 0, "validation workers (role peer; 0 = GOMAXPROCS)")
 	rescue := flag.Bool("rescue", false, "post-order re-execution of MVCC-aborted transactions (must match cluster-wide)")
 	raftID := flag.String("raft-id", "", "this orderer's raft address (role orderer; must appear in -raft-cluster)")
@@ -144,6 +144,11 @@ func main() {
 			fatal(err)
 		}
 		addr, shutdown, errFn = p.Addr(), p.Close, p.Err
+		if *dataDir != "" {
+			// Where the store left off; the subscription pulls only what
+			// lies above it (the chaos smoke checks a killed peer's line).
+			fmt.Printf("fabricnode peer %s: store %s resumes at block %d\n", *name, *dataDir, p.ResumedAt())
+		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: fabricnode -role orderer|peer [flags]")
 		flag.PrintDefaults()

@@ -52,8 +52,8 @@ func statusMode(orderers, peers []string, dialTimeout time.Duration) {
 			fmt.Printf("orderer %s down (%v)\n", addr, err)
 			continue
 		}
-		fmt.Printf("orderer %s name=%s term=%d leader=%s blocks=%d height=%d committed=%d tip=%x\n",
-			addr, st.Name, st.Term, st.Leader, st.Blocks, st.Height, st.CommittedTx, st.TipHash)
+		fmt.Printf("orderer %s name=%s term=%d leader=%s blocks=%d committed=%d tip=%x\n",
+			addr, st.Name, st.Term, st.Leader, st.Blocks, st.CommittedTx, st.TipHash)
 	}
 	for _, addr := range peers {
 		st, err := node.StatusAtRetry(addr, time.Now().Add(dialTimeout))
@@ -61,8 +61,8 @@ func statusMode(orderers, peers []string, dialTimeout time.Duration) {
 			fmt.Printf("peer %s down (%v)\n", addr, err)
 			continue
 		}
-		fmt.Printf("peer %s name=%s blocks=%d height=%d committed=%d tip=%x state=%s\n",
-			addr, st.Name, st.Blocks, st.Height, st.CommittedTx, st.TipHash, st.StateHash)
+		fmt.Printf("peer %s name=%s blocks=%d committed=%d tip=%x state=%s\n",
+			addr, st.Name, st.Blocks, st.CommittedTx, st.TipHash, st.StateHash)
 	}
 }
 

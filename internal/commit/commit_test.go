@@ -1,15 +1,19 @@
 package commit
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/identity"
+	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
@@ -491,4 +495,120 @@ func TestCommitterReportsPoisonedBlock(t *testing.T) {
 	if !c.Failed() {
 		t.Error("committer not marked failed")
 	}
+}
+
+// walRecords walks the store's write-ahead log by the framing
+// internal/kvstore/wal.go documents (crc uint32 | payloadLen uint32 |
+// payload) and returns how many records it holds and its length.
+func walRecords(t *testing.T, dir string) (records, size int) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(raw); records++ {
+		if off+8 > len(raw) {
+			t.Fatalf("log ends inside a record header at %d", off)
+		}
+		off += 8 + int(binary.LittleEndian.Uint32(raw[off+4:]))
+		if off > len(raw) {
+			t.Fatalf("log ends inside a record at %d", len(raw))
+		}
+	}
+	return records, len(raw)
+}
+
+// TestDurableCommitIsOneWrite pins the commit point: a 100-transaction block
+// on a durable peer costs the store exactly one batch — one log record
+// holding the block record (verdicts on it), the 100 state writes and the
+// height. A second record would be a second commit point: a Put of the
+// block beside the batch, or the block stored again once validated.
+func TestDurableCommitIsOneWrite(t *testing.T) {
+	env := newTestEnv(t)
+	dir := t.TempDir()
+	open := func() (*kvstore.DB, *statedb.DB, *ledger.Chain) {
+		store, err := kvstore.Open(kvstore.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := statedb.New(statedb.Options{Backing: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := ledger.NewChain(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, state, chain
+	}
+	store, state, chain := open()
+	c := New(Config{
+		Name: "durable", State: state, Chain: chain,
+		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
+		OnError:    func(err error) { t.Errorf("commit: %v", err) },
+	})
+	c.Start()
+	source, _ := ledger.NewChain(nil)
+	seal := func(n int) *ledger.Block {
+		txs := make([]*protocol.Transaction, 100)
+		for i := range txs {
+			txs[i] = &protocol.Transaction{
+				ID:    protocol.TxID(fmt.Sprintf("b%d-t%d", n, i)),
+				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: fmt.Sprintf("k%d", i), Value: []byte(fmt.Sprintf("b%d", n))}}},
+			}
+			env.sign(txs[i])
+		}
+		blk, err := source.Seal(txs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blk
+	}
+	deliver := func(blk *ledger.Block) {
+		c.Deliver(blk)
+		for !c.Idle() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	deliver(seal(1))
+	records, size := walRecords(t, dir)
+	if records != 1 {
+		t.Fatalf("block 1 left %d log records, want 1", records)
+	}
+	deliver(seal(2))
+	records2, size2 := walRecords(t, dir)
+	if records2 != 2 {
+		t.Fatalf("block 2 added %d log records, want 1", records2-records)
+	}
+	rec := ledger.Record(mustGet(t, chain, 2))
+	if grew := size2 - size; grew < len(rec.Value)+100*len("k00b2") {
+		t.Errorf("the log grew %d bytes: too few for the block record (%d) plus 100 writes", grew, len(rec.Value))
+	}
+	c.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// What that one record holds is everything: a reopened store has block
+	// 2 with its verdicts, state at height 2, and the block's writes.
+	store, state, chain = open()
+	defer store.Close()
+	if blk := mustGet(t, chain, 2); blk.CommittedCount() != 100 {
+		t.Errorf("stored block 2 carries %d committed verdicts, want 100", blk.CommittedCount())
+	}
+	if state.Height() != 2 {
+		t.Errorf("stored state height %d, want 2", state.Height())
+	}
+	if vv, ok := state.Get("k99"); !ok || string(vv.Value) != "b2" {
+		t.Errorf("k99 = %q, %v; want b2", vv.Value, ok)
+	}
+}
+
+func mustGet(t *testing.T, chain *ledger.Chain, n uint64) *ledger.Block {
+	t.Helper()
+	blk, ok := chain.Get(n)
+	if !ok {
+		t.Fatalf("chain has no block %d", n)
+	}
+	return blk
 }

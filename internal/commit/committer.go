@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
@@ -163,22 +164,22 @@ func (c *Committer) fail(err error) {
 	})
 }
 
-// commit is the live path: append the peer's own copy of the block, run the
-// parallel validator, record the codes as block metadata, and batch-apply
-// the valid writes. A delivered block carrying the orderer's precomputed
-// shadow verdicts (blk.Validation) is cross-checked byte for byte: the
-// agreement property requires verdicts to be a pure function of the stream,
-// so any divergence between the orderer's value-free derivation and the
-// peer's full validation is a pipeline bug that must fail loudly rather
-// than be silently re-derived around.
+// commit is the live path: check that the block extends the chain, run the
+// parallel validator, and land the peer's own copy of the block — verdicts
+// and rescue digest already on it — together with its valid writes. A
+// delivered block carrying the orderer's precomputed shadow verdicts
+// (blk.Validation) is cross-checked byte for byte: the agreement property
+// requires verdicts to be a pure function of the stream, so any divergence
+// between the orderer's value-free derivation and the peer's full
+// validation is a pipeline bug that must fail loudly rather than be
+// silently re-derived around. Nothing is stored before that check passes.
 func (c *Committer) commit(blk *ledger.Block) error {
-	peerBlk := &ledger.Block{Header: blk.Header, Transactions: blk.Transactions}
-	if err := c.cfg.Chain.Append(peerBlk); err != nil {
+	if err := c.cfg.Chain.Check(blk); err != nil {
 		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
 	}
-	res := ValidateBlock(c.cfg.State, peerBlk, c.cfg.Validation)
-	for _, tx := range peerBlk.Transactions {
-		c.cfg.Tracer.Record(string(tx.ID), trace.StageValidate, peerBlk.Header.Number)
+	res := ValidateBlock(c.cfg.State, blk, c.cfg.Validation)
+	for _, tx := range blk.Transactions {
+		c.cfg.Tracer.Record(string(tx.ID), trace.StageValidate, blk.Header.Number)
 	}
 	if blk.Validation != nil {
 		if err := AssertVerdictsEqual(blk.Header.Number, blk.Validation, res.Codes); err != nil {
@@ -191,10 +192,8 @@ func (c *Committer) commit(blk *ledger.Block) error {
 				blk.Header.Number, res.Rescue.Digest, blk.RescueDigest)
 		}
 	}
-	if err := c.cfg.Chain.SetValidationRescued(peerBlk.Header.Number, res.Codes, res.Rescue.Digest); err != nil {
-		return fmt.Errorf("record validation for block %d: %w", peerBlk.Header.Number, err)
-	}
-	if err := c.apply(peerBlk, res.Writes); err != nil {
+	peerBlk := &ledger.Block{Header: blk.Header, Transactions: blk.Transactions, Validation: res.Codes, RescueDigest: res.Rescue.Digest}
+	if err := c.land(peerBlk, res.Writes); err != nil {
 		return err
 	}
 	if c.cfg.Tracer != nil {
@@ -241,7 +240,7 @@ func AssertVerdictsEqual(block uint64, precomputed, derived []protocol.Validatio
 
 // ReplayStored is the restart path: re-adopt a block persisted with its
 // validation codes, applying exactly the writes the original commit did. It
-// shares WritesFor/apply with the live path, so replay and live commit
+// shares WritesFor/land with the live path, so replay and live commit
 // cannot drift. Rescued verdicts carry no write sets in the block — replay
 // re-derives them by re-running the deterministic rescue phase against the
 // replayed state and asserts the outcome matches what was sealed.
@@ -249,15 +248,15 @@ func (c *Committer) ReplayStored(b *ledger.Block) error {
 	if len(b.Validation) != len(b.Transactions) {
 		return fmt.Errorf("commit: stored block %d missing validation metadata", b.Header.Number)
 	}
-	blk := &ledger.Block{Header: b.Header, Transactions: b.Transactions, Validation: b.Validation, RescueDigest: b.RescueDigest}
-	if err := c.cfg.Chain.Append(blk); err != nil {
-		return fmt.Errorf("commit: replay block %d: %w", blk.Header.Number, err)
+	if err := c.cfg.Chain.Check(b); err != nil {
+		return fmt.Errorf("commit: replay block %d: %w", b.Header.Number, err)
 	}
-	out, err := ReplayRescue(reexec.DBSource(c.cfg.State), blk, c.cfg.Validation.Registry)
+	out, err := ReplayRescue(reexec.DBSource(c.cfg.State), b, c.cfg.Validation.Registry)
 	if err != nil {
-		return fmt.Errorf("commit: replay block %d: %w", blk.Header.Number, err)
+		return fmt.Errorf("commit: replay block %d: %w", b.Header.Number, err)
 	}
-	return c.apply(blk, WritesForRescued(blk, blk.Validation, out.Writes))
+	blk := &ledger.Block{Header: b.Header, Transactions: b.Transactions, Validation: b.Validation, RescueDigest: b.RescueDigest}
+	return c.land(blk, WritesForRescued(blk, blk.Validation, out.Writes))
 }
 
 // ReplayRescue re-derives a stored block's rescue outcome: the Rescued
@@ -302,11 +301,21 @@ func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincod
 	return out, nil
 }
 
-// apply batch-commits a block's valid writes — the single state-mutation
-// point for both the live and replay paths.
-func (c *Committer) apply(blk *ledger.Block, writes []statedb.BlockWrites) error {
-	if err := c.cfg.State.ApplyBlock(blk.Header.Number, writes); err != nil {
+// land is the one commit point, shared by the live and replay paths. blk
+// has passed Chain.Check and carries its final verdicts. On a durable peer
+// its record, its writes and the height land as one atomic batch; then the
+// state height is published, then the chain tip — so whoever sees the tip
+// at N sees the state at N or later, in memory and on disk.
+func (c *Committer) land(blk *ledger.Block, writes []statedb.BlockWrites) error {
+	var riders []kvstore.BatchOp
+	if c.cfg.State.Durable() {
+		riders = []kvstore.BatchOp{ledger.Record(blk)}
+	}
+	if err := c.cfg.State.ApplyBlock(blk.Header.Number, writes, riders...); err != nil {
 		return fmt.Errorf("apply block %d: %w", blk.Header.Number, err)
+	}
+	if err := c.cfg.Chain.Append(blk); err != nil {
+		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
 	}
 	c.stats.BlocksCommitted.Inc()
 	return nil

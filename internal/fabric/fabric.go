@@ -55,8 +55,8 @@ type Options struct {
 	// Genesis, when non-empty, is the block-0 write set every replica
 	// installs before the first block seals: peer state databases (NewPeer)
 	// and the orderer's shadow state. Scenario-driven deployments fill it
-	// from scenario.Scenario.GenesisWrites. Ignored on a DataDir resume whose
-	// stored state already contains the genesis.
+	// from scenario.Scenario.GenesisWrites. Ignored on a DataDir resume (the
+	// store already holds it).
 	Genesis []protocol.WriteItem
 	// Peers is the number of endorsing/validating peers (default 4, the
 	// paper's setup).
@@ -75,9 +75,8 @@ type Options struct {
 	// Client.SubmitCommitted).
 	HashCommitment bool
 	// DataDir, when non-empty, persists peer 0's ledger and latest state in
-	// kvstore databases under it; a network booted again on the same
-	// directory resumes from the stored chain (crash recovery is inherited
-	// from the kvstore WAL).
+	// one kvstore under it (PeerConfig.DataDir has the layout); a network
+	// booted again on the same directory resumes from the stored chain.
 	DataDir string
 	// Ordering, when set, injects an externally built consensus service —
 	// typically a transport.RaftService joining this process to a Raft

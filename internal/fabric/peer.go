@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/commit"
@@ -34,13 +33,15 @@ type PeerConfig struct {
 	Rescue bool
 	// Workers caps intra-block validation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// DataDir, when non-empty, persists the ledger and latest state in
-	// kvstore databases under it; a peer built again on the same directory
-	// resumes from the stored chain (crash recovery is inherited from the
-	// kvstore WAL).
+	// DataDir, when non-empty, is one kvstore holding everything the peer
+	// persists under three key prefixes: "b/" block records (verdicts and
+	// rescue digest included), "s/" latest state, "meta/height". Each block
+	// lands there as one atomic batch, so a peer built again on the
+	// directory — after a clean close or a kill — resumes from a store whose
+	// chain tip and state height are the same block.
 	DataDir string
 	// Genesis is the block-0 write set a fresh replica installs; ignored
-	// when DataDir already holds state or blocks.
+	// when DataDir already holds a height record.
 	Genesis []protocol.WriteItem
 	// Tracer, OnCommit and OnError pass through to the committer
 	// (commit.Config).
@@ -60,43 +61,41 @@ type Peer struct {
 	state     *statedb.DB
 	chain     *ledger.Chain
 	committer *commit.Committer
-	stores    []*kvstore.DB
+	store     *kvstore.DB // nil for an in-memory peer
 }
 
-// NewPeer assembles a peer: it opens the DataDir stores (or in-memory ones),
-// seeds the genesis on a fresh replica only, and builds the committer —
-// the validation/commit stage of the EOV pipeline, decoupled from ordering
-// by a buffered delivery channel. The caller starts the committer once
-// anything it wants replayed (Committer().ReplayStored) is in.
-func NewPeer(cfg PeerConfig) (*Peer, error) {
+// NewPeer assembles a peer: it opens the DataDir store (or none), seeds the
+// genesis on a fresh replica only, and builds the committer — the
+// validation/commit stage of the EOV pipeline, decoupled from ordering by a
+// buffered delivery channel. The caller starts the committer once anything
+// it wants replayed (Committer().ReplayStored) is in.
+func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	p := &Peer{id: cfg.ID, signed: identity.NewSignedRing(cfg.ID), registry: cfg.Registry}
-	var stateOpts statedb.Options
-	var chainKV *kvstore.DB
 	if cfg.DataDir != "" {
-		for _, sub := range []string{"state", "blocks"} {
-			db, err := kvstore.Open(kvstore.Options{Dir: filepath.Join(cfg.DataDir, sub)})
-			if err != nil {
-				p.closeStores()
-				return nil, err
-			}
-			p.stores = append(p.stores, db)
+		if p.store, err = kvstore.Open(kvstore.Options{Dir: cfg.DataDir}); err != nil {
+			return nil, err
 		}
-		stateOpts.Backing, chainKV = p.stores[0], p.stores[1]
+		defer func() {
+			if err != nil {
+				_ = p.store.Close() // nothing was written; the open error is what matters
+			}
+		}()
 	}
-	var err error
-	if p.state, err = statedb.New(stateOpts); err != nil {
-		p.closeStores()
+	if p.state, err = statedb.New(statedb.Options{Backing: p.store}); err != nil {
 		return nil, err
 	}
-	if p.chain, err = ledger.NewChain(chainKV); err != nil {
-		p.closeStores()
+	if p.chain, err = ledger.NewChain(p.store); err != nil {
 		return nil, err
 	}
-	// A DataDir resume already holds the genesis (its persisted state or
-	// chain is non-empty) and must not re-apply block 0.
-	if p.chain.Len() == 0 && p.state.Keys() == 0 {
-		if err := workload.SeedGenesis(p.state, cfg.Genesis); err != nil {
-			p.closeStores()
+	// A block lands as one batch, so the two can only disagree in a
+	// directory this code did not write; there is no rule to repair it by.
+	if tip, _ := p.chain.Height(); tip != p.state.Height() {
+		return nil, fmt.Errorf("fabric: %s: %s holds chain tip %d but state height %d", cfg.ID.ID, cfg.DataDir, tip, p.state.Height())
+	}
+	// A store with a height record already holds the genesis and must not
+	// re-apply block 0.
+	if !p.state.Seeded() {
+		if err = workload.SeedGenesis(p.state, cfg.Genesis); err != nil {
 			return nil, fmt.Errorf("fabric: seeding %s genesis: %w", cfg.ID.ID, err)
 		}
 	}
@@ -127,15 +126,11 @@ func (p *Peer) Chain() *ledger.Chain { return p.chain }
 // idleness).
 func (p *Peer) Committer() *commit.Committer { return p.committer }
 
-// Close drains the committer, then closes the durable stores.
+// Close drains the committer, then closes the durable store.
 func (p *Peer) Close() {
 	p.committer.Close()
-	p.closeStores()
-}
-
-func (p *Peer) closeStores() {
-	for _, db := range p.stores {
-		_ = db.Close()
+	if p.store != nil {
+		_ = p.store.Close() // every committed batch is already in the log
 	}
 }
 

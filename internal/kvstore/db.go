@@ -21,8 +21,9 @@ type Options struct {
 	// CompactAfter triggers a full merge once the table count exceeds it.
 	// Default 4.
 	CompactAfter int
-	// SyncWrites fsyncs the WAL on every mutation. Durable but slow;
-	// off by default (the WAL is still flushed on Close).
+	// SyncWrites fsyncs the WAL on every batch: durable across a machine
+	// crash but slow, so off by default. Either way each batch reaches the
+	// OS before its call returns, so a killed process loses none.
 	SyncWrites bool
 }
 
@@ -80,16 +81,13 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	db.removeStaleTables(ids)
-	if _, err := replayWAL(filepath.Join(opts.Dir, walName), func(op byte, key, value []byte) {
-		db.mem.set(key, append([]byte(nil), value...), op == walOpDelete)
-	}); err != nil {
-		return nil, err
-	}
-	w, err := openWAL(filepath.Join(opts.Dir, walName), opts.SyncWrites)
+	intact, err := replayWAL(filepath.Join(opts.Dir, walName), db.applyLocked)
 	if err != nil {
 		return nil, err
 	}
-	db.wal = w
+	if db.wal, err = openWAL(filepath.Join(opts.Dir, walName), intact, opts.SyncWrites); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
@@ -172,34 +170,12 @@ func (db *DB) liveTableIDs() []uint64 {
 
 // Put stores value under key, overwriting any previous value.
 func (db *DB) Put(key, value []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return fmt.Errorf("kvstore: store closed")
-	}
-	if db.wal != nil {
-		if err := db.wal.append(walOpPut, key, value); err != nil {
-			return err
-		}
-	}
-	db.mem.set(key, append([]byte(nil), value...), false)
-	return db.maybeFlushLocked()
+	return db.ApplyBatch([]BatchOp{{Key: key, Value: value}})
 }
 
 // Delete removes key. Deleting an absent key is a no-op.
 func (db *DB) Delete(key []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return fmt.Errorf("kvstore: store closed")
-	}
-	if db.wal != nil {
-		if err := db.wal.append(walOpDelete, key, nil); err != nil {
-			return err
-		}
-	}
-	db.mem.set(key, nil, true)
-	return db.maybeFlushLocked()
+	return db.ApplyBatch([]BatchOp{{Key: key, Delete: true}})
 }
 
 // BatchOp is one mutation of a write batch.
@@ -208,34 +184,35 @@ type BatchOp struct {
 	Delete     bool
 }
 
-// ApplyBatch applies every operation under one lock acquisition and defers
-// the memtable-flush decision to the end of the batch — the per-block commit
-// path's alternative to len(ops) individual Put/Delete round-trips. The WAL
-// records each operation, so a crash mid-batch replays a prefix, exactly as
-// it would for the equivalent sequence of single Puts.
+// ApplyBatch applies every operation atomically: under one lock
+// acquisition, as one checksummed WAL record handed to the OS before the
+// call returns, with the memtable-flush decision deferred to the end. A
+// crash leaves the whole batch or none of it — the per-block commit path
+// relies on that to land a block's record, writes and height together.
 func (db *DB) ApplyBatch(ops []BatchOp) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return fmt.Errorf("kvstore: store closed")
 	}
-	for _, op := range ops {
-		if db.wal != nil {
-			walOp := byte(walOpPut)
-			if op.Delete {
-				walOp = walOpDelete
-			}
-			if err := db.wal.append(walOp, op.Key, op.Value); err != nil {
-				return err
-			}
+	if db.wal != nil {
+		if err := db.wal.append(ops); err != nil {
+			return err
 		}
+	}
+	db.applyLocked(ops)
+	return db.maybeFlushLocked()
+}
+
+// applyLocked folds ops into the memtable (live writes and WAL replay).
+func (db *DB) applyLocked(ops []BatchOp) {
+	for _, op := range ops {
 		if op.Delete {
 			db.mem.set(op.Key, nil, true)
 		} else {
 			db.mem.set(op.Key, append([]byte(nil), op.Value...), false)
 		}
 	}
-	return db.maybeFlushLocked()
 }
 
 // Get returns the value stored under key.
@@ -296,7 +273,7 @@ func (db *DB) flushLocked() error {
 	if err := os.Remove(filepath.Join(db.opts.Dir, walName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	w, err := openWAL(filepath.Join(db.opts.Dir, walName), db.opts.SyncWrites)
+	w, err := openWAL(filepath.Join(db.opts.Dir, walName), 0, db.opts.SyncWrites)
 	if err != nil {
 		return err
 	}
@@ -362,7 +339,7 @@ func (db *DB) Flush() error {
 	return db.flushLocked()
 }
 
-// Close flushes the WAL and releases the store.
+// Close releases the store.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -372,23 +349,6 @@ func (db *DB) Close() error {
 	db.closed = true
 	if db.wal != nil {
 		return db.wal.close()
-	}
-	return nil
-}
-
-// DeleteRange tombstones every key in [start, limit). It exists for the
-// dependency indices' pruning sweeps; ranges there are short.
-func (db *DB) DeleteRange(start, limit []byte) error {
-	var doomed [][]byte
-	db.mu.RLock()
-	for it := db.newIteratorLocked(start, limit); it.Valid(); it.Next() {
-		doomed = append(doomed, append([]byte(nil), it.Key()...))
-	}
-	db.mu.RUnlock()
-	for _, k := range doomed {
-		if err := db.Delete(k); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -10,77 +10,83 @@ import (
 	"os"
 )
 
-// Write-ahead log format, one record per mutation:
+// Write-ahead log format, one record per batch (a Put or Delete is a batch
+// of one):
 //
 //	crc32(payload) uint32 | payloadLen uint32 | payload
-//	payload = op byte | keyLen uvarint | key | valLen uvarint | val
+//	payload = opCount uvarint | opCount × (op byte | keyLen uvarint | key | valLen uvarint | val)
 //
-// A torn tail (short read or checksum mismatch on the final record) is
-// tolerated during replay, matching the crash the WAL exists to survive;
-// corruption anywhere earlier is reported as an error.
+// The checksum covers the whole batch, so replay yields a batch entirely or
+// not at all. A torn tail (short read or checksum mismatch on the final
+// record) is tolerated during replay, matching the crash the WAL exists to
+// survive; corruption anywhere earlier is reported as an error.
 
 const (
 	walOpPut    byte = 1
 	walOpDelete byte = 2
 )
 
-// errTornTail internally marks a truncated final record during replay.
-var errTornTail = errors.New("kvstore: torn WAL tail")
+// errTornTail internally marks a truncated final record during replay;
+// errMalformed a record whose checksum holds but whose payload does not parse.
+var errTornTail, errMalformed = errors.New("kvstore: torn WAL tail"), errors.New("malformed batch")
 
+// wal appends each batch with one write call on the file: nothing is held
+// back in user space, so a killed process loses no batch whose append
+// returned (a machine crash still needs sync).
 type wal struct {
 	f    *os.File
-	w    *bufio.Writer
+	buf  []byte // record under construction, reused across appends
 	sync bool
 }
 
-func openWAL(path string, sync bool) (*wal, error) {
+// openWAL opens the log at path for appending after its first intact
+// bytes — what replayWAL returned, 0 for a new log. A torn tail beyond them
+// is cut off: left in place it would swallow every record appended after it
+// at the next replay.
+func openWAL(path string, intact int64, sync bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriter(f), sync: sync}, nil
+	if err := f.Truncate(intact); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("kvstore: trim wal: %w", err)
+	}
+	return &wal{f: f, sync: sync}, nil
 }
 
-func (w *wal) append(op byte, key, value []byte) error {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(value))
-	payload = append(payload, op)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(value)))
-	payload = append(payload, value...)
-
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
+func (w *wal) append(ops []BatchOp) error {
+	buf := append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	for _, op := range ops {
+		kind := walOpPut
+		if op.Delete {
+			kind, op.Value = walOpDelete, nil
+		}
+		buf = append(buf, kind)
+		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
+		buf = append(buf, op.Key...)
+		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
+		buf = append(buf, op.Value...)
 	}
-	if _, err := w.w.Write(payload); err != nil {
+	binary.LittleEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[8:]))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(buf)-8))
+	w.buf = buf
+	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
 	if w.sync {
-		if err := w.w.Flush(); err != nil {
-			return err
-		}
 		return w.f.Sync()
 	}
 	return nil
 }
 
-func (w *wal) flush() error { return w.w.Flush() }
+func (w *wal) close() error { return w.f.Close() }
 
-func (w *wal) close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// replayWAL streams every intact record of the log at path into fn. It
-// returns the number of records applied. A torn final record is silently
-// dropped; mid-log corruption is an error.
-func replayWAL(path string, fn func(op byte, key, value []byte)) (int, error) {
+// replayWAL streams every intact batch of the log at path into fn, in
+// order, and returns how many bytes they span. A torn final record is
+// silently dropped; mid-log corruption is an error.
+func replayWAL(path string, fn func(ops []BatchOp)) (intact int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -91,57 +97,64 @@ func replayWAL(path string, fn func(op byte, key, value []byte)) (int, error) {
 	defer f.Close()
 
 	r := bufio.NewReader(f)
-	applied := 0
-	for {
-		op, key, value, err := readWALRecord(r)
-		if err == io.EOF {
-			return applied, nil
-		}
-		if err == errTornTail {
+	for n := 0; ; n++ {
+		ops, size, err := readWALRecord(r)
+		if err == io.EOF || err == errTornTail {
 			// A crash mid-append leaves a truncated tail; everything before
 			// it is intact, so recovery proceeds with what we have.
-			return applied, nil
+			return intact, nil
 		}
 		if err != nil {
-			return applied, fmt.Errorf("kvstore: wal record %d: %w", applied, err)
+			return intact, fmt.Errorf("kvstore: wal record %d: %w", n, err)
 		}
-		fn(op, key, value)
-		applied++
+		fn(ops)
+		intact += size
 	}
 }
 
-func readWALRecord(r *bufio.Reader) (op byte, key, value []byte, err error) {
+// readWALRecord reads one batch and reports the bytes it spans; its keys
+// and values alias the payload.
+func readWALRecord(r *bufio.Reader) ([]BatchOp, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return 0, nil, nil, io.EOF
+			return nil, 0, io.EOF
 		}
-		return 0, nil, nil, errTornTail
+		return nil, 0, errTornTail
 	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-	payloadLen := binary.LittleEndian.Uint32(hdr[4:8])
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, nil, errTornTail
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[4:8]))
+	if _, err := io.ReadFull(r, payload); err != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[0:4]) {
+		return nil, 0, errTornTail
 	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return 0, nil, nil, errTornTail
+	count, n := binary.Uvarint(payload)
+	if n <= 0 || count > uint64(len(payload)) {
+		return nil, 0, errMalformed
 	}
-	if len(payload) < 1 {
-		return 0, nil, nil, errors.New("empty payload")
+	rest := payload[n:]
+	// field cuts one length-prefixed byte string off rest.
+	field := func() (out []byte, ok bool) {
+		size, n := binary.Uvarint(rest)
+		if n <= 0 || uint64(len(rest)-n) < size {
+			return nil, false
+		}
+		out, rest = rest[n:n+int(size)], rest[n+int(size):]
+		return out, true
 	}
-	op = payload[0]
-	rest := payload[1:]
-	keyLen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest[n:])) < keyLen {
-		return 0, nil, nil, errors.New("bad key length")
+	ops := make([]BatchOp, count)
+	for i := range ops {
+		if len(rest) == 0 {
+			return nil, 0, errMalformed
+		}
+		ops[i].Delete, rest = rest[0] == walOpDelete, rest[1:]
+		var okKey, okVal bool
+		ops[i].Key, okKey = field()
+		ops[i].Value, okVal = field()
+		if !okKey || !okVal {
+			return nil, 0, errMalformed
+		}
 	}
-	key = rest[n : n+int(keyLen)]
-	rest = rest[n+int(keyLen):]
-	valLen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest[n:])) < valLen {
-		return 0, nil, nil, errors.New("bad value length")
+	if len(rest) != 0 {
+		return nil, 0, errMalformed
 	}
-	value = rest[n : n+int(valLen)]
-	return op, key, value, nil
+	return ops, int64(len(hdr) + len(payload)), nil
 }

@@ -1,6 +1,6 @@
 // Package ledger implements the blockchain itself: blocks of ordered
 // transactions chained by header hashes, a merkle accumulator over the
-// transaction digests, and an append-only block store.
+// transaction digests, and the stored form of a block (Record, NewChain).
 //
 // The paper's safety argument (Section 3.5) leans on four properties of this
 // layer — hash chain integrity, no skipping, no creation, agreement — which
@@ -118,16 +118,14 @@ func (b *Block) CommittedCount() int {
 	return n
 }
 
-// Chain is an append-only hash chain of blocks, optionally persisted to a
-// kvstore. Safe for concurrent use.
+// Chain is an append-only, in-memory hash chain of blocks. A block is
+// appended complete with its verdicts and never changed afterwards. Safe
+// for concurrent use.
 type Chain struct {
 	mu     sync.RWMutex
 	blocks []*Block
-	store  *kvstore.DB
-	// committed tallies the Committed verdicts over every block, kept in
-	// step under mu wherever a block's Validation is installed, so status
-	// probes read one number instead of walking verdict slices the
-	// committer may be replacing.
+	// committed tallies the Committed verdicts over every block, so status
+	// probes read one number instead of walking verdict slices.
 	committed uint64
 }
 
@@ -140,10 +138,22 @@ func blockKey(n uint64) []byte {
 	return append(k, b[:]...)
 }
 
-// NewChain creates a chain. A non-nil store persists blocks and reloads any
-// existing chain from it (verifying linkage).
+// Record encodes blk as the store entry NewChain loads. The chain never
+// writes: the owner of the store commits the record in the same batch as
+// whatever else must land with the block (a peer: its state writes and
+// height).
+func Record(blk *Block) kvstore.BatchOp {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(blk); err != nil {
+		panic(fmt.Sprintf("ledger: encode block %d: %v", blk.Header.Number, err)) // only an unencodable field type fails
+	}
+	return kvstore.BatchOp{Key: blockKey(blk.Header.Number), Value: buf.Bytes()}
+}
+
+// NewChain creates a chain, loading the blocks a non-nil store holds
+// (verifying linkage). The store is only read.
 func NewChain(store *kvstore.DB) (*Chain, error) {
-	c := &Chain{store: store}
+	c := &Chain{}
 	if store == nil {
 		return c, nil
 	}
@@ -233,10 +243,21 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.V
 		Validation:   validation,
 		RescueDigest: rescueDigest,
 	}
-	if err := c.appendLocked(blk); err != nil {
+	if err := checkVerdicts(blk); err != nil {
 		return nil, err
 	}
+	c.pushLocked(blk)
 	return blk, nil
+}
+
+// Check reports whether blk would extend the chain: its number is next, its
+// PrevHash is the tip's hash, its DataHash binds its transactions and its
+// verdicts, if any, number one per transaction. A committer checks before
+// it validates and persists, and appends after.
+func (c *Chain) Check(blk *Block) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.checkLocked(blk)
 }
 
 // Append adds an externally assembled block, enforcing linkage (agreement,
@@ -244,10 +265,14 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.V
 func (c *Chain) Append(blk *Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.appendLocked(blk)
+	if err := c.checkLocked(blk); err != nil {
+		return err
+	}
+	c.pushLocked(blk)
+	return nil
 }
 
-func (c *Chain) appendLocked(blk *Block) error {
+func (c *Chain) checkLocked(blk *Block) error {
 	if len(c.blocks) > 0 {
 		tip := c.blocks[len(c.blocks)-1]
 		if blk.Header.Number != tip.Header.Number+1 {
@@ -260,53 +285,19 @@ func (c *Chain) appendLocked(blk *Block) error {
 	if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
 		return fmt.Errorf("ledger: block %d data-hash mismatch", blk.Header.Number)
 	}
+	return checkVerdicts(blk)
+}
+
+func checkVerdicts(blk *Block) error {
 	if blk.Validation != nil && len(blk.Validation) != len(blk.Transactions) {
 		return fmt.Errorf("ledger: block %d validation metadata length mismatch", blk.Header.Number)
-	}
-	c.blocks = append(c.blocks, blk)
-	c.committed += uint64(blk.CommittedCount())
-	if c.store != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(blk); err != nil {
-			return fmt.Errorf("ledger: encode block: %w", err)
-		}
-		if err := c.store.Put(blockKey(blk.Header.Number), buf.Bytes()); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// SetValidationRescued records validation codes and the re-derived rescue
-// digest (nil when no transaction was rescued) on an already appended block
-// (the validation phase runs after delivery) and re-persists it.
-func (c *Chain) SetValidationRescued(number uint64, codes []protocol.ValidationCode, rescueDigest []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.blocks) == 0 {
-		return fmt.Errorf("ledger: empty chain")
-	}
-	first := c.blocks[0].Header.Number
-	idx := int(number) - int(first)
-	if idx < 0 || idx >= len(c.blocks) {
-		return fmt.Errorf("ledger: block %d not found", number)
-	}
-	blk := c.blocks[idx]
-	if len(codes) != len(blk.Transactions) {
-		return fmt.Errorf("ledger: validation metadata length mismatch")
-	}
-	c.committed -= uint64(blk.CommittedCount())
-	blk.Validation = codes
+func (c *Chain) pushLocked(blk *Block) {
+	c.blocks = append(c.blocks, blk)
 	c.committed += uint64(blk.CommittedCount())
-	blk.RescueDigest = rescueDigest
-	if c.store != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(blk); err != nil {
-			return err
-		}
-		return c.store.Put(blockKey(number), buf.Bytes())
-	}
-	return nil
 }
 
 // Verify walks the whole chain checking linkage and data hashes. It returns

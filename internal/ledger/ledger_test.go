@@ -115,36 +115,34 @@ func TestMerkleOddCounts(t *testing.T) {
 }
 
 func TestValidationMetadata(t *testing.T) {
+	// A block carries its verdicts from the moment it is on the chain; the
+	// tally counts valid and rescued.
 	c, _ := NewChain(nil)
-	b, _ := c.Seal(txs("a", "b", "c"), nil)
-	codes := []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict, protocol.Valid}
-	if err := c.SetValidationRescued(b.Header.Number, codes, nil); err != nil {
+	rescued := []protocol.ValidationCode{protocol.Valid, protocol.Rescued, protocol.MVCCConflict}
+	if _, err := c.SealRescued(txs("a", "b", "c"), rescued, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(1)
-	if got.ValidCount() != 2 {
-		t.Errorf("ValidCount = %d want 2", got.ValidCount())
-	}
-	if n := c.CommittedTxs(); n != 2 {
-		t.Errorf("CommittedTxs = %d want 2", n)
-	}
-	// Replacing a block's verdicts replaces its share of the tally; a
-	// block sealed with verdicts adds to it at once.
-	rescued := []protocol.ValidationCode{protocol.Valid, protocol.Rescued, protocol.Valid}
-	if err := c.SetValidationRescued(1, rescued, []byte{1}); err != nil {
-		t.Fatal(err)
+	if got.ValidCount() != 1 || got.CommittedCount() != 2 {
+		t.Errorf("ValidCount, CommittedCount = %d, %d want 1, 2", got.ValidCount(), got.CommittedCount())
 	}
 	if _, err := c.Seal(txs("d", "e"), []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.CommittedTxs(); n != 4 {
-		t.Errorf("CommittedTxs = %d want 4 (3 in block 1, 1 in block 2)", n)
+	if n := c.CommittedTxs(); n != 3 {
+		t.Errorf("CommittedTxs = %d want 3 (2 in block 1, 1 in block 2)", n)
 	}
-	if err := c.SetValidationRescued(1, codes[:1], nil); err == nil {
-		t.Error("length mismatch accepted")
+	tip, _ := c.Tip()
+	short := &Block{
+		Header:       Header{Number: 3, PrevHash: tip.Hash(), DataHash: DataHash(txs("f", "g"))},
+		Transactions: txs("f", "g"),
+		Validation:   []protocol.ValidationCode{protocol.Valid},
 	}
-	if err := c.SetValidationRescued(9, codes, nil); err == nil {
-		t.Error("missing block accepted")
+	if err := c.Check(short); err == nil {
+		t.Error("Check accepted a verdict length mismatch")
+	}
+	if err := c.Append(short); err == nil {
+		t.Error("Append accepted a verdict length mismatch")
 	}
 }
 
@@ -156,6 +154,7 @@ func TestSealWithValidationLengthMismatch(t *testing.T) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
+	// The chain does not write; whoever owns the store commits Record(blk).
 	dir := t.TempDir()
 	kv, err := kvstore.Open(kvstore.Options{Dir: dir})
 	if err != nil {
@@ -166,7 +165,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Seal(txs(fmt.Sprintf("tx%d", i)), []protocol.ValidationCode{protocol.Valid}); err != nil {
+		blk, err := c.SealRescued(txs(fmt.Sprintf("tx%d", i)), []protocol.ValidationCode{protocol.Rescued}, []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.ApplyBatch([]kvstore.BatchOp{Record(blk)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,6 +195,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if n := c2.CommittedTxs(); n != 5 {
 		t.Errorf("CommittedTxs rebuilt as %d on reopen, want 5", n)
+	}
+	if b, _ := c2.Get(3); b.Validation[0] != protocol.Rescued || !bytes.Equal(b.RescueDigest, []byte{2}) {
+		t.Errorf("block 3 reloaded with verdicts %v digest %x", b.Validation, b.RescueDigest)
 	}
 	if err := c2.Verify(); err != nil {
 		t.Fatal(err)
@@ -255,22 +261,28 @@ func TestAgreementTipHashEquality(t *testing.T) {
 	}
 }
 
-// TestCommittedTxsConcurrentWithSetValidation is the status-probe race: one
-// goroutine installs verdicts block by block (the committer) while another
-// reads the tally (the MsgStatusReq handlers). Run under -race.
-func TestCommittedTxsConcurrentWithSetValidation(t *testing.T) {
-	c, _ := NewChain(nil)
+// TestStatusProbesConcurrentWithAppend is the status-probe race: one
+// goroutine appends sealed blocks (the committer) while another reads the
+// tally, the length and the tip hash (the MsgStatusReq handlers). Run under
+// -race.
+func TestStatusProbesConcurrentWithAppend(t *testing.T) {
+	sealer, _ := NewChain(nil)
 	const blocks = 200
-	for i := 0; i < blocks; i++ {
-		if _, err := c.Seal(txs(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)), nil); err != nil {
+	sealed := make([]*Block, blocks)
+	for i := range sealed {
+		blk, err := sealer.Seal(txs(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
+			[]protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict})
+		if err != nil {
 			t.Fatal(err)
 		}
+		sealed[i] = blk
 	}
+	c, _ := NewChain(nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := uint64(1); i <= blocks; i++ {
-			if err := c.SetValidationRescued(i, []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict}, nil); err != nil {
+		for _, blk := range sealed {
+			if err := c.Append(blk); err != nil {
 				t.Error(err)
 				return
 			}
@@ -283,9 +295,13 @@ func TestCommittedTxsConcurrentWithSetValidation(t *testing.T) {
 			running = false
 		default:
 		}
-		n := c.CommittedTxs()
-		if n < last || n > blocks {
-			t.Fatalf("tally went %d → %d (max %d)", last, n, blocks)
+		// Tally first: it can only trail a length read after it.
+		n, length := c.CommittedTxs(), c.Len()
+		if n < last || n > uint64(length) {
+			t.Fatalf("tally went %d → %d with %d blocks", last, n, length)
+		}
+		if length > 0 && c.TipHash() == nil {
+			t.Fatalf("%d blocks and no tip hash", length)
 		}
 		last = n
 	}

@@ -50,6 +50,62 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 	}
 }
 
+// TestDurablePeerResumesFromItsStore restarts a -data-dir peer on its own
+// directory: it starts at the block its store holds (chain tip and state
+// height are one number there), subscribes just above it, and converges —
+// over the wire it pulls only the blocks sealed while it was down.
+func TestDurablePeerResumesFromItsStore(t *testing.T) {
+	ord, peers := bootCluster(t, sched.SystemSharp, 2)
+	client, err := DialClient("durable", []string{ord.Addr()}, []string{peers[0].Addr()}, dialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	// peer1 of the cluster steps aside for a durable peer1.
+	if err := peers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := PeerConfig{
+		Name:         "peer1",
+		Listen:       "127.0.0.1:0",
+		OrdererAddrs: []string{ord.Addr()},
+		System:       sched.SystemSharp,
+		PeerNames:    []string{"peer0", "peer1"},
+		DataDir:      t.TempDir(),
+	}
+	first, err := StartPeer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { first.Close() })
+	if first.ResumedAt() != 0 {
+		t.Fatalf("fresh store resumed at block %d", first.ResumedAt())
+	}
+	driveContended(t, client, 30, 2)
+	awaitConvergence(t, ord, []string{peers[0].Addr(), first.Addr()})
+	stored := first.State().Height()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	driveContended(t, client, 30, 2)
+
+	second, err := StartPeer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.Close() })
+	if second.ResumedAt() != stored || stored == 0 {
+		t.Fatalf("restart resumed at block %d, the store was closed at %d", second.ResumedAt(), stored)
+	}
+	awaitConvergence(t, ord, []string{peers[0].Addr(), second.Addr()})
+	if second.State().Height() <= stored {
+		t.Fatalf("no block sealed while the peer was down (height %d)", second.State().Height())
+	}
+	if second.State().StateFingerprint() != peers[0].State().StateFingerprint() {
+		t.Fatal("restarted peer's state diverges from the survivor's")
+	}
+}
+
 // TestOrdererCloseFailsInFlightSubmits pins the listener-shutdown contract:
 // clients with submits in flight get errors within their retry budget —
 // never a hang. (SubmitTx retries across failovers, so with the only

@@ -225,11 +225,9 @@ func (o *Orderer) handle(c *transport.Conn) {
 			return // the stream owns the connection until it dies
 		case wire.MsgStatusReq:
 			chain := o.svc.Chain()
-			height, _ := chain.Height()
 			st := wire.Status{
 				Role:        "orderer",
 				Name:        o.name,
-				Height:      height,
 				Blocks:      uint64(chain.Len()),
 				TipHash:     chain.TipHash(),
 				CommittedTx: chain.CommittedTxs(),

@@ -34,14 +34,15 @@ type PeerConfig struct {
 	// deterministic public key joins this process's MSP so endorsements
 	// from any peer verify during validation.
 	PeerNames []string
-	// DataDir, when non-empty, persists this peer's ledger and state; a
-	// restart resumes from the stored chain and re-subscribes from its
-	// height (catch-up over the wire).
+	// DataDir, when non-empty, persists this peer's ledger and state in one
+	// kvstore (fabric.PeerConfig.DataDir has the layout); a restart — after
+	// a clean stop or a kill — resumes from the stored chain and
+	// re-subscribes from its height (catch-up over the wire).
 	DataDir string
 	// Genesis writes seed a fresh peer's state database at the shared
 	// genesis version before any block is delivered; the set must be
 	// identical on every replica (peers and orderer shadows) or MVCC
-	// verdicts diverge. Ignored when DataDir resumes a stored chain.
+	// verdicts diverge. Ignored when DataDir resumes a store.
 	Genesis []protocol.WriteItem
 	// DialOrderer overrides how the block subscription connects (fault
 	// injection seam; see transport.Subscriber.Dial for the no-drops
@@ -69,6 +70,8 @@ type Peer struct {
 	sub    *transport.Subscriber
 	tracer *trace.Tracer
 
+	// resumed is the block the DataDir store held at start (0 when fresh).
+	resumed uint64
 	// delivered tracks the highest block number handed to the committer —
 	// the resubscription cursor. Monotonic; duplicates the orderer replays
 	// after a reconnect are dropped before they can double-commit.
@@ -119,10 +122,10 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: peer %s: %w", cfg.Name, err)
 	}
-	// Resuming from disk, the chain and state already hold the stored
-	// blocks; the subscription resumes just above them.
-	height, _ := p.Chain().Height()
-	p.delivered.Store(height)
+	// Resuming from disk, the chain and state hold the same stored blocks
+	// (NewPeer checked); the subscription resumes just above them.
+	p.resumed = p.State().Height()
+	p.delivered.Store(p.resumed)
 	p.Committer().Start()
 	p.sub = &transport.Subscriber{
 		Addrs:  cfg.OrdererAddrs,
@@ -161,12 +164,16 @@ func (p *Peer) Addr() string { return p.srv.Addr() }
 // Err returns the peer's first fatal error, nil while healthy.
 func (p *Peer) Err() error { return p.errs.get() }
 
+// ResumedAt reports the block the peer's DataDir store held when it started
+// (0 for a fresh or in-memory peer); everything above it came over the wire.
+func (p *Peer) ResumedAt() uint64 { return p.resumed }
+
 // Failovers reports how many times the block subscription moved to a
 // different orderer.
 func (p *Peer) Failovers() uint64 { return p.failovers.Value() }
 
 // Close shuts the peer down: stop the subscription, drain the committer,
-// stop serving, close the stores. Idempotent.
+// stop serving, close the store. Idempotent.
 func (p *Peer) Close() error {
 	select {
 	case <-p.closed:
@@ -194,7 +201,6 @@ func (p *Peer) handle(c *transport.Conn) {
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(wire.Status{
 				Role:        "peer",
 				Name:        p.name,
-				Height:      p.State().Height(),
 				Blocks:      uint64(p.Chain().Len()),
 				TipHash:     p.Chain().TipHash(),
 				StateHash:   p.State().StateFingerprint(),

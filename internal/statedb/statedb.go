@@ -62,8 +62,9 @@ type BlockWrites struct {
 // Options configures a state database.
 type Options struct {
 	// Backing, when non-nil, persists the latest version of every key (plus
-	// the chain height) per block in one write batch, and is loaded on
-	// construction.
+	// the chain height) per block in one atomic write batch, and is loaded
+	// on construction. The database uses the keys under "s/" and
+	// "meta/height" only, so the store may hold other records.
 	Backing *kvstore.DB
 }
 
@@ -146,6 +147,14 @@ func New(opts Options) (*DB, error) {
 
 // Height returns the number of the last committed block.
 func (db *DB) Height() uint64 { return db.height.Load() }
+
+// Seeded reports whether any block — the genesis, block 0, included — has
+// been applied; on a backed database, whether the store held a height
+// record. Height alone cannot tell a fresh database from a seeded one.
+func (db *DB) Seeded() bool { return db.hasAny.Load() }
+
+// Durable reports whether a backing store persists each applied block.
+func (db *DB) Durable() bool { return db.backing != nil }
 
 // Get returns the latest version of key — a per-key point read. Cross-key
 // consistency under concurrent commits needs GetAt/SnapshotAt.
@@ -238,10 +247,14 @@ func (s *Snapshot) ReadRange(start, end string) ([]string, error) {
 // must be applied in strictly increasing order; an empty writes slice is
 // fine (a block of aborted or read-only transactions).
 //
+// riders are further records for the backing store (ignored without one):
+// they commit in the block's own batch, atomically with its writes and the
+// height record — a peer lands the ledger's block record this way.
+//
 // The new height is published only after every shard write (and the backing
 // store's batch) has landed, so concurrent snapshot readers at or below the
 // previous height never observe a partial block.
-func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites) error {
+func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore.BatchOp) error {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 	if db.hasAny.Load() && block <= db.height.Load() {
@@ -272,13 +285,13 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites) error {
 		}
 	}
 	if db.backing != nil {
-		// One write batch per block: the height record rides along, so a
-		// replayed WAL prefix is at worst a partially re-applied block below
-		// the recorded height — identical to the pre-batching semantics.
+		// One atomic batch per block: the store holds all of the block —
+		// writes, riders and the height that names it — or none of it.
 		batch = append(batch, kvstore.BatchOp{
 			Key:   []byte(backingHeightKey),
 			Value: seqno.Seq{Block: block}.Bytes(),
 		})
+		batch = append(batch, riders...)
 		if err := db.backing.ApplyBatch(batch); err != nil {
 			db.batch = batch[:0]
 			return err

@@ -188,6 +188,29 @@ func TestBackingPersistence(t *testing.T) {
 	if _, ok := db2.Get("other"); !ok {
 		t.Error("second key lost")
 	}
+
+	// A rider lands in the block's batch and is no part of the state; an
+	// unbacked database takes riders and drops them.
+	if db.Seeded() != true || !db.Durable() {
+		t.Errorf("Seeded, Durable = %v, %v on a backed database at height 2", db.Seeded(), db.Durable())
+	}
+	rider := kvstore.BatchOp{Key: []byte("b/rider"), Value: []byte("record")}
+	if err := db.ApplyBlock(3, nil, rider); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := kv.Get(rider.Key); !ok || string(v) != "record" {
+		t.Errorf("rider in the store = %q, %v", v, ok)
+	}
+	if db3, err := New(Options{Backing: kv}); err != nil || db3.Height() != 3 || db3.Keys() != 2 {
+		t.Errorf("reload after a rider: height %d, %d keys, err %v; want 3, 2", db3.Height(), db3.Keys(), err)
+	}
+	mem := mustNew(t)
+	if mem.Seeded() || mem.Durable() {
+		t.Error("a fresh in-memory database reports Seeded or Durable")
+	}
+	if err := mem.ApplyBlock(0, nil, rider); err != nil || !mem.Seeded() {
+		t.Errorf("in-memory ApplyBlock with a rider: err %v, Seeded %v", err, mem.Seeded())
+	}
 }
 
 func TestBackingDeletePersisted(t *testing.T) {

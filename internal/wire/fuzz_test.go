@@ -109,8 +109,8 @@ func FuzzDecodeSubscribe(f *testing.F) {
 
 func FuzzDecodeStatus(f *testing.F) {
 	fuzzCodec(f, DecodeStatus, EncodeStatus,
-		EncodeStatus(Status{Role: "peer", Name: "peer0", Height: 9, Blocks: 9, TipHash: []byte{1, 2}, StateHash: "ab12", CommittedTx: 400}),
-		EncodeStatus(Status{Role: "orderer", Name: "127.0.0.1:7053", Height: 9, Blocks: 9, TipHash: []byte{1, 2}, Term: 3, Leader: "127.0.0.1:7050", CommittedTx: 400}))
+		EncodeStatus(Status{Role: "peer", Name: "peer0", Blocks: 9, TipHash: []byte{1, 2}, StateHash: "ab12", CommittedTx: 400}),
+		EncodeStatus(Status{Role: "orderer", Name: "127.0.0.1:7053", Blocks: 9, TipHash: []byte{1, 2}, Term: 3, Leader: "127.0.0.1:7050", CommittedTx: 400}))
 }
 
 func FuzzDecodeTransaction(f *testing.F) {

@@ -141,7 +141,7 @@ func TestAckRedirectRoundTrip(t *testing.T) {
 
 func TestStatusRaftFieldsRoundTrip(t *testing.T) {
 	s := Status{
-		Role: "orderer", Name: "orderer2", Height: 12, Blocks: 12,
+		Role: "orderer", Name: "orderer2", Blocks: 12,
 		TipHash: []byte{1, 2, 3}, StateHash: "",
 		Term: 4, Leader: "127.0.0.1:7050", CommittedTx: 480,
 	}

@@ -42,8 +42,9 @@ import (
 // Version is the wire-format version carried in every frame header.
 // History: v1 original; v2 added the block rescue-digest field; v3 added the
 // Raft consensus messages, the Ack leader-redirect fields, and the Status
-// term/leader/committed-tx fields.
-const Version = 3
+// term/leader/committed-tx fields; v4 removed Status.Height (a peer's state
+// height and chain tip are one number).
+const Version = 4
 
 // MaxFrameSize bounds a frame's payload (64 MiB): far above any realistic
 // block, small enough that a corrupt length prefix cannot OOM a node.
@@ -683,10 +684,8 @@ type Status struct {
 	Role string
 	// Name is the node's enrolled identity.
 	Name string
-	// Height is the committed block height (peers: state height; orderers:
-	// sealed-chain height).
-	Height uint64
-	// Blocks is the chain length.
+	// Blocks is the chain length — the node's one height: a peer publishes
+	// a block on its chain only after the block's state has landed.
 	Blocks uint64
 	// TipHash is the hash of the chain's last header — bit-identical across
 	// converged replicas.
@@ -708,7 +707,6 @@ type Status struct {
 func EncodeStatus(s Status) []byte {
 	dst := appendString(nil, s.Role)
 	dst = appendString(dst, s.Name)
-	dst = appendU64(dst, s.Height)
 	dst = appendU64(dst, s.Blocks)
 	dst = appendBytes(dst, s.TipHash)
 	dst = appendString(dst, s.StateHash)
@@ -723,7 +721,6 @@ func DecodeStatus(b []byte) (Status, error) {
 	s := Status{
 		Role:   d.string(),
 		Name:   d.string(),
-		Height: d.u64(),
 		Blocks: d.u64(),
 	}
 	s.TipHash = d.bytes()

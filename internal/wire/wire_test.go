@@ -272,7 +272,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	if got, err := DecodeSubscribe(EncodeSubscribe(s)); err != nil || got != s {
 		t.Fatalf("subscribe round trip: %v, %+v", err, got)
 	}
-	st := Status{Role: "peer", Name: "peer1", Height: 12, Blocks: 12, TipHash: []byte{9, 9}, StateHash: "abcd"}
+	st := Status{Role: "peer", Name: "peer1", Blocks: 12, TipHash: []byte{9, 9}, StateHash: "abcd"}
 	got, err := DecodeStatus(EncodeStatus(st))
 	if err != nil || !reflect.DeepEqual(got, st) {
 		t.Fatalf("status round trip: %v, %+v", err, got)

@@ -10,12 +10,14 @@
 #   default   1 orderer + 2 peers and one burst, asserting convergence, an
 #             achieved rate >=95% of the target, and merged stage traces
 #             covering >=99% of the burst's committed txs.
-#   CHAOS=1   3 Raft orderers + 2 peers; the Raft leader is SIGKILLed
-#             mid-burst and restarted once a successor leads, then the
-#             successor is killed and restarted the same way. Asserts the
-#             ledger accounts for every transaction acked committed and
-#             all five nodes end bit-identical (the fault-tolerance
-#             contract).
+#   CHAOS=1   3 Raft orderers + 2 peers on -data-dir stores; the Raft
+#             leader is SIGKILLed mid-burst and restarted once a successor
+#             leads, then the successor is killed and restarted the same
+#             way. Between the two, peer1 is SIGKILLed too, and restarted on
+#             its directory after the second leader kill. Asserts the
+#             ledger accounts for every transaction acked committed, all
+#             five nodes end bit-identical (the fault-tolerance contract),
+#             and peer1 resumed from its store, not from block 1.
 #
 # Environment knobs:
 #   SYSTEMS     systems to exercise            (default: "fabric# focc-l";
@@ -82,6 +84,7 @@ if [ "$CHAOS" = "1" ]; then
   system=$(printf '%s' "$SYSTEMS" | awk '{print $1}')
   slug=chaos
   RAFT_DIR=$(mktemp -d)
+  DATA_DIR=$(mktemp -d)
   C0="127.0.0.1:$PORT_BASE";      C1="127.0.0.1:$((PORT_BASE+1))"; C2="127.0.0.1:$((PORT_BASE+2))"
   R0="127.0.0.1:$((PORT_BASE+3))"; R1="127.0.0.1:$((PORT_BASE+4))"; R2="127.0.0.1:$((PORT_BASE+5))"
   P0="127.0.0.1:$((PORT_BASE+6))"; P1="127.0.0.1:$((PORT_BASE+7))"
@@ -129,18 +132,28 @@ if [ "$CHAOS" = "1" ]; then
     return 1
   }
 
-  echo "=== chaos smoke: $system (orderers $ORDS, raft $CLUSTER, peers $PEERS) ==="
-  start_orderer 0; start_orderer 1; start_orderer 2
-  "$BIN/fabricnode" -role peer -name peer0 -listen "$P0" \
-      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $WL_FLAGS \
-      > "$LOGDIR/peer0-$slug.log" 2>&1 &
-  PIDS+=($!)
-  "$BIN/fabricnode" -role peer -name peer1 -listen "$P1" \
-      -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $WL_FLAGS \
-      > "$LOGDIR/peer1-$slug.log" 2>&1 &
-  PIDS+=($!)
+  start_peer() { # $1 = index (0..1)
+    local addr=$P0
+    [ "$1" = 1 ] && addr=$P1
+    "$BIN/fabricnode" -role peer -name "peer$1" -listen "$addr" \
+        -orderer "$ORDS" -peers peer0,peer1 -system "$system" $RESCUE_FLAG $WL_FLAGS \
+        -data-dir "$DATA_DIR/peer$1" \
+        >> "$LOGDIR/peer$1-$slug.log" 2>&1 &
+    PEER_PID=$!
+    PIDS+=($!)
+  }
 
-  "$BIN/sharpnet" load -orderer "$ORDS" -peer-addrs "$PEERS" \
+  echo "=== chaos smoke: $system (orderers $ORDS, raft $CLUSTER, peers $PEERS) ==="
+  rm -f "$LOGDIR/peer0-$slug.log" "$LOGDIR/peer1-$slug.log"
+  start_orderer 0; start_orderer 1; start_orderer 2
+  start_peer 0
+  start_peer 1
+  PEER1_PID=$PEER_PID
+
+  # The burst endorses on peer0 alone: peer1 is the replica that gets
+  # killed, and a wire client does not redial a peer. The closing check
+  # covers both.
+  "$BIN/sharpnet" load -orderer "$ORDS" -peer-addrs "$P0" \
       -target-tps "$TARGET_TPS" -duration "$OL_DURATION" -workers "$OL_WORKERS" $WL_FLAGS \
       > "$LOGDIR/load-$slug.log" 2>&1 &
   LOAD_PID=$!
@@ -166,8 +179,12 @@ if [ "$CHAOS" = "1" ]; then
 
   sleep 2  # let the burst get going before the first kill
   kill_and_restart
-  sleep 1  # more load under the new leader
+  echo "chaos: killing peer1 (pid $PEER1_PID) mid-commit"
+  kill -9 "$PEER1_PID" 2>/dev/null || true
+  sleep 1  # more load under the new leader, peer1 down
   kill_and_restart
+  echo "chaos: restarting peer1 on $DATA_DIR/peer1"
+  start_peer 1
 
   if ! wait "$LOAD_PID"; then
     echo "chaos: load run failed (see $LOGDIR/load-$slug.log)" >&2
@@ -188,8 +205,17 @@ if [ "$CHAOS" = "1" ]; then
   "$BIN/sharpnet" check -orderer "$ORDS" -peer-addrs "$PEERS" \
       -expect-committed "$COMMITTED" | tee "$LOGDIR/check-$slug.log"
 
+  # The killed peer came back from its own store: its second start names
+  # the block it resumed at, and that is above 1.
+  RESUMED=$(sed -n 's/.* resumes at block \([0-9][0-9]*\)$/\1/p' "$LOGDIR/peer1-$slug.log" | tail -1)
+  if [ "$(grep -c ' resumes at block ' "$LOGDIR/peer1-$slug.log")" -ne 2 ] || [ "${RESUMED:-0}" -le 1 ]; then
+    echo "chaos: restarted peer1 resumed at block ${RESUMED:-?}; want its stored height, above 1" >&2
+    cat "$LOGDIR/peer1-$slug.log" >&2
+    exit 1
+  fi
+
   teardown
-  echo "=== chaos smoke: OK ($COMMITTED of $OFFERED offered transactions committed, two leader kills) ==="
+  echo "=== chaos smoke: OK ($COMMITTED of $OFFERED offered transactions committed, two leader kills, peer1 killed and resumed at block $RESUMED) ==="
   exit 0
 fi
 
