@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchall [-quick] [-seed N] [-fig id] [-json path] [-label s]
+//	benchall [-quick] [-seed N] [-fig id] [-rescue] [-json path] [-label s]
 //	         [-cpuprofile path] [-memprofile path]
 //
 // where id is one of: 1, t1, 10, 11, 12, 13, 14, 15, reorder, ablation,
@@ -30,6 +30,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed for every run")
 	fig := flag.String("fig", "all", "which exhibit: 1, t1, 10, 11, 12, 13, 14, 15, reorder, ablation, ordering, workload, all")
 	workloadName := flag.String("workload", "", "scenario for -fig workload (empty = every registered scenario)")
+	rescue := flag.Bool("rescue", false, "run figures 10-14 with post-order re-execution on every system (the hybrid for fabric# and focc-s); off reproduces the paper's systems")
 	jsonPath := flag.String("json", "", "append the ordering results to this trajectory file (with -fig ordering)")
 	label := flag.String("label", "", "record label for -json (e.g. pr2)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the runs to this file")
@@ -50,7 +51,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := bench.Options{Quick: *quick, Seed: *seed}
+	opts := bench.Options{Quick: *quick, Seed: *seed, Rescue: *rescue}
 	start := time.Now()
 	var tables []*bench.Table
 	switch *fig {

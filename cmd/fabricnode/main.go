@@ -49,7 +49,7 @@ func main() {
 	dedupHorizon := flag.Uint64("dedup-horizon", 0, "duplicate-suppression horizon in blocks (0 = default)")
 	dataDir := flag.String("data-dir", "", "persist ledger+state in one kvstore under this directory: b/ block records, s/ state, meta/height (role peer)")
 	workers := flag.Int("workers", 0, "validation workers (role peer; 0 = GOMAXPROCS)")
-	rescue := flag.Bool("rescue", false, "post-order re-execution of MVCC-aborted transactions (must match cluster-wide)")
+	rescue := flag.Bool("rescue", true, "post-order re-execution of conflict-aborted transactions: MVCC casualties, or under fabric#/focc-s the arrivals the scheduler would abort, deferred to the block's tail (must match cluster-wide; -rescue=false runs the paper's plain systems)")
 	raftID := flag.String("raft-id", "", "this orderer's raft address (role orderer; must appear in -raft-cluster)")
 	raftCluster := flag.String("raft-cluster", "", "comma-separated raft addresses of every ordering member (empty = standalone orderer)")
 	raftRedirects := flag.String("raft-redirects", "", "comma-separated raftAddr=clientAddr pairs for NotLeader redirect hints")

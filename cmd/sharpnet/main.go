@@ -27,7 +27,7 @@
 //	sharpnet demo [-system fabric#] [-clients 4] [-txs 200]
 //	sharpnet load -orderer 127.0.0.1:7050 -peer-addrs 127.0.0.1:7051,127.0.0.1:7052 \
 //	         -target-tps 500 -duration 10s [-workload msmallbank] [-accounts 100000]
-//	sharpnet trace -orderer ... -peer-addrs ...
+//	sharpnet trace -orderer ... -peer-addrs ... [-tx <id>]
 //	sharpnet check -orderer ... -peer-addrs ... -expect-committed 500
 package main
 
@@ -80,7 +80,7 @@ commands:
   load    drive a fabricnode cluster open-loop at -target-tps and report
           per-stage latency from the merged trace rings
   trace   drain every node's stage-tracing ring and print merged per-stage
-          latency quantiles
+          latency quantiles, or with -tx the stages one transaction crossed
   status  print one line per reachable cluster member
   check   poll until the cluster agrees bit for bit, then assert the
           committed-transaction tally

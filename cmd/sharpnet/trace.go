@@ -11,11 +11,13 @@ import (
 )
 
 // traceFlags configures `sharpnet trace`: drain every listed node's
-// stage-tracing ring and print the merged latency table.
+// stage-tracing ring and print the merged latency table, or with -tx the
+// stages one transaction crossed.
 type traceFlags struct {
 	Orderers    []string
 	Peers       []string
 	DialTimeout time.Duration
+	Tx          string
 }
 
 func (f traceFlags) validate() error {
@@ -32,6 +34,7 @@ func cmdTrace(args []string) int {
 	fs.StringVar(&orderers, "orderer", "", "comma-separated orderer addresses")
 	fs.StringVar(&peers, "peer-addrs", "", "comma-separated peer addresses")
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", 30*time.Second, "per-node drain budget")
+	fs.StringVar(&f.Tx, "tx", "", "print the stages this transaction crossed (defer(<code>) when the orderer deferred it) instead of the table")
 	_ = fs.Parse(args)
 	f.Orderers, f.Peers = splitAddrs(orderers), splitAddrs(peers)
 	if err := f.validate(); err != nil {
@@ -42,6 +45,16 @@ func cmdTrace(args []string) int {
 	tls, dumps, err := node.FetchTimelines(addrs, f.DialTimeout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sharpnet trace:", err)
+		return 1
+	}
+	if f.Tx != "" {
+		for i := range tls {
+			if tls[i].TxID == f.Tx {
+				fmt.Printf("%s: %s\n", f.Tx, tls[i].Path())
+				return 0
+			}
+		}
+		fmt.Fprintf(os.Stderr, "sharpnet trace: no node retains a stage of %s\n", f.Tx)
 		return 1
 	}
 	for _, d := range dumps {

@@ -56,6 +56,9 @@ type Options struct {
 	// (parallel CI shards, benchmarks running beside experiments) cannot
 	// perturb a run's stream.
 	Seed int64
+	// Rescue runs the modified-Smallbank exhibits (Figures 10-14) with
+	// post-order re-execution (network.Config.Rescue). Off is the paper.
+	Rescue bool
 }
 
 // Rng is the harness's single *rand.Rand construction point. stream is the
@@ -90,6 +93,7 @@ func msmallbankConfig(o Options, system sched.System, readHot, writeHot float64,
 		ClientDelay:  clientDelay,
 		ReadInterval: readInterval,
 		MaxSpan:      Params.Defaults.MaxSpan,
+		Rescue:       o.Rescue,
 	}
 }
 

@@ -169,17 +169,16 @@ func RunOrdering(system sched.System, shape OrderingShape, txCount, blockSize in
 	}
 	res := OrderingResult{System: string(system), Shape: shape.Name, Txs: txCount, Rescue: rescue}
 	height := uint64(0)
-	shadow := validation.NewShadowState()
+	shadow := validation.NewValueShadowState()
 	vopts := validation.Options{MVCC: sc.NeedsMVCCValidation()}
 
 	var registry *chaincode.Registry
 	var contract chaincode.Contract
 	if rescue {
-		// Value-tracking shadow plus the real contract: the rescue phase
-		// re-executes send_payment, so the stream's balances must be genuine
-		// decimal integers, not placeholder bytes. Seeding happens before the
-		// timed window; seed versions sit below every real block.
-		shadow = validation.NewValueShadowState()
+		// The real contract: the rescue phase re-executes send_payment, so
+		// the stream's balances must be genuine decimal integers, not
+		// placeholder bytes. Seeding happens before the timed window; seed
+		// versions sit below every real block.
 		msc, ok := scenario.Get("mixed")
 		if !ok {
 			return OrderingResult{}, fmt.Errorf("bench: mixed scenario not registered")

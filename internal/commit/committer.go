@@ -65,7 +65,7 @@ type Stats struct {
 	// CommitLatencyNS samples per-block commit latency (validate + apply),
 	// in nanoseconds.
 	CommitLatencyNS metrics.HDRHistogram
-	// RescueAttempts counts MVCC-aborted transactions the post-order rescue
+	// RescueAttempts counts conflict-aborted transactions the post-order rescue
 	// phase re-executed; RescueCommitted those it flipped to Rescued and
 	// RescueStillAborted those it deterministically left aborted.
 	RescueAttempts     metrics.Counter
@@ -260,10 +260,10 @@ func (c *Committer) ReplayStored(b *ledger.Block) error {
 }
 
 // ReplayRescue re-derives a stored block's rescue outcome: the Rescued
-// verdicts are reset to their pre-rescue MVCCConflict state, the
+// verdicts are reset to a pre-rescue candidate code (preRescue), the
 // deterministic rescue phase re-runs against base (the state as of the
-// block's parent), and the re-derived codes and digest are asserted against
-// the sealed ones. Blocks without Rescued verdicts return a zero Outcome
+// block's parent) — a failed tail member fails again — and the re-derived
+// codes and digest are asserted against the sealed ones. Blocks without Rescued verdicts return a zero Outcome
 // without running anything.
 func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincode.Registry) (reexec.Outcome, error) {
 	hasRescued := false
@@ -284,11 +284,7 @@ func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincod
 	}
 	pre := make([]protocol.ValidationCode, len(blk.Validation))
 	for i, code := range blk.Validation {
-		if code == protocol.Rescued {
-			pre[i] = protocol.MVCCConflict
-		} else {
-			pre[i] = code
-		}
+		pre[i] = preRescue(code)
 	}
 	out := reexec.Run(base, blk.Header.Number, blk.Transactions, pre, reexec.Options{Registry: registry})
 	if err := AssertVerdictsEqual(blk.Header.Number, blk.Validation, out.Codes); err != nil {
@@ -299,6 +295,17 @@ func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincod
 			blk.Header.Number, out.Digest, blk.RescueDigest)
 	}
 	return out, nil
+}
+
+// preRescue maps a sealed verdict to a code the rescue phase re-derives it
+// from: a Rescued one was a candidate (MVCCConflict stands for whichever
+// candidate code it carried — they re-execute alike), and every other code,
+// a failed tail member's Deferrable arrival code included, is what it was.
+func preRescue(sealed protocol.ValidationCode) protocol.ValidationCode {
+	if sealed == protocol.Rescued {
+		return protocol.MVCCConflict
+	}
+	return sealed
 }
 
 // land is the one commit point, shared by the live and replay paths. blk

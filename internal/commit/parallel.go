@@ -14,12 +14,13 @@
 // entirely and go straight from parallel endorsement-signature checks to one
 // batched statedb.ApplyBlock.
 //
-// When rescue is enabled, a third phase follows MVCC: the post-order
-// speculative re-execution of internal/reexec flips recoverable
-// MVCCConflict verdicts to Rescued, replacing their declared write sets
-// with re-executed ones. Peers re-derive the rescue outcome locally and
-// byte-assert its digest against the sealed block, the same agreement
-// contract the verdict codes already follow.
+// When rescue is enabled, a third phase follows: the post-order speculative
+// re-execution of internal/reexec flips recoverable conflict verdicts —
+// MVCCConflict, or under a scheduler that skips MVCC the block's deferred
+// tail — to Rescued, replacing their declared write sets with re-executed
+// ones. Peers re-derive the rescue outcome locally and byte-assert its
+// digest against the sealed block, the same agreement contract the verdict
+// codes already follow.
 package commit
 
 import (
@@ -43,8 +44,9 @@ type Options struct {
 	validation.Options
 	// Workers caps validation parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Rescue enables post-order speculative re-execution of MVCC-aborted
-	// transactions (requires Registry; only meaningful with MVCC).
+	// Rescue enables post-order speculative re-execution of conflict-aborted
+	// transactions: MVCC casualties, or with MVCC off the block's deferred
+	// tail (requires Registry).
 	Rescue bool
 	// Registry resolves contracts for the rescue phase's re-execution.
 	Registry *chaincode.Registry
@@ -57,7 +59,7 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) rescueEnabled() bool { return o.Rescue && o.MVCC && o.Registry != nil }
+func (o Options) rescueEnabled() bool { return o.Rescue && o.Registry != nil }
 
 // BlockResult is the outcome of validating one block.
 type BlockResult struct {
@@ -126,8 +128,20 @@ func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult 
 	// Phase 3: post-order rescue — re-execute MVCC casualties against the
 	// committed state under the block's valid writes. db still sits at the
 	// pre-block height here (writes apply after validation), matching the
-	// orderer's shadow view at cut time.
+	// orderer's shadow view at cut time. With MVCC off the candidates are the
+	// tail the orderer deferred, designated from the sealed codes exactly as
+	// ReplayRescue designates them: a peer under such a scheduler already
+	// accepts the sealed serial order without a concurrency check, any
+	// designation re-executes serially after the block, and the byte-asserts
+	// on verdicts and digest make a wrong one fatal rather than trusted.
 	if opts.rescueEnabled() {
+		if !opts.MVCC && len(blk.Validation) == len(codes) {
+			for i, sealed := range blk.Validation {
+				if codes[i] == protocol.Valid && (sealed == protocol.Rescued || sealed.Deferrable()) {
+					codes[i] = preRescue(sealed)
+				}
+			}
+		}
 		res.Rescue = reexec.Run(reexec.DBSource(db), blk.Header.Number, blk.Transactions, codes,
 			reexec.Options{Registry: opts.Registry, Workers: workers})
 		codes = res.Rescue.Codes

@@ -242,38 +242,25 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 		clear(pred)
 		clear(succ)
 	}()
-	addTo := func(set map[*txNode]struct{}, txid TxID) {
-		if n, ok := m.g.lookup(txid); ok {
-			set[n] = struct{}{}
-		}
-	}
 	for _, r := range m.rbuf {
 		// anti-rw: committed writers at or after the snapshot, plus pending
 		// writers. These must serialize after the new transaction.
 		m.idbuf = m.cw.After(m.idbuf[:0], r, startTS)
 		for _, txid := range m.idbuf {
-			addTo(succ, txid)
+			m.addLive(succ, txid)
 		}
 		for _, n := range m.pw[r] {
 			succ[n] = struct{}{}
 		}
 		// n-wr: the writer of the version actually read.
 		if txid, ok := m.cw.Before(r, startTS); ok {
-			addTo(pred, txid)
+			m.addLive(pred, txid)
 		}
 	}
 	for _, w := range m.wbuf {
-		// rw: committed and pending readers of the keys we overwrite.
-		m.idbuf = m.cr.All(m.idbuf[:0], w)
-		for _, txid := range m.idbuf {
-			addTo(pred, txid)
-		}
+		m.addWritePreds(pred, w)
 		for _, n := range m.pr[w] {
 			pred[n] = struct{}{}
-		}
-		// ww against the last committed writer.
-		if txid, ok := m.cw.Last(w); ok {
-			addTo(pred, txid)
 		}
 	}
 	cyclic := hasCycle(pred, succ)
@@ -307,6 +294,64 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 		m.stats.MaxGraphSize = n
 	}
 	return protocol.Valid, nil
+}
+
+// addLive adds txid's node to set unless it is pruned or unknown.
+func (m *Manager) addLive(set map[*txNode]struct{}, txid TxID) {
+	if n, ok := m.g.lookup(txid); ok {
+		set[n] = struct{}{}
+	}
+}
+
+// addWritePreds adds the committed predecessors a write of w has: rw from
+// every committed reader of w, ww from its last committed writer.
+func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w intern.Key) {
+	m.idbuf = m.cr.All(m.idbuf[:0], w)
+	for _, txid := range m.idbuf {
+		m.addLive(pred, txid)
+	}
+	if txid, ok := m.cw.Last(w); ok {
+		m.addLive(pred, txid)
+	}
+}
+
+// CommitTail is the scheduler feedback for a transaction the orderer deferred
+// at arrival and the post-order rescue phase committed at `at`, a position
+// after every transaction the formation of that block ordered. Peers commit
+// stale-by-version reads on this graph's say-so, so the rescued transaction
+// has to enter the committed history like any other: a CW/CR entry at `at`
+// and a committed graph node. Its predecessors are Algorithm 2's (the last
+// writer of each key read, the readers and last writer of each key
+// written); its successor set is empty by construction — it read the state
+// at its own commit point and nothing is pending at a cut — so inserting it
+// can never close a cycle, while every later arrival that read a version it
+// overwrote finds the anti-rw edge in CW. readKeys/writeKeys are the
+// declared sets, a superset of the re-executed ones (reexec's containment
+// rule): extra edges only abort more, never less.
+func (m *Manager) CommitTail(id TxID, at seqno.Seq, readKeys, writeKeys []string) {
+	m.rbuf = m.keys.InternAll(m.rbuf[:0], readKeys)
+	m.wbuf = m.keys.InternAll(m.wbuf[:0], writeKeys)
+	m.growKeyIndexed()
+	pred := m.predSet
+	defer clear(pred)
+	for _, r := range m.rbuf {
+		if txid, ok := m.cw.Last(r); ok {
+			m.addLive(pred, txid)
+		}
+	}
+	for _, w := range m.wbuf {
+		m.addWritePreds(pred, w)
+	}
+	node := m.g.newNode(id, at, m.rbuf, m.wbuf)
+	node.endTS, node.committed = at, true
+	m.g.insert(node, pred, nil, at.Block)
+	for _, w := range node.writeKeys {
+		m.cw.Put(w, at, id)
+	}
+	for _, r := range node.readKeys {
+		m.cr.Put(r, at, id)
+	}
+	m.stats.Committed++
 }
 
 // OnBlockFormation is Algorithm 3: it fixes the commit order of the pending
@@ -394,7 +439,17 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 	m.orderBuf = order
 	m.stats.PersistNS += t2.ElapsedNS()
 
-	// Prune G and the indices (Figure 11: "Prune G"), then advance M.
+	m.SealBlock()
+	m.stats.Committed += uint64(len(ids))
+	return ids, block
+}
+
+// SealBlock consumes block number M: prune G and the indices (Figure 11:
+// "Prune G"), advance M, relay, compact. OnBlockFormation ends with it; the
+// orderer calls it directly for a cut that formed nothing but still seals a
+// block — one holding only a deferred tail.
+func (m *Manager) SealBlock() {
+	block := m.nextBlock
 	t3 := metrics.StartWatch()
 	m.nextBlock++
 	if h, ok := m.horizon(); ok {
@@ -415,9 +470,6 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 		m.compact()
 		m.stats.CompactNS += t4.ElapsedNS()
 	}
-
-	m.stats.Committed += uint64(len(ids))
-	return ids, block
 }
 
 // compact is the deterministic epoch compaction: it collects the liveness

@@ -160,9 +160,9 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 // discardEvents is the orderer.Events of a replay that only compares chains.
 type discardEvents struct{}
 
-func (discardEvents) Admitted(protocol.TxID)                         {}
-func (discardEvents) Aborted(protocol.TxID, protocol.ValidationCode) {}
-func (discardEvents) Sealed(*ledger.Block)                           {}
+func (discardEvents) Admitted(protocol.TxID, protocol.ValidationCode) {}
+func (discardEvents) Aborted(protocol.TxID, protocol.ValidationCode)  {}
+func (discardEvents) Sealed(*ledger.Block)                            {}
 
 // assertOrderersAgree demands that follower orderers agree with n's: two
 // fresh orderer.Cores are folded over the consensus stream n retained —
@@ -221,7 +221,8 @@ func assertOrderersAgree(t *testing.T, n *Network, stored *ledger.Chain) {
 
 // TestRescueLeadFollowerAgreement pins the determinism of the post-order
 // rescue phase: with Rescue enabled, every orderer re-executes the
-// block's MVCC casualties against its own shadow state and must seal
+// block's MVCC casualties — under fabric# and focc-s the tail it deferred
+// at arrival — against its own shadow state and must seal
 // bit-identical verdicts AND bit-identical rescue write-set digests — the
 // digest is a hash of the re-executed values themselves, so agreement means
 // the speculative parallel executor converged to the same bytes on every
@@ -229,7 +230,7 @@ func assertOrderersAgree(t *testing.T, n *Network, stored *ledger.Chain) {
 // surface through n.Err()), and their chains must carry the same Rescued
 // verdicts the orderers sealed.
 func TestRescueLeadFollowerAgreement(t *testing.T) {
-	for _, system := range []sched.System{sched.SystemFabric, sched.SystemFoccL} {
+	for _, system := range []sched.System{sched.SystemFabric, sched.SystemFoccL, sched.SystemSharp, sched.SystemFoccS} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
 			n := newNet(t, Options{System: system, BlockSize: 8, Rescue: true})

@@ -48,9 +48,11 @@ type Options struct {
 	MaxSpan      uint64
 	CompactEvery uint64
 	DedupHorizon uint64
-	// Rescue enables post-order speculative re-execution of MVCC-aborted
+	// Rescue enables post-order speculative re-execution of conflict-aborted
 	// transactions at every replica (the orderer's shadow and peer committers
-	// alike); the rescued write sets commit under the Rescued verdict.
+	// alike): MVCC casualties, or under fabric# and focc-s the arrivals the
+	// scheduler would abort, deferred to the block's tail. The rescued write
+	// sets commit under the Rescued verdict.
 	Rescue bool
 	// Genesis, when non-empty, is the block-0 write set every replica
 	// installs before the first block seals: peer state databases (NewPeer)

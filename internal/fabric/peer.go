@@ -29,7 +29,8 @@ type PeerConfig struct {
 	// MVCC turns on the validation-phase stale-read check
 	// (sched.Scheduler.NeedsMVCCValidation of the cluster's system).
 	MVCC bool
-	// Rescue enables post-order re-execution of MVCC-aborted transactions.
+	// Rescue enables post-order re-execution of conflict-aborted transactions
+	// (commit.Options.Rescue).
 	Rescue bool
 	// Workers caps intra-block validation parallelism (0 = GOMAXPROCS).
 	Workers int

@@ -129,12 +129,19 @@ func TestRestartPreservesVersionsForMVCC(t *testing.T) {
 // block, so the replay path must re-derive them with the same executor
 // (commit.ReplayRescue on the peers, the orderer's shadow walk for
 // OnBlockCommitted) — and must refuse to replay such a chain with Rescue
-// disabled.
+// disabled. Under fabric# the rescued verdicts sit in deferred tails, which
+// replay designates from the stored codes.
 func TestRestartWithRescuedBlocks(t *testing.T) {
+	for _, system := range []sched.System{sched.SystemFabric, sched.SystemSharp} {
+		t.Run(string(system), func(t *testing.T) { restartWithRescuedBlocks(t, system) })
+	}
+}
+
+func restartWithRescuedBlocks(t *testing.T, system sched.System) {
 	dir := t.TempDir()
 	boot := func(rescue bool) (*Network, error) {
 		return NewNetwork(Options{
-			System:       sched.SystemFabric,
+			System:       system,
 			BlockSize:    4,
 			BlockTimeout: 50 * time.Millisecond,
 			DataDir:      dir,

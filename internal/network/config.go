@@ -169,6 +169,10 @@ type Config struct {
 	ReadInterval sim.Time
 	// MaxSpan is the pruning parameter of Section 4.6 (paper fixes 10).
 	MaxSpan uint64
+	// Rescue runs the Core and the commit station with post-order
+	// re-execution (orderer.Options.Rescue). Off — the paper's plain systems
+	// — is what every paper exhibit runs.
+	Rescue bool
 	// Timing overrides individual service times.
 	Timing TimingModel
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,12 +130,14 @@ func Run(cfg Config) (*Result, error) {
 		seeded = append(seeded, protocol.WriteItem{Key: key, Value: vv.Value})
 		return true
 	})
+	registry := chaincode.NewRegistry(cfg.Contracts...)
 	core, err := orderer.NewCore(orderer.CoreConfig{Options: orderer.Options{
 		System:    cfg.System,
 		BlockSize: cfg.BlockSize,
 		MaxSpan:   cfg.MaxSpan,
+		Rescue:    cfg.Rescue,
 		Genesis:   seeded,
-	}})
+	}, Registry: registry})
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg:         cfg,
 		eng:         eng,
 		rng:         rng,
-		registry:    chaincode.NewRegistry(cfg.Contracts...),
+		registry:    registry,
 		state:       state,
 		core:        core,
 		endorsers:   sim.NewStation(eng, cfg.Timing.EndorserSlots),
@@ -300,12 +303,12 @@ func (p *pipeline) endorse(proc *sim.Proc, id protocol.TxID, op workload.Op, sub
 // processing.
 func (p *pipeline) ordererArrive(tx *protocol.Transaction) {
 	p.orderer.Submit(arrivalCost(p.cfg.System), func() {
-		code, err := p.core.Arrive(tx)
+		code, joined, err := p.core.Arrive(tx)
 		if err != nil {
 			// Arrival errors indicate a pipeline bug; surface loudly.
 			panic(fmt.Sprintf("network: %v", err))
 		}
-		if code != protocol.Valid {
+		if !joined {
 			p.res.EarlyAborts.Inc(code)
 			delete(p.submittedAt, tx.ID)
 			return
@@ -379,7 +382,19 @@ func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 			}
 		}
 	}
-	codes, err := validation.ValidateAndCommit(p.state, blk, validation.Options{MVCC: mvcc})
+	vopts := validation.Options{MVCC: mvcc}
+	var codes []protocol.ValidationCode
+	var err error
+	if p.cfg.Rescue {
+		// The reference validator has no rescue phase; the committers' does.
+		res := commit.ValidateBlock(p.state, blk, commit.Options{Options: vopts, Workers: 1, Rescue: true, Registry: p.registry})
+		if !bytes.Equal(res.Rescue.Digest, blk.RescueDigest) {
+			panic(fmt.Sprintf("network: commit: block %d: rescue digest diverges from the sealed one", blk.Header.Number))
+		}
+		codes, err = res.Codes, p.state.ApplyBlock(blk.Header.Number, res.Writes)
+	} else {
+		codes, err = validation.ValidateAndCommit(p.state, blk, vopts)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("network: commit: %v", err))
 	}

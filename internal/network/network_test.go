@@ -2,11 +2,15 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/commit"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/sim"
 	"fabricsharp/internal/validation"
@@ -188,55 +192,78 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestSealedVerdictsMatchCommit checks, for every system, that the verdicts
-// the orderer.Core sealed at each cut — from its shadow state, before the
-// block was delivered — are the codes the sequential reference validator
-// derives replaying the sealed chain over the genesis state. (The commit
-// station asserts the same per block at run time; this checks the recorded
-// chain independently.)
+// TestSealedVerdictsMatchCommit checks, for every system with rescue off and
+// on, that the verdicts the orderer.Core sealed at each cut — from its shadow
+// state, before the block was delivered — are the codes a validator derives
+// replaying the sealed chain over the genesis state: the sequential reference
+// for the plain systems, the committers' validator (which has the rescue
+// phase, and under fabric# and focc-s designates the deferred tail from the
+// sealed codes) with rescue. (The commit station asserts the same per block
+// at run time; this checks the recorded chain independently.)
 func TestSealedVerdictsMatchCommit(t *testing.T) {
 	for _, system := range sched.Systems() {
-		system := system
-		t.Run(string(system), func(t *testing.T) {
-			res, err := Run(smallRun(system, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Chain.Len() == 0 {
-				t.Fatal("no blocks sealed")
-			}
-			state := res.Genesis.Clone()
-			scheduler, err := sched.New(system, sched.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mvcc := scheduler.NeedsMVCCValidation()
-			aborts := 0
-			res.Chain.ForEach(func(blk *ledger.Block) bool {
-				codes, err := validation.ValidateAndCommit(state, blk, validation.Options{MVCC: mvcc})
+		for _, rescue := range []bool{false, true} {
+			system, rescue := system, rescue
+			t.Run(fmt.Sprintf("%s/rescue=%v", system, rescue), func(t *testing.T) {
+				cfg := smallRun(system, 5)
+				cfg.Rescue = rescue
+				res, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(blk.Validation) != len(codes) {
-					t.Fatalf("block %d sealed %d verdicts for %d transactions", blk.Header.Number, len(blk.Validation), len(codes))
+				if res.Chain.Len() == 0 {
+					t.Fatal("no blocks sealed")
 				}
-				for i, code := range codes {
-					if blk.Validation[i] != code {
-						t.Fatalf("block %d tx %d: sealed %v, reference validation %v", blk.Header.Number, i, blk.Validation[i], code)
-					}
-					if code != protocol.Valid {
-						aborts++
-					}
+				state := res.Genesis.Clone()
+				scheduler, err := sched.New(system, sched.Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return true
+				vopts := validation.Options{MVCC: scheduler.NeedsMVCCValidation()}
+				registry := chaincode.NewRegistry(scenario.AllContracts()...)
+				aborts, rescued := 0, 0
+				res.Chain.ForEach(func(blk *ledger.Block) bool {
+					var codes []protocol.ValidationCode
+					if rescue {
+						out := commit.ValidateBlock(state, blk, commit.Options{Options: vopts, Rescue: true, Registry: registry})
+						if !bytes.Equal(out.Rescue.Digest, blk.RescueDigest) {
+							t.Fatalf("block %d: re-derived rescue digest differs from the sealed one", blk.Header.Number)
+						}
+						if err := state.ApplyBlock(blk.Header.Number, out.Writes); err != nil {
+							t.Fatal(err)
+						}
+						codes = out.Codes
+					} else if codes, err = validation.ValidateAndCommit(state, blk, vopts); err != nil {
+						t.Fatal(err)
+					}
+					if len(blk.Validation) != len(codes) {
+						t.Fatalf("block %d sealed %d verdicts for %d transactions", blk.Header.Number, len(blk.Validation), len(codes))
+					}
+					for i, code := range codes {
+						if blk.Validation[i] != code {
+							t.Fatalf("block %d tx %d: sealed %v, reference validation %v", blk.Header.Number, i, blk.Validation[i], code)
+						}
+						switch code {
+						case protocol.Valid:
+						case protocol.Rescued:
+							rescued++
+						default:
+							aborts++
+						}
+					}
+					return true
+				})
+				if state.StateFingerprint() != res.State.StateFingerprint() {
+					t.Fatal("replaying the sealed chain does not reproduce the run's final state")
+				}
+				if !rescue && (system == sched.SystemFabric || system == sched.SystemFoccL) && aborts == 0 {
+					t.Error("no validation aborts under contention — the equality above was never exercised")
+				}
+				if rescue && system != sched.SystemFabricPP && rescued == 0 {
+					t.Error("nothing rescued under contention — the rescue rows were never exercised")
+				}
 			})
-			if state.StateFingerprint() != res.State.StateFingerprint() {
-				t.Fatal("replaying the sealed chain does not reproduce the run's final state")
-			}
-			if (system == sched.SystemFabric || system == sched.SystemFoccL) && aborts == 0 {
-				t.Error("no validation aborts under contention — the equality above was never exercised")
-			}
-		})
+		}
 	}
 }
 

@@ -31,9 +31,14 @@ import (
 // so no precedence edges are derived from it; instead a rescued transaction
 // is pinned into version order against every committed writer of a key in
 // its declared read/write sets (a superset of what the re-execution touched,
-// by the rescue phase's containment rule). Rescue only runs on the strongly
-// serializable systems, where every dependency follows version order, so
-// these extra order-following edges can never create a cycle.
+// by the rescue phase's containment rule): it read the state at its own
+// commit point, so every earlier writer precedes it and every later one
+// follows. On the strongly serializable systems every dependency follows
+// version order and these edges can never create a cycle. On fabric# and
+// focc-s (the deferred tail) they are what catches a scheduler that forgot a
+// rescued transaction: a later transaction that read a version the rescue
+// overwrote precedes it (anti-rw), and if it also overwrites what the rescue
+// read the pin closes the cycle.
 func VerifySerializability(res *Result) error {
 	type committedTx struct {
 		tx      *protocol.Transaction

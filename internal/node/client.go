@@ -264,13 +264,12 @@ const statusAttemptBudget = 2 * time.Second
 
 // StatusAtRetry is StatusAt hardened for probing a cluster mid-restart: a
 // node that answers the dial but resets the in-flight status call (its
-// listener is up before its pipeline) gets retried with jittered backoff
+// listener is up before its pipeline) gets retried at transport.Retry's pace
 // until deadline instead of failing the whole probe on one refused
 // connection.
 func StatusAtRetry(addr string, deadline time.Time) (wire.Status, error) {
-	bo := transport.NewBackoff(10*time.Millisecond, 500*time.Millisecond, 0)
 	var st wire.Status
-	err := transport.Retry(deadline, bo, func() error {
+	err := transport.Retry(deadline, func() error {
 		budget := time.Until(deadline)
 		if budget > statusAttemptBudget {
 			budget = statusAttemptBudget

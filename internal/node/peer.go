@@ -51,9 +51,9 @@ type PeerConfig struct {
 	// ValidationWorkers caps intra-block validation parallelism
 	// (default GOMAXPROCS).
 	ValidationWorkers int
-	// Rescue enables post-order speculative re-execution of MVCC-aborted
-	// transactions; must match the orderer's setting (the rescue digest is
-	// byte-asserted across the cluster).
+	// Rescue enables post-order speculative re-execution of conflict-aborted
+	// transactions (commit.Options.Rescue); must match the orderer's setting
+	// (the rescue digest is byte-asserted across the cluster).
 	Rescue bool
 	// TraceEvents sizes the always-on stage-tracing ring (events retained;
 	// rounded up to a power of two). 0 selects trace.DefaultRingSize.

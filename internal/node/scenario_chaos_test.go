@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/transport"
@@ -36,26 +38,40 @@ func chaosDial(base int64, dropProb, dupProb float64) func(string) (transport.Fr
 	}
 }
 
-// driveScenario pushes n generator operations through the cluster. A refused
-// endorsement is the contract rejecting the proposal (e.g. a bid below the
-// standing high) — an abort by design, not a cluster failure — so it counts
-// toward aborted; any other error fails the test.
+// driveScenario pushes n generator operations through the cluster, two at a
+// time: both are endorsed before either is submitted, so the second of a pair
+// that touches what the first wrote carries a stale snapshot — a conflict the
+// system under test has to abort, rescue or (fabric#, focc-s) defer, whatever
+// the faults do to timing. A refused endorsement is the contract rejecting
+// the proposal (e.g. a bid below the standing high) — an abort by design, not
+// a cluster failure — so it counts toward aborted; any other error fails the
+// test.
 func driveScenario(t *testing.T, client *Client, gen workload.Generator, n int) (committed, aborted int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		op := gen.Next()
-		res, err := client.Submit(op.Contract, op.Function, op.Args...)
-		if err != nil {
-			if strings.Contains(err.Error(), "endorsement refused") {
-				aborted++
-				continue
+	for i := 0; i < n; i += 2 {
+		var pair []*protocol.Transaction
+		for j := i; j < min(i+2, n); j++ {
+			op := gen.Next()
+			tx, err := client.Endorse(op.Contract, op.Function, op.Args...)
+			if err != nil {
+				if strings.Contains(err.Error(), "endorsement refused") {
+					aborted++
+					continue
+				}
+				t.Fatalf("endorse %d (%s.%s): %v", j, op.Contract, op.Function, err)
 			}
-			t.Fatalf("submit %d (%s.%s): %v", i, op.Contract, op.Function, err)
+			pair = append(pair, tx)
 		}
-		if res.Code.Committed() {
-			committed++
-		} else {
-			aborted++
+		for _, tx := range pair {
+			res, err := client.SubmitTx(tx)
+			if err != nil {
+				t.Fatalf("submit %s (%s.%s): %v", tx.ID, tx.Contract, tx.Function, err)
+			}
+			if res.Code.Committed() {
+				committed++
+			} else {
+				aborted++
+			}
 		}
 	}
 	return committed, aborted
@@ -74,8 +90,10 @@ func TestScenarioChaosMatrix(t *testing.T) {
 		t.Skip("the scenario chaos matrix is not a -short test")
 	}
 	// Two scenarios run under plain Fabric so the matrix exercises both MVCC
-	// pipelines; the rest take fabric#'s reordering + rescue path.
-	fabricScenarios := map[string]bool{"token": true, "auction": true}
+	// pipelines and one under focc-s; the rest take fabric#. Every node runs
+	// with rescue, so the last two defer what they would abort and re-execute
+	// it in the block's tail — through the crashes and compaction epochs.
+	systems := map[string]sched.System{"token": sched.SystemFabric, "auction": sched.SystemFabric, "msmallbank": sched.SystemFoccS}
 	for si, name := range scenario.Names() {
 		si, name := si, name
 		t.Run(name, func(t *testing.T) {
@@ -83,9 +101,9 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			if !ok {
 				t.Fatalf("scenario %q vanished from the registry", name)
 			}
-			system := sched.SystemSharp
-			if fabricScenarios[name] {
-				system = sched.SystemFabric
+			system, ok := systems[name]
+			if !ok {
+				system = sched.SystemSharp
 			}
 			// A small pool keeps every scenario contended; 8 satisfies the
 			// strictest constructor floor (msmallbank needs >= 4 accounts).
@@ -216,6 +234,19 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			})
 			if ref.Len() < 6 {
 				t.Fatalf("sealed only %d blocks; the outage must span compaction epochs", ref.Len())
+			}
+			rescued := 0
+			ref.ForEach(func(b *ledger.Block) bool {
+				for _, code := range b.Validation {
+					if code == protocol.Rescued {
+						rescued++
+					}
+				}
+				return true
+			})
+			t.Logf("%s on %s: %d blocks, %d rescued", name, system, ref.Len(), rescued)
+			if (name == "singlemod" || name == "msmallbank") && rescued == 0 {
+				t.Errorf("pairs on %s's hot records never conflicted: the %s row deferred and rescued nothing", name, system)
 			}
 
 			// Identical chains must yield identical states, genesis included.

@@ -33,7 +33,8 @@ type CoreConfig struct {
 
 // Core is the ordering state machine: dedup, the forged-snapshot reject, the
 // scheduler (Algorithm 2 on arrival, Algorithm 3 at formation for Sharp), the
-// shadow verdicts, the rescue re-execution, the seal and the commit feedback.
+// deferred tail, the shadow verdicts, the rescue re-execution, the seal and
+// the commit feedback.
 // It holds no goroutine, clock or channel and is not goroutine-safe (the
 // fan-outs inside Cut join before it returns): what it seals is a function
 // of the calls made on it, so replicated orderers making the same calls
@@ -50,12 +51,18 @@ type Core struct {
 	cfg       CoreConfig
 	scheduler sched.Scheduler
 	chain     *ledger.Chain
-	// shadow is the version state (value-tracking when rescue is on); vopts
+	// shadow is the committed state as this Core derives it; vopts
 	// carries the same validation switches the peers run, so ComputeVerdicts
 	// here and ValidateBlock there are the same function over the same
 	// inputs.
 	shadow *validation.ShadowState
 	vopts  validation.Options
+	// deferred is the open block's tail: arrivals the scheduler rejected for
+	// a dependency reason (protocol.Deferrable) that a rescue-enabled Core
+	// under an MVCC-skipping scheduler keeps for post-order re-execution at
+	// the cut instead of aborting — XOX Fabric's hybrid. A pure function of
+	// the stream, like the scheduler's own verdicts.
+	deferred []deferredTx
 	// seen dedups TxIDs, bucketed by the block being assembled when they
 	// were first seen; seenFloor is the lowest bucket evictSeen has not
 	// dropped yet.
@@ -63,6 +70,13 @@ type Core struct {
 	seenByBlock map[uint64][]protocol.TxID
 	seenFloor   uint64
 	broker      *CommitmentBroker // non-nil under hash commitments
+}
+
+// deferredTx is one tail member and the arrival code it is sealed under if
+// its re-execution fails.
+type deferredTx struct {
+	tx   *protocol.Transaction
+	code protocol.ValidationCode
 }
 
 // NewCore builds the scheduler, an empty chain and the genesis-seeded
@@ -81,16 +95,11 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		cfg:         cfg,
 		scheduler:   scheduler,
 		chain:       chain,
-		shadow:      validation.NewShadowState(),
+		shadow:      validation.NewValueShadowState(),
 		vopts:       validation.Options{MVCC: scheduler.NeedsMVCCValidation(), MSP: cfg.MSP, Policy: cfg.Policy},
 		seen:        map[protocol.TxID]bool{},
 		seenByBlock: map[uint64][]protocol.TxID{},
 		seenFloor:   1,
-	}
-	if cfg.Rescue {
-		// Rescue re-executes chaincode here, which needs the committed
-		// values, not just versions.
-		c.shadow = validation.NewValueShadowState()
 	}
 	// An endorsement over a genesis key carries workload.GenesisVersion in
 	// its read set: the shadow validator has to see that same version or its
@@ -109,8 +118,10 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 // Events receives what a Step resolves, as it happens: an admission before
 // the cut it triggers, a cut's formation drops before its sealed block.
 type Events interface {
-	// Admitted: the scheduler accepted the transaction into the open block.
-	Admitted(id protocol.TxID)
+	// Admitted: the transaction joined the open block — accepted by the
+	// scheduler (code Valid) or deferred to the block's tail under the
+	// scheduler's arrival code.
+	Admitted(id protocol.TxID, code protocol.ValidationCode)
 	// Aborted: the transaction was resolved before it reached a block — a
 	// duplicate, forged snapshot, early abort, broken disclosure or
 	// formation drop.
@@ -160,15 +171,15 @@ func (c *Core) Step(env consensus.Envelope, ev Events) error {
 
 // admit runs one transaction through Arrive, cutting when the batch fills.
 func (c *Core) admit(tx *protocol.Transaction, ev Events) error {
-	code, err := c.Arrive(tx)
+	code, joined, err := c.Arrive(tx)
 	if err != nil {
 		return err
 	}
-	if code != protocol.Valid {
+	if !joined {
 		ev.Aborted(tx.ID, code)
 		return nil
 	}
-	ev.Admitted(tx.ID)
+	ev.Admitted(tx.ID, code)
 	if c.Pending() >= c.cfg.BlockSize {
 		return c.cut(ev)
 	}
@@ -188,11 +199,13 @@ func (c *Core) cut(ev Events) error {
 }
 
 // Arrive runs one transaction through dedup, the forged-snapshot reject and
-// the scheduler. protocol.Valid means it joined the block being assembled;
-// any other code resolves it here.
-func (c *Core) Arrive(tx *protocol.Transaction) (protocol.ValidationCode, error) {
+// the scheduler. joined reports whether it entered the block being
+// assembled: admitted by the scheduler (code Valid), or deferred to the
+// block's tail under the scheduler's code. Otherwise the code resolves it
+// here.
+func (c *Core) Arrive(tx *protocol.Transaction) (code protocol.ValidationCode, joined bool, err error) {
 	if c.seen[tx.ID] {
-		return protocol.AbortDuplicate, nil
+		return protocol.AbortDuplicate, false, nil
 	}
 	c.seen[tx.ID] = true
 	bucket := c.NextBlock()
@@ -203,19 +216,25 @@ func (c *Core) Arrive(tx *protocol.Transaction) (protocol.ValidationCode, error)
 		// is forged. Rejecting it here keeps hostile input from reaching the
 		// schedulers' contract checks (core.Manager.OnArrival would turn it
 		// fatal).
-		return protocol.EndorsementFailure, nil
+		return protocol.EndorsementFailure, false, nil
 	}
-	code, err := c.scheduler.OnArrival(tx)
+	code, err = c.scheduler.OnArrival(tx)
 	if err != nil {
-		return code, fmt.Errorf("orderer: arrival: %w", err)
+		return code, false, fmt.Errorf("orderer: arrival: %w", err)
 	}
-	return code, nil
+	if code.Deferrable() && c.cfg.Rescue && !c.vopts.MVCC {
+		// Not AbortStaleSnapshot: the max-span horizon is what stops an
+		// endorsement replayed from beyond DedupHorizon being executed twice.
+		c.deferred = append(c.deferred, deferredTx{tx, code})
+		return code, true, nil
+	}
+	return code, code == protocol.Valid, nil
 }
 
-// Cut forms a block from the pending set, seals it with the shadow verdicts
-// embedded and feeds those verdicts back to the scheduler. It returns the
-// sealed block (nil when formation ordered nothing) and the transactions
-// formation dropped.
+// Cut forms a block from the pending set, appends the deferred tail, seals it
+// with the shadow verdicts embedded and feeds those verdicts back to the
+// scheduler. It returns the sealed block (nil when formation ordered nothing
+// and nothing was deferred) and the transactions formation dropped.
 //
 // The cut is also where intern-table epoch compaction fires (inside
 // OnBlockFormation, see Options.CompactEvery); the shadow validator's state
@@ -225,7 +244,17 @@ func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("orderer: formation: %w", err)
 	}
-	if len(res.Ordered) == 0 {
+	txs, tail := res.Ordered, c.deferred
+	if len(tail) > 0 {
+		// The tail rides after everything formation ordered — its Valid set is
+		// fixed — and the count of both is what Pending held to BlockSize.
+		txs = txs[:len(txs):len(txs)]
+		for _, d := range tail {
+			txs = append(txs, d.tx)
+		}
+		c.deferred = nil
+	}
+	if len(txs) == 0 {
 		return nil, res.DroppedTxs, nil
 	}
 	num := c.NextBlock()
@@ -237,23 +266,31 @@ func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
 	// alone. The endorsement phase — ed25519 verification, the dominant CPU
 	// cost — is a per-transaction pure function, so it fans out across
 	// cores; only the overlay-coupled MVCC pass is serial.
-	endorseFailed := validation.PrecheckEndorsements(res.Ordered, c.vopts, runtime.GOMAXPROCS(0))
-	codes := validation.ComputeVerdictsPrechecked(c.shadow, num, res.Ordered, c.vopts, endorseFailed)
-	// The post-order rescue pass: re-execute the MVCC casualties against the
-	// value shadow (still at height num-1) under the block's valid writes —
-	// the same deterministic phase the peer committers run, so the rescued
-	// codes and digest sealed here are exactly what every peer re-derives.
+	endorseFailed := validation.PrecheckEndorsements(txs, c.vopts, runtime.GOMAXPROCS(0))
+	codes := validation.ComputeVerdictsPrechecked(c.shadow, num, txs, c.vopts, endorseFailed)
+	// A tail member that passed the endorsement check stands under its
+	// arrival code until the rescue pass commits it.
+	for i, d := range tail {
+		if at := len(res.Ordered) + i; codes[at] == protocol.Valid {
+			codes[at] = d.code
+		}
+	}
+	// The post-order rescue pass: re-execute the MVCC casualties — or the
+	// deferred tail — against the value shadow (still at height num-1) under
+	// the block's valid writes: the same deterministic phase the peer
+	// committers run, so the rescued codes and digest sealed here are exactly
+	// what every peer re-derives.
 	var rescue reexec.Outcome
-	if c.cfg.Rescue && c.vopts.MVCC {
-		rescue = reexec.Run(c.shadow, num, res.Ordered, codes, reexec.Options{Registry: c.cfg.Registry})
+	if c.cfg.Rescue {
+		rescue = reexec.Run(c.shadow, num, txs, codes, reexec.Options{Registry: c.cfg.Registry})
 		codes = rescue.Codes
 	}
-	blk, err := c.chain.SealRescued(res.Ordered, codes, rescue.Digest)
+	blk, err := c.chain.SealRescued(txs, codes, rescue.Digest)
 	if err != nil {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: seal: %w", err)
 	}
-	c.shadow.ApplyRescued(num, res.Ordered, codes, rescue.Writes)
-	c.scheduler.OnBlockCommitted(num, res.Ordered, codes)
+	c.shadow.ApplyRescued(num, txs, codes, rescue.Writes)
+	c.scheduler.OnBlockCommitted(num, txs, codes)
 	c.evictSeen(num)
 	return blk, res.DroppedTxs, nil
 }
@@ -296,7 +333,7 @@ func (c *Core) Replay(stored *ledger.Chain) error {
 		// Rescued verdicts carry no write sets in the block: re-derive them
 		// by re-running the deterministic rescue phase against the shadow's
 		// replayed state, asserting the sealed digest.
-		if b.RescueDigest != nil && !c.shadow.TracksValues() {
+		if b.RescueDigest != nil && !c.cfg.Rescue {
 			walkErr = fmt.Errorf("orderer: stored block %d carries rescued verdicts; the network must boot with Rescue enabled to replay it", b.Header.Number)
 			return false
 		}
@@ -318,8 +355,10 @@ func (c *Core) Replay(stored *ledger.Chain) error {
 	return c.scheduler.FastForward(height)
 }
 
-// Pending returns the size of the block being assembled.
-func (c *Core) Pending() int { return c.scheduler.PendingCount() }
+// Pending returns the size of the block being assembled: what the scheduler
+// admitted plus the deferred tail, so BlockSize, the cut timer and the
+// time-to-cut marker see one count.
+func (c *Core) Pending() int { return c.scheduler.PendingCount() + len(c.deferred) }
 
 // NextBlock returns the number of the block being assembled.
 func (c *Core) NextBlock() uint64 { return uint64(c.chain.Len()) + 1 }

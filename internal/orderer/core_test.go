@@ -18,9 +18,9 @@ import (
 // discard is the Events of a test that only inspects the Core afterwards.
 type discard struct{}
 
-func (discard) Admitted(protocol.TxID)                         {}
-func (discard) Aborted(protocol.TxID, protocol.ValidationCode) {}
-func (discard) Sealed(*ledger.Block)                           {}
+func (discard) Admitted(protocol.TxID, protocol.ValidationCode) {}
+func (discard) Aborted(protocol.TxID, protocol.ValidationCode)  {}
+func (discard) Sealed(*ledger.Block)                            {}
 
 // TestDedupSeenEviction checks the Core's duplicate-suppression memory is
 // bounded by DedupHorizon: TxIDs resolved more than the horizon ago are

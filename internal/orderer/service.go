@@ -58,13 +58,15 @@ type Options struct {
 	// identical on every replica; the horizon trades replay-protection depth
 	// for bounded memory under sustained traffic.
 	DedupHorizon uint64
-	// Rescue enables post-order speculative re-execution: MVCC-aborted
-	// transactions re-run against the block's committed prefix at cut time
+	// Rescue enables post-order speculative re-execution: conflict-aborted
+	// transactions re-run after the block's valid transactions at cut time
 	// and the rescued write sets commit under the Rescued verdict; it must
-	// match the peers' setting (the rescue digest is byte-asserted). A no-op
-	// for systems whose ordering phase already guarantees serializability.
-	// An orderer running with rescue keeps a value-tracking shadow, trading
-	// memory for the re-execution capability.
+	// match the peers' setting (the rescue digest is byte-asserted). Under a
+	// scheduler that leaves the stale-read check to validation those are the
+	// block's MVCC casualties; under one that skips it (fabric#, focc-s) they
+	// are the arrivals the scheduler rejected for a dependency reason
+	// (protocol.Deferrable), which ride the block's tail instead of aborting
+	// at arrival (docs/commit-pipeline.md, "The deferred tail").
 	Rescue bool
 	// Genesis, when non-empty, is the block-0 write set seeded into the
 	// orderer's shadow state at workload.GenesisVersion — it must be the set
@@ -231,9 +233,10 @@ func (s *Service) run() {
 	}
 }
 
-// Admitted implements Events with the order stage's telemetry.
-func (s *Service) Admitted(id protocol.TxID) {
-	s.cfg.Tracer.Record(string(id), trace.StageOrder, 0)
+// Admitted implements Events with the order stage's telemetry; a deferral's
+// stamp carries the scheduler's arrival code as its detail (trace.Event).
+func (s *Service) Admitted(id protocol.TxID, code protocol.ValidationCode) {
+	s.cfg.Tracer.Record(string(id), trace.StageOrder, uint64(code))
 }
 
 // Aborted implements Events.

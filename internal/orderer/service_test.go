@@ -142,7 +142,7 @@ func TestZeroPeerServiceSealsTheNetworkChain(t *testing.T) {
 // tally is the Events of a replayed Core: what it resolved, for comparison
 // across Cores.
 type tally struct {
-	admitted []protocol.TxID
+	admitted []orderedAbort // code Valid, or the arrival code of a deferral
 	aborted  []orderedAbort
 	sealed   int
 }
@@ -152,7 +152,9 @@ type orderedAbort struct {
 	code protocol.ValidationCode
 }
 
-func (e *tally) Admitted(id protocol.TxID) { e.admitted = append(e.admitted, id) }
+func (e *tally) Admitted(id protocol.TxID, code protocol.ValidationCode) {
+	e.admitted = append(e.admitted, orderedAbort{id, code})
+}
 func (e *tally) Aborted(id protocol.TxID, code protocol.ValidationCode) {
 	e.aborted = append(e.aborted, orderedAbort{id, code})
 }

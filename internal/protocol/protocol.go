@@ -260,9 +260,19 @@ func CommitPositions(codes []ValidationCode) []uint32 {
 	return out
 }
 
+// Deferrable reports whether the code is a scheduler's dependency verdict —
+// the arrival conflicts with what is pending or committed, not with the
+// contract, the policy or the max-span horizon. With rescue on, an orderer
+// whose scheduler skips MVCC defers such an arrival to the block's tail for
+// post-order re-execution instead of aborting it; inside a sealed block the
+// code therefore marks a tail member whose re-execution failed.
+func (c ValidationCode) Deferrable() bool {
+	return c == AbortCycle || c == AbortConcurrentWW || c == AbortDangerousStructure
+}
+
 // IsEarlyAbort reports whether the code is decided before the transaction
 // reaches the ledger (so the transaction consumes no block space and no
-// validation work).
+// validation work) — unless it is Deferrable and rides a block's tail.
 func (c ValidationCode) IsEarlyAbort() bool {
 	switch c {
 	case AbortCycle, AbortStaleSnapshot, AbortConcurrentWW,

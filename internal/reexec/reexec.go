@@ -1,6 +1,7 @@
 // Package reexec implements post-order speculative re-execution: a
-// deterministic rescue phase that takes a sealed block's MVCC-aborted
-// transactions and re-runs their chaincode against a Block-STM-style
+// deterministic rescue phase that takes a sealed block's conflict-aborted
+// transactions (MVCC casualties, or the tail a pre-ordering scheduler
+// deferred) and re-runs their chaincode against a Block-STM-style
 // multi-version scratch overlaying the committed state, so hot-key
 // workloads commit near the conflict-free ceiling instead of throwing half
 // the block away (XOX Fabric, Block-STM).
@@ -17,11 +18,13 @@
 // Every replica that runs the phase over the same base state and the same
 // sealed block derives bit-identical codes and write sets:
 //
-//   - Rescue candidates (MVCCConflict verdicts whose invocation is carried
-//     in the transaction) are partitioned into key-disjoint conflict groups
-//     by the same union-find rule internal/commit uses; groups share no keys
-//     (a containment check below keeps that true even for re-executed key
-//     sets), so they run concurrently without observing each other.
+//   - Rescue candidates (MVCCConflict verdicts, or — under a scheduler that
+//     skips MVCC — the deferred tail's protocol.Deferrable arrival codes,
+//     whose invocation is carried in the transaction) are partitioned into
+//     key-disjoint conflict groups by the same union-find rule
+//     internal/commit uses; groups share no keys (a containment check below
+//     keeps that true even for re-executed key sets), so they run
+//     concurrently without observing each other.
 //   - Within a group, rounds of speculative execution run every pending
 //     candidate in parallel against the round-start scratch, then a serial
 //     accept pass in block order validates each candidate's recorded reads
@@ -94,7 +97,7 @@ func (o Options) workers() int {
 // Outcome is the deterministic result of one rescue run.
 type Outcome struct {
 	// Codes are the final per-transaction codes: the input codes with every
-	// successfully rescued MVCCConflict flipped to Rescued.
+	// successfully rescued candidate flipped to Rescued.
 	Codes []protocol.ValidationCode
 	// Writes holds, per transaction position, the re-executed write set of
 	// rescued transactions (nil for every other position).
@@ -115,25 +118,29 @@ type Outcome struct {
 // StillAborted counts candidates the rescue could not commit.
 func (o Outcome) StillAborted() int { return o.Attempted - o.Rescued }
 
-// Run re-executes blk's MVCC-aborted transactions against base and returns
-// the rescued outcome. codes is not mutated; txs and base are only read.
+// Run re-executes the block's candidates (see the package comment) against
+// base and returns the rescued outcome. codes is not mutated; txs and base
+// are only read.
 func Run(base StateSource, block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode, opts Options) Outcome {
 	out := Outcome{Codes: append([]protocol.ValidationCode(nil), codes...)}
 	if opts.Registry == nil {
 		return out
 	}
-	contracts := make([]chaincode.Contract, len(txs))
-	candidate := make([]bool, len(txs))
+	// contracts[i] is non-nil exactly for the candidates; most blocks have
+	// none and allocate nothing here.
+	var contracts []chaincode.Contract
 	for i, tx := range txs {
-		if codes[i] != protocol.MVCCConflict || tx.Function == "" {
+		if (codes[i] != protocol.MVCCConflict && !codes[i].Deferrable()) || tx.Function == "" {
 			continue
 		}
 		c, ok := opts.Registry.Get(tx.Contract)
 		if !ok {
 			continue
 		}
+		if contracts == nil {
+			contracts = make([]chaincode.Contract, len(txs))
+		}
 		contracts[i] = c
-		candidate[i] = true
 		out.Attempted++
 	}
 	if out.Attempted == 0 {
@@ -154,7 +161,7 @@ func Run(base StateSource, block uint64, txs []*protocol.Transaction, codes []pr
 		}
 	}
 
-	groups := conflict.Partition(txs, func(i int) bool { return candidate[i] })
+	groups := conflict.Partition(txs, func(i int) bool { return contracts[i] != nil })
 	out.Groups = len(groups)
 	out.Writes = make([][]protocol.WriteItem, len(txs))
 	rounds := make([]int, len(groups))

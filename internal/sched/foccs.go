@@ -205,6 +205,16 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 		f.endBlock[tx.ID] = block
 	}
 	f.pending = nil
+	f.sealBlock()
+	f.timing.Formations++
+	f.timing.FormationNS += w.elapsedNS()
+	return res, nil
+}
+
+// sealBlock consumes the next block number: window pruning and, when
+// enabled, epoch compaction.
+func (f *FoccS) sealBlock() {
+	block := f.nextBlock
 	f.nextBlock++
 	if f.nextBlock > f.maxSpan {
 		h := f.nextBlock - f.maxSpan
@@ -223,9 +233,6 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	if f.compactEvery > 0 && block%f.compactEvery == 0 {
 		f.compact()
 	}
-	f.timing.Formations++
-	f.timing.FormationNS += w.elapsedNS()
-	return res, nil
 }
 
 // compact rebuilds the intern table around the keys the pruned committed
@@ -239,8 +246,29 @@ func (f *FoccS) compact() {
 	f.rbuf, f.wbuf = f.rbuf[:0], f.wbuf[:0]
 }
 
-// OnBlockCommitted implements Scheduler (certification already decided).
-func (f *FoccS) OnBlockCommitted(uint64, []*protocol.Transaction, []protocol.ValidationCode) {}
+// OnBlockCommitted implements Scheduler: certification already decided what
+// formation ordered; a rescued tail transaction joins the committed indices
+// here as a transaction whose snapshot is its own commit point — concurrent
+// with nothing before it, so it starts with neither flag and can never gain
+// outAnti, but a later arrival with an older snapshot that read what it
+// overwrote (or overwrites what it read) finds it in CW (CR) and certifies
+// against it like any committed transaction.
+func (f *FoccS) OnBlockCommitted(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode) {
+	if block == f.nextBlock {
+		f.sealBlock() // a tail-only cut: formation ordered nothing
+	}
+	forEachRescued(block, txs, codes, func(tx *protocol.Transaction, at seqno.Seq) {
+		for _, k := range f.keys.InternAll(f.wbuf[:0], tx.RWSet.WriteKeys()) {
+			f.cw.Put(k, at, tx.ID)
+		}
+		for _, k := range f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys()) {
+			f.cr.Put(k, at, tx.ID)
+		}
+		f.grow()
+		f.flags[tx.ID] = &rwFlags{}
+		f.endBlock[tx.ID] = block
+	})
+}
 
 // NeedsMVCCValidation implements Scheduler: admitted transactions are
 // certified serializable.

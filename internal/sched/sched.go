@@ -19,6 +19,7 @@ package sched
 import (
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/seqno"
 )
 
 // System names the five comparable systems.
@@ -69,9 +70,11 @@ type Scheduler interface {
 	// pending transactions it returns an empty result without consuming a
 	// block number.
 	OnBlockFormation() (FormationResult, error)
-	// OnBlockCommitted feeds back the validation phase's verdicts, letting
-	// schedulers that model committed state (focc-l) stay current. codes[i]
-	// corresponds to txs[i].
+	// OnBlockCommitted feeds back the sealed block's verdicts, letting
+	// schedulers that model committed state stay current: focc-l its
+	// versions, sharp and focc-s the rescued tail the orderer deferred (a
+	// tail-only block, whose formation ordered nothing, consumes its number
+	// here). codes[i] corresponds to txs[i].
 	OnBlockCommitted(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode)
 	// NeedsMVCCValidation reports whether the validation phase must still
 	// run the stale-read serializability check. Sharp and Focc-s guarantee
@@ -166,6 +169,23 @@ type Options struct {
 	// key-interning schedulers' tables every CompactEvery sealed blocks
 	// (see core.Options.CompactEvery). 0 (default) keeps tables append-only.
 	CompactEvery uint64
+}
+
+// forEachRescued calls fn with each Rescued transaction of a sealed block and
+// the sequence its re-executed writes committed at (protocol.CommitPositions),
+// in commit order. Blocks without one — every block of an uncontended run —
+// cost a scan of the codes.
+func forEachRescued(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode, fn func(*protocol.Transaction, seqno.Seq)) {
+	var pos []uint32
+	for i, code := range codes {
+		if code != protocol.Rescued {
+			continue
+		}
+		if pos == nil {
+			pos = protocol.CommitPositions(codes)
+		}
+		fn(txs[i], seqno.Commit(block, pos[i]))
+	}
 }
 
 // ReadsAcrossBlocks reports whether the simulation read versions from a

@@ -5,6 +5,7 @@ import (
 
 	"fabricsharp/internal/core"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/seqno"
 )
 
 // Sharp is the paper's scheduler: internal/core's fine-grained concurrency
@@ -71,8 +72,17 @@ func (s *Sharp) OnBlockFormation() (FormationResult, error) {
 	return res, nil
 }
 
-// OnBlockCommitted implements Scheduler: formation already fixed everything.
-func (s *Sharp) OnBlockCommitted(uint64, []*protocol.Transaction, []protocol.ValidationCode) {}
+// OnBlockCommitted implements Scheduler: formation already fixed everything
+// it ordered; what the orderer deferred and the rescue phase committed in
+// the block's tail enters the committed history here (core.Manager.CommitTail).
+func (s *Sharp) OnBlockCommitted(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode) {
+	if block == s.mgr.NextBlock() {
+		s.mgr.SealBlock() // a tail-only cut: formation ordered nothing
+	}
+	forEachRescued(block, txs, codes, func(tx *protocol.Transaction, at seqno.Seq) {
+		s.mgr.CommitTail(tx.ID, at, tx.RWSet.ReadKeys(), tx.RWSet.WriteKeys())
+	})
+}
 
 // NeedsMVCCValidation implements Scheduler: the ordering phase guarantees
 // serializability (Figure 8: "No Concurrency Validation").

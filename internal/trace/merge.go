@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"fabricsharp/internal/protocol"
 )
 
 // Timeline is one transaction's cross-node stage timeline: per stage, the
@@ -12,10 +14,32 @@ type Timeline struct {
 	TxID string
 	// Stamp is indexed by Stage (index 0 unused).
 	Stamp [NumStages + 1]int64
+	// Deferred is the scheduler's arrival code when the orderer deferred the
+	// transaction to its block's tail instead of admitting it (the order
+	// stamp's detail, see Event.Block); zero — protocol.Valid — otherwise.
+	Deferred protocol.ValidationCode
 }
 
 // Has reports whether stage was observed.
 func (t *Timeline) Has(s Stage) bool { return t.Stamp[s] != 0 }
+
+// Path renders the stages the transaction crossed, in pipeline order — "why
+// did this abort, how did this commit" as one line: a deferred-and-rescued
+// transaction reads "submit → defer(cycle) → seal → deliver → validate →
+// commit → rescue", one whose re-execution failed lacks the last step.
+func (t *Timeline) Path() string {
+	var steps []string
+	for s := StageSubmit; s < stageEnd; s++ {
+		switch {
+		case !t.Has(s):
+		case s == StageOrder && t.Deferred != protocol.Valid:
+			steps = append(steps, fmt.Sprintf("defer(%v)", t.Deferred))
+		default:
+			steps = append(steps, s.String())
+		}
+	}
+	return strings.Join(steps, " → ")
+}
 
 // Merge joins per-node dumps by TxID into one timeline per transaction,
 // sorted by TxID. Single-origin stages (submit, order, raft-commit, seal)
@@ -36,6 +60,9 @@ func Merge(dumps []Dump) []Timeline {
 			if tl == nil {
 				tl = &Timeline{TxID: ev.TxID}
 				byID[ev.TxID] = tl
+			}
+			if ev.Stage == StageOrder && ev.Block != 0 {
+				tl.Deferred = protocol.ValidationCode(ev.Block)
 			}
 			cur := tl.Stamp[ev.Stage]
 			switch ev.Stage {

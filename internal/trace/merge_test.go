@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"fabricsharp/internal/protocol"
 )
 
 func ms(n float64) int64 { return int64(n * 1e6) }
@@ -153,5 +155,34 @@ func TestSummaryFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPathNamesADeferral: the order stamp of a deferred transaction carries
+// the scheduler's arrival code as its detail, and the merged timeline answers
+// "why did this abort, how did this commit" in one line.
+func TestPathNamesADeferral(t *testing.T) {
+	tr := New("ord0", "orderer", 1<<6)
+	tr.Record("d", StageSubmit, 0)
+	tr.Record("d", StageOrder, uint64(protocol.AbortCycle)) // what orderer.Service records for a deferral
+	tr.Record("d", StageSeal, 7)
+	tr.Record("a", StageOrder, uint64(protocol.Valid))
+	tr.Record("a", StageSeal, 7)
+	peer := New("peer0", "peer", 1<<6)
+	for _, id := range []string{"d", "a"} {
+		peer.Record(id, StageDeliver, 7)
+		peer.Record(id, StageValidate, 7)
+		peer.Record(id, StageCommit, 7)
+	}
+	peer.Record("d", StageRescue, 7)
+	got := map[string]string{}
+	for _, tl := range Merge([]Dump{tr.Dump(), peer.Dump()}) {
+		got[tl.TxID] = tl.Path()
+	}
+	if want := "submit → defer(cycle) → seal → deliver → validate → commit → rescue"; got["d"] != want {
+		t.Errorf("deferred path %q, want %q", got["d"], want)
+	}
+	if want := "order → seal → deliver → validate → commit"; got["a"] != want {
+		t.Errorf("admitted path %q, want %q", got["a"], want)
 	}
 }

@@ -24,8 +24,9 @@ const (
 	// StageSubmit: an ordering node received the endorsed transaction off
 	// the wire (before consensus).
 	StageSubmit Stage = 1 + iota
-	// StageOrder: the scheduler admitted the transaction from the
-	// consensus stream (Algorithm 2 arrival processing).
+	// StageOrder: the transaction joined the open block from the consensus
+	// stream (Algorithm 2 arrival processing): admitted by the scheduler, or
+	// deferred to the block's tail (Event.Block then holds the arrival code).
 	StageOrder
 	// StageRaftCommit: the replicated log acked the transaction
 	// quorum-durable (Raft clusters only; absent on standalone orderers).
@@ -75,7 +76,10 @@ type Event struct {
 	TxID string
 	// Stage is the pipeline boundary crossed.
 	Stage Stage
-	// Block is the sealed block number, 0 for pre-seal stages.
+	// Block is the sealed block number, 0 for pre-seal stages — except that
+	// the order stamp of a transaction the orderer deferred to its block's
+	// tail carries the scheduler's arrival code (a protocol.ValidationCode)
+	// here, the stamp's detail.
 	Block uint64
 	// WallNS is the wall-clock timestamp (UnixNano) at record time.
 	WallNS int64

@@ -59,20 +59,33 @@ func (b *Backoff) Reset() {
 	b.mu.Unlock()
 }
 
-// Retry runs fn until it returns nil or the next backed-off attempt would
-// land past deadline, in which case the last error is returned. It absorbs
-// transient connection failures — a node mid-restart answers the dial but
-// resets in-flight calls, which a bare DialRetry budget does not cover.
-func Retry(deadline time.Time, bo *Backoff, fn func() error) error {
+// Retry runs fn until it returns nil or deadline passes, in which case the
+// last error is returned. It is the first-contact loop — a dial or a status
+// probe of a node that may still be starting, or be mid-restart (answering
+// the dial but resetting in-flight calls) — and paces itself by how long it
+// has been trying rather than by how often: the pause before the next
+// attempt is an eighth of the time spent so far, never under 10 ms or over
+// firstContactMax, drawn from its upper half. A node that becomes reachable
+// at T is therefore seen by about T + max(10 ms, T/8) — a doubling ramp
+// overshoots by up to T, which quantised every cluster start-up into the
+// ramp's steps — while a long outage still costs two probes a second.
+func Retry(deadline time.Time, fn func() error) error {
+	start := time.Now()
 	for {
 		err := fn()
 		if err == nil {
 			return nil
 		}
-		d := bo.Next()
-		if time.Now().Add(d).After(deadline) {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
 			return err
 		}
-		time.Sleep(d)
+		d := min(max(time.Since(start)/8, 10*time.Millisecond), firstContactMax)
+		d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+		time.Sleep(min(d, remaining))
 	}
 }
+
+// firstContactMax caps Retry's pause: a fleet chasing a dead address probes
+// it about twice a second each, as before.
+const firstContactMax = 500 * time.Millisecond

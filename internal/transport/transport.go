@@ -209,23 +209,18 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(nc), nil
 }
 
-// DialRetry dials with jittered exponential backoff until it connects or
-// the caller's deadline passes — how nodes absorb cluster startup order (a
-// peer may come up before its orderer) without a reconnect stampede when
-// many nodes chase the same address.
+// DialRetry dials until it connects or the caller's deadline passes, paced by
+// Retry — how nodes absorb cluster startup order (a peer may come up before
+// its orderer) without a reconnect stampede when many nodes chase the same
+// address.
 func DialRetry(addr string, deadline time.Time) (*Conn, error) {
-	bo := NewBackoff(10*time.Millisecond, 500*time.Millisecond, 0)
-	for {
-		c, err := Dial(addr)
-		if err == nil {
-			return c, nil
-		}
-		d := bo.Next()
-		if remaining := time.Until(deadline); remaining <= 0 {
-			return nil, fmt.Errorf("transport: dial %s: deadline passed: %w", addr, err)
-		} else if d > remaining {
-			d = remaining
-		}
-		time.Sleep(d)
+	var c *Conn
+	err := Retry(deadline, func() (err error) {
+		c, err = Dial(addr)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("transport: deadline passed: %w", err)
 	}
+	return c, nil
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +113,50 @@ func TestDialRetryGivesUp(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("DialRetry did not respect its timeout")
+	}
+}
+
+// TestDialRetrySeesALateListenerPromptly pins the first-contact ramp: a
+// listener that opens T after the first refused dial is connected to by about
+// T + max(10 ms, T/8). Under the doubling ramp this test replaces, a listener
+// opening at 100 ms was seen at 75-150 or at 155-310 ms — the two modes every
+// cluster benchmark's set-up time fell into.
+func TestDialRetrySeesALateListenerPromptly(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 6; i++ {
+		opensAfter := time.Duration(30+rng.Intn(370)) * time.Millisecond
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := probe.Addr().String()
+		_ = probe.Close()
+		start := time.Now()
+		opened := make(chan net.Listener, 1)
+		go func() {
+			time.Sleep(opensAfter)
+			l, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Errorf("reopen %s: %v", addr, err)
+			}
+			opened <- l
+		}()
+		c, err := DialRetry(addr, start.Add(5*time.Second))
+		seen := time.Since(start)
+		if l := <-opened; l != nil {
+			defer l.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		// 25 ms of slack for the scheduler on a loaded machine; the old ramp
+		// overshot a 300 ms opening by up to 300.
+		allowed := opensAfter + max(10*time.Millisecond, opensAfter/8) + 25*time.Millisecond
+		t.Logf("listener opened at %v, connected at %v (allowed %v)", opensAfter, seen.Round(time.Millisecond), allowed)
+		if seen > allowed {
+			t.Errorf("listener opened at %v but was seen only at %v (allowed %v)", opensAfter, seen, allowed)
+		}
 	}
 }
 

@@ -32,12 +32,17 @@ func (s dbVersions) Version(key string) (seqno.Seq, bool) {
 	return vv.Version, true
 }
 
-// ShadowState is a value-free replica of the committed version state: for
-// every live key, the (block, position) version of its last valid write;
-// deletes are tombstoned exactly like the state database reports them
-// (absent). Orderers maintain one per replica and advance it with the
-// verdicts ComputeVerdicts derives at each cut, so commit feedback becomes a
-// pure function of the consensus stream — no peer, no timing, no values.
+// ShadowState is the orderer's replica of the committed state: for every
+// live key, the (block, position) version of its last committed write and
+// the value written; deletes are tombstoned exactly like the state database
+// reports them (absent). Orderers maintain one per replica and advance it
+// with the verdicts ComputeVerdicts derives at each cut, so commit feedback
+// becomes a pure function of the consensus stream — no peer, no timing. The
+// verdict logic reads only versions; the values are there for the post-order
+// rescue phase, which re-executes chaincode at the orderer. They come purely
+// from the stream too (declared write sets of valid transactions plus
+// re-executed write sets of rescued ones) and alias the write sets the chain
+// retains anyway, so tracking them costs a slice header per key.
 //
 // A ShadowState is confined to its orderer goroutine; it is not safe for
 // concurrent mutation (the read-only fan-out of a rescue run is fine — see
@@ -45,13 +50,6 @@ func (s dbVersions) Version(key string) (seqno.Seq, bool) {
 type ShadowState struct {
 	entries map[string]shadowEntry
 	height  uint64
-	// values enables value tracking (NewValueShadowState): the post-order
-	// rescue phase re-executes chaincode at the orderer, which needs the
-	// committed values, not just their versions. Values still come purely
-	// from the consensus stream (declared write sets of valid transactions
-	// plus re-executed write sets of rescued ones), so the shadow remains a
-	// deterministic function of the stream.
-	values bool
 }
 
 type shadowEntry struct {
@@ -60,31 +58,17 @@ type shadowEntry struct {
 	deleted bool
 }
 
-// NewShadowState returns an empty value-free shadow (the genesis version
-// state).
-func NewShadowState() *ShadowState {
+// NewValueShadowState returns an empty shadow (the genesis state). The name
+// dates from when a value-free variant existed beside it.
+func NewValueShadowState() *ShadowState {
 	return &ShadowState{entries: map[string]shadowEntry{}}
 }
 
-// NewValueShadowState returns an empty shadow that also tracks committed
-// values, as required to re-execute chaincode at the orderer (reexec's
-// StateSource).
-func NewValueShadowState() *ShadowState {
-	return &ShadowState{entries: map[string]shadowEntry{}, values: true}
-}
-
-// TracksValues reports whether the shadow stores committed values.
-func (s *ShadowState) TracksValues() bool { return s.values }
-
 // Read resolves key to its committed value and version (reexec.StateSource).
-// Only value-tracking shadows (NewValueShadowState) support it. Read never
-// mutates the shadow, so the concurrent readers of a rescue run are safe as
-// long as nothing applies a block mid-run (the orderer's cut path is
-// serial). Callers must not mutate the returned value.
+// Read never mutates the shadow, so the concurrent readers of a rescue run
+// are safe as long as nothing applies a block mid-run (the orderer's cut
+// path is serial). Callers must not mutate the returned value.
 func (s *ShadowState) Read(key string) ([]byte, seqno.Seq, bool) {
-	if !s.values {
-		panic("validation: Read on a value-free ShadowState (use NewValueShadowState)")
-	}
 	e, ok := s.entries[key]
 	if !ok || e.deleted {
 		return nil, seqno.Seq{}, false
@@ -93,8 +77,8 @@ func (s *ShadowState) Read(key string) ([]byte, seqno.Seq, bool) {
 }
 
 // Seed installs a committed key directly, bypassing block application —
-// benchmark and test initialization for value shadows. ver must be from a
-// block at or below the shadow's height.
+// genesis, benchmark and test initialization. ver must be from a block at or
+// below the shadow's height.
 func (s *ShadowState) Seed(key string, value []byte, ver seqno.Seq) {
 	s.entries[key] = shadowEntry{version: ver, value: value}
 }
@@ -108,33 +92,21 @@ func (s *ShadowState) Version(key string) (seqno.Seq, bool) {
 	return e.version, true
 }
 
-// Apply folds one sealed block's verdicts into the shadow: the writes of
-// every valid transaction land at version (block, position), deletes as
-// tombstones — mirroring what statedb.ApplyBlock will do on the peers with
-// the same codes. codes[i] corresponds to txs[i]. Blocks carrying Rescued
-// verdicts must go through ApplyRescued instead (the rescued write sets are
-// not derivable from the transactions alone).
-func (s *ShadowState) Apply(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode) {
-	s.ApplyRescued(block, txs, codes, nil)
-}
-
-// ApplyRescued is Apply plus the post-order rescue outcome: rescued[i], when
-// the slice is non-nil, holds the re-executed write set of each Rescued
-// transaction. Valid transactions commit their declared writes at their
-// in-block position; Rescued ones commit their re-executed writes after the
-// whole block (protocol.CommitPositions) — the valid pass runs first so a
-// rescued write of the same key lands last, exactly like the state
-// database's version-ordered history.
+// ApplyRescued folds one sealed block's verdicts into the shadow, mirroring
+// what statedb.ApplyBlock will do on the peers with the same codes (codes[i]
+// corresponds to txs[i]); rescued[i] holds the re-executed write set of each
+// Rescued transaction (nil when the block has none). Valid transactions
+// commit their declared writes at their in-block position, deletes as
+// tombstones; Rescued ones commit their re-executed writes after the whole
+// block (protocol.CommitPositions) — the valid pass runs first so a rescued
+// write of the same key lands last, exactly like the state database's
+// version-ordered history.
 func (s *ShadowState) ApplyRescued(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode, rescued [][]protocol.WriteItem) {
 	pos := protocol.CommitPositions(codes)
 	apply := func(i int, writes []protocol.WriteItem) {
 		ver := seqno.Commit(block, pos[i])
 		for _, w := range writes {
-			e := shadowEntry{version: ver, deleted: w.Delete}
-			if s.values {
-				e.value = w.Value
-			}
-			s.entries[w.Key] = e
+			s.entries[w.Key] = shadowEntry{version: ver, value: w.Value, deleted: w.Delete}
 		}
 	}
 	for i, tx := range txs {
@@ -207,11 +179,14 @@ func ComputeVerdictsPrechecked(base VersionSource, block uint64, txs []*protocol
 			codes[i] = protocol.EndorsementFailure
 			continue
 		}
-		if opts.MVCC && !ReadsFresh(tx, current) {
+		codes[i] = protocol.Valid
+		if !opts.MVCC {
+			continue // nothing reads the overlay
+		}
+		if !ReadsFresh(tx, current) {
 			codes[i] = protocol.MVCCConflict
 			continue
 		}
-		codes[i] = protocol.Valid
 		overlay.Record(seqno.Commit(block, uint32(i+1)), tx.RWSet.Writes)
 	}
 	return codes

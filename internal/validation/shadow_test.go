@@ -23,7 +23,7 @@ import (
 func TestShadowMatchesDatabaseAcrossBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := newState(t)
-	shadow := NewShadowState()
+	shadow := NewValueShadowState()
 	chain, err := ledger.NewChain(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestShadowMatchesDatabaseAcrossBlocks(t *testing.T) {
 				conflicts++
 			}
 		}
-		shadow.Apply(blk.Header.Number, txs, shadowCodes)
+		shadow.ApplyRescued(blk.Header.Number, txs, shadowCodes, nil)
 		if shadow.Height() != blk.Header.Number {
 			t.Fatalf("shadow height %d after block %d", shadow.Height(), blk.Header.Number)
 		}
@@ -84,12 +84,12 @@ func TestShadowMatchesDatabaseAcrossBlocks(t *testing.T) {
 // reports them: a deleted key reads as absent, and a read carrying the
 // pre-delete version is stale.
 func TestShadowTombstones(t *testing.T) {
-	shadow := NewShadowState()
+	shadow := NewValueShadowState()
 	writer := &protocol.Transaction{
 		ID:    "w",
 		RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("v")}}},
 	}
-	shadow.Apply(1, []*protocol.Transaction{writer}, []protocol.ValidationCode{protocol.Valid})
+	shadow.ApplyRescued(1, []*protocol.Transaction{writer}, []protocol.ValidationCode{protocol.Valid}, nil)
 	if ver, ok := shadow.Version("k"); !ok || ver != seqno.Commit(1, 1) {
 		t.Fatalf("k = %v, %v", ver, ok)
 	}
@@ -98,7 +98,7 @@ func TestShadowTombstones(t *testing.T) {
 		ID:    "d",
 		RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Delete: true}}},
 	}
-	shadow.Apply(2, []*protocol.Transaction{deleter}, []protocol.ValidationCode{protocol.Valid})
+	shadow.ApplyRescued(2, []*protocol.Transaction{deleter}, []protocol.ValidationCode{protocol.Valid}, nil)
 	if _, ok := shadow.Version("k"); ok {
 		t.Error("deleted key still has a version")
 	}
@@ -122,12 +122,12 @@ func TestShadowTombstones(t *testing.T) {
 // TestShadowInvalidWritesIgnored checks only Valid transactions advance the
 // shadow, mirroring statedb.ApplyBlock's treatment of aborted writes.
 func TestShadowInvalidWritesIgnored(t *testing.T) {
-	shadow := NewShadowState()
+	shadow := NewValueShadowState()
 	tx := &protocol.Transaction{
 		ID:    "aborted",
 		RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("v")}}},
 	}
-	shadow.Apply(1, []*protocol.Transaction{tx}, []protocol.ValidationCode{protocol.MVCCConflict})
+	shadow.ApplyRescued(1, []*protocol.Transaction{tx}, []protocol.ValidationCode{protocol.MVCCConflict}, nil)
 	if _, ok := shadow.Version("k"); ok {
 		t.Error("aborted transaction's write entered the shadow")
 	}
@@ -159,7 +159,7 @@ func TestComputeVerdictsEndorsementPolicy(t *testing.T) {
 		Policy: identity.SignedBy("peer1"),
 	}
 	txs := []*protocol.Transaction{good, unsigned}
-	codes := ComputeVerdicts(NewShadowState(), 1, txs, opts)
+	codes := ComputeVerdicts(NewValueShadowState(), 1, txs, opts)
 	if codes[0] != protocol.Valid || codes[1] != protocol.EndorsementFailure {
 		t.Errorf("codes = %v", codes)
 	}
@@ -167,7 +167,7 @@ func TestComputeVerdictsEndorsementPolicy(t *testing.T) {
 	// inline sequential pass, for any worker count.
 	for _, workers := range []int{1, 2, 8} {
 		failed := PrecheckEndorsements(txs, opts, workers)
-		got := ComputeVerdictsPrechecked(NewShadowState(), 1, txs, opts, failed)
+		got := ComputeVerdictsPrechecked(NewValueShadowState(), 1, txs, opts, failed)
 		for i := range codes {
 			if got[i] != codes[i] {
 				t.Errorf("workers=%d tx %d: %v want %v", workers, i, got[i], codes[i])

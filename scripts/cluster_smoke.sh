@@ -32,7 +32,8 @@
 #   OL_WORKERS  burst submission workers       (default: 32)
 #   PORT_BASE   first TCP port                 (default: 27050)
 #   LOGDIR      where node logs go             (default: ./cluster-logs)
-#   RESCUE      1 = post-order re-execution on (default: 1; set 0 to disable)
+#   RESCUE      0 = boot every node with -rescue=false (default: 1, the
+#               nodes' own default: post-order re-execution on)
 #   CHAOS       1 = kill-the-leader failover   (default: 0)
 set -euo pipefail
 
@@ -47,9 +48,11 @@ RESCUE=${RESCUE:-1}
 CHAOS=${CHAOS:-0}
 BIN=$(mktemp -d)
 
+# fabricnode runs with rescue unless told otherwise; RESCUE=0 is the
+# -rescue=false coverage (the paper's plain systems, cycle aborts and all).
 RESCUE_FLAG=""
-if [ "$RESCUE" = "1" ]; then
-  RESCUE_FLAG="-rescue"
+if [ "$RESCUE" != "1" ]; then
+  RESCUE_FLAG="-rescue=false"
 fi
 
 if [ "$CHAOS" = "1" ]; then
