@@ -358,7 +358,6 @@ func BenchmarkPeerDurableCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	peer.Committer().Start()
 	b.ResetTimer()
 	for _, blk := range blocks {
 		peer.Committer().Deliver(blk)

@@ -279,7 +279,6 @@ func TestCommitterPipeline(t *testing.T) {
 		},
 		OnError: func(err error) { t.Errorf("committer error: %v", err) },
 	})
-	c.Start()
 	const blocks = 10
 	for b := 0; b < blocks; b++ {
 		var txs []*protocol.Transaction
@@ -350,7 +349,6 @@ func TestCommitterStatsHDR(t *testing.T) {
 		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
 		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
 	})
-	c.Start()
 	defer c.Close()
 	st := c.Stats()
 	const blocks = 100 // q·blocks is integral for 0.5 and 0.99: both quantile conventions pick the same rank
@@ -404,70 +402,6 @@ func TestCommitterStatsHDR(t *testing.T) {
 	}
 }
 
-// TestReplayStoredMatchesLiveCommit drives the same chain through the live
-// path and the replay path and checks they land on identical state.
-func TestReplayStoredMatchesLiveCommit(t *testing.T) {
-	env := newTestEnv(t)
-	source, _ := ledger.NewChain(nil)
-	liveState, _ := statedb.New(statedb.Options{})
-	liveChain, _ := ledger.NewChain(nil)
-	live := New(Config{
-		Name: "live", State: liveState, Chain: liveChain,
-		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
-		OnError:    func(err error) { t.Errorf("live: %v", err) },
-	})
-	live.Start()
-	for b := 0; b < 5; b++ {
-		var txs []*protocol.Transaction
-		for i := 0; i < 3; i++ {
-			tx := &protocol.Transaction{
-				ID: protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
-				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{
-					{Key: fmt.Sprintf("hot%d", i), Value: []byte(fmt.Sprintf("b%d", b))},
-				}},
-			}
-			env.sign(tx)
-			txs = append(txs, tx)
-		}
-		blk, err := source.Seal(txs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live.Deliver(blk)
-	}
-	live.Close()
-
-	// Replay the live peer's chain (blocks now carry validation codes) into
-	// a fresh committer, as a restart would.
-	replayState, _ := statedb.New(statedb.Options{})
-	replayChain, _ := ledger.NewChain(nil)
-	replay := New(Config{Name: "replay", State: replayState, Chain: replayChain})
-	var replayErr error
-	liveChain.ForEach(func(b *ledger.Block) bool {
-		replayErr = replay.ReplayStored(b)
-		return replayErr == nil
-	})
-	if replayErr != nil {
-		t.Fatal(replayErr)
-	}
-	if replayState.StateFingerprint() != liveState.StateFingerprint() {
-		t.Error("replayed state differs from live state")
-	}
-	if replayState.Height() != liveState.Height() {
-		t.Errorf("heights: replay %d live %d", replayState.Height(), liveState.Height())
-	}
-	if replayChain.TipHash() == nil {
-		t.Fatal("replay chain empty")
-	}
-
-	// A stored block stripped of its codes is rejected, not guessed at.
-	bad := &ledger.Block{Header: ledger.Header{Number: 99}}
-	bad.Transactions = []*protocol.Transaction{{ID: "x"}}
-	if err := replay.ReplayStored(bad); err == nil {
-		t.Error("replay accepted a block without validation metadata")
-	}
-}
-
 func TestCommitterReportsPoisonedBlock(t *testing.T) {
 	state, _ := statedb.New(statedb.Options{})
 	chain, _ := ledger.NewChain(nil)
@@ -476,7 +410,6 @@ func TestCommitterReportsPoisonedBlock(t *testing.T) {
 		Name: "peerX", State: state, Chain: chain,
 		OnError: func(err error) { errs <- err },
 	})
-	c.Start()
 	// A block whose data hash does not cover its transactions cannot append.
 	poisoned := &ledger.Block{
 		Header:       ledger.Header{Number: 1, DataHash: ledger.DataHash(nil)},
@@ -547,7 +480,6 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
 		OnError:    func(err error) { t.Errorf("commit: %v", err) },
 	})
-	c.Start()
 	source, _ := ledger.NewChain(nil)
 	seal := func(n int) *ledger.Block {
 		txs := make([]*protocol.Transaction, 100)

@@ -6,12 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/reexec"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 )
@@ -89,22 +87,15 @@ type Committer struct {
 	errOnce   sync.Once
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	started   atomic.Bool
 	stats     Stats
 }
 
-// New builds a Committer. Call Start to launch its goroutine.
+// New builds a Committer and launches its goroutine.
 func New(cfg Config) *Committer {
-	return &Committer{cfg: cfg, deliver: make(chan *ledger.Block, queueDepth)}
-}
-
-// Start launches the committer goroutine. It is idempotent.
-func (c *Committer) Start() {
-	if c.started.Swap(true) {
-		return
-	}
+	c := &Committer{cfg: cfg, deliver: make(chan *ledger.Block, queueDepth)}
 	c.wg.Add(1)
 	go c.run()
+	return c
 }
 
 // Deliver hands a sealed block to the committer. It blocks only when the
@@ -125,9 +116,7 @@ func (c *Committer) Deliver(blk *ledger.Block) {
 // the first call.
 func (c *Committer) Close() {
 	c.closeOnce.Do(func() { close(c.deliver) })
-	if c.started.Load() {
-		c.wg.Wait()
-	}
+	c.wg.Wait()
 }
 
 // Idle reports whether every delivered block has been fully processed.
@@ -164,15 +153,20 @@ func (c *Committer) fail(err error) {
 	})
 }
 
-// commit is the live path: check that the block extends the chain, run the
-// parallel validator, and land the peer's own copy of the block — verdicts
-// and rescue digest already on it — together with its valid writes. A
-// delivered block carrying the orderer's precomputed shadow verdicts
-// (blk.Validation) is cross-checked byte for byte: the agreement property
-// requires verdicts to be a pure function of the stream, so any divergence
-// between the orderer's value-free derivation and the peer's full
-// validation is a pipeline bug that must fail loudly rather than be
-// silently re-derived around. Nothing is stored before that check passes.
+// commit checks that the block extends the chain, runs the parallel
+// validator, and lands the peer's own copy of the block — verdicts and
+// rescue digest already on it — together with its valid writes. A delivered
+// block carrying the orderer's precomputed shadow verdicts (blk.Validation)
+// is cross-checked byte for byte: the agreement property requires verdicts
+// to be a pure function of the stream, so any divergence between the
+// orderer's value-free derivation and the peer's full validation is a
+// pipeline bug that must fail loudly rather than be silently re-derived
+// around. Nothing is stored before that check passes.
+//
+// The landing is the peer's one commit point. On a durable peer the block's
+// record, its writes and the height land as one atomic batch; then the state
+// height is published, then the chain tip — so whoever sees the tip at N
+// sees the state at N or later, in memory and on disk.
 func (c *Committer) commit(blk *ledger.Block) error {
 	if err := c.cfg.Chain.Check(blk); err != nil {
 		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
@@ -193,9 +187,17 @@ func (c *Committer) commit(blk *ledger.Block) error {
 		}
 	}
 	peerBlk := &ledger.Block{Header: blk.Header, Transactions: blk.Transactions, Validation: res.Codes, RescueDigest: res.Rescue.Digest}
-	if err := c.land(peerBlk, res.Writes); err != nil {
-		return err
+	var riders []kvstore.BatchOp
+	if c.cfg.State.Durable() {
+		riders = []kvstore.BatchOp{ledger.Record(peerBlk)}
 	}
+	if err := c.cfg.State.ApplyBlock(peerBlk.Header.Number, res.Writes, riders...); err != nil {
+		return fmt.Errorf("apply block %d: %w", peerBlk.Header.Number, err)
+	}
+	if err := c.cfg.Chain.Append(peerBlk); err != nil {
+		return fmt.Errorf("append block %d: %w", peerBlk.Header.Number, err)
+	}
+	c.stats.BlocksCommitted.Inc()
 	if c.cfg.Tracer != nil {
 		num := peerBlk.Header.Number
 		for i, tx := range peerBlk.Transactions {
@@ -235,95 +237,5 @@ func AssertVerdictsEqual(block uint64, precomputed, derived []protocol.Validatio
 				block, i, derived[i], precomputed[i])
 		}
 	}
-	return nil
-}
-
-// ReplayStored is the restart path: re-adopt a block persisted with its
-// validation codes, applying exactly the writes the original commit did. It
-// shares WritesFor/land with the live path, so replay and live commit
-// cannot drift. Rescued verdicts carry no write sets in the block — replay
-// re-derives them by re-running the deterministic rescue phase against the
-// replayed state and asserts the outcome matches what was sealed.
-func (c *Committer) ReplayStored(b *ledger.Block) error {
-	if len(b.Validation) != len(b.Transactions) {
-		return fmt.Errorf("commit: stored block %d missing validation metadata", b.Header.Number)
-	}
-	if err := c.cfg.Chain.Check(b); err != nil {
-		return fmt.Errorf("commit: replay block %d: %w", b.Header.Number, err)
-	}
-	out, err := ReplayRescue(reexec.DBSource(c.cfg.State), b, c.cfg.Validation.Registry)
-	if err != nil {
-		return fmt.Errorf("commit: replay block %d: %w", b.Header.Number, err)
-	}
-	blk := &ledger.Block{Header: b.Header, Transactions: b.Transactions, Validation: b.Validation, RescueDigest: b.RescueDigest}
-	return c.land(blk, WritesForRescued(blk, blk.Validation, out.Writes))
-}
-
-// ReplayRescue re-derives a stored block's rescue outcome: the Rescued
-// verdicts are reset to a pre-rescue candidate code (preRescue), the
-// deterministic rescue phase re-runs against base (the state as of the
-// block's parent) — a failed tail member fails again — and the re-derived
-// codes and digest are asserted against the sealed ones. Blocks without Rescued verdicts return a zero Outcome
-// without running anything.
-func ReplayRescue(base reexec.StateSource, blk *ledger.Block, registry *chaincode.Registry) (reexec.Outcome, error) {
-	hasRescued := false
-	for _, code := range blk.Validation {
-		if code == protocol.Rescued {
-			hasRescued = true
-			break
-		}
-	}
-	if !hasRescued {
-		if blk.RescueDigest != nil {
-			return reexec.Outcome{}, fmt.Errorf("stored block %d carries a rescue digest but no rescued verdict", blk.Header.Number)
-		}
-		return reexec.Outcome{}, nil
-	}
-	if registry == nil {
-		return reexec.Outcome{}, fmt.Errorf("stored block %d has rescued verdicts but no contract registry to replay them", blk.Header.Number)
-	}
-	pre := make([]protocol.ValidationCode, len(blk.Validation))
-	for i, code := range blk.Validation {
-		pre[i] = preRescue(code)
-	}
-	out := reexec.Run(base, blk.Header.Number, blk.Transactions, pre, reexec.Options{Registry: registry})
-	if err := AssertVerdictsEqual(blk.Header.Number, blk.Validation, out.Codes); err != nil {
-		return reexec.Outcome{}, fmt.Errorf("rescue replay: %w", err)
-	}
-	if !bytes.Equal(blk.RescueDigest, out.Digest) {
-		return reexec.Outcome{}, fmt.Errorf("rescue replay: block %d digest %x diverges from sealed %x",
-			blk.Header.Number, out.Digest, blk.RescueDigest)
-	}
-	return out, nil
-}
-
-// preRescue maps a sealed verdict to a code the rescue phase re-derives it
-// from: a Rescued one was a candidate (MVCCConflict stands for whichever
-// candidate code it carried — they re-execute alike), and every other code,
-// a failed tail member's Deferrable arrival code included, is what it was.
-func preRescue(sealed protocol.ValidationCode) protocol.ValidationCode {
-	if sealed == protocol.Rescued {
-		return protocol.MVCCConflict
-	}
-	return sealed
-}
-
-// land is the one commit point, shared by the live and replay paths. blk
-// has passed Chain.Check and carries its final verdicts. On a durable peer
-// its record, its writes and the height land as one atomic batch; then the
-// state height is published, then the chain tip — so whoever sees the tip
-// at N sees the state at N or later, in memory and on disk.
-func (c *Committer) land(blk *ledger.Block, writes []statedb.BlockWrites) error {
-	var riders []kvstore.BatchOp
-	if c.cfg.State.Durable() {
-		riders = []kvstore.BatchOp{ledger.Record(blk)}
-	}
-	if err := c.cfg.State.ApplyBlock(blk.Header.Number, writes, riders...); err != nil {
-		return fmt.Errorf("apply block %d: %w", blk.Header.Number, err)
-	}
-	if err := c.cfg.Chain.Append(blk); err != nil {
-		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
-	}
-	c.stats.BlocksCommitted.Inc()
 	return nil
 }

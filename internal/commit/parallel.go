@@ -129,11 +129,11 @@ func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult 
 	// committed state under the block's valid writes. db still sits at the
 	// pre-block height here (writes apply after validation), matching the
 	// orderer's shadow view at cut time. With MVCC off the candidates are the
-	// tail the orderer deferred, designated from the sealed codes exactly as
-	// ReplayRescue designates them: a peer under such a scheduler already
-	// accepts the sealed serial order without a concurrency check, any
-	// designation re-executes serially after the block, and the byte-asserts
-	// on verdicts and digest make a wrong one fatal rather than trusted.
+	// tail the orderer deferred, designated from the sealed codes (preRescue):
+	// a peer under such a scheduler already accepts the sealed serial order
+	// without a concurrency check, any designation re-executes serially after
+	// the block, and the byte-asserts on verdicts and digest make a wrong one
+	// fatal rather than trusted.
 	if opts.rescueEnabled() {
 		if !opts.MVCC && len(blk.Validation) == len(codes) {
 			for i, sealed := range blk.Validation {
@@ -151,10 +151,20 @@ func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult 
 	return res
 }
 
+// preRescue maps a sealed verdict to a code the rescue phase re-derives it
+// from: a Rescued one was a candidate (MVCCConflict stands for whichever
+// candidate code it carried — they re-execute alike), and every other code,
+// a failed tail member's Deferrable arrival code included, is what it was.
+func preRescue(sealed protocol.ValidationCode) protocol.ValidationCode {
+	if sealed == protocol.Rescued {
+		return protocol.MVCCConflict
+	}
+	return sealed
+}
+
 // WritesFor assembles the batched ApplyBlock input from a block and its
-// final validation codes — the code path live commit and stored-chain
-// replay share. Blocks carrying Rescued verdicts need the re-executed write
-// sets too: use WritesForRescued.
+// final validation codes. Blocks carrying Rescued verdicts need the
+// re-executed write sets too: use WritesForRescued.
 func WritesFor(blk *ledger.Block, codes []protocol.ValidationCode) []statedb.BlockWrites {
 	return WritesForRescued(blk, codes, nil)
 }

@@ -518,20 +518,6 @@ func (m *Manager) compact() {
 	m.wwGroups = m.wwGroups[:0]
 }
 
-// FastForward moves a fresh manager's block cursor past an externally
-// stored chain of `height` blocks (restart from persistence). It is only
-// legal before any arrival: the restart contract is clean-shutdown, every
-// pre-restart transaction is committed and beyond conflict range of any
-// future snapshot (which will be >= height), so the empty graph and indices
-// are sound.
-func (m *Manager) FastForward(height uint64) error {
-	if m.stats.Arrivals > 0 || len(m.pending) > 0 || m.nextBlock != 1 {
-		return fmt.Errorf("core: cannot fast-forward a manager with history")
-	}
-	m.nextBlock = height + 1
-	return nil
-}
-
 // MinRetainedSnapshot returns the oldest snapshot block a newly arriving
 // transaction may still read from; the state database can prune history
 // below it (Section 4.2).

@@ -154,7 +154,7 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 		t.Error("no MVCC conflicts on the lead chain — Focc-l's doomed path not exercised")
 	}
 
-	assertOrderersAgree(t, n, nil)
+	assertOrderersAgree(t, n)
 }
 
 // discardEvents is the orderer.Events of a replay that only compares chains.
@@ -166,12 +166,12 @@ func (discardEvents) Sealed(*ledger.Block)                            {}
 
 // assertOrderersAgree demands that follower orderers agree with n's: two
 // fresh orderer.Cores are folded over the consensus stream n retained —
-// transactions and time-to-cut markers alike, after adopting stored when the
-// network itself resumed from it — and each must seal n's chain bit for bit.
+// transactions and time-to-cut markers alike — and each must seal n's chain
+// bit for bit.
 // wire.EncodeBlock covers hashes, contents, sealed verdicts and the rescue
 // digest. n must be idle and built by newNet (which injects the retained
 // stream).
-func assertOrderersAgree(t *testing.T, n *Network, stored *ledger.Chain) {
+func assertOrderersAgree(t *testing.T, n *Network) {
 	t.Helper()
 	stream := n.opts.Ordering.(*consensus.Kafka)
 	replay, cancel := stream.Subscribe()
@@ -195,11 +195,6 @@ func assertOrderersAgree(t *testing.T, n *Network, stored *ledger.Chain) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if stored != nil {
-			if err := follower.Replay(stored); err != nil {
-				t.Fatal(err)
-			}
 		}
 		for _, env := range envs {
 			if err := follower.Step(env, discardEvents{}); err != nil {
@@ -287,7 +282,7 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 				t.Fatal("Rescued verdicts present but no block carries a rescue digest")
 			}
 
-			assertOrderersAgree(t, n, nil)
+			assertOrderersAgree(t, n)
 
 			// Peers derived the same verdicts (including Rescued) from the
 			// sealed blocks.
@@ -384,7 +379,7 @@ func TestCompactionLeadFollowerAgreement(t *testing.T) {
 			if sealed := n.OrdererChain().Len(); sealed < 4 {
 				t.Fatalf("only %d blocks sealed — fewer than two compaction epochs", sealed)
 			}
-			assertOrderersAgree(t, n, nil)
+			assertOrderersAgree(t, n)
 		})
 	}
 }

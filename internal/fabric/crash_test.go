@@ -22,21 +22,26 @@ import (
 	"fabricsharp/internal/sched"
 )
 
-// tortureNames is the peer set of the torture fixture; the network that
-// seals the chain and the bare peers reopened on it share one dev MSP.
+// tortureNames is the peer set of the crash fixtures; the network that seals
+// the chain and the bare peers that commit it share one dev MSP.
 var tortureNames = []string{"peer0", "peer1"}
 
 // newBarePeer builds one started peer outside any network — durable on dir,
-// in-memory when dir is "" — validating as the fixture network's peers do.
-func newBarePeer(t *testing.T, dir string) (*Peer, error) {
+// in-memory when dir is "" — validating as the fixture network's peers do
+// under system with rescue on.
+func newBarePeer(t *testing.T, system sched.System, dir string) (*Peer, error) {
 	t.Helper()
+	scheduler, err := sched.New(system, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	msp, policy := identity.DevMSP(tortureNames...)
 	p, err := NewPeer(PeerConfig{
 		ID:       identity.Deterministic(tortureNames[0], identity.RolePeer),
 		MSP:      msp,
 		Policy:   policy,
 		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
-		MVCC:     true,
+		MVCC:     scheduler.NeedsMVCCValidation(),
 		Rescue:   true,
 		DataDir:  dir,
 		OnError:  func(err error) { t.Error(err) },
@@ -44,9 +49,113 @@ func newBarePeer(t *testing.T, dir string) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Committer().Start()
 	t.Cleanup(p.Close)
 	return p, nil
+}
+
+// sealChain runs drive against an in-memory network of the fixture's peers
+// under system with rescue on, and returns the blocks its orderer sealed.
+func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *Client)) []*ledger.Block {
+	t.Helper()
+	n, err := NewNetwork(Options{
+		System:       system,
+		Rescue:       true,
+		Peers:        len(tortureNames),
+		BlockSize:    blockSize,
+		BlockTimeout: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	client, err := n.NewClient("fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(client)
+	if !n.WaitIdle(10 * time.Second) {
+		t.Fatalf("network did not go idle (err=%v)", n.Err())
+	}
+	var sealed []*ledger.Block
+	n.OrdererChain().ForEach(func(b *ledger.Block) bool {
+		sealed = append(sealed, b)
+		return true
+	})
+	return sealed
+}
+
+// sealContended seals smallbank traffic that conflicts: three accounts, then
+// four clients each sending payments round the ring of them.
+func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Block {
+	t.Helper()
+	return sealChain(t, system, 4, func(client *Client) {
+		for i := 0; i < 3; i++ {
+			if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < payments; i++ {
+					client.Submit("smallbank", "send_payment", fmt.Sprintf("h%d", (w+i)%3), fmt.Sprintf("h%d", (w+i+1)%3), "1")
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+}
+
+// rescuedBlocks lists the numbers of the blocks holding a Rescued verdict.
+func rescuedBlocks(blocks []*ledger.Block) []uint64 {
+	var nums []uint64
+	for _, b := range blocks {
+		for _, code := range b.Validation {
+			if code == protocol.Rescued {
+				nums = append(nums, b.Header.Number)
+				break
+			}
+		}
+	}
+	return nums
+}
+
+// position is where a peer stands: chain tip, state, committed tally.
+type position struct {
+	tip       []byte
+	state     string
+	committed uint64
+}
+
+func positionOf(p *Peer) position {
+	return position{p.Chain().TipHash(), p.State().StateFingerprint(), p.Chain().CommittedTxs()}
+}
+
+// referencePositions feeds sealed to an in-memory peer one block at a time
+// and returns where it stands after each prefix, the empty one first.
+func referencePositions(t *testing.T, system sched.System, sealed []*ledger.Block) []position {
+	t.Helper()
+	ref, err := newBarePeer(t, system, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := []position{positionOf(ref)}
+	for _, blk := range sealed {
+		commitAll(t, ref, []*ledger.Block{blk})
+		at = append(at, positionOf(ref))
+	}
+	return at
+}
+
+// checkPosition fails the test unless p stands at want.
+func checkPosition(t *testing.T, what string, p *Peer, want position) {
+	t.Helper()
+	if got := positionOf(p); !bytes.Equal(got.tip, want.tip) || got.state != want.state || got.committed != want.committed {
+		t.Fatalf("%s: tip %x state %s committed %d, reference has tip %x state %s committed %d",
+			what, got.tip, got.state, got.committed, want.tip, want.state, want.committed)
+	}
 }
 
 // commitAll delivers blocks to p and waits until it has committed them.
@@ -89,99 +198,41 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// TestPeerWALTruncationTorture is the peer-level crash torture. A durable
-// peer commits 30+ contended blocks with rescue on, so the stored records
-// carry Rescued verdicts and digests. Then, for every write-ahead log under
-// its directory and every cut of that log — each record boundary, one byte
-// either side, and a seeded sample inside records — a peer is reopened on a
-// copy of the directory with the log cut there. It must open; its state
-// height must be its chain tip; tip hash, state fingerprint and committed
-// tally must equal those of an in-memory reference peer fed the same block
-// prefix; and delivered the rest of the chain it must end where the
-// reference ends, and still be there when opened once more. With one store and one record per block a cut can only
-// remove whole blocks from the end, so the prefix is also exactly the
-// blocks whose records fit below the cut.
+// TestPeerWALTruncationTorture is the peer-level crash torture. An in-memory
+// network seals 30+ contended blocks with rescue on and a bare durable peer
+// commits them, so the stored records carry Rescued verdicts and digests.
+// Then, for every write-ahead log under its directory and every cut of that
+// log — each record boundary, one byte either side, and a seeded sample
+// inside records — a peer is reopened on a copy of the directory with the
+// log cut there. It must open; its state height must be its chain tip; tip
+// hash, state fingerprint and committed tally must equal those of an
+// in-memory reference peer fed the same block prefix; and delivered the rest
+// of the chain it must end where the reference ends, and still be there when
+// opened once more. With one store and one record per block a cut can only
+// remove whole blocks from the end, so the prefix is also exactly the blocks
+// whose records fit below the cut.
 //
 // Not covered: a crash inside a memtable flush or a compaction (the fixture
 // stays below the flush threshold); that needs the fault-injecting file
 // layer of ROADMAP item 5.
 func TestPeerWALTruncationTorture(t *testing.T) {
-	dir := t.TempDir()
-	n, err := NewNetwork(Options{
-		System:       sched.SystemFabric,
-		Rescue:       true,
-		Peers:        len(tortureNames),
-		BlockSize:    4,
-		BlockTimeout: 20 * time.Millisecond,
-		DataDir:      dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := n.NewClient("bank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				client.Submit("smallbank", "send_payment", fmt.Sprintf("h%d", (w+i)%3), fmt.Sprintf("h%d", (w+i+1)%3), "1")
-			}
-		}(w)
-	}
-	wg.Wait()
-	if !n.WaitIdle(10 * time.Second) {
-		t.Fatalf("network did not go idle (err=%v)", n.Err())
-	}
-	var sealed []*ledger.Block
-	rescued := 0
-	n.OrdererChain().ForEach(func(b *ledger.Block) bool {
-		sealed = append(sealed, b)
-		for _, code := range b.Validation {
-			if code == protocol.Rescued {
-				rescued++
-			}
-		}
-		return true
-	})
-	n.Close()
-	if len(sealed) < 30 || rescued == 0 {
-		t.Fatalf("fixture sealed %d blocks with %d rescued verdicts; need >= 30 and > 0", len(sealed), rescued)
+	sealed := sealContended(t, sched.SystemFabric, 32)
+	if rescued := rescuedBlocks(sealed); len(sealed) < 30 || len(rescued) == 0 {
+		t.Fatalf("fixture sealed %d blocks with %d holding rescued verdicts; need >= 30 and > 0", len(sealed), len(rescued))
 	}
 
 	// The reference: what a peer holds after each prefix of the chain.
-	type position struct {
-		tip       []byte
-		state     string
-		committed uint64
-	}
-	ref, err := newBarePeer(t, "")
+	at := referencePositions(t, sched.SystemFabric, sealed)
+
+	// The store under torture.
+	dir := t.TempDir()
+	durable, err := newBarePeer(t, sched.SystemFabric, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	positionOf := func(p *Peer) position {
-		return position{p.Chain().TipHash(), p.State().StateFingerprint(), p.Chain().CommittedTxs()}
-	}
-	at := []position{positionOf(ref)}
-	for _, blk := range sealed {
-		commitAll(t, ref, []*ledger.Block{blk})
-		at = append(at, positionOf(ref))
-	}
-	check := func(what string, p *Peer, want position) {
-		t.Helper()
-		if got := positionOf(p); !bytes.Equal(got.tip, want.tip) || got.state != want.state || got.committed != want.committed {
-			t.Fatalf("%s: tip %x state %s committed %d, reference has tip %x state %s committed %d",
-				what, got.tip, got.state, got.committed, want.tip, want.state, want.committed)
-		}
-	}
+	commitAll(t, durable, sealed)
+	checkPosition(t, "durable peer", durable, at[len(sealed)])
+	durable.Close()
 
 	var logs []string
 	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -227,7 +278,7 @@ func TestPeerWALTruncationTorture(t *testing.T) {
 			if err := os.Truncate(filepath.Join(cutDir, strings.TrimPrefix(log, dir)), int64(l)); err != nil {
 				t.Fatal(err)
 			}
-			p, err := newBarePeer(t, cutDir)
+			p, err := newBarePeer(t, sched.SystemFabric, cutDir)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -242,15 +293,15 @@ func TestPeerWALTruncationTorture(t *testing.T) {
 			if int(tip) != whole {
 				t.Fatalf("%s: reopened at block %d, the cut log holds %d whole records", what, tip, whole)
 			}
-			check(what, p, at[tip])
+			checkPosition(t, what, p, at[tip])
 			commitAll(t, p, sealed[tip:])
-			check(what+", caught up", p, at[len(sealed)])
+			checkPosition(t, what+", caught up", p, at[len(sealed)])
 			p.Close()
 			// And the blocks committed behind the cut survive the next open.
-			if p, err = newBarePeer(t, cutDir); err != nil {
+			if p, err = newBarePeer(t, sched.SystemFabric, cutDir); err != nil {
 				t.Fatalf("%s, second reopen: %v", what, err)
 			}
-			check(what+", reopened again", p, at[len(sealed)])
+			checkPosition(t, what+", reopened again", p, at[len(sealed)])
 			p.Close()
 		}
 	}
@@ -279,7 +330,7 @@ func TestNewPeerRejectsTipAheadOfState(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = newBarePeer(t, dir)
+	_, err = newBarePeer(t, sched.SystemFabric, dir)
 	if err == nil || !strings.Contains(err.Error(), "chain tip 1") || !strings.Contains(err.Error(), "state height 0") {
 		t.Fatalf("NewPeer on a store with block 1 and no height record: %v", err)
 	}

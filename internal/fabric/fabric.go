@@ -57,8 +57,7 @@ type Options struct {
 	// Genesis, when non-empty, is the block-0 write set every replica
 	// installs before the first block seals: peer state databases (NewPeer)
 	// and the orderer's shadow state. Scenario-driven deployments fill it
-	// from scenario.Scenario.GenesisWrites. Ignored on a DataDir resume (the
-	// store already holds it).
+	// from scenario.Scenario.GenesisWrites.
 	Genesis []protocol.WriteItem
 	// Peers is the number of endorsing/validating peers (default 4, the
 	// paper's setup).
@@ -76,10 +75,6 @@ type Options struct {
 	// order-choosing adversaries to transaction contents (see
 	// Client.SubmitCommitted).
 	HashCommitment bool
-	// DataDir, when non-empty, persists peer 0's ledger and latest state in
-	// one kvstore under it (PeerConfig.DataDir has the layout); a network
-	// booted again on the same directory resumes from the stored chain.
-	DataDir string
 	// Ordering, when set, injects an externally built consensus service —
 	// typically a transport.RaftService joining this process to a Raft
 	// ordering cluster over TCP — instead of the default in-process
@@ -210,7 +205,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		}
 	}
 	for i, name := range names {
-		cfg := PeerConfig{
+		p, err := NewPeer(PeerConfig{
 			ID:       identity.Deterministic(name, identity.RolePeer),
 			MSP:      msp,
 			Policy:   policy,
@@ -225,29 +220,12 @@ func NewNetwork(opts Options) (*Network, error) {
 				n.peerCommitted(i, blk, codes)
 			},
 			OnError: ordering.Fail,
-		}
-		if i == 0 {
-			// Peer 0 is the durable replica.
-			cfg.DataDir = opts.DataDir
-		}
-		p, err := NewPeer(cfg)
+		})
 		if err != nil {
 			n.Close()
 			return nil, err
 		}
 		n.peers = append(n.peers, p)
-	}
-	// When resuming from disk, adopt the stored chain everywhere — on the
-	// in-memory peers through the same committer apply path live commits
-	// use — before the orderer starts consuming the stream.
-	if stored := n.peers[0].chain; stored.Len() > 0 {
-		if err := n.replayStoredChain(stored); err != nil {
-			n.Close()
-			return nil, err
-		}
-	}
-	for _, p := range n.peers {
-		p.committer.Start()
 	}
 	ordering.Start()
 	return n, nil
@@ -299,28 +277,8 @@ func (n *Network) peerCommitted(peerIdx int, blk *ledger.Block, codes []protocol
 // Err returns the first fatal pipeline error, nil while healthy.
 func (n *Network) Err() error { return n.ordering.Err() }
 
-// replayStoredChain distributes peer 0's persisted blocks to the in-memory
-// peers and hands the chain to the ordering service (orderer.Service.Resume
-// states the restart contract).
-func (n *Network) replayStoredChain(stored *ledger.Chain) error {
-	var walkErr error
-	stored.ForEach(func(b *ledger.Block) bool {
-		for _, p := range n.peers[1:] {
-			if walkErr = p.committer.ReplayStored(b); walkErr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if walkErr != nil {
-		return walkErr
-	}
-	return n.ordering.Resume(stored)
-}
-
-// Close shuts the network down: the orderer stops consuming consensus, the
-// commit pipeline drains every delivered block, and only then do the
-// durable stores close.
+// Close shuts the network down: the orderer stops consuming consensus, then
+// the commit pipeline drains every delivered block.
 func (n *Network) Close() {
 	n.ordering.Close()
 	for _, p := range n.peers {

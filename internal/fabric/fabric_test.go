@@ -112,7 +112,7 @@ func TestOrdererAgreement(t *testing.T) {
 	if n.OrdererChain().TipHash() == nil {
 		t.Fatal("no blocks sealed")
 	}
-	assertOrderersAgree(t, n, nil)
+	assertOrderersAgree(t, n)
 }
 
 func TestSmallbankTransfersConserveMoney(t *testing.T) {

@@ -66,10 +66,10 @@ type Peer struct {
 }
 
 // NewPeer assembles a peer: it opens the DataDir store (or none), seeds the
-// genesis on a fresh replica only, and builds the committer — the
+// genesis on a fresh replica only, and starts the committer — the
 // validation/commit stage of the EOV pipeline, decoupled from ordering by a
-// buffered delivery channel. The caller starts the committer once anything
-// it wants replayed (Committer().ReplayStored) is in.
+// buffered delivery channel. A reopened store is the peer's whole past: the
+// next block it takes is the one above its height.
 func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	p := &Peer{id: cfg.ID, signed: identity.NewSignedRing(cfg.ID), registry: cfg.Registry}
 	if cfg.DataDir != "" {

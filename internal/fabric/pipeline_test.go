@@ -103,107 +103,6 @@ func TestCrossPeerValidationAgreement(t *testing.T) {
 	}
 }
 
-// TestPersistenceResumeThroughCommitter boots a durable network, commits
-// contended blocks through the new pipeline, restarts it, and checks that
-// heights, fingerprints, per-peer replay, and scheduler fast-forward all
-// line up.
-func TestPersistenceResumeThroughCommitter(t *testing.T) {
-	dir := t.TempDir()
-	boot := func() *Network {
-		n, err := NewNetwork(Options{
-			System:       sched.SystemFabric, // MVCC path: aborted txs persist in block metadata
-			BlockSize:    4,
-			BlockTimeout: 50 * time.Millisecond,
-			DataDir:      dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-
-	n1 := boot()
-	c1, err := n1.NewClient("writer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				c1.Submit("kv", "rmw", fmt.Sprintf("slot%d", i%3), "1") // contended
-				c1.Submit("kv", "put", fmt.Sprintf("own-%d-%d", w, i), "v")
-			}
-		}(w)
-	}
-	wg.Wait()
-	if !n1.WaitIdle(10 * time.Second) {
-		t.Fatal("session 1 did not go idle")
-	}
-	height1 := n1.Height()
-	tip1 := n1.Peer(0).Chain().TipHash()
-	fp1 := n1.Peer(0).State().StateFingerprint()
-	hadAborts := false
-	n1.Peer(0).Chain().ForEach(func(b *ledger.Block) bool {
-		for _, c := range b.Validation {
-			if c != protocol.Valid {
-				hadAborts = true
-			}
-		}
-		return true
-	})
-	n1.Close()
-	if height1 == 0 {
-		t.Fatal("no blocks in session 1")
-	}
-	if !hadAborts {
-		t.Error("stored chain carries no aborted transactions — contention missing")
-	}
-
-	n2 := boot()
-	defer n2.Close()
-	if got := n2.Height(); got != height1 {
-		t.Fatalf("resumed height %d want %d", got, height1)
-	}
-	if !bytes.Equal(n2.Peer(0).Chain().TipHash(), tip1) {
-		t.Fatal("resumed chain tip differs")
-	}
-	// Every peer — durable peer 0 and the in-memory replicas replayed
-	// through their committers — matches the pre-restart state exactly.
-	for i := 0; i < 4; i++ {
-		if got := n2.Peer(i).State().StateFingerprint(); got != fp1 {
-			t.Fatalf("peer %d fingerprint differs after resume", i)
-		}
-		if h := n2.Peer(i).State().Height(); h != height1 {
-			t.Fatalf("peer %d height %d want %d", i, h, height1)
-		}
-		if err := n2.Peer(i).Chain().Verify(); err != nil {
-			t.Fatalf("peer %d chain: %v", i, err)
-		}
-	}
-	// Scheduler fast-forward: the next committed block extends the stored
-	// height, and a fresh rmw against restored state validates cleanly.
-	c2, err := n2.NewClient("resumer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c2.MustSubmit("kv", "rmw", "slot0", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Block <= height1 {
-		t.Fatalf("post-restart block %d does not extend height %d", res.Block, height1)
-	}
-	if !n2.WaitIdle(5 * time.Second) {
-		t.Fatal("session 2 did not go idle")
-	}
-	if err := n2.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCommitPipelineStats checks the new instrumentation is actually wired:
 // blocks flow through every committer, latency samples accumulate, and on
 // an MVCC system the conflict partition reports its parallelism.

@@ -17,7 +17,7 @@ const dialTimeout = 10 * time.Second
 
 // bootCluster starts an orderer and n peers on ephemeral 127.0.0.1 ports,
 // registering cleanup. It returns the running nodes. A tune function may
-// adjust the orderer's config before it starts.
+// adjust the orderer's config before it starts; the peers take its Rescue.
 func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*OrdererConfig)) (*Orderer, []*Peer) {
 	t.Helper()
 	names := make([]string, n)
@@ -49,6 +49,7 @@ func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*Orderer
 			OrdererAddrs: []string{ord.Addr()},
 			System:       system,
 			PeerNames:    names,
+			Rescue:       cfg.Rescue,
 		})
 		if err != nil {
 			t.Fatal(err)

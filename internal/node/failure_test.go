@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 )
 
@@ -53,9 +55,20 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 // TestDurablePeerResumesFromItsStore restarts a -data-dir peer on its own
 // directory: it starts at the block its store holds (chain tip and state
 // height are one number there), subscribes just above it, and converges —
-// over the wire it pulls only the blocks sealed while it was down.
+// over the wire it pulls only the blocks sealed while it was down. The
+// fabric row runs MVCC validation with rescue on (the fabricnode default):
+// blocks on both sides of the restart carry Rescued verdicts, and the blocks
+// sealed while the peer was down read versions written before it stopped,
+// so the reopened store's versions and values decide verdicts and rescue
+// digests the peer must byte-match.
 func TestDurablePeerResumesFromItsStore(t *testing.T) {
-	ord, peers := bootCluster(t, sched.SystemSharp, 2)
+	for _, system := range []sched.System{sched.SystemSharp, sched.SystemFabric} {
+		t.Run(string(system), func(t *testing.T) { durablePeerResumes(t, system, system == sched.SystemFabric) })
+	}
+}
+
+func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
+	ord, peers := bootCluster(t, system, 2, func(cfg *OrdererConfig) { cfg.Rescue = rescue })
 	client, err := DialClient("durable", []string{ord.Addr()}, []string{peers[0].Addr()}, dialTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +82,10 @@ func TestDurablePeerResumesFromItsStore(t *testing.T) {
 		Name:         "peer1",
 		Listen:       "127.0.0.1:0",
 		OrdererAddrs: []string{ord.Addr()},
-		System:       sched.SystemSharp,
+		System:       system,
 		PeerNames:    []string{"peer0", "peer1"},
 		DataDir:      t.TempDir(),
+		Rescue:       rescue,
 	}
 	first, err := StartPeer(cfg)
 	if err != nil {
@@ -103,6 +117,36 @@ func TestDurablePeerResumesFromItsStore(t *testing.T) {
 	}
 	if second.State().StateFingerprint() != peers[0].State().StateFingerprint() {
 		t.Fatal("restarted peer's state diverges from the survivor's")
+	}
+	if err := second.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !rescue {
+		return
+	}
+	// Where the restart landed: Rescued verdicts before and after it, and
+	// after it a transaction committed on a version the store held.
+	var rescuedBefore, rescuedAfter, oldReads int
+	second.Chain().ForEach(func(b *ledger.Block) bool {
+		for i, code := range b.Validation {
+			switch {
+			case code == protocol.Rescued && b.Header.Number <= stored:
+				rescuedBefore++
+			case code == protocol.Rescued:
+				rescuedAfter++
+			case code == protocol.Valid && b.Header.Number > stored:
+				for _, r := range b.Transactions[i].RWSet.Reads {
+					if r.Version.Block > 0 && r.Version.Block <= stored {
+						oldReads++
+					}
+				}
+			}
+		}
+		return true
+	})
+	if rescuedBefore == 0 || rescuedAfter == 0 || oldReads == 0 {
+		t.Fatalf("restart at block %d is not between rescued blocks (%d before, %d after) with pre-restart reads after it (%d)",
+			stored, rescuedBefore, rescuedAfter, oldReads)
 	}
 }
 

@@ -126,7 +126,6 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	// (NewPeer checked); the subscription resumes just above them.
 	p.resumed = p.State().Height()
 	p.delivered.Store(p.resumed)
-	p.Committer().Start()
 	p.sub = &transport.Subscriber{
 		Addrs:  cfg.OrdererAddrs,
 		Height: p.delivered.Load,

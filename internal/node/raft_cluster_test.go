@@ -310,12 +310,11 @@ func TestFollowerAnswersSubmitAtOnce(t *testing.T) {
 	}
 }
 
-// TestOrdererRestartAcrossCompactionEpochUnderRaft extends
-// TestRestartAcrossCompactionEpoch to the wire cluster: a follower orderer
-// crashes, misses several blocks spanning intern-table compaction epochs,
-// restarts with its persisted term/vote and an empty log, catches up from
-// the leader, and re-derives bit-identical blocks through the same epoch
-// schedule.
+// TestOrdererRestartAcrossCompactionEpochUnderRaft is an orderer's one
+// restart path across compaction epochs: a follower orderer crashes, misses
+// several blocks spanning intern-table compaction epochs, restarts with its
+// persisted term/vote and an empty log, catches up from the leader, and
+// re-derives bit-identical blocks through the same epoch schedule.
 func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process-shaped Raft cluster is not a -short test")

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/commit"
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
@@ -308,51 +307,6 @@ func (c *Core) evictSeen(sealed uint64) {
 		delete(c.seenByBlock, b)
 		c.seenFloor = b + 1
 	}
-}
-
-// Replay adopts a stored chain on a fresh Core: each block is appended, the
-// shadow state rebuilt from the stored verdicts, and the scheduler
-// fast-forwarded past the stored height. Restart semantics are
-// clean-shutdown: nothing was pending across the restart, so new
-// transactions (whose snapshots are at or above the stored height) cannot
-// conflict with pre-restart history and the scheduler may start from an
-// empty dependency graph — but the shadow state MUST resume exactly where
-// the peers' state databases do, or the first post-restart shadow
-// validation would diverge from peer validation.
-func (c *Core) Replay(stored *ledger.Chain) error {
-	var walkErr error
-	stored.ForEach(func(b *ledger.Block) bool {
-		if len(b.Validation) != len(b.Transactions) {
-			walkErr = fmt.Errorf("orderer: stored block %d missing validation metadata", b.Header.Number)
-			return false
-		}
-		blk := *b
-		if walkErr = c.chain.Append(&blk); walkErr != nil {
-			return false
-		}
-		// Rescued verdicts carry no write sets in the block: re-derive them
-		// by re-running the deterministic rescue phase against the shadow's
-		// replayed state, asserting the sealed digest.
-		if b.RescueDigest != nil && !c.cfg.Rescue {
-			walkErr = fmt.Errorf("orderer: stored block %d carries rescued verdicts; the network must boot with Rescue enabled to replay it", b.Header.Number)
-			return false
-		}
-		out, err := commit.ReplayRescue(c.shadow, b, c.cfg.Registry)
-		if err != nil {
-			walkErr = fmt.Errorf("orderer: %w", err)
-			return false
-		}
-		c.shadow.ApplyRescued(b.Header.Number, b.Transactions, b.Validation, out.Writes)
-		return true
-	})
-	if walkErr != nil {
-		return walkErr
-	}
-	height, _ := stored.Height()
-	// Dedup buckets resume past the stored chain too, so the first
-	// post-restart eviction does not walk empty pre-restart blocks.
-	c.seenFloor = height + 1
-	return c.scheduler.FastForward(height)
 }
 
 // Pending returns the size of the block being assembled: what the scheduler

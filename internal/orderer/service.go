@@ -46,10 +46,10 @@ type Options struct {
 	// retained (above-horizon) entries — bounding orderer memory under
 	// unbounded key spaces. Cuts happen at identical consensus-stream
 	// positions on every replica, so the rebuilt tables (and all KeyID
-	// remappings) are bit-identical across orderers, and a restart through
-	// Resume continues the same epoch schedule (the trigger is a pure
-	// function of sealed block numbers). 0 (default) keeps the tables
-	// append-only.
+	// remappings) are bit-identical across orderers, and a restarted
+	// orderer re-folding the stream compacts at the same blocks (the
+	// trigger is a pure function of sealed block numbers). 0 (default)
+	// keeps the tables append-only.
 	CompactEvery uint64
 	// DedupHorizon bounds the duplicate-suppression memory: a TxID first
 	// seen while block B was being assembled is forgotten once block
@@ -139,8 +139,10 @@ type Service struct {
 	fatalCh  chan struct{}
 }
 
-// New builds the Core without consuming the stream yet: Resume may adopt a
-// stored chain first, Start begins ordering.
+// New builds the Core without consuming the stream yet, so the caller can
+// finish building what its deliveries and callbacks reach; Start begins
+// ordering. There is one way to a chain, restart included: fold the stream
+// from its first entry.
 func New(cfg Config) (*Service, error) {
 	cfg.Options = cfg.Options.withDefaults()
 	core, err := NewCore(cfg.CoreConfig)
@@ -149,9 +151,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return &Service{cfg: cfg, core: core, done: make(chan struct{}), fatalCh: make(chan struct{})}, nil
 }
-
-// Resume adopts a stored chain before Start; Core.Replay has the contract.
-func (s *Service) Resume(stored *ledger.Chain) error { return s.core.Replay(stored) }
 
 // Start begins consuming the consensus stream.
 func (s *Service) Start() {

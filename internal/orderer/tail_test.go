@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"fabricsharp/internal/chaincode"
@@ -324,6 +323,19 @@ func TestTailEdges(t *testing.T) {
 				t.Fatalf("sealed %v (digest %x), want the arrival code %v", blk.Validation[0], blk.RescueDigest, code)
 			}
 		},
+		"a peer without rescue fails the tail": func(t *testing.T, r *rig) {
+			deferred(r, conflict(r))
+			blk, _, err := r.core.Cut()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := r.vopts
+			plain.Rescue = false
+			res := commit.ValidateBlock(r.peer, blk, plain)
+			if commit.AssertVerdictsEqual(blk.Header.Number, blk.Validation, res.Codes) == nil {
+				t.Fatalf("a rescue-less peer agreed with the sealed tail %v", blk.Validation)
+			}
+		},
 		"stale snapshot is not deferred": func(t *testing.T, r *rig) {
 			tx := r.endorse(0, "kv", "rmw", "hot", "1")
 			for i := 0; i < 12; i++ { // past MaxSpan (10)
@@ -355,77 +367,6 @@ func TestTailEdges(t *testing.T) {
 				run(t, newRig(t, system, Options{BlockSize: 4}))
 			})
 		}
-	}
-}
-
-// TestReplayChainWithTails restarts an orderer over a stored chain whose
-// blocks carry rescued and failed tail members: a rescue-enabled Core
-// re-derives the same shadow and continues the chain byte for byte with the
-// original; a Core without rescue refuses the chain.
-func TestReplayChainWithTails(t *testing.T) {
-	for _, system := range hybrids {
-		t.Run(string(system), func(t *testing.T) {
-			r := newRig(t, system, Options{BlockSize: 4})
-			for round := uint64(0); round < 6; round++ {
-				// Two increments of one key endorsed at the same snapshot: the
-				// second is deferred and rescued.
-				r.step(consensus.Envelope{Tx: r.endorse(round, "kv", "rmw", "hot", "1")})
-				r.step(consensus.Envelope{Tx: r.endorse(round, "kv", "rmw", "hot", "1")})
-				r.cut()
-			}
-			stored := r.core.Chain()
-			rescued := 0
-			stored.ForEach(func(b *ledger.Block) bool {
-				for _, code := range b.Validation {
-					if code == protocol.Rescued {
-						rescued++
-					}
-				}
-				return true
-			})
-			if rescued == 0 {
-				t.Fatal("the stored chain holds no rescued tail")
-			}
-
-			cfg := r.core.cfg
-			restarted, err := NewCore(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restarted.Replay(stored); err != nil {
-				t.Fatal(err)
-			}
-			// Both continue with the same arrivals and must seal the same block.
-			height := uint64(stored.Len())
-			a, b := r.endorse(height, "kv", "rmw", "hot", "1"), r.endorse(height, "kv", "rmw", "hot", "1")
-			for _, c := range []*Core{r.core, restarted} {
-				for _, tx := range []*protocol.Transaction{a, b} {
-					if _, joined, err := c.Arrive(tx); err != nil || !joined {
-						t.Fatalf("arrival after restart: joined=%v err=%v", joined, err)
-					}
-				}
-			}
-			want, _, err := r.core.Cut()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := restarted.Cut()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wire.EncodeBlock(got), wire.EncodeBlock(want)) {
-				t.Fatalf("restarted core sealed a different block %d", want.Header.Number)
-			}
-
-			cfg.Rescue = false
-			plain, err := NewCore(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.Replay(stored); err == nil || !strings.Contains(err.Error(), "must boot with Rescue enabled") {
-				t.Fatalf("a rescue-less core replayed a chain with tails: %v", err)
-			}
-		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"fabricsharp/internal/protocol"
-)
+import "fabricsharp/internal/protocol"
 
 // Fabric is the vanilla baseline: the orderer batches transactions in FIFO
 // consensus order and the validation phase aborts every transaction whose
@@ -56,15 +52,6 @@ func (f *Fabric) PendingCount() int { return len(f.pending) }
 
 // ResidentKeys implements Scheduler: vanilla Fabric keeps no key state.
 func (f *Fabric) ResidentKeys() int { return 0 }
-
-// FastForward implements Scheduler.
-func (f *Fabric) FastForward(height uint64) error {
-	if f.timing.Arrivals > 0 {
-		return fmt.Errorf("sched: cannot fast-forward a scheduler with history")
-	}
-	f.nextBlock = height + 1
-	return nil
-}
 
 // Timing implements Scheduler.
 func (f *Fabric) Timing() Timing { return f.timing }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"fabricsharp/internal/intern"
@@ -82,15 +81,6 @@ func (f *FabricPP) PendingCount() int { return len(f.pending) }
 
 // ResidentKeys implements Scheduler.
 func (f *FabricPP) ResidentKeys() int { return f.keys.Len() }
-
-// FastForward implements Scheduler.
-func (f *FabricPP) FastForward(height uint64) error {
-	if f.timing.Arrivals > 0 {
-		return fmt.Errorf("sched: cannot fast-forward a scheduler with history")
-	}
-	f.nextBlock = height + 1
-	return nil
-}
 
 // Timing implements Scheduler.
 func (f *FabricPP) Timing() Timing { return f.timing }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"fabricsharp/internal/intern"
@@ -182,19 +181,6 @@ func (f *FoccL) PendingCount() int { return len(f.pending) }
 
 // ResidentKeys implements Scheduler.
 func (f *FoccL) ResidentKeys() int { return f.keys.Len() }
-
-// FastForward implements Scheduler. A scheduler that has absorbed commit
-// feedback has history just like one that has processed arrivals: fast-
-// forwarding it would silently keep committed-version state from before the
-// jump, and staleAgainstCommitted would judge post-restart transactions
-// against a world the restart semantics say no longer exists.
-func (f *FoccL) FastForward(height uint64) error {
-	if f.timing.Arrivals > 0 || len(f.committed) > 0 {
-		return fmt.Errorf("sched: cannot fast-forward a scheduler with history")
-	}
-	f.nextBlock = height + 1
-	return nil
-}
 
 // Timing implements Scheduler.
 func (f *FoccL) Timing() Timing { return f.timing }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"fabricsharp/internal/core"
 	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
@@ -279,15 +277,6 @@ func (f *FoccS) PendingCount() int { return len(f.pending) }
 
 // ResidentKeys implements Scheduler.
 func (f *FoccS) ResidentKeys() int { return f.keys.Len() }
-
-// FastForward implements Scheduler.
-func (f *FoccS) FastForward(height uint64) error {
-	if f.timing.Arrivals > 0 {
-		return fmt.Errorf("sched: cannot fast-forward a scheduler with history")
-	}
-	f.nextBlock = height + 1
-	return nil
-}
 
 // Timing implements Scheduler.
 func (f *FoccS) Timing() Timing { return f.timing }

@@ -83,17 +83,6 @@ type Scheduler interface {
 	NeedsMVCCValidation() bool
 	// PendingCount returns the size of the pending set.
 	PendingCount() int
-	// FastForward informs a fresh scheduler that blocks 1..height already
-	// exist (a restart from a persisted chain): subsequent formations
-	// continue from height+1. Clean-shutdown semantics apply — nothing was
-	// pending across the restart, and every future snapshot is at or above
-	// height, so starting from an empty dependency history is sound. It
-	// fails on a scheduler that has already processed transactions.
-	// Compaction epochs need no special handling: the trigger is a pure
-	// function of sealed block numbers, which FastForward restores, so a
-	// restarted replica compacts at the same stream positions as one that
-	// ran through.
-	FastForward(height uint64) error
 	// ResidentKeys returns the number of record keys the scheduler currently
 	// holds interned (0 for schedulers that keep no key state). With
 	// Options.CompactEvery set this is the quantity epoch compaction bounds;

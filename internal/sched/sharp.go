@@ -94,8 +94,5 @@ func (s *Sharp) PendingCount() int { return s.mgr.PendingCount() }
 // ResidentKeys implements Scheduler.
 func (s *Sharp) ResidentKeys() int { return s.mgr.Keys().Len() }
 
-// FastForward implements Scheduler.
-func (s *Sharp) FastForward(height uint64) error { return s.mgr.FastForward(height) }
-
 // Timing implements Scheduler.
 func (s *Sharp) Timing() Timing { return s.timing }

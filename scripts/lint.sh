@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # lint.sh — the local mirror of CI's lint job: formatting, go vet, the
-# sharpvet determinism suite (docs/determinism.md), and the line-count
-# ratchet (scripts/loc.sh). Run it before pushing;
+# sharpvet determinism suite (docs/determinism.md), the line-count ratchet
+# (scripts/loc.sh) and the check that every `go test -run` name in CI still
+# names a test (scripts/ci_names.sh). Run it before pushing;
 # CI runs exactly these gates and will reject what this rejects.
 #
 # Usage: scripts/lint.sh
@@ -27,5 +28,8 @@ go run ./cmd/sharpvet -list ./...
 
 echo "== line-count ratchet"
 scripts/loc.sh
+
+echo "== CI -run names resolve to tests"
+scripts/ci_names.sh
 
 echo "lint: all gates green"
