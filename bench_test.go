@@ -460,8 +460,10 @@ func TestTrajectoryFile(t *testing.T) {
 
 	// The ordering gate: the host-independent columns are a pure function of
 	// system × shape × seed, so the newest ordering record must reproduce
-	// its predecessor's on every run both hold. A scheduler change that
-	// moves one of them is a behaviour change, not a measurement.
+	// the newest earlier one over the same stream on every run both hold (a
+	// record of another stream in between, such as the solo-hot formation
+	// rows, does not switch the gate off). A scheduler change that moves one
+	// of them is a behaviour change, not a measurement.
 	var ordering []bench.BenchRecord
 	for _, rec := range file.Records {
 		if rec.Kind == "ordering" {
@@ -471,9 +473,15 @@ func TestTrajectoryFile(t *testing.T) {
 	if len(ordering) < 2 {
 		return
 	}
-	prev, last := ordering[len(ordering)-2], ordering[len(ordering)-1]
-	if prev.Seed != last.Seed || prev.TxCount != last.TxCount || prev.BlockSize != last.BlockSize {
-		return // different streams: nothing is comparable
+	last := ordering[len(ordering)-1]
+	var prev *bench.BenchRecord
+	for i := len(ordering) - 2; i >= 0 && prev == nil; i-- {
+		if r := ordering[i]; r.Seed == last.Seed && r.TxCount == last.TxCount && r.BlockSize == last.BlockSize {
+			prev = &ordering[i]
+		}
+	}
+	if prev == nil {
+		return // no earlier record of this stream: nothing is comparable
 	}
 	type run struct {
 		system, shape string

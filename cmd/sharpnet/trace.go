@@ -11,8 +11,8 @@ import (
 )
 
 // traceFlags configures `sharpnet trace`: drain every listed node's
-// stage-tracing ring and print the merged latency table, or with -tx the
-// stages one transaction crossed.
+// stage-tracing ring and print the merged latency table and each orderer's
+// per-block cut breakdown, or with -tx the stages one transaction crossed.
 type traceFlags struct {
 	Orderers    []string
 	Peers       []string
@@ -64,5 +64,10 @@ func cmdTrace(args []string) int {
 	fmt.Println()
 	fmt.Print(trace.Summarize(tls).Format())
 	fmt.Printf("TIMELINES %d\n", len(tls))
+	for _, d := range dumps {
+		if rows := trace.Cuts(d); len(rows) > 0 {
+			fmt.Printf("\ncut breakdown, orderer %s\n%s", d.Node, trace.FormatCuts(rows, 10))
+		}
+	}
 	return 0
 }

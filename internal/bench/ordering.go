@@ -140,6 +140,15 @@ type OrderingResult struct {
 	// (sampled after every cut) — the memory-residency figure the churn
 	// shape exists to bound. omitempty keeps pre-PR-4 records intact.
 	MaxResidentKeys int `json:"max_resident_keys,omitempty"`
+	// The Fabric# cut on the solo-hot graph (core's BenchmarkSharpFormationHot,
+	// FormationMSPerBlock its whole): ms per block in each part, and the
+	// graph it ran over. benchall leaves them empty.
+	TopoMS       float64 `json:"topo_ms_per_block,omitempty"`
+	RestoreWWMS  float64 `json:"restoreww_ms_per_block,omitempty"`
+	PruneMS      float64 `json:"prune_ms_per_block,omitempty"`
+	CommitTailMS float64 `json:"committail_ms_per_block,omitempty"`
+	EdgesPerNode float64 `json:"edges_per_node,omitempty"`
+	LiveNodes    float64 `json:"live_nodes,omitempty"`
 }
 
 // RunOrdering drives one scheduler over a pre-generated stream, cutting a

@@ -393,7 +393,13 @@ func (h *nodeHeap) pop() *txNode {
 // sorted by commit position; adjacent writer pairs not already connected
 // receive an edge and the downstream reachability is refreshed in one
 // topologically ordered pass from the collected heads.
-func (g *graph) restoreWW(groups [][]*txNode) {
+//
+// order is the formation's topological order of the whole graph, reused
+// instead of sorting it a second time: every edge added here joins two
+// pending writers in increasing commit position, and positions follow that
+// order, so it stays topological. Any topological order gives the same
+// filters (each node's is final before its successors consume it).
+func (g *graph) restoreWW(groups [][]*txNode, order []*txNode) {
 	var heads []*txNode
 	g.nextEpoch()
 	headEpoch := g.epoch
@@ -436,7 +442,7 @@ func (g *graph) restoreWW(groups [][]*txNode) {
 	}
 	g.stack = stack[:0]
 	reachEpoch := g.epoch
-	for _, n := range g.topoOrder() {
+	for _, n := range order {
 		if n.stamp != reachEpoch {
 			continue
 		}

@@ -110,29 +110,18 @@ func (m *MemIndex) Before(key intern.Key, before seqno.Seq) (TxID, bool) {
 	return es[i-1].id, true
 }
 
-// Last returns the most recent transaction that accessed key (the CW.Last
-// point query).
-func (m *MemIndex) Last(key intern.Key) (TxID, bool) {
+// Last returns the most recent transaction that accessed key and its commit
+// sequence (the CW.Last point query).
+func (m *MemIndex) Last(key intern.Key) (TxID, seqno.Seq, bool) {
 	if int(key) >= len(m.entries) {
-		return "", false
+		return "", seqno.Seq{}, false
 	}
 	es := m.entries[key]
 	if len(es) == 0 {
-		return "", false
+		return "", seqno.Seq{}, false
 	}
-	return es[len(es)-1].id, true
-}
-
-// All appends to dst, in commit order, every retained transaction that
-// accessed key (the CR[key] query).
-func (m *MemIndex) All(dst []TxID, key intern.Key) []TxID {
-	if int(key) >= len(m.entries) {
-		return dst
-	}
-	for _, e := range m.entries[key] {
-		dst = append(dst, e.id)
-	}
-	return dst
+	e := es[len(es)-1]
+	return e.id, e.seq, true
 }
 
 // MarkLive sets live[k] = true for every KeyID with at least one retained

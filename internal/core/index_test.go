@@ -16,11 +16,11 @@ func TestMemIndexBasics(t *testing.T) {
 	idx.Put(kA, seqno.Commit(5, 3), "txn9")
 	idx.Put(kB, seqno.Commit(4, 2), "txn8")
 
-	// Last
-	if id, ok := idx.Last(kA); !ok || id != "txn9" {
-		t.Errorf("Last(A) = %v,%v", id, ok)
+	// Last, with the sequence the write-predecessor reduction reads.
+	if id, seq, ok := idx.Last(kA); !ok || id != "txn9" || seq != seqno.Commit(5, 3) {
+		t.Errorf("Last(A) = %v,%v,%v", id, seq, ok)
 	}
-	if _, ok := idx.Last(kMissing); ok {
+	if _, _, ok := idx.Last(kMissing); ok {
 		t.Error("Last(missing) found something")
 	}
 	// Before: the paper's CW.Before(key, seq) — last committed strictly
@@ -42,16 +42,12 @@ func TestMemIndexBasics(t *testing.T) {
 	if got := idx.After([]TxID{"sentinel"}, kA, seqno.Snapshot(3)); fmt.Sprint(got) != "[sentinel txn7 txn9]" {
 		t.Errorf("After with buffer = %v", got)
 	}
-	// All
-	if got := idx.All(nil, kB); fmt.Sprint(got) != "[txn8]" {
-		t.Errorf("All(B) = %v", got)
-	}
 	// PruneBefore drops block < 4.
 	idx.PruneBefore(4)
-	if got := idx.All(nil, kA); fmt.Sprint(got) != "[txn7 txn9]" {
-		t.Errorf("after prune All(A) = %v", got)
+	if got := idx.After(nil, kA, seqno.Seq{}); fmt.Sprint(got) != "[txn7 txn9]" {
+		t.Errorf("after prune After(A,zero) = %v", got)
 	}
-	if id, ok := idx.Last(kB); !ok || id != "txn8" {
+	if id, _, ok := idx.Last(kB); !ok || id != "txn8" {
 		t.Errorf("prune damaged B: %v,%v", id, ok)
 	}
 }
@@ -66,8 +62,8 @@ func TestMemIndexOutOfOrderInsert(t *testing.T) {
 	idx.Put(k, seqno.Commit(5, 1), "late")
 	idx.Put(k, seqno.Commit(3, 1), "early")
 	idx.Put(k, seqno.Commit(4, 2), "middle")
-	if got := idx.All(nil, k); fmt.Sprint(got) != "[early middle late]" {
-		t.Errorf("All = %v, want [early middle late]", got)
+	if got := idx.After(nil, k, seqno.Seq{}); fmt.Sprint(got) != "[early middle late]" {
+		t.Errorf("After(zero) = %v, want [early middle late]", got)
 	}
 	if got := idx.After(nil, k, seqno.Snapshot(3)); fmt.Sprint(got) != "[middle late]" {
 		t.Errorf("After((4,0)) = %v, want [middle late]", got)
@@ -75,12 +71,12 @@ func TestMemIndexOutOfOrderInsert(t *testing.T) {
 	if id, ok := idx.Before(k, seqno.Snapshot(4)); !ok || id != "middle" {
 		t.Errorf("Before((5,0)) = %v,%v, want middle", id, ok)
 	}
-	if id, ok := idx.Last(k); !ok || id != "late" {
+	if id, _, ok := idx.Last(k); !ok || id != "late" {
 		t.Errorf("Last = %v,%v, want late", id, ok)
 	}
 	idx.PruneBefore(4)
-	if got := idx.All(nil, k); fmt.Sprint(got) != "[middle late]" {
-		t.Errorf("post-prune All = %v, want [middle late]", got)
+	if got := idx.After(nil, k, seqno.Seq{}); fmt.Sprint(got) != "[middle late]" {
+		t.Errorf("post-prune After(zero) = %v, want [middle late]", got)
 	}
 }
 
@@ -114,11 +110,11 @@ func TestMemIndexMarkLiveRemap(t *testing.T) {
 		if !ok {
 			t.Fatalf("key%d lost by compaction", i)
 		}
-		if id, found := idx.Last(nk); !found || id != TxID(fmt.Sprintf("t%d", i)) {
+		if id, _, found := idx.Last(nk); !found || id != TxID(fmt.Sprintf("t%d", i)) {
 			t.Errorf("Last(key%d) = %v,%v after remap", i, id, found)
 		}
 	}
-	if got := idx.All(nil, keys.Intern("key0")); len(got) != 0 {
+	if got := idx.After(nil, keys.Intern("key0"), seqno.Seq{}); len(got) != 0 {
 		t.Errorf("re-interned dropped key has entries: %v", got)
 	}
 }

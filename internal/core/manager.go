@@ -303,14 +303,35 @@ func (m *Manager) addLive(set map[*txNode]struct{}, txid TxID) {
 	}
 }
 
-// addWritePreds adds the committed predecessors a write of w has: rw from
-// every committed reader of w, ww from its last committed writer.
+// addWritePreds adds the committed predecessors a write of w has: ww from
+// the last committed writer Cw of w and rw from the committed readers of w
+// whose commit sequence is at or after Cw's — not from every retained reader.
+// The edges it leaves out are implied, so every decision is unchanged:
+//
+//   - Every committed reader R of w that committed before Cw already reaches
+//     Cw along live edges: R → Cw was added by Cw's own arrival (R was a
+//     committed reader then, linked directly or through the writer before
+//     Cw), by R's anti-rw arrival (Cw was a committed or pending writer of a
+//     key R read), or by the pending indices (both were pending).
+//   - Ages are monotone along edges, so R is pruned no later than Cw: while R
+//     is live, so is Cw, and anti(Cw) ⊇ anti(R) bit for bit (every filter
+//     update is pushed to all descendants).
+//
+// Hence hasCycle answers the same for the reduced set, the new node's filter
+// — the union over its predecessors — is bit-identical, and so is every
+// filter pushed from it. The formation's topological order is unchanged too:
+// Kahn's algorithm with an arrival-index min-heap releases a node once all
+// its ancestors are emitted, which depends on reachability alone. What falls
+// is the edge count: a hot key's readers are linked to its next writer once,
+// not to every writer for max_span blocks.
 func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w intern.Key) {
-	m.idbuf = m.cr.All(m.idbuf[:0], w)
-	for _, txid := range m.idbuf {
+	var since seqno.Seq
+	if txid, seq, ok := m.cw.Last(w); ok {
 		m.addLive(pred, txid)
+		since = seq
 	}
-	if txid, ok := m.cw.Last(w); ok {
+	m.idbuf = m.cr.After(m.idbuf[:0], w, since)
+	for _, txid := range m.idbuf {
 		m.addLive(pred, txid)
 	}
 }
@@ -321,8 +342,10 @@ func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w intern.Key) {
 // stale-by-version reads on this graph's say-so, so the rescued transaction
 // has to enter the committed history like any other: a CW/CR entry at `at`
 // and a committed graph node. Its predecessors are Algorithm 2's (the last
-// writer of each key read, the readers and last writer of each key
-// written); its successor set is empty by construction — it read the state
+// writer of each key read; for each key written, its last writer and the
+// readers since — addWritePreds, whose reduction argument covers a rescued
+// reader too: it entered CR here before any later writer of its keys
+// arrived); its successor set is empty by construction — it read the state
 // at its own commit point and nothing is pending at a cut — so inserting it
 // can never close a cycle, while every later arrival that read a version it
 // overwrote finds the anti-rw edge in CW. readKeys/writeKeys are the
@@ -335,7 +358,7 @@ func (m *Manager) CommitTail(id TxID, at seqno.Seq, readKeys, writeKeys []string
 	pred := m.predSet
 	defer clear(pred)
 	for _, r := range m.rbuf {
-		if txid, ok := m.cw.Last(r); ok {
+		if txid, _, ok := m.cw.Last(r); ok {
 			m.addLive(pred, txid)
 		}
 	}
@@ -408,7 +431,7 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 		sortWriters(m.pw[w])
 		groups = append(groups, m.pw[w])
 	}
-	m.g.restoreWW(groups)
+	m.g.restoreWW(groups, topo)
 	m.wwKeys = wwKeys
 	m.wwGroups = groups
 	m.stats.RestoreWWNS += t1.ElapsedNS()

@@ -474,3 +474,52 @@ func TestCompactionDecisionEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePredReductionIsImplied checks addWritePreds' argument on the hot
+// stream rather than trusting its comment: before every arrival, each live
+// committed reader of a written key that committed before the key's last
+// writer Cw — the readers the reduction no longer links — has Cw live too,
+// and its filter adds no bit to Cw's. So the arrival's predecessor filters
+// union to the same bits, and hasCycle answers the same, as linking every
+// retained reader did.
+func TestWritePredReductionIsImplied(t *testing.T) {
+	h := newHotStream(t, 7)
+	implied := 0
+	check := func(writes []string) {
+		for _, k := range writes {
+			w, ok := h.m.keys.Find(k)
+			if !ok {
+				continue
+			}
+			cwID, cwSeq, ok := h.m.cw.Last(w)
+			if !ok || int(w) >= len(h.m.cr.entries) {
+				continue
+			}
+			cw, cwLive := h.m.g.lookup(cwID)
+			for _, e := range h.m.cr.entries[w] {
+				if !e.seq.Less(cwSeq) {
+					break
+				}
+				r, live := h.m.g.lookup(e.id)
+				if !live {
+					continue
+				}
+				if !cwLive {
+					t.Fatalf("reader %s of %s is live, its later writer %s is pruned", e.id, k, cwID)
+				}
+				union := cw.anti.Clone()
+				union.Union(r.anti)
+				if union.FillRatio() != cw.anti.FillRatio() {
+					t.Fatalf("reader %s of %s has filter bits its later writer %s lacks", e.id, k, cwID)
+				}
+				implied++
+			}
+		}
+	}
+	for block := 0; block < 40; block++ {
+		h.cut(h.arrive(t, 90, check))
+	}
+	if implied < 1000 {
+		t.Fatalf("only %d implied reader edges checked; the stream no longer exercises the reduction", implied)
+	}
+}

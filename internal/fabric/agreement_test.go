@@ -15,6 +15,7 @@ import (
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/trace"
 	"fabricsharp/internal/wire"
 )
 
@@ -163,6 +164,7 @@ type discardEvents struct{}
 func (discardEvents) Admitted(protocol.TxID, protocol.ValidationCode) {}
 func (discardEvents) Aborted(protocol.TxID, protocol.ValidationCode)  {}
 func (discardEvents) Sealed(*ledger.Block)                            {}
+func (discardEvents) CutStage(uint64, trace.Stage)                    {}
 
 // assertOrderersAgree demands that follower orderers agree with n's: two
 // fresh orderer.Cores are folded over the consensus stream n retained —

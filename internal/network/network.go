@@ -338,7 +338,7 @@ func (p *pipeline) cutBlock() {
 	p.cutGen++
 	n := p.core.Pending()
 	p.orderer.Submit(formationCost(p.cfg.System, n), func() {
-		blk, dropped, err := p.core.Cut()
+		blk, dropped, err := p.core.Cut(nil)
 		if err != nil {
 			panic(fmt.Sprintf("network: %v", err))
 		}

@@ -11,6 +11,7 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/reexec"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/trace"
 	"fabricsharp/internal/validation"
 	"fabricsharp/internal/workload"
 )
@@ -127,6 +128,12 @@ type Events interface {
 	Aborted(id protocol.TxID, code protocol.ValidationCode)
 	// Sealed: the block joined the chain, verdicts embedded.
 	Sealed(blk *ledger.Block)
+	// CutStage marks a boundary inside the cut of block num, for a driver
+	// that times it (the Core reads no clock): trace.StageCut as the cut
+	// begins, then the end of each of trace.StageFormation, StagePrecheck,
+	// StageReexec and StageFeedback, which run back to back. The seal and the
+	// shadow state's apply follow, up to Sealed.
+	CutStage(num uint64, stage trace.Stage)
 }
 
 // Step applies one envelope of the consensus stream under the cut rules
@@ -187,7 +194,7 @@ func (c *Core) admit(tx *protocol.Transaction, ev Events) error {
 
 // cut is Cut reported through ev.
 func (c *Core) cut(ev Events) error {
-	blk, dropped, err := c.Cut()
+	blk, dropped, err := c.Cut(ev)
 	for _, d := range dropped {
 		ev.Aborted(d.Tx.ID, d.Code)
 	}
@@ -230,16 +237,25 @@ func (c *Core) Arrive(tx *protocol.Transaction) (code protocol.ValidationCode, j
 	return code, code == protocol.Valid, nil
 }
 
-// Cut forms a block from the pending set, appends the deferred tail, seals it
-// with the shadow verdicts embedded and feeds those verdicts back to the
-// scheduler. It returns the sealed block (nil when formation ordered nothing
-// and nothing was deferred) and the transactions formation dropped.
+// Cut forms a block from the pending set, appends the deferred tail, feeds
+// the shadow verdicts back to the scheduler and seals the block with them
+// embedded. It returns the sealed block (nil when formation ordered nothing
+// and nothing was deferred) and the transactions formation dropped. ev, when
+// not nil, hears the cut's stage boundaries (Events.CutStage).
 //
 // The cut is also where intern-table epoch compaction fires (inside
 // OnBlockFormation, see Options.CompactEvery); the shadow validator's state
 // is string-keyed and unaffected by the KeyID remappings.
-func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
+func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
+	num := c.NextBlock()
+	mark := func(stage trace.Stage) {
+		if ev != nil {
+			ev.CutStage(num, stage)
+		}
+	}
+	mark(trace.StageCut)
 	res, err := c.scheduler.OnBlockFormation()
+	mark(trace.StageFormation)
 	if err != nil {
 		return nil, nil, fmt.Errorf("orderer: formation: %w", err)
 	}
@@ -256,7 +272,6 @@ func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
 	if len(txs) == 0 {
 		return nil, res.DroppedTxs, nil
 	}
-	num := c.NextBlock()
 	if res.Block != num {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: block numbering drifted: scheduler %d, chain %d", res.Block, num)
 	}
@@ -274,6 +289,7 @@ func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
 			codes[at] = d.code
 		}
 	}
+	mark(trace.StagePrecheck)
 	// The post-order rescue pass: re-execute the MVCC casualties — or the
 	// deferred tail — against the value shadow (still at height num-1) under
 	// the block's valid writes: the same deterministic phase the peer
@@ -284,12 +300,14 @@ func (c *Core) Cut() (*ledger.Block, []sched.Dropped, error) {
 		rescue = reexec.Run(c.shadow, num, txs, codes, reexec.Options{Registry: c.cfg.Registry})
 		codes = rescue.Codes
 	}
+	mark(trace.StageReexec)
+	c.scheduler.OnBlockCommitted(num, txs, codes)
+	mark(trace.StageFeedback)
 	blk, err := c.chain.SealRescued(txs, codes, rescue.Digest)
 	if err != nil {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: seal: %w", err)
 	}
 	c.shadow.ApplyRescued(num, txs, codes, rescue.Writes)
-	c.scheduler.OnBlockCommitted(num, txs, codes)
 	c.evictSeen(num)
 	return blk, res.DroppedTxs, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/trace"
 )
 
 // discard is the Events of a test that only inspects the Core afterwards.
@@ -21,6 +22,7 @@ type discard struct{}
 func (discard) Admitted(protocol.TxID, protocol.ValidationCode) {}
 func (discard) Aborted(protocol.TxID, protocol.ValidationCode)  {}
 func (discard) Sealed(*ledger.Block)                            {}
+func (discard) CutStage(uint64, trace.Stage)                    {}
 
 // TestDedupSeenEviction checks the Core's duplicate-suppression memory is
 // bounded by DedupHorizon: TxIDs resolved more than the horizon ago are

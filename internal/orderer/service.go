@@ -36,7 +36,12 @@ type Options struct {
 	// BlockSize cuts a block at this many pending transactions
 	// (default 100).
 	BlockSize int
-	// BlockTimeout cuts a partial block (default 500ms).
+	// BlockTimeout is the cut timer's period (default 500ms): a batch that
+	// does not reach BlockSize is cut by the time-to-cut marker the timer
+	// proposes BlockTimeout after the batch's first admission — or, when the
+	// batch before it was cut by such a marker, BlockTimeout after that
+	// marker's proposal. Timed blocks are therefore BlockTimeout apart
+	// however long a cut takes, not BlockTimeout plus the cut.
 	BlockTimeout time.Duration
 	// MaxSpan is Sharp's pruning horizon (default 10).
 	MaxSpan uint64
@@ -131,6 +136,10 @@ type Service struct {
 	wg   sync.WaitGroup
 	stop sync.Once
 
+	// The tracer's readings at the start of the cut in progress and at its
+	// last stage boundary (run's goroutine only).
+	cutStart, cutMark int64
+
 	// The first failure is recorded and fatalCh closed, atomically under
 	// errMu; submitters and the run loop observe it and stop. A poisoned
 	// block must not crash the process.
@@ -162,6 +171,12 @@ func (s *Service) Start() {
 // delivery is a channel send or a wake-up, so stream consumption stays
 // pipelined with peer commits and the only way a step blocks is
 // backpressure from a delivery.
+//
+// The cut timer sets the cadence: an admission arms it when idle, and each
+// firing over a pending batch proposes the marker and re-arms it. A marker's
+// cut leaves it running, so the next batch is cut BlockTimeout after the last
+// proposal — the cut's own time counts against the period, not on top of it.
+// A size cut stops it. armed holds while it runs, and whenever a batch waits.
 func (s *Service) run() {
 	defer s.wg.Done()
 	stream, cancel := s.cfg.Ordering.Subscribe()
@@ -169,6 +184,8 @@ func (s *Service) run() {
 	//sharp:allow seaminject block-cut timer only proposes TTC cut markers into the consensus stream; sealed output remains a pure function of that stream
 	timer := time.NewTimer(s.cfg.BlockTimeout)
 	defer timer.Stop()
+	timer.Stop()
+	armed := false
 
 	for {
 		// Fatal check first, non-blocking: select picks ready cases at
@@ -188,6 +205,7 @@ func (s *Service) run() {
 			// rather than extending a chain nobody will commit.
 			return
 		case <-timer.C:
+			armed = false
 			if s.core.Pending() > 0 {
 				// Do not cut locally: post a time-to-cut marker through
 				// consensus so every replica cuts at the same stream
@@ -199,6 +217,7 @@ func (s *Service) run() {
 				// election would sit on pending transactions forever.
 				_ = s.cfg.Ordering.Submit(consensus.Envelope{SubmittedBy: "orderer", CutBlock: s.core.NextBlock()})
 				timer.Reset(s.cfg.BlockTimeout)
+				armed = true
 			}
 		case seq, ok := <-stream:
 			if !ok {
@@ -210,23 +229,24 @@ func (s *Service) run() {
 				}
 				return
 			}
-			was, assembling := s.core.Pending(), s.core.NextBlock()
+			assembling := s.core.NextBlock()
 			if err := s.core.Step(seq.Env, s); err != nil {
 				s.Fail(err)
 				return
 			}
-			// The timer runs from the first admission into an empty batch
-			// until that batch is cut.
-			if was == 0 || s.core.NextBlock() != assembling {
+			marker := seq.Env.Tx == nil && seq.Env.Commitment == ""
+			if s.core.NextBlock() != assembling && !marker {
 				if !timer.Stop() {
 					select {
 					case <-timer.C:
 					default:
 					}
 				}
-				if s.core.Pending() > 0 {
-					timer.Reset(s.cfg.BlockTimeout)
-				}
+				armed = false
+			}
+			if !armed && s.core.Pending() > 0 {
+				timer.Reset(s.cfg.BlockTimeout)
+				armed = true
 			}
 		}
 	}
@@ -245,9 +265,21 @@ func (s *Service) Aborted(id protocol.TxID, code protocol.ValidationCode) {
 	}
 }
 
-// Sealed implements Events: it hands the block to every delivery. Ordering
-// never waits for validation.
+// CutStage implements Events: it stamps the boundary and records the stage
+// that just ended on the ring, keyed by the block.
+func (s *Service) CutStage(num uint64, stage trace.Stage) {
+	if stage == trace.StageCut {
+		s.cutStart = s.cfg.Tracer.Now()
+		s.cutMark = s.cutStart
+		return
+	}
+	s.cutMark = s.cfg.Tracer.RecordSpan(num, stage, s.cutMark)
+}
+
+// Sealed implements Events: it records the whole cut and hands the block to
+// every delivery. Ordering never waits for validation.
 func (s *Service) Sealed(blk *ledger.Block) {
+	s.cfg.Tracer.RecordSpan(blk.Header.Number, trace.StageCut, s.cutStart)
 	for _, tx := range blk.Transactions {
 		s.cfg.Tracer.Record(string(tx.ID), trace.StageSeal, blk.Header.Number)
 	}

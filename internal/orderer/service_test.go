@@ -16,6 +16,7 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
 )
@@ -158,7 +159,8 @@ func (e *tally) Admitted(id protocol.TxID, code protocol.ValidationCode) {
 func (e *tally) Aborted(id protocol.TxID, code protocol.ValidationCode) {
 	e.aborted = append(e.aborted, orderedAbort{id, code})
 }
-func (e *tally) Sealed(*ledger.Block) { e.sealed++ }
+func (e *tally) Sealed(*ledger.Block)         { e.sealed++ }
+func (e *tally) CutStage(uint64, trace.Stage) {}
 
 // TestCoresSealTheNetworkChain is the agreement property of Section 3.5 as a
 // table: for every system, with rescue on and off, three fresh Cores folded

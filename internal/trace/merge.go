@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fabricsharp/internal/protocol"
@@ -56,6 +57,9 @@ func Merge(dumps []Dump) []Timeline {
 	byID := make(map[string]*Timeline)
 	for _, d := range dumps {
 		for _, ev := range d.Events {
+			if ev.Stage.cut() {
+				continue
+			}
 			tl := byID[ev.TxID]
 			if tl == nil {
 				tl = &Timeline{TxID: ev.TxID}
@@ -232,6 +236,94 @@ func (s Summary) Format() string {
 	if s.Total.N > 0 {
 		fmt.Fprintf(&b, "%-20s %7d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
 			"total submit→commit", s.Total.N, s.Total.P50, s.Total.P90, s.Total.P99, s.Total.P999, s.Total.Max)
+	}
+	return b.String()
+}
+
+// CutRow is one block's cut as an orderer's ring recorded it: the duration of
+// each block-keyed stage in ns, indexed by stage - StageFormation (0 where
+// the ring no longer holds the event).
+type CutRow struct {
+	Block uint64
+	NS    [NumCutStages]int64
+}
+
+// Cuts collects one dump's block-keyed events into one row per block, in
+// block order.
+func Cuts(d Dump) []CutRow {
+	byBlock := map[uint64]*CutRow{}
+	for _, ev := range d.Events {
+		if !ev.Stage.cut() {
+			continue
+		}
+		num, err := strconv.ParseUint(ev.TxID, 10, 64)
+		if err != nil {
+			continue
+		}
+		row := byBlock[num]
+		if row == nil {
+			row = &CutRow{Block: num}
+			byBlock[num] = row
+		}
+		row.NS[ev.Stage-StageFormation] = int64(ev.Block)
+	}
+	out := make([]CutRow, 0, len(byBlock))
+	for _, row := range byBlock {
+		out = append(out, *row)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
+	return out
+}
+
+// ms returns the row's columns in ms: the four stages, "other" — the cut
+// less its stages, i.e. the seal and the shadow state's apply — and the cut.
+func (r CutRow) ms() (c [NumCutStages + 1]float64) {
+	other := r.NS[NumCutStages-1]
+	for i := 0; i < NumCutStages-1; i++ {
+		c[i] = float64(r.NS[i]) / 1e6
+		other -= r.NS[i]
+	}
+	c[NumCutStages-1], c[NumCutStages] = float64(other)/1e6, float64(r.NS[NumCutStages-1])/1e6
+	return c
+}
+
+// FormatCuts renders the cut breakdown `sharpnet trace` prints, in ms: each
+// column's p50/p99/max over the blocks whose whole cut the ring holds, then
+// the last `last` of those blocks one per line.
+func FormatCuts(rows []CutRow, last int) string {
+	var whole []CutRow
+	var cols [NumCutStages + 1][]float64
+	for _, r := range rows {
+		if r.NS[NumCutStages-1] != 0 {
+			whole = append(whole, r)
+			for i, v := range r.ms() {
+				cols[i] = append(cols[i], v)
+			}
+		}
+	}
+	var b strings.Builder
+	line := func(label string, at func(i int) float64) {
+		fmt.Fprintf(&b, "%-14s", label)
+		for i := range cols {
+			fmt.Fprintf(&b, " %9.2f", at(i))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "%-14s %9s %9s %9s %9s %9s %9s\n", fmt.Sprintf("%d cuts, ms", len(whole)),
+		StageFormation, StagePrecheck, StageReexec, StageFeedback, "other", StageCut)
+	if len(whole) == 0 {
+		return b.String()
+	}
+	var qs [len(cols)]Quantiles
+	for i := range cols {
+		qs[i] = quantiles(cols[i])
+	}
+	line("p50", func(i int) float64 { return qs[i].P50 })
+	line("p99", func(i int) float64 { return qs[i].P99 })
+	line("max", func(i int) float64 { return qs[i].Max })
+	for _, r := range whole[max(0, len(whole)-last):] {
+		c := r.ms()
+		line(fmt.Sprintf("block %d", r.Block), func(i int) float64 { return c[i] })
 	}
 	return b.String()
 }

@@ -186,3 +186,48 @@ func TestPathNamesADeferral(t *testing.T) {
 		t.Errorf("admitted path %q, want %q", got["a"], want)
 	}
 }
+
+// TestCutBreakdown: the orderer records a cut's stages back to back, keyed by
+// block; Cuts reads them back per block, FormatCuts prints the breakdown with
+// the cut's remainder as "other", and Merge keeps them out of the
+// transaction timelines.
+func TestCutBreakdown(t *testing.T) {
+	tr := New("ord0", "orderer", 1<<6)
+	tr.Record("a", StageOrder, 0)
+	for _, block := range []uint64{7, 8} {
+		start := tr.Now()
+		mark := start
+		for _, s := range []Stage{StageFormation, StagePrecheck, StageReexec, StageFeedback} {
+			mark = tr.RecordSpan(block, s, mark)
+		}
+		tr.RecordSpan(block, StageCut, start)
+	}
+	tr.Record("a", StageSeal, 8)
+	d := tr.Dump()
+	rows := Cuts(d)
+	if len(rows) != 2 || rows[0].Block != 7 || rows[1].Block != 8 {
+		t.Fatalf("cut rows %+v, want blocks 7 and 8", rows)
+	}
+	for _, r := range rows {
+		var sum int64
+		for i := 0; i < NumCutStages-1; i++ {
+			sum += r.NS[i]
+		}
+		if cut := r.NS[StageCut-StageFormation]; cut < sum {
+			t.Fatalf("block %d: cut %d ns, shorter than its stages' %d", r.Block, cut, sum)
+		}
+	}
+	out := FormatCuts(rows, 1)
+	for _, want := range []string{"2 cuts", "formation", "feedback", "other", "p99", "block 8"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("cut breakdown missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "block 7") {
+		t.Errorf("cut breakdown lists more than the last block:\n%s", out)
+	}
+	tls := Merge([]Dump{d})
+	if len(tls) != 1 || tls[0].TxID != "a" || tls[0].Path() != "order → seal" {
+		t.Fatalf("merged timelines %+v, want the one transaction", tls)
+	}
+}

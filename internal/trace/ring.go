@@ -150,7 +150,7 @@ func decodeSlot(ticket uint64, w *[payloadWords]uint64) (Event, bool) {
 	meta := w[2]
 	idLen := int(meta & 0xff)
 	stage := Stage(meta >> 8)
-	if idLen > MaxTxIDLen || stage < StageSubmit || stage >= stageEnd {
+	if idLen > MaxTxIDLen || (stage < StageSubmit || stage >= stageEnd) && !stage.cut() {
 		return Event{}, false // unreachable unless the protocol is broken
 	}
 	id := make([]byte, idLen)

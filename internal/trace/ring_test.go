@@ -196,6 +196,13 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Tracer.Record allocates %.1f objects/op, want 0", allocs)
 	}
+	since := tr.Now()
+	allocs = testing.AllocsPerRun(1000, func() {
+		since = tr.RecordSpan(18446744073709551615, StageFormation, since)
+	})
+	if allocs != 0 {
+		t.Fatalf("Tracer.RecordSpan allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {

@@ -14,7 +14,10 @@
 // behind nowNS with the one allowed suppression.
 package trace
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Stage identifies one pipeline boundary of a transaction's life. The
 // numeric order is the pipeline order; merge logic relies on it.
@@ -49,8 +52,24 @@ const (
 	stageEnd // count sentinel; keep last
 )
 
-// NumStages is the number of defined stages (array sizing).
+// NumStages is the number of defined transaction stages (array sizing).
 const NumStages = int(stageEnd) - 1
+
+// Block-keyed stages: the sub-stages of an orderer's cut, recorded back to
+// back once per sealed block. Event.TxID holds the block number in decimal
+// and Event.Block the stage's duration in ns; Merge skips them, Cuts reads
+// them.
+const (
+	StageFormation Stage = 32 + iota // scheduler formation (Sharp: Algorithms 3 and 5, prune)
+	StagePrecheck                    // endorsement precheck and shadow verdicts
+	StageReexec                      // rescue re-execution (reexec.Run)
+	StageFeedback                    // verdicts fed back to the scheduler (Sharp: CommitTail)
+	StageCut                         // the whole cut: the four above, then the seal and shadow apply
+	cutStageEnd                      // count sentinel; keep last
+)
+
+// NumCutStages is the number of block-keyed stages (array sizing).
+const NumCutStages = int(cutStageEnd - StageFormation)
 
 var stageNames = [...]string{
 	StageSubmit:     "submit",
@@ -63,12 +82,20 @@ var stageNames = [...]string{
 	StageRescue:     "rescue",
 }
 
+var cutStageNames = [NumCutStages]string{"formation", "precheck", "reexec", "feedback", "cut"}
+
 func (s Stage) String() string {
-	if s >= 1 && s < stageEnd {
+	switch {
+	case s >= 1 && s < stageEnd:
 		return stageNames[s]
+	case s.cut():
+		return cutStageNames[s-StageFormation]
 	}
 	return "unknown"
 }
+
+// cut reports whether s is a block-keyed stage.
+func (s Stage) cut() bool { return s >= StageFormation && s < cutStageEnd }
 
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {
@@ -79,7 +106,7 @@ type Event struct {
 	// Block is the sealed block number, 0 for pre-seal stages — except that
 	// the order stamp of a transaction the orderer deferred to its block's
 	// tail carries the scheduler's arrival code (a protocol.ValidationCode)
-	// here, the stamp's detail.
+	// here, the stamp's detail, and a block-keyed stage its duration in ns.
 	Block uint64
 	// WallNS is the wall-clock timestamp (UnixNano) at record time.
 	WallNS int64
@@ -122,6 +149,28 @@ func (t *Tracer) Record(txID string, stage Stage, block uint64) {
 		return
 	}
 	t.ring.RecordAt(txID, stage, block, nowNS())
+}
+
+// Now reads the tracer's clock (UnixNano) to open a span RecordSpan closes;
+// 0 on a nil Tracer.
+func (t *Tracer) Now() int64 {
+	if t == nil {
+		return 0
+	}
+	return nowNS()
+}
+
+// RecordSpan records that block's stage (a block-keyed stage) ran from since
+// — a Now or RecordSpan reading — until now, and returns now, so back-to-back
+// stages chain. Zero-allocation like Record; a nil Tracer records nothing.
+func (t *Tracer) RecordSpan(block uint64, stage Stage, since int64) int64 {
+	if t == nil {
+		return 0
+	}
+	now := nowNS()
+	var key [20]byte
+	t.ring.RecordAt(string(strconv.AppendUint(key[:0], block, 10)), stage, uint64(now-since), now)
+	return now
 }
 
 // Dump drains a consistent snapshot of the ring.
