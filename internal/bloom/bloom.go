@@ -18,7 +18,7 @@ import (
 )
 
 // Filter is a fixed-size bloom filter over string keys. The zero value is
-// not usable; construct filters with New or NewWithEstimate. Filters are not
+// not usable; construct filters with New. Filters are not
 // safe for concurrent mutation.
 type Filter struct {
 	bits   []uint64
@@ -40,23 +40,6 @@ func New(nbits uint64, hashes int) *Filter {
 		nbits:  words * 64,
 		hashes: hashes,
 	}
-}
-
-// NewWithEstimate sizes a filter for n expected entries at false-positive
-// rate p using the standard optimal formulas.
-func NewWithEstimate(n uint64, p float64) *Filter {
-	if n == 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("bloom: invalid false-positive rate %v", p))
-	}
-	m := math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2))
-	k := int(math.Round(m / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(uint64(m), k)
 }
 
 // indexes derives the k bit positions for a key with double hashing

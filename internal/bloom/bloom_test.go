@@ -83,7 +83,7 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 }
 
 func TestFalsePositiveRateReasonable(t *testing.T) {
-	f := NewWithEstimate(1000, 0.01)
+	f := New(9586, 7) // the optimal geometry for 1 000 members at 1 %
 	for i := 0; i < 1000; i++ {
 		f.Add(fmt.Sprintf("member-%d", i))
 	}
@@ -195,19 +195,6 @@ func TestNewPanicsOnZero(t *testing.T) {
 				}
 			}()
 			New(tc.bits, tc.hashes)
-		}()
-	}
-}
-
-func TestNewWithEstimatePanicsOnBadRate(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewWithEstimate(_, %v) should panic", p)
-				}
-			}()
-			NewWithEstimate(10, p)
 		}()
 	}
 }

@@ -28,8 +28,8 @@ var tortureNames = []string{"peer0", "peer1"}
 
 // newBarePeer builds one started peer outside any network — durable on dir,
 // in-memory when dir is "" — validating as the fixture network's peers do
-// under system with rescue on.
-func newBarePeer(t *testing.T, system sched.System, dir string) (*Peer, error) {
+// under system with rescue on, and seeded with genesis when fresh.
+func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*Peer, error) {
 	t.Helper()
 	scheduler, err := sched.New(system, sched.Options{})
 	if err != nil {
@@ -44,6 +44,7 @@ func newBarePeer(t *testing.T, system sched.System, dir string) (*Peer, error) {
 		MVCC:     scheduler.NeedsMVCCValidation(),
 		Rescue:   true,
 		DataDir:  dir,
+		Genesis:  genesis,
 		OnError:  func(err error) { t.Error(err) },
 	})
 	if err != nil {
@@ -133,11 +134,12 @@ func positionOf(p *Peer) position {
 	return position{p.Chain().TipHash(), p.State().StateFingerprint(), p.Chain().CommittedTxs()}
 }
 
-// referencePositions feeds sealed to an in-memory peer one block at a time
-// and returns where it stands after each prefix, the empty one first.
-func referencePositions(t *testing.T, system sched.System, sealed []*ledger.Block) []position {
+// referencePositions feeds sealed to an in-memory peer seeded with genesis,
+// one block at a time, and returns where it stands after each prefix, the
+// empty one first.
+func referencePositions(t *testing.T, system sched.System, sealed []*ledger.Block, genesis ...protocol.WriteItem) []position {
 	t.Helper()
-	ref, err := newBarePeer(t, system, "")
+	ref, err := newBarePeer(t, system, "", genesis...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +214,9 @@ func copyTree(t *testing.T, src string) string {
 // remove whole blocks from the end, so the prefix is also exactly the blocks
 // whose records fit below the cut.
 //
-// Not covered: a crash inside a memtable flush or a compaction (the fixture
-// stays below the flush threshold); that needs the fault-injecting file
-// layer of ROADMAP item 5.
+// The fixture's log stays below the store's checkpoint floor; a reopen
+// across a checkpoint is TestPeerReopensAcrossCheckpoint's, and crashes
+// inside one are internal/kvstore's TestCheckpointCrashPoints'.
 func TestPeerWALTruncationTorture(t *testing.T) {
 	sealed := sealContended(t, sched.SystemFabric, 32)
 	if rescued := rescuedBlocks(sealed); len(sealed) < 30 || len(rescued) == 0 {
@@ -334,4 +336,60 @@ func TestNewPeerRejectsTipAheadOfState(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "chain tip 1") || !strings.Contains(err.Error(), "state height 0") {
 		t.Fatalf("NewPeer on a store with block 1 and no height record: %v", err)
 	}
+}
+
+// TestPeerReopensAcrossCheckpoint reopens a durable peer whose store has
+// checkpointed mid-chain. A genesis just under the store's 4 MiB checkpoint
+// floor makes the first blocks tip the log over it, so they land in the
+// snapshot and the blocks after them in the log. Reopened there, and again
+// after the rest of the chain, the peer must stand where an in-memory
+// reference fed the same blocks stands: chain tip, StateFingerprint and
+// CommittedTxs.
+func TestPeerReopensAcrossCheckpoint(t *testing.T) {
+	sealed := sealContended(t, sched.SystemFabric, 16)
+	genesis := make([]protocol.WriteItem, 255) // 255 × 16 KiB: ~10 KiB under the floor
+	for i := range genesis {
+		genesis[i] = protocol.WriteItem{Key: fmt.Sprintf("pad/%03d", i), Value: bytes.Repeat([]byte{byte(i)}, 16<<10)}
+	}
+	at := referencePositions(t, sched.SystemFabric, sealed, genesis...)
+
+	dir := t.TempDir()
+	logSize := func() int64 {
+		info, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	p, err := newBarePeer(t, sched.SystemFabric, dir, genesis...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointed := 0 // blocks committed when the log was folded into the snapshot
+	for i := 0; i < len(sealed) && checkpointed == 0; i++ {
+		before := logSize()
+		commitAll(t, p, sealed[i:i+1])
+		if logSize() < before {
+			checkpointed = i + 1
+		}
+	}
+	if checkpointed == 0 || checkpointed >= len(sealed)-1 {
+		t.Fatalf("the store checkpointed after block %d of %d; the fixture needs it mid-chain (0: never)", checkpointed, len(sealed))
+	}
+	t.Logf("the store checkpointed after block %d of %d", checkpointed, len(sealed))
+	stop := min(checkpointed+3, len(sealed)-1) // a few blocks in the log on top
+	commitAll(t, p, sealed[checkpointed:stop])
+	p.Close()
+
+	if p, err = newBarePeer(t, sched.SystemFabric, dir, genesis...); err != nil {
+		t.Fatal(err)
+	}
+	checkPosition(t, fmt.Sprintf("reopened at block %d, checkpointed at %d", stop, checkpointed), p, at[stop])
+	commitAll(t, p, sealed[stop:])
+	checkPosition(t, "caught up", p, at[len(sealed)])
+	p.Close()
+	if p, err = newBarePeer(t, sched.SystemFabric, dir, genesis...); err != nil {
+		t.Fatal(err)
+	}
+	checkPosition(t, "reopened at the tip", p, at[len(sealed)])
 }

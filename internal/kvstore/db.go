@@ -1,181 +1,62 @@
+// Package kvstore is the peer's durable store: a log of write batches and
+// one snapshot of what the log held at its last checkpoint, both in the
+// CRC'd record format of wal.go, in one directory (wal.log, snapshot).
+//
+// ApplyBatch appends one record to the log — handed to the OS before it
+// returns, fsynced as well under SyncWrites — so a crash leaves each batch
+// whole or absent. The store holds no keys or values in memory: its one
+// read, Scan, folds the snapshot and then the log from disk. Its callers
+// write one batch per block and read only when they open (statedb.New and
+// ledger.NewChain), so a read that costs a pass over the files buys a store
+// that costs no memory.
+//
+// Checkpoints bound the log. Once it outgrows both the snapshot and
+// checkpointFloor, the store folds the two into snapshot.tmp, fsyncs it,
+// renames it over snapshot, fsyncs the directory and truncates the log. A
+// crash between any two steps reopens to every acknowledged batch:
+//
+//   - before the rename, the old snapshot and the whole log are in place, and
+//     Open deletes the orphaned snapshot.tmp;
+//   - after the rename, the old log replays over a snapshot that already
+//     holds it, and replaying a sequence of puts and deletes a second time
+//     changes nothing;
+//   - after the truncation, the snapshot holds everything.
+//
+// A snapshot is renamed into place only whole and fsynced, so a snapshot
+// that does not end on a whole record is refused, not read as a prefix. A
+// torn or zero-filled log tail is the crash the log exists to survive: Open
+// cuts it off, and the next append lands after the intact records.
 package kvstore
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
+)
+
+const (
+	walName         = "wal.log"
+	snapshotName    = "snapshot"
+	snapshotTmpName = "snapshot.tmp"
+	// checkpointFloor is the log size below which no checkpoint is taken,
+	// however small the snapshot: folding that much at open is cheap.
+	checkpointFloor = 4 << 20
+	// snapshotRecordBytes caps the keys and values one snapshot record holds.
+	snapshotRecordBytes = 1 << 20
 )
 
 // Options configures a store.
 type Options struct {
-	// Dir is the directory holding the WAL, SSTables and manifest. Empty
-	// means a purely in-memory store: no persistence, never flushed.
+	// Dir is the directory holding the log and the snapshot. Required.
 	Dir string
-	// MemtableBytes is the flush threshold. Default 4 MiB.
-	MemtableBytes int
-	// CompactAfter triggers a full merge once the table count exceeds it.
-	// Default 4.
-	CompactAfter int
-	// SyncWrites fsyncs the WAL on every batch: durable across a machine
+	// SyncWrites fsyncs the log on every batch: durable across a machine
 	// crash but slow, so off by default. Either way each batch reaches the
 	// OS before its call returns, so a killed process loses none.
 	SyncWrites bool
-}
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.MemtableBytes <= 0 {
-		out.MemtableBytes = 4 << 20
-	}
-	if out.CompactAfter <= 0 {
-		out.CompactAfter = 4
-	}
-	return out
-}
-
-// DB is an ordered key-value store. All methods are safe for concurrent use
-// except that iterators must not overlap mutations (the callers in this
-// repository all iterate under their own synchronization).
-type DB struct {
-	mu     sync.RWMutex
-	opts   Options
-	mem    *skiplist
-	tables []*sstable // newest first
-	wal    *wal
-	nextID uint64
-	closed bool
-}
-
-const (
-	manifestName = "MANIFEST"
-	walName      = "wal.log"
-)
-
-// Open opens (creating if necessary) the store described by opts.
-func Open(opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	db := &DB{opts: opts, mem: newSkiplist(), nextID: 1}
-	if opts.Dir == "" {
-		return db, nil
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("kvstore: mkdir: %w", err)
-	}
-	ids, err := readManifest(filepath.Join(opts.Dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids { // manifest lists newest first
-		t, err := openSSTable(db.tablePath(id))
-		if err != nil {
-			return nil, err
-		}
-		db.tables = append(db.tables, t)
-		if id >= db.nextID {
-			db.nextID = id + 1
-		}
-	}
-	db.removeStaleTables(ids)
-	intact, err := replayWAL(filepath.Join(opts.Dir, walName), db.applyLocked)
-	if err != nil {
-		return nil, err
-	}
-	if db.wal, err = openWAL(filepath.Join(opts.Dir, walName), intact, opts.SyncWrites); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-func (db *DB) tablePath(id uint64) string {
-	return filepath.Join(db.opts.Dir, fmt.Sprintf("%06d.sst", id))
-}
-
-// removeStaleTables deletes .sst files not referenced by the manifest —
-// leftovers from a crash between table write and manifest swap.
-func (db *DB) removeStaleTables(live []uint64) {
-	alive := make(map[uint64]bool, len(live))
-	for _, id := range live {
-		alive[id] = true
-	}
-	entries, err := os.ReadDir(db.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".sst") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
-		if err != nil || alive[id] {
-			continue
-		}
-		_ = os.Remove(filepath.Join(db.opts.Dir, name))
-	}
-}
-
-func readManifest(path string) ([]uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	var ids []uint64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		id, err := strconv.ParseUint(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: corrupt manifest: %w", err)
-		}
-		ids = append(ids, id)
-	}
-	return ids, sc.Err()
-}
-
-// writeManifest atomically replaces the manifest with the given table ids
-// (newest first) via a temp-file rename.
-func (db *DB) writeManifest(ids []uint64) error {
-	var sb strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&sb, "%d\n", id)
-	}
-	tmp := filepath.Join(db.opts.Dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(db.opts.Dir, manifestName))
-}
-
-func (db *DB) liveTableIDs() []uint64 {
-	ids := make([]uint64, 0, len(db.tables))
-	for _, t := range db.tables {
-		base := strings.TrimSuffix(filepath.Base(t.path), ".sst")
-		id, _ := strconv.ParseUint(base, 10, 64)
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Put stores value under key, overwriting any previous value.
-func (db *DB) Put(key, value []byte) error {
-	return db.ApplyBatch([]BatchOp{{Key: key, Value: value}})
-}
-
-// Delete removes key. Deleting an absent key is a no-op.
-func (db *DB) Delete(key []byte) error {
-	return db.ApplyBatch([]BatchOp{{Key: key, Delete: true}})
 }
 
 // BatchOp is one mutation of a write batch.
@@ -184,159 +65,92 @@ type BatchOp struct {
 	Delete     bool
 }
 
-// ApplyBatch applies every operation atomically: under one lock
-// acquisition, as one checksummed WAL record handed to the OS before the
-// call returns, with the memtable-flush decision deferred to the end. A
-// crash leaves the whole batch or none of it — the per-block commit path
-// relies on that to land a block's record, writes and height together.
+// DB is a durable key-value store written in atomic batches. All methods are
+// safe for concurrent use.
+type DB struct {
+	mu       sync.Mutex
+	dir      string
+	log      *wal
+	snapSize int64 // bytes in the snapshot the log folds over
+	closed   bool
+}
+
+var errClosed = errors.New("kvstore: store closed")
+
+// Open opens (creating if necessary) the store in opts.Dir.
+func Open(opts Options) (*DB, error) {
+	if opts.Dir == "" {
+		return nil, errors.New("kvstore: Options.Dir is empty")
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("kvstore: mkdir: %w", err)
+	}
+	// The LSM layout this store replaced kept most of its contents in
+	// SSTables listed by a MANIFEST; read as a log, it would look nearly empty.
+	if _, err := os.Stat(filepath.Join(opts.Dir, "MANIFEST")); err == nil {
+		return nil, fmt.Errorf("kvstore: %s holds a MANIFEST: SSTables of an older layout, which this store does not read", opts.Dir)
+	} else if !os.IsNotExist(err) {
+		return nil, err
+	}
+	db := &DB{dir: opts.Dir}
+	// A snapshot.tmp is a checkpoint that crashed before its rename: the
+	// snapshot and the log it was folded from are still in place.
+	if err := os.Remove(db.path(snapshotTmpName)); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	size, err := replayWhole(db.path(snapshotName), nil)
+	if err != nil {
+		return nil, err
+	}
+	db.snapSize = size
+	intact, _, err := replay(db.path(walName), nil)
+	if err != nil {
+		return nil, err
+	}
+	if db.log, err = openWAL(db.path(walName), intact, opts.SyncWrites); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+func (db *DB) path(name string) string { return filepath.Join(db.dir, name) }
+
+// ApplyBatch applies every operation atomically: as one checksummed log
+// record, handed to the OS before the call returns. A crash leaves the whole
+// batch or none of it — the per-block commit path relies on that to land a
+// block's record, writes and height together.
 func (db *DB) ApplyBatch(ops []BatchOp) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return fmt.Errorf("kvstore: store closed")
+		return errClosed
 	}
-	if db.wal != nil {
-		if err := db.wal.append(ops); err != nil {
-			return err
-		}
-	}
-	db.applyLocked(ops)
-	return db.maybeFlushLocked()
-}
-
-// applyLocked folds ops into the memtable (live writes and WAL replay).
-func (db *DB) applyLocked(ops []BatchOp) {
-	for _, op := range ops {
-		if op.Delete {
-			db.mem.set(op.Key, nil, true)
-		} else {
-			db.mem.set(op.Key, append([]byte(nil), op.Value...), false)
-		}
-	}
-}
-
-// Get returns the value stored under key.
-func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, false, fmt.Errorf("kvstore: store closed")
-	}
-	if v, tomb, ok := db.mem.get(key); ok {
-		if tomb {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
-	}
-	for _, t := range db.tables {
-		if v, tomb, ok := t.get(key); ok {
-			if tomb {
-				return nil, false, nil
-			}
-			return append([]byte(nil), v...), true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// maybeFlushLocked flushes the memtable to a new SSTable when it exceeds
-// the configured threshold, then compacts if too many tables accumulated.
-func (db *DB) maybeFlushLocked() error {
-	if db.opts.Dir == "" || db.mem.bytes < db.opts.MemtableBytes {
-		return nil
-	}
-	return db.flushLocked()
-}
-
-func (db *DB) flushLocked() error {
-	if db.mem.length == 0 {
-		return nil
-	}
-	id := db.nextID
-	db.nextID++
-	path := db.tablePath(id)
-	if err := writeSSTable(path, db.mem.iterator()); err != nil {
+	if err := db.log.append(ops); err != nil {
 		return err
 	}
-	t, err := openSSTable(path)
-	if err != nil {
-		return err
-	}
-	db.tables = append([]*sstable{t}, db.tables...)
-	if err := db.writeManifest(db.liveTableIDs()); err != nil {
-		return err
-	}
-	// The WAL's contents are now durable in the table; start a fresh log.
-	if err := db.wal.close(); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(db.opts.Dir, walName)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	w, err := openWAL(filepath.Join(db.opts.Dir, walName), 0, db.opts.SyncWrites)
-	if err != nil {
-		return err
-	}
-	db.wal = w
-	db.mem = newSkiplist()
-	if len(db.tables) > db.opts.CompactAfter {
-		return db.compactLocked()
+	if db.log.size > max(db.snapSize, checkpointFloor) {
+		return db.checkpoint()
 	}
 	return nil
 }
 
-// compactLocked merges every table into one, dropping tombstones (a full
-// merge sees the complete history, so deletions become safe to forget).
-func (db *DB) compactLocked() error {
-	merged := newSkiplist()
-	// Iterate oldest table first so newer entries overwrite older ones.
-	for i := len(db.tables) - 1; i >= 0; i-- {
-		for it := db.tables[i].iteratorFrom(nil); it.valid(); it.next() {
-			k, v, tomb := it.entry()
-			merged.set(k, append([]byte(nil), v...), tomb)
-		}
-	}
-	// Drop tombstones by rebuilding without them.
-	clean := newSkiplist()
-	for it := merged.iterator(); it.valid(); it.next() {
-		k, v, tomb := it.entry()
-		if !tomb {
-			clean.set(k, v, false)
-		}
-	}
-	old := db.tables
-	if clean.length == 0 {
-		db.tables = nil
-	} else {
-		id := db.nextID
-		db.nextID++
-		path := db.tablePath(id)
-		if err := writeSSTable(path, clean.iterator()); err != nil {
-			return err
-		}
-		t, err := openSSTable(path)
-		if err != nil {
-			return err
-		}
-		db.tables = []*sstable{t}
-	}
-	if err := db.writeManifest(db.liveTableIDs()); err != nil {
-		return err
-	}
-	for _, t := range old {
-		_ = os.Remove(t.path)
-	}
-	return nil
-}
-
-// Flush forces the memtable to disk (no-op for in-memory stores).
-func (db *DB) Flush() error {
+// Scan calls fn with every live key beginning with prefix and its value, in
+// ascending key order, and stops at fn's first error. It folds the snapshot
+// and the log from disk, so each call is a pass over the store; fn sees the
+// store as of the fold, and key and value are fn's to keep.
+func (db *DB) Scan(prefix []byte, fn func(key, value []byte) error) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.opts.Dir == "" {
-		return nil
+	live, err := db.fold(prefix)
+	db.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	return db.flushLocked()
+	for _, op := range sorted(live) {
+		if err := fn(op.Key, op.Value); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close releases the store.
@@ -347,151 +161,129 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if db.wal != nil {
-		return db.wal.close()
+	return db.log.close()
+}
+
+// fold reads the snapshot and then the log into the live contents under
+// prefix; the caller holds mu.
+func (db *DB) fold(prefix []byte) (map[string][]byte, error) {
+	if db.closed {
+		return nil, errClosed
+	}
+	live := map[string][]byte{}
+	apply := func(ops []BatchOp) {
+		for _, op := range ops {
+			switch {
+			case !bytes.HasPrefix(op.Key, prefix):
+			case op.Delete:
+				delete(live, string(op.Key))
+			default:
+				live[string(op.Key)] = bytes.Clone(op.Value)
+			}
+		}
+	}
+	if _, err := replayWhole(db.path(snapshotName), apply); err != nil {
+		return nil, err
+	}
+	// Open cut the log back to whole records and only whole ones follow.
+	if _, err := replayWhole(db.path(walName), apply); err != nil {
+		return nil, err
+	}
+	return live, nil
+}
+
+// checkpoint folds the log into a new snapshot and empties it.
+func (db *DB) checkpoint() error {
+	for _, step := range db.checkpointSteps() {
+		if err := step(); err != nil {
+			return fmt.Errorf("kvstore: checkpoint: %w", err)
+		}
 	}
 	return nil
 }
 
-// Len reports the number of live keys (linear scan; meant for tests and
-// small stores).
-func (db *DB) Len() int {
-	n := 0
-	for it := db.NewIterator(nil, nil); it.Valid(); it.Next() {
-		n++
-	}
-	return n
-}
-
-// PrefixSuccessor returns the smallest byte string greater than every string
-// having the given prefix, or nil when no such bound exists (all-0xff).
-func PrefixSuccessor(prefix []byte) []byte {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		if prefix[i] != 0xff {
-			out := append([]byte(nil), prefix[:i+1]...)
-			out[i]++
-			return out
-		}
-	}
-	return nil
-}
-
-// NewIterator returns an ascending iterator over keys in [start, limit);
-// nil bounds are unbounded. The iterator observes the store as of the call
-// and must not overlap mutations.
-func (db *DB) NewIterator(start, limit []byte) *Iterator {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.newIteratorLocked(start, limit)
-}
-
-// NewPrefixIterator iterates every key beginning with prefix.
-func (db *DB) NewPrefixIterator(prefix []byte) *Iterator {
-	return db.NewIterator(prefix, PrefixSuccessor(prefix))
-}
-
-func (db *DB) newIteratorLocked(start, limit []byte) *Iterator {
-	sources := make([]tableSource, 0, 1+len(db.tables))
-	sources = append(sources, &memSource{it: db.mem.iteratorFrom(start)})
-	for _, t := range db.tables {
-		sources = append(sources, &sstSource{it: t.iteratorFrom(start)})
-	}
-	it := &Iterator{sources: sources, limit: limit}
-	it.advance()
-	return it
-}
-
-// tableSource is one layer of the merge: the memtable or an SSTable.
-// Sources are ordered newest-first, and the merge lets the newest layer
-// shadow older ones.
-type tableSource interface {
-	valid() bool
-	next()
-	entry() (key, value []byte, tombstone bool)
-}
-
-type memSource struct{ it *skiplistIterator }
-
-func (s *memSource) valid() bool { return s.it.valid() }
-func (s *memSource) next()       { s.it.next() }
-func (s *memSource) entry() (key, value []byte, tombstone bool) {
-	return s.it.entry()
-}
-
-type sstSource struct{ it *sstableIterator }
-
-func (s *sstSource) valid() bool { return s.it.valid() }
-func (s *sstSource) next()       { s.it.next() }
-func (s *sstSource) entry() (key, value []byte, tombstone bool) {
-	return s.it.entry()
-}
-
-// Iterator merges the memtable and SSTables into one ascending stream of
-// live (non-tombstoned) entries.
-type Iterator struct {
-	sources []tableSource // newest first
-	limit   []byte
-	key     []byte
-	value   []byte
-	done    bool
-}
-
-// advance finds the next live entry at or after the sources' current
-// positions.
-func (it *Iterator) advance() {
-	for {
-		var (
-			minKey []byte
-			found  bool
-		)
-		for _, s := range it.sources {
-			if !s.valid() {
-				continue
+// checkpointSteps returns a checkpoint's steps in the order they reach the
+// disk. A crash after any prefix of them reopens to the same contents (see
+// the package comment); the tests run each prefix and reopen.
+func (db *DB) checkpointSteps() []func() error {
+	var size int64
+	return []func() error{
+		func() error { // snapshot.tmp, written whole and fsynced
+			live, err := db.fold(nil)
+			if err != nil {
+				return err
 			}
-			k, _, _ := s.entry()
-			if !found || bytes.Compare(k, minKey) < 0 {
-				minKey, found = k, true
+			size, err = writeSnapshot(db.path(snapshotTmpName), sorted(live))
+			return err
+		},
+		func() error { // renamed over the snapshot, the rename fsynced
+			if err := os.Rename(db.path(snapshotTmpName), db.path(snapshotName)); err != nil {
+				return err
 			}
-		}
-		if !found || (it.limit != nil && bytes.Compare(minKey, it.limit) >= 0) {
-			it.done = true
-			return
-		}
-		// The newest source holding minKey wins; all holders advance.
-		var (
-			value     []byte
-			tombstone bool
-			taken     bool
-		)
-		for _, s := range it.sources {
-			if !s.valid() {
-				continue
-			}
-			if k, v, tomb := s.entry(); bytes.Equal(k, minKey) {
-				if !taken {
-					value, tombstone, taken = v, tomb, true
-				}
-				s.next()
-			}
-		}
-		if tombstone {
-			continue
-		}
-		it.key = append(it.key[:0], minKey...)
-		it.value = append(it.value[:0], value...)
-		return
+			db.snapSize = size
+			return syncDir(db.dir)
+		},
+		db.log.truncate,
 	}
 }
 
-// Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool { return !it.done }
+// writeSnapshot writes puts to path as records each holding about
+// snapshotRecordBytes of keys and values, fsyncs the file and returns its
+// size.
+func writeSnapshot(path string, puts []BatchOp) (size int64, err error) {
+	w, err := openWAL(path, 0, false)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := w.close(); err == nil {
+			err = cerr
+		}
+	}()
+	for start := 0; start < len(puts); {
+		end, held := start, 0
+		for ; end < len(puts) && held < snapshotRecordBytes; end++ {
+			held += len(puts[end].Key) + len(puts[end].Value)
+		}
+		if err := w.append(puts[start:end]); err != nil {
+			return 0, err
+		}
+		start = end
+	}
+	return w.size, w.f.Sync()
+}
 
-// Next moves to the following live entry.
-func (it *Iterator) Next() { it.advance() }
+// replayWhole is replay for a file written only in whole records — the
+// snapshot, which is renamed into place complete, or the log once Open has
+// cut it back — where anything else past the last record is corruption, not
+// a crash. It returns the file's size.
+func replayWhole(path string, fn func(ops []BatchOp)) (int64, error) {
+	intact, size, err := replay(path, fn)
+	if err == nil && intact != size {
+		err = fmt.Errorf("kvstore: %s: %d bytes, of which only %d are whole records", path, size, intact)
+	}
+	return size, err
+}
 
-// Key returns the current key. The slice is reused by Next; copy to retain.
-func (it *Iterator) Key() []byte { return it.key }
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-// Value returns the current value. The slice is reused by Next; copy to
-// retain.
-func (it *Iterator) Value() []byte { return it.value }
+// sorted returns the contents of live as puts in ascending key order.
+func sorted(live map[string][]byte) []BatchOp {
+	puts := make([]BatchOp, 0, len(live))
+	for k, v := range live {
+		puts = append(puts, BatchOp{Key: []byte(k), Value: v})
+	}
+	slices.SortFunc(puts, func(a, b BatchOp) int { return bytes.Compare(a.Key, b.Key) })
+	return puts
+}

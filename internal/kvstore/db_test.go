@@ -8,16 +8,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func openTemp(t *testing.T, opts Options) *DB {
+func openDir(t *testing.T, dir string) *DB {
 	t.Helper()
-	if opts.Dir == "" {
-		opts.Dir = t.TempDir()
-	}
-	db, err := Open(opts)
+	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,236 +24,216 @@ func openTemp(t *testing.T, opts Options) *DB {
 	return db
 }
 
+func put(k, v string) BatchOp { return BatchOp{Key: []byte(k), Value: []byte(v)} }
+func del(k string) BatchOp    { return BatchOp{Key: []byte(k), Delete: true} }
+
+// model is the reference a store is held to: the fold of the acknowledged
+// batches.
+type model map[string]string
+
+// apply writes ops to db as one batch and, once acknowledged, to m.
+func (m model) apply(t *testing.T, db *DB, ops ...BatchOp) {
+	t.Helper()
+	if err := db.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if op.Delete {
+			delete(m, string(op.Key))
+		} else {
+			m[string(op.Key)] = string(op.Value)
+		}
+	}
+}
+
+func (m model) clone() model {
+	out := make(model, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+// scan returns the keys under prefix in the order Scan yields them, and the
+// contents.
+func scan(t *testing.T, db *DB, prefix string) ([]string, model) {
+	t.Helper()
+	var keys []string
+	got := model{}
+	err := db.Scan([]byte(prefix), func(k, v []byte) error {
+		keys = append(keys, string(k))
+		got[string(k)] = string(v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys, got
+}
+
+// checkAgainstModel fails unless db holds exactly m, in ascending key order.
+func checkAgainstModel(t *testing.T, what string, db *DB, m model) {
+	t.Helper()
+	keys, got := scan(t, db, "")
+	if !sort.StringsAreSorted(keys) {
+		t.Fatalf("%s: scan order %q is not ascending", what, keys)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("%s: store holds %v, want %v", what, got, m)
+	}
+}
+
+func checkpoint(t *testing.T, db *DB) {
+	t.Helper()
+	if err := db.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
 func TestPutGetDelete(t *testing.T) {
-	for _, mode := range []string{"disk", "memory"} {
+	for _, mode := range []string{"disk", "checkpointed"} {
 		t.Run(mode, func(t *testing.T) {
-			var db *DB
-			if mode == "disk" {
-				db = openTemp(t, Options{})
-			} else {
-				var err error
-				db, err = Open(Options{})
-				if err != nil {
-					t.Fatal(err)
+			dir := t.TempDir()
+			db := openDir(t, dir)
+			m := model{}
+			steps := [][]BatchOp{{put("a", "1")}, {put("a", "2")}, {del("a"), put("b", "1")}, {del("never")}}
+			for i, ops := range steps {
+				m.apply(t, db, ops...)
+				if mode == "checkpointed" {
+					checkpoint(t, db)
 				}
+				checkAgainstModel(t, fmt.Sprintf("after batch %d", i), db, m)
 			}
-			if err := db.Put([]byte("a"), []byte("1")); err != nil {
-				t.Fatal(err)
-			}
-			v, ok, err := db.Get([]byte("a"))
-			if err != nil || !ok || string(v) != "1" {
-				t.Fatalf("Get=%q,%v,%v", v, ok, err)
-			}
-			if err := db.Put([]byte("a"), []byte("2")); err != nil {
-				t.Fatal(err)
-			}
-			v, _, _ = db.Get([]byte("a"))
-			if string(v) != "2" {
-				t.Fatalf("overwrite failed: %q", v)
-			}
-			if err := db.Delete([]byte("a")); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := db.Get([]byte("a")); ok {
-				t.Fatal("deleted key still present")
-			}
-			if _, ok, _ := db.Get([]byte("never")); ok {
-				t.Fatal("absent key reported present")
-			}
+			db.Close()
+			checkAgainstModel(t, "reopened", openDir(t, dir), m)
 		})
 	}
 }
 
 func TestIterationSortedAndBounded(t *testing.T) {
-	db := openTemp(t, Options{})
-	keys := []string{"d", "a", "c", "b", "e"}
-	for _, k := range keys {
-		if err := db.Put([]byte(k), []byte("v"+k)); err != nil {
-			t.Fatal(err)
+	db := openDir(t, t.TempDir())
+	m := model{}
+	for i, k := range []string{"d", "a", "c/2", "b", "c/1", "e"} {
+		m.apply(t, db, put(k, "v"+k))
+		if i == 2 { // half the keys in the snapshot, half in the log
+			checkpoint(t, db)
 		}
 	}
-	var got []string
-	for it := db.NewIterator(nil, nil); it.Valid(); it.Next() {
-		got = append(got, string(it.Key()))
+	if keys, _ := scan(t, db, ""); fmt.Sprint(keys) != "[a b c/1 c/2 d e]" {
+		t.Fatalf("full scan = %v", keys)
 	}
-	want := []string{"a", "b", "c", "d", "e"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("full scan = %v want %v", got, want)
-	}
-	got = nil
-	for it := db.NewIterator([]byte("b"), []byte("d")); it.Valid(); it.Next() {
-		got = append(got, string(it.Key()))
-	}
-	if fmt.Sprint(got) != fmt.Sprint([]string{"b", "c"}) {
-		t.Fatalf("bounded scan = %v", got)
+	if keys, got := scan(t, db, "c/"); fmt.Sprint(keys) != "[c/1 c/2]" || got["c/2"] != "vc/2" {
+		t.Fatalf("bounded scan = %v %v", keys, got)
 	}
 }
 
 func TestPrefixIterator(t *testing.T) {
-	db := openTemp(t, Options{})
-	for _, k := range []string{"acct/1", "acct/2", "acct/3", "balance/1", "aard"} {
-		if err := db.Put([]byte(k), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+	db := openDir(t, t.TempDir())
+	m := model{}
+	for _, k := range []string{"acct/1", "acct/2", "acct/3", "balance/1", "aard", "acct"} {
+		m.apply(t, db, put(k, "x"))
 	}
-	var got []string
-	for it := db.NewPrefixIterator([]byte("acct/")); it.Valid(); it.Next() {
-		got = append(got, string(it.Key()))
+	if keys, _ := scan(t, db, "acct/"); fmt.Sprint(keys) != "[acct/1 acct/2 acct/3]" {
+		t.Fatalf("prefix scan = %v", keys)
 	}
-	if fmt.Sprint(got) != fmt.Sprint([]string{"acct/1", "acct/2", "acct/3"}) {
-		t.Fatalf("prefix scan = %v", got)
+	if keys, _ := scan(t, db, "zzz"); len(keys) != 0 {
+		t.Fatalf("scan of an absent prefix = %v", keys)
 	}
 }
 
-func TestPrefixSuccessor(t *testing.T) {
-	cases := []struct {
-		in   []byte
-		want []byte
-	}{
-		{[]byte("abc"), []byte("abd")},
-		{[]byte{0x01, 0xff}, []byte{0x02}},
-		{[]byte{0xff, 0xff}, nil},
-		{nil, nil},
-	}
-	for _, c := range cases {
-		if got := PrefixSuccessor(c.in); !bytes.Equal(got, c.want) {
-			t.Errorf("PrefixSuccessor(%x)=%x want %x", c.in, got, c.want)
-		}
-	}
-}
-
+// TestFlushAndReopen checkpoints — the store's one flush, folding the log
+// into the snapshot — then writes past it and reopens: the snapshot and the
+// log after it make one store, a delete in the log hiding a key the
+// snapshot holds.
 func TestFlushAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openDir(t, dir)
+	m := model{}
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		m.apply(t, db, put(fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i)))
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	checkpoint(t, db)
+	if size := fileSize(t, filepath.Join(dir, walName)); size != 0 {
+		t.Fatalf("log holds %d bytes after a checkpoint", size)
 	}
-	// Post-flush writes live only in the WAL.
-	if err := db.Put([]byte("wal-only"), []byte("yes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Delete([]byte("k005")); err != nil {
-		t.Fatal(err)
-	}
+	m.apply(t, db, put("wal-only", "yes"))
+	m.apply(t, db, del("k005"))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	db2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if v, ok, _ := db2.Get([]byte("k042")); !ok || string(v) != "v42" {
-		t.Fatalf("flushed key lost: %q %v", v, ok)
-	}
-	if v, ok, _ := db2.Get([]byte("wal-only")); !ok || string(v) != "yes" {
-		t.Fatalf("wal key lost: %q %v", v, ok)
-	}
-	if _, ok, _ := db2.Get([]byte("k005")); ok {
-		t.Fatal("wal tombstone lost")
-	}
+	checkAgainstModel(t, "reopened", openDir(t, dir), m)
 }
 
 func TestRecoveryWithoutClose(t *testing.T) {
 	// Simulate a killed process: write, never Close, reopen from the same
-	// directory. Every completed Put is already in the file.
+	// directory. Every completed batch is already in the file.
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openDir(t, dir)
+	m := model{}
 	for i := 0; i < 50; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("c%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		m.apply(t, db, put(fmt.Sprintf("c%02d", i), "v"))
 	}
-	db2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if n := db2.Len(); n != 50 {
-		t.Fatalf("recovered %d keys, want 50", n)
-	}
+	checkAgainstModel(t, "reopened without close", openDir(t, dir), m)
 }
 
-// TestWALTruncationTorture cuts the log of a seeded sequence of multi-op
-// batches (and single Puts and Deletes) at every record boundary, one byte
-// either side of each, and a seeded sample of lengths inside records. A
-// store reopened on the cut log must hold exactly the fold of the batches
-// that fit whole below the cut — a torn batch contributes nothing, not a
-// prefix of its operations.
+// TestWALTruncationTorture writes a seeded sequence of batches of puts and
+// deletes over a snapshot, then cuts the log at every record boundary, one
+// byte either side of each, and a seeded sample of lengths inside records.
+// A store reopened on the snapshot and the cut log must hold exactly the
+// fold of the batches that fit whole below the cut — a torn batch
+// contributes nothing, not a prefix of its operations.
 //
-// Not covered: crashes inside a memtable flush or a compaction (SSTable and
-// manifest write boundaries); those need the fault-injecting file layer of
-// ROADMAP item 5.
+// Crashes inside a checkpoint are TestCheckpointCrashPoints'; a zero-filled
+// tail is TestZeroFilledLogTail's.
 func TestWALTruncationTorture(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openDir(t, dir)
 	walPath := filepath.Join(dir, walName)
 	rng := rand.New(rand.NewSource(29))
-	key := func() []byte { return []byte(fmt.Sprintf("k%02d", rng.Intn(24))) }
-	model := map[string]string{}
-	folds := []map[string]string{{}} // folds[k]: contents after k whole batches
-	bounds := []int64{0}             // bounds[k]: log length after k batches
-	for b := 0; b < 60; b++ {
+	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(24)) }
+	m := model{}
+	batch := func(b int) []BatchOp {
 		var ops []BatchOp
 		for n := 1 + rng.Intn(8); n > 0; n-- {
 			if rng.Intn(4) == 0 {
-				ops = append(ops, BatchOp{Key: key(), Delete: true})
+				ops = append(ops, del(key()))
 			} else {
-				ops = append(ops, BatchOp{Key: key(), Value: bytes.Repeat([]byte{byte('a' + b%26)}, rng.Intn(40))})
+				ops = append(ops, put(key(), strings.Repeat(string(rune('a'+b%26)), rng.Intn(40))))
 			}
 		}
-		switch {
-		case b%10 == 3:
+		if b%10 == 3 || b%10 == 7 { // single-op batches too
 			ops = ops[:1]
-			ops[0].Delete, ops[0].Value = false, []byte("put")
-			err = db.Put(ops[0].Key, ops[0].Value)
-		case b%10 == 7:
-			ops = ops[:1]
-			ops[0].Delete = true
-			err = db.Delete(ops[0].Key)
-		default:
-			err = db.ApplyBatch(ops)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range ops {
-			if op.Delete {
-				delete(model, string(op.Key))
-			} else {
-				model[string(op.Key)] = string(op.Value)
-			}
-		}
-		fold := make(map[string]string, len(model))
-		for k, v := range model {
-			fold[k] = v
-		}
-		folds = append(folds, fold)
-		info, err := os.Stat(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bounds = append(bounds, info.Size())
+		return ops
+	}
+	for b := 0; b < 10; b++ {
+		m.apply(t, db, batch(b)...)
+	}
+	checkpoint(t, db)
+	folds := []model{m.clone()} // folds[k]: contents after k whole batches of the log
+	bounds := []int64{0}        // bounds[k]: log length after k batches
+	for b := 0; b < 60; b++ {
+		m.apply(t, db, batch(b)...)
+		folds = append(folds, m.clone())
+		bounds = append(bounds, fileSize(t, walPath))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +255,9 @@ func TestWALTruncationTorture(t *testing.T) {
 	for l := range cuts {
 		whole := sort.Search(len(bounds), func(k int) bool { return bounds[k] > l }) - 1
 		cutDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cutDir, snapshotName), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(cutDir, walName), raw[:l], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -283,125 +265,188 @@ func TestWALTruncationTorture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: %v", l, err)
 		}
-		dump := func(db *DB) map[string]string {
-			got := map[string]string{}
-			for it := db.NewIterator(nil, nil); it.Valid(); it.Next() {
-				got[string(it.Key())] = string(it.Value())
-			}
-			return got
-		}
-		if got := dump(re); !reflect.DeepEqual(got, folds[whole]) {
-			t.Fatalf("cut at %d (%d whole batches, next boundary %d): store holds %v, want %v",
-				l, whole, bounds[min(whole+1, len(bounds)-1)], got, folds[whole])
-		}
+		what := fmt.Sprintf("cut at %d (%d whole batches, next boundary %d)", l, whole, bounds[min(whole+1, len(bounds)-1)])
+		checkAgainstModel(t, what, re, folds[whole])
 		// Life goes on after the crash: a batch written behind the cut must
 		// survive the next reopen, not hide behind a torn tail.
-		if err := re.Put([]byte("after"), []byte("crash")); err != nil {
-			t.Fatal(err)
-		}
+		after := folds[whole].clone()
+		after.apply(t, re, put("after", "crash"))
 		re.Close()
 		if re, err = Open(Options{Dir: cutDir}); err != nil {
 			t.Fatalf("cut at %d, second reopen: %v", l, err)
 		}
-		got := dump(re)
+		checkAgainstModel(t, what+", second reopen", re, after)
 		re.Close()
-		if got["after"] != "crash" || len(got) != len(folds[whole])+1 {
-			t.Fatalf("cut at %d: second reopen holds %v, want %v plus the batch written after the crash", l, got, folds[whole])
-		}
 	}
 }
 
+// TestZeroFilledLogTail reopens a log whose three records are followed by
+// 4096 zero bytes, the tail a filesystem can leave after a crash extended
+// the file but not its contents. An all-zero header reads as an empty
+// payload whose checksum (0) holds; no append writes one, so it is the end
+// of the log, cut off at open like any torn tail.
+func TestZeroFilledLogTail(t *testing.T) {
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	m := model{}
+	for i := 0; i < 3; i++ {
+		m.apply(t, db, put(fmt.Sprintf("k%d", i), "v"), del("gone"))
+	}
+	db.Close()
+	walPath := filepath.Join(dir, walName)
+	intact := fileSize(t, walPath)
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	re := openDir(t, dir)
+	checkAgainstModel(t, "zero-filled tail", re, m)
+	if size := fileSize(t, walPath); size != intact {
+		t.Fatalf("log is %d bytes after open, its records span %d", size, intact)
+	}
+	m.apply(t, re, put("after", "zeros"))
+	re.Close()
+	checkAgainstModel(t, "reopened after an append", openDir(t, dir), m)
+}
+
+// TestCheckpointCrashPoints stops a checkpoint after each of its steps in
+// turn — snapshot.tmp written but not renamed; renamed but the log not
+// truncated; truncated — and abandons the store there, as a crash would.
+// The store reopened on the directory must hold exactly the acknowledged
+// batches, take the next batch after them, and hold that too at the next
+// open, and a full checkpoint after it must change nothing.
+func TestCheckpointCrashPoints(t *testing.T) {
+	for crashAfter := 1; crashAfter <= 3; crashAfter++ {
+		t.Run(fmt.Sprintf("after-step-%d", crashAfter), func(t *testing.T) {
+			dir := t.TempDir()
+			db := openDir(t, dir)
+			m := model{}
+			for i := 0; i < 40; i++ {
+				m.apply(t, db, put(fmt.Sprintf("k%02d", i%25), fmt.Sprintf("old%d", i)))
+			}
+			checkpoint(t, db) // an old snapshot for the crashed one to replace
+			for i := 0; i < 40; i++ {
+				if i%3 == 0 {
+					m.apply(t, db, del(fmt.Sprintf("k%02d", i%30)), put("n", fmt.Sprint(i)))
+				} else {
+					m.apply(t, db, put(fmt.Sprintf("k%02d", i%30), fmt.Sprintf("new%d", i)))
+				}
+			}
+			steps := db.checkpointSteps()
+			if len(steps) != 3 {
+				t.Fatalf("a checkpoint has %d steps; this test crashes after each of 3", len(steps))
+			}
+			for _, step := range steps[:crashAfter] {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, tmpErr := os.Stat(filepath.Join(dir, snapshotTmpName))
+			logSize := fileSize(t, filepath.Join(dir, walName))
+			if (crashAfter == 1) != (tmpErr == nil) || (crashAfter == 3) != (logSize == 0) {
+				t.Fatalf("after step %d: snapshot.tmp present %v, log %d bytes", crashAfter, tmpErr == nil, logSize)
+			}
+
+			re := openDir(t, dir) // db is abandoned, never closed
+			checkAgainstModel(t, "reopened", re, m)
+			if _, err := os.Stat(filepath.Join(dir, snapshotTmpName)); !os.IsNotExist(err) {
+				t.Fatalf("snapshot.tmp survives the reopen: %v", err)
+			}
+			m.apply(t, re, put("after", "crash"), del("k01"))
+			re.Close()
+			re = openDir(t, dir)
+			checkAgainstModel(t, "reopened after an append", re, m)
+			checkpoint(t, re)
+			re.Close()
+			checkAgainstModel(t, "checkpointed again and reopened", openDir(t, dir), m)
+		})
+	}
+}
+
+// TestCompactionPreservesContent drives random puts and deletes through
+// many checkpoints — the store's one compaction — and holds the store to
+// the model throughout; the last snapshot holds only live keys, no
+// tombstones.
 func TestCompactionPreservesContent(t *testing.T) {
-	// Tiny memtable forces many flushes and compactions.
-	db := openTemp(t, Options{MemtableBytes: 512, CompactAfter: 2})
-	model := map[string]string{}
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	m := model{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("key-%03d", rng.Intn(300))
-		switch rng.Intn(4) {
-		case 0:
-			delete(model, k)
-			if err := db.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			v := fmt.Sprintf("val-%d", i)
-			model[k] = v
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
+		if rng.Intn(4) == 0 {
+			m.apply(t, db, del(k))
+		} else {
+			m.apply(t, db, put(k, fmt.Sprintf("val-%d", i)))
+		}
+		if i%150 == 149 {
+			checkpoint(t, db)
 		}
 	}
-	checkAgainstModel(t, db, model)
-	if err := db.Flush(); err != nil {
+	checkAgainstModel(t, "live", db, m)
+	checkpoint(t, db)
+	checkAgainstModel(t, "after the last checkpoint", db, m)
+	snap := model{}
+	if _, err := replayWhole(filepath.Join(dir, snapshotName), func(ops []BatchOp) {
+		for _, op := range ops {
+			if op.Delete {
+				t.Fatalf("snapshot holds a delete of %q", op.Key)
+			}
+			snap[string(op.Key)] = string(op.Value)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstModel(t, db, model)
+	if !reflect.DeepEqual(snap, m) {
+		t.Fatalf("snapshot holds %d keys, the model %d", len(snap), len(m))
+	}
+	db.Close()
+	checkAgainstModel(t, "reopened", openDir(t, dir), m)
 }
 
-func checkAgainstModel(t *testing.T, db *DB, model map[string]string) {
-	t.Helper()
-	for k, want := range model {
-		v, ok, err := db.Get([]byte(k))
-		if err != nil || !ok || string(v) != want {
-			t.Fatalf("Get(%q)=%q,%v,%v want %q", k, v, ok, err, want)
-		}
-	}
-	var modelKeys []string
-	for k := range model {
-		modelKeys = append(modelKeys, k)
-	}
-	sort.Strings(modelKeys)
-	var got []string
-	for it := db.NewIterator(nil, nil); it.Valid(); it.Next() {
-		got = append(got, string(it.Key()))
-		if want := model[string(it.Key())]; want != string(it.Value()) {
-			t.Fatalf("iterator value mismatch at %q", it.Key())
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(modelKeys) {
-		t.Fatalf("iterator keys %d != model keys %d", len(got), len(modelKeys))
-	}
-}
-
+// TestModelEquivalenceProperty: any sequence of batches, checkpoints and
+// reopens leaves the store equal to the fold of its batches.
 func TestModelEquivalenceProperty(t *testing.T) {
 	type op struct {
-		Del bool
-		K   uint8
-		V   uint16
+		Del  bool
+		K    uint8
+		V    uint16
+		Step uint8 // %8 == 0: checkpoint after the op; %16 == 1: reopen
 	}
 	prop := func(ops []op) bool {
-		db, err := Open(Options{}) // in-memory
+		dir := t.TempDir()
+		db, err := Open(Options{Dir: dir})
 		if err != nil {
 			return false
 		}
-		model := map[string]string{}
+		defer func() { db.Close() }()
+		m := model{}
 		for _, o := range ops {
 			k := fmt.Sprintf("k%d", o.K%32)
 			if o.Del {
-				delete(model, k)
-				if err := db.Delete([]byte(k)); err != nil {
-					return false
-				}
+				m.apply(t, db, del(k))
 			} else {
-				v := fmt.Sprintf("v%d", o.V)
-				model[k] = v
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				m.apply(t, db, put(k, fmt.Sprintf("v%d", o.V)))
+			}
+			switch {
+			case o.Step%8 == 0:
+				if db.checkpoint() != nil {
+					return false
+				}
+			case o.Step%16 == 1:
+				db.Close()
+				if db, err = Open(Options{Dir: dir}); err != nil {
 					return false
 				}
 			}
 		}
-		for k, want := range model {
-			v, ok, err := db.Get([]byte(k))
-			if err != nil || !ok || string(v) != want {
-				return false
-			}
-		}
-		n := 0
-		for it := db.NewIterator(nil, nil); it.Valid(); it.Next() {
-			n++
-		}
-		return n == len(model)
+		_, got := scan(t, db, "")
+		return reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -409,199 +454,235 @@ func TestModelEquivalenceProperty(t *testing.T) {
 }
 
 func TestClosedStoreErrors(t *testing.T) {
-	db := openTemp(t, Options{})
+	db := openDir(t, t.TempDir())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("x"), []byte("y")); err == nil {
-		t.Error("Put on closed store should fail")
+	if err := db.ApplyBatch([]BatchOp{put("x", "y")}); err == nil {
+		t.Error("ApplyBatch on closed store should fail")
 	}
-	if _, _, err := db.Get([]byte("x")); err == nil {
-		t.Error("Get on closed store should fail")
+	if err := db.Scan(nil, func(_, _ []byte) error { return nil }); err == nil {
+		t.Error("Scan on closed store should fail")
 	}
 	if err := db.Close(); err != nil {
 		t.Error("double close should be a no-op")
 	}
 }
 
+// TestConcurrentBatchesAndScans applies batches from several goroutines
+// while others scan: every scan sees each writer's keys as a prefix of its
+// batches, and the store ends holding all of them.
+func TestConcurrentBatchesAndScans(t *testing.T) {
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	const writers, batches = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				if err := db.ApplyBatch([]BatchOp{put(fmt.Sprintf("w%d/%03d", w, i), "v")}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				n := 0
+				err := db.Scan([]byte("w0/"), func(k, _ []byte) error {
+					if want := fmt.Sprintf("w0/%03d", n); string(k) != want {
+						return fmt.Errorf("scan yields %q where %q is due", k, want)
+					}
+					n++
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	m := model{}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < batches; i++ {
+			m[fmt.Sprintf("w%d/%03d", w, i)] = "v"
+		}
+	}
+	checkAgainstModel(t, "after the writers", db, m)
+}
+
+// TestLargeValuesAcrossFlush writes values until the log outgrows the
+// checkpoint floor: the batch that crosses it triggers a checkpoint, which
+// leaves the log empty and every value whole in the snapshot.
 func TestLargeValuesAcrossFlush(t *testing.T) {
-	db := openTemp(t, Options{MemtableBytes: 1024})
-	big := bytes.Repeat([]byte("x"), 10_000)
-	if err := db.Put([]byte("big"), big); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	m := model{}
+	big := strings.Repeat("x", 1<<20)
+	n := 0
+	for ; fileSize(t, filepath.Join(dir, walName)) > 0 || n == 0; n++ {
+		if n > checkpointFloor>>20+1 {
+			t.Fatalf("no checkpoint after %d MiB of log", n)
+		}
+		m.apply(t, db, put(fmt.Sprintf("big%d", n), big+fmt.Sprint(n)), put("small", fmt.Sprint(n)))
 	}
-	if err := db.Put([]byte("small"), []byte("s")); err != nil {
-		t.Fatal(err)
+	if size := fileSize(t, filepath.Join(dir, snapshotName)); size < int64(n)<<20 {
+		t.Fatalf("snapshot holds %d bytes after %d MiB values", size, n)
 	}
-	v, ok, err := db.Get([]byte("big"))
-	if err != nil || !ok || !bytes.Equal(v, big) {
-		t.Fatal("large value corrupted across flush")
-	}
+	checkAgainstModel(t, "after the checkpoint", db, m)
+	m.apply(t, db, put("big0", "shrunk"))
+	db.Close()
+	checkAgainstModel(t, "reopened", openDir(t, dir), m)
 }
 
 func TestEmptyKeyAndValue(t *testing.T) {
-	db := openTemp(t, Options{})
-	if err := db.Put([]byte{}, []byte{}); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := db.Get([]byte{})
-	if err != nil || !ok || len(v) != 0 {
-		t.Fatalf("empty key round trip: %q %v %v", v, ok, err)
-	}
-}
-
-func TestSkiplistSeek(t *testing.T) {
-	s := newSkiplist()
-	for _, k := range []string{"b", "d", "f"} {
-		s.set([]byte(k), []byte("v"), false)
-	}
-	cases := []struct{ target, want string }{
-		{"a", "b"}, {"b", "b"}, {"c", "d"}, {"f", "f"}, {"g", ""},
-	}
-	for _, c := range cases {
-		n := s.seek([]byte(c.target))
-		got := ""
-		if n != nil {
-			got = string(n.key)
-		}
-		if got != c.want {
-			t.Errorf("seek(%q)=%q want %q", c.target, got, c.want)
-		}
-	}
-}
-
-func TestSSTableRoundTrip(t *testing.T) {
-	s := newSkiplist()
-	for i := 0; i < 200; i++ {
-		s.set([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("val%d", i)), i%7 == 0)
-	}
-	path := filepath.Join(t.TempDir(), "test.sst")
-	if err := writeSSTable(path, s.iterator()); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := openSSTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		v, tomb, ok := tab.get(k)
-		if !ok {
-			t.Fatalf("missing %q", k)
-		}
-		if tomb != (i%7 == 0) {
-			t.Fatalf("tombstone flag wrong for %q", k)
-		}
-		if !tomb && string(v) != fmt.Sprintf("val%d", i) {
-			t.Fatalf("value wrong for %q: %q", k, v)
-		}
-	}
-	if _, _, ok := tab.get([]byte("absent")); ok {
-		t.Fatal("absent key found")
-	}
-	// Seeked iteration.
-	it := tab.iteratorFrom([]byte("key0150"))
-	k, _, _ := it.entry()
-	if string(k) != "key0150" {
-		t.Fatalf("iteratorFrom landed on %q", k)
-	}
-	n := 0
-	for ; it.valid(); it.next() {
-		n++
-	}
-	if n != 50 {
-		t.Fatalf("iterated %d entries from key0150, want 50", n)
-	}
-}
-
-func TestSSTableCorruptionDetected(t *testing.T) {
-	s := newSkiplist()
-	for i := 0; i < 50; i++ {
-		s.set([]byte(fmt.Sprintf("k%02d", i)), []byte("v"), false)
-	}
-	path := filepath.Join(t.TempDir(), "c.sst")
-	if err := writeSSTable(path, s.iterator()); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0xff // clobber the magic
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openSSTable(path); err == nil {
-		t.Fatal("corrupt table opened without error")
-	}
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	m := model{}
+	m.apply(t, db, put("", ""))
+	checkAgainstModel(t, "empty key", db, m)
+	checkpoint(t, db)
+	db.Close()
+	checkAgainstModel(t, "empty key, checkpointed and reopened", openDir(t, dir), m)
 }
 
 func TestApplyBatch(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	db := openDir(t, dir)
+	m := model{}
+	m.apply(t, db, put("doomed", "x"))
+	m.apply(t, db,
+		put("a", "1"),
+		put("b", "2"),
+		put("a", "1b"), // later op wins
+		del("doomed"),
+	)
+	if fmt.Sprint(m) != "map[a:1b b:2]" {
+		t.Fatalf("model = %v", m)
 	}
-	if err := db.Put([]byte("doomed"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	ops := []BatchOp{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("b"), Value: []byte("2")},
-		{Key: []byte("a"), Value: []byte("1b")}, // later op wins
-		{Key: []byte("doomed"), Delete: true},
-	}
-	if err := db.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	check := func(db *DB) {
-		t.Helper()
-		if v, ok, _ := db.Get([]byte("a")); !ok || string(v) != "1b" {
-			t.Fatalf("a = %q,%v", v, ok)
-		}
-		if v, ok, _ := db.Get([]byte("b")); !ok || string(v) != "2" {
-			t.Fatalf("b = %q,%v", v, ok)
-		}
-		if _, ok, _ := db.Get([]byte("doomed")); ok {
-			t.Fatal("delete op did not apply")
-		}
-	}
-	check(db)
-	// Batch contents must survive a WAL replay.
+	checkAgainstModel(t, "live", db, m)
+	// Batch contents must survive a log replay.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(Options{Dir: dir})
+	checkAgainstModel(t, "reopened", openDir(t, dir), m)
+}
+
+// TestSnapshotRoundTrip writes a snapshot large enough to take several
+// records and reads it back: the same puts, in the same order.
+func TestSnapshotRoundTrip(t *testing.T) {
+	puts := []BatchOp{put("empty", "")}
+	for i := 199; i >= 0; i-- {
+		puts = append(puts, BatchOp{Key: []byte(fmt.Sprintf("key%04d", i)), Value: bytes.Repeat([]byte{byte(i)}, 8<<10)})
+	}
+	path := filepath.Join(t.TempDir(), snapshotName)
+	size, err := writeSnapshot(path, puts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(db2)
+	if size != fileSize(t, path) {
+		t.Fatalf("writeSnapshot reports %d bytes, the file holds %d", size, fileSize(t, path))
+	}
+	var got []BatchOp
+	records := 0
+	if _, err := replayWhole(path, func(ops []BatchOp) {
+		records++
+		for _, op := range ops {
+			got = append(got, BatchOp{Key: bytes.Clone(op.Key), Value: bytes.Clone(op.Value), Delete: op.Delete})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records < 2 || !reflect.DeepEqual(got, puts) {
+		t.Fatalf("%d records holding %d puts; want several records holding the %d puts written, in order", records, len(got), len(puts))
+	}
+	if _, err := writeSnapshot(path, nil); err != nil || fileSize(t, path) != 0 {
+		t.Fatalf("empty snapshot: %v, %d bytes", err, fileSize(t, path))
+	}
 }
 
-func BenchmarkPut(b *testing.B) {
-	db, _ := Open(Options{})
-	key := make([]byte, 16)
+// TestSnapshotCorruptionDetected: a snapshot is renamed into place whole, so
+// one that ends short of a whole record, on zeros, or on a record whose
+// checksum fails is corrupt, and Open refuses it rather than read a prefix.
+func TestSnapshotCorruptionDetected(t *testing.T) {
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	m := model{}
+	for i := 0; i < 50; i++ {
+		m.apply(t, db, put(fmt.Sprintf("k%02d", i), "v"))
+	}
+	checkpoint(t, db)
+	db.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(raw)
+	flipped[len(flipped)/2] ^= 0xff
+	for name, bad := range map[string][]byte{
+		"short":      raw[:len(raw)-3],
+		"zero tail":  append(bytes.Clone(raw), make([]byte, 4096)...),
+		"bad record": flipped,
+	} {
+		badDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(badDir, snapshotName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if db, err := Open(Options{Dir: badDir}); err == nil {
+			db.Close()
+			t.Errorf("%s snapshot opened without error", name)
+		}
+	}
+	checkAgainstModel(t, "the intact directory", openDir(t, dir), m)
+}
+
+// TestOpenRefusesTheLSMLayout: a directory written by the LSM this store
+// replaced holds most of its contents in SSTables named by a MANIFEST. Read
+// as a log and a snapshot it would look nearly empty, so Open refuses it.
+func TestOpenRefusesTheLSMLayout(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{"MANIFEST": "1\n", "000001.sst": "table", walName: ""} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(Options{Dir: dir})
+	if err == nil {
+		db.Close()
+		t.Fatal("a directory with a MANIFEST opened")
+	}
+	if !strings.Contains(err.Error(), "MANIFEST") {
+		t.Fatalf("refusal does not name the MANIFEST: %v", err)
+	}
+	if _, err := Open(Options{}); err == nil {
+		t.Fatal("a store with no directory opened")
+	}
+}
+
+// BenchmarkApplyBatch appends 100-op batches, one block's state writes.
+func BenchmarkApplyBatch(b *testing.B) {
+	db, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	ops := make([]BatchOp, 100)
 	val := bytes.Repeat([]byte("v"), 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		binaryKey(key, uint64(i))
-		_ = db.Put(key, val)
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	db, _ := Open(Options{})
-	key := make([]byte, 16)
-	for i := 0; i < 100_000; i++ {
-		binaryKey(key, uint64(i))
-		_ = db.Put(key, []byte("value"))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binaryKey(key, uint64(i%100_000))
-		_, _, _ = db.Get(key)
-	}
-}
-
-func binaryKey(dst []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(v >> (8 * (7 - i)))
+		for j := range ops {
+			ops[j] = BatchOp{Key: []byte(fmt.Sprintf("acct:%08d", (i*100+j)%(1<<20))), Value: val}
+		}
+		if err := db.ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -157,17 +157,19 @@ func NewChain(store *kvstore.DB) (*Chain, error) {
 	if store == nil {
 		return c, nil
 	}
-	it := store.NewPrefixIterator([]byte(blockKeyPrefix))
-	for ; it.Valid(); it.Next() {
+	// Keys are big-endian block numbers, so scan order is block order.
+	err := store.Scan([]byte(blockKeyPrefix), func(_, rec []byte) error {
 		var blk Block
-		if err := gob.NewDecoder(bytes.NewReader(it.Value())).Decode(&blk); err != nil {
-			return nil, fmt.Errorf("ledger: decode block: %w", err)
+		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&blk); err != nil {
+			return fmt.Errorf("ledger: decode block: %w", err)
 		}
-		b := blk
-		c.blocks = append(c.blocks, &b)
-		c.committed += uint64(b.CommittedCount())
+		c.blocks = append(c.blocks, &blk)
+		c.committed += uint64(blk.CommittedCount())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Keys are big-endian block numbers, so iteration order is block order.
 	if err := c.verifyLocked(); err != nil {
 		return nil, err
 	}

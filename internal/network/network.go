@@ -364,7 +364,7 @@ func (p *pipeline) deliver(blk *ledger.Block) {
 // commit applies a validated block to the ledger state. Under vanilla
 // Fabric it first takes the write lock, waiting out every in-flight
 // simulation — the contention that collapses Figure 14's vanilla curve. The
-// reference validator's codes must equal the ones the orderer sealed.
+// codes and rescue digest must equal the ones the orderer sealed.
 func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 	vanilla := p.cfg.System == sched.SystemFabric
 	if vanilla {
@@ -382,20 +382,16 @@ func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 			}
 		}
 	}
-	vopts := validation.Options{MVCC: mvcc}
-	var codes []protocol.ValidationCode
-	var err error
-	if p.cfg.Rescue {
-		// The reference validator has no rescue phase; the committers' does.
-		res := commit.ValidateBlock(p.state, blk, commit.Options{Options: vopts, Workers: 1, Rescue: true, Registry: p.registry})
-		if !bytes.Equal(res.Rescue.Digest, blk.RescueDigest) {
-			panic(fmt.Sprintf("network: commit: block %d: rescue digest diverges from the sealed one", blk.Header.Number))
-		}
-		codes, err = res.Codes, p.state.ApplyBlock(blk.Header.Number, res.Writes)
-	} else {
-		codes, err = validation.ValidateAndCommit(p.state, blk, vopts)
+	// The validator every peer runs, on one worker so the station stays a
+	// single virtual-time process.
+	res := commit.ValidateBlock(p.state, blk, commit.Options{
+		Options: validation.Options{MVCC: mvcc}, Workers: 1, Rescue: p.cfg.Rescue, Registry: p.registry,
+	})
+	if !bytes.Equal(res.Rescue.Digest, blk.RescueDigest) {
+		panic(fmt.Sprintf("network: commit: block %d: rescue digest diverges from the sealed one", blk.Header.Number))
 	}
-	if err != nil {
+	codes := res.Codes
+	if err := p.state.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
 		panic(fmt.Sprintf("network: commit: %v", err))
 	}
 	if vanilla {

@@ -116,31 +116,35 @@ func New(opts Options) (*DB, error) {
 	if opts.Backing == nil {
 		return db, nil
 	}
-	if raw, ok, err := opts.Backing.Get([]byte(backingHeightKey)); err != nil {
-		return nil, err
-	} else if ok {
+	err := opts.Backing.Scan([]byte(backingHeightKey), func(_, raw []byte) error {
 		seq, err := seqno.FromBytes(raw)
 		if err != nil {
-			return nil, fmt.Errorf("statedb: corrupt height: %w", err)
+			return fmt.Errorf("statedb: corrupt height: %w", err)
 		}
 		db.height.Store(seq.Block)
 		db.hasAny.Store(true)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	it := opts.Backing.NewPrefixIterator([]byte(backingStatePrefix))
-	for ; it.Valid(); it.Next() {
-		key := string(it.Key()[len(backingStatePrefix):])
-		raw := it.Value()
+	err = opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
+		key := string(k[len(backingStatePrefix):])
 		if len(raw) < seqno.EncodedLen() {
-			return nil, fmt.Errorf("statedb: corrupt record for %q", key)
+			return fmt.Errorf("statedb: corrupt record for %q", key)
 		}
 		ver, err := seqno.FromBytes(raw)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		val := append([]byte(nil), raw[seqno.EncodedLen():]...)
+		val := raw[seqno.EncodedLen():]
 		sh := &db.shards[shardFor(key)]
 		sh.hist[key] = []VersionedValue{{Value: val, Version: ver}}
 		db.live.add(pairDigest(key, val))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
 }

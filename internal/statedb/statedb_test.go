@@ -198,8 +198,9 @@ func TestBackingPersistence(t *testing.T) {
 	if err := db.ApplyBlock(3, nil, rider); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := kv.Get(rider.Key); !ok || string(v) != "record" {
-		t.Errorf("rider in the store = %q, %v", v, ok)
+	var stored []string
+	if err := kv.Scan(rider.Key, func(_, v []byte) error { stored = append(stored, string(v)); return nil }); err != nil || len(stored) != 1 || stored[0] != "record" {
+		t.Errorf("rider in the store = %q, %v", stored, err)
 	}
 	if db3, err := New(Options{Backing: kv}); err != nil || db3.Height() != 3 || db3.Keys() != 2 {
 		t.Errorf("reload after a rider: height %d, %d keys, err %v; want 3, 2", db3.Height(), db3.Keys(), err)
