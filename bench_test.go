@@ -141,7 +141,7 @@ func BenchmarkOrdering(b *testing.B) {
 			system, shape := system, shape
 			b.Run(fmt.Sprintf("%s/%s", system, shape.Name), func(b *testing.B) {
 				txs := shape.Stream(b.N, 42)
-				sc, err := sched.New(system, sched.Options{CompactEvery: shape.CompactEvery})
+				sc, err := sched.New(system, sched.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -45,7 +45,6 @@ func main() {
 	blockTimeout := flag.Duration("block-timeout", 100*time.Millisecond, "partial-block cut timeout (orderer)")
 	orderers := flag.Int("orderers", 1, "accepted for the benchmark harness only: must be 1 (replicate ordering with -raft-cluster)")
 	maxSpan := flag.Uint64("max-span", 0, "Sharp pruning horizon (0 = default)")
-	compactEvery := flag.Uint64("compact-every", 0, "intern-table compaction epoch in blocks (0 = off)")
 	dedupHorizon := flag.Uint64("dedup-horizon", 0, "duplicate-suppression horizon in blocks (0 = default)")
 	dataDir := flag.String("data-dir", "", "persist ledger+state in one kvstore under this directory: b/ block records, s/ state, meta/height (role peer)")
 	workers := flag.Int("workers", 0, "validation workers (role peer; 0 = GOMAXPROCS)")
@@ -109,7 +108,6 @@ func main() {
 				BlockSize:    *blockSize,
 				BlockTimeout: *blockTimeout,
 				MaxSpan:      *maxSpan,
-				CompactEvery: *compactEvery,
 				DedupHorizon: *dedupHorizon,
 				Rescue:       *rescue,
 				Genesis:      genesis,

@@ -18,7 +18,6 @@ var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/conflict":   true,
 	ModulePath + "/internal/consensus":  true,
 	ModulePath + "/internal/core":       true,
-	ModulePath + "/internal/intern":     true,
 	ModulePath + "/internal/kvstore":    true,
 	ModulePath + "/internal/orderer":    true,
 	ModulePath + "/internal/protocol":   true,

@@ -9,9 +9,8 @@ import (
 // ErrDrop flags dropped errors on fatal-propagation paths, module-wide:
 // the wire codec (Encode*/Decode* in internal/wire), kvstore ApplyBatch,
 // and Persist hooks. Each of these failing means a replica is about to
-// diverge from the sealed chain or lose durable state — per the epoch
-// compaction PR these errors must ride the fatal Network.Err path, never
-// vanish into an ignored return. A call counts as dropped when it stands
+// diverge from the sealed chain or lose durable state, so these errors must
+// ride the fatal Network.Err path, never vanish into an ignored return. A call counts as dropped when it stands
 // alone as a statement, runs under go/defer, or binds its error result to
 // the blank identifier.
 var ErrDrop = &Analyzer{

@@ -37,21 +37,18 @@ type OrderingShape struct {
 	// the churn workload whose total key universe grows without bound while
 	// its working set stays Accounts-sized.
 	Rotate int
-	// CompactEvery is the scheduler's epoch-compaction period for this
-	// shape (0 = append-only tables, the default for the legacy shapes).
-	CompactEvery uint64
 }
 
 // OrderingShapes are the canonical shapes of the perf trajectory: a
 // conflict-free stream (pure data-structure cost, no dependency edges), a
 // contended stream (the graph, reachability, and reordering machinery under
-// load), and — since PR 4 — a churn stream (rotating key space with epoch
-// compaction on, proving interned-key residency stays bounded).
+// load), and a churn stream (rotating key space, showing that the
+// schedulers' resident keys stay bounded by the max-span horizon).
 func OrderingShapes() []OrderingShape {
 	return []OrderingShape{
 		{Name: "conflict-free", Accounts: 1 << 20},
 		{Name: "contended", Hot: 64, HotProb: 0.5, Accounts: 1 << 20},
-		{Name: "churn", Accounts: 2048, Rotate: 2000, CompactEvery: 10},
+		{Name: "churn", Accounts: 2048, Rotate: 2000},
 	}
 }
 
@@ -136,8 +133,8 @@ type OrderingResult struct {
 	// second — the number the rescue phase exists to raise: it trades some
 	// raw TPS (re-execution work) for a larger committed numerator.
 	Goodput float64 `json:"goodput,omitempty"`
-	// MaxResidentKeys is the peak intern-table size observed across the run
-	// (sampled after every cut) — the memory-residency figure the churn
+	// MaxResidentKeys is the peak Scheduler.ResidentKeys observed across the
+	// run (sampled around every cut) — the memory-residency figure the churn
 	// shape exists to bound. omitempty keeps pre-PR-4 records intact.
 	MaxResidentKeys int `json:"max_resident_keys,omitempty"`
 	// The Fabric# cut on the solo-hot graph (core's BenchmarkSharpFormationHot,
@@ -172,7 +169,7 @@ type OrderingResult struct {
 // verdicts feed back into the scheduler.
 func RunOrdering(system sched.System, shape OrderingShape, txCount, blockSize int, seed int64, rescue bool) (OrderingResult, error) {
 	txs := shape.Stream(txCount, seed)
-	sc, err := sched.New(system, sched.Options{CompactEvery: shape.CompactEvery})
+	sc, err := sched.New(system, sched.Options{})
 	if err != nil {
 		return OrderingResult{}, err
 	}
@@ -247,11 +244,9 @@ func RunOrdering(system sched.System, shape OrderingShape, txCount, blockSize in
 		}
 	}
 	cut := func() error {
-		// Peak residency is sampled around each cut: before it (the maximum
-		// since the last compaction for arrival-interning schedulers) and
-		// after it (catching schedulers that intern at formation time, like
-		// Focc-l's greedy pass — only their growth inside the compacting
-		// call itself goes unobserved).
+		// Peak residency is sampled around each cut: before it (the batch's
+		// keys on top of the retained ones) and after it (the retained keys
+		// once the cut has pruned).
 		sampleResidency()
 		fr, err := sc.OnBlockFormation()
 		if err != nil {
@@ -355,7 +350,7 @@ func Ordering(o Options) (*Table, []OrderingResult, error) {
 		Title: "Ordering-phase hot path: scheduler cost per submitted transaction",
 		Columns: []string{"system", "shape", "arrival µs/tx", "formation ms/blk",
 			"allocs/tx", "bytes/tx", "admitted", "valid", "rescued", "tps", "goodput", "max keys"},
-		Comment: "schedulers driven directly with shadow-validator feedback (no consensus/commit around them); allocs amortize formations + verdicts; goodput = committed (valid+rescued) tx/s; +rescue rows re-execute MVCC casualties post-order; max keys = peak interned-key residency (the churn shape runs with epoch compaction on)",
+		Comment: "schedulers driven directly with shadow-validator feedback (no consensus/commit around them); allocs amortize formations + verdicts; goodput = committed (valid+rescued) tx/s; +rescue rows re-execute MVCC casualties post-order; max keys = peak resident keys (sharp and focc-s: keys with state inside the max-span horizon; focc-l: keys with a committed version)",
 	}
 	var all []OrderingResult
 	addRow := func(system sched.System, r OrderingResult) {

@@ -94,7 +94,7 @@ func Table1Statuses() map[string]map[string]string {
 	{
 		txs := figure2Txns()
 		db := figure2State()
-		s := sched.NewFabricPP(sched.Options{})
+		s := sched.NewFabricPP()
 		for _, id := range []string{"Txn1", "Txn2", "Txn3", "Txn4", "Txn5"} {
 			if sched.ReadsAcrossBlocks(txs[id]) {
 				out["Fabric++"][id] = mark(false) // simulation abort

@@ -54,8 +54,9 @@ type Service interface {
 	Close()
 }
 
-// Kafka is the in-process ordering service. The log is retained so that
-// late subscribers (a recovering orderer) replay from the beginning.
+// Kafka is the in-process ordering service. It keeps its whole log in
+// memory; the library network's one orderer.Service subscribes once, from
+// offset zero, when the network starts.
 type Kafka struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

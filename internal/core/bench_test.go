@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
@@ -164,20 +163,19 @@ func BenchmarkManagerLargeBlocks(b *testing.B) {
 }
 
 func BenchmarkMemIndexPutAfter(b *testing.B) {
-	keys := intern.NewTable()
-	idx := NewMemIndex()
-	ks := make([]intern.Key, 64)
+	idx := MemIndex[*txNode]{}
+	ks := make([]string, 64)
 	for i := range ks {
-		ks[i] = keys.Intern(fmt.Sprintf("k%d", i))
+		ks[i] = fmt.Sprintf("k%d", i)
 	}
 	var buf []TxID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := ks[i%64]
+		key := idx.Get(ks[i%64])
 		seq := seqno.Commit(uint64(i/100+1), uint32(i%100+1))
-		idx.Put(key, seq, TxID(fmt.Sprintf("t%d", i)))
-		buf = idx.After(buf[:0], key, seqno.Snapshot(uint64(i/100)))
+		key.CW.Put(seq, TxID(fmt.Sprintf("t%d", i)))
+		buf = key.CW.After(buf[:0], seqno.Snapshot(uint64(i/100)))
 		if i%1000 == 999 {
 			idx.PruneBefore(uint64(i/100) - 5)
 		}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"fabricsharp/internal/bloom"
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/seqno"
 )
 
@@ -21,8 +20,10 @@ type txNode struct {
 	endTS     seqno.Seq // zero until committed
 	committed bool
 	pruned    bool
-	readKeys  []intern.Key
-	writeKeys []intern.Key
+	// readKeys and writeKeys are the keys a pending node accesses; commit
+	// drops them (nothing reads a committed node's keys).
+	readKeys  []keyRef
+	writeKeys []keyRef
 	succ      map[*txNode]struct{}
 	anti      *bloom.Filter
 	age       uint64 // block recency of the node's newest committed ancestor (incl. itself)
@@ -86,14 +87,14 @@ func (g *graph) visit(n *txNode) bool {
 
 func (g *graph) nextEpoch() { g.epoch++ }
 
-func (g *graph) newNode(id TxID, startTS seqno.Seq, readKeys, writeKeys []intern.Key) *txNode {
+func (g *graph) newNode(id TxID, startTS seqno.Seq, readKeys, writeKeys []keyRef) *txNode {
 	g.arrivals++
 	n := &txNode{
 		id:        id,
 		arrival:   g.arrivals,
 		startTS:   startTS,
-		readKeys:  append([]intern.Key(nil), readKeys...),
-		writeKeys: append([]intern.Key(nil), writeKeys...),
+		readKeys:  append([]keyRef(nil), readKeys...),
+		writeKeys: append([]keyRef(nil), writeKeys...),
 		succ:      g.succPool.Get().(map[*txNode]struct{}),
 		anti:      g.filterPool.Get().(*bloom.Filter),
 	}

@@ -9,17 +9,14 @@
 // (Algorithm 3), restores write-write dependencies (Algorithm 5), and prunes
 // the graph by snapshot staleness and age (Section 4.6).
 //
-// Record keys are interned (internal/intern): the Manager resolves each
-// string key to a dense uint32 the first time it appears in the consensus
-// stream, and every index and graph structure downstream operates on those
-// KeyIDs — committed-index lookups become slice indexing instead of string
-// hashing.
+// The four indices are keyed by the record key: one KeyState per key holds
+// its CW, CR, PW and PR entries, so an arrival resolves each of its keys
+// with one map lookup, and pruning deletes a key once nothing retains it.
 package core
 
 import (
 	"sort"
 
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -32,42 +29,19 @@ type memEntry struct {
 	id  TxID
 }
 
-// MemIndex is the committed-transaction index shape of Section 4.3:
-// CommittedWriteTxns (CW) and CommittedReadTxns (CR) both map a record key
-// plus the commit sequence of the accessing transaction to that
-// transaction's identifier, and support the point and range queries the
-// dependency resolution needs. Per interned KeyID it keeps an append-ordered
-// slice of (commit seq, txn) entries — a plain slice lookup per query.
-// Commit sequences arrive in increasing order, so the slices stay sorted
-// without explicit sorting.
-//
-// Like the Manager that owns them, indices are confined to the orderer's
-// single goroutine; they are not safe for concurrent use.
-//
-// Memory: pruning empties a key's slot but the slot itself (one slice
-// header per KeyID ever issued) is retained — the cost of slice indexing
-// over string hashing. See the trade-off note in docs/perf.md; workloads
-// with unboundedly growing key spaces set CompactEvery.
-type MemIndex struct {
-	entries [][]memEntry // indexed by intern.Key
-}
+// Accesses is one record key's share of a committed index of Section 4.3 —
+// CommittedWriteTxns[key] (CW) or CommittedReadTxns[key] (CR): the commit
+// sequence and identifier of each transaction that wrote (read) the key, in
+// commit order, with the point and range queries the dependency resolution
+// needs. Commit sequences arrive in increasing order, so the slice stays
+// sorted without explicit sorting.
+type Accesses []memEntry
 
-// NewMemIndex returns an empty index.
-func NewMemIndex() *MemIndex { return &MemIndex{} }
-
-// grow ensures the entry table covers key.
-func (m *MemIndex) grow(key intern.Key) {
-	for int(key) >= len(m.entries) {
-		m.entries = append(m.entries, nil)
-	}
-}
-
-// Put records that transaction id accessed key at commit sequence seq. Each
-// (key, seq) pair must be written at most once — the Manager guarantees
-// this, since commit sequences (block, pos) are unique.
-func (m *MemIndex) Put(key intern.Key, seq seqno.Seq, id TxID) {
-	m.grow(key)
-	es := m.entries[key]
+// Put records that transaction id accessed the key at commit sequence seq.
+// Each seq must be recorded at most once — the schedulers guarantee this,
+// since commit sequences (block, pos) are unique.
+func (a *Accesses) Put(seq seqno.Seq, id TxID) {
+	es := *a
 	if n := len(es); n > 0 && !es[n-1].seq.Less(seq) {
 		// Defensive: an out-of-order insert keeps the slice sorted (the
 		// schedulers always commit in increasing sequence order).
@@ -75,134 +49,94 @@ func (m *MemIndex) Put(key intern.Key, seq seqno.Seq, id TxID) {
 		es = append(es, memEntry{})
 		copy(es[i+1:], es[i:])
 		es[i] = memEntry{seq: seq, id: id}
-		m.entries[key] = es
+		*a = es
 		return
 	}
-	m.entries[key] = append(es, memEntry{seq: seq, id: id})
+	*a = append(es, memEntry{seq: seq, id: id})
 }
 
-// After appends to dst, in commit order, every transaction that accessed key
-// with commit sequence >= from (the CW[key][from:] range query). Passing a
-// reusable dst buffer keeps the arrival path allocation-free.
-func (m *MemIndex) After(dst []TxID, key intern.Key, from seqno.Seq) []TxID {
-	if int(key) >= len(m.entries) {
-		return dst
-	}
-	es := m.entries[key]
-	i := sort.Search(len(es), func(i int) bool { return !es[i].seq.Less(from) })
-	for ; i < len(es); i++ {
-		dst = append(dst, es[i].id)
+// After appends to dst, in commit order, every transaction that accessed the
+// key with commit sequence >= from (the CW[key][from:] range query). Passing
+// a reusable dst buffer keeps the arrival path allocation-free.
+func (a Accesses) After(dst []TxID, from seqno.Seq) []TxID {
+	i := sort.Search(len(a), func(i int) bool { return !a[i].seq.Less(from) })
+	for ; i < len(a); i++ {
+		dst = append(dst, a[i].id)
 	}
 	return dst
 }
 
-// Before returns the last transaction that accessed key strictly before
+// Before returns the last transaction that accessed the key strictly before
 // `before` (the CW.Before point query).
-func (m *MemIndex) Before(key intern.Key, before seqno.Seq) (TxID, bool) {
-	if int(key) >= len(m.entries) {
-		return "", false
-	}
-	es := m.entries[key]
-	i := sort.Search(len(es), func(i int) bool { return !es[i].seq.Less(before) })
+func (a Accesses) Before(before seqno.Seq) (TxID, bool) {
+	i := sort.Search(len(a), func(i int) bool { return !a[i].seq.Less(before) })
 	if i == 0 {
 		return "", false
 	}
-	return es[i-1].id, true
+	return a[i-1].id, true
 }
 
-// Last returns the most recent transaction that accessed key and its commit
-// sequence (the CW.Last point query).
-func (m *MemIndex) Last(key intern.Key) (TxID, seqno.Seq, bool) {
-	if int(key) >= len(m.entries) {
+// Last returns the most recent transaction that accessed the key and its
+// commit sequence (the CW.Last point query).
+func (a Accesses) Last() (TxID, seqno.Seq, bool) {
+	if len(a) == 0 {
 		return "", seqno.Seq{}, false
 	}
-	es := m.entries[key]
-	if len(es) == 0 {
-		return "", seqno.Seq{}, false
-	}
-	e := es[len(es)-1]
+	e := a[len(a)-1]
 	return e.id, e.seq, true
 }
 
-// MarkLive sets live[k] = true for every KeyID with at least one retained
-// entry — the index's contribution to the liveness set of an epoch
-// compaction. Keys at or beyond len(live) are ignored (they were interned
-// after the caller sized the slice and are handled separately).
-func (m *MemIndex) MarkLive(live []bool) {
-	for key, es := range m.entries {
-		if len(es) > 0 && key < len(live) {
-			live[key] = true
-		}
-	}
-}
-
-// Remap informs the index that the shared intern table was compacted:
-// remap[old] is each old KeyID's new identity, or intern.Dropped. Slots of
-// retained keys move to their new dense index (keeping their backing
-// arrays), slots of dropped keys are released to the GC — this is where a
-// churn workload's retired key slots are actually reclaimed.
-func (m *MemIndex) Remap(remap []intern.Key, newLen int) {
-	m.entries = intern.RemapSlots(m.entries, remap, newLen)
-}
-
-// Slots returns the number of KeyID slots currently held (tests, metrics):
-// the quantity compaction bounds for churn workloads.
-func (m *MemIndex) Slots() int { return len(m.entries) }
-
 // PruneBefore removes every entry whose commit sequence's block is strictly
 // below minBlock (Section 4.6's index pruning).
-func (m *MemIndex) PruneBefore(minBlock uint64) {
-	for key, es := range m.entries {
-		i := 0
-		for i < len(es) && es[i].seq.Block < minBlock {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		if i == len(es) {
-			m.entries[key] = nil
-			continue
-		}
-		// Shift in place: the key slot keeps its backing array, so steady-
-		// state pruning allocates nothing.
-		n := copy(es, es[i:])
-		for j := n; j < len(es); j++ {
-			es[j] = memEntry{}
-		}
-		m.entries[key] = es[:n]
+func (a *Accesses) PruneBefore(minBlock uint64) {
+	es := *a
+	i := 0
+	for i < len(es) && es[i].seq.Block < minBlock {
+		i++
 	}
+	if i == 0 {
+		return
+	}
+	// Shift in place: the key keeps its backing array, so steady-state
+	// pruning allocates nothing.
+	n := copy(es, es[i:])
+	clear(es[n:])
+	*a = es[:n]
 }
 
-// CompactKeyState is the shared liveness+remap core of epoch compaction for
-// schedulers whose interned-key state is (CW, CR, pending-writer/reader
-// slot tables): a key is live iff some index retained an entry for it, some
-// pending slot is non-empty, or extraLive marks it (the Manager adds live
-// graph nodes' key sets there). The table is rebuilt with dense KeyIDs
-// re-assigned in old-ID order, both indices are told to remap, and the slot
-// tables are rebuilt. Keeping this protocol in one place is what keeps the
-// per-scheduler compactions replica-deterministic in lockstep — callers add
-// structure-specific steps (scratch truncation, stamp resets) on top.
-func CompactKeyState[T any](tbl *intern.Table, cw, cr *MemIndex, pw, pr [][]T, extraLive func(live []bool)) (newPW, newPR [][]T, remap []intern.Key) {
-	live := make([]bool, tbl.Len())
-	cw.MarkLive(live)
-	cr.MarkLive(live)
-	for k := range pw {
-		if len(pw[k]) > 0 {
-			live[k] = true
+// KeyState is everything a scheduler keeps for one record key: its entries
+// in the committed indices (CW, CR) and its pending writers and readers
+// (PW, PR, of element type T).
+type KeyState[T any] struct {
+	CW, CR Accesses
+	PW, PR []T
+}
+
+// MemIndex maps each record key with retained state to its KeyState. Like
+// the schedulers that own them, indices are confined to the orderer's single
+// goroutine; they are not safe for concurrent use.
+type MemIndex[T any] map[string]*KeyState[T]
+
+// Get returns key's state, creating an empty one on first sight.
+func (m MemIndex[T]) Get(key string) *KeyState[T] {
+	s, ok := m[key]
+	if !ok {
+		s = &KeyState[T]{}
+		m[key] = s
+	}
+	return s
+}
+
+// PruneBefore prunes every key's CW and CR entries below minBlock and
+// deletes the keys left with no entry and no pending transaction, so the
+// index holds exactly the keys the Section 4.6 horizon retains.
+func (m MemIndex[T]) PruneBefore(minBlock uint64) {
+	//sharp:orderinvariant each key's entries are pruned, and the key deleted, independently of every other key
+	for key, s := range m {
+		s.CW.PruneBefore(minBlock)
+		s.CR.PruneBefore(minBlock)
+		if len(s.CW)+len(s.CR)+len(s.PW)+len(s.PR) == 0 {
+			delete(m, key)
 		}
 	}
-	for k := range pr {
-		if len(pr[k]) > 0 {
-			live[k] = true
-		}
-	}
-	if extraLive != nil {
-		extraLive(live)
-	}
-	remap = tbl.Compact(func(k intern.Key) bool { return live[k] })
-	newLen := tbl.Len()
-	cw.Remap(remap, newLen)
-	cr.Remap(remap, newLen)
-	return intern.RemapSlots(pw, remap, newLen), intern.RemapSlots(pr, remap, newLen), remap
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
@@ -26,17 +25,6 @@ type Options struct {
 	// RelayBlocks formations, bounding their false-positive rate.
 	// Default 2*MaxSpan.
 	RelayBlocks uint64
-	// CompactEvery triggers deterministic epoch compaction of the intern
-	// table (and every KeyID-indexed structure) after each sealed block
-	// whose number is a multiple of it: keys no longer referenced by
-	// retained state — CW/CR entries above the Section 4.6 horizon, pending
-	// PW/PR writers/readers, live graph nodes — are dropped and the
-	// survivors re-assigned dense KeyIDs in old-ID order. Block numbers are
-	// a pure function of the consensus stream, so every replica compacts at
-	// the same position and produces a bit-identical remapping. 0 (the
-	// default) disables compaction: tables stay append-only, the pre-PR-4
-	// behavior, appropriate for bounded key universes.
-	CompactEvery uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -71,11 +59,6 @@ type Stats struct {
 	PrunedNodes  uint64
 	MaxGraphSize int
 
-	// Compactions counts intern-table epoch compactions; CompactedKeys the
-	// total KeyIDs dropped by them (the memory a churn workload reclaims).
-	Compactions   uint64
-	CompactedKeys uint64
-
 	Hops      uint64 // nodes traversed by reachability updates
 	SpanSum   uint64 // sum of committed transactions' block spans
 	SpanCount uint64
@@ -87,13 +70,11 @@ type Stats struct {
 	IndexRecordNS      int64
 
 	// Formation-time breakdown (Figure 11): commit-order computation,
-	// ww restoration, persisting to the committed indices, graph pruning,
-	// and (when enabled) epoch compaction.
+	// ww restoration, persisting to the committed indices, graph pruning.
 	ComputeOrderNS int64
 	RestoreWWNS    int64
 	PersistNS      int64
 	PruneNS        int64
-	CompactNS      int64
 }
 
 // MeanSpan returns the average block span of committed transactions.
@@ -119,30 +100,34 @@ func (s Stats) MeanHops() float64 {
 type Manager struct {
 	opts Options
 	g    *graph
-	keys *intern.Table
-	cw   *MemIndex
-	cr   *MemIndex
-	// Pending transaction set P with its PW / PR key indices: per-KeyID
-	// slices of pending writers/readers (slice indexing, no string hashing).
+	// keys holds the CW, CR, PW and PR entries of every key with retained
+	// state; pending is the pending transaction set P.
+	keys    MemIndex[*txNode]
 	pending []*txNode
-	pw      [][]*txNode
-	pr      [][]*txNode
 	// nextBlock is M, the number of the next block to be committed.
 	nextBlock uint64
 	stats     Stats
 
 	// Arrival/formation scratch, reused to keep the hot path allocation-
-	// free: interned key buffers, the pred/succ working sets of Algorithm 2,
+	// free: the arrival's keys, the pred/succ working sets of Algorithm 2,
 	// an index-query buffer, and the formation's contended-key collector.
-	rbuf, wbuf []intern.Key
+	rbuf, wbuf []keyRef
 	predSet    map[*txNode]struct{}
 	succSet    map[*txNode]struct{}
 	idbuf      []TxID
 	orderBuf   []*txNode
-	wwKeys     []intern.Key
+	wwKeys     []keyRef
 	wwGroups   [][]*txNode
-	keyStamp   []uint64
-	keyEpoch   uint64
+}
+
+// keyState is one record key's state in the Manager's index.
+type keyState = KeyState[*txNode]
+
+// keyRef is a key an arrival accesses: its state, and its string, which
+// orders Algorithm 5's contended keys.
+type keyRef struct {
+	key string
+	*keyState
 }
 
 // NewManager creates a Manager whose first formed block is number 1
@@ -152,17 +137,16 @@ func NewManager(opts Options) *Manager {
 	return &Manager{
 		opts:      opts,
 		g:         newGraph(opts.BloomBits, opts.BloomHashes),
-		keys:      intern.NewTable(),
-		cw:        NewMemIndex(),
-		cr:        NewMemIndex(),
+		keys:      MemIndex[*txNode]{},
 		nextBlock: 1,
 		predSet:   make(map[*txNode]struct{}),
 		succSet:   make(map[*txNode]struct{}),
 	}
 }
 
-// Keys exposes the Manager's intern table (resident-key accounting).
-func (m *Manager) Keys() *intern.Table { return m.keys }
+// ResidentKeys returns the number of record keys with retained state: a
+// CW or CR entry above the horizon, or a pending writer or reader.
+func (m *Manager) ResidentKeys() int { return len(m.keys) }
 
 // NextBlock returns M, the number of the block the next formation will seal.
 func (m *Manager) NextBlock() uint64 { return m.nextBlock }
@@ -184,19 +168,13 @@ func (m *Manager) horizon() (uint64, bool) {
 	return m.nextBlock - m.opts.MaxSpan, true
 }
 
-// growKeyIndexed extends the per-KeyID pending indices (and the formation
-// stamp array) to cover every key the table has issued.
-func (m *Manager) growKeyIndexed() {
-	n := m.keys.Len()
-	for len(m.pw) < n {
-		m.pw = append(m.pw, nil)
+// lookup appends every key with its state to dst: one map lookup per key
+// serves all four indices.
+func (m *Manager) lookup(dst []keyRef, keys []string) []keyRef {
+	for _, k := range keys {
+		dst = append(dst, keyRef{k, m.keys.Get(k)})
 	}
-	for len(m.pr) < n {
-		m.pr = append(m.pr, nil)
-	}
-	for len(m.keyStamp) < n {
-		m.keyStamp = append(m.keyStamp, 0)
-	}
+	return dst
 }
 
 // OnArrival is Algorithm 2: it runs when the consensus hands the orderer a
@@ -226,10 +204,8 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 	}
 	startTS := seqno.Snapshot(snapshotBlock)
 
-	// Intern the key sets once; everything downstream is KeyID-based.
-	m.rbuf = m.keys.InternAll(m.rbuf[:0], readKeys)
-	m.wbuf = m.keys.InternAll(m.wbuf[:0], writeKeys)
-	m.growKeyIndexed()
+	m.rbuf = m.lookup(m.rbuf[:0], readKeys)
+	m.wbuf = m.lookup(m.wbuf[:0], writeKeys)
 
 	// Phase 1 (Figure 12: "Identify conflict"): resolve the dependency sets
 	// of Section 4.3 — everything except c-ww among pending transactions.
@@ -245,21 +221,21 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 	for _, r := range m.rbuf {
 		// anti-rw: committed writers at or after the snapshot, plus pending
 		// writers. These must serialize after the new transaction.
-		m.idbuf = m.cw.After(m.idbuf[:0], r, startTS)
+		m.idbuf = r.CW.After(m.idbuf[:0], startTS)
 		for _, txid := range m.idbuf {
 			m.addLive(succ, txid)
 		}
-		for _, n := range m.pw[r] {
+		for _, n := range r.PW {
 			succ[n] = struct{}{}
 		}
 		// n-wr: the writer of the version actually read.
-		if txid, ok := m.cw.Before(r, startTS); ok {
+		if txid, ok := r.CW.Before(startTS); ok {
 			m.addLive(pred, txid)
 		}
 	}
 	for _, w := range m.wbuf {
-		m.addWritePreds(pred, w)
-		for _, n := range m.pr[w] {
+		m.addWritePreds(pred, w.keyState)
+		for _, n := range w.PR {
 			pred[n] = struct{}{}
 		}
 	}
@@ -282,10 +258,10 @@ func (m *Manager) OnArrival(id TxID, snapshotBlock uint64, readKeys, writeKeys [
 	t2 := metrics.StartWatch()
 	m.pending = append(m.pending, node)
 	for _, r := range node.readKeys {
-		m.pr[r] = append(m.pr[r], node)
+		r.PR = append(r.PR, node)
 	}
 	for _, w := range node.writeKeys {
-		m.pw[w] = append(m.pw[w], node)
+		w.PW = append(w.PW, node)
 	}
 	m.stats.IndexRecordNS += t2.ElapsedNS()
 
@@ -324,13 +300,13 @@ func (m *Manager) addLive(set map[*txNode]struct{}, txid TxID) {
 // its ancestors are emitted, which depends on reachability alone. What falls
 // is the edge count: a hot key's readers are linked to its next writer once,
 // not to every writer for max_span blocks.
-func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w intern.Key) {
+func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w *keyState) {
 	var since seqno.Seq
-	if txid, seq, ok := m.cw.Last(w); ok {
+	if txid, seq, ok := w.CW.Last(); ok {
 		m.addLive(pred, txid)
 		since = seq
 	}
-	m.idbuf = m.cr.After(m.idbuf[:0], w, since)
+	m.idbuf = w.CR.After(m.idbuf[:0], since)
 	for _, txid := range m.idbuf {
 		m.addLive(pred, txid)
 	}
@@ -352,27 +328,26 @@ func (m *Manager) addWritePreds(pred map[*txNode]struct{}, w intern.Key) {
 // declared sets, a superset of the re-executed ones (reexec's containment
 // rule): extra edges only abort more, never less.
 func (m *Manager) CommitTail(id TxID, at seqno.Seq, readKeys, writeKeys []string) {
-	m.rbuf = m.keys.InternAll(m.rbuf[:0], readKeys)
-	m.wbuf = m.keys.InternAll(m.wbuf[:0], writeKeys)
-	m.growKeyIndexed()
+	m.rbuf = m.lookup(m.rbuf[:0], readKeys)
+	m.wbuf = m.lookup(m.wbuf[:0], writeKeys)
 	pred := m.predSet
 	defer clear(pred)
 	for _, r := range m.rbuf {
-		if txid, _, ok := m.cw.Last(r); ok {
+		if txid, _, ok := r.CW.Last(); ok {
 			m.addLive(pred, txid)
 		}
 	}
 	for _, w := range m.wbuf {
-		m.addWritePreds(pred, w)
+		m.addWritePreds(pred, w.keyState)
 	}
-	node := m.g.newNode(id, at, m.rbuf, m.wbuf)
+	node := m.g.newNode(id, at, nil, nil)
 	node.endTS, node.committed = at, true
 	m.g.insert(node, pred, nil, at.Block)
-	for _, w := range node.writeKeys {
-		m.cw.Put(w, at, id)
+	for _, w := range m.wbuf {
+		w.CW.Put(at, id)
 	}
-	for _, r := range node.readKeys {
-		m.cr.Put(r, at, id)
+	for _, r := range m.rbuf {
+		r.CR.Put(at, id)
 	}
 	m.stats.Committed++
 }
@@ -411,25 +386,22 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 
 	// Restore ww dependencies (Figure 11: "Restore ww"): collect the keys
 	// with two or more pending writers, order them deterministically by
-	// record-key string (the same order the pre-interning implementation
-	// used, so decisions are bit-identical), and hand the position-sorted
-	// writer groups to the graph.
+	// record key, and hand the position-sorted writer groups to the graph.
 	t1 := metrics.StartWatch()
-	m.keyEpoch++
 	wwKeys := m.wwKeys[:0]
 	for _, n := range order {
 		for _, w := range n.writeKeys {
-			if m.keyStamp[w] != m.keyEpoch && len(m.pw[w]) >= 2 {
-				m.keyStamp[w] = m.keyEpoch
+			// Every pending writer is in order: collect the key at the first.
+			if len(w.PW) >= 2 && w.PW[0] == n {
 				wwKeys = append(wwKeys, w)
 			}
 		}
 	}
-	sortKeysByString(m.keys, wwKeys)
+	sort.Slice(wwKeys, func(i, j int) bool { return wwKeys[i].key < wwKeys[j].key })
 	groups := m.wwGroups[:0]
 	for _, w := range wwKeys {
-		sortWriters(m.pw[w])
-		groups = append(groups, m.pw[w])
+		sortWriters(w.PW)
+		groups = append(groups, w.PW)
 	}
 	m.g.restoreWW(groups, topo)
 	m.wwKeys = wwKeys
@@ -437,25 +409,21 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 	m.stats.RestoreWWNS += t1.ElapsedNS()
 
 	// Persist commitments to the CW/CR storages (Figure 11: "Persist to
-	// storage") and clear the pending indices.
+	// storage") and clear the pending indices. A committed node lets go of
+	// its key states, which pruning may then delete.
 	t2 := metrics.StartWatch()
 	ids := make([]TxID, len(order))
 	for i, n := range order {
 		ids[i] = n.id
 		for _, w := range n.writeKeys {
-			m.cw.Put(w, n.endTS, n.id)
+			w.CW.Put(n.endTS, n.id)
+			w.PW = w.PW[:0]
 		}
 		for _, r := range n.readKeys {
-			m.cr.Put(r, n.endTS, n.id)
+			r.CR.Put(n.endTS, n.id)
+			r.PR = r.PR[:0]
 		}
-	}
-	for _, n := range order {
-		for _, w := range n.writeKeys {
-			m.pw[w] = m.pw[w][:0]
-		}
-		for _, r := range n.readKeys {
-			m.pr[r] = m.pr[r][:0]
-		}
+		n.readKeys, n.writeKeys = nil, nil
 	}
 	m.pending = m.pending[:0]
 	m.g.bumpCommitted(order, block)
@@ -468,7 +436,7 @@ func (m *Manager) OnBlockFormation() ([]TxID, uint64) {
 }
 
 // SealBlock consumes block number M: prune G and the indices (Figure 11:
-// "Prune G"), advance M, relay, compact. OnBlockFormation ends with it; the
+// "Prune G"), advance M, relay. OnBlockFormation ends with it; the
 // orderer calls it directly for a cut that formed nothing but still seals a
 // block — one holding only a deferred tail.
 func (m *Manager) SealBlock() {
@@ -477,68 +445,12 @@ func (m *Manager) SealBlock() {
 	m.nextBlock++
 	if h, ok := m.horizon(); ok {
 		m.stats.PrunedNodes += uint64(m.g.prune(h))
-		m.cw.PruneBefore(h)
-		m.cr.PruneBefore(h)
+		m.keys.PruneBefore(h)
 	}
 	if block%m.opts.RelayBlocks == 0 {
 		m.g.rebuildReachability()
 	}
 	m.stats.PruneNS += t3.ElapsedNS()
-
-	// Epoch compaction (PR 4): after index pruning, at a block boundary
-	// every replica reaches identically, rebuild the intern table around the
-	// keys still referenced by retained state.
-	if m.opts.CompactEvery > 0 && block%m.opts.CompactEvery == 0 {
-		t4 := metrics.StartWatch()
-		m.compact()
-		m.stats.CompactNS += t4.ElapsedNS()
-	}
-}
-
-// compact is the deterministic epoch compaction: it collects the liveness
-// set — every KeyID still referenced by a retained CW/CR entry, a pending
-// PW/PR slot, or a live graph node's key set — rebuilds the intern table
-// with dense KeyIDs re-assigned in old-ID order, and remaps every
-// KeyID-indexed structure. The liveness set and the old-ID iteration order
-// are both pure functions of the consensus stream, so replicas starting
-// from the same stream produce bit-identical post-compaction state; and
-// because a dropped key by construction has no retained entries anywhere,
-// every index query on it answers "empty" exactly as before — compaction
-// cannot change scheduling decisions (asserted by the equivalence tests).
-func (m *Manager) compact() {
-	// Committed-but-unpruned nodes keep their key sets (only pending nodes'
-	// sets are read again, but a stale KeyID anywhere is a latent
-	// corruption), so every live node pins its keys.
-	markNodes := func(live []bool) {
-		for _, n := range m.g.nodes {
-			for _, k := range n.readKeys {
-				live[k] = true
-			}
-			for _, k := range n.writeKeys {
-				live[k] = true
-			}
-		}
-	}
-	var remap []intern.Key
-	m.pw, m.pr, remap = CompactKeyState(m.keys, m.cw, m.cr, m.pw, m.pr, markNodes)
-	newLen := m.keys.Len()
-	m.stats.Compactions++
-	m.stats.CompactedKeys += uint64(len(remap) - newLen)
-	// Stamps restart at zero: keyEpoch only grows and is never reset, so a
-	// zero stamp can never collide with a live epoch.
-	m.keyStamp = make([]uint64, newLen)
-	//sharp:orderinvariant per-node in-place KeyID remap; every node is rewritten independently of visit order
-	for _, n := range m.g.nodes {
-		intern.RemapInPlace(n.readKeys, remap)
-		intern.RemapInPlace(n.writeKeys, remap)
-	}
-	// Scratch that carried pre-compaction KeyIDs must not leak them, and
-	// wwGroups' writer-slice aliases must not pin the retired slot arrays.
-	m.rbuf, m.wbuf, m.wwKeys = m.rbuf[:0], m.wbuf[:0], m.wwKeys[:0]
-	for i := range m.wwGroups {
-		m.wwGroups[i] = nil
-	}
-	m.wwGroups = m.wwGroups[:0]
 }
 
 // MinRetainedSnapshot returns the oldest snapshot block a newly arriving
@@ -549,14 +461,4 @@ func (m *Manager) MinRetainedSnapshot() uint64 {
 		return h + 1
 	}
 	return 0
-}
-
-// sortKeysByString orders KeyIDs by their record-key strings — the
-// deterministic iteration order Algorithm 5's edge restoration was specified
-// with (sorted map keys before interning).
-func sortKeysByString(tbl *intern.Table, keys []intern.Key) {
-	if len(keys) < 2 {
-		return
-	}
-	sort.Slice(keys, func(i, j int) bool { return tbl.Lookup(keys[i]) < tbl.Lookup(keys[j]) })
 }

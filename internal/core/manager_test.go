@@ -379,98 +379,28 @@ func TestArrivalStatsCountOnlyContractValidCalls(t *testing.T) {
 	}
 }
 
-// churnArrive feeds the manager a rotating key space: every block touches a
-// fresh generation of keys, so without compaction the intern table grows
-// with every block.
-func churnArrive(t *testing.T, m *Manager, blocks, perBlock int) (distinct int) {
-	t.Helper()
-	height := uint64(0)
-	n := 0
-	for b := 0; b < blocks; b++ {
+// TestPruneBoundsResidentKeys runs a churn stream — every block reads and
+// writes a fresh generation of keys — through a default-configured Manager:
+// after every formation the resident keys are exactly the generations the
+// max-span horizon retains, while the distinct-key universe keeps growing.
+func TestPruneBoundsResidentKeys(t *testing.T) {
+	const blocks, perBlock, maxSpan = 60, 10, 10 // maxSpan: the default
+	m := NewManager(Options{})
+	height, n := uint64(0), 0
+	for b := 1; b <= blocks; b++ {
 		for i := 0; i < perBlock; i++ {
 			r := fmt.Sprintf("g%d:r%d", b, i)
 			w := fmt.Sprintf("g%d:w%d", b, i)
 			arrive(t, m, fmt.Sprintf("t%d", n), height, []string{r}, []string{w}, protocol.Valid)
 			n++
-			distinct += 2
 		}
 		ids, block := m.OnBlockFormation()
 		if len(ids) > 0 {
 			height = block
 		}
-	}
-	return distinct
-}
-
-// TestCompactionBoundsResidency is the acceptance criterion in miniature:
-// under a churn workload spanning 60 blocks, a compacting manager holds its
-// intern table and MemIndex slot count to a horizon-sized window while the
-// total distinct-key universe keeps growing.
-func TestCompactionBoundsResidency(t *testing.T) {
-	m := NewManager(Options{MaxSpan: 4, CompactEvery: 4})
-	distinct := churnArrive(t, m, 60, 10)
-	// Horizon window: MaxSpan blocks x 20 keys/block, plus up to
-	// CompactEvery blocks of growth since the last compaction.
-	bound := 20 * (4 + 4)
-	if got := m.Keys().Len(); got > bound || got == 0 {
-		t.Fatalf("resident keys = %d, want 1..%d (distinct keys seen: %d)", got, bound, distinct)
-	}
-	if got := m.cw.Slots(); got > bound {
-		t.Fatalf("CW slots = %d, want <= %d", got, bound)
-	}
-	if got := m.cr.Slots(); got > bound {
-		t.Fatalf("CR slots = %d, want <= %d", got, bound)
-	}
-	st := m.Stats()
-	if st.Compactions == 0 || st.CompactedKeys == 0 {
-		t.Fatalf("compactions did not run: %+v", st)
-	}
-	// Sanity: an identical manager without compaction really does grow.
-	m0 := NewManager(Options{MaxSpan: 4})
-	churnArrive(t, m0, 60, 10)
-	if got := m0.Keys().Len(); got != distinct {
-		t.Fatalf("append-only manager resident keys = %d, want %d", got, distinct)
-	}
-}
-
-// TestCompactionDecisionEquivalence asserts compaction is decision-free: a
-// dropped key has no retained entries anywhere, so every admission code and
-// every formed block must be bit-identical between a compacting and an
-// append-only manager over the same contended stream.
-func TestCompactionDecisionEquivalence(t *testing.T) {
-	run := func(compactEvery uint64) []string {
-		m := NewManager(Options{MaxSpan: 4, CompactEvery: compactEvery})
-		var log []string
-		height := uint64(0)
-		n := 0
-		for b := 0; b < 40; b++ {
-			for i := 0; i < 12; i++ {
-				// Mix of churned generation keys and a persistent hot set so
-				// real conflicts (and aborts) cross compaction boundaries.
-				r := fmt.Sprintf("hot%d", (n*3)%5)
-				w := fmt.Sprintf("g%d:w%d", b/3, i%4)
-				if n%2 == 0 {
-					r, w = w, r
-				}
-				code, err := m.OnArrival(TxID(fmt.Sprintf("t%d", n)), height, []string{r}, []string{w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				log = append(log, fmt.Sprintf("%d:%v", n, code))
-				n++
-			}
-			ids, block := m.OnBlockFormation()
-			if len(ids) > 0 {
-				height = block
-			}
-			log = append(log, fmt.Sprint(ids))
-		}
-		return log
-	}
-	plain, compacted := run(0), run(4)
-	for i := range plain {
-		if plain[i] != compacted[i] {
-			t.Fatalf("decisions diverged at step %d: %q vs %q", i, plain[i], compacted[i])
+		want := 2 * perBlock * min(b, maxSpan)
+		if got := m.ResidentKeys(); got != want {
+			t.Fatalf("after block %d: %d resident keys, want %d (%d distinct keys seen)", b, got, want, 2*perBlock*b)
 		}
 	}
 }
@@ -487,16 +417,16 @@ func TestWritePredReductionIsImplied(t *testing.T) {
 	implied := 0
 	check := func(writes []string) {
 		for _, k := range writes {
-			w, ok := h.m.keys.Find(k)
+			w, ok := h.m.keys[k]
 			if !ok {
 				continue
 			}
-			cwID, cwSeq, ok := h.m.cw.Last(w)
-			if !ok || int(w) >= len(h.m.cr.entries) {
+			cwID, cwSeq, ok := w.CW.Last()
+			if !ok {
 				continue
 			}
 			cw, cwLive := h.m.g.lookup(cwID)
-			for _, e := range h.m.cr.entries[w] {
+			for _, e := range w.CR {
 				if !e.seq.Less(cwSeq) {
 					break
 				}

@@ -330,22 +330,20 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 	}
 }
 
-// TestCompactionLeadFollowerAgreement is the hard invariant of PR 4's epoch
-// compaction: lead and follower orderers compact their intern tables at cut
-// time — remapping every KeyID — and must still seal bit-identical chains.
-// The workload churns through a rotating key space (every round touches a
-// fresh generation, retiring the previous one past the horizon) alongside a
-// persistent hot set, across at least two compaction boundaries, for the
-// schedulers whose committed-key state actually participates in decisions.
-func TestCompactionLeadFollowerAgreement(t *testing.T) {
+// TestChurnAcrossHorizonLeadFollowerAgreement churns lead and follower
+// orderers through a rotating key space (every round touches a fresh
+// generation, retiring the previous one past the max-span horizon, which
+// deletes its keys from the schedulers' indices) alongside a persistent hot
+// set: they must still seal bit-identical chains. It runs the schedulers
+// whose per-key state participates in decisions.
+func TestChurnAcrossHorizonLeadFollowerAgreement(t *testing.T) {
 	for _, system := range []sched.System{sched.SystemSharp, sched.SystemFoccS} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
 			n := newNet(t, Options{
-				System:       system,
-				BlockSize:    4,
-				MaxSpan:      4,
-				CompactEvery: 2,
+				System:    system,
+				BlockSize: 4,
+				MaxSpan:   4,
 			})
 			client, err := n.NewClient("churn")
 			if err != nil {
@@ -376,10 +374,9 @@ func TestCompactionLeadFollowerAgreement(t *testing.T) {
 			if err := n.Err(); err != nil {
 				t.Fatal(err)
 			}
-			// ≥2 compaction boundaries: with CompactEvery=2 that means at
-			// least 4 sealed blocks.
-			if sealed := n.OrdererChain().Len(); sealed < 4 {
-				t.Fatalf("only %d blocks sealed — fewer than two compaction epochs", sealed)
+			// With MaxSpan=4 the sixth sealed block prunes the first.
+			if sealed := n.OrdererChain().Len(); sealed < 6 {
+				t.Fatalf("only %d blocks sealed — the horizon never pruned", sealed)
 			}
 			assertOrderersAgree(t, n)
 		})

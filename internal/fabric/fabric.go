@@ -38,15 +38,14 @@ import (
 )
 
 // Options configures a network. System, BlockSize, BlockTimeout, MaxSpan,
-// CompactEvery, DedupHorizon, Rescue and Genesis are the ordering service's
-// tunables, documented (with their defaults) on orderer.Options;
-// Rescue and Genesis reach the peers too.
+// DedupHorizon, Rescue and Genesis are the ordering service's tunables,
+// documented (with their defaults) on orderer.Options; Rescue and Genesis
+// reach the peers too.
 type Options struct {
 	System       sched.System
 	BlockSize    int
 	BlockTimeout time.Duration
 	MaxSpan      uint64
-	CompactEvery uint64
 	DedupHorizon uint64
 	// Rescue enables post-order speculative re-execution of conflict-aborted
 	// transactions at every replica (the orderer's shadow and peer committers
@@ -109,7 +108,6 @@ func (o Options) ordering() orderer.Options {
 		BlockSize:    o.BlockSize,
 		BlockTimeout: o.BlockTimeout,
 		MaxSpan:      o.MaxSpan,
-		CompactEvery: o.CompactEvery,
 		DedupHorizon: o.DedupHorizon,
 		Rescue:       o.Rescue,
 		Genesis:      o.Genesis,

@@ -23,7 +23,7 @@ import (
 // OrdererConfig parameterizes an ordering process.
 type OrdererConfig struct {
 	// Options tune the ordering service itself (system, block cutting,
-	// compaction, dedup, rescue, genesis). Rescue and Genesis must match the
+	// dedup, rescue, genesis). Rescue and Genesis must match the
 	// peers': the rescue digest is byte-asserted across the cluster, and
 	// every replica — orderer shadows and remote peers alike — must install
 	// the identical genesis or MVCC verdicts diverge (resolve it once from

@@ -310,12 +310,12 @@ func TestFollowerAnswersSubmitAtOnce(t *testing.T) {
 	}
 }
 
-// TestOrdererRestartAcrossCompactionEpochUnderRaft is an orderer's one
-// restart path across compaction epochs: a follower orderer crashes, misses
-// several blocks spanning intern-table compaction epochs, restarts with its
+// TestFollowerOrdererRestartCatchesUpUnderRaft is an orderer's one restart
+// path: a follower orderer crashes, misses enough blocks that the max-span
+// horizon prunes keys the stream wrote before the crash, restarts with its
 // persisted term/vote and an empty log, catches up from the leader, and
-// re-derives bit-identical blocks through the same epoch schedule.
-func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
+// re-derives bit-identical blocks by re-folding the stream.
+func TestFollowerOrdererRestartCatchesUpUnderRaft(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process-shaped Raft cluster is not a -short test")
 	}
@@ -323,7 +323,6 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	cfgs, ords, ordererAddrs := startRaftOrderers(t, sched.SystemSharp, 3, peerNames, func(_ int, cfg *OrdererConfig) {
 		cfg.BlockSize = 2
 		cfg.MaxSpan = 4
-		cfg.CompactEvery = 2
 		cfg.RaftDir = t.TempDir()
 	})
 	peer, err := StartPeer(PeerConfig{
@@ -344,7 +343,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Churn through rotating keys so compaction has keys to retire.
+	// Churn through rotating keys so the horizon has keys to retire.
 	for i := 0; i < 8; i++ {
 		if _, err := client.Submit("kv", "put", fmt.Sprintf("g%d:k%d", i/4, i), "v1"); err != nil {
 			t.Fatal(err)
@@ -357,7 +356,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	ords[down].Close()
 	ords[down] = nil
 
-	// Cross at least two more compaction epochs while it is gone.
+	// Seal past the horizon while it is gone.
 	for i := 0; i < 8; i++ {
 		if _, err := client.Submit("kv", "put", fmt.Sprintf("h%d:k%d", i/4, i), "v2"); err != nil {
 			t.Fatal(err)
@@ -369,12 +368,12 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 	}
 	want := ords[liveIdx].Chain()
 	if want.Len() < 8 {
-		t.Fatalf("sealed only %d blocks, need >= 8 (four compaction epochs)", want.Len())
+		t.Fatalf("sealed only %d blocks, need >= 8 (past the max-span horizon of 4)", want.Len())
 	}
 
 	// Restart with the same identity, ports, and state dir: the persisted
 	// term survives, the log catches up over the wire, and the shadow
-	// pipeline re-derives every block — compaction boundaries included.
+	// pipeline re-derives every block — the pruned ones included.
 	reborn, err := StartOrderer(cfgs[down])
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +398,7 @@ func TestOrdererRestartAcrossCompactionEpochUnderRaft(t *testing.T) {
 			t.Fatalf("restarted orderer missing block %d", n)
 		}
 		if !bytes.Equal(wb.Hash(), gb.Hash()) {
-			t.Fatalf("block %d diverges after restart across compaction epochs", n)
+			t.Fatalf("block %d diverges after the follower's restart", n)
 		}
 		for i := range wb.Validation {
 			if wb.Validation[i] != gb.Validation[i] {

@@ -80,8 +80,8 @@ func driveScenario(t *testing.T, client *Client, gen workload.Generator, n int) 
 // TestScenarioChaosMatrix is the registry's end-to-end contract: every
 // registered scenario runs against a 3-orderer Raft / 2-peer wire cluster
 // whose links drop, duplicate, and delay frames, loses a follower orderer
-// and a peer mid-run, crosses several intern-table compaction epochs while
-// they are down, and resurrects both. Afterwards every replica — surviving
+// and a peer mid-run, keeps sealing blocks while they are down, and
+// resurrects both. Afterwards every replica — surviving
 // orderers, the restarted orderer, the surviving peer, and the reborn peer —
 // must hold the bit-identical chain, the peers identical state fingerprints,
 // and the final state must satisfy the scenario's own invariant.
@@ -92,7 +92,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 	// Two scenarios run under plain Fabric so the matrix exercises both MVCC
 	// pipelines and one under focc-s; the rest take fabric#. Every node runs
 	// with rescue, so the last two defer what they would abort and re-execute
-	// it in the block's tail — through the crashes and compaction epochs.
+	// it in the block's tail — through the crashes.
 	systems := map[string]sched.System{"token": sched.SystemFabric, "auction": sched.SystemFabric, "msmallbank": sched.SystemFoccS}
 	for si, name := range scenario.Names() {
 		si, name := si, name
@@ -114,7 +114,6 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			cfgs, ords, ordererAddrs := startRaftOrderers(t, system, 3, peerNames, func(i int, cfg *OrdererConfig) {
 				cfg.BlockSize = 4
 				cfg.MaxSpan = 8
-				cfg.CompactEvery = 2
 				cfg.RaftDir = t.TempDir()
 				cfg.Genesis = genesis
 				// Raft absorbs dropped frames through retransmission, so the
@@ -164,8 +163,8 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			ords[down].Close()
 			ords[down] = nil
 
-			// Cross several compaction epochs (BlockSize=4, CompactEvery=2)
-			// while it is gone, losing peer1 partway through.
+			// Seal several blocks (BlockSize=4) while it is gone, losing
+			// peer1 partway through.
 			c, a := driveScenario(t, client, gen, 12)
 			committed, aborted = committed+c, aborted+a
 			if err := peers[1].Close(); err != nil {
@@ -177,7 +176,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			// Resurrect both: a replacement peer1 (fresh state, same genesis,
 			// catches up from block 1) and the downed orderer (persisted
 			// term, empty log, catches up from the leader and re-derives
-			// every block through the same compaction schedule).
+			// every block by re-folding the stream).
 			reborn, err := StartPeer(peerCfg("peer1"))
 			if err != nil {
 				t.Fatal(err)
@@ -233,7 +232,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 				return reborn.Chain().Len(), reborn.Chain().TipHash()
 			})
 			if ref.Len() < 6 {
-				t.Fatalf("sealed only %d blocks; the outage must span compaction epochs", ref.Len())
+				t.Fatalf("sealed only %d blocks; the outage must span several blocks", ref.Len())
 			}
 			rescued := 0
 			ref.ForEach(func(b *ledger.Block) bool {

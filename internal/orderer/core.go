@@ -83,7 +83,7 @@ type deferredTx struct {
 // shadow.
 func NewCore(cfg CoreConfig) (*Core, error) {
 	cfg.Options = cfg.Options.withDefaults()
-	scheduler, err := sched.New(cfg.System, sched.Options{MaxSpan: cfg.MaxSpan, CompactEvery: cfg.CompactEvery})
+	scheduler, err := sched.New(cfg.System, sched.Options{MaxSpan: cfg.MaxSpan})
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +242,6 @@ func (c *Core) Arrive(tx *protocol.Transaction) (code protocol.ValidationCode, j
 // embedded. It returns the sealed block (nil when formation ordered nothing
 // and nothing was deferred) and the transactions formation dropped. ev, when
 // not nil, hears the cut's stage boundaries (Events.CutStage).
-//
-// The cut is also where intern-table epoch compaction fires (inside
-// OnBlockFormation, see Options.CompactEvery); the shadow validator's state
-// is string-keyed and unaffected by the KeyID remappings.
 func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
 	num := c.NextBlock()
 	mark := func(stage trace.Stage) {

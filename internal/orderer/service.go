@@ -45,17 +45,6 @@ type Options struct {
 	BlockTimeout time.Duration
 	// MaxSpan is Sharp's pruning horizon (default 10).
 	MaxSpan uint64
-	// CompactEvery enables the schedulers' deterministic intern-table epoch
-	// compaction: every CompactEvery sealed blocks, each scheduler rebuilds
-	// its key-interning state at cut time keeping only keys referenced by
-	// retained (above-horizon) entries — bounding orderer memory under
-	// unbounded key spaces. Cuts happen at identical consensus-stream
-	// positions on every replica, so the rebuilt tables (and all KeyID
-	// remappings) are bit-identical across orderers, and a restarted
-	// orderer re-folding the stream compacts at the same blocks (the
-	// trigger is a pure function of sealed block numbers). 0 (default)
-	// keeps the tables append-only.
-	CompactEvery uint64
 	// DedupHorizon bounds the duplicate-suppression memory: a TxID first
 	// seen while block B was being assembled is forgotten once block
 	// B+DedupHorizon seals (default DefaultDedupHorizon). Eviction runs at

@@ -423,30 +423,65 @@ func TestVanillaFabricChainIsTheParents(t *testing.T) {
 	}
 }
 
-// TestSharpHotChainIsTheParents pins Fabric#'s decisions — every admission,
-// deferral, commit order and rescue — on the hot shape (msmallbank, hot
-// 0.5/0.5), across the max_span prune horizon and two reachability relays.
+// hotChain folds the hot shape (msmallbank, hot 0.5/0.5) through a rig of
+// system: 400 transactions in blocks of 8, past the max_span prune horizon
+// (10) five times over and, under fabric#, across two reachability relays.
 // 10 of the rig's 400 accounts are hot, so a block of 8 meets about as many
 // readers per hot account (1.6) as the cluster's block of 90 over 100 hot
-// accounts (1.8), and about 40 % of the stream is deferred and rescued. The
-// digest below is the chain the commit before the transitive reduction of
-// the predecessor edges and the reuse of the formation's topological order
-// in Algorithm 5 sealed, computed there by this function. Both change only
-// how reachability is represented; a tree that seals a different chain here
-// changed the algorithm.
-func TestSharpHotChainIsTheParents(t *testing.T) {
-	const parents = "0d47a1c2e8e906a58e4f98e298193599025432be7c5b45c84be220084052cfc1"
+// accounts (1.8).
+func hotChain(t *testing.T, system sched.System) (digest string, rescued int) {
 	rng := rand.New(rand.NewSource(32))
 	gen, err := workload.NewModifiedSmallbank(rng, rigAccounts, 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen.HotFrac = 0.025
-	got, rescued := streamDigest(t, sched.SystemSharp, 8, 400, rng, gen.Next)
+	return streamDigest(t, system, 8, 400, rng, gen.Next)
+}
+
+// TestSharpHotChainIsTheParents pins Fabric#'s decisions — every admission,
+// deferral, commit order and rescue — on the hot shape, where about 40 % of
+// the stream is deferred and rescued. The digest below is the chain the
+// commit before the transitive reduction of the predecessor edges and the
+// reuse of the formation's topological order in Algorithm 5 sealed, computed
+// there by this function; the commit before the schedulers' per-key state
+// was keyed by the record key instead of an interned KeyID seals it too.
+// Each change touched only how keys or reachability are represented; a tree
+// that seals a different chain here changed the algorithm.
+func TestSharpHotChainIsTheParents(t *testing.T) {
+	const parents = "0d47a1c2e8e906a58e4f98e298193599025432be7c5b45c84be220084052cfc1"
+	got, rescued := hotChain(t, sched.SystemSharp)
 	if rescued == 0 {
 		t.Fatal("the stream exercised no rescue")
 	}
 	if got != parents {
 		t.Fatalf("fabric# + rescue sealed chain %s (%d rescued), the parent commit sealed %s", got, rescued, parents)
+	}
+}
+
+// TestHotChainsAreTheParents pins the other key-holding schedulers the same
+// way, each with rescue on: the digests are the chains the commit before the
+// per-key state was keyed by the record key sealed, computed there by
+// hotChain. Focc-s prunes its indices at the horizon; Fabric++ reorders each
+// batch over string-keyed conflict maps; Focc-l checks reads against every
+// committed version it has seen.
+func TestHotChainsAreTheParents(t *testing.T) {
+	for _, row := range []struct {
+		system  sched.System
+		parents string
+	}{
+		{sched.SystemFoccS, "05c2cd66e84e95a6e84a45203a516991aa6d876c9e01a366ec8fca908679aff3"},
+		{sched.SystemFabricPP, "c8600f101013900bc2f1f18315301d026b431ec551aa6042ffdf02abd8e6f24c"},
+		{sched.SystemFoccL, "4fe85bdce7daacd500dbbe04d6ae89888d5a5b44d76876577afde47fe7fe4a6b"},
+	} {
+		t.Run(string(row.system), func(t *testing.T) {
+			got, rescued := hotChain(t, row.system)
+			if rescued == 0 {
+				t.Fatal("the stream exercised no rescue")
+			}
+			if got != row.parents {
+				t.Fatalf("%s + rescue sealed chain %s (%d rescued), the parent commit sealed %s", row.system, got, rescued, row.parents)
+			}
+		})
 	}
 }

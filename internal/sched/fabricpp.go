@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
 )
 
@@ -15,16 +14,14 @@ import (
 // strictly block-local — the limitation Proposition 3 exposes and Sharp
 // removes.
 type FabricPP struct {
-	pending      []*protocol.Transaction
-	keys         *intern.Table
-	compactEvery uint64
-	nextBlock    uint64
-	timing       Timing
+	pending   []*protocol.Transaction
+	nextBlock uint64
+	timing    Timing
 }
 
 // NewFabricPP returns the Fabric++ scheduler.
-func NewFabricPP(opts Options) *FabricPP {
-	return &FabricPP{keys: intern.NewTable(), compactEvery: opts.CompactEvery, nextBlock: 1}
+func NewFabricPP() *FabricPP {
+	return &FabricPP{nextBlock: 1}
 }
 
 // System implements Scheduler.
@@ -49,21 +46,13 @@ func (f *FabricPP) OnBlockFormation() (FormationResult, error) {
 		return FormationResult{Block: f.nextBlock}, nil
 	}
 	w := startWatch()
-	ordered, dropped := reorderBatch(f.keys, f.pending)
-	block := f.nextBlock
-	res := FormationResult{Block: block, Ordered: ordered}
+	ordered, dropped := reorderBatch(f.pending)
+	res := FormationResult{Block: f.nextBlock, Ordered: ordered}
 	for _, tx := range dropped {
 		res.DroppedTxs = append(res.DroppedTxs, Dropped{Tx: tx, Code: protocol.AbortReorderCycle})
 	}
 	f.pending = nil
 	f.nextBlock++
-	// Fabric++'s conflict indices are strictly per-batch: nothing keyed by
-	// KeyID survives a formation, so epoch compaction degenerates to
-	// starting a fresh table — still at a stream-determined boundary, so
-	// replicas agree, and reordering decisions are untouched.
-	if f.compactEvery > 0 && block%f.compactEvery == 0 {
-		f.keys = intern.NewTable()
-	}
 	f.timing.Formations++
 	f.timing.FormationNS += w.elapsedNS()
 	return res, nil
@@ -79,28 +68,25 @@ func (f *FabricPP) NeedsMVCCValidation() bool { return true }
 // PendingCount implements Scheduler.
 func (f *FabricPP) PendingCount() int { return len(f.pending) }
 
-// ResidentKeys implements Scheduler.
-func (f *FabricPP) ResidentKeys() int { return f.keys.Len() }
+// ResidentKeys implements Scheduler: Fabric++'s conflict indices live for
+// one formation, so none outlives a batch.
+func (f *FabricPP) ResidentKeys() int { return 0 }
 
 // Timing implements Scheduler.
 func (f *FabricPP) Timing() Timing { return f.timing }
 
 // reorderBatch performs Fabric++-style cycle elimination and topological
-// reordering over one batch. Keys are interned through the scheduler's
-// table, so the per-batch conflict indices hash a uint32 rather than the key
-// bytes. It returns the serializable order and the transactions dropped to
-// break cycles.
-func reorderBatch(tbl *intern.Table, batch []*protocol.Transaction) (ordered, dropped []*protocol.Transaction) {
+// reordering over one batch. It returns the serializable order and the
+// transactions dropped to break cycles.
+func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.Transaction) {
 	n := len(batch)
-	readers := map[intern.Key][]int{} // key -> batch indices reading it
-	writers := map[intern.Key][]int{} // key -> batch indices writing it
+	readers := map[string][]int{} // key -> batch indices reading it
+	writers := map[string][]int{} // key -> batch indices writing it
 	for i, tx := range batch {
-		for _, s := range tx.RWSet.ReadKeys() {
-			k := tbl.Intern(s)
+		for _, k := range tx.RWSet.ReadKeys() {
 			readers[k] = append(readers[k], i)
 		}
-		for _, s := range tx.RWSet.WriteKeys() {
-			k := tbl.Intern(s)
+		for _, k := range tx.RWSet.WriteKeys() {
 			writers[k] = append(writers[k], i)
 		}
 	}

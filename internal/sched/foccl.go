@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -17,45 +16,18 @@ import (
 // until there are only transactions without dependencies", Section 5.3).
 // Unsalvageable transactions stay in the block and fail MVCC validation —
 // the ledger still carries unserializable transactions, exactly like
-// Fabric.
-// With Options.CompactEvery set, the committed-version tracking is bounded
-// to a sliding window: entries whose version fell MaxSpan blocks behind the
-// sealed height are dropped (with their interned keys) at compaction
-// boundaries. Doomed-detection then only catches reads stale within the
-// window — older stale reads are simply left for the validation phase,
-// which runs for Focc-l regardless — in exchange for memory proportional to
-// the recently written key set instead of every key ever written. Eviction
-// happens at stream-determined positions, so replicas stay in agreement.
+// Fabric. Focc-l keeps the latest committed version of every key it has
+// seen written: a read stale against any of them is doomed.
 type FoccL struct {
-	pending      []*protocol.Transaction
-	keys         *intern.Table
-	committed    []seqno.Seq // latest valid version per KeyID, from feedback (zero = none)
-	maxSpan      uint64
-	compactEvery uint64
-	nextBlock    uint64
-	timing       Timing
+	pending   []*protocol.Transaction
+	committed map[string]seqno.Seq // latest valid version per key, from feedback
+	nextBlock uint64
+	timing    Timing
 }
 
 // NewFoccL returns the Focc-l scheduler.
-func NewFoccL(opts Options) *FoccL {
-	if opts.MaxSpan == 0 {
-		opts.MaxSpan = 10
-	}
-	return &FoccL{
-		keys:         intern.NewTable(),
-		maxSpan:      opts.MaxSpan,
-		compactEvery: opts.CompactEvery,
-		nextBlock:    1,
-	}
-}
-
-// committedAt returns the latest valid version recorded for key.
-func (f *FoccL) committedAt(k intern.Key) (seqno.Seq, bool) {
-	if int(k) >= len(f.committed) {
-		return seqno.Seq{}, false
-	}
-	seq := f.committed[k]
-	return seq, seq != seqno.Seq{}
+func NewFoccL() *FoccL {
+	return &FoccL{committed: map[string]seqno.Seq{}, nextBlock: 1}
 }
 
 // System implements Scheduler.
@@ -78,38 +50,12 @@ func (f *FoccL) OnBlockFormation() (FormationResult, error) {
 	}
 	w := startWatch()
 	ordered := f.greedyOrder(f.pending)
-	block := f.nextBlock
-	res := FormationResult{Block: block, Ordered: ordered}
+	res := FormationResult{Block: f.nextBlock, Ordered: ordered}
 	f.pending = nil
 	f.nextBlock++
-	if f.compactEvery > 0 && block%f.compactEvery == 0 {
-		f.compact(block)
-	}
 	f.timing.Formations++
 	f.timing.FormationNS += w.elapsedNS()
 	return res, nil
-}
-
-// compact drops committed-version entries that fell out of the MaxSpan
-// window ending at the just-sealed block, and rebuilds the intern table
-// around the survivors. Keys interned only for reads (staleAgainstCommitted
-// probes) never acquire a committed entry and are dropped too; they
-// re-intern on next sight.
-func (f *FoccL) compact(sealed uint64) {
-	var h uint64
-	if sealed > f.maxSpan {
-		h = sealed - f.maxSpan
-	}
-	old := f.committed
-	remap := f.keys.Compact(func(k intern.Key) bool {
-		return int(k) < len(old) && old[k] != (seqno.Seq{}) && old[k].Block >= h
-	})
-	f.committed = make([]seqno.Seq, f.keys.Len())
-	for ok, nk := range remap {
-		if nk != intern.Dropped {
-			f.committed[nk] = old[ok]
-		}
-	}
 }
 
 // greedyOrder permutes the batch. Doomed transactions — whose reads are
@@ -127,7 +73,7 @@ func (f *FoccL) greedyOrder(batch []*protocol.Transaction) []*protocol.Transacti
 			viable = append(viable, tx)
 		}
 	}
-	ordered, dropped := reorderBatch(f.keys, viable) // same graph machinery as Fabric++
+	ordered, dropped := reorderBatch(viable) // same graph machinery as Fabric++
 	// Deferred (cycle-breaking) transactions go to the back: some may still
 	// pass validation if the writes that would doom them belong to
 	// transactions that themselves abort.
@@ -140,7 +86,7 @@ func (f *FoccL) greedyOrder(batch []*protocol.Transaction) []*protocol.Transacti
 // latest committed (valid) version — beyond intra-batch repair.
 func (f *FoccL) staleAgainstCommitted(tx *protocol.Transaction) bool {
 	for _, r := range tx.RWSet.Reads {
-		if latest, ok := f.committedAt(f.keys.Intern(r.Key)); ok && r.Version.Less(latest) {
+		if latest, ok := f.committed[r.Key]; ok && r.Version.Less(latest) {
 			return true
 		}
 	}
@@ -162,11 +108,7 @@ func (f *FoccL) OnBlockCommitted(block uint64, txs []*protocol.Transaction, code
 			continue
 		}
 		seq := seqno.Commit(block, pos[i])
-		for _, s := range tx.RWSet.WriteKeys() {
-			k := f.keys.Intern(s)
-			for int(k) >= len(f.committed) {
-				f.committed = append(f.committed, seqno.Seq{})
-			}
+		for _, k := range tx.RWSet.WriteKeys() {
 			f.committed[k] = seq
 		}
 	}
@@ -179,8 +121,8 @@ func (f *FoccL) NeedsMVCCValidation() bool { return true }
 // PendingCount implements Scheduler.
 func (f *FoccL) PendingCount() int { return len(f.pending) }
 
-// ResidentKeys implements Scheduler.
-func (f *FoccL) ResidentKeys() int { return f.keys.Len() }
+// ResidentKeys implements Scheduler: the keys with a committed version.
+func (f *FoccL) ResidentKeys() int { return len(f.committed) }
 
 // Timing implements Scheduler.
 func (f *FoccL) Timing() Timing { return f.timing }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fabricsharp/internal/core"
-	"fabricsharp/internal/intern"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -25,33 +24,30 @@ import (
 // pivot with an incoming rw and an outgoing *anti*-rw, so certification
 // aborts an arrival whenever it would give some transaction both flags.
 //
-// Record keys are interned on first sight (internal/intern): the committed
-// and pending indices are all KeyID-indexed slices, so certification probes
-// are slice lookups rather than string-map hashing.
+// The committed and pending indices share one core.KeyState per record key,
+// so certification resolves each key with one map lookup.
 //
 // Nothing happens on block formation ("Focc-s does nothing on block
 // formation"), and since every admitted transaction is certified
 // serializable, the validation phase skips the MVCC check.
 type FoccS struct {
-	maxSpan      uint64
-	compactEvery uint64
-	keys         *intern.Table
-	cw           *core.MemIndex // committed writes: key -> (commit seq, tx)
-	cr           *core.MemIndex // committed reads:  key -> (commit seq, tx)
-	flags        map[protocol.TxID]*rwFlags
-	endBlock     map[protocol.TxID]uint64  // commit block, for flag pruning
-	pw           [][]*protocol.Transaction // pending writers per KeyID
-	pr           [][]*protocol.Transaction // pending readers per KeyID
-	pending      []*protocol.Transaction
-	nextBlock    uint64
-	timing       Timing
+	maxSpan   uint64
+	keys      core.MemIndex[*protocol.Transaction] // CW, CR, PW, PR per key
+	flags     map[protocol.TxID]*rwFlags
+	endBlock  map[protocol.TxID]uint64 // commit block, for flag pruning
+	pending   []*protocol.Transaction
+	nextBlock uint64
+	timing    Timing
 
 	// Arrival scratch (single-goroutine, reused to stay allocation-free).
-	rbuf, wbuf []intern.Key
+	rbuf, wbuf []*foccsKey
 	idbuf      []protocol.TxID
 	outWriters []protocol.TxID
 	inReaders  []protocol.TxID
 }
+
+// foccsKey is one record key's state in Focc-s's index.
+type foccsKey = core.KeyState[*protocol.Transaction]
 
 // rwFlags carries the certifier's conflict markers: in is an incoming rw
 // edge (someone read a key this transaction overwrites); outAnti is an
@@ -68,29 +64,23 @@ func NewFoccS(opts Options) *FoccS {
 		opts.MaxSpan = 10
 	}
 	return &FoccS{
-		maxSpan:      opts.MaxSpan,
-		compactEvery: opts.CompactEvery,
-		keys:         intern.NewTable(),
-		cw:           core.NewMemIndex(),
-		cr:           core.NewMemIndex(),
-		flags:        map[protocol.TxID]*rwFlags{},
-		endBlock:     map[protocol.TxID]uint64{},
-		nextBlock:    1,
+		maxSpan:   opts.MaxSpan,
+		keys:      core.MemIndex[*protocol.Transaction]{},
+		flags:     map[protocol.TxID]*rwFlags{},
+		endBlock:  map[protocol.TxID]uint64{},
+		nextBlock: 1,
 	}
 }
 
 // System implements Scheduler.
 func (f *FoccS) System() System { return SystemFoccS }
 
-// grow extends the KeyID-indexed pending slices to the table size.
-func (f *FoccS) grow() {
-	n := f.keys.Len()
-	for len(f.pw) < n {
-		f.pw = append(f.pw, nil)
+// lookup appends the state of every key to dst.
+func (f *FoccS) lookup(dst []*foccsKey, keys []string) []*foccsKey {
+	for _, k := range keys {
+		dst = append(dst, f.keys.Get(k))
 	}
-	for len(f.pr) < n {
-		f.pr = append(f.pr, nil)
-	}
+	return dst
 }
 
 // OnArrival implements Scheduler: the certification step.
@@ -107,17 +97,16 @@ func (f *FoccS) certify(tx *protocol.Transaction) protocol.ValidationCode {
 		return protocol.AbortStaleSnapshot
 	}
 	startTS := tx.StartTS()
-	f.rbuf = f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys())
-	f.wbuf = f.keys.InternAll(f.wbuf[:0], tx.RWSet.WriteKeys())
-	f.grow()
+	f.rbuf = f.lookup(f.rbuf[:0], tx.RWSet.ReadKeys())
+	f.wbuf = f.lookup(f.wbuf[:0], tx.RWSet.WriteKeys())
 
 	// Rule 1: concurrent write-write conflict => abort (the prevention
 	// whose cost Figure 11 charts as the write-hot ratio grows).
 	for _, k := range f.wbuf {
-		if len(f.pw[k]) > 0 {
+		if len(k.PW) > 0 {
 			return protocol.AbortConcurrentWW
 		}
-		f.idbuf = f.cw.After(f.idbuf[:0], k, startTS)
+		f.idbuf = k.CW.After(f.idbuf[:0], startTS)
 		if len(f.idbuf) > 0 {
 			return protocol.AbortConcurrentWW
 		}
@@ -128,8 +117,8 @@ func (f *FoccS) certify(tx *protocol.Transaction) protocol.ValidationCode {
 	// ahead in FIFO order) overwrites k.
 	outWriters := f.outWriters[:0]
 	for _, k := range f.rbuf {
-		outWriters = f.cw.After(outWriters, k, startTS)
-		for _, w := range f.pw[k] {
+		outWriters = k.CW.After(outWriters, startTS)
+		for _, w := range k.PW {
 			outWriters = append(outWriters, w.ID)
 		}
 	}
@@ -137,8 +126,8 @@ func (f *FoccS) certify(tx *protocol.Transaction) protocol.ValidationCode {
 	// overwrites (it commits first: c-rw into tx).
 	inReaders := f.inReaders[:0]
 	for _, k := range f.wbuf {
-		inReaders = f.cr.After(inReaders, k, startTS)
-		for _, r := range f.pr[k] {
+		inReaders = k.CR.After(inReaders, startTS)
+		for _, r := range k.PR {
 			inReaders = append(inReaders, r.ID)
 		}
 	}
@@ -172,17 +161,17 @@ func (f *FoccS) certify(tx *protocol.Transaction) protocol.ValidationCode {
 	}
 	f.flags[tx.ID] = fl
 	for _, k := range f.rbuf {
-		f.pr[k] = append(f.pr[k], tx)
+		k.PR = append(k.PR, tx)
 	}
 	for _, k := range f.wbuf {
-		f.pw[k] = append(f.pw[k], tx)
+		k.PW = append(k.PW, tx)
 	}
 	f.pending = append(f.pending, tx)
 	return protocol.Valid
 }
 
 // OnBlockFormation implements Scheduler: FIFO emission, bookkeeping of the
-// committed indices, window pruning, and (when enabled) epoch compaction.
+// committed indices, and window pruning.
 func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
@@ -192,13 +181,13 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	res := FormationResult{Block: block, Ordered: f.pending}
 	for i, tx := range f.pending {
 		seq := seqno.Commit(block, uint32(i+1))
-		for _, k := range f.keys.InternAll(f.wbuf[:0], tx.RWSet.WriteKeys()) {
-			f.cw.Put(k, seq, tx.ID)
-			f.pw[k] = f.pw[k][:0]
+		for _, k := range f.lookup(f.wbuf[:0], tx.RWSet.WriteKeys()) {
+			k.CW.Put(seq, tx.ID)
+			k.PW = k.PW[:0]
 		}
-		for _, k := range f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys()) {
-			f.cr.Put(k, seq, tx.ID)
-			f.pr[k] = f.pr[k][:0]
+		for _, k := range f.lookup(f.rbuf[:0], tx.RWSet.ReadKeys()) {
+			k.CR.Put(seq, tx.ID)
+			k.PR = k.PR[:0]
 		}
 		f.endBlock[tx.ID] = block
 	}
@@ -209,15 +198,12 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	return res, nil
 }
 
-// sealBlock consumes the next block number: window pruning and, when
-// enabled, epoch compaction.
+// sealBlock consumes the next block number and prunes the window.
 func (f *FoccS) sealBlock() {
-	block := f.nextBlock
 	f.nextBlock++
 	if f.nextBlock > f.maxSpan {
 		h := f.nextBlock - f.maxSpan
-		f.cw.PruneBefore(h)
-		f.cr.PruneBefore(h)
+		f.keys.PruneBefore(h)
 		// A committed transaction can gain edges only while some arrival's
 		// snapshot predates its commit; beyond the max-span horizon none
 		// can, so its flags are garbage.
@@ -228,20 +214,6 @@ func (f *FoccS) sealBlock() {
 			}
 		}
 	}
-	if f.compactEvery > 0 && block%f.compactEvery == 0 {
-		f.compact()
-	}
-}
-
-// compact rebuilds the intern table around the keys the pruned committed
-// indices (and any pending slots — empty right after a formation, but the
-// invariant is stated generally) still reference, then remaps the
-// KeyID-indexed slot tables. Runs at sealed-block boundaries only, so every
-// replica compacts identically; a dropped key has no retained entries, so
-// certification decisions are unchanged (see TestFoccSCompactionEquivalence).
-func (f *FoccS) compact() {
-	f.pw, f.pr, _ = core.CompactKeyState(f.keys, f.cw, f.cr, f.pw, f.pr, nil)
-	f.rbuf, f.wbuf = f.rbuf[:0], f.wbuf[:0]
 }
 
 // OnBlockCommitted implements Scheduler: certification already decided what
@@ -256,13 +228,12 @@ func (f *FoccS) OnBlockCommitted(block uint64, txs []*protocol.Transaction, code
 		f.sealBlock() // a tail-only cut: formation ordered nothing
 	}
 	forEachRescued(block, txs, codes, func(tx *protocol.Transaction, at seqno.Seq) {
-		for _, k := range f.keys.InternAll(f.wbuf[:0], tx.RWSet.WriteKeys()) {
-			f.cw.Put(k, at, tx.ID)
+		for _, k := range f.lookup(f.wbuf[:0], tx.RWSet.WriteKeys()) {
+			k.CW.Put(at, tx.ID)
 		}
-		for _, k := range f.keys.InternAll(f.rbuf[:0], tx.RWSet.ReadKeys()) {
-			f.cr.Put(k, at, tx.ID)
+		for _, k := range f.lookup(f.rbuf[:0], tx.RWSet.ReadKeys()) {
+			k.CR.Put(at, tx.ID)
 		}
-		f.grow()
 		f.flags[tx.ID] = &rwFlags{}
 		f.endBlock[tx.ID] = block
 	})
@@ -276,7 +247,7 @@ func (f *FoccS) NeedsMVCCValidation() bool { return false }
 func (f *FoccS) PendingCount() int { return len(f.pending) }
 
 // ResidentKeys implements Scheduler.
-func (f *FoccS) ResidentKeys() int { return f.keys.Len() }
+func (f *FoccS) ResidentKeys() int { return len(f.keys) }
 
 // Timing implements Scheduler.
 func (f *FoccS) Timing() Timing { return f.timing }

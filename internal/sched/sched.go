@@ -83,10 +83,11 @@ type Scheduler interface {
 	NeedsMVCCValidation() bool
 	// PendingCount returns the size of the pending set.
 	PendingCount() int
-	// ResidentKeys returns the number of record keys the scheduler currently
-	// holds interned (0 for schedulers that keep no key state). With
-	// Options.CompactEvery set this is the quantity epoch compaction bounds;
-	// the churn benchmark reports its maximum.
+	// ResidentKeys returns the number of record keys with retained state:
+	// for sharp and focc-s the keys with an index entry above the max-span
+	// horizon or a pending access, for focc-l the keys with a committed
+	// version, and 0 for fabric and fabric++, which keep no key state between
+	// batches. The churn benchmark reports its maximum.
 	ResidentKeys() int
 	// Timing returns accumulated wall-clock costs of the scheduler itself.
 	Timing() Timing
@@ -133,11 +134,11 @@ func New(system System, opts Options) (Scheduler, error) {
 	case SystemFabric:
 		return NewFabric(), nil
 	case SystemFabricPP:
-		return NewFabricPP(opts), nil
+		return NewFabricPP(), nil
 	case SystemFoccS:
 		return NewFoccS(opts), nil
 	case SystemFoccL:
-		return NewFoccL(opts), nil
+		return NewFoccL(), nil
 	case SystemSharp:
 		return NewSharp(opts), nil
 	}
@@ -150,14 +151,11 @@ func (e errUnknownSystem) Error() string { return "sched: unknown system " + str
 
 // Options carries cross-scheduler tunables.
 type Options struct {
-	// MaxSpan bounds transaction block spans (sharp, focc-s) and sizes the
-	// committed-version retention window focc-l's compaction keeps.
-	// Default 10.
+	// MaxSpan bounds transaction block spans (sharp, focc-s): snapshots more
+	// than MaxSpan blocks old abort as stale, and the per-key index entries
+	// behind that horizon are pruned with the keys they leave empty, which
+	// bounds the schedulers' resident keys. Default 10.
 	MaxSpan uint64
-	// CompactEvery enables deterministic epoch compaction of the
-	// key-interning schedulers' tables every CompactEvery sealed blocks
-	// (see core.Options.CompactEvery). 0 (default) keeps tables append-only.
-	CompactEvery uint64
 }
 
 // forEachRescued calls fn with each Rescued transaction of a sealed block and

@@ -99,7 +99,7 @@ func TestReadsAcrossBlocks(t *testing.T) {
 }
 
 func TestFabricPPReordersReadersBeforeWriters(t *testing.T) {
-	f := NewFabricPP(Options{})
+	f := NewFabricPP()
 	// Arrival order: writer first, reader second. The reader reads key "a"
 	// which the writer overwrites; reordering must place the reader first.
 	mustArrive(t, f, mkTx("writer", 1, nil, []string{"a"}), protocol.Valid)
@@ -114,7 +114,7 @@ func TestFabricPPReordersReadersBeforeWriters(t *testing.T) {
 }
 
 func TestFabricPPDropsCycle(t *testing.T) {
-	f := NewFabricPP(Options{})
+	f := NewFabricPP()
 	mustArrive(t, f, mkTx("t1", 1, []string{"a"}, []string{"b"}), protocol.Valid)
 	mustArrive(t, f, mkTx("t2", 1, []string{"b"}, []string{"a"}), protocol.Valid)
 	res, _ := f.OnBlockFormation()
@@ -127,7 +127,7 @@ func TestFabricPPDropsCycle(t *testing.T) {
 }
 
 func TestFabricPPThreeWayCycleKeepsMajority(t *testing.T) {
-	f := NewFabricPP(Options{})
+	f := NewFabricPP()
 	// t1 -> t2 -> t3 -> t1: dropping one transaction must fix it.
 	mustArrive(t, f, mkTx("t1", 1, []string{"a"}, []string{"b"}), protocol.Valid)
 	mustArrive(t, f, mkTx("t2", 1, []string{"b"}, []string{"c"}), protocol.Valid)
@@ -139,7 +139,7 @@ func TestFabricPPThreeWayCycleKeepsMajority(t *testing.T) {
 }
 
 func TestFabricPPIndependentTxsKeepFIFO(t *testing.T) {
-	f := NewFabricPP(Options{})
+	f := NewFabricPP()
 	for i := 0; i < 4; i++ {
 		mustArrive(t, f, mkTx(fmt.Sprintf("t%d", i), 1, []string{fmt.Sprintf("r%d", i)}, []string{fmt.Sprintf("w%d", i)}), protocol.Valid)
 	}
@@ -219,7 +219,7 @@ func TestFoccSStaleSnapshotAborted(t *testing.T) {
 }
 
 func TestFoccLMovesDoomedToBack(t *testing.T) {
-	f := NewFoccL(Options{})
+	f := NewFoccL()
 	// Feedback: key "hot" last validly written at (1,1).
 	committedTx := mkTx("w", 1, nil, []string{"hot"})
 	f.OnBlockCommitted(1, []*protocol.Transaction{committedTx}, []protocol.ValidationCode{protocol.Valid})
@@ -244,7 +244,7 @@ func TestFoccLMovesDoomedToBack(t *testing.T) {
 }
 
 func TestFoccLInvalidFeedbackIgnored(t *testing.T) {
-	f := NewFoccL(Options{})
+	f := NewFoccL()
 	tx := mkTx("w", 1, nil, []string{"hot"})
 	f.OnBlockCommitted(1, []*protocol.Transaction{tx}, []protocol.ValidationCode{protocol.MVCCConflict})
 	if len(f.committed) != 0 {
@@ -253,7 +253,7 @@ func TestFoccLInvalidFeedbackIgnored(t *testing.T) {
 }
 
 func TestFoccLKeepsCycleMembersInBlock(t *testing.T) {
-	f := NewFoccL(Options{})
+	f := NewFoccL()
 	mustArrive(t, f, mkTx("t1", 1, []string{"a"}, []string{"b"}), protocol.Valid)
 	mustArrive(t, f, mkTx("t2", 1, []string{"b"}, []string{"a"}), protocol.Valid)
 	res, _ := f.OnBlockFormation()
@@ -376,86 +376,61 @@ func TestSortTxIDsHelper(t *testing.T) {
 	}
 }
 
-// driveChurn pushes a rotating-key-space stream through a scheduler,
-// cutting a block every blockSize arrivals, and returns a decision log
-// (admission codes + emitted block contents) plus the total distinct keys.
-func driveChurn(t *testing.T, s Scheduler, blocks, blockSize int) ([]string, int) {
-	t.Helper()
-	var log []string
-	height := uint64(0)
-	distinct := map[string]bool{}
-	n := 0
-	for b := 0; b < blocks; b++ {
-		for i := 0; i < blockSize; i++ {
-			r := fmt.Sprintf("g%d:k%d", b, i%6)
-			w := fmt.Sprintf("g%d:k%d", b, (i+1)%6)
-			distinct[r], distinct[w] = true, true
-			tx := mkTx(fmt.Sprintf("t%d", n), height, []string{r}, []string{w})
-			code, err := s.OnArrival(tx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log = append(log, fmt.Sprintf("%d:%v", n, code))
-			n++
-		}
-		res, err := s.OnBlockFormation()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Ordered) > 0 {
-			height = res.Block
-		}
-		log = append(log, fmt.Sprint(orderIDs(res)))
-		codes := make([]protocol.ValidationCode, len(res.Ordered))
-		for i := range codes {
-			codes[i] = protocol.Valid
-		}
-		s.OnBlockCommitted(res.Block, res.Ordered, codes)
-	}
-	return log, len(distinct)
-}
-
-// TestCompactionBoundsResidentKeys runs every key-interning scheduler over a
-// churn workload with compaction on: resident keys must stay far below the
-// distinct-key universe, and for the schedulers whose liveness set is
-// exactly "keys with retained entries" (sharp, focc-s, fabric++) the
-// decision log must be bit-identical to an append-only run.
-func TestCompactionBoundsResidentKeys(t *testing.T) {
-	const blocks, blockSize = 50, 8
+// TestPruneBoundsResidentKeys pushes a churn stream — every block draws from
+// a fresh generation of six keys — through each key-holding scheduler at its
+// default options, sampling ResidentKeys after every cut. Sharp and Focc-s
+// hold at most the generations the max-span horizon retains, Fabric++ holds
+// nothing between batches, and Focc-l holds one committed version per key
+// written.
+func TestPruneBoundsResidentKeys(t *testing.T) {
+	const blocks, blockSize, keysPerBlock, maxSpan = 50, 8, 6, 10 // maxSpan: the default
 	for _, sys := range []System{SystemSharp, SystemFoccS, SystemFabricPP, SystemFoccL} {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
-			compacting, err := New(sys, Options{MaxSpan: 4, CompactEvery: 4})
+			s, err := New(sys, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			log, distinct := driveChurn(t, compacting, blocks, blockSize)
-			resident := compacting.ResidentKeys()
-			if resident == 0 && sys != SystemFabricPP {
-				t.Fatalf("no resident keys tracked")
-			}
-			if bound := distinct / 4; resident > bound {
-				t.Fatalf("resident keys %d not bounded (distinct %d, want <= %d)", resident, distinct, bound)
-			}
-			appendOnly, err := New(sys, Options{MaxSpan: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			log0, _ := driveChurn(t, appendOnly, blocks, blockSize)
-			if appendOnly.ResidentKeys() <= resident {
-				t.Fatalf("append-only run did not grow past compacting run: %d vs %d",
-					appendOnly.ResidentKeys(), resident)
-			}
-			// Focc-l's compaction narrows the doomed-detection window by
-			// design; the all-Valid feedback here leaves no stale reads, so
-			// its log matches too — but the invariant we pin is only for the
-			// retained-entry liveness schedulers.
-			for i := range log0 {
-				if log[i] != log0[i] {
-					if sys == SystemFoccL {
-						t.Skipf("focc-l decision drift at %d (windowed doomed detection)", i)
+			height, n := uint64(0), 0
+			written := map[string]bool{}
+			for b := 0; b < blocks; b++ {
+				for i := 0; i < blockSize; i++ {
+					r := fmt.Sprintf("g%d:k%d", b, i%keysPerBlock)
+					w := fmt.Sprintf("g%d:k%d", b, (i+1)%keysPerBlock)
+					if _, err := s.OnArrival(mkTx(fmt.Sprintf("t%d", n), height, []string{r}, []string{w})); err != nil {
+						t.Fatal(err)
 					}
-					t.Fatalf("decisions diverged at step %d: %q vs %q", i, log[i], log0[i])
+					n++
+				}
+				res, err := s.OnBlockFormation()
+				if err != nil {
+					t.Fatal(err)
+				}
+				height = res.Block
+				codes := make([]protocol.ValidationCode, len(res.Ordered))
+				for i, tx := range res.Ordered {
+					codes[i] = protocol.Valid
+					for _, k := range tx.RWSet.WriteKeys() {
+						written[k] = true
+					}
+				}
+				s.OnBlockCommitted(res.Block, res.Ordered, codes)
+
+				got := s.ResidentKeys()
+				switch sys {
+				case SystemFabricPP:
+					if got != 0 {
+						t.Fatalf("after block %d: %d resident keys, want 0", res.Block, got)
+					}
+				case SystemFoccL:
+					if got != len(written) {
+						t.Fatalf("after block %d: %d resident keys, want the %d keys written", res.Block, got, len(written))
+					}
+				default:
+					if bound := maxSpan * keysPerBlock; got == 0 || got > bound {
+						t.Fatalf("after block %d: %d resident keys, want 1..%d (%d distinct keys seen)",
+							res.Block, got, bound, keysPerBlock*(b+1))
+					}
 				}
 			}
 		})

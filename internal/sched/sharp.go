@@ -22,10 +22,7 @@ type Sharp struct {
 // NewSharp returns the FabricSharp scheduler.
 func NewSharp(opts Options) *Sharp {
 	return &Sharp{
-		mgr: core.NewManager(core.Options{
-			MaxSpan:      opts.MaxSpan,
-			CompactEvery: opts.CompactEvery,
-		}),
+		mgr:  core.NewManager(core.Options{MaxSpan: opts.MaxSpan}),
 		byID: map[protocol.TxID]*protocol.Transaction{},
 	}
 }
@@ -92,7 +89,7 @@ func (s *Sharp) NeedsMVCCValidation() bool { return false }
 func (s *Sharp) PendingCount() int { return s.mgr.PendingCount() }
 
 // ResidentKeys implements Scheduler.
-func (s *Sharp) ResidentKeys() int { return s.mgr.Keys().Len() }
+func (s *Sharp) ResidentKeys() int { return s.mgr.ResidentKeys() }
 
 // Timing implements Scheduler.
 func (s *Sharp) Timing() Timing { return s.timing }

@@ -399,8 +399,8 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 
 // KeysInRange returns, sorted, every key in [start, end) that is live at
 // the snapshot after block asOfBlock. The scan is linear in the key count —
-// acceptable for the contract-visible state sizes this repository targets
-// (the kvstore layer provides indexed range scans where volume matters).
+// acceptable for the contract-visible state sizes this repository targets;
+// no index backs it.
 func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 	var out []string
 	for i := range db.shards {
