@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,7 +65,7 @@ func (f nodeFlags) validate() error {
 		if f.Name == "" {
 			return fmt.Errorf("role peer requires -name")
 		}
-		if !contains(f.PeerNames, f.Name) {
+		if !slices.Contains(f.PeerNames, f.Name) {
 			return fmt.Errorf("-name %q does not appear in -peers %s; every node must agree on the cluster-wide peer list",
 				f.Name, strings.Join(f.PeerNames, ","))
 		}
@@ -107,7 +108,7 @@ func (f nodeFlags) validateRaft() error {
 	if dup := firstDuplicate(f.RaftCluster); dup != "" {
 		return fmt.Errorf("-raft-cluster lists %q twice", dup)
 	}
-	if !contains(f.RaftCluster, f.RaftID) {
+	if !slices.Contains(f.RaftCluster, f.RaftID) {
 		return fmt.Errorf("-raft-id %q does not appear in -raft-cluster %s",
 			f.RaftID, strings.Join(f.RaftCluster, ","))
 	}
@@ -115,7 +116,7 @@ func (f nodeFlags) validateRaft() error {
 		return fmt.Errorf("-raft-cluster needs at least two members (a single member is a standalone orderer; drop the raft flags)")
 	}
 	for raftAddr := range f.RaftRedirects {
-		if !contains(f.RaftCluster, raftAddr) {
+		if !slices.Contains(f.RaftCluster, raftAddr) {
 			return fmt.Errorf("-raft-redirects names %q, which is not in -raft-cluster", raftAddr)
 		}
 	}
@@ -125,15 +126,6 @@ func (f nodeFlags) validateRaft() error {
 		}
 	}
 	return nil
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 func firstDuplicate(xs []string) string {

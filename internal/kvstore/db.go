@@ -221,7 +221,7 @@ func (db *DB) checkpointSteps() []func() error {
 				return err
 			}
 			db.snapSize = size
-			return syncDir(db.dir)
+			return SyncDir(db.dir)
 		},
 		db.log.truncate,
 	}
@@ -265,8 +265,8 @@ func replayWhole(path string, fn func(ops []BatchOp)) (int64, error) {
 	return size, err
 }
 
-// syncDir fsyncs a directory, making a rename inside it durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making a rename inside it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fabricsharp/internal/metrics"
@@ -124,13 +125,11 @@ func (c *Client) dropOrderer(rotate bool) {
 // preferOrderer points the rotation at addr if it is a known cluster
 // address (a NotLeader redirect hint); unknown hints fall back to rotation.
 func (c *Client) preferOrderer(addr string) bool {
-	for i, a := range c.ordererAddrs {
-		if a == addr {
-			c.ordIdx = i
-			return true
-		}
+	i := slices.Index(c.ordererAddrs, addr)
+	if i >= 0 {
+		c.ordIdx = i
 	}
-	return false
+	return i >= 0
 }
 
 // nextTxID mints a client-unique transaction identifier.

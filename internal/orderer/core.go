@@ -36,9 +36,10 @@ type CoreConfig struct {
 // deferred tail, the shadow verdicts, the rescue re-execution, the seal and
 // the commit feedback.
 // It holds no goroutine, clock or channel and is not goroutine-safe (the
-// fan-outs inside Cut join before it returns): what it seals is a function
-// of the calls made on it, so replicated orderers making the same calls
-// build byte-identical chains — the agreement property of Section 3.5.
+// fan-outs inside Precheck and Cut join before they return): what it seals
+// is a function of the calls made on it, so replicated orderers making the
+// same calls build byte-identical chains — the agreement property of
+// Section 3.5.
 // Service makes those calls in real time, internal/network in virtual time.
 //
 // Commit feedback is part of the cut: the shadow validator derives the exact
@@ -63,6 +64,12 @@ type Core struct {
 	// the cut instead of aborting — XOX Fabric's hybrid. A pure function of
 	// the stream, like the scheduler's own verdicts.
 	deferred []deferredTx
+	// unchecked holds the open batch's members — admitted Valid or deferred —
+	// whose endorsements no Precheck has verified yet; checked holds the
+	// verdicts of those it has (true: the check failed). Cut verifies only the
+	// block members found in neither and forgets both. Empty without an MSP.
+	unchecked []*protocol.Transaction
+	checked   map[*protocol.Transaction]bool
 	// seen dedups TxIDs, bucketed by the block being assembled when they
 	// were first seen; seenFloor is the lowest bucket evictSeen has not
 	// dropped yet.
@@ -97,6 +104,7 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		chain:       chain,
 		shadow:      validation.NewValueShadowState(),
 		vopts:       validation.Options{MVCC: scheduler.NeedsMVCCValidation(), MSP: cfg.MSP, Policy: cfg.Policy},
+		checked:     map[*protocol.Transaction]bool{},
 		seen:        map[protocol.TxID]bool{},
 		seenByBlock: map[uint64][]protocol.TxID{},
 		seenFloor:   1,
@@ -131,8 +139,10 @@ type Events interface {
 	// CutStage marks a boundary inside the cut of block num, for a driver
 	// that times it (the Core reads no clock): trace.StageCut as the cut
 	// begins, then the end of each of trace.StageFormation, StagePrecheck,
-	// StageReexec and StageFeedback, which run back to back. The seal and the
-	// shadow state's apply follow, up to Sealed.
+	// StageReexec and StageFeedback, which run back to back. StagePrecheck
+	// covers the endorsements no Precheck verified before the cut, and the
+	// shadow verdicts. The seal and the shadow state's apply follow, up to
+	// Sealed.
 	CutStage(num uint64, stage trace.Stage)
 }
 
@@ -228,13 +238,60 @@ func (c *Core) Arrive(tx *protocol.Transaction) (code protocol.ValidationCode, j
 	if err != nil {
 		return code, false, fmt.Errorf("orderer: arrival: %w", err)
 	}
+	joined = code == protocol.Valid
 	if code.Deferrable() && c.cfg.Rescue && !c.vopts.MVCC {
 		// Not AbortStaleSnapshot: the max-span horizon is what stops an
 		// endorsement replayed from beyond DedupHorizon being executed twice.
 		c.deferred = append(c.deferred, deferredTx{tx, code})
-		return code, true, nil
+		joined = true
 	}
-	return code, code == protocol.Valid, nil
+	if joined && c.verifies() {
+		c.unchecked = append(c.unchecked, tx)
+	}
+	return code, joined, nil
+}
+
+// verifies reports whether the shadow pass checks endorsements at all.
+func (c *Core) verifies() bool { return c.vopts.MSP != nil && c.vopts.Policy != nil }
+
+// Precheck verifies the endorsements of the open batch's members that joined
+// since the last Precheck, fanned out across cores, and remembers which
+// failed, so the cut verifies only what joined after it. A driver calls it
+// when it has nothing else to do. An endorsement verdict is a pure function
+// of the transaction and the MSP, so when Precheck runs — or whether it runs
+// at all — moves work, never a sealed byte.
+func (c *Core) Precheck() {
+	if len(c.unchecked) == 0 {
+		return
+	}
+	failed := validation.PrecheckEndorsements(c.unchecked, c.vopts, runtime.GOMAXPROCS(0))
+	for i, tx := range c.unchecked {
+		c.checked[tx] = failed[i]
+	}
+	c.unchecked = c.unchecked[:0]
+}
+
+// endorsementVerdicts returns the endorsement failure mask of a block's
+// members: remembered where Precheck reached them, verified now where it did
+// not. It forgets the batch's verdicts, including those of members formation
+// dropped, which the cut never verifies.
+func (c *Core) endorsementVerdicts(txs []*protocol.Transaction) []bool {
+	if !c.verifies() {
+		return nil
+	}
+	c.unchecked = c.unchecked[:0]
+	for _, tx := range txs {
+		if _, ok := c.checked[tx]; !ok {
+			c.unchecked = append(c.unchecked, tx)
+		}
+	}
+	c.Precheck()
+	failed := make([]bool, len(txs))
+	for i, tx := range txs {
+		failed[i] = c.checked[tx]
+	}
+	clear(c.checked)
+	return failed
 }
 
 // Cut forms a block from the pending set, appends the deferred tail, feeds
@@ -265,18 +322,18 @@ func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
 		}
 		c.deferred = nil
 	}
+	// The shadow validation pass: the same verdict function the peers run,
+	// over the version state this Core has accumulated from its inputs
+	// alone. The endorsement phase — ed25519 verification, the dominant CPU
+	// cost — is a per-transaction pure function, so most of it ran in
+	// Precheck while the batch filled; the MVCC pass is serial.
+	endorseFailed := c.endorsementVerdicts(txs)
 	if len(txs) == 0 {
 		return nil, res.DroppedTxs, nil
 	}
 	if res.Block != num {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: block numbering drifted: scheduler %d, chain %d", res.Block, num)
 	}
-	// The shadow validation pass: the same verdict function the peers run,
-	// over the version state this Core has accumulated from its inputs
-	// alone. The endorsement phase — ed25519 verification, the dominant CPU
-	// cost — is a per-transaction pure function, so it fans out across
-	// cores; only the overlay-coupled MVCC pass is serial.
-	endorseFailed := validation.PrecheckEndorsements(txs, c.vopts, runtime.GOMAXPROCS(0))
 	codes := validation.ComputeVerdictsPrechecked(c.shadow, num, txs, c.vopts, endorseFailed)
 	// A tail member that passed the endorsement check stands under its
 	// arrival code until the rescue pass commits it.

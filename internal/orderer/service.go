@@ -166,6 +166,10 @@ func (s *Service) Start() {
 // cut leaves it running, so the next batch is cut BlockTimeout after the last
 // proposal — the cut's own time counts against the period, not on top of it.
 // A size cut stops it. armed holds while it runs, and whenever a batch waits.
+//
+// Whenever the stream has nothing queued, run spends the idle time on
+// Core.Precheck, so a cut verifies only the endorsements that arrived since.
+// Like the timer, this moves work and never a decision.
 func (s *Service) run() {
 	defer s.wg.Done()
 	stream, cancel := s.cfg.Ordering.Subscribe()
@@ -236,6 +240,9 @@ func (s *Service) run() {
 			if !armed && s.core.Pending() > 0 {
 				timer.Reset(s.cfg.BlockTimeout)
 				armed = true
+			}
+			if len(stream) == 0 {
+				s.core.Precheck()
 			}
 		}
 	}

@@ -376,8 +376,9 @@ func TestTailEdges(t *testing.T) {
 // rig, cutting every blockSize, and returns a digest of the whole sealed chain
 // as wire.EncodeBlock renders it. Each transaction is endorsed at the peer's
 // tip or, one time in three, a block behind it (stale reads), then next draws
-// its operation from the same rng.
-func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand.Rand, next func() workload.Op) (digest string, rescued int) {
+// its operation from the same rng. submit, when set, delivers the i-th
+// endorsed transaction to the rig in place of a plain step.
+func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand.Rand, next func() workload.Op, submit func(r *rig, i int, tx *protocol.Transaction)) (digest string, rescued int) {
 	r := newRig(t, system, Options{BlockSize: blockSize})
 	for i := 0; i < n; i++ {
 		snap := r.peer.Height()
@@ -385,7 +386,12 @@ func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand
 			snap--
 		}
 		op := next()
-		r.step(consensus.Envelope{Tx: r.endorse(snap, op.Contract, op.Function, op.Args...)})
+		tx := r.endorse(snap, op.Contract, op.Function, op.Args...)
+		if submit != nil {
+			submit(r, i, tx)
+		} else {
+			r.step(consensus.Envelope{Tx: tx})
+		}
 	}
 	r.cut()
 	h := sha256.New()
@@ -414,7 +420,7 @@ func TestVanillaFabricChainIsTheParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	got, rescued := streamDigest(t, sched.SystemFabric, 5, 120, rng, func() workload.Op {
 		return workload.Op{Contract: "kv", Function: "rmw", Args: []string{fmt.Sprint("hot", rng.Intn(3)), "1"}}
-	})
+	}, nil)
 	if rescued == 0 {
 		t.Fatal("the stream exercised no rescue")
 	}
@@ -428,15 +434,15 @@ func TestVanillaFabricChainIsTheParents(t *testing.T) {
 // (10) five times over and, under fabric#, across two reachability relays.
 // 10 of the rig's 400 accounts are hot, so a block of 8 meets about as many
 // readers per hot account (1.6) as the cluster's block of 90 over 100 hot
-// accounts (1.8).
-func hotChain(t *testing.T, system sched.System) (digest string, rescued int) {
+// accounts (1.8). submit is streamDigest's.
+func hotChain(t *testing.T, system sched.System, submit func(r *rig, i int, tx *protocol.Transaction)) (digest string, rescued int) {
 	rng := rand.New(rand.NewSource(32))
 	gen, err := workload.NewModifiedSmallbank(rng, rigAccounts, 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen.HotFrac = 0.025
-	return streamDigest(t, system, 8, 400, rng, gen.Next)
+	return streamDigest(t, system, 8, 400, rng, gen.Next, submit)
 }
 
 // TestSharpHotChainIsTheParents pins Fabric#'s decisions — every admission,
@@ -450,7 +456,7 @@ func hotChain(t *testing.T, system sched.System) (digest string, rescued int) {
 // that seals a different chain here changed the algorithm.
 func TestSharpHotChainIsTheParents(t *testing.T) {
 	const parents = "0d47a1c2e8e906a58e4f98e298193599025432be7c5b45c84be220084052cfc1"
-	got, rescued := hotChain(t, sched.SystemSharp)
+	got, rescued := hotChain(t, sched.SystemSharp, nil)
 	if rescued == 0 {
 		t.Fatal("the stream exercised no rescue")
 	}
@@ -475,7 +481,7 @@ func TestHotChainsAreTheParents(t *testing.T) {
 		{sched.SystemFoccL, "4fe85bdce7daacd500dbbe04d6ae89888d5a5b44d76876577afde47fe7fe4a6b"},
 	} {
 		t.Run(string(row.system), func(t *testing.T) {
-			got, rescued := hotChain(t, row.system)
+			got, rescued := hotChain(t, row.system, nil)
 			if rescued == 0 {
 				t.Fatal("the stream exercised no rescue")
 			}
@@ -483,5 +489,113 @@ func TestHotChainsAreTheParents(t *testing.T) {
 				t.Fatalf("%s + rescue sealed chain %s (%d rescued), the parent commit sealed %s", row.system, got, rescued, row.parents)
 			}
 		})
+	}
+}
+
+// forgeryLog is the Events of a forged stream: sealed blocks commit on the
+// rig's peer, and it counts the forged members that were deferred to a tail
+// or dropped by formation (an abort of a transaction that had joined).
+type forgeryLog struct {
+	*rig
+	forged, joined    map[protocol.TxID]bool
+	deferred, dropped int
+}
+
+func (f *forgeryLog) Admitted(id protocol.TxID, code protocol.ValidationCode) {
+	f.joined[id] = true
+	if f.forged[id] && code.Deferrable() {
+		f.deferred++
+	}
+}
+
+func (f *forgeryLog) Aborted(id protocol.TxID, _ protocol.ValidationCode) {
+	if f.forged[id] && f.joined[id] {
+		f.dropped++
+	}
+}
+
+// TestForgedEndorsementChainsAreTheParents pins what Core.Precheck must not
+// move: hotChain's stream with every 7th transaction's signature corrupted
+// and every 11th signed by a non-member, on all five systems with rescue on,
+// so forged members are admitted, ride the deferred tail (fabric#, focc-s)
+// and fall into Fabric++'s dropped set. The digests are the chains the commit
+// before Precheck existed sealed, computed there by this function without
+// the Precheck calls. Each system seals its stream three times — Precheck
+// after every arrival, never, and at seeded random points — and each time
+// seals that digest.
+func TestForgedEndorsementChainsAreTheParents(t *testing.T) {
+	mallory := identity.Deterministic("mallory", identity.RolePeer)
+	forge := func(i int, tx *protocol.Transaction) bool {
+		switch {
+		case i%7 == 6:
+			tx.Endorsements[0].Signature[0] ^= 1
+		case i%11 == 10:
+			tx.Endorsements = []protocol.Endorsement{{EndorserID: mallory.ID, Signature: mallory.Sign(tx.Digest())}}
+		default:
+			return false
+		}
+		return true
+	}
+	policies := map[string]func() func(i int) bool{
+		"after every arrival": func() func(int) bool { return func(int) bool { return true } },
+		"never":               func() func(int) bool { return func(int) bool { return false } },
+		"at random points": func() func(int) bool {
+			rng := rand.New(rand.NewSource(35))
+			return func(int) bool { return rng.Intn(4) == 0 }
+		},
+	}
+	for _, row := range []struct {
+		system  sched.System
+		parents string
+	}{
+		{sched.SystemSharp, "8f3fb8e649c86dd493e1c51fc1d1d749a9826e479b2904e70c543676f4cbf114"},
+		{sched.SystemFoccS, "6076ff3438b1743297049b94ed7a0a19e0bd98a470718a1a4344627ee8e8baf5"},
+		{sched.SystemFabricPP, "c23053c0b2f8c83347b28b283b43aa67b8080ec2ae0420c86246a2b9107420e9"},
+		{sched.SystemFoccL, "27533c0727c146589c43d949076a8fb07d35e1654f813434b4a3b4c83bc5f9f1"},
+		{sched.SystemFabric, "483c59259d1e6730362baf6d4ceabe8a6ef69009f3b9e752e16686c2ebdc1d48"},
+	} {
+		for name, policy := range policies {
+			t.Run(fmt.Sprintf("%s/%s", row.system, name), func(t *testing.T) {
+				precheck := policy()
+				var log *forgeryLog
+				submit := func(r *rig, i int, tx *protocol.Transaction) {
+					if log == nil {
+						log = &forgeryLog{rig: r, forged: map[protocol.TxID]bool{}, joined: map[protocol.TxID]bool{}}
+					}
+					log.forged[tx.ID] = forge(i, tx)
+					if err := r.core.Step(consensus.Envelope{Tx: tx}, log); err != nil {
+						t.Fatal(err)
+					}
+					if precheck(i) {
+						r.core.Precheck()
+					}
+				}
+				got, _ := hotChain(t, row.system, submit)
+				sealed := 0
+				log.core.Chain().ForEach(func(b *ledger.Block) bool {
+					for j, tx := range b.Transactions {
+						if log.forged[tx.ID] {
+							sealed++
+							if b.Validation[j] != protocol.EndorsementFailure {
+								t.Errorf("block %d: forged %s sealed %v", b.Header.Number, tx.ID, b.Validation[j])
+							}
+						}
+					}
+					return true
+				})
+				switch {
+				case sealed == 0:
+					t.Error("no forged transaction was sealed")
+				case (row.system == sched.SystemSharp || row.system == sched.SystemFoccS) && log.deferred == 0:
+					t.Error("no forged transaction rode the deferred tail")
+				case row.system == sched.SystemFabricPP && log.dropped == 0:
+					t.Error("formation dropped no forged transaction")
+				}
+				if got != row.parents {
+					t.Fatalf("%s + rescue sealed forged chain %s (%d forged sealed, %d deferred, %d dropped), the parent commit sealed %s",
+						row.system, got, sealed, log.deferred, log.dropped, row.parents)
+				}
+			})
+		}
 	}
 }

@@ -61,7 +61,7 @@ const NumStages = int(stageEnd) - 1
 // them.
 const (
 	StageFormation Stage = 32 + iota // scheduler formation (Sharp: Algorithms 3 and 5, prune)
-	StagePrecheck                    // endorsement precheck and shadow verdicts
+	StagePrecheck                    // endorsements not verified before the cut, and shadow verdicts
 	StageReexec                      // rescue re-execution (reexec.Run)
 	StageFeedback                    // verdicts fed back to the scheduler (Sharp: CommitTail)
 	StageCut                         // the whole cut: the four above, then the seal and shadow apply

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"fabricsharp/internal/consensus"
+	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/wire"
 )
@@ -187,18 +189,25 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 
 func (s *RaftService) statePath() string { return filepath.Join(s.cfg.Dir, "raft-state") }
 
-// saveRaftState writes term and vote atomically (temp + rename).
+// saveRaftState writes term and vote durably: temp, fsync, rename, fsync dir.
 func saveRaftState(path string, term uint64, vote string) error {
 	tmp := path + ".tmp"
-	data := strconv.FormatUint(term, 10) + "\n" + vote + "\n"
-	if err := os.WriteFile(tmp, []byte(data), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.WriteString(strconv.FormatUint(term, 10) + "\n" + vote + "\n")
+	if err := errors.Join(err, f.Sync(), f.Close()); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return kvstore.SyncDir(filepath.Dir(path))
 }
 
-// loadRaftState reads state saved by saveRaftState; a missing file is a
-// fresh member.
+// loadRaftState reads state saved by saveRaftState — exactly a term line and
+// a vote line; anything else is refused. A missing file is a fresh member.
 func loadRaftState(path string) (uint64, string, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -207,11 +216,11 @@ func loadRaftState(path string) (uint64, string, error) {
 	if err != nil {
 		return 0, "", fmt.Errorf("transport: raft state: %w", err)
 	}
-	lines := strings.SplitN(string(data), "\n", 3)
-	if len(lines) < 2 {
+	lines := strings.Split(string(data), "\n")
+	if len(lines) != 3 || lines[2] != "" {
 		return 0, "", fmt.Errorf("transport: raft state %s: malformed", path)
 	}
-	term, err := strconv.ParseUint(strings.TrimSpace(lines[0]), 10, 64)
+	term, err := strconv.ParseUint(lines[0], 10, 64)
 	if err != nil {
 		return 0, "", fmt.Errorf("transport: raft state %s: %w", path, err)
 	}
@@ -507,7 +516,7 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("transport: raft submit: no quorum within %s", s.cfg.SubmitTimeout)
 		}
-		s.cond.Wait() // the tick loop broadcasts at heartbeat cadence
+		s.cond.Wait() // woken as HandleAppendResponse commits; the tick re-checks deadlines
 	}
 }
 

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -376,6 +378,49 @@ func TestWireRaftRestartCatchesUp(t *testing.T) {
 	for j := range want {
 		if envKey(got[j]) != envKey(want[j]) {
 			t.Fatalf("restarted member diverges at %d", j)
+		}
+	}
+}
+
+// TestRaftStateSurvivesACrashBeforeTheRename: a raft-state.tmp left by a
+// crash between the temp file's write and its rename is ignored on load —
+// beside an older state file and on its own — and a malformed state file is
+// refused rather than read as a fresh member.
+func TestRaftStateSurvivesACrashBeforeTheRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "raft-state")
+	if err := saveRaftState(path, 7, "m2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("raft-state.tmp outlived the save: %v", err)
+	}
+	// The crash: the next save's temp file is written, torn, never renamed.
+	if err := os.WriteFile(path+".tmp", []byte("8\nm"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if term, vote, err := loadRaftState(path); err != nil || term != 7 || vote != "m2" {
+		t.Fatalf("load beside a leftover temp file: (%d, %q, %v), want (7, \"m2\", nil)", term, vote, err)
+	}
+	if err := saveRaftState(path, 8, "m3"); err != nil {
+		t.Fatal(err)
+	}
+	if term, vote, err := loadRaftState(path); err != nil || term != 8 || vote != "m3" {
+		t.Fatalf("load after a save over the leftover: (%d, %q, %v), want (8, \"m3\", nil)", term, vote, err)
+	}
+	fresh := filepath.Join(t.TempDir(), "raft-state")
+	if err := os.WriteFile(fresh+".tmp", []byte("9\nm1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if term, vote, err := loadRaftState(fresh); err != nil || term != 0 || vote != "" {
+		t.Fatalf("load with only a temp file: (%d, %q, %v), want a fresh member", term, vote, err)
+	}
+	for _, bad := range []string{"", "7", "7\n", "7\nm2", "x\nm2\n", " 7\nm2\n", "7\nm2\nextra\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if term, vote, err := loadRaftState(path); err == nil {
+			t.Errorf("state file %q loaded as (%d, %q), want it refused", bad, term, vote)
 		}
 	}
 }

@@ -138,10 +138,12 @@ func (s *ShadowState) Len() int { return len(s.entries) }
 // ComputeVerdicts derives the validation codes for one block of ordered
 // transactions against base — the shared, sequential verdict function of
 // the whole repository. ValidateAndCommit wraps it for the peer reference
-// path, commit.ValidateBlock is asserted byte-identical to it, and every
-// orderer runs it over its ShadowState right after a cut, so the codes a
-// block carries out of ordering equal the codes the peers compute during
-// validation by construction, not by luck.
+// path and commit.ValidateBlock is asserted byte-identical to it. Every
+// orderer computes it over its ShadowState in two halves: the endorsement
+// half (PrecheckEndorsements) mostly while the batch fills, in
+// orderer.Core.Precheck, and ComputeVerdictsPrechecked at the cut. So the
+// codes a block carries out of ordering equal the codes the peers compute
+// during validation by construction, not by luck.
 func ComputeVerdicts(base VersionSource, block uint64, txs []*protocol.Transaction, opts Options) []protocol.ValidationCode {
 	return ComputeVerdictsPrechecked(base, block, txs, opts, PrecheckEndorsements(txs, opts, 1))
 }
@@ -150,9 +152,11 @@ func ComputeVerdicts(base VersionSource, block uint64, txs []*protocol.Transacti
 // on up to `workers` goroutines and returns the failure mask
 // ComputeVerdictsPrechecked consumes, or nil when the options disable
 // endorsement checking. Each verdict is an independent pure function of its
-// transaction, so the mask is deterministic regardless of scheduling — this
-// is how the orderers keep the dominant CPU cost of shadow validation
-// (ed25519 verification) off the serial part of the cut path.
+// transaction, so the mask is deterministic regardless of scheduling or of
+// when it is computed — which is how the orderers keep the dominant CPU cost
+// of shadow validation (ed25519 verification) off the cut: Core.Precheck
+// runs it over a batch's members as they join, and the cut over only the
+// members it had not reached.
 func PrecheckEndorsements(txs []*protocol.Transaction, opts Options, workers int) []bool {
 	if opts.MSP == nil || opts.Policy == nil {
 		return nil
