@@ -11,7 +11,8 @@
 // then drive it with `sharpnet load -orderer 127.0.0.1:7050 -peer-addrs
 // 127.0.0.1:7051,127.0.0.1:7052 -target-tps 500` (open-loop pacing over the
 // genesis-seeded msmallbank pool; `sharpnet trace` drains the stage-tracing
-// rings — docs/observability.md).
+// rings and `sharpnet profile` takes a runtime/pprof profile over the same
+// port — docs/observability.md).
 // Nodes shut down gracefully on SIGINT or SIGTERM (peers finish committing
 // every delivered block first).
 package main
@@ -19,8 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only under -pprof-addr
 	"os"
 	"os/signal"
 	"strings"
@@ -57,7 +56,6 @@ func main() {
 	workloadName := flag.String("workload", "", "registered scenario whose genesis state this node installs (identical cluster-wide; empty = no genesis)")
 	accounts := flag.Int("accounts", 0, "scenario pool-size override (requires -workload; 0 = scenario default)")
 	traceEvents := flag.Int("trace-events", 0, "stage-tracing ring capacity in events (0 = default; tracing is always on)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this loopback address (empty = off; docs/observability.md)")
 	flag.Parse()
 
 	names := splitNonEmpty(*peerNames)
@@ -84,9 +82,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fabricnode -role orderer|peer [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if *pprofAddr != "" {
-		go func() { fatal(http.ListenAndServe(*pprofAddr, nil)) }()
 	}
 	// Every node of a cluster resolves the same -workload/-accounts pair to
 	// the same write set, so all replicas install bit-identical genesis.

@@ -21,6 +21,8 @@
 //	                   a bit-identical chain tip and state fingerprint, then
 //	                   assert the ledger's committed tally covers
 //	                   -expect-committed.
+//	sharpnet profile — fetch a runtime/pprof profile (cpu, heap, allocs,
+//	                   goroutine) from one node over its wire port.
 //
 // Usage:
 //
@@ -29,6 +31,7 @@
 //	         -target-tps 500 -duration 10s [-workload msmallbank] [-accounts 100000]
 //	sharpnet trace -orderer ... -peer-addrs ... [-tx <id>]
 //	sharpnet check -orderer ... -peer-addrs ... -expect-committed 500
+//	sharpnet profile -node 127.0.0.1:7050 -kind cpu -seconds 10 -o cpu.pb.gz
 package main
 
 import (
@@ -64,6 +67,8 @@ func main() {
 		code = cmdStatus(rest)
 	case "check":
 		code = cmdCheck(rest)
+	case "profile":
+		code = cmdProfile(rest)
 	default:
 		fmt.Fprintf(os.Stderr, "sharpnet: unknown command %q\n\n", cmd)
 		usage(os.Stderr)
@@ -84,6 +89,8 @@ commands:
   status  print one line per reachable cluster member
   check   poll until the cluster agrees bit for bit, then assert the
           committed-transaction tally
+  profile write one node's cpu, heap, allocs or goroutine profile to a
+          file for go tool pprof
 
 run 'sharpnet <command> -h' for that command's flags.
 `)

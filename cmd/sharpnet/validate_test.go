@@ -23,6 +23,8 @@ func TestValidateAcceptsWellFormedCommands(t *testing.T) {
 		"check no tally":  checkFlags{Orderers: cluster, Peers: peers, ConvergeTimeout: time.Minute},
 		"trace":           traceFlags{Orderers: cluster, Peers: peers},
 		"trace peers":     traceFlags{Peers: peers},
+		"profile cpu":     profileFlags{Node: cluster[0], Kind: "cpu", Seconds: 10, Out: "cpu.pb.gz"},
+		"profile heap":    profileFlags{Node: peers[0], Kind: "heap", Out: "heap.pb.gz"},
 	} {
 		if err := f.validate(); err != nil {
 			t.Errorf("%s: unexpected error: %v", name, err)
@@ -50,6 +52,9 @@ func TestValidateRejectsMisuse(t *testing.T) {
 		"check without peer":    {checkFlags{Orderers: cluster, ConvergeTimeout: time.Minute}, "requires -orderer and -peer-addrs"},
 		"check zero timeout":    {checkFlags{Orderers: cluster, Peers: peers}, "-converge-timeout must be positive"},
 		"trace no targets":      {traceFlags{}, "needs -orderer and/or -peer-addrs"},
+		"profile no node":       {profileFlags{Kind: "heap", Out: "h"}, "requires -node"},
+		"profile long cpu":      {profileFlags{Node: cluster[0], Kind: "cpu", Seconds: 61, Out: "c"}, "1..60"},
+		"profile no output":     {profileFlags{Node: cluster[0], Kind: "goroutine"}, "requires -o"},
 	}
 	for name, c := range cases {
 		err := c.flags.validate()

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -135,7 +136,8 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses the non-test Go files of one directory as a package.
+// parseDir parses the non-test Go files of one directory that build on this
+// platform as a package.
 // Returns nil if the directory holds no such files.
 func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
@@ -146,6 +148,15 @@ func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Build constraints decide, as for the compiler: of two files that
+		// define one function for different platforms, only this one's.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -331,6 +331,63 @@ func TestCommitterPipeline(t *testing.T) {
 	}
 }
 
+// TestCommitterBoundsHotKeyHistory pins the committer's pruning: a key
+// written in every block keeps at most historyBlocks+1 versions — the latest
+// at or before the horizon plus one per block after it — however long the
+// chain grows, and the snapshots inside that window still read exactly.
+func TestCommitterBoundsHotKeyHistory(t *testing.T) {
+	env := newTestEnv(t)
+	source, err := ledger.NewChain(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := statedb.New(statedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerChain, err := ledger.NewChain(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{
+		Name:       "peer-hot",
+		State:      state,
+		Chain:      peerChain,
+		Validation: Options{Options: validation.Options{MSP: env.msp, Policy: env.policy}},
+		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
+	})
+	const blocks = 60
+	hot := []string{"hot-a", "hot-b"}
+	for b := 1; b <= blocks; b++ {
+		var txs []*protocol.Transaction
+		for i, key := range hot {
+			tx := &protocol.Transaction{
+				ID:    protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
+				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: key, Value: []byte(fmt.Sprint(b))}}},
+			}
+			env.sign(tx)
+			txs = append(txs, tx)
+		}
+		blk, err := source.Seal(txs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Deliver(blk)
+	}
+	c.Close()
+	for _, key := range hot {
+		if n := state.VersionCount(key); n > historyBlocks+1 {
+			t.Errorf("%s keeps %d versions after %d blocks, want at most %d", key, n, blocks, historyBlocks+1)
+		}
+		for b := uint64(blocks - historyBlocks); b <= blocks; b++ {
+			vv, ok, err := state.GetAt(key, b)
+			if err != nil || !ok || string(vv.Value) != fmt.Sprint(b) {
+				t.Errorf("GetAt(%s, %d) = %q ok=%v err=%v", key, b, vv.Value, ok, err)
+			}
+		}
+	}
+}
+
 // TestCommitterStatsHDR pins the always-on stats to the lock-free HDR
 // histogram's contract: one sample per block, counted exactly, and latency
 // quantiles within the bucket resolution (1/32 ≈ 3.2 %) of an exact

@@ -2,7 +2,9 @@ package commit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +20,13 @@ import (
 // blocks on a slow peer, bounded so a stalled peer exerts backpressure
 // instead of hoarding unbounded memory.
 const queueDepth = 64
+
+// historyBlocks is how many blocks of version history a committer keeps
+// behind its tip: after block N commits, snapshots older than N-historyBlocks
+// are pruned (statedb.PruneSnapshots). It is the default MaxSpan plus one —
+// an endorsement reads at the snapshot its simulation started from, and the
+// orderer aborts any snapshot MaxSpan or more blocks behind as stale.
+const historyBlocks = 11
 
 // Config wires a Committer to one peer's state and ledger. The Committer
 // deliberately knows nothing about the network that feeds it — completion
@@ -90,11 +99,12 @@ type Committer struct {
 	stats     Stats
 }
 
-// New builds a Committer and launches its goroutine.
+// New builds a Committer and launches its goroutine, profile-labelled
+// goroutine=committer and peer=Name (its validation workers inherit both).
 func New(cfg Config) *Committer {
 	c := &Committer{cfg: cfg, deliver: make(chan *ledger.Block, queueDepth)}
 	c.wg.Add(1)
-	go c.run()
+	go pprof.Do(context.Background(), pprof.Labels("goroutine", "committer", "peer", cfg.Name), func(context.Context) { c.run() })
 	return c
 }
 
@@ -196,6 +206,9 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	}
 	if err := c.cfg.Chain.Append(peerBlk); err != nil {
 		return fmt.Errorf("append block %d: %w", peerBlk.Header.Number, err)
+	}
+	if num := peerBlk.Header.Number; num > historyBlocks {
+		c.cfg.State.PruneSnapshots(num - historyBlocks)
 	}
 	c.stats.BlocksCommitted.Inc()
 	if c.cfg.Tracer != nil {

@@ -241,19 +241,30 @@ func (c *Client) Submit(contract, function string, args ...string) (wire.Result,
 // cluster members individually (e.g. to find the Raft leader or compare
 // replica tips during a chaos run).
 func StatusAt(addr string, timeout time.Duration) (wire.Status, error) {
-	conn, err := transport.DialRetry(addr, time.Now().Add(timeout))
+	resp, err := askNode(addr, timeout, wire.MsgStatusReq, nil, wire.MsgStatus)
 	if err != nil {
 		return wire.Status{}, err
 	}
-	defer conn.Close()
-	typ, resp, err := conn.Call(wire.MsgStatusReq, nil)
-	if err != nil {
-		return wire.Status{}, fmt.Errorf("node: status: %w", err)
-	}
-	if typ != wire.MsgStatus {
-		return wire.Status{}, fmt.Errorf("node: status answered with %v", typ)
-	}
 	return wire.DecodeStatus(resp)
+}
+
+// askNode is the one-shot probe behind StatusAt, TraceAt and ProfileAt: dial
+// addr within timeout, send one request, and return the answer's payload if
+// it has the type want.
+func askNode(addr string, timeout time.Duration, req wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
+	conn, err := transport.DialRetry(addr, time.Now().Add(timeout))
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	typ, resp, err := conn.Call(req, payload)
+	if err != nil {
+		return nil, fmt.Errorf("node: %v to %s: %w", req, addr, err)
+	}
+	if typ != want {
+		return nil, fmt.Errorf("node: %s answered %v with %v", addr, req, typ)
+	}
+	return resp, nil
 }
 
 // statusAttemptBudget bounds one StatusAtRetry dial+call attempt so a

@@ -1,10 +1,10 @@
 // Package node is the process-per-node deployment of the EOV network: the
 // two pipeline types every deployment shares, plus sockets. Orderer is an
-// orderer.Service behind a TCP server (result store, block streams, status
-// and trace handlers); Peer is a fabric.Peer behind one (proposal handler,
-// reconnecting block subscription feeding its committer); Client is the
-// wire client that drives them. cmd/fabricnode is a thin flag wrapper around
-// this package; the in-process cluster tests boot the same types on
+// orderer.Service behind a TCP server (result store, block streams, status,
+// trace and profile handlers); Peer is a fabric.Peer behind one (proposal
+// handler, reconnecting block subscription feeding its committer); Client is
+// the wire client that drives them. cmd/fabricnode is a thin flag wrapper
+// around this package; the in-process cluster tests boot the same types on
 // 127.0.0.1 listeners, so the OS-process deployment and the test cluster
 // exercise identical code.
 //

@@ -69,7 +69,7 @@ type OrdererConfig struct {
 
 // Orderer is a running ordering process: an orderer.Service plus sockets —
 // the result store wire clients park on, the block streams peers subscribe
-// to, and the status and trace handlers.
+// to, and the status, trace and profile handlers.
 type Orderer struct {
 	svc     *orderer.Service
 	srv     *transport.Server
@@ -239,6 +239,8 @@ func (o *Orderer) handle(c *transport.Conn) {
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(st))
 		case wire.MsgTraceReq:
 			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(o.tracer.Dump())))
+		case wire.MsgProfileReq:
+			serveProfile(c, payload, o.done)
 		default:
 			// Unknown request: answer with an error rather than going mute,
 			// then drop the conn (the peer is confused or newer than us).

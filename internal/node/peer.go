@@ -207,6 +207,8 @@ func (p *Peer) handle(c *transport.Conn) {
 			}))
 		case wire.MsgTraceReq:
 			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(p.tracer.Dump())))
+		case wire.MsgProfileReq:
+			serveProfile(c, payload, p.closed)
 		default:
 			_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{Err: fmt.Sprintf("unexpected %v", typ)}))
 			return

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fabricsharp/internal/trace"
-	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
 )
 
@@ -50,17 +49,9 @@ func wireToDump(t *wire.TraceDump) trace.Dump {
 // TraceAt drains one node's stage-tracing ring — any orderer or peer
 // address — without the Client's failover machinery.
 func TraceAt(addr string, timeout time.Duration) (trace.Dump, error) {
-	conn, err := transport.DialRetry(addr, time.Now().Add(timeout))
+	resp, err := askNode(addr, timeout, wire.MsgTraceReq, wire.EncodeTraceReq(wire.TraceReq{}), wire.MsgTraceDump)
 	if err != nil {
 		return trace.Dump{}, err
-	}
-	defer conn.Close()
-	typ, resp, err := conn.Call(wire.MsgTraceReq, wire.EncodeTraceReq(wire.TraceReq{}))
-	if err != nil {
-		return trace.Dump{}, fmt.Errorf("node: trace: %w", err)
-	}
-	if typ != wire.MsgTraceDump {
-		return trace.Dump{}, fmt.Errorf("node: trace answered with %v", typ)
 	}
 	dump, err := wire.DecodeTraceDump(resp)
 	if err != nil {

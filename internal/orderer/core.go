@@ -117,6 +117,9 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 			c.shadow.Seed(w.Key, w.Value, workload.GenesisVersion())
 		}
 	}
+	// Nothing reads the write set again; at 100 k accounts it is megabytes
+	// the Core would otherwise hold for its lifetime.
+	c.cfg.Genesis = nil
 	if cfg.HashCommitment {
 		c.broker = NewCommitmentBroker()
 	}

@@ -16,7 +16,9 @@
 package orderer
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -65,7 +67,7 @@ type Options struct {
 	// Genesis, when non-empty, is the block-0 write set seeded into the
 	// orderer's shadow state at workload.GenesisVersion — it must be the set
 	// the peers install, or shadow MVCC verdicts would diverge from peer
-	// validation.
+	// validation. A Core or Service keeps no reference to it once built.
 	Genesis []protocol.WriteItem
 }
 
@@ -147,13 +149,15 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Genesis = nil // seeded into the Core's shadow; not kept
 	return &Service{cfg: cfg, core: core, done: make(chan struct{}), fatalCh: make(chan struct{})}, nil
 }
 
-// Start begins consuming the consensus stream.
+// Start begins consuming the consensus stream. The run goroutine, and the
+// cut's fan-outs it starts, carry the profile label goroutine=orderer.run.
 func (s *Service) Start() {
 	s.wg.Add(1)
-	go s.run()
+	go pprof.Do(context.Background(), pprof.Labels("goroutine", "orderer.run"), func(context.Context) { s.run() })
 }
 
 // run folds Core.Step over the stream. The Core never touches peer state:

@@ -9,7 +9,9 @@
 // needs a read-write lock between simulation and commit — this store retains
 // a bounded history per key, so contract simulations read a consistent
 // snapshot "as of block M" while later blocks commit concurrently. Stale
-// snapshots beyond the max_span horizon are pruned.
+// snapshots beyond the max_span horizon are pruned (a peer's committer does
+// it after every block), and a read below the pruned horizon is refused
+// with ErrPruned rather than answered from what history is left.
 //
 // # Concurrency
 //
@@ -35,6 +37,7 @@
 package statedb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -99,7 +102,27 @@ type DB struct {
 	backing *kvstore.DB
 	batch   []kvstore.BatchOp // per-block persist batch, reused
 	live    liveSum           // fingerprint of the live contents, guarded by applyMu
+
+	// horizon is the highest block PruneSnapshots has pruned to (on a
+	// reopened store, the height it was loaded at): snapshots from it on
+	// read exactly, older ones get ErrPruned. It is raised before any
+	// version goes.
+	horizon atomic.Uint64
+	// written lists every write applied above the horizon, oldest first:
+	// only these keys can hold a version a later PruneSnapshots discards.
+	// Guarded by applyMu.
+	written []blockKey
 }
+
+// blockKey records that block wrote key.
+type blockKey struct {
+	block uint64
+	key   string
+}
+
+// ErrPruned refuses a snapshot read below the pruned horizon: the history
+// that would answer it is gone.
+var ErrPruned = errors.New("statedb: snapshot below the pruned horizon")
 
 const (
 	backingStatePrefix = "s/"
@@ -123,6 +146,8 @@ func New(opts Options) (*DB, error) {
 		}
 		db.height.Store(seq.Block)
 		db.hasAny.Store(true)
+		// The store keeps latest versions only: nothing older is left.
+		db.horizon.Store(seq.Block)
 		return nil
 	})
 	if err != nil {
@@ -180,11 +205,18 @@ func (db *DB) Get(key string) (VersionedValue, bool) {
 // GetAt returns the value of key as observed by the blockchain snapshot
 // taken after block asOfBlock (Definition 1): the latest version whose
 // block number is <= asOfBlock. Reads at snapshots at or below Height() are
-// torn-free with respect to concurrently applying blocks.
+// torn-free with respect to concurrently applying blocks; reads below the
+// pruned horizon fail with ErrPruned.
 func (db *DB) GetAt(key string, asOfBlock uint64) (VersionedValue, bool, error) {
 	sh := &db.shards[shardFor(key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	// Checked under the shard lock: a prune raises the horizon before it
+	// takes this lock to trim, so a horizon still at or below asOfBlock
+	// here keeps the versions this read needs until it is done.
+	if err := db.readable(asOfBlock); err != nil {
+		return VersionedValue{}, false, err
+	}
 	versions := sh.hist[key]
 	// Binary search for the last version with Version.Block <= asOfBlock.
 	lo, hi := 0, len(versions)
@@ -197,8 +229,7 @@ func (db *DB) GetAt(key string, asOfBlock uint64) (VersionedValue, bool, error) 
 		}
 	}
 	if lo == 0 {
-		// The key did not exist at that snapshot (or its history was pruned
-		// past it, which the caller bounds by max_span).
+		// The key did not exist at that snapshot.
 		return VersionedValue{}, false, nil
 	}
 	vv := versions[lo-1]
@@ -206,6 +237,14 @@ func (db *DB) GetAt(key string, asOfBlock uint64) (VersionedValue, bool, error) 
 		return VersionedValue{}, false, nil
 	}
 	return vv, true, nil
+}
+
+// readable refuses a snapshot below the pruned horizon.
+func (db *DB) readable(asOfBlock uint64) error {
+	if h := db.horizon.Load(); asOfBlock < h {
+		return fmt.Errorf("%w: block %d, horizon %d", ErrPruned, asOfBlock, h)
+	}
+	return nil
 }
 
 // Snapshot returns a read-only view of the state as of the given block.
@@ -216,8 +255,7 @@ type Snapshot struct {
 
 // SnapshotAt captures the snapshot identifier for block `block`. Reads
 // through it resolve against the version history, so later commits do not
-// disturb it (until pruning outruns it, which the caller bounds by
-// max_span).
+// disturb it; once pruning outruns it, its reads fail with ErrPruned.
 func (db *DB) SnapshotAt(block uint64) *Snapshot { return &Snapshot{db: db, block: block} }
 
 // LatestSnapshot captures the snapshot after the last committed block.
@@ -241,9 +279,15 @@ func (s *Snapshot) Read(key string) ([]byte, seqno.Seq, bool, error) {
 	return vv.Value, vv.Version, true, nil
 }
 
-// ReadRange implements chaincode.RangeReader over the same snapshot.
+// ReadRange implements chaincode.RangeReader over the same snapshot. The
+// horizon is checked after the scan: it only rises, and a prune raises it
+// before it trims, so a prune that overlapped the scan is seen here.
 func (s *Snapshot) ReadRange(start, end string) ([]string, error) {
-	return s.db.KeysInRange(start, end, s.block), nil
+	keys := s.db.KeysInRange(start, end, s.block)
+	if err := s.db.readable(s.block); err != nil {
+		return nil, err
+	}
+	return keys, nil
 }
 
 // ApplyBlock commits the writes of block `block`'s valid transactions, in
@@ -286,6 +330,7 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore
 			if db.backing != nil {
 				batch = append(batch, persistOp(w.Key, vv))
 			}
+			db.written = append(db.written, blockKey{block, w.Key})
 		}
 	}
 	if db.backing != nil {
@@ -322,36 +367,54 @@ func persistOp(key string, vv VersionedValue) kvstore.BatchOp {
 // after minSnapshotBlock: for each key it keeps the latest version at or
 // before the horizon plus everything after it (Section 4.2's periodic
 // pruning of staled snapshots).
+//
+// It visits only the keys written by blocks above the previous horizon and
+// at or below this one. Any other key has no version in that range, so it
+// already holds at most one version at or below the horizon, and a sweep
+// of every key would leave it as it is.
 func (db *DB) PruneSnapshots(minSnapshotBlock uint64) {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	for i := range db.shards {
-		sh := &db.shards[i]
+	if minSnapshotBlock > db.horizon.Load() {
+		db.horizon.Store(minSnapshotBlock)
+	}
+	n := 0
+	for ; n < len(db.written) && db.written[n].block <= minSnapshotBlock; n++ {
+		w := db.written[n]
+		sh := &db.shards[shardFor(w.key)]
 		sh.mu.Lock()
-		//sharp:orderinvariant per-key history truncation keyed by the unique range key; iterations are independent
-		for key, versions := range sh.hist {
-			// Find the last version with Block <= minSnapshotBlock.
-			idx := -1
-			for j, vv := range versions {
-				if vv.Version.Block <= minSnapshotBlock {
-					idx = j
-				} else {
-					break
-				}
-			}
-			if idx <= 0 {
-				continue
-			}
-			kept := versions[idx:]
-			if len(kept) == 1 && kept[0].Deleted {
-				// Latest is a tombstone and nothing newer: the key is gone.
-				delete(sh.hist, key)
-				continue
-			}
-			sh.hist[key] = append([]VersionedValue(nil), kept...)
-		}
+		trimKey(sh, w.key, minSnapshotBlock)
 		sh.mu.Unlock()
 	}
+	rest := copy(db.written, db.written[n:])
+	clear(db.written[rest:])
+	db.written = db.written[:rest]
+}
+
+// trimKey cuts key's history to the latest version at or before horizon and
+// everything after it, and drops the key once that is a lone tombstone. The
+// kept versions slide to the front of the same array, which later appends
+// then reuse (the shard's write lock keeps readers out meanwhile).
+func trimKey(sh *shard, key string, horizon uint64) {
+	versions := sh.hist[key]
+	idx := -1
+	for j, vv := range versions {
+		if vv.Version.Block > horizon {
+			break
+		}
+		idx = j
+	}
+	if idx <= 0 {
+		return
+	}
+	if idx == len(versions)-1 && versions[idx].Deleted {
+		// Latest is a tombstone and nothing newer: the key is gone.
+		delete(sh.hist, key)
+		return
+	}
+	n := copy(versions, versions[idx:])
+	clear(versions[n:])
+	sh.hist[key] = versions[:n]
 }
 
 // VersionCount reports how many versions of key are retained (tests and
@@ -436,9 +499,10 @@ func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 func (db *DB) Clone() *DB {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	out := &DB{live: db.live}
+	out := &DB{live: db.live, written: append([]blockKey(nil), db.written...)}
 	out.height.Store(db.height.Load())
 	out.hasAny.Store(db.hasAny.Load())
+	out.horizon.Store(db.horizon.Load())
 	for i := range db.shards {
 		src := db.shards[i].hist
 		dst := make(map[string][]VersionedValue, len(src))

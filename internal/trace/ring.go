@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -11,8 +12,8 @@ import (
 const MaxTxIDLen = 48
 
 // DefaultRingSize is the per-node ring capacity when the config leaves it
-// unset: 128Ki events ≈ 3–4 blocks' worth per thousand transactions across
-// all stages — hours of smoke traffic, megabytes of memory.
+// unset: 128Ki events, 10 MiB of slots. A transaction leaves 3–4 events on
+// each node it crosses, so at 800 tx/s the ring holds the last ~40 s.
 const DefaultRingSize = 1 << 17
 
 // payloadWords is the per-slot payload: wall clock, block number, a packed
@@ -51,6 +52,11 @@ type slot struct {
 // on one slot when one has lapped the entire ring while the other's write
 // was still in flight; the CAS then makes the late writer drop its event
 // (counted by Recorded minus the surviving window) instead of blocking.
+//
+// The slots live off the GC heap where the platform allows (mapSlots): a
+// slot holds no pointer, so the collector has nothing to find there, and
+// the ring does not count towards the heap goal, which the runtime sets at
+// twice the live heap.
 type Ring struct {
 	mask   uint64
 	cursor atomic.Uint64
@@ -67,7 +73,9 @@ func NewRing(capacity int) *Ring {
 	for size < capacity {
 		size <<= 1
 	}
-	return &Ring{mask: uint64(size - 1), slots: make([]slot, size)}
+	r := &Ring{mask: uint64(size - 1)}
+	r.slots = mapSlots(r, size)
+	return r
 }
 
 // Cap returns the ring's slot count.
@@ -90,6 +98,7 @@ func (r *Ring) RecordAt(txID string, stage Stage, block uint64, wallNS int64) {
 		if cur == slotBusy {
 			// A writer that lapped the whole ring owns this slot mid-write;
 			// its event is newer — drop ours rather than block or corrupt.
+			runtime.KeepAlive(r)
 			return
 		}
 		if s.seq.CompareAndSwap(cur, slotBusy) {
@@ -113,6 +122,7 @@ func (r *Ring) RecordAt(txID string, stage Stage, block uint64, wallNS int64) {
 		s.words[wi].Store(word)
 	}
 	s.seq.Store(ticket)
+	runtime.KeepAlive(r) // the slot is unmapped when r is collected
 }
 
 // Snapshot drains a consistent view of the ring: every returned event was
@@ -141,6 +151,7 @@ func (r *Ring) Snapshot() []Event {
 			break
 		}
 	}
+	runtime.KeepAlive(r)
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

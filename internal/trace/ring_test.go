@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -203,6 +204,30 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Tracer.RecordSpan allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestSlotHoldsNoPointer guards the ring's off-heap slots: memory the
+// collector does not scan must not hold the only reference to anything, so
+// a slot may hold numbers only.
+func TestSlotHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("slot%s is a %v: a slot must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("", reflect.TypeOf(slot{}))
 }
 
 func TestNilTracerIsSafe(t *testing.T) {

@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,6 +100,9 @@ type raftFrame struct {
 	payload []byte
 }
 
+// raftLabels tag the driver's goroutines in a node's profiles.
+var raftLabels = pprof.Labels("goroutine", "raft")
+
 // raftPeer is the outbound side of one peering: a bounded outbox drained by
 // a sender goroutine that owns the connection.
 type raftPeer struct {
@@ -167,23 +172,29 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 		}
 	}
 
-	srv, err := Listen(cfg.Listen, s.serveConn)
+	// Every goroutine of the driver — the server's accept loop and its
+	// handlers, the senders and their read loops, the tick loop — carries
+	// the profile label goroutine=raft.
+	pprof.Do(context.Background(), raftLabels, func(context.Context) {
+		s.srv, err = Listen(cfg.Listen, s.serveConn)
+		if err != nil {
+			return
+		}
+		for _, addr := range core.Others() {
+			p := &raftPeer{addr: addr, out: make(chan raftFrame, 1024)}
+			s.peers[addr] = p
+			s.wg.Add(1)
+			go s.sender(p)
+		}
+		s.mu.Lock()
+		s.resetDeadlineLocked()
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go s.tick()
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.srv = srv
-
-	for _, addr := range core.Others() {
-		p := &raftPeer{addr: addr, out: make(chan raftFrame, 1024)}
-		s.peers[addr] = p
-		s.wg.Add(1)
-		go s.sender(p)
-	}
-	s.mu.Lock()
-	s.resetDeadlineLocked()
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.tick()
 	return s, nil
 }
 
@@ -537,7 +548,9 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 		})
 	}
 	s.wg.Add(1)
-	go func() {
+	// The stream's consumer is an orderer's run loop; the feeder is the
+	// driver's, so it is labelled as such rather than inheriting the label.
+	go pprof.Do(context.Background(), raftLabels, func(context.Context) {
 		defer s.wg.Done()
 		defer close(ch)
 		next := uint64(1) // 1-based log index
@@ -567,7 +580,7 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 				return
 			}
 		}
-	}()
+	})
 	return ch, cancel
 }
 

@@ -17,8 +17,8 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -47,34 +47,61 @@ func (f DeliveryFunc) Deliver(blk *ledger.Block) error { return f(blk) }
 // Conn is a framed, wire-versioned connection. Sends are serialized by an
 // internal mutex; Recv must be called from a single goroutine (the usual
 // request/response or stream-consumer patterns).
+//
+// A Conn holds no read or write buffer: a frame leaves in one writev and is
+// read straight off the socket, header first, into a payload slice of
+// exactly its size. The header arrays and the gather list are fields so that
+// neither direction allocates beyond the payload it returns.
 type Conn struct {
-	nc        net.Conn
-	r         *bufio.Reader
-	wmu       sync.Mutex
-	w         *bufio.Writer
+	nc   net.Conn
+	rhdr [wire.FrameHeaderLen]byte // Recv's, owned by its one caller
+
+	wmu   sync.Mutex // guards whdr, wvec and wbufs
+	whdr  [wire.FrameHeaderLen]byte
+	wvec  [2][]byte
+	wbufs net.Buffers
+
 	reqMu     sync.Mutex // serializes Call request/response pairs
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // NewConn wraps an established net.Conn.
-func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
-}
+func NewConn(nc net.Conn) *Conn { return &Conn{nc: nc} }
 
-// Send writes one frame and flushes it. Safe for concurrent use.
+// Send writes one frame. Safe for concurrent use.
 func (c *Conn) Send(t wire.MsgType, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := wire.WriteFrame(c.w, t, payload); err != nil {
+	if err := wire.PutFrameHeader(&c.whdr, t, len(payload)); err != nil {
 		return err
 	}
-	return c.w.Flush()
+	c.wvec = [2][]byte{c.whdr[:], payload}
+	// An empty payload is left out of the list: a net.Pipe passes even an
+	// empty write to the reader, and blocks until some read takes it.
+	c.wbufs = c.wvec[:1]
+	if len(payload) > 0 {
+		c.wbufs = c.wvec[:2]
+	}
+	_, err := c.wbufs.WriteTo(c.nc)
+	c.wvec[1] = nil // do not pin the payload until the next Send
+	return err
 }
 
-// Recv reads one frame.
+// Recv reads one frame, enforcing the wire version and the size limit.
 func (c *Conn) Recv() (wire.MsgType, []byte, error) {
-	return wire.ReadFrame(c.r)
+	if _, err := io.ReadFull(c.nc, c.rhdr[:]); err != nil {
+		return 0, nil, err
+	}
+	t, n, err := wire.ParseFrameHeader(&c.rhdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(c.nc, payload); err != nil {
+		return 0, nil, fmt.Errorf("transport: short frame payload: %w", err)
+	}
+	return t, payload, nil
 }
 
 // Call sends a request frame and reads the response frame. Concurrent Calls

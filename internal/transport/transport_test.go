@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -59,6 +60,137 @@ func TestConnCallRoundTrip(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentFramesArriveWholeAndInOrder sends frames of 0 B, 6 B (one
+// header's worth), 4 KiB ± 1 (around the old per-connection buffer) and
+// 1 MiB from 8 concurrent senders on one Conn. Every frame must arrive whole
+// and each sender's frames in its order — over TCP, where a frame leaves in
+// one writev, and over net.Pipe, which has no writev and hands the reader
+// each write in pieces as small as its read.
+func TestConcurrentFramesArriveWholeAndInOrder(t *testing.T) {
+	sizes := []int{0, 6, 4095, 4096, 4097, 1 << 20}
+	const senders, rounds = 8, 3
+	// Frame k of sender s is sizes[k%len(sizes)] bytes of byte(s*31+k): the
+	// type names the sender and the fill names the frame.
+	run := func(t *testing.T, tx, rx *Conn) {
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for k := 0; k < rounds*len(sizes); k++ {
+					payload := bytes.Repeat([]byte{byte(s*31 + k)}, sizes[k%len(sizes)])
+					if err := tx.Send(wire.MsgType(100+s), payload); err != nil {
+						t.Errorf("sender %d frame %d: %v", s, k, err)
+						return
+					}
+				}
+			}(s)
+		}
+		next := make([]int, senders)
+		for n := 0; n < senders*rounds*len(sizes); n++ {
+			typ, payload, err := rx.Recv()
+			if err != nil {
+				t.Fatalf("frame %d: %v", n, err)
+			}
+			s := int(typ) - 100
+			if s < 0 || s >= senders {
+				t.Fatalf("frame %d: type %v names no sender", n, typ)
+			}
+			k := next[s]
+			next[s]++
+			want := bytes.Repeat([]byte{byte(s*31 + k)}, sizes[k%len(sizes)])
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("sender %d frame %d: got %d bytes, want %d of %#x (torn or out of order)", s, k, len(payload), len(want), byte(s*31+k))
+			}
+		}
+		wg.Wait()
+	}
+	t.Run("tcp", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			nc, _ := lis.Accept()
+			accepted <- nc
+		}()
+		tx, err := Dial(lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Close()
+		nc := <-accepted
+		if nc == nil {
+			t.Fatal("accept failed")
+		}
+		rx := NewConn(nc)
+		defer rx.Close()
+		run(t, tx, rx)
+	})
+	t.Run("pipe", func(t *testing.T) {
+		a, b := net.Pipe()
+		tx, rx := NewConn(a), NewConn(b)
+		defer tx.Close()
+		defer rx.Close()
+		run(t, tx, rx)
+	})
+	// A net.Pipe write of nothing waits for a read to take it, so a Call
+	// whose empty request wrote its payload would wait on the echo, and the
+	// echo on the Call.
+	t.Run("pipe empty call", func(t *testing.T) {
+		a, b := net.Pipe()
+		client, server := NewConn(a), NewConn(b)
+		defer client.Close()
+		defer server.Close()
+		go func() {
+			for {
+				typ, p, err := server.Recv()
+				if err != nil || server.Send(typ, p) != nil {
+					return
+				}
+			}
+		}()
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := client.Call(wire.MsgStatusReq, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("an empty request over net.Pipe never got its answer")
+		}
+	})
+}
+
+// TestCallAllocations pins the round trip's allocation count, client and
+// echo server together: the two payloads Recv returns and nothing else. With
+// per-connection bufio buffers it was 6 (each header escaped to the heap on
+// both sides).
+func TestCallAllocations(t *testing.T) {
+	s := echoServer(t)
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := make([]byte, 1024)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := c.Call(wire.MsgAck, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Conn.Call allocates %.1f objects per round trip, want at most 2", allocs)
+	}
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {

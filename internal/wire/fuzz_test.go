@@ -79,6 +79,18 @@ func FuzzDecodeTraceDump(f *testing.F) {
 		}}))
 }
 
+func FuzzDecodeProfileReq(f *testing.F) {
+	fuzzCodec(f, DecodeProfileReq, EncodeProfileReq,
+		EncodeProfileReq(ProfileReq{Kind: "cpu", Seconds: 10}),
+		EncodeProfileReq(ProfileReq{Kind: "heap"}))
+}
+
+func FuzzDecodeProfile(f *testing.F) {
+	fuzzCodec(f, DecodeProfile, EncodeProfile,
+		EncodeProfile(&Profile{Data: []byte{0x1f, 0x8b, 8, 0}}),
+		EncodeProfile(&Profile{Err: "cpu profiling already in use"}))
+}
+
 func FuzzDecodeProposal(f *testing.F) {
 	fuzzCodec(f, DecodeProposal, EncodeProposal,
 		EncodeProposal(&Proposal{ClientID: "c", TxID: "fuzz-1", Contract: "kv", Function: "noop"}),

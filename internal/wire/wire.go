@@ -32,7 +32,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
@@ -95,6 +94,10 @@ const (
 	MsgTraceReq MsgType = 15
 	// MsgTraceDump answers MsgTraceReq with the drained timeline events.
 	MsgTraceDump MsgType = 16
+	// MsgProfileReq asks a node for one runtime/pprof profile.
+	MsgProfileReq MsgType = 17
+	// MsgProfile answers MsgProfileReq with the profile or a refusal.
+	MsgProfile MsgType = 18
 )
 
 // String names the message type for diagnostics.
@@ -132,6 +135,10 @@ func (t MsgType) String() string {
 		return "trace-req"
 	case MsgTraceDump:
 		return "trace-dump"
+	case MsgProfileReq:
+		return "profile-req"
+	case MsgProfile:
+		return "profile"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(t))
 	}
@@ -141,44 +148,34 @@ func (t MsgType) String() string {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-// frameHeaderLen is u32 length + u8 version + u8 type.
-const frameHeaderLen = 6
+// FrameHeaderLen is the size of a frame header: u32 payload length, u8
+// version, u8 message type. The payload follows it.
+const FrameHeaderLen = 6
 
-// WriteFrame writes one length-prefixed frame: u32 payload length, u8
-// version, u8 message type, payload.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("wire: frame payload %d exceeds limit %d", len(payload), MaxFrameSize)
+// PutFrameHeader fills hdr with the header of a frame of type t carrying n
+// payload bytes.
+func PutFrameHeader(hdr *[FrameHeaderLen]byte, t MsgType, n int) error {
+	if n > MaxFrameSize {
+		return fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameSize)
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	hdr[4] = Version
 	hdr[5] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return nil
 }
 
-// ReadFrame reads one frame, enforcing the version and the size limit.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
+// ParseFrameHeader checks a frame header's version and size limit and
+// returns the frame's message type and payload length, so a reader never
+// allocates for a frame it is about to refuse.
+func ParseFrameHeader(hdr *[FrameHeaderLen]byte) (MsgType, int, error) {
 	n := binary.BigEndian.Uint32(hdr[0:4])
 	if n > MaxFrameSize {
-		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameSize)
+		return 0, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameSize)
 	}
 	if hdr[4] != Version {
-		return 0, nil, fmt.Errorf("wire: version %d, want %d", hdr[4], Version)
+		return 0, 0, fmt.Errorf("wire: version %d, want %d", hdr[4], Version)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: short frame payload: %w", err)
-	}
-	return MsgType(hdr[5]), payload, nil
+	return MsgType(hdr[5]), int(n), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -182,44 +181,36 @@ func TestBlockRescueDigestRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("hello"), nil, bytes.Repeat([]byte{7}, 1000)}
-	types := []MsgType{MsgSubmit, MsgStatusReq, MsgBlock}
-	for i := range payloads {
-		if err := WriteFrame(&buf, types[i], payloads[i]); err != nil {
+	for _, tc := range []struct {
+		typ MsgType
+		n   int
+	}{{MsgSubmit, 5}, {MsgStatusReq, 0}, {MsgBlock, 1000}, {MsgProfile, MaxFrameSize}} {
+		var hdr [FrameHeaderLen]byte
+		if err := PutFrameHeader(&hdr, tc.typ, tc.n); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := range payloads {
-		typ, p, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
+		typ, n, err := ParseFrameHeader(&hdr)
+		if err != nil || typ != tc.typ || n != tc.n {
+			t.Fatalf("header of (%v, %d) parsed as (%v, %d, %v)", tc.typ, tc.n, typ, n, err)
 		}
-		if typ != types[i] || !bytes.Equal(p, payloads[i]) {
-			t.Fatalf("frame %d: got (%v, %d bytes)", i, typ, len(p))
-		}
-	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("expected EOF on drained stream, got %v", err)
 	}
 }
 
 func TestFrameRejectsVersionSkewAndOversize(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgAck, []byte("x")); err != nil {
+	var hdr [FrameHeaderLen]byte
+	if err := PutFrameHeader(&hdr, MsgAck, 1); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[4] = Version + 1
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	hdr[4] = Version + 1
+	if _, _, err := ParseFrameHeader(&hdr); err == nil {
 		t.Fatal("version skew accepted")
 	}
 	// A length prefix beyond the limit is rejected before any allocation.
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, Version, byte(MsgAck)}
-	if _, _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
+	huge := [FrameHeaderLen]byte{0xFF, 0xFF, 0xFF, 0xFF, Version, byte(MsgAck)}
+	if _, _, err := ParseFrameHeader(&huge); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if err := WriteFrame(io.Discard, MsgBlock, make([]byte, MaxFrameSize+1)); err == nil {
+	if err := PutFrameHeader(&hdr, MsgBlock, MaxFrameSize+1); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }

@@ -19,6 +19,9 @@
 #             five nodes end bit-identical (the fault-tolerance contract),
 #             and peer1 resumed from its store, not from block 1.
 #
+# Both shapes end by pulling a heap profile and a 1 s CPU profile from every
+# node through `sharpnet profile`; each must be a non-empty gzip stream.
+#
 # Environment knobs:
 #   SYSTEMS     systems to exercise            (default: "fabric# focc-l";
 #               chaos uses the first one only)
@@ -79,6 +82,22 @@ teardown() {
   PIDS=()
 }
 trap teardown EXIT
+
+# check_profiles pulls a heap and a 1 s CPU profile from each node address
+# given, over the node's own port, into $LOGDIR.
+check_profiles() {
+  local addr kind out
+  for addr in "$@"; do
+    for kind in heap cpu; do
+      out="$LOGDIR/$kind-${addr##*:}-$slug.pb.gz"
+      "$BIN/sharpnet" profile -node "$addr" -kind "$kind" -seconds 1 -o "$out"
+      if [ ! -s "$out" ] || ! gzip -t "$out"; then
+        echo "profile: the $kind profile of $addr is not a non-empty gzip stream" >&2
+        exit 1
+      fi
+    done
+  done
+}
 
 # ---------------------------------------------------------------------------
 # Chaos shape: 3 Raft orderers + 2 peers, two leader kills mid-load.
@@ -217,6 +236,8 @@ if [ "$CHAOS" = "1" ]; then
     exit 1
   fi
 
+  check_profiles "$C0" "$C1" "$C2" "$P0" "$P1"
+
   teardown
   echo "=== chaos smoke: OK ($COMMITTED of $OFFERED offered transactions committed, two leader kills, peer1 killed and resumed at block $RESUMED) ==="
   exit 0
@@ -269,6 +290,7 @@ for system in $SYSTEMS; do
     exit 1
   fi
   echo "open-loop: $ACHIEVED tx/s achieved, $COVERAGE% trace coverage"
+  check_profiles "127.0.0.1:$orderer_port" "127.0.0.1:$peer0_port" "127.0.0.1:$peer1_port"
 
   teardown
   echo "=== $system: OK ==="
