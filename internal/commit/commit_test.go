@@ -1,12 +1,14 @@
 package commit
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -261,16 +263,13 @@ func TestCommitterPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerChain, err := ledger.NewChain(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tip := &ledger.Tip{}
 	var mu sync.Mutex
 	var committed []uint64
 	c := New(Config{
 		Name:       "peer-test",
 		State:      state,
-		Chain:      peerChain,
+		Tip:        tip,
 		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
 		OnCommit: func(blk *ledger.Block, codes []protocol.ValidationCode) {
 			mu.Lock()
@@ -313,8 +312,9 @@ func TestCommitterPipeline(t *testing.T) {
 	if state.Height() != blocks {
 		t.Errorf("height = %d", state.Height())
 	}
-	if err := peerChain.Verify(); err != nil {
-		t.Error(err)
+	n, hash, tally := tip.Status()
+	if n != blocks || !bytes.Equal(hash, source.TipHash()) || tally != blocks*4 {
+		t.Errorf("peer tip (%d, %x, %d), sealed (%d, %x, %d)", n, hash, tally, blocks, source.TipHash(), blocks*4)
 	}
 	st := c.Stats()
 	if st.BlocksCommitted.Value() != blocks {
@@ -345,14 +345,10 @@ func TestCommitterBoundsHotKeyHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerChain, err := ledger.NewChain(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := New(Config{
 		Name:       "peer-hot",
 		State:      state,
-		Chain:      peerChain,
+		Tip:        &ledger.Tip{},
 		Validation: Options{Options: validation.Options{MSP: env.msp, Policy: env.policy}},
 		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
 	})
@@ -398,11 +394,10 @@ func TestCommitterStatsHDR(t *testing.T) {
 	env := newTestEnv(t)
 	source, _ := ledger.NewChain(nil)
 	state, _ := statedb.New(statedb.Options{})
-	peerChain, _ := ledger.NewChain(nil)
 	c := New(Config{
 		Name:       "peer-stats",
 		State:      state,
-		Chain:      peerChain,
+		Tip:        &ledger.Tip{},
 		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
 		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
 	})
@@ -461,10 +456,9 @@ func TestCommitterStatsHDR(t *testing.T) {
 
 func TestCommitterReportsPoisonedBlock(t *testing.T) {
 	state, _ := statedb.New(statedb.Options{})
-	chain, _ := ledger.NewChain(nil)
 	errs := make(chan error, 1)
 	c := New(Config{
-		Name: "peerX", State: state, Chain: chain,
+		Name: "peerX", State: state, Tip: &ledger.Tip{},
 		OnError: func(err error) { errs <- err },
 	})
 	// A block whose data hash does not cover its transactions cannot append.
@@ -484,6 +478,64 @@ func TestCommitterReportsPoisonedBlock(t *testing.T) {
 	}
 	if !c.Failed() {
 		t.Error("committer not marked failed")
+	}
+}
+
+// TestCommitterFailsOnAMutatedSealedVerdict keeps the agreement check the
+// peer-chain walks of the agreement tests relied on: a delivered block whose
+// sealed verdicts or rescue digest differ from what the peer derives fails
+// the committer, and its tip stays where it was.
+func TestCommitterFailsOnAMutatedSealedVerdict(t *testing.T) {
+	env := newTestEnv(t)
+	for _, mutate := range []struct {
+		what string
+		fn   func(*ledger.Block)
+	}{
+		{"verdict", func(b *ledger.Block) { b.Validation[1] = protocol.MVCCConflict }},
+		{"rescue digest", func(b *ledger.Block) { b.RescueDigest = []byte{1} }},
+	} {
+		t.Run(mutate.what, func(t *testing.T) {
+			state, _ := statedb.New(statedb.Options{})
+			tip := &ledger.Tip{}
+			errs := make(chan error, 1)
+			c := New(Config{
+				Name: "peer-mutated", State: state, Tip: tip,
+				Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
+				OnError:    func(err error) { errs <- err },
+			})
+			source, _ := ledger.NewChain(nil)
+			seal := func(b int) *ledger.Block {
+				txs := make([]*protocol.Transaction, 3)
+				for i := range txs {
+					txs[i] = &protocol.Transaction{
+						ID:    protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
+						RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: fmt.Sprintf("k%d-%d", b, i), Value: []byte("v")}}},
+					}
+					env.sign(txs[i])
+				}
+				blk, err := source.Seal(txs, make([]protocol.ValidationCode, len(txs)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blk
+			}
+			c.Deliver(seal(1))
+			bad := seal(2)
+			mutate.fn(bad)
+			c.Deliver(bad)
+			c.Close()
+			select {
+			case err := <-errs:
+				if !strings.Contains(err.Error(), "diverges") {
+					t.Fatalf("committer failed with %v, want a divergence", err)
+				}
+			default:
+				t.Fatal("a mutated sealed block committed")
+			}
+			if n, _, committed := tip.Status(); !c.Failed() || n != 1 || committed != 3 {
+				t.Fatalf("after the mutated block 2: failed=%v, tip at %d with %d committed; want block 1's", c.Failed(), n, committed)
+			}
+		})
 	}
 }
 
@@ -516,7 +568,7 @@ func walRecords(t *testing.T, dir string) (records, size int) {
 func TestDurableCommitIsOneWrite(t *testing.T) {
 	env := newTestEnv(t)
 	dir := t.TempDir()
-	open := func() (*kvstore.DB, *statedb.DB, *ledger.Chain) {
+	open := func() (*kvstore.DB, *statedb.DB) {
 		store, err := kvstore.Open(kvstore.Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -525,15 +577,15 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain, err := ledger.NewChain(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return store, state, chain
+		return store, state
 	}
-	store, state, chain := open()
+	store, state := open()
+	tip, err := ledger.NewTip(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := New(Config{
-		Name: "durable", State: state, Chain: chain,
+		Name: "durable", State: state, Tip: tip,
 		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
 		OnError:    func(err error) { t.Errorf("commit: %v", err) },
 	})
@@ -564,26 +616,41 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 	if records != 1 {
 		t.Fatalf("block 1 left %d log records, want 1", records)
 	}
-	deliver(seal(2))
+	blk2 := seal(2)
+	deliver(blk2)
 	records2, size2 := walRecords(t, dir)
 	if records2 != 2 {
 		t.Fatalf("block 2 added %d log records, want 1", records2-records)
 	}
-	rec := ledger.Record(mustGet(t, chain, 2))
+	// The peer's record of block 2: the sealed block with its verdicts, all Valid.
+	rec := ledger.Record(&ledger.Block{Header: blk2.Header, Transactions: blk2.Transactions, Validation: make([]protocol.ValidationCode, len(blk2.Transactions))})
 	if grew := size2 - size; grew < len(rec.Value)+100*len("k00b2") {
 		t.Errorf("the log grew %d bytes: too few for the block record (%d) plus 100 writes", grew, len(rec.Value))
 	}
 	c.Close()
+	n, hash, committed := tip.Status()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// What that one record holds is everything: a reopened store has block
-	// 2 with its verdicts, state at height 2, and the block's writes.
-	store, state, chain = open()
+	// 2 with its verdicts, state at height 2, and the block's writes, and
+	// its tip stands where the closed one stood.
+	store, state = open()
 	defer store.Close()
+	chain, err := ledger.NewChain(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if blk := mustGet(t, chain, 2); blk.CommittedCount() != 100 {
 		t.Errorf("stored block 2 carries %d committed verdicts, want 100", blk.CommittedCount())
+	}
+	reopened, err := ledger.NewTip(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rn, rhash, rcommitted := reopened.Status(); rn != n || !bytes.Equal(rhash, hash) || rcommitted != committed || n != 2 || committed != 200 {
+		t.Errorf("reopened tip (%d, %x, %d), closed at (%d, %x, %d); want block 2 and 200 committed", rn, rhash, rcommitted, n, hash, committed)
 	}
 	if state.Height() != 2 {
 		t.Errorf("stored state height %d, want 2", state.Height())

@@ -37,12 +37,12 @@ type Config struct {
 	Name string
 	// State is the peer's versioned state database.
 	State *statedb.DB
-	// Chain is the peer's ledger.
-	Chain *ledger.Chain
+	// Tip is the peer's ledger: the committer is its only writer.
+	Tip *ledger.Tip
 	// Validation configures the parallel validator.
 	Validation Options
 	// OnCommit, when set, fires after each block commits, from the committer
-	// goroutine, with the peer's appended block and its validation codes.
+	// goroutine, with the peer's copy of the block and its validation codes.
 	OnCommit func(blk *ledger.Block, codes []protocol.ValidationCode)
 	// OnError, when set, fires once on the first commit failure. The
 	// committer then drains further deliveries without applying them, so an
@@ -111,7 +111,8 @@ func New(cfg Config) *Committer {
 // Deliver hands a sealed block to the committer. It blocks only when the
 // delivery buffer is full — backpressure on the ordering stage, never a
 // deadlock, because the committer depends on nothing the deliverer holds.
-// The block is not mutated; the committer appends its own copy.
+// The block is not mutated, and the committer keeps no reference to it once
+// committed: it advances the tip onto its own copy's header.
 func (c *Committer) Deliver(blk *ledger.Block) {
 	for _, tx := range blk.Transactions {
 		c.cfg.Tracer.Record(string(tx.ID), trace.StageDeliver, blk.Header.Number)
@@ -163,7 +164,7 @@ func (c *Committer) fail(err error) {
 	})
 }
 
-// commit checks that the block extends the chain, runs the parallel
+// commit checks that the block extends the tip, runs the parallel
 // validator, and lands the peer's own copy of the block — verdicts and
 // rescue digest already on it — together with its valid writes. A delivered
 // block carrying the orderer's precomputed shadow verdicts (blk.Validation)
@@ -175,10 +176,12 @@ func (c *Committer) fail(err error) {
 //
 // The landing is the peer's one commit point. On a durable peer the block's
 // record, its writes and the height land as one atomic batch; then the state
-// height is published, then the chain tip — so whoever sees the tip at N
-// sees the state at N or later, in memory and on disk.
+// height is published, then the tip — so whoever sees the tip at N sees the
+// state at N or later, in memory and on disk. The tip advances on the header
+// Check passed, so the block's data hash is computed once.
 func (c *Committer) commit(blk *ledger.Block) error {
-	if err := c.cfg.Chain.Check(blk); err != nil {
+	checked, err := c.cfg.Tip.Check(blk)
+	if err != nil {
 		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
 	}
 	res := ValidateBlock(c.cfg.State, blk, c.cfg.Validation)
@@ -204,7 +207,7 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	if err := c.cfg.State.ApplyBlock(peerBlk.Header.Number, res.Writes, riders...); err != nil {
 		return fmt.Errorf("apply block %d: %w", peerBlk.Header.Number, err)
 	}
-	if err := c.cfg.Chain.Append(peerBlk); err != nil {
+	if err := c.cfg.Tip.Advance(checked, peerBlk); err != nil {
 		return fmt.Errorf("append block %d: %w", peerBlk.Header.Number, err)
 	}
 	if num := peerBlk.Header.Number; num > historyBlocks {

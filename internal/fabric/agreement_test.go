@@ -22,10 +22,11 @@ import (
 // TestShadowVerdictsMatchPeerValidation runs a contended workload through
 // every system and asserts the tentpole invariant end to end: the verdicts
 // the orderer's shadow validator sealed into each block are byte-identical
-// to the codes the peers derived during validation. (The committers also
-// assert this per block at runtime — a divergence would surface through
-// n.Err() — but this test checks the recorded chains directly, for all five
-// systems.)
+// to the codes the peers derived during validation. The committers assert
+// this per block (a divergence surfaces through n.Err());
+// assertPeersOnTheOrderersTip checks that every peer got through every
+// block, for all five systems, and TestCommitterFailsOnAMutatedSealedVerdict
+// that the assertion fires.
 func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 	for _, system := range sched.Systems() {
 		system := system
@@ -60,26 +61,14 @@ func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			peer := n.Peer(0)
-			if peer.Chain().Len() == 0 {
+			if n.OrdererChain().Len() == 0 {
 				t.Fatal("no blocks committed")
 			}
+			assertPeersOnTheOrderersTip(t, n)
 			aborts := 0
-			peer.Chain().ForEach(func(pb *ledger.Block) bool {
-				ob, ok := n.OrdererChain().Get(pb.Header.Number)
-				if !ok {
-					t.Fatalf("orderer chain missing block %d", pb.Header.Number)
-				}
-				if len(ob.Validation) != len(pb.Validation) {
-					t.Fatalf("block %d: orderer sealed %d verdicts, peer derived %d",
-						pb.Header.Number, len(ob.Validation), len(pb.Validation))
-				}
-				for i := range pb.Validation {
-					if ob.Validation[i] != pb.Validation[i] {
-						t.Fatalf("block %d tx %d: orderer shadow verdict %v, peer verdict %v",
-							pb.Header.Number, i, ob.Validation[i], pb.Validation[i])
-					}
-					if pb.Validation[i] != protocol.Valid {
+			n.OrdererChain().ForEach(func(ob *ledger.Block) bool {
+				for _, code := range ob.Validation {
+					if code != protocol.Valid {
 						aborts++
 					}
 				}
@@ -156,6 +145,25 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 	}
 
 	assertOrderersAgree(t, n)
+}
+
+// assertPeersOnTheOrderersTip demands that every peer of an idle network
+// stands on the orderer's tip with its committed tally, and that the network
+// is healthy. Peers keep no blocks to compare; instead each committer
+// byte-asserted its verdicts and rescue digest against the sealed ones on
+// every block, and a divergence would have failed n.Err().
+func assertPeersOnTheOrderersTip(t *testing.T, n *Network) {
+	t.Helper()
+	if err := n.Err(); err != nil {
+		t.Fatal(err)
+	}
+	wn, wh, wc := n.OrdererChain().Status()
+	for i, p := range n.peers {
+		if gn, gh, gc := p.Tip().Status(); gn != wn || !bytes.Equal(gh, wh) || gc != wc {
+			t.Fatalf("peer %d stands at block %d (tip %x, %d committed); the orderer sealed %d (tip %x, %d committed)",
+				i, gn, gh, gc, wn, wh, wc)
+		}
+	}
 }
 
 // discardEvents is the orderer.Events of a replay that only compares chains.
@@ -286,25 +294,10 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 
 			assertOrderersAgree(t, n)
 
-			// Peers derived the same verdicts (including Rescued) from the
-			// sealed blocks.
+			// Peers derived the same verdicts (including Rescued) and rescue
+			// digests from the sealed blocks.
+			assertPeersOnTheOrderersTip(t, n)
 			peer := n.Peer(0)
-			peer.Chain().ForEach(func(pb *ledger.Block) bool {
-				ob, ok := lead.Get(pb.Header.Number)
-				if !ok {
-					t.Fatalf("orderer chain missing block %d", pb.Header.Number)
-				}
-				for i := range pb.Validation {
-					if ob.Validation[i] != pb.Validation[i] {
-						t.Fatalf("block %d tx %d: orderer sealed %v, peer derived %v",
-							pb.Header.Number, i, ob.Validation[i], pb.Validation[i])
-					}
-				}
-				if !bytes.Equal(ob.RescueDigest, pb.RescueDigest) {
-					t.Fatalf("block %d: peer rescue digest diverged from orderer", pb.Header.Number)
-				}
-				return true
-			})
 
 			// Money conservation: send_payment moves value between checking
 			// accounts; rescued re-executions must preserve the invariant

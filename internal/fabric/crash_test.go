@@ -131,7 +131,8 @@ type position struct {
 }
 
 func positionOf(p *Peer) position {
-	return position{p.Chain().TipHash(), p.State().StateFingerprint(), p.Chain().CommittedTxs()}
+	_, tip, committed := p.Tip().Status()
+	return position{tip, p.State().StateFingerprint(), committed}
 }
 
 // referencePositions feeds sealed to an in-memory peer seeded with genesis,
@@ -174,6 +175,21 @@ func commitAll(t *testing.T, p *Peer, blocks []*ledger.Block) {
 	if p.Committer().Failed() {
 		t.FailNow()
 	}
+}
+
+// storedChain reads back the blocks a closed durable peer's directory holds.
+func storedChain(t *testing.T, dir string) *ledger.Chain {
+	t.Helper()
+	store, err := kvstore.Open(kvstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	chain, err := ledger.NewChain(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
 }
 
 // copyTree copies the directory src into a fresh temporary directory.
@@ -284,7 +300,7 @@ func TestPeerWALTruncationTorture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			tip, _ := p.Chain().Height()
+			tip, _ := p.Tip().Height()
 			if p.State().Height() != tip {
 				t.Fatalf("%s: chain tip %d, state height %d", what, tip, p.State().Height())
 			}

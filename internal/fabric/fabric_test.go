@@ -72,18 +72,19 @@ func TestAllSystemsEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Every peer converged to the same state and chain.
-			tip := n.Peer(0).Chain().TipHash()
+			// Every peer converged to the same state and to the tip of a
+			// sound chain.
+			if !n.WaitIdle(10 * time.Second) {
+				t.Fatalf("network did not go idle (err=%v)", n.Err())
+			}
+			if err := n.OrdererChain().Verify(); err != nil {
+				t.Fatal(err)
+			}
+			assertPeersOnTheOrderersTip(t, n)
 			fp := n.Peer(0).State().StateFingerprint()
 			for i := 1; i < 4; i++ {
-				if !bytes.Equal(n.Peer(i).Chain().TipHash(), tip) {
-					t.Errorf("peer %d chain diverged", i)
-				}
 				if n.Peer(i).State().StateFingerprint() != fp {
 					t.Errorf("peer %d state diverged", i)
-				}
-				if err := n.Peer(i).Chain().Verify(); err != nil {
-					t.Errorf("peer %d chain: %v", i, err)
 				}
 			}
 		})
@@ -330,7 +331,7 @@ func TestRaftConsensusBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(n.Peer(0).Chain().TipHash(), n.Peer(1).Chain().TipHash()) {
+	if !bytes.Equal(n.Peer(0).Tip().TipHash(), n.Peer(1).Tip().TipHash()) {
 		t.Error("peers diverged under raft ordering")
 	}
 	// Followers replicate the stream the network sealed from: a second

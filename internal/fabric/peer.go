@@ -51,8 +51,9 @@ type PeerConfig struct {
 	OnError  func(err error)
 }
 
-// Peer is an endorsing + validating peer with its own state, ledger, and
-// pipelined committer.
+// Peer is an endorsing + validating peer with its own state, ledger tip, and
+// pipelined committer. It keeps no block: it serves none, and a durable
+// peer's blocks are in its store.
 type Peer struct {
 	id *identity.Identity
 	// signed signs this peer's endorsements and remembers them, so its own
@@ -60,7 +61,7 @@ type Peer struct {
 	signed    *identity.SignedRing
 	registry  *chaincode.Registry
 	state     *statedb.DB
-	chain     *ledger.Chain
+	tip       *ledger.Tip
 	committer *commit.Committer
 	store     *kvstore.DB // nil for an in-memory peer
 }
@@ -85,12 +86,12 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	if p.state, err = statedb.New(statedb.Options{Backing: p.store}); err != nil {
 		return nil, err
 	}
-	if p.chain, err = ledger.NewChain(p.store); err != nil {
+	if p.tip, err = ledger.NewTip(p.store); err != nil {
 		return nil, err
 	}
 	// A block lands as one batch, so the two can only disagree in a
 	// directory this code did not write; there is no rule to repair it by.
-	if tip, _ := p.chain.Height(); tip != p.state.Height() {
+	if tip, _ := p.tip.Height(); tip != p.state.Height() {
 		return nil, fmt.Errorf("fabric: %s: %s holds chain tip %d but state height %d", cfg.ID.ID, cfg.DataDir, tip, p.state.Height())
 	}
 	// A store with a height record already holds the genesis and must not
@@ -103,7 +104,7 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	p.committer = commit.New(commit.Config{
 		Name:  cfg.ID.ID,
 		State: p.state,
-		Chain: p.chain,
+		Tip:   p.tip,
 		Validation: commit.Options{
 			Options:  validation.Options{MVCC: cfg.MVCC, MSP: cfg.MSP, Policy: cfg.Policy, Self: p.signed},
 			Workers:  cfg.Workers,
@@ -120,8 +121,8 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 // State exposes the peer's state database (read-only use).
 func (p *Peer) State() *statedb.DB { return p.state }
 
-// Chain exposes the peer's ledger.
-func (p *Peer) Chain() *ledger.Chain { return p.chain }
+// Tip exposes the peer's ledger tip: height, tip hash and committed tally.
+func (p *Peer) Tip() *ledger.Tip { return p.tip }
 
 // Committer exposes the peer's commit-pipeline stage (delivery, stats,
 // idleness).

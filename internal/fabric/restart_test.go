@@ -57,7 +57,7 @@ func TestRestartPreservesVersionsForMVCC(t *testing.T) {
 	if got, _ := p2.State().Get("counter"); string(got.Value) != "7" {
 		t.Fatalf("counter = %q, want 7", got.Value)
 	}
-	if got := p2.Chain().CommittedTxs(); got != 2 {
+	if got := p2.Tip().CommittedTxs(); got != 2 {
 		t.Fatalf("%d transactions committed, want both rmws", got)
 	}
 	checkPosition(t, "reopened peer", p2, referencePositions(t, sched.SystemFabric, sealed)[len(sealed)])
@@ -99,15 +99,17 @@ func restartWithRescuedBlocks(t *testing.T, system sched.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tip, _ := p2.Chain().Height(); tip != mid || p2.State().Height() != mid {
+	if tip, _ := p2.Tip().Height(); tip != mid || p2.State().Height() != mid {
 		t.Fatalf("reopened at chain tip %d, state height %d; the store was closed at %d", tip, p2.State().Height(), mid)
 	}
 	checkPosition(t, "reopened peer", p2, at[mid])
 	commitAll(t, p2, sealed[mid:])
 	checkPosition(t, "reopened peer, caught up", p2, at[len(sealed)])
 
+	// The peer keeps no blocks; its store does.
+	p2.Close()
 	var rescuedAfter, oldReads int
-	p2.Chain().ForEach(func(b *ledger.Block) bool {
+	storedChain(t, dir).ForEach(func(b *ledger.Block) bool {
 		if b.Header.Number <= mid {
 			return true
 		}

@@ -118,15 +118,32 @@ func (b *Block) CommittedCount() int {
 	return n
 }
 
-// Chain is an append-only, in-memory hash chain of blocks. A block is
-// appended complete with its verdicts and never changed afterwards. Safe
-// for concurrent use.
-type Chain struct {
+// tip is what linkage needs of a chain: the last block's number and header
+// hash, and the running tally of Committed verdicts. Tip and Chain embed it.
+// Safe for concurrent use.
+type tip struct {
 	mu     sync.RWMutex
-	blocks []*Block
+	number uint64 // the last block's; 0 before the first
+	hash   []byte // HashHeader of the last block's header; nil before the first
 	// committed tallies the Committed verdicts over every block, so status
 	// probes read one number instead of walking verdict slices.
 	committed uint64
+}
+
+// Tip is a validating peer's ledger: the tip alone, advanced in two steps
+// (Check, then Advance) around the committer's validation. No peer serves a
+// block, so its memory does not grow with the chain it commits.
+type Tip struct{ tip }
+
+// Checked is a block header that passed Tip.Check, for Tip.Advance.
+type Checked struct{ header Header }
+
+// Chain is a tip that also keeps its blocks: the orderer's ledger, which
+// serves any block to a subscriber catching up. A block is appended complete
+// with its verdicts and never changed afterwards. Safe for concurrent use.
+type Chain struct {
+	tip
+	blocks []*Block
 }
 
 const blockKeyPrefix = "b/"
@@ -138,7 +155,7 @@ func blockKey(n uint64) []byte {
 	return append(k, b[:]...)
 }
 
-// Record encodes blk as the store entry NewChain loads. The chain never
+// Record encodes blk as the store entry NewTip and NewChain load. Neither
 // writes: the owner of the store commits the record in the same batch as
 // whatever else must land with the block (a peer: its state writes and
 // height).
@@ -150,40 +167,155 @@ func Record(blk *Block) kvstore.BatchOp {
 	return kvstore.BatchOp{Key: blockKey(blk.Header.Number), Value: buf.Bytes()}
 }
 
+// NewTip opens the tip of the blocks a non-nil store holds. It reads each
+// record once and verifies linkage exactly as NewChain does, but keeps no
+// block. The store is only read.
+func NewTip(store *kvstore.DB) (*Tip, error) {
+	t := &Tip{}
+	if err := t.load(store, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // NewChain creates a chain, loading the blocks a non-nil store holds
 // (verifying linkage). The store is only read.
 func NewChain(store *kvstore.DB) (*Chain, error) {
 	c := &Chain{}
-	if store == nil {
-		return c, nil
-	}
-	// Keys are big-endian block numbers, so scan order is block order.
-	err := store.Scan([]byte(blockKeyPrefix), func(_, rec []byte) error {
-		var blk Block
-		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&blk); err != nil {
-			return fmt.Errorf("ledger: decode block: %w", err)
-		}
-		c.blocks = append(c.blocks, &blk)
-		c.committed += uint64(blk.CommittedCount())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.verifyLocked(); err != nil {
+	if err := c.load(store, func(blk *Block) { c.blocks = append(c.blocks, blk) }); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Height returns the number of the last block, and whether any block exists.
-func (c *Chain) Height() (uint64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.blocks) == 0 {
-		return 0, false
+// load folds the blocks a non-nil store holds onto a new, unshared tip,
+// checking each as Append does, and hands each to keep when it is set.
+func (t *tip) load(store *kvstore.DB, keep func(*Block)) error {
+	if store == nil {
+		return nil
 	}
-	return c.blocks[len(c.blocks)-1].Header.Number, true
+	// Keys are big-endian block numbers, so scan order is block order.
+	return store.Scan([]byte(blockKeyPrefix), func(_, rec []byte) error {
+		var blk Block
+		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&blk); err != nil {
+			return fmt.Errorf("ledger: decode block: %w", err)
+		}
+		if err := t.checkLocked(&blk); err != nil {
+			return err
+		}
+		t.moveLocked(&blk)
+		if keep != nil {
+			keep(&blk)
+		}
+		return nil
+	})
+}
+
+// Status returns the last block's number (0 before the first block), its
+// header hash and the committed tally, read together: a status answer never
+// pairs one block's number with the next block's hash.
+func (t *tip) Status() (number uint64, hash []byte, committed uint64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.number, t.hash, t.committed
+}
+
+// Height returns the number of the last block, and whether any block exists.
+func (t *tip) Height() (uint64, bool) {
+	n, hash, _ := t.Status()
+	return n, hash != nil
+}
+
+// TipHash returns the hash of the last header, identifying the entire chain
+// content (agreement checks compare tip hashes).
+func (t *tip) TipHash() []byte {
+	_, hash, _ := t.Status()
+	return hash
+}
+
+// CommittedTxs returns how many transactions across the whole chain carry a
+// Committed verdict (valid or rescued) — the ledger-side tally the chaos
+// smoke compares against the clients' acks. Each TxID is sealed with exactly
+// one verdict, so the tally is immune to client retries.
+func (t *tip) CommittedTxs() uint64 {
+	_, _, n := t.Status()
+	return n
+}
+
+// Check reports whether blk would extend the tip: its number is next, its
+// PrevHash is the tip's hash, its DataHash binds its transactions and its
+// verdicts, if any, number one per transaction. A committer checks before
+// it validates and persists, and hands the result to Advance after.
+func (t *Tip) Check(blk *Block) (Checked, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if err := t.checkLocked(blk); err != nil {
+		return Checked{}, err
+	}
+	return Checked{blk.Header}, nil
+}
+
+// Advance moves the tip onto blk, whose header must be the one Check
+// passed; blk's verdicts may be the committer's own. The data hash is not
+// computed again: only the number and PrevHash are re-verified against the
+// tip.
+func (t *Tip) Advance(ck Checked, blk *Block) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.acceptLocked(ck, blk); err != nil {
+		return err
+	}
+	t.moveLocked(blk)
+	return nil
+}
+
+func (t *tip) checkLocked(blk *Block) error {
+	if err := t.linkLocked(blk.Header); err != nil {
+		return err
+	}
+	if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
+		return fmt.Errorf("ledger: block %d data-hash mismatch", blk.Header.Number)
+	}
+	return checkVerdicts(blk)
+}
+
+// linkLocked checks that h is next after the tip; any header extends an
+// empty one.
+func (t *tip) linkLocked(h Header) error {
+	if t.hash == nil {
+		return nil
+	}
+	if h.Number != t.number+1 {
+		return fmt.Errorf("ledger: block %d skips height (tip %d)", h.Number, t.number)
+	}
+	if !bytes.Equal(h.PrevHash, t.hash) {
+		return fmt.Errorf("ledger: block %d prev-hash mismatch", h.Number)
+	}
+	return nil
+}
+
+func (t *Tip) acceptLocked(ck Checked, blk *Block) error {
+	h := blk.Header
+	if h.Number != ck.header.Number || !bytes.Equal(h.PrevHash, ck.header.PrevHash) || !bytes.Equal(h.DataHash, ck.header.DataHash) {
+		return fmt.Errorf("ledger: block %d is not the block that was checked", h.Number)
+	}
+	if err := t.linkLocked(h); err != nil {
+		return err
+	}
+	return checkVerdicts(blk)
+}
+
+func checkVerdicts(blk *Block) error {
+	if blk.Validation != nil && len(blk.Validation) != len(blk.Transactions) {
+		return fmt.Errorf("ledger: block %d validation metadata length mismatch", blk.Header.Number)
+	}
+	return nil
+}
+
+func (t *tip) moveLocked(blk *Block) {
+	t.number = blk.Header.Number
+	t.hash = HashHeader(blk.Header)
+	t.committed += uint64(blk.CommittedCount())
 }
 
 // Len returns the number of blocks.
@@ -208,16 +340,6 @@ func (c *Chain) Get(n uint64) (*Block, bool) {
 	return c.blocks[idx], true
 }
 
-// Tip returns the last block.
-func (c *Chain) Tip() (*Block, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.blocks) == 0 {
-		return nil, false
-	}
-	return c.blocks[len(c.blocks)-1], true
-}
-
 // Seal assembles a block from ordered transactions, linking it to the
 // current tip, and appends it. It returns the sealed block.
 func (c *Chain) Seal(txs []*protocol.Transaction, validation []protocol.ValidationCode) (*Block, error) {
@@ -229,18 +351,13 @@ func (c *Chain) Seal(txs []*protocol.Transaction, validation []protocol.Validati
 func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.ValidationCode, rescueDigest []byte) (*Block, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var number uint64 = 1
-	var prev []byte
-	if len(c.blocks) > 0 {
-		tip := c.blocks[len(c.blocks)-1]
-		number = tip.Header.Number + 1
-		prev = HashHeader(tip.Header)
-	} else {
+	prev := c.hash
+	if prev == nil {
 		genesis := sha256.Sum256([]byte("fabricsharp-genesis"))
 		prev = genesis[:]
 	}
 	blk := &Block{
-		Header:       Header{Number: number, PrevHash: prev, DataHash: DataHash(txs)},
+		Header:       Header{Number: c.number + 1, PrevHash: prev, DataHash: DataHash(txs)},
 		Transactions: txs,
 		Validation:   validation,
 		RescueDigest: rescueDigest,
@@ -250,16 +367,6 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.V
 	}
 	c.pushLocked(blk)
 	return blk, nil
-}
-
-// Check reports whether blk would extend the chain: its number is next, its
-// PrevHash is the tip's hash, its DataHash binds its transactions and its
-// verdicts, if any, number one per transaction. A committer checks before
-// it validates and persists, and appends after.
-func (c *Chain) Check(blk *Block) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.checkLocked(blk)
 }
 
 // Append adds an externally assembled block, enforcing linkage (agreement,
@@ -274,80 +381,23 @@ func (c *Chain) Append(blk *Block) error {
 	return nil
 }
 
-func (c *Chain) checkLocked(blk *Block) error {
-	if len(c.blocks) > 0 {
-		tip := c.blocks[len(c.blocks)-1]
-		if blk.Header.Number != tip.Header.Number+1 {
-			return fmt.Errorf("ledger: block %d skips height (tip %d)", blk.Header.Number, tip.Header.Number)
-		}
-		if !bytes.Equal(blk.Header.PrevHash, HashHeader(tip.Header)) {
-			return fmt.Errorf("ledger: block %d prev-hash mismatch", blk.Header.Number)
-		}
-	}
-	if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
-		return fmt.Errorf("ledger: block %d data-hash mismatch", blk.Header.Number)
-	}
-	return checkVerdicts(blk)
-}
-
-func checkVerdicts(blk *Block) error {
-	if blk.Validation != nil && len(blk.Validation) != len(blk.Transactions) {
-		return fmt.Errorf("ledger: block %d validation metadata length mismatch", blk.Header.Number)
-	}
-	return nil
-}
-
 func (c *Chain) pushLocked(blk *Block) {
 	c.blocks = append(c.blocks, blk)
-	c.committed += uint64(blk.CommittedCount())
+	c.moveLocked(blk)
 }
 
 // Verify walks the whole chain checking linkage and data hashes. It returns
 // nil for a structurally sound chain.
 func (c *Chain) Verify() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.verifyLocked()
-}
-
-func (c *Chain) verifyLocked() error {
-	for i, blk := range c.blocks {
-		if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
-			return fmt.Errorf("ledger: block %d data hash corrupt", blk.Header.Number)
+	var t tip
+	var err error
+	c.ForEach(func(blk *Block) bool {
+		if err = t.checkLocked(blk); err == nil {
+			t.moveLocked(blk)
 		}
-		if i == 0 {
-			continue
-		}
-		prev := c.blocks[i-1]
-		if blk.Header.Number != prev.Header.Number+1 {
-			return fmt.Errorf("ledger: gap between %d and %d", prev.Header.Number, blk.Header.Number)
-		}
-		if !bytes.Equal(blk.Header.PrevHash, HashHeader(prev.Header)) {
-			return fmt.Errorf("ledger: chain broken at block %d", blk.Header.Number)
-		}
-	}
-	return nil
-}
-
-// TipHash returns the hash of the last header, identifying the entire chain
-// content (agreement checks compare tip hashes).
-func (c *Chain) TipHash() []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.blocks) == 0 {
-		return nil
-	}
-	return HashHeader(c.blocks[len(c.blocks)-1].Header)
-}
-
-// CommittedTxs returns how many transactions across the whole chain carry a
-// Committed verdict (valid or rescued) — the ledger-side tally the chaos
-// smoke compares against the clients' acks. Each TxID is sealed with exactly
-// one verdict, so the tally is immune to client retries.
-func (c *Chain) CommittedTxs() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.committed
+		return err == nil
+	})
+	return err
 }
 
 // ForEach visits blocks in order.

@@ -132,13 +132,14 @@ func TestValidationMetadata(t *testing.T) {
 	if n := c.CommittedTxs(); n != 3 {
 		t.Errorf("CommittedTxs = %d want 3 (2 in block 1, 1 in block 2)", n)
 	}
-	tip, _ := c.Tip()
+	tip, _ := c.Get(2)
 	short := &Block{
 		Header:       Header{Number: 3, PrevHash: tip.Hash(), DataHash: DataHash(txs("f", "g"))},
 		Transactions: txs("f", "g"),
 		Validation:   []protocol.ValidationCode{protocol.Valid},
 	}
-	if err := c.Check(short); err == nil {
+	var empty Tip
+	if _, err := empty.Check(short); err == nil {
 		t.Error("Check accepted a verdict length mismatch")
 	}
 	if err := c.Append(short); err == nil {
@@ -213,7 +214,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 func TestGetAndTip(t *testing.T) {
 	c, _ := NewChain(nil)
-	if _, ok := c.Tip(); ok {
+	if _, ok := c.Height(); ok || c.TipHash() != nil {
 		t.Error("empty chain has a tip")
 	}
 	if _, ok := c.Get(1); ok {
@@ -227,8 +228,11 @@ func TestGetAndTip(t *testing.T) {
 	if _, ok := c.Get(3); ok {
 		t.Error("Get past tip succeeded")
 	}
-	if b, ok := c.Tip(); !ok || b.Header.Number != 2 {
-		t.Error("Tip wrong")
+	if n, ok := c.Height(); !ok || n != 2 {
+		t.Error("Height wrong")
+	}
+	if b, _ := c.Get(2); !bytes.Equal(c.TipHash(), b.Hash()) {
+		t.Error("TipHash is not block 2's")
 	}
 }
 
@@ -307,5 +311,144 @@ func TestStatusProbesConcurrentWithAppend(t *testing.T) {
 	}
 	if n := c.CommittedTxs(); n != blocks {
 		t.Errorf("CommittedTxs = %d want %d", n, blocks)
+	}
+}
+
+// TestStatusNamesOneBlock appends 1 000 blocks through Check and Advance
+// (the committer's path) while another goroutine polls Status (the
+// MsgStatusReq handlers). Every answer must name one real header: its hash
+// is the header hash of the block its number names, and with one committed
+// transaction per block its tally is that number too. Run under -race.
+func TestStatusNamesOneBlock(t *testing.T) {
+	sealer, _ := NewChain(nil)
+	const blocks = 1000
+	sealed := make([]*Block, blocks)
+	numberOf := map[string]uint64{}
+	for i := range sealed {
+		blk, err := sealer.Seal(txs(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)),
+			[]protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed[i] = blk
+		numberOf[string(blk.Hash())] = blk.Header.Number
+	}
+	var tip Tip
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, blk := range sealed {
+			ck, err := tip.Check(blk)
+			if err == nil {
+				err = tip.Advance(ck, blk)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	polls := 0
+	for running := true; running; polls++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		n, hash, committed := tip.Status()
+		if hash == nil {
+			if n != 0 || committed != 0 {
+				t.Fatalf("no tip hash with number %d and tally %d", n, committed)
+			}
+			continue
+		}
+		if got, ok := numberOf[string(hash)]; !ok || got != n || committed != n {
+			t.Fatalf("status (%d, %x, %d) names no single block (the hash is block %d's)", n, hash, committed, got)
+		}
+	}
+	if n, _, committed := tip.Status(); n != blocks || committed != blocks {
+		t.Fatalf("tip at %d with tally %d after %d blocks", n, committed, blocks)
+	}
+	t.Logf("%d polls", polls)
+}
+
+// TestAdvanceRefusesAnUncheckedHeader pins the committer's one hash: Advance
+// trusts the data hash Check verified, so a block whose header differs from
+// the checked one in any field must be refused, and the tip must not move.
+func TestAdvanceRefusesAnUncheckedHeader(t *testing.T) {
+	sealer, _ := NewChain(nil)
+	b1, _ := sealer.Seal(txs("a"), nil)
+	b2, _ := sealer.Seal(txs("b"), nil)
+	var tip Tip
+	ck, err := tip.Check(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := *b1
+	other.Header.DataHash = DataHash(txs("forged"))
+	other.Transactions = txs("forged")
+	if err := tip.Advance(ck, &other); err == nil {
+		t.Error("Advance accepted a data hash other than the checked one")
+	}
+	if err := tip.Advance(ck, b2); err == nil {
+		t.Error("Advance accepted block 2 on block 1's check")
+	}
+	if _, ok := tip.Height(); ok {
+		t.Fatal("a refused Advance moved the tip")
+	}
+	// The checked header with the committer's own verdicts goes through.
+	own := &Block{Header: b1.Header, Transactions: b1.Transactions, Validation: []protocol.ValidationCode{protocol.Rescued}}
+	if err := tip.Advance(ck, own); err != nil {
+		t.Fatal(err)
+	}
+	if n, hash, committed := tip.Status(); n != 1 || !bytes.Equal(hash, b1.Hash()) || committed != 1 {
+		t.Fatalf("tip (%d, %x, %d) after block 1", n, hash, committed)
+	}
+	// Linkage is checked again: a stale check of block 1 cannot land twice.
+	if err := tip.Advance(ck, own); err == nil {
+		t.Error("Advance landed block 1 twice")
+	}
+}
+
+// TestTipOpensAsTheChainDoes reopens a store through NewTip and NewChain:
+// both stand at the same number, hash and tally, and both refuse a store
+// with a block missing from the middle.
+func TestTipOpensAsTheChainDoes(t *testing.T) {
+	dir := t.TempDir()
+	kv, err := kvstore.Open(kvstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	sealer, _ := NewChain(nil)
+	for i := 0; i < 6; i++ {
+		blk, err := sealer.Seal(txs(fmt.Sprintf("t%d", i)), []protocol.ValidationCode{protocol.Valid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.ApplyBatch([]kvstore.BatchOp{Record(blk)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tip, err := NewTip(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := NewChain(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, hash, committed := tip.Status()
+	if cn, chash, ccommitted := chain.Status(); n != 6 || cn != n || !bytes.Equal(hash, chash) || !bytes.Equal(hash, sealer.TipHash()) || committed != 6 || ccommitted != committed {
+		t.Fatalf("tip opened at (%d, %x, %d), chain at (%d, %x, %d); sealed (6, %x, 6)", n, hash, committed, cn, chash, ccommitted, sealer.TipHash())
+	}
+	if err := kv.ApplyBatch([]kvstore.BatchOp{{Key: blockKey(3), Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTip(kv); err == nil {
+		t.Error("NewTip opened a store with a gap")
+	}
+	if _, err := NewChain(kv); err == nil {
+		t.Error("NewChain opened a store with a gap")
 	}
 }

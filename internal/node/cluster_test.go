@@ -10,6 +10,7 @@ import (
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
 )
 
@@ -201,8 +202,12 @@ func TestClusterConvergenceAllSystems(t *testing.T) {
 
 // TestClusterSealedVerdictsTravel pins that blocks arriving over the wire
 // still carry the orderer's sealed verdicts and that peers assert against
-// them (the byte-equality contract of the commit pipeline): a cluster run
-// ends with every peer's stored validation codes equal to the orderer's.
+// them (the byte-equality contract of the commit pipeline): a subscriber
+// reads every block off the wire with the orderer's verdicts on it, and a
+// cluster run ends with every peer healthy on the orderer's tip and tally.
+// Peers keep no blocks; each committer asserted its verdicts against the
+// sealed ones as it committed (commit.AssertVerdictsEqual, and
+// TestCommitterFailsOnAMutatedSealedVerdict that a mismatch fails it).
 func TestClusterSealedVerdictsTravel(t *testing.T) {
 	ord, peers := bootCluster(t, sched.SystemSharp, 2)
 	client, err := DialClient("verdicts", []string{ord.Addr()}, peerAddrs(peers), dialTimeout)
@@ -213,24 +218,41 @@ func TestClusterSealedVerdictsTravel(t *testing.T) {
 	driveContended(t, client, 40, 2)
 	awaitConvergence(t, ord, peerAddrs(peers))
 	ordChain := ord.Chain()
-	for _, p := range peers {
-		if p.Chain().Len() != ordChain.Len() {
-			t.Fatalf("chain length mismatch: %d vs %d", p.Chain().Len(), ordChain.Len())
+	conn, err := transport.Dial(ord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(wire.MsgSubscribe, wire.EncodeSubscribe(wire.Subscribe{From: 0})); err != nil {
+		t.Fatal(err)
+	}
+	for n := uint64(1); n <= uint64(ordChain.Len()); n++ {
+		typ, payload, err := conn.Recv()
+		if err != nil || typ != wire.MsgBlock {
+			t.Fatalf("block %d: received %v (%v)", n, typ, err)
 		}
-		for n := uint64(1); n <= uint64(ordChain.Len()); n++ {
-			want, _ := ordChain.Get(n)
-			got, ok := p.Chain().Get(n)
-			if !ok {
-				t.Fatalf("peer missing block %d", n)
+		got, err := wire.DecodeBlock(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ordChain.Get(n)
+		if got.Header.Number != n || got.Validation == nil || len(got.Validation) != len(want.Validation) {
+			t.Fatalf("block %d arrived as block %d with %d verdicts, sealed with %d", n, got.Header.Number, len(got.Validation), len(want.Validation))
+		}
+		for i := range got.Validation {
+			if got.Validation[i] != want.Validation[i] {
+				t.Fatalf("block %d tx %d: verdict %v on the wire, %v sealed", n, i, got.Validation[i], want.Validation[i])
 			}
-			if len(got.Validation) != len(want.Validation) {
-				t.Fatalf("block %d: verdict count mismatch", n)
-			}
-			for i := range got.Validation {
-				if got.Validation[i] != want.Validation[i] {
-					t.Fatalf("block %d tx %d: peer verdict %v != sealed %v", n, i, got.Validation[i], want.Validation[i])
-				}
-			}
+		}
+	}
+	wn, wtip, wcommitted := ordChain.Status()
+	for i, p := range peers {
+		if err := p.Err(); err != nil {
+			t.Fatalf("peer %d failed: %v", i, err)
+		}
+		if n, tip, committed := p.Tip().Status(); n != wn || !bytes.Equal(tip, wtip) || committed != wcommitted {
+			t.Fatalf("peer %d stands at block %d (tip %x, %d committed); the orderer sealed %d (tip %x, %d committed)",
+				i, n, tip, committed, wn, wtip, wcommitted)
 		}
 	}
 }

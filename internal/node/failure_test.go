@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
@@ -44,7 +45,7 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 	t.Cleanup(func() { reborn.Close() })
 
 	awaitConvergence(t, ord, []string{peers[0].Addr(), reborn.Addr()})
-	if !bytes.Equal(reborn.Chain().TipHash(), peers[0].Chain().TipHash()) {
+	if !bytes.Equal(reborn.Tip().TipHash(), peers[0].Tip().TipHash()) {
 		t.Fatal("reborn peer's chain diverges from the survivor's")
 	}
 	if reborn.State().StateFingerprint() != peers[0].State().StateFingerprint() {
@@ -125,9 +126,22 @@ func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
 		return
 	}
 	// Where the restart landed: Rescued verdicts before and after it, and
-	// after it a transaction committed on a version the store held.
+	// after it a transaction committed on a version the store held. The
+	// peer keeps no blocks; its store does.
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := kvstore.Open(kvstore.Options{Dir: cfg.DataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	chain, err := ledger.NewChain(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rescuedBefore, rescuedAfter, oldReads int
-	second.Chain().ForEach(func(b *ledger.Block) bool {
+	chain.ForEach(func(b *ledger.Block) bool {
 		for i, code := range b.Validation {
 			switch {
 			case code == protocol.Rescued && b.Header.Number <= stored:

@@ -224,13 +224,13 @@ func (o *Orderer) handle(c *transport.Conn) {
 			o.streamBlocks(c, sub.From)
 			return // the stream owns the connection until it dies
 		case wire.MsgStatusReq:
-			chain := o.svc.Chain()
+			blocks, tip, committed := o.svc.Chain().Status()
 			st := wire.Status{
 				Role:        "orderer",
 				Name:        o.name,
-				Blocks:      uint64(chain.Len()),
-				TipHash:     chain.TipHash(),
-				CommittedTx: chain.CommittedTxs(),
+				Blocks:      blocks,
+				TipHash:     tip,
+				CommittedTx: committed,
 			}
 			if o.raft != nil {
 				st.Term = o.raft.Term()

@@ -122,8 +122,8 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: peer %s: %w", cfg.Name, err)
 	}
-	// Resuming from disk, the chain and state hold the same stored blocks
-	// (NewPeer checked); the subscription resumes just above them.
+	// Resuming from disk, the tip and state stand at the same stored block
+	// (NewPeer checked); the subscription resumes just above it.
 	p.resumed = p.State().Height()
 	p.delivered.Store(p.resumed)
 	p.sub = &transport.Subscriber{
@@ -197,13 +197,14 @@ func (p *Peer) handle(c *transport.Conn) {
 		case wire.MsgProposal:
 			p.handleProposal(c, payload)
 		case wire.MsgStatusReq:
+			blocks, tip, committed := p.Tip().Status()
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(wire.Status{
 				Role:        "peer",
 				Name:        p.name,
-				Blocks:      uint64(p.Chain().Len()),
-				TipHash:     p.Chain().TipHash(),
+				Blocks:      blocks,
+				TipHash:     tip,
 				StateHash:   p.State().StateFingerprint(),
-				CommittedTx: p.Chain().CommittedTxs(),
+				CommittedTx: committed,
 			}))
 		case wire.MsgTraceReq:
 			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(p.tracer.Dump())))

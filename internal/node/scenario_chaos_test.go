@@ -226,10 +226,12 @@ func TestScenarioChaosMatrix(t *testing.T) {
 				})
 			}
 			waitTip("peer0", func() (int, []byte) {
-				return peers[0].Chain().Len(), peers[0].Chain().TipHash()
+				n, tip, _ := peers[0].Tip().Status()
+				return int(n), tip
 			})
 			waitTip("reborn peer1", func() (int, []byte) {
-				return reborn.Chain().Len(), reborn.Chain().TipHash()
+				n, tip, _ := reborn.Tip().Status()
+				return int(n), tip
 			})
 			if ref.Len() < 6 {
 				t.Fatalf("sealed only %d blocks; the outage must span several blocks", ref.Len())

@@ -20,7 +20,11 @@
 #             and peer1 resumed from its store, not from block 1.
 #
 # Both shapes end by pulling a heap profile and a 1 s CPU profile from every
-# node through `sharpnet profile`; each must be a non-empty gzip stream.
+# node through `sharpnet profile`; each must be a non-empty gzip stream. The
+# default shape also pulls each peer's heap profile 1 s into the burst and
+# again at its end, and fails when a peer's in-use heap grew by more than
+# HEAP_GROWTH_PER_TX bytes per committed transaction over that span: a
+# peer keeps its ledger's tip, not the blocks it committed.
 #
 # Environment knobs:
 #   SYSTEMS     systems to exercise            (default: "fabric# focc-l";
@@ -39,6 +43,15 @@
 #               nodes' own default: post-order re-execution on)
 #   CHAOS       1 = kill-the-leader failover   (default: 0)
 set -euo pipefail
+
+# A peer's allowed in-use heap growth over the burst, in bytes per committed
+# transaction: half of what a peer grew when it kept every block it committed
+# (470-581 KB over the default msmallbank burst's 600 transactions, median
+# 528 KB or 880 B per transaction, over 8 peer runs). A peer that keeps only
+# its tip moved -22 to +10 KB over that burst. Over the WORKLOAD=token
+# ACCOUNTS=64 burst (600 transactions) a peer that kept its blocks grew
+# 275-383 KB (2 runs) and one that keeps its tip moved -9 to +28 KB (6 runs).
+readonly HEAP_GROWTH_PER_TX=440
 
 SYSTEMS=${SYSTEMS:-"fabric# focc-l"}
 ACCOUNTS=${ACCOUNTS:-28}
@@ -96,6 +109,43 @@ check_profiles() {
         exit 1
       fi
     done
+  done
+}
+
+# pull_heaps pulls a heap profile from each peer address given into $LOGDIR,
+# named by the tag $1.
+pull_heaps() {
+  local tag=$1 addr
+  shift
+  for addr in "$@"; do
+    "$BIN/sharpnet" profile -node "$addr" -kind heap -o "$LOGDIR/heap-$tag-${addr##*:}-$slug.pb.gz" > /dev/null
+  done
+}
+
+# heap_inuse prints the in-use heap of a heap profile, in bytes.
+heap_inuse() {
+  go tool pprof -sample_index=inuse_space -unit=B -top "$1" 2>/dev/null |
+    sed -n 's/.* of \([0-9][0-9]*\)B total.*/\1/p'
+}
+
+# check_heap_growth fails unless each peer address given grew its in-use heap
+# between its "start" and "end" profiles by at most HEAP_GROWTH_PER_TX bytes
+# per transaction of the $1 the burst committed.
+check_heap_growth() {
+  local committed=$1 addr start end
+  shift
+  for addr in "$@"; do
+    start=$(heap_inuse "$LOGDIR/heap-start-${addr##*:}-$slug.pb.gz")
+    end=$(heap_inuse "$LOGDIR/heap-end-${addr##*:}-$slug.pb.gz")
+    if [ -z "$start" ] || [ -z "$end" ]; then
+      echo "heap: no in-use total in the heap profiles of $addr" >&2
+      exit 1
+    fi
+    echo "heap: peer $addr in use $start -> $end B over $committed committed transactions"
+    if [ $((end - start)) -gt $((HEAP_GROWTH_PER_TX * committed)) ]; then
+      echo "heap: peer $addr grew $((end - start)) B, above $HEAP_GROWTH_PER_TX B per committed transaction" >&2
+      exit 1
+    fi
   done
 }
 
@@ -255,12 +305,14 @@ for system in $SYSTEMS; do
       $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/orderer-$slug.log" 2>&1 &
   PIDS+=($!)
-  "$BIN/fabricnode" -role peer -name peer0 -listen "127.0.0.1:$peer0_port" \
+  # The peers sample one allocation per 4 KiB (the runtime's default is one
+  # per 512 KiB), so their heap profiles resolve the growth check below.
+  GODEBUG=memprofilerate=4096 "$BIN/fabricnode" -role peer -name peer0 -listen "127.0.0.1:$peer0_port" \
       -orderer "127.0.0.1:$orderer_port" -peers peer0,peer1 -system "$system" \
       $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer0-$slug.log" 2>&1 &
   PIDS+=($!)
-  "$BIN/fabricnode" -role peer -name peer1 -listen "127.0.0.1:$peer1_port" \
+  GODEBUG=memprofilerate=4096 "$BIN/fabricnode" -role peer -name peer1 -listen "127.0.0.1:$peer1_port" \
       -orderer "127.0.0.1:$orderer_port" -peers peer0,peer1 -system "$system" \
       $RESCUE_FLAG $WL_FLAGS \
       > "$LOGDIR/peer1-$slug.log" 2>&1 &
@@ -268,17 +320,31 @@ for system in $SYSTEMS; do
 
   # The wire client retries dials, so no explicit readiness wait is needed.
   # The load exits nonzero unless every peer converged bit for bit; on top
-  # of that the pacer must sustain >=95% of the target rate, and the merged
-  # stage traces must cover >=99% of the committed transactions end to end.
+  # of that the pacer must sustain >=95% of the target rate, the merged
+  # stage traces must cover >=99% of the committed transactions end to end,
+  # and no peer's heap may grow with the blocks it committed.
   echo "--- open-loop burst: $TARGET_TPS tx/s for $OL_DURATION ($WORKLOAD) ---"
+  PEER_ADDRS=("127.0.0.1:$peer0_port" "127.0.0.1:$peer1_port")
   "$BIN/sharpnet" load -orderer "127.0.0.1:$orderer_port" \
       -peer-addrs "127.0.0.1:$peer0_port,127.0.0.1:$peer1_port" \
       -target-tps "$TARGET_TPS" -duration "$OL_DURATION" -workers "$OL_WORKERS" $WL_FLAGS \
-      | tee "$LOGDIR/openloop-$slug.log"
+      > "$LOGDIR/openloop-$slug.log" 2>&1 &
+  LOAD_PID=$!
+  PIDS+=($LOAD_PID)
+  sleep 1
+  pull_heaps start "${PEER_ADDRS[@]}"
+  if ! wait "$LOAD_PID"; then
+    cat "$LOGDIR/openloop-$slug.log"
+    echo "open-loop: load run failed" >&2
+    exit 1
+  fi
+  cat "$LOGDIR/openloop-$slug.log"
+  pull_heaps end "${PEER_ADDRS[@]}"
   ACHIEVED=$(sed -n 's/^ACHIEVED_TPS //p' "$LOGDIR/openloop-$slug.log")
   COVERAGE=$(sed -n 's/^TRACE_COVERAGE_PCT //p' "$LOGDIR/openloop-$slug.log")
-  if [ -z "$ACHIEVED" ] || [ -z "$COVERAGE" ]; then
-    echo "open-loop: ACHIEVED_TPS / TRACE_COVERAGE_PCT machine lines missing" >&2
+  COMMITTED=$(sed -n 's/^COMMITTED_TOTAL //p' "$LOGDIR/openloop-$slug.log")
+  if [ -z "$ACHIEVED" ] || [ -z "$COVERAGE" ] || [ -z "$COMMITTED" ]; then
+    echo "open-loop: ACHIEVED_TPS / TRACE_COVERAGE_PCT / COMMITTED_TOTAL machine lines missing" >&2
     exit 1
   fi
   if ! awk -v a="$ACHIEVED" -v t="$TARGET_TPS" 'BEGIN{exit !(a >= 0.95*t)}'; then
@@ -290,6 +356,7 @@ for system in $SYSTEMS; do
     exit 1
   fi
   echo "open-loop: $ACHIEVED tx/s achieved, $COVERAGE% trace coverage"
+  check_heap_growth "$COMMITTED" "${PEER_ADDRS[@]}"
   check_profiles "127.0.0.1:$orderer_port" "127.0.0.1:$peer0_port" "127.0.0.1:$peer1_port"
 
   teardown
