@@ -112,13 +112,11 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 	// An endorsement over a genesis key carries workload.GenesisVersion in
 	// its read set: the shadow validator has to see that same version or its
 	// sealed verdict would diverge from peer validation.
-	for _, w := range cfg.Genesis {
-		if !w.Delete {
-			c.shadow.Seed(w.Key, w.Value, workload.GenesisVersion())
-		}
+	if err := c.shadow.SeedBase(cfg.Genesis, workload.GenesisVersion()); err != nil {
+		return nil, err
 	}
-	// Nothing reads the write set again; at 100 k accounts it is megabytes
-	// the Core would otherwise hold for its lifetime.
+	// The shadow copied what it needs; at 100 k accounts the write set is
+	// megabytes the Core would otherwise hold for its lifetime.
 	c.cfg.Genesis = nil
 	if cfg.HashCommitment {
 		c.broker = NewCommitmentBroker()

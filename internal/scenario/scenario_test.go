@@ -183,3 +183,20 @@ func TestNilSafeAccessors(t *testing.T) {
 		t.Fatalf("CheckInvariant with nil Verify: %v", err)
 	}
 }
+
+// TestLargeGenesisFingerprintIsPinned pins the state fingerprint of the
+// 100 000-account msmallbank genesis, the benchmark's: the way the state
+// database holds a genesis may change, the live contents it digests may not.
+func TestLargeGenesisFingerprintIsPinned(t *testing.T) {
+	sc, _ := Get("msmallbank")
+	db := freshDB(t)
+	if err := sc.Seed(db, Params{Accounts: 100000}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := db.StateFingerprint(), "6ac63a8492a9c0737d01a558900fd1bf"; got != want {
+		t.Errorf("fingerprint %s, want %s", got, want)
+	}
+	if got := db.Keys(); got != 100000 {
+		t.Errorf("%d live keys, want 100000", got)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/seqno"
 )
 
 // TestConcurrentSnapshotReadsNeverTorn hammers the sharded store with a
@@ -17,8 +18,10 @@ import (
 // shards) with the block number as value, so a snapshot at height h must
 // observe value h for every key — any mix of old and new values is a torn
 // block. A point read the pruning has outrun fails with ErrPruned; one that
-// succeeds must be exact however far behind it is. Run under -race this also
-// proves the lock protocol has no data races.
+// succeeds must be exact however far behind it is. The keys start in the
+// genesis base, beside base keys no block writes, which one reader reads
+// throughout: their first write, every prune and every base read race. Run
+// under -race this also proves the lock protocol has no data races.
 func TestConcurrentSnapshotReadsNeverTorn(t *testing.T) {
 	const (
 		numKeys   = 16
@@ -31,8 +34,16 @@ func TestConcurrentSnapshotReadsNeverTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := make([]string, numKeys)
+	baseKeys := make([]string, numKeys)
+	var genesis []protocol.WriteItem
 	for i := range keys {
 		keys[i] = fmt.Sprintf("t:%02d", i)
+		baseKeys[i] = fmt.Sprintf("b:%02d", i)
+		genesis = append(genesis, protocol.WriteItem{Key: keys[i], Value: []byte("0")},
+			protocol.WriteItem{Key: baseKeys[i], Value: []byte("base")})
+	}
+	if err := db.SeedBase(seqno.Commit(0, 1), genesis); err != nil {
+		t.Fatal(err)
 	}
 
 	var (
@@ -63,7 +74,7 @@ func TestConcurrentSnapshotReadsNeverTorn(t *testing.T) {
 					tip := db.Height()
 					return tip > pruneLag/2 && h < tip-pruneLag/2
 				}
-				switch r % 3 {
+				switch r % 4 {
 				case 0: // GetAt across all keys
 					for _, k := range keys {
 						vv, ok, err := db.GetAt(k, h)
@@ -110,6 +121,22 @@ func TestConcurrentSnapshotReadsNeverTorn(t *testing.T) {
 					}
 					if len(got) != numKeys {
 						fail("KeysInRange at %d returned %d keys, want %d", h, len(got), numKeys)
+						return
+					}
+				case 3: // base keys no block writes, read as blocks commit
+					for _, k := range baseKeys {
+						vv, ok := db.Get(k)
+						at, okAt, err := db.GetAt(k, db.Height())
+						if errors.Is(err, ErrPruned) {
+							break
+						}
+						if !ok || !okAt || err != nil || string(vv.Value) != "base" || string(at.Value) != "base" || at.Version.Block != 0 {
+							fail("base key %s: Get %q %v, GetAt %q %v %v", k, vv.Value, ok, at.Value, okAt, err)
+							return
+						}
+					}
+					if got := db.KeysInRange("b:", "b;", h); len(got) != numKeys {
+						fail("KeysInRange over the base at %d returned %d keys, want %d", h, len(got), numKeys)
 						return
 					}
 				}

@@ -13,6 +13,22 @@
 // it after every block), and a read below the pruned horizon is refused
 // with ErrPruned rather than answered from what history is left.
 //
+// # Base and histories
+//
+// The state a database is loaded with — the genesis (SeedBase) or a durable
+// peer's reopened store (New) — is held as a Base: one immutable, sorted,
+// pointer-free set of entries, about a quarter of the memory the same keys
+// take as map entries. Only what blocks write afterwards lives in the
+// per-key histories. A key's first write copies its base version into its
+// history, so once a key has a history the history alone answers for it —
+// exactly the versions it would hold had the base been applied as a block —
+// and a key without one reads its base entry. When pruning leaves a base
+// key's history a lone tombstone, the history stays, emptied, so the base
+// entry it hides cannot resurface. A range read (KeysInRange) finds the base
+// keys in range by binary search and scans the histories whole, so it costs
+// the base keys in range plus every key written since the base was loaded,
+// not the whole base.
+//
 // # Concurrency
 //
 // The history is striped across fnv-hashed shards, each with its own
@@ -28,6 +44,9 @@
 //     alone — it excludes every mutator, and concurrent shard readers are
 //     harmless; StateFingerprint takes it too, to read the running digest
 //     the mutators maintain.
+//
+// The base is set before the database is shared and never changes, so
+// readers take no lock for it.
 //
 // Snapshot isolation does not depend on the locks: ApplyBlock publishes the
 // new height only after every shard write of the block has landed, and
@@ -111,6 +130,9 @@ type DB struct {
 	// only these keys can hold a version a later PruneSnapshots discards.
 	// Guarded by applyMu.
 	written []blockKey
+	// base is the state the database was loaded with; see the package
+	// comment. Set by New or SeedBase before the database is shared.
+	base *Base
 }
 
 // blockKey records that block wrote key.
@@ -152,6 +174,8 @@ func New(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The store scans in ascending key order, the order a base is built in.
+	bb := newBaseBuilder(0, 0, 0)
 	err = opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
 		key := string(k[len(backingStatePrefix):])
 		if len(raw) < seqno.EncodedLen() {
@@ -162,15 +186,43 @@ func New(opts Options) (*DB, error) {
 			return err
 		}
 		val := raw[seqno.EncodedLen():]
-		sh := &db.shards[shardFor(key)]
-		sh.hist[key] = []VersionedValue{{Value: val, Version: ver}}
 		db.live.add(pairDigest(key, val))
-		return nil
+		return bb.add(key, val, ver)
 	})
 	if err != nil {
 		return nil, err
 	}
+	db.base = bb.build()
 	return db, nil
+}
+
+// SeedBase applies a database's first block, one transaction at version ver
+// writing writes, and holds those writes as its base: the same state, reads,
+// fingerprint and stored records as ApplyBlock(ver.Block, ...) with one
+// BlockWrites, in a fraction of the memory. It refuses a write set NewBase
+// refuses.
+func (db *DB) SeedBase(ver seqno.Seq, writes []protocol.WriteItem) error {
+	base, err := NewBase(writes, ver)
+	if err != nil {
+		return err
+	}
+	db.applyMu.Lock()
+	defer db.applyMu.Unlock()
+	if db.hasAny.Load() {
+		return fmt.Errorf("statedb: base seeded at height %d", db.height.Load())
+	}
+	if db.backing != nil {
+		if err := db.persist(ver.Block, []BlockWrites{{Pos: ver.Pos, Writes: writes}}, nil); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < base.Len(); i++ {
+		db.live.add(pairDigest(base.Key(i), base.value(i)))
+	}
+	db.base = base
+	db.height.Store(ver.Block)
+	db.hasAny.Store(true)
+	return nil
 }
 
 // Height returns the number of the last committed block.
@@ -190,7 +242,13 @@ func (db *DB) Get(key string) (VersionedValue, bool) {
 	sh := &db.shards[shardFor(key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	versions := sh.hist[key]
+	versions, ok := sh.hist[key]
+	if !ok {
+		if i := db.base.find(key); i >= 0 {
+			return db.base.entry(i), true
+		}
+		return VersionedValue{}, false
+	}
 	if len(versions) == 0 {
 		return VersionedValue{}, false
 	}
@@ -216,7 +274,13 @@ func (db *DB) GetAt(key string, asOfBlock uint64) (VersionedValue, bool, error) 
 	if err := db.readable(asOfBlock); err != nil {
 		return VersionedValue{}, false, err
 	}
-	versions := sh.hist[key]
+	versions, ok := sh.hist[key]
+	if !ok {
+		if i := db.base.find(key); i >= 0 && db.base.version(i).Block <= asOfBlock {
+			return db.base.entry(i), true, nil
+		}
+		return VersionedValue{}, false, nil
+	}
 	// Binary search for the last version with Version.Block <= asOfBlock.
 	lo, hi := 0, len(versions)
 	for lo < hi {
@@ -307,15 +371,10 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore
 	if db.hasAny.Load() && block <= db.height.Load() {
 		return fmt.Errorf("statedb: block %d applied out of order (height %d)", block, db.height.Load())
 	}
-	// The persist batch is the block's own, sized once: a reused one would
-	// pin the largest block's records (the genesis) for the peer's life.
-	var batch []kvstore.BatchOp
 	if db.backing != nil {
-		n := 1 + len(riders)
-		for _, tw := range txWrites {
-			n += len(tw.Writes)
+		if err := db.persist(block, txWrites, riders); err != nil {
+			return err
 		}
-		batch = make([]kvstore.BatchOp, 0, n)
 	}
 	for _, tw := range txWrites {
 		ver := seqno.Commit(block, tw.Pos)
@@ -326,7 +385,10 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore
 			}
 			sh := &db.shards[shardFor(w.Key)]
 			sh.mu.Lock()
-			versions := sh.hist[w.Key]
+			versions, ok := sh.hist[w.Key]
+			if !ok {
+				versions = db.base.history(w.Key)
+			}
 			sh.hist[w.Key] = append(versions, vv)
 			sh.mu.Unlock()
 			if n := len(versions); n > 0 && !versions[n-1].Deleted {
@@ -335,27 +397,33 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore
 			if !w.Delete {
 				db.live.add(pairDigest(w.Key, vv.Value))
 			}
-			if db.backing != nil {
-				batch = append(batch, persistOp(w.Key, vv))
-			}
 			db.written = append(db.written, blockKey{block, w.Key})
-		}
-	}
-	if db.backing != nil {
-		// One atomic batch per block: the store holds all of the block —
-		// writes, riders and the height that names it — or none of it.
-		batch = append(batch, kvstore.BatchOp{
-			Key:   []byte(backingHeightKey),
-			Value: seqno.Seq{Block: block}.Bytes(),
-		})
-		batch = append(batch, riders...)
-		if err := db.backing.ApplyBatch(batch); err != nil {
-			return err
 		}
 	}
 	db.height.Store(block)
 	db.hasAny.Store(true)
 	return nil
+}
+
+// persist lands one block in the backing store as one atomic batch — its
+// writes, the height record that names it, then riders — so the store holds
+// all of the block or none of it. The batch is the block's own, sized once:
+// a reused one would pin the largest block's records (the genesis) for the
+// peer's life.
+func (db *DB) persist(block uint64, txWrites []BlockWrites, riders []kvstore.BatchOp) error {
+	n := 1 + len(riders)
+	for _, tw := range txWrites {
+		n += len(tw.Writes)
+	}
+	batch := make([]kvstore.BatchOp, 0, n)
+	for _, tw := range txWrites {
+		ver := seqno.Commit(block, tw.Pos)
+		for _, w := range tw.Writes {
+			batch = append(batch, persistOp(w.Key, VersionedValue{Value: w.Value, Version: ver, Deleted: w.Delete}))
+		}
+	}
+	batch = append(batch, kvstore.BatchOp{Key: []byte(backingHeightKey), Value: seqno.Seq{Block: block}.Bytes()})
+	return db.backing.ApplyBatch(append(batch, riders...))
 }
 
 // persistOp encodes one latest-version record for the backing store.
@@ -389,7 +457,7 @@ func (db *DB) PruneSnapshots(minSnapshotBlock uint64) {
 		w := db.written[n]
 		sh := &db.shards[shardFor(w.key)]
 		sh.mu.Lock()
-		trimKey(sh, w.key, minSnapshotBlock)
+		db.trimKey(sh, w.key, minSnapshotBlock)
 		sh.mu.Unlock()
 	}
 	rest := copy(db.written, db.written[n:])
@@ -401,10 +469,11 @@ func (db *DB) PruneSnapshots(minSnapshotBlock uint64) {
 }
 
 // trimKey cuts key's history to the latest version at or before horizon and
-// everything after it, and drops the key once that is a lone tombstone. The
-// kept versions slide to the front of the same array, which later appends
-// then reuse (the shard's write lock keeps readers out meanwhile).
-func trimKey(sh *shard, key string, horizon uint64) {
+// everything after it, and drops the key once that is a lone tombstone — or,
+// over a base key, empties its history, which keeps the base entry hidden.
+// The kept versions slide to the front of the same array, which later
+// appends then reuse (the shard's write lock keeps readers out meanwhile).
+func (db *DB) trimKey(sh *shard, key string, horizon uint64) {
 	versions := sh.hist[key]
 	idx := -1
 	for j, vv := range versions {
@@ -418,7 +487,11 @@ func trimKey(sh *shard, key string, horizon uint64) {
 	}
 	if idx == len(versions)-1 && versions[idx].Deleted {
 		// Latest is a tombstone and nothing newer: the key is gone.
-		delete(sh.hist, key)
+		if db.base.find(key) >= 0 {
+			sh.hist[key] = nil
+		} else {
+			delete(sh.hist, key)
+		}
 		return
 	}
 	n := copy(versions, versions[idx:])
@@ -432,7 +505,20 @@ func (db *DB) VersionCount(key string) int {
 	sh := &db.shards[shardFor(key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.hist[key])
+	if versions, ok := sh.hist[key]; ok {
+		return len(versions)
+	}
+	if db.base.find(key) >= 0 {
+		return 1
+	}
+	return 0
+}
+
+// hasHistory reports whether key has a history, which then answers for it
+// instead of the base. The caller holds applyMu or key's shard lock.
+func (db *DB) hasHistory(key string) bool {
+	_, ok := db.shards[shardFor(key)].hist[key]
+	return ok
 }
 
 // Keys returns the number of live keys at the latest snapshot.
@@ -447,6 +533,11 @@ func (db *DB) Keys() int {
 			}
 		}
 	}
+	for i := 0; i < db.base.Len(); i++ {
+		if !db.hasHistory(db.base.Key(i)) {
+			n++
+		}
+	}
 	return n
 }
 
@@ -458,41 +549,54 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 	for i := range db.shards {
 		//sharp:orderinvariant visitation API documented as unordered; deterministic consumers must sort or fold commutatively
 		for key, versions := range db.shards[i].hist {
-			last := versions[len(versions)-1]
-			if last.Deleted {
+			if len(versions) == 0 || versions[len(versions)-1].Deleted {
 				continue
 			}
-			if !fn(key, last) {
+			if !fn(key, versions[len(versions)-1]) {
 				return
 			}
+		}
+	}
+	for i := 0; i < db.base.Len(); i++ {
+		if key := db.base.Key(i); !db.hasHistory(key) && !fn(key, db.base.entry(i)) {
+			return
 		}
 	}
 }
 
 // KeysInRange returns, sorted, every key in [start, end) that is live at
-// the snapshot after block asOfBlock. The scan is linear in the key count —
-// acceptable for the contract-visible state sizes this repository targets;
-// no index backs it.
+// the snapshot after block asOfBlock. The base's keys are found by binary
+// search, each in range then read under its shard's lock; the histories are
+// scanned whole, so the cost is linear in the keys written since the base
+// was loaded plus the base keys in range — acceptable for the
+// contract-visible state sizes this repository targets.
 func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 	var out []string
+	lo, hi := db.base.span(start, end)
+	for i := lo; i < hi; i++ {
+		key := db.base.Key(i)
+		sh := &db.shards[shardFor(key)]
+		sh.mu.RLock()
+		versions, ok := sh.hist[key]
+		live := liveAt(versions, asOfBlock)
+		if !ok {
+			live = db.base.version(i).Block <= asOfBlock
+		}
+		sh.mu.RUnlock()
+		if live {
+			out = append(out, key)
+		}
+	}
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		//sharp:orderinvariant matched keys are sorted once after the shard sweep, before return
 		for key, versions := range sh.hist {
-			if key < start || (end != "" && key >= end) {
+			// A base key was decided above, atomically with its history.
+			if key < start || (end != "" && key >= end) || db.base.find(key) >= 0 {
 				continue
 			}
-			// Last version at or before the snapshot.
-			idx := -1
-			for j, vv := range versions {
-				if vv.Version.Block <= asOfBlock {
-					idx = j
-				} else {
-					break
-				}
-			}
-			if idx >= 0 && !versions[idx].Deleted {
+			if liveAt(versions, asOfBlock) {
 				out = append(out, key)
 			}
 		}
@@ -502,13 +606,26 @@ func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 	return out
 }
 
-// Clone deep-copies the database (history and height). It backs the
-// serializability verifier, which re-executes committed schedules against a
-// fresh copy of the genesis state.
+// liveAt reports whether a history's last version at or before asOfBlock
+// exists and is not a tombstone.
+func liveAt(versions []VersionedValue, asOfBlock uint64) bool {
+	idx := -1
+	for j, vv := range versions {
+		if vv.Version.Block > asOfBlock {
+			break
+		}
+		idx = j
+	}
+	return idx >= 0 && !versions[idx].Deleted
+}
+
+// Clone copies the database (history and height), sharing the immutable
+// base. It backs the serializability verifier, which re-executes committed
+// schedules against a fresh copy of the genesis state.
 func (db *DB) Clone() *DB {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	out := &DB{live: db.live, written: append([]blockKey(nil), db.written...)}
+	out := &DB{live: db.live, written: append([]blockKey(nil), db.written...), base: db.base}
 	out.height.Store(db.height.Load())
 	out.hasAny.Store(db.hasAny.Load())
 	out.horizon.Store(db.horizon.Load())

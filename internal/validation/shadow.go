@@ -1,6 +1,8 @@
 package validation
 
 import (
+	"errors"
+
 	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
@@ -44,10 +46,16 @@ func (s dbVersions) Version(key string) (seqno.Seq, bool) {
 // re-executed write sets of rescued ones) and alias the write sets the chain
 // retains anyway, so tracking them costs a slice header per key.
 //
+// The genesis sits under the entries as a statedb.Base (SeedBase): one
+// immutable, pointer-free copy of it, read where a key has no entry. Only
+// the keys blocks write take map entries, a deleted genesis key included
+// (its tombstone hides the base).
+//
 // A ShadowState is confined to its orderer goroutine; it is not safe for
 // concurrent mutation (the read-only fan-out of a rescue run is fine — see
 // Read).
 type ShadowState struct {
+	base    *statedb.Base
 	entries map[string]shadowEntry
 	height  uint64
 }
@@ -70,7 +78,10 @@ func NewValueShadowState() *ShadowState {
 // path is serial). Callers must not mutate the returned value.
 func (s *ShadowState) Read(key string) ([]byte, seqno.Seq, bool) {
 	e, ok := s.entries[key]
-	if !ok || e.deleted {
+	if !ok {
+		return s.base.Get(key)
+	}
+	if e.deleted {
 		return nil, seqno.Seq{}, false
 	}
 	return e.value, e.version, true
@@ -83,13 +94,23 @@ func (s *ShadowState) Seed(key string, value []byte, ver seqno.Seq) {
 	s.entries[key] = shadowEntry{version: ver, value: value}
 }
 
+// SeedBase installs a genesis write set at version ver in one call, as the
+// base under an empty shadow: what Seed of every write would install. It
+// copies the values, so the write set can be dropped afterwards, and
+// refuses a write set statedb.NewBase refuses.
+func (s *ShadowState) SeedBase(writes []protocol.WriteItem, ver seqno.Seq) error {
+	if len(s.entries) > 0 || s.base != nil {
+		return errors.New("validation: SeedBase on a seeded shadow")
+	}
+	base, err := statedb.NewBase(writes, ver)
+	s.base = base
+	return err
+}
+
 // Version implements VersionSource.
 func (s *ShadowState) Version(key string) (seqno.Seq, bool) {
-	e, ok := s.entries[key]
-	if !ok || e.deleted {
-		return seqno.Seq{}, false
-	}
-	return e.version, true
+	_, ver, ok := s.Read(key)
+	return ver, ok
 }
 
 // ApplyRescued folds one sealed block's verdicts into the shadow, mirroring
@@ -133,7 +154,15 @@ func (s *ShadowState) Height() uint64 { return s.height }
 
 // Len returns the number of tracked keys, tombstones included (tests,
 // metrics).
-func (s *ShadowState) Len() int { return len(s.entries) }
+func (s *ShadowState) Len() int {
+	n := len(s.entries)
+	for i := 0; i < s.base.Len(); i++ {
+		if _, ok := s.entries[s.base.Key(i)]; !ok {
+			n++
+		}
+	}
+	return n
+}
 
 // ComputeVerdicts derives the validation codes for one block of ordered
 // transactions against base — the shared, sequential verdict function of

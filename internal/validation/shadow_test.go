@@ -248,3 +248,70 @@ func TestDBVersionsAdapter(t *testing.T) {
 		t.Error("deleted key still has a version")
 	}
 }
+
+// TestShadowBaseAgainstPlainMap holds a shadow seeded with a genesis base to
+// one seeded key by key into its entry map, as every shadow was before the
+// base: random blocks of valid, conflicting and rescued transactions put,
+// delete and re-put genesis and fresh keys, and after every block both
+// answer every Read, Version and Len alike.
+func TestShadowBaseAgainstPlainMap(t *testing.T) {
+	var keys []string
+	var genesis []protocol.WriteItem
+	for i := 0; i < 12; i++ {
+		keys = append(keys, fmt.Sprintf("g%02d", i))
+		genesis = append(genesis, protocol.WriteItem{Key: keys[i], Value: []byte(fmt.Sprint("init", i))})
+	}
+	keys = append(keys, "n0", "n1", "n2", "n3")
+	genesisVer := seqno.Commit(0, 1)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		based, plain := NewValueShadowState(), NewValueShadowState()
+		if err := based.SeedBase(genesis, genesisVer); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range genesis {
+			plain.Seed(w.Key, w.Value, genesisVer)
+		}
+		writes := func(tag string) []protocol.WriteItem {
+			var ws []protocol.WriteItem
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				w := protocol.WriteItem{Key: keys[rng.Intn(len(keys))], Value: []byte(tag)}
+				if rng.Intn(3) == 0 {
+					w = protocol.WriteItem{Key: w.Key, Delete: true}
+				}
+				ws = append(ws, w)
+			}
+			return ws
+		}
+		for block := uint64(1); block <= 60; block++ {
+			var txs []*protocol.Transaction
+			var codes []protocol.ValidationCode
+			var rescued [][]protocol.WriteItem
+			for i := 0; i < rng.Intn(5); i++ {
+				tx := &protocol.Transaction{ID: protocol.TxID(fmt.Sprintf("b%dt%d", block, i))}
+				tx.RWSet.Writes = writes(fmt.Sprintf("v%d.%d", block, i))
+				code := []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict, protocol.Rescued}[rng.Intn(3)]
+				var re []protocol.WriteItem
+				if code == protocol.Rescued {
+					re = writes(fmt.Sprintf("r%d.%d", block, i))
+				}
+				txs, codes, rescued = append(txs, tx), append(codes, code), append(rescued, re)
+			}
+			based.ApplyRescued(block, txs, codes, rescued)
+			plain.ApplyRescued(block, txs, codes, rescued)
+			for _, key := range keys {
+				v1, ver1, ok1 := based.Read(key)
+				v2, ver2, ok2 := plain.Read(key)
+				if ok1 != ok2 || ver1 != ver2 || string(v1) != string(v2) {
+					t.Fatalf("seed %d block %d: Read(%s) = %q %v %v, plain map %q %v %v", seed, block, key, v1, ver1, ok1, v2, ver2, ok2)
+				}
+				if ver1, ok1 := based.Version(key); ok1 != ok2 || ver1 != ver2 {
+					t.Fatalf("seed %d block %d: Version(%s) = %v %v, plain map %v %v", seed, block, key, ver1, ok1, ver2, ok2)
+				}
+			}
+			if based.Len() != plain.Len() {
+				t.Fatalf("seed %d block %d: Len %d, plain map %d", seed, block, based.Len(), plain.Len())
+			}
+		}
+	}
+}

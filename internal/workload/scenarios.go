@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/protocol"
@@ -124,11 +125,9 @@ const TokenInitialBalance = 1000
 // TokenInitialBalance each.
 func TokenGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, n)
+	vals := repeatedValue(strconv.Itoa(TokenInitialBalance), n)
 	for i := 0; i < n; i++ {
-		writes = append(writes, protocol.WriteItem{
-			Key:   chaincode.TokenKey(fmt.Sprint(i)),
-			Value: []byte(fmt.Sprint(TokenInitialBalance)),
-		})
+		writes = append(writes, protocol.WriteItem{Key: chaincode.TokenKey(strconv.Itoa(i)), Value: vals(i)})
 	}
 	return writes
 }
@@ -190,15 +189,13 @@ const AnalyticsInitialValue = 100
 // AnalyticsGenesis seeds n metrics plus the matching aggregate.
 func AnalyticsGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, n+1)
+	vals := repeatedValue(strconv.Itoa(AnalyticsInitialValue), n)
 	for i := 0; i < n; i++ {
-		writes = append(writes, protocol.WriteItem{
-			Key:   chaincode.MetricKey(fmt.Sprint(i)),
-			Value: []byte(fmt.Sprint(AnalyticsInitialValue)),
-		})
+		writes = append(writes, protocol.WriteItem{Key: chaincode.MetricKey(strconv.Itoa(i)), Value: vals(i)})
 	}
 	writes = append(writes, protocol.WriteItem{
 		Key:   chaincode.MetricSumKey,
-		Value: []byte(fmt.Sprint(n * AnalyticsInitialValue)),
+		Value: []byte(strconv.Itoa(n * AnalyticsInitialValue)),
 	})
 	return writes
 }

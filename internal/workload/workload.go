@@ -7,9 +7,11 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/protocol"
@@ -92,38 +94,45 @@ func GenesisVersion() seqno.Seq { return seqno.Commit(0, 1) }
 // SeedGenesis installs writes as the block-0 genesis state. Every scenario
 // genesis — in-process simulator runs, loopback fabric networks, and the
 // process-per-node peers of a wire cluster — goes through this one helper so
-// all replicas seed bit-identically. An empty write set is a no-op; seeding
-// a database that already holds blocks is an error (ApplyBlock enforces the
-// ordering).
+// all replicas seed bit-identically. The database holds it as its base
+// (statedb.DB.SeedBase). An empty write set is a no-op; seeding a database
+// that already holds blocks is an error.
 func SeedGenesis(db *statedb.DB, writes []protocol.WriteItem) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	return db.ApplyBlock(0, []statedb.BlockWrites{{Pos: GenesisVersion().Pos, Writes: writes}})
+	return db.SeedBase(GenesisVersion(), writes)
 }
 
 // AccountGenesis builds the genesis write set shared by the single-mod and
 // modified-Smallbank workloads: n accounts with balance 1000 each.
 func AccountGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, n)
+	vals := repeatedValue("1000", n)
 	for i := 0; i < n; i++ {
-		writes = append(writes, protocol.WriteItem{
-			Key:   chaincode.AccountKey(fmt.Sprint(i)),
-			Value: []byte("1000"),
-		})
+		writes = append(writes, protocol.WriteItem{Key: chaincode.AccountKey(strconv.Itoa(i)), Value: vals(i)})
 	}
 	return writes
+}
+
+// repeatedValue returns n copies of v cut from one allocation, each capped
+// so an append to one cannot reach the next: a genesis builder allocates per
+// key, not per value.
+func repeatedValue(v string, n int) func(i int) []byte {
+	arena := bytes.Repeat([]byte(v), n)
+	return func(i int) []byte { return arena[i*len(v) : (i+1)*len(v) : (i+1)*len(v)] }
 }
 
 // SmallbankGenesis builds the original-Smallbank genesis write set: n
 // accounts with checking and savings balances of 10000 each.
 func SmallbankGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, 2*n)
+	vals := repeatedValue("10000", 2*n)
 	for i := 0; i < n; i++ {
-		id := fmt.Sprint(i)
+		id := strconv.Itoa(i)
 		writes = append(writes,
-			protocol.WriteItem{Key: chaincode.CheckingKey(id), Value: []byte("10000")},
-			protocol.WriteItem{Key: chaincode.SavingsKey(id), Value: []byte("10000")},
+			protocol.WriteItem{Key: chaincode.CheckingKey(id), Value: vals(2 * i)},
+			protocol.WriteItem{Key: chaincode.SavingsKey(id), Value: vals(2*i + 1)},
 		)
 	}
 	return writes
