@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fabricsharp/internal/fabric"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/sched"
 )
 
@@ -49,7 +49,7 @@ func cmdDemo(args []string) int {
 }
 
 func demo(f demoFlags) int {
-	net, err := fabric.NewNetwork(fabric.Options{
+	net, err := node.NewNetwork(node.NetworkOptions{
 		System:       sched.System(f.System),
 		BlockSize:    50,
 		BlockTimeout: 100 * time.Millisecond,

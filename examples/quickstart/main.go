@@ -14,9 +14,8 @@ import (
 )
 
 func main() {
-	// A 4-peer, 2-orderer network running the paper's scheduler. The
-	// second orderer replicates the deterministic reordering — both seal
-	// identical chains.
+	// A 4-peer network running the paper's scheduler: one orderer and four
+	// peers in this process, talking over in-memory connections.
 	net, err := fabricsharp.NewNetwork(fabricsharp.NetworkOptions{
 		System:       fabricsharp.SystemSharp,
 		BlockSize:    10,

@@ -1,4 +1,4 @@
-package fabric
+package fabric_test
 
 import (
 	"bytes"
@@ -12,8 +12,10 @@ import (
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/wire"
@@ -31,7 +33,7 @@ func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 	for _, system := range sched.Systems() {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{System: system, BlockSize: 8})
+			n := newNet(t, node.NetworkOptions{System: system, BlockSize: 8})
 			client, err := n.NewClient("shadow")
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +95,7 @@ func TestShadowVerdictsMatchPeerValidation(t *testing.T) {
 // the lead's stream must match its chain bit for bit: contents, hashes and
 // sealed verdicts.
 func TestFoccLLeadFollowerAgreement(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemFoccL, BlockSize: 8})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemFoccL, BlockSize: 8})
 	client, err := n.NewClient("bank")
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +154,14 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 // is healthy. Peers keep no blocks to compare; instead each committer
 // byte-asserted its verdicts and rescue digest against the sealed ones on
 // every block, and a divergence would have failed n.Err().
-func assertPeersOnTheOrderersTip(t *testing.T, n *Network) {
+func assertPeersOnTheOrderersTip(t *testing.T, n *testNet) {
 	t.Helper()
 	if err := n.Err(); err != nil {
 		t.Fatal(err)
 	}
 	wn, wh, wc := n.OrdererChain().Status()
-	for i, p := range n.peers {
-		if gn, gh, gc := p.Tip().Status(); gn != wn || !bytes.Equal(gh, wh) || gc != wc {
+	for i := 0; i < n.opts.Peers; i++ {
+		if gn, gh, gc := n.Peer(i).Tip().Status(); gn != wn || !bytes.Equal(gh, wh) || gc != wc {
 			t.Fatalf("peer %d stands at block %d (tip %x, %d committed); the orderer sealed %d (tip %x, %d committed)",
 				i, gn, gh, gc, wn, wh, wc)
 		}
@@ -175,22 +177,21 @@ func (discardEvents) Sealed(*ledger.Block)                            {}
 func (discardEvents) CutStage(uint64, trace.Stage)                    {}
 
 // assertOrderersAgree demands that follower orderers agree with n's: two
-// fresh orderer.Cores are folded over the consensus stream n retained —
-// transactions and time-to-cut markers alike — and each must seal n's chain
-// bit for bit.
+// fresh orderer.Cores are folded over the consensus stream n's solo orderer
+// retained — transactions and time-to-cut markers alike — and each must seal
+// n's chain bit for bit.
 // wire.EncodeBlock covers hashes, contents, sealed verdicts and the rescue
-// digest. n must be idle and built by newNet (which injects the retained
-// stream).
-func assertOrderersAgree(t *testing.T, n *Network) {
+// digest. n must be idle.
+func assertOrderersAgree(t *testing.T, n *testNet) {
 	t.Helper()
-	stream := n.opts.Ordering.(*consensus.Kafka)
+	stream := n.Orderer().Stream().(*consensus.Kafka)
 	replay, cancel := stream.Subscribe()
 	defer cancel()
 	envs := make([]consensus.Envelope, stream.Len())
 	for i := range envs {
 		envs[i] = (<-replay).Env
 	}
-	names := make([]string, len(n.peers))
+	names := make([]string, n.opts.Peers)
 	for i := range names {
 		names[i] = fmt.Sprintf("peer%d", i)
 	}
@@ -198,10 +199,13 @@ func assertOrderersAgree(t *testing.T, n *Network) {
 	lead := n.OrdererChain()
 	for i := 1; i <= 2; i++ {
 		follower, err := orderer.NewCore(orderer.CoreConfig{
-			Options:  n.opts.ordering(),
+			Options: orderer.Options{
+				System: n.opts.System, BlockSize: n.opts.BlockSize, BlockTimeout: n.opts.BlockTimeout,
+				MaxSpan: n.opts.MaxSpan, DedupHorizon: n.opts.DedupHorizon, Rescue: n.opts.Rescue,
+			},
 			MSP:      msp,
 			Policy:   policy,
-			Registry: n.registry,
+			Registry: chaincode.NewRegistry(scenario.AllContracts()...),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +242,7 @@ func TestRescueLeadFollowerAgreement(t *testing.T) {
 	for _, system := range []sched.System{sched.SystemFabric, sched.SystemFoccL, sched.SystemSharp, sched.SystemFoccS} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{System: system, BlockSize: 8, Rescue: true})
+			n := newNet(t, node.NetworkOptions{System: system, BlockSize: 8, Rescue: true})
 			client, err := n.NewClient("bank")
 			if err != nil {
 				t.Fatal(err)
@@ -333,7 +337,7 @@ func TestChurnAcrossHorizonLeadFollowerAgreement(t *testing.T) {
 	for _, system := range []sched.System{sched.SystemSharp, sched.SystemFoccS} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{
+			n := newNet(t, node.NetworkOptions{
 				System:    system,
 				BlockSize: 4,
 				MaxSpan:   4,

@@ -1,4 +1,4 @@
-package fabric
+package fabric_test
 
 import (
 	"bytes"
@@ -14,9 +14,11 @@ import (
 	"time"
 
 	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
@@ -29,14 +31,14 @@ var tortureNames = []string{"peer0", "peer1"}
 // newBarePeer builds one started peer outside any network — durable on dir,
 // in-memory when dir is "" — validating as the fixture network's peers do
 // under system with rescue on, and seeded with genesis when fresh.
-func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*Peer, error) {
+func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*fabric.Peer, error) {
 	t.Helper()
 	scheduler, err := sched.New(system, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	msp, policy := identity.DevMSP(tortureNames...)
-	p, err := NewPeer(PeerConfig{
+	p, err := fabric.NewPeer(fabric.PeerConfig{
 		ID:       identity.Deterministic(tortureNames[0], identity.RolePeer),
 		MSP:      msp,
 		Policy:   policy,
@@ -56,9 +58,9 @@ func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...proto
 
 // sealChain runs drive against an in-memory network of the fixture's peers
 // under system with rescue on, and returns the blocks its orderer sealed.
-func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *Client)) []*ledger.Block {
+func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *node.NetworkClient)) []*ledger.Block {
 	t.Helper()
-	n, err := NewNetwork(Options{
+	n, err := node.NewNetwork(node.NetworkOptions{
 		System:       system,
 		Rescue:       true,
 		Peers:        len(tortureNames),
@@ -89,7 +91,7 @@ func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *C
 // four clients each sending payments round the ring of them.
 func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Block {
 	t.Helper()
-	return sealChain(t, system, 4, func(client *Client) {
+	return sealChain(t, system, 4, func(client *node.NetworkClient) {
 		for i := 0; i < 3; i++ {
 			if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
 				t.Fatal(err)
@@ -130,7 +132,7 @@ type position struct {
 	committed uint64
 }
 
-func positionOf(p *Peer) position {
+func positionOf(p *fabric.Peer) position {
 	_, tip, committed := p.Tip().Status()
 	return position{tip, p.State().StateFingerprint(), committed}
 }
@@ -153,7 +155,7 @@ func referencePositions(t *testing.T, system sched.System, sealed []*ledger.Bloc
 }
 
 // checkPosition fails the test unless p stands at want.
-func checkPosition(t *testing.T, what string, p *Peer, want position) {
+func checkPosition(t *testing.T, what string, p *fabric.Peer, want position) {
 	t.Helper()
 	if got := positionOf(p); !bytes.Equal(got.tip, want.tip) || got.state != want.state || got.committed != want.committed {
 		t.Fatalf("%s: tip %x state %s committed %d, reference has tip %x state %s committed %d",
@@ -162,7 +164,7 @@ func checkPosition(t *testing.T, what string, p *Peer, want position) {
 }
 
 // commitAll delivers blocks to p and waits until it has committed them.
-func commitAll(t *testing.T, p *Peer, blocks []*ledger.Block) {
+func commitAll(t *testing.T, p *fabric.Peer, blocks []*ledger.Block) {
 	t.Helper()
 	for _, blk := range blocks {
 		p.Committer().Deliver(blk)

@@ -1,21 +1,26 @@
-package fabric
+package fabric_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"fabricsharp/internal/consensus"
+	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
-	"fabricsharp/internal/transport"
-	"fabricsharp/internal/transport/transporttest"
 )
 
-func newNet(t *testing.T, opts Options) *Network {
+// testNet is a library network with the options it was built from, defaults
+// filled in: the replay and tip checks below need both.
+type testNet struct {
+	*node.Network
+	opts node.NetworkOptions
+}
+
+func newNet(t *testing.T, opts node.NetworkOptions) *testNet {
 	t.Helper()
 	if opts.BlockSize == 0 {
 		opts.BlockSize = 5
@@ -23,21 +28,31 @@ func newNet(t *testing.T, opts Options) *Network {
 	if opts.BlockTimeout == 0 {
 		opts.BlockTimeout = 50 * time.Millisecond
 	}
-	if opts.Ordering == nil {
-		// The in-process broker NewNetwork would build anyway, kept
-		// reachable: it retains the stream assertOrderersAgree replays.
-		opts.Ordering = consensus.NewKafka()
+	if opts.Peers == 0 {
+		opts.Peers = 4
 	}
-	n, err := NewNetwork(opts)
+	n, err := node.NewNetwork(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
-	return n
+	return &testNet{n, opts}
+}
+
+// wireClient dials a wire client to n for transactions no library client
+// would send: it submits whatever it is handed.
+func wireClient(t *testing.T, n *testNet, name string) *node.Client {
+	t.Helper()
+	c, err := n.DialClient(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 func TestEndToEndPutGet(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, err := n.NewClient("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +77,7 @@ func TestAllSystemsEndToEnd(t *testing.T) {
 	for _, system := range sched.Systems() {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{System: system})
+			n := newNet(t, node.NetworkOptions{System: system})
 			client, err := n.NewClient("c")
 			if err != nil {
 				t.Fatal(err)
@@ -94,7 +109,7 @@ func TestAllSystemsEndToEnd(t *testing.T) {
 func TestOrdererAgreement(t *testing.T) {
 	// Section 3.5: replicated orderers running the deterministic reordering
 	// over the same consensus stream produce identical ledgers.
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("c")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -117,7 +132,7 @@ func TestOrdererAgreement(t *testing.T) {
 }
 
 func TestSmallbankTransfersConserveMoney(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("bank")
 	for _, id := range []string{"a", "b", "c"} {
 		if _, err := client.MustSubmit("smallbank", "create_account", id, "100", "100"); err != nil {
@@ -159,7 +174,7 @@ func TestConflictingTransactionsAbortButSerialize(t *testing.T) {
 	// Hammer one hot key with read-modify-writes from many goroutines: some
 	// abort (cycles), but the final counter equals the number of COMMITTED
 	// increments — serializability, observably.
-	n := newNet(t, Options{System: sched.SystemSharp, BlockSize: 8})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp, BlockSize: 8})
 	client, _ := n.NewClient("c")
 	var committed int64
 	var mu sync.Mutex
@@ -192,22 +207,49 @@ func TestConflictingTransactionsAbortButSerialize(t *testing.T) {
 	}
 }
 
+// TestDuplicateTxRejected sends one endorsed transaction twice, the second
+// time after its block sealed. The orderer drops the replay as a duplicate
+// and answers it with the original's fate; the chain holds the TxID once.
 func TestDuplicateTxRejected(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemFabric})
-	client, _ := n.NewClient("c")
-	id, ch, err := client.SubmitAsync("kv", "put", "x", "1")
+	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric})
+	c := wireClient(t, n, "c")
+	tx, err := c.Endorse("kv", "put", "x", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := <-ch
-	if !res.Committed() {
-		t.Fatalf("first submission aborted: %v", res.Code)
+	first, err := c.SubmitTx(tx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = id
+	if !first.Code.Committed() || first.Block == 0 {
+		t.Fatalf("first submission resolved as %+v", first)
+	}
+	again, err := c.SubmitTx(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Code != first.Code || again.Block != first.Block {
+		t.Fatalf("the replay was answered %v in block %d; the original %v in block %d", again.Code, again.Block, first.Code, first.Block)
+	}
+	if !n.WaitIdle(5 * time.Second) {
+		t.Fatalf("network did not go idle (err=%v)", n.Err())
+	}
+	held := 0
+	n.OrdererChain().ForEach(func(b *ledger.Block) bool {
+		for _, btx := range b.Transactions {
+			if btx.ID == tx.ID {
+				held++
+			}
+		}
+		return true
+	})
+	if held != 1 {
+		t.Fatalf("the chain holds %s %d times", tx.ID, held)
+	}
 }
 
 func TestUnknownContractFailsAtEndorsement(t *testing.T) {
-	n := newNet(t, Options{})
+	n := newNet(t, node.NetworkOptions{})
 	client, _ := n.NewClient("c")
 	if _, err := client.Submit("nonexistent", "fn"); err == nil {
 		t.Error("unknown contract accepted")
@@ -218,7 +260,7 @@ func TestUnknownContractFailsAtEndorsement(t *testing.T) {
 }
 
 func TestFailingInvocationRejected(t *testing.T) {
-	n := newNet(t, Options{})
+	n := newNet(t, node.NetworkOptions{})
 	client, _ := n.NewClient("c")
 	// Overdraft fails during simulation: no endorsement, submit errors.
 	if _, err := client.MustSubmit("smallbank", "create_account", "x", "10", "0"); err != nil {
@@ -230,7 +272,7 @@ func TestFailingInvocationRejected(t *testing.T) {
 }
 
 func TestSupplyChainScenario(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("logistics")
 	steps := [][]string{
 		{"register", "crate-1", "acme", "shenzhen"},
@@ -259,7 +301,7 @@ func TestSupplyChainScenario(t *testing.T) {
 func TestVanillaFabricAbortsStaleReads(t *testing.T) {
 	// With vanilla Fabric, concurrent rmw's on one key mostly MVCC-abort;
 	// the aborts must be reported as MVCCConflict (not silently dropped).
-	n := newNet(t, Options{System: sched.SystemFabric, BlockSize: 10})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric, BlockSize: 10})
 	client, _ := n.NewClient("c")
 	var wg sync.WaitGroup
 	var aborted int64
@@ -281,70 +323,5 @@ func TestVanillaFabricAbortsStaleReads(t *testing.T) {
 	wg.Wait()
 	if aborted == 0 {
 		t.Error("no MVCC aborts under heavy contention — suspicious")
-	}
-}
-
-// TestRaftConsensusBackend orders through the one Raft the repository has:
-// three transport.RaftService members on loopback sockets, the leader's
-// service injected through Options.Ordering. The schedulers are oblivious to
-// the backend, and every member's log commits what the network ordered.
-func TestRaftConsensusBackend(t *testing.T) {
-	var members []*transport.RaftService
-	transporttest.BootOnFreePorts(t, 3, func(addrs []string) error {
-		members = nil
-		for i, addr := range addrs {
-			m, err := transport.StartRaft(transport.RaftConfig{
-				ID: addr, Cluster: addrs, ElectionTimeout: 100 * time.Millisecond, Seed: int64(i + 1),
-			})
-			if err != nil {
-				for _, started := range members {
-					started.Close()
-				}
-				return err
-			}
-			members = append(members, m)
-		}
-		return nil
-	})
-	for _, m := range members {
-		t.Cleanup(m.Close) // idempotent: the network also closes the leader's
-	}
-	var leader *transport.RaftService
-	for deadline := time.Now().Add(10 * time.Second); leader == nil; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no raft leader elected")
-		}
-		for _, m := range members {
-			if m.IsLeader() {
-				leader = m
-			}
-		}
-	}
-
-	n := newNet(t, Options{System: sched.SystemSharp, Ordering: leader})
-	client, err := n.NewClient("raft-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := client.MustSubmit("kv", "put", fmt.Sprintf("r%d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(n.Peer(0).Tip().TipHash(), n.Peer(1).Tip().TipHash()) {
-		t.Error("peers diverged under raft ordering")
-	}
-	// Followers replicate the stream the network sealed from: a second
-	// process consuming any member would derive the same blocks.
-	want := leader.CommitIndex()
-	if want < 10 {
-		t.Fatalf("leader committed %d entries for 10 transactions", want)
-	}
-	for i, m := range members {
-		for deadline := time.Now().Add(10 * time.Second); m.CommitIndex() < want; time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("member %d stuck at commit %d, leader at %d", i, m.CommitIndex(), want)
-			}
-		}
 	}
 }

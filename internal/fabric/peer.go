@@ -1,3 +1,10 @@
+// Package fabric holds Peer, the one endorsing + validating peer assembly
+// every deployment shares: state, ledger tip, pipelined committer, Endorse
+// (Algorithm 1) and the local query path. NewPeer builds it from a PeerConfig;
+// internal/node puts it behind a server and feeds it blocks through a
+// transport.Subscriber, in an OS process of its own (cmd/fabricnode) or in
+// the library network (node.NewNetwork), whose nodes talk over in-memory
+// connections.
 package fabric
 
 import (
@@ -136,18 +143,13 @@ func (p *Peer) Close() {
 	}
 }
 
-// Endorse is the execution phase, shared by the in-process client and the
-// wire peer's proposal handler: simulate tx's invocation against the latest
-// block snapshot (Algorithm 1), record the snapshot and read/write set on
-// tx, and append the peer's signature over the result. It returns the
-// contract's result payload.
+// Endorse is the execution phase, run by the proposal handler of
+// internal/node: simulate tx's invocation against the latest block snapshot
+// (Algorithm 1), record the snapshot and read/write set on tx, and append the
+// peer's signature over the result. It returns the contract's result payload.
 func (p *Peer) Endorse(tx *protocol.Transaction) ([]byte, error) {
-	contract, ok := p.registry.Get(tx.Contract)
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown contract %q", tx.Contract)
-	}
 	snap := p.state.LatestSnapshot()
-	rwset, result, err := chaincode.SimulateFull(contract, tx.Function, tx.Args, snap)
+	rwset, result, err := p.simulate(tx.Contract, tx.Function, tx.Args, snap)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: simulation failed: %w", err)
 	}
@@ -158,4 +160,20 @@ func (p *Peer) Endorse(tx *protocol.Transaction) ([]byte, error) {
 		Signature:  p.signed.Sign(tx.Digest()),
 	})
 	return result, nil
+}
+
+// Query is Fabric's query path: it evaluates a read-only invocation against
+// the latest block snapshot and returns the result payload the contract set
+// via SetResult, endorsing and ordering nothing.
+func (p *Peer) Query(contract, function string, args ...string) ([]byte, error) {
+	_, result, err := p.simulate(contract, function, args, p.state.LatestSnapshot())
+	return result, err
+}
+
+func (p *Peer) simulate(contract, function string, args []string, snap *statedb.Snapshot) (protocol.RWSet, []byte, error) {
+	cc, ok := p.registry.Get(contract)
+	if !ok {
+		return protocol.RWSet{}, nil, fmt.Errorf("fabric: unknown contract %q", contract)
+	}
+	return chaincode.SimulateFull(cc, function, args, snap)
 }

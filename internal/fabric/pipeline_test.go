@@ -1,4 +1,4 @@
-package fabric
+package fabric_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 )
@@ -22,7 +23,7 @@ func TestCrossPeerValidationAgreement(t *testing.T) {
 	for _, system := range []sched.System{sched.SystemFabric, sched.SystemFabricPP, sched.SystemSharp} {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			n := newNet(t, Options{System: system, BlockSize: 8})
+			n := newNet(t, node.NetworkOptions{System: system, BlockSize: 8})
 			client, err := n.NewClient("agree")
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +87,7 @@ func TestCrossPeerValidationAgreement(t *testing.T) {
 // blocks flow through every committer, latency samples accumulate, and on
 // an MVCC system the conflict partition reports its parallelism.
 func TestCommitPipelineStats(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemFabric, BlockSize: 6})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric, BlockSize: 6})
 	client, err := n.NewClient("stats")
 	if err != nil {
 		t.Fatal(err)

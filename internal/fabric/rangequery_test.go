@@ -1,15 +1,16 @@
-package fabric
+package fabric_test
 
 import (
 	"encoding/json"
 	"fmt"
 	"testing"
 
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/sched"
 )
 
 func TestRangeQueryManifest(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("c")
 	for _, id := range []string{"c3", "a1", "b2"} {
 		if _, err := client.MustSubmit("supplychain", "register", id, "acme", "loc"); err != nil {
@@ -32,7 +33,7 @@ func TestRangeQueryManifest(t *testing.T) {
 func TestRangeQueryAsTransactionSerializes(t *testing.T) {
 	// A manifest submitted as a transaction records per-key read versions;
 	// it must commit and the run must stay serializable end to end.
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("c")
 	for i := 0; i < 3; i++ {
 		if _, err := client.MustSubmit("supplychain", "register", fmt.Sprintf("it%d", i), "o", "l"); err != nil {

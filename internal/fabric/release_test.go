@@ -1,4 +1,4 @@
-package fabric
+package fabric_test
 
 import (
 	"runtime"

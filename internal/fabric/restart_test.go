@@ -1,4 +1,4 @@
-package fabric
+package fabric_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 )
@@ -19,7 +20,7 @@ import (
 // the orderer's, would fail.
 func TestRestartPreservesVersionsForMVCC(t *testing.T) {
 	var first uint64
-	sealed := sealChain(t, sched.SystemFabric, 2, func(c *Client) {
+	sealed := sealChain(t, sched.SystemFabric, 2, func(c *node.NetworkClient) {
 		res, err := c.MustSubmit("kv", "rmw", "counter", "5")
 		if err != nil {
 			t.Fatal(err)

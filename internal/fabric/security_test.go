@@ -1,11 +1,11 @@
-package fabric
+package fabric_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"fabricsharp/internal/consensus"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 )
@@ -67,31 +67,20 @@ func TestForgedFutureSnapshotRejected(t *testing.T) {
 	for _, system := range sched.Systems() {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
-			stream := consensus.NewKafka()
-			n := newNet(t, Options{System: system, Ordering: stream})
-			// Mallory bypasses the client API, so park the waiter a client
-			// would have registered by hand.
-			results := make(chan TxResult, 1)
-			n.waitersMu.Lock()
-			n.waiters["forged"] = results
-			n.waitersMu.Unlock()
+			n := newNet(t, node.NetworkOptions{System: system})
+			// Mallory skips endorsement and sends the envelope directly.
 			forged := &protocol.Transaction{
 				ID:            "forged",
 				ClientID:      "mallory",
 				SnapshotBlock: 1, // the block being assembled: not yet sealed
 				RWSet:         protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("v")}}},
 			}
-			forged.RWSet.Precompute()
-			if err := stream.Submit(consensus.Envelope{Tx: forged, SubmittedBy: "mallory"}); err != nil {
-				t.Fatal(err)
+			res, err := wireClient(t, n, "mallory").SubmitTx(forged)
+			if err != nil {
+				t.Fatalf("forged transaction never resolved: %v (network error: %v)", err, n.Err())
 			}
-			select {
-			case res := <-results:
-				if res.TxID != "forged" || res.Code != protocol.EndorsementFailure || res.Block != 0 {
-					t.Fatalf("forged transaction resolved as %+v, want an early EndorsementFailure abort", res)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("forged transaction never resolved (network error: %v)", n.Err())
+			if res.TxID != "forged" || res.Code != protocol.EndorsementFailure || res.Block != 0 {
+				t.Fatalf("forged transaction resolved as %+v, want an early EndorsementFailure abort", res)
 			}
 			client, err := n.NewClient("honest")
 			if err != nil {
@@ -109,42 +98,31 @@ func TestForgedFutureSnapshotRejected(t *testing.T) {
 
 // TestEndorsingPeerRejectsItsAlteredEndorsement is TestEndorsementBindsRWSet
 // end to end: a peer endorses a transaction, the write set is altered with
-// the signature kept, and the envelope is ordered behind an honest one the
+// the signature kept, and the envelope is submitted behind an honest one the
 // same peer endorsed. The orderer (which has no signed-endorsement ring)
 // seals Valid then EndorsementFailure, and the endorsing peer — whose ring
 // recorded both signatures — must derive the same codes as the other three,
 // or its committer fails the byte assertion against the sealed verdicts.
 func TestEndorsingPeerRejectsItsAlteredEndorsement(t *testing.T) {
-	stream := consensus.NewKafka()
-	n := newNet(t, Options{System: sched.SystemFabric, Ordering: stream, BlockSize: 2})
-	results := make(chan TxResult, 2)
+	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric, BlockSize: 2})
+	mallory := wireClient(t, n, "mallory")
 	var txs []*protocol.Transaction
-	n.waitersMu.Lock()
 	for _, id := range []protocol.TxID{"honest", "altered"} {
 		tx := &protocol.Transaction{ID: id, ClientID: "mallory", Contract: "kv", Function: "put", Args: []string{string(id), "v"}}
 		if _, err := n.Peer(0).Endorse(tx); err != nil {
 			t.Fatal(err)
 		}
-		n.waiters[id] = results
 		txs = append(txs, tx)
 	}
-	n.waitersMu.Unlock()
 	txs[1].RWSet.Writes[0].Value = []byte("not what peer0 signed")
-	for _, tx := range txs {
-		tx.RWSet.Precompute()
-		if err := stream.Submit(consensus.Envelope{Tx: tx, SubmittedBy: "mallory"}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want := map[protocol.TxID]protocol.ValidationCode{"honest": protocol.Valid, "altered": protocol.EndorsementFailure}
-	for range txs {
-		select {
-		case res := <-results:
-			if res.Code != want[res.TxID] {
-				t.Fatalf("%s resolved %v, want %v", res.TxID, res.Code, want[res.TxID])
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("a transaction never resolved (network error: %v)", n.Err())
+	for _, tx := range txs {
+		res, err := mallory.SubmitTx(tx)
+		if err != nil {
+			t.Fatalf("%s never resolved: %v (network error: %v)", tx.ID, err, n.Err())
+		}
+		if res.Code != want[tx.ID] {
+			t.Fatalf("%s resolved %v, want %v", tx.ID, res.Code, want[tx.ID])
 		}
 	}
 	if !n.WaitIdle(10 * time.Second) {
@@ -162,7 +140,7 @@ func TestEndorsingPeerRejectsItsAlteredEndorsement(t *testing.T) {
 }
 
 func TestHashCommitmentEndToEnd(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp, HashCommitment: true})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp, HashCommitment: true})
 	client, err := n.NewClient("committed-client")
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +159,7 @@ func TestHashCommitmentEndToEnd(t *testing.T) {
 }
 
 func TestHashCommitmentRequiresOption(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp})
 	client, _ := n.NewClient("c")
 	if _, err := client.SubmitCommitted("kv", "put", "x", "y"); err == nil {
 		t.Error("SubmitCommitted worked without the protocol enabled")
@@ -189,7 +167,7 @@ func TestHashCommitmentRequiresOption(t *testing.T) {
 }
 
 func TestHashCommitmentConcurrentClients(t *testing.T) {
-	n := newNet(t, Options{System: sched.SystemSharp, HashCommitment: true, BlockSize: 6})
+	n := newNet(t, node.NetworkOptions{System: sched.SystemSharp, HashCommitment: true, BlockSize: 6})
 	done := make(chan error, 3)
 	for c := 0; c < 3; c++ {
 		go func(c int) {

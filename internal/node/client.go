@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"fabricsharp/internal/metrics"
@@ -16,7 +17,7 @@ import (
 // not wait out a dead address.
 const clientDialBudget = 500 * time.Millisecond
 
-// Client drives a process-per-node cluster over TCP: proposals to peers
+// Client drives a cluster over the wire: proposals to peers
 // (round-robin), one submit per transaction to the ordering cluster, answered
 // with the transaction's fate. A Client is single-goroutine (use one per
 // worker); Dial absorbs cluster startup with bounded retry.
@@ -34,7 +35,9 @@ type Client struct {
 	peers        []*transport.Conn
 	bo           *transport.Backoff
 	rr           uint64
-	seq          uint64
+	// seq numbers the TxIDs this client mints; the clients of one library
+	// client's pool share it.
+	seq *atomic.Uint64
 	// SubmitTimeout bounds SubmitTx, retries across failovers included
 	// (default 30s).
 	SubmitTimeout time.Duration
@@ -55,6 +58,7 @@ func DialClient(name string, ordererAddrs, peerAddrs []string, dialTimeout time.
 		name:          name,
 		ordererAddrs:  ordererAddrs,
 		bo:            transport.NewBackoff(10*time.Millisecond, time.Second, 0),
+		seq:           new(atomic.Uint64),
 		SubmitTimeout: 30 * time.Second,
 	}
 	deadline := time.Now().Add(dialTimeout)
@@ -134,8 +138,7 @@ func (c *Client) preferOrderer(addr string) bool {
 
 // nextTxID mints a client-unique transaction identifier.
 func (c *Client) nextTxID() string {
-	c.seq++
-	return fmt.Sprintf("%s-%06d", c.name, c.seq)
+	return fmt.Sprintf("%s-%06d", c.name, c.seq.Add(1))
 }
 
 // Endorse runs the execution phase on the next peer (round-robin): the peer
@@ -176,47 +179,66 @@ func (c *Client) Endorse(contract, function string, args ...string) (*protocol.T
 // until SubmitTimeout. If the first copy was accepted the second is dropped
 // as a duplicate, and the answer is the first one's fate either way.
 func (c *Client) SubmitTx(tx *protocol.Transaction) (wire.Result, error) {
-	payload := wire.EncodeTransaction(tx)
+	return c.send(wire.MsgSubmit, wire.EncodeTransaction(tx), tx.ID)
+}
+
+// SubmitCommitted is SubmitTx under the Section 3.5 hash-commitment
+// protocol: tx's digest is sequenced first, and once the orderer has
+// accepted it the payload is disclosed and answered as SubmitTx's is. Only
+// an orderer running Options.HashCommitment holds the disclosure to its
+// commitment's position. A commitment re-sent after a lost ack is sequenced
+// twice, and the broker then waits on the second copy's disclosure.
+func (c *Client) SubmitCommitted(tx *protocol.Transaction) (wire.Result, error) {
+	if _, err := c.send(wire.MsgCommitment, []byte(tx.DigestHex()), tx.ID); err != nil {
+		return wire.Result{}, err
+	}
+	return c.send(wire.MsgDisclosure, wire.EncodeTransaction(tx), tx.ID)
+}
+
+// send is the retry loop of SubmitTx and SubmitCommitted: one request of
+// type typ for transaction id, answered by a result or, for a commitment,
+// an OK ack.
+func (c *Client) send(typ wire.MsgType, payload []byte, id protocol.TxID) (wire.Result, error) {
 	deadline := time.Now().Add(c.SubmitTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && !time.Now().Before(deadline) {
-			return wire.Result{}, fmt.Errorf("node: submit %s: gave up after %s: %w", tx.ID, c.SubmitTimeout, lastErr)
+			return wire.Result{}, fmt.Errorf("node: %v %s: gave up after %s: %w", typ, id, c.SubmitTimeout, lastErr)
 		}
 		conn, err := c.ordererConn(deadline)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		typ, resp, err := conn.Call(wire.MsgSubmit, payload)
+		rtyp, resp, err := conn.Call(typ, payload)
 		switch {
 		case err != nil:
 			// Connection died (possibly the leader we were talking to).
-			lastErr = fmt.Errorf("node: submit: %w", err)
+			lastErr = fmt.Errorf("node: %v: %w", typ, err)
 			c.dropOrderer(true)
-		case typ == wire.MsgResult:
+		case rtyp == wire.MsgResult:
 			res, err := wire.DecodeResult(resp)
 			if err != nil || res.Found {
 				return res, err
 			}
-			lastErr = fmt.Errorf("node: submit: %s gave up waiting", conn.RemoteAddr())
+			lastErr = fmt.Errorf("node: %v: %s gave up waiting", typ, conn.RemoteAddr())
 			c.dropOrderer(true)
-		case typ == wire.MsgAck:
+		case rtyp == wire.MsgAck:
 			ack, err := wire.DecodeAck(resp)
-			if err != nil {
+			if err != nil || ack.OK {
 				return wire.Result{}, err
 			}
 			if !ack.NotLeader {
-				return wire.Result{}, fmt.Errorf("node: submit rejected: %s", ack.Err)
+				return wire.Result{}, fmt.Errorf("node: %v rejected: %s", typ, ack.Err)
 			}
 			// Redirect: reconnect to the hinted leader (or rotate while the
 			// cluster is mid-election).
 			c.Redirects.Inc()
 			followed := ack.Leader != "" && c.preferOrderer(ack.Leader)
 			c.dropOrderer(!followed)
-			lastErr = fmt.Errorf("node: submit: not leader (hint %q)", ack.Leader)
+			lastErr = fmt.Errorf("node: %v: not leader (hint %q)", typ, ack.Leader)
 		default:
-			return wire.Result{}, fmt.Errorf("node: submit answered with %v", typ)
+			return wire.Result{}, fmt.Errorf("node: %v answered with %v", typ, rtyp)
 		}
 		// One jittered backoff step, bounded by the deadline.
 		if d := min(c.bo.Next(), time.Until(deadline)); d > 0 {

@@ -1,0 +1,157 @@
+package node
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/sched"
+	"fabricsharp/internal/trace"
+)
+
+// newTestNetwork boots a library network, closing it at cleanup.
+func newTestNetwork(t *testing.T, opts NetworkOptions) *Network {
+	t.Helper()
+	n, err := NewNetwork(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+// TestSubmitReadsBackOnEveryPeer pins read-your-writes across peers: once
+// Submit returns Committed, a local read on each of the N peers sees the
+// write, because the library client waits for every peer to commit the
+// result's block.
+func TestSubmitReadsBackOnEveryPeer(t *testing.T) {
+	const peers = 4
+	n := newTestNetwork(t, NetworkOptions{System: sched.SystemFabric, Peers: peers, BlockSize: 3, BlockTimeout: 20 * time.Millisecond})
+	c, err := n.NewClient("reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		if _, err := c.MustSubmit("kv", "put", key, val); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < peers; p++ {
+			if got, err := n.Peer(p).Query("kv", "get", key); err != nil || string(got) != val {
+				t.Fatalf("peer %d reads %s = %q (%v) after its put committed", p, key, got, err)
+			}
+		}
+	}
+}
+
+// submitInFlight starts a Submit, returns once the orderer has admitted it
+// to its open block, and reports on the channel what the Submit returned and
+// how long it took.
+func submitInFlight(t *testing.T, n *Network, c *NetworkClient) <-chan submitOutcome {
+	t.Helper()
+	done := make(chan submitOutcome, 1)
+	start := time.Now()
+	go func() {
+		res, err := c.Submit("kv", "put", "k", "v")
+		done <- submitOutcome{res, err, time.Since(start)}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, ev := range n.orderer.tracer.Dump().Events {
+			if ev.Stage == trace.StageOrder {
+				return done
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the submit never reached the orderer's open block")
+		}
+	}
+}
+
+type submitOutcome struct {
+	res  TxResult
+	err  error
+	took time.Duration
+}
+
+// TestSubmitFailsWhenAPeerFails fails one peer's committer while a Submit
+// waits for its block. The orderer seals the block and the healthy peer
+// commits it, but the failed peer never will: the Submit must return an
+// error, within the result wait bound, and not the committed result.
+func TestSubmitFailsWhenAPeerFails(t *testing.T) {
+	n := newTestNetwork(t, NetworkOptions{System: sched.SystemSharp, Peers: 2, BlockSize: 100, BlockTimeout: 300 * time.Millisecond})
+	c, err := n.NewClient("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := submitInFlight(t, n, c) // parked at the orderer until the timed cut
+	n.peers[1].Committer().Deliver(&ledger.Block{Header: ledger.Header{Number: 1, PrevHash: []byte("not the tip")}})
+	out := <-done
+	if out.err == nil {
+		t.Fatalf("Submit returned %+v though peer1 failed before committing it", out.res)
+	}
+	if out.took > resultWaitBound+time.Second {
+		t.Fatalf("Submit took %s to fail", out.took)
+	}
+	if height, _ := n.Peer(1).Tip().Height(); height != 0 {
+		t.Fatalf("the failed peer committed to block %d", height)
+	}
+	if n.Err() == nil {
+		t.Fatal("the network reports no error with a failed peer")
+	}
+}
+
+// TestSubmitFailsWhenTheNetworkCloses closes the network under a Submit
+// whose transaction would never be cut: it must fail within the result
+// wait bound.
+func TestSubmitFailsWhenTheNetworkCloses(t *testing.T) {
+	n := newTestNetwork(t, NetworkOptions{System: sched.SystemSharp, Peers: 2, BlockSize: 100, BlockTimeout: time.Hour})
+	c, err := n.NewClient("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := submitInFlight(t, n, c)
+	n.Close()
+	out := <-done
+	if out.err == nil {
+		t.Fatalf("Submit returned %+v from a closed network", out.res)
+	}
+	if out.took > resultWaitBound+time.Second {
+		t.Fatalf("Submit took %s to fail", out.took)
+	}
+}
+
+// TestNetworkRefusesADuplicateClientName: two clients of one name would mint
+// the same TxIDs and dedup each other.
+func TestNetworkRefusesADuplicateClientName(t *testing.T) {
+	n := newTestNetwork(t, NetworkOptions{Peers: 1})
+	if _, err := n.NewClient("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.NewClient("alice"); err == nil {
+		t.Fatal("a second client named alice was enrolled")
+	}
+}
+
+// TestTwoNetworksInOneProcess runs two networks side by side: each binds
+// fresh in-memory names and commits its own transactions.
+func TestTwoNetworksInOneProcess(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			t.Parallel()
+			n := newTestNetwork(t, NetworkOptions{Peers: 2, BlockSize: 2, BlockTimeout: 20 * time.Millisecond})
+			c, err := n.NewClient("same-name-in-both")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 6; k++ {
+				if _, err := c.MustSubmit("kv", "put", fmt.Sprint(k), fmt.Sprint(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := c.Query("kv", "get", "5"); err != nil || string(got) != fmt.Sprint(i) {
+				t.Fatalf("network %d reads %q (%v)", i, got, err)
+			}
+		})
+	}
+}

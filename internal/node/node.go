@@ -1,12 +1,12 @@
-// Package node is the process-per-node deployment of the EOV network: the
-// two pipeline types every deployment shares, plus sockets. Orderer is an
-// orderer.Service behind a TCP server (result store, block streams, status,
-// trace and profile handlers); Peer is a fabric.Peer behind one (proposal
-// handler, reconnecting block subscription feeding its committer); Client is
-// the wire client that drives them. cmd/fabricnode is a thin flag wrapper
-// around this package; the in-process cluster tests boot the same types on
-// 127.0.0.1 listeners, so the OS-process deployment and the test cluster
-// exercise identical code.
+// Package node is the EOV network's one assembly: the two pipeline types
+// every deployment shares, plus servers. Orderer is an orderer.Service behind
+// a server (result store, block streams, status, trace and profile
+// handlers); Peer is a fabric.Peer behind one (proposal handler,
+// reconnecting block subscription feeding its committer); Client is the wire
+// client that drives them. cmd/fabricnode runs one node per OS process over
+// TCP; Network (network.go) runs one Orderer and N Peers in this process on
+// in-memory "mem:" addresses — the library network — and NetworkClient is
+// its concurrent client. Both send the same frames through the same code.
 //
 // The division of labour mirrors deployed Fabric:
 //
@@ -26,9 +26,21 @@ import (
 	"fmt"
 	"sync"
 
-	"fabricsharp/internal/fabric"
+	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/scenario"
 )
+
+// TxResult reports a transaction's fate.
+type TxResult struct {
+	TxID  protocol.TxID
+	Code  protocol.ValidationCode
+	Block uint64 // 0 when dropped before the ledger
+}
+
+// Committed reports whether the transaction made it into the state —
+// validated cleanly or rescued by post-order re-execution.
+func (r TxResult) Committed() bool { return r.Code.Committed() }
 
 // resultHorizon bounds the orderer's result map: results older than this
 // many resolutions are forgotten (a client that slow has timed out anyway).
@@ -40,21 +52,21 @@ const resultHorizon = 1 << 17
 // submission — never the fate of a replay.
 type resultStore struct {
 	mu      sync.Mutex
-	results map[protocol.TxID]fabric.TxResult
+	results map[protocol.TxID]TxResult
 	order   []protocol.TxID
 	// waiters holds one buffered channel per parked handler; put claims
 	// them under mu and hands each the result.
-	waiters map[protocol.TxID][]chan fabric.TxResult
+	waiters map[protocol.TxID][]chan TxResult
 }
 
 func newResultStore() *resultStore {
 	return &resultStore{
-		results: map[protocol.TxID]fabric.TxResult{},
-		waiters: map[protocol.TxID][]chan fabric.TxResult{},
+		results: map[protocol.TxID]TxResult{},
+		waiters: map[protocol.TxID][]chan TxResult{},
 	}
 }
 
-func (r *resultStore) put(res fabric.TxResult) {
+func (r *resultStore) put(res TxResult) {
 	if res.Code == protocol.AbortDuplicate {
 		// The orderer resolves a replayed TxID at arrival, which can be
 		// before the original (pending in the block being assembled) gets
@@ -85,21 +97,21 @@ func (r *resultStore) put(res fabric.TxResult) {
 // a waiter under the same lock as the lookup — a put cannot slip between
 // the miss and the registration — and returns the channel put will deliver
 // to. The caller must unpark a channel it stops waiting on.
-func (r *resultStore) getOrPark(id protocol.TxID) (fabric.TxResult, <-chan fabric.TxResult) {
+func (r *resultStore) getOrPark(id protocol.TxID) (TxResult, <-chan TxResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if res, ok := r.results[id]; ok {
 		return res, nil
 	}
-	ch := make(chan fabric.TxResult, 1)
+	ch := make(chan TxResult, 1)
 	r.waiters[id] = append(r.waiters[id], ch)
-	return fabric.TxResult{}, ch
+	return TxResult{}, ch
 }
 
 // unpark withdraws a waiter that gave up. It reports false when a put has
 // already claimed the waiter: the result is on its way down ch and the
 // caller must take it.
-func (r *resultStore) unpark(id protocol.TxID, ch <-chan fabric.TxResult) bool {
+func (r *resultStore) unpark(id protocol.TxID, ch <-chan TxResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ws := r.waiters[id]
@@ -117,24 +129,14 @@ func (r *resultStore) unpark(id protocol.TxID, ch <-chan fabric.TxResult) bool {
 	return false
 }
 
-// errOnce records a node's first fatal error.
-type errOnce struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (e *errOnce) set(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
+// registry deploys contracts; none deploys the scenario registry's full set,
+// so every replica can endorse every registered scenario and all replicas
+// agree on the deployed set.
+func registry(contracts []chaincode.Contract) *chaincode.Registry {
+	if len(contracts) == 0 {
+		contracts = scenario.AllContracts()
 	}
-	e.mu.Unlock()
-}
-
-func (e *errOnce) get() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
+	return chaincode.NewRegistry(contracts...)
 }
 
 func nonEmpty(names []string, what string) error {

@@ -8,13 +8,11 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/consensus"
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
@@ -23,20 +21,26 @@ import (
 // OrdererConfig parameterizes an ordering process.
 type OrdererConfig struct {
 	// Options tune the ordering service itself (system, block cutting,
-	// dedup, rescue, genesis). Rescue and Genesis must match the
-	// peers': the rescue digest is byte-asserted across the cluster, and
-	// every replica — orderer shadows and remote peers alike — must install
-	// the identical genesis or MVCC verdicts diverge (resolve it once from
-	// the scenario registry and hand the same slice to every node config).
+	// dedup, rescue, genesis, hash commitments). Rescue and Genesis must
+	// match the peers': the rescue digest is byte-asserted across the
+	// cluster, and every replica — orderer shadows and remote peers alike —
+	// must install the identical genesis or MVCC verdicts diverge (resolve it
+	// once from the scenario registry and hand the same slice to every node
+	// config).
 	orderer.Options
-	// Listen is the TCP address for client submits/result waits and peer
-	// subscriptions ("127.0.0.1:0" picks an ephemeral port).
+	// Listen is the address for client submits/result waits and peer
+	// subscriptions: TCP ("127.0.0.1:0" picks an ephemeral port) or
+	// in-memory ("mem:" picks a fresh name).
 	Listen string
 	// PeerNames are the validating peers of the cluster (remote processes).
 	// Their deterministic public keys form this process's MSP, so
 	// endorsements signed across the wire verify here, and the endorsement
 	// policy is any-of them.
 	PeerNames []string
+	// Contracts are the deployed contracts the rescue re-execution resolves;
+	// nil deploys the scenario registry's full set (scenario.AllContracts).
+	// They must be the peers' (PeerConfig.Contracts).
+	Contracts []chaincode.Contract
 
 	// RaftCluster, when non-empty, joins this process to a wire Raft
 	// ordering cluster: submissions go through the replicated log, every
@@ -75,10 +79,10 @@ type Orderer struct {
 	srv     *transport.Server
 	results *resultStore
 
-	// raft is the wire consensus service when RaftCluster is configured;
-	// nil for a standalone orderer. The ordering service owns its lifecycle
-	// (Service.Close closes it), but the node keeps the handle for redirect
-	// hints and status reporting.
+	// stream is the consensus service the ordering service folds (and
+	// closes): raft, the wire Raft member — kept for redirect hints and
+	// status — when RaftCluster is configured, else an in-process broker.
+	stream    consensus.Service
 	raft      *transport.RaftService
 	redirects map[string]string
 	name      string
@@ -106,7 +110,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		sealed:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	var ordering consensus.Service = consensus.NewKafka()
+	o.stream = consensus.NewKafka()
 	if len(cfg.RaftCluster) > 0 {
 		o.name = cfg.RaftID
 		raft, err := transport.StartRaft(transport.RaftConfig{
@@ -120,7 +124,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.raft, ordering = raft, raft
+		o.raft, o.stream = raft, raft
 	}
 	o.tracer = trace.New(o.name, "orderer", cfg.TraceEvents)
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
@@ -129,21 +133,21 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 			Options:  cfg.Options,
 			MSP:      msp,
 			Policy:   policy,
-			Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+			Registry: registry(cfg.Contracts),
 		},
-		Ordering: ordering,
+		Ordering: o.stream,
 		// Sealed blocks leave through the subscription streams, and results
 		// resolve at seal time from the shadow verdicts — which the
 		// agreement property guarantees equal the codes every peer will
 		// derive (a peer's validation must byte-match them or fail fatally).
 		Deliveries: []transport.Delivery{transport.DeliveryFunc(o.sealedBlock)},
 		OnAbort: func(id protocol.TxID, code protocol.ValidationCode) {
-			o.results.put(fabric.TxResult{TxID: id, Code: code})
+			o.results.put(TxResult{TxID: id, Code: code})
 		},
 		Tracer: o.tracer,
 	})
 	if err != nil {
-		ordering.Close()
+		o.stream.Close()
 		return nil, err
 	}
 	o.svc = svc
@@ -164,7 +168,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 // catch-up and live tail in the same loop.
 func (o *Orderer) sealedBlock(blk *ledger.Block) error {
 	for i, tx := range blk.Transactions {
-		o.results.put(fabric.TxResult{TxID: tx.ID, Code: blk.Validation[i], Block: blk.Header.Number})
+		o.results.put(TxResult{TxID: tx.ID, Code: blk.Validation[i], Block: blk.Header.Number})
 	}
 	o.sealedMu.Lock()
 	close(o.sealed)
@@ -181,6 +185,11 @@ func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain() }
 
 // Raft exposes the wire consensus service; nil for a standalone orderer.
 func (o *Orderer) Raft() *transport.RaftService { return o.raft }
+
+// Stream exposes the consensus service the orderer folds. A standalone
+// orderer's is a *consensus.Kafka, which retains every envelope it sequenced
+// for a replay to read back.
+func (o *Orderer) Stream() consensus.Service { return o.stream }
 
 // Err returns the node's first fatal error, nil while healthy.
 func (o *Orderer) Err() error { return o.svc.Err() }
@@ -212,8 +221,8 @@ func (o *Orderer) handle(c *transport.Conn) {
 			return
 		}
 		switch typ {
-		case wire.MsgSubmit:
-			o.handleSubmit(c, payload)
+		case wire.MsgSubmit, wire.MsgCommitment, wire.MsgDisclosure:
+			o.handleSubmit(c, typ, payload)
 		case wire.MsgResultPoll:
 			o.answerResult(c, protocol.TxID(payload))
 		case wire.MsgSubscribe:
@@ -221,6 +230,13 @@ func (o *Orderer) handle(c *transport.Conn) {
 			if err != nil {
 				return
 			}
+			// A subscriber sends nothing after its Subscribe, but a frame it
+			// does send (a duplicating link) is read and dropped: unread, it
+			// would block the subscriber's side of an in-memory pipe.
+			go func() {
+				for _, _, err := c.Recv(); err == nil; _, _, err = c.Recv() {
+				}
+			}()
 			o.streamBlocks(c, sub.From)
 			return // the stream owns the connection until it dies
 		case wire.MsgStatusReq:
@@ -271,7 +287,7 @@ func (o *Orderer) answerResult(c *transport.Conn, id protocol.TxID) {
 // awaitResult returns a transaction's fate: at once if it has resolved,
 // otherwise after parking until the result store wakes it. ok is false when
 // the bound elapsed or the orderer is closing first.
-func (o *Orderer) awaitResult(id protocol.TxID) (fabric.TxResult, bool) {
+func (o *Orderer) awaitResult(id protocol.TxID) (TxResult, bool) {
 	res, parked := o.results.getOrPark(id)
 	if parked == nil {
 		return res, true
@@ -287,19 +303,27 @@ func (o *Orderer) awaitResult(id protocol.TxID) (fabric.TxResult, bool) {
 	if !o.results.unpark(id, parked) {
 		return <-parked, true
 	}
-	return fabric.TxResult{}, false
+	return TxResult{}, false
 }
 
 // handleSubmit hands a transaction to the ordering service and answers with
-// its result. What the service does not accept — an undecodable payload, a
-// refusal, a submit to a Raft follower — gets a MsgAck instead, at once.
-func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {
-	tx, err := wire.DecodeTransaction(payload)
-	if err == nil {
-		o.tracer.Record(string(tx.ID), trace.StageSubmit, 0)
+// its result; a hash commitment is answered with an OK ack once accepted, and
+// its disclosure like a submit. What the service does not accept — an
+// undecodable payload, a refusal, a submit to a Raft follower — gets a
+// MsgAck with the error instead, at once.
+func (o *Orderer) handleSubmit(c *transport.Conn, typ wire.MsgType, payload []byte) {
+	var env consensus.Envelope
+	var err error
+	if typ == wire.MsgCommitment {
+		env.Commitment, err = wire.DecodeCommitment(payload)
+	} else if env.Tx, err = wire.DecodeTransaction(payload); err == nil {
+		o.tracer.Record(string(env.Tx.ID), trace.StageSubmit, 0)
 		// DecodeTransaction precomputed the key caches, so the schedulers see
 		// exactly what an in-process submit would hand them.
-		err = o.svc.Submit(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID})
+		env.SubmittedBy, env.Disclosure = env.Tx.ClientID, typ == wire.MsgDisclosure
+	}
+	if err == nil {
+		err = o.svc.Submit(env)
 	}
 	if err != nil {
 		ack := wire.Ack{Err: err.Error()}
@@ -313,12 +337,16 @@ func (o *Orderer) handleSubmit(c *transport.Conn, payload []byte) {
 		_ = c.Send(wire.MsgAck, wire.EncodeAck(ack))
 		return
 	}
+	if env.Tx == nil {
+		_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{OK: true}))
+		return
+	}
 	if o.raft != nil {
 		// A raft Submit returns once the entry is quorum-durable in the
 		// replicated log — the raft-commit stage boundary.
-		o.tracer.Record(string(tx.ID), trace.StageRaftCommit, 0)
+		o.tracer.Record(string(env.Tx.ID), trace.StageRaftCommit, 0)
 	}
-	o.answerResult(c, tx.ID)
+	o.answerResult(c, env.Tx.ID)
 }
 
 // leaderHint maps the raft leader's member address to its client-facing

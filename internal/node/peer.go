@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fabricsharp/internal/chaincode"
@@ -11,7 +12,6 @@ import (
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
@@ -22,7 +22,8 @@ import (
 type PeerConfig struct {
 	// Name is this peer's enrolled identity; it must appear in PeerNames.
 	Name string
-	// Listen is the TCP address for proposals and status requests.
+	// Listen is the address for proposals and status requests, TCP or
+	// in-memory ("mem:").
 	Listen string
 	// OrdererAddrs lists the ordering service's delivery addresses. With a
 	// Raft ordering cluster every replica serves the identical chain, so
@@ -51,6 +52,10 @@ type PeerConfig struct {
 	// ValidationWorkers caps intra-block validation parallelism
 	// (default GOMAXPROCS).
 	ValidationWorkers int
+	// Contracts are the deployed contracts; nil deploys the scenario
+	// registry's full set (scenario.AllContracts). They must be the
+	// orderer's (OrdererConfig.Contracts).
+	Contracts []chaincode.Contract
 	// Rescue enables post-order speculative re-execution of conflict-aborted
 	// transactions (commit.Options.Rescue); must match the orderer's setting
 	// (the rescue digest is byte-asserted across the cluster).
@@ -61,7 +66,7 @@ type PeerConfig struct {
 }
 
 // Peer is a running validating-peer process: a fabric.Peer plus sockets —
-// endorsement and status over TCP, block delivery via a reconnecting
+// endorsement and status over the wire, block delivery via a reconnecting
 // subscription feeding the pipelined committer.
 type Peer struct {
 	*fabric.Peer
@@ -80,8 +85,13 @@ type Peer struct {
 	// failovers counts delivery-subscription moves to a different orderer.
 	failovers metrics.Counter
 
+	// committed is closed and replaced at each commit and at the first
+	// failure: a library submit waits on it for its block (waitCommitted).
+	committedMu sync.Mutex
+	committed   chan struct{}
+
 	closed chan struct{}
-	errs   errOnce
+	err    atomic.Pointer[error] // the first fatal error
 }
 
 // StartPeer boots a validating-peer process: the peer, its block
@@ -97,27 +107,27 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 	p := &Peer{
-		name:   cfg.Name,
-		tracer: trace.New(cfg.Name, "peer", cfg.TraceEvents),
-		closed: make(chan struct{}),
+		name:      cfg.Name,
+		tracer:    trace.New(cfg.Name, "peer", cfg.TraceEvents),
+		committed: make(chan struct{}),
+		closed:    make(chan struct{}),
 	}
 	// The deterministic dev MSP: every cluster process derives the same
 	// key pairs, so endorsements verify across process boundaries.
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
 	p.Peer, err = fabric.NewPeer(fabric.PeerConfig{
-		ID:     identity.Deterministic(cfg.Name, identity.RolePeer),
-		MSP:    msp,
-		Policy: policy,
-		// The scenario registry's union: every replica can endorse every
-		// registered scenario and all replicas agree on the deployed set.
-		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
+		ID:       identity.Deterministic(cfg.Name, identity.RolePeer),
+		MSP:      msp,
+		Policy:   policy,
+		Registry: registry(cfg.Contracts),
 		MVCC:     scheduler.NeedsMVCCValidation(),
 		Rescue:   cfg.Rescue,
 		Workers:  cfg.ValidationWorkers,
 		DataDir:  cfg.DataDir,
 		Genesis:  cfg.Genesis,
 		Tracer:   p.tracer,
-		OnError:  p.errs.set,
+		OnCommit: func(*ledger.Block, []protocol.ValidationCode) { p.wake() },
+		OnError:  p.fail,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("node: peer %s: %w", cfg.Name, err)
@@ -135,14 +145,14 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 			if blk.Header.Number <= p.delivered.Load() {
 				return nil
 			}
-			if err := p.errs.get(); err != nil {
+			if err := p.Err(); err != nil {
 				return err // committer poisoned: stop pulling blocks
 			}
 			p.Committer().Deliver(blk)
 			p.delivered.Store(blk.Header.Number)
 			return nil
 		}),
-		OnError:    p.errs.set,
+		OnError:    p.fail,
 		OnFailover: p.failovers.Inc,
 		Dial:       cfg.DialOrderer,
 	}
@@ -160,8 +170,48 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 // Addr returns the server's bound address.
 func (p *Peer) Addr() string { return p.srv.Addr() }
 
+// fail records the peer's first fatal error and wakes its commit waiters.
+func (p *Peer) fail(err error) {
+	p.err.CompareAndSwap(nil, &err)
+	p.wake()
+}
+
+// wake closes the commit broadcast channel and replaces it.
+func (p *Peer) wake() {
+	p.committedMu.Lock()
+	close(p.committed)
+	p.committed = make(chan struct{})
+	p.committedMu.Unlock()
+}
+
+// waitCommitted returns once the peer has committed block num, or an error
+// when the peer fails or closes first.
+func (p *Peer) waitCommitted(num uint64) error {
+	for {
+		p.committedMu.Lock()
+		woken := p.committed
+		p.committedMu.Unlock()
+		if height, _ := p.Tip().Height(); height >= num {
+			return nil
+		}
+		if err := p.Err(); err != nil {
+			return err
+		}
+		select {
+		case <-woken:
+		case <-p.closed:
+			return fmt.Errorf("node: peer %s closed before committing block %d", p.name, num)
+		}
+	}
+}
+
 // Err returns the peer's first fatal error, nil while healthy.
-func (p *Peer) Err() error { return p.errs.get() }
+func (p *Peer) Err() error {
+	if err := p.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
 
 // ResumedAt reports the block the peer's DataDir store held when it started
 // (0 for a fresh or in-memory peer); everything above it came over the wire.
@@ -218,7 +268,7 @@ func (p *Peer) handle(c *transport.Conn) {
 }
 
 // handleProposal runs the execution phase for a wire client through
-// fabric.Peer.Endorse — the same routine the in-process client calls.
+// fabric.Peer.Endorse.
 func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 	fail := func(err error) {
 		_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{Err: err.Error()}))

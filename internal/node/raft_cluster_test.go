@@ -11,61 +11,50 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/transport"
-	"fabricsharp/internal/transport/transporttest"
 	"fabricsharp/internal/wire"
 )
 
 // startRaftOrderers boots n orderers forming one Raft cluster — client and
-// Raft ports picked up front, a full redirect map, fast timers — registering
-// cleanup. tune, when non-nil, adjusts member i's config before it starts. It
-// returns the configs too: a test that kills a member restarts it from its
-// own.
+// Raft addresses named up front, a full redirect map, fast timers —
+// registering cleanup. tune, when non-nil, adjusts member i's config before
+// it starts. It returns the configs too: a test that kills a member restarts
+// it from its own.
 func startRaftOrderers(t *testing.T, system sched.System, n int, peerNames []string, tune func(i int, cfg *OrdererConfig)) ([]OrdererConfig, []*Orderer, []string) {
 	t.Helper()
-	var cfgs []OrdererConfig
-	var ords []*Orderer
-	transporttest.BootOnFreePorts(t, 2*n, func(addrs []string) error {
-		clientAddrs, raftAddrs := addrs[:n], addrs[n:]
-		redirects := make(map[string]string, n)
-		for i := range raftAddrs {
-			redirects[raftAddrs[i]] = clientAddrs[i]
-		}
-		cfgs, ords = make([]OrdererConfig, n), nil
-		for i := range cfgs {
-			cfgs[i] = OrdererConfig{
-				Options: orderer.Options{
-					System:       system,
-					BlockSize:    10,
-					BlockTimeout: 25 * time.Millisecond,
-					Rescue:       true,
-				},
-				Listen:              clientAddrs[i],
-				PeerNames:           peerNames,
-				RaftID:              raftAddrs[i],
-				RaftCluster:         raftAddrs,
-				RaftRedirects:       redirects,
-				RaftElectionTimeout: 100 * time.Millisecond,
-			}
-			if tune != nil {
-				tune(i, &cfgs[i])
-			}
-			o, err := StartOrderer(cfgs[i])
-			if err != nil {
-				for _, started := range ords {
-					started.Close()
-				}
-				return err
-			}
-			ords = append(ords, o)
-		}
-		return nil
-	})
-	addrs := make([]string, n)
-	for i, o := range ords {
-		t.Cleanup(func() { o.Close() })
-		addrs[i] = o.Addr()
+	clientAddrs, raftAddrs := make([]string, n), make([]string, n)
+	redirects := make(map[string]string, n)
+	for i := range raftAddrs {
+		clientAddrs[i] = fmt.Sprintf("mem:%s/orderer%d", t.Name(), i)
+		raftAddrs[i] = fmt.Sprintf("mem:%s/raft%d", t.Name(), i)
+		redirects[raftAddrs[i]] = clientAddrs[i]
 	}
-	return cfgs, ords, addrs
+	cfgs, ords := make([]OrdererConfig, n), make([]*Orderer, n)
+	for i := range cfgs {
+		cfgs[i] = OrdererConfig{
+			Options: orderer.Options{
+				System:       system,
+				BlockSize:    10,
+				BlockTimeout: 25 * time.Millisecond,
+				Rescue:       true,
+			},
+			Listen:              clientAddrs[i],
+			PeerNames:           peerNames,
+			RaftID:              raftAddrs[i],
+			RaftCluster:         raftAddrs,
+			RaftRedirects:       redirects,
+			RaftElectionTimeout: 100 * time.Millisecond,
+		}
+		if tune != nil {
+			tune(i, &cfgs[i])
+		}
+		o, err := StartOrderer(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { o.Close() })
+		ords[i] = o
+	}
+	return cfgs, ords, clientAddrs
 }
 
 // waitRaftLeader polls until one live orderer leads, returning its index.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
@@ -104,26 +103,26 @@ func sealedVerdict(chain *ledger.Chain, id string) (code protocol.ValidationCode
 // arrives before or after the original's verdict.
 func TestResultStoreKeepsTheOriginalsVerdict(t *testing.T) {
 	r := newResultStore()
-	r.put(fabric.TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
+	r.put(TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
 	_, parked := r.getOrPark("tx")
 	if parked == nil {
 		t.Fatal("a replay's AbortDuplicate was published as the transaction's fate")
 	}
-	r.put(fabric.TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
+	r.put(TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
 	select {
 	case res := <-parked:
 		t.Fatalf("a replay's AbortDuplicate woke the waiter with %v", res.Code)
 	default:
 	}
-	r.put(fabric.TxResult{TxID: "tx", Code: protocol.Valid, Block: 7})
+	r.put(TxResult{TxID: "tx", Code: protocol.Valid, Block: 7})
 	if res := <-parked; res.Code != protocol.Valid || res.Block != 7 {
 		t.Fatalf("woken with %v in block %d, want the sealed verdict", res.Code, res.Block)
 	}
-	r.put(fabric.TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
+	r.put(TxResult{TxID: "tx", Code: protocol.AbortDuplicate})
 	if res, parked := r.getOrPark("tx"); parked != nil || res.Code != protocol.Valid {
 		t.Fatalf("a later replay replaced the sealed verdict with %v", res.Code)
 	}
-	if r.unpark("tx", make(chan fabric.TxResult)) {
+	if r.unpark("tx", make(chan TxResult)) {
 		t.Fatal("unpark withdrew a waiter that was never parked")
 	}
 }
@@ -259,7 +258,7 @@ func TestParkedRequestsOfDeadClientsAreReclaimed(t *testing.T) {
 // transaction that has already resolved is answered at once.
 func TestResolvedResultIsAnsweredWithoutParking(t *testing.T) {
 	ord := startLoneOrderer(t)
-	ord.results.put(fabric.TxResult{TxID: "early", Code: protocol.AbortStaleSnapshot})
+	ord.results.put(TxResult{TxID: "early", Code: protocol.AbortStaleSnapshot})
 	if _, parked := ord.results.getOrPark("early"); parked != nil {
 		t.Fatal("a resolved transaction parked its request")
 	}

@@ -26,7 +26,7 @@ import (
 
 // CommitmentBroker sequences hash commitments and releases payloads to the
 // scheduler in commitment order. It sits between the consensus stream and a
-// scheduler; a Core owns one when CoreConfig.HashCommitment is set, and like
+// scheduler; a Core owns one when Options.HashCommitment is set, and like
 // the Core it is not goroutine-safe.
 type CommitmentBroker struct {
 	order     []string                         // digests in consensus order

@@ -26,9 +26,6 @@ type CoreConfig struct {
 	Policy identity.Policy
 	// Registry resolves contracts for the rescue re-execution.
 	Registry *chaincode.Registry
-	// HashCommitment makes the Core honour the Section 3.5 two-phase
-	// submission: disclosures are processed in commitment order.
-	HashCommitment bool
 }
 
 // Core is the ordering state machine: dedup, the forged-snapshot reject, the

@@ -6,8 +6,8 @@
 // consensus stream, proposes time-to-cut markers from a timer, and hands the
 // sealed blocks to the attached transport.Delivery consumers;
 // internal/network drives the same Core in virtual time. Neither knows about
-// peers, clients or sockets: fabric.Network and node.Orderer are both this
-// Service plus their own delivery and result plumbing.
+// peers, clients or sockets: node.Orderer is this Service plus its block
+// streams and result store.
 //
 // Replication is the consensus stream's job: N Services on one
 // consensus.Service — which is what a Raft ordering cluster is — seal
@@ -69,6 +69,11 @@ type Options struct {
 	// the peers install, or shadow MVCC verdicts would diverge from peer
 	// validation. A Core or Service keeps no reference to it once built.
 	Genesis []protocol.WriteItem
+	// HashCommitment makes the orderer honour the Section 3.5 two-phase
+	// submission: clients sequence a transaction's digest first and disclose
+	// the payload after, and disclosures are processed in commitment order,
+	// which blinds an order-choosing adversary to transaction contents.
+	HashCommitment bool
 }
 
 // DefaultDedupHorizon is the default Options.DedupHorizon: deep enough that
@@ -131,12 +136,10 @@ type Service struct {
 	// last stage boundary (run's goroutine only).
 	cutStart, cutMark int64
 
-	// The first failure is recorded and fatalCh closed, atomically under
-	// errMu; submitters and the run loop observe it and stop. A poisoned
-	// block must not crash the process.
+	// The first failure is recorded under errMu; submitters and the run
+	// loop observe it and stop. A poisoned block must not crash the process.
 	errMu    sync.Mutex
 	fatalErr error
-	fatalCh  chan struct{}
 }
 
 // New builds the Core without consuming the stream yet, so the caller can
@@ -150,7 +153,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	cfg.Genesis = nil // seeded into the Core's shadow; not kept
-	return &Service{cfg: cfg, core: core, done: make(chan struct{}), fatalCh: make(chan struct{})}, nil
+	return &Service{cfg: cfg, core: core, done: make(chan struct{})}, nil
 }
 
 // Start begins consuming the consensus stream. The run goroutine, and the
@@ -185,21 +188,8 @@ func (s *Service) run() {
 	armed := false
 
 	for {
-		// Fatal check first, non-blocking: select picks ready cases at
-		// random, so without this a busy consensus stream could keep
-		// winning over the closed fatalCh and the orderer would go on
-		// driving a faulted scheduler.
-		select {
-		case <-s.fatalCh:
-			return
-		default:
-		}
 		select {
 		case <-s.done:
-			return
-		case <-s.fatalCh:
-			// A poisoned block or scheduler fault elsewhere: stop consuming
-			// rather than extending a chain nobody will commit.
 			return
 		case <-timer.C:
 			armed = false
@@ -221,15 +211,18 @@ func (s *Service) run() {
 				// Consensus closed: cut the tail so waiters resolve.
 				if s.core.Pending() > 0 {
 					if err := s.core.cut(s); err != nil {
-						s.Fail(err)
+						s.fail(err)
 					}
 				}
 				return
 			}
 			assembling := s.core.NextBlock()
 			if err := s.core.Step(seq.Env, s); err != nil {
-				s.Fail(err)
+				s.fail(err)
 				return
+			}
+			if s.Err() != nil {
+				return // a delivery failed: stop extending a chain nobody will commit
 			}
 			marker := seq.Env.Tx == nil && seq.Env.Commitment == ""
 			if s.core.NextBlock() != assembling && !marker {
@@ -285,7 +278,7 @@ func (s *Service) Sealed(blk *ledger.Block) {
 	}
 	for _, d := range s.cfg.Deliveries {
 		if err := d.Deliver(blk); err != nil {
-			s.Fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
+			s.fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
 			return
 		}
 	}
@@ -313,20 +306,12 @@ func (s *Service) Close() {
 // Chain exposes the sealed chain, whose blocks are the ones delivered.
 func (s *Service) Chain() *ledger.Chain { return s.core.Chain() }
 
-// NeedsMVCCValidation reports whether the configured system leaves the
-// stale-read check to the validation phase — the switch every peer must
-// share with the Core's shadow validator.
-func (s *Service) NeedsMVCCValidation() bool { return s.core.Scheduler().NeedsMVCCValidation() }
-
-// Fail records the service's first fatal error and unblocks everyone
-// waiting on it. The process stays alive: submitters get the error and the
-// run loop stops consuming. Peers sharing the service's fate (a committer
-// that diverged from the sealed verdicts) report through it too.
-func (s *Service) Fail(err error) {
+// fail records the service's first fatal error. The process stays alive:
+// submitters get the error and the run loop stops consuming.
+func (s *Service) fail(err error) {
 	s.errMu.Lock()
 	if s.fatalErr == nil {
 		s.fatalErr = err
-		close(s.fatalCh)
 	}
 	s.errMu.Unlock()
 }
@@ -337,6 +322,3 @@ func (s *Service) Err() error {
 	defer s.errMu.Unlock()
 	return s.fatalErr
 }
-
-// Fatal returns a channel closed on the first fatal error.
-func (s *Service) Fatal() <-chan struct{} { return s.fatalCh }

@@ -10,9 +10,9 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/consensus"
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/node"
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
@@ -22,15 +22,14 @@ import (
 	"fabricsharp/internal/wire"
 )
 
-// contendedNetwork runs a hot-key workload through a library network on an
-// injected, retained consensus stream and returns both once the network has
+// contendedNetwork runs a hot-key workload through a library network and
+// returns it, with the consensus stream its solo orderer retains, once it has
 // gone idle: the stream is the recording the tests below replay.
-func contendedNetwork(t *testing.T, opts orderer.Options) (*fabric.Network, *consensus.Kafka) {
+func contendedNetwork(t *testing.T, opts orderer.Options) (*node.Network, *consensus.Kafka) {
 	t.Helper()
-	stream := consensus.NewKafka()
-	n, err := fabric.NewNetwork(fabric.Options{
+	n, err := node.NewNetwork(node.NetworkOptions{
 		System: opts.System, BlockSize: opts.BlockSize, BlockTimeout: opts.BlockTimeout,
-		Rescue: opts.Rescue, Peers: 2, Ordering: stream,
+		Rescue: opts.Rescue, Peers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func contendedNetwork(t *testing.T, opts orderer.Options) (*fabric.Network, *con
 	if sealed := n.OrdererChain().Len(); sealed < 4 {
 		t.Fatalf("only %d blocks sealed", sealed)
 	}
-	return n, stream
+	return n, n.Orderer().Stream().(*consensus.Kafka)
 }
 
 // coreConfig is the configuration a peerless consumer of contendedNetwork's

@@ -51,11 +51,11 @@ func newRig(t *testing.T, system sched.System, opts Options) *rig {
 	t.Helper()
 	msp, policy := identity.DevMSP("peer0")
 	reg := chaincode.NewRegistry(chaincode.KVContract{}, chaincode.ModifiedSmallbank{})
-	opts.System, opts.Rescue, opts.Genesis = system, true, workload.AccountGenesis(rigAccounts)
+	opts.System, opts.Rescue, opts.Genesis, opts.HashCommitment = system, true, workload.AccountGenesis(rigAccounts), true
 	if opts.BlockSize == 0 {
 		opts.BlockSize = 100
 	}
-	c, err := NewCore(CoreConfig{Options: opts, MSP: msp, Policy: policy, Registry: reg, HashCommitment: true})
+	c, err := NewCore(CoreConfig{Options: opts, MSP: msp, Policy: policy, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

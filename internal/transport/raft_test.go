@@ -9,41 +9,35 @@ import (
 
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/metrics"
-	"fabricsharp/internal/transport/transporttest"
 )
 
-// startRaftCluster boots n members with fast timers on ports picked up front
-// (a cluster's full membership must be known before any member starts).
-// mutate, when non-nil, adjusts each member's config before start (fault
-// seams, state dirs).
+// startRaftCluster boots n members with fast timers on in-memory addresses
+// named up front (a cluster's full membership must be known before any
+// member starts). mutate, when non-nil, adjusts each member's config before
+// start (fault seams, state dirs).
 func startRaftCluster(t *testing.T, n int, mutate func(i int, cfg *RaftConfig)) []*RaftService {
 	t.Helper()
-	var svcs []*RaftService
-	transporttest.BootOnFreePorts(t, n, func(addrs []string) error {
-		svcs = nil
-		for i, addr := range addrs {
-			cfg := RaftConfig{
-				ID:              addr,
-				Cluster:         addrs,
-				ElectionTimeout: 100 * time.Millisecond,
-				Seed:            int64(1000 * (i + 1)),
-			}
-			if mutate != nil {
-				mutate(i, &cfg)
-			}
-			s, err := StartRaft(cfg)
-			if err != nil {
-				for _, started := range svcs {
-					started.Close()
-				}
-				return err
-			}
-			svcs = append(svcs, s)
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("mem:%s/%d", t.Name(), i)
+	}
+	svcs := make([]*RaftService, n)
+	for i, addr := range addrs {
+		cfg := RaftConfig{
+			ID:              addr,
+			Cluster:         addrs,
+			ElectionTimeout: 100 * time.Millisecond,
+			Seed:            int64(1000 * (i + 1)),
 		}
-		return nil
-	})
-	for _, s := range svcs {
+		if mutate != nil {
+			mutate(i, &cfg)
+		}
+		s, err := StartRaft(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(s.Close)
+		svcs[i] = s
 	}
 	return svcs
 }
@@ -121,7 +115,7 @@ func envKey(e consensus.Envelope) string {
 	return fmt.Sprintf("%s|%s|%d|%v", e.SubmittedBy, e.Commitment, e.CutBlock, e.Disclosure)
 }
 
-// TestWireRaftElectsAndReplicates: three OS-socket members elect one leader,
+// TestWireRaftElectsAndReplicates: three members elect one leader,
 // replicate submissions, and every member's subscription yields the
 // identical committed stream — the agreement property block sealing relies
 // on.

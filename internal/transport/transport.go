@@ -1,14 +1,13 @@
-// Package transport is the stdlib-only TCP layer of the process-per-node
-// deployment mode: a framed connection type, a listener with graceful
-// shutdown, dialers with bounded retry, and a reconnecting block-delivery
-// subscriber.
+// Package transport is the stdlib-only connection layer of the EOV network:
+// a framed connection type, a listener with graceful shutdown, dialers with
+// bounded retry, and a reconnecting block-delivery subscriber. An address is
+// TCP ("127.0.0.1:7050") or in-memory ("mem:NAME", mem.go): the library
+// network and the process-per-node cluster send the same frames, one over
+// net.Pipe and the other over sockets.
 //
 // The package also defines the seam an ordering service (internal/orderer)
-// hands sealed blocks through — Delivery: a peer's committer, a TCP fan-out,
-// or a test's collector. The in-process network's channels to its peers are
-// the loopback Delivery inside internal/fabric; a network fed from a socket
-// and one fed from a local client share every line of orderer and committer
-// code.
+// hands sealed blocks through — Delivery: the orderer node's stream wake-up,
+// or a test's collector.
 //
 // Backpressure is structural: block delivery is driven by the *consumer*
 // (the subscriber reads frames at its own pace, and the server-side stream
@@ -150,11 +149,12 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// Listen starts a TCP server on addr (use "127.0.0.1:0" for an ephemeral
-// test port). The handler runs once per accepted connection; when it
-// returns, the connection is closed and untracked.
+// Listen starts a server on addr: TCP ("127.0.0.1:0" picks an ephemeral
+// port), or in memory ("mem:" picks a fresh name). The handler runs once per
+// accepted connection; when it returns, the connection is closed and
+// untracked.
 func Listen(addr string, handler func(*Conn)) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
+	lis, err := listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
@@ -227,9 +227,10 @@ func (s *Server) Close() error {
 // DialTimeout is the per-attempt TCP connect timeout.
 const DialTimeout = 3 * time.Second
 
-// Dial makes a single connection attempt.
+// Dial makes a single connection attempt, over TCP or, for a "mem:" name, to
+// the in-memory listener bound to it.
 func Dial(addr string) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, DialTimeout)
+	nc, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}

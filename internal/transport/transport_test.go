@@ -237,6 +237,62 @@ func TestDoubleCloseIdempotence(t *testing.T) {
 	}
 }
 
+// TestMemAddresses pins the in-memory address rules: "mem:" alone binds a
+// fresh name, a bound name cannot be bound again until its server closes, a
+// dial to an unbound name fails at once (so DialRetry retries it like a
+// refused port), and a call over a bound name is a real frame round trip.
+func TestMemAddresses(t *testing.T) {
+	echo := func(c *Conn) {
+		for {
+			typ, p, err := c.Recv()
+			if err != nil || c.Send(typ, p) != nil {
+				return
+			}
+		}
+	}
+	a, err := Listen("mem:", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Listen("mem:", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if a.Addr() == b.Addr() || a.Addr() == "mem:" {
+		t.Fatalf("fresh names %q and %q", a.Addr(), b.Addr())
+	}
+	if _, err := Listen(a.Addr(), echo); err == nil {
+		t.Fatalf("%s bound twice", a.Addr())
+	}
+	c, err := Dial(a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ, p, err := c.Call(wire.MsgAck, []byte("ping")); err != nil || typ != wire.MsgAck || string(p) != "ping" {
+		t.Fatalf("call over %s: %v %q %v", a.Addr(), typ, p, err)
+	}
+	_ = a.Close()
+	if _, _, err := c.Recv(); err == nil {
+		t.Fatal("a conn outlived its server")
+	}
+	if _, err := Dial(a.Addr()); err == nil {
+		t.Fatalf("dialled %s after its server closed", a.Addr())
+	}
+	start := time.Now()
+	if _, err := DialRetry("mem:nobody", time.Now().Add(100*time.Millisecond)); err == nil {
+		t.Fatal("dialled an unbound name")
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("DialRetry on an unbound name overran its deadline")
+	}
+	again, err := Listen(a.Addr(), echo)
+	if err != nil {
+		t.Fatalf("closing %s did not free it: %v", a.Addr(), err)
+	}
+	_ = again.Close()
+}
+
 func TestDialRetryGivesUp(t *testing.T) {
 	start := time.Now()
 	// A port from the dynamic range with (almost certainly) no listener.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fabricsharp/internal/consensus"
@@ -107,6 +108,12 @@ func FuzzDecodeAck(f *testing.F) {
 	fuzzCodec(f, DecodeAck, EncodeAck,
 		EncodeAck(Ack{OK: true}),
 		EncodeAck(Ack{Err: "not leader", NotLeader: true, Leader: "127.0.0.1:7050"}))
+}
+
+func FuzzDecodeCommitment(f *testing.F) {
+	digest := fuzzSampleTx().DigestHex()
+	fuzzCodec(f, DecodeCommitment, func(d string) []byte { return []byte(d) },
+		[]byte(digest), []byte(strings.ToUpper(digest)))
 }
 
 func FuzzDecodeResult(f *testing.F) {

@@ -32,6 +32,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
@@ -98,6 +99,13 @@ const (
 	MsgProfileReq MsgType = 17
 	// MsgProfile answers MsgProfileReq with the profile or a refusal.
 	MsgProfile MsgType = 18
+	// MsgCommitment carries a hash commitment (Section 3.5): the raw hex
+	// digest of a transaction its client discloses next. The orderer
+	// sequences it and answers MsgAck.
+	MsgCommitment MsgType = 19
+	// MsgDisclosure carries the committed Transaction itself and is answered
+	// as MsgSubmit is.
+	MsgDisclosure MsgType = 20
 )
 
 // String names the message type for diagnostics.
@@ -139,6 +147,10 @@ func (t MsgType) String() string {
 		return "profile-req"
 	case MsgProfile:
 		return "profile"
+	case MsgCommitment:
+		return "commitment"
+	case MsgDisclosure:
+		return "disclosure"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(t))
 	}
@@ -624,6 +636,17 @@ func DecodeAck(b []byte) (Ack, error) {
 		return Ack{}, fmt.Errorf("ack: %w", err)
 	}
 	return a, nil
+}
+
+// DecodeCommitment decodes a commitment's payload, the raw bytes of a digest
+// as protocol.Transaction.DigestHex writes it. It accepts exactly 64
+// lowercase hex characters: an empty digest would reach the ordering core as
+// a time-to-cut marker.
+func DecodeCommitment(b []byte) (string, error) {
+	if len(b) != 64 || strings.Trim(string(b), "0123456789abcdef") != "" {
+		return "", fmt.Errorf("commitment: %.70q is not a 64-character lowercase hex digest", b)
+	}
+	return string(b), nil
 }
 
 // Result reports a transaction's fate to the client waiting for it. Found is

@@ -282,3 +282,22 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		t.Fatal("hostile count accepted")
 	}
 }
+
+// TestCommitmentAcceptsOnlyADigest pins the commitment frame's decode-time
+// check: a transaction's DigestHex round-trips, and anything else — above
+// all the empty string, which the ordering core reads as a time-to-cut
+// marker — is refused before it reaches consensus.
+func TestCommitmentAcceptsOnlyADigest(t *testing.T) {
+	digest := sampleTx(0).DigestHex()
+	if got, err := DecodeCommitment([]byte(digest)); err != nil || got != digest {
+		t.Fatalf("DigestHex round trip: %q, %v", got, err)
+	}
+	for _, bad := range []string{"", digest[:63], digest + "0", "Z" + digest[1:], "A" + digest[1:], " " + digest[1:]} {
+		if _, err := DecodeCommitment([]byte(bad)); err == nil {
+			t.Errorf("accepted commitment %q", bad)
+		}
+	}
+	if MsgCommitment.String() != "commitment" || MsgDisclosure.String() != "disclosure" {
+		t.Errorf("names %q, %q", MsgCommitment, MsgDisclosure)
+	}
+}

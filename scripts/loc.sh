@@ -5,14 +5,15 @@
 # result; no PR raises it without saying why in CHANGES.md (PR 30 did, by
 # 247 lines, for the deferred tail: 166 of code, the rest comments that carry
 # its soundness argument; PR 40 by 378, for the genesis base: statedb.Base
-# and the reads that fall through to it, 82 of them comments). scripts/lint.sh
-# and CI's lint job both run this.
+# and the reads that fall through to it, 82 of them comments). Making the
+# library network the wire cluster lowered it by 105, to 21623.
+# scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=21728
+CEILING=21623
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \

@@ -10,9 +10,10 @@
 //
 // Two entry points:
 //
-//   - Library mode: NewNetwork boots a real, in-process blockchain network;
-//     clients submit transactions through the full
-//     execute-order-validate pipeline.
+//   - Library mode: NewNetwork boots a real blockchain network in this
+//     process — the orderer and peers of a process-per-node cluster, joined
+//     by in-memory connections; clients submit transactions through the
+//     full execute-order-validate pipeline.
 //
 //     net, _ := fabricsharp.NewNetwork(fabricsharp.NetworkOptions{
 //     System: fabricsharp.SystemSharp,
@@ -34,7 +35,6 @@ import (
 	"fabricsharp/internal/bench"
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/core"
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/network"
 	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
@@ -74,19 +74,19 @@ func Systems() []System { return sched.Systems() }
 // ---------------------------------------------------------------------------
 
 // NetworkOptions configures an in-process blockchain network.
-type NetworkOptions = fabric.Options
+type NetworkOptions = node.NetworkOptions
 
 // Network is a running in-process blockchain network.
-type Network = fabric.Network
+type Network = node.Network
 
 // Client submits transactions to a Network.
-type Client = fabric.Client
+type Client = node.NetworkClient
 
 // TxResult is a transaction's final fate.
-type TxResult = fabric.TxResult
+type TxResult = node.TxResult
 
 // NewNetwork boots an in-process blockchain network.
-func NewNetwork(opts NetworkOptions) (*Network, error) { return fabric.NewNetwork(opts) }
+func NewNetwork(opts NetworkOptions) (*Network, error) { return node.NewNetwork(opts) }
 
 // Contract is a deployable smart contract; Stub is the API it programs
 // against. Custom contracts implement Contract and are deployed via
