@@ -28,9 +28,9 @@ import (
 
 	"fabricsharp/internal/node"
 	"fabricsharp/internal/orderer"
-	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 )
 
 func main() {
@@ -84,11 +84,13 @@ func main() {
 		os.Exit(2)
 	}
 	// Every node of a cluster resolves the same -workload/-accounts pair to
-	// the same write set, so all replicas install bit-identical genesis.
-	var genesis []protocol.WriteItem
+	// the same base, so all replicas install bit-identical genesis. The
+	// node builds it when it installs it: an orderer after its Raft member
+	// has started, a durable peer only on a fresh store.
+	var genesis func() (*statedb.Base, error)
 	if *workloadName != "" {
 		sc, _ := scenario.Get(*workloadName) // existence validated above
-		genesis = sc.GenesisWrites(scenario.Params{Accounts: *accounts})
+		genesis = func() (*statedb.Base, error) { return sc.GenesisBase(scenario.Params{Accounts: *accounts}) }
 	}
 	var (
 		addr     string

@@ -69,5 +69,11 @@ func cmdTrace(args []string) int {
 			fmt.Printf("\ncut breakdown, orderer %s\n%s", d.Node, trace.FormatCuts(rows, 10))
 		}
 	}
+	fmt.Println()
+	for _, d := range dumps {
+		if d.Role == "peer" {
+			fmt.Printf("store checkpoints, peer %s: %s", d.Node, trace.FormatCheckpoints(trace.Checkpoints(d)))
+		}
+	}
 	return 0
 }

@@ -204,8 +204,12 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	if c.cfg.State.Durable() {
 		riders = []kvstore.BatchOp{ledger.Record(peerBlk)}
 	}
+	checkpoints, applyStart := c.cfg.State.Checkpoints(), c.cfg.Tracer.Now()
 	if err := c.cfg.State.ApplyBlock(peerBlk.Header.Number, res.Writes, riders...); err != nil {
 		return fmt.Errorf("apply block %d: %w", peerBlk.Header.Number, err)
+	}
+	if c.cfg.State.Checkpoints() != checkpoints {
+		c.cfg.Tracer.RecordSpan(peerBlk.Header.Number, trace.StageCheckpoint, applyStart)
 	}
 	if err := c.cfg.Tip.Advance(checked, peerBlk); err != nil {
 		return fmt.Errorf("append block %d: %w", peerBlk.Header.Number, err)

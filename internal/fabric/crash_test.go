@@ -22,6 +22,9 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
+	"fabricsharp/internal/trace"
+	"fabricsharp/internal/workload"
 )
 
 // tortureNames is the peer set of the crash fixtures; the network that seals
@@ -32,6 +35,12 @@ var tortureNames = []string{"peer0", "peer1"}
 // in-memory when dir is "" — validating as the fixture network's peers do
 // under system with rescue on, and seeded with genesis when fresh.
 func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*fabric.Peer, error) {
+	t.Helper()
+	return newTracedPeer(t, system, dir, nil, genesis...)
+}
+
+// newTracedPeer is newBarePeer recording its stages on tracer.
+func newTracedPeer(t *testing.T, system sched.System, dir string, tracer *trace.Tracer, genesis ...protocol.WriteItem) (*fabric.Peer, error) {
 	t.Helper()
 	scheduler, err := sched.New(system, sched.Options{})
 	if err != nil {
@@ -46,7 +55,8 @@ func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...proto
 		MVCC:     scheduler.NeedsMVCCValidation(),
 		Rescue:   true,
 		DataDir:  dir,
-		Genesis:  genesis,
+		Genesis:  func() (*statedb.Base, error) { return statedb.NewBase(genesis, workload.GenesisVersion()) },
+		Tracer:   tracer,
 		OnError:  func(err error) { t.Error(err) },
 	})
 	if err != nil {
@@ -357,17 +367,19 @@ func TestNewPeerRejectsTipAheadOfState(t *testing.T) {
 }
 
 // TestPeerReopensAcrossCheckpoint reopens a durable peer whose store has
-// checkpointed mid-chain. A genesis just under the store's 4 MiB checkpoint
-// floor makes the first blocks tip the log over it, so they land in the
-// snapshot and the blocks after them in the log. Reopened there, and again
-// after the rest of the chain, the peer must stand where an in-memory
-// reference fed the same blocks stands: chain tip, StateFingerprint and
-// CommittedTxs.
+// checkpointed mid-chain. The genesis is the store's first snapshot, so the
+// fixture pads the log instead: records under a prefix the peer never reads,
+// just under the store's 4 MiB checkpoint floor, written while the peer is
+// closed at block 0. The first blocks tip the log over the floor, so they
+// land in the snapshot and the blocks after them in the log. Reopened there,
+// and again after the rest of the chain, the peer must stand where an
+// in-memory reference fed the same blocks stands: chain tip,
+// StateFingerprint and CommittedTxs.
 func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 	sealed := sealContended(t, sched.SystemFabric, 16)
-	genesis := make([]protocol.WriteItem, 255) // 255 × 16 KiB: ~10 KiB under the floor
-	for i := range genesis {
-		genesis[i] = protocol.WriteItem{Key: fmt.Sprintf("pad/%03d", i), Value: bytes.Repeat([]byte{byte(i)}, 16<<10)}
+	var genesis []protocol.WriteItem
+	for i := 0; i < 16; i++ {
+		genesis = append(genesis, protocol.WriteItem{Key: fmt.Sprintf("g/%02d", i), Value: bytes.Repeat([]byte{byte(i)}, 1<<10)})
 	}
 	at := referencePositions(t, sched.SystemFabric, sealed, genesis...)
 
@@ -383,6 +395,23 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Close()
+	store, err := kvstore.Open(kvstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := make([]kvstore.BatchOp, 255) // 255 × 16 KiB: ~15 KiB under the floor
+	for i := range pad {
+		pad[i] = kvstore.BatchOp{Key: []byte(fmt.Sprintf("pad/%03d", i)), Value: bytes.Repeat([]byte{byte(i)}, 16<<10)}
+	}
+	if err := store.ApplyBatch(pad); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	tracer := trace.New("peer0", "peer", 1<<12)
+	if p, err = newTracedPeer(t, sched.SystemFabric, dir, tracer, genesis...); err != nil {
+		t.Fatal(err)
+	}
 	checkpointed := 0 // blocks committed when the log was folded into the snapshot
 	for i := 0; i < len(sealed) && checkpointed == 0; i++ {
 		before := logSize()
@@ -395,6 +424,9 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("the store checkpointed after block %d of %d; the fixture needs it mid-chain (0: never)", checkpointed, len(sealed))
 	}
 	t.Logf("the store checkpointed after block %d of %d", checkpointed, len(sealed))
+	if spans := trace.Checkpoints(tracer.Dump()); len(spans) != 1 || spans[0].Block != uint64(checkpointed) || spans[0].NS <= 0 {
+		t.Fatalf("the peer's ring holds checkpoint spans %+v; want one, at block %d", spans, checkpointed)
+	}
 	stop := min(checkpointed+3, len(sealed)-1) // a few blocks in the log on top
 	commitAll(t, p, sealed[checkpointed:stop])
 	p.Close()

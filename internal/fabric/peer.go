@@ -48,9 +48,10 @@ type PeerConfig struct {
 	// directory — after a clean close or a kill — resumes from a store whose
 	// chain tip and state height are the same block.
 	DataDir string
-	// Genesis is the block-0 write set a fresh replica installs; ignored
-	// when DataDir already holds a height record.
-	Genesis []protocol.WriteItem
+	// Genesis, when non-nil, builds the block-0 base a fresh replica
+	// installs — a durable one as its store's first snapshot. It is not
+	// called when DataDir already holds a height record.
+	Genesis func() (*statedb.Base, error)
 	// Tracer, OnCommit and OnError pass through to the committer
 	// (commit.Config).
 	Tracer   *trace.Tracer
@@ -103,8 +104,12 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	}
 	// A store with a height record already holds the genesis and must not
 	// re-apply block 0.
-	if !p.state.Seeded() {
-		if err = workload.SeedGenesis(p.state, cfg.Genesis); err != nil {
+	if !p.state.Seeded() && cfg.Genesis != nil {
+		base, err := cfg.Genesis()
+		if err == nil {
+			err = workload.SeedGenesis(p.state, base)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("fabric: seeding %s genesis: %w", cfg.ID.ID, err)
 		}
 	}

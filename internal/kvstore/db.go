@@ -1,26 +1,39 @@
 // Package kvstore is the peer's durable store: a log of write batches and
-// one snapshot of what the log held at its last checkpoint, both in the
-// CRC'd record format of wal.go, in one directory (wal.log, snapshot).
+// one snapshot, both in the CRC'd record format of wal.go, in one directory
+// (wal.log, snapshot). The snapshot holds live keys only, in ascending key
+// order.
 //
 // ApplyBatch appends one record to the log — handed to the OS before it
 // returns, fsynced as well under SyncWrites — so a crash leaves each batch
-// whole or absent. The store holds no keys or values in memory: its one
-// read, Scan, folds the snapshot and then the log from disk. Its callers
-// write one batch per block and read only when they open (statedb.New and
-// ledger.NewChain), so a read that costs a pass over the files buys a store
-// that costs no memory.
+// whole or absent. A record that fails to reach the file whole is cut back
+// off it before ApplyBatch returns the error. The store holds no keys or
+// values in memory: its one read, Scan, merges the snapshot with the log
+// from disk. Its callers write one batch per block and read only when they
+// open (statedb.New and ledger.NewChain), so a read that costs a pass over
+// the files buys a store that costs no memory.
+//
+// A store's first contents can be installed as its snapshot (Install): a
+// peer's genesis lands there, written once, in key order, and no checkpoint
+// ever rewrites it from the log.
 //
 // Checkpoints bound the log. Once it outgrows both the snapshot and
-// checkpointFloor, the store folds the two into snapshot.tmp, fsyncs it,
-// renames it over snapshot, fsyncs the directory and truncates the log. A
-// crash between any two steps reopens to every acknowledged batch:
+// checkpointFloor, the store merges the two into snapshot.tmp, fsyncs it,
+// renames it over snapshot, fsyncs the directory and replaces the log with
+// an empty one. A crash between any two steps reopens to every acknowledged
+// batch:
 //
 //   - before the rename, the old snapshot and the whole log are in place, and
 //     Open deletes the orphaned snapshot.tmp;
 //   - after the rename, the old log replays over a snapshot that already
 //     holds it, and replaying a sequence of puts and deletes a second time
 //     changes nothing;
-//   - after the truncation, the snapshot holds everything.
+//   - after the log's replacement, the snapshot holds everything.
+//
+// A checkpoint and a scan read the same merge: the log folded into an index
+// of each key's last op — a delete, or where its value lies in the log —
+// whose keys are sorted and streamed against the sorted snapshot one record
+// at a time. Their memory is the log's distinct keys plus one record,
+// however many bytes the store or the log holds.
 //
 // A snapshot is renamed into place only whole and fsynced, so a snapshot
 // that does not end on a whole record is refused, not read as a prefix. A
@@ -30,12 +43,15 @@ package kvstore
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -43,7 +59,7 @@ const (
 	snapshotName    = "snapshot"
 	snapshotTmpName = "snapshot.tmp"
 	// checkpointFloor is the log size below which no checkpoint is taken,
-	// however small the snapshot: folding that much at open is cheap.
+	// however small the snapshot: replaying that much at open is cheap.
 	checkpointFloor = 4 << 20
 	// snapshotRecordBytes caps the keys and values one snapshot record holds.
 	snapshotRecordBytes = 1 << 20
@@ -68,14 +84,19 @@ type BatchOp struct {
 // DB is a durable key-value store written in atomic batches. All methods are
 // safe for concurrent use.
 type DB struct {
-	mu       sync.Mutex
-	dir      string
-	log      *wal
-	snapSize int64 // bytes in the snapshot the log folds over
-	closed   bool
+	mu          sync.Mutex
+	dir         string
+	log         *wal
+	snapSize    int64 // bytes in the snapshot the log folds over
+	closed      bool
+	checkpoints atomic.Uint64
 }
 
 var errClosed = errors.New("kvstore: store closed")
+
+// errPastPrefix stops a merge's pass over the snapshot at its first key
+// beyond the prefix scanned.
+var errPastPrefix = errors.New("kvstore: past the prefix")
 
 // Open opens (creating if necessary) the store in opts.Dir.
 func Open(opts Options) (*DB, error) {
@@ -98,12 +119,12 @@ func Open(opts Options) (*DB, error) {
 	if err := os.Remove(db.path(snapshotTmpName)); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	size, err := replayWhole(db.path(snapshotName), nil)
+	size, err := replayWhole(db.path(snapshotName))
 	if err != nil {
 		return nil, err
 	}
 	db.snapSize = size
-	intact, _, err := replay(db.path(walName), nil)
+	intact, _, err := replay(db.path(walName))
 	if err != nil {
 		return nil, err
 	}
@@ -134,24 +155,58 @@ func (db *DB) ApplyBatch(ops []BatchOp) error {
 	return nil
 }
 
+// Install writes the contents of an empty store as its snapshot: the puts
+// that each passes to put, in strictly ascending key order. It takes a
+// checkpoint's crash steps — snapshot.tmp written and fsynced, renamed over
+// the snapshot, the rename fsynced — so a crash leaves the store empty or
+// holding all of them. put copies its arguments.
+func (db *DB) Install(each func(put func(key, value []byte) error) error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return errClosed
+	}
+	if db.snapSize != 0 || db.log.size != 0 {
+		return fmt.Errorf("kvstore: install into %s, which is not empty", db.dir)
+	}
+	size, err := writeSnapshot(db.path(snapshotTmpName), each)
+	if err == nil {
+		err = db.publish(size)
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: install: %w", err)
+	}
+	return nil
+}
+
 // Scan calls fn with every live key beginning with prefix and its value, in
-// ascending key order, and stops at fn's first error. It folds the snapshot
-// and the log from disk, so each call is a pass over the store; fn sees the
-// store as of the fold, and key and value are fn's to keep.
+// ascending key order, and stops at fn's first error. Each call merges the
+// snapshot with the log from disk; fn sees the store as of the call, is never
+// called with the store locked, and may write to it. key and value are valid
+// only until fn returns.
 func (db *DB) Scan(prefix []byte, fn func(key, value []byte) error) error {
 	db.mu.Lock()
-	live, err := db.fold(prefix)
+	if db.closed {
+		db.mu.Unlock()
+		return errClosed
+	}
+	// The files opened here are the instant fn sees: a checkpoint renames a
+	// new snapshot over the old one and unlinks the log rather than
+	// truncating it, so neither changes under these descriptors, and the
+	// log's appends after logEnd are not read.
+	snap, log, err := db.openFiles()
+	logEnd := db.log.size
 	db.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for _, op := range sorted(live) {
-		if err := fn(op.Key, op.Value); err != nil {
-			return err
-		}
-	}
-	return nil
+	defer closeFiles(snap, log)
+	return merge(snap, log, logEnd, prefix, fn)
 }
+
+// Checkpoints returns how many checkpoints the store has taken since it was
+// opened.
+func (db *DB) Checkpoints() uint64 { return db.checkpoints.Load() }
 
 // Close releases the store.
 func (db *DB) Close() error {
@@ -164,41 +219,38 @@ func (db *DB) Close() error {
 	return db.log.close()
 }
 
-// fold reads the snapshot and then the log into the live contents under
-// prefix; the caller holds mu.
-func (db *DB) fold(prefix []byte) (map[string][]byte, error) {
-	if db.closed {
-		return nil, errClosed
+// openFiles opens the snapshot (nil when there is none) and the log for
+// reading; the caller holds mu.
+func (db *DB) openFiles() (snap, log *os.File, err error) {
+	if snap, err = os.Open(db.path(snapshotName)); os.IsNotExist(err) {
+		snap, err = nil, nil
 	}
-	live := map[string][]byte{}
-	apply := func(ops []BatchOp) {
-		for _, op := range ops {
-			switch {
-			case !bytes.HasPrefix(op.Key, prefix):
-			case op.Delete:
-				delete(live, string(op.Key))
-			default:
-				live[string(op.Key)] = bytes.Clone(op.Value)
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := replayWhole(db.path(snapshotName), apply); err != nil {
-		return nil, err
+	if log, err = os.Open(db.log.path); err != nil {
+		closeFiles(snap, nil)
+		return nil, nil, err
 	}
-	// Open cut the log back to whole records and only whole ones follow.
-	if _, err := replayWhole(db.path(walName), apply); err != nil {
-		return nil, err
-	}
-	return live, nil
+	return snap, log, nil
 }
 
-// checkpoint folds the log into a new snapshot and empties it.
+func closeFiles(files ...*os.File) {
+	for _, f := range files {
+		if f != nil {
+			_ = f.Close() // opened for reading only
+		}
+	}
+}
+
+// checkpoint merges the log into a new snapshot and empties it.
 func (db *DB) checkpoint() error {
 	for _, step := range db.checkpointSteps() {
 		if err := step(); err != nil {
 			return fmt.Errorf("kvstore: checkpoint: %w", err)
 		}
 	}
+	db.checkpoints.Add(1)
 	return nil
 }
 
@@ -209,56 +261,217 @@ func (db *DB) checkpointSteps() []func() error {
 	var size int64
 	return []func() error{
 		func() error { // snapshot.tmp, written whole and fsynced
-			live, err := db.fold(nil)
+			snap, log, err := db.openFiles()
 			if err != nil {
 				return err
 			}
-			size, err = writeSnapshot(db.path(snapshotTmpName), sorted(live))
+			defer closeFiles(snap, log)
+			size, err = writeSnapshot(db.path(snapshotTmpName), func(put func(key, value []byte) error) error {
+				return merge(snap, log, db.log.size, nil, put)
+			})
 			return err
 		},
-		func() error { // renamed over the snapshot, the rename fsynced
-			if err := os.Rename(db.path(snapshotTmpName), db.path(snapshotName)); err != nil {
-				return err
-			}
-			db.snapSize = size
-			return SyncDir(db.dir)
-		},
-		db.log.truncate,
+		func() error { return db.publish(size) }, // renamed over the snapshot, the rename fsynced
+		db.log.rotate,
 	}
 }
 
-// writeSnapshot writes puts to path as records each holding about
-// snapshotRecordBytes of keys and values, fsyncs the file and returns its
-// size.
-func writeSnapshot(path string, puts []BatchOp) (size int64, err error) {
-	w, err := openWAL(path, 0, false)
+// publish renames snapshot.tmp, size bytes, over the snapshot and fsyncs the
+// directory.
+func (db *DB) publish(size int64) error {
+	if err := os.Rename(db.path(snapshotTmpName), db.path(snapshotName)); err != nil {
+		return err
+	}
+	db.snapSize = size
+	return SyncDir(db.dir)
+}
+
+// logOp is one op of the log: its key's place in a logIndex's key arena, and
+// its value's place in the log (n < 0: a delete).
+type logOp struct {
+	keyAt  int
+	at     int64
+	keyLen int32
+	n      int32
+}
+
+// logIndex is the log folded into each key's last op, in key order. The keys
+// are copied into one arena, and both arrays are sized by a first pass over
+// the log, so the index allocates what it holds and nothing per key.
+type logIndex struct {
+	keys []byte
+	ops  []logOp
+}
+
+func (x *logIndex) key(op logOp) []byte { return x.keys[op.keyAt : op.keyAt+int(op.keyLen)] }
+
+// indexLog folds the log's first end bytes into each key's last op, for the
+// keys beginning with prefix.
+func indexLog(log *os.File, end int64, prefix []byte) (*logIndex, error) {
+	x := &logIndex{}
+	ops, keyBytes := 0, 0
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			x.keys, x.ops = make([]byte, 0, keyBytes), make([]logOp, 0, ops)
+		}
+		err := newRecordReader(io.NewSectionReader(log, 0, end)).all(func(del bool, key, value []byte, valAt int64) error {
+			switch {
+			case !bytes.HasPrefix(key, prefix):
+			case pass == 0:
+				ops, keyBytes = ops+1, keyBytes+len(key)
+			default:
+				op := logOp{keyAt: len(x.keys), at: valAt, keyLen: int32(len(key)), n: int32(len(value))}
+				if del {
+					op.n = -1
+				}
+				x.keys = append(x.keys, key...)
+				x.ops = append(x.ops, op)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: %s: %w", log.Name(), err)
+		}
+	}
+	// A key's ops sort in log order, which is the order of their values'
+	// offsets; the last of them is the one that counts.
+	slices.SortFunc(x.ops, func(a, b logOp) int {
+		if c := bytes.Compare(x.key(a), x.key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	last := x.ops[:0]
+	for i, op := range x.ops {
+		if i+1 == len(x.ops) || !bytes.Equal(x.key(op), x.key(x.ops[i+1])) {
+			last = append(last, op)
+		}
+	}
+	x.ops = last
+	return x, nil
+}
+
+// merge calls emit with every live key beginning with prefix, and its value,
+// in ascending key order: the snapshot's puts, each overridden by the log's
+// last op on its key, and the log's other puts, as of the log's first logEnd
+// bytes. snap may be nil (no snapshot). key and value are valid only until
+// emit returns.
+func merge(snap *os.File, log *os.File, logEnd int64, prefix []byte, emit func(key, value []byte) error) error {
+	x, err := indexLog(log, logEnd, prefix)
+	if err != nil {
+		return err
+	}
+	var val []byte
+	next := 0 // x.ops[next] is the first log op not yet emitted
+	// fromLog emits the next log op's key with its value read back from the
+	// log.
+	fromLog := func() error {
+		op := x.ops[next]
+		key := x.key(op)
+		next++
+		if op.n < 0 {
+			return nil
+		}
+		if cap(val) < int(op.n) {
+			val = make([]byte, op.n)
+		}
+		val = val[:op.n]
+		if _, err := log.ReadAt(val, op.at); err != nil {
+			return fmt.Errorf("kvstore: read %q back from the log: %w", key, err)
+		}
+		return emit(key, val)
+	}
+	if snap != nil {
+		// The snapshot is in ascending key order: writeSnapshot refuses to
+		// write it otherwise.
+		err := newRecordReader(snap).all(func(_ bool, k, v []byte, _ int64) error {
+			if !bytes.HasPrefix(k, prefix) {
+				if bytes.Compare(k, prefix) > 0 {
+					return errPastPrefix
+				}
+				return nil
+			}
+			for next < len(x.ops) && bytes.Compare(x.key(x.ops[next]), k) < 0 {
+				if err := fromLog(); err != nil {
+					return err
+				}
+			}
+			if next < len(x.ops) && bytes.Equal(x.key(x.ops[next]), k) {
+				return fromLog()
+			}
+			return emit(k, v)
+		})
+		if err != nil && err != errPastPrefix {
+			return err
+		}
+	}
+	for next < len(x.ops) {
+		if err := fromLog(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSnapshot writes the puts each passes to put, in strictly ascending key
+// order, to path as records each holding about snapshotRecordBytes of keys
+// and values, fsyncs the file and returns its size.
+func writeSnapshot(path string, each func(put func(key, value []byte) error) error) (size int64, err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
 	}
 	defer func() {
-		if cerr := w.close(); err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}()
-	for start := 0; start < len(puts); {
-		end, held := start, 0
-		for ; end < len(puts) && held < snapshotRecordBytes; end++ {
-			held += len(puts[end].Key) + len(puts[end].Value)
+	var (
+		rec        record
+		prev       []byte
+		puts, held int
+	)
+	rec.buf = make([]byte, 0, snapshotRecordBytes+snapshotRecordBytes/8)
+	rec.reset()
+	flush := func() error {
+		if rec.n == 0 {
+			return nil
 		}
-		if err := w.append(puts[start:end]); err != nil {
-			return 0, err
+		b := rec.bytes()
+		if _, err := f.Write(b); err != nil {
+			return err
 		}
-		start = end
+		size += int64(len(b))
+		rec.reset()
+		held = 0
+		return nil
 	}
-	return w.size, w.f.Sync()
+	err = each(func(key, value []byte) error {
+		if puts++; puts > 1 && bytes.Compare(key, prev) <= 0 {
+			return fmt.Errorf("kvstore: snapshot key %q after %q", key, prev)
+		}
+		prev = append(prev[:0], key...)
+		rec.add(false, key, value)
+		if held += len(key) + len(value); held >= snapshotRecordBytes {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return size, f.Sync()
 }
 
 // replayWhole is replay for a file written only in whole records — the
 // snapshot, which is renamed into place complete, or the log once Open has
 // cut it back — where anything else past the last record is corruption, not
 // a crash. It returns the file's size.
-func replayWhole(path string, fn func(ops []BatchOp)) (int64, error) {
-	intact, size, err := replay(path, fn)
+func replayWhole(path string) (int64, error) {
+	intact, size, err := replay(path)
 	if err == nil && intact != size {
 		err = fmt.Errorf("kvstore: %s: %d bytes, of which only %d are whole records", path, size, intact)
 	}
@@ -276,14 +489,4 @@ func SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// sorted returns the contents of live as puts in ascending key order.
-func sorted(live map[string][]byte) []BatchOp {
-	puts := make([]BatchOp, 0, len(live))
-	for k, v := range live {
-		puts = append(puts, BatchOp{Key: []byte(k), Value: v})
-	}
-	slices.SortFunc(puts, func(a, b BatchOp) int { return bytes.Compare(a.Key, b.Key) })
-	return puts
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -87,6 +88,36 @@ func checkpoint(t *testing.T, db *DB) {
 	t.Helper()
 	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readRecords reads the record file at path, which must hold whole records
+// only, and returns a copy of each record's ops.
+func readRecords(t *testing.T, path string) [][]BatchOp {
+	t.Helper()
+	if _, err := replayWhole(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out [][]BatchOp
+	rr := newRecordReader(f)
+	for {
+		var ops []BatchOp
+		err := rr.next(func(del bool, key, value []byte, _ int64) error {
+			ops = append(ops, BatchOp{Key: bytes.Clone(key), Value: bytes.Clone(value), Delete: del})
+			return nil
+		})
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ops)
 	}
 }
 
@@ -392,15 +423,13 @@ func TestCompactionPreservesContent(t *testing.T) {
 	checkpoint(t, db)
 	checkAgainstModel(t, "after the last checkpoint", db, m)
 	snap := model{}
-	if _, err := replayWhole(filepath.Join(dir, snapshotName), func(ops []BatchOp) {
+	for _, ops := range readRecords(t, filepath.Join(dir, snapshotName)) {
 		for _, op := range ops {
 			if op.Delete {
 				t.Fatalf("snapshot holds a delete of %q", op.Key)
 			}
 			snap[string(op.Key)] = string(op.Value)
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, m) {
 		t.Fatalf("snapshot holds %d keys, the model %d", len(snap), len(m))
@@ -576,15 +605,31 @@ func TestApplyBatch(t *testing.T) {
 	checkAgainstModel(t, "reopened", openDir(t, dir), m)
 }
 
+// writePuts writes puts to path as a snapshot.
+func writePuts(path string, puts []BatchOp) (int64, error) {
+	return writeSnapshot(path, func(put func(key, value []byte) error) error {
+		for _, p := range puts {
+			if err := put(p.Key, p.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // TestSnapshotRoundTrip writes a snapshot large enough to take several
-// records and reads it back: the same puts, in the same order.
+// records and reads it back: the same puts, in the same order. A snapshot
+// is written in ascending key order only.
 func TestSnapshotRoundTrip(t *testing.T) {
 	puts := []BatchOp{put("empty", "")}
-	for i := 199; i >= 0; i-- {
+	for i := 0; i < 200; i++ {
 		puts = append(puts, BatchOp{Key: []byte(fmt.Sprintf("key%04d", i)), Value: bytes.Repeat([]byte{byte(i)}, 8<<10)})
 	}
 	path := filepath.Join(t.TempDir(), snapshotName)
-	size, err := writeSnapshot(path, puts)
+	if _, err := writePuts(path, []BatchOp{put("b", ""), put("a", "")}); err == nil {
+		t.Fatal("a snapshot written out of key order was accepted")
+	}
+	size, err := writePuts(path, puts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,19 +637,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("writeSnapshot reports %d bytes, the file holds %d", size, fileSize(t, path))
 	}
 	var got []BatchOp
-	records := 0
-	if _, err := replayWhole(path, func(ops []BatchOp) {
-		records++
-		for _, op := range ops {
-			got = append(got, BatchOp{Key: bytes.Clone(op.Key), Value: bytes.Clone(op.Value), Delete: op.Delete})
-		}
-	}); err != nil {
-		t.Fatal(err)
+	records := readRecords(t, path)
+	for _, ops := range records {
+		got = append(got, ops...)
 	}
-	if records < 2 || !reflect.DeepEqual(got, puts) {
-		t.Fatalf("%d records holding %d puts; want several records holding the %d puts written, in order", records, len(got), len(puts))
+	if len(records) < 2 || !reflect.DeepEqual(got, puts) {
+		t.Fatalf("%d records holding %d puts; want several records holding the %d puts written, in order", len(records), len(got), len(puts))
 	}
-	if _, err := writeSnapshot(path, nil); err != nil || fileSize(t, path) != 0 {
+	if _, err := writePuts(path, nil); err != nil || fileSize(t, path) != 0 {
 		t.Fatalf("empty snapshot: %v, %d bytes", err, fileSize(t, path))
 	}
 }

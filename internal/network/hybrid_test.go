@@ -86,7 +86,11 @@ func (p *payments) Next() workload.Op {
 }
 
 func (p *payments) Seed(db *statedb.DB) error {
-	return workload.SeedGenesis(db, workload.SmallbankGenesis(p.accounts))
+	base, err := workload.SmallbankBase(p.accounts)
+	if err != nil {
+		return err
+	}
+	return workload.SeedGenesis(db, base)
 }
 
 // TestHybridConservesMoney runs 200+ blocks of payments among ten accounts —

@@ -136,7 +136,7 @@ func Run(cfg Config) (*Result, error) {
 		BlockSize: cfg.BlockSize,
 		MaxSpan:   cfg.MaxSpan,
 		Rescue:    cfg.Rescue,
-		Genesis:   seeded,
+		Genesis:   func() (*statedb.Base, error) { return statedb.NewBase(seeded, workload.GenesisVersion()) },
 	}, Registry: registry})
 	if err != nil {
 		return nil, err

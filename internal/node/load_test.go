@@ -9,6 +9,7 @@ import (
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 )
 
@@ -21,7 +22,7 @@ func bootScenarioCluster(t *testing.T, system sched.System, n int, workload stri
 	if !ok {
 		t.Fatalf("unknown scenario %q", workload)
 	}
-	genesis := sc.GenesisWrites(scenario.Params{Accounts: accounts})
+	genesis := func() (*statedb.Base, error) { return sc.GenesisBase(scenario.Params{Accounts: accounts}) }
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("peer%d", i)

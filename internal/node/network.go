@@ -16,12 +16,15 @@ import (
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/wire"
 )
 
 // NetworkOptions configures a library network. All but Peers and Contracts
 // are the ordering service's tunables, documented (with their defaults) on
-// orderer.Options; Rescue and Genesis reach the peers too.
+// orderer.Options; Rescue and Genesis reach the peers too. Genesis is called
+// once: a base is immutable, so the orderer and every peer share the one it
+// builds.
 type NetworkOptions struct {
 	System         sched.System
 	BlockSize      int
@@ -29,7 +32,7 @@ type NetworkOptions struct {
 	MaxSpan        uint64
 	DedupHorizon   uint64
 	Rescue         bool
-	Genesis        []protocol.WriteItem
+	Genesis        func() (*statedb.Base, error)
 	HashCommitment bool
 	// Peers is the number of endorsing/validating peers (default 4, the
 	// paper's setup).
@@ -64,6 +67,9 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	names := make([]string, opts.Peers)
 	for i := range names {
 		names[i] = fmt.Sprintf("peer%d", i)
+	}
+	if opts.Genesis != nil {
+		opts.Genesis = sync.OnceValues(opts.Genesis)
 	}
 	n := &Network{opts: opts}
 	n.msp, _ = identity.DevMSP(names...)

@@ -25,8 +25,8 @@ type OrdererConfig struct {
 	// match the peers': the rescue digest is byte-asserted across the
 	// cluster, and every replica — orderer shadows and remote peers alike —
 	// must install the identical genesis or MVCC verdicts diverge (resolve it
-	// once from the scenario registry and hand the same slice to every node
-	// config).
+	// from the scenario registry, one function for every node config). The
+	// base is built after a Raft member has started (orderer.NewCore).
 	orderer.Options
 	// Listen is the address for client submits/result waits and peer
 	// subscriptions: TCP ("127.0.0.1:0" picks an ephemeral port) or

@@ -13,6 +13,7 @@ import (
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
@@ -40,11 +41,11 @@ type PeerConfig struct {
 	// a clean stop or a kill — resumes from the stored chain and
 	// re-subscribes from its height (catch-up over the wire).
 	DataDir string
-	// Genesis writes seed a fresh peer's state database at the shared
-	// genesis version before any block is delivered; the set must be
-	// identical on every replica (peers and orderer shadows) or MVCC
-	// verdicts diverge. Ignored when DataDir resumes a store.
-	Genesis []protocol.WriteItem
+	// Genesis builds the base a fresh peer's state database is seeded with
+	// before any block is delivered (fabric.PeerConfig.Genesis); the base
+	// must be identical on every replica (peers and orderer shadows) or MVCC
+	// verdicts diverge. Not called when DataDir resumes a store.
+	Genesis func() (*statedb.Base, error)
 	// DialOrderer overrides how the block subscription connects (fault
 	// injection seam; see transport.Subscriber.Dial for the no-drops
 	// caveat). Default: transport.DialRetry.

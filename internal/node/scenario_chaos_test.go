@@ -13,6 +13,7 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/workload"
 )
@@ -108,7 +109,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			// A small pool keeps every scenario contended; 8 satisfies the
 			// strictest constructor floor (msmallbank needs >= 4 accounts).
 			params := scenario.Params{Accounts: 8, Theta: 0.5, ReadHot: 0.3, WriteHot: 0.3}
-			genesis := sc.GenesisWrites(params)
+			genesis := func() (*statedb.Base, error) { return sc.GenesisBase(params) }
 			peerNames := []string{"peer0", "peer1"}
 
 			cfgs, ords, ordererAddrs := startRaftOrderers(t, system, 3, peerNames, func(i int, cfg *OrdererConfig) {

@@ -13,7 +13,6 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/validation"
-	"fabricsharp/internal/workload"
 )
 
 // CoreConfig is what a Core is assembled from.
@@ -108,12 +107,19 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 	}
 	// An endorsement over a genesis key carries workload.GenesisVersion in
 	// its read set: the shadow validator has to see that same version or its
-	// sealed verdict would diverge from peer validation.
-	if err := c.shadow.SeedBase(cfg.Genesis, workload.GenesisVersion()); err != nil {
-		return nil, err
+	// sealed verdict would diverge from peer validation. The base is built
+	// here, not by the caller: a Raft member has started by now, and its
+	// election timer runs while the build does.
+	if cfg.Genesis != nil {
+		base, err := cfg.Genesis()
+		if err != nil {
+			return nil, fmt.Errorf("orderer: genesis: %w", err)
+		}
+		if err := c.shadow.SeedBase(base); err != nil {
+			return nil, err
+		}
 	}
-	// The shadow copied what it needs; at 100 k accounts the write set is
-	// megabytes the Core would otherwise hold for its lifetime.
+	// The shadow holds the base; whatever the function captured is not kept.
 	c.cfg.Genesis = nil
 	if cfg.HashCommitment {
 		c.broker = NewCommitmentBroker()

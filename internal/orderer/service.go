@@ -26,6 +26,7 @@ import (
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 )
@@ -64,11 +65,12 @@ type Options struct {
 	// (protocol.Deferrable), which ride the block's tail instead of aborting
 	// at arrival (docs/commit-pipeline.md, "The deferred tail").
 	Rescue bool
-	// Genesis, when non-empty, is the block-0 write set seeded into the
-	// orderer's shadow state at workload.GenesisVersion — it must be the set
-	// the peers install, or shadow MVCC verdicts would diverge from peer
-	// validation. A Core or Service keeps no reference to it once built.
-	Genesis []protocol.WriteItem
+	// Genesis, when non-nil, builds the block-0 base seeded into the
+	// orderer's shadow state (at workload.GenesisVersion) — it must be the
+	// base the peers install, or shadow MVCC verdicts would diverge from peer
+	// validation. NewCore calls it once; a Core or Service keeps no reference
+	// to it once built.
+	Genesis func() (*statedb.Base, error)
 	// HashCommitment makes the orderer honour the Section 3.5 two-phase
 	// submission: clients sequence a transaction's digest first and disclose
 	// the payload after, and disclosures are processed in commitment order,

@@ -17,9 +17,11 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
+	"fabricsharp/internal/workload"
 )
 
 // contendedNetwork runs a hot-key workload through a library network and
@@ -89,10 +91,11 @@ func assertSameChain(t *testing.T, who string, got, want *ledger.Chain) {
 }
 
 // TestServiceRetainsNoGenesis pins that a built Service keeps no reference
-// to Options.Genesis: the write set is read once, to seed the Core's shadow,
-// and a process that keeps its Service keeps none of it (4.8 MB at 100 k
-// accounts). The set's backing array carries a finalizer; it must run while
-// the Service is still live.
+// to Options.Genesis: the function is called once, to seed the Core's shadow
+// with the base it returns, and a process that keeps its Service keeps
+// neither it nor what it captured. Here it captures a write set whose
+// backing array carries a finalizer; it must run while the Service is still
+// live.
 func TestServiceRetainsNoGenesis(t *testing.T) {
 	collected := make(chan struct{})
 	svc := func() *orderer.Service {
@@ -102,8 +105,10 @@ func TestServiceRetainsNoGenesis(t *testing.T) {
 		}
 		runtime.SetFinalizer(genesis, func(*[1000]protocol.WriteItem) { close(collected) })
 		svc, err := orderer.New(orderer.Config{
-			CoreConfig: coreConfig(orderer.Options{System: sched.SystemSharp, Genesis: genesis[:]}),
-			Ordering:   consensus.NewKafka(),
+			CoreConfig: coreConfig(orderer.Options{System: sched.SystemSharp, Genesis: func() (*statedb.Base, error) {
+				return statedb.NewBase(genesis[:], workload.GenesisVersion())
+			}}),
+			Ordering: consensus.NewKafka(),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -47,11 +47,18 @@ const (
 	rigAccounts                = 400
 )
 
+// rigGenesis builds the rig's genesis base.
+func rigGenesis() (*statedb.Base, error) { return workload.AccountBase(rigAccounts) }
+
 func newRig(t *testing.T, system sched.System, opts Options) *rig {
 	t.Helper()
 	msp, policy := identity.DevMSP("peer0")
 	reg := chaincode.NewRegistry(chaincode.KVContract{}, chaincode.ModifiedSmallbank{})
-	opts.System, opts.Rescue, opts.Genesis, opts.HashCommitment = system, true, workload.AccountGenesis(rigAccounts), true
+	genesis, err := workload.AccountBase(rigAccounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.System, opts.Rescue, opts.Genesis, opts.HashCommitment = system, true, rigGenesis, true
 	if opts.BlockSize == 0 {
 		opts.BlockSize = 100
 	}
@@ -63,7 +70,7 @@ func newRig(t *testing.T, system sched.System, opts Options) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.SeedGenesis(peer, opts.Genesis); err != nil {
+	if err := workload.SeedGenesis(peer, genesis); err != nil {
 		t.Fatal(err)
 	}
 	return &rig{

@@ -14,7 +14,6 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
-	"fabricsharp/internal/workload"
 )
 
 // proposals is a consensus stream that notes when each time-to-cut marker
@@ -170,7 +169,7 @@ func TestDeferredMembersFillTheBatch(t *testing.T) {
 			svc, err := New(Config{
 				CoreConfig: CoreConfig{
 					Options: Options{System: system, Rescue: true, BlockSize: 4, BlockTimeout: time.Hour,
-						Genesis: workload.AccountGenesis(rigAccounts)},
+						Genesis: rigGenesis},
 					MSP: msp, Policy: policy, Registry: r.reg,
 				},
 				Ordering: consensus.NewKafka(),

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/workload"
 )
@@ -78,8 +77,8 @@ func singleMod() Scenario {
 			}
 			return workload.NewSingleMod(rng, n, p.Theta), nil
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.AccountGenesis(p.AccountsOr(defaultAccounts))
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.AccountBase(p.AccountsOr(defaultAccounts))
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			return wantIntPopulation(db, chaincode.AccountKey(""), p.AccountsOr(defaultAccounts))
@@ -97,8 +96,8 @@ func modifiedSmallbank() Scenario {
 		Generator: func(rng *rand.Rand, p Params) (workload.Generator, error) {
 			return workload.NewModifiedSmallbank(rng, p.AccountsOr(defaultAccounts), p.ReadHot, p.WriteHot)
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.AccountGenesis(p.AccountsOr(defaultAccounts))
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.AccountBase(p.AccountsOr(defaultAccounts))
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			return wantIntPopulation(db, chaincode.AccountKey(""), p.AccountsOr(defaultAccounts))
@@ -145,8 +144,8 @@ func mixedSmallbank() Scenario {
 		Generator: func(rng *rand.Rand, p Params) (workload.Generator, error) {
 			return workload.NewMixedSmallbank(rng, p.AccountsOr(defaultAccounts), p.Theta)
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.SmallbankGenesis(p.AccountsOr(defaultAccounts))
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.SmallbankBase(p.AccountsOr(defaultAccounts))
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			n := p.AccountsOr(defaultAccounts)
@@ -168,8 +167,8 @@ func auction() Scenario {
 		Generator: func(rng *rand.Rand, p Params) (workload.Generator, error) {
 			return workload.NewAuction(rng, p.AccountsOr(defaultBidders))
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.AuctionGenesis()
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.AuctionBase()
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			high, err := intAt(db, chaincode.AuctionHighKey)
@@ -213,8 +212,8 @@ func token() Scenario {
 		Generator: func(rng *rand.Rand, p Params) (workload.Generator, error) {
 			return workload.NewTokenTransfer(rng, p.AccountsOr(defaultTokens))
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.TokenGenesis(p.AccountsOr(defaultTokens))
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.TokenBase(p.AccountsOr(defaultTokens))
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			n := p.AccountsOr(defaultTokens)
@@ -244,8 +243,8 @@ func analytics() Scenario {
 		Generator: func(rng *rand.Rand, p Params) (workload.Generator, error) {
 			return workload.NewAnalytics(rng, p.AccountsOr(defaultMetrics))
 		},
-		Genesis: func(p Params) []protocol.WriteItem {
-			return workload.AnalyticsGenesis(p.AccountsOr(defaultMetrics))
+		Genesis: func(p Params) (*statedb.Base, error) {
+			return workload.AnalyticsBase(p.AccountsOr(defaultMetrics))
 		},
 		Verify: func(db *statedb.DB, p Params) error {
 			n := p.AccountsOr(defaultMetrics)

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/workload"
 )
@@ -55,20 +54,21 @@ type Scenario struct {
 	// Generator builds the operation stream. It validates p and owns all
 	// randomness through rng (no global sources — determinism contract).
 	Generator func(rng *rand.Rand, p Params) (workload.Generator, error)
-	// Genesis returns the block-0 write set the scenario assumes, nil/empty
-	// when it starts from an empty state. Every replica — in-process
-	// databases, wire-cluster peers, and orderer shadow states — installs
-	// exactly these writes at workload.GenesisVersion.
-	Genesis func(p Params) []protocol.WriteItem
+	// Genesis builds the block-0 state the scenario assumes as a base, at
+	// workload.GenesisVersion; nil when it starts from an empty state. Every
+	// replica — in-process databases, wire-cluster peers, and orderer shadow
+	// states — installs exactly this base.
+	Genesis func(p Params) (*statedb.Base, error)
 	// Verify checks the scenario's invariant against a post-run state (e.g.
 	// money conservation); nil when the scenario has none.
 	Verify func(db *statedb.DB, p Params) error
 }
 
-// GenesisWrites returns the scenario's genesis write set (nil-safe).
-func (s Scenario) GenesisWrites(p Params) []protocol.WriteItem {
+// GenesisBase builds the scenario's genesis base (nil-safe: nil for a
+// scenario without one).
+func (s Scenario) GenesisBase(p Params) (*statedb.Base, error) {
 	if s.Genesis == nil {
-		return nil
+		return nil, nil
 	}
 	return s.Genesis(p)
 }
@@ -76,7 +76,11 @@ func (s Scenario) GenesisWrites(p Params) []protocol.WriteItem {
 // Seed installs the scenario's genesis into db through the shared
 // workload.SeedGenesis helper — the same path every other replica uses.
 func (s Scenario) Seed(db *statedb.DB, p Params) error {
-	return workload.SeedGenesis(db, s.GenesisWrites(p))
+	base, err := s.GenesisBase(p)
+	if err != nil {
+		return err
+	}
+	return workload.SeedGenesis(db, base)
 }
 
 // CheckInvariant runs Verify when the scenario declares one.

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"fabricsharp/internal/chaincode"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/workload"
 )
@@ -172,8 +174,8 @@ func TestGeneratorDeterministicPerSeed(t *testing.T) {
 
 func TestNilSafeAccessors(t *testing.T) {
 	s := Scenario{Name: "bare"}
-	if w := s.GenesisWrites(Params{}); w != nil {
-		t.Fatalf("GenesisWrites on nil Genesis = %v, want nil", w)
+	if b, err := s.GenesisBase(Params{}); b != nil || err != nil {
+		t.Fatalf("GenesisBase on nil Genesis = %v, %v, want nil", b, err)
 	}
 	db := freshDB(t)
 	if err := s.Seed(db, Params{}); err != nil {
@@ -198,5 +200,50 @@ func TestLargeGenesisFingerprintIsPinned(t *testing.T) {
 	}
 	if got := db.Keys(); got != 100000 {
 		t.Errorf("%d live keys, want 100000", got)
+	}
+}
+
+// TestGenesisBaseIsItsWriteSet holds each scenario's genesis base, built
+// straight into its arenas, to statedb.NewBase of the pinned write set it
+// stands for (workload's TestGenesisWriteSetsArePinned): the same keys, in
+// the same order, with the same values and versions.
+func TestGenesisBaseIsItsWriteSet(t *testing.T) {
+	reference := map[string]func(p Params) []protocol.WriteItem{
+		"singlemod":  func(p Params) []protocol.WriteItem { return workload.AccountGenesis(p.AccountsOr(defaultAccounts)) },
+		"msmallbank": func(p Params) []protocol.WriteItem { return workload.AccountGenesis(p.AccountsOr(defaultAccounts)) },
+		"mixed":      func(p Params) []protocol.WriteItem { return workload.SmallbankGenesis(p.AccountsOr(defaultAccounts)) },
+		"auction":    func(Params) []protocol.WriteItem { return workload.AuctionGenesis() },
+		"token":      func(p Params) []protocol.WriteItem { return workload.TokenGenesis(p.AccountsOr(defaultTokens)) },
+		"analytics":  func(p Params) []protocol.WriteItem { return workload.AnalyticsGenesis(p.AccountsOr(defaultMetrics)) },
+	}
+	for _, name := range Names() {
+		sc, _ := Get(name)
+		for _, p := range []Params{{}, {Accounts: 1}, {Accounts: 1234}} {
+			got, err := sc.GenesisBase(p)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, p, err)
+			}
+			var writes []protocol.WriteItem
+			if ref := reference[name]; ref != nil {
+				writes = ref(p)
+			} else if sc.Genesis != nil {
+				t.Fatalf("%s has a genesis and no reference write set here", name)
+			}
+			want, err := statedb.NewBase(writes, workload.GenesisVersion())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("%s %+v: %d entries, its write set %d", name, p, got.Len(), want.Len())
+			}
+			for i := 0; i < want.Len(); i++ {
+				k := want.Key(i)
+				gv, gver, _ := got.Get(k)
+				wv, wver, _ := want.Get(k)
+				if got.Key(i) != k || !bytes.Equal(gv, wv) || gver != wver {
+					t.Fatalf("%s %+v: entry %d is %q=%q@%v, its write set's %q=%q@%v", name, p, i, got.Key(i), gv, gver, k, wv, wver)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -41,27 +42,71 @@ var errBaseShape = errors.New("statedb: a base holds one write per key and no de
 // block, those leave a tombstone or two versions, which a base does not hold
 // (no genesis does either).
 func NewBase(writes []protocol.WriteItem, ver seqno.Seq) (*Base, error) {
-	order := make([]int32, len(writes))
-	nk, nv := 0, 0
-	for i, w := range writes {
+	for _, w := range writes {
 		if w.Delete {
 			return nil, errBaseShape
 		}
-		order[i] = int32(i)
-		nk += len(w.Key)
-		nv += len(w.Value)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(writes[a].Key, writes[b].Key) })
-	bb := newBaseBuilder(len(writes), nk, nv)
-	for _, i := range order {
-		if err := bb.add(writes[i].Key, writes[i].Value, ver); err != nil {
-			return nil, err
-		}
-	}
-	return bb.build(), nil
+	return BuildBase(len(writes), ver,
+		func(dst []byte, i int) []byte { return append(dst, writes[i].Key...) },
+		func(i int) []byte { return writes[i].Value })
 }
 
-// baseBuilder packs a strictly ascending stream of entries into a Base.
+// BuildBase builds the base of n entries, every one at version ver: entry i's
+// key is what key(dst, i) appends to dst, and its value val(i). The keys are
+// built into one arena and sorted by an index into it, so the build makes the
+// same few allocations however many entries it holds. It refuses a key given
+// twice. An empty base is nil.
+func BuildBase(n int, ver seqno.Seq, key func(dst []byte, i int) []byte, val func(i int) []byte) (*Base, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	nk, nv := 0, 0
+	var scratch []byte
+	for i := 0; i < n; i++ {
+		scratch = key(scratch[:0], i)
+		nk += len(scratch)
+		nv += len(val(i))
+	}
+	if uint64(nk) > math.MaxUint32 || uint64(nv) > math.MaxUint32 {
+		return nil, errors.New("statedb: a base arena passed 4 GiB")
+	}
+	arena := make([]byte, 0, nk)
+	at := make([]uint32, n+1) // key i is arena[at[i]:at[i+1]]
+	order := make([]int32, n)
+	for i := 0; i < n; i++ {
+		arena = key(arena, i)
+		at[i+1] = uint32(len(arena))
+		order[i] = int32(i)
+	}
+	keyOf := func(i int32) []byte { return arena[at[i]:at[i+1]] }
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(keyOf(a), keyOf(b)) })
+
+	var keys strings.Builder
+	keys.Grow(nk)
+	b := &Base{
+		keyOff: make([]uint32, 1, n+1),
+		vals:   make([]byte, 0, nv),
+		valOff: make([]uint32, 1, n+1),
+		vers:   []seqno.Seq{ver},
+	}
+	for j, i := range order {
+		k := keyOf(i)
+		if j > 0 && bytes.Equal(k, keyOf(order[j-1])) {
+			return nil, errBaseShape
+		}
+		keys.Write(k)
+		b.keyOff = append(b.keyOff, uint32(keys.Len()))
+		b.vals = append(b.vals, val(int(i))...)
+		b.valOff = append(b.valOff, uint32(len(b.vals)))
+	}
+	b.keys = keys.String()
+	b.index()
+	return b, nil
+}
+
+// baseBuilder packs a strictly ascending stream of entries of unknown length
+// into a Base (a reopened store's scan).
 type baseBuilder struct {
 	keys   []byte
 	keyOff []uint32
@@ -70,26 +115,17 @@ type baseBuilder struct {
 	vers   []seqno.Seq
 }
 
-// newBaseBuilder sizes a builder for n entries of nk key and nv value bytes
-// (hints: a stream of unknown length passes zeros).
-func newBaseBuilder(n, nk, nv int) *baseBuilder {
-	return &baseBuilder{
-		keys:   make([]byte, 0, nk),
-		keyOff: append(make([]uint32, 0, n+1), 0),
-		vals:   make([]byte, 0, nv),
-		valOff: append(make([]uint32, 0, n+1), 0),
-		vers:   make([]seqno.Seq, 0, n),
-	}
-}
-
 // add appends one entry; its key must sort after the previous one.
-func (bb *baseBuilder) add(key string, val []byte, ver seqno.Seq) error {
+func (bb *baseBuilder) add(key, val []byte, ver seqno.Seq) error {
+	if bb.keyOff == nil {
+		bb.keyOff, bb.valOff = []uint32{0}, []uint32{0}
+	}
 	if n := len(bb.keyOff); n > 1 {
 		prev := bb.keys[bb.keyOff[n-2]:]
-		if string(prev) == key {
+		if bytes.Equal(prev, key) {
 			return errBaseShape
 		}
-		if string(prev) > key {
+		if bytes.Compare(prev, key) > 0 {
 			return fmt.Errorf("statedb: base key %q after %q", key, prev)
 		}
 	}
@@ -104,8 +140,7 @@ func (bb *baseBuilder) add(key string, val []byte, ver seqno.Seq) error {
 	return nil
 }
 
-// build copies the arenas to their final size and indexes the keys; the
-// table stays at most half full.
+// build copies the arenas to their final size and indexes the keys.
 func (bb *baseBuilder) build() *Base {
 	n := len(bb.vers)
 	if n == 0 {
@@ -121,6 +156,14 @@ func (bb *baseBuilder) build() *Base {
 	if slices.ContainsFunc(bb.vers, func(v seqno.Seq) bool { return v != bb.vers[0] }) {
 		b.vers = exact(bb.vers)
 	}
+	b.index()
+	return b
+}
+
+// index builds the point index over b's entries; the table stays at most
+// half full.
+func (b *Base) index() {
+	n := b.Len()
 	logSize := bits.Len(uint(2*n - 1))
 	b.slots = make([]uint32, 1<<logSize)
 	b.shift = uint8(64 - logSize)
@@ -132,7 +175,6 @@ func (bb *baseBuilder) build() *Base {
 		}
 		b.slots[p] = uint32(i + 1)
 	}
-	return b
 }
 
 // exact returns s in an array of its own length: a stream of unknown length

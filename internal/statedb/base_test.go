@@ -220,10 +220,10 @@ func runBaseModel(t *testing.T, durable bool) {
 		db := open()
 		m := &stateModel{hist: map[string][]VersionedValue{}}
 		var genesis []protocol.WriteItem
-		for i := 15; i >= 0; i-- { // out of key order: SeedBase sorts
+		for i := 15; i >= 0; i-- { // out of key order: NewBase sorts
 			genesis = append(genesis, put(keys[i], fmt.Sprintf("init%d", i)))
 		}
-		if err := db.SeedBase(seqno.Commit(0, 1), genesis); err != nil {
+		if err := seedWrites(db, genesis); err != nil {
 			t.Fatal(err)
 		}
 		if db.base.Len() != 16 {
@@ -292,6 +292,16 @@ func runBaseModel(t *testing.T, durable bool) {
 	}
 }
 
+// seedWrites seeds db with writes as its genesis base at position 1 of
+// block 0.
+func seedWrites(db *DB, writes []protocol.WriteItem) error {
+	base, err := NewBase(writes, seqno.Commit(0, 1))
+	if err != nil {
+		return err
+	}
+	return db.SeedBase(0, base)
+}
+
 // TestSeedBaseRefusesWhatABaseCannotHold pins that a genesis deleting a key
 // or writing one twice is refused, leaving the database unseeded, and that a
 // seeded database refuses a second genesis.
@@ -301,15 +311,15 @@ func TestSeedBaseRefusesWhatABaseCannotHold(t *testing.T) {
 		{put("a", "1"), put("a", "2")},
 	} {
 		db := mustNew(t)
-		if err := db.SeedBase(seqno.Commit(0, 1), writes); err == nil || db.Seeded() {
+		if err := seedWrites(db, writes); err == nil || db.Seeded() {
 			t.Errorf("SeedBase(%v) = %v, seeded %v", writes, err, db.Seeded())
 		}
 	}
 	db := mustNew(t)
-	if err := db.SeedBase(seqno.Commit(0, 1), []protocol.WriteItem{put("a", "1")}); err != nil {
+	if err := seedWrites(db, []protocol.WriteItem{put("a", "1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SeedBase(seqno.Commit(0, 1), []protocol.WriteItem{put("c", "3")}); err == nil {
+	if err := seedWrites(db, []protocol.WriteItem{put("c", "3")}); err == nil {
 		t.Error("SeedBase on a seeded database succeeded")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/seqno"
 )
 
 // BenchmarkStateGet reads 100 000 accounts, shuffled, from a database that
@@ -25,7 +24,7 @@ func BenchmarkStateGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := based.SeedBase(seqno.Commit(0, 1), writes); err != nil {
+	if err := seedWrites(based, writes); err != nil {
 		b.Fatal(err)
 	}
 	histories, err := New(Options{})

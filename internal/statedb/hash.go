@@ -30,7 +30,7 @@ func (s liveSum) String() string { return fmt.Sprintf("%016x%016x", s.hi, s.lo) 
 
 // pairDigest hashes one (key, value) pair — the key length-prefixed, so no
 // two pairs share an encoding — to 128 bits.
-func pairDigest(key string, val []byte) liveSum {
+func pairDigest[K string | []byte](key K, val []byte) liveSum {
 	var stack [128]byte // most pairs fit; append moves a longer one to the heap
 	buf := binary.BigEndian.AppendUint32(stack[:0], uint32(len(key)))
 	buf = append(append(buf, key...), val...)

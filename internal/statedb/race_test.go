@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/seqno"
 )
 
 // TestConcurrentSnapshotReadsNeverTorn hammers the sharded store with a
@@ -42,7 +41,7 @@ func TestConcurrentSnapshotReadsNeverTorn(t *testing.T) {
 		genesis = append(genesis, protocol.WriteItem{Key: keys[i], Value: []byte("0")},
 			protocol.WriteItem{Key: baseKeys[i], Value: []byte("base")})
 	}
-	if err := db.SeedBase(seqno.Commit(0, 1), genesis); err != nil {
+	if err := seedWrites(db, genesis); err != nil {
 		t.Fatal(err)
 	}
 

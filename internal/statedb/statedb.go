@@ -175,9 +175,9 @@ func New(opts Options) (*DB, error) {
 		return nil, err
 	}
 	// The store scans in ascending key order, the order a base is built in.
-	bb := newBaseBuilder(0, 0, 0)
+	var bb baseBuilder
 	err = opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
-		key := string(k[len(backingStatePrefix):])
+		key := k[len(backingStatePrefix):]
 		if len(raw) < seqno.EncodedLen() {
 			return fmt.Errorf("statedb: corrupt record for %q", key)
 		}
@@ -196,23 +196,35 @@ func New(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// SeedBase applies a database's first block, one transaction at version ver
-// writing writes, and holds those writes as its base: the same state, reads,
-// fingerprint and stored records as ApplyBlock(ver.Block, ...) with one
-// BlockWrites, in a fraction of the memory. It refuses a write set NewBase
-// refuses.
-func (db *DB) SeedBase(ver seqno.Seq, writes []protocol.WriteItem) error {
-	base, err := NewBase(writes, ver)
-	if err != nil {
-		return err
-	}
+// SeedBase applies base as the database's first block, block, and holds it
+// as its base: the same state, reads and fingerprint as ApplyBlock(block,
+// ...) of its writes, each entry keeping its version, in a fraction of the
+// memory. A backing store must be empty; the base becomes its first
+// snapshot (kvstore.DB.Install), streamed in key order with the height
+// record, so the store holds what ApplyBlock would have persisted without a
+// batch or a log record of it.
+func (db *DB) SeedBase(block uint64, base *Base) error {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 	if db.hasAny.Load() {
 		return fmt.Errorf("statedb: base seeded at height %d", db.height.Load())
 	}
 	if db.backing != nil {
-		if err := db.persist(ver.Block, []BlockWrites{{Pos: ver.Pos, Writes: writes}}, nil); err != nil {
+		if err := db.backing.Install(func(put func(key, value []byte) error) error {
+			// "meta/height" sorts before every "s/" key.
+			if err := put([]byte(backingHeightKey), seqno.Seq{Block: block}.Bytes()); err != nil {
+				return err
+			}
+			var key, rec []byte
+			for i := 0; i < base.Len(); i++ {
+				key = append(append(key[:0], backingStatePrefix...), base.Key(i)...)
+				rec = append(base.version(i).AppendTo(rec[:0]), base.value(i)...)
+				if err := put(key, rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
 	}
@@ -220,7 +232,7 @@ func (db *DB) SeedBase(ver seqno.Seq, writes []protocol.WriteItem) error {
 		db.live.add(pairDigest(base.Key(i), base.value(i)))
 	}
 	db.base = base
-	db.height.Store(ver.Block)
+	db.height.Store(block)
 	db.hasAny.Store(true)
 	return nil
 }
@@ -235,6 +247,15 @@ func (db *DB) Seeded() bool { return db.hasAny.Load() }
 
 // Durable reports whether a backing store persists each applied block.
 func (db *DB) Durable() bool { return db.backing != nil }
+
+// Checkpoints returns how many checkpoints the backing store has taken since
+// it was opened (kvstore.DB.Checkpoints); 0 without one.
+func (db *DB) Checkpoints() uint64 {
+	if db.backing == nil {
+		return 0
+	}
+	return db.backing.Checkpoints()
+}
 
 // Get returns the latest version of key — a per-key point read. Cross-key
 // consistency under concurrent commits needs GetAt/SnapshotAt.

@@ -57,7 +57,7 @@ func Merge(dumps []Dump) []Timeline {
 	byID := make(map[string]*Timeline)
 	for _, d := range dumps {
 		for _, ev := range d.Events {
-			if ev.Stage.cut() {
+			if ev.Stage.blockKeyed() {
 				continue
 			}
 			tl := byID[ev.TxID]
@@ -325,5 +325,39 @@ func FormatCuts(rows []CutRow, last int) string {
 		c := r.ms()
 		line(fmt.Sprintf("block %d", r.Block), func(i int) float64 { return c[i] })
 	}
+	return b.String()
+}
+
+// CheckpointSpan is one store checkpoint a peer's ring holds: the block
+// whose apply took it, and that apply's duration in ns.
+type CheckpointSpan struct {
+	Block uint64
+	NS    int64
+}
+
+// Checkpoints collects one dump's StageCheckpoint events, in block order.
+func Checkpoints(d Dump) []CheckpointSpan {
+	var out []CheckpointSpan
+	for _, ev := range d.Events {
+		if ev.Stage != StageCheckpoint {
+			continue
+		}
+		if num, err := strconv.ParseUint(ev.TxID, 10, 64); err == nil {
+			out = append(out, CheckpointSpan{Block: num, NS: int64(ev.Block)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
+	return out
+}
+
+// FormatCheckpoints renders the checkpoint line `sharpnet trace` prints per
+// peer: the count, then each checkpoint's block and duration in ms.
+func FormatCheckpoints(spans []CheckpointSpan) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d checkpoints", len(spans))
+	for _, s := range spans {
+		fmt.Fprintf(&b, ", block %d %.2f ms", s.Block, float64(s.NS)/1e6)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }

@@ -231,3 +231,29 @@ func TestCutBreakdown(t *testing.T) {
 		t.Fatalf("merged timelines %+v, want the one transaction", tls)
 	}
 }
+
+// TestCheckpointSpans: a peer records each store checkpoint as a block-keyed
+// span; Checkpoints reads them back in block order, FormatCheckpoints prints
+// the count and each duration, and neither Cuts nor Merge takes them for a
+// cut or a transaction.
+func TestCheckpointSpans(t *testing.T) {
+	tr := New("peer0", "peer", 1<<6)
+	tr.Record("a", StageCommit, 9)
+	for _, block := range []uint64{12, 9} {
+		tr.RecordSpan(block, StageCheckpoint, tr.Now()-int64(block)*1e6)
+	}
+	d := tr.Dump()
+	spans := Checkpoints(d)
+	if len(spans) != 2 || spans[0].Block != 9 || spans[1].Block != 12 || spans[0].NS < 9e6 {
+		t.Fatalf("checkpoint spans %+v, want blocks 9 and 12, each at least its number in ms", spans)
+	}
+	if out := FormatCheckpoints(spans); !strings.HasPrefix(out, "2 checkpoints, block 9 ") || !strings.Contains(out, "block 12") {
+		t.Errorf("checkpoint line %q", out)
+	}
+	if rows := Cuts(d); len(rows) != 0 {
+		t.Errorf("checkpoints read as cuts: %+v", rows)
+	}
+	if tls := Merge([]Dump{d}); len(tls) != 1 || tls[0].TxID != "a" {
+		t.Errorf("merged timelines %+v, want the one transaction", tls)
+	}
+}

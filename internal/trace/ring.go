@@ -161,7 +161,7 @@ func decodeSlot(ticket uint64, w *[payloadWords]uint64) (Event, bool) {
 	meta := w[2]
 	idLen := int(meta & 0xff)
 	stage := Stage(meta >> 8)
-	if idLen > MaxTxIDLen || (stage < StageSubmit || stage >= stageEnd) && !stage.cut() {
+	if idLen > MaxTxIDLen || (stage < StageSubmit || stage >= stageEnd) && !stage.blockKeyed() {
 		return Event{}, false // unreachable unless the protocol is broken
 	}
 	id := make([]byte, idLen)

@@ -200,6 +200,7 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	since := tr.Now()
 	allocs = testing.AllocsPerRun(1000, func() {
 		since = tr.RecordSpan(18446744073709551615, StageFormation, since)
+		tr.RecordSpan(18446744073709551615, StageCheckpoint, since)
 	})
 	if allocs != 0 {
 		t.Fatalf("Tracer.RecordSpan allocates %.1f objects/op, want 0", allocs)

@@ -68,8 +68,14 @@ const (
 	cutStageEnd                      // count sentinel; keep last
 )
 
-// NumCutStages is the number of block-keyed stages (array sizing).
+// NumCutStages is the number of cut stages (array sizing).
 const NumCutStages = int(cutStageEnd - StageFormation)
+
+// StageCheckpoint is a peer's block-keyed stage, recorded like a cut stage
+// once per checkpoint of its store (kvstore): the apply of the block whose
+// batch took the checkpoint, that batch's append included. Checkpoints reads
+// it.
+const StageCheckpoint Stage = 48
 
 var stageNames = [...]string{
 	StageSubmit:     "submit",
@@ -90,12 +96,18 @@ func (s Stage) String() string {
 		return stageNames[s]
 	case s.cut():
 		return cutStageNames[s-StageFormation]
+	case s == StageCheckpoint:
+		return "checkpoint"
 	}
 	return "unknown"
 }
 
-// cut reports whether s is a block-keyed stage.
+// cut reports whether s is one of the cut's stages.
 func (s Stage) cut() bool { return s >= StageFormation && s < cutStageEnd }
+
+// blockKeyed reports whether s is a block-keyed stage: a cut stage or
+// StageCheckpoint.
+func (s Stage) blockKeyed() bool { return s.cut() || s == StageCheckpoint }
 
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {

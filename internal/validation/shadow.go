@@ -94,17 +94,15 @@ func (s *ShadowState) Seed(key string, value []byte, ver seqno.Seq) {
 	s.entries[key] = shadowEntry{version: ver, value: value}
 }
 
-// SeedBase installs a genesis write set at version ver in one call, as the
-// base under an empty shadow: what Seed of every write would install. It
-// copies the values, so the write set can be dropped afterwards, and
-// refuses a write set statedb.NewBase refuses.
-func (s *ShadowState) SeedBase(writes []protocol.WriteItem, ver seqno.Seq) error {
+// SeedBase installs a genesis base under an empty shadow: what Seed of each
+// of its entries would install. A base is immutable, so the shadow shares
+// it with whoever else holds it.
+func (s *ShadowState) SeedBase(base *statedb.Base) error {
 	if len(s.entries) > 0 || s.base != nil {
 		return errors.New("validation: SeedBase on a seeded shadow")
 	}
-	base, err := statedb.NewBase(writes, ver)
 	s.base = base
-	return err
+	return nil
 }
 
 // Version implements VersionSource.

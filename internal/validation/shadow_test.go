@@ -266,7 +266,11 @@ func TestShadowBaseAgainstPlainMap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		based, plain := NewValueShadowState(), NewValueShadowState()
-		if err := based.SeedBase(genesis, genesisVer); err != nil {
+		base, err := statedb.NewBase(genesis, genesisVer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := based.SeedBase(base); err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range genesis {

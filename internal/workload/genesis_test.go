@@ -78,39 +78,69 @@ func TestGenesisBuildersAllocateAtMostTwicePerKey(t *testing.T) {
 	}
 }
 
-// BenchmarkSeedGenesis times installing the 100 000-account genesis into a
-// fresh state database, in memory and on a store (the write set is built
-// once, outside the timing).
+// seedAccounts builds the n-account genesis base and seeds it into a fresh
+// state database, backed by kv when kv is not nil.
+func seedAccounts(tb testing.TB, n int, kv *kvstore.DB) {
+	db, err := statedb.New(statedb.Options{Backing: kv})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, err := AccountBase(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := SeedGenesis(db, base); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// openStore opens a fresh store in a new directory under tb's.
+func openStore(tb testing.TB) *kvstore.DB {
+	kv, err := kvstore.Open(kvstore.Options{Dir: filepath.Join(tb.TempDir(), "store")})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return kv
+}
+
+// TestSeedGenesisAllocatesNoObjectPerKey pins the boot cost of the
+// benchmark's 100 000-account genesis: built and seeded, in memory and as a
+// store's first snapshot, it takes a fixed number of allocations — arenas,
+// indexes, the snapshot's one record buffer — not one or more per key.
+func TestSeedGenesisAllocatesNoObjectPerKey(t *testing.T) {
+	const n = 100000
+	for _, store := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(2, func() {
+			var kv *kvstore.DB
+			if store {
+				kv = openStore(t)
+				defer kv.Close()
+			}
+			seedAccounts(t, n, kv)
+		})
+		if allocs > 300 {
+			t.Errorf("store %v: seeding %d accounts made %.0f allocations", store, n, allocs)
+		}
+	}
+}
+
+// BenchmarkSeedGenesis times building the 100 000-account genesis base and
+// installing it into a fresh state database, in memory and as a fresh
+// store's first snapshot (opening and closing the store are not timed).
 func BenchmarkSeedGenesis(b *testing.B) {
-	writes := AccountGenesis(100000)
 	b.Run("memory", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			db, err := statedb.New(statedb.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := SeedGenesis(db, writes); err != nil {
-				b.Fatal(err)
-			}
+			seedAccounts(b, 100000, nil)
 		}
 	})
 	b.Run("store", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			kv, err := kvstore.Open(kvstore.Options{Dir: filepath.Join(b.TempDir(), fmt.Sprint(i))})
-			if err != nil {
-				b.Fatal(err)
-			}
+			kv := openStore(b)
 			b.StartTimer()
-			db, err := statedb.New(statedb.Options{Backing: kv})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := SeedGenesis(db, writes); err != nil {
-				b.Fatal(err)
-			}
+			seedAccounts(b, 100000, kv)
 			b.StopTimer()
 			kv.Close()
 			b.StartTimer()

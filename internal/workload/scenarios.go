@@ -61,7 +61,12 @@ func (a *Auction) Next() Op {
 
 // Seed implements Generator.
 func (a *Auction) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, AuctionGenesis())
+	return seedBuilt(db, AuctionBase)
+}
+
+// AuctionBase builds AuctionGenesis() as a base.
+func AuctionBase() (*statedb.Base, error) {
+	return statedb.NewBase(AuctionGenesis(), GenesisVersion())
 }
 
 // AuctionGenesis opens the auction: a single object with a zero high bid.
@@ -114,12 +119,17 @@ func (t *TokenTransfer) Next() Op {
 
 // Seed implements Generator.
 func (t *TokenTransfer) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, TokenGenesis(t.Accounts))
+	return seedBuilt(db, func() (*statedb.Base, error) { return TokenBase(t.Accounts) })
 }
 
 // TokenInitialBalance is every account's genesis balance; the conservation
 // invariant checks the live sum against Accounts times this.
 const TokenInitialBalance = 1000
+
+// TokenBase builds TokenGenesis(n) as a base.
+func TokenBase(n int) (*statedb.Base, error) {
+	return numberedBase(n, strconv.Itoa(TokenInitialBalance), []string{chaincode.TokenKey("")})
+}
 
 // TokenGenesis issues the full supply: n accounts holding
 // TokenInitialBalance each.
@@ -180,11 +190,17 @@ func (a *Analytics) Next() Op {
 
 // Seed implements Generator.
 func (a *Analytics) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, AnalyticsGenesis(a.Items))
+	return seedBuilt(db, func() (*statedb.Base, error) { return AnalyticsBase(a.Items) })
 }
 
 // AnalyticsInitialValue is every metric's genesis value.
 const AnalyticsInitialValue = 100
+
+// AnalyticsBase builds AnalyticsGenesis(n) as a base.
+func AnalyticsBase(n int) (*statedb.Base, error) {
+	return numberedBase(n, strconv.Itoa(AnalyticsInitialValue), []string{chaincode.MetricKey("")},
+		protocol.WriteItem{Key: chaincode.MetricSumKey, Value: []byte(strconv.Itoa(n * AnalyticsInitialValue))})
+}
 
 // AnalyticsGenesis seeds n metrics plus the matching aggregate.
 func AnalyticsGenesis(n int) []protocol.WriteItem {

@@ -91,21 +91,64 @@ func (z *Zipf) Next() int {
 // exactly this version or MVCC verdicts diverge between them.
 func GenesisVersion() seqno.Seq { return seqno.Commit(0, 1) }
 
-// SeedGenesis installs writes as the block-0 genesis state. Every scenario
-// genesis — in-process simulator runs, loopback fabric networks, and the
+// SeedGenesis installs base as the block-0 genesis state. Every scenario
+// genesis — in-process simulator runs, library networks, and the
 // process-per-node peers of a wire cluster — goes through this one helper so
 // all replicas seed bit-identically. The database holds it as its base
-// (statedb.DB.SeedBase). An empty write set is a no-op; seeding a database
-// that already holds blocks is an error.
-func SeedGenesis(db *statedb.DB, writes []protocol.WriteItem) error {
-	if len(writes) == 0 {
+// (statedb.DB.SeedBase). An empty base is a no-op; seeding a database that
+// already holds blocks is an error.
+func SeedGenesis(db *statedb.DB, base *statedb.Base) error {
+	if base.Len() == 0 {
 		return nil
 	}
-	return db.SeedBase(GenesisVersion(), writes)
+	return db.SeedBase(GenesisVersion().Block, base)
 }
 
-// AccountGenesis builds the genesis write set shared by the single-mod and
-// modified-Smallbank workloads: n accounts with balance 1000 each.
+// seedBuilt seeds db with the base build returns.
+func seedBuilt(db *statedb.DB, build func() (*statedb.Base, error)) error {
+	base, err := build()
+	if err != nil {
+		return err
+	}
+	return SeedGenesis(db, base)
+}
+
+// numberedBase builds, at GenesisVersion, the base of n numbered accounts
+// under each of prefixes — prefix+i, for i in [0, n), holding value — plus
+// extra. Its keys are appended into one arena and its values cut from one,
+// so a 100 000-account genesis costs a fixed handful of allocations; the
+// write-set functions below are its reference.
+func numberedBase(n int, value string, prefixes []string, extra ...protocol.WriteItem) (*statedb.Base, error) {
+	per, val := len(prefixes), []byte(value)
+	return statedb.BuildBase(n*per+len(extra), GenesisVersion(),
+		func(dst []byte, i int) []byte {
+			if i >= n*per {
+				return append(dst, extra[i-n*per].Key...)
+			}
+			return strconv.AppendInt(append(dst, prefixes[i%per]...), int64(i/per), 10)
+		},
+		func(i int) []byte {
+			if i >= n*per {
+				return extra[i-n*per].Value
+			}
+			return val
+		})
+}
+
+// AccountBase builds AccountGenesis(n) as a base.
+func AccountBase(n int) (*statedb.Base, error) {
+	return numberedBase(n, "1000", []string{chaincode.AccountKey("")})
+}
+
+// SmallbankBase builds SmallbankGenesis(n) as a base.
+func SmallbankBase(n int) (*statedb.Base, error) {
+	return numberedBase(n, "10000", []string{chaincode.CheckingKey(""), chaincode.SavingsKey("")})
+}
+
+// AccountGenesis is the genesis write set shared by the single-mod and
+// modified-Smallbank workloads: n accounts with balance 1000 each. Nodes
+// install AccountBase(n); the write sets here are the bases' pinned
+// reference (TestGenesisWriteSetsArePinned).
 func AccountGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, n)
 	vals := repeatedValue("1000", n)
@@ -123,8 +166,9 @@ func repeatedValue(v string, n int) func(i int) []byte {
 	return func(i int) []byte { return arena[i*len(v) : (i+1)*len(v) : (i+1)*len(v)] }
 }
 
-// SmallbankGenesis builds the original-Smallbank genesis write set: n
-// accounts with checking and savings balances of 10000 each.
+// SmallbankGenesis is the original-Smallbank genesis write set: n accounts
+// with checking and savings balances of 10000 each (SmallbankBase's
+// reference).
 func SmallbankGenesis(n int) []protocol.WriteItem {
 	writes := make([]protocol.WriteItem, 0, 2*n)
 	vals := repeatedValue("10000", 2*n)
@@ -179,7 +223,7 @@ func (s *SingleMod) Next() Op {
 
 // Seed implements Generator.
 func (s *SingleMod) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, AccountGenesis(s.Accounts))
+	return seedBuilt(db, func() (*statedb.Base, error) { return AccountBase(s.Accounts) })
 }
 
 // ---------------------------------------------------------------------------
@@ -279,7 +323,7 @@ func (m *ModifiedSmallbank) Next() Op {
 
 // Seed implements Generator.
 func (m *ModifiedSmallbank) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, AccountGenesis(m.Accounts))
+	return seedBuilt(db, func() (*statedb.Base, error) { return AccountBase(m.Accounts) })
 }
 
 // ---------------------------------------------------------------------------
@@ -358,5 +402,5 @@ func (m *MixedSmallbank) Next() Op {
 
 // Seed implements Generator.
 func (m *MixedSmallbank) Seed(db *statedb.DB) error {
-	return SeedGenesis(db, SmallbankGenesis(m.Accounts))
+	return seedBuilt(db, func() (*statedb.Base, error) { return SmallbankBase(m.Accounts) })
 }

@@ -370,10 +370,14 @@ func TestAnalyticsWorkload(t *testing.T) {
 
 func TestSeedGenesisRejectsNonFreshDB(t *testing.T) {
 	db := newDB(t)
-	if err := SeedGenesis(db, AccountGenesis(5)); err != nil {
+	base, err := AccountBase(5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SeedGenesis(db, AccountGenesis(5)); err == nil {
+	if err := SeedGenesis(db, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := SeedGenesis(db, base); err == nil {
 		t.Error("re-seeding a seeded database must fail")
 	}
 }

@@ -6,14 +6,18 @@
 # 247 lines, for the deferred tail: 166 of code, the rest comments that carry
 # its soundness argument; PR 40 by 378, for the genesis base: statedb.Base
 # and the reads that fall through to it, 82 of them comments). Making the
-# library network the wire cluster lowered it by 105, to 21623.
+# library network the wire cluster lowered it by 105, to 21623. Sizing memory
+# by state raised it by 499 (the store's merge-based checkpoint and scan
+# with their log index, the genesis installed as a store's first snapshot, a
+# failed append cut back off the log, the genesis built straight into a
+# base, the checkpoint span; 111 of them comments).
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=21623
+CEILING=22122
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
