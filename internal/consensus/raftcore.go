@@ -20,11 +20,12 @@ import "fmt"
 //
 // Scope note: the log itself is volatile (a restarted node rejoins empty and
 // is caught up by the leader from index 1), while term and vote may be made
-// durable through the Persist hook — the crash model the ordering service
-// needs, since every committed entry survives on the quorum that
-// acknowledged it and the chain above replays deterministically from the
-// log. Indexes are 1-based, per the paper; index 0 is the empty-log
-// sentinel.
+// durable through the Persist hook. That is safe only while a member that
+// loses its log holds nothing that is not also on a quorum of the others: an
+// acknowledger that restarts empty can vote for a candidate missing a
+// committed entry, and the entry is lost (the schedule explorer's
+// TestExplorerVolatileLogCounterSchedule pins one such schedule). Indexes
+// are 1-based, per the paper; index 0 is the empty-log sentinel.
 
 // RaftRole is a replica's current mode.
 type RaftRole uint8
@@ -124,9 +125,13 @@ type RaftCore struct {
 	log      []LogEntry
 	commit   uint64
 
-	// Leader volatile state (rebuilt at each election win).
+	// Leader volatile state (rebuilt at each election win). nextIndex is
+	// the first index not known to be on a follower; sent, never below it,
+	// is the first index not yet sent to it — replication runs ahead of the
+	// acknowledgements, and a reject or Rewind moves sent back to nextIndex.
 	nextIndex  map[string]uint64
 	matchIndex map[string]uint64
+	sent       map[string]uint64
 	votes      map[string]bool
 
 	// Persist, when set, is called after every term or vote change — the
@@ -302,9 +307,11 @@ func (c *RaftCore) becomeLeader() {
 	c.leader = c.id
 	c.nextIndex = make(map[string]uint64, len(c.others))
 	c.matchIndex = make(map[string]uint64, len(c.others))
+	c.sent = make(map[string]uint64, len(c.others))
 	for _, p := range c.others {
 		c.nextIndex[p] = c.LastIndex() + 1
 		c.matchIndex[p] = 0
+		c.sent[p] = c.LastIndex() + 1
 	}
 	c.log = append(c.log, LogEntry{Term: c.term, Env: Envelope{SubmittedBy: c.id}})
 	c.advanceCommit()
@@ -324,14 +331,16 @@ func (c *RaftCore) Append(env Envelope) (uint64, error) {
 // maxEntriesPerAppend bounds one AppendRequest's batch so a from-scratch
 // catch-up streams in frames of a few hundred entries instead of one
 // arbitrarily large frame; the driver keeps issuing requests while a
-// follower's nextIndex trails the log.
+// follower is Behind.
 const maxEntriesPerAppend = 256
 
-// AppendRequestFor builds the next AppendEntries for a follower: entries
-// from its nextIndex (empty = heartbeat), with the consistency-check
-// predecessor and the leader's commit index.
+// AppendRequestFor builds the leader's next AppendEntries for a follower —
+// the entries from its sent cursor (none: a heartbeat), with the
+// consistency-check predecessor and the leader's commit index — and
+// advances the cursor past them, so each entry is sent once unless a
+// reject or Rewind asks for it again.
 func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
-	next := c.nextIndex[peer]
+	next := c.sent[peer]
 	if next == 0 { // unknown peer: treat as fully behind
 		next = 1
 	}
@@ -349,14 +358,28 @@ func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
 			end = last
 		}
 		req.Entries = append([]LogEntry(nil), c.log[next-1:end]...)
+		c.sent[peer] = end + 1
 	}
 	return req
 }
 
-// Behind reports whether the follower's replication cursor trails the log —
-// the driver's signal to keep streaming catch-up batches.
+// Behind reports whether the log holds entries not yet sent to the follower
+// — the driver's signal to send them.
 func (c *RaftCore) Behind(peer string) bool {
-	return c.role == RoleLeader && c.nextIndex[peer] <= c.LastIndex()
+	return c.role == RoleLeader && c.sent[peer] <= c.LastIndex()
+}
+
+// Sent returns the first log index not yet sent to a follower (meaningful
+// while this replica leads).
+func (c *RaftCore) Sent(peer string) uint64 { return c.sent[peer] }
+
+// Rewind moves a follower's sent cursor back to the first index it is not
+// known to hold, so the next request re-sends what may have been lost: the
+// driver's answer to a silent interval or a request it could not send.
+func (c *RaftCore) Rewind(peer string) {
+	if c.role == RoleLeader {
+		c.sent[peer] = c.nextIndex[peer]
+	}
 }
 
 // HandleAppend applies an AppendEntries request: term check, §5.3 log
@@ -435,6 +458,9 @@ func (c *RaftCore) HandleAppendResponse(resp AppendResponse) bool {
 			c.matchIndex[resp.From] = resp.MatchIndex
 		}
 		c.nextIndex[resp.From] = c.matchIndex[resp.From] + 1
+		if c.sent[resp.From] < c.nextIndex[resp.From] {
+			c.sent[resp.From] = c.nextIndex[resp.From]
+		}
 		return c.advanceCommit()
 	}
 	// Rewind toward the follower's hint (never below 1, never above the
@@ -450,6 +476,7 @@ func (c *RaftCore) HandleAppendResponse(resp AppendResponse) bool {
 		next = 1
 	}
 	c.nextIndex[resp.From] = next
+	c.sent[resp.From] = next
 	return false
 }
 

@@ -390,3 +390,94 @@ func TestRaftCoreBehindTracksFollowerCursor(t *testing.T) {
 		t.Fatal("caught-up follower should not be behind")
 	}
 }
+
+// TestRaftCoreSentCursorAdvancesOnSend: a request advances the follower's
+// sent cursor past its entries before any answer, so the next request
+// carries only what was appended since — replication runs ahead of the
+// acknowledgements, and an acknowledgement never moves the cursor back.
+func TestRaftCoreSentCursorAdvancesOnSend(t *testing.T) {
+	a, b := electLeader(t) // no-op at 1
+	first := a.AppendRequestFor("b")
+	if len(first.Entries) != 1 || a.Behind("b") || a.sent["b"] != 2 || a.nextIndex["b"] != 1 {
+		t.Fatalf("after sending the no-op: %d entries, behind %v, sent %d, next %d",
+			len(first.Entries), a.Behind("b"), a.sent["b"], a.nextIndex["b"])
+	}
+	if hb := a.AppendRequestFor("b"); len(hb.Entries) != 0 || hb.PrevIndex != 1 {
+		t.Fatalf("nothing new to send: want a heartbeat after index 1, got %d entries after %d", len(hb.Entries), hb.PrevIndex)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.Append(Envelope{SubmittedBy: "client"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := a.AppendRequestFor("b")
+	if second.PrevIndex != 1 || len(second.Entries) != 2 || a.sent["b"] != 4 {
+		t.Fatalf("second request: prev %d, %d entries, sent %d; want prev 1, 2 entries, sent 4",
+			second.PrevIndex, len(second.Entries), a.sent["b"])
+	}
+	// The first request's answer arrives after the second left: the cursor
+	// stays ahead of it.
+	a.HandleAppendResponse(b.HandleAppend(first))
+	if a.sent["b"] != 4 || a.nextIndex["b"] != 2 {
+		t.Fatalf("after the first ack: sent %d, next %d; want 4 and 2", a.sent["b"], a.nextIndex["b"])
+	}
+	a.HandleAppendResponse(b.HandleAppend(second))
+	if a.sent["b"] != 4 || a.nextIndex["b"] != 4 || a.CommitIndex() != 3 {
+		t.Fatalf("after the second ack: sent %d, next %d, commit %d; want 4, 4, 3", a.sent["b"], a.nextIndex["b"], a.CommitIndex())
+	}
+}
+
+// TestRaftCoreSentCursorRewindsOnReject: a request whose predecessor the
+// follower lacks — an earlier request was lost — is rejected, and the
+// cursor goes back to the follower's hint, so the lost entries are sent
+// again.
+func TestRaftCoreSentCursorRewindsOnReject(t *testing.T) {
+	a, b := electLeader(t)
+	_ = a.AppendRequestFor("b") // lost: carried the no-op
+	if _, err := a.Append(Envelope{SubmittedBy: "client"}); err != nil {
+		t.Fatal(err)
+	}
+	resp := b.HandleAppend(a.AppendRequestFor("b"))
+	if resp.Success {
+		t.Fatal("a request past a lost one must be rejected")
+	}
+	a.HandleAppendResponse(resp)
+	if !a.Behind("b") || a.sent["b"] != 1 {
+		t.Fatalf("after the reject: behind %v, sent %d; want the cursor back at 1", a.Behind("b"), a.sent["b"])
+	}
+	again := a.AppendRequestFor("b")
+	if again.PrevIndex != 0 || len(again.Entries) != 2 {
+		t.Fatalf("re-send: prev %d with %d entries, want both entries from index 1", again.PrevIndex, len(again.Entries))
+	}
+	if r := b.HandleAppend(again); !r.Success || r.MatchIndex != 2 {
+		t.Fatalf("re-send should land: %+v", r)
+	}
+}
+
+// TestRaftCoreSentCursorRewindsAfterSilence: when the last request is lost
+// no reject ever comes; the driver calls Rewind after a silent interval and
+// the next request re-sends from the first unacknowledged index.
+func TestRaftCoreSentCursorRewindsAfterSilence(t *testing.T) {
+	a, b := electLeader(t)
+	replicate(a, b) // no-op acknowledged
+	if _, err := a.Append(Envelope{SubmittedBy: "client"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.AppendRequestFor("b") // lost, and nothing follows it
+	if a.Behind("b") {
+		t.Fatal("sent entries must not count as behind before a rewind")
+	}
+	a.Rewind("b")
+	if !a.Behind("b") {
+		t.Fatal("rewound follower should be behind")
+	}
+	req := a.AppendRequestFor("b")
+	if req.PrevIndex != 1 || len(req.Entries) != 1 || req.Entries[0].Env.SubmittedBy != "client" {
+		t.Fatalf("re-send after the rewind: prev %d, %d entries", req.PrevIndex, len(req.Entries))
+	}
+	a.HandleAppendResponse(b.HandleAppend(req))
+	if a.CommitIndex() != 2 {
+		t.Fatalf("re-sent entry should commit, commit %d", a.CommitIndex())
+	}
+	b.Rewind("a") // a follower has no cursors
+}

@@ -32,28 +32,48 @@ import (
 // keeps one outbound connection per peer, carrying its requests out and the
 // peer's responses back; the peer's requests arrive on this member's server
 // connections, answered in place. Every protocol message is idempotent and
-// term-guarded, so a dropped frame costs one retransmission interval (the
-// heartbeat tick regenerates state), and duplicated or reordered frames are
-// no-ops — the property the FaultConn tests lean on. Outbound messages are
-// fire-and-forget through a bounded per-peer outbox; when a peer is down,
-// its outbox drains to the floor and the tick loop keeps regenerating
-// fresher messages.
+// term-guarded, so a dropped frame costs one retransmission interval, and
+// duplicated or reordered frames are no-ops — the property the FaultConn
+// tests lean on.
+//
+// Each peer has one sender goroutine owning its connection, and it is the
+// only place an AppendEntries is built: woken by a Submit, a response or
+// the tick, it sends everything past the follower's sent cursor in one
+// request (up to the core's batch bound), splicing in entry bytes encoded
+// once, or an empty heartbeat if the follower got nothing for an interval.
+// The cursor rewinds on a reject, and after an interval in which the
+// follower neither answered nor was sent entries — which covers a frame
+// that was lost.
 //
 // Liveness is clock-driven: a follower that hears nothing for a randomized
-// election timeout in [T, 2T) starts an election; the leader heartbeats
-// every Heartbeat interval. The timing rules live here, the transition
-// rules in RaftCore — the lock (mu) serializes every core access.
+// election timeout in [T, 2T) starts an election, and a candidate re-sends
+// its RequestVote on every tick until it wins, loses or times out. A member
+// that has never seen a term campaigns first at its rank in Cluster ×
+// Heartbeat, so a fresh cluster elects as soon as a quorum listens. The
+// timing rules live here, the transition rules in RaftCore — the lock (mu)
+// serializes every core access.
 type RaftService struct {
 	cfg  RaftConfig
 	core *consensus.RaftCore
 	srv  *Server
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	closed   bool
 	deadline time.Time  // election deadline (followers/candidates)
 	rng      *rand.Rand // election jitter; guarded by mu
 	last     string     // last observed leader ID, for failover counting
+	vote     []byte     // the current candidacy's RequestVote, re-sent each tick
+
+	// enc holds the envelope bytes of log entries from index encBase on
+	// (an entry whose term differs is stale); encodes counts the envelopes
+	// encoded.
+	enc     []encodedEntry
+	encBase uint64
+	encodes uint64
+
+	waiters  []*raftWaiter // parked Submits, in index order
+	commit   uint64        // the commit index waiters and feeders were woken for
+	advanced chan struct{} // closed and replaced when the commit index advances
 
 	peers map[string]*raftPeer
 	conns map[FrameConn]struct{} // every conn a goroutine may block on
@@ -71,7 +91,8 @@ type RaftConfig struct {
 	// Listen is the bind address; defaults to ID (use a pre-reserved
 	// ephemeral port in tests, where bind and advertised address differ).
 	Listen string
-	// Cluster is the full membership (Raft addresses, including ID).
+	// Cluster is the full membership (Raft addresses, including ID). A
+	// fresh member's position in it sets its first election deadline.
 	Cluster []string
 	// Dir, when non-empty, persists term and vote across restarts (the
 	// paper's durable state; the log itself is rebuilt from the leader).
@@ -79,7 +100,9 @@ type RaftConfig struct {
 	// ElectionTimeout is the base T of the randomized [T, 2T) election
 	// timer. Default 250ms.
 	ElectionTimeout time.Duration
-	// Heartbeat is the leader's append/heartbeat interval. Default T/10.
+	// Heartbeat is the tick: the interval after which an idle follower is
+	// sent a heartbeat, and a silent one its unacknowledged entries again.
+	// Default T/10.
 	Heartbeat time.Duration
 	// SubmitTimeout bounds how long Submit waits for quorum commit.
 	// Default 15s.
@@ -95,19 +118,39 @@ type RaftConfig struct {
 	Seed int64
 }
 
-type raftFrame struct {
-	t       wire.MsgType
-	payload []byte
+type encodedEntry struct {
+	term uint64
+	env  []byte
+}
+
+// raftWaiter is one parked Submit: ch closes once the commit index reaches
+// idx or the submitter can no longer be answered from here.
+type raftWaiter struct {
+	idx, term uint64
+	ch        chan struct{}
 }
 
 // raftLabels tag the driver's goroutines in a node's profiles.
 var raftLabels = pprof.Labels("goroutine", "raft")
 
-// raftPeer is the outbound side of one peering: a bounded outbox drained by
-// a sender goroutine that owns the connection.
+// raftPeer is the outbound side of one peering, served by its sender.
 type raftPeer struct {
-	addr string
-	out  chan raftFrame
+	addr  string
+	votes chan []byte   // RequestVote frames; dropped when full (a tick re-sends)
+	wake  chan struct{} // a pending wake-up for the sender
+
+	// Guarded by RaftService.mu: since the last tick, whether the sender
+	// sent entries (busy) and whether the follower answered (heard); and
+	// whether a heartbeat is due.
+	busy, heard, heartbeat bool
+}
+
+// kick wakes the peer's sender unless a wake-up is already pending.
+func (p *raftPeer) kick() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
 }
 
 // StartRaft boots a cluster member: restores durable state, starts the
@@ -144,14 +187,15 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 		return nil, err
 	}
 	s := &RaftService{
-		cfg:   cfg,
-		core:  core,
-		rng:   rand.New(rand.NewSource(seed)),
-		peers: make(map[string]*raftPeer),
-		conns: make(map[FrameConn]struct{}),
-		done:  make(chan struct{}),
+		cfg:      cfg,
+		core:     core,
+		rng:      rand.New(rand.NewSource(seed)),
+		encBase:  1,
+		advanced: make(chan struct{}),
+		peers:    make(map[string]*raftPeer),
+		conns:    make(map[FrameConn]struct{}),
+		done:     make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -181,13 +225,24 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 			return
 		}
 		for _, addr := range core.Others() {
-			p := &raftPeer{addr: addr, out: make(chan raftFrame, 1024)}
+			// Room for the ticks' re-sends while a large append is being sent.
+			p := &raftPeer{addr: addr, votes: make(chan []byte, 16), wake: make(chan struct{}, 1)}
 			s.peers[addr] = p
 			s.wg.Add(1)
 			go s.sender(p)
 		}
 		s.mu.Lock()
-		s.resetDeadlineLocked()
+		if core.Term() == 0 {
+			// Never in a term, so no leader can be sitting that this member
+			// knows of: campaign at its rank, the first member at once.
+			rank := 0
+			for rank < len(cfg.Cluster) && cfg.Cluster[rank] != cfg.ID {
+				rank++
+			}
+			s.deadline = time.Now().Add(time.Duration(rank) * cfg.Heartbeat)
+		} else {
+			s.resetDeadlineLocked()
+		}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.tick()
@@ -247,8 +302,10 @@ func (s *RaftService) resetDeadlineLocked() {
 	s.deadline = time.Now().Add(t + time.Duration(s.rng.Int63n(int64(t))))
 }
 
-// noteLocked refreshes observability state after any core transition:
-// failover counting and the term gauge.
+// noteLocked runs after every core transition: the term gauge, failover
+// counting, and the wake-ups the transition is owed — parked submits and
+// feeders when the commit index advanced, every parked submit when this
+// member no longer leads the term it appended in.
 func (s *RaftService) noteLocked() {
 	if m := s.cfg.Metrics; m != nil {
 		m.Term.Set(int64(s.core.Term()))
@@ -260,6 +317,85 @@ func (s *RaftService) noteLocked() {
 		}
 		s.last = cur
 	}
+	if c := s.core.CommitIndex(); c > s.commit {
+		s.commit = c
+		n := 0
+		for n < len(s.waiters) && s.waiters[n].idx <= c {
+			close(s.waiters[n].ch)
+			n++
+		}
+		s.waiters = s.waiters[n:]
+		close(s.advanced)
+		s.advanced = make(chan struct{})
+		s.trimEncLocked()
+	}
+	if len(s.waiters) > 0 && (s.core.Role() != consensus.RoleLeader || s.core.Term() != s.waiters[0].term) {
+		s.releaseWaitersLocked()
+	}
+}
+
+// releaseWaitersLocked wakes every parked Submit to re-check its entry.
+func (s *RaftService) releaseWaitersLocked() {
+	for _, w := range s.waiters {
+		close(w.ch)
+	}
+	s.waiters = nil
+}
+
+// envLocked returns the envelope bytes of entry i, encoding them only if no
+// current encoding is kept.
+func (s *RaftService) envLocked(i uint64, e *consensus.LogEntry) []byte {
+	if i >= s.encBase && i-s.encBase < uint64(len(s.enc)) {
+		if k := s.enc[i-s.encBase]; k.env != nil && k.term == e.Term {
+			return k.env
+		}
+	}
+	env := wire.EncodeRaftEnvelope(&e.Env)
+	s.keepEncLocked(i, e.Term, env)
+	return env
+}
+
+// keepEncLocked keeps entry i's envelope bytes for later requests.
+func (s *RaftService) keepEncLocked(i, term uint64, env []byte) {
+	s.encodes++
+	if i < s.encBase {
+		return
+	}
+	for uint64(len(s.enc)) <= i-s.encBase {
+		s.enc = append(s.enc, encodedEntry{})
+	}
+	s.enc[i-s.encBase] = encodedEntry{term: term, env: env}
+}
+
+// maxEncLag bounds how many committed entries' bytes are kept for a
+// follower that has not been sent them (one that is down, say).
+const maxEncLag = 1024
+
+// trimEncLocked drops the bytes of committed entries every follower has
+// been sent, or that lie more than maxEncLag below the commit index.
+func (s *RaftService) trimEncLocked() {
+	upTo := s.core.CommitIndex()
+	if s.core.Role() == consensus.RoleLeader {
+		for _, p := range s.core.Others() {
+			if sent := s.core.Sent(p); sent > 0 && sent-1 < upTo {
+				upTo = sent - 1
+			}
+		}
+		if c := s.core.CommitIndex(); c > maxEncLag && upTo < c-maxEncLag {
+			upTo = c - maxEncLag
+		}
+	}
+	if upTo < s.encBase {
+		return
+	}
+	k := upTo + 1 - s.encBase
+	if k >= uint64(len(s.enc)) {
+		s.enc = nil
+	} else {
+		clear(s.enc[:k])
+		s.enc = s.enc[k:]
+	}
+	s.encBase = upTo + 1
 }
 
 // trackConn registers a connection for teardown on Close; it reports false
@@ -281,9 +417,11 @@ func (s *RaftService) untrackConn(c FrameConn) {
 	s.mu.Unlock()
 }
 
-// sender drains one peer's outbox, owning the outbound connection: dial on
-// demand, drop frames while the peer is unreachable (the tick loop
-// regenerates), start a read loop for the peer's responses.
+// sender serves one peer, owning the outbound connection: it sends the
+// RequestVotes queued for the peer and, whenever it is woken, the
+// AppendEntries the follower is due, dialing on demand and starting a read
+// loop for the peer's responses. A frame that cannot be sent is lost; the
+// vote re-send and the silent-interval rewind regenerate it.
 func (s *RaftService) sender(p *raftPeer) {
 	defer s.wg.Done()
 	var conn FrameConn
@@ -295,29 +433,72 @@ func (s *RaftService) sender(p *raftPeer) {
 		}
 	}
 	defer drop()
-	for {
-		var m raftFrame
-		select {
-		case <-s.done:
-			return
-		case m = <-p.out:
-		}
+	send := func(t wire.MsgType, payload []byte) bool {
 		if conn == nil {
 			nc, err := s.cfg.Dial(p.addr)
 			if err != nil {
-				continue // peer down: this frame is lost, later ticks retry
+				return false
 			}
 			if !s.trackConn(nc) {
-				return
+				return false
 			}
 			conn = nc
 			s.wg.Add(1)
 			go s.readLoop(nc)
 		}
-		if err := conn.Send(m.t, m.payload); err != nil {
+		if err := conn.Send(t, payload); err != nil {
 			drop()
+			return false
+		}
+		return true
+	}
+	for {
+		select {
+		case <-s.done:
+			return
+		case vote := <-p.votes:
+			send(wire.MsgRaftVote, vote)
+			continue
+		case <-p.wake:
+		}
+		for {
+			s.mu.Lock()
+			req, envs, ok := s.appendDueLocked(p)
+			s.mu.Unlock()
+			if !ok {
+				break
+			}
+			if !send(wire.MsgRaftAppend, wire.EncodeRaftAppendSpliced(&req, envs)) {
+				// Known lost: the next tick sends it again.
+				s.mu.Lock()
+				s.core.Rewind(p.addr)
+				p.busy = false
+				s.mu.Unlock()
+				break
+			}
+			if len(req.Entries) == 0 {
+				break
+			}
 		}
 	}
+}
+
+// appendDueLocked builds the AppendEntries a follower is due, if any: the
+// entries past its sent cursor, else a heartbeat if one is due.
+func (s *RaftService) appendDueLocked(p *raftPeer) (consensus.AppendRequest, [][]byte, bool) {
+	if s.closed || s.core.Role() != consensus.RoleLeader || !(s.core.Behind(p.addr) || p.heartbeat) {
+		return consensus.AppendRequest{}, nil, false
+	}
+	p.heartbeat = false
+	req := s.core.AppendRequestFor(p.addr)
+	envs := make([][]byte, len(req.Entries))
+	for i := range req.Entries {
+		envs[i] = s.envLocked(req.PrevIndex+1+uint64(i), &req.Entries[i])
+	}
+	if len(envs) > 0 {
+		p.busy = true
+	}
+	return req, envs, true
 }
 
 // readLoop consumes a connection until it breaks, feeding each frame to the
@@ -349,26 +530,12 @@ func (s *RaftService) serveConn(c *Conn) {
 	}
 }
 
-// enqueueLocked queues a frame for a peer, dropping when the outbox is full
-// (the protocol regenerates state; backpressure would deadlock the tick
-// loop against a dead peer).
-func (s *RaftService) enqueueLocked(addr string, t wire.MsgType, payload []byte) {
-	p := s.peers[addr]
-	if p == nil {
-		return
-	}
-	select {
-	case p.out <- raftFrame{t: t, payload: payload}:
-	default:
-	}
-}
-
-// replicateToAllLocked queues one AppendEntries (entries or heartbeat) per
-// follower.
-func (s *RaftService) replicateToAllLocked() {
-	for _, addr := range s.core.Others() {
-		req := s.core.AppendRequestFor(addr)
-		s.enqueueLocked(addr, wire.MsgRaftAppend, wire.EncodeRaftAppend(&req))
+// wonLocked starts a new leader's replication: its no-op lies past every
+// follower's cursor, so each sender announces the leadership at once.
+func (s *RaftService) wonLocked() {
+	for _, p := range s.peers {
+		p.busy, p.heard, p.heartbeat = false, false, false
+		p.kick()
 	}
 }
 
@@ -400,10 +567,7 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 		}
 		s.mu.Lock()
 		if s.core.HandleVoteResponse(resp) {
-			// Won: announce leadership immediately rather than waiting a
-			// tick, so followers' timers reset and clients unblock.
-			s.replicateToAllLocked()
-			s.cond.Broadcast()
+			s.wonLocked()
 		}
 		s.noteLocked()
 		s.mu.Unlock()
@@ -420,7 +584,6 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 			s.resetDeadlineLocked()
 		}
 		s.noteLocked()
-		s.cond.Broadcast() // commit index may have advanced
 		s.mu.Unlock()
 		if reply != nil {
 			_ = reply.Send(wire.MsgRaftAppendResp, wire.EncodeRaftAppendResp(resp))
@@ -432,22 +595,20 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 			return
 		}
 		s.mu.Lock()
-		if s.core.HandleAppendResponse(resp) {
-			s.cond.Broadcast()
-		}
-		if s.core.Role() == consensus.RoleLeader && s.core.Behind(resp.From) {
-			// Catch-up streaming: keep batches flowing to a lagging
-			// follower without waiting for the next tick.
-			req := s.core.AppendRequestFor(resp.From)
-			s.enqueueLocked(resp.From, wire.MsgRaftAppend, wire.EncodeRaftAppend(&req))
+		s.core.HandleAppendResponse(resp)
+		if p := s.peers[resp.From]; p != nil && s.core.Role() == consensus.RoleLeader {
+			p.heard = true
+			if s.core.Behind(resp.From) { // a reject rewound the cursor
+				p.kick()
+			}
 		}
 		s.noteLocked()
 		s.mu.Unlock()
 	}
 }
 
-// tick drives the clocks: leader heartbeats, follower election timeouts,
-// and a periodic broadcast so timed waiters (Submit deadlines) re-check.
+// tick drives the clocks: the leader's idle heartbeats and silent-follower
+// rewinds, a candidate's vote re-send, and follower election timeouts.
 func (s *RaftService) tick() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
@@ -463,29 +624,53 @@ func (s *RaftService) tick() {
 			s.mu.Unlock()
 			return
 		}
-		if s.core.Role() == consensus.RoleLeader {
-			s.replicateToAllLocked()
+		switch {
+		case s.core.Role() == consensus.RoleLeader:
+			for _, addr := range s.core.Others() {
+				p := s.peers[addr]
+				if !p.heard && !p.busy {
+					// Silent for an interval with entries unacknowledged:
+					// the frame carrying them, or its answer, was lost.
+					s.core.Rewind(addr)
+				}
+				p.heartbeat = !p.busy
+				p.busy, p.heard = false, false
+				p.kick()
+			}
 			if m := s.cfg.Metrics; m != nil {
 				m.ReplicationLag.Set(int64(s.core.LastIndex() - s.core.CommitIndex()))
 			}
-		} else if time.Now().After(s.deadline) {
+		case time.Now().After(s.deadline):
 			req := s.core.StartElection()
 			if m := s.cfg.Metrics; m != nil {
 				m.Elections.Inc()
 			}
 			s.resetDeadlineLocked()
-			payload := wire.EncodeRaftVote(req)
-			for _, addr := range s.core.Others() {
-				s.enqueueLocked(addr, wire.MsgRaftVote, payload)
-			}
+			s.vote = wire.EncodeRaftVote(req)
 			if s.core.Role() == consensus.RoleLeader {
 				// Single-member cluster: the self-vote was the quorum.
-				s.replicateToAllLocked()
+				s.wonLocked()
+			} else {
+				s.sendVoteLocked()
 			}
+		case s.core.Role() == consensus.RoleCandidate:
+			// A RequestVote lost, or sent before its peer listened: re-send
+			// it until the election is won, lost or timed out (§5.2).
+			s.sendVoteLocked()
 		}
 		s.noteLocked()
-		s.cond.Broadcast()
 		s.mu.Unlock()
+	}
+}
+
+// sendVoteLocked queues the current RequestVote for every peer, dropping it
+// for a peer whose queue is full (the next tick sends it again).
+func (s *RaftService) sendVoteLocked() {
+	for _, p := range s.peers {
+		select {
+		case p.votes <- s.vote:
+		default:
+		}
 	}
 }
 
@@ -493,9 +678,12 @@ func (s *RaftService) tick() {
 // return means the entry is committed on a quorum and will appear in every
 // replica's stream — the acknowledgement the zero-loss chaos assertion is
 // built on. Followers refuse with consensus.ErrNotLeader (the node layer
-// turns it into a client redirect).
+// turns it into a client redirect). The envelope is encoded here, outside
+// the lock, and those bytes are what every follower is sent.
 func (s *RaftService) Submit(env consensus.Envelope) error {
-	deadline := time.Now().Add(s.cfg.SubmitTimeout)
+	body := wire.EncodeRaftEnvelope(&env)
+	timer := time.NewTimer(s.cfg.SubmitTimeout)
+	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -505,30 +693,43 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	if err != nil {
 		return err
 	}
-	term := s.core.Term()
-	s.replicateToAllLocked() // don't wait for the tick
-	for {
-		if s.core.CommitIndex() >= idx {
-			if s.core.Entry(idx).Term == term {
-				return nil
-			}
-			// Overwritten by a newer leader's log: not committed here.
-			return consensus.ErrNotLeader{LeaderID: s.core.LeaderID()}
-		}
-		if s.core.Role() != consensus.RoleLeader || s.core.Term() != term {
-			// Lost leadership mid-wait. The entry may yet commit, but we
-			// can no longer promise it; the client's retry path resubmits
-			// and the orderer's dedup horizon absorbs the duplicate.
-			return consensus.ErrNotLeader{LeaderID: s.core.LeaderID()}
-		}
-		if s.closed {
-			return fmt.Errorf("transport: raft service closed")
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: raft submit: no quorum within %s", s.cfg.SubmitTimeout)
-		}
-		s.cond.Wait() // woken as HandleAppendResponse commits; the tick re-checks deadlines
+	w := &raftWaiter{idx: idx, term: s.core.Term(), ch: make(chan struct{})}
+	s.keepEncLocked(idx, w.term, body)
+	s.waiters = append(s.waiters, w)
+	for _, p := range s.peers {
+		p.kick()
 	}
+	s.noteLocked() // a single-member cluster has committed already
+	s.mu.Unlock()
+	select {
+	case <-w.ch:
+	case <-timer.C:
+	case <-s.done:
+	}
+	s.mu.Lock()
+	switch {
+	case s.core.CommitIndex() >= idx:
+		if s.core.Entry(idx).Term == w.term {
+			return nil
+		}
+		// Overwritten by a newer leader's log: not committed here.
+		return consensus.ErrNotLeader{LeaderID: s.core.LeaderID()}
+	case s.core.Role() != consensus.RoleLeader || s.core.Term() != w.term:
+		// Lost leadership mid-wait. The entry may yet commit, but we can no
+		// longer promise it; the client's retry path resubmits and the
+		// orderer's dedup horizon absorbs the duplicate.
+		return consensus.ErrNotLeader{LeaderID: s.core.LeaderID()}
+	case s.closed:
+		return fmt.Errorf("transport: raft service closed")
+	}
+	// Timed out: a waiter is woken before that only by the cases above.
+	for i, o := range s.waiters {
+		if o == w {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			break
+		}
+	}
+	return fmt.Errorf("transport: raft submit: no quorum within %s", s.cfg.SubmitTimeout)
 }
 
 // Subscribe implements consensus.Service: the committed prefix from offset
@@ -539,14 +740,7 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 	ch := make(chan consensus.Sequenced, 128)
 	done := make(chan struct{})
 	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			close(done)
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-	}
+	cancel := func() { once.Do(func() { close(done) }) }
 	s.wg.Add(1)
 	// The stream's consumer is an orderer's run loop; the feeder is the
 	// driver's, so it is labelled as such rather than inheriting the label.
@@ -556,18 +750,20 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 		next := uint64(1) // 1-based log index
 		for {
 			s.mu.Lock()
-			for next > s.core.CommitIndex() && !s.closed {
-				select {
-				case <-done:
-					s.mu.Unlock()
-					return
-				default:
-				}
-				s.cond.Wait()
-			}
-			if next > s.core.CommitIndex() && s.closed {
+			if next > s.core.CommitIndex() {
+				advanced, closed := s.advanced, s.closed
 				s.mu.Unlock()
-				return
+				if closed {
+					return
+				}
+				select {
+				case <-advanced:
+					continue
+				case <-done:
+					return
+				case <-s.done:
+					return
+				}
 			}
 			entry := s.core.Entry(next)
 			s.mu.Unlock()
@@ -594,7 +790,7 @@ func (s *RaftService) Close() {
 		for c := range s.conns {
 			conns = append(conns, c)
 		}
-		s.cond.Broadcast()
+		s.releaseWaitersLocked()
 		s.mu.Unlock()
 		close(s.done)
 		_ = s.srv.Close()

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/wire"
 )
 
 // startRaftCluster boots n members with fast timers on in-memory addresses
@@ -416,5 +419,266 @@ func TestRaftStateSurvivesACrashBeforeTheRename(t *testing.T) {
 		if term, vote, err := loadRaftState(path); err == nil {
 			t.Errorf("state file %q loaded as (%d, %q), want it refused", bad, term, vote)
 		}
+	}
+}
+
+// raftFrameFilter wraps a member's outbound connections: drop, when set,
+// decides per frame whether it is lost; sent counts the AppendEntries
+// frames carrying entries that got through.
+type raftFrameFilter struct {
+	mu   sync.Mutex
+	drop func(t wire.MsgType, n int) bool // n: frames of type t seen on this conn before
+	sent int
+}
+
+type filteredConn struct {
+	FrameConn
+	f    *raftFrameFilter
+	seen map[wire.MsgType]int
+}
+
+func (f *raftFrameFilter) dial(addr string) (FrameConn, error) {
+	inner, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &filteredConn{FrameConn: inner, f: f, seen: map[wire.MsgType]int{}}, nil
+}
+
+func (c *filteredConn) Send(t wire.MsgType, payload []byte) error {
+	c.f.mu.Lock()
+	n := c.seen[t]
+	c.seen[t]++
+	lost := c.f.drop != nil && c.f.drop(t, n)
+	if !lost && t == wire.MsgRaftAppend {
+		if req, err := wire.DecodeRaftAppend(payload); err == nil && len(req.Entries) > 0 {
+			c.f.sent++
+		}
+	}
+	c.f.mu.Unlock()
+	if lost {
+		return nil
+	}
+	return c.FrameConn.Send(t, payload)
+}
+
+func (f *raftFrameFilter) appends() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sent
+}
+
+// startRaftMember boots one member of a cluster named by addrs.
+func startRaftMember(t *testing.T, addrs []string, i int, mutate func(cfg *RaftConfig)) *RaftService {
+	t.Helper()
+	cfg := RaftConfig{ID: addrs[i], Cluster: addrs, ElectionTimeout: 500 * time.Millisecond,
+		Heartbeat: 10 * time.Millisecond, Seed: int64(1000 * (i + 1))}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	s, err := StartRaft(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+func memAddrs(t *testing.T, n int) []string {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("mem:%s/%d", t.Name(), i)
+	}
+	return addrs
+}
+
+// TestWireRaftFreshClusterElectsOnceAQuorumListens: a fresh member's first
+// election deadline is its rank × heartbeat, and its RequestVote is re-sent
+// each tick, so a fresh cluster whose third member starts two heartbeats
+// late still has a leader well before the election timeout T — the
+// randomized [T, 2T) timer alone would not campaign before T.
+func TestWireRaftFreshClusterElectsOnceAQuorumListens(t *testing.T) {
+	const T = 500 * time.Millisecond
+	addrs := memAddrs(t, 3)
+	start := time.Now()
+	svcs := make([]*RaftService, 3)
+	svcs[1] = startRaftMember(t, addrs, 1, nil)
+	svcs[2] = startRaftMember(t, addrs, 2, nil)
+	time.Sleep(20 * time.Millisecond)
+	svcs[0] = startRaftMember(t, addrs, 0, nil)
+	waitLeader(t, svcs, 10*time.Second)
+	if took := time.Since(start); took >= T/2 {
+		t.Fatalf("a fresh cluster took %v to elect; want well under T = %v", took, T)
+	}
+}
+
+// TestWireRaftRestartedMemberDoesNotDisrupt: a member restarted on its state
+// directory has seen a term, so it keeps the randomized [T, 2T) timer and
+// hears the sitting leader before it runs out: no election, no new term.
+func TestWireRaftRestartedMemberDoesNotDisrupt(t *testing.T) {
+	addrs := memAddrs(t, 3)
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	var ms [3]metrics.ConsensusMetrics
+	svcs := make([]*RaftService, 3)
+	for i := range svcs {
+		i := i
+		svcs[i] = startRaftMember(t, addrs, i, func(cfg *RaftConfig) { cfg.Dir, cfg.Metrics = dirs[i], &ms[i] })
+	}
+	lead := waitLeader(t, svcs, 10*time.Second)
+	term := svcs[lead].Term()
+	f := (lead + 1) % 3
+	svcs[f].Close()
+	ms[f] = metrics.ConsensusMetrics{}
+	svcs[f] = startRaftMember(t, addrs, f, func(cfg *RaftConfig) { cfg.Dir, cfg.Metrics = dirs[f], &ms[f] })
+	if svcs[f].Term() == 0 {
+		t.Fatal("the restarted member forgot its term")
+	}
+	time.Sleep(500 * time.Millisecond) // T
+	if n := ms[f].Elections.Value(); n != 0 {
+		t.Fatalf("the restarted member started %d elections while a leader was alive", n)
+	}
+	if !svcs[lead].IsLeader() || svcs[lead].Term() != term {
+		t.Fatalf("the sitting leader was disrupted: leads %v, term %d → %d", svcs[lead].IsLeader(), term, svcs[lead].Term())
+	}
+	if got := svcs[f].Leader(); got != addrs[lead] {
+		t.Fatalf("the restarted member follows %q, want %q", got, addrs[lead])
+	}
+}
+
+// TestWireRaftLostVoteIsResent: the first RequestVote on each of the
+// candidate's connections is lost; the candidate re-sends it on the next
+// tick and wins that same candidacy, long before its election timer or a
+// peer's first deadline would start another.
+func TestWireRaftLostVoteIsResent(t *testing.T) {
+	addrs := memAddrs(t, 3)
+	lossy := &raftFrameFilter{drop: func(t wire.MsgType, n int) bool { return t == wire.MsgRaftVote && n == 0 }}
+	var m metrics.ConsensusMetrics
+	svcs := make([]*RaftService, 3)
+	// The peers start first, and their first deadlines (rank × 200ms) leave
+	// the race to member 0, which campaigns on its first 20ms tick.
+	for i := 1; i < 3; i++ {
+		svcs[i] = startRaftMember(t, addrs, i, func(cfg *RaftConfig) {
+			cfg.Heartbeat, cfg.ElectionTimeout = 200*time.Millisecond, 2*time.Second
+		})
+	}
+	start := time.Now()
+	svcs[0] = startRaftMember(t, addrs, 0, func(cfg *RaftConfig) {
+		cfg.Heartbeat, cfg.ElectionTimeout, cfg.Dial, cfg.Metrics = 20*time.Millisecond, 2*time.Second, lossy.dial, &m
+	})
+	if lead := waitLeader(t, svcs, 10*time.Second); lead != 0 {
+		t.Fatalf("member %d leads; want member 0, whose re-sent vote should win", lead)
+	}
+	if took := time.Since(start); took >= 180*time.Millisecond {
+		t.Fatalf("elected after %v; a re-sent vote lands a tick (20ms) after the lost one", took)
+	}
+	if n := m.Elections.Value(); n != 1 {
+		t.Fatalf("member 0 ran %d candidacies; the re-send should win the first", n)
+	}
+}
+
+// TestWireRaftCoalescesConcurrentSubmits: 64 concurrent Submits on the
+// leader reach each follower in far fewer AppendEntries than one per entry
+// — the sender sends everything past the follower's cursor at once — and
+// each entry's envelope is encoded once however many requests carry it.
+func TestWireRaftCoalescesConcurrentSubmits(t *testing.T) {
+	addrs := memAddrs(t, 3)
+	filters := make([]*raftFrameFilter, 3)
+	svcs := make([]*RaftService, 3)
+	for i := range svcs {
+		filters[i] = &raftFrameFilter{}
+		svcs[i] = startRaftMember(t, addrs, i, func(cfg *RaftConfig) {
+			// A 100ms tick: no silent-interval rewind re-sends anything here.
+			cfg.Heartbeat, cfg.ElectionTimeout, cfg.Dial = 100*time.Millisecond, time.Second, filters[i].dial
+		})
+	}
+	lead := waitLeader(t, svcs, 10*time.Second)
+	waitCommit(t, svcs, svcs[lead].CommitIndex(), 10*time.Second)
+	leader := svcs[lead]
+	leader.mu.Lock()
+	encodes := leader.encodes
+	leader.mu.Unlock()
+	frames := filters[lead].appends()
+
+	const n = 64
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = leader.Submit(consensus.Envelope{SubmittedBy: "client", Commitment: fmt.Sprintf("c%d", i)})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	waitCommit(t, svcs, leader.CommitIndex(), 10*time.Second)
+	leader.mu.Lock()
+	encoded := leader.encodes - encodes
+	leader.mu.Unlock()
+	sent := filters[lead].appends() - frames
+	t.Logf("%d submits: %d AppendEntries with entries to 2 followers, %d envelopes encoded", n, sent, encoded)
+	if encoded != n {
+		t.Fatalf("%d envelopes encoded for %d entries; want each encoded once", encoded, n)
+	}
+	if sent > n {
+		t.Fatalf("%d AppendEntries carried %d entries to 2 followers; want well under %d", sent, n, 2*n)
+	}
+}
+
+// BenchmarkRaftSubmit measures commit-wait Submit on the leader of a
+// three-member cluster on in-memory connections, with one submitter and
+// with 64, reporting committed submissions per second.
+func BenchmarkRaftSubmit(b *testing.B) {
+	for _, c := range []int{1, 64} {
+		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
+			addrs := make([]string, 3)
+			for i := range addrs {
+				addrs[i] = fmt.Sprintf("mem:%s/%d", b.Name(), i)
+			}
+			svcs := make([]*RaftService, 3)
+			for i := range svcs {
+				s, err := StartRaft(RaftConfig{ID: addrs[i], Cluster: addrs, Seed: int64(i + 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				svcs[i] = s
+			}
+			var leader *RaftService
+			for leader == nil {
+				for _, s := range svcs {
+					if s.IsLeader() {
+						leader = s
+					}
+				}
+				time.Sleep(time.Millisecond)
+			}
+			var next atomic.Int64
+			var failed atomic.Bool
+			b.ResetTimer()
+			start := time.Now()
+			var wg sync.WaitGroup
+			for g := 0; g < c; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := leader.Submit(consensus.Envelope{SubmittedBy: "bench"}); err != nil {
+							failed.Store(true)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if failed.Load() {
+				b.Fatal("a submit failed")
+			}
+			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "tx/s")
+		})
 	}
 }

@@ -55,17 +55,43 @@ const minEnvelopeSize = 1 + 4 + 8 + 4 + 1
 
 // EncodeRaftAppend renders an AppendEntries request canonically.
 func EncodeRaftAppend(req *consensus.AppendRequest) []byte {
-	dst := appendU64(nil, req.Term)
-	dst = appendString(dst, req.LeaderID)
-	dst = appendU64(dst, req.PrevIndex)
-	dst = appendU64(dst, req.PrevTerm)
-	dst = appendU64(dst, req.LeaderCommit)
-	dst = appendU32(dst, uint32(len(req.Entries)))
+	dst := appendRaftAppendHeader(nil, req)
 	for i := range req.Entries {
 		dst = appendU64(dst, req.Entries[i].Term)
 		dst = appendEnvelope(dst, &req.Entries[i].Env)
 	}
 	return dst
+}
+
+// EncodeRaftEnvelope renders one log entry's envelope as an AppendEntries
+// request carries it, for a leader that encodes each entry once and
+// splices the bytes into every request (EncodeRaftAppendSpliced).
+func EncodeRaftEnvelope(env *consensus.Envelope) []byte { return appendEnvelope(nil, env) }
+
+// EncodeRaftAppendSpliced renders req with envs[i] — the
+// EncodeRaftEnvelope bytes of req.Entries[i].Env — in place of each entry's
+// envelope: the same bytes as EncodeRaftAppend(req), without encoding an
+// envelope again.
+func EncodeRaftAppendSpliced(req *consensus.AppendRequest, envs [][]byte) []byte {
+	n := 8 + 4 + len(req.LeaderID) + 3*8 + 4
+	for _, env := range envs {
+		n += 8 + len(env)
+	}
+	dst := appendRaftAppendHeader(make([]byte, 0, n), req)
+	for i, env := range envs {
+		dst = appendU64(dst, req.Entries[i].Term)
+		dst = append(dst, env...)
+	}
+	return dst
+}
+
+func appendRaftAppendHeader(dst []byte, req *consensus.AppendRequest) []byte {
+	dst = appendU64(dst, req.Term)
+	dst = appendString(dst, req.LeaderID)
+	dst = appendU64(dst, req.PrevIndex)
+	dst = appendU64(dst, req.PrevTerm)
+	dst = appendU64(dst, req.LeaderCommit)
+	return appendU32(dst, uint32(len(req.Entries)))
 }
 
 // DecodeRaftAppend decodes an AppendEntries request.

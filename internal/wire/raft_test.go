@@ -37,6 +37,14 @@ func TestRaftAppendRoundTrip(t *testing.T) {
 	if string(EncodeRaftAppend(got)) != string(EncodeRaftAppend(req)) {
 		t.Fatal("re-encode is not byte-identical")
 	}
+	// Splicing envelopes encoded one at a time gives the same bytes.
+	envs := make([][]byte, len(req.Entries))
+	for i := range req.Entries {
+		envs[i] = EncodeRaftEnvelope(&req.Entries[i].Env)
+	}
+	if string(EncodeRaftAppendSpliced(req, envs)) != string(EncodeRaftAppend(req)) {
+		t.Fatal("spliced encoding differs from EncodeRaftAppend")
+	}
 }
 
 func TestRaftAppendHeartbeatRoundTrip(t *testing.T) {
