@@ -71,8 +71,9 @@ func cmdTrace(args []string) int {
 	}
 	fmt.Println()
 	for _, d := range dumps {
+		fmt.Printf("genesis, %s %s: %s", d.Role, d.Node, trace.FormatSpans("genesis", trace.Spans(d, trace.StageGenesis)))
 		if d.Role == "peer" {
-			fmt.Printf("store checkpoints, peer %s: %s", d.Node, trace.FormatCheckpoints(trace.Checkpoints(d)))
+			fmt.Printf("store checkpoints, peer %s: %s", d.Node, trace.FormatSpans("checkpoints", trace.Spans(d, trace.StageCheckpoint)))
 		}
 	}
 	return 0

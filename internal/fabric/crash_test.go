@@ -366,6 +366,26 @@ func TestNewPeerRejectsTipAheadOfState(t *testing.T) {
 	}
 }
 
+// TestDurablePeerRecordsItsGenesisOnce: a durable peer's genesis — the
+// base's build, its seed and the store's install — is one span at block 0
+// on its ring; reopened on its directory, the peer builds no genesis and
+// records none.
+func TestDurablePeerRecordsItsGenesisOnce(t *testing.T) {
+	dir := t.TempDir()
+	genesis := workload.AccountGenesis(1000)
+	for _, want := range []int{1, 0} {
+		tracer := trace.New("peer0", "peer", 1<<6)
+		p, err := newTracedPeer(t, sched.SystemFabric, dir, tracer, genesis...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		if spans := trace.Spans(tracer.Dump(), trace.StageGenesis); len(spans) != want || want == 1 && (spans[0].Block != 0 || spans[0].NS <= 0) {
+			t.Fatalf("the peer's ring holds genesis spans %+v; want %d at block 0", spans, want)
+		}
+	}
+}
+
 // TestPeerReopensAcrossCheckpoint reopens a durable peer whose store has
 // checkpointed mid-chain. The genesis is the store's first snapshot, so the
 // fixture pads the log instead: records under a prefix the peer never reads,
@@ -424,7 +444,7 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("the store checkpointed after block %d of %d; the fixture needs it mid-chain (0: never)", checkpointed, len(sealed))
 	}
 	t.Logf("the store checkpointed after block %d of %d", checkpointed, len(sealed))
-	if spans := trace.Checkpoints(tracer.Dump()); len(spans) != 1 || spans[0].Block != uint64(checkpointed) || spans[0].NS <= 0 {
+	if spans := trace.Spans(tracer.Dump(), trace.StageCheckpoint); len(spans) != 1 || spans[0].Block != uint64(checkpointed) || spans[0].NS <= 0 {
 		t.Fatalf("the peer's ring holds checkpoint spans %+v; want one, at block %d", spans, checkpointed)
 	}
 	stop := min(checkpointed+3, len(sealed)-1) // a few blocks in the log on top

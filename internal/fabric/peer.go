@@ -53,7 +53,8 @@ type PeerConfig struct {
 	// called when DataDir already holds a height record.
 	Genesis func() (*statedb.Base, error)
 	// Tracer, OnCommit and OnError pass through to the committer
-	// (commit.Config).
+	// (commit.Config); the genesis's build and seed are a StageGenesis span
+	// on Tracer.
 	Tracer   *trace.Tracer
 	OnCommit func(blk *ledger.Block, codes []protocol.ValidationCode)
 	OnError  func(err error)
@@ -105,6 +106,7 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 	// A store with a height record already holds the genesis and must not
 	// re-apply block 0.
 	if !p.state.Seeded() && cfg.Genesis != nil {
+		start := cfg.Tracer.Now()
 		base, err := cfg.Genesis()
 		if err == nil {
 			err = workload.SeedGenesis(p.state, base)
@@ -112,6 +114,7 @@ func NewPeer(cfg PeerConfig) (_ *Peer, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("fabric: seeding %s genesis: %w", cfg.ID.ID, err)
 		}
+		cfg.Tracer.RecordSpan(0, trace.StageGenesis, start)
 	}
 	p.committer = commit.New(commit.Config{
 		Name:  cfg.ID.ID,

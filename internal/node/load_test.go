@@ -185,6 +185,22 @@ func TestTraceDumpOverWire(t *testing.T) {
 	}
 }
 
+// TestGenesisSpanOnEveryNode: every node that boots from the genesis, the
+// orderer and each peer, holds one genesis span at block 0 on its ring, as
+// `sharpnet trace` drains it.
+func TestGenesisSpanOnEveryNode(t *testing.T) {
+	ord, peers := bootScenarioCluster(t, sched.SystemSharp, 2, "msmallbank", 1000)
+	for _, addr := range append([]string{ord.Addr()}, peerAddrs(peers)...) {
+		d, err := TraceAt(addr, dialTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spans := trace.Spans(d, trace.StageGenesis); len(spans) != 1 || spans[0].Block != 0 || spans[0].NS <= 0 {
+			t.Errorf("%s ring holds genesis spans %+v, want one at block 0", d.Node, spans)
+		}
+	}
+}
+
 func wantStages(t *testing.T, node string, d trace.Dump, stages ...trace.Stage) {
 	t.Helper()
 	seen := map[trace.Stage]bool{}

@@ -121,8 +121,9 @@ type Config struct {
 	// and thread-safe.
 	OnAbort func(id protocol.TxID, code protocol.ValidationCode)
 	// Tracer, when set, records the order and seal stage of every
-	// transaction processed — write-only telemetry (see internal/trace).
-	// Nil disables recording at zero cost.
+	// transaction processed, and the genesis's build and seed as a
+	// StageGenesis span — write-only telemetry (see internal/trace). Nil
+	// disables recording at zero cost.
 	Tracer *trace.Tracer
 }
 
@@ -150,9 +151,15 @@ type Service struct {
 // from its first entry.
 func New(cfg Config) (*Service, error) {
 	cfg.Options = cfg.Options.withDefaults()
+	start := cfg.Tracer.Now()
 	core, err := NewCore(cfg.CoreConfig)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Genesis != nil {
+		// The Core's build is the genesis's build and the shadow's seed,
+		// beside which the scheduler's and the empty chain's are nothing.
+		cfg.Tracer.RecordSpan(0, trace.StageGenesis, start)
 	}
 	cfg.Genesis = nil // seeded into the Core's shadow; not kept
 	return &Service{cfg: cfg, core: core, done: make(chan struct{})}, nil

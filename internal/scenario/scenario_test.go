@@ -218,7 +218,9 @@ func TestGenesisBaseIsItsWriteSet(t *testing.T) {
 	}
 	for _, name := range Names() {
 		sc, _ := Get(name)
-		for _, p := range []Params{{}, {Accounts: 1}, {Accounts: 1234}} {
+		// Sizes on both sides of each turnover of the digit count.
+		for _, p := range []Params{{}, {Accounts: 1}, {Accounts: 9}, {Accounts: 10}, {Accounts: 11}, {Accounts: 99},
+			{Accounts: 100}, {Accounts: 101}, {Accounts: 1000}, {Accounts: 1234}, {Accounts: 100000}} {
 			got, err := sc.GenesisBase(p)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, p, err)

@@ -1,7 +1,6 @@
 package statedb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -37,82 +36,78 @@ type Base struct {
 // the base keeps one live version per key.
 var errBaseShape = errors.New("statedb: a base holds one write per key and no delete")
 
-// NewBase builds the base of one write set, every entry at version ver. It
-// refuses a write set that deletes a key or writes one twice: applied as a
-// block, those leave a tombstone or two versions, which a base does not hold
-// (no genesis does either).
+// NewBase builds the base of one write set, every entry at version ver. The
+// write set may come in any order: NewBase sorts an index over it and leaves
+// the slice as it was. It refuses a write set that deletes a key or writes
+// one twice: applied as a block, those leave a tombstone or two versions,
+// which a base does not hold (no genesis does either).
 func NewBase(writes []protocol.WriteItem, ver seqno.Seq) (*Base, error) {
-	for _, w := range writes {
+	order := make([]int32, len(writes))
+	for i, w := range writes {
 		if w.Delete {
 			return nil, errBaseShape
 		}
+		order[i] = int32(i)
 	}
-	return BuildBase(len(writes), ver,
-		func(dst []byte, i int) []byte { return append(dst, writes[i].Key...) },
-		func(i int) []byte { return writes[i].Value })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(writes[a].Key, writes[b].Key) })
+	return BuildBase(ver, func(put func(key, val []byte)) {
+		var key []byte
+		for _, i := range order {
+			key = append(key[:0], writes[i].Key...)
+			put(key, writes[i].Value)
+		}
+	})
 }
 
-// BuildBase builds the base of n entries, every one at version ver: entry i's
-// key is what key(dst, i) appends to dst, and its value val(i). The keys are
-// built into one arena and sorted by an index into it, so the build makes the
-// same few allocations however many entries it holds. It refuses a key given
-// twice. An empty base is nil.
-func BuildBase(n int, ver seqno.Seq, key func(dst []byte, i int) []byte, val func(i int) []byte) (*Base, error) {
+// BuildBase builds the base of the entries each passes to put, every one at
+// version ver. The entries must come in strictly ascending key order: a key
+// out of order is refused, and so is one given twice. each is called twice
+// and must put the same entries both times: once to size the arenas, once to
+// copy every entry into them, so the build makes the same few allocations
+// however many entries it holds. put copies its arguments. An empty base is
+// nil.
+func BuildBase(ver seqno.Seq, each func(put func(key, val []byte))) (*Base, error) {
+	var n, nk, nv int
+	each(func(key, val []byte) { n, nk, nv = n+1, nk+len(key), nv+len(val) })
 	if n == 0 {
 		return nil, nil
 	}
-	nk, nv := 0, 0
-	var scratch []byte
-	for i := 0; i < n; i++ {
-		scratch = key(scratch[:0], i)
-		nk += len(scratch)
-		nv += len(val(i))
-	}
 	if uint64(nk) > math.MaxUint32 || uint64(nv) > math.MaxUint32 {
-		return nil, errors.New("statedb: a base arena passed 4 GiB")
+		return nil, errArena
 	}
-	arena := make([]byte, 0, nk)
-	at := make([]uint32, n+1) // key i is arena[at[i]:at[i+1]]
-	order := make([]int32, n)
-	for i := 0; i < n; i++ {
-		arena = key(arena, i)
-		at[i+1] = uint32(len(arena))
-		order[i] = int32(i)
-	}
-	keyOf := func(i int32) []byte { return arena[at[i]:at[i+1]] }
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(keyOf(a), keyOf(b)) })
-
-	var keys strings.Builder
-	keys.Grow(nk)
-	b := &Base{
-		keyOff: make([]uint32, 1, n+1),
-		vals:   make([]byte, 0, nv),
-		valOff: make([]uint32, 1, n+1),
-		vers:   []seqno.Seq{ver},
-	}
-	for j, i := range order {
-		k := keyOf(i)
-		if j > 0 && bytes.Equal(k, keyOf(order[j-1])) {
-			return nil, errBaseShape
+	bb := baseBuilder{sized: true}
+	bb.keys.Grow(nk)
+	bb.keyOff = make([]uint32, 1, n+1)
+	bb.vals = make([]byte, 0, nv)
+	bb.valOff = make([]uint32, 1, n+1)
+	var err error
+	each(func(key, val []byte) {
+		if err == nil {
+			err = bb.add(key, val, ver)
 		}
-		keys.Write(k)
-		b.keyOff = append(b.keyOff, uint32(keys.Len()))
-		b.vals = append(b.vals, val(int(i))...)
-		b.valOff = append(b.valOff, uint32(len(b.vals)))
+	})
+	if err != nil {
+		return nil, err
 	}
-	b.keys = keys.String()
-	b.index()
-	return b, nil
+	return bb.build(), nil
 }
 
-// baseBuilder packs a strictly ascending stream of entries of unknown length
-// into a Base (a reopened store's scan).
+// errArena refuses a base whose keys or values pass what a uint32 offset
+// reaches.
+var errArena = errors.New("statedb: a base arena passed 4 GiB")
+
+// baseBuilder packs a strictly ascending stream of entries into a Base:
+// BuildBase's, into arenas it sized, and a reopened store's scan, of unknown
+// length. Its keys go into a strings.Builder, which the base keeps without a
+// copy when BuildBase sized it.
 type baseBuilder struct {
-	keys   []byte
+	sized  bool
+	keys   strings.Builder
 	keyOff []uint32
 	vals   []byte
 	valOff []uint32
-	vers   []seqno.Seq
+	ver    seqno.Seq   // the first entry's version
+	vers   []seqno.Seq // one per entry, nil while every entry is at ver
 }
 
 // add appends one entry; its key must sort after the previous one.
@@ -120,40 +115,50 @@ func (bb *baseBuilder) add(key, val []byte, ver seqno.Seq) error {
 	if bb.keyOff == nil {
 		bb.keyOff, bb.valOff = []uint32{0}, []uint32{0}
 	}
-	if n := len(bb.keyOff); n > 1 {
-		prev := bb.keys[bb.keyOff[n-2]:]
-		if bytes.Equal(prev, key) {
+	n := len(bb.keyOff) - 1
+	if n == 0 {
+		bb.ver = ver
+	} else if prev := bb.keys.String()[bb.keyOff[n-1]:]; string(key) <= prev {
+		if string(key) == prev {
 			return errBaseShape
 		}
-		if bytes.Compare(prev, key) > 0 {
-			return fmt.Errorf("statedb: base key %q after %q", key, prev)
-		}
+		return fmt.Errorf("statedb: base key %q after %q", key, prev)
 	}
-	if uint64(len(bb.keys)+len(key)) > math.MaxUint32 || uint64(len(bb.vals)+len(val)) > math.MaxUint32 {
-		return errors.New("statedb: a base arena passed 4 GiB")
+	if uint64(bb.keys.Len()+len(key)) > math.MaxUint32 || uint64(len(bb.vals)+len(val)) > math.MaxUint32 {
+		return errArena
 	}
-	bb.keys = append(bb.keys, key...)
-	bb.keyOff = append(bb.keyOff, uint32(len(bb.keys)))
+	bb.keys.Write(key)
+	bb.keyOff = append(bb.keyOff, uint32(bb.keys.Len()))
 	bb.vals = append(bb.vals, val...)
 	bb.valOff = append(bb.valOff, uint32(len(bb.vals)))
-	bb.vers = append(bb.vers, ver)
+	if bb.vers == nil && ver != bb.ver {
+		bb.vers = make([]seqno.Seq, n, n+1)
+		for i := range bb.vers {
+			bb.vers[i] = bb.ver
+		}
+	}
+	if bb.vers != nil {
+		bb.vers = append(bb.vers, ver)
+	}
 	return nil
 }
 
-// build copies the arenas to their final size and indexes the keys.
+// build trims the arenas to their final size and indexes the keys.
 func (bb *baseBuilder) build() *Base {
-	n := len(bb.vers)
-	if n == 0 {
+	if len(bb.keyOff) < 2 {
 		return nil
 	}
 	b := &Base{
-		keys:   string(bb.keys),
+		keys:   bb.keys.String(),
 		keyOff: exact(bb.keyOff),
 		vals:   exact(bb.vals),
 		valOff: exact(bb.valOff),
-		vers:   []seqno.Seq{bb.vers[0]}, // a genesis: one version shared by every entry
+		vers:   []seqno.Seq{bb.ver}, // a genesis: one version shared by every entry
 	}
-	if slices.ContainsFunc(bb.vers, func(v seqno.Seq) bool { return v != bb.vers[0] }) {
+	if !bb.sized {
+		b.keys = strings.Clone(b.keys)
+	}
+	if bb.vers != nil {
 		b.vers = exact(bb.vers)
 	}
 	b.index()

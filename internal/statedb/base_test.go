@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -302,9 +304,19 @@ func seedWrites(db *DB, writes []protocol.WriteItem) error {
 	return db.SeedBase(0, base)
 }
 
+// buildInOrder is BuildBase over writes exactly as given.
+func buildInOrder(writes []protocol.WriteItem) (*Base, error) {
+	return BuildBase(seqno.Commit(0, 1), func(put func(key, val []byte)) {
+		for _, w := range writes {
+			put([]byte(w.Key), w.Value)
+		}
+	})
+}
+
 // TestSeedBaseRefusesWhatABaseCannotHold pins that a genesis deleting a key
-// or writing one twice is refused, leaving the database unseeded, and that a
-// seeded database refuses a second genesis.
+// or writing one twice is refused, leaving the database unseeded; that
+// BuildBase refuses a key out of ascending order and a key given twice; and
+// that a seeded database refuses a second genesis.
 func TestSeedBaseRefusesWhatABaseCannotHold(t *testing.T) {
 	for _, writes := range [][]protocol.WriteItem{
 		{put("a", "1"), {Key: "b", Delete: true}},
@@ -313,6 +325,14 @@ func TestSeedBaseRefusesWhatABaseCannotHold(t *testing.T) {
 		db := mustNew(t)
 		if err := seedWrites(db, writes); err == nil || db.Seeded() {
 			t.Errorf("SeedBase(%v) = %v, seeded %v", writes, err, db.Seeded())
+		}
+	}
+	for _, writes := range [][]protocol.WriteItem{
+		{put("a", "1"), put("c", "3"), put("b", "2")},
+		{put("a", "1"), put("b", "2"), put("b", "2")},
+	} {
+		if b, err := buildInOrder(writes); err == nil {
+			t.Errorf("BuildBase(%v) built %d entries", writes, b.Len())
 		}
 	}
 	db := mustNew(t)
@@ -351,5 +371,101 @@ func TestBaseIndexFindsEveryKey(t *testing.T) {
 	}
 	if _, err := NewBase(nil, seqno.Seq{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewBaseSortsACopy builds a base from a shuffled write set: it equals
+// the base of the write set in key order, and the caller's slice is left in
+// the order it was given.
+func TestNewBaseSortsACopy(t *testing.T) {
+	sorted := make([]protocol.WriteItem, 500)
+	for i := range sorted {
+		sorted[i] = put(fmt.Sprintf("k%04d", i), fmt.Sprint(i))
+	}
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	given := slices.Clone(shuffled)
+	got, err := NewBase(shuffled, seqno.Commit(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := buildInOrder(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("NewBase of a shuffled write set differs from the base of the sorted one")
+	}
+	if !reflect.DeepEqual(shuffled, given) {
+		t.Error("NewBase reordered the caller's write set")
+	}
+}
+
+// TestBaseDigestIsTheSerialSum takes a base's fingerprint on 1, 2 and 8
+// processors: each is the sum of pairDigest over the entries one by one.
+func TestBaseDigestIsTheSerialSum(t *testing.T) {
+	writes := make([]protocol.WriteItem, 10*digestChunk+7)
+	for i := range writes {
+		writes[i] = put(fmt.Sprintf("key:%d", i), strings.Repeat("v", i%9))
+	}
+	b, err := NewBase(writes, seqno.Commit(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serial liveSum
+	for _, w := range writes {
+		serial.add(pairDigest(w.Key, w.Value))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := b.digest(); got != serial {
+			t.Errorf("GOMAXPROCS %d: digest %s, serial sum %s", procs, got, serial)
+		}
+	}
+}
+
+// TestSeededFingerprintEqualsAFold seeds a base of several digest chunks,
+// in memory and on a store: the fingerprint equals the from-scratch fold
+// over the live pairs, and so does a clone's, and the reopened store's.
+func TestSeededFingerprintEqualsAFold(t *testing.T) {
+	writes := make([]protocol.WriteItem, 3*digestChunk)
+	for i := range writes {
+		writes[i] = put(fmt.Sprintf("acct:%d", i), fmt.Sprint(i%1000))
+	}
+	for _, durable := range []bool{false, true} {
+		var opts Options
+		if durable {
+			kv, err := kvstore.Open(kvstore.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			opts.Backing = kv
+		}
+		db, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seedWrites(db, writes); err != nil {
+			t.Fatal(err)
+		}
+		want := foldLive(db)
+		if got := db.StateFingerprint(); got != want {
+			t.Errorf("durable %v: seeded fingerprint %s, fold %s", durable, got, want)
+		}
+		if got := db.Clone().StateFingerprint(); got != want {
+			t.Errorf("durable %v: clone's fingerprint %s, fold %s", durable, got, want)
+		}
+		if !durable {
+			continue
+		}
+		reopened, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.StateFingerprint(); got != want || foldLive(reopened) != want {
+			t.Errorf("reopened fingerprint %s, fold %s, seeded %s", got, foldLive(reopened), want)
+		}
 	}
 }

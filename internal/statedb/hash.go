@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"runtime"
 )
 
 // liveSum is the state fingerprint: the sum, modulo 2^128, of pairDigest over
@@ -36,4 +37,30 @@ func pairDigest[K string | []byte](key K, val []byte) liveSum {
 	buf = append(append(buf, key...), val...)
 	sum := sha256.Sum256(buf)
 	return liveSum{hi: binary.BigEndian.Uint64(sum[:8]), lo: binary.BigEndian.Uint64(sum[8:16])}
+}
+
+// digestChunk is the fewest entries digest hands a goroutine of its own.
+const digestChunk = 4096
+
+// digest is the fingerprint of b's entries, the liveSum of a database that
+// holds b alone. The sum commutes, so b is cut into contiguous chunks, one
+// per processor, each summed on a goroutine of its own.
+func (b *Base) digest() liveSum {
+	n := b.Len()
+	chunks := max(1, min(runtime.GOMAXPROCS(0), n/digestChunk))
+	sums := make(chan liveSum, chunks)
+	for c := range chunks {
+		go func() {
+			var sum liveSum
+			for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+				sum.add(pairDigest(b.Key(i), b.value(i)))
+			}
+			sums <- sum
+		}()
+	}
+	var sum liveSum
+	for range chunks {
+		sum.add(<-sums)
+	}
+	return sum
 }

@@ -18,16 +18,21 @@
 // The state a database is loaded with — the genesis (SeedBase) or a durable
 // peer's reopened store (New) — is held as a Base: one immutable, sorted,
 // pointer-free set of entries, about a quarter of the memory the same keys
-// take as map entries. Only what blocks write afterwards lives in the
-// per-key histories. A key's first write copies its base version into its
-// history, so once a key has a history the history alone answers for it —
-// exactly the versions it would hold had the base been applied as a block —
-// and a key without one reads its base entry. When pruning leaves a base
-// key's history a lone tombstone, the history stays, emptied, so the base
-// entry it hides cannot resurface. A range read (KeysInRange) finds the base
-// keys in range by binary search and scans the histories whole, so it costs
-// the base keys in range plus every key written since the base was loaded,
-// not the whole base.
+// take as map entries. BuildBase makes one from entries given in strictly
+// ascending key order, copying each into arenas it sized first and refusing
+// a key out of order or given twice; NewBase sorts a small write set in any
+// order first. Seeding or reopening takes the base's fingerprint on every
+// processor (the digest is a sum, so chunks add up in any order), on a
+// durable peer while the store writes it. Only what blocks write afterwards
+// lives in the per-key histories. A key's first write copies its base
+// version into its history, so once a key has a history the history alone
+// answers for it — exactly the versions it would hold had the base been
+// applied as a block — and a key without one reads its base entry. When
+// pruning leaves a base key's history a lone tombstone, the history stays,
+// emptied, so the base entry it hides cannot resurface. A range read
+// (KeysInRange) finds the base keys in range by binary search and scans the
+// histories whole, so it costs the base keys in range plus every key written
+// since the base was loaded, not the whole base.
 //
 // # Concurrency
 //
@@ -185,14 +190,13 @@ func New(opts Options) (*DB, error) {
 		if err != nil {
 			return err
 		}
-		val := raw[seqno.EncodedLen():]
-		db.live.add(pairDigest(key, val))
-		return bb.add(key, val, ver)
+		return bb.add(key, raw[seqno.EncodedLen():], ver)
 	})
 	if err != nil {
 		return nil, err
 	}
 	db.base = bb.build()
+	db.live = db.base.digest()
 	return db, nil
 }
 
@@ -202,15 +206,18 @@ func New(opts Options) (*DB, error) {
 // memory. A backing store must be empty; the base becomes its first
 // snapshot (kvstore.DB.Install), streamed in key order with the height
 // record, so the store holds what ApplyBlock would have persisted without a
-// batch or a log record of it.
+// batch or a log record of it. The base's fingerprint is taken meanwhile.
 func (db *DB) SeedBase(block uint64, base *Base) error {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 	if db.hasAny.Load() {
 		return fmt.Errorf("statedb: base seeded at height %d", db.height.Load())
 	}
+	live := make(chan liveSum, 1)
+	go func() { live <- base.digest() }()
+	var err error
 	if db.backing != nil {
-		if err := db.backing.Install(func(put func(key, value []byte) error) error {
+		err = db.backing.Install(func(put func(key, value []byte) error) error {
 			// "meta/height" sorts before every "s/" key.
 			if err := put([]byte(backingHeightKey), seqno.Seq{Block: block}.Bytes()); err != nil {
 				return err
@@ -224,13 +231,13 @@ func (db *DB) SeedBase(block uint64, base *Base) error {
 				}
 			}
 			return nil
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	for i := 0; i < base.Len(); i++ {
-		db.live.add(pairDigest(base.Key(i), base.value(i)))
+	sum := <-live
+	if err != nil {
+		return err
 	}
+	db.live = sum
 	db.base = base
 	db.height.Store(block)
 	db.hasAny.Store(true)

@@ -328,33 +328,35 @@ func FormatCuts(rows []CutRow, last int) string {
 	return b.String()
 }
 
-// CheckpointSpan is one store checkpoint a peer's ring holds: the block
-// whose apply took it, and that apply's duration in ns.
-type CheckpointSpan struct {
+// BlockSpan is one span of a block-keyed stage outside the cut that a ring
+// holds — a store checkpoint, the genesis: the block it belongs to, and its
+// duration in ns.
+type BlockSpan struct {
 	Block uint64
 	NS    int64
 }
 
-// Checkpoints collects one dump's StageCheckpoint events, in block order.
-func Checkpoints(d Dump) []CheckpointSpan {
-	var out []CheckpointSpan
+// Spans collects one dump's events of stage, in block order.
+func Spans(d Dump, stage Stage) []BlockSpan {
+	var out []BlockSpan
 	for _, ev := range d.Events {
-		if ev.Stage != StageCheckpoint {
+		if ev.Stage != stage {
 			continue
 		}
 		if num, err := strconv.ParseUint(ev.TxID, 10, 64); err == nil {
-			out = append(out, CheckpointSpan{Block: num, NS: int64(ev.Block)})
+			out = append(out, BlockSpan{Block: num, NS: int64(ev.Block)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
 	return out
 }
 
-// FormatCheckpoints renders the checkpoint line `sharpnet trace` prints per
-// peer: the count, then each checkpoint's block and duration in ms.
-func FormatCheckpoints(spans []CheckpointSpan) string {
+// FormatSpans renders a span line `sharpnet trace` prints per node: the
+// count and noun ("checkpoints", "genesis"), then each span's block and
+// duration in ms.
+func FormatSpans(noun string, spans []BlockSpan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d checkpoints", len(spans))
+	fmt.Fprintf(&b, "%d %s", len(spans), noun)
 	for _, s := range spans {
 		fmt.Fprintf(&b, ", block %d %.2f ms", s.Block, float64(s.NS)/1e6)
 	}

@@ -233,22 +233,30 @@ func TestCutBreakdown(t *testing.T) {
 }
 
 // TestCheckpointSpans: a peer records each store checkpoint as a block-keyed
-// span; Checkpoints reads them back in block order, FormatCheckpoints prints
-// the count and each duration, and neither Cuts nor Merge takes them for a
-// cut or a transaction.
+// span, and its genesis as one at block 0; Spans reads each stage's back in
+// block order, FormatSpans prints the count and each duration, and neither
+// Cuts nor Merge takes them for a cut or a transaction.
 func TestCheckpointSpans(t *testing.T) {
 	tr := New("peer0", "peer", 1<<6)
+	tr.RecordSpan(0, StageGenesis, tr.Now()-3e6)
 	tr.Record("a", StageCommit, 9)
 	for _, block := range []uint64{12, 9} {
 		tr.RecordSpan(block, StageCheckpoint, tr.Now()-int64(block)*1e6)
 	}
 	d := tr.Dump()
-	spans := Checkpoints(d)
+	spans := Spans(d, StageCheckpoint)
 	if len(spans) != 2 || spans[0].Block != 9 || spans[1].Block != 12 || spans[0].NS < 9e6 {
 		t.Fatalf("checkpoint spans %+v, want blocks 9 and 12, each at least its number in ms", spans)
 	}
-	if out := FormatCheckpoints(spans); !strings.HasPrefix(out, "2 checkpoints, block 9 ") || !strings.Contains(out, "block 12") {
+	if out := FormatSpans("checkpoints", spans); !strings.HasPrefix(out, "2 checkpoints, block 9 ") || !strings.Contains(out, "block 12") {
 		t.Errorf("checkpoint line %q", out)
+	}
+	genesis := Spans(d, StageGenesis)
+	if len(genesis) != 1 || genesis[0].Block != 0 || genesis[0].NS < 3e6 {
+		t.Fatalf("genesis spans %+v, want one at block 0 of at least 3 ms", genesis)
+	}
+	if out := FormatSpans("genesis", genesis); !strings.HasPrefix(out, "1 genesis, block 0 ") {
+		t.Errorf("genesis line %q", out)
 	}
 	if rows := Cuts(d); len(rows) != 0 {
 		t.Errorf("checkpoints read as cuts: %+v", rows)

@@ -201,6 +201,7 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	allocs = testing.AllocsPerRun(1000, func() {
 		since = tr.RecordSpan(18446744073709551615, StageFormation, since)
 		tr.RecordSpan(18446744073709551615, StageCheckpoint, since)
+		tr.RecordSpan(0, StageGenesis, since)
 	})
 	if allocs != 0 {
 		t.Fatalf("Tracer.RecordSpan allocates %.1f objects/op, want 0", allocs)

@@ -77,6 +77,13 @@ const NumCutStages = int(cutStageEnd - StageFormation)
 // it.
 const StageCheckpoint Stage = 48
 
+// StageGenesis is a node's block-keyed stage, recorded once, at block 0, by
+// a node that boots from the genesis: the base's build plus its seed — into
+// an orderer's shadow, or a peer's state database and, on a durable peer,
+// its store's first snapshot. An orderer's span is its Core's build, which
+// is little else. Spans reads it.
+const StageGenesis Stage = 49
+
 var stageNames = [...]string{
 	StageSubmit:     "submit",
 	StageOrder:      "order",
@@ -98,6 +105,8 @@ func (s Stage) String() string {
 		return cutStageNames[s-StageFormation]
 	case s == StageCheckpoint:
 		return "checkpoint"
+	case s == StageGenesis:
+		return "genesis"
 	}
 	return "unknown"
 }
@@ -105,9 +114,9 @@ func (s Stage) String() string {
 // cut reports whether s is one of the cut's stages.
 func (s Stage) cut() bool { return s >= StageFormation && s < cutStageEnd }
 
-// blockKeyed reports whether s is a block-keyed stage: a cut stage or
-// StageCheckpoint.
-func (s Stage) blockKeyed() bool { return s.cut() || s == StageCheckpoint }
+// blockKeyed reports whether s is a block-keyed stage: a cut stage,
+// StageCheckpoint or StageGenesis.
+func (s Stage) blockKeyed() bool { return s.cut() || s == StageCheckpoint || s == StageGenesis }
 
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {

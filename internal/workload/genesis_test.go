@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"fabricsharp/internal/kvstore"
@@ -54,6 +57,47 @@ func TestGenesisWriteSetsArePinned(t *testing.T) {
 		if got := writeSetDigest(tc.writes); got != tc.want {
 			t.Errorf("%s digest %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestNumberedKeysAreInKeyOrder holds the genesis builders' enumerator to
+// what it stands for: the keys of [0, n) under a prefix, in the order
+// sort.Strings gives their decimal strings, for every n up to 2 100 (each
+// turnover of the digit count up to four digits, on both sides) and for the
+// benchmark's 100 000.
+func TestNumberedKeysAreInKeyOrder(t *testing.T) {
+	keys := func(prefix string, n int) []string {
+		var out []string
+		numberedKeys(prefix, n, func(key []byte) { out = append(out, string(key)) })
+		return out
+	}
+	sorted := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = strconv.Itoa(i)
+		}
+		sort.Strings(out)
+		return out
+	}
+	const most = 2100
+	all := sorted(most)
+	for n := 0; n <= most; n++ {
+		want := make([]string, 0, n)
+		for _, s := range all {
+			if i, _ := strconv.Atoi(s); i < n {
+				want = append(want, s)
+			}
+		}
+		if got := keys("", n); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: %v, want %v", n, got, want)
+		}
+	}
+	want := sorted(100000)
+	for i := range want {
+		want[i] = "acct:" + want[i]
+	}
+	if got := keys("acct:", 100000); !slices.Equal(got, want) {
+		t.Fatal("n=100000: the keys are not sort.Strings' order")
 	}
 }
 
@@ -126,12 +170,15 @@ func TestSeedGenesisAllocatesNoObjectPerKey(t *testing.T) {
 
 // BenchmarkSeedGenesis times building the 100 000-account genesis base and
 // installing it into a fresh state database, in memory and as a fresh
-// store's first snapshot (opening and closing the store are not timed).
+// store's first snapshot (opening and closing the store are not timed); the
+// base's build alone; and a state database reopened over a store holding
+// that genesis.
 func BenchmarkSeedGenesis(b *testing.B) {
+	const n = 100000
 	b.Run("memory", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			seedAccounts(b, 100000, nil)
+			seedAccounts(b, n, nil)
 		}
 	})
 	b.Run("store", func(b *testing.B) {
@@ -140,10 +187,34 @@ func BenchmarkSeedGenesis(b *testing.B) {
 			b.StopTimer()
 			kv := openStore(b)
 			b.StartTimer()
-			seedAccounts(b, 100000, kv)
+			seedAccounts(b, n, kv)
 			b.StopTimer()
 			kv.Close()
 			b.StartTimer()
+		}
+	})
+	b.Run("base", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := AccountBase(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reopen", func(b *testing.B) {
+		kv := openStore(b)
+		defer kv.Close()
+		seedAccounts(b, n, kv)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db, err := statedb.New(statedb.Options{Backing: kv})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if db.Height() != 0 || !db.Seeded() {
+				b.Fatal("the reopened store holds no genesis")
+			}
 		}
 	})
 }

@@ -115,24 +115,54 @@ func seedBuilt(db *statedb.DB, build func() (*statedb.Base, error)) error {
 
 // numberedBase builds, at GenesisVersion, the base of n numbered accounts
 // under each of prefixes — prefix+i, for i in [0, n), holding value — plus
-// extra. Its keys are appended into one arena and its values cut from one,
-// so a 100 000-account genesis costs a fixed handful of allocations; the
-// write-set functions below are its reference.
+// extra; the write-set functions below are its reference. It puts them in
+// ascending key order, so statedb.BuildBase copies them into its arenas as
+// they come: prefix by prefix, each prefix's keys as numberedKeys gives
+// them, extra merged in where its keys fall. prefixes and extra must be in
+// ascending order, and no prefix a prefix of another.
 func numberedBase(n int, value string, prefixes []string, extra ...protocol.WriteItem) (*statedb.Base, error) {
-	per, val := len(prefixes), []byte(value)
-	return statedb.BuildBase(n*per+len(extra), GenesisVersion(),
-		func(dst []byte, i int) []byte {
-			if i >= n*per {
-				return append(dst, extra[i-n*per].Key...)
+	val := []byte(value)
+	return statedb.BuildBase(GenesisVersion(), func(put func(key, val []byte)) {
+		rest := extra
+		for _, prefix := range prefixes {
+			numberedKeys(prefix, n, func(key []byte) {
+				for ; len(rest) > 0 && rest[0].Key < string(key); rest = rest[1:] {
+					put([]byte(rest[0].Key), rest[0].Value)
+				}
+				put(key, val)
+			})
+		}
+		for _, w := range rest {
+			put([]byte(w.Key), w.Value)
+		}
+	})
+}
+
+// numberedKeys calls fn with prefix+i for every i in [0, n), in ascending
+// key order: the numbers in the order of their decimal strings, 0, 1, 10,
+// 100, …, 11, …, 2, …. From each number it steps to the number times ten
+// while that is below n, and otherwise to the next one up once the trailing
+// nines, and any digit whose successor would reach n, are dropped — on the
+// key's digits as on the number, so no number is formatted. fn must not
+// keep key.
+func numberedKeys(prefix string, n int, fn func(key []byte)) {
+	key := append([]byte(prefix), '0')
+	for i, cur := 0, 0; i < n; i++ {
+		switch {
+		case i == 0:
+		case cur > 0 && cur*10 < n:
+			cur *= 10
+			key = append(key, '0')
+		default:
+			for cur%10 == 9 || cur+1 >= n {
+				cur /= 10
+				key = key[:len(key)-1]
 			}
-			return strconv.AppendInt(append(dst, prefixes[i%per]...), int64(i/per), 10)
-		},
-		func(i int) []byte {
-			if i >= n*per {
-				return extra[i-n*per].Value
-			}
-			return val
-		})
+			cur++
+			key[len(key)-1]++
+		}
+		fn(key)
+	}
 }
 
 // AccountBase builds AccountGenesis(n) as a base.
