@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sim"
 )
 
@@ -24,6 +25,12 @@ import (
 // Figure 3): Election Safety, Log Matching, Leader Completeness and State
 // Machine Safety.
 //
+// The client submits control entries (markers), which wake the senders at
+// once. With onTick set it also submits transaction entries, which wake no
+// sender and go out on the leader's next tick, or with the next marker, and
+// the leader tells every follower at once when a marker commits — the
+// driver's replication cadence.
+//
 // A volatile log is safe only while a member loses its log when each entry
 // it holds also lives on a quorum of the other members (docs/consensus.md,
 // "Crash model and persistence"), so a guarded run crashes a member only
@@ -38,6 +45,7 @@ const (
 	exploreMsgFault  = 0.15 // share of messages dropped, duplicated or delayed
 	exploreCrash     = 0.02 // chance per heartbeat that a member crashes
 	exploreSubmit    = 0.3  // chance per heartbeat that a client submits
+	exploreTxShare   = 0.7  // with onTick, the share of submissions that are transactions
 )
 
 // schedule draws every fault decision of one run from a seeded rng.
@@ -111,13 +119,19 @@ type entryID struct {
 	name      string
 }
 
-func idOf(e LogEntry) entryID { return entryID{e.Term, e.Env.SubmittedBy, e.Env.Commitment} }
+func idOf(e LogEntry) entryID {
+	if e.Env.Tx != nil {
+		return entryID{e.Term, e.Env.SubmittedBy, string(e.Env.Tx.ID)}
+	}
+	return entryID{e.Term, e.Env.SubmittedBy, e.Env.Commitment}
+}
 
 type world struct {
 	e       *sim.Engine
 	sch     *schedule
 	work    *rand.Rand
 	guard   bool
+	onTick  bool // transaction entries wait for the tick
 	members []*exploreMember
 	byName  map[string]*exploreMember
 	leaders map[uint64]string // term → the one leader it had
@@ -130,12 +144,13 @@ type world struct {
 }
 
 // explore runs one schedule of n members and returns the world it left.
-func explore(seed int64, n int, guard bool, keep map[int]bool) *world {
+func explore(seed int64, n int, guard, onTick bool, keep map[int]bool) *world {
 	w := &world{
 		e:       sim.NewEngine(),
 		sch:     &schedule{rng: rand.New(rand.NewSource(seed)), keep: keep},
 		work:    rand.New(rand.NewSource(seed ^ 0x5eed)),
 		guard:   guard,
+		onTick:  onTick,
 		byName:  map[string]*exploreMember{},
 		leaders: map[uint64]string{},
 	}
@@ -268,12 +283,18 @@ func (w *world) deliver(msg exploreMsg) {
 		}
 		w.send(m.name, msg.from, resp)
 	case AppendResponse:
+		was := c.CommitIndex()
 		c.HandleAppendResponse(b)
 		if c.Role() == RoleLeader {
 			if f := m.peers[msg.from]; f != nil {
 				f.heard = true
 			}
-			w.sender(m, msg.from)
+			if !b.Success { // the reject rewound the cursor
+				w.sender(m, msg.from)
+			}
+			if w.onTick {
+				w.announce(m, was)
+			}
 		}
 	}
 }
@@ -293,6 +314,24 @@ func (w *world) sender(m *exploreMember, peer string) {
 	for m.core.Behind(peer) {
 		m.peers[peer].busy = true
 		w.send(m.name, peer, m.core.AppendRequestFor(peer))
+	}
+}
+
+// announce is the driver telling every follower at once that an entry other
+// than a transaction committed, rather than on the next tick.
+func (w *world) announce(m *exploreMember, was uint64) {
+	c := m.core
+	for i := was + 1; i <= c.CommitIndex(); i++ {
+		if c.Entry(i).Env.Tx == nil {
+			for _, p := range c.Others() {
+				if c.Behind(p) {
+					w.sender(m, p)
+				} else {
+					w.send(m.name, p, c.AppendRequestFor(p))
+				}
+			}
+			return
+		}
 	}
 }
 
@@ -336,10 +375,17 @@ func (w *world) chaos() {
 		for _, m := range w.members {
 			if m.up && m.core.Role() == RoleLeader {
 				w.submitted++
-				if _, err := m.core.Append(Envelope{SubmittedBy: "client", Commitment: fmt.Sprintf("e%d", w.submitted)}); err == nil {
+				name := fmt.Sprintf("e%d", w.submitted)
+				env := Envelope{SubmittedBy: "client", Commitment: name}
+				if w.onTick && w.work.Float64() < exploreTxShare {
+					env = Envelope{SubmittedBy: "client", Tx: &protocol.Transaction{ID: protocol.TxID(name)}}
+				}
+				if _, err := m.core.Append(env); err == nil {
 					m.dirty = true
-					for _, p := range m.core.Others() {
-						w.sender(m, p)
+					if env.Tx == nil { // a transaction entry waits for the tick
+						for _, p := range m.core.Others() {
+							w.sender(m, p)
+						}
 					}
 				}
 				break
@@ -481,7 +527,7 @@ func (w *world) kind() string {
 // shrink drops faults from a failing schedule one at a time, keeping each
 // removal after which the same property still fails; what is left is a
 // schedule from which no single fault can be removed.
-func shrink(seed int64, n int, guard bool, failed *world) ([]int, *world) {
+func shrink(seed int64, n int, guard, onTick bool, failed *world) ([]int, *world) {
 	keep := append([]int(nil), failed.sch.faults...)
 	best := failed
 	for i := 0; i < len(keep); {
@@ -491,7 +537,7 @@ func shrink(seed int64, n int, guard bool, failed *world) ([]int, *world) {
 				try[k] = true
 			}
 		}
-		if w := explore(seed, n, guard, try); w.kind() == failed.kind() {
+		if w := explore(seed, n, guard, onTick, try); w.kind() == failed.kind() {
 			keep, best = w.sch.faults, w
 			continue
 		}
@@ -501,11 +547,11 @@ func shrink(seed int64, n int, guard bool, failed *world) ([]int, *world) {
 }
 
 // replayable prints a failing schedule so that it can be replayed:
-// explore(seed, n, guard, keep) runs it again.
-func replayable(seed int64, n int, guard bool, keep []int, w *world) string {
+// explore(seed, n, guard, onTick, keep) runs it again.
+func replayable(seed int64, n int, guard, onTick bool, keep []int, w *world) string {
 	sort.Ints(keep)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\nreplay: explore(%d, %d, %v, keep(%v))\n", w.violation, seed, n, guard, keep)
+	fmt.Fprintf(&b, "%s\nreplay: explore(%d, %d, %v, %v, keep(%v))\n", w.violation, seed, n, guard, onTick, keep)
 	for _, line := range w.sch.log {
 		b.WriteString("  " + line + "\n")
 	}
@@ -524,34 +570,38 @@ func keepOf(faults ...int) map[int]bool {
 const exploreSchedules = 2000
 
 // TestRaftExplorer runs exploreSchedules seeded schedules of 3–5 members
-// with guarded crashes and fails with the first violated property's
-// minimal schedule.
+// with guarded crashes, once with every submission waking the senders and
+// once with transaction entries waiting for the tick, and fails with the
+// first violated property's minimal schedule.
 func TestRaftExplorer(t *testing.T) {
-	var elected, committed, crashes int
-	for seed := int64(1); seed <= exploreSchedules; seed++ {
-		n := 3 + int(seed%3)
-		w := explore(seed, n, true, nil)
-		if w.violation != "" {
-			keep, min := shrink(seed, n, true, w)
-			t.Fatalf("seed %d: %s", seed, replayable(seed, n, true, keep, min))
-		}
-		if len(w.leaders) > 0 {
-			elected++
-		}
-		committed += len(w.committed)
-		for _, line := range w.sch.log {
-			if strings.Contains(line, "crash ") {
-				crashes++
+	for _, onTick := range []bool{false, true} {
+		var elected, committed, crashes int
+		for seed := int64(1); seed <= exploreSchedules; seed++ {
+			n := 3 + int(seed%3)
+			w := explore(seed, n, true, onTick, nil)
+			if w.violation != "" {
+				keep, min := shrink(seed, n, true, onTick, w)
+				t.Fatalf("seed %d: %s", seed, replayable(seed, n, true, onTick, keep, min))
+			}
+			if len(w.leaders) > 0 {
+				elected++
+			}
+			committed += len(w.committed)
+			for _, line := range w.sch.log {
+				if strings.Contains(line, "crash ") {
+					crashes++
+				}
 			}
 		}
+		// The schedules must exercise what they check: leaders elected,
+		// entries committed, members crashed and restarted.
+		if elected < exploreSchedules*9/10 || committed < 20*exploreSchedules || crashes < exploreSchedules/4 {
+			t.Fatalf("onTick %v: explorer too tame: %d/%d schedules elected, %d entries committed, %d crashes",
+				onTick, elected, exploreSchedules, committed, crashes)
+		}
+		t.Logf("onTick %v, %d schedules: %d elected a leader, %d entries committed, %d crash-restarts",
+			onTick, exploreSchedules, elected, committed, crashes)
 	}
-	// The schedules must exercise what they check: leaders elected, entries
-	// committed, members crashed and restarted.
-	if elected < exploreSchedules*9/10 || committed < 20*exploreSchedules || crashes < exploreSchedules/4 {
-		t.Fatalf("explorer too tame: %d/%d schedules elected, %d entries committed, %d crashes",
-			elected, exploreSchedules, committed, crashes)
-	}
-	t.Logf("%d schedules: %d elected a leader, %d entries committed, %d crash-restarts", exploreSchedules, elected, committed, crashes)
 }
 
 // The volatile log's counter-schedule, found by the unguarded explorer at
@@ -571,10 +621,10 @@ var counterKeep = []int{16, 36, 79, 157, 212, 215, 217}
 // and its minimal replay both lose a committed entry.
 func TestExplorerVolatileLogCounterSchedule(t *testing.T) {
 	for _, keep := range []map[int]bool{nil, keepOf(counterKeep...)} {
-		w := explore(counterSeed, counterMembers, false, keep)
+		w := explore(counterSeed, counterMembers, false, false, keep)
 		switch w.kind() {
 		case "Leader Completeness", "State Machine Safety":
-			t.Logf("expected failure:\n%s", replayable(counterSeed, counterMembers, false, w.sch.faults, w))
+			t.Logf("expected failure:\n%s", replayable(counterSeed, counterMembers, false, false, w.sch.faults, w))
 		default:
 			t.Fatalf("seed %d with a volatile log no longer loses a committed entry (violation %q): "+
 				"if the log is durable now, turn this into a passing schedule", counterSeed, w.violation)

@@ -63,26 +63,12 @@ func (g *Gauge) Add(delta int64) int64 {
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Set pins the gauge to an absolute level (still tracking the high-water
-// mark) — for externally-computed levels like a Raft term or replication
-// lag, where deltas are not the natural unit.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
 // Max returns the highest level ever observed.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
 // ConsensusMetrics instruments the fault-tolerance surface of a clustered
-// ordering node: how often leadership moves, how far replication trails the
-// log, and how often clients are redirected. All fields are concurrency-safe
-// and the zero value is ready to use.
+// ordering node: how often leadership moves. All fields are
+// concurrency-safe and the zero value is ready to use.
 type ConsensusMetrics struct {
 	// Elections counts elections this replica started (candidate
 	// transitions, including re-elections after split votes).
@@ -90,14 +76,6 @@ type ConsensusMetrics struct {
 	// Failovers counts observed leader-identity changes — a stable cluster
 	// holds this at one (the initial election).
 	Failovers Counter
-	// Term tracks the replica's current Raft term.
-	Term Gauge
-	// ReplicationLag tracks, on the leader, how many log entries trail the
-	// commit index (lastIndex − commitIndex); its Max is the worst backlog.
-	ReplicationLag Gauge
-	// SubmitRedirects counts client submissions answered with a NotLeader
-	// redirect (client side: redirects followed).
-	SubmitRedirects Counter
 }
 
 // Histogram collects float64 samples (seconds, milliseconds — caller's

@@ -10,7 +10,6 @@ import (
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
-	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/orderer"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/trace"
@@ -86,7 +85,6 @@ type Orderer struct {
 	raft      *transport.RaftService
 	redirects map[string]string
 	name      string
-	consensus metrics.ConsensusMetrics
 	tracer    *trace.Tracer
 
 	// sealed broadcasts "a block was sealed" to delivery streams: each
@@ -119,7 +117,6 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 			Dir:             cfg.RaftDir,
 			ElectionTimeout: cfg.RaftElectionTimeout,
 			Dial:            cfg.RaftDial,
-			Metrics:         &o.consensus,
 		})
 		if err != nil {
 			return nil, err

@@ -37,13 +37,16 @@ import (
 // tests lean on.
 //
 // Each peer has one sender goroutine owning its connection, and it is the
-// only place an AppendEntries is built: woken by a Submit, a response or
-// the tick, it sends everything past the follower's sent cursor in one
-// request (up to the core's batch bound), splicing in entry bytes encoded
-// once, or an empty heartbeat if the follower got nothing for an interval.
-// The cursor rewinds on a reject, and after an interval in which the
-// follower neither answered nor was sent entries — which covers a frame
-// that was lost.
+// only place an AppendEntries is built: woken by the tick, a reject, a new
+// leader's no-op or a Submit that is waited on at commit (a cut marker or a
+// hash commitment), it sends everything past the follower's sent cursor in
+// one request (up to the core's batch bound), splicing in entry bytes
+// encoded once, or an empty heartbeat if the follower got nothing for an
+// interval or must learn that such an entry committed. A transaction's
+// entry wakes no sender: it rides the next tick, or the next marker if that
+// comes first. The cursor rewinds on a reject, and after an interval in
+// which the follower neither answered nor was sent entries — which covers a
+// frame that was lost.
 //
 // Liveness is clock-driven: a follower that hears nothing for a randomized
 // election timeout in [T, 2T) starts an election, and a candidate re-sends
@@ -100,9 +103,9 @@ type RaftConfig struct {
 	// ElectionTimeout is the base T of the randomized [T, 2T) election
 	// timer. Default 250ms.
 	ElectionTimeout time.Duration
-	// Heartbeat is the tick: the interval after which an idle follower is
-	// sent a heartbeat, and a silent one its unacknowledged entries again.
-	// Default T/10.
+	// Heartbeat is the tick: the interval on which transaction entries are
+	// sent, after which an idle follower is sent a heartbeat, and a silent
+	// one its unacknowledged entries again. Default T/10.
 	Heartbeat time.Duration
 	// SubmitTimeout bounds how long Submit waits for quorum commit.
 	// Default 15s.
@@ -110,8 +113,7 @@ type RaftConfig struct {
 	// Dial overrides outbound connection establishment (fault injection
 	// seam). Default: transport.Dial.
 	Dial func(addr string) (FrameConn, error)
-	// Metrics, when set, observes elections, failovers, term, and
-	// replication lag.
+	// Metrics, when set, counts elections and failovers.
 	Metrics *metrics.ConsensusMetrics
 	// Seed drives the election-jitter rng; 0 derives one from the clock
 	// and the member ID.
@@ -302,14 +304,13 @@ func (s *RaftService) resetDeadlineLocked() {
 	s.deadline = time.Now().Add(t + time.Duration(s.rng.Int63n(int64(t))))
 }
 
-// noteLocked runs after every core transition: the term gauge, failover
-// counting, and the wake-ups the transition is owed — parked submits and
-// feeders when the commit index advanced, every parked submit when this
-// member no longer leads the term it appended in.
+// noteLocked runs after every core transition: failover counting, and the
+// wake-ups the transition is owed — parked submits and feeders when the
+// commit index advanced, every sender when that commits an entry other than
+// a transaction (followers seal a block when they learn its marker
+// committed, which should not wait for the tick), and every parked submit
+// when this member no longer leads the term it appended in.
 func (s *RaftService) noteLocked() {
-	if m := s.cfg.Metrics; m != nil {
-		m.Term.Set(int64(s.core.Term()))
-	}
 	cur := s.core.LeaderID()
 	if cur != "" && cur != s.last {
 		if s.last != "" && s.cfg.Metrics != nil {
@@ -318,6 +319,17 @@ func (s *RaftService) noteLocked() {
 		s.last = cur
 	}
 	if c := s.core.CommitIndex(); c > s.commit {
+		if s.core.Role() == consensus.RoleLeader {
+			for i := s.commit + 1; i <= c; i++ {
+				if s.core.Entry(i).Env.Tx == nil {
+					for _, p := range s.peers {
+						p.heartbeat = true
+						p.kick()
+					}
+					break
+				}
+			}
+		}
 		s.commit = c
 		n := 0
 		for n < len(s.waiters) && s.waiters[n].idx <= c {
@@ -598,7 +610,7 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 		s.core.HandleAppendResponse(resp)
 		if p := s.peers[resp.From]; p != nil && s.core.Role() == consensus.RoleLeader {
 			p.heard = true
-			if s.core.Behind(resp.From) { // a reject rewound the cursor
+			if !resp.Success && s.core.Behind(resp.From) { // the reject rewound the cursor
 				p.kick()
 			}
 		}
@@ -607,8 +619,9 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 	}
 }
 
-// tick drives the clocks: the leader's idle heartbeats and silent-follower
-// rewinds, a candidate's vote re-send, and follower election timeouts.
+// tick drives the clocks: the leader's transaction entries, idle
+// heartbeats and silent-follower rewinds, a candidate's vote re-send, and
+// follower election timeouts.
 func (s *RaftService) tick() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
@@ -636,9 +649,6 @@ func (s *RaftService) tick() {
 				p.heartbeat = !p.busy
 				p.busy, p.heard = false, false
 				p.kick()
-			}
-			if m := s.cfg.Metrics; m != nil {
-				m.ReplicationLag.Set(int64(s.core.LastIndex() - s.core.CommitIndex()))
 			}
 		case time.Now().After(s.deadline):
 			req := s.core.StartElection()
@@ -679,7 +689,9 @@ func (s *RaftService) sendVoteLocked() {
 // replica's stream — the acknowledgement the zero-loss chaos assertion is
 // built on. Followers refuse with consensus.ErrNotLeader (the node layer
 // turns it into a client redirect). The envelope is encoded here, outside
-// the lock, and those bytes are what every follower is sent.
+// the lock, and those bytes are what every follower is sent. An envelope
+// carrying a transaction is sent on the next tick, with every other entry
+// appended by then; any other envelope wakes the senders at once.
 func (s *RaftService) Submit(env consensus.Envelope) error {
 	body := wire.EncodeRaftEnvelope(&env)
 	timer := time.NewTimer(s.cfg.SubmitTimeout)
@@ -696,8 +708,10 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	w := &raftWaiter{idx: idx, term: s.core.Term(), ch: make(chan struct{})}
 	s.keepEncLocked(idx, w.term, body)
 	s.waiters = append(s.waiters, w)
-	for _, p := range s.peers {
-		p.kick()
+	if env.Tx == nil {
+		for _, p := range s.peers {
+			p.kick()
+		}
 	}
 	s.noteLocked() // a single-member cluster has committed already
 	s.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/wire"
 )
 
@@ -423,17 +424,27 @@ func TestRaftStateSurvivesACrashBeforeTheRename(t *testing.T) {
 }
 
 // raftFrameFilter wraps a member's outbound connections: drop, when set,
-// decides per frame whether it is lost; sent counts the AppendEntries
-// frames carrying entries that got through.
+// decides per frame whether it is lost; frames records the AppendEntries
+// carrying entries that got through, and beat, when set, is signalled
+// (without blocking) as each empty one — a heartbeat — goes out.
 type raftFrameFilter struct {
-	mu   sync.Mutex
-	drop func(t wire.MsgType, n int) bool // n: frames of type t seen on this conn before
-	sent int
+	mu     sync.Mutex
+	drop   func(t wire.MsgType, n int) bool // n: frames of type t seen on this conn before
+	frames []appendFrame
+	beat   chan struct{}
+}
+
+// appendFrame is one AppendEntries with entries: its destination and its
+// entries' envelopes.
+type appendFrame struct {
+	to   string
+	envs []consensus.Envelope
 }
 
 type filteredConn struct {
 	FrameConn
 	f    *raftFrameFilter
+	to   string
 	seen map[wire.MsgType]int
 }
 
@@ -442,7 +453,7 @@ func (f *raftFrameFilter) dial(addr string) (FrameConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &filteredConn{FrameConn: inner, f: f, seen: map[wire.MsgType]int{}}, nil
+	return &filteredConn{FrameConn: inner, f: f, to: addr, seen: map[wire.MsgType]int{}}, nil
 }
 
 func (c *filteredConn) Send(t wire.MsgType, payload []byte) error {
@@ -452,7 +463,16 @@ func (c *filteredConn) Send(t wire.MsgType, payload []byte) error {
 	lost := c.f.drop != nil && c.f.drop(t, n)
 	if !lost && t == wire.MsgRaftAppend {
 		if req, err := wire.DecodeRaftAppend(payload); err == nil && len(req.Entries) > 0 {
-			c.f.sent++
+			fr := appendFrame{to: c.to}
+			for _, e := range req.Entries {
+				fr.envs = append(fr.envs, e.Env)
+			}
+			c.f.frames = append(c.f.frames, fr)
+		} else if err == nil && c.f.beat != nil {
+			select {
+			case c.f.beat <- struct{}{}:
+			default:
+			}
 		}
 	}
 	c.f.mu.Unlock()
@@ -462,10 +482,11 @@ func (c *filteredConn) Send(t wire.MsgType, payload []byte) error {
 	return c.FrameConn.Send(t, payload)
 }
 
-func (f *raftFrameFilter) appends() int {
+// appends returns the AppendEntries with entries sent so far.
+func (f *raftFrameFilter) appends() []appendFrame {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sent
+	return append([]appendFrame(nil), f.frames...)
 }
 
 // startRaftMember boots one member of a cluster named by addrs.
@@ -576,38 +597,45 @@ func TestWireRaftLostVoteIsResent(t *testing.T) {
 	}
 }
 
-// TestWireRaftCoalescesConcurrentSubmits: 64 concurrent Submits on the
-// leader reach each follower in far fewer AppendEntries than one per entry
-// — the sender sends everything past the follower's cursor at once — and
-// each entry's envelope is encoded once however many requests carry it.
-func TestWireRaftCoalescesConcurrentSubmits(t *testing.T) {
+// startFilteredCluster boots three members ticking every tick, each with a
+// frame filter on its outbound connections, and returns once every member
+// holds the leader's whole log committed — the followers idle.
+func startFilteredCluster(t *testing.T, tick time.Duration) ([]*RaftService, []*raftFrameFilter, int) {
+	t.Helper()
 	addrs := memAddrs(t, 3)
 	filters := make([]*raftFrameFilter, 3)
 	svcs := make([]*RaftService, 3)
 	for i := range svcs {
-		filters[i] = &raftFrameFilter{}
+		filters[i] = &raftFrameFilter{beat: make(chan struct{}, 1)}
 		svcs[i] = startRaftMember(t, addrs, i, func(cfg *RaftConfig) {
-			// A 100ms tick: no silent-interval rewind re-sends anything here.
-			cfg.Heartbeat, cfg.ElectionTimeout, cfg.Dial = 100*time.Millisecond, time.Second, filters[i].dial
+			cfg.Heartbeat, cfg.ElectionTimeout, cfg.Dial = tick, 10*tick, filters[i].dial
 		})
 	}
 	lead := waitLeader(t, svcs, 10*time.Second)
-	waitCommit(t, svcs, svcs[lead].CommitIndex(), 10*time.Second)
-	leader := svcs[lead]
-	leader.mu.Lock()
-	encodes := leader.encodes
-	leader.mu.Unlock()
-	frames := filters[lead].appends()
+	waitCommit(t, svcs, lastIndex(svcs[lead]), 10*time.Second)
+	return svcs, filters, lead
+}
 
-	const n = 64
+// lastIndex returns the member's last log index.
+func lastIndex(s *RaftService) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.core.LastIndex()
+}
+
+// submitConcurrently submits each envelope from a goroutine of its own,
+// starting one every gap, and fails the test if any submission does.
+func submitConcurrently(t *testing.T, s *RaftService, envs []consensus.Envelope, gap time.Duration) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	errs := make([]error, len(envs))
+	for i := range envs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = leader.Submit(consensus.Envelope{SubmittedBy: "client", Commitment: fmt.Sprintf("c%d", i)})
+			errs[i] = s.Submit(envs[i])
 		}(i)
+		time.Sleep(gap)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -615,11 +643,38 @@ func TestWireRaftCoalescesConcurrentSubmits(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+}
+
+// txEnv is a transaction envelope: one that waits for the tick.
+func txEnv(i int) consensus.Envelope {
+	return consensus.Envelope{SubmittedBy: "client", Tx: &protocol.Transaction{ID: protocol.TxID(fmt.Sprintf("tx%d", i))}}
+}
+
+// TestWireRaftCoalescesConcurrentSubmits: 64 concurrent Submits of control
+// envelopes on the leader — each wakes the senders — reach each follower in
+// far fewer AppendEntries than one per entry, since the sender sends
+// everything past the follower's cursor at once, and each entry's envelope
+// is encoded once however many requests carry it.
+func TestWireRaftCoalescesConcurrentSubmits(t *testing.T) {
+	// A 100ms tick: no silent-interval rewind re-sends anything here.
+	svcs, filters, lead := startFilteredCluster(t, 100*time.Millisecond)
+	leader := svcs[lead]
+	leader.mu.Lock()
+	encodes := leader.encodes
+	leader.mu.Unlock()
+	frames := len(filters[lead].appends())
+
+	const n = 64
+	envs := make([]consensus.Envelope, n)
+	for i := range envs {
+		envs[i] = consensus.Envelope{SubmittedBy: "client", Commitment: fmt.Sprintf("c%d", i)}
+	}
+	submitConcurrently(t, leader, envs, 0)
 	waitCommit(t, svcs, leader.CommitIndex(), 10*time.Second)
 	leader.mu.Lock()
 	encoded := leader.encodes - encodes
 	leader.mu.Unlock()
-	sent := filters[lead].appends() - frames
+	sent := len(filters[lead].appends()) - frames
 	t.Logf("%d submits: %d AppendEntries with entries to 2 followers, %d envelopes encoded", n, sent, encoded)
 	if encoded != n {
 		t.Fatalf("%d envelopes encoded for %d entries; want each encoded once", encoded, n)
@@ -629,56 +684,186 @@ func TestWireRaftCoalescesConcurrentSubmits(t *testing.T) {
 	}
 }
 
+// TestWireRaftTransactionsRideTheTick: a transaction envelope wakes no
+// sender, so 20 submitted 2ms apart — within one interval — reach each
+// follower in at most two AppendEntries, one tick's or two ticks' if one
+// falls among them, where waking the senders would send about one each;
+// and all of them commit within two intervals.
+func TestWireRaftTransactionsRideTheTick(t *testing.T) {
+	const tick, n, gap = 100 * time.Millisecond, 20, 2 * time.Millisecond
+	svcs, filters, lead := startFilteredCluster(t, tick)
+	leader := svcs[lead]
+	frames := len(filters[lead].appends())
+
+	envs := make([]consensus.Envelope, n)
+	for i := range envs {
+		envs[i] = txEnv(i)
+	}
+	start := time.Now()
+	submitConcurrently(t, leader, envs, gap)
+	if took := time.Since(start); took >= 2*tick {
+		t.Fatalf("%d transactions committed after %v; want within two intervals (%v)", n, took, 2*tick)
+	}
+	waitCommit(t, svcs, leader.CommitIndex(), 10*time.Second)
+	per := map[string]int{}
+	for _, fr := range filters[lead].appends()[frames:] {
+		per[fr.to]++
+	}
+	t.Logf("%d transactions: AppendEntries with entries per follower %v", n, per)
+	for i, s := range svcs {
+		if i != lead && (per[s.cfg.ID] == 0 || per[s.cfg.ID] > 2) {
+			t.Fatalf("follower %d was sent %d AppendEntries with entries for %d transactions; want 1 or 2", i, per[s.cfg.ID], n)
+		}
+	}
+}
+
+// TestWireRaftMarkerFlushesAtOnce: transactions parked since the last tick
+// stay uncommitted until a cut marker wakes the senders; the marker then
+// carries them to each follower in one AppendEntries and commits in one
+// round trip, well before the next tick, every follower learns of the
+// commit as soon, and every member's committed stream reads the
+// transactions in submission order, then the marker.
+func TestWireRaftMarkerFlushesAtOnce(t *testing.T) {
+	const tick, k = 100 * time.Millisecond, 5
+	svcs, filters, lead := startFilteredCluster(t, tick)
+	leader, f := svcs[lead], filters[lead]
+	// Start just after a tick's heartbeat, an interval before the next one.
+	select {
+	case <-f.beat:
+	default:
+	}
+	select {
+	case <-f.beat:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the leader sent no heartbeat")
+	}
+	base := lastIndex(leader)
+	frames := len(f.appends())
+
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = leader.Submit(txEnv(i + 1))
+		}(i)
+		for lastIndex(leader) < base+uint64(i+1) { // appended in order tx1..k
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if c := leader.CommitIndex(); c != base {
+		t.Fatalf("commit index %d → %d before the marker; a transaction should wait for the tick", base, c)
+	}
+	start := time.Now()
+	if err := leader.Submit(consensus.Envelope{SubmittedBy: "orderer", CutBlock: 1}); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit tx%d: %v", i+1, err)
+		}
+	}
+	if took >= tick/2 {
+		t.Fatalf("the marker committed after %v; want under half an interval (%v)", took, tick/2)
+	}
+	// The followers learn the marker committed at once too: they seal on it.
+	for i, s := range svcs {
+		for s.CommitIndex() < base+k+1 {
+			if time.Since(start) >= tick/2 {
+				t.Fatalf("member %d learned the marker committed only after %v; want under half an interval", i, time.Since(start))
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	sent := f.appends()[frames:]
+	if len(sent) != 2 { // the commit's announcement carries no entries
+		t.Fatalf("%d AppendEntries with entries after the marker; want one per follower", len(sent))
+	}
+	for _, fr := range sent {
+		if len(fr.envs) != k+1 || fr.envs[k].CutBlock != 1 {
+			t.Fatalf("the marker's AppendEntries to %s carried %d entries; want the %d transactions, then the marker", fr.to, len(fr.envs), k)
+		}
+	}
+	waitCommit(t, svcs, base+k+1, 10*time.Second)
+	for i, s := range svcs {
+		got := collectStream(t, s, int(base)+k+1, 10*time.Second)[base:]
+		for j, env := range got[:k] {
+			if want := protocol.TxID(fmt.Sprintf("tx%d", j+1)); env.Tx == nil || env.Tx.ID != want {
+				t.Fatalf("member %d: entry %d of the flush is %q; want %s", i, j, envKey(env), want)
+			}
+		}
+		if got[k].CutBlock != 1 {
+			t.Fatalf("member %d: the flush ends with %q; want the marker", i, envKey(got[k]))
+		}
+	}
+}
+
 // BenchmarkRaftSubmit measures commit-wait Submit on the leader of a
-// three-member cluster on in-memory connections, with one submitter and
-// with 64, reporting committed submissions per second.
+// three-member cluster on in-memory connections at the default heartbeat,
+// for control envelopes (sent at once) and transaction envelopes (sent on
+// the tick), with one submitter and with 64. It reports committed
+// submissions per second and the AppendEntries carrying entries sent per
+// committed submission (appends/op), counted through the dial seam, which
+// decodes each AppendEntries the leader sends.
 func BenchmarkRaftSubmit(b *testing.B) {
-	for _, c := range []int{1, 64} {
-		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			addrs := make([]string, 3)
-			for i := range addrs {
-				addrs[i] = fmt.Sprintf("mem:%s/%d", b.Name(), i)
-			}
-			svcs := make([]*RaftService, 3)
-			for i := range svcs {
-				s, err := StartRaft(RaftConfig{ID: addrs[i], Cluster: addrs, Seed: int64(i + 1)})
-				if err != nil {
-					b.Fatal(err)
+	for _, kind := range []string{"control", "tx"} {
+		for _, c := range []int{1, 64} {
+			b.Run(fmt.Sprintf("%s/c%d", kind, c), func(b *testing.B) {
+				addrs := make([]string, 3)
+				for i := range addrs {
+					addrs[i] = fmt.Sprintf("mem:%s/%d", b.Name(), i)
 				}
-				defer s.Close()
-				svcs[i] = s
-			}
-			var leader *RaftService
-			for leader == nil {
-				for _, s := range svcs {
-					if s.IsLeader() {
-						leader = s
+				filter := &raftFrameFilter{}
+				svcs := make([]*RaftService, 3)
+				for i := range svcs {
+					s, err := StartRaft(RaftConfig{ID: addrs[i], Cluster: addrs, Seed: int64(i + 1), Dial: filter.dial})
+					if err != nil {
+						b.Fatal(err)
 					}
+					defer s.Close()
+					svcs[i] = s
 				}
-				time.Sleep(time.Millisecond)
-			}
-			var next atomic.Int64
-			var failed atomic.Bool
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for g := 0; g < c; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if err := leader.Submit(consensus.Envelope{SubmittedBy: "bench"}); err != nil {
-							failed.Store(true)
+				var leader *RaftService
+				for leader == nil {
+					for _, s := range svcs {
+						if s.IsLeader() {
+							leader = s
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failed.Load() {
-				b.Fatal("a submit failed")
-			}
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "tx/s")
-		})
+					time.Sleep(time.Millisecond)
+				}
+				env := consensus.Envelope{SubmittedBy: "bench"}
+				if kind == "tx" {
+					env.Tx = &protocol.Transaction{ID: "bench"}
+				}
+				var next atomic.Int64
+				var failed atomic.Bool
+				frames := len(filter.appends())
+				b.ResetTimer()
+				start := time.Now()
+				var wg sync.WaitGroup
+				for g := 0; g < c; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for next.Add(1) <= int64(b.N) {
+							if err := leader.Submit(env); err != nil {
+								failed.Store(true)
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				if failed.Load() {
+					b.Fatal("a submit failed")
+				}
+				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "tx/s")
+				b.ReportMetric(float64(len(filter.appends())-frames)/float64(b.N), "appends/op")
+			})
+		}
 	}
 }

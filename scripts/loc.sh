@@ -22,14 +22,18 @@
 # parallel digest, NewBase's sort of an index over its write set, the
 # builder's lazy per-entry versions and the genesis span on every node's
 # ring, less the comparison sort and the second build path BuildBase
-# deleted; 36 of them comments.
+# deleted; 36 of them comments. Sending a transaction's Raft entry on the
+# heartbeat tick, and a marker's commit to the followers at once, while
+# deleting the three consensus metrics nothing read (Term, ReplicationLag,
+# SubmitRedirects) and Gauge.Set, which only they called, lowered it by 11,
+# to 22451.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22462
+CEILING=22451
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
