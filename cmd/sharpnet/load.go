@@ -55,8 +55,9 @@ func cmdLoad(args []string) int {
 }
 
 // fullPipelineStages is the stage set every committed transaction must
-// exhibit for the coverage assertion (raft-commit is omitted: standalone
-// orderers never record it).
+// exhibit for the coverage assertion (raft-commit is omitted: only the
+// orderer that accepted the submit records it, and a failover may take that
+// one down).
 var fullPipelineStages = []trace.Stage{
 	trace.StageSubmit, trace.StageOrder, trace.StageSeal,
 	trace.StageDeliver, trace.StageValidate, trace.StageCommit,

@@ -1,18 +1,14 @@
 // Package consensus implements the totally-ordered broadcast that backs the
-// ordering phase. Fabric outsources this to Kafka (Section 2.1); the Kafka
-// type reproduces the properties the schedulers rely on — a single durable,
-// totally ordered, replayable stream that every orderer consumes
-// identically — using an in-process broker. RaftCore (raftcore.go) is the
-// crash-fault-tolerant alternative: the pure replicated-log state machine
-// that internal/transport.RaftService drives over TCP.
+// ordering phase. Fabric outsources this to Kafka (Section 2.1); a Service
+// has Kafka's contract — a single durable, totally ordered, replayable
+// stream that every orderer consumes identically — which is the property
+// the schedulers rely on. RaftCore (raftcore.go) is the one implementation:
+// the pure replicated-log state machine that internal/transport.RaftService
+// drives over the wire, for a cluster of orderers or a standalone orderer's
+// group of one.
 package consensus
 
-import (
-	"fmt"
-	"sync"
-
-	"fabricsharp/internal/protocol"
-)
+import "fabricsharp/internal/protocol"
 
 // Envelope is a payload submitted for ordering.
 type Envelope struct {
@@ -52,93 +48,4 @@ type Service interface {
 	// Close stops the service; subscribers' channels are closed after the
 	// last delivered offset.
 	Close()
-}
-
-// Kafka is the in-process ordering service. It keeps its whole log in
-// memory; the library network's one orderer.Service subscribes once, from
-// offset zero, when the network starts.
-type Kafka struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	log    []Envelope
-	closed bool
-}
-
-// NewKafka creates the broker.
-func NewKafka() *Kafka {
-	k := &Kafka{}
-	k.cond = sync.NewCond(&k.mu)
-	return k
-}
-
-// Submit implements Service.
-func (k *Kafka) Submit(env Envelope) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.closed {
-		return fmt.Errorf("consensus: service closed")
-	}
-	k.log = append(k.log, env)
-	k.cond.Broadcast()
-	return nil
-}
-
-// Subscribe implements Service. The returned cancel function detaches the
-// subscriber; the channel is closed afterwards.
-func (k *Kafka) Subscribe() (<-chan Sequenced, func()) {
-	ch := make(chan Sequenced, 128)
-	done := make(chan struct{})
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			close(done)
-			k.mu.Lock()
-			k.cond.Broadcast()
-			k.mu.Unlock()
-		})
-	}
-	go func() {
-		defer close(ch)
-		next := uint64(0)
-		for {
-			k.mu.Lock()
-			for int(next) >= len(k.log) && !k.closed {
-				select {
-				case <-done:
-					k.mu.Unlock()
-					return
-				default:
-				}
-				k.cond.Wait()
-			}
-			if int(next) >= len(k.log) && k.closed {
-				k.mu.Unlock()
-				return
-			}
-			env := k.log[next]
-			k.mu.Unlock()
-			select {
-			case ch <- Sequenced{Offset: next, Env: env}:
-				next++
-			case <-done:
-				return
-			}
-		}
-	}()
-	return ch, cancel
-}
-
-// Close implements Service.
-func (k *Kafka) Close() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.closed = true
-	k.cond.Broadcast()
-}
-
-// Len returns the current log length (tests, metrics).
-func (k *Kafka) Len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.log)
 }

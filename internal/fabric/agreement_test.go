@@ -177,17 +177,17 @@ func (discardEvents) Sealed(*ledger.Block)                            {}
 func (discardEvents) CutStage(uint64, trace.Stage)                    {}
 
 // assertOrderersAgree demands that follower orderers agree with n's: two
-// fresh orderer.Cores are folded over the consensus stream n's solo orderer
-// retained — transactions and time-to-cut markers alike — and each must seal
-// n's chain bit for bit.
+// fresh orderer.Cores are folded over the committed log of n's solo
+// orderer's Raft group — transactions and time-to-cut markers alike — and
+// each must seal n's chain bit for bit.
 // wire.EncodeBlock covers hashes, contents, sealed verdicts and the rescue
 // digest. n must be idle.
 func assertOrderersAgree(t *testing.T, n *testNet) {
 	t.Helper()
-	stream := n.Orderer().Stream().(*consensus.Kafka)
+	stream := n.Orderer().Raft()
 	replay, cancel := stream.Subscribe()
 	defer cancel()
-	envs := make([]consensus.Envelope, stream.Len())
+	envs := make([]consensus.Envelope, stream.CommitIndex())
 	for i := range envs {
 		envs[i] = (<-replay).Env
 	}

@@ -45,6 +45,25 @@ func TestSubmitReadsBackOnEveryPeer(t *testing.T) {
 	}
 }
 
+// TestStandaloneOrdererStatusNamesItself: a library network's orderer leads
+// its group of one from the start, so its status carries a term and names a
+// leader a client can dial — the orderer's own client address, not its Raft
+// member ID.
+func TestStandaloneOrdererStatusNamesItself(t *testing.T) {
+	n := newTestNetwork(t, NetworkOptions{Peers: 1})
+	addr := n.Orderer().Addr()
+	st, err := StatusAt(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Term < 1 || st.Leader != addr {
+		t.Fatalf("status has term %d and leader %q; want a term and leader %q", st.Term, st.Leader, addr)
+	}
+	if led, err := StatusAt(st.Leader, 5*time.Second); err != nil || led.Role != "orderer" {
+		t.Fatalf("the named leader answers %+v (%v), want the orderer's status", led, err)
+	}
+}
+
 // submitInFlight starts a Submit, returns once the orderer has admitted it
 // to its open block, and reports on the channel what the Submit returned and
 // how long it took.

@@ -45,7 +45,8 @@ type OrdererConfig struct {
 	// ordering cluster: submissions go through the replicated log, every
 	// member seals byte-identical blocks, and followers answer submits with
 	// a NotLeader redirect. Each entry is a member's raft address; RaftID
-	// must be one of them (this process's own).
+	// must be one of them (this process's own). Empty, the orderer is the
+	// one member of its own group, on an in-memory name nobody dials.
 	RaftCluster []string
 	// RaftID is this member's raft address within RaftCluster.
 	RaftID string
@@ -78,10 +79,8 @@ type Orderer struct {
 	srv     *transport.Server
 	results *resultStore
 
-	// stream is the consensus service the ordering service folds (and
-	// closes): raft, the wire Raft member — kept for redirect hints and
-	// status — when RaftCluster is configured, else an in-process broker.
-	stream    consensus.Service
+	// raft is the Raft member whose stream the ordering service folds (and
+	// closes), kept for redirect hints and status.
 	raft      *transport.RaftService
 	redirects map[string]string
 	name      string
@@ -101,27 +100,27 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 	if err := nonEmpty(cfg.PeerNames, "PeerNames"); err != nil {
 		return nil, err
 	}
+	rc := transport.RaftConfig{
+		ID:              cfg.RaftID,
+		Cluster:         cfg.RaftCluster,
+		Dir:             cfg.RaftDir,
+		ElectionTimeout: cfg.RaftElectionTimeout,
+		Dial:            cfg.RaftDial,
+	}
+	if len(rc.Cluster) == 0 {
+		rc.ID, rc.Cluster, rc.Listen = "orderer0", []string{"orderer0"}, "mem:"
+	}
+	raft, err := transport.StartRaft(rc)
+	if err != nil {
+		return nil, err
+	}
 	o := &Orderer{
 		results:   newResultStore(),
+		raft:      raft,
 		redirects: cfg.RaftRedirects,
-		name:      "orderer0",
+		name:      rc.ID,
 		sealed:    make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	o.stream = consensus.NewKafka()
-	if len(cfg.RaftCluster) > 0 {
-		o.name = cfg.RaftID
-		raft, err := transport.StartRaft(transport.RaftConfig{
-			ID:              cfg.RaftID,
-			Cluster:         cfg.RaftCluster,
-			Dir:             cfg.RaftDir,
-			ElectionTimeout: cfg.RaftElectionTimeout,
-			Dial:            cfg.RaftDial,
-		})
-		if err != nil {
-			return nil, err
-		}
-		o.raft, o.stream = raft, raft
 	}
 	o.tracer = trace.New(o.name, "orderer", cfg.TraceEvents)
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
@@ -132,7 +131,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 			Policy:   policy,
 			Registry: registry(cfg.Contracts),
 		},
-		Ordering: o.stream,
+		Ordering: raft,
 		// Sealed blocks leave through the subscription streams, and results
 		// resolve at seal time from the shadow verdicts — which the
 		// agreement property guarantees equal the codes every peer will
@@ -144,17 +143,20 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		Tracer: o.tracer,
 	})
 	if err != nil {
-		o.stream.Close()
+		raft.Close()
 		return nil, err
 	}
 	o.svc = svc
 	svc.Start()
-	srv, err := transport.Listen(cfg.Listen, o.handle)
+	// Serve once the orderer is whole: a status answer names its address.
+	ready := make(chan struct{})
+	srv, err := transport.Listen(cfg.Listen, func(c *transport.Conn) { <-ready; o.handle(c) })
 	if err != nil {
 		svc.Close()
 		return nil, err
 	}
 	o.srv = srv
+	close(ready)
 	return o, nil
 }
 
@@ -180,13 +182,10 @@ func (o *Orderer) Addr() string { return o.srv.Addr() }
 // Chain exposes the sealed chain (tests, tools).
 func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain() }
 
-// Raft exposes the wire consensus service; nil for a standalone orderer.
+// Raft exposes the Raft member whose stream the orderer folds; its
+// committed log is every envelope the orderer sequenced, for a replay to
+// read back.
 func (o *Orderer) Raft() *transport.RaftService { return o.raft }
-
-// Stream exposes the consensus service the orderer folds. A standalone
-// orderer's is a *consensus.Kafka, which retains every envelope it sequenced
-// for a replay to read back.
-func (o *Orderer) Stream() consensus.Service { return o.stream }
 
 // Err returns the node's first fatal error, nil while healthy.
 func (o *Orderer) Err() error { return o.svc.Err() }
@@ -243,11 +242,9 @@ func (o *Orderer) handle(c *transport.Conn) {
 				Name:        o.name,
 				Blocks:      blocks,
 				TipHash:     tip,
+				Term:        o.raft.Term(),
+				Leader:      o.leaderHint(),
 				CommittedTx: committed,
-			}
-			if o.raft != nil {
-				st.Term = o.raft.Term()
-				st.Leader = o.leaderHint()
 			}
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(st))
 		case wire.MsgTraceReq:
@@ -338,23 +335,22 @@ func (o *Orderer) handleSubmit(c *transport.Conn, typ wire.MsgType, payload []by
 		_ = c.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{OK: true}))
 		return
 	}
-	if o.raft != nil {
-		// A raft Submit returns once the entry is quorum-durable in the
-		// replicated log — the raft-commit stage boundary.
-		o.tracer.Record(string(env.Tx.ID), trace.StageRaftCommit, 0)
-	}
+	// A raft Submit returns once the entry is quorum-durable in the
+	// replicated log — the raft-commit stage boundary.
+	o.tracer.Record(string(env.Tx.ID), trace.StageRaftCommit, 0)
 	o.answerResult(c, env.Tx.ID)
 }
 
 // leaderHint maps the raft leader's member address to its client-facing
-// address, falling back to the raw raft address when no redirect is known.
+// address: its redirect, this orderer's own address when it leads, else the
+// raw raft address.
 func (o *Orderer) leaderHint() string {
 	leader := o.raft.Leader()
-	if leader == "" {
-		return ""
-	}
 	if addr, ok := o.redirects[leader]; ok {
 		return addr
+	}
+	if leader == o.name {
+		return o.Addr()
 	}
 	return leader
 }

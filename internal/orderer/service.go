@@ -217,12 +217,8 @@ func (s *Service) run() {
 			}
 		case seq, ok := <-stream:
 			if !ok {
-				// Consensus closed: cut the tail so waiters resolve.
-				if s.core.Pending() > 0 {
-					if err := s.core.cut(s); err != nil {
-						s.fail(err)
-					}
-				}
+				// Consensus closed. A cut here would seal a block that is
+				// not a function of the stream.
 				return
 			}
 			assembling := s.core.NextBlock()

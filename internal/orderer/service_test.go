@@ -25,9 +25,9 @@ import (
 )
 
 // contendedNetwork runs a hot-key workload through a library network and
-// returns it, with the consensus stream its solo orderer retains, once it has
-// gone idle: the stream is the recording the tests below replay.
-func contendedNetwork(t *testing.T, opts orderer.Options) (*node.Network, *consensus.Kafka) {
+// returns it, with the committed log of its solo orderer's Raft group, once
+// it has gone idle: the log is the recording the tests below replay.
+func contendedNetwork(t *testing.T, opts orderer.Options) (*node.Network, []consensus.Envelope) {
 	t.Helper()
 	n, err := node.NewNetwork(node.NetworkOptions{
 		System: opts.System, BlockSize: opts.BlockSize, BlockTimeout: opts.BlockTimeout,
@@ -61,7 +61,14 @@ func contendedNetwork(t *testing.T, opts orderer.Options) (*node.Network, *conse
 	if sealed := n.OrdererChain().Len(); sealed < 4 {
 		t.Fatalf("only %d blocks sealed", sealed)
 	}
-	return n, n.Orderer().Stream().(*consensus.Kafka)
+	stream := n.Orderer().Raft()
+	replay, cancel := stream.Subscribe()
+	defer cancel()
+	envs := make([]consensus.Envelope, stream.CommitIndex())
+	for i := range envs {
+		envs[i] = (<-replay).Env
+	}
+	return n, envs
 }
 
 // coreConfig is the configuration a peerless consumer of contendedNetwork's
@@ -108,7 +115,7 @@ func TestServiceRetainsNoGenesis(t *testing.T) {
 			CoreConfig: coreConfig(orderer.Options{System: sched.SystemSharp, Genesis: func() (*statedb.Base, error) {
 				return statedb.NewBase(genesis[:], workload.GenesisVersion())
 			}}),
-			Ordering: consensus.NewKafka(),
+			Ordering: orderer.SoloStream(t),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,17 +148,18 @@ func TestZeroPeerServiceSealsTheNetworkChain(t *testing.T) {
 		system := system
 		t.Run(string(system), func(t *testing.T) {
 			opts := orderer.Options{System: system, BlockSize: 4, BlockTimeout: 30 * time.Millisecond, Rescue: true}
-			n, stream := contendedNetwork(t, opts)
+			n, _ := contendedNetwork(t, opts)
 			want := n.OrdererChain()
 
-			// The retained stream replays from offset zero into a second,
-			// peerless consumer. Its cut timer never fires: every timed cut
-			// is already a marker in the stream.
+			// The network's Raft group replays its stream from offset zero
+			// into a second, peerless consumer, which closes it when done.
+			// Its cut timer never fires: every timed cut is already a marker
+			// in the stream.
 			opts.BlockTimeout = time.Hour
 			var delivered []*ledger.Block
 			svc, err := orderer.New(orderer.Config{
 				CoreConfig: coreConfig(opts),
-				Ordering:   stream,
+				Ordering:   n.Orderer().Raft(),
 				Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
 					delivered = append(delivered, b)
 					return nil
@@ -218,14 +226,7 @@ func TestCoresSealTheNetworkChain(t *testing.T) {
 			system, rescue := system, rescue
 			t.Run(fmt.Sprintf("%s/rescue=%v", system, rescue), func(t *testing.T) {
 				opts := orderer.Options{System: system, BlockSize: 4, BlockTimeout: 30 * time.Millisecond, Rescue: rescue}
-				n, stream := contendedNetwork(t, opts)
-				n.Close() // ends the stream: a late subscriber replays it and sees it close
-				replay, cancel := stream.Subscribe()
-				defer cancel()
-				var envs []consensus.Envelope
-				for seq := range replay {
-					envs = append(envs, seq.Env)
-				}
+				n, envs := contendedNetwork(t, opts)
 
 				var first *tally
 				for i := 0; i < 3; i++ {

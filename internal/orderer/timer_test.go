@@ -44,7 +44,7 @@ func (p *proposals) times() []time.Time {
 // delivery has slept for stall, which stretches every cut by that much.
 func timedService(t *testing.T, timeout, stall time.Duration) (*Service, *proposals, <-chan *ledger.Block) {
 	t.Helper()
-	stream := &proposals{Service: consensus.NewKafka()}
+	stream := &proposals{Service: SoloStream(t)}
 	sealed := make(chan *ledger.Block, 64)
 	svc, err := New(Config{
 		CoreConfig: CoreConfig{Options: Options{System: sched.SystemFabric, BlockSize: 1000, BlockTimeout: timeout}},
@@ -62,6 +62,17 @@ func timedService(t *testing.T, timeout, stall time.Duration) (*Service, *propos
 	svc.Start()
 	t.Cleanup(svc.Close)
 	return svc, stream, sealed
+}
+
+// SoloStream starts a one-member Raft group, a standalone orderer's
+// consensus stream (exported to the package's external tests).
+func SoloStream(t *testing.T) *transport.RaftService {
+	t.Helper()
+	s, err := transport.StartRaft(transport.RaftConfig{ID: "orderer0", Cluster: []string{"orderer0"}, Listen: "mem:"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // blindPut is a transaction that writes one private key: admitted by every
@@ -172,7 +183,7 @@ func TestDeferredMembersFillTheBatch(t *testing.T) {
 						Genesis: rigGenesis},
 					MSP: msp, Policy: policy, Registry: r.reg,
 				},
-				Ordering: consensus.NewKafka(),
+				Ordering: SoloStream(t),
 				Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
 					sealed <- b
 					return nil

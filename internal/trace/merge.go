@@ -120,9 +120,10 @@ type Summary struct {
 
 // Summarize computes stage-transition and total latency quantiles from
 // merged timelines. For each transaction, a gap is taken between every
-// pair of *consecutively observed* stages (a standalone orderer has no
-// raft-commit stamp, so its gap runs order → seal directly). Negative gaps
-// — cross-node clock skew — clamp to zero.
+// pair of *consecutively observed* stages (a transaction whose raft-commit
+// stamp was not dumped — its orderer died — has its gap run order → seal
+// directly). Negative gaps — cross-node clock skew, or a group of one's
+// raft-commit stamped before its order — clamp to zero.
 func Summarize(timelines []Timeline) Summary {
 	gapSamples := make(map[[2]Stage][]float64)
 	var totals []float64

@@ -32,7 +32,8 @@ const (
 	// deferred to the block's tail (Event.Block then holds the arrival code).
 	StageOrder
 	// StageRaftCommit: the replicated log acked the transaction
-	// quorum-durable (Raft clusters only; absent on standalone orderers).
+	// quorum-durable, on the orderer that accepted the submit (a standalone
+	// orderer's group of one commits at append).
 	StageRaftCommit
 	// StageSeal: the transaction was sealed into a block, shadow verdicts
 	// embedded.

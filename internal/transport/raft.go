@@ -23,10 +23,11 @@ import (
 // the pure consensus.RaftCore into a consensus.Service: Submit appends to
 // the replicated log and returns once the entry is committed by a quorum
 // (so an acknowledged submission survives any minority of crashes), and
-// Subscribe delivers the committed prefix from offset zero with the same
-// replay semantics as the in-process Kafka — every replica's subscription
-// yields the identical stream, which is what lets every orderer process
-// seal byte-identical blocks.
+// Subscribe delivers the committed prefix from offset zero — Kafka's replay
+// semantics — and every replica's subscription yields the identical stream,
+// which is what lets every orderer process seal byte-identical blocks. A
+// standalone orderer runs a group of one, which leads from StartRaft on and
+// commits each entry as it appends it.
 //
 // Networking is message passing, not RPC: each member dials every peer and
 // keeps one outbound connection per peer, carrying its requests out and the
@@ -52,7 +53,8 @@ import (
 // election timeout in [T, 2T) starts an election, and a candidate re-sends
 // its RequestVote on every tick until it wins, loses or times out. A member
 // that has never seen a term campaigns first at its rank in Cluster ×
-// Heartbeat, so a fresh cluster elects as soon as a quorum listens. The
+// Heartbeat, so a fresh cluster elects as soon as a quorum listens; a member
+// with no peers elects itself before StartRaft returns. The
 // timing rules live here, the transition rules in RaftCore — the lock (mu)
 // serializes every core access.
 type RaftService struct {
@@ -78,7 +80,7 @@ type RaftService struct {
 	commit   uint64        // the commit index waiters and feeders were woken for
 	advanced chan struct{} // closed and replaced when the commit index advances
 
-	peers map[string]*raftPeer
+	peers map[string]*raftPeer   // fixed once StartRaft returns
 	conns map[FrameConn]struct{} // every conn a goroutine may block on
 
 	done      chan struct{}
@@ -234,7 +236,13 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 			go s.sender(p)
 		}
 		s.mu.Lock()
-		if core.Term() == 0 {
+		switch {
+		case len(s.peers) == 0:
+			// A group of one: its self-vote is the quorum, so it leads, and
+			// a Submit commits, from the moment StartRaft returns.
+			core.StartElection()
+			s.noteLocked()
+		case core.Term() == 0:
 			// Never in a term, so no leader can be sitting that this member
 			// knows of: campaign at its rank, the first member at once.
 			rank := 0
@@ -242,7 +250,7 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 				rank++
 			}
 			s.deadline = time.Now().Add(time.Duration(rank) * cfg.Heartbeat)
-		} else {
+		default:
 			s.resetDeadlineLocked()
 		}
 		s.mu.Unlock()
@@ -651,18 +659,14 @@ func (s *RaftService) tick() {
 				p.kick()
 			}
 		case time.Now().After(s.deadline):
+			// Never a group of one: it leads from StartRaft on.
 			req := s.core.StartElection()
 			if m := s.cfg.Metrics; m != nil {
 				m.Elections.Inc()
 			}
 			s.resetDeadlineLocked()
 			s.vote = wire.EncodeRaftVote(req)
-			if s.core.Role() == consensus.RoleLeader {
-				// Single-member cluster: the self-vote was the quorum.
-				s.wonLocked()
-			} else {
-				s.sendVoteLocked()
-			}
+			s.sendVoteLocked()
 		case s.core.Role() == consensus.RoleCandidate:
 			// A RequestVote lost, or sent before its peer listened: re-send
 			// it until the election is won, lost or timed out (§5.2).
@@ -689,13 +693,15 @@ func (s *RaftService) sendVoteLocked() {
 // replica's stream — the acknowledgement the zero-loss chaos assertion is
 // built on. Followers refuse with consensus.ErrNotLeader (the node layer
 // turns it into a client redirect). The envelope is encoded here, outside
-// the lock, and those bytes are what every follower is sent. An envelope
-// carrying a transaction is sent on the next tick, with every other entry
-// appended by then; any other envelope wakes the senders at once.
+// the lock, and those bytes are what every follower is sent; a member with
+// no followers encodes nothing. An envelope carrying a transaction is sent
+// on the next tick, with every other entry appended by then; any other
+// envelope wakes the senders at once.
 func (s *RaftService) Submit(env consensus.Envelope) error {
-	body := wire.EncodeRaftEnvelope(&env)
-	timer := time.NewTimer(s.cfg.SubmitTimeout)
-	defer timer.Stop()
+	var body []byte
+	if len(s.peers) > 0 {
+		body = wire.EncodeRaftEnvelope(&env)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -705,6 +711,11 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	if err != nil {
 		return err
 	}
+	if s.core.CommitIndex() >= idx {
+		// A group of one commits at append: nothing to send or wait for.
+		s.noteLocked()
+		return nil
+	}
 	w := &raftWaiter{idx: idx, term: s.core.Term(), ch: make(chan struct{})}
 	s.keepEncLocked(idx, w.term, body)
 	s.waiters = append(s.waiters, w)
@@ -713,8 +724,9 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 			p.kick()
 		}
 	}
-	s.noteLocked() // a single-member cluster has committed already
 	s.mu.Unlock()
+	timer := time.NewTimer(s.cfg.SubmitTimeout)
+	defer timer.Stop()
 	select {
 	case <-w.ch:
 	case <-timer.C:
@@ -747,9 +759,9 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 }
 
 // Subscribe implements consensus.Service: the committed prefix from offset
-// zero plus the live tail, exactly the in-process Kafka contract. Leader
-// no-op entries are delivered too — identically on every replica, so the
-// streams stay byte-for-byte equal.
+// zero plus the live tail, a Kafka consumer's contract. Leader no-op entries
+// are delivered too — identically on every replica, so the streams stay
+// byte-for-byte equal. Close ends every stream, however far it has read.
 func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 	ch := make(chan consensus.Sequenced, 128)
 	done := make(chan struct{})

@@ -95,6 +95,12 @@ func collectStream(t *testing.T, s *RaftService, n int, timeout time.Duration) [
 	t.Helper()
 	ch, cancel := s.Subscribe()
 	defer cancel()
+	return readStream(t, ch, n, timeout)
+}
+
+// readStream reads the first n envelopes of a subscription from offset zero.
+func readStream(t *testing.T, ch <-chan consensus.Sequenced, n int, timeout time.Duration) []consensus.Envelope {
+	t.Helper()
 	out := make([]consensus.Envelope, 0, n)
 	deadline := time.After(timeout)
 	for len(out) < n {
@@ -119,12 +125,18 @@ func envKey(e consensus.Envelope) string {
 	return fmt.Sprintf("%s|%s|%d|%v", e.SubmittedBy, e.Commitment, e.CutBlock, e.Disclosure)
 }
 
-// TestWireRaftElectsAndReplicates: three members elect one leader,
-// replicate submissions, and every member's subscription yields the
-// identical committed stream — the agreement property block sealing relies
-// on.
+// TestWireRaftElectsAndReplicates: a cluster of three, or a group of one,
+// elects one leader, replicates submissions, and every member's
+// subscription yields the identical committed stream — the agreement
+// property block sealing relies on.
 func TestWireRaftElectsAndReplicates(t *testing.T) {
-	svcs := startRaftCluster(t, 3, nil)
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) { testElectsAndReplicates(t, n) })
+	}
+}
+
+func testElectsAndReplicates(t *testing.T, members int) {
+	svcs := startRaftCluster(t, members, nil)
 	lead := waitLeader(t, svcs, 10*time.Second)
 	// A subscriber attached before any submission tails the log live; the
 	// ones collectStream opens afterwards replay it. Both must read the
@@ -163,6 +175,93 @@ func TestWireRaftElectsAndReplicates(t *testing.T) {
 					i, j, envKey(got[j]), envKey(want[j]))
 			}
 		}
+	}
+}
+
+// TestWireRaftLoneMemberLeadsAtStart: a group of one — a standalone
+// orderer's, on a name nobody dials — leads when StartRaft returns, and
+// serves the consensus contract without encoding an envelope: its stream
+// opens with its no-op, concurrent submitters reach every subscriber in one
+// order, and a cancelled subscriber holds up no submit.
+func TestWireRaftLoneMemberLeadsAtStart(t *testing.T) {
+	s, err := StartRaft(RaftConfig{ID: "orderer0", Cluster: []string{"orderer0"}, Listen: "mem:"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.Submit(txEnv(0)); err != nil {
+		t.Fatalf("first submit after StartRaft: %v", err)
+	}
+	head := collectStream(t, s, 2, 5*time.Second)
+	if noop := head[0]; noop.Tx != nil || noop.CutBlock != 0 || noop.Commitment != "" || noop.SubmittedBy != "orderer0" {
+		t.Fatalf("offset 0 is %q, want the leader's no-op", envKey(noop))
+	}
+	if head[1].Tx == nil || head[1].Tx.ID != "tx0" {
+		t.Fatalf("offset 1 is %q, want the first submit", envKey(head[1]))
+	}
+
+	// Four submitters, two live subscribers: one order.
+	a, cancelA := s.Subscribe()
+	b, cancelB := s.Subscribe()
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := s.Submit(txEnv(100*g + i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	n := int(s.CommitIndex())
+	if n != 102 {
+		t.Fatalf("commit index %d after 101 submits, want 102 with the no-op", n)
+	}
+	ga, gb := readStream(t, a, n, 5*time.Second), readStream(t, b, n, 5*time.Second)
+	cancelA()
+	cancelB()
+	for i := range ga {
+		if (ga[i].Tx == nil) != (gb[i].Tx == nil) || ga[i].Tx != nil && ga[i].Tx.ID != gb[i].Tx.ID {
+			t.Fatalf("subscribers diverge at offset %d", i)
+		}
+	}
+
+	// A cancelled subscriber must not hold up later submits.
+	c, cancelC := s.Subscribe()
+	readStream(t, c, 1, 5*time.Second)
+	cancelC()
+	flood := make(chan error, 1)
+	go func() {
+		for i := 0; i < 1000; i++ {
+			if err := s.Submit(txEnv(1000 + i)); err != nil {
+				flood <- err
+				return
+			}
+		}
+		flood <- nil
+	}()
+	select {
+	case err := <-flood:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("submits blocked on a cancelled subscriber")
+	}
+	if got := s.CommitIndex(); got != uint64(n)+1000 {
+		t.Fatalf("commit index %d, want %d", got, n+1000)
+	}
+	env := txEnv(0)
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Submit(env) }); allocs > 2 {
+		t.Fatalf("a submit to a group of one made %.1f allocations; want at most 2, with no envelope encoded", allocs)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.encodes != 0 {
+		t.Fatalf("a member with no followers encoded %d envelopes", s.encodes)
 	}
 }
 

@@ -712,11 +712,11 @@ type Status struct {
 	TipHash []byte
 	// StateHash fingerprints every live (key, value) pair (peers only).
 	StateHash string
-	// Term is the node's current Raft term (orderers in cluster mode; 0
-	// otherwise).
+	// Term is an orderer's Raft term, ≥ 1 once its group has elected (a
+	// standalone orderer's group of one does at start); 0 on a peer.
 	Term uint64
-	// Leader is the advertised client address of the last known Raft leader
-	// ("" when unknown or not clustered).
+	// Leader is the last known Raft leader's client address, one a client
+	// can dial — a standalone orderer's own ("" while unknown, and on a peer).
 	Leader string
 	// CommittedTx counts committed transaction verdicts across the chain —
 	// the chaos smoke's zero-loss ledger-side tally.

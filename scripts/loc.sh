@@ -26,14 +26,16 @@
 # heartbeat tick, and a marker's commit to the followers at once, while
 # deleting the three consensus metrics nothing read (Term, ReplicationLag,
 # SubmitRedirects) and Gauge.Set, which only they called, lowered it by 11,
-# to 22451.
+# to 22451. One ordering service — a standalone orderer is a one-member Raft
+# group, so consensus.Kafka, the orderer's second consensus path and the
+# closed-stream tail cut went — lowered it by 86, to 22365.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22451
+CEILING=22365
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \

@@ -2,7 +2,7 @@
 // Perspective on Execute-order-validate Blockchains" (Ruan et al., SIGMOD
 // 2020): FabricSharp's fine-grained, reordering-based concurrency control
 // for EOV blockchains, together with every substrate it runs on — a
-// permissioned blockchain (peers, orderers, Kafka-model consensus, ed25519
+// permissioned blockchain (peers, orderers, Raft consensus, ed25519
 // membership, chaincode runtime, MVCC state, hash-chained ledger), four
 // baseline concurrency controls (Fabric, Fabric++, Focc-s, Focc-l), the
 // Smallbank workloads, and a deterministic network simulator that
