@@ -14,11 +14,13 @@ const ModulePath = "fabricsharp"
 // divergence (fatal Network.Err) under load. The list is the normative half
 // of docs/determinism.md — change them together.
 var deterministicPackages = map[string]bool{
+	ModulePath + "/internal/codec":      true,
 	ModulePath + "/internal/commit":     true,
 	ModulePath + "/internal/conflict":   true,
 	ModulePath + "/internal/consensus":  true,
 	ModulePath + "/internal/core":       true,
 	ModulePath + "/internal/kvstore":    true,
+	ModulePath + "/internal/ledger":     true,
 	ModulePath + "/internal/orderer":    true,
 	ModulePath + "/internal/protocol":   true,
 	ModulePath + "/internal/reexec":     true,

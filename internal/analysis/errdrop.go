@@ -90,9 +90,9 @@ func errDropTarget(pass *Pass, call *ast.CallExpr) (string, bool) {
 	inModule := pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/")
 	name := obj.Name()
 	switch {
-	case pkgPath == ModulePath+"/internal/wire" &&
+	case (pkgPath == ModulePath+"/internal/wire" || pkgPath == ModulePath+"/internal/codec") &&
 		(strings.HasPrefix(name, "Encode") || strings.HasPrefix(name, "Decode")):
-		return "wire." + name, true
+		return pkgPath[strings.LastIndex(pkgPath, "/")+1:] + "." + name, true
 	case inModule && name == "ApplyBatch":
 		return "ApplyBatch", true
 	case inModule && name == "Persist":

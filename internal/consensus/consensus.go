@@ -14,6 +14,12 @@ import "fabricsharp/internal/protocol"
 type Envelope struct {
 	// Tx is the endorsed transaction; nil for control markers.
 	Tx *protocol.Transaction
+	// TxBytes is Tx's canonical encoding, the bytes it arrived in: the
+	// client's submit payload on a leader, a slice of the AppendEntries on a
+	// follower. A Raft log keeps these and not Tx, and a sealed chain keeps
+	// the same slices. An envelope handed to a Service without them is
+	// encoded once where it enters.
+	TxBytes []byte
 	// SubmittedBy identifies the submitting client or orderer (Orderer1 and
 	// Orderer2 in Figure 2a may receive different transactions; the stream
 	// they read back is identical).

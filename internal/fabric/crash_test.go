@@ -24,6 +24,7 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
+	"fabricsharp/internal/wire"
 	"fabricsharp/internal/workload"
 )
 
@@ -394,7 +395,9 @@ func TestDurablePeerRecordsItsGenesisOnce(t *testing.T) {
 // land in the snapshot and the blocks after them in the log. Reopened there,
 // and again after the rest of the chain, the peer must stand where an
 // in-memory reference fed the same blocks stands: chain tip,
-// StateFingerprint and CommittedTxs.
+// StateFingerprint and CommittedTxs. Each block's record in the store, in
+// the snapshot or the log, is the block's canonical encoding, the frame a
+// block stream carries.
 func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 	sealed := sealContended(t, sched.SystemFabric, 16)
 	var genesis []protocol.WriteItem
@@ -462,4 +465,25 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPosition(t, "reopened at the tip", p, at[len(sealed)])
+	p.Close()
+	if store, err = kvstore.Open(kvstore.Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	records := 0
+	if err := store.Scan([]byte("b/"), func(_, rec []byte) error {
+		if records == len(sealed) {
+			return fmt.Errorf("the store holds more than %d block records", len(sealed))
+		}
+		if blk := sealed[records]; !bytes.Equal(rec, wire.EncodeBlock(blk)) {
+			return fmt.Errorf("block %d's record is not its encoding", blk.Header.Number)
+		}
+		records++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records != len(sealed) {
+		t.Fatalf("the store holds %d block records; want %d", records, len(sealed))
+	}
 }

@@ -1,6 +1,6 @@
 // Package ledger implements the blockchain itself: blocks of ordered
 // transactions chained by header hashes, a merkle accumulator over the
-// transaction digests, and the stored form of a block (Record, NewChain).
+// transaction digests, the block codec, and a block's store entry (Record).
 //
 // The paper's safety argument (Section 3.5) leans on four properties of this
 // layer — hash chain integrity, no skipping, no creation, agreement — which
@@ -14,10 +14,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/protocol"
 )
@@ -140,10 +140,40 @@ type Checked struct{ header Header }
 
 // Chain is a tip that also keeps its blocks: the orderer's ledger, which
 // serves any block to a subscriber catching up. A block is appended complete
-// with its verdicts and never changed afterwards. Safe for concurrent use.
+// with its verdicts and never changed afterwards. It keeps each transaction
+// as its canonical bytes, not as a decoded object graph: Frame splices a
+// block's frame from them and Get decodes them on demand. Safe for
+// concurrent use.
 type Chain struct {
 	tip
-	blocks []*Block
+	blocks []sealed
+}
+
+// sealed is a block as a chain keeps it: the header and metadata, and one
+// byte slice per transaction, its canonical encoding.
+type sealed struct {
+	header       Header
+	txs          [][]byte
+	validation   []protocol.ValidationCode
+	rescueDigest []byte
+}
+
+// block decodes the kept block. Every slice was encoded by the chain or
+// handed to it as a transaction's canonical bytes by a sealer that had
+// decoded them, so a failure is a broken invariant.
+func (s *sealed) block() *Block {
+	blk := &Block{Header: s.header, Validation: s.validation, RescueDigest: s.rescueDigest}
+	if len(s.txs) > 0 {
+		blk.Transactions = make([]*protocol.Transaction, len(s.txs))
+	}
+	for i, raw := range s.txs {
+		tx, err := codec.DecodeTransaction(raw)
+		if err != nil {
+			panic(fmt.Sprintf("ledger: block %d tx %d: %v", s.header.Number, i, err))
+		}
+		blk.Transactions[i] = tx
+	}
+	return blk
 }
 
 const blockKeyPrefix = "b/"
@@ -155,16 +185,13 @@ func blockKey(n uint64) []byte {
 	return append(k, b[:]...)
 }
 
-// Record encodes blk as the store entry NewTip and NewChain load. Neither
+// Record encodes blk as the store entry NewTip and NewChain load: the
+// block's canonical encoding, the bytes a block stream carries. Neither
 // writes: the owner of the store commits the record in the same batch as
 // whatever else must land with the block (a peer: its state writes and
 // height).
 func Record(blk *Block) kvstore.BatchOp {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(blk); err != nil {
-		panic(fmt.Sprintf("ledger: encode block %d: %v", blk.Header.Number, err)) // only an unencodable field type fails
-	}
-	return kvstore.BatchOp{Key: blockKey(blk.Header.Number), Value: buf.Bytes()}
+	return kvstore.BatchOp{Key: blockKey(blk.Header.Number), Value: AppendBlock(nil, blk)}
 }
 
 // NewTip opens the tip of the blocks a non-nil store holds. It reads each
@@ -182,7 +209,7 @@ func NewTip(store *kvstore.DB) (*Tip, error) {
 // (verifying linkage). The store is only read.
 func NewChain(store *kvstore.DB) (*Chain, error) {
 	c := &Chain{}
-	if err := c.load(store, func(blk *Block) { c.blocks = append(c.blocks, blk) }); err != nil {
+	if err := c.load(store, func(blk *Block) { c.blocks = append(c.blocks, toSealed(blk, nil)) }); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -196,16 +223,16 @@ func (t *tip) load(store *kvstore.DB, keep func(*Block)) error {
 	}
 	// Keys are big-endian block numbers, so scan order is block order.
 	return store.Scan([]byte(blockKeyPrefix), func(_, rec []byte) error {
-		var blk Block
-		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&blk); err != nil {
+		blk, err := DecodeBlock(rec)
+		if err != nil {
 			return fmt.Errorf("ledger: decode block: %w", err)
 		}
-		if err := t.checkLocked(&blk); err != nil {
+		if err := t.checkLocked(blk); err != nil {
 			return err
 		}
-		t.moveLocked(&blk)
+		t.moveLocked(blk)
 		if keep != nil {
-			keep(&blk)
+			keep(blk)
 		}
 		return nil
 	})
@@ -325,17 +352,45 @@ func (c *Chain) Len() int {
 	return len(c.blocks)
 }
 
-// Get returns block n.
+// Get returns block n, decoded from the bytes the chain keeps.
 func (c *Chain) Get(n uint64) (*Block, bool) {
+	s, ok := c.at(n)
+	if !ok {
+		return nil, false
+	}
+	return s.block(), true
+}
+
+// Frame returns block n's canonical encoding spliced from the bytes the
+// chain keeps: AppendBlock of Get(n), byte for byte, with no transaction
+// encoded or decoded.
+func (c *Chain) Frame(n uint64) ([]byte, bool) {
+	s, ok := c.at(n)
+	if !ok {
+		return nil, false
+	}
+	size := 8 + 4 + len(s.header.PrevHash) + 4 + len(s.header.DataHash) + 4 + 1 + 4 + len(s.validation) + 4 + len(s.rescueDigest)
+	for _, raw := range s.txs {
+		size += 4 + len(raw)
+	}
+	dst := appendHead(make([]byte, 0, size), s.header, len(s.txs))
+	for _, raw := range s.txs {
+		dst = codec.AppendBytes(dst, raw)
+	}
+	return appendMetadata(dst, s.validation, s.rescueDigest), true
+}
+
+// at returns block n as the chain keeps it.
+func (c *Chain) at(n uint64) (sealed, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if len(c.blocks) == 0 {
-		return nil, false
+		return sealed{}, false
 	}
-	first := c.blocks[0].Header.Number
+	first := c.blocks[0].header.Number
 	idx := int(n) - int(first)
 	if idx < 0 || idx >= len(c.blocks) {
-		return nil, false
+		return sealed{}, false
 	}
 	return c.blocks[idx], true
 }
@@ -343,12 +398,15 @@ func (c *Chain) Get(n uint64) (*Block, bool) {
 // Seal assembles a block from ordered transactions, linking it to the
 // current tip, and appends it. It returns the sealed block.
 func (c *Chain) Seal(txs []*protocol.Transaction, validation []protocol.ValidationCode) (*Block, error) {
-	return c.SealRescued(txs, validation, nil)
+	return c.SealRescued(txs, nil, validation, nil)
 }
 
 // SealRescued is Seal plus the post-order rescue digest committed alongside
-// the validation codes (nil when no transaction was rescued).
-func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.ValidationCode, rescueDigest []byte) (*Block, error) {
+// the validation codes (nil when no transaction was rescued). raws[i], when
+// not nil, is txs[i]'s canonical encoding, which the chain keeps as it is (a
+// sealer that received the transactions as bytes hands those); a nil raws,
+// or a nil entry, is encoded here.
+func (c *Chain) SealRescued(txs []*protocol.Transaction, raws [][]byte, validation []protocol.ValidationCode, rescueDigest []byte) (*Block, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	prev := c.hash
@@ -365,7 +423,7 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.V
 	if err := checkVerdicts(blk); err != nil {
 		return nil, err
 	}
-	c.pushLocked(blk)
+	c.keepLocked(blk, raws)
 	return blk, nil
 }
 
@@ -377,13 +435,28 @@ func (c *Chain) Append(blk *Block) error {
 	if err := c.checkLocked(blk); err != nil {
 		return err
 	}
-	c.pushLocked(blk)
+	c.keepLocked(blk, nil)
 	return nil
 }
 
-func (c *Chain) pushLocked(blk *Block) {
-	c.blocks = append(c.blocks, blk)
+// keepLocked appends blk and moves the tip onto it.
+func (c *Chain) keepLocked(blk *Block, raws [][]byte) {
+	c.blocks = append(c.blocks, toSealed(blk, raws))
 	c.moveLocked(blk)
+}
+
+// toSealed returns blk as a chain keeps it, with raws as its transactions'
+// bytes, encoding each one raws lacks.
+func toSealed(blk *Block, raws [][]byte) sealed {
+	if raws == nil {
+		raws = make([][]byte, len(blk.Transactions))
+	}
+	for i, tx := range blk.Transactions {
+		if raws[i] == nil {
+			raws[i] = codec.AppendTransaction(nil, tx)
+		}
+	}
+	return sealed{header: blk.Header, txs: raws, validation: blk.Validation, rescueDigest: blk.RescueDigest}
 }
 
 // Verify walks the whole chain checking linkage and data hashes. It returns
@@ -400,13 +473,13 @@ func (c *Chain) Verify() error {
 	return err
 }
 
-// ForEach visits blocks in order.
+// ForEach visits blocks in order, each decoded as Get decodes it.
 func (c *Chain) ForEach(fn func(*Block) bool) {
 	c.mu.RLock()
-	blocks := append([]*Block(nil), c.blocks...)
+	blocks := c.blocks[:len(c.blocks):len(c.blocks)]
 	c.mu.RUnlock()
-	for _, b := range blocks {
-		if !fn(b) {
+	for i := range blocks {
+		if !fn(blocks[i].block()) {
 			return
 		}
 	}

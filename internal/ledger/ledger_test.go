@@ -119,7 +119,7 @@ func TestValidationMetadata(t *testing.T) {
 	// tally counts valid and rescued.
 	c, _ := NewChain(nil)
 	rescued := []protocol.ValidationCode{protocol.Valid, protocol.Rescued, protocol.MVCCConflict}
-	if _, err := c.SealRescued(txs("a", "b", "c"), rescued, []byte{1}); err != nil {
+	if _, err := c.SealRescued(txs("a", "b", "c"), nil, rescued, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(1)
@@ -166,7 +166,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		blk, err := c.SealRescued(txs(fmt.Sprintf("tx%d", i)), []protocol.ValidationCode{protocol.Rescued}, []byte{byte(i)})
+		blk, err := c.SealRescued(txs(fmt.Sprintf("tx%d", i)), nil, []protocol.ValidationCode{protocol.Rescued}, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,14 @@ package node
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/ledger"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
 )
@@ -172,5 +176,63 @@ func TestTwoNetworksInOneProcess(t *testing.T) {
 				t.Fatalf("network %d reads %q (%v)", i, got, err)
 			}
 		})
+	}
+}
+
+// TestOrdererRetainsNoDecodedTransaction pins that the orderer keeps each
+// transaction as the bytes it arrived in: once a transaction's block has
+// sealed and the scheduler's prune horizon has passed, the decoded
+// transaction is reachable from nothing — not the Raft log, not the sealed
+// chain. The transactions, each carrying a finalizer, enter where a
+// submit's decode hands them to the ordering service.
+func TestOrdererRetainsNoDecodedTransaction(t *testing.T) {
+	const held, blockSize, maxSpan = 300, 10, 10
+	n := newTestNetwork(t, NetworkOptions{Peers: 1, BlockSize: blockSize, BlockTimeout: 20 * time.Millisecond, MaxSpan: maxSpan})
+	c, err := n.DialClient("retainer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var freed atomic.Int32
+	submit := func(i int, watch bool) protocol.TxID {
+		tx, err := c.Endorse("kv", "put", fmt.Sprintf("k%d", i), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watch {
+			runtime.SetFinalizer(tx, func(*protocol.Transaction) { freed.Add(1) })
+		}
+		if err := n.orderer.svc.Submit(consensus.Envelope{Tx: tx, SubmittedBy: tx.ClientID}); err != nil {
+			t.Fatal(err)
+		}
+		return tx.ID
+	}
+	// A block at a time, so that each endorsement reads a recent snapshot.
+	var res TxResult
+	for i := 0; i < held; i++ {
+		if id := submit(i, true); (i+1)%blockSize == 0 {
+			var ok bool
+			if res, ok = n.orderer.awaitResult(id); !ok || !res.Code.Committed() {
+				t.Fatalf("watched transaction %s resolved %v (found %v), want committed", id, res.Code, ok)
+			}
+		}
+	}
+	// Seal the prune horizon's worth of blocks past the last watched one.
+	chain := n.OrdererChain()
+	for i := held; chain.Len() < int(res.Block)+maxSpan+2; i++ {
+		if i == held+blockSize*(maxSpan+4) {
+			t.Fatalf("chain at %d blocks after %d filler transactions, want %d", chain.Len(), i-held, int(res.Block)+maxSpan+2)
+		}
+		if _, ok := n.orderer.awaitResult(submit(i, false)); !ok {
+			t.Fatal("a filler transaction did not resolve")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < held {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sealed transactions still reachable from the orderer", held-int(freed.Load()), held)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -313,7 +313,10 @@ func (o *Orderer) handleSubmit(c *transport.Conn, typ wire.MsgType, payload []by
 	} else if env.Tx, err = wire.DecodeTransaction(payload); err == nil {
 		o.tracer.Record(string(env.Tx.ID), trace.StageSubmit, 0)
 		// DecodeTransaction precomputed the key caches, so the schedulers see
-		// exactly what an in-process submit would hand them.
+		// exactly what an in-process submit would hand them. The payload,
+		// read at its exact size, is the one copy of the transaction the
+		// orderer keeps: the Raft log's entry and the sealed chain's.
+		env.TxBytes = payload
 		env.SubmittedBy, env.Disclosure = env.Tx.ClientID, typ == wire.MsgDisclosure
 	}
 	if err == nil {
@@ -356,7 +359,8 @@ func (o *Orderer) leaderHint() string {
 }
 
 // streamBlocks walks the sealed chain from block from+1, sending each block
-// and waiting for the next seal when it reaches the tip.
+// and waiting for the next seal when it reaches the tip. A block's frame is
+// spliced from the transaction bytes the chain keeps (ledger.Chain.Frame).
 // Slow consumers exert backpressure only on their own stream; the ordering
 // pipeline never waits for a peer.
 func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
@@ -367,8 +371,8 @@ func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
 		// between a miss and the wait would otherwise be signalled on the
 		// old channel and lost, stalling the stream until the next seal.
 		wait := o.sealedWait()
-		if blk, ok := chain.Get(next); ok {
-			if err := c.Send(wire.MsgBlock, wire.EncodeBlock(blk)); err != nil {
+		if frame, ok := chain.Frame(next); ok {
+			if err := c.Send(wire.MsgBlock, frame); err != nil {
 				return // subscriber went away; it will redial and resubscribe
 			}
 			next++

@@ -66,6 +66,12 @@ type Core struct {
 	// block members found in neither and forgets both. Empty without an MSP.
 	unchecked []*protocol.Transaction
 	checked   map[*protocol.Transaction]bool
+	// raw holds the canonical bytes each open-batch member arrived in, and
+	// disclosed those of disclosures the commitment broker holds back, so
+	// the cut seals the bytes already in hand; the chain encodes a member
+	// that arrived without them.
+	raw       map[*protocol.Transaction][]byte
+	disclosed map[*protocol.Transaction][]byte
 	// seen dedups TxIDs, bucketed by the block being assembled when they
 	// were first seen; seenFloor is the lowest bucket evictSeen has not
 	// dropped yet.
@@ -101,6 +107,8 @@ func NewCore(cfg CoreConfig) (*Core, error) {
 		shadow:      validation.NewValueShadowState(),
 		vopts:       validation.Options{MVCC: scheduler.NeedsMVCCValidation(), MSP: cfg.MSP, Policy: cfg.Policy},
 		checked:     map[*protocol.Transaction]bool{},
+		raw:         map[*protocol.Transaction][]byte{},
+		disclosed:   map[*protocol.Transaction][]byte{},
 		seen:        map[protocol.TxID]bool{},
 		seenByBlock: map[uint64][]protocol.TxID{},
 		seenFloor:   1,
@@ -178,19 +186,23 @@ func (c *Core) Step(env consensus.Envelope, ev Events) error {
 			ev.Aborted(env.Tx.ID, protocol.EndorsementFailure)
 			break
 		}
+		c.disclosed[env.Tx] = env.TxBytes
 		for _, tx := range released {
-			if err := c.admit(tx, ev); err != nil {
+			raw := c.disclosed[tx]
+			delete(c.disclosed, tx)
+			if err := c.admit(tx, raw, ev); err != nil {
 				return err
 			}
 		}
 	default:
-		return c.admit(env.Tx, ev)
+		return c.admit(env.Tx, env.TxBytes, ev)
 	}
 	return nil
 }
 
-// admit runs one transaction through Arrive, cutting when the batch fills.
-func (c *Core) admit(tx *protocol.Transaction, ev Events) error {
+// admit runs one transaction, which arrived as raw, through Arrive, cutting
+// when the batch fills.
+func (c *Core) admit(tx *protocol.Transaction, raw []byte, ev Events) error {
 	code, joined, err := c.Arrive(tx)
 	if err != nil {
 		return err
@@ -198,6 +210,9 @@ func (c *Core) admit(tx *protocol.Transaction, ev Events) error {
 	if !joined {
 		ev.Aborted(tx.ID, code)
 		return nil
+	}
+	if raw != nil {
+		c.raw[tx] = raw
 	}
 	ev.Admitted(tx.ID, code)
 	if c.Pending() >= c.cfg.BlockSize {
@@ -272,6 +287,7 @@ func (c *Core) Precheck() {
 	for i, tx := range c.unchecked {
 		c.checked[tx] = failed[i]
 	}
+	clear(c.unchecked) // its backing array must not keep sealed members alive
 	c.unchecked = c.unchecked[:0]
 }
 
@@ -332,6 +348,11 @@ func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
 	// cost — is a per-transaction pure function, so most of it ran in
 	// Precheck while the batch filled; the MVCC pass is serial.
 	endorseFailed := c.endorsementVerdicts(txs)
+	raws := make([][]byte, len(txs))
+	for i, tx := range txs {
+		raws[i] = c.raw[tx]
+	}
+	clear(c.raw)
 	if len(txs) == 0 {
 		return nil, res.DroppedTxs, nil
 	}
@@ -360,7 +381,7 @@ func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
 	mark(trace.StageReexec)
 	c.scheduler.OnBlockCommitted(num, txs, codes)
 	mark(trace.StageFeedback)
-	blk, err := c.chain.SealRescued(txs, codes, rescue.Digest)
+	blk, err := c.chain.SealRescued(txs, raws, codes, rescue.Digest)
 	if err != nil {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: seal: %w", err)
 	}

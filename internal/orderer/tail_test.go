@@ -401,6 +401,7 @@ func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand
 		}
 	}
 	r.cut()
+	checkFrames(t, r.core.Chain())
 	h := sha256.New()
 	r.core.Chain().ForEach(func(b *ledger.Block) bool {
 		h.Write(wire.EncodeBlock(b))
@@ -604,5 +605,58 @@ func TestForgedEndorsementChainsAreTheParents(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkFrames fails the test unless each block's frame, spliced from the
+// bytes the chain keeps, is wire.EncodeBlock of the block Get decodes.
+func checkFrames(t *testing.T, chain *ledger.Chain) {
+	t.Helper()
+	for n := uint64(1); n <= uint64(chain.Len()); n++ {
+		blk, _ := chain.Get(n)
+		if frame, ok := chain.Frame(n); !ok || !bytes.Equal(frame, wire.EncodeBlock(blk)) {
+			t.Fatalf("block %d: the streamed frame is not the encoded block", n)
+		}
+	}
+}
+
+// TestStreamedFrameIsTheEncodedBlock: a Core that is handed each
+// transaction's bytes seals them as they are, and the frame a block stream
+// sends is spliced from them. On hotChain's stream under all five systems,
+// with rescue on and off, every frame is wire.EncodeBlock of the block
+// Chain.Get decodes, and with rescue on the chain is the one sealed when
+// the Core encodes each transaction itself (streamDigest, which the pinned
+// chains also run through).
+func TestStreamedFrameIsTheEncodedBlock(t *testing.T) {
+	for _, system := range sched.Systems() {
+		t.Run(string(system), func(t *testing.T) {
+			want, _ := hotChain(t, system, nil)
+			msp, policy := identity.DevMSP("peer0")
+			off, err := NewCore(CoreConfig{
+				Options: Options{System: system, BlockSize: 8, Genesis: rigGenesis, HashCommitment: true},
+				MSP:     msp, Policy: policy,
+				Registry: chaincode.NewRegistry(chaincode.KVContract{}, chaincode.ModifiedSmallbank{}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := hotChain(t, system, func(r *rig, _ int, tx *protocol.Transaction) {
+				env := consensus.Envelope{Tx: tx, TxBytes: wire.EncodeTransaction(tx)}
+				r.step(env)
+				if err := off.Step(env, discard{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != want {
+				t.Fatalf("sealing the bytes in hand gave chain %s; encoding at the cut gave %s", got, want)
+			}
+			if _, _, err := off.Cut(nil); err != nil {
+				t.Fatal(err)
+			}
+			if off.Chain().Len() == 0 {
+				t.Fatal("rescue off sealed no block")
+			}
+			checkFrames(t, off.Chain())
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/wire"
 )
 
@@ -41,8 +42,8 @@ import (
 // only place an AppendEntries is built: woken by the tick, a reject, a new
 // leader's no-op or a Submit that is waited on at commit (a cut marker or a
 // hash commitment), it sends everything past the follower's sent cursor in
-// one request (up to the core's batch bound), splicing in entry bytes
-// encoded once, or an empty heartbeat if the follower got nothing for an
+// one request (up to the core's batch bound), splicing in each entry's
+// transaction bytes, or an empty heartbeat if the follower got nothing for an
 // interval or must learn that such an entry committed. A transaction's
 // entry wakes no sender: it rides the next tick, or the next marker if that
 // comes first. The cursor rewinds on a reject, and after an interval in
@@ -57,6 +58,13 @@ import (
 // with no peers elects itself before StartRaft returns. The
 // timing rules live here, the transition rules in RaftCore — the lock (mu)
 // serializes every core access.
+//
+// The log holds each transaction as its canonical bytes (Envelope.TxBytes),
+// the bytes it arrived in; the decoded transaction is appended without. A
+// member keeps the transaction it decoded — the leader's node at ingress, a
+// follower on receipt — until a subscription delivers its entry, so each
+// member decodes it once on its way to the orderer; a subscription that
+// comes later decodes it from the bytes.
 type RaftService struct {
 	cfg  RaftConfig
 	core *consensus.RaftCore
@@ -69,12 +77,12 @@ type RaftService struct {
 	last     string     // last observed leader ID, for failover counting
 	vote     []byte     // the current candidacy's RequestVote, re-sent each tick
 
-	// enc holds the envelope bytes of log entries from index encBase on
-	// (an entry whose term differs is stale); encodes counts the envelopes
-	// encoded.
-	enc     []encodedEntry
-	encBase uint64
-	encodes uint64
+	// held maps a log index at or past undelivered — the first index no
+	// subscription has delivered yet — to the decoded transaction of the
+	// entry of that term; encodes counts the transactions Submit encoded.
+	held        map[uint64]heldTx
+	undelivered uint64
+	encodes     uint64
 
 	waiters  []*raftWaiter // parked Submits, in index order
 	commit   uint64        // the commit index waiters and feeders were woken for
@@ -122,9 +130,10 @@ type RaftConfig struct {
 	Seed int64
 }
 
-type encodedEntry struct {
+// heldTx is the decoded transaction of the log entry of term term.
+type heldTx struct {
 	term uint64
-	env  []byte
+	tx   *protocol.Transaction
 }
 
 // raftWaiter is one parked Submit: ch closes once the commit index reaches
@@ -191,14 +200,15 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 		return nil, err
 	}
 	s := &RaftService{
-		cfg:      cfg,
-		core:     core,
-		rng:      rand.New(rand.NewSource(seed)),
-		encBase:  1,
-		advanced: make(chan struct{}),
-		peers:    make(map[string]*raftPeer),
-		conns:    make(map[FrameConn]struct{}),
-		done:     make(chan struct{}),
+		cfg:         cfg,
+		core:        core,
+		rng:         rand.New(rand.NewSource(seed)),
+		held:        make(map[uint64]heldTx),
+		undelivered: 1,
+		advanced:    make(chan struct{}),
+		peers:       make(map[string]*raftPeer),
+		conns:       make(map[FrameConn]struct{}),
+		done:        make(chan struct{}),
 	}
 
 	if cfg.Dir != "" {
@@ -329,7 +339,7 @@ func (s *RaftService) noteLocked() {
 	if c := s.core.CommitIndex(); c > s.commit {
 		if s.core.Role() == consensus.RoleLeader {
 			for i := s.commit + 1; i <= c; i++ {
-				if s.core.Entry(i).Env.Tx == nil {
+				if s.core.Entry(i).Env.TxBytes == nil {
 					for _, p := range s.peers {
 						p.heartbeat = true
 						p.kick()
@@ -347,7 +357,6 @@ func (s *RaftService) noteLocked() {
 		s.waiters = s.waiters[n:]
 		close(s.advanced)
 		s.advanced = make(chan struct{})
-		s.trimEncLocked()
 	}
 	if len(s.waiters) > 0 && (s.core.Role() != consensus.RoleLeader || s.core.Term() != s.waiters[0].term) {
 		s.releaseWaitersLocked()
@@ -362,60 +371,29 @@ func (s *RaftService) releaseWaitersLocked() {
 	s.waiters = nil
 }
 
-// envLocked returns the envelope bytes of entry i, encoding them only if no
-// current encoding is kept.
-func (s *RaftService) envLocked(i uint64, e *consensus.LogEntry) []byte {
-	if i >= s.encBase && i-s.encBase < uint64(len(s.enc)) {
-		if k := s.enc[i-s.encBase]; k.env != nil && k.term == e.Term {
-			return k.env
-		}
+// holdLocked keeps the decoded transaction of the entry at index i, of
+// term term, for the first subscription to deliver it.
+func (s *RaftService) holdLocked(i, term uint64, tx *protocol.Transaction) {
+	if tx != nil && i >= s.undelivered {
+		s.held[i] = heldTx{term, tx}
 	}
-	env := wire.EncodeRaftEnvelope(&e.Env)
-	s.keepEncLocked(i, e.Term, env)
-	return env
 }
 
-// keepEncLocked keeps entry i's envelope bytes for later requests.
-func (s *RaftService) keepEncLocked(i, term uint64, env []byte) {
-	s.encodes++
-	if i < s.encBase {
-		return
+// takeLocked hands over the decoded transaction kept for the entry at index
+// i, of term term, as a subscription delivers it; nil when there is none,
+// and for every later subscription. One kept for an entry a later leader
+// replaced is dropped here too.
+func (s *RaftService) takeLocked(i, term uint64) *protocol.Transaction {
+	if i < s.undelivered {
+		return nil
 	}
-	for uint64(len(s.enc)) <= i-s.encBase {
-		s.enc = append(s.enc, encodedEntry{})
+	h := s.held[i]
+	delete(s.held, i)
+	s.undelivered = i + 1
+	if h.term != term {
+		return nil
 	}
-	s.enc[i-s.encBase] = encodedEntry{term: term, env: env}
-}
-
-// maxEncLag bounds how many committed entries' bytes are kept for a
-// follower that has not been sent them (one that is down, say).
-const maxEncLag = 1024
-
-// trimEncLocked drops the bytes of committed entries every follower has
-// been sent, or that lie more than maxEncLag below the commit index.
-func (s *RaftService) trimEncLocked() {
-	upTo := s.core.CommitIndex()
-	if s.core.Role() == consensus.RoleLeader {
-		for _, p := range s.core.Others() {
-			if sent := s.core.Sent(p); sent > 0 && sent-1 < upTo {
-				upTo = sent - 1
-			}
-		}
-		if c := s.core.CommitIndex(); c > maxEncLag && upTo < c-maxEncLag {
-			upTo = c - maxEncLag
-		}
-	}
-	if upTo < s.encBase {
-		return
-	}
-	k := upTo + 1 - s.encBase
-	if k >= uint64(len(s.enc)) {
-		s.enc = nil
-	} else {
-		clear(s.enc[:k])
-		s.enc = s.enc[k:]
-	}
-	s.encBase = upTo + 1
+	return h.tx
 }
 
 // trackConn registers a connection for teardown on Close; it reports false
@@ -483,12 +461,12 @@ func (s *RaftService) sender(p *raftPeer) {
 		}
 		for {
 			s.mu.Lock()
-			req, envs, ok := s.appendDueLocked(p)
+			req, ok := s.appendDueLocked(p)
 			s.mu.Unlock()
 			if !ok {
 				break
 			}
-			if !send(wire.MsgRaftAppend, wire.EncodeRaftAppendSpliced(&req, envs)) {
+			if !send(wire.MsgRaftAppend, wire.EncodeRaftAppend(&req)) {
 				// Known lost: the next tick sends it again.
 				s.mu.Lock()
 				s.core.Rewind(p.addr)
@@ -505,20 +483,16 @@ func (s *RaftService) sender(p *raftPeer) {
 
 // appendDueLocked builds the AppendEntries a follower is due, if any: the
 // entries past its sent cursor, else a heartbeat if one is due.
-func (s *RaftService) appendDueLocked(p *raftPeer) (consensus.AppendRequest, [][]byte, bool) {
+func (s *RaftService) appendDueLocked(p *raftPeer) (consensus.AppendRequest, bool) {
 	if s.closed || s.core.Role() != consensus.RoleLeader || !(s.core.Behind(p.addr) || p.heartbeat) {
-		return consensus.AppendRequest{}, nil, false
+		return consensus.AppendRequest{}, false
 	}
 	p.heartbeat = false
 	req := s.core.AppendRequestFor(p.addr)
-	envs := make([][]byte, len(req.Entries))
-	for i := range req.Entries {
-		envs[i] = s.envLocked(req.PrevIndex+1+uint64(i), &req.Entries[i])
-	}
-	if len(envs) > 0 {
+	if len(req.Entries) > 0 {
 		p.busy = true
 	}
-	return req, envs, true
+	return req, true
 }
 
 // readLoop consumes a connection until it breaks, feeding each frame to the
@@ -597,11 +571,22 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 		if err != nil {
 			return
 		}
+		// The log takes the entries' bytes; their decoded transactions are
+		// held for the subscription.
+		txs := make([]*protocol.Transaction, len(req.Entries))
+		for i := range req.Entries {
+			txs[i], req.Entries[i].Env.Tx = req.Entries[i].Env.Tx, nil
+		}
 		s.mu.Lock()
 		resp := s.core.HandleAppend(*req)
 		if req.Term == s.core.Term() {
 			// Heard from the legitimate leader: hold the election timer.
 			s.resetDeadlineLocked()
+		}
+		for i, e := range req.Entries {
+			if idx := req.PrevIndex + 1 + uint64(i); resp.Success && s.core.Entry(idx).Term == e.Term {
+				s.holdLocked(idx, e.Term, txs[i])
+			}
 		}
 		s.noteLocked()
 		s.mu.Unlock()
@@ -692,16 +677,18 @@ func (s *RaftService) sendVoteLocked() {
 // return means the entry is committed on a quorum and will appear in every
 // replica's stream — the acknowledgement the zero-loss chaos assertion is
 // built on. Followers refuse with consensus.ErrNotLeader (the node layer
-// turns it into a client redirect). The envelope is encoded here, outside
-// the lock, and those bytes are what every follower is sent; a member with
-// no followers encodes nothing. An envelope carrying a transaction is sent
-// on the next tick, with every other entry appended by then; any other
-// envelope wakes the senders at once.
+// turns it into a client redirect). The log takes the transaction's bytes,
+// which every follower is sent; a transaction handed in without them is
+// encoded here, outside the lock, once. An envelope carrying a transaction
+// is sent on the next tick, with every other entry appended by then; any
+// other envelope wakes the senders at once.
 func (s *RaftService) Submit(env consensus.Envelope) error {
-	var body []byte
-	if len(s.peers) > 0 {
-		body = wire.EncodeRaftEnvelope(&env)
+	encoded := env.Tx != nil && env.TxBytes == nil
+	if encoded {
+		env.TxBytes = wire.EncodeTransaction(env.Tx)
 	}
+	tx := env.Tx
+	env.Tx = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -711,15 +698,18 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	if err != nil {
 		return err
 	}
+	if encoded {
+		s.encodes++
+	}
+	s.holdLocked(idx, s.core.Term(), tx)
 	if s.core.CommitIndex() >= idx {
 		// A group of one commits at append: nothing to send or wait for.
 		s.noteLocked()
 		return nil
 	}
 	w := &raftWaiter{idx: idx, term: s.core.Term(), ch: make(chan struct{})}
-	s.keepEncLocked(idx, w.term, body)
 	s.waiters = append(s.waiters, w)
-	if env.Tx == nil {
+	if env.TxBytes == nil {
 		for _, p := range s.peers {
 			p.kick()
 		}
@@ -761,7 +751,10 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 // Subscribe implements consensus.Service: the committed prefix from offset
 // zero plus the live tail, a Kafka consumer's contract. Leader no-op entries
 // are delivered too — identically on every replica, so the streams stay
-// byte-for-byte equal. Close ends every stream, however far it has read.
+// byte-for-byte equal. Each envelope carries its transaction both decoded
+// and as bytes: the first subscription to deliver an entry is handed the
+// member's decoded transaction, any other decodes the bytes. Close ends
+// every stream, however far it has read.
 func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 	ch := make(chan consensus.Sequenced, 128)
 	done := make(chan struct{})
@@ -792,9 +785,20 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 				}
 			}
 			entry := s.core.Entry(next)
+			env := entry.Env
+			env.Tx = s.takeLocked(next, entry.Term)
 			s.mu.Unlock()
+			if env.TxBytes != nil && env.Tx == nil {
+				tx, err := wire.DecodeTransaction(env.TxBytes)
+				if err != nil {
+					// Every entry's bytes were decoded or encoded as they
+					// entered the log.
+					panic(fmt.Sprintf("transport: raft entry %d: %v", next, err))
+				}
+				env.Tx = tx
+			}
 			select {
-			case ch <- consensus.Sequenced{Offset: next - 1, Env: entry.Env}:
+			case ch <- consensus.Sequenced{Offset: next - 1, Env: env}:
 				next++
 			case <-done:
 				return

@@ -48,6 +48,12 @@ func FuzzDecodeRaftAppend(f *testing.F) {
 				{Term: 3, Env: consensus.Envelope{SubmittedBy: "orderer0", CutBlock: 9}},
 				{Term: 3, Env: consensus.Envelope{SubmittedBy: "c", Commitment: "digest", Disclosure: true}},
 			},
+		}),
+		// A leader's log entry: the transaction spliced in as the bytes it
+		// arrived in.
+		EncodeRaftAppend(&consensus.AppendRequest{
+			Term: 4, LeaderID: "orderer1", PrevIndex: 8, PrevTerm: 4, LeaderCommit: 8,
+			Entries: []consensus.LogEntry{{Term: 4, Env: consensus.Envelope{TxBytes: EncodeTransaction(fuzzSampleTx()), SubmittedBy: "c"}}},
 		}))
 }
 

@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"fabricsharp/internal/codec"
+)
 
 // Profile messages fetch a runtime/pprof profile from a running node over
 // its own port. Like the trace messages they are additive types: the frame
@@ -16,14 +20,14 @@ type ProfileReq struct {
 
 // EncodeProfileReq renders r canonically.
 func EncodeProfileReq(r ProfileReq) []byte {
-	return appendU32(appendString(nil, r.Kind), r.Seconds)
+	return codec.AppendU32(codec.AppendString(nil, r.Kind), r.Seconds)
 }
 
 // DecodeProfileReq decodes a ProfileReq.
 func DecodeProfileReq(b []byte) (ProfileReq, error) {
-	d := &decoder{buf: b}
-	r := ProfileReq{Kind: d.string(), Seconds: d.u32()}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	r := ProfileReq{Kind: d.String(), Seconds: d.U32()}
+	if err := d.Finish(); err != nil {
 		return ProfileReq{}, fmt.Errorf("profile-req: %w", err)
 	}
 	return r, nil
@@ -39,14 +43,14 @@ type Profile struct {
 
 // EncodeProfile renders p canonically.
 func EncodeProfile(p *Profile) []byte {
-	return appendBytes(appendString(nil, p.Err), p.Data)
+	return codec.AppendBytes(codec.AppendString(nil, p.Err), p.Data)
 }
 
 // DecodeProfile decodes a Profile.
 func DecodeProfile(b []byte) (*Profile, error) {
-	d := &decoder{buf: b}
-	p := &Profile{Err: d.string(), Data: d.bytes()}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	p := &Profile{Err: d.String(), Data: d.Bytes()}
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	return p, nil

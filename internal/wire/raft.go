@@ -9,43 +9,48 @@ package wire
 import (
 	"fmt"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/consensus"
 )
 
-// appendEnvelope appends the canonical encoding of a consensus envelope:
-// a presence flag plus transaction body, then the control fields.
+// appendEnvelope appends the canonical encoding of a consensus envelope: a
+// presence flag plus the length-prefixed transaction — its bytes spliced in
+// when the envelope carries them, else encoded in place — then the control
+// fields.
 func appendEnvelope(dst []byte, env *consensus.Envelope) []byte {
-	if env.Tx == nil {
-		dst = appendBool(dst, false)
-	} else {
-		dst = appendBool(dst, true)
-		dst = appendBytes(dst, EncodeTransaction(env.Tx))
+	switch {
+	case env.TxBytes != nil:
+		dst = codec.AppendBytes(codec.AppendBool(dst, true), env.TxBytes)
+	case env.Tx != nil:
+		dst = codec.AppendSizedTransaction(codec.AppendBool(dst, true), env.Tx)
+	default:
+		dst = codec.AppendBool(dst, false)
 	}
-	dst = appendString(dst, env.SubmittedBy)
-	dst = appendU64(dst, env.CutBlock)
-	dst = appendString(dst, env.Commitment)
-	return appendBool(dst, env.Disclosure)
+	dst = codec.AppendString(dst, env.SubmittedBy)
+	dst = codec.AppendU64(dst, env.CutBlock)
+	dst = codec.AppendString(dst, env.Commitment)
+	return codec.AppendBool(dst, env.Disclosure)
 }
 
-func decodeEnvelopeBody(d *decoder) consensus.Envelope {
+// decodeEnvelopeBody decodes an envelope. Its transaction is decoded, so a
+// malformed one refuses the whole message, and keeps its canonical bytes as
+// TxBytes: a sub-slice of the input, not a copy.
+func decodeEnvelopeBody(d *codec.Decoder) consensus.Envelope {
 	var env consensus.Envelope
-	if d.bool() {
-		body := d.take(int(d.u32()))
-		if d.err == nil {
-			sub := &decoder{buf: body}
-			tx := decodeTransactionBody(sub)
-			if err := sub.finish(); err != nil {
-				d.fail("envelope tx: %v", err)
+	if d.Bool() {
+		if body := d.Sized(); d.Err() == nil {
+			tx, err := codec.DecodeTransaction(body)
+			if err != nil {
+				d.Fail("envelope tx: %v", err)
 			} else {
-				tx.RWSet.Precompute()
-				env.Tx = tx
+				env.Tx, env.TxBytes = tx, body
 			}
 		}
 	}
-	env.SubmittedBy = d.string()
-	env.CutBlock = d.u64()
-	env.Commitment = d.string()
-	env.Disclosure = d.bool()
+	env.SubmittedBy = d.String()
+	env.CutBlock = d.U64()
+	env.Commitment = d.String()
+	env.Disclosure = d.Bool()
 	return env
 }
 
@@ -53,65 +58,51 @@ func decodeEnvelopeBody(d *decoder) consensus.Envelope {
 // empty strings, CutBlock, Disclosure.
 const minEnvelopeSize = 1 + 4 + 8 + 4 + 1
 
-// EncodeRaftAppend renders an AppendEntries request canonically.
+// EncodeRaftAppend renders an AppendEntries request canonically, splicing
+// in the bytes of every entry that carries them (a leader's log entries
+// do), so a transaction is not encoded again however many requests carry
+// it.
 func EncodeRaftAppend(req *consensus.AppendRequest) []byte {
-	dst := appendRaftAppendHeader(nil, req)
+	n := 8 + 4 + len(req.LeaderID) + 3*8 + 4
 	for i := range req.Entries {
-		dst = appendU64(dst, req.Entries[i].Term)
+		env := &req.Entries[i].Env
+		n += 8 + minEnvelopeSize + 4 + len(env.TxBytes) + len(env.SubmittedBy) + len(env.Commitment)
+	}
+	dst := appendRaftAppendHeader(make([]byte, 0, n), req)
+	for i := range req.Entries {
+		dst = codec.AppendU64(dst, req.Entries[i].Term)
 		dst = appendEnvelope(dst, &req.Entries[i].Env)
 	}
 	return dst
 }
 
-// EncodeRaftEnvelope renders one log entry's envelope as an AppendEntries
-// request carries it, for a leader that encodes each entry once and
-// splices the bytes into every request (EncodeRaftAppendSpliced).
-func EncodeRaftEnvelope(env *consensus.Envelope) []byte { return appendEnvelope(nil, env) }
-
-// EncodeRaftAppendSpliced renders req with envs[i] — the
-// EncodeRaftEnvelope bytes of req.Entries[i].Env — in place of each entry's
-// envelope: the same bytes as EncodeRaftAppend(req), without encoding an
-// envelope again.
-func EncodeRaftAppendSpliced(req *consensus.AppendRequest, envs [][]byte) []byte {
-	n := 8 + 4 + len(req.LeaderID) + 3*8 + 4
-	for _, env := range envs {
-		n += 8 + len(env)
-	}
-	dst := appendRaftAppendHeader(make([]byte, 0, n), req)
-	for i, env := range envs {
-		dst = appendU64(dst, req.Entries[i].Term)
-		dst = append(dst, env...)
-	}
-	return dst
-}
-
 func appendRaftAppendHeader(dst []byte, req *consensus.AppendRequest) []byte {
-	dst = appendU64(dst, req.Term)
-	dst = appendString(dst, req.LeaderID)
-	dst = appendU64(dst, req.PrevIndex)
-	dst = appendU64(dst, req.PrevTerm)
-	dst = appendU64(dst, req.LeaderCommit)
-	return appendU32(dst, uint32(len(req.Entries)))
+	dst = codec.AppendU64(dst, req.Term)
+	dst = codec.AppendString(dst, req.LeaderID)
+	dst = codec.AppendU64(dst, req.PrevIndex)
+	dst = codec.AppendU64(dst, req.PrevTerm)
+	dst = codec.AppendU64(dst, req.LeaderCommit)
+	return codec.AppendU32(dst, uint32(len(req.Entries)))
 }
 
 // DecodeRaftAppend decodes an AppendEntries request.
 func DecodeRaftAppend(b []byte) (*consensus.AppendRequest, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	req := &consensus.AppendRequest{
-		Term:         d.u64(),
-		LeaderID:     d.string(),
-		PrevIndex:    d.u64(),
-		PrevTerm:     d.u64(),
-		LeaderCommit: d.u64(),
+		Term:         d.U64(),
+		LeaderID:     d.String(),
+		PrevIndex:    d.U64(),
+		PrevTerm:     d.U64(),
+		LeaderCommit: d.U64(),
 	}
-	if n := d.count(8 + minEnvelopeSize); n > 0 {
+	if n := d.Count(8 + minEnvelopeSize); n > 0 {
 		req.Entries = make([]consensus.LogEntry, n)
 		for i := range req.Entries {
-			req.Entries[i].Term = d.u64()
+			req.Entries[i].Term = d.U64()
 			req.Entries[i].Env = decodeEnvelopeBody(d)
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("raft-append: %w", err)
 	}
 	return req, nil
@@ -119,22 +110,22 @@ func DecodeRaftAppend(b []byte) (*consensus.AppendRequest, error) {
 
 // EncodeRaftAppendResp renders an AppendEntries response canonically.
 func EncodeRaftAppendResp(resp consensus.AppendResponse) []byte {
-	dst := appendString(nil, resp.From)
-	dst = appendU64(dst, resp.Term)
-	dst = appendBool(dst, resp.Success)
-	return appendU64(dst, resp.MatchIndex)
+	dst := codec.AppendString(nil, resp.From)
+	dst = codec.AppendU64(dst, resp.Term)
+	dst = codec.AppendBool(dst, resp.Success)
+	return codec.AppendU64(dst, resp.MatchIndex)
 }
 
 // DecodeRaftAppendResp decodes an AppendEntries response.
 func DecodeRaftAppendResp(b []byte) (consensus.AppendResponse, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	resp := consensus.AppendResponse{
-		From:       d.string(),
-		Term:       d.u64(),
-		Success:    d.bool(),
-		MatchIndex: d.u64(),
+		From:       d.String(),
+		Term:       d.U64(),
+		Success:    d.Bool(),
+		MatchIndex: d.U64(),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return consensus.AppendResponse{}, fmt.Errorf("raft-append-resp: %w", err)
 	}
 	return resp, nil
@@ -142,22 +133,22 @@ func DecodeRaftAppendResp(b []byte) (consensus.AppendResponse, error) {
 
 // EncodeRaftVote renders a RequestVote canonically.
 func EncodeRaftVote(req consensus.VoteRequest) []byte {
-	dst := appendU64(nil, req.Term)
-	dst = appendString(dst, req.CandidateID)
-	dst = appendU64(dst, req.LastIndex)
-	return appendU64(dst, req.LastTerm)
+	dst := codec.AppendU64(nil, req.Term)
+	dst = codec.AppendString(dst, req.CandidateID)
+	dst = codec.AppendU64(dst, req.LastIndex)
+	return codec.AppendU64(dst, req.LastTerm)
 }
 
 // DecodeRaftVote decodes a RequestVote.
 func DecodeRaftVote(b []byte) (consensus.VoteRequest, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	req := consensus.VoteRequest{
-		Term:        d.u64(),
-		CandidateID: d.string(),
-		LastIndex:   d.u64(),
-		LastTerm:    d.u64(),
+		Term:        d.U64(),
+		CandidateID: d.String(),
+		LastIndex:   d.U64(),
+		LastTerm:    d.U64(),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return consensus.VoteRequest{}, fmt.Errorf("raft-vote: %w", err)
 	}
 	return req, nil
@@ -165,20 +156,20 @@ func DecodeRaftVote(b []byte) (consensus.VoteRequest, error) {
 
 // EncodeRaftVoteResp renders a RequestVote response canonically.
 func EncodeRaftVoteResp(resp consensus.VoteResponse) []byte {
-	dst := appendString(nil, resp.From)
-	dst = appendU64(dst, resp.Term)
-	return appendBool(dst, resp.Granted)
+	dst := codec.AppendString(nil, resp.From)
+	dst = codec.AppendU64(dst, resp.Term)
+	return codec.AppendBool(dst, resp.Granted)
 }
 
 // DecodeRaftVoteResp decodes a RequestVote response.
 func DecodeRaftVoteResp(b []byte) (consensus.VoteResponse, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	resp := consensus.VoteResponse{
-		From:    d.string(),
-		Term:    d.u64(),
-		Granted: d.bool(),
+		From:    d.String(),
+		Term:    d.U64(),
+		Granted: d.Bool(),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return consensus.VoteResponse{}, fmt.Errorf("raft-vote-resp: %w", err)
 	}
 	return resp, nil

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/consensus"
 )
 
@@ -12,6 +13,7 @@ func TestRaftAppendRoundTrip(t *testing.T) {
 	// Decoded transactions come back with the distinct-key caches filled;
 	// precompute the original so DeepEqual compares like with like.
 	tx.RWSet.Precompute()
+	raw := EncodeTransaction(tx)
 	req := &consensus.AppendRequest{
 		Term:         7,
 		LeaderID:     "orderer2",
@@ -19,11 +21,11 @@ func TestRaftAppendRoundTrip(t *testing.T) {
 		PrevTerm:     6,
 		LeaderCommit: 40,
 		Entries: []consensus.LogEntry{
-			{Term: 6, Env: consensus.Envelope{Tx: tx, SubmittedBy: "client1"}},
+			{Term: 6, Env: consensus.Envelope{Tx: tx, TxBytes: raw, SubmittedBy: "client1"}},
 			{Term: 7, Env: consensus.Envelope{SubmittedBy: "orderer2"}}, // leader no-op
 			{Term: 7, Env: consensus.Envelope{SubmittedBy: "orderer1", CutBlock: 3}},
 			{Term: 7, Env: consensus.Envelope{SubmittedBy: "clientX", Commitment: "abc123"}},
-			{Term: 7, Env: consensus.Envelope{Tx: tx, SubmittedBy: "clientX", Disclosure: true}},
+			{Term: 7, Env: consensus.Envelope{Tx: tx, TxBytes: raw, SubmittedBy: "clientX", Disclosure: true}},
 		},
 	}
 	got, err := DecodeRaftAppend(EncodeRaftAppend(req))
@@ -37,13 +39,24 @@ func TestRaftAppendRoundTrip(t *testing.T) {
 	if string(EncodeRaftAppend(got)) != string(EncodeRaftAppend(req)) {
 		t.Fatal("re-encode is not byte-identical")
 	}
-	// Splicing envelopes encoded one at a time gives the same bytes.
-	envs := make([][]byte, len(req.Entries))
-	for i := range req.Entries {
-		envs[i] = EncodeRaftEnvelope(&req.Entries[i].Env)
+	// An entry carrying only its bytes — a log entry — and one carrying only
+	// the decoded transaction, encoded in place, give the same bytes.
+	for _, strip := range []func(*consensus.Envelope){
+		func(env *consensus.Envelope) { env.Tx = nil },
+		func(env *consensus.Envelope) { env.TxBytes = nil },
+	} {
+		alt := *req
+		alt.Entries = append([]consensus.LogEntry(nil), req.Entries...)
+		for i := range alt.Entries {
+			strip(&alt.Entries[i].Env)
+		}
+		if string(EncodeRaftAppend(&alt)) != string(EncodeRaftAppend(req)) {
+			t.Fatal("an entry's spliced bytes and its in-place encoding differ")
+		}
 	}
-	if string(EncodeRaftAppendSpliced(req, envs)) != string(EncodeRaftAppend(req)) {
-		t.Fatal("spliced encoding differs from EncodeRaftAppend")
+	// The decoded entry's bytes are the transaction's canonical encoding.
+	if string(got.Entries[0].Env.TxBytes) != string(raw) {
+		t.Fatal("a decoded entry does not carry its transaction's bytes")
 	}
 }
 
@@ -119,12 +132,12 @@ func TestRaftAppendDecodeRejectsTruncation(t *testing.T) {
 func TestRaftAppendDecodeBoundsHostileCount(t *testing.T) {
 	// A frame claiming 2^32-1 entries with almost no payload must fail
 	// cleanly, not allocate.
-	dst := appendU64(nil, 1)
-	dst = appendString(dst, "a")
-	dst = appendU64(dst, 0)
-	dst = appendU64(dst, 0)
-	dst = appendU64(dst, 0)
-	dst = appendU32(dst, 0xFFFFFFFF)
+	dst := codec.AppendU64(nil, 1)
+	dst = codec.AppendString(dst, "a")
+	dst = codec.AppendU64(dst, 0)
+	dst = codec.AppendU64(dst, 0)
+	dst = codec.AppendU64(dst, 0)
+	dst = codec.AppendU32(dst, 0xFFFFFFFF)
 	if _, err := DecodeRaftAppend(dst); err == nil {
 		t.Fatal("hostile entry count accepted")
 	}

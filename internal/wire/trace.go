@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"fabricsharp/internal/codec"
+)
 
 // Trace messages drain a node's always-on stage-tracing ring (see
 // internal/trace) over the wire. They are purely additive message types —
@@ -27,8 +31,8 @@ func EncodeTraceReq(TraceReq) []byte { return nil }
 
 // DecodeTraceReq decodes a TraceReq.
 func DecodeTraceReq(b []byte) (TraceReq, error) {
-	d := &decoder{buf: b}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	if err := d.Finish(); err != nil {
 		return TraceReq{}, fmt.Errorf("trace-req: %w", err)
 	}
 	return TraceReq{}, nil
@@ -51,41 +55,41 @@ const traceEventEncodedMin = 4 + 1 + 8 + 8 + 8
 
 // EncodeTraceDump renders t canonically.
 func EncodeTraceDump(t *TraceDump) []byte {
-	dst := appendString(nil, t.Node)
-	dst = appendString(dst, t.Role)
-	dst = appendU64(dst, t.Recorded)
-	dst = appendU32(dst, uint32(len(t.Events)))
+	dst := codec.AppendString(nil, t.Node)
+	dst = codec.AppendString(dst, t.Role)
+	dst = codec.AppendU64(dst, t.Recorded)
+	dst = codec.AppendU32(dst, uint32(len(t.Events)))
 	for _, ev := range t.Events {
-		dst = appendString(dst, ev.TxID)
-		dst = appendU8(dst, ev.Stage)
-		dst = appendU64(dst, ev.Block)
-		dst = appendU64(dst, uint64(ev.WallNS))
-		dst = appendU64(dst, ev.Seq)
+		dst = codec.AppendString(dst, ev.TxID)
+		dst = codec.AppendU8(dst, ev.Stage)
+		dst = codec.AppendU64(dst, ev.Block)
+		dst = codec.AppendU64(dst, uint64(ev.WallNS))
+		dst = codec.AppendU64(dst, ev.Seq)
 	}
 	return dst
 }
 
 // DecodeTraceDump decodes a TraceDump.
 func DecodeTraceDump(b []byte) (*TraceDump, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	t := &TraceDump{
-		Node:     d.string(),
-		Role:     d.string(),
-		Recorded: d.u64(),
+		Node:     d.String(),
+		Role:     d.String(),
+		Recorded: d.U64(),
 	}
-	if n := d.count(traceEventEncodedMin); n > 0 {
+	if n := d.Count(traceEventEncodedMin); n > 0 {
 		t.Events = make([]TraceEvent, n)
 		for i := range t.Events {
 			t.Events[i] = TraceEvent{
-				TxID:   d.string(),
-				Stage:  d.u8(),
-				Block:  d.u64(),
-				WallNS: int64(d.u64()),
-				Seq:    d.u64(),
+				TxID:   d.String(),
+				Stage:  d.U8(),
+				Block:  d.U64(),
+				WallNS: int64(d.U64()),
+				Seq:    d.U64(),
 			}
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("trace-dump: %w", err)
 	}
 	return t, nil

@@ -1,7 +1,7 @@
 // Package wire is the canonical binary codec for everything that crosses a
-// process boundary: transactions, sealed blocks (including the orderer's
-// embedded shadow verdicts), and the client/peer/orderer control messages of
-// the process-per-node deployment mode.
+// process boundary: the frames and client/peer/orderer messages of the
+// process-per-node deployment mode, and transactions and sealed blocks,
+// whose codecs live below the chain (internal/codec, internal/ledger).
 //
 // The encoding is *canonical*: fixed-width big-endian integers, u32
 // length-prefixed strings and byte slices, deterministic field order, strict
@@ -34,9 +34,9 @@ import (
 	"fmt"
 	"strings"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/seqno"
 )
 
 // Version is the wire-format version carried in every frame header.
@@ -191,336 +191,25 @@ func ParseFrameHeader(hdr *[FrameHeaderLen]byte) (MsgType, int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding primitives
+// Transaction and block
 // ---------------------------------------------------------------------------
 
-func appendU8(dst []byte, v uint8) []byte { return append(dst, v) }
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func appendSeq(dst []byte, s seqno.Seq) []byte {
-	dst = appendU64(dst, s.Block)
-	return appendU32(dst, uint32(s.Pos))
-}
-
-// decoder is a bounds-checked cursor over an input buffer. Every read either
-// succeeds or records the first error; subsequent reads are no-ops. Nothing
-// here panics on hostile input.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: "+format, args...)
-	}
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.remaining() < n {
-		d.fail("truncated: need %d bytes, have %d", n, d.remaining())
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("boolean byte not 0 or 1")
-		return false
-	}
-}
-
-// bytes reads a u32 length-prefixed byte slice. Zero length decodes to nil —
-// the canonical form Encode emits for empty slices.
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(d.remaining()) {
-		d.fail("length %d exceeds remaining %d bytes", n, d.remaining())
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.take(int(n)))
-	return out
-}
-
-func (d *decoder) string() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(d.remaining()) {
-		d.fail("length %d exceeds remaining %d bytes", n, d.remaining())
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *decoder) seq() seqno.Seq {
-	return seqno.Seq{Block: d.u64(), Pos: d.u32()}
-}
-
-// count reads a u32 element count and bounds it by the bytes remaining given
-// a minimum encoded size per element, so a hostile count cannot force a huge
-// allocation before truncation is detected.
-func (d *decoder) count(minElemSize int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if minElemSize < 1 {
-		minElemSize = 1
-	}
-	if uint64(n) > uint64(d.remaining()/minElemSize) {
-		d.fail("count %d exceeds remaining %d bytes", n, d.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-// finish enforces that the whole input was consumed — trailing garbage would
-// break the decode∘encode identity.
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", d.remaining())
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Transaction
-// ---------------------------------------------------------------------------
-
-// AppendTransaction appends the canonical encoding of tx to dst.
-func AppendTransaction(dst []byte, tx *protocol.Transaction) []byte {
-	dst = appendString(dst, string(tx.ID))
-	dst = appendString(dst, tx.ClientID)
-	dst = appendString(dst, tx.Contract)
-	dst = appendString(dst, tx.Function)
-	dst = appendU32(dst, uint32(len(tx.Args)))
-	for _, a := range tx.Args {
-		dst = appendString(dst, a)
-	}
-	dst = appendU64(dst, tx.SnapshotBlock)
-	dst = appendU32(dst, uint32(len(tx.RWSet.Reads)))
-	for _, r := range tx.RWSet.Reads {
-		dst = appendString(dst, r.Key)
-		dst = appendSeq(dst, r.Version)
-	}
-	dst = appendU32(dst, uint32(len(tx.RWSet.Writes)))
-	for _, w := range tx.RWSet.Writes {
-		dst = appendString(dst, w.Key)
-		dst = appendBytes(dst, w.Value)
-		dst = appendBool(dst, w.Delete)
-	}
-	dst = appendU32(dst, uint32(len(tx.Endorsements)))
-	for _, e := range tx.Endorsements {
-		dst = appendString(dst, e.EndorserID)
-		dst = appendBytes(dst, e.Signature)
-	}
-	return dst
-}
+// The transaction codec lives in internal/codec and the block codec in
+// internal/ledger, below the chain that keeps each transaction's bytes;
+// these are their names at the transport.
 
 // EncodeTransaction renders tx in the canonical encoding.
-func EncodeTransaction(tx *protocol.Transaction) []byte {
-	return AppendTransaction(nil, tx)
-}
+func EncodeTransaction(tx *protocol.Transaction) []byte { return codec.AppendTransaction(nil, tx) }
 
-func decodeTransactionBody(d *decoder) *protocol.Transaction {
-	tx := &protocol.Transaction{}
-	tx.ID = protocol.TxID(d.string())
-	tx.ClientID = d.string()
-	tx.Contract = d.string()
-	tx.Function = d.string()
-	if n := d.count(4); n > 0 {
-		tx.Args = make([]string, n)
-		for i := range tx.Args {
-			tx.Args[i] = d.string()
-		}
-	}
-	tx.SnapshotBlock = d.u64()
-	if n := d.count(4 + 12); n > 0 {
-		tx.RWSet.Reads = make([]protocol.ReadItem, n)
-		for i := range tx.RWSet.Reads {
-			tx.RWSet.Reads[i] = protocol.ReadItem{Key: d.string(), Version: d.seq()}
-		}
-	}
-	if n := d.count(4 + 4 + 1); n > 0 {
-		tx.RWSet.Writes = make([]protocol.WriteItem, n)
-		for i := range tx.RWSet.Writes {
-			tx.RWSet.Writes[i] = protocol.WriteItem{Key: d.string(), Value: d.bytes(), Delete: d.bool()}
-		}
-	}
-	if n := d.count(4 + 4); n > 0 {
-		tx.Endorsements = make([]protocol.Endorsement, n)
-		for i := range tx.Endorsements {
-			tx.Endorsements[i] = protocol.Endorsement{EndorserID: d.string(), Signature: d.bytes()}
-		}
-	}
-	return tx
-}
-
-// DecodeTransaction decodes a canonical transaction encoding. The decoded
-// transaction's distinct-key caches are precomputed (the decode site has
-// exclusive access — the same contract the in-process build sites follow),
-// so hot paths downstream share them safely.
-func DecodeTransaction(b []byte) (*protocol.Transaction, error) {
-	d := &decoder{buf: b}
-	tx := decodeTransactionBody(d)
-	if err := d.finish(); err != nil {
-		return nil, fmt.Errorf("transaction: %w", err)
-	}
-	tx.RWSet.Precompute()
-	return tx, nil
-}
-
-// ---------------------------------------------------------------------------
-// Block
-// ---------------------------------------------------------------------------
-
-// AppendBlock appends the canonical encoding of blk — header, transactions,
-// and, when present, the sealed validation verdicts — to dst.
-func AppendBlock(dst []byte, blk *ledger.Block) []byte {
-	dst = appendU64(dst, blk.Header.Number)
-	dst = appendBytes(dst, blk.Header.PrevHash)
-	dst = appendBytes(dst, blk.Header.DataHash)
-	dst = appendU32(dst, uint32(len(blk.Transactions)))
-	for _, tx := range blk.Transactions {
-		// Each transaction is itself length-prefixed so a decoder can skip
-		// or bound-check entries without parsing them.
-		dst = appendBytes(dst, EncodeTransaction(tx))
-	}
-	if blk.Validation == nil {
-		dst = appendBool(dst, false)
-	} else {
-		dst = appendBool(dst, true)
-		dst = appendU32(dst, uint32(len(blk.Validation)))
-		for _, c := range blk.Validation {
-			dst = appendU8(dst, uint8(c))
-		}
-	}
-	// The rescue digest is always present (length 0 encodes nil), keeping
-	// the encoding canonical: one layout, one byte string per block.
-	return appendBytes(dst, blk.RescueDigest)
-}
+// DecodeTransaction decodes a canonical transaction encoding, its key caches
+// precomputed (codec.DecodeTransaction).
+func DecodeTransaction(b []byte) (*protocol.Transaction, error) { return codec.DecodeTransaction(b) }
 
 // EncodeBlock renders blk in the canonical encoding.
-func EncodeBlock(blk *ledger.Block) []byte {
-	return AppendBlock(nil, blk)
-}
+func EncodeBlock(blk *ledger.Block) []byte { return ledger.AppendBlock(nil, blk) }
 
-// DecodeBlock decodes a canonical block encoding. Structural soundness
-// (hash linkage, verdict-count agreement) is *not* checked here — the
-// ledger's Append enforces it, so a decoded block cannot reach a chain
-// without passing the same checks an in-process block does.
-func DecodeBlock(b []byte) (*ledger.Block, error) {
-	d := &decoder{buf: b}
-	blk := &ledger.Block{}
-	blk.Header.Number = d.u64()
-	blk.Header.PrevHash = d.bytes()
-	blk.Header.DataHash = d.bytes()
-	if n := d.count(4); n > 0 {
-		blk.Transactions = make([]*protocol.Transaction, n)
-		for i := range blk.Transactions {
-			body := d.take(int(d.u32()))
-			if d.err != nil {
-				break
-			}
-			sub := &decoder{buf: body}
-			tx := decodeTransactionBody(sub)
-			if err := sub.finish(); err != nil {
-				return nil, fmt.Errorf("block tx %d: %w", i, err)
-			}
-			tx.RWSet.Precompute()
-			blk.Transactions[i] = tx
-		}
-	}
-	if d.bool() {
-		n := d.count(1)
-		blk.Validation = make([]protocol.ValidationCode, n)
-		for i := range blk.Validation {
-			blk.Validation[i] = protocol.ValidationCode(d.u8())
-		}
-	}
-	blk.RescueDigest = d.bytes()
-	if err := d.finish(); err != nil {
-		return nil, fmt.Errorf("block: %w", err)
-	}
-	return blk, nil
-}
+// DecodeBlock decodes a canonical block encoding (ledger.DecodeBlock).
+func DecodeBlock(b []byte) (*ledger.Block, error) { return ledger.DecodeBlock(b) }
 
 // ---------------------------------------------------------------------------
 // Control messages
@@ -539,33 +228,33 @@ type Proposal struct {
 
 // EncodeProposal renders p canonically.
 func EncodeProposal(p *Proposal) []byte {
-	dst := appendString(nil, p.ClientID)
-	dst = appendString(dst, p.TxID)
-	dst = appendString(dst, p.Contract)
-	dst = appendString(dst, p.Function)
-	dst = appendU32(dst, uint32(len(p.Args)))
+	dst := codec.AppendString(nil, p.ClientID)
+	dst = codec.AppendString(dst, p.TxID)
+	dst = codec.AppendString(dst, p.Contract)
+	dst = codec.AppendString(dst, p.Function)
+	dst = codec.AppendU32(dst, uint32(len(p.Args)))
 	for _, a := range p.Args {
-		dst = appendString(dst, a)
+		dst = codec.AppendString(dst, a)
 	}
 	return dst
 }
 
 // DecodeProposal decodes a Proposal.
 func DecodeProposal(b []byte) (*Proposal, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	p := &Proposal{
-		ClientID: d.string(),
-		TxID:     d.string(),
-		Contract: d.string(),
-		Function: d.string(),
+		ClientID: d.String(),
+		TxID:     d.String(),
+		Contract: d.String(),
+		Function: d.String(),
 	}
-	if n := d.count(4); n > 0 {
+	if n := d.Count(4); n > 0 {
 		p.Args = make([]string, n)
 		for i := range p.Args {
-			p.Args[i] = d.string()
+			p.Args[i] = d.String()
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("proposal: %w", err)
 	}
 	return p, nil
@@ -583,22 +272,22 @@ type ProposalResp struct {
 // EncodeProposalResp renders r canonically. The transaction body occupies
 // the remainder of the payload (present exactly when OK).
 func EncodeProposalResp(r *ProposalResp) []byte {
-	dst := appendBool(nil, r.OK)
-	dst = appendString(dst, r.Err)
+	dst := codec.AppendBool(nil, r.OK)
+	dst = codec.AppendString(dst, r.Err)
 	if r.OK {
-		dst = AppendTransaction(dst, r.Tx)
+		dst = codec.AppendTransaction(dst, r.Tx)
 	}
 	return dst
 }
 
 // DecodeProposalResp decodes a ProposalResp.
 func DecodeProposalResp(b []byte) (*ProposalResp, error) {
-	d := &decoder{buf: b}
-	r := &ProposalResp{OK: d.bool(), Err: d.string()}
+	d := codec.NewDecoder(b)
+	r := &ProposalResp{OK: d.Bool(), Err: d.String()}
 	if r.OK {
-		r.Tx = decodeTransactionBody(d)
+		r.Tx = codec.ReadTransaction(d)
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("proposal-resp: %w", err)
 	}
 	if r.OK {
@@ -622,17 +311,17 @@ type Ack struct {
 
 // EncodeAck renders a canonically.
 func EncodeAck(a Ack) []byte {
-	dst := appendBool(nil, a.OK)
-	dst = appendString(dst, a.Err)
-	dst = appendBool(dst, a.NotLeader)
-	return appendString(dst, a.Leader)
+	dst := codec.AppendBool(nil, a.OK)
+	dst = codec.AppendString(dst, a.Err)
+	dst = codec.AppendBool(dst, a.NotLeader)
+	return codec.AppendString(dst, a.Leader)
 }
 
 // DecodeAck decodes an Ack.
 func DecodeAck(b []byte) (Ack, error) {
-	d := &decoder{buf: b}
-	a := Ack{OK: d.bool(), Err: d.string(), NotLeader: d.bool(), Leader: d.string()}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	a := Ack{OK: d.Bool(), Err: d.String(), NotLeader: d.Bool(), Leader: d.String()}
+	if err := d.Finish(); err != nil {
 		return Ack{}, fmt.Errorf("ack: %w", err)
 	}
 	return a, nil
@@ -661,17 +350,17 @@ type Result struct {
 
 // EncodeResult renders r canonically.
 func EncodeResult(r Result) []byte {
-	dst := appendBool(nil, r.Found)
-	dst = appendString(dst, r.TxID)
-	dst = appendU8(dst, uint8(r.Code))
-	return appendU64(dst, r.Block)
+	dst := codec.AppendBool(nil, r.Found)
+	dst = codec.AppendString(dst, r.TxID)
+	dst = codec.AppendU8(dst, uint8(r.Code))
+	return codec.AppendU64(dst, r.Block)
 }
 
 // DecodeResult decodes a Result.
 func DecodeResult(b []byte) (Result, error) {
-	d := &decoder{buf: b}
-	r := Result{Found: d.bool(), TxID: d.string(), Code: protocol.ValidationCode(d.u8()), Block: d.u64()}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	r := Result{Found: d.Bool(), TxID: d.String(), Code: protocol.ValidationCode(d.U8()), Block: d.U64()}
+	if err := d.Finish(); err != nil {
 		return Result{}, fmt.Errorf("result: %w", err)
 	}
 	return r, nil
@@ -685,13 +374,13 @@ type Subscribe struct {
 }
 
 // EncodeSubscribe renders s canonically.
-func EncodeSubscribe(s Subscribe) []byte { return appendU64(nil, s.From) }
+func EncodeSubscribe(s Subscribe) []byte { return codec.AppendU64(nil, s.From) }
 
 // DecodeSubscribe decodes a Subscribe.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
-	d := &decoder{buf: b}
-	s := Subscribe{From: d.u64()}
-	if err := d.finish(); err != nil {
+	d := codec.NewDecoder(b)
+	s := Subscribe{From: d.U64()}
+	if err := d.Finish(); err != nil {
 		return Subscribe{}, fmt.Errorf("subscribe: %w", err)
 	}
 	return s, nil
@@ -725,30 +414,30 @@ type Status struct {
 
 // EncodeStatus renders s canonically.
 func EncodeStatus(s Status) []byte {
-	dst := appendString(nil, s.Role)
-	dst = appendString(dst, s.Name)
-	dst = appendU64(dst, s.Blocks)
-	dst = appendBytes(dst, s.TipHash)
-	dst = appendString(dst, s.StateHash)
-	dst = appendU64(dst, s.Term)
-	dst = appendString(dst, s.Leader)
-	return appendU64(dst, s.CommittedTx)
+	dst := codec.AppendString(nil, s.Role)
+	dst = codec.AppendString(dst, s.Name)
+	dst = codec.AppendU64(dst, s.Blocks)
+	dst = codec.AppendBytes(dst, s.TipHash)
+	dst = codec.AppendString(dst, s.StateHash)
+	dst = codec.AppendU64(dst, s.Term)
+	dst = codec.AppendString(dst, s.Leader)
+	return codec.AppendU64(dst, s.CommittedTx)
 }
 
 // DecodeStatus decodes a Status.
 func DecodeStatus(b []byte) (Status, error) {
-	d := &decoder{buf: b}
+	d := codec.NewDecoder(b)
 	s := Status{
-		Role:   d.string(),
-		Name:   d.string(),
-		Blocks: d.u64(),
+		Role:   d.String(),
+		Name:   d.String(),
+		Blocks: d.U64(),
 	}
-	s.TipHash = d.bytes()
-	s.StateHash = d.string()
-	s.Term = d.u64()
-	s.Leader = d.string()
-	s.CommittedTx = d.u64()
-	if err := d.finish(); err != nil {
+	s.TipHash = d.Bytes()
+	s.StateHash = d.String()
+	s.Term = d.U64()
+	s.Leader = d.String()
+	s.CommittedTx = d.U64()
+	if err := d.Finish(); err != nil {
 		return Status{}, fmt.Errorf("status: %w", err)
 	}
 	return s, nil

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
@@ -273,11 +274,11 @@ func TestControlMessageRoundTrips(t *testing.T) {
 func TestDecodeBoundsHostileCounts(t *testing.T) {
 	// A count field claiming 2^32-1 elements with no bytes behind it must
 	// fail cleanly (no huge allocation, no panic).
-	hostile := appendString(nil, "id")
-	hostile = appendString(hostile, "client")
-	hostile = appendString(hostile, "contract")
-	hostile = appendString(hostile, "fn")
-	hostile = appendU32(hostile, 0xFFFFFFFF) // args count
+	hostile := codec.AppendString(nil, "id")
+	hostile = codec.AppendString(hostile, "client")
+	hostile = codec.AppendString(hostile, "contract")
+	hostile = codec.AppendString(hostile, "fn")
+	hostile = codec.AppendU32(hostile, 0xFFFFFFFF) // args count
 	if _, err := DecodeTransaction(hostile); err == nil {
 		t.Fatal("hostile count accepted")
 	}

@@ -28,14 +28,25 @@
 # SubmitRedirects) and Gauge.Set, which only they called, lowered it by 11,
 # to 22451. One ordering service — a standalone orderer is a one-member Raft
 # group, so consensus.Kafka, the orderer's second consensus path and the
-# closed-stream tail cut went — lowered it by 86, to 22365.
+# closed-stream tail cut went — lowered it by 86, to 22365. Keeping each
+# transaction on the orderer as the bytes it arrived in raised it by 173, to
+# 22538: the transaction codec and its primitives moved from wire to
+# internal/codec and the block codec to internal/ledger, below the chain
+# that keeps the bytes (+63 over the code they replaced: a package doc and
+# a doc line per exported primitive), the chain's byte form with its
+# spliced Frame and on-demand decode (+77), the Core carrying each member's
+# bytes to the cut (+21), and the Raft member holding each decoded
+# transaction until its subscription delivers it, less the RaftService byte
+# cache the log's bytes replaced (+4); 90 of them comments. A durable
+# peer's block record then became the canonical block, and encoding/gob
+# left the module (-4).
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22365
+CEILING=22538
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
