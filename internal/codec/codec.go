@@ -228,6 +228,28 @@ func AppendTransaction(dst []byte, tx *protocol.Transaction) []byte {
 	return dst
 }
 
+// TransactionSize returns the length of AppendTransaction's encoding of tx,
+// so a buffer that will hold it is sized once.
+func TransactionSize(tx *protocol.Transaction) int {
+	n := 4*4 + len(tx.ID) + len(tx.ClientID) + len(tx.Contract) + len(tx.Function) + 4
+	for _, a := range tx.Args {
+		n += 4 + len(a)
+	}
+	n += 8 + 4 + len(tx.RWSet.Reads)*(4+12)
+	for _, r := range tx.RWSet.Reads {
+		n += len(r.Key)
+	}
+	n += 4 + len(tx.RWSet.Writes)*(4+4+1)
+	for _, w := range tx.RWSet.Writes {
+		n += len(w.Key) + len(w.Value)
+	}
+	n += 4 + len(tx.Endorsements)*(4+4)
+	for _, e := range tx.Endorsements {
+		n += len(e.EndorserID) + len(e.Signature)
+	}
+	return n
+}
+
 // AppendSizedTransaction appends tx's encoding with its u32 length prefix,
 // encoding in place and back-patching the prefix: a transaction nested in a
 // block or an envelope, with no temporary slice.

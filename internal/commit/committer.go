@@ -90,7 +90,7 @@ type Stats struct {
 // the orderer-driven inline commit: ordering proceeds while peers commit.
 type Committer struct {
 	cfg       Config
-	deliver   chan *ledger.Block
+	deliver   chan delivered
 	pending   atomic.Int64 // delivered but not yet fully committed
 	failed    atomic.Bool
 	errOnce   sync.Once
@@ -102,7 +102,7 @@ type Committer struct {
 // New builds a Committer and launches its goroutine, profile-labelled
 // goroutine=committer and peer=Name (its validation workers inherit both).
 func New(cfg Config) *Committer {
-	c := &Committer{cfg: cfg, deliver: make(chan *ledger.Block, queueDepth)}
+	c := &Committer{cfg: cfg, deliver: make(chan delivered, queueDepth)}
 	c.wg.Add(1)
 	go pprof.Do(context.Background(), pprof.Labels("goroutine", "committer", "peer", cfg.Name), func(context.Context) { c.run() })
 	return c
@@ -113,13 +113,30 @@ func New(cfg Config) *Committer {
 // deadlock, because the committer depends on nothing the deliverer holds.
 // The block is not mutated, and the committer keeps no reference to it once
 // committed: it advances the tip onto its own copy's header.
-func (c *Committer) Deliver(blk *ledger.Block) {
+func (c *Committer) Deliver(blk *ledger.Block) { c.DeliverFrame(blk, nil) }
+
+// DeliverFrame is Deliver of a block decoded from frame, its canonical
+// encoding as received. A durable peer stores the frame as the block's
+// record when the block carries sealed verdicts, which the commit holds
+// equal to its own; it encodes only a block that arrives without them. An
+// in-memory peer stores no record, and keeps no frame.
+func (c *Committer) DeliverFrame(blk *ledger.Block, frame []byte) {
+	if !c.cfg.State.Durable() {
+		frame = nil
+	}
 	for _, tx := range blk.Transactions {
 		c.cfg.Tracer.Record(string(tx.ID), trace.StageDeliver, blk.Header.Number)
 	}
 	c.pending.Add(1)
 	c.stats.QueueDepth.Add(1)
-	c.deliver <- blk
+	c.deliver <- delivered{blk, frame}
+}
+
+// delivered is a block in the committer's queue, with the frame it was
+// decoded from, if any.
+type delivered struct {
+	blk   *ledger.Block
+	frame []byte
 }
 
 // Close stops the committer after it drains every delivered block, and
@@ -141,11 +158,11 @@ func (c *Committer) Stats() *Stats { return &c.stats }
 
 func (c *Committer) run() {
 	defer c.wg.Done()
-	for blk := range c.deliver {
+	for d := range c.deliver {
 		c.stats.QueueDepth.Add(-1)
 		if !c.failed.Load() {
 			start := metrics.StartWatch()
-			if err := c.commit(blk); err != nil {
+			if err := c.commit(d.blk, d.frame); err != nil {
 				c.fail(err)
 			} else {
 				c.stats.CommitLatencyNS.Record(start.ElapsedNS())
@@ -179,7 +196,7 @@ func (c *Committer) fail(err error) {
 // height is published, then the tip — so whoever sees the tip at N sees the
 // state at N or later, in memory and on disk. The tip advances on the header
 // Check passed, so the block's data hash is computed once.
-func (c *Committer) commit(blk *ledger.Block) error {
+func (c *Committer) commit(blk *ledger.Block, frame []byte) error {
 	checked, err := c.cfg.Tip.Check(blk)
 	if err != nil {
 		return fmt.Errorf("append block %d: %w", blk.Header.Number, err)
@@ -201,7 +218,13 @@ func (c *Committer) commit(blk *ledger.Block) error {
 	}
 	peerBlk := &ledger.Block{Header: blk.Header, Transactions: blk.Transactions, Validation: res.Codes, RescueDigest: res.Rescue.Digest}
 	var riders []kvstore.BatchOp
-	if c.cfg.State.Durable() {
+	switch {
+	case !c.cfg.State.Durable():
+	case frame != nil && blk.Validation != nil:
+		// The peer's verdicts and digest are the sealed ones (checked
+		// above), so its block encodes to the canonical frame received.
+		riders = []kvstore.BatchOp{ledger.RecordFrame(peerBlk.Header.Number, frame)}
+	default:
 		riders = []kvstore.BatchOp{ledger.Record(peerBlk)}
 	}
 	checkpoints, applyStart := c.cfg.State.Checkpoints(), c.cfg.Tracer.Now()

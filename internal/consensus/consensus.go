@@ -54,4 +54,7 @@ type Service interface {
 	// Close stops the service; subscribers' channels are closed after the
 	// last delivered offset.
 	Close()
+	// Err returns the failure that stopped the service, nil while healthy:
+	// a stream that closed before Close did ends here, never in a gap.
+	Err() error
 }

@@ -31,6 +31,12 @@ import (
 // the leader tells every follower at once when a marker commits — the
 // driver's replication cadence.
 //
+// With hot set, every member keeps a hot tail of that many committed
+// entries and compacts the rest into a cold log after every event, as the
+// driver does after every transition, so a follower caught up after a
+// restart, a dropped append or a rewind is sent entries read back from the
+// leader's cold log.
+//
 // A volatile log is safe only while a member loses its log when each entry
 // it holds also lives on a quorum of the other members (docs/consensus.md,
 // "Crash model and persistence"), so a guarded run crashes a member only
@@ -111,6 +117,32 @@ type exploreMember struct {
 	peers    map[string]*follower
 	checked  uint64 // committed prefix already checked against the record
 	dirty    bool   // the log changed since the last check
+	cold     *memCold
+}
+
+// entryAt is c's entry at i, looked up without a read back from the cold
+// log: the checker's view, which is not the driver's.
+func entryAt(c *RaftCore, i uint64) LogEntry {
+	if i <= c.base {
+		return c.Cold.(*memCold).entries[i-1]
+	}
+	return c.log[i-c.base-1]
+}
+
+// memCold is a cold log on the heap that counts the entries read back.
+type memCold struct {
+	entries []LogEntry
+	reads   *int
+}
+
+func (l *memCold) Append(es []LogEntry) error {
+	l.entries = append(l.entries, es...)
+	return nil
+}
+
+func (l *memCold) Read(from, to uint64) ([]LogEntry, error) {
+	*l.reads += int(to - from + 1)
+	return append([]LogEntry(nil), l.entries[from-1:to]...), nil
 }
 
 type entryID struct {
@@ -131,7 +163,9 @@ type world struct {
 	sch     *schedule
 	work    *rand.Rand
 	guard   bool
-	onTick  bool // transaction entries wait for the tick
+	onTick  bool   // transaction entries wait for the tick
+	hot     uint64 // committed entries each member keeps hot; 0 keeps all
+	cold    int    // entries read back from a cold log
 	members []*exploreMember
 	byName  map[string]*exploreMember
 	leaders map[uint64]string // term → the one leader it had
@@ -144,13 +178,14 @@ type world struct {
 }
 
 // explore runs one schedule of n members and returns the world it left.
-func explore(seed int64, n int, guard, onTick bool, keep map[int]bool) *world {
+func explore(seed int64, n int, guard, onTick bool, hot uint64, keep map[int]bool) *world {
 	w := &world{
 		e:       sim.NewEngine(),
 		sch:     &schedule{rng: rand.New(rand.NewSource(seed)), keep: keep},
 		work:    rand.New(rand.NewSource(seed ^ 0x5eed)),
 		guard:   guard,
 		onTick:  onTick,
+		hot:     hot,
 		byName:  map[string]*exploreMember{},
 		leaders: map[uint64]string{},
 	}
@@ -195,6 +230,10 @@ func (w *world) boot(m *exploreMember, names []string) {
 	}
 	c.Restore(m.term, m.vote)
 	c.Persist = func(term uint64, vote string) { m.term, m.vote = term, vote }
+	if w.hot > 0 {
+		m.cold = &memCold{reads: &w.cold}
+		c.Cold = m.cold
+	}
 	m.core, m.up, m.checked, m.peers, m.dirty = c, true, 0, nil, true
 	if c.Term() == 0 {
 		m.deadline = w.e.Now() + sim.Time(m.rank)*exploreHeartbeat
@@ -224,6 +263,15 @@ func (w *world) step(fn func()) {
 			}
 		}()
 		fn()
+		if w.hot > 0 {
+			for _, m := range w.members {
+				if c := m.core; m.up && c.CommitIndex() > w.hot {
+					if err := c.Compact(c.CommitIndex() - w.hot); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
 	}()
 	if w.violation == "" {
 		w.check()
@@ -313,7 +361,7 @@ func (w *world) won(m *exploreMember) {
 func (w *world) sender(m *exploreMember, peer string) {
 	for m.core.Behind(peer) {
 		m.peers[peer].busy = true
-		w.send(m.name, peer, m.core.AppendRequestFor(peer))
+		w.send(m.name, peer, request(m.core, peer))
 	}
 }
 
@@ -322,12 +370,12 @@ func (w *world) sender(m *exploreMember, peer string) {
 func (w *world) announce(m *exploreMember, was uint64) {
 	c := m.core
 	for i := was + 1; i <= c.CommitIndex(); i++ {
-		if c.Entry(i).Env.Tx == nil {
+		if entry(c, i).Env.Tx == nil {
 			for _, p := range c.Others() {
 				if c.Behind(p) {
 					w.sender(m, p)
 				} else {
-					w.send(m.name, p, c.AppendRequestFor(p))
+					w.send(m.name, p, request(c, p))
 				}
 			}
 			return
@@ -351,7 +399,7 @@ func (w *world) tick(m *exploreMember) {
 			f.heard, f.busy = false, false
 			w.sender(m, p)
 			if idle {
-				w.send(m.name, p, c.AppendRequestFor(p))
+				w.send(m.name, p, request(c, p))
 			}
 		}
 	case w.e.Now() >= m.deadline:
@@ -428,7 +476,7 @@ func (w *world) replicatedElsewhere(m *exploreMember) bool {
 	for i := uint64(1); i <= m.core.LastIndex(); i++ {
 		n := 0
 		for _, o := range w.members {
-			if o != m && o.up && o.core.LastIndex() >= i && o.core.termAt(i) == m.core.termAt(i) {
+			if o != m && o.up && o.core.LastIndex() >= i && o.core.TermAt(i) == m.core.TermAt(i) {
 				n++
 			}
 		}
@@ -458,7 +506,7 @@ func (w *world) check() {
 			w.leaders[c.Term()] = m.name
 		}
 		for i := m.checked + 1; i <= c.CommitIndex(); i++ {
-			id := idOf(c.Entry(i))
+			id := idOf(entryAt(c, i))
 			if int(i) > len(w.committed) {
 				w.committed = append(w.committed, id)
 				w.commitTerm = append(w.commitTerm, c.Term())
@@ -492,7 +540,7 @@ func (w *world) check() {
 				continue
 			}
 			idx := uint64(i + 1)
-			if idx > c.LastIndex() || idOf(c.Entry(idx)) != id {
+			if idx > c.LastIndex() || idOf(entryAt(c, idx)) != id {
 				w.violation = fmt.Sprintf("Leader Completeness: %s leads term %d without %v, committed at %d in term %d",
 					m.name, c.Term(), id, idx, w.commitTerm[i])
 				return
@@ -508,12 +556,12 @@ func logsMatch(a, b *RaftCore) string {
 	if b.LastIndex() < top {
 		top = b.LastIndex()
 	}
-	for ; top > 0 && a.termAt(top) != b.termAt(top); top-- {
+	for ; top > 0 && a.TermAt(top) != b.TermAt(top); top-- {
 	}
 	for i := uint64(1); i <= top; i++ {
-		if idOf(a.Entry(i)) != idOf(b.Entry(i)) {
+		if idOf(entryAt(a, i)) != idOf(entryAt(b, i)) {
 			return fmt.Sprintf("%s and %s agree at %d/term %d but differ at %d: %v vs %v",
-				a.id, b.id, top, a.termAt(top), i, idOf(a.Entry(i)), idOf(b.Entry(i)))
+				a.id, b.id, top, a.TermAt(top), i, idOf(entryAt(a, i)), idOf(entryAt(b, i)))
 		}
 	}
 	return ""
@@ -527,7 +575,7 @@ func (w *world) kind() string {
 // shrink drops faults from a failing schedule one at a time, keeping each
 // removal after which the same property still fails; what is left is a
 // schedule from which no single fault can be removed.
-func shrink(seed int64, n int, guard, onTick bool, failed *world) ([]int, *world) {
+func shrink(seed int64, n int, guard, onTick bool, hot uint64, failed *world) ([]int, *world) {
 	keep := append([]int(nil), failed.sch.faults...)
 	best := failed
 	for i := 0; i < len(keep); {
@@ -537,7 +585,7 @@ func shrink(seed int64, n int, guard, onTick bool, failed *world) ([]int, *world
 				try[k] = true
 			}
 		}
-		if w := explore(seed, n, guard, onTick, try); w.kind() == failed.kind() {
+		if w := explore(seed, n, guard, onTick, hot, try); w.kind() == failed.kind() {
 			keep, best = w.sch.faults, w
 			continue
 		}
@@ -547,11 +595,11 @@ func shrink(seed int64, n int, guard, onTick bool, failed *world) ([]int, *world
 }
 
 // replayable prints a failing schedule so that it can be replayed:
-// explore(seed, n, guard, onTick, keep) runs it again.
-func replayable(seed int64, n int, guard, onTick bool, keep []int, w *world) string {
+// explore(seed, n, guard, onTick, hot, keep) runs it again.
+func replayable(seed int64, n int, guard, onTick bool, hot uint64, keep []int, w *world) string {
 	sort.Ints(keep)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\nreplay: explore(%d, %d, %v, %v, keep(%v))\n", w.violation, seed, n, guard, onTick, keep)
+	fmt.Fprintf(&b, "%s\nreplay: explore(%d, %d, %v, %v, %d, keep(%v))\n", w.violation, seed, n, guard, onTick, hot, keep)
 	for _, line := range w.sch.log {
 		b.WriteString("  " + line + "\n")
 	}
@@ -569,20 +617,30 @@ func keepOf(faults ...int) map[int]bool {
 // exploreSchedules is the seeded schedule count the explorer runs.
 const exploreSchedules = 2000
 
+// exploreHot is the hot tail of the explorer's compacting cadence: a few
+// entries, so that its schedules cross the cold boundary.
+const exploreHot = 3
+
 // TestRaftExplorer runs exploreSchedules seeded schedules of 3–5 members
-// with guarded crashes, once with every submission waking the senders and
-// once with transaction entries waiting for the tick, and fails with the
-// first violated property's minimal schedule.
+// with guarded crashes in three cadences — every submission waking the
+// senders; transaction entries waiting for the tick; and that, with a hot
+// tail of exploreHot entries — and fails with the first violated
+// property's minimal schedule.
 func TestRaftExplorer(t *testing.T) {
-	for _, onTick := range []bool{false, true} {
-		var elected, committed, crashes int
+	for _, cad := range []struct {
+		onTick bool
+		hot    uint64
+	}{{false, 0}, {true, 0}, {true, exploreHot}} {
+		onTick, hot := cad.onTick, cad.hot
+		var elected, committed, crashes, cold int
 		for seed := int64(1); seed <= exploreSchedules; seed++ {
 			n := 3 + int(seed%3)
-			w := explore(seed, n, true, onTick, nil)
+			w := explore(seed, n, true, onTick, hot, nil)
 			if w.violation != "" {
-				keep, min := shrink(seed, n, true, onTick, w)
-				t.Fatalf("seed %d: %s", seed, replayable(seed, n, true, onTick, keep, min))
+				keep, min := shrink(seed, n, true, onTick, hot, w)
+				t.Fatalf("seed %d: %s", seed, replayable(seed, n, true, onTick, hot, keep, min))
 			}
+			cold += w.cold
 			if len(w.leaders) > 0 {
 				elected++
 			}
@@ -596,11 +654,15 @@ func TestRaftExplorer(t *testing.T) {
 		// The schedules must exercise what they check: leaders elected,
 		// entries committed, members crashed and restarted.
 		if elected < exploreSchedules*9/10 || committed < 20*exploreSchedules || crashes < exploreSchedules/4 {
-			t.Fatalf("onTick %v: explorer too tame: %d/%d schedules elected, %d entries committed, %d crashes",
-				onTick, elected, exploreSchedules, committed, crashes)
+			t.Fatalf("onTick %v, hot %d: explorer too tame: %d/%d schedules elected, %d entries committed, %d crashes",
+				onTick, hot, elected, exploreSchedules, committed, crashes)
 		}
-		t.Logf("onTick %v, %d schedules: %d elected a leader, %d entries committed, %d crash-restarts",
-			onTick, exploreSchedules, elected, committed, crashes)
+		// The compacting cadence must send and check entries read back.
+		if hot > 0 && cold < exploreSchedules {
+			t.Fatalf("hot %d: only %d entries read back from a cold log", hot, cold)
+		}
+		t.Logf("onTick %v, hot %d, %d schedules: %d elected a leader, %d entries committed, %d crash-restarts, %d cold reads",
+			onTick, hot, exploreSchedules, elected, committed, crashes, cold)
 	}
 }
 
@@ -621,10 +683,10 @@ var counterKeep = []int{16, 36, 79, 157, 212, 215, 217}
 // and its minimal replay both lose a committed entry.
 func TestExplorerVolatileLogCounterSchedule(t *testing.T) {
 	for _, keep := range []map[int]bool{nil, keepOf(counterKeep...)} {
-		w := explore(counterSeed, counterMembers, false, false, keep)
+		w := explore(counterSeed, counterMembers, false, false, 0, keep)
 		switch w.kind() {
 		case "Leader Completeness", "State Machine Safety":
-			t.Logf("expected failure:\n%s", replayable(counterSeed, counterMembers, false, false, w.sch.faults, w))
+			t.Logf("expected failure:\n%s", replayable(counterSeed, counterMembers, false, false, 0, w.sch.faults, w))
 		default:
 			t.Fatalf("seed %d with a volatile log no longer loses a committed entry (violation %q): "+
 				"if the log is durable now, turn this into a passing schedule", counterSeed, w.violation)

@@ -1,6 +1,9 @@
 package consensus
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file is the *pure* Raft replicated-log state machine that backs the
 // wire ordering cluster (internal/transport.RaftService drives it over TCP).
@@ -17,6 +20,14 @@ import "fmt"
 // replica, messages arrive from sockets in any order, and liveness comes
 // from the driver's randomized election timeouts. It is the only Raft in
 // the repository.
+//
+// The log is a cold prefix and a hot tail. Compact moves committed entries
+// off the heap into a ColdLog, which keeps them as records the driver can
+// splice into an AppendEntries; the core keeps the cold entries' terms as
+// one run per term, so every term comparison stays in memory, and reads a
+// cold entry back only for a follower or a subscription that is behind the
+// tail. The last entry and every uncommitted one stay hot, so a truncation
+// never reaches the cold prefix.
 //
 // Scope note: the log itself is volatile (a restarted node rejoins empty and
 // is caught up by the leader from index 1), while term and vote may be made
@@ -122,8 +133,14 @@ type RaftCore struct {
 	votedFor string
 	role     RaftRole
 	leader   string // last known leader's ID ("" when unknown)
-	log      []LogEntry
 	commit   uint64
+
+	// log is the hot tail, entries base+1 through base+len(log); entries 1
+	// through base are in Cold, and coldTerms holds their terms, one run
+	// per term, in index order.
+	log       []LogEntry
+	base      uint64
+	coldTerms []termRun
 
 	// Leader volatile state (rebuilt at each election win). nextIndex is
 	// the first index not known to be on a follower; sent, never below it,
@@ -139,7 +156,26 @@ type RaftCore struct {
 	// any message that could reveal them (a reply granting a vote must not
 	// be forgotten by a crash, or the replica could vote twice in a term).
 	Persist func(term uint64, votedFor string)
+
+	// Cold, when set, takes the entries Compact moves off the heap; without
+	// it Compact moves nothing.
+	Cold ColdLog
 }
+
+// ColdLog holds the committed prefix of a log that a RaftCore compacted off
+// its heap: entries 1 through n, appended in index order. A caller that
+// serializes its core's calls serializes these too.
+type ColdLog interface {
+	// Append stores entries after every entry stored before, in one write;
+	// on an error it stores none of them.
+	Append(entries []LogEntry) error
+	// Read returns entries from through to, inclusive.
+	Read(from, to uint64) ([]LogEntry, error)
+}
+
+// termRun says that the cold entries from index first on, up to the next
+// run's first, are of term term.
+type termRun struct{ first, term uint64 }
 
 // NewRaftCore creates a replica. members is the full cluster membership
 // (including id); quorum is a majority of it.
@@ -193,18 +229,73 @@ func (c *RaftCore) LeaderID() string {
 func (c *RaftCore) CommitIndex() uint64 { return c.commit }
 
 // LastIndex returns the highest log index (0 for an empty log).
-func (c *RaftCore) LastIndex() uint64 { return uint64(len(c.log)) }
+func (c *RaftCore) LastIndex() uint64 { return c.base + uint64(len(c.log)) }
 
-// Entry returns the log entry at 1-based index i (panics if out of range —
-// callers only read committed, and therefore present, indexes).
-func (c *RaftCore) Entry(i uint64) LogEntry { return c.log[i-1] }
-
-func (c *RaftCore) termAt(i uint64) uint64 {
-	if i == 0 {
-		return 0
+// Entry returns the log entry at 1-based index i, read back from the cold
+// log when it is there (panics if out of range — callers only read
+// committed, and therefore present, indexes).
+func (c *RaftCore) Entry(i uint64) (LogEntry, error) {
+	es, err := c.Entries(i, i)
+	if err != nil {
+		return LogEntry{}, err
 	}
-	return c.log[i-1].Term
+	return es[0], nil
 }
+
+// Entries returns the log entries from through to, inclusive: the hot ones
+// as the log holds them, which the caller must not modify, the cold ones
+// read back in one read.
+func (c *RaftCore) Entries(from, to uint64) ([]LogEntry, error) {
+	if from > c.base {
+		return c.log[from-c.base-1 : to-c.base], nil
+	}
+	cold, err := c.Cold.Read(from, min(to, c.base))
+	if err != nil || to <= c.base {
+		return cold, err
+	}
+	return append(cold, c.log[:to-c.base]...), nil
+}
+
+// TermAt returns the term of the entry at index i (0 for index 0), cold or
+// hot, without reading the cold log.
+func (c *RaftCore) TermAt(i uint64) uint64 {
+	switch {
+	case i == 0:
+		return 0
+	case i > c.base:
+		return c.log[i-c.base-1].Term
+	}
+	r := sort.Search(len(c.coldTerms), func(k int) bool { return c.coldTerms[k].first > i })
+	return c.coldTerms[r-1].term
+}
+
+// Compact moves the entries at or below upTo to the cold log in one Append,
+// and keeps the rest of the log in a fresh array, so the hot tail's old
+// backing array is freed with the entries. It never moves an uncommitted
+// entry or the last one, and moves nothing without a cold log. On an error
+// every entry stays hot, and the next Compact tries again.
+func (c *RaftCore) Compact(upTo uint64) error {
+	upTo = min(upTo, c.commit, c.LastIndex()-1)
+	if c.Cold == nil || upTo <= c.base {
+		return nil
+	}
+	moved := c.log[:upTo-c.base]
+	if err := c.Cold.Append(moved); err != nil {
+		return err
+	}
+	for i, e := range moved {
+		if n := len(c.coldTerms); n == 0 || c.coldTerms[n-1].term != e.Term {
+			c.coldTerms = append(c.coldTerms, termRun{c.base + 1 + uint64(i), e.Term})
+		}
+	}
+	c.log = append([]LogEntry(nil), c.log[upTo-c.base:]...)
+	c.base = upTo
+	return nil
+}
+
+// ColdIndex returns the index of the last entry in the cold log (0 when
+// none is).
+func (c *RaftCore) ColdIndex() uint64 { return c.base }
 
 func (c *RaftCore) persist() {
 	if c.Persist != nil {
@@ -242,7 +333,7 @@ func (c *RaftCore) StartElection() VoteRequest {
 		Term:        c.term,
 		CandidateID: c.id,
 		LastIndex:   c.LastIndex(),
-		LastTerm:    c.termAt(c.LastIndex()),
+		LastTerm:    c.TermAt(c.LastIndex()),
 	}
 }
 
@@ -270,7 +361,7 @@ func (c *RaftCore) HandleVote(req VoteRequest) VoteResponse {
 // last indexes.
 func (c *RaftCore) candidateUpToDate(req VoteRequest) bool {
 	myLast := c.LastIndex()
-	myTerm := c.termAt(myLast)
+	myTerm := c.TermAt(myLast)
 	if req.LastTerm != myTerm {
 		return req.LastTerm > myTerm
 	}
@@ -338,8 +429,9 @@ const maxEntriesPerAppend = 256
 // the entries from its sent cursor (none: a heartbeat), with the
 // consistency-check predecessor and the leader's commit index — and
 // advances the cursor past them, so each entry is sent once unless a
-// reject or Rewind asks for it again.
-func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
+// reject or Rewind asks for it again. Entries behind the hot tail are read
+// back from the cold log; a failed read advances nothing.
+func (c *RaftCore) AppendRequestFor(peer string) (AppendRequest, error) {
 	next := c.sent[peer]
 	if next == 0 { // unknown peer: treat as fully behind
 		next = 1
@@ -349,7 +441,7 @@ func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
 		Term:         c.term,
 		LeaderID:     c.id,
 		PrevIndex:    prev,
-		PrevTerm:     c.termAt(prev),
+		PrevTerm:     c.TermAt(prev),
 		LeaderCommit: c.commit,
 	}
 	if last := c.LastIndex(); next <= last {
@@ -357,10 +449,17 @@ func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
 		if end > last {
 			end = last
 		}
-		req.Entries = append([]LogEntry(nil), c.log[next-1:end]...)
+		es, err := c.Entries(next, end)
+		if err != nil {
+			return AppendRequest{}, err
+		}
+		if next > c.base {
+			es = append([]LogEntry(nil), es...)
+		}
+		req.Entries = es
 		c.sent[peer] = end + 1
 	}
-	return req
+	return req, nil
 }
 
 // Behind reports whether the log holds entries not yet sent to the follower
@@ -398,7 +497,7 @@ func (c *RaftCore) HandleAppend(req AppendRequest) AppendResponse {
 	// candidate that receives one concedes the election.
 	c.role = RoleFollower
 	c.leader = req.LeaderID
-	if req.PrevIndex > c.LastIndex() || c.termAt(req.PrevIndex) != req.PrevTerm {
+	if req.PrevIndex > c.LastIndex() || c.TermAt(req.PrevIndex) != req.PrevTerm {
 		// Log-matching failure: tell the leader how far back to rewind. The
 		// hint is this replica's last index when the log is short, or just
 		// below the conflicting predecessor otherwise.
@@ -416,7 +515,7 @@ func (c *RaftCore) HandleAppend(req AppendRequest) AppendResponse {
 	for _, e := range req.Entries {
 		idx++
 		if idx <= c.LastIndex() {
-			if c.termAt(idx) == e.Term {
+			if c.TermAt(idx) == e.Term {
 				continue
 			}
 			if idx <= c.commit {
@@ -424,7 +523,7 @@ func (c *RaftCore) HandleAppend(req AppendRequest) AppendResponse {
 				// commit index would un-deliver sealed blocks upstream.
 				panic(fmt.Sprintf("consensus: raft %s asked to truncate committed index %d (commit %d)", c.id, idx, c.commit))
 			}
-			c.log = c.log[:idx-1]
+			c.log = c.log[:idx-c.base-1]
 		}
 		c.log = append(c.log, e)
 	}
@@ -486,7 +585,7 @@ func (c *RaftCore) HandleAppendResponse(resp AppendResponse) bool {
 func (c *RaftCore) advanceCommit() bool {
 	advanced := false
 	for n := c.LastIndex(); n > c.commit; n-- {
-		if c.termAt(n) != c.term {
+		if c.TermAt(n) != c.term {
 			break
 		}
 		count := 1 // self

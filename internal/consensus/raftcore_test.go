@@ -64,7 +64,7 @@ func TestRaftCoreElectionQuorum(t *testing.T) {
 		t.Fatalf("expected leader a, got %s leader=%q", a.Role(), a.LeaderID())
 	}
 	// Leader appended its term-start no-op.
-	if a.LastIndex() != 1 || a.Entry(1).Term != 1 {
+	if a.LastIndex() != 1 || entry(a, 1).Term != 1 {
 		t.Fatalf("expected no-op entry at index 1 term 1, got last=%d", a.LastIndex())
 	}
 }
@@ -136,7 +136,7 @@ func electLeader(t *testing.T) (a, b *RaftCore) {
 // replicate drains one AppendEntries round trip from leader to follower and
 // feeds the response back. Returns the follower's response.
 func replicate(a, b *RaftCore) AppendResponse {
-	resp := b.HandleAppend(a.AppendRequestFor("b"))
+	resp := b.HandleAppend(request(a, "b"))
 	a.HandleAppendResponse(resp)
 	return resp
 }
@@ -162,7 +162,7 @@ func TestRaftCoreReplicationAndCommit(t *testing.T) {
 	if b.CommitIndex() != idx {
 		t.Fatalf("follower commit should follow leader: %d != %d", b.CommitIndex(), idx)
 	}
-	if b.Entry(idx).Env.SubmittedBy != "client" {
+	if entry(b, idx).Env.SubmittedBy != "client" {
 		t.Fatal("follower replicated wrong entry")
 	}
 }
@@ -191,7 +191,7 @@ func TestRaftCoreCatchUpFromEmptyLog(t *testing.T) {
 	c := newCore(t, "c")
 	rounds := 0
 	for {
-		resp := c.HandleAppend(a.AppendRequestFor("c"))
+		resp := c.HandleAppend(request(a, "c"))
 		a.HandleAppendResponse(resp)
 		rounds++
 		if rounds > 100 {
@@ -231,10 +231,10 @@ func TestRaftCoreConflictTruncation(t *testing.T) {
 	if !resp.Success {
 		t.Fatalf("append should succeed: %+v", resp)
 	}
-	if b.LastIndex() != 2 || b.Entry(2).Env.SubmittedBy != "fresh" {
+	if b.LastIndex() != 2 || entry(b, 2).Env.SubmittedBy != "fresh" {
 		t.Fatalf("conflicting suffix should be replaced, got last=%d", b.LastIndex())
 	}
-	if b.Entry(1).Env.SubmittedBy != "stale1" {
+	if entry(b, 1).Env.SubmittedBy != "stale1" {
 		t.Fatal("matching prefix must be preserved")
 	}
 }
@@ -244,7 +244,7 @@ func TestRaftCoreDuplicateAppendIsIdempotent(t *testing.T) {
 	if _, err := a.Append(Envelope{SubmittedBy: "once"}); err != nil {
 		t.Fatal(err)
 	}
-	req := a.AppendRequestFor("b")
+	req := request(a, "b")
 	r1 := b.HandleAppend(req)
 	r2 := b.HandleAppend(req) // retransmitted frame
 	if !r1.Success || !r2.Success || r1.MatchIndex != r2.MatchIndex {
@@ -397,12 +397,12 @@ func TestRaftCoreBehindTracksFollowerCursor(t *testing.T) {
 // acknowledgements, and an acknowledgement never moves the cursor back.
 func TestRaftCoreSentCursorAdvancesOnSend(t *testing.T) {
 	a, b := electLeader(t) // no-op at 1
-	first := a.AppendRequestFor("b")
+	first := request(a, "b")
 	if len(first.Entries) != 1 || a.Behind("b") || a.sent["b"] != 2 || a.nextIndex["b"] != 1 {
 		t.Fatalf("after sending the no-op: %d entries, behind %v, sent %d, next %d",
 			len(first.Entries), a.Behind("b"), a.sent["b"], a.nextIndex["b"])
 	}
-	if hb := a.AppendRequestFor("b"); len(hb.Entries) != 0 || hb.PrevIndex != 1 {
+	if hb := request(a, "b"); len(hb.Entries) != 0 || hb.PrevIndex != 1 {
 		t.Fatalf("nothing new to send: want a heartbeat after index 1, got %d entries after %d", len(hb.Entries), hb.PrevIndex)
 	}
 	for i := 0; i < 2; i++ {
@@ -410,7 +410,7 @@ func TestRaftCoreSentCursorAdvancesOnSend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	second := a.AppendRequestFor("b")
+	second := request(a, "b")
 	if second.PrevIndex != 1 || len(second.Entries) != 2 || a.sent["b"] != 4 {
 		t.Fatalf("second request: prev %d, %d entries, sent %d; want prev 1, 2 entries, sent 4",
 			second.PrevIndex, len(second.Entries), a.sent["b"])
@@ -433,11 +433,11 @@ func TestRaftCoreSentCursorAdvancesOnSend(t *testing.T) {
 // again.
 func TestRaftCoreSentCursorRewindsOnReject(t *testing.T) {
 	a, b := electLeader(t)
-	_ = a.AppendRequestFor("b") // lost: carried the no-op
+	_ = request(a, "b") // lost: carried the no-op
 	if _, err := a.Append(Envelope{SubmittedBy: "client"}); err != nil {
 		t.Fatal(err)
 	}
-	resp := b.HandleAppend(a.AppendRequestFor("b"))
+	resp := b.HandleAppend(request(a, "b"))
 	if resp.Success {
 		t.Fatal("a request past a lost one must be rejected")
 	}
@@ -445,7 +445,7 @@ func TestRaftCoreSentCursorRewindsOnReject(t *testing.T) {
 	if !a.Behind("b") || a.sent["b"] != 1 {
 		t.Fatalf("after the reject: behind %v, sent %d; want the cursor back at 1", a.Behind("b"), a.sent["b"])
 	}
-	again := a.AppendRequestFor("b")
+	again := request(a, "b")
 	if again.PrevIndex != 0 || len(again.Entries) != 2 {
 		t.Fatalf("re-send: prev %d with %d entries, want both entries from index 1", again.PrevIndex, len(again.Entries))
 	}
@@ -463,7 +463,7 @@ func TestRaftCoreSentCursorRewindsAfterSilence(t *testing.T) {
 	if _, err := a.Append(Envelope{SubmittedBy: "client"}); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.AppendRequestFor("b") // lost, and nothing follows it
+	_ = request(a, "b") // lost, and nothing follows it
 	if a.Behind("b") {
 		t.Fatal("sent entries must not count as behind before a rewind")
 	}
@@ -471,7 +471,7 @@ func TestRaftCoreSentCursorRewindsAfterSilence(t *testing.T) {
 	if !a.Behind("b") {
 		t.Fatal("rewound follower should be behind")
 	}
-	req := a.AppendRequestFor("b")
+	req := request(a, "b")
 	if req.PrevIndex != 1 || len(req.Entries) != 1 || req.Entries[0].Env.SubmittedBy != "client" {
 		t.Fatalf("re-send after the rewind: prev %d, %d entries", req.PrevIndex, len(req.Entries))
 	}
@@ -480,4 +480,22 @@ func TestRaftCoreSentCursorRewindsAfterSilence(t *testing.T) {
 		t.Fatalf("re-sent entry should commit, commit %d", a.CommitIndex())
 	}
 	b.Rewind("a") // a follower has no cursors
+}
+
+// request is AppendRequestFor on a core whose cold log does not fail.
+func request(c *RaftCore, peer string) AppendRequest {
+	req, err := c.AppendRequestFor(peer)
+	if err != nil {
+		panic(err)
+	}
+	return req
+}
+
+// entry is Entry on a core whose cold log does not fail.
+func entry(c *RaftCore, i uint64) LogEntry {
+	e, err := c.Entry(i)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

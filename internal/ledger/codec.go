@@ -2,24 +2,44 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 
 	"fabricsharp/internal/codec"
 	"fabricsharp/internal/protocol"
 )
 
 // The block codec: the canonical encoding a block travels in
-// (docs/transport.md). A chain keeps each transaction as these bytes, so a
-// sealed block's frame is spliced from them (Chain.Frame) and equals the
-// decoded block's encoding byte for byte.
+// (docs/transport.md). A chain keeps each block as this frame, spliced from
+// its transactions' bytes as it is sealed, so the frame equals the decoded
+// block's encoding byte for byte.
 
 // AppendBlock appends the canonical encoding of blk — header, transactions,
-// and, when present, the sealed validation verdicts — to dst.
-func AppendBlock(dst []byte, blk *Block) []byte {
-	dst = appendHead(dst, blk.Header, len(blk.Transactions))
-	for _, tx := range blk.Transactions {
+// and, when present, the sealed validation verdicts — to dst, growing it
+// once.
+func AppendBlock(dst []byte, blk *Block) []byte { return appendFrame(dst, blk, nil) }
+
+// appendFrame is AppendBlock with raws[i], when raws is not nil and neither
+// is raws[i], spliced in as transaction i's encoding; every other
+// transaction is encoded in place.
+func appendFrame(dst []byte, blk *Block, raws [][]byte) []byte {
+	h := blk.Header
+	size := 8 + 4 + len(h.PrevHash) + 4 + len(h.DataHash) + 4 + 1 + 4 + len(blk.Validation) + 4 + len(blk.RescueDigest)
+	for i, tx := range blk.Transactions {
+		if raws != nil && raws[i] != nil {
+			size += 4 + len(raws[i])
+		} else {
+			size += 4 + codec.TransactionSize(tx)
+		}
+	}
+	dst = appendHead(slices.Grow(dst, size), h, len(blk.Transactions))
+	for i, tx := range blk.Transactions {
 		// Each transaction is itself length-prefixed so a decoder can skip
 		// or bound-check entries without parsing them.
-		dst = codec.AppendSizedTransaction(dst, tx)
+		if raws != nil && raws[i] != nil {
+			dst = codec.AppendBytes(dst, raws[i])
+		} else {
+			dst = codec.AppendSizedTransaction(dst, tx)
+		}
 	}
 	return appendMetadata(dst, blk.Validation, blk.RescueDigest)
 }

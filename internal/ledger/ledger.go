@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 
-	"fabricsharp/internal/codec"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/protocol"
 )
@@ -140,41 +139,27 @@ type Checked struct{ header Header }
 
 // Chain is a tip that also keeps its blocks: the orderer's ledger, which
 // serves any block to a subscriber catching up. A block is appended complete
-// with its verdicts and never changed afterwards. It keeps each transaction
-// as its canonical bytes, not as a decoded object graph: Frame splices a
-// block's frame from them and Get decodes them on demand. Safe for
-// concurrent use.
+// with its verdicts and never changed afterwards. The chain keeps each block
+// as its frame — the canonical encoding a block stream sends, spliced once,
+// as the block is appended, from its transactions' bytes — and no decoded
+// object: the frames of its newest hotBlocks blocks on the heap, and each
+// older one in a Spill, an unlinked file it reads back on demand, at an
+// offset it keeps. Frame returns a frame; Get, ForEach and Verify decode
+// one. Safe for concurrent use.
 type Chain struct {
 	tip
-	blocks []sealed
+	first  uint64    // the first block's number
+	cold   []frameAt // blocks first, first+1, … in file
+	frames [][]byte  // the blocks after the cold ones
+	file   kvstore.Spill
 }
 
-// sealed is a block as a chain keeps it: the header and metadata, and one
-// byte slice per transaction, its canonical encoding.
-type sealed struct {
-	header       Header
-	txs          [][]byte
-	validation   []protocol.ValidationCode
-	rescueDigest []byte
-}
+// frameAt locates a cold block's frame in the chain's file.
+type frameAt struct{ off, n int64 }
 
-// block decodes the kept block. Every slice was encoded by the chain or
-// handed to it as a transaction's canonical bytes by a sealer that had
-// decoded them, so a failure is a broken invariant.
-func (s *sealed) block() *Block {
-	blk := &Block{Header: s.header, Validation: s.validation, RescueDigest: s.rescueDigest}
-	if len(s.txs) > 0 {
-		blk.Transactions = make([]*protocol.Transaction, len(s.txs))
-	}
-	for i, raw := range s.txs {
-		tx, err := codec.DecodeTransaction(raw)
-		if err != nil {
-			panic(fmt.Sprintf("ledger: block %d tx %d: %v", s.header.Number, i, err))
-		}
-		blk.Transactions[i] = tx
-	}
-	return blk
-}
+// hotBlocks is how many of its newest blocks' frames a chain keeps on its
+// heap.
+const hotBlocks = 16
 
 const blockKeyPrefix = "b/"
 
@@ -191,7 +176,14 @@ func blockKey(n uint64) []byte {
 // whatever else must land with the block (a peer: its state writes and
 // height).
 func Record(blk *Block) kvstore.BatchOp {
-	return kvstore.BatchOp{Key: blockKey(blk.Header.Number), Value: AppendBlock(nil, blk)}
+	return RecordFrame(blk.Header.Number, AppendBlock(nil, blk))
+}
+
+// RecordFrame is Record of block n given its frame, the block's canonical
+// encoding: the frame a peer received, once its verdicts are known to be
+// the peer's own.
+func RecordFrame(n uint64, frame []byte) kvstore.BatchOp {
+	return kvstore.BatchOp{Key: blockKey(n), Value: frame}
 }
 
 // NewTip opens the tip of the blocks a non-nil store holds. It reads each
@@ -209,15 +201,16 @@ func NewTip(store *kvstore.DB) (*Tip, error) {
 // (verifying linkage). The store is only read.
 func NewChain(store *kvstore.DB) (*Chain, error) {
 	c := &Chain{}
-	if err := c.load(store, func(blk *Block) { c.blocks = append(c.blocks, toSealed(blk, nil)) }); err != nil {
+	if err := c.load(store, func(blk *Block, rec []byte) { c.keepLocked(blk, bytes.Clone(rec)) }); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // load folds the blocks a non-nil store holds onto a new, unshared tip,
-// checking each as Append does, and hands each to keep when it is set.
-func (t *tip) load(store *kvstore.DB, keep func(*Block)) error {
+// checking each as Append does, and hands each, with its record, to keep
+// when it is set; the record is valid only until keep returns.
+func (t *tip) load(store *kvstore.DB, keep func(*Block, []byte)) error {
 	if store == nil {
 		return nil
 	}
@@ -230,9 +223,10 @@ func (t *tip) load(store *kvstore.DB, keep func(*Block)) error {
 		if err := t.checkLocked(blk); err != nil {
 			return err
 		}
-		t.moveLocked(blk)
 		if keep != nil {
-			keep(blk)
+			keep(blk, rec)
+		} else {
+			t.moveLocked(blk)
 		}
 		return nil
 	})
@@ -349,50 +343,44 @@ func (t *tip) moveLocked(blk *Block) {
 func (c *Chain) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.blocks)
+	return len(c.cold) + len(c.frames)
 }
 
-// Get returns block n, decoded from the bytes the chain keeps.
+// Get returns block n, decoded from its frame. A frame the chain cannot
+// read back or decode is a broken invariant, and panics.
 func (c *Chain) Get(n uint64) (*Block, bool) {
-	s, ok := c.at(n)
+	frame, ok, err := c.Frame(n)
+	if err != nil {
+		panic(err.Error())
+	}
 	if !ok {
 		return nil, false
 	}
-	return s.block(), true
+	blk, err := DecodeBlock(frame)
+	if err != nil {
+		panic(fmt.Sprintf("ledger: block %d: %v", n, err))
+	}
+	return blk, true
 }
 
-// Frame returns block n's canonical encoding spliced from the bytes the
-// chain keeps: AppendBlock of Get(n), byte for byte, with no transaction
-// encoded or decoded.
-func (c *Chain) Frame(n uint64) ([]byte, bool) {
-	s, ok := c.at(n)
-	if !ok {
-		return nil, false
-	}
-	size := 8 + 4 + len(s.header.PrevHash) + 4 + len(s.header.DataHash) + 4 + 1 + 4 + len(s.validation) + 4 + len(s.rescueDigest)
-	for _, raw := range s.txs {
-		size += 4 + len(raw)
-	}
-	dst := appendHead(make([]byte, 0, size), s.header, len(s.txs))
-	for _, raw := range s.txs {
-		dst = codec.AppendBytes(dst, raw)
-	}
-	return appendMetadata(dst, s.validation, s.rescueDigest), true
-}
-
-// at returns block n as the chain keeps it.
-func (c *Chain) at(n uint64) (sealed, bool) {
+// Frame returns block n's frame, AppendBlock of Get(n) byte for byte: the
+// one the chain keeps, which the caller must not modify, or a copy read back
+// from its file; ok is false when the chain has no block n.
+func (c *Chain) Frame(n uint64) (frame []byte, ok bool, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(c.blocks) == 0 {
-		return sealed{}, false
+	if n < c.first || n-c.first >= uint64(len(c.cold)+len(c.frames)) {
+		return nil, false, nil
 	}
-	first := c.blocks[0].header.Number
-	idx := int(n) - int(first)
-	if idx < 0 || idx >= len(c.blocks) {
-		return sealed{}, false
+	i := int(n - c.first)
+	if i >= len(c.cold) {
+		return c.frames[i-len(c.cold)], true, nil
 	}
-	return c.blocks[idx], true
+	frame, err = c.file.ReadAt(c.cold[i].off, c.cold[i].n)
+	if err != nil {
+		return nil, false, fmt.Errorf("ledger: block %d: %w", n, err)
+	}
+	return frame, true, nil
 }
 
 // Seal assembles a block from ordered transactions, linking it to the
@@ -403,9 +391,9 @@ func (c *Chain) Seal(txs []*protocol.Transaction, validation []protocol.Validati
 
 // SealRescued is Seal plus the post-order rescue digest committed alongside
 // the validation codes (nil when no transaction was rescued). raws[i], when
-// not nil, is txs[i]'s canonical encoding, which the chain keeps as it is (a
-// sealer that received the transactions as bytes hands those); a nil raws,
-// or a nil entry, is encoded here.
+// not nil, is txs[i]'s canonical encoding, which the block's frame splices
+// in as it is (a sealer that received the transactions as bytes hands
+// those); a transaction without one is encoded into the frame in place.
 func (c *Chain) SealRescued(txs []*protocol.Transaction, raws [][]byte, validation []protocol.ValidationCode, rescueDigest []byte) (*Block, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -423,7 +411,7 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, raws [][]byte, validati
 	if err := checkVerdicts(blk); err != nil {
 		return nil, err
 	}
-	c.keepLocked(blk, raws)
+	c.keepLocked(blk, appendFrame(nil, blk, raws))
 	return blk, nil
 }
 
@@ -435,28 +423,28 @@ func (c *Chain) Append(blk *Block) error {
 	if err := c.checkLocked(blk); err != nil {
 		return err
 	}
-	c.keepLocked(blk, nil)
+	c.keepLocked(blk, appendFrame(nil, blk, nil))
 	return nil
 }
 
-// keepLocked appends blk and moves the tip onto it.
-func (c *Chain) keepLocked(blk *Block, raws [][]byte) {
-	c.blocks = append(c.blocks, toSealed(blk, raws))
+// keepLocked appends blk, whose frame is frame, and moves the tip onto it.
+// Frames older than the window go to the file, one write per block; one
+// that cannot be written stays on the heap until the next block.
+func (c *Chain) keepLocked(blk *Block, frame []byte) {
+	if len(c.cold)+len(c.frames) == 0 {
+		c.first = blk.Header.Number
+	}
+	c.frames = append(c.frames, frame)
 	c.moveLocked(blk)
-}
-
-// toSealed returns blk as a chain keeps it, with raws as its transactions'
-// bytes, encoding each one raws lacks.
-func toSealed(blk *Block, raws [][]byte) sealed {
-	if raws == nil {
-		raws = make([][]byte, len(blk.Transactions))
-	}
-	for i, tx := range blk.Transactions {
-		if raws[i] == nil {
-			raws[i] = codec.AppendTransaction(nil, tx)
+	for len(c.frames) > hotBlocks {
+		off, err := c.file.Append(c.frames[0])
+		if err != nil {
+			return
 		}
+		c.cold = append(c.cold, frameAt{off, int64(len(c.frames[0]))})
+		c.frames[0] = nil
+		c.frames = c.frames[1:]
 	}
-	return sealed{header: blk.Header, txs: raws, validation: blk.Validation, rescueDigest: blk.RescueDigest}
 }
 
 // Verify walks the whole chain checking linkage and data hashes. It returns
@@ -473,13 +461,15 @@ func (c *Chain) Verify() error {
 	return err
 }
 
-// ForEach visits blocks in order, each decoded as Get decodes it.
+// ForEach visits the blocks the chain held when it was called, in order,
+// each decoded as Get decodes it.
 func (c *Chain) ForEach(fn func(*Block) bool) {
 	c.mu.RLock()
-	blocks := c.blocks[:len(c.blocks):len(c.blocks)]
+	first, n := c.first, uint64(len(c.cold)+len(c.frames))
 	c.mu.RUnlock()
-	for i := range blocks {
-		if !fn(blocks[i].block()) {
+	for i := uint64(0); i < n; i++ {
+		blk, _ := c.Get(first + i)
+		if !fn(blk) {
 			return
 		}
 	}

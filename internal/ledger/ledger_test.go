@@ -3,9 +3,11 @@ package ledger
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
+	"fabricsharp/internal/codec"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/protocol"
 )
@@ -450,5 +452,121 @@ func TestTipOpensAsTheChainDoes(t *testing.T) {
 	}
 	if _, err := NewChain(kv); err == nil {
 		t.Error("NewChain opened a store with a gap")
+	}
+}
+
+// TestChainKeepsAHotWindow: a chain longer than its window keeps the newest
+// hotBlocks frames on the heap and reads every older one back from its
+// file. Sealed from bytes in hand, from decoded transactions, appended, or
+// loaded from a store, every frame — hot as it was sealed, cold as it is
+// read back — is AppendBlock of the block Get decodes, and the chain
+// verifies and reloads to the same tip.
+func TestChainKeepsAHotWindow(t *testing.T) {
+	const blocks = 3 * hotBlocks
+	dir := t.TempDir()
+	kv, err := kvstore.Open(kvstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	sealer, _ := NewChain(nil)
+	follower, _ := NewChain(nil)
+	hot := make([][]byte, blocks+1)
+	for n := 1; n <= blocks; n++ {
+		batch := txs(fmt.Sprintf("a%d", n), fmt.Sprintf("b%d", n), fmt.Sprintf("c%d", n))
+		var raws [][]byte
+		if n%2 == 0 { // every other block hands in some of its bytes
+			raws = [][]byte{codec.AppendTransaction(nil, batch[0]), nil, codec.AppendTransaction(nil, batch[2])}
+		}
+		blk, err := sealer.SealRescued(batch, raws, []protocol.ValidationCode{protocol.Valid, protocol.MVCCConflict, protocol.Rescued}, []byte{byte(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hot[n], _, err = sealer.Frame(uint64(n)); err != nil || !bytes.Equal(hot[n], AppendBlock(nil, blk)) {
+			t.Fatalf("block %d: the frame sealed is not the encoded block (%v)", n, err)
+		}
+		if err := follower.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.ApplyBatch([]kvstore.BatchOp{Record(blk)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, err := NewChain(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Chain{sealer, follower, loaded} {
+		if len(c.frames) != hotBlocks || len(c.cold) != blocks-hotBlocks {
+			t.Fatalf("chain keeps %d frames hot and %d cold, want %d and %d", len(c.frames), len(c.cold), hotBlocks, blocks-hotBlocks)
+		}
+		for n := uint64(1); n <= blocks; n++ {
+			frame, ok, err := c.Frame(n)
+			if err != nil || !ok || !bytes.Equal(frame, hot[n]) {
+				t.Fatalf("block %d read back differently (ok %v, %v)", n, ok, err)
+			}
+			blk, _ := c.Get(n)
+			if !bytes.Equal(AppendBlock(nil, blk), frame) {
+				t.Fatalf("block %d: Get does not decode its frame", n)
+			}
+		}
+		if _, ok, _ := c.Frame(blocks + 1); ok {
+			t.Fatal("a chain returned a block past its tip")
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.TipHash(), sealer.TipHash()) || c.CommittedTxs() != 2*blocks {
+			t.Fatalf("tip %x tally %d, want %x and %d", c.TipHash(), c.CommittedTxs(), sealer.TipHash(), 2*blocks)
+		}
+	}
+}
+
+// TestTransactionSizeIsTheEncodedLength: the size a block's frame is
+// allocated with is each transaction's encoded length.
+func TestTransactionSizeIsTheEncodedLength(t *testing.T) {
+	full := &protocol.Transaction{
+		ID: "t1", ClientID: "client", Contract: "kv", Function: "put", Args: []string{"k", "v", ""},
+		SnapshotBlock: 7,
+		RWSet: protocol.RWSet{
+			Reads:  []protocol.ReadItem{{Key: "k"}, {Key: "other"}},
+			Writes: []protocol.WriteItem{{Key: "k", Value: []byte("v")}, {Key: "gone", Delete: true}},
+		},
+		Endorsements: []protocol.Endorsement{{EndorserID: "peer0", Signature: []byte("sig")}},
+	}
+	for _, tx := range []*protocol.Transaction{{}, tx("x"), full} {
+		if got, want := codec.TransactionSize(tx), len(codec.AppendTransaction(nil, tx)); got != want {
+			t.Errorf("TransactionSize(%s) = %d, encoding is %d bytes", tx.ID, got, want)
+		}
+	}
+}
+
+// TestFailedSpillKeepsFramesHot: a chain whose file cannot be written keeps
+// the frames that should have left its window, serves them, and moves them
+// all at the next block once it can.
+func TestFailedSpillKeepsFramesHot(t *testing.T) {
+	c, _ := NewChain(nil)
+	c.file.Dir = filepath.Join(t.TempDir(), "missing")
+	seal := func(n int) {
+		if _, err := c.Seal(txs(fmt.Sprint("t", n)), []protocol.ValidationCode{protocol.Valid}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 2*hotBlocks; n++ {
+		seal(n)
+	}
+	if len(c.cold) != 0 || len(c.frames) != 2*hotBlocks {
+		t.Fatalf("an unwritable chain keeps %d frames cold and %d hot", len(c.cold), len(c.frames))
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	c.file.Dir = t.TempDir()
+	seal(2*hotBlocks + 1)
+	if len(c.cold) != hotBlocks+1 || len(c.frames) != hotBlocks {
+		t.Fatalf("once writable the chain keeps %d frames cold and %d hot", len(c.cold), len(c.frames))
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -140,6 +140,14 @@ func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each block's record is the frame the orderer streamed, as received.
+	for n := uint64(1); n <= uint64(chain.Len()); n++ {
+		rec, _, err := chain.Frame(n)
+		sent, _, _ := ord.Chain().Frame(n)
+		if err != nil || !bytes.Equal(rec, sent) {
+			t.Fatalf("block %d: the stored record is not the frame the orderer sent (%v)", n, err)
+		}
+	}
 	var rescuedBefore, rescuedAfter, oldReads int
 	chain.ForEach(func(b *ledger.Block) bool {
 		for i, code := range b.Validation {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -90,6 +91,10 @@ type Orderer struct {
 	// waiter grabs the current channel and blocks until it closes.
 	sealedMu sync.Mutex
 	sealed   chan struct{}
+
+	// readErr is the first sealed block a stream could not read back.
+	errMu   sync.Mutex
+	readErr error
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -188,7 +193,11 @@ func (o *Orderer) Chain() *ledger.Chain { return o.svc.Chain() }
 func (o *Orderer) Raft() *transport.RaftService { return o.raft }
 
 // Err returns the node's first fatal error, nil while healthy.
-func (o *Orderer) Err() error { return o.svc.Err() }
+func (o *Orderer) Err() error {
+	o.errMu.Lock()
+	defer o.errMu.Unlock()
+	return cmp.Or(o.svc.Err(), o.readErr)
+}
 
 // Close shuts the process down: stop accepting, close every conn (delivery
 // streams unblock), stop the ordering service.
@@ -359,10 +368,12 @@ func (o *Orderer) leaderHint() string {
 }
 
 // streamBlocks walks the sealed chain from block from+1, sending each block
-// and waiting for the next seal when it reaches the tip. A block's frame is
-// spliced from the transaction bytes the chain keeps (ledger.Chain.Frame).
-// Slow consumers exert backpressure only on their own stream; the ordering
-// pipeline never waits for a peer.
+// and waiting for the next seal when it reaches the tip. It sends the frame
+// the chain keeps (ledger.Chain.Frame): spliced once at the seal, or read
+// back from the chain's file for a block behind its window. A block it
+// cannot read back fails the orderer and ends the stream. Slow consumers
+// exert backpressure only on their own stream; the ordering pipeline never
+// waits for a peer.
 func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
 	chain := o.svc.Chain()
 	next := from + 1
@@ -371,7 +382,14 @@ func (o *Orderer) streamBlocks(c *transport.Conn, from uint64) {
 		// between a miss and the wait would otherwise be signalled on the
 		// old channel and lost, stalling the stream until the next seal.
 		wait := o.sealedWait()
-		if frame, ok := chain.Frame(next); ok {
+		frame, ok, err := chain.Frame(next)
+		if err != nil {
+			o.errMu.Lock()
+			o.readErr = cmp.Or(o.readErr, err)
+			o.errMu.Unlock()
+			return
+		}
+		if ok {
 			if err := c.Send(wire.MsgBlock, frame); err != nil {
 				return // subscriber went away; it will redial and resubscribe
 			}

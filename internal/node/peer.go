@@ -140,7 +140,7 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	p.sub = &transport.Subscriber{
 		Addrs:  cfg.OrdererAddrs,
 		Height: p.delivered.Load,
-		Deliver: transport.DeliveryFunc(func(blk *ledger.Block) error {
+		Deliver: func(blk *ledger.Block, frame []byte) error {
 			// Drop a block the orderer replays after a reconnect (the
 			// delivery cursor can trail a redial, never lead it).
 			if blk.Header.Number <= p.delivered.Load() {
@@ -149,10 +149,10 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 			if err := p.Err(); err != nil {
 				return err // committer poisoned: stop pulling blocks
 			}
-			p.Committer().Deliver(blk)
+			p.Committer().DeliverFrame(blk, frame)
 			p.delivered.Store(blk.Header.Number)
 			return nil
-		}),
+		},
 		OnError:    p.fail,
 		OnFailover: p.failovers.Inc,
 		Dial:       cfg.DialOrderer,

@@ -217,8 +217,11 @@ func (s *Service) run() {
 			}
 		case seq, ok := <-stream:
 			if !ok {
-				// Consensus closed. A cut here would seal a block that is
-				// not a function of the stream.
+				// Consensus closed, or failed. A cut here would seal a
+				// block that is not a function of the stream.
+				if err := s.cfg.Ordering.Err(); err != nil {
+					s.fail(err)
+				}
 				return
 			}
 			assembling := s.core.NextBlock()

@@ -387,6 +387,14 @@ func TestTailEdges(t *testing.T) {
 // endorsed transaction to the rig in place of a plain step.
 func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand.Rand, next func() workload.Op, submit func(r *rig, i int, tx *protocol.Transaction)) (digest string, rescued int) {
 	r := newRig(t, system, Options{BlockSize: blockSize})
+	chain := r.core.Chain()
+	hot := [][]byte{nil} // hot[n]: block n's frame as it was sealed
+	keepHot := func() {
+		for n := uint64(len(hot)); n <= uint64(chain.Len()); n++ {
+			frame, _, _ := chain.Frame(n)
+			hot = append(hot, frame)
+		}
+	}
 	for i := 0; i < n; i++ {
 		snap := r.peer.Height()
 		if snap > 0 && rng.Intn(3) == 0 {
@@ -399,9 +407,11 @@ func streamDigest(t *testing.T, system sched.System, blockSize, n int, rng *rand
 		} else {
 			r.step(consensus.Envelope{Tx: tx})
 		}
+		keepHot()
 	}
 	r.cut()
-	checkFrames(t, r.core.Chain())
+	keepHot()
+	checkFrames(t, chain, hot)
 	h := sha256.New()
 	r.core.Chain().ForEach(func(b *ledger.Block) bool {
 		h.Write(wire.EncodeBlock(b))
@@ -609,14 +619,24 @@ func TestForgedEndorsementChainsAreTheParents(t *testing.T) {
 }
 
 // checkFrames fails the test unless each block's frame, spliced from the
-// bytes the chain keeps, is wire.EncodeBlock of the block Get decodes.
-func checkFrames(t *testing.T, chain *ledger.Chain) {
+// bytes the chain was handed, is wire.EncodeBlock of the block Get decodes
+// and, when hot has it, the frame the chain kept while the block was in its
+// window; the chain must be longer than its window, so that the first
+// block's frame is read back from its file.
+func checkFrames(t *testing.T, chain *ledger.Chain, hot [][]byte) {
 	t.Helper()
 	for n := uint64(1); n <= uint64(chain.Len()); n++ {
 		blk, _ := chain.Get(n)
-		if frame, ok := chain.Frame(n); !ok || !bytes.Equal(frame, wire.EncodeBlock(blk)) {
-			t.Fatalf("block %d: the streamed frame is not the encoded block", n)
+		frame, ok, err := chain.Frame(n)
+		if err != nil || !ok || !bytes.Equal(frame, wire.EncodeBlock(blk)) {
+			t.Fatalf("block %d: the streamed frame is not the encoded block (%v)", n, err)
 		}
+		if n < uint64(len(hot)) && !bytes.Equal(frame, hot[n]) {
+			t.Fatalf("block %d: the frame read back is not the one streamed while it was hot", n)
+		}
+	}
+	if first, _, _ := chain.Frame(1); len(hot) > 1 && &first[0] == &hot[1][0] {
+		t.Fatalf("a chain of %d blocks keeps block 1 on its heap", chain.Len())
 	}
 }
 
@@ -626,7 +646,8 @@ func checkFrames(t *testing.T, chain *ledger.Chain) {
 // with rescue on and off, every frame is wire.EncodeBlock of the block
 // Chain.Get decodes, and with rescue on the chain is the one sealed when
 // the Core encodes each transaction itself (streamDigest, which the pinned
-// chains also run through).
+// chains also run through, where the chain is longer than its window and
+// each frame read back from its file is the one sent while it was hot).
 func TestStreamedFrameIsTheEncodedBlock(t *testing.T) {
 	for _, system := range sched.Systems() {
 		t.Run(string(system), func(t *testing.T) {
@@ -656,7 +677,7 @@ func TestStreamedFrameIsTheEncodedBlock(t *testing.T) {
 			if off.Chain().Len() == 0 {
 				t.Fatal("rescue off sealed no block")
 			}
-			checkFrames(t, off.Chain())
+			checkFrames(t, off.Chain(), nil)
 		})
 	}
 }

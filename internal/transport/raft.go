@@ -65,6 +65,13 @@ import (
 // follower on receipt — until a subscription delivers its entry, so each
 // member decodes it once on its way to the orderer; a subscription that
 // comes later decodes it from the bytes.
+//
+// Only a hot tail of the log stays on the heap: once the commit index is
+// hotEntries and a chunk past the last compaction, the entries more than
+// hotEntries behind it move to a cold log in a Spill (an unlinked, unsynced
+// file, in Dir or the temporary directory), in one write, with whatever
+// held kept for them. A follower or a subscription behind the tail
+// reads them back from there; a failed read fails the service (Err).
 type RaftService struct {
 	cfg  RaftConfig
 	core *consensus.RaftCore
@@ -83,6 +90,10 @@ type RaftService struct {
 	held        map[uint64]heldTx
 	undelivered uint64
 	encodes     uint64
+
+	cold      *coldLog
+	compactAt uint64 // the commit index at which to compact next
+	err       error  // the failure that stopped the service
 
 	waiters  []*raftWaiter // parked Submits, in index order
 	commit   uint64        // the commit index waiters and feeders were woken for
@@ -108,7 +119,9 @@ type RaftConfig struct {
 	// fresh member's position in it sets its first election deadline.
 	Cluster []string
 	// Dir, when non-empty, persists term and vote across restarts (the
-	// paper's durable state; the log itself is rebuilt from the leader).
+	// paper's durable state; the log itself is rebuilt from the leader), and
+	// holds the unlinked file of the log's cold prefix, which goes to the
+	// temporary directory otherwise.
 	Dir string
 	// ElectionTimeout is the base T of the randomized [T, 2T) election
 	// timer. Default 250ms.
@@ -129,6 +142,15 @@ type RaftConfig struct {
 	// and the member ID.
 	Seed int64
 }
+
+// hotEntries is how many committed entries a member keeps on its heap
+// behind the commit index; the ones behind them are in the cold log. The
+// commit index moves compactChunk entries between compactions, so each
+// write to the cold log carries that many.
+const (
+	hotEntries   = 1024
+	compactChunk = hotEntries / 4
+)
 
 // heldTx is the decoded transaction of the log entry of term term.
 type heldTx struct {
@@ -202,6 +224,8 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 	s := &RaftService{
 		cfg:         cfg,
 		core:        core,
+		cold:        &coldLog{file: kvstore.Spill{Dir: cfg.Dir}},
+		compactAt:   hotEntries + compactChunk,
 		rng:         rand.New(rand.NewSource(seed)),
 		held:        make(map[uint64]heldTx),
 		undelivered: 1,
@@ -211,6 +235,7 @@ func StartRaft(cfg RaftConfig) (*RaftService, error) {
 		done:        make(chan struct{}),
 	}
 
+	core.Cold = s.cold
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("transport: raft state dir: %w", err)
@@ -338,8 +363,13 @@ func (s *RaftService) noteLocked() {
 	}
 	if c := s.core.CommitIndex(); c > s.commit {
 		if s.core.Role() == consensus.RoleLeader {
-			for i := s.commit + 1; i <= c; i++ {
-				if s.core.Entry(i).Env.TxBytes == nil {
+			// Past the last commit index noted, every entry is hot.
+			es, err := s.core.Entries(s.commit+1, c)
+			if err != nil {
+				s.failLocked(err)
+			}
+			for _, e := range es {
+				if e.Env.TxBytes == nil {
 					for _, p := range s.peers {
 						p.heartbeat = true
 						p.kick()
@@ -357,10 +387,47 @@ func (s *RaftService) noteLocked() {
 		s.waiters = s.waiters[n:]
 		close(s.advanced)
 		s.advanced = make(chan struct{})
+		if c >= s.compactAt {
+			s.compactLocked()
+		}
 	}
 	if len(s.waiters) > 0 && (s.core.Role() != consensus.RoleLeader || s.core.Term() != s.waiters[0].term) {
 		s.releaseWaitersLocked()
 	}
+}
+
+// compactLocked moves the committed entries more than the hot tail behind
+// the commit index to the cold log, and drops the decoded transactions held
+// for them: a subscription that delivers them later decodes their bytes. A
+// failed write leaves them hot until the commit index has moved another
+// chunk.
+func (s *RaftService) compactLocked() {
+	if err := s.core.Compact(s.commit - hotEntries); err != nil {
+		s.compactAt = s.commit + compactChunk
+		return
+	}
+	s.compactAt = s.core.ColdIndex() + hotEntries + compactChunk
+	for ; s.undelivered <= s.core.ColdIndex(); s.undelivered++ {
+		delete(s.held, s.undelivered)
+	}
+}
+
+// failLocked records the service's first failure and wakes every
+// subscription, which ends its stream there.
+func (s *RaftService) failLocked(err error) {
+	if s.err != nil {
+		return
+	}
+	s.err = fmt.Errorf("transport: raft %s: %w", s.cfg.ID, err)
+	close(s.advanced)
+	s.advanced = make(chan struct{})
+}
+
+// Err implements consensus.Service.
+func (s *RaftService) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // releaseWaitersLocked wakes every parked Submit to re-check its entry.
@@ -484,11 +551,15 @@ func (s *RaftService) sender(p *raftPeer) {
 // appendDueLocked builds the AppendEntries a follower is due, if any: the
 // entries past its sent cursor, else a heartbeat if one is due.
 func (s *RaftService) appendDueLocked(p *raftPeer) (consensus.AppendRequest, bool) {
-	if s.closed || s.core.Role() != consensus.RoleLeader || !(s.core.Behind(p.addr) || p.heartbeat) {
+	if s.closed || s.err != nil || s.core.Role() != consensus.RoleLeader || !(s.core.Behind(p.addr) || p.heartbeat) {
 		return consensus.AppendRequest{}, false
 	}
 	p.heartbeat = false
-	req := s.core.AppendRequestFor(p.addr)
+	req, err := s.core.AppendRequestFor(p.addr)
+	if err != nil {
+		s.failLocked(err)
+		return consensus.AppendRequest{}, false
+	}
 	if len(req.Entries) > 0 {
 		p.busy = true
 	}
@@ -584,7 +655,7 @@ func (s *RaftService) handle(t wire.MsgType, payload []byte, reply FrameConn) {
 			s.resetDeadlineLocked()
 		}
 		for i, e := range req.Entries {
-			if idx := req.PrevIndex + 1 + uint64(i); resp.Success && s.core.Entry(idx).Term == e.Term {
+			if idx := req.PrevIndex + 1 + uint64(i); resp.Success && s.core.TermAt(idx) == e.Term {
 				s.holdLocked(idx, e.Term, txs[i])
 			}
 		}
@@ -694,6 +765,9 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	if s.closed {
 		return fmt.Errorf("transport: raft service closed")
 	}
+	if s.err != nil {
+		return s.err
+	}
 	idx, err := s.core.Append(env)
 	if err != nil {
 		return err
@@ -725,7 +799,7 @@ func (s *RaftService) Submit(env consensus.Envelope) error {
 	s.mu.Lock()
 	switch {
 	case s.core.CommitIndex() >= idx:
-		if s.core.Entry(idx).Term == w.term {
+		if s.core.TermAt(idx) == w.term {
 			return nil
 		}
 		// Overwritten by a newer leader's log: not committed here.
@@ -769,6 +843,10 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 		next := uint64(1) // 1-based log index
 		for {
 			s.mu.Lock()
+			if s.err != nil {
+				s.mu.Unlock()
+				return
+			}
 			if next > s.core.CommitIndex() {
 				advanced, closed := s.advanced, s.closed
 				s.mu.Unlock()
@@ -784,7 +862,12 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 					return
 				}
 			}
-			entry := s.core.Entry(next)
+			entry, err := s.core.Entry(next)
+			if err != nil {
+				s.failLocked(err)
+				s.mu.Unlock()
+				return
+			}
 			env := entry.Env
 			env.Tx = s.takeLocked(next, entry.Term)
 			s.mu.Unlock()
@@ -828,6 +911,7 @@ func (s *RaftService) Close() {
 			_ = c.Close()
 		}
 		s.wg.Wait()
+		_ = s.cold.file.Close()
 	})
 }
 
@@ -860,3 +944,47 @@ func (s *RaftService) CommitIndex() uint64 {
 }
 
 var _ consensus.Service = (*RaftService)(nil)
+
+// coldLog is a member's cold log prefix in a Spill: entry i is the record
+// at offs[i-1], in the AppendEntries entry encoding, so the memory an entry
+// keeps once it is cold is its offset.
+type coldLog struct {
+	file kvstore.Spill
+	offs []int64
+}
+
+// Append implements consensus.ColdLog: one write for the whole run.
+func (l *coldLog) Append(entries []consensus.LogEntry) error {
+	n := 0
+	for i := range entries {
+		n += wire.RaftEntrySize(&entries[i])
+	}
+	buf := make([]byte, 0, n)
+	first := len(l.offs)
+	for i := range entries {
+		l.offs = append(l.offs, int64(len(buf)))
+		buf = wire.AppendRaftEntry(buf, &entries[i])
+	}
+	at, err := l.file.Append(buf)
+	if err != nil {
+		l.offs = l.offs[:first]
+		return err
+	}
+	for i := first; i < len(l.offs); i++ {
+		l.offs[i] += at
+	}
+	return nil
+}
+
+// Read implements consensus.ColdLog with one read for the run.
+func (l *coldLog) Read(from, to uint64) ([]consensus.LogEntry, error) {
+	end := l.file.Size()
+	if to < uint64(len(l.offs)) {
+		end = l.offs[to]
+	}
+	buf, err := l.file.ReadAt(l.offs[from-1], end-l.offs[from-1])
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeRaftEntries(buf, int(to-from+1))
+}

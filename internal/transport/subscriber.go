@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/wire"
 )
 
@@ -36,9 +37,10 @@ type Subscriber struct {
 	// Height reports the highest block already delivered; resubscription
 	// starts just above it.
 	Height func() uint64
-	// Deliver consumes blocks in order. An error is fatal: the subscriber
-	// stops and reports it through OnError.
-	Deliver Delivery
+	// Deliver consumes blocks in order, each with the frame it was decoded
+	// from. An error is fatal: the subscriber stops and reports it through
+	// OnError.
+	Deliver func(blk *ledger.Block, frame []byte) error
 	// OnError, when set, observes the fatal delivery error.
 	OnError func(error)
 	// OnFailover, when set, is called each time the subscriber abandons one
@@ -169,7 +171,7 @@ func (s *Subscriber) stream(conn FrameConn, addr string) bool {
 		if err != nil {
 			return false // corrupt frame: drop the conn, resync from Height
 		}
-		if err := s.Deliver.Deliver(blk); err != nil {
+		if err := s.Deliver(blk, payload); err != nil {
 			if s.OnError != nil {
 				s.OnError(fmt.Errorf("transport: subscriber %s: %w", addr, err))
 			}

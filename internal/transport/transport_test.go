@@ -226,7 +226,7 @@ func TestDoubleCloseIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := &Subscriber{Addrs: []string{s.Addr()}, Height: func() uint64 { return 0 },
-		Deliver: DeliveryFunc(func(*ledger.Block) error { return nil })}
+		Deliver: func(*ledger.Block, []byte) error { return nil }}
 	sub.Start()
 	for i := 0; i < 2; i++ {
 		if err := s.Close(); err != nil {
@@ -405,7 +405,7 @@ func TestSubscriberReconnectAndCatchUp(t *testing.T) {
 	sub := &Subscriber{
 		Addrs:  []string{srv.Addr()},
 		Height: func() uint64 { mu.Lock(); defer mu.Unlock(); return height },
-		Deliver: DeliveryFunc(func(blk *ledger.Block) error {
+		Deliver: func(blk *ledger.Block, _ []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if blk.Header.Number <= height {
@@ -420,7 +420,7 @@ func TestSubscriberReconnectAndCatchUp(t *testing.T) {
 				close(done)
 			}
 			return nil
-		}),
+		},
 		OnError: func(err error) { t.Errorf("subscriber error: %v", err) },
 	}
 	sub.Start()
@@ -479,7 +479,7 @@ func TestSubscriberSurvivesServerRestart(t *testing.T) {
 	sub := &Subscriber{
 		Addrs:  []string{addr},
 		Height: func() uint64 { mu.Lock(); defer mu.Unlock(); return height },
-		Deliver: DeliveryFunc(func(blk *ledger.Block) error {
+		Deliver: func(blk *ledger.Block, _ []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if blk.Header.Number > height {
@@ -489,7 +489,7 @@ func TestSubscriberSurvivesServerRestart(t *testing.T) {
 				}
 			}
 			return nil
-		}),
+		},
 	}
 	sub.Start()
 	defer sub.Close()

@@ -32,18 +32,21 @@ func appendEnvelope(dst []byte, env *consensus.Envelope) []byte {
 	return codec.AppendBool(dst, env.Disclosure)
 }
 
-// decodeEnvelopeBody decodes an envelope. Its transaction is decoded, so a
-// malformed one refuses the whole message, and keeps its canonical bytes as
-// TxBytes: a sub-slice of the input, not a copy.
-func decodeEnvelopeBody(d *codec.Decoder) consensus.Envelope {
+// decodeEnvelopeBody decodes an envelope. Its transaction keeps its
+// canonical bytes as TxBytes, a sub-slice of the input, not a copy; with
+// decodeTx it is decoded as well, so a malformed one refuses the whole
+// message.
+func decodeEnvelopeBody(d *codec.Decoder, decodeTx bool) consensus.Envelope {
 	var env consensus.Envelope
 	if d.Bool() {
 		if body := d.Sized(); d.Err() == nil {
-			tx, err := codec.DecodeTransaction(body)
-			if err != nil {
-				d.Fail("envelope tx: %v", err)
-			} else {
-				env.Tx, env.TxBytes = tx, body
+			env.TxBytes = body
+			if decodeTx {
+				tx, err := codec.DecodeTransaction(body)
+				if err != nil {
+					d.Fail("envelope tx: %v", err)
+				}
+				env.Tx = tx
 			}
 		}
 	}
@@ -65,15 +68,42 @@ const minEnvelopeSize = 1 + 4 + 8 + 4 + 1
 func EncodeRaftAppend(req *consensus.AppendRequest) []byte {
 	n := 8 + 4 + len(req.LeaderID) + 3*8 + 4
 	for i := range req.Entries {
-		env := &req.Entries[i].Env
-		n += 8 + minEnvelopeSize + 4 + len(env.TxBytes) + len(env.SubmittedBy) + len(env.Commitment)
+		n += RaftEntrySize(&req.Entries[i])
 	}
 	dst := appendRaftAppendHeader(make([]byte, 0, n), req)
 	for i := range req.Entries {
-		dst = codec.AppendU64(dst, req.Entries[i].Term)
-		dst = appendEnvelope(dst, &req.Entries[i].Env)
+		dst = AppendRaftEntry(dst, &req.Entries[i])
 	}
 	return dst
+}
+
+// AppendRaftEntry appends a log entry in the AppendEntries entry encoding:
+// its term, then its envelope. A cold Raft log keeps its entries as these
+// records, so a run of them is a run of a request's entries.
+func AppendRaftEntry(dst []byte, e *consensus.LogEntry) []byte {
+	return appendEnvelope(codec.AppendU64(dst, e.Term), &e.Env)
+}
+
+// RaftEntrySize is the length of AppendRaftEntry's encoding of an entry
+// that carries its transaction's bytes.
+func RaftEntrySize(e *consensus.LogEntry) int {
+	return 8 + minEnvelopeSize + 4 + len(e.Env.TxBytes) + len(e.Env.SubmittedBy) + len(e.Env.Commitment)
+}
+
+// DecodeRaftEntries decodes n entries that AppendRaftEntry wrote back to
+// back. Their transactions are not decoded, as they were when they entered
+// the log: each entry keeps its bytes, a sub-slice of b.
+func DecodeRaftEntries(b []byte, n int) ([]consensus.LogEntry, error) {
+	d := codec.NewDecoder(b)
+	es := make([]consensus.LogEntry, n)
+	for i := range es {
+		es[i].Term = d.U64()
+		es[i].Env = decodeEnvelopeBody(d, false)
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("raft-entries: %w", err)
+	}
+	return es, nil
 }
 
 func appendRaftAppendHeader(dst []byte, req *consensus.AppendRequest) []byte {
@@ -99,7 +129,7 @@ func DecodeRaftAppend(b []byte) (*consensus.AppendRequest, error) {
 		req.Entries = make([]consensus.LogEntry, n)
 		for i := range req.Entries {
 			req.Entries[i].Term = d.U64()
-			req.Entries[i].Env = decodeEnvelopeBody(d)
+			req.Entries[i].Env = decodeEnvelopeBody(d, true)
 		}
 	}
 	if err := d.Finish(); err != nil {

@@ -39,14 +39,24 @@
 # transaction until its subscription delivers it, less the RaftService byte
 # cache the log's bytes replaced (+4); 90 of them comments. A durable
 # peer's block record then became the canonical block, and encoding/gob
-# left the module (-4).
+# left the module (-4). Keeping only a hot tail of the orderer's Raft log
+# and chain on its heap raised it by 408, to 22946: the log's cold prefix
+# behind consensus.ColdLog, with Compact, Entries, the term runs, the
+# fallible readers and Service.Err (+102), the driver's file-backed cold
+# log, compaction, held trimming and failure through Err (+131),
+# kvstore.Spill, the unlinked append-only file both use (+70), the
+# AppendEntries entry record and its decoder (+30), the chain's one frame
+# per block with its window and offsets, spliced in a buffer sized once by
+# codec.TransactionSize (+32), the durable peer's received frame through
+# the committer (+25), and the orderer failing on an unreadable frame
+# (+18); 114 of them comments.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22538
+CEILING=22946
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
