@@ -186,13 +186,12 @@ func BenchmarkSharpArrival(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitThroughput compares the retired sequential commit path
-// (validation.ValidateAndCommit, the reference implementation) against the
-// commit pipeline's parallel validator on conflict-free blocks — the
-// workload where intra-block parallelism should pay. Each transaction
-// carries a real ed25519 endorsement, so the benchmark measures what a peer
-// actually spends per block: signature checks, the MVCC rule, and the
-// batched state apply.
+// BenchmarkCommitThroughput prices a peer's commit of a conflict-free block
+// with its endorsement checks on one worker against GOMAXPROCS workers (the
+// default), the one fan-out the validator has. Each transaction carries a
+// real ed25519 endorsement, so the benchmark measures what a peer actually
+// spends per block: signature checks, the MVCC rule, and the batched state
+// apply.
 func BenchmarkCommitThroughput(b *testing.B) {
 	msp := identity.NewService()
 	endorser, err := msp.Enroll("peer0", identity.RolePeer)
@@ -238,43 +237,30 @@ func BenchmarkCommitThroughput(b *testing.B) {
 		blockFor := func(num uint64) *ledger.Block {
 			return &ledger.Block{Header: ledger.Header{Number: num}, Transactions: txs}
 		}
-		b.Run(fmt.Sprintf("sequential/%dtx", txCount), func(b *testing.B) {
-			db, err := statedb.New(statedb.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := validation.Options{MVCC: true, MSP: msp, Policy: policy}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				codes, err := validation.ValidateAndCommit(db, blockFor(uint64(i+1)), opts)
+		for _, arm := range []struct {
+			name    string
+			workers int
+		}{{"workers1", 1}, {"default", 0}} {
+			b.Run(fmt.Sprintf("%s/%dtx", arm.name, txCount), func(b *testing.B) {
+				db, err := statedb.New(statedb.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if i == 0 {
-					allValid(b, codes)
+				opts := commit.Options{Options: validation.Options{MVCC: true, MSP: msp, Policy: policy}, Workers: arm.workers}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					blk := blockFor(uint64(i + 1))
+					res := commit.ValidateBlock(db, blk, opts)
+					if err := db.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
+						b.Fatal(err)
+					}
+					if i == 0 {
+						allValid(b, res.Codes)
+					}
 				}
-			}
-			b.ReportMetric(float64(txCount)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-		})
-		b.Run(fmt.Sprintf("parallel/%dtx", txCount), func(b *testing.B) {
-			db, err := statedb.New(statedb.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := commit.Options{Options: validation.Options{MVCC: true, MSP: msp, Policy: policy}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk := blockFor(uint64(i + 1))
-				res := commit.ValidateBlock(db, blk, opts)
-				if err := db.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					allValid(b, res.Codes)
-				}
-			}
-			b.ReportMetric(float64(txCount)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-		})
+				b.ReportMetric(float64(txCount)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+			})
+		}
 	}
 }
 

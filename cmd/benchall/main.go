@@ -4,14 +4,11 @@
 //
 // Usage:
 //
-//	benchall [-quick] [-seed N] [-fig id] [-rescue] [-json path] [-label s]
+//	benchall [-quick] [-seed N] [-fig id] [-rescue] [-workload name]
 //	         [-cpuprofile path] [-memprofile path]
 //
 // where id is one of: 1, t1, 10, 11, 12, 13, 14, 15, reorder, ablation,
-// ordering, all. With -fig ordering, -json appends a labelled kind=ordering
-// record to the benchmark trajectory file (BENCH.json at the repo root is
-// the committed append-only history; its kind=cluster records are preserved
-// as they are).
+// ordering, workload, all.
 package main
 
 import (
@@ -31,8 +28,6 @@ func main() {
 	fig := flag.String("fig", "all", "which exhibit: 1, t1, 10, 11, 12, 13, 14, 15, reorder, ablation, ordering, workload, all")
 	workloadName := flag.String("workload", "", "scenario for -fig workload (empty = every registered scenario)")
 	rescue := flag.Bool("rescue", false, "run figures 10-14 with post-order re-execution on every system (the hybrid for fabric# and focc-s); off reproduces the paper's systems")
-	jsonPath := flag.String("json", "", "append the ordering results to this trajectory file (with -fig ordering)")
-	label := flag.String("label", "", "record label for -json (e.g. pr2)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the runs to this file")
 	flag.Parse()
@@ -76,24 +71,12 @@ func main() {
 	case "ablation":
 		tables = bench.Ablations(opts)
 	case "ordering":
-		tbl, results, err := bench.Ordering(opts)
+		tbl, err := bench.Ordering(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ordering benchmark: %v\n", err)
 			os.Exit(1)
 		}
 		tables = []*bench.Table{tbl}
-		if *jsonPath != "" {
-			lbl := *label
-			if lbl == "" {
-				lbl = "unlabelled"
-			}
-			rec := bench.NewBenchRecord(lbl, opts, results)
-			if err := bench.AppendBenchRecord(*jsonPath, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "trajectory file: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("(appended record %q to %s)\n", lbl, *jsonPath)
-		}
 	case "workload":
 		var err error
 		if tables, err = bench.ScenarioMatrixAll(opts, *workloadName); err != nil {

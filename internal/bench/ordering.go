@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -345,14 +343,13 @@ var rescueShapes = map[string]bool{"contended": true, "churn": true}
 // shape and renders the table of the perf trajectory (PR 2 onwards). Systems
 // that validate with MVCC additionally run the contended and churn shapes
 // with the post-order rescue phase enabled ("+rescue" rows, PR 6).
-func Ordering(o Options) (*Table, []OrderingResult, error) {
+func Ordering(o Options) (*Table, error) {
 	t := &Table{
 		Title: "Ordering-phase hot path: scheduler cost per submitted transaction",
 		Columns: []string{"system", "shape", "arrival µs/tx", "formation ms/blk",
 			"allocs/tx", "bytes/tx", "admitted", "valid", "rescued", "tps", "goodput", "max keys"},
 		Comment: "schedulers driven directly with shadow-validator feedback (no consensus/commit around them); allocs amortize formations + verdicts; goodput = committed (valid+rescued) tx/s; +rescue rows re-execute MVCC casualties post-order; max keys = peak resident keys (sharp and focc-s: keys with state inside the max-span horizon; focc-l: keys with a committed version)",
 	}
-	var all []OrderingResult
 	addRow := func(system sched.System, r OrderingResult) {
 		label := systemLabel(system)
 		if r.Rescue {
@@ -373,7 +370,7 @@ func Ordering(o Options) (*Table, []OrderingResult, error) {
 	for _, system := range sched.Systems() {
 		probe, err := sched.New(system, sched.Options{})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		mvcc := probe.NeedsMVCCValidation()
 		for _, shape := range OrderingShapes() {
@@ -384,22 +381,21 @@ func Ordering(o Options) (*Table, []OrderingResult, error) {
 			for _, rescue := range rescues {
 				r, err := RunOrdering(system, shape, orderingTxCount(o), Params.Defaults.BlockSize, o.Seed, rescue)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				all = append(all, r)
 				addRow(system, r)
 			}
 		}
 	}
-	return t, all, nil
+	return t, nil
 }
 
 // BenchRecord is one entry of BENCH.json, the repository's append-only
 // benchmark trajectory. Kind says which half is filled: "ordering" records
-// hold the scheduler hot-path Results that benchall measures; "cluster"
-// records hold Runs copied from the multi-process benchmark's result lines
-// (`bash benchmark/run.sh`), which no code here produces — the type exists
-// so that appending an ordering record rewrites them intact.
+// hold the scheduler hot-path Results that `benchall -fig ordering` printed
+// when they were taken; "cluster" records hold Runs copied from the
+// multi-process benchmark's result lines (`bash benchmark/run.sh`). No code
+// here writes either; the types are the file's schema.
 type BenchRecord struct {
 	Kind       string           `json:"kind"`
 	Label      string           `json:"label"`
@@ -432,40 +428,4 @@ type ClusterRun struct {
 type BenchFile struct {
 	Comment string        `json:"comment"`
 	Records []BenchRecord `json:"records"`
-}
-
-// AppendBenchRecord loads path (if it exists), appends rec, and writes the
-// file back, preserving earlier records — the append-only perf history.
-func AppendBenchRecord(path string, rec BenchRecord) error {
-	file := BenchFile{
-		Comment: "Benchmark trajectory, append-only; see docs/perf.md for the two record kinds.",
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("bench: corrupt trajectory file %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	file.Records = append(file.Records, rec)
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// NewBenchRecord assembles a record for the current machine and options.
-func NewBenchRecord(label string, o Options, results []OrderingResult) BenchRecord {
-	return BenchRecord{
-		Kind:       "ordering",
-		Label:      label,
-		Captured:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		TxCount:    orderingTxCount(o),
-		BlockSize:  Params.Defaults.BlockSize,
-		Seed:       o.Seed,
-		Results:    results,
-	}
 }

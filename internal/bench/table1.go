@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"fabricsharp/internal/commit"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
@@ -169,12 +170,12 @@ func applyBlock(db *statedb.DB, number uint64, ordered []*protocol.Transaction, 
 		panic(err)
 	}
 	blk.Header.Number = number
-	codes, err := validation.ValidateAndCommit(db, blk, validation.Options{MVCC: mvcc})
-	if err != nil {
+	res := commit.ValidateBlock(db, blk, commit.Options{Options: validation.Options{MVCC: mvcc}})
+	if err := db.ApplyBlock(number, res.Writes); err != nil {
 		panic(err)
 	}
 	for i, tx := range ordered {
-		out[string(tx.ID)] = mark(codes[i] == protocol.Valid)
+		out[string(tx.ID)] = mark(res.Codes[i] == protocol.Valid)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
@@ -110,147 +110,68 @@ func randomBlock(t *testing.T, env *testEnv, db *statedb.DB, rng *rand.Rand, txC
 	return blk
 }
 
-// TestParallelMatchesSequential is the core refactor-safety property: for
-// randomized contended blocks, the parallel validator produces exactly the
-// sequential reference's codes and final state.
+// seedShadow is an orderer's shadow of what seedState commits.
+func seedShadow(n int) *validation.ShadowState {
+	shadow := validation.NewValueShadowState()
+	for i := 0; i < n; i++ {
+		shadow.Seed(fmt.Sprintf("k%d", i), []byte("seed"), seqno.Commit(1, uint32(i+1)))
+	}
+	return shadow
+}
+
+// matchPipelineSides runs blk through both sides of the pipeline — the
+// peer's ValidateBlock and ApplyBlock on db, the orderer's ComputeVerdicts
+// and ApplyRescued on shadow — and fails if a code differs, or if a key of
+// k0..k{keys-1} differs in presence, version or value.
+func matchPipelineSides(t *testing.T, db *statedb.DB, shadow *validation.ShadowState, blk *ledger.Block, opts validation.Options, keys int) {
+	t.Helper()
+	res := ValidateBlock(db, blk, Options{Options: opts})
+	if err := db.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
+		t.Fatal(err)
+	}
+	want := validation.ComputeVerdicts(shadow, blk.Header.Number, blk.Transactions, opts)
+	shadow.ApplyRescued(blk.Header.Number, blk.Transactions, want, nil)
+	if !slices.Equal(res.Codes, want) {
+		t.Fatalf("peer codes %v, orderer codes %v", res.Codes, want)
+	}
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("k%d", i)
+		vv, ok := db.Get(key)
+		value, ver, shadowOK := shadow.Read(key)
+		if ok != shadowOK || vv.Version != ver || !bytes.Equal(vv.Value, value) {
+			t.Fatalf("%s: peer %q@%v (%v), orderer %q@%v (%v)", key, vv.Value, vv.Version, ok, value, ver, shadowOK)
+		}
+	}
+	if db.Height() != shadow.Height() {
+		t.Fatalf("peer at height %d, orderer at %d", db.Height(), shadow.Height())
+	}
+}
+
+// TestParallelMatchesSequential holds the two sides of the pipeline to one
+// outcome: for randomized contended blocks, the peer's validator (its
+// endorsement checks spread over GOMAXPROCS workers) and the orderer's
+// sequential verdicts over a shadow derive the same codes and leave every
+// key at the same version.
 func TestParallelMatchesSequential(t *testing.T) {
 	env := newTestEnv(t)
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		db := seedState(t, 8)
 		blk := randomBlock(t, env, db, rng, 2+rng.Intn(30), 8)
-
-		seqDB, parDB := db.Clone(), db.Clone()
-		wantCodes, err := validation.ValidateAndCommit(seqDB, blk, validation.Options{
-			MVCC: true, MSP: env.msp, Policy: env.policy,
+		t.Run(fmt.Sprint(trial), func(t *testing.T) {
+			matchPipelineSides(t, db, seedShadow(8), blk, validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}, 8)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := ValidateBlock(parDB, blk, Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}})
-		if err := parDB.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantCodes {
-			if res.Codes[i] != wantCodes[i] {
-				t.Fatalf("trial %d: tx %d code = %v want %v", trial, i, res.Codes[i], wantCodes[i])
-			}
-		}
-		if seqDB.StateFingerprint() != parDB.StateFingerprint() {
-			t.Fatalf("trial %d: state diverged", trial)
-		}
-		if seqDB.Height() != parDB.Height() {
-			t.Fatalf("trial %d: heights diverged", trial)
-		}
 	}
 }
 
 // TestParallelMatchesSequentialNoMVCC covers the Sharp/Focc-s fast path:
-// endorsement checks only, no conflict partition.
+// endorsement checks only.
 func TestParallelMatchesSequentialNoMVCC(t *testing.T) {
 	env := newTestEnv(t)
 	rng := rand.New(rand.NewSource(7))
 	db := seedState(t, 8)
 	blk := randomBlock(t, env, db, rng, 20, 8)
-
-	seqDB, parDB := db.Clone(), db.Clone()
-	wantCodes, err := validation.ValidateAndCommit(seqDB, blk, validation.Options{
-		MSP: env.msp, Policy: env.policy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := ValidateBlock(parDB, blk, Options{Options: validation.Options{MSP: env.msp, Policy: env.policy}})
-	if res.Groups != 0 {
-		t.Errorf("no-MVCC path partitioned into %d groups", res.Groups)
-	}
-	if err := parDB.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantCodes {
-		if res.Codes[i] != wantCodes[i] {
-			t.Fatalf("tx %d code = %v want %v", i, res.Codes[i], wantCodes[i])
-		}
-	}
-	if seqDB.StateFingerprint() != parDB.StateFingerprint() {
-		t.Fatal("state diverged")
-	}
-}
-
-func TestPartitionByConflict(t *testing.T) {
-	tx := func(id string, reads ...string) *protocol.Transaction {
-		out := &protocol.Transaction{ID: protocol.TxID(id)}
-		for _, k := range reads {
-			out.RWSet.Reads = append(out.RWSet.Reads, protocol.ReadItem{Key: k})
-		}
-		return out
-	}
-	withWrites := func(t0 *protocol.Transaction, keys ...string) *protocol.Transaction {
-		for _, k := range keys {
-			t0.RWSet.Writes = append(t0.RWSet.Writes, protocol.WriteItem{Key: k, Value: []byte("v")})
-		}
-		return t0
-	}
-	txs := []*protocol.Transaction{
-		withWrites(tx("a", "x"), "x"), // group {a, c} via x
-		withWrites(tx("b", "y"), "z"), // group {b, d} via z
-		withWrites(tx("c"), "x"),      // joins a
-		withWrites(tx("d", "z"), "w"), // joins b
-		withWrites(tx("e", "q"), "q"), // alone
-		tx("f", "x", "z"),             // bridges both → one merged group
-	}
-	// f reads x and z, merging {a,c} and {b,d} into one group of 5, plus {e}.
-	codes := make([]protocol.ValidationCode, len(txs))
-	valid := func(i int) bool { return codes[i] == protocol.Valid }
-	groups := conflict.Partition(txs, valid)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d (%v)", len(groups), groups)
-	}
-	sizes := map[int]bool{len(groups[0]): true, len(groups[1]): true}
-	if !sizes[5] || !sizes[1] {
-		t.Fatalf("group sizes = %v", groups)
-	}
-	for _, g := range groups {
-		for i := 1; i < len(g); i++ {
-			if g[i] <= g[i-1] {
-				t.Fatalf("group not in block order: %v", g)
-			}
-		}
-	}
-	// An endorsement-failed transaction leaves the partition entirely.
-	codes[5] = protocol.EndorsementFailure
-	groups = conflict.Partition(txs, valid)
-	if len(groups) != 3 {
-		t.Fatalf("groups after exclusion = %d (%v)", len(groups), groups)
-	}
-}
-
-// TestPartitionHotReadOnlyKey: a key every transaction reads but none
-// writes keeps its committed version for the whole block, so it must not
-// serialize the partition.
-func TestPartitionHotReadOnlyKey(t *testing.T) {
-	const n = 16
-	txs := make([]*protocol.Transaction, n)
-	for i := range txs {
-		txs[i] = &protocol.Transaction{
-			ID: protocol.TxID(fmt.Sprintf("t%d", i)),
-			RWSet: protocol.RWSet{
-				Reads:  []protocol.ReadItem{{Key: "config"}}, // hot, never written
-				Writes: []protocol.WriteItem{{Key: fmt.Sprintf("own%d", i), Value: []byte("v")}},
-			},
-		}
-	}
-	all := func(int) bool { return true }
-	groups := conflict.Partition(txs, all)
-	if len(groups) != n {
-		t.Fatalf("hot read-only key collapsed partition to %d groups, want %d", len(groups), n)
-	}
-	// But one writer of the hot key couples every reader.
-	txs[0].RWSet.Writes = append(txs[0].RWSet.Writes, protocol.WriteItem{Key: "config", Value: []byte("v2")})
-	groups = conflict.Partition(txs, all)
-	if len(groups) != 1 {
-		t.Fatalf("written hot key split into %d groups, want 1", len(groups))
-	}
+	matchPipelineSides(t, db, seedShadow(8), blk, validation.Options{MSP: env.msp, Policy: env.policy}, 8)
 }
 
 func TestCommitterPipeline(t *testing.T) {
@@ -408,7 +329,7 @@ func TestCommitterStatsHDR(t *testing.T) {
 	var sum float64
 	for b := 0; b < blocks; b++ {
 		var txs []*protocol.Transaction
-		for i := 0; i <= b%3; i++ { // 1–3 disjoint writers: 1–3 conflict groups
+		for i := 0; i <= b%3; i++ { // 1–3 disjoint writers
 			tx := &protocol.Transaction{
 				ID: protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
 				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{
@@ -429,18 +350,12 @@ func TestCommitterStatsHDR(t *testing.T) {
 		if got := st.CommitLatencyNS.Count(); got != uint64(b+1) {
 			t.Fatalf("after block %d: %d latency samples", b+1, got)
 		}
-		if got := st.GroupsPerBlock.Count(); got != uint64(b+1) {
-			t.Fatalf("after block %d: %d group samples", b+1, got)
-		}
 		now := math.Round(st.CommitLatencyNS.Mean() * float64(b+1))
 		exact.Add(now - sum)
 		sum = now
 	}
 	if st.RescueRoundsPerBlock.Count() != 0 {
 		t.Errorf("rescue rounds sampled %d times with rescue off", st.RescueRoundsPerBlock.Count())
-	}
-	if lo, hi := st.GroupsPerBlock.Quantile(0.01), st.GroupsPerBlock.Quantile(1); lo != 1 || hi != 3 {
-		t.Errorf("groups per block span [%d, %d], want [1, 3]", lo, hi)
 	}
 	got := st.CommitLatencyNS.Quantiles(0.5, 0.99)
 	want := exact.Quantiles(0.5, 0.99)

@@ -39,7 +39,7 @@ type Config struct {
 	State *statedb.DB
 	// Tip is the peer's ledger: the committer is its only writer.
 	Tip *ledger.Tip
-	// Validation configures the parallel validator.
+	// Validation configures ValidateBlock.
 	Validation Options
 	// OnCommit, when set, fires after each block commits, from the committer
 	// goroutine, with the peer's copy of the block and its validation codes.
@@ -55,8 +55,8 @@ type Config struct {
 }
 
 // Stats instruments one committer: delivery-queue depth (with high-water
-// mark), blocks/transactions committed, validation parallelism, and commit
-// latency.
+// mark), blocks/transactions committed, commit latency, and the rescue
+// phase's outcomes.
 type Stats struct {
 	// QueueDepth is the instantaneous delivery-channel backlog.
 	QueueDepth metrics.Gauge
@@ -64,11 +64,6 @@ type Stats struct {
 	BlocksCommitted metrics.Counter
 	// TxsValidated counts transactions validated (any verdict).
 	TxsValidated metrics.Counter
-	// ValidationGroups counts MVCC conflict groups validated in parallel.
-	ValidationGroups metrics.Counter
-	// GroupsPerBlock samples the per-block conflict-group count — the
-	// available intra-block parallelism.
-	GroupsPerBlock metrics.HDRHistogram
 	// CommitLatencyNS samples per-block commit latency (validate + apply),
 	// in nanoseconds.
 	CommitLatencyNS metrics.HDRHistogram
@@ -86,7 +81,7 @@ type Stats struct {
 
 // Committer is one peer's pipelined validation/commit stage: a goroutine
 // consuming sealed blocks from a buffered delivery channel, validating them
-// with the parallel validator, and applying the valid writes. It replaces
+// with ValidateBlock, and applying the valid writes. It replaces
 // the orderer-driven inline commit: ordering proceeds while peers commit.
 type Committer struct {
 	cfg       Config
@@ -181,15 +176,15 @@ func (c *Committer) fail(err error) {
 	})
 }
 
-// commit checks that the block extends the tip, runs the parallel
-// validator, and lands the peer's own copy of the block — verdicts and
-// rescue digest already on it — together with its valid writes. A delivered
-// block carrying the orderer's precomputed shadow verdicts (blk.Validation)
-// is cross-checked byte for byte: the agreement property requires verdicts
-// to be a pure function of the stream, so any divergence between the
-// orderer's value-free derivation and the peer's full validation is a
-// pipeline bug that must fail loudly rather than be silently re-derived
-// around. Nothing is stored before that check passes.
+// commit checks that the block extends the tip, validates it, and lands the
+// peer's own copy of the block — verdicts and rescue digest already on it —
+// together with its valid writes. A delivered block carrying the orderer's
+// precomputed shadow verdicts (blk.Validation) is cross-checked byte for
+// byte: the agreement property requires verdicts to be a pure function of
+// the stream, and both sides run one verdict function, so a divergence means
+// the orderer's shadow and the peer's state diverged — a pipeline bug that
+// must fail loudly rather than be silently re-derived around. Nothing is
+// stored before that check passes.
 //
 // The landing is the peer's one commit point. On a durable peer the block's
 // record, its writes and the height land as one atomic batch; then the state
@@ -251,10 +246,6 @@ func (c *Committer) commit(blk *ledger.Block, frame []byte) error {
 		}
 	}
 	c.stats.TxsValidated.Add(uint64(len(peerBlk.Transactions)))
-	if res.Groups > 0 {
-		c.stats.ValidationGroups.Add(uint64(res.Groups))
-		c.stats.GroupsPerBlock.Record(int64(res.Groups))
-	}
 	if res.Rescue.Attempted > 0 {
 		c.stats.RescueAttempts.Add(uint64(res.Rescue.Attempted))
 		c.stats.RescueCommitted.Add(uint64(res.Rescue.Rescued))

@@ -5,16 +5,17 @@
 // (Section 2.1's phase independence), and peers commit concurrently with
 // ordering and with each other.
 //
-// Inside a block, validation itself is parallel: transactions are
-// partitioned into key-disjoint conflict groups (internal/conflict's
-// union-find over read/write keys), each group validates sequentially in
-// block order against its own overlay, and independent groups run on a
-// worker pool sized by GOMAXPROCS. Systems whose ordering phase already
-// guarantees serializability (Sharp, Focc-s) skip the MVCC partition
-// entirely and go straight from parallel endorsement-signature checks to one
+// A peer derives a block's verdicts with the orderers' own function,
+// validation.ComputeVerdictsPrechecked: the endorsement-signature checks
+// (ed25519, the dominant cost) fan out over a worker pool first, then the
+// MVCC rule folds over the block in order against the peer's committed
+// versions. The rule is a few version lookups per transaction, too little
+// work to pay for splitting a block into key-disjoint groups. Systems whose
+// ordering phase already guarantees serializability (Sharp, Focc-s) skip the
+// MVCC rule entirely and go straight from the signature checks to one
 // batched statedb.ApplyBlock.
 //
-// When rescue is enabled, a third phase follows: the post-order speculative
+// When rescue is enabled, a second phase follows: the post-order speculative
 // re-execution of internal/reexec flips recoverable conflict verdicts —
 // MVCCConflict, or under a scheduler that skips MVCC the block's deferred
 // tail — to Rescued, replacing their declared write sets with re-executed
@@ -27,22 +28,20 @@ import (
 	"runtime"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/reexec"
-	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/validation"
 )
 
-// Options configures parallel block validation: the shared validation
-// switches (MVCC, MSP, Policy — one struct with the sequential reference,
-// so the two paths cannot drift apart) plus the parallelism cap and the
-// post-order rescue switch.
+// Options configures block validation: the verdict switches the orderers
+// use too (MVCC, MSP, Policy) plus the parallelism cap and the post-order
+// rescue switch.
 type Options struct {
 	validation.Options
-	// Workers caps validation parallelism; 0 means GOMAXPROCS.
+	// Workers caps the endorsement checks' and the rescue phase's
+	// parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Rescue enables post-order speculative re-execution of conflict-aborted
 	// transactions: MVCC casualties, or with MVCC off the block's deferred
@@ -69,9 +68,6 @@ type BlockResult struct {
 	// re-executed for Rescued), in block order, ready for one batched
 	// statedb.ApplyBlock.
 	Writes []statedb.BlockWrites
-	// Groups is the number of key-disjoint conflict groups the MVCC phase
-	// validated concurrently (0 when MVCC was skipped).
-	Groups int
 	// Rescue is the post-order re-execution outcome (zero value when the
 	// rescue phase did not run). Its Digest must byte-match the sealed
 	// block's RescueDigest.
@@ -79,61 +75,25 @@ type BlockResult struct {
 }
 
 // ValidateBlock validates every transaction of blk against db and returns
-// the codes and the batched writes — it does not apply them. The result is
-// byte-identical to the sequential validation.ValidateAndCommit (plus the
-// deterministic rescue phase when enabled): endorsement checks are
-// embarrassingly parallel, and the MVCC overlay rule only couples
-// transactions that share a key, so key-disjoint groups validate
-// independently without changing any verdict.
+// the codes and the batched writes — it does not apply them. The verdicts
+// are validation.ComputeVerdictsPrechecked's over the database's versions,
+// the function every orderer runs over its shadow at the cut, with the
+// endorsement mask computed on opts' workers.
 func ValidateBlock(db *statedb.DB, blk *ledger.Block, opts Options) BlockResult {
-	codes := make([]protocol.ValidationCode, len(blk.Transactions))
 	workers := opts.workers()
+	endorseFailed := validation.PrecheckEndorsements(blk.Transactions, opts.Options, workers)
+	codes := validation.ComputeVerdictsPrechecked(validation.DBVersions(db), blk.Header.Number, blk.Transactions, opts.Options, endorseFailed)
 
-	// Phase 1: endorsement-signature checks — per-transaction, stateless,
-	// and the dominant CPU cost (ed25519 verification) — across all workers.
-	for i, failed := range validation.PrecheckEndorsements(blk.Transactions, opts.Options, workers) {
-		if failed {
-			codes[i] = protocol.EndorsementFailure
-		}
-	}
-
-	// Phase 2: MVCC, partitioned by read/write-key overlap. Transactions
-	// already failed by endorsement write nothing and constrain nothing, so
-	// they stay out of the partition.
-	var res BlockResult
-	if opts.MVCC {
-		groupList := conflict.Partition(blk.Transactions, func(i int) bool {
-			return codes[i] == protocol.Valid
-		})
-		res.Groups = len(groupList)
-		base := validation.DBVersions(db)
-		// Groups touch disjoint key sets, so their overlays never interact and
-		// the shared base is only read.
-		conflict.ParallelFor(len(groupList), workers, func(g int) {
-			overlay := validation.NewOverlay()
-			current := func(key string) (seqno.Seq, bool) {
-				return overlay.Version(base, key)
-			}
-			for _, i := range groupList[g] {
-				tx := blk.Transactions[i]
-				if !validation.ReadsFresh(tx, current) {
-					codes[i] = protocol.MVCCConflict
-					continue
-				}
-				overlay.Record(seqno.Commit(blk.Header.Number, uint32(i+1)), tx.RWSet.Writes)
-			}
-		})
-	}
-
-	// Phase 3: post-order rescue — re-execute MVCC casualties against the
-	// committed state under the block's valid writes. db still sits at the
-	// pre-block height here (writes apply after validation), matching the
-	// orderer's shadow view at cut time. With MVCC off the candidates are the
-	// tail the orderer deferred, designated from the sealed codes (preRescue):
-	// a peer under such a scheduler already accepts the sealed serial order
-	// without a concurrency check, any designation re-executes serially after
-	// the block, and the byte-asserts on verdicts and digest make a wrong one
+	// Post-order rescue: re-execute MVCC casualties against the committed
+	// state under the block's valid writes. db still sits at the pre-block
+	// height here (writes apply after validation), matching the orderer's
+	// shadow view at cut time. With MVCC off the candidates are the tail the
+	// orderer deferred, designated from the sealed codes (preRescue): a peer
+	// under such a scheduler already accepts the sealed serial order without
+	// a concurrency check, any designation re-executes serially after the
+	// block, and the byte-asserts on verdicts and digest make a wrong one
 	// fatal rather than trusted.
+	var res BlockResult
 	if opts.rescueEnabled() {
 		if !opts.MVCC && len(blk.Validation) == len(codes) {
 			for i, sealed := range blk.Validation {

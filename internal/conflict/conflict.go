@@ -1,10 +1,9 @@
-// Package conflict holds the key-overlap partitioning and worker-pool
-// helpers shared by the two parallel phases of the pipeline: in-block MVCC
-// validation (internal/commit) and post-order speculative re-execution
-// (internal/reexec). Both phases exploit the same structural fact — the
-// overlay/scratch rule only couples transactions that share a key — so a
-// block partitions into key-disjoint groups that run concurrently without
-// changing any outcome.
+// Package conflict holds the key-overlap partitioning and the worker pool of
+// the pipeline's parallel phases. Post-order speculative re-execution
+// (internal/reexec) partitions a block: its scratch rule only couples
+// transactions that share a key, so the block splits into key-disjoint
+// groups that run concurrently without changing any outcome. The
+// endorsement checks (validation.PrecheckEndorsements) use the pool alone.
 package conflict
 
 import (

@@ -83,9 +83,8 @@ func TestCrossPeerValidationAgreement(t *testing.T) {
 	}
 }
 
-// TestCommitPipelineStats checks the new instrumentation is actually wired:
-// blocks flow through every committer, latency samples accumulate, and on
-// an MVCC system the conflict partition reports its parallelism.
+// TestCommitPipelineStats checks the committer's instrumentation is wired:
+// blocks flow through every committer and latency samples accumulate.
 func TestCommitPipelineStats(t *testing.T) {
 	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric, BlockSize: 6})
 	client, err := n.NewClient("stats")
@@ -111,11 +110,6 @@ func TestCommitPipelineStats(t *testing.T) {
 		}
 		if st.CommitLatencyNS.Count() != blocks {
 			t.Errorf("peer %d: %d latency samples want %d", i, st.CommitLatencyNS.Count(), blocks)
-		}
-		// Disjoint-key puts: each block's transactions form independent
-		// conflict groups, so parallelism was available and recorded.
-		if st.ValidationGroups.Value() == 0 {
-			t.Errorf("peer %d: no validation groups recorded on an MVCC system", i)
 		}
 		if st.QueueDepth.Value() != 0 {
 			t.Errorf("peer %d: delivery queue not drained (%d)", i, st.QueueDepth.Value())

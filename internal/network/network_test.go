@@ -194,12 +194,11 @@ func TestDeterministicRuns(t *testing.T) {
 
 // TestSealedVerdictsMatchCommit checks, for every system with rescue off and
 // on, that the verdicts the orderer.Core sealed at each cut — from its shadow
-// state, before the block was delivered — are the codes a validator derives
-// replaying the sealed chain over the genesis state: the sequential reference
-// for the plain systems, the committers' validator (which has the rescue
-// phase, and under fabric# and focc-s designates the deferred tail from the
-// sealed codes) with rescue. (The commit station asserts the same per block
-// at run time; this checks the recorded chain independently.)
+// state, before the block was delivered — are the codes the committers'
+// validator derives replaying the sealed chain over the genesis state (with
+// rescue, it re-executes, and under fabric# and focc-s designates the
+// deferred tail from the sealed codes). (The commit station asserts the same
+// per block at run time; this checks the recorded chain independently.)
 func TestSealedVerdictsMatchCommit(t *testing.T) {
 	for _, system := range sched.Systems() {
 		for _, rescue := range []bool{false, true} {
@@ -223,19 +222,14 @@ func TestSealedVerdictsMatchCommit(t *testing.T) {
 				registry := chaincode.NewRegistry(scenario.AllContracts()...)
 				aborts, rescued := 0, 0
 				res.Chain.ForEach(func(blk *ledger.Block) bool {
-					var codes []protocol.ValidationCode
-					if rescue {
-						out := commit.ValidateBlock(state, blk, commit.Options{Options: vopts, Rescue: true, Registry: registry})
-						if !bytes.Equal(out.Rescue.Digest, blk.RescueDigest) {
-							t.Fatalf("block %d: re-derived rescue digest differs from the sealed one", blk.Header.Number)
-						}
-						if err := state.ApplyBlock(blk.Header.Number, out.Writes); err != nil {
-							t.Fatal(err)
-						}
-						codes = out.Codes
-					} else if codes, err = validation.ValidateAndCommit(state, blk, vopts); err != nil {
+					out := commit.ValidateBlock(state, blk, commit.Options{Options: vopts, Rescue: rescue, Registry: registry})
+					if !bytes.Equal(out.Rescue.Digest, blk.RescueDigest) {
+						t.Fatalf("block %d: re-derived rescue digest differs from the sealed one", blk.Header.Number)
+					}
+					if err := state.ApplyBlock(blk.Header.Number, out.Writes); err != nil {
 						t.Fatal(err)
 					}
+					codes := out.Codes
 					if len(blk.Validation) != len(codes) {
 						t.Fatalf("block %d sealed %d verdicts for %d transactions", blk.Header.Number, len(blk.Validation), len(codes))
 					}

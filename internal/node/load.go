@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,6 +165,11 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	)
 	setErr := func(err error) { errOnce.Do(func() { firstErr = err }) }
 
+	// Each run names its clients afresh, after its start instant in base 36:
+	// a client numbers its TxIDs from 1, so a second run under the first
+	// one's names would resubmit its TxIDs, and the orderer's dedup horizon
+	// would answer them with the first run's verdicts.
+	run := "load" + strconv.FormatInt(time.Now().UnixNano(), 36)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -175,7 +181,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				setErr(fmt.Errorf("node: load worker %d: %w", w, err))
 				return
 			}
-			client, err := DialClient(fmt.Sprintf("load%d", w), opts.Orderers, opts.Peers, opts.DialTimeout)
+			client, err := DialClient(fmt.Sprintf("%s.%d", run, w), opts.Orderers, opts.Peers, opts.DialTimeout)
 			if err != nil {
 				setErr(fmt.Errorf("node: load worker %d: %w", w, err))
 				return

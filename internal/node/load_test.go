@@ -150,6 +150,47 @@ func TestOpenLoopLoadWithTraceCoverage(t *testing.T) {
 	}
 }
 
+// TestSecondLoadSubmitsNewTransactions runs two loads against one library
+// network: each names its clients afresh, so every transaction either acks
+// committed is a new one, and the orderer's committed count grows by the sum
+// of the two loads' committed totals. Were the names fixed, the second
+// load's TxIDs would repeat the first's, and the dedup horizon would answer
+// them with the first load's verdicts.
+func TestSecondLoadSubmitsNewTransactions(t *testing.T) {
+	sc, _ := scenario.Get("msmallbank")
+	n := newTestNetwork(t, NetworkOptions{
+		System: sched.SystemSharp, Peers: 2, BlockSize: 25, BlockTimeout: 25 * time.Millisecond,
+		Genesis: func() (*statedb.Base, error) { return sc.GenesisBase(scenario.Params{Accounts: 64}) },
+	})
+	committed := func() uint64 {
+		_, _, c := n.OrdererChain().Status()
+		return c
+	}
+	before := committed()
+	var total uint64
+	for run := 0; run < 2; run++ {
+		report, err := RunLoad(context.Background(), LoadOptions{
+			Orderers:  []string{n.orderer.Addr()},
+			Peers:     peerAddrs(n.peers),
+			TargetTPS: 100,
+			Duration:  500 * time.Millisecond,
+			Accounts:  64,
+			Workers:   4,
+			Seed:      1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Failed > 0 || report.Committed == 0 {
+			t.Fatalf("load %d: %d committed, %d failed", run, report.Committed, report.Failed)
+		}
+		total += report.Committed
+	}
+	if grew := committed() - before; grew != total {
+		t.Fatalf("the orderer committed %d transactions, the two loads acked %d", grew, total)
+	}
+}
+
 // TestTraceDumpOverWire pins the per-role stage vocabulary: orderer rings
 // carry submit/order/seal, peer rings carry deliver/validate/commit.
 func TestTraceDumpOverWire(t *testing.T) {

@@ -277,6 +277,13 @@ func TestFollowerAnswersSubmitAtOnce(t *testing.T) {
 	ords, _, _ := bootRaftCluster(t)
 	lead := waitRaftLeader(t, ords, 10*time.Second)
 	follower := ords[(lead+1)%len(ords)]
+	// A member reports IsLeader before its first heartbeat reaches the
+	// others; until then the follower's redirect could name nobody.
+	for deadline := time.Now().Add(10 * time.Second); follower.Raft().Leader() != ords[lead].Raft().Addr(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower names leader %q, want %s", follower.Raft().Leader(), ords[lead].Raft().Addr())
+		}
+	}
 	conn, err := transport.Dial(follower.Addr())
 	if err != nil {
 		t.Fatal(err)

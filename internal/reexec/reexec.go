@@ -316,7 +316,8 @@ func latestBelow(entries []mvEntry, limit uint32) (mvEntry, bool) {
 
 // readsCurrent reports whether every recorded read still resolves to the
 // version it observed (zero version matching "absent") — the same freshness
-// rule validation.ReadsFresh applies, against the scratch's version vector.
+// rule the validation package's MVCC check applies, against the scratch's
+// version vector.
 func (g *groupState) readsCurrent(limit uint32, reads []protocol.ReadItem) bool {
 	for _, r := range reads {
 		_, ver, found := g.resolve(r.Key, limit)

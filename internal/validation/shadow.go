@@ -164,13 +164,13 @@ func (s *ShadowState) Len() int {
 
 // ComputeVerdicts derives the validation codes for one block of ordered
 // transactions against base — the shared, sequential verdict function of
-// the whole repository. ValidateAndCommit wraps it for the peer reference
-// path and commit.ValidateBlock is asserted byte-identical to it. Every
-// orderer computes it over its ShadowState in two halves: the endorsement
-// half (PrecheckEndorsements) mostly while the batch fills, in
-// orderer.Core.Precheck, and ComputeVerdictsPrechecked at the cut. So the
-// codes a block carries out of ordering equal the codes the peers compute
-// during validation by construction, not by luck.
+// the whole repository. Every orderer computes it over its ShadowState in
+// two halves: the endorsement half (PrecheckEndorsements) mostly while the
+// batch fills, in orderer.Core.Precheck, and ComputeVerdictsPrechecked at the
+// cut. Every peer computes it over its state database in the same two halves
+// (commit.ValidateBlock). So the codes a block carries out of ordering equal
+// the codes the peers compute during validation by construction, not by
+// luck.
 func ComputeVerdicts(base VersionSource, block uint64, txs []*protocol.Transaction, opts Options) []protocol.ValidationCode {
 	return ComputeVerdictsPrechecked(base, block, txs, opts, PrecheckEndorsements(txs, opts, 1))
 }
@@ -201,9 +201,9 @@ func PrecheckEndorsements(txs []*protocol.Transaction, opts Options, workers int
 // here is only the overlay-coupled MVCC rule.
 func ComputeVerdictsPrechecked(base VersionSource, block uint64, txs []*protocol.Transaction, opts Options, endorseFailed []bool) []protocol.ValidationCode {
 	codes := make([]protocol.ValidationCode, len(txs))
-	overlay := NewOverlay()
+	inBlock := newOverlay()
 	current := func(key string) (seqno.Seq, bool) {
-		return overlay.Version(base, key)
+		return inBlock.Version(base, key)
 	}
 	for i, tx := range txs {
 		if endorseFailed != nil && endorseFailed[i] {
@@ -214,11 +214,11 @@ func ComputeVerdictsPrechecked(base VersionSource, block uint64, txs []*protocol
 		if !opts.MVCC {
 			continue // nothing reads the overlay
 		}
-		if !ReadsFresh(tx, current) {
+		if !readsFresh(tx, current) {
 			codes[i] = protocol.MVCCConflict
 			continue
 		}
-		overlay.Record(seqno.Commit(block, uint32(i+1)), tx.RWSet.Writes)
+		inBlock.Record(seqno.Commit(block, uint32(i+1)), tx.RWSet.Writes)
 	}
 	return codes
 }

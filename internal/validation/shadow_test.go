@@ -15,8 +15,8 @@ import (
 
 // TestShadowMatchesDatabaseAcrossBlocks drives a randomized multi-block
 // contended schedule through both derivations — ComputeVerdicts over a
-// ShadowState on one side, ValidateAndCommit over a real statedb on the
-// other — and asserts the verdicts are byte-identical at every block. This
+// ShadowState on one side, over a real statedb carried from block to block
+// on the other — and asserts the verdicts are byte-identical at every block. This
 // is the invariant the deterministic commit-feedback path rests on: the
 // value-free shadow is indistinguishable from the full database as far as
 // verdicts are concerned.
@@ -58,10 +58,7 @@ func TestShadowMatchesDatabaseAcrossBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		shadowCodes := ComputeVerdicts(shadow, blk.Header.Number, txs, opts)
-		dbCodes, err := ValidateAndCommit(db, blk, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dbCodes := commitBlock(t, db, blk, opts)
 		for i := range txs {
 			if shadowCodes[i] != dbCodes[i] {
 				t.Fatalf("block %d tx %d: shadow %v, database %v", block, i, shadowCodes[i], dbCodes[i])

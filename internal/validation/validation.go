@@ -1,7 +1,6 @@
-// Package validation implements the third phase of the EOV pipeline: each
-// peer checks a delivered block's transactions against the endorsement
-// policy and (for systems that need it) the MVCC serializability rule, then
-// commits the valid writes to the state database.
+// Package validation implements the third phase of the EOV pipeline: the
+// verdict a block's transactions get from the endorsement policy and (for
+// systems that need it) the MVCC serializability rule.
 //
 // The MVCC rule is vanilla Fabric's: a transaction is valid iff every key it
 // read still carries the version it observed — considering both committed
@@ -9,21 +8,18 @@
 // FabricSharp and Focc-s the ordering phase already guarantees
 // serializability, so peers skip the concurrency check entirely (Figure 8).
 //
-// ValidateAndCommit is the sequential reference implementation, a thin
-// wrapper over ComputeVerdicts — the shared verdict function that the
-// orderers' shadow validators (see ShadowState) run against a value-free
-// version overlay at every cut. The internal/commit package builds the
-// parallel production path on the same Overlay and ReadsFresh primitives,
-// partitioning a block into key-disjoint conflict groups that validate
-// concurrently, and asserts its codes byte-equal against the orderer's
-// precomputed ones.
+// ComputeVerdicts is the one verdict function of the pipeline, over any
+// VersionSource: every orderer runs it over its ShadowState at each cut,
+// and every peer (commit.ValidateBlock) over its state database's versions
+// through DBVersions. Both split it the same way, PrecheckEndorsements on a
+// worker pool and then the sequential MVCC fold of
+// ComputeVerdictsPrechecked, so the codes a block is sealed with and the
+// codes a peer derives differ only if the orderer's shadow and the peer's
+// state do — which the peer asserts against.
 package validation
 
 import (
-	"fmt"
-
 	"fabricsharp/internal/identity"
-	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
@@ -43,13 +39,13 @@ type Options struct {
 	Self *identity.SignedRing
 }
 
-// Overlay tracks the versions written by earlier valid transactions of the
+// overlay tracks the versions written by earlier valid transactions of the
 // block being validated, shadowing committed state. Deleted keys are
 // recorded as explicit tombstones so a read of a freshly deleted key
-// observes "absent" rather than the committed version underneath. An Overlay
+// observes "absent" rather than the committed version underneath. An overlay
 // is confined to one validation goroutine; it is not safe for concurrent
 // use.
-type Overlay struct {
+type overlay struct {
 	entries map[string]overlayEntry
 }
 
@@ -58,13 +54,13 @@ type overlayEntry struct {
 	deleted bool
 }
 
-// NewOverlay returns an empty overlay.
-func NewOverlay() *Overlay {
-	return &Overlay{entries: map[string]overlayEntry{}}
+// newOverlay returns an empty overlay.
+func newOverlay() *overlay {
+	return &overlay{entries: map[string]overlayEntry{}}
 }
 
 // Record shadows the keys of writes with version ver (tombstoning deletes).
-func (o *Overlay) Record(ver seqno.Seq, writes []protocol.WriteItem) {
+func (o *overlay) Record(ver seqno.Seq, writes []protocol.WriteItem) {
 	for _, w := range writes {
 		o.entries[w.Key] = overlayEntry{version: ver, deleted: w.Delete}
 	}
@@ -72,7 +68,7 @@ func (o *Overlay) Record(ver seqno.Seq, writes []protocol.WriteItem) {
 
 // Version resolves key's current version: the overlay first, then the
 // committed versions in base.
-func (o *Overlay) Version(base VersionSource, key string) (seqno.Seq, bool) {
+func (o *overlay) Version(base VersionSource, key string) (seqno.Seq, bool) {
 	if e, ok := o.entries[key]; ok {
 		if e.deleted {
 			return seqno.Seq{}, false
@@ -82,29 +78,9 @@ func (o *Overlay) Version(base VersionSource, key string) (seqno.Seq, bool) {
 	return base.Version(key)
 }
 
-// ValidateAndCommit validates every transaction of blk in order and commits
-// the valid ones' writes to db with versions (block, position). It returns
-// the per-transaction validation codes, in block order. The verdicts come
-// from ComputeVerdicts over the database's version view — the same function
-// the orderers' shadow validators run, so the two paths cannot drift.
-func ValidateAndCommit(db *statedb.DB, blk *ledger.Block, opts Options) ([]protocol.ValidationCode, error) {
-	codes := ComputeVerdicts(DBVersions(db), blk.Header.Number, blk.Transactions, opts)
-	var writes []statedb.BlockWrites
-	for i, tx := range blk.Transactions {
-		if codes[i] != protocol.Valid {
-			continue
-		}
-		writes = append(writes, statedb.BlockWrites{Pos: uint32(i + 1), Writes: tx.RWSet.Writes})
-	}
-	if err := db.ApplyBlock(blk.Header.Number, writes); err != nil {
-		return nil, fmt.Errorf("validation: commit block %d: %w", blk.Header.Number, err)
-	}
-	return codes, nil
-}
-
-// ReadsFresh reports whether every read version matches the current version
+// readsFresh reports whether every read version matches the current version
 // of its key (zero version matching "absent").
-func ReadsFresh(tx *protocol.Transaction, current func(string) (seqno.Seq, bool)) bool {
+func readsFresh(tx *protocol.Transaction, current func(string) (seqno.Seq, bool)) bool {
 	for _, r := range tx.RWSet.Reads {
 		ver, exists := current(r.Key)
 		observedExisting := r.Version != seqno.Seq{}
@@ -123,7 +99,7 @@ func ReadsFresh(tx *protocol.Transaction, current func(string) (seqno.Seq, bool)
 // endorser-side early aborts of Fabric++ and the doomed-transaction
 // detection of Focc-l use it.
 func Stale(db *statedb.DB, tx *protocol.Transaction) bool {
-	return !ReadsFresh(tx, func(key string) (seqno.Seq, bool) {
+	return !readsFresh(tx, func(key string) (seqno.Seq, bool) {
 		vv, ok := db.Get(key)
 		if !ok {
 			return seqno.Seq{}, false

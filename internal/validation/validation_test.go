@@ -1,6 +1,7 @@
 package validation
 
 import (
+	"slices"
 	"testing"
 
 	"fabricsharp/internal/identity"
@@ -28,6 +29,30 @@ func seed(t *testing.T, db *statedb.DB, block uint64, kv map[string]string) {
 	if err := db.ApplyBlock(block, []statedb.BlockWrites{{Pos: 1, Writes: writes}}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// verdicts is a peer's derivation of blk's codes: ComputeVerdicts over the
+// database's committed versions.
+func verdicts(db *statedb.DB, blk *ledger.Block, opts Options) []protocol.ValidationCode {
+	return ComputeVerdicts(DBVersions(db), blk.Header.Number, blk.Transactions, opts)
+}
+
+// commitBlock is verdicts followed by the apply a peer makes: the valid
+// transactions' writes at their in-block positions. Cases that carry state
+// into a later block use it.
+func commitBlock(t *testing.T, db *statedb.DB, blk *ledger.Block, opts Options) []protocol.ValidationCode {
+	t.Helper()
+	codes := verdicts(db, blk, opts)
+	var writes []statedb.BlockWrites
+	for i, tx := range blk.Transactions {
+		if codes[i] == protocol.Valid {
+			writes = append(writes, statedb.BlockWrites{Pos: uint32(i + 1), Writes: tx.RWSet.Writes})
+		}
+	}
+	if err := db.ApplyBlock(blk.Header.Number, writes); err != nil {
+		t.Fatal(err)
+	}
+	return codes
 }
 
 func sealBlock(t *testing.T, prev *ledger.Chain, txs ...*protocol.Transaction) (*ledger.Chain, *ledger.Block) {
@@ -66,18 +91,9 @@ func TestMVCCFreshCommitsStaleAborts(t *testing.T) {
 	}
 	_, blk := sealBlock(t, nil, fresh, stale)
 	blk.Header.Number = 2 // chain starts at 1; bump to follow the seeded block
-	codes, err := ValidateAndCommit(db, blk, Options{MVCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes := verdicts(db, blk, Options{MVCC: true})
 	if codes[0] != protocol.Valid || codes[1] != protocol.MVCCConflict {
 		t.Errorf("codes = %v", codes)
-	}
-	if _, ok := db.Get("b"); !ok {
-		t.Error("valid writes not applied")
-	}
-	if _, ok := db.Get("c"); ok {
-		t.Error("invalid transaction's writes applied")
 	}
 }
 
@@ -101,10 +117,7 @@ func TestIntraBlockStaleness(t *testing.T) {
 	// writer first: reader's observed version (1,1) is stale by then.
 	_, blk := sealBlock(t, nil, writer, reader)
 	blk.Header.Number = 2
-	codes, err := ValidateAndCommit(db, blk, Options{MVCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes := verdicts(db, blk, Options{MVCC: true})
 	if codes[0] != protocol.Valid || codes[1] != protocol.MVCCConflict {
 		t.Errorf("codes = %v", codes)
 	}
@@ -115,10 +128,7 @@ func TestIntraBlockStaleness(t *testing.T) {
 	seed(t, db2, 1, map[string]string{"k": "0"})
 	_, blk2 := sealBlock(t, nil, reader, writer)
 	blk2.Header.Number = 2
-	codes, err = ValidateAndCommit(db2, blk2, Options{MVCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes = verdicts(db2, blk2, Options{MVCC: true})
 	if codes[0] != protocol.Valid || codes[1] != protocol.Valid {
 		t.Errorf("reordered codes = %v", codes)
 	}
@@ -144,10 +154,7 @@ func TestAbsentKeyReads(t *testing.T) {
 	}
 	_, blk := sealBlock(t, nil, phantomRead("p1"), creator, phantomRead("p2"))
 	blk.Header.Number = 2
-	codes, err := ValidateAndCommit(db, blk, Options{MVCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes := verdicts(db, blk, Options{MVCC: true})
 	want := []protocol.ValidationCode{protocol.Valid, protocol.Valid, protocol.MVCCConflict}
 	for i := range want {
 		if codes[i] != want[i] {
@@ -171,15 +178,9 @@ func TestDeleteThenReadInBlock(t *testing.T) {
 	}
 	_, blk := sealBlock(t, nil, deleter, reader)
 	blk.Header.Number = 2
-	codes, err := ValidateAndCommit(db, blk, Options{MVCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes := verdicts(db, blk, Options{MVCC: true})
 	if codes[0] != protocol.Valid || codes[1] != protocol.MVCCConflict {
 		t.Errorf("codes = %v", codes)
-	}
-	if _, ok := db.Get("victim"); ok {
-		t.Error("deleted key survived")
 	}
 }
 
@@ -197,11 +198,7 @@ func TestNoMVCCCommitsEverything(t *testing.T) {
 	}
 	_, blk := sealBlock(t, nil, stale)
 	blk.Header.Number = 2
-	codes, err := ValidateAndCommit(db, blk, Options{MVCC: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codes[0] != protocol.Valid {
+	if codes := verdicts(db, blk, Options{MVCC: false}); codes[0] != protocol.Valid {
 		t.Errorf("codes = %v", codes)
 	}
 }
@@ -221,33 +218,31 @@ func TestEndorsementPolicyEnforced(t *testing.T) {
 		RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "y", Value: []byte("1")}}},
 	}
 	_, blk := sealBlock(t, nil, good, unsigned)
-	codes, err := ValidateAndCommit(db, blk, Options{
+	codes := verdicts(db, blk, Options{
 		MVCC:   true,
 		MSP:    msp,
 		Policy: identity.SignedBy("peer1"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if codes[0] != protocol.Valid || codes[1] != protocol.EndorsementFailure {
 		t.Errorf("codes = %v", codes)
-	}
-	if _, ok := db.Get("y"); ok {
-		t.Error("unendorsed transaction committed")
 	}
 }
 
 func TestVersionsAssignedByBlockPosition(t *testing.T) {
-	db := newState(t)
-	t1 := &protocol.Transaction{ID: "t1", RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("1")}}}}
-	t2 := &protocol.Transaction{ID: "t2", RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte("2")}}}}
-	_, blk := sealBlock(t, nil, t1, t2)
-	if _, err := ValidateAndCommit(db, blk, Options{MVCC: true}); err != nil {
-		t.Fatal(err)
+	// A valid write takes the version (block, position): a later reader in
+	// the same block that observed it is fresh, one that observed an
+	// earlier writer's version is stale.
+	write := func(id string) *protocol.Transaction {
+		return &protocol.Transaction{ID: protocol.TxID(id), RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: "k", Value: []byte(id)}}}}
 	}
-	vv, ok := db.Get("k")
-	if !ok || string(vv.Value) != "2" || vv.Version != seqno.Commit(1, 2) {
-		t.Errorf("k = %q @ %v", vv.Value, vv.Version)
+	read := func(id string, ver seqno.Seq) *protocol.Transaction {
+		return &protocol.Transaction{ID: protocol.TxID(id), RWSet: protocol.RWSet{Reads: []protocol.ReadItem{{Key: "k", Version: ver}}}}
+	}
+	_, blk := sealBlock(t, nil, write("t1"), read("r1", seqno.Commit(1, 1)), write("t3"), read("r2", seqno.Commit(1, 1)), read("r3", seqno.Commit(1, 3)))
+	codes := verdicts(newState(t), blk, Options{MVCC: true})
+	want := []protocol.ValidationCode{protocol.Valid, protocol.Valid, protocol.Valid, protocol.MVCCConflict, protocol.Valid}
+	if !slices.Equal(codes, want) {
+		t.Errorf("codes = %v, want %v", codes, want)
 	}
 }
 
