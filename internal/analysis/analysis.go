@@ -19,45 +19,31 @@ import (
 )
 
 // An Analyzer is one determinism check. Run is invoked once per loaded
-// package; it must confine itself to files for which pass.InScope reports
-// true (the driver pre-filters nothing, because some analyzers need
-// package-wide type information even when only a subset of files is in
-// scope).
+// package its Scope covers.
 type Analyzer struct {
 	// Name is the analyzer's identifier: the token used in
 	// "//sharp:allow <name> <reason>" directives and diagnostic output.
 	Name string
 	// Doc is a one-line description printed by `sharpvet -help`.
 	Doc string
-	// Scope classifies which files of which packages the analyzer
-	// polices. Diagnostics reported against out-of-scope files are
-	// driver errors (a bug in the analyzer), not user findings.
+	// Scope names the packages the analyzer polices.
 	Scope Scope
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
 
-// A Scope decides whether a file participates in an analyzer's check.
-// pkgPath is the package's import path, file the base name of the source
-// file within it.
-type Scope func(pkgPath, file string) bool
+// A Scope decides whether a package, named by its import path, participates
+// in an analyzer's check. The contract covers whole packages only.
+type Scope func(pkgPath string) bool
 
 // A Pass carries one type-checked package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	PkgPath  string
 	Files    []*ast.File
-	Types    *types.Package
 	Info     *types.Info
 
 	report func(Diagnostic)
-}
-
-// InScope reports whether the given file participates in this analyzer's
-// scope. Analyzers call it to skip out-of-contract files.
-func (p *Pass) InScope(f *ast.File) bool {
-	return p.Analyzer.Scope(p.PkgPath, baseFilename(p.Fset, f))
 }
 
 // Reportf records a finding at pos.
@@ -110,14 +96,4 @@ func AnalyzerByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-func baseFilename(fset *token.FileSet, f *ast.File) string {
-	full := fset.Position(f.Package).Filename
-	for i := len(full) - 1; i >= 0; i-- {
-		if full[i] == '/' {
-			return full[i+1:]
-		}
-	}
-	return full
 }

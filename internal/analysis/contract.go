@@ -35,21 +35,21 @@ var deterministicPackages = map[string]bool{
 // replica-identical contract (maporder, wallclock, seaminject). The contract
 // covers whole packages only: code that must touch wall clocks or sockets
 // lives in a package outside it.
-func DeterministicScope(pkgPath, file string) bool { return deterministicPackages[pkgPath] }
+func DeterministicScope(pkgPath string) bool { return deterministicPackages[pkgPath] }
 
-// PackageScope returns a Scope covering every file of the given module
-// packages (named by their path below ModulePath, e.g. "internal/transport").
+// PackageScope returns a Scope covering the given module packages (named
+// by their path below ModulePath, e.g. "internal/transport").
 func PackageScope(rel ...string) Scope {
 	set := make(map[string]bool, len(rel))
 	for _, r := range rel {
 		set[ModulePath+"/"+r] = true
 	}
-	return func(pkgPath, file string) bool { return set[pkgPath] }
+	return func(pkgPath string) bool { return set[pkgPath] }
 }
 
-// ModuleScope covers every file of every module package (used by errdrop:
-// fatal-propagation paths must be checked module-wide, callers included).
-func ModuleScope(pkgPath, file string) bool {
+// ModuleScope covers every module package (used by errdrop: fatal
+// propagation paths must be checked module-wide, callers included).
+func ModuleScope(pkgPath string) bool {
 	return pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/")
 }
 

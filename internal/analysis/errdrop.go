@@ -22,9 +22,6 @@ var ErrDrop = &Analyzer{
 
 func runErrDrop(pass *Pass) {
 	for _, file := range pass.Files {
-		if !pass.InScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.ExprStmt:

@@ -27,9 +27,6 @@ var LockAcross = &Analyzer{
 
 func runLockAcross(pass *Pass) {
 	for _, file := range pass.Files {
-		if !pass.InScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

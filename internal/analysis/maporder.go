@@ -6,38 +6,25 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `range` over a map in deterministic files. Go randomizes
-// map iteration order per run, so any map range whose body's effect depends
-// on visit order makes sealed bytes differ across replicas — the exact
+// MapOrder flags `range` over a map in deterministic packages. Go randomizes
+// map iteration order per run, so any map range whose effect depends on
+// visit order makes sealed bytes differ across replicas — the exact
 // divergence class the replica-identical contract bans.
 //
-// A site stays silent when the loop body is provably order-insensitive:
-//
-//   - delete-only bodies (set subtraction commutes),
-//   - append-then-sort: the body only collects values derived from the
-//     range variables into a slice, and the enclosing block sorts that
-//     slice before its next use (the sort-guard idiom),
-//   - commutative bodies: every statement is an increment/decrement, a
-//     commutative op-assign (+= -= |= ^= &=), an idempotent or
-//     uniquely-keyed store, a delete, a pure iteration-local definition,
-//     or an if/nested-range composed of the same — with no statement
-//     reading a value another iteration may have written and no impure
-//     calls (whose side effects would observe visit order),
-//
-// or when the site carries a `//sharp:orderinvariant <reason>` directive,
-// which lands in the checked-in suppression inventory.
+// One idiom stays silent, the sort-guard: the body only collects values into
+// one slice, and the enclosing block sorts that slice before its next use.
+// Every other map range carries a `//sharp:orderinvariant <reason>`
+// directive, which lands in the checked-in suppression inventory where a
+// reviewer reads it.
 var MapOrder = &Analyzer{
 	Name:  "maporder",
-	Doc:   "flags range over maps in deterministic packages unless provably order-insensitive or suppressed",
+	Doc:   "flags range over maps in deterministic packages unless sort-guarded or suppressed",
 	Scope: DeterministicScope,
 	Run:   runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {
 	for _, file := range pass.Files {
-		if !pass.InScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -50,7 +37,9 @@ func runMapOrder(pass *Pass) {
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if orderInsensitive(pass, file, rs) {
+			// `for k = range m` would leave the last visited key in k.
+			dst := collector(pass, rs.Body.List)
+			if dst != nil && rs.Tok != token.ASSIGN && sortedBeforeNextUse(pass, file, rs, dst) {
 				return true
 			}
 			pass.Reportf(rs.For, "range over map %s in deterministic code: iteration order is randomized; sort the keys, restructure, or annotate //sharp:orderinvariant <reason>", exprString(rs.X))
@@ -59,384 +48,49 @@ func runMapOrder(pass *Pass) {
 	}
 }
 
-// orderInsensitive applies the conservative recognizers. Anything it
-// cannot prove is reported — the contract errs toward a human look.
-func orderInsensitive(pass *Pass, file *ast.File, rs *ast.RangeStmt) bool {
-	env := newLoopEnv(pass, rs)
-	if commutativeStmts(env, rs, rs.Body.List) {
-		return true
-	}
-	return appendThenSorted(pass, file, rs, env)
-}
-
-// loopEnv carries the per-loop facts the recognizers share: which objects
-// the body writes (excluding iteration-local definitions, which cannot
-// carry state between iterations) and which objects are iteration-local.
-type loopEnv struct {
-	pass *Pass
-	// written holds objects the body mutates that outlive one iteration:
-	// outer variables assigned or op-assigned, fields and map/slice bases
-	// stored through, delete targets. Reading any of these inside the
-	// body means one iteration can observe another's effect — order.
-	written map[types.Object]bool
-	// locals holds objects defined (:=) inside the body. Each iteration
-	// re-creates them, so they cannot leak state across iterations.
-	locals map[types.Object]bool
-}
-
-func newLoopEnv(pass *Pass, rs *ast.RangeStmt) *loopEnv {
-	env := &loopEnv{pass: pass, written: map[types.Object]bool{}, locals: map[types.Object]bool{}}
-	if rs.Tok == token.DEFINE {
-		// The loop's own key/value bindings are fresh per iteration.
-		for _, e := range []ast.Expr{rs.Key, rs.Value} {
-			if id, ok := e.(*ast.Ident); ok {
-				if obj := pass.Info.Defs[id]; obj != nil {
-					env.locals[obj] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if s.Tok == token.DEFINE {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							env.locals[obj] = true
-						}
-					}
-					continue
-				}
-				env.recordWrite(lhs)
-			}
-		case *ast.IncDecStmt:
-			env.recordWrite(s.X)
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && isBuiltin(pass, call, "delete") && len(call.Args) > 0 {
-				env.recordWrite(call.Args[0])
-			}
-		case *ast.RangeStmt:
-			// Nested range key/value are iteration-local too.
-			for _, e := range []ast.Expr{s.Key, s.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if obj := pass.Info.Defs[id]; obj != nil {
-						env.locals[obj] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	// Iteration-locals never count as cross-iteration writes.
-	for obj := range env.locals {
-		delete(env.written, obj)
-	}
-	return env
-}
-
-// recordWrite registers the mutated object behind an lvalue: the variable
-// itself, the field selected, or the base of an index expression.
-func (env *loopEnv) recordWrite(lhs ast.Expr) {
-	switch x := unparen(lhs).(type) {
-	case *ast.Ident:
-		if obj := env.pass.Info.Uses[x]; obj != nil {
-			env.written[obj] = true
-		}
-	case *ast.SelectorExpr:
-		if obj := env.pass.Info.Uses[x.Sel]; obj != nil {
-			env.written[obj] = true
-		}
-		env.recordWrite(x.X) // storing through s.f also taints s's chain
-	case *ast.IndexExpr:
-		env.recordWrite(x.X)
-	case *ast.StarExpr:
-		env.recordWrite(x.X)
-	}
-}
-
-// pure reports whether expr reads no cross-iteration-written object and
-// performs no call that could observe iteration order. Allowed calls are
-// the effect-free builtins (len, cap, make, new, min, max), conversions,
-// and append whose destination is order-free (a fresh nil slice or an
-// iteration-local).
-func (env *loopEnv) pure(expr ast.Expr) bool {
-	if expr == nil {
-		return true
-	}
-	ok := true
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if !ok {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.Ident:
-			if obj := env.pass.Info.Uses[x]; obj != nil && env.written[obj] {
-				ok = false
-			}
-		case *ast.CallExpr:
-			if !env.pureCall(x) {
-				ok = false
-			}
-		case *ast.FuncLit:
-			// A closure's body runs now only if called — and calls are
-			// vetted — but building one that captures loop state and
-			// escapes is a write we cannot see. Reject.
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
-var pureBuiltins = map[string]bool{
-	"len": true, "cap": true, "make": true, "new": true, "min": true, "max": true,
-}
-
-func (env *loopEnv) pureCall(call *ast.CallExpr) bool {
-	// Type conversions carry no effects.
-	if tv, ok := env.pass.Info.Types[call.Fun]; ok && tv.IsType() {
-		return true
-	}
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if _, isBuiltin := env.pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
-		return false
-	}
-	if pureBuiltins[id.Name] {
-		return true
-	}
-	if id.Name == "append" && len(call.Args) > 0 {
-		// append is pure enough when it can't mutate shared backing:
-		// appending to a fresh nil slice or an iteration-local.
-		switch dst := unparen(call.Args[0]).(type) {
-		case *ast.Ident:
-			if obj := env.pass.Info.Uses[dst]; obj != nil && env.locals[obj] {
-				return true
-			}
-		case *ast.CallExpr: // e.g. append([]byte(nil), src...)
-			return env.pure(dst)
-		}
-	}
-	return false
-}
-
-// commutativeStmts reports whether every statement computes an effect
-// invariant under permutation of the iterations of rs.
-func commutativeStmts(env *loopEnv, rs *ast.RangeStmt, list []ast.Stmt) bool {
-	for _, stmt := range list {
-		if !commutativeStmt(env, rs, stmt) {
-			return false
-		}
-	}
-	return true
-}
-
-func commutativeStmt(env *loopEnv, rs *ast.RangeStmt, stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case *ast.IncDecStmt:
-		// x++ / s.f++ / a[i]++ commute with themselves; the target's base
-		// and index must themselves be order-free reads.
-		return orderFreeTarget(env, s.X)
-	case *ast.AssignStmt:
-		return commutativeAssign(env, rs, s)
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		if isBuiltin(env.pass, call, "delete") {
-			for _, a := range call.Args {
-				if !deleteArgOK(env, a) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	case *ast.BranchStmt:
-		return s.Tok == token.CONTINUE
-	case *ast.IfStmt:
-		if s.Init != nil || !env.pure(s.Cond) {
-			return false
-		}
-		if !commutativeStmts(env, rs, s.Body.List) {
-			return false
-		}
-		if s.Else != nil {
-			return commutativeStmt(env, rs, s.Else)
-		}
-		return true
-	case *ast.BlockStmt:
-		return commutativeStmts(env, rs, s.List)
-	case *ast.RangeStmt:
-		// A nested loop over an order-free collection expression, itself
-		// built of commutative statements, stays commutative. Its own
-		// unique-key facts apply inside it.
-		return env.pure(s.X) && commutativeStmts(env, s, s.Body.List)
-	default:
-		return false
-	}
-}
-
-func commutativeAssign(env *loopEnv, rs *ast.RangeStmt, s *ast.AssignStmt) bool {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-		return false
-	}
-	switch s.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN, token.AND_ASSIGN:
-		// accumulator op= e : the op commutes; e must be an order-free read.
-		return orderFreeTarget(env, s.Lhs[0]) && env.pure(s.Rhs[0])
-	case token.DEFINE:
-		// Iteration-local definition: pure RHS means the local is a mere
-		// renaming of order-free values.
-		if _, ok := s.Lhs[0].(*ast.Ident); !ok {
-			return false
-		}
-		return env.pure(s.Rhs[0])
-	case token.ASSIGN:
-		ix, ok := unparen(s.Lhs[0]).(*ast.IndexExpr)
-		if !ok {
-			return false
-		}
-		if !orderFreeTarget(env, ix.X) || !env.pure(ix.Index) || !env.pure(s.Rhs[0]) {
-			return false
-		}
-		// Distinct iterations must not fight over one slot: either the
-		// index is this loop's unique range key, or the stored value is a
-		// literal constant (idempotent — collisions write the same bytes).
-		return indexIsRangeKey(env.pass, rs, ix.Index) || idempotentValue(env.pass, s.Rhs[0])
-	}
-	return false
-}
-
-// orderFreeTarget vets the navigation part of an lvalue (base chain and
-// indexes): it may be written by the loop (stores commute per the caller's
-// rules) but must not be *computed from* loop-written state.
-func orderFreeTarget(env *loopEnv, lhs ast.Expr) bool {
-	switch x := unparen(lhs).(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return orderFreeTarget(env, x.X)
-	case *ast.IndexExpr:
-		return orderFreeTarget(env, x.X) && env.pure(x.Index)
-	case *ast.StarExpr:
-		return orderFreeTarget(env, x.X)
-	}
-	return false
-}
-
-// deleteArgOK: delete's map argument is a write target (commutes); the key
-// must be an order-free read.
-func deleteArgOK(env *loopEnv, arg ast.Expr) bool {
-	if orderFreeTarget(env, arg) {
-		return true
-	}
-	return env.pure(arg)
-}
-
-// indexIsRangeKey reports whether expr is exactly rs's key variable — map
-// range keys (and slice range indexes) are unique per iteration, so keyed
-// stores cannot collide.
-func indexIsRangeKey(pass *Pass, rs *ast.RangeStmt, expr ast.Expr) bool {
-	id, ok := unparen(expr).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	keyID, ok := rs.Key.(*ast.Ident)
-	if !ok || keyID.Name == "_" {
-		return false
-	}
-	obj := pass.Info.Uses[id]
-	return obj != nil && (obj == pass.Info.Defs[keyID] || obj == pass.Info.Uses[keyID])
-}
-
-// idempotentValue: storing a compile-time-fixed value — a literal, a
-// constant, an empty composite literal, true/false/nil — is idempotent, so
-// slot collisions across iterations still commute.
-func idempotentValue(pass *Pass, expr ast.Expr) bool {
-	switch x := unparen(expr).(type) {
-	case *ast.BasicLit:
-		return true
-	case *ast.CompositeLit:
-		return len(x.Elts) == 0
-	case *ast.Ident:
-		if tv, ok := pass.Info.Types[x]; ok && (tv.Value != nil || tv.IsNil()) {
-			return true
-		}
-	}
-	if tv, ok := pass.Info.Types[expr]; ok && tv.Value != nil {
-		return true
-	}
-	return false
-}
-
-// appendThenSorted recognizes the sort-guard idiom:
+// collector recognizes the body of the sort-guard idiom:
 //
-//	for k := range m {
-//		keys = append(keys, k)        // possibly if-guarded, possibly
-//	}                                 // after pure local defines
-//	sort.Strings(keys)                // or sort.Slice/sort.Sort/slices.*
+//	for k, v := range m {
+//		n := len(v)                  // iteration-local definitions,
+//		if n > 0 {                   // if statements without init or else,
+//			keys = append(keys, k)   // exactly one append into dst,
+//		}                            // and continue
+//	}
+//	sort.Strings(keys)
 //
-// The body may contain pure iteration-local definitions and exactly one
-// append into an outer slice (optionally inside an if whose condition is
-// order-free), and the first statement after the loop that mentions the
-// slice must be a sort call over it — then iteration order never escapes.
-func appendThenSorted(pass *Pass, file *ast.File, rs *ast.RangeStmt, env *loopEnv) bool {
-	dst := singleCollector(env, rs.Body.List)
-	if dst == nil {
-		return false
-	}
-	return sortedBeforeNextUse(pass, file, rs, dst)
-}
-
-// singleCollector returns the destination slice object when the statements
-// are exactly pure local defines plus one (possibly guarded) append into
-// an outer variable whose arguments are order-free reads.
-func singleCollector(env *loopEnv, list []ast.Stmt) types.Object {
-	var dst types.Object
-	var walk func(list []ast.Stmt) bool
+// and returns dst. The append is the only write that outlives an iteration,
+// so the body cannot observe visit order as long as every definition, guard
+// and appended value is order-free: it names no dst, calls nothing but
+// conversions and len/cap/min/max, receives from no channel and builds no
+// closure. dst is found before any expression is checked, so a guard that
+// reads it (`if len(keys) < 3`) is caught wherever the append sits.
+func collector(pass *Pass, body []ast.Stmt) types.Object {
+	var (
+		dst   types.Object
+		reads []ast.Expr
+		walk  func([]ast.Stmt) bool
+	)
 	walk = func(list []ast.Stmt) bool {
 		for _, stmt := range list {
 			switch s := stmt.(type) {
 			case *ast.AssignStmt:
+				if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
+					return false
+				}
 				if s.Tok == token.DEFINE {
-					if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !env.pure(s.Rhs[0]) {
-						return false
-					}
+					reads = append(reads, s.Rhs[0])
 					continue
 				}
-				if dst != nil || len(s.Lhs) != 1 || len(s.Rhs) != 1 || s.Tok != token.ASSIGN {
+				obj, args := appendTo(pass, s)
+				if obj == nil || dst != nil {
 					return false
 				}
-				id, ok := s.Lhs[0].(*ast.Ident)
-				if !ok {
-					return false
-				}
-				call, ok := s.Rhs[0].(*ast.CallExpr)
-				if !ok || !isBuiltin(env.pass, call, "append") || len(call.Args) < 2 {
-					return false
-				}
-				base, ok := unparen(call.Args[0]).(*ast.Ident)
-				if !ok || base.Name != id.Name {
-					return false
-				}
-				for _, a := range call.Args[1:] {
-					if !appendArgOK(env, a) {
-						return false
-					}
-				}
-				dst = env.pass.Info.Uses[id]
-				if dst == nil {
-					return false
-				}
+				dst, reads = obj, append(reads, args...)
 			case *ast.IfStmt:
-				if s.Init != nil || s.Else != nil || !env.pure(s.Cond) {
+				if s.Init != nil || s.Else != nil {
 					return false
 				}
+				reads = append(reads, s.Cond)
 				if !walk(s.Body.List) {
 					return false
 				}
@@ -450,17 +104,54 @@ func singleCollector(env *loopEnv, list []ast.Stmt) types.Object {
 		}
 		return true
 	}
-	if !walk(list) || dst == nil {
+	if !walk(body) || dst == nil {
 		return nil
+	}
+	for _, e := range reads {
+		if !orderFree(pass, e, dst) {
+			return nil
+		}
 	}
 	return dst
 }
 
-// appendArgOK: collected values must derive from order-free reads — the
-// sort afterwards can only launder the *order* of the slice, not values
-// that already depend on when an iteration ran.
-func appendArgOK(env *loopEnv, arg ast.Expr) bool {
-	return env.pure(arg)
+// appendTo returns v and args when s is `v = append(v, args…)`.
+func appendTo(pass *Pass, s *ast.AssignStmt) (types.Object, []ast.Expr) {
+	id, ok := s.Lhs[0].(*ast.Ident)
+	call, isCall := unparen(s.Rhs[0]).(*ast.CallExpr)
+	if !ok || !isCall || s.Tok != token.ASSIGN || !isBuiltin(pass, call, "append") || len(call.Args) < 2 {
+		return nil, nil
+	}
+	obj := pass.Info.Uses[id]
+	if base, ok := unparen(call.Args[0]).(*ast.Ident); !ok || obj == nil || pass.Info.Uses[base] != obj {
+		return nil, nil
+	}
+	return obj, call.Args[1:]
+}
+
+// orderFree reports whether e reads nothing another iteration wrote and
+// has no effect another iteration could see (see collector).
+func orderFree(pass *Pass, e ast.Expr, dst types.Object) bool {
+	ok := true
+	ast.Inspect(e, func(n ast.Node) bool {
+		if !ok {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.Ident:
+			ok = pass.Info.Uses[x] != dst
+		case *ast.CallExpr:
+			tv := pass.Info.Types[x.Fun]
+			ok = tv.IsType() || isBuiltin(pass, x, "len") || isBuiltin(pass, x, "cap") ||
+				isBuiltin(pass, x, "min") || isBuiltin(pass, x, "max")
+		case *ast.UnaryExpr:
+			ok = x.Op != token.ARROW
+		case *ast.FuncLit:
+			ok = false
+		}
+		return ok
+	})
+	return ok
 }
 
 // sortedBeforeNextUse scans the statements after rs in its enclosing block:

@@ -61,15 +61,13 @@ func Run(mod *Module, analyzers []*Analyzer) *Result {
 		dirs = append(dirs, pkgDirs...)
 
 		for _, a := range analyzers {
-			if !packageInScope(mod, pkg, a) {
+			if !a.Scope(pkg.PkgPath) {
 				continue
 			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     mod.Fset,
-				PkgPath:  pkg.PkgPath,
 				Files:    pkg.Files,
-				Types:    pkg.Types,
 				Info:     pkg.Info,
 				report: func(diag Diagnostic) {
 					res.Diagnostics = append(res.Diagnostics, diag)
@@ -116,17 +114,6 @@ func Run(mod *Module, analyzers []*Analyzer) *Result {
 		return a.Analyzer < b.Analyzer
 	})
 	return res
-}
-
-// packageInScope reports whether any of pkg's files fall under a's scope,
-// so out-of-contract packages skip the analyzer entirely.
-func packageInScope(mod *Module, pkg *Package, a *Analyzer) bool {
-	for _, f := range pkg.Files {
-		if a.Scope(pkg.PkgPath, baseFilename(mod.Fset, f)) {
-			return true
-		}
-	}
-	return false
 }
 
 func moduleRel(root, filename string) string {

@@ -29,9 +29,6 @@ var seamBans = map[string]map[string]bool{
 
 func runSeamInject(pass *Pass) {
 	for _, file := range pass.Files {
-		if !pass.InScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.Ident:

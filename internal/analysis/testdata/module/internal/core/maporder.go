@@ -1,5 +1,5 @@
 // Package core is the maporder fixture corpus: each function is one
-// recognizer case. `// want <analyzer> "substr"` marks a line that must
+// case of the sort-guard check. `// want <analyzer> "substr"` marks a line that must
 // produce an unsuppressed diagnostic; `// wantsup` a suppressed one; a
 // bare line must stay silent. The harness in fixtures_test.go enforces
 // exact agreement both ways.
@@ -46,36 +46,75 @@ func flagAppendUsedBeforeSort(m map[string]int) []string {
 	return keys
 }
 
-func okDeleteOnly(m, dead map[string]int) {
-	for k := range dead {
-		delete(m, k)
-	}
-}
-
-func okSelfDelete(m map[string]int) {
-	for k, v := range m {
-		if v == 0 {
-			delete(m, k)
-		}
-	}
-}
-
-func okGuardedCounter(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func okCommutativeAccum(m map[string]int) (sum int, bits int) {
-	for _, v := range m {
-		sum += v
+func flagCommutativeBody(m map[string]int) (sum int, bits int) {
+	for _, v := range m { // want maporder "range over map"
+		sum += v // commutes, but only a sort-guard or a directive clears a map range
 		bits |= v
 	}
 	return sum, bits
+}
+
+func okLocalDefineThenSort(m map[string][]byte) []string {
+	var keys []string
+	for k, v := range m {
+		n := len(v)
+		if n == 0 {
+			continue
+		}
+		keys = append(keys, k+string(v[:min(n, 4)]))
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func flagGuardReadsCollector(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want maporder "range over map"
+		if len(keys) < 3 { // which three keys survive depends on visit order
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func flagAppendCallResult(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want maporder "range over map"
+		keys = append(keys, label(k)) // label's side effects see visit order
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func label(k string) string { return k }
+
+func flagAppendReadsCollector(m map[string]int) []int {
+	var lens []int
+	for range m { // want maporder "range over map"
+		lens = append(lens, len(lens)) // each value is its visit position
+	}
+	sort.Ints(lens)
+	return lens
+}
+
+func flagAssignedRangeKey(m map[string]int) (string, []string) {
+	var k string
+	var keys []string
+	for k = range m { // want maporder "range over map"
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return k, keys // k is the last key visited
+}
+
+func flagReceiveInBody(m map[string]int, ch chan int) []int {
+	var got []int
+	for range m { // want maporder "range over map"
+		got = append(got, <-ch)
+	}
+	sort.Ints(got)
+	return got
 }
 
 func flagOrderDependentAssign(m map[string]int) int {
@@ -96,20 +135,6 @@ func flagReadAfterWriteAccum(m map[string]int) int {
 	return best
 }
 
-func okKeyedStoreByRangeKey(src map[string]int) map[string]int {
-	dst := make(map[string]int, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
-}
-
-func okIdempotentStore(src map[string]int, hit map[int]bool) {
-	for _, v := range src {
-		hit[v] = true
-	}
-}
-
 func flagCollidingStore(src map[string]int, last map[int]string) {
 	for k, v := range src { // want maporder "range over map"
 		last[v] = k // non-unique slot, non-idempotent value: last writer wins
@@ -123,25 +148,6 @@ func flagCallInBody(m map[string]int) {
 }
 
 func observe(string) {}
-
-func okNestedCommute(outer map[string]map[string]int) int {
-	total := 0
-	for _, inner := range outer {
-		for _, v := range inner {
-			total += v
-		}
-	}
-	return total
-}
-
-func okLocalDefine(src map[string][]int) int {
-	total := 0
-	for _, vs := range src {
-		n := len(vs)
-		total += n
-	}
-	return total
-}
 
 func okSliceRangeIsNotAMap(xs []int) []int {
 	var out []int

@@ -38,9 +38,6 @@ var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf"
 
 func runWallClock(pass *Pass) {
 	for _, file := range pass.Files {
-		if !pass.InScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {

@@ -589,8 +589,8 @@ func (c *RaftCore) advanceCommit() bool {
 			break
 		}
 		count := 1 // self
-		for _, m := range c.matchIndex {
-			if m >= n {
+		for _, p := range c.others {
+			if c.matchIndex[p] >= n {
 				count++
 			}
 		}

@@ -184,6 +184,7 @@ func (m *MemIndex[T]) PruneBefore(minBlock uint64) {
 // Unswept counts the keys a sweep of every key at minBlock would still
 // trim or delete; it is zero after PruneBefore(minBlock).
 func (m *MemIndex[T]) Unswept(minBlock uint64) (n int) {
+	//sharp:orderinvariant test oracle counting the keys a full sweep would touch; a count is the same in any visit order
 	for _, s := range m.keys {
 		if len(s.CW) > 0 && s.CW[0].seq.Block < minBlock || len(s.CR) > 0 && s.CR[0].seq.Block < minBlock ||
 			len(s.CW)+len(s.CR)+len(s.PW)+len(s.PR) == 0 {

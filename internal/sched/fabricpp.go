@@ -80,33 +80,30 @@ func (f *FabricPP) Timing() Timing { return f.timing }
 // transactions dropped to break cycles.
 func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.Transaction) {
 	n := len(batch)
-	readers := map[string][]int{} // key -> batch indices reading it
 	writers := map[string][]int{} // key -> batch indices writing it
 	for i, tx := range batch {
-		for _, k := range tx.RWSet.ReadKeys() {
-			readers[k] = append(readers[k], i)
-		}
 		for _, k := range tx.RWSet.WriteKeys() {
 			writers[k] = append(writers[k], i)
 		}
 	}
-	// succ[i] holds j whenever i must precede j (i reads a key j writes).
-	succ := make([]map[int]struct{}, n)
-	pred := make([]map[int]struct{}, n)
-	for i := range succ {
-		succ[i] = map[int]struct{}{}
-		pred[i] = map[int]struct{}{}
-	}
-	for key, rs := range readers {
-		for _, r := range rs {
-			for _, w := range writers[key] {
-				if r == w {
-					continue
+	// succ[r] holds w whenever r must precede w (r reads a key w writes),
+	// pred[w] holds r. mark[w] == r+1 once r→w exists, so a pair sharing
+	// several keys gets one edge. Readers are walked in batch order, so each
+	// pred[w] comes out ascending; each succ[r] is sorted once.
+	succ := make([][]int, n)
+	pred := make([][]int, n)
+	mark := make([]int, n)
+	for r, tx := range batch {
+		for _, k := range tx.RWSet.ReadKeys() {
+			for _, w := range writers[k] {
+				if w != r && mark[w] != r+1 {
+					mark[w] = r + 1
+					succ[r] = append(succ[r], w)
+					pred[w] = append(pred[w], r)
 				}
-				succ[r][w] = struct{}{}
-				pred[w][r] = struct{}{}
 			}
 		}
+		sort.Ints(succ[r])
 	}
 	alive := make([]bool, n)
 	for i := range alive {
@@ -123,12 +120,12 @@ func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.T
 		worst, worstDeg := -1, -1
 		for _, i := range cyclic {
 			deg := 0
-			for j := range succ[i] {
+			for _, j := range succ[i] {
 				if alive[j] {
 					deg++
 				}
 			}
-			for j := range pred[i] {
+			for _, j := range pred[i] {
 				if alive[j] {
 					deg++
 				}
@@ -146,7 +143,7 @@ func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.T
 		if !alive[i] {
 			continue
 		}
-		for j := range succ[i] {
+		for _, j := range succ[i] {
 			if alive[j] {
 				indeg[j]++
 			}
@@ -163,8 +160,7 @@ func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.T
 		i := ready[0]
 		ready = ready[1:]
 		ordered = append(ordered, batch[i])
-		//sharp:orderinvariant indegree decrements commute; ready candidates are re-sorted before every pop, washing visit order
-		for j := range succ[i] {
+		for _, j := range succ[i] {
 			if !alive[j] {
 				continue
 			}
@@ -179,7 +175,7 @@ func reorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.T
 
 // cyclicNodes returns the indices that belong to some non-trivial strongly
 // connected component of the alive sub-graph (iterative Tarjan).
-func cyclicNodes(n int, alive []bool, succ []map[int]struct{}) []int {
+func cyclicNodes(n int, alive []bool, succ [][]int) []int {
 	const unvisited = -1
 	index := make([]int, n)
 	low := make([]int, n)
@@ -199,12 +195,11 @@ func cyclicNodes(n int, alive []bool, succ []map[int]struct{}) []int {
 	}
 	neighbors := func(v int) []int {
 		out := make([]int, 0, len(succ[v]))
-		for w := range succ[v] {
+		for _, w := range succ[v] {
 			if alive[w] {
 				out = append(out, w)
 			}
 		}
-		sort.Ints(out)
 		return out
 	}
 	for start := 0; start < n; start++ {
@@ -254,15 +249,9 @@ func cyclicNodes(n int, alive []bool, succ []map[int]struct{}) []int {
 						break
 					}
 				}
+				// A single node is never cyclic: edges exclude r == w.
 				if len(scc) > 1 {
 					cyclic = append(cyclic, scc...)
-				} else {
-					// Single node: cyclic only if it self-loops, which the
-					// edge construction excludes (r == w skipped).
-					v := scc[0]
-					if _, self := succ[v][v]; self {
-						cyclic = append(cyclic, v)
-					}
 				}
 			}
 		}

@@ -206,6 +206,7 @@ func (f *FoccS) sealBlock() {
 		// A committed transaction can gain edges only while some arrival's
 		// snapshot predates its commit; beyond the max-span horizon none
 		// can, so its flags are garbage.
+		//sharp:orderinvariant each entry's delete reads only that entry, so the pruned maps are the same in any visit order
 		for id, end := range f.endBlock {
 			if end < h {
 				delete(f.endBlock, id)

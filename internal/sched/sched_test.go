@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"fabricsharp/internal/chaincode"
@@ -507,4 +509,238 @@ func TestFoccSIndexPruneMatchesFullSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReorderBatchMatchesMapReference holds the slice-based conflict graph
+// to the map-set one it replaced (refReorderBatch below): on dense random
+// batches — few keys, so cycles and pairs sharing several keys are common —
+// both must order and drop the same transactions in the same order.
+func TestReorderBatchMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	keys := func(nKeys int) []string {
+		var out []string
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			out = append(out, fmt.Sprintf("k%d", rng.Intn(nKeys)))
+		}
+		return out
+	}
+	ids := func(txs []*protocol.Transaction) []protocol.TxID {
+		out := make([]protocol.TxID, len(txs))
+		for i, tx := range txs {
+			out[i] = tx.ID
+		}
+		return out
+	}
+	drops := 0
+	for trial := 0; trial < 600; trial++ {
+		nKeys := 1 + rng.Intn(8)
+		batch := make([]*protocol.Transaction, 1+rng.Intn(60))
+		for i := range batch {
+			batch[i] = mkTx(fmt.Sprintf("t%d", i), 0, keys(nKeys), keys(nKeys))
+		}
+		ordered, dropped := reorderBatch(batch)
+		wantOrdered, wantDropped := refReorderBatch(batch)
+		if !slices.Equal(ids(ordered), ids(wantOrdered)) || !slices.Equal(ids(dropped), ids(wantDropped)) {
+			t.Fatalf("trial %d (%d txs, %d keys): ordered %v dropped %v, reference ordered %v dropped %v",
+				trial, len(batch), nKeys, ids(ordered), ids(dropped), ids(wantOrdered), ids(wantDropped))
+		}
+		drops += len(dropped)
+	}
+	if drops == 0 {
+		t.Fatal("no batch had a cycle: the batches are too sparse to test the reorder")
+	}
+}
+
+// refReorderBatch is Fabric++'s reorder as it was built on map sets, kept as
+// the oracle for TestReorderBatchMatchesMapReference.
+func refReorderBatch(batch []*protocol.Transaction) (ordered, dropped []*protocol.Transaction) {
+	n := len(batch)
+	readers := map[string][]int{} // key -> batch indices reading it
+	writers := map[string][]int{} // key -> batch indices writing it
+	for i, tx := range batch {
+		for _, k := range tx.RWSet.ReadKeys() {
+			readers[k] = append(readers[k], i)
+		}
+		for _, k := range tx.RWSet.WriteKeys() {
+			writers[k] = append(writers[k], i)
+		}
+	}
+	// succ[i] holds j whenever i must precede j (i reads a key j writes).
+	succ := make([]map[int]struct{}, n)
+	pred := make([]map[int]struct{}, n)
+	for i := range succ {
+		succ[i] = map[int]struct{}{}
+		pred[i] = map[int]struct{}{}
+	}
+	for key, rs := range readers {
+		for _, r := range rs {
+			for _, w := range writers[key] {
+				if r == w {
+					continue
+				}
+				succ[r][w] = struct{}{}
+				pred[w][r] = struct{}{}
+			}
+		}
+	}
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	// Iteratively drop the highest-degree member of any remaining cycle
+	// (Fabric++ computes all cycles and aborts greedily; degree-based
+	// elimination is the standard approximation and is deterministic).
+	for {
+		cyclic := refCyclicNodes(n, alive, succ)
+		if len(cyclic) == 0 {
+			break
+		}
+		worst, worstDeg := -1, -1
+		for _, i := range cyclic {
+			deg := 0
+			for j := range succ[i] {
+				if alive[j] {
+					deg++
+				}
+			}
+			for j := range pred[i] {
+				if alive[j] {
+					deg++
+				}
+			}
+			if deg > worstDeg || (deg == worstDeg && i < worst) {
+				worst, worstDeg = i, deg
+			}
+		}
+		alive[worst] = false
+		dropped = append(dropped, batch[worst])
+	}
+	// Kahn topological sort of the survivors, FIFO tie-break.
+	indeg := make([]int, n)
+	for i := 0; i < n; i++ {
+		if !alive[i] {
+			continue
+		}
+		for j := range succ[i] {
+			if alive[j] {
+				indeg[j]++
+			}
+		}
+	}
+	var ready []int
+	for i := 0; i < n; i++ {
+		if alive[i] && indeg[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	for len(ready) > 0 {
+		sort.Ints(ready)
+		i := ready[0]
+		ready = ready[1:]
+		ordered = append(ordered, batch[i])
+		for j := range succ[i] {
+			if !alive[j] {
+				continue
+			}
+			indeg[j]--
+			if indeg[j] == 0 {
+				ready = append(ready, j)
+			}
+		}
+	}
+	return ordered, dropped
+}
+
+// refCyclicNodes returns the indices that belong to some non-trivial strongly
+// connected component of the alive sub-graph (iterative Tarjan).
+func refCyclicNodes(n int, alive []bool, succ []map[int]struct{}) []int {
+	const unvisited = -1
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = unvisited
+	}
+	var (
+		counter int
+		stack   []int
+		cyclic  []int
+	)
+	type frame struct {
+		v     int
+		iter  []int
+		child int
+	}
+	neighbors := func(v int) []int {
+		out := make([]int, 0, len(succ[v]))
+		for w := range succ[v] {
+			if alive[w] {
+				out = append(out, w)
+			}
+		}
+		sort.Ints(out)
+		return out
+	}
+	for start := 0; start < n; start++ {
+		if !alive[start] || index[start] != unvisited {
+			continue
+		}
+		frames := []frame{{v: start, iter: neighbors(start)}}
+		index[start], low[start] = counter, counter
+		counter++
+		stack = append(stack, start)
+		onStack[start] = true
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			if f.child < len(f.iter) {
+				w := f.iter[f.child]
+				f.child++
+				if index[w] == unvisited {
+					index[w], low[w] = counter, counter
+					counter++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{v: w, iter: neighbors(w)})
+				} else if onStack[w] {
+					if index[w] < low[f.v] {
+						low[f.v] = index[w]
+					}
+				}
+				continue
+			}
+			// Pop the frame; maybe emit an SCC rooted here.
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				parent := &frames[len(frames)-1]
+				if low[v] < low[parent.v] {
+					low[parent.v] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				var scc []int
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					scc = append(scc, w)
+					if w == v {
+						break
+					}
+				}
+				if len(scc) > 1 {
+					cyclic = append(cyclic, scc...)
+				} else {
+					// Single node: cyclic only if it self-loops, which the
+					// edge construction excludes (r == w skipped).
+					v := scc[0]
+					if _, self := succ[v][v]; self {
+						cyclic = append(cyclic, v)
+					}
+				}
+			}
+		}
+	}
+	sort.Ints(cyclic)
+	return cyclic
 }

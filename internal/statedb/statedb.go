@@ -555,6 +555,7 @@ func (db *DB) Keys() int {
 	defer db.applyMu.Unlock()
 	n := 0
 	for i := range db.shards {
+		//sharp:orderinvariant counts live keys; a count is the same in any visit order
 		for _, versions := range db.shards[i].hist {
 			if len(versions) > 0 && !versions[len(versions)-1].Deleted {
 				n++
@@ -660,6 +661,7 @@ func (db *DB) Clone() *DB {
 	for i := range db.shards {
 		src := db.shards[i].hist
 		dst := make(map[string][]VersionedValue, len(src))
+		//sharp:orderinvariant copies each key's history into the clone under the same key; the copy is the same in any visit order
 		for k, versions := range src {
 			cp := make([]VersionedValue, len(versions))
 			for j, vv := range versions {

@@ -53,13 +53,17 @@
 # pipeline — the peer takes its MVCC verdicts from the orderers' fold, so the
 # partitioned validator, its stats and validation.ValidateAndCommit went,
 # with benchall's ordering-record append path — lowered it by 123, to 22823.
+# Checking one map-range idiom instead of proving commutativity (maporder's
+# prover gone, Fabric++'s conflict graph as slices, the Raft quorum counted
+# over the members, analyzer scopes naming packages only) lowered it by 365,
+# to 22458.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22823
+CEILING=22458
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
