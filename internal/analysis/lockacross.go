@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // LockAcross flags blocking communication performed while a sync.Mutex or
@@ -13,8 +14,10 @@ import (
 // peer) wedges the lock, and every other goroutine needing it wedges
 // behind it, including the one that would have drained the channel.
 //
-// Tracking is linear per function body (source order, branch bodies
-// inherited, defer'd Unlock pinning the lock for the rest of the
+// Tracking is linear per function body (source order; each branch of an
+// if walked from the locks held before it, a branch that returns, panics,
+// breaks, continues or jumps leaving nothing behind; other branch bodies
+// inherited; a defer'd Unlock pinning the lock for the rest of the
 // function); goroutine and closure bodies are analyzed with their own
 // empty lock set, since they run on a different stack. Channel sends in a
 // select carrying a default clause are non-blocking and stay silent.
@@ -105,10 +108,24 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt) {
 			w.walkStmt(s.Init)
 		}
 		w.checkExpr(s.Cond)
-		w.walkStmts(s.Body.List)
-		if s.Else != nil {
-			w.walkStmt(s.Else)
+		// Each branch starts from the locks held here. A branch that cannot
+		// fall through changes nothing after the if; what the others leave
+		// held stays held.
+		before, after := w.held, map[string]bool{}
+		branch := func(body ast.Stmt) {
+			w.held = maps.Clone(before)
+			w.walkStmt(body)
+			if !terminates(body) {
+				maps.Copy(after, w.held)
+			}
 		}
+		branch(s.Body)
+		if s.Else != nil {
+			branch(s.Else)
+		} else {
+			maps.Copy(after, before)
+		}
+		w.held = after
 	case *ast.ForStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init)
@@ -172,6 +189,27 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt) {
 	case *ast.IncDecStmt:
 		w.checkExpr(s.X)
 	}
+}
+
+// terminates reports whether stmt cannot fall through to the statement
+// after it: it ends in a return, a panic, or a break, continue or goto.
+func terminates(stmt ast.Stmt) bool {
+	switch s := stmt.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.BlockStmt:
+		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
+	case *ast.IfStmt:
+		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
+	case *ast.ExprStmt:
+		call, ok := unparen(s.X).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := unparen(call.Fun).(*ast.Ident)
+		return ok && id.Name == "panic"
+	}
+	return false
 }
 
 func (w *lockWalker) flagSend(s *ast.SendStmt, nonBlocking bool) {

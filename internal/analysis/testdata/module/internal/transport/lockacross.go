@@ -91,3 +91,31 @@ func (w *worker) suppressedCallPairing(b []byte) error {
 	//sharp:allow lockacross fixture: reviewed suppression — serialization is this lock's purpose
 	return w.conn.Send(b) // wantsup lockacross "Send (socket write)"
 }
+
+// An Unlock on a branch that returns releases nothing after the if: the
+// lock taken at the loop's top is still held at the send.
+func (w *worker) flagSendAfterEarlyReturnUnlock(next func() (int, error)) {
+	for {
+		w.mu.Lock()
+		v, err := next()
+		if err != nil {
+			w.mu.Unlock()
+			return
+		}
+		w.out <- v // want lockacross "channel send while w.mu is held"
+		w.mu.Unlock()
+	}
+}
+
+func (w *worker) okUnlockAfterEarlyReturnBeforeSend(next func() (int, error)) {
+	for {
+		w.mu.Lock()
+		v, err := next()
+		if err != nil {
+			w.mu.Unlock()
+			return
+		}
+		w.mu.Unlock()
+		w.out <- v
+	}
+}

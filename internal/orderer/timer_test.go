@@ -42,17 +42,24 @@ func (p *proposals) times() []time.Time {
 // timedService starts a traced vanilla-Fabric Service with no endorsement
 // check on a recording stream. Each sealed block reaches sealed after the
 // delivery has slept for stall, which stretches every cut by that much.
+// Once the test has ended the delivery drops its block instead of waiting
+// for room in sealed, so a test that stopped draining it cannot wedge
+// Close.
 func timedService(t *testing.T, timeout, stall time.Duration) (*Service, *proposals, <-chan *ledger.Block) {
 	t.Helper()
 	stream := &proposals{Service: SoloStream(t)}
 	sealed := make(chan *ledger.Block, 64)
+	ended := make(chan struct{})
 	svc, err := New(Config{
 		CoreConfig: CoreConfig{Options: Options{System: sched.SystemFabric, BlockSize: 1000, BlockTimeout: timeout}},
 		Ordering:   stream,
 		Tracer:     trace.New("orderer0", "orderer", 1<<12),
 		Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
 			time.Sleep(stall)
-			sealed <- b
+			select {
+			case sealed <- b:
+			case <-ended:
+			}
 			return nil
 		})},
 	})
@@ -61,6 +68,7 @@ func timedService(t *testing.T, timeout, stall time.Duration) (*Service, *propos
 	}
 	svc.Start()
 	t.Cleanup(svc.Close)
+	t.Cleanup(func() { close(ended) }) // runs before Close: cleanups run last-in first-out
 	return svc, stream, sealed
 }
 

@@ -1,10 +1,13 @@
 package statedb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -15,26 +18,68 @@ import (
 
 // Base is an immutable set of (key, value, version) entries in ascending key
 // order: the state a database or an orderer's shadow was loaded with — a
-// genesis, or a durable peer's reopened store — and then mostly reads. It
-// holds no pointer the collector has to follow: the keys are one string, the
-// values one byte arena, each cut by uint32 offsets, and the point index is
-// an open-addressing table of entry numbers. A map of the same entries
-// costs about 120 B per key, every one of them rescanned by each collection.
+// genesis, or a durable peer's reopened store — and then mostly reads.
+//
+// Everything its reads do not hand out lives in one byte region, its index:
+// the point index, an open-addressing table of entry numbers; n+1 key
+// offsets and n+1 value offsets; one 12-byte version per entry, unless every
+// entry shares one; and the keys, concatenated, last, so that every
+// little-endian uint32 before them is 4-byte aligned. The region is an anonymous mapping where the platform has one and
+// the index reaches mapMin, so the collector neither scans it nor counts it
+// toward the heap goal, and a finalizer unmaps it once the Base is
+// unreachable. The values stay in one heap array, because reads hand them
+// out. Keys never leave the region as aliases: the package compares and
+// hashes them in place, and whatever returns a key returns a copy.
+//
+// Every read of the region ends with runtime.KeepAlive(b): its slices point
+// outside the heap, so holding one does not keep b, whose finalizer unmaps
+// them, reachable. keyAt hands its caller an alias, and leaves that to the
+// caller, after its last use of it.
 //
 // A nil *Base is the empty base.
 type Base struct {
-	keys   string      // every key, ascending, concatenated
-	keyOff []uint32    // key i is keys[keyOff[i]:keyOff[i+1]]
-	vals   []byte      // every value, in key order
-	valOff []uint32    // value i is vals[valOff[i]:valOff[i+1]]
-	vers   []seqno.Seq // one version per entry, or one shared by them all
-	slots  []uint32    // entry+1 at its probe position, 0 free; a power of two long
-	shift  uint8       // 64 - log2(len(slots))
+	keys   []byte    // every key, ascending, concatenated
+	keyOff []byte    // key i is keys[off(i):off(i+1)]
+	vals   []byte    // every value, in key order; on the heap
+	valOff []byte    // value i is vals[off(i):off(i+1)]
+	vers   []byte    // entry i's version at verLen*i, or nil when every one is ver
+	slots  []byte    // entry+1 at its probe position, 0 free; a power of two long
+	n      int       // entries
+	ver    seqno.Seq // the first entry's version
+	shift  uint8     // 64 - log2(slots)
 }
 
-// errBaseShape refuses a write set a base cannot hold as ApplyBlock would:
-// the base keeps one live version per key.
-var errBaseShape = errors.New("statedb: a base holds one write per key and no delete")
+// offLen and verLen are the sizes of an offset or slot and of a version in
+// the index.
+const (
+	offLen = 4
+	verLen = 12
+)
+
+// u32 is s's i'th little-endian uint32 and putU32 writes it; pair reads
+// the i'th and the i+1'th in one load.
+func u32(s []byte, i int) uint32 { return binary.LittleEndian.Uint32(s[offLen*i : offLen*(i+1)]) }
+
+func putU32(s []byte, i int, v uint32) {
+	binary.LittleEndian.PutUint32(s[offLen*i:offLen*(i+1)], v)
+}
+
+func pair(s []byte, i int) (uint32, uint32) {
+	v := binary.LittleEndian.Uint64(s[offLen*i : offLen*(i+2)])
+	return uint32(v), uint32(v >> 32)
+}
+
+var (
+	// errBaseShape refuses a write set a base cannot hold as ApplyBlock
+	// would: the base keeps one live version per key.
+	errBaseShape = errors.New("statedb: a base holds one write per key and no delete")
+	// errArena refuses a base whose keys or values pass what a uint32
+	// offset reaches.
+	errArena = errors.New("statedb: a base arena passed 4 GiB")
+	// errPasses refuses a build whose second pass put other entries than
+	// its first.
+	errPasses = errors.New("statedb: a base's entries changed between its two passes")
+)
 
 // NewBase builds the base of one write set, every entry at version ver. The
 // write set may come in any order: NewBase sorts an index over it and leaves
@@ -62,143 +107,113 @@ func NewBase(writes []protocol.WriteItem, ver seqno.Seq) (*Base, error) {
 // BuildBase builds the base of the entries each passes to put, every one at
 // version ver. The entries must come in strictly ascending key order: a key
 // out of order is refused, and so is one given twice. each is called twice
-// and must put the same entries both times: once to size the arenas, once to
-// copy every entry into them, so the build makes the same few allocations
-// however many entries it holds. put copies its arguments. An empty base is
-// nil.
+// and must put the same entries both times: once to size the index and the
+// values, once to write every entry straight into them, so the build makes
+// the same few allocations however many entries it holds. put copies its
+// arguments. An empty base is nil.
 func BuildBase(ver seqno.Seq, each func(put func(key, val []byte))) (*Base, error) {
-	var n, nk, nv int
-	each(func(key, val []byte) { n, nk, nv = n+1, nk+len(key), nv+len(val) })
-	if n == 0 {
-		return nil, nil
+	return buildBase(func(put func(key, val []byte, ver seqno.Seq) error) error {
+		var err error
+		each(func(key, val []byte) {
+			if err == nil {
+				err = put(key, val, ver)
+			}
+		})
+		return err
+	})
+}
+
+// buildBase is BuildBase with a version per entry and an each that can
+// fail, which a reopened store's scan needs; an error from each or put ends
+// the build with it.
+func buildBase(each func(put func(key, val []byte, ver seqno.Seq) error) error) (*Base, error) {
+	b := &Base{}
+	var nk, nv int
+	shared := true
+	err := each(func(key, val []byte, ver seqno.Seq) error {
+		if b.n == 0 {
+			b.ver = ver
+		}
+		shared = shared && ver == b.ver
+		b.n, nk, nv = b.n+1, nk+len(key), nv+len(val)
+		return nil
+	})
+	if err != nil || b.n == 0 {
+		return nil, err
 	}
 	if uint64(nk) > math.MaxUint32 || uint64(nv) > math.MaxUint32 {
 		return nil, errArena
 	}
-	bb := baseBuilder{sized: true}
-	bb.keys.Grow(nk)
-	bb.keyOff = make([]uint32, 1, n+1)
-	bb.vals = make([]byte, 0, nv)
-	bb.valOff = make([]uint32, 1, n+1)
-	var err error
-	each(func(key, val []byte) {
-		if err == nil {
-			err = bb.add(key, val, ver)
+	logSize := bits.Len(uint(2*b.n - 1)) // the table stays at most half full
+	b.shift = uint8(64 - logSize)
+	offs, nvers := offLen*(b.n+1), 0
+	if !shared {
+		nvers = verLen * b.n
+	}
+	nslots := offLen << logSize
+	idx := allocIndex(b, nslots+2*offs+nvers+nk)
+	b.slots, idx = idx[:nslots:nslots], idx[nslots:]
+	b.keyOff, idx = idx[:offs:offs], idx[offs:]
+	b.valOff, idx = idx[:offs:offs], idx[offs:]
+	if !shared {
+		b.vers, idx = idx[:nvers:nvers], idx[nvers:]
+	}
+	b.keys = idx
+	b.vals = make([]byte, 0, nv)
+	i, end := 0, 0
+	err = each(func(key, val []byte, ver seqno.Seq) error {
+		if i == b.n || end+len(key) > nk || len(b.vals)+len(val) > nv || (shared && ver != b.ver) {
+			return errPasses
 		}
+		if i > 0 {
+			if c := bytes.Compare(key, b.keyAt(i-1)); c == 0 {
+				return errBaseShape
+			} else if c < 0 {
+				return fmt.Errorf("statedb: base key %q after %q", key, b.keyAt(i-1))
+			}
+		}
+		end += copy(b.keys[end:], key)
+		b.vals = append(b.vals, val...)
+		if !shared {
+			ver.AppendTo(b.vers[verLen*i : verLen*i]) // in place: the slot has room
+		}
+		i++
+		putU32(b.keyOff, i, uint32(end))
+		putU32(b.valOff, i, uint32(len(b.vals)))
+		return nil
 	})
+	if err == nil && (i != b.n || end != nk || len(b.vals) != nv) {
+		err = errPasses
+	}
 	if err != nil {
 		return nil, err
 	}
-	return bb.build(), nil
-}
-
-// errArena refuses a base whose keys or values pass what a uint32 offset
-// reaches.
-var errArena = errors.New("statedb: a base arena passed 4 GiB")
-
-// baseBuilder packs a strictly ascending stream of entries into a Base:
-// BuildBase's, into arenas it sized, and a reopened store's scan, of unknown
-// length. Its keys go into a strings.Builder, which the base keeps without a
-// copy when BuildBase sized it.
-type baseBuilder struct {
-	sized  bool
-	keys   strings.Builder
-	keyOff []uint32
-	vals   []byte
-	valOff []uint32
-	ver    seqno.Seq   // the first entry's version
-	vers   []seqno.Seq // one per entry, nil while every entry is at ver
-}
-
-// add appends one entry; its key must sort after the previous one.
-func (bb *baseBuilder) add(key, val []byte, ver seqno.Seq) error {
-	if bb.keyOff == nil {
-		bb.keyOff, bb.valOff = []uint32{0}, []uint32{0}
-	}
-	n := len(bb.keyOff) - 1
-	if n == 0 {
-		bb.ver = ver
-	} else if prev := bb.keys.String()[bb.keyOff[n-1]:]; string(key) <= prev {
-		if string(key) == prev {
-			return errBaseShape
-		}
-		return fmt.Errorf("statedb: base key %q after %q", key, prev)
-	}
-	if uint64(bb.keys.Len()+len(key)) > math.MaxUint32 || uint64(len(bb.vals)+len(val)) > math.MaxUint32 {
-		return errArena
-	}
-	bb.keys.Write(key)
-	bb.keyOff = append(bb.keyOff, uint32(bb.keys.Len()))
-	bb.vals = append(bb.vals, val...)
-	bb.valOff = append(bb.valOff, uint32(len(bb.vals)))
-	if bb.vers == nil && ver != bb.ver {
-		bb.vers = make([]seqno.Seq, n, n+1)
-		for i := range bb.vers {
-			bb.vers[i] = bb.ver
-		}
-	}
-	if bb.vers != nil {
-		bb.vers = append(bb.vers, ver)
-	}
-	return nil
-}
-
-// build trims the arenas to their final size and indexes the keys.
-func (bb *baseBuilder) build() *Base {
-	if len(bb.keyOff) < 2 {
-		return nil
-	}
-	b := &Base{
-		keys:   bb.keys.String(),
-		keyOff: exact(bb.keyOff),
-		vals:   exact(bb.vals),
-		valOff: exact(bb.valOff),
-		vers:   []seqno.Seq{bb.ver}, // a genesis: one version shared by every entry
-	}
-	if !bb.sized {
-		b.keys = strings.Clone(b.keys)
-	}
-	if bb.vers != nil {
-		b.vers = exact(bb.vers)
-	}
-	b.index()
-	return b
-}
-
-// index builds the point index over b's entries; the table stays at most
-// half full.
-func (b *Base) index() {
-	n := b.Len()
-	logSize := bits.Len(uint(2*n - 1))
-	b.slots = make([]uint32, 1<<logSize)
-	b.shift = uint8(64 - logSize)
-	mask := uint64(len(b.slots) - 1)
-	for i := 0; i < n; i++ {
-		p := b.probe(b.Key(i))
-		for b.slots[p] != 0 {
+	mask := uint64(1)<<logSize - 1
+	for i := 0; i < b.n; i++ {
+		p := probe(b.keyAt(i), b.shift)
+		for u32(b.slots, int(p)) != 0 {
 			p = (p + 1) & mask
 		}
-		b.slots[p] = uint32(i + 1)
+		putU32(b.slots, int(p), uint32(i+1))
 	}
+	return b, nil
 }
 
-// exact returns s in an array of its own length: a stream of unknown length
-// grows its arrays by doubling, and a base keeps them for the process's life.
-func exact[T any](s []T) []T {
-	if cap(s) == len(s) {
-		return s
-	}
-	return slices.Clone(s)
-}
-
-// probe is key's first slot: FNV-1a, spread over the table by a Fibonacci
-// multiply so the top bits pick the slot.
-func (b *Base) probe(key string) uint64 {
+// probe is key's first slot in a table of 2^(64-shift): FNV-1a, spread over
+// the table by a Fibonacci multiply so the top bits pick the slot.
+func probe[K string | []byte](key K, shift uint8) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 1099511628211
 	}
-	return (h * 0x9e3779b97f4a7c15) >> b.shift
+	return (h * 0x9e3779b97f4a7c15) >> shift
+}
+
+// keyAt is entry i's key, in place: it aliases the index, so the caller
+// keeps b alive while it reads it and never hands it out.
+func (b *Base) keyAt(i int) []byte {
+	lo, hi := pair(b.keyOff, i)
+	return b.keys[lo:hi:hi]
 }
 
 // Len returns the number of entries.
@@ -206,7 +221,7 @@ func (b *Base) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.keyOff) - 1
+	return b.n
 }
 
 // find returns key's entry number, or -1.
@@ -214,16 +229,20 @@ func (b *Base) find(key string) int {
 	if b == nil {
 		return -1
 	}
-	mask := uint64(len(b.slots) - 1)
-	for p := b.probe(key); ; p = (p + 1) & mask {
-		s := b.slots[p]
+	mask := uint64(1)<<(64-b.shift) - 1
+	found := -1
+	for p := probe(key, b.shift); ; p = (p + 1) & mask {
+		s := u32(b.slots, int(p))
 		if s == 0 {
-			return -1
+			break
 		}
-		if b.Key(int(s-1)) == key {
-			return int(s - 1)
+		if string(b.keyAt(int(s-1))) == key {
+			found = int(s - 1)
+			break
 		}
 	}
+	runtime.KeepAlive(b)
+	return found
 }
 
 // Get returns key's value and version. The value aliases the base and must
@@ -236,17 +255,51 @@ func (b *Base) Get(key string) ([]byte, seqno.Seq, bool) {
 	return b.value(i), b.version(i), true
 }
 
-// Key returns entry i's key; entries are numbered in ascending key order.
-func (b *Base) Key(i int) string { return b.keys[b.keyOff[i]:b.keyOff[i+1]] }
+// Key returns a copy of entry i's key; entries are numbered in ascending
+// key order.
+func (b *Base) Key(i int) string {
+	k := string(b.keyAt(i))
+	runtime.KeepAlive(b)
+	return k
+}
+
+// EachKey calls fn with every key in ascending order. The key is the base's
+// own memory: valid only during the call, never to be modified or kept —
+// string(key) copies it, and a map index or comparison with string(key)
+// reads it without a copy.
+func (b *Base) EachKey(fn func(key []byte)) {
+	b.walk(0, b.Len(), func(_ int, key []byte) bool { fn(key); return true })
+}
+
+// walk calls fn with entries lo to hi-1 in order, each key in place, until
+// fn returns false.
+func (b *Base) walk(lo, hi int, fn func(i int, key []byte) bool) {
+	for i := lo; i < hi && fn(i, b.keyAt(i)); i++ {
+	}
+	runtime.KeepAlive(b)
+}
 
 // value is entry i's value, capped so an append cannot reach the next one.
-func (b *Base) value(i int) []byte { return b.vals[b.valOff[i]:b.valOff[i+1]:b.valOff[i+1]] }
+func (b *Base) value(i int) []byte {
+	lo, hi := pair(b.valOff, i)
+	runtime.KeepAlive(b)
+	return b.vals[lo:hi:hi]
+}
 
 func (b *Base) version(i int) seqno.Seq {
-	if len(b.vers) == 1 {
-		return b.vers[0]
+	if b.vers == nil {
+		return b.ver
 	}
-	return b.vers[i]
+	return b.versionAt(i)
+}
+
+// versionAt is entry i's own version, apart from version so that the
+// shared version of a genesis is read inline.
+func (b *Base) versionAt(i int) seqno.Seq {
+	// The index holds whole versions, so the decode cannot fail.
+	v, _ := seqno.FromBytes(b.vers[verLen*i : verLen*(i+1)])
+	runtime.KeepAlive(b)
+	return v
 }
 
 // entry is entry i as the one version a history would hold.
@@ -266,10 +319,11 @@ func (b *Base) history(key string) []VersionedValue {
 // no upper bound, as a half-open range of entry numbers.
 func (b *Base) span(start, end string) (lo, hi int) {
 	n := b.Len()
-	lo = sort.Search(n, func(i int) bool { return b.Key(i) >= start })
+	lo = sort.Search(n, func(i int) bool { return string(b.keyAt(i)) >= start })
 	hi = n
 	if end != "" {
-		hi = lo + sort.Search(n-lo, func(i int) bool { return b.Key(lo+i) >= end })
+		hi = lo + sort.Search(n-lo, func(i int) bool { return string(b.keyAt(lo+i)) >= end })
 	}
+	runtime.KeepAlive(b)
 	return lo, hi
 }

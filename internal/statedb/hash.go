@@ -52,9 +52,10 @@ func (b *Base) digest() liveSum {
 	for c := range chunks {
 		go func() {
 			var sum liveSum
-			for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
-				sum.add(pairDigest(b.Key(i), b.value(i)))
-			}
+			b.walk(c*n/chunks, (c+1)*n/chunks, func(i int, key []byte) bool {
+				sum.add(pairDigest(key, b.value(i)))
+				return true
+			})
 			sums <- sum
 		}()
 	}

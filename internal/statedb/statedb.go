@@ -16,12 +16,18 @@
 // # Base and histories
 //
 // The state a database is loaded with — the genesis (SeedBase) or a durable
-// peer's reopened store (New) — is held as a Base: one immutable, sorted,
-// pointer-free set of entries, about a quarter of the memory the same keys
-// take as map entries. BuildBase makes one from entries given in strictly
-// ascending key order, copying each into arenas it sized first and refusing
-// a key out of order or given twice; NewBase sorts a small write set in any
-// order first. Seeding or reopening takes the base's fingerprint on every
+// peer's reopened store (New) — is held as a Base: one immutable, sorted set
+// of entries, about a quarter of the memory the same keys take as map
+// entries. Its keys, offsets, versions and point index sit in one region
+// off the GC heap (an anonymous mapping, unmapped by a finalizer once the
+// base is unreachable), so the collector neither scans them nor keeps
+// headroom for them; only its values are on the heap, because reads hand
+// them out. Every key the package returns from a base is a copy. BuildBase
+// makes a base from entries given in strictly ascending key order in two
+// passes, sizing the region and then writing each entry straight into it,
+// and refuses a key out of order or given twice; NewBase sorts a small
+// write set in any order first, and New scans a reopened store twice the
+// same way. Seeding or reopening takes the base's fingerprint on every
 // processor (the digest is a sum, so chunks add up in any order), on a
 // durable peer while the store writes it. Only what blocks write afterwards
 // lives in the per-key histories. A key's first write copies its base
@@ -107,7 +113,7 @@ type shard struct {
 }
 
 // shardFor hashes key onto a stripe (FNV-1a).
-func shardFor(key string) uint32 {
+func shardFor[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -179,23 +185,24 @@ func New(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The store scans in ascending key order, the order a base is built in.
-	var bb baseBuilder
-	err = opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
-		key := k[len(backingStatePrefix):]
-		if len(raw) < seqno.EncodedLen() {
-			return fmt.Errorf("statedb: corrupt record for %q", key)
-		}
-		ver, err := seqno.FromBytes(raw)
-		if err != nil {
-			return err
-		}
-		return bb.add(key, raw[seqno.EncodedLen():], ver)
+	// The store scans in ascending key order, the order a base is built in;
+	// the build scans it twice, to size the base and then to fill it.
+	db.base, err = buildBase(func(put func(key, val []byte, ver seqno.Seq) error) error {
+		return opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
+			key := k[len(backingStatePrefix):]
+			if len(raw) < seqno.EncodedLen() {
+				return fmt.Errorf("statedb: corrupt record for %q", key)
+			}
+			ver, err := seqno.FromBytes(raw)
+			if err != nil {
+				return err
+			}
+			return put(key, raw[seqno.EncodedLen():], ver)
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	db.base = bb.build()
 	db.live = db.base.digest()
 	return db, nil
 }
@@ -223,14 +230,14 @@ func (db *DB) SeedBase(block uint64, base *Base) error {
 				return err
 			}
 			var key, rec []byte
-			for i := 0; i < base.Len(); i++ {
-				key = append(append(key[:0], backingStatePrefix...), base.Key(i)...)
+			var putErr error
+			base.walk(0, base.Len(), func(i int, k []byte) bool {
+				key = append(append(key[:0], backingStatePrefix...), k...)
 				rec = append(base.version(i).AppendTo(rec[:0]), base.value(i)...)
-				if err := put(key, rec); err != nil {
-					return err
-				}
-			}
-			return nil
+				putErr = put(key, rec)
+				return putErr == nil
+			})
+			return putErr
 		})
 	}
 	sum := <-live
@@ -544,8 +551,8 @@ func (db *DB) VersionCount(key string) int {
 
 // hasHistory reports whether key has a history, which then answers for it
 // instead of the base. The caller holds applyMu or key's shard lock.
-func (db *DB) hasHistory(key string) bool {
-	_, ok := db.shards[shardFor(key)].hist[key]
+func (db *DB) hasHistory(key []byte) bool {
+	_, ok := db.shards[shardFor(key)].hist[string(key)]
 	return ok
 }
 
@@ -562,11 +569,11 @@ func (db *DB) Keys() int {
 			}
 		}
 	}
-	for i := 0; i < db.base.Len(); i++ {
-		if !db.hasHistory(db.base.Key(i)) {
+	db.base.EachKey(func(key []byte) {
+		if !db.hasHistory(key) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -586,11 +593,9 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 			}
 		}
 	}
-	for i := 0; i < db.base.Len(); i++ {
-		if key := db.base.Key(i); !db.hasHistory(key) && !fn(key, db.base.entry(i)) {
-			return
-		}
-	}
+	db.base.walk(0, db.base.Len(), func(i int, key []byte) bool {
+		return db.hasHistory(key) || fn(string(key), db.base.entry(i))
+	})
 }
 
 // KeysInRange returns, sorted, every key in [start, end) that is live at
@@ -602,20 +607,20 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 	var out []string
 	lo, hi := db.base.span(start, end)
-	for i := lo; i < hi; i++ {
-		key := db.base.Key(i)
+	db.base.walk(lo, hi, func(i int, key []byte) bool {
 		sh := &db.shards[shardFor(key)]
 		sh.mu.RLock()
-		versions, ok := sh.hist[key]
+		versions, ok := sh.hist[string(key)]
 		live := liveAt(versions, asOfBlock)
 		if !ok {
 			live = db.base.version(i).Block <= asOfBlock
 		}
 		sh.mu.RUnlock()
 		if live {
-			out = append(out, key)
+			out = append(out, string(key))
 		}
-	}
+		return true
+	})
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()

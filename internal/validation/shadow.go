@@ -154,11 +154,11 @@ func (s *ShadowState) Height() uint64 { return s.height }
 // metrics).
 func (s *ShadowState) Len() int {
 	n := len(s.entries)
-	for i := 0; i < s.base.Len(); i++ {
-		if _, ok := s.entries[s.base.Key(i)]; !ok {
+	s.base.EachKey(func(key []byte) {
+		if _, ok := s.entries[string(key)]; !ok {
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -56,14 +56,19 @@
 # Checking one map-range idiom instead of proving commutativity (maporder's
 # prover gone, Fabric++'s conflict graph as slices, the Raft quorum counted
 # over the members, analyzer scopes naming packages only) lowered it by 365,
-# to 22458.
+# to 22458. Keeping the genesis base off the GC heap raised it by 142, to
+# 22600: the base's keys, offsets and probe table written in place into one
+# mapped region, with the unix and fallback allocators, the finalizer that
+# unmaps it, and a reopened store's two-pass build (+104), and lockacross
+# walking each branch of an if from the locks held before it (+38); 49 of
+# them comments.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22458
+CEILING=22600
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
