@@ -43,10 +43,7 @@ func main() {
 	blockSize := flag.Int("block-size", 100, "transactions per block (orderer)")
 	blockTimeout := flag.Duration("block-timeout", 100*time.Millisecond, "partial-block cut timeout (orderer)")
 	orderers := flag.Int("orderers", 1, "accepted for the benchmark harness only: must be 1 (replicate ordering with -raft-cluster)")
-	maxSpan := flag.Uint64("max-span", 0, "Sharp pruning horizon (0 = default)")
-	dedupHorizon := flag.Uint64("dedup-horizon", 0, "duplicate-suppression horizon in blocks (0 = default)")
 	dataDir := flag.String("data-dir", "", "persist ledger+state in one kvstore under this directory: b/ block records, s/ state, meta/height (role peer)")
-	workers := flag.Int("workers", 0, "validation workers (role peer; 0 = GOMAXPROCS)")
 	rescue := flag.Bool("rescue", true, "post-order re-execution of conflict-aborted transactions: MVCC casualties, or under fabric#/focc-s the arrivals the scheduler would abort, deferred to the block's tail (must match cluster-wide; -rescue=false runs the paper's plain systems)")
 	raftID := flag.String("raft-id", "", "this orderer's raft address (role orderer; must appear in -raft-cluster)")
 	raftCluster := flag.String("raft-cluster", "", "comma-separated raft addresses of every ordering member (empty = standalone orderer)")
@@ -55,7 +52,6 @@ func main() {
 	raftElection := flag.Duration("raft-election-timeout", 0, "base raft election timeout (0 = default)")
 	workloadName := flag.String("workload", "", "registered scenario whose genesis state this node installs (identical cluster-wide; empty = no genesis)")
 	accounts := flag.Int("accounts", 0, "scenario pool-size override (requires -workload; 0 = scenario default)")
-	traceEvents := flag.Int("trace-events", 0, "stage-tracing ring capacity in events (0 = default; tracing is always on)")
 	flag.Parse()
 
 	names := splitNonEmpty(*peerNames)
@@ -104,8 +100,6 @@ func main() {
 				System:       sched.System(*system),
 				BlockSize:    *blockSize,
 				BlockTimeout: *blockTimeout,
-				MaxSpan:      *maxSpan,
-				DedupHorizon: *dedupHorizon,
 				Rescue:       *rescue,
 				Genesis:      genesis,
 			},
@@ -116,7 +110,6 @@ func main() {
 			RaftRedirects:       redirects,
 			RaftDir:             *raftDir,
 			RaftElectionTimeout: *raftElection,
-			TraceEvents:         *traceEvents,
 		})
 		if err != nil {
 			fatal(err)
@@ -124,16 +117,14 @@ func main() {
 		addr, shutdown, errFn = ord.Addr(), ord.Close, ord.Err
 	case "peer":
 		p, err := node.StartPeer(node.PeerConfig{
-			Name:              *name,
-			Listen:            *listen,
-			OrdererAddrs:      nf.OrdererAddrs,
-			System:            sched.System(*system),
-			PeerNames:         names,
-			DataDir:           *dataDir,
-			ValidationWorkers: *workers,
-			Rescue:            *rescue,
-			Genesis:           genesis,
-			TraceEvents:       *traceEvents,
+			Name:         *name,
+			Listen:       *listen,
+			OrdererAddrs: nf.OrdererAddrs,
+			System:       sched.System(*system),
+			PeerNames:    names,
+			DataDir:      *dataDir,
+			Rescue:       *rescue,
+			Genesis:      genesis,
 		})
 		if err != nil {
 			fatal(err)

@@ -79,8 +79,6 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		MapOrder,
-		WallClock,
-		SeamInject,
 		ErrDrop,
 		LockAcross,
 	}

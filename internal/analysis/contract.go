@@ -31,10 +31,10 @@ var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/wire":       true,
 }
 
-// DeterministicScope is the Scope shared by the analyzers that police the
-// replica-identical contract (maporder, wallclock, seaminject). The contract
-// covers whole packages only: code that must touch wall clocks or sockets
-// lives in a package outside it.
+// DeterministicScope is maporder's Scope. The contract covers whole packages
+// only: code that must touch wall clocks or sockets lives in a package
+// outside it, and TestDeterministicPackagesImportNoAmbientState keeps the
+// clock, the environment and math/rand out of these.
 func DeterministicScope(pkgPath string) bool { return deterministicPackages[pkgPath] }
 
 // PackageScope returns a Scope covering the given module packages (named

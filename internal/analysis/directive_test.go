@@ -15,10 +15,10 @@ func TestParseDirective(t *testing.T) {
 		wantErr  string
 	}{
 		{text: "//sharp:orderinvariant bloom union commutes", analyzer: "maporder", reason: "bloom union commutes"},
-		{text: "//sharp:allow wallclock startup-only env read", analyzer: "wallclock", reason: "startup-only env read"},
+		{text: "//sharp:allow lockacross request lock held across the round trip", analyzer: "lockacross", reason: "request lock held across the round trip"},
 		{text: "//sharp:orderinvariant", wantErr: "needs a reason"},
 		{text: "//sharp:orderinvariant   ", wantErr: "needs a reason"},
-		{text: "//sharp:allow wallclock", wantErr: "needs an analyzer name and a reason"},
+		{text: "//sharp:allow lockacross", wantErr: "needs an analyzer name and a reason"},
 		{text: "//sharp:allow", wantErr: "needs an analyzer name and a reason"},
 		{text: "//sharp:allow nosuch because reasons", wantErr: "unknown analyzer"},
 		{text: "//sharp:ignore everything", wantErr: "unknown //sharp: directive"},
@@ -56,7 +56,7 @@ func TestDirectiveCovers(t *testing.T) {
 	if d.covers("maporder", at("b.go", 5)) {
 		t.Error("other file must not be covered")
 	}
-	if d.covers("wallclock", at("a.go", 5)) {
+	if d.covers("errdrop", at("a.go", 5)) {
 		t.Error("other analyzer must not be covered")
 	}
 }

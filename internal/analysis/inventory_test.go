@@ -37,7 +37,7 @@ func TestInventoryDetectsDrift(t *testing.T) {
 	}
 
 	// A new, unrecorded directive in the tree.
-	grown := append(fixtureDirs(), &Directive{File: "internal/sched/sched.go", Analyzer: "wallclock", Reason: "new one"})
+	grown := append(fixtureDirs(), &Directive{File: "internal/node/node.go", Analyzer: "errdrop", Reason: "new one"})
 	diffs, err := DiffInventory(path, grown)
 	if err != nil {
 		t.Fatal(err)

@@ -468,10 +468,6 @@ func (c *RaftCore) Behind(peer string) bool {
 	return c.role == RoleLeader && c.sent[peer] <= c.LastIndex()
 }
 
-// Sent returns the first log index not yet sent to a follower (meaningful
-// while this replica leads).
-func (c *RaftCore) Sent(peer string) uint64 { return c.sent[peer] }
-
 // Rewind moves a follower's sent cursor back to the first index it is not
 // known to hold, so the next request re-sends what may have been lost: the
 // driver's answer to a silent interval or a request it could not send.

@@ -16,9 +16,10 @@ import (
 
 // Stopwatch measures elapsed wall time for stage instrumentation. It lives
 // here — outside the deterministic scope — so consensus-critical packages
-// can time their stages without touching the wall clock directly: elapsed
-// time feeds operator-facing stats only, never sealed output, and sharpvet's
-// wallclock analyzer enforces that the raw clock stays behind this seam.
+// can time their stages without importing time: elapsed time feeds
+// operator-facing stats only, never sealed output, and the import test in
+// internal/analysis (TestDeterministicPackagesImportNoAmbientState) keeps
+// the raw clock behind this seam.
 type Stopwatch struct{ t0 time.Time }
 
 // StartWatch starts a stopwatch at the current instant.

@@ -66,10 +66,6 @@ type OrdererConfig struct {
 	// (fault-injection seam; the raft protocol retransmits, so lossy
 	// wrappers are safe here). Default: transport.Dial.
 	RaftDial func(addr string) (transport.FrameConn, error)
-	// TraceEvents sizes the always-on stage-tracing ring (events retained;
-	// rounded up to a power of two). 0 selects trace.DefaultRingSize;
-	// tracing cannot be disabled — it is cheap enough to stay on.
-	TraceEvents int
 }
 
 // Orderer is a running ordering process: an orderer.Service plus sockets —
@@ -127,7 +123,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		sealed:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	o.tracer = trace.New(o.name, "orderer", cfg.TraceEvents)
+	o.tracer = trace.New(o.name, "orderer", 0)
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
 	svc, err := orderer.New(orderer.Config{
 		CoreConfig: orderer.CoreConfig{
@@ -141,7 +137,7 @@ func StartOrderer(cfg OrdererConfig) (*Orderer, error) {
 		// resolve at seal time from the shadow verdicts — which the
 		// agreement property guarantees equal the codes every peer will
 		// derive (a peer's validation must byte-match them or fail fatally).
-		Deliveries: []transport.Delivery{transport.DeliveryFunc(o.sealedBlock)},
+		Deliver: o.sealedBlock,
 		OnAbort: func(id protocol.TxID, code protocol.ValidationCode) {
 			o.results.put(TxResult{TxID: id, Code: code})
 		},
@@ -257,7 +253,7 @@ func (o *Orderer) handle(c *transport.Conn) {
 			}
 			_ = c.Send(wire.MsgStatus, wire.EncodeStatus(st))
 		case wire.MsgTraceReq:
-			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(o.tracer.Dump())))
+			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(o.tracer.Dump()))
 		case wire.MsgProfileReq:
 			serveProfile(c, payload, o.done)
 		default:

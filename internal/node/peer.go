@@ -61,9 +61,6 @@ type PeerConfig struct {
 	// transactions (commit.Options.Rescue); must match the orderer's setting
 	// (the rescue digest is byte-asserted across the cluster).
 	Rescue bool
-	// TraceEvents sizes the always-on stage-tracing ring (events retained;
-	// rounded up to a power of two). 0 selects trace.DefaultRingSize.
-	TraceEvents int
 }
 
 // Peer is a running validating-peer process: a fabric.Peer plus sockets —
@@ -109,7 +106,7 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	p := &Peer{
 		name:      cfg.Name,
-		tracer:    trace.New(cfg.Name, "peer", cfg.TraceEvents),
+		tracer:    trace.New(cfg.Name, "peer", 0),
 		committed: make(chan struct{}),
 		closed:    make(chan struct{}),
 	}
@@ -258,7 +255,7 @@ func (p *Peer) handle(c *transport.Conn) {
 				CommittedTx: committed,
 			}))
 		case wire.MsgTraceReq:
-			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(dumpToWire(p.tracer.Dump())))
+			_ = c.Send(wire.MsgTraceDump, wire.EncodeTraceDump(p.tracer.Dump()))
 		case wire.MsgProfileReq:
 			serveProfile(c, payload, p.closed)
 		default:

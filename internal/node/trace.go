@@ -8,44 +8,6 @@ import (
 	"fabricsharp/internal/wire"
 )
 
-// dumpToWire converts a drained ring into its wire shape. The wire package
-// stays leaf-level (no internal/trace import), so the node layer owns the
-// conversion in both directions.
-func dumpToWire(d trace.Dump) *wire.TraceDump {
-	out := &wire.TraceDump{Node: d.Node, Role: d.Role, Recorded: d.Recorded}
-	if len(d.Events) > 0 {
-		out.Events = make([]wire.TraceEvent, len(d.Events))
-		for i, ev := range d.Events {
-			out.Events[i] = wire.TraceEvent{
-				TxID:   ev.TxID,
-				Stage:  uint8(ev.Stage),
-				Block:  ev.Block,
-				WallNS: ev.WallNS,
-				Seq:    ev.Seq,
-			}
-		}
-	}
-	return out
-}
-
-// wireToDump is the inverse of dumpToWire.
-func wireToDump(t *wire.TraceDump) trace.Dump {
-	d := trace.Dump{Node: t.Node, Role: t.Role, Recorded: t.Recorded}
-	if len(t.Events) > 0 {
-		d.Events = make([]trace.Event, len(t.Events))
-		for i, ev := range t.Events {
-			d.Events[i] = trace.Event{
-				TxID:   ev.TxID,
-				Stage:  trace.Stage(ev.Stage),
-				Block:  ev.Block,
-				WallNS: ev.WallNS,
-				Seq:    ev.Seq,
-			}
-		}
-	}
-	return d
-}
-
 // TraceAt drains one node's stage-tracing ring — any orderer or peer
 // address — without the Client's failover machinery.
 func TraceAt(addr string, timeout time.Duration) (trace.Dump, error) {
@@ -57,7 +19,7 @@ func TraceAt(addr string, timeout time.Duration) (trace.Dump, error) {
 	if err != nil {
 		return trace.Dump{}, fmt.Errorf("node: trace: %w", err)
 	}
-	return wireToDump(dump), nil
+	return dump, nil
 }
 
 // FetchTimelines drains every named node's ring and joins the per-node

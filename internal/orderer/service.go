@@ -4,7 +4,7 @@
 // rescue → seal → commit feedback — with no goroutine, clock or channel.
 // Service (this file) is its real-time driver: it folds Core.Step over a
 // consensus stream, proposes time-to-cut markers from a timer, and hands the
-// sealed blocks to the attached transport.Delivery consumers;
+// sealed blocks to its Deliver function;
 // internal/network drives the same Core in virtual time. Neither knows about
 // peers, clients or sockets: node.Orderer is this Service plus its block
 // streams and result store.
@@ -28,7 +28,6 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
-	"fabricsharp/internal/transport"
 )
 
 // Options are the ordering tunables every deployment shares.
@@ -111,10 +110,10 @@ type Config struct {
 	// Ordering is the consensus stream the Core consumes. The Service takes
 	// ownership: Close closes it.
 	Ordering consensus.Service
-	// Deliveries receive the sealed blocks, verdicts embedded, in chain
-	// order from the Service's goroutine. A returned error is fatal to the
-	// service.
-	Deliveries []transport.Delivery
+	// Deliver, when set, receives the sealed blocks, verdicts embedded, in
+	// chain order from the Service's goroutine. It may block to exert
+	// backpressure; a returned error is fatal to the service.
+	Deliver func(*ledger.Block) error
 	// OnAbort, when set, observes every transaction resolved before it
 	// reaches a block: duplicates, early aborts, broken disclosures and
 	// formation drops. Called from the Service's goroutine; must be fast
@@ -190,7 +189,6 @@ func (s *Service) run() {
 	defer s.wg.Done()
 	stream, cancel := s.cfg.Ordering.Subscribe()
 	defer cancel()
-	//sharp:allow seaminject block-cut timer only proposes TTC cut markers into the consensus stream; sealed output remains a pure function of that stream
 	timer := time.NewTimer(s.cfg.BlockTimeout)
 	defer timer.Stop()
 	timer.Stop()
@@ -278,17 +276,17 @@ func (s *Service) CutStage(num uint64, stage trace.Stage) {
 }
 
 // Sealed implements Events: it records the whole cut and hands the block to
-// every delivery. Ordering never waits for validation.
+// Deliver. Ordering never waits for validation.
 func (s *Service) Sealed(blk *ledger.Block) {
 	s.cfg.Tracer.RecordSpan(blk.Header.Number, trace.StageCut, s.cutStart)
 	for _, tx := range blk.Transactions {
 		s.cfg.Tracer.Record(string(tx.ID), trace.StageSeal, blk.Header.Number)
 	}
-	for _, d := range s.cfg.Deliveries {
-		if err := d.Deliver(blk); err != nil {
-			s.fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
-			return
-		}
+	if s.cfg.Deliver == nil {
+		return
+	}
+	if err := s.cfg.Deliver(blk); err != nil {
+		s.fail(fmt.Errorf("orderer: block %d delivery: %w", blk.Header.Number, err))
 	}
 }
 

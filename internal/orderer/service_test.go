@@ -19,7 +19,6 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
-	"fabricsharp/internal/transport"
 	"fabricsharp/internal/wire"
 	"fabricsharp/internal/workload"
 )
@@ -160,10 +159,10 @@ func TestZeroPeerServiceSealsTheNetworkChain(t *testing.T) {
 			svc, err := orderer.New(orderer.Config{
 				CoreConfig: coreConfig(opts),
 				Ordering:   n.Orderer().Raft(),
-				Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
+				Deliver: func(b *ledger.Block) error {
 					delivered = append(delivered, b)
 					return nil
-				})},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

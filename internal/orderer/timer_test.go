@@ -54,14 +54,14 @@ func timedService(t *testing.T, timeout, stall time.Duration) (*Service, *propos
 		CoreConfig: CoreConfig{Options: Options{System: sched.SystemFabric, BlockSize: 1000, BlockTimeout: timeout}},
 		Ordering:   stream,
 		Tracer:     trace.New("orderer0", "orderer", 1<<12),
-		Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
+		Deliver: func(b *ledger.Block) error {
 			time.Sleep(stall)
 			select {
 			case sealed <- b:
 			case <-ended:
 			}
 			return nil
-		})},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +192,10 @@ func TestDeferredMembersFillTheBatch(t *testing.T) {
 					MSP: msp, Policy: policy, Registry: r.reg,
 				},
 				Ordering: SoloStream(t),
-				Deliveries: []transport.Delivery{transport.DeliveryFunc(func(b *ledger.Block) error {
+				Deliver: func(b *ledger.Block) error {
 					sealed <- b
 					return nil
-				})},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,9 @@
 package sched
 
-import "fabricsharp/internal/protocol"
+import (
+	"fabricsharp/internal/metrics"
+	"fabricsharp/internal/protocol"
+)
 
 // Fabric is the vanilla baseline: the orderer batches transactions in FIFO
 // consensus order and the validation phase aborts every transaction whose
@@ -20,10 +23,10 @@ func (f *Fabric) System() System { return SystemFabric }
 
 // OnArrival implements Scheduler: everything is admitted.
 func (f *Fabric) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	f.pending = append(f.pending, tx)
 	f.timing.Arrivals++
-	f.timing.ArrivalNS += w.elapsedNS()
+	f.timing.ArrivalNS += w.ElapsedNS()
 	return protocol.Valid, nil
 }
 
@@ -32,12 +35,12 @@ func (f *Fabric) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
 	}
-	w := startWatch()
+	w := metrics.StartWatch()
 	res := FormationResult{Block: f.nextBlock, Ordered: f.pending}
 	f.pending = nil
 	f.nextBlock++
 	f.timing.Formations++
-	f.timing.FormationNS += w.elapsedNS()
+	f.timing.FormationNS += w.ElapsedNS()
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"sort"
 
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 )
 
@@ -30,10 +31,10 @@ func (f *FabricPP) System() System { return SystemFabricPP }
 // OnArrival implements Scheduler. Cross-block readers never get here (the
 // endorser aborts them), so everything is admitted.
 func (f *FabricPP) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	f.pending = append(f.pending, tx)
 	f.timing.Arrivals++
-	f.timing.ArrivalNS += w.elapsedNS()
+	f.timing.ArrivalNS += w.ElapsedNS()
 	return protocol.Valid, nil
 }
 
@@ -45,7 +46,7 @@ func (f *FabricPP) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
 	}
-	w := startWatch()
+	w := metrics.StartWatch()
 	ordered, dropped := reorderBatch(f.pending)
 	res := FormationResult{Block: f.nextBlock, Ordered: ordered}
 	for _, tx := range dropped {
@@ -54,7 +55,7 @@ func (f *FabricPP) OnBlockFormation() (FormationResult, error) {
 	f.pending = nil
 	f.nextBlock++
 	f.timing.Formations++
-	f.timing.FormationNS += w.elapsedNS()
+	f.timing.FormationNS += w.ElapsedNS()
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"sort"
 
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -36,10 +37,10 @@ func (f *FoccL) System() System { return SystemFoccL }
 // OnArrival implements Scheduler: everything is admitted
 // ("Focc-l does not filter any transactions in Algorithm 2").
 func (f *FoccL) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	f.pending = append(f.pending, tx)
 	f.timing.Arrivals++
-	f.timing.ArrivalNS += w.elapsedNS()
+	f.timing.ArrivalNS += w.ElapsedNS()
 	return protocol.Valid, nil
 }
 
@@ -48,13 +49,13 @@ func (f *FoccL) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
 	}
-	w := startWatch()
+	w := metrics.StartWatch()
 	ordered := f.greedyOrder(f.pending)
 	res := FormationResult{Block: f.nextBlock, Ordered: ordered}
 	f.pending = nil
 	f.nextBlock++
 	f.timing.Formations++
-	f.timing.FormationNS += w.elapsedNS()
+	f.timing.FormationNS += w.ElapsedNS()
 	return res, nil
 }
 

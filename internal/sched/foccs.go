@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fabricsharp/internal/core"
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -84,10 +85,10 @@ func (f *FoccS) lookup(dst []*foccsKey, keys []string) []*foccsKey {
 
 // OnArrival implements Scheduler: the certification step.
 func (f *FoccS) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	code := f.certify(tx)
 	f.timing.Arrivals++
-	f.timing.ArrivalNS += w.elapsedNS()
+	f.timing.ArrivalNS += w.ElapsedNS()
 	return code, nil
 }
 
@@ -175,7 +176,7 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	if len(f.pending) == 0 {
 		return FormationResult{Block: f.nextBlock}, nil
 	}
-	w := startWatch()
+	w := metrics.StartWatch()
 	block := f.nextBlock
 	res := FormationResult{Block: block, Ordered: f.pending}
 	for i, tx := range f.pending {
@@ -193,7 +194,7 @@ func (f *FoccS) OnBlockFormation() (FormationResult, error) {
 	f.pending = nil
 	f.sealBlock()
 	f.timing.Formations++
-	f.timing.FormationNS += w.elapsedNS()
+	f.timing.FormationNS += w.ElapsedNS()
 	return res, nil
 }
 

@@ -17,7 +17,6 @@
 package sched
 
 import (
-	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -94,7 +93,9 @@ type Scheduler interface {
 }
 
 // Timing aggregates the scheduler's own processing cost — the quantities
-// behind the reordering-latency discussion of Section 5.3.
+// behind the reordering-latency discussion of Section 5.3. It is measured
+// with metrics.Stopwatch, the package's only clock (the import test in
+// internal/analysis keeps package time out); it never reaches sealed output.
 type Timing struct {
 	Arrivals    uint64
 	ArrivalNS   int64
@@ -119,14 +120,6 @@ func (t Timing) MeanArrivalUS() float64 {
 	}
 	return float64(t.ArrivalNS) / float64(t.Arrivals) / 1e3
 }
-
-// stopwatch feeds the Timing counters through the metrics seam — the raw
-// wall clock stays out of this package (enforced by sharpvet's wallclock
-// analyzer); elapsed time is stats-only and never reaches sealed output.
-type stopwatch struct{ w metrics.Stopwatch }
-
-func startWatch() stopwatch          { return stopwatch{w: metrics.StartWatch()} }
-func (s stopwatch) elapsedNS() int64 { return s.w.ElapsedNS() }
 
 // New constructs a scheduler for the given system with the given options.
 func New(system System, opts Options) (Scheduler, error) {

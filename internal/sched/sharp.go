@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fabricsharp/internal/core"
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 )
@@ -36,10 +37,10 @@ func (s *Sharp) Manager() *core.Manager { return s.mgr }
 
 // OnArrival implements Scheduler: Algorithm 2.
 func (s *Sharp) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	code, err := s.mgr.OnArrival(tx.ID, tx.SnapshotBlock, tx.RWSet.ReadKeys(), tx.RWSet.WriteKeys())
 	s.timing.Arrivals++
-	s.timing.ArrivalNS += w.elapsedNS()
+	s.timing.ArrivalNS += w.ElapsedNS()
 	if err != nil {
 		return 0, err
 	}
@@ -51,7 +52,7 @@ func (s *Sharp) OnArrival(tx *protocol.Transaction) (protocol.ValidationCode, er
 
 // OnBlockFormation implements Scheduler: Algorithm 3.
 func (s *Sharp) OnBlockFormation() (FormationResult, error) {
-	w := startWatch()
+	w := metrics.StartWatch()
 	ids, block := s.mgr.OnBlockFormation()
 	res := FormationResult{Block: block, Ordered: make([]*protocol.Transaction, 0, len(ids))}
 	for _, id := range ids {
@@ -64,7 +65,7 @@ func (s *Sharp) OnBlockFormation() (FormationResult, error) {
 	}
 	if len(ids) > 0 {
 		s.timing.Formations++
-		s.timing.FormationNS += w.elapsedNS()
+		s.timing.FormationNS += w.ElapsedNS()
 	}
 	return res, nil
 }

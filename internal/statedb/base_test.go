@@ -153,7 +153,7 @@ func checkModel(t *testing.T, label string, db *DB, m *stateModel, keys []string
 			}
 		}
 	}
-	if n := db.Keys(); n != len(latest) {
+	if n := liveKeys(db); n != len(latest) {
 		fail("Keys() = %d, model %d", n, len(latest))
 	}
 	visited := map[string]VersionedValue{}

@@ -51,7 +51,7 @@
 //     shard's read lock;
 //   - mutators (ApplyBlock, PruneSnapshots) take applyMu plus each touched
 //     shard's write lock;
-//   - whole-database views (Clone, ForEachLatest, Keys) take applyMu
+//   - whole-database views (Clone, ForEachLatest) take applyMu
 //     alone — it excludes every mutator, and concurrent shard readers are
 //     harmless; StateFingerprint takes it too, to read the running digest
 //     the mutators maintain.
@@ -554,27 +554,6 @@ func (db *DB) VersionCount(key string) int {
 func (db *DB) hasHistory(key []byte) bool {
 	_, ok := db.shards[shardFor(key)].hist[string(key)]
 	return ok
-}
-
-// Keys returns the number of live keys at the latest snapshot.
-func (db *DB) Keys() int {
-	db.applyMu.Lock()
-	defer db.applyMu.Unlock()
-	n := 0
-	for i := range db.shards {
-		//sharp:orderinvariant counts live keys; a count is the same in any visit order
-		for _, versions := range db.shards[i].hist {
-			if len(versions) > 0 && !versions[len(versions)-1].Deleted {
-				n++
-			}
-		}
-	}
-	db.base.EachKey(func(key []byte) {
-		if !db.hasHistory(key) {
-			n++
-		}
-	})
-	return n
 }
 
 // ForEachLatest visits every live key with its latest version, in

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 )
 
@@ -200,29 +201,15 @@ func Coverage(timelines []Timeline, ids []string, required ...Stage) float64 {
 	return float64(covered) / float64(len(ids))
 }
 
-// quantiles computes the exact order statistics of ms samples (sorting a
-// drained sample set once — this is drain-time reporting, not a hot path).
+// quantiles computes the exact order statistics of ms samples with
+// metrics.Histogram's rule (drain-time reporting, not a hot path).
 func quantiles(ms []float64) Quantiles {
-	if len(ms) == 0 {
-		return Quantiles{}
+	var h metrics.Histogram
+	for _, v := range ms {
+		h.Add(v)
 	}
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		idx := int(q*float64(len(sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return sorted[idx]
-	}
-	return Quantiles{
-		N:    len(sorted),
-		P50:  at(0.50),
-		P90:  at(0.90),
-		P99:  at(0.99),
-		P999: at(0.999),
-		Max:  sorted[len(sorted)-1],
-	}
+	q := h.Quantiles(.5, .9, .99, .999, 1)
+	return Quantiles{N: h.N(), P50: q[0], P90: q[1], P99: q[2], P999: q[3], Max: q[4]}
 }
 
 // Format renders the summary as the fixed-width table `sharpnet load` and

@@ -212,6 +212,5 @@ func (t *Tracer) Dump() Dump {
 // operator-facing timelines only — never sealed output or any consensus
 // decision.
 func nowNS() int64 {
-	//sharp:allow wallclock stage timestamps are write-only telemetry drained by operators; nothing deterministic reads them back
 	return time.Now().UnixNano()
 }

@@ -22,22 +22,8 @@ import (
 	"sync"
 	"time"
 
-	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/wire"
 )
-
-// Delivery consumes sealed blocks in chain order. Implementations must be
-// safe for use from one goroutine at a time and may block to exert
-// backpressure; a returned error is fatal to the pipeline feeding it.
-type Delivery interface {
-	Deliver(blk *ledger.Block) error
-}
-
-// DeliveryFunc adapts a function to the Delivery interface.
-type DeliveryFunc func(blk *ledger.Block) error
-
-// Deliver implements Delivery.
-func (f DeliveryFunc) Deliver(blk *ledger.Block) error { return f(blk) }
 
 // ---------------------------------------------------------------------------
 // Framed connection

@@ -8,6 +8,7 @@ import (
 	"fabricsharp/internal/consensus"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
+	"fabricsharp/internal/trace"
 )
 
 // The fuzz targets pin the two codec-level safety properties the transport
@@ -79,8 +80,8 @@ func FuzzDecodeTraceReq(f *testing.F) {
 
 func FuzzDecodeTraceDump(f *testing.F) {
 	fuzzCodec(f, DecodeTraceDump, EncodeTraceDump,
-		EncodeTraceDump(&TraceDump{Node: "peer0", Role: "peer"}),
-		EncodeTraceDump(&TraceDump{Node: "orderer0", Role: "orderer", Recorded: 9, Events: []TraceEvent{
+		EncodeTraceDump(trace.Dump{Node: "peer0", Role: "peer"}),
+		EncodeTraceDump(trace.Dump{Node: "orderer0", Role: "orderer", Recorded: 9, Events: []trace.Event{
 			{TxID: "fuzz-1", Stage: 1, WallNS: 1700000000000000000, Seq: 7},
 			{TxID: "fuzz-1", Stage: 3, Block: 2, WallNS: -1, Seq: 8},
 		}}))

@@ -4,23 +4,13 @@ import (
 	"fmt"
 
 	"fabricsharp/internal/codec"
+	"fabricsharp/internal/trace"
 )
 
 // Trace messages drain a node's always-on stage-tracing ring (see
 // internal/trace) over the wire. They are purely additive message types —
 // the frame Version stays unchanged; nodes that predate them fail loudly at
 // dispatch, which is the versioning contract for new types.
-
-// TraceEvent mirrors trace.Event for the wire: one recorded stage timestamp.
-// wire does not import internal/trace (the codec stays leaf-level); the node
-// layer converts between the two shapes.
-type TraceEvent struct {
-	TxID   string
-	Stage  uint8
-	Block  uint64
-	WallNS int64
-	Seq    uint64
-}
 
 // TraceReq asks a node to drain its tracing ring. It has no parameters —
 // the payload exists so the message still round-trips canonically.
@@ -38,30 +28,19 @@ func DecodeTraceReq(b []byte) (TraceReq, error) {
 	return TraceReq{}, nil
 }
 
-// TraceDump answers TraceReq: one node's drained ring, oldest event first.
-type TraceDump struct {
-	// Node and Role identify the origin node.
-	Node string
-	Role string
-	// Recorded is the ring's lifetime event count; Recorded - len(Events)
-	// events were lost to wraparound.
-	Recorded uint64
-	Events   []TraceEvent
-}
-
-// traceEventEncodedMin is the minimum encoded size of one TraceEvent:
+// traceEventEncodedMin is the minimum encoded size of one trace.Event:
 // u32 TxID length + u8 stage + u64 block + u64 wall + u64 seq.
 const traceEventEncodedMin = 4 + 1 + 8 + 8 + 8
 
-// EncodeTraceDump renders t canonically.
-func EncodeTraceDump(t *TraceDump) []byte {
+// EncodeTraceDump renders t, the answer to a TraceReq, canonically.
+func EncodeTraceDump(t trace.Dump) []byte {
 	dst := codec.AppendString(nil, t.Node)
 	dst = codec.AppendString(dst, t.Role)
 	dst = codec.AppendU64(dst, t.Recorded)
 	dst = codec.AppendU32(dst, uint32(len(t.Events)))
 	for _, ev := range t.Events {
 		dst = codec.AppendString(dst, ev.TxID)
-		dst = codec.AppendU8(dst, ev.Stage)
+		dst = codec.AppendU8(dst, uint8(ev.Stage))
 		dst = codec.AppendU64(dst, ev.Block)
 		dst = codec.AppendU64(dst, uint64(ev.WallNS))
 		dst = codec.AppendU64(dst, ev.Seq)
@@ -69,20 +48,20 @@ func EncodeTraceDump(t *TraceDump) []byte {
 	return dst
 }
 
-// DecodeTraceDump decodes a TraceDump.
-func DecodeTraceDump(b []byte) (*TraceDump, error) {
+// DecodeTraceDump decodes a drained ring.
+func DecodeTraceDump(b []byte) (trace.Dump, error) {
 	d := codec.NewDecoder(b)
-	t := &TraceDump{
+	t := trace.Dump{
 		Node:     d.String(),
 		Role:     d.String(),
 		Recorded: d.U64(),
 	}
 	if n := d.Count(traceEventEncodedMin); n > 0 {
-		t.Events = make([]TraceEvent, n)
+		t.Events = make([]trace.Event, n)
 		for i := range t.Events {
-			t.Events[i] = TraceEvent{
+			t.Events[i] = trace.Event{
 				TxID:   d.String(),
-				Stage:  d.U8(),
+				Stage:  trace.Stage(d.U8()),
 				Block:  d.U64(),
 				WallNS: int64(d.U64()),
 				Seq:    d.U64(),
@@ -90,7 +69,7 @@ func DecodeTraceDump(b []byte) (*TraceDump, error) {
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("trace-dump: %w", err)
+		return trace.Dump{}, fmt.Errorf("trace-dump: %w", err)
 	}
 	return t, nil
 }

@@ -3,14 +3,16 @@ package wire
 import (
 	"reflect"
 	"testing"
+
+	"fabricsharp/internal/trace"
 )
 
 func TestTraceDumpRoundTrip(t *testing.T) {
-	dump := &TraceDump{
+	dump := trace.Dump{
 		Node:     "peer0",
 		Role:     "peer",
 		Recorded: 123456,
-		Events: []TraceEvent{
+		Events: []trace.Event{
 			{TxID: "load3-000042", Stage: 1, Block: 0, WallNS: 1700000000000000001, Seq: 1},
 			{TxID: "load3-000042", Stage: 7, Block: 12, WallNS: 1700000000000500001, Seq: 999},
 			{TxID: "", Stage: 8, Block: 12, WallNS: -1, Seq: 1000}, // negative stamp survives
@@ -29,7 +31,7 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 }
 
 func TestTraceDumpEmptyRoundTrip(t *testing.T) {
-	dump := &TraceDump{Node: "ord0", Role: "orderer"}
+	dump := trace.Dump{Node: "ord0", Role: "orderer"}
 	got, err := DecodeTraceDump(EncodeTraceDump(dump))
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +51,7 @@ func TestTraceReqRoundTrip(t *testing.T) {
 }
 
 func TestTraceDumpDecodeBoundsHostileCount(t *testing.T) {
-	enc := EncodeTraceDump(&TraceDump{Node: "n", Role: "peer", Events: []TraceEvent{{TxID: "x", Stage: 1}}})
+	enc := EncodeTraceDump(trace.Dump{Node: "n", Role: "peer", Events: []trace.Event{{TxID: "x", Stage: 1}}})
 	// Blow the event count up far past the remaining bytes: the decoder must
 	// fail cleanly rather than allocate.
 	countOff := 4 + 1 + 4 + 4 + 8 // "n" + "peer" + recorded
@@ -58,7 +60,7 @@ func TestTraceDumpDecodeBoundsHostileCount(t *testing.T) {
 		t.Fatal("hostile count must be rejected")
 	}
 	// Truncation mid-event fails too.
-	good := EncodeTraceDump(&TraceDump{Node: "n", Role: "peer", Events: []TraceEvent{{TxID: "x", Stage: 1}}})
+	good := EncodeTraceDump(trace.Dump{Node: "n", Role: "peer", Events: []trace.Event{{TxID: "x", Stage: 1}}})
 	if _, err := DecodeTraceDump(good[:len(good)-3]); err == nil {
 		t.Fatal("truncated dump must be rejected")
 	}
