@@ -12,17 +12,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"fabricsharp/internal/bench"
 	"fabricsharp/internal/commit"
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/network"
@@ -310,57 +307,6 @@ func BenchmarkPeerValidateBlock(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perTx, "allocs/tx")
 		})
 	}
-}
-
-// BenchmarkPeerDurableCommit prices what BenchmarkPeerValidateBlock leaves
-// out: landing a 100-transaction block on a -data-dir peer. Endorsement
-// checks and MVCC are off, so a block costs the linkage check, the verdict
-// pass and the commit point itself — encode the block record, one kvstore
-// batch (record, 100 state writes, height), publish. B/block is what the
-// peer's directory holds per block afterwards.
-func BenchmarkPeerDurableCommit(b *testing.B) {
-	const blockTxs = 100
-	dir := b.TempDir()
-	peer, err := fabric.NewPeer(fabric.PeerConfig{
-		ID:      identity.Deterministic("peer0", identity.RolePeer),
-		DataDir: dir,
-		OnError: func(err error) { b.Error(err) },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sealer, err := ledger.NewChain(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := make([]*ledger.Block, b.N)
-	for n := range blocks {
-		txs := make([]*protocol.Transaction, blockTxs)
-		for i := range txs {
-			txs[i] = mkBenchTx(fmt.Sprintf("b%d-t%d", n, i), n*blockTxs+i)
-			txs[i].Endorsements = []protocol.Endorsement{{EndorserID: "peer1", Signature: make([]byte, 64)}}
-		}
-		if blocks[n], err = sealer.Seal(txs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for _, blk := range blocks {
-		peer.Committer().Deliver(blk)
-	}
-	peer.Close() // drains the committer
-	b.StopTimer()
-	if got := peer.State().Height(); got != uint64(b.N) {
-		b.Fatalf("committed %d of %d blocks", got, b.N)
-	}
-	var size int64
-	_ = filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
-		if info, ierr := d.Info(); err == nil && ierr == nil && !d.IsDir() {
-			size += info.Size()
-		}
-		return nil
-	})
-	b.ReportMetric(float64(size)/float64(b.N), "B/block")
 }
 
 // BenchmarkValidationMVCC micro-benchmarks the validation phase.

@@ -4,20 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
-	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
@@ -174,88 +170,63 @@ func TestParallelMatchesSequentialNoMVCC(t *testing.T) {
 	matchPipelineSides(t, db, seedShadow(8), blk, validation.Options{MSP: env.msp, Policy: env.policy}, 8)
 }
 
-func TestCommitterPipeline(t *testing.T) {
-	env := newTestEnv(t)
+// sealed seals blocks blocks of writers transactions each, every one writing
+// a key of its own, signed by env's peer.
+func sealed(t *testing.T, env *testEnv, blocks, writers int) []*ledger.Block {
+	t.Helper()
 	source, err := ledger.NewChain(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]*ledger.Block, blocks)
+	for b := range out {
+		txs := make([]*protocol.Transaction, writers)
+		for i := range txs {
+			txs[i] = &protocol.Transaction{
+				ID:    protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
+				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{{Key: fmt.Sprintf("key-%d-%d", b, i), Value: []byte("v")}}},
+			}
+			env.sign(txs[i])
+		}
+		if out[b], err = source.Seal(txs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestCommitterPipeline(t *testing.T) {
+	env := newTestEnv(t)
 	state, err := statedb.New(statedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tip := &ledger.Tip{}
-	var mu sync.Mutex
-	var committed []uint64
-	c := New(Config{
-		Name:       "peer-test",
-		State:      state,
-		Tip:        tip,
-		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
-		OnCommit: func(blk *ledger.Block, codes []protocol.ValidationCode) {
-			mu.Lock()
-			committed = append(committed, blk.Header.Number)
-			mu.Unlock()
-		},
-		OnError: func(err error) { t.Errorf("committer error: %v", err) },
-	})
+	opts := Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}}
 	const blocks = 10
-	for b := 0; b < blocks; b++ {
-		var txs []*protocol.Transaction
-		for i := 0; i < 4; i++ {
-			tx := &protocol.Transaction{
-				ID: protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
-				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{
-					{Key: fmt.Sprintf("key-%d-%d", b, i), Value: []byte("v")},
-				}},
-			}
-			env.sign(tx)
-			txs = append(txs, tx)
-		}
-		blk, err := source.Seal(txs, nil)
-		if err != nil {
+	chain := sealed(t, env, blocks, 4)
+	for _, blk := range chain {
+		if err := Block(state, tip, blk, nil, opts, nil); err != nil {
 			t.Fatal(err)
 		}
-		c.Deliver(blk)
 	}
-	c.Close()
-	if !c.Idle() {
-		t.Error("closed committer not idle")
-	}
-	if len(committed) != blocks {
-		t.Fatalf("committed %d blocks, want %d", len(committed), blocks)
-	}
-	for i, n := range committed {
-		if n != uint64(i+1) {
-			t.Fatalf("commit order %v", committed)
-		}
+	// A block at or below the tip no longer extends it.
+	if err := Block(state, tip, chain[blocks-1], nil, opts, nil); err == nil {
+		t.Error("the tip block committed twice")
 	}
 	if state.Height() != blocks {
 		t.Errorf("height = %d", state.Height())
 	}
 	n, hash, tally := tip.Status()
-	if n != blocks || !bytes.Equal(hash, source.TipHash()) || tally != blocks*4 {
-		t.Errorf("peer tip (%d, %x, %d), sealed (%d, %x, %d)", n, hash, tally, blocks, source.TipHash(), blocks*4)
-	}
-	st := c.Stats()
-	if st.BlocksCommitted.Value() != blocks {
-		t.Errorf("BlocksCommitted = %d", st.BlocksCommitted.Value())
-	}
-	if st.TxsValidated.Value() != blocks*4 {
-		t.Errorf("TxsValidated = %d", st.TxsValidated.Value())
-	}
-	if st.CommitLatencyNS.Count() != blocks {
-		t.Errorf("latency samples = %d", st.CommitLatencyNS.Count())
-	}
-	if st.QueueDepth.Value() != 0 {
-		t.Errorf("queue depth = %d", st.QueueDepth.Value())
+	if want := ledger.HashHeader(chain[blocks-1].Header); n != blocks || !bytes.Equal(hash, want) || tally != blocks*4 {
+		t.Errorf("peer tip (%d, %x, %d), sealed (%d, %x, %d)", n, hash, tally, blocks, want, blocks*4)
 	}
 }
 
-// TestCommitterBoundsHotKeyHistory pins the committer's pruning: a key
-// written in every block keeps at most historyBlocks+1 versions — the latest
-// at or before the horizon plus one per block after it — however long the
-// chain grows, and the snapshots inside that window still read exactly.
+// TestCommitterBoundsHotKeyHistory pins the commit's pruning: a key written
+// in every block keeps at most historyBlocks+1 versions — the latest at or
+// before the horizon plus one per block after it — however long the chain
+// grows, and the snapshots inside that window still read exactly.
 func TestCommitterBoundsHotKeyHistory(t *testing.T) {
 	env := newTestEnv(t)
 	source, err := ledger.NewChain(nil)
@@ -266,13 +237,8 @@ func TestCommitterBoundsHotKeyHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{
-		Name:       "peer-hot",
-		State:      state,
-		Tip:        &ledger.Tip{},
-		Validation: Options{Options: validation.Options{MSP: env.msp, Policy: env.policy}},
-		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
-	})
+	tip := &ledger.Tip{}
+	opts := Options{Options: validation.Options{MSP: env.msp, Policy: env.policy}}
 	const blocks = 60
 	hot := []string{"hot-a", "hot-b"}
 	for b := 1; b <= blocks; b++ {
@@ -289,9 +255,10 @@ func TestCommitterBoundsHotKeyHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Deliver(blk)
+		if err := Block(state, tip, blk, nil, opts, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Close()
 	for _, key := range hot {
 		if n := state.VersionCount(key); n > historyBlocks+1 {
 			t.Errorf("%s keeps %d versions after %d blocks, want at most %d", key, n, blocks, historyBlocks+1)
@@ -305,101 +272,26 @@ func TestCommitterBoundsHotKeyHistory(t *testing.T) {
 	}
 }
 
-// TestCommitterStatsHDR pins the always-on stats to the lock-free HDR
-// histogram's contract: one sample per block, counted exactly, and latency
-// quantiles within the bucket resolution (1/32 ≈ 3.2 %) of an exact
-// reference. The reference is rebuilt from the histogram's own exact running
-// sum: blocks go through one at a time, so each sum delta is that block's
-// recorded latency.
-func TestCommitterStatsHDR(t *testing.T) {
-	env := newTestEnv(t)
-	source, _ := ledger.NewChain(nil)
-	state, _ := statedb.New(statedb.Options{})
-	c := New(Config{
-		Name:       "peer-stats",
-		State:      state,
-		Tip:        &ledger.Tip{},
-		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
-		OnError:    func(err error) { t.Errorf("committer error: %v", err) },
-	})
-	defer c.Close()
-	st := c.Stats()
-	const blocks = 100 // q·blocks is integral for 0.5 and 0.99: both quantile conventions pick the same rank
-	var exact metrics.Histogram
-	var sum float64
-	for b := 0; b < blocks; b++ {
-		var txs []*protocol.Transaction
-		for i := 0; i <= b%3; i++ { // 1–3 disjoint writers
-			tx := &protocol.Transaction{
-				ID: protocol.TxID(fmt.Sprintf("b%d-t%d", b, i)),
-				RWSet: protocol.RWSet{Writes: []protocol.WriteItem{
-					{Key: fmt.Sprintf("key-%d-%d", b, i), Value: []byte("v")},
-				}},
-			}
-			env.sign(tx)
-			txs = append(txs, tx)
-		}
-		blk, err := source.Seal(txs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Deliver(blk)
-		for !c.Idle() {
-			time.Sleep(50 * time.Microsecond)
-		}
-		if got := st.CommitLatencyNS.Count(); got != uint64(b+1) {
-			t.Fatalf("after block %d: %d latency samples", b+1, got)
-		}
-		now := math.Round(st.CommitLatencyNS.Mean() * float64(b+1))
-		exact.Add(now - sum)
-		sum = now
-	}
-	if st.RescueRoundsPerBlock.Count() != 0 {
-		t.Errorf("rescue rounds sampled %d times with rescue off", st.RescueRoundsPerBlock.Count())
-	}
-	got := st.CommitLatencyNS.Quantiles(0.5, 0.99)
-	want := exact.Quantiles(0.5, 0.99)
-	for i, name := range []string{"p50", "p99"} {
-		if want[i] <= 0 {
-			t.Fatalf("%s reference latency %v ns", name, want[i])
-		}
-		if rel := math.Abs(float64(got[i])-want[i]) / want[i]; rel > 1.0/32 {
-			t.Errorf("%s = %d ns, exact %v ns: off by %.1f%%, bucket bound is 3.2%%", name, got[i], want[i], 100*rel)
-		}
-	}
-}
-
 func TestCommitterReportsPoisonedBlock(t *testing.T) {
 	state, _ := statedb.New(statedb.Options{})
-	errs := make(chan error, 1)
-	c := New(Config{
-		Name: "peerX", State: state, Tip: &ledger.Tip{},
-		OnError: func(err error) { errs <- err },
-	})
+	tip := &ledger.Tip{}
 	// A block whose data hash does not cover its transactions cannot append.
 	poisoned := &ledger.Block{
 		Header:       ledger.Header{Number: 1, DataHash: ledger.DataHash(nil)},
 		Transactions: []*protocol.Transaction{{ID: "x"}},
 	}
-	c.Deliver(poisoned)
-	c.Close()
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Fatal("nil error")
-		}
-	default:
+	if err := Block(state, tip, poisoned, nil, Options{}, nil); err == nil {
 		t.Fatal("poisoned block did not surface an error")
 	}
-	if !c.Failed() {
-		t.Error("committer not marked failed")
+	if n, _ := tip.Height(); n != 0 || state.Height() != 0 {
+		t.Fatalf("after the poisoned block: tip %d, state height %d; want 0", n, state.Height())
 	}
 }
 
 // TestCommitterFailsOnAMutatedSealedVerdict keeps the agreement check the
 // peer-chain walks of the agreement tests relied on: a delivered block whose
 // sealed verdicts or rescue digest differ from what the peer derives fails
-// the committer, and its tip stays where it was.
+// the commit, and the tip stays where it was.
 func TestCommitterFailsOnAMutatedSealedVerdict(t *testing.T) {
 	env := newTestEnv(t)
 	for _, mutate := range []struct {
@@ -412,12 +304,7 @@ func TestCommitterFailsOnAMutatedSealedVerdict(t *testing.T) {
 		t.Run(mutate.what, func(t *testing.T) {
 			state, _ := statedb.New(statedb.Options{})
 			tip := &ledger.Tip{}
-			errs := make(chan error, 1)
-			c := New(Config{
-				Name: "peer-mutated", State: state, Tip: tip,
-				Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
-				OnError:    func(err error) { errs <- err },
-			})
+			opts := Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}}
 			source, _ := ledger.NewChain(nil)
 			seal := func(b int) *ledger.Block {
 				txs := make([]*protocol.Transaction, 3)
@@ -434,21 +321,20 @@ func TestCommitterFailsOnAMutatedSealedVerdict(t *testing.T) {
 				}
 				return blk
 			}
-			c.Deliver(seal(1))
+			if err := Block(state, tip, seal(1), nil, opts, nil); err != nil {
+				t.Fatal(err)
+			}
 			bad := seal(2)
 			mutate.fn(bad)
-			c.Deliver(bad)
-			c.Close()
-			select {
-			case err := <-errs:
-				if !strings.Contains(err.Error(), "diverges") {
-					t.Fatalf("committer failed with %v, want a divergence", err)
-				}
-			default:
+			err := Block(state, tip, bad, nil, opts, nil)
+			if err == nil {
 				t.Fatal("a mutated sealed block committed")
 			}
-			if n, _, committed := tip.Status(); !c.Failed() || n != 1 || committed != 3 {
-				t.Fatalf("after the mutated block 2: failed=%v, tip at %d with %d committed; want block 1's", c.Failed(), n, committed)
+			if !strings.Contains(err.Error(), "diverges") {
+				t.Fatalf("the commit failed with %v, want a divergence", err)
+			}
+			if n, _, committed := tip.Status(); n != 1 || committed != 3 || state.Height() != 1 {
+				t.Fatalf("after the mutated block 2: tip at %d with %d committed, state at %d; want block 1's", n, committed, state.Height())
 			}
 		})
 	}
@@ -499,11 +385,7 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{
-		Name: "durable", State: state, Tip: tip,
-		Validation: Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}},
-		OnError:    func(err error) { t.Errorf("commit: %v", err) },
-	})
+	opts := Options{Options: validation.Options{MVCC: true, MSP: env.msp, Policy: env.policy}}
 	source, _ := ledger.NewChain(nil)
 	seal := func(n int) *ledger.Block {
 		txs := make([]*protocol.Transaction, 100)
@@ -521,9 +403,8 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 		return blk
 	}
 	deliver := func(blk *ledger.Block) {
-		c.Deliver(blk)
-		for !c.Idle() {
-			time.Sleep(time.Millisecond)
+		if err := Block(state, tip, blk, nil, opts, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	deliver(seal(1))
@@ -542,7 +423,6 @@ func TestDurableCommitIsOneWrite(t *testing.T) {
 	if grew := size2 - size; grew < len(rec.Value)+100*len("k00b2") {
 		t.Errorf("the log grew %d bytes: too few for the block record (%d) plus 100 writes", grew, len(rec.Value))
 	}
-	c.Close()
 	n, hash, committed := tip.Status()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)

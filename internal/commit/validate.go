@@ -1,9 +1,8 @@
-// Package commit implements the validation/commit stage of the EOV pipeline
-// as an independent, pipelined subsystem: each validating peer owns a
-// Committer goroutine fed by a buffered delivery channel, so the ordering
-// phase seals and fans out blocks without ever touching peer state
-// (Section 2.1's phase independence), and peers commit concurrently with
-// ordering and with each other.
+// Package commit implements the validation/commit stage of the EOV pipeline:
+// Block is one peer's commit point, called on the goroutine that received
+// the block, so the ordering phase seals and fans out blocks without ever
+// touching peer state (Section 2.1's phase independence), and peers commit
+// concurrently with ordering and with each other.
 //
 // A peer derives a block's verdicts with the orderers' own function,
 // validation.ComputeVerdictsPrechecked: the endorsement-signature checks

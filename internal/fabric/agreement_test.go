@@ -24,8 +24,8 @@ import (
 // TestShadowVerdictsMatchPeerValidation runs a contended workload through
 // every system and asserts the tentpole invariant end to end: the verdicts
 // the orderer's shadow validator sealed into each block are byte-identical
-// to the codes the peers derived during validation. The committers assert
-// this per block (a divergence surfaces through n.Err());
+// to the codes the peers derived during validation. Each peer's commit
+// asserts this per block (a divergence surfaces through n.Err());
 // assertPeersOnTheOrderersTip checks that every peer got through every
 // block, for all five systems, and TestCommitterFailsOnAMutatedSealedVerdict
 // that the assertion fires.
@@ -151,7 +151,7 @@ func TestFoccLLeadFollowerAgreement(t *testing.T) {
 
 // assertPeersOnTheOrderersTip demands that every peer of an idle network
 // stands on the orderer's tip with its committed tally, and that the network
-// is healthy. Peers keep no blocks to compare; instead each committer
+// is healthy. Peers keep no blocks to compare; instead each peer's commit
 // byte-asserted its verdicts and rescue digest against the sealed ones on
 // every block, and a divergence would have failed n.Err().
 func assertPeersOnTheOrderersTip(t *testing.T, n *testNet) {

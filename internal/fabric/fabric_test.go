@@ -1,3 +1,7 @@
+// Package fabric_test holds the end-to-end tests of the library network
+// (node.NewNetwork): agreement across peers and orderers, conservation,
+// serializability, security and range queries. The directory has no
+// non-test code; the peer these tests drive is node.Peer.
 package fabric_test
 
 import (

@@ -102,7 +102,7 @@ func TestForgedFutureSnapshotRejected(t *testing.T) {
 // same peer endorsed. The orderer (which has no signed-endorsement ring)
 // seals Valid then EndorsementFailure, and the endorsing peer — whose ring
 // recorded both signatures — must derive the same codes as the other three,
-// or its committer fails the byte assertion against the sealed verdicts.
+// or its commit fails the byte assertion against the sealed verdicts.
 func TestEndorsingPeerRejectsItsAlteredEndorsement(t *testing.T) {
 	n := newNet(t, node.NetworkOptions{System: sched.SystemFabric, BlockSize: 2})
 	mallory := wireClient(t, n, "mallory")

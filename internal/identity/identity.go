@@ -176,19 +176,10 @@ func SignedBy(id string) Policy { return signedBy{id} }
 func (p signedBy) Satisfied(e map[string]bool) bool { return e[p.id] }
 func (p signedBy) String() string                   { return fmt.Sprintf("SignedBy(%s)", p.id) }
 
-type kOutOf struct {
-	k    int
-	subs []Policy
-}
-
-// KOutOf requires at least k of the sub-policies to be satisfied.
-func KOutOf(k int, subs ...Policy) Policy { return kOutOf{k: k, subs: subs} }
-
-// And requires every sub-policy.
-func And(subs ...Policy) Policy { return kOutOf{k: len(subs), subs: subs} }
+type anyOf []Policy
 
 // Or requires any sub-policy.
-func Or(subs ...Policy) Policy { return kOutOf{k: 1, subs: subs} }
+func Or(subs ...Policy) Policy { return anyOf(subs) }
 
 // AnyPeerOf requires an endorsement from any one of the given peers — the
 // paper's experimental setup ("configure the smart contract to be endorsed
@@ -201,22 +192,16 @@ func AnyPeerOf(ids ...string) Policy {
 	return Or(subs...)
 }
 
-func (p kOutOf) Satisfied(e map[string]bool) bool {
-	n := 0
-	for _, sub := range p.subs {
+func (p anyOf) Satisfied(e map[string]bool) bool {
+	for _, sub := range p {
 		if sub.Satisfied(e) {
-			n++
-			if n >= p.k {
-				return true
-			}
+			return true
 		}
 	}
-	return n >= p.k // covers k == 0
+	return false
 }
 
-func (p kOutOf) String() string {
-	return fmt.Sprintf("KOutOf(%d,%d subs)", p.k, len(p.subs))
-}
+func (p anyOf) String() string { return fmt.Sprintf("Or(%d subs)", len(p)) }
 
 // CheckEndorsements verifies every endorsement signature on tx against the
 // membership service, then evaluates the policy over the set of valid

@@ -130,7 +130,7 @@ type tip struct {
 }
 
 // Tip is a validating peer's ledger: the tip alone, advanced in two steps
-// (Check, then Advance) around the committer's validation. No peer serves a
+// (Check, then Advance) around commit.Block's validation. No peer serves a
 // block, so its memory does not grow with the chain it commits.
 type Tip struct{ tip }
 

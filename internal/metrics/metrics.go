@@ -1,7 +1,7 @@
 // Package metrics provides the small measurement toolkit the experiment
 // harness reports with: latency histograms with percentiles, throughput
-// accounting, abort-taxonomy tallies, and the concurrency-safe counters and
-// gauges the commit pipeline instruments its stages with.
+// accounting, abort-taxonomy tallies, and the concurrency-safe counters the
+// live nodes count their events with.
 package metrics
 
 import (
@@ -42,30 +42,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a concurrency-safe instantaneous level (queue depths, in-flight
-// work) that also tracks its high-water mark. The zero value is ready to use.
-type Gauge struct {
-	v   atomic.Int64
-	max atomic.Int64
-}
-
-// Add moves the gauge by delta and returns the new level.
-func (g *Gauge) Add(delta int64) int64 {
-	nv := g.v.Add(delta)
-	for {
-		m := g.max.Load()
-		if nv <= m || g.max.CompareAndSwap(m, nv) {
-			return nv
-		}
-	}
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Max returns the highest level ever observed.
-func (g *Gauge) Max() int64 { return g.max.Load() }
 
 // ConsensusMetrics instruments the fault-tolerance surface of a clustered
 // ordering node: how often leadership moves. All fields are

@@ -108,38 +108,3 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Errorf("Counter = %d", got)
 	}
 }
-
-func TestGaugeTracksHighWater(t *testing.T) {
-	var g Gauge
-	g.Add(3)
-	g.Add(4)
-	g.Add(-5)
-	if g.Value() != 2 {
-		t.Errorf("Value = %d", g.Value())
-	}
-	if g.Max() != 7 {
-		t.Errorf("Max = %d", g.Max())
-	}
-}
-
-func TestGaugeConcurrentMax(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				g.Add(1)
-				g.Add(-1)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Value() != 0 {
-		t.Errorf("Value = %d", g.Value())
-	}
-	if g.Max() < 1 || g.Max() > 8 {
-		t.Errorf("Max = %d", g.Max())
-	}
-}

@@ -92,6 +92,12 @@ type pipeline struct {
 	windowInLedger  uint64
 	windowCommitted uint64
 
+	// err is the first pipeline error — an arrival, a cut or a commit that
+	// broke the agreement contract. Once it is set no transaction is
+	// submitted and no block committed, so the engine drains and Run returns
+	// it.
+	err error
+
 	res *Result
 }
 
@@ -178,9 +184,18 @@ func Run(cfg Config) (*Result, error) {
 	// Drain long enough for timeouts, validation queues and lock waits.
 	drain := cfg.Duration + 20*sim.Second
 	eng.Run(drain)
-
+	if p.err != nil {
+		return nil, p.err
+	}
 	p.finalize()
 	return p.res, nil
+}
+
+// fail records the pipeline's first error.
+func (p *pipeline) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
 }
 
 // expInterval draws an exponential inter-arrival time for the Poisson
@@ -200,6 +215,9 @@ func (p *pipeline) expInterval() sim.Time {
 
 // submit is a client submitting one operation at virtual time `at`.
 func (p *pipeline) submit(at sim.Time) {
+	if p.err != nil {
+		return
+	}
 	op := p.cfg.Workload.Next()
 	p.txSeq++
 	id := protocol.TxID(fmt.Sprintf("tx-%08d", p.txSeq))
@@ -305,8 +323,9 @@ func (p *pipeline) ordererArrive(tx *protocol.Transaction) {
 	p.orderer.Submit(arrivalCost(p.cfg.System), func() {
 		code, joined, err := p.core.Arrive(tx)
 		if err != nil {
-			// Arrival errors indicate a pipeline bug; surface loudly.
-			panic(fmt.Sprintf("network: %v", err))
+			// Arrival errors indicate a pipeline bug.
+			p.fail(fmt.Errorf("network: arrival of %s: %w", tx.ID, err))
+			return
 		}
 		if !joined {
 			p.res.EarlyAborts.Inc(code)
@@ -340,7 +359,8 @@ func (p *pipeline) cutBlock() {
 	p.orderer.Submit(formationCost(p.cfg.System, n), func() {
 		blk, dropped, err := p.core.Cut(nil)
 		if err != nil {
-			panic(fmt.Sprintf("network: %v", err))
+			p.fail(fmt.Errorf("network: cutting block %d: %w", p.core.Chain().Len()+1, err))
+			return
 		}
 		for _, d := range dropped {
 			p.res.EarlyAborts.Inc(d.Code)
@@ -364,13 +384,27 @@ func (p *pipeline) deliver(blk *ledger.Block) {
 // commit applies a validated block to the ledger state. Under vanilla
 // Fabric it first takes the write lock, waiting out every in-flight
 // simulation — the contention that collapses Figure 14's vanilla curve. The
-// codes and rescue digest must equal the ones the orderer sealed.
+// codes and rescue digest must equal the ones the orderer sealed; a
+// divergence fails the pipeline (the write lock released, so waiting
+// simulations finish).
 func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 	vanilla := p.cfg.System == sched.SystemFabric
 	if vanilla {
 		proc.Block(p.stateLock.AcquireWrite)
 	}
 	proc.Sleep(p.cfg.Timing.CommitTime)
+	if p.err == nil {
+		p.apply(blk)
+	}
+	if vanilla {
+		p.stateLock.ReleaseWrite()
+	}
+}
+
+// apply validates blk on the peer's state, applies it and accounts its
+// transactions, failing the pipeline if the block's codes or rescue digest
+// differ from the ones the peer derives.
+func (p *pipeline) apply(blk *ledger.Block) {
 	mvcc := p.core.Scheduler().NeedsMVCCValidation()
 	if !mvcc {
 		// Count the transactions only the ordering-phase guarantee saves
@@ -388,17 +422,17 @@ func (p *pipeline) commit(proc *sim.Proc, blk *ledger.Block) {
 		Options: validation.Options{MVCC: mvcc}, Workers: 1, Rescue: p.cfg.Rescue, Registry: p.registry,
 	})
 	if !bytes.Equal(res.Rescue.Digest, blk.RescueDigest) {
-		panic(fmt.Sprintf("network: commit: block %d: rescue digest diverges from the sealed one", blk.Header.Number))
+		p.fail(fmt.Errorf("network: commit: block %d: rescue digest diverges from the sealed one", blk.Header.Number))
+		return
 	}
 	codes := res.Codes
 	if err := p.state.ApplyBlock(blk.Header.Number, res.Writes); err != nil {
-		panic(fmt.Sprintf("network: commit: %v", err))
-	}
-	if vanilla {
-		p.stateLock.ReleaseWrite()
+		p.fail(fmt.Errorf("network: commit: block %d: %w", blk.Header.Number, err))
+		return
 	}
 	if err := commit.AssertVerdictsEqual(blk.Header.Number, blk.Validation, codes); err != nil {
-		panic(fmt.Sprintf("network: commit: %v", err))
+		p.fail(fmt.Errorf("network: commit: %w", err))
+		return
 	}
 
 	now := p.eng.Now()

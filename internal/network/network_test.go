@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fabricsharp/internal/chaincode"
@@ -13,6 +15,7 @@ import (
 	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/sim"
+	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/validation"
 	"fabricsharp/internal/wire"
 	"fabricsharp/internal/workload"
@@ -342,5 +345,54 @@ func TestAbortTaxonomyPerSystem(t *testing.T) {
 	}
 	if res.LateAborts[protocol.MVCCConflict] == 0 {
 		t.Error("fabric produced no MVCC aborts on a contended workload")
+	}
+}
+
+// freshCounter writes a value no earlier invocation wrote: a contract that
+// is not a function of its reads, so a rescue's re-execution on the
+// orderer and on the peer derive different write sets. Rescue runs it on
+// several goroutines at once.
+type freshCounter struct{ n atomic.Int64 }
+
+func (c *freshCounter) Name() string { return "fresh" }
+
+func (c *freshCounter) Invoke(stub chaincode.Stub) error {
+	n := c.n.Add(1)
+	if _, err := stub.GetState("hot"); err != nil {
+		return err
+	}
+	return stub.PutState("hot", []byte(fmt.Sprint(n)))
+}
+
+// hotBumps invokes freshCounter on its one key.
+type hotBumps struct{}
+
+func (hotBumps) Name() string      { return "hot-bumps" }
+func (hotBumps) Next() workload.Op { return workload.Op{Contract: "fresh", Function: "bump"} }
+func (hotBumps) Seed(db *statedb.DB) error {
+	base, err := statedb.NewBase([]protocol.WriteItem{{Key: "hot", Value: []byte("0")}}, workload.GenesisVersion())
+	if err != nil {
+		return err
+	}
+	return workload.SeedGenesis(db, base)
+}
+
+// TestRunReturnsARescueDigestDivergence rescues the MVCC casualties of a
+// nondeterministic contract under vanilla Fabric: the peer's rescue digest
+// cannot match the one the orderer sealed, and Run must return that as an
+// error naming the block rather than panic.
+func TestRunReturnsARescueDigestDivergence(t *testing.T) {
+	_, err := Run(Config{
+		System:      sched.SystemFabric,
+		Rescue:      true,
+		Workload:    hotBumps{},
+		Contracts:   []chaincode.Contract{&freshCounter{}},
+		Seed:        1,
+		Duration:    2 * sim.Second,
+		RequestRate: 300,
+		BlockSize:   20,
+	})
+	if err == nil || !strings.Contains(err.Error(), "rescue digest diverges") || !strings.Contains(err.Error(), "block ") {
+		t.Fatalf("Run returned %v; want the rescue digest divergence, naming its block", err)
 	}
 }

@@ -1,4 +1,4 @@
-package fabric_test
+package node
 
 import (
 	"bytes"
@@ -13,14 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/fabric"
-	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
-	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
-	"fabricsharp/internal/scenario"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
@@ -32,46 +27,32 @@ import (
 // the chain and the bare peers that commit it share one dev MSP.
 var tortureNames = []string{"peer0", "peer1"}
 
-// newBarePeer builds one started peer outside any network — durable on dir,
-// in-memory when dir is "" — validating as the fixture network's peers do
-// under system with rescue on, and seeded with genesis when fresh.
-func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*fabric.Peer, error) {
+// newBarePeer opens one peer with neither server nor subscription —
+// durable on dir, in-memory when dir is "" — validating as the fixture
+// network's peers do under system with rescue on, and seeded with genesis
+// when fresh.
+func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...protocol.WriteItem) (*Peer, error) {
 	t.Helper()
-	return newTracedPeer(t, system, dir, nil, genesis...)
-}
-
-// newTracedPeer is newBarePeer recording its stages on tracer.
-func newTracedPeer(t *testing.T, system sched.System, dir string, tracer *trace.Tracer, genesis ...protocol.WriteItem) (*fabric.Peer, error) {
-	t.Helper()
-	scheduler, err := sched.New(system, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msp, policy := identity.DevMSP(tortureNames...)
-	p, err := fabric.NewPeer(fabric.PeerConfig{
-		ID:       identity.Deterministic(tortureNames[0], identity.RolePeer),
-		MSP:      msp,
-		Policy:   policy,
-		Registry: chaincode.NewRegistry(scenario.AllContracts()...),
-		MVCC:     scheduler.NeedsMVCCValidation(),
-		Rescue:   true,
-		DataDir:  dir,
-		Genesis:  func() (*statedb.Base, error) { return statedb.NewBase(genesis, workload.GenesisVersion()) },
-		Tracer:   tracer,
-		OnError:  func(err error) { t.Error(err) },
+	p, err := openPeer(PeerConfig{
+		Name:      tortureNames[0],
+		PeerNames: tortureNames,
+		System:    system,
+		Rescue:    true,
+		DataDir:   dir,
+		Genesis:   func() (*statedb.Base, error) { return statedb.NewBase(genesis, workload.GenesisVersion()) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Cleanup(p.Close)
+	t.Cleanup(func() { p.Close() })
 	return p, nil
 }
 
 // sealChain runs drive against an in-memory network of the fixture's peers
 // under system with rescue on, and returns the blocks its orderer sealed.
-func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *node.NetworkClient)) []*ledger.Block {
+func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *NetworkClient)) []*ledger.Block {
 	t.Helper()
-	n, err := node.NewNetwork(node.NetworkOptions{
+	n, err := NewNetwork(NetworkOptions{
 		System:       system,
 		Rescue:       true,
 		Peers:        len(tortureNames),
@@ -102,7 +83,7 @@ func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *n
 // four clients each sending payments round the ring of them.
 func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Block {
 	t.Helper()
-	return sealChain(t, system, 4, func(client *node.NetworkClient) {
+	return sealChain(t, system, 4, func(client *NetworkClient) {
 		for i := 0; i < 3; i++ {
 			if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
 				t.Fatal(err)
@@ -143,7 +124,7 @@ type position struct {
 	committed uint64
 }
 
-func positionOf(p *fabric.Peer) position {
+func positionOf(p *Peer) position {
 	_, tip, committed := p.Tip().Status()
 	return position{tip, p.State().StateFingerprint(), committed}
 }
@@ -166,7 +147,7 @@ func referencePositions(t *testing.T, system sched.System, sealed []*ledger.Bloc
 }
 
 // checkPosition fails the test unless p stands at want.
-func checkPosition(t *testing.T, what string, p *fabric.Peer, want position) {
+func checkPosition(t *testing.T, what string, p *Peer, want position) {
 	t.Helper()
 	if got := positionOf(p); !bytes.Equal(got.tip, want.tip) || got.state != want.state || got.committed != want.committed {
 		t.Fatalf("%s: tip %x state %s committed %d, reference has tip %x state %s committed %d",
@@ -174,19 +155,13 @@ func checkPosition(t *testing.T, what string, p *fabric.Peer, want position) {
 	}
 }
 
-// commitAll delivers blocks to p and waits until it has committed them.
-func commitAll(t *testing.T, p *fabric.Peer, blocks []*ledger.Block) {
+// commitAll commits blocks to p in order, as its subscription would.
+func commitAll(t *testing.T, p *Peer, blocks []*ledger.Block) {
 	t.Helper()
 	for _, blk := range blocks {
-		p.Committer().Deliver(blk)
-	}
-	for deadline := time.Now().Add(10 * time.Second); !p.Committer().Idle(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("committer did not drain")
+		if err := p.deliver(blk, nil); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if p.Committer().Failed() {
-		t.FailNow()
 	}
 }
 
@@ -375,13 +350,12 @@ func TestDurablePeerRecordsItsGenesisOnce(t *testing.T) {
 	dir := t.TempDir()
 	genesis := workload.AccountGenesis(1000)
 	for _, want := range []int{1, 0} {
-		tracer := trace.New("peer0", "peer", 1<<6)
-		p, err := newTracedPeer(t, sched.SystemFabric, dir, tracer, genesis...)
+		p, err := newBarePeer(t, sched.SystemFabric, dir, genesis...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Close()
-		if spans := trace.Spans(tracer.Dump(), trace.StageGenesis); len(spans) != want || want == 1 && (spans[0].Block != 0 || spans[0].NS <= 0) {
+		if spans := trace.Spans(p.tracer.Dump(), trace.StageGenesis); len(spans) != want || want == 1 && (spans[0].Block != 0 || spans[0].NS <= 0) {
 			t.Fatalf("the peer's ring holds genesis spans %+v; want %d at block 0", spans, want)
 		}
 	}
@@ -431,8 +405,7 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Close()
-	tracer := trace.New("peer0", "peer", 1<<12)
-	if p, err = newTracedPeer(t, sched.SystemFabric, dir, tracer, genesis...); err != nil {
+	if p, err = newBarePeer(t, sched.SystemFabric, dir, genesis...); err != nil {
 		t.Fatal(err)
 	}
 	checkpointed := 0 // blocks committed when the log was folded into the snapshot
@@ -447,7 +420,7 @@ func TestPeerReopensAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("the store checkpointed after block %d of %d; the fixture needs it mid-chain (0: never)", checkpointed, len(sealed))
 	}
 	t.Logf("the store checkpointed after block %d of %d", checkpointed, len(sealed))
-	if spans := trace.Spans(tracer.Dump(), trace.StageCheckpoint); len(spans) != 1 || spans[0].Block != uint64(checkpointed) || spans[0].NS <= 0 {
+	if spans := trace.Spans(p.tracer.Dump(), trace.StageCheckpoint); len(spans) != 1 || spans[0].Block != uint64(checkpointed) || spans[0].NS <= 0 {
 		t.Fatalf("the peer's ring holds checkpoint spans %+v; want one, at block %d", spans, checkpointed)
 	}
 	stop := min(checkpointed+3, len(sealed)-1) // a few blocks in the log on top

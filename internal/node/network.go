@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/fabric"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/orderer"
@@ -126,8 +125,8 @@ func (n *Network) Err() error {
 }
 
 // Close shuts the network down, the peers first (each ends its block stream
-// and drains its committer), and so fails every submit in flight. Closing
-// the servers ends every pooled client connection too. Idempotent.
+// once a commit in flight finishes), and so fails every submit in flight.
+// Closing the servers ends every pooled client connection too. Idempotent.
 func (n *Network) Close() {
 	for _, p := range n.peers {
 		p.Close()
@@ -136,7 +135,7 @@ func (n *Network) Close() {
 }
 
 // Peer returns peer i.
-func (n *Network) Peer(i int) *fabric.Peer { return n.peers[i].Peer }
+func (n *Network) Peer(i int) *Peer { return n.peers[i] }
 
 // Orderer returns the ordering node.
 func (n *Network) Orderer() *Orderer { return n.orderer }
@@ -148,15 +147,14 @@ func (n *Network) OrdererChain() *ledger.Chain { return n.orderer.Chain() }
 func (n *Network) Height() uint64 { return n.peers[0].State().Height() }
 
 // WaitIdle blocks until no library submit is in flight and every peer stands
-// on the orderer's tip with an empty delivery queue, or the timeout elapses;
-// it reports whether the network went idle. A fatal error returns false at
-// once (see Err).
+// on the orderer's tip, or the timeout elapses; it reports whether the
+// network went idle. A fatal error returns false at once (see Err).
 func (n *Network) WaitIdle(timeout time.Duration) bool {
 	for deadline := time.Now().Add(timeout); time.Now().Before(deadline) && n.Err() == nil; time.Sleep(5 * time.Millisecond) {
 		idle := n.inflight.Load() == 0
 		for _, p := range n.peers {
 			height, _ := p.Tip().Height()
-			idle = idle && height == uint64(n.orderer.Chain().Len()) && p.Committer().Idle()
+			idle = idle && height == uint64(n.orderer.Chain().Len())
 		}
 		if idle {
 			return true

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"fabricsharp/internal/consensus"
-	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/trace"
@@ -97,10 +97,11 @@ type submitOutcome struct {
 	took time.Duration
 }
 
-// TestSubmitFailsWhenAPeerFails fails one peer's committer while a Submit
-// waits for its block. The orderer seals the block and the healthy peer
-// commits it, but the failed peer never will: the Submit must return an
-// error, within the result wait bound, and not the committed result.
+// TestSubmitFailsWhenAPeerFails fails one peer, through the path a failed
+// commit takes, while a Submit waits for its block. The orderer seals the
+// block and the healthy peer commits it, but the failed peer never will: the
+// Submit must return an error, within the result wait bound, and not the
+// committed result.
 func TestSubmitFailsWhenAPeerFails(t *testing.T) {
 	n := newTestNetwork(t, NetworkOptions{System: sched.SystemSharp, Peers: 2, BlockSize: 100, BlockTimeout: 300 * time.Millisecond})
 	c, err := n.NewClient("c")
@@ -108,7 +109,7 @@ func TestSubmitFailsWhenAPeerFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := submitInFlight(t, n, c) // parked at the orderer until the timed cut
-	n.peers[1].Committer().Deliver(&ledger.Block{Header: ledger.Header{Number: 1, PrevHash: []byte("not the tip")}})
+	n.peers[1].fail(errors.New("injected commit failure"))
 	out := <-done
 	if out.err == nil {
 		t.Fatalf("Submit returned %+v though peer1 failed before committing it", out.res)

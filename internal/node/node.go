@@ -1,12 +1,14 @@
 // Package node is the EOV network's one assembly: the two pipeline types
 // every deployment shares, plus servers. Orderer is an orderer.Service behind
 // a server (result store, block streams, status, trace and profile
-// handlers); Peer is a fabric.Peer behind one (proposal handler,
-// reconnecting block subscription feeding its committer); Client is the wire
-// client that drives them. cmd/fabricnode runs one node per OS process over
-// TCP; Network (network.go) runs one Orderer and N Peers in this process on
-// in-memory "mem:" addresses — the library network — and NetworkClient is
-// its concurrent client. Both send the same frames through the same code.
+// handlers); Peer is the endorsing and validating peer — its state, ledger
+// tip and store — behind one (proposal, status, trace and profile handlers),
+// with a reconnecting block subscription that commits each block as it
+// arrives (commit.Block); Client is the wire client that drives them.
+// cmd/fabricnode runs one node per OS process over TCP; Network (network.go)
+// runs one Orderer and N Peers in this process on in-memory "mem:" addresses
+// — the library network — and NetworkClient is its concurrent client. Both
+// send the same frames through the same code.
 //
 // The division of labour mirrors deployed Fabric:
 //

@@ -1,14 +1,17 @@
 package node
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"fabricsharp/internal/chaincode"
-	"fabricsharp/internal/fabric"
+	"fabricsharp/internal/commit"
 	"fabricsharp/internal/identity"
+	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
 	"fabricsharp/internal/metrics"
 	"fabricsharp/internal/protocol"
@@ -16,7 +19,9 @@ import (
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/trace"
 	"fabricsharp/internal/transport"
+	"fabricsharp/internal/validation"
 	"fabricsharp/internal/wire"
+	"fabricsharp/internal/workload"
 )
 
 // PeerConfig parameterizes a validating-peer process.
@@ -36,13 +41,16 @@ type PeerConfig struct {
 	// deterministic public key joins this process's MSP so endorsements
 	// from any peer verify during validation.
 	PeerNames []string
-	// DataDir, when non-empty, persists this peer's ledger and state in one
-	// kvstore (fabric.PeerConfig.DataDir has the layout); a restart — after
-	// a clean stop or a kill — resumes from the stored chain and
-	// re-subscribes from its height (catch-up over the wire).
+	// DataDir, when non-empty, is one kvstore holding everything the peer
+	// persists under three key prefixes: "b/" block records (verdicts and
+	// rescue digest included), "s/" latest state, "meta/height". Each block
+	// lands there as one atomic batch, so a restart — after a clean stop or
+	// a kill — resumes from a store whose chain tip and state height are the
+	// same block, and re-subscribes from its height (catch-up over the
+	// wire).
 	DataDir string
 	// Genesis builds the base a fresh peer's state database is seeded with
-	// before any block is delivered (fabric.PeerConfig.Genesis); the base
+	// before any block is delivered, traced as a StageGenesis span; the base
 	// must be identical on every replica (peers and orderer shadows) or MVCC
 	// verdicts diverge. Not called when DataDir resumes a store.
 	Genesis func() (*statedb.Base, error)
@@ -63,22 +71,28 @@ type PeerConfig struct {
 	Rescue bool
 }
 
-// Peer is a running validating-peer process: a fabric.Peer plus sockets —
-// endorsement and status over the wire, block delivery via a reconnecting
-// subscription feeding the pipelined committer.
+// Peer is a validating peer: its own state, ledger tip and store; the
+// execution phase (Endorse, Query) and status over the wire; and a
+// reconnecting block subscription that commits each block (commit.Block) on
+// the goroutine that received it — the tip's only writer. It keeps no
+// block: it serves none, and a durable peer's blocks are in its store.
 type Peer struct {
-	*fabric.Peer
-	name   string
-	srv    *transport.Server
-	sub    *transport.Subscriber
-	tracer *trace.Tracer
+	name string
+	// signed signs this peer's endorsements and remembers them, so its own
+	// validation does not verify them again a block later.
+	signed     *identity.SignedRing
+	registry   *chaincode.Registry
+	state      *statedb.DB
+	tip        *ledger.Tip
+	store      *kvstore.DB // nil for an in-memory peer
+	validation commit.Options
+	tracer     *trace.Tracer
+
+	srv *transport.Server     // nil for a peer openPeer built alone
+	sub *transport.Subscriber // nil for a peer openPeer built alone
 
 	// resumed is the block the DataDir store held at start (0 when fresh).
 	resumed uint64
-	// delivered tracks the highest block number handed to the committer —
-	// the resubscription cursor. Monotonic; duplicates the orderer replays
-	// after a reconnect are dropped before they can double-commit.
-	delivered atomic.Uint64
 
 	// failovers counts delivery-subscription moves to a different orderer.
 	failovers metrics.Counter
@@ -93,8 +107,37 @@ type Peer struct {
 }
 
 // StartPeer boots a validating-peer process: the peer, its block
-// subscription, and the TCP server.
+// subscription, and the server.
 func StartPeer(cfg PeerConfig) (*Peer, error) {
+	p, err := openPeer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.sub = &transport.Subscriber{
+		Addrs: cfg.OrdererAddrs,
+		// The tip is the resubscription cursor: a reopened store resumes
+		// just above its block.
+		Height:     func() uint64 { height, _ := p.tip.Height(); return height },
+		Deliver:    p.deliver,
+		OnError:    p.fail,
+		OnFailover: p.failovers.Inc,
+		Dial:       cfg.DialOrderer,
+	}
+	// The subscription goroutine commits, and its validation workers
+	// inherit its labels.
+	pprof.Do(context.Background(), pprof.Labels("goroutine", "committer", "peer", cfg.Name), func(context.Context) { p.sub.Start() })
+	if p.srv, err = transport.Listen(cfg.Listen, p.handle); err != nil {
+		p.Close()
+		return nil, err
+	}
+	return p, nil
+}
+
+// openPeer assembles a peer with neither server nor subscription: it opens
+// the DataDir store (or none) and seeds the genesis on a fresh replica only.
+// A reopened store is the peer's whole past: the next block it takes is the
+// one above its height.
+func openPeer(cfg PeerConfig) (_ *Peer, err error) {
 	if !slices.Contains(cfg.PeerNames, cfg.Name) {
 		return nil, fmt.Errorf("node: peer %q not in cluster peer set %v", cfg.Name, cfg.PeerNames)
 	}
@@ -106,64 +149,84 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	p := &Peer{
 		name:      cfg.Name,
+		signed:    identity.NewSignedRing(identity.Deterministic(cfg.Name, identity.RolePeer)),
+		registry:  registry(cfg.Contracts),
 		tracer:    trace.New(cfg.Name, "peer", 0),
 		committed: make(chan struct{}),
 		closed:    make(chan struct{}),
 	}
+	defer func() {
+		if err != nil {
+			if p.store != nil {
+				_ = p.store.Close() // nothing was written; the open error is what matters
+			}
+			err = fmt.Errorf("node: peer %s: %w", cfg.Name, err)
+		}
+	}()
 	// The deterministic dev MSP: every cluster process derives the same
 	// key pairs, so endorsements verify across process boundaries.
 	msp, policy := identity.DevMSP(cfg.PeerNames...)
-	p.Peer, err = fabric.NewPeer(fabric.PeerConfig{
-		ID:       identity.Deterministic(cfg.Name, identity.RolePeer),
-		MSP:      msp,
-		Policy:   policy,
-		Registry: registry(cfg.Contracts),
-		MVCC:     scheduler.NeedsMVCCValidation(),
-		Rescue:   cfg.Rescue,
+	p.validation = commit.Options{
+		Options:  validation.Options{MVCC: scheduler.NeedsMVCCValidation(), MSP: msp, Policy: policy, Self: p.signed},
 		Workers:  cfg.ValidationWorkers,
-		DataDir:  cfg.DataDir,
-		Genesis:  cfg.Genesis,
-		Tracer:   p.tracer,
-		OnCommit: func(*ledger.Block, []protocol.ValidationCode) { p.wake() },
-		OnError:  p.fail,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("node: peer %s: %w", cfg.Name, err)
+		Rescue:   cfg.Rescue,
+		Registry: p.registry,
 	}
-	// Resuming from disk, the tip and state stand at the same stored block
-	// (NewPeer checked); the subscription resumes just above it.
-	p.resumed = p.State().Height()
-	p.delivered.Store(p.resumed)
-	p.sub = &transport.Subscriber{
-		Addrs:  cfg.OrdererAddrs,
-		Height: p.delivered.Load,
-		Deliver: func(blk *ledger.Block, frame []byte) error {
-			// Drop a block the orderer replays after a reconnect (the
-			// delivery cursor can trail a redial, never lead it).
-			if blk.Header.Number <= p.delivered.Load() {
-				return nil
-			}
-			if err := p.Err(); err != nil {
-				return err // committer poisoned: stop pulling blocks
-			}
-			p.Committer().DeliverFrame(blk, frame)
-			p.delivered.Store(blk.Header.Number)
-			return nil
-		},
-		OnError:    p.fail,
-		OnFailover: p.failovers.Inc,
-		Dial:       cfg.DialOrderer,
+	if cfg.DataDir != "" {
+		if p.store, err = kvstore.Open(kvstore.Options{Dir: cfg.DataDir}); err != nil {
+			return nil, err
+		}
 	}
-	p.sub.Start()
-	srv, err := transport.Listen(cfg.Listen, p.handle)
-	if err != nil {
-		p.sub.Close()
-		p.Peer.Close()
+	if p.state, err = statedb.New(statedb.Options{Backing: p.store}); err != nil {
 		return nil, err
 	}
-	p.srv = srv
+	if p.tip, err = ledger.NewTip(p.store); err != nil {
+		return nil, err
+	}
+	// A block lands as one batch, so the two can only disagree in a
+	// directory this code did not write; there is no rule to repair it by.
+	if tip, _ := p.tip.Height(); tip != p.state.Height() {
+		return nil, fmt.Errorf("%s holds chain tip %d but state height %d", cfg.DataDir, tip, p.state.Height())
+	}
+	// A store with a height record already holds the genesis and must not
+	// re-apply block 0.
+	if !p.state.Seeded() && cfg.Genesis != nil {
+		start := p.tracer.Now()
+		base, err := cfg.Genesis()
+		if err == nil {
+			err = workload.SeedGenesis(p.state, base)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("seeding genesis: %w", err)
+		}
+		p.tracer.RecordSpan(0, trace.StageGenesis, start)
+	}
+	p.resumed = p.state.Height()
 	return p, nil
 }
+
+// deliver commits a block the subscription received, with the frame it was
+// decoded from. It skips a block at or below the tip — one the orderer
+// replays after a reconnect — and refuses every block once the peer failed.
+func (p *Peer) deliver(blk *ledger.Block, frame []byte) error {
+	if height, _ := p.tip.Height(); blk.Header.Number <= height {
+		return nil
+	}
+	if err := p.Err(); err != nil {
+		return err
+	}
+	if err := commit.Block(p.state, p.tip, blk, frame, p.validation, p.tracer); err != nil {
+		return fmt.Errorf("commit: %s: %w", p.name, err)
+	}
+	p.wake()
+	return nil
+}
+
+// State exposes the peer's state database (read-only use).
+func (p *Peer) State() *statedb.DB { return p.state }
+
+// Tip exposes the peer's ledger tip: height, tip hash and committed tally.
+func (p *Peer) Tip() *ledger.Tip { return p.tip }
 
 // Addr returns the server's bound address.
 func (p *Peer) Addr() string { return p.srv.Addr() }
@@ -219,8 +282,8 @@ func (p *Peer) ResumedAt() uint64 { return p.resumed }
 // different orderer.
 func (p *Peer) Failovers() uint64 { return p.failovers.Value() }
 
-// Close shuts the peer down: stop the subscription, drain the committer,
-// stop serving, close the store. Idempotent.
+// Close shuts the peer down: stop the subscription (a commit in flight
+// finishes first), stop serving, close the store. Idempotent.
 func (p *Peer) Close() error {
 	select {
 	case <-p.closed:
@@ -228,9 +291,15 @@ func (p *Peer) Close() error {
 	default:
 		close(p.closed)
 	}
-	p.sub.Close()
-	_ = p.srv.Close()
-	p.Peer.Close()
+	if p.sub != nil {
+		p.sub.Close()
+	}
+	if p.srv != nil {
+		_ = p.srv.Close()
+	}
+	if p.store != nil {
+		_ = p.store.Close() // every committed batch is already in the log
+	}
 	return nil
 }
 
@@ -265,8 +334,7 @@ func (p *Peer) handle(c *transport.Conn) {
 	}
 }
 
-// handleProposal runs the execution phase for a wire client through
-// fabric.Peer.Endorse.
+// handleProposal runs the execution phase for a wire client through Endorse.
 func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 	fail := func(err error) {
 		_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{Err: err.Error()}))
@@ -288,4 +356,39 @@ func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 		return
 	}
 	_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{OK: true, Tx: tx}))
+}
+
+// Endorse is the execution phase: simulate tx's invocation against the
+// latest block snapshot (Algorithm 1), record the snapshot and read/write
+// set on tx, and append the peer's signature over the result. It returns
+// the contract's result payload.
+func (p *Peer) Endorse(tx *protocol.Transaction) ([]byte, error) {
+	snap := p.state.LatestSnapshot()
+	rwset, result, err := p.simulate(tx.Contract, tx.Function, tx.Args, snap)
+	if err != nil {
+		return nil, fmt.Errorf("node: simulation failed: %w", err)
+	}
+	tx.SnapshotBlock = snap.Block()
+	tx.RWSet = rwset
+	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
+		EndorserID: p.name,
+		Signature:  p.signed.Sign(tx.Digest()),
+	})
+	return result, nil
+}
+
+// Query is Fabric's query path: it evaluates a read-only invocation against
+// the latest block snapshot and returns the result payload the contract set
+// via SetResult, endorsing and ordering nothing.
+func (p *Peer) Query(contract, function string, args ...string) ([]byte, error) {
+	_, result, err := p.simulate(contract, function, args, p.state.LatestSnapshot())
+	return result, err
+}
+
+func (p *Peer) simulate(contract, function string, args []string, snap *statedb.Snapshot) (protocol.RWSet, []byte, error) {
+	cc, ok := p.registry.Get(contract)
+	if !ok {
+		return protocol.RWSet{}, nil, fmt.Errorf("node: unknown contract %q", contract)
+	}
+	return chaincode.SimulateFull(cc, function, args, snap)
 }

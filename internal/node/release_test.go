@@ -1,4 +1,4 @@
-package fabric_test
+package node
 
 import (
 	"runtime"

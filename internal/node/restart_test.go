@@ -1,4 +1,4 @@
-package fabric_test
+package node
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 
 	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/ledger"
-	"fabricsharp/internal/node"
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/sched"
 )
@@ -20,7 +19,7 @@ import (
 // the orderer's, would fail.
 func TestRestartPreservesVersionsForMVCC(t *testing.T) {
 	var first uint64
-	sealed := sealChain(t, sched.SystemFabric, 2, func(c *node.NetworkClient) {
+	sealed := sealChain(t, sched.SystemFabric, 2, func(c *NetworkClient) {
 		res, err := c.MustSubmit("kv", "rmw", "counter", "5")
 		if err != nil {
 			t.Fatal(err)

@@ -38,8 +38,8 @@ const (
 	// StageSeal: the transaction was sealed into a block, shadow verdicts
 	// embedded.
 	StageSeal
-	// StageDeliver: the sealed block carrying the transaction arrived at a
-	// peer's committer.
+	// StageDeliver: a peer's block subscription received the sealed block
+	// carrying the transaction, and its commit began.
 	StageDeliver
 	// StageValidate: the peer derived the transaction's verdict.
 	StageValidate

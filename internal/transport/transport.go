@@ -111,9 +111,6 @@ func (c *Conn) Close() error {
 // RemoteAddr names the other end for diagnostics.
 func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 
-// SetDeadline bounds both read and write operations.
-func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
-
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@
 # matches nothing passes silently, so a renamed or deleted test — or one
 # moved to a package the step does not list — would leave a CI step that runs
 # nothing. Each top-level alternative of a -run pattern (split on `|` outside
-# parentheses; the part before any `/` — subtest patterns are not checked)
-# must match the name of some `func TestX` or `func BenchmarkX` in the
-# packages that same `go test` command lists (`./dir`, or `./dir/...` for the
-# tree under it), as go test would match it. `-run '^$'` (run nothing, on
+# parentheses; the part before any `/` — for a subtest pattern, its parent
+# test) must match the name of some `func TestX`, `func BenchmarkX` or
+# `func FuzzX` in the packages that same `go test` command lists (`./dir`,
+# or `./dir/...` for the tree under it), as go test would match it; and each
+# listed package must hold a function some alternative matches, so a step
+# builds no package it runs nothing in. `-run '^$'` (run nothing, on
 # purpose) is exempt. scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/ci_names.sh [workflow.yml]   (default .github/workflows/ci.yml)
@@ -15,7 +17,8 @@ set -euo pipefail
 workflow=$(realpath "${1:-$(dirname "$0")/../.github/workflows/ci.yml}")
 cd "$(dirname "$0")/.."
 
-# test_funcs PKG...: the Test and Benchmark functions of the listed packages.
+# test_funcs PKG...: the Test, Benchmark and Fuzz functions of the listed
+# packages.
 test_funcs() {
   local pkg depth
   for pkg in "$@"; do
@@ -25,7 +28,7 @@ test_funcs() {
     fi
     [ -d "$pkg" ] || { echo "$workflow: go test lists $pkg, which is not a directory" >&2; return 1; }
     find "$pkg" "${depth[@]}" -name '*_test.go' -print0 |
-      xargs -0 -r grep -hoE '^func (Test|Benchmark)[A-Za-z0-9_]*' | sed 's/^func //'
+      xargs -0 -r grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sed 's/^func //'
   done | sort -u
 }
 
@@ -56,9 +59,17 @@ while IFS= read -r line; do
     continue
   fi
   funcs=$(test_funcs "${pkgs[@]}") || { missing=1; continue; }
-  for name in $(alternatives "$pattern"); do
+  names=$(alternatives "$pattern")
+  for name in $names; do
     if ! grep -qE -- "$name" <<<"$funcs"; then
-      echo "$workflow: -run name $name matches no test or benchmark function in ${pkgs[*]}" >&2
+      echo "$workflow: -run name $name matches no test, benchmark or fuzz function in ${pkgs[*]}" >&2
+      missing=1
+    fi
+  done
+  for pkg in "${pkgs[@]}"; do
+    own=$(test_funcs "$pkg") || continue
+    if ! grep -qE -- "$(paste -sd'|' <<<"$names")" <<<"$own"; then
+      echo "$workflow: go test -run '$pattern' lists $pkg, where it matches no function" >&2
       missing=1
     fi
   done
