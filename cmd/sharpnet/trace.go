@@ -72,6 +72,7 @@ func cmdTrace(args []string) int {
 	fmt.Println()
 	for _, d := range dumps {
 		fmt.Printf("genesis, %s %s: %s", d.Role, d.Node, trace.FormatSpans("genesis", trace.Spans(d, trace.StageGenesis)))
+		fmt.Printf("folds, %s %s: %s", d.Role, d.Node, trace.FormatSpans("folds", trace.Spans(d, trace.StageFold)))
 		if d.Role == "peer" {
 			fmt.Printf("store checkpoints, peer %s: %s", d.Node, trace.FormatSpans("checkpoints", trace.Spans(d, trace.StageCheckpoint)))
 		}

@@ -26,8 +26,8 @@ const historyBlocks = 11
 // blocks in chain order; the block is not mutated, and nothing keeps a
 // reference to it once committed. tracer, when non-nil, records the
 // transactions' deliver, validate, commit and rescue stages and the block's
-// checkpoint span — write-only telemetry outside the deterministic scope
-// (see internal/trace).
+// checkpoint and fold spans — write-only telemetry outside the deterministic
+// scope (see internal/trace).
 //
 // A delivered block carrying the orderer's precomputed shadow verdicts
 // (blk.Validation) is cross-checked byte for byte: the agreement property
@@ -90,7 +90,11 @@ func Block(state *statedb.DB, tip *ledger.Tip, blk *ledger.Block, frame []byte, 
 		return fmt.Errorf("append block %d: %w", num, err)
 	}
 	if num > historyBlocks {
+		folds, pruneStart := state.Folds(), tracer.Now()
 		state.PruneSnapshots(num - historyBlocks)
+		if state.Folds() != folds {
+			tracer.RecordSpan(num, trace.StageFold, pruneStart)
+		}
 	}
 	if tracer != nil {
 		for i, tx := range peerBlk.Transactions {

@@ -17,6 +17,7 @@ import (
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
 	"fabricsharp/internal/statedb"
+	"fabricsharp/internal/trace"
 	"fabricsharp/internal/validation"
 )
 
@@ -462,4 +463,44 @@ func mustGet(t *testing.T, chain *ledger.Chain, n uint64) *ledger.Block {
 		t.Fatalf("chain has no block %d", n)
 	}
 	return blk
+}
+
+// TestOneFoldLeavesOneSpan: a peer whose histories reach the fold step
+// folds once after the block whose prune found them, and its ring holds one
+// fold span, keyed by that block. Every block writes 128 fresh keys, and
+// with no base the step is statedb's minimum of 1 024 histories: block 12's
+// prune is the first to find them and folds the 128 keys block 1 settled,
+// and the next fold waits for 1 024 more, past block 16.
+func TestOneFoldLeavesOneSpan(t *testing.T) {
+	source, err := ledger.NewChain(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := statedb.New(statedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tip, tracer := &ledger.Tip{}, trace.New("peer0", "peer", 1<<12)
+	for b := 1; b <= 16; b++ {
+		tx := &protocol.Transaction{ID: protocol.TxID(fmt.Sprintf("b%d", b))}
+		for i := 0; i < 128; i++ {
+			tx.RWSet.Writes = append(tx.RWSet.Writes, protocol.WriteItem{Key: fmt.Sprintf("k%02d-%03d", b, i), Value: []byte("v")})
+		}
+		blk, err := source.Seal([]*protocol.Transaction{tx}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Block(state, tip, blk, nil, Options{}, tracer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := state.Folds(); n != 1 {
+		t.Fatalf("%d folds, want 1", n)
+	}
+	if spans := trace.Spans(tracer.Dump(), trace.StageFold); len(spans) != 1 || spans[0].Block != 12 || spans[0].NS <= 0 {
+		t.Errorf("fold spans %+v, want one at block 12", spans)
+	}
+	if vv, ok := state.Get("k01-000"); !ok || string(vv.Value) != "v" || state.VersionCount("k01-000") != 1 {
+		t.Errorf("a folded key reads %q %v", vv.Value, ok)
+	}
 }

@@ -51,19 +51,26 @@ const resultHorizon = 1 << 17
 // resultStore is a bounded TxID → result map with FIFO eviction, plus the
 // handlers parked on results that have not resolved yet. It holds each
 // TxID's own fate — the arrival abort or sealed verdict of its first
-// submission — never the fate of a replay.
+// submission — never the fate of a replay. The map key is the one copy of
+// each TxID it keeps beside the eviction order.
 type resultStore struct {
 	mu      sync.Mutex
-	results map[protocol.TxID]TxResult
+	results map[protocol.TxID]fate
 	order   []protocol.TxID
 	// waiters holds one buffered channel per parked handler; put claims
 	// them under mu and hands each the result.
 	waiters map[protocol.TxID][]chan TxResult
 }
 
+// fate is a TxResult without its TxID, the map key.
+type fate struct {
+	block uint64
+	code  protocol.ValidationCode
+}
+
 func newResultStore() *resultStore {
 	return &resultStore{
-		results: map[protocol.TxID]TxResult{},
+		results: map[protocol.TxID]fate{},
 		waiters: map[protocol.TxID][]chan TxResult{},
 	}
 }
@@ -82,7 +89,7 @@ func (r *resultStore) put(res TxResult) {
 	if _, dup := r.results[res.TxID]; !dup {
 		r.order = append(r.order, res.TxID)
 	}
-	r.results[res.TxID] = res
+	r.results[res.TxID] = fate{block: res.Block, code: res.Code}
 	for len(r.order) > resultHorizon {
 		delete(r.results, r.order[0])
 		r.order = r.order[1:]
@@ -102,8 +109,8 @@ func (r *resultStore) put(res TxResult) {
 func (r *resultStore) getOrPark(id protocol.TxID) (TxResult, <-chan TxResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if res, ok := r.results[id]; ok {
-		return res, nil
+	if f, ok := r.results[id]; ok {
+		return TxResult{TxID: id, Code: f.code, Block: f.block}, nil
 	}
 	ch := make(chan TxResult, 1)
 	r.waiters[id] = append(r.waiters[id], ch)

@@ -154,7 +154,8 @@ type Events interface {
 	// StageReexec and StageFeedback, which run back to back. StagePrecheck
 	// covers the endorsements no Precheck verified before the cut, and the
 	// shadow verdicts. The seal and the shadow state's apply follow, up to
-	// Sealed.
+	// Sealed; when the apply folds the shadow first
+	// (validation.ShadowState.FoldDue), trace.StageFold marks its start.
 	CutStage(num uint64, stage trace.Stage)
 }
 
@@ -384,6 +385,9 @@ func (c *Core) Cut(ev Events) (*ledger.Block, []sched.Dropped, error) {
 	blk, err := c.chain.SealRescued(txs, raws, codes, rescue.Digest)
 	if err != nil {
 		return nil, res.DroppedTxs, fmt.Errorf("orderer: seal: %w", err)
+	}
+	if c.shadow.FoldDue() {
+		mark(trace.StageFold)
 	}
 	c.shadow.ApplyRescued(num, txs, codes, rescue.Writes)
 	c.evictSeen(num)

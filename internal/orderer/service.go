@@ -134,9 +134,10 @@ type Service struct {
 	wg   sync.WaitGroup
 	stop sync.Once
 
-	// The tracer's readings at the start of the cut in progress and at its
-	// last stage boundary (run's goroutine only).
-	cutStart, cutMark int64
+	// The tracer's readings at the start of the cut in progress, at its
+	// last stage boundary and at the start of its shadow's fold, 0 when it
+	// has none (run's goroutine only).
+	cutStart, cutMark, foldStart int64
 
 	// The first failure is recorded under errMu; submitters and the run
 	// loop observe it and stop. A poisoned block must not crash the process.
@@ -265,19 +266,28 @@ func (s *Service) Aborted(id protocol.TxID, code protocol.ValidationCode) {
 }
 
 // CutStage implements Events: it stamps the boundary and records the stage
-// that just ended on the ring, keyed by the block.
+// that just ended on the ring, keyed by the block. A cut or a fold begins
+// at its stamp.
 func (s *Service) CutStage(num uint64, stage trace.Stage) {
-	if stage == trace.StageCut {
+	switch stage {
+	case trace.StageCut:
 		s.cutStart = s.cfg.Tracer.Now()
 		s.cutMark = s.cutStart
-		return
+	case trace.StageFold:
+		s.foldStart = s.cfg.Tracer.Now()
+	default:
+		s.cutMark = s.cfg.Tracer.RecordSpan(num, stage, s.cutMark)
 	}
-	s.cutMark = s.cfg.Tracer.RecordSpan(num, stage, s.cutMark)
 }
 
-// Sealed implements Events: it records the whole cut and hands the block to
-// Deliver. Ordering never waits for validation.
+// Sealed implements Events: it records the fold the cut made, if any, and
+// the whole cut, and hands the block to Deliver. Ordering never waits for
+// validation.
 func (s *Service) Sealed(blk *ledger.Block) {
+	if s.foldStart != 0 {
+		s.cfg.Tracer.RecordSpan(blk.Header.Number, trace.StageFold, s.foldStart)
+		s.foldStart = 0
+	}
 	s.cfg.Tracer.RecordSpan(blk.Header.Number, trace.StageCut, s.cutStart)
 	for _, tx := range blk.Transactions {
 		s.cfg.Tracer.Record(string(tx.ID), trace.StageSeal, blk.Header.Number)

@@ -238,3 +238,41 @@ func TestDeferredMembersFillTheBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestShadowFoldLeavesOneSpan: an orderer's shadow folds once its entries
+// reach the fold step, at a point of the stream alone, and the ring holds
+// one fold span, keyed by the block whose apply folded. Each block holds
+// 512 blind puts of fresh keys, and with no genesis the step is statedb's
+// minimum of 1 024 entries: the apply of block 3 folds the 1 024 that
+// blocks 1 and 2 left.
+func TestShadowFoldLeavesOneSpan(t *testing.T) {
+	const blockSize = 512
+	tracer := trace.New("orderer0", "orderer", 1<<14)
+	sealed := make(chan *ledger.Block, 4)
+	svc, err := New(Config{
+		CoreConfig: CoreConfig{Options: Options{System: sched.SystemFabric, BlockSize: blockSize, BlockTimeout: time.Minute}},
+		Ordering:   SoloStream(t),
+		Tracer:     tracer,
+		Deliver:    func(b *ledger.Block) error { sealed <- b; return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	t.Cleanup(svc.Close)
+	for i := 0; i < 3*blockSize; i++ {
+		if err := svc.Submit(consensus.Envelope{Tx: blindPut(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 1; b <= 3; b++ {
+		select {
+		case <-sealed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("block %d not sealed in 10 s", b)
+		}
+	}
+	if spans := trace.Spans(tracer.Dump(), trace.StageFold); len(spans) != 1 || spans[0].Block != 3 || spans[0].NS <= 0 {
+		t.Errorf("fold spans %+v, want one at block 3", spans)
+	}
+}

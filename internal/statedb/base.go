@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"fabricsharp/internal/protocol"
 	"fabricsharp/internal/seqno"
@@ -18,35 +19,58 @@ import (
 
 // Base is an immutable set of (key, value, version) entries in ascending key
 // order: the state a database or an orderer's shadow was loaded with — a
-// genesis, or a durable peer's reopened store — and then mostly reads.
+// genesis, or a durable peer's reopened store — and the writes later folds
+// settled into it (Merge).
 //
-// Everything its reads do not hand out lives in one byte region, its index:
-// the point index, an open-addressing table of entry numbers; n+1 key
-// offsets and n+1 value offsets; one 12-byte version per entry, unless every
-// entry shares one; and the keys, concatenated, last, so that every
-// little-endian uint32 before them is 4-byte aligned. The region is an anonymous mapping where the platform has one and
-// the index reaches mapMin, so the collector neither scans it nor counts it
-// toward the heap goal, and a finalizer unmaps it once the Base is
-// unreachable. The values stay in one heap array, because reads hand them
-// out. Keys never leave the region as aliases: the package compares and
-// hashes them in place, and whatever returns a key returns a copy.
+// Everything its reads do not hand out lives in two byte regions. The key
+// region holds the point index, an open-addressing table of entry numbers;
+// n+1 key offsets; and the keys, concatenated, last, so that every
+// little-endian uint32 before them is 4-byte aligned. The value region holds
+// n+1 value offsets and one 12-byte version per entry, unless every entry
+// shares one, as a genesis's do. A base merged without a new or dropped key
+// shares its key region with the base it was merged from. A region is an
+// anonymous mapping where the platform has one and it reaches mapMin, so
+// the collector neither scans it nor counts it toward the heap goal, and a
+// finalizer unmaps it once no base holds it. The values stay in one heap
+// array, because reads hand them out. Keys never leave a region as
+// aliases: the package compares and hashes them in place, and whatever
+// returns a key returns a copy.
 //
-// Every read of the region ends with runtime.KeepAlive(b): its slices point
-// outside the heap, so holding one does not keep b, whose finalizer unmaps
-// them, reachable. keyAt hands its caller an alias, and leaves that to the
-// caller, after its last use of it.
+// Every read of a region ends with runtime.KeepAlive(b): its slices point
+// outside the heap, so holding one does not keep b, and through it the
+// region whose finalizer unmaps them, reachable. keyAt hands its caller an
+// alias, and leaves that to the caller, after its last use of it.
 //
 // A nil *Base is the empty base.
 type Base struct {
-	keys   []byte    // every key, ascending, concatenated
-	keyOff []byte    // key i is keys[off(i):off(i+1)]
-	vals   []byte    // every value, in key order; on the heap
-	valOff []byte    // value i is vals[off(i):off(i+1)]
-	vers   []byte    // entry i's version at verLen*i, or nil when every one is ver
-	slots  []byte    // entry+1 at its probe position, 0 free; a power of two long
-	n      int       // entries
-	ver    seqno.Seq // the first entry's version
-	shift  uint8     // 64 - log2(slots)
+	keyIx, valIx *region   // hold the mappings the slices below point into
+	slots        []byte    // entry+1 at its probe position, 0 free; a power of two long
+	keyOff       []byte    // key i is keys[off(i):off(i+1)]
+	keys         []byte    // every key, ascending, concatenated
+	valOff       []byte    // value i is vals[off(i):off(i+1)]
+	vers         []byte    // entry i's version at verLen*i, or nil when every one is ver
+	vals         []byte    // every value, in key order; on the heap
+	n            int       // entries
+	ver          seqno.Seq // the first entry's version
+	shift        uint8     // 64 - log2(slots)
+	// prev is whether the value region of the base this one was merged
+	// from has been unmapped.
+	prev *atomic.Bool
+}
+
+// region is the bytes of a base's index, from newRegion. unmapped is set
+// once they hold no mapping: at once for heap bytes, and when the finalizer
+// has unmapped a mapping.
+type region struct {
+	mem      []byte
+	unmapped *atomic.Bool
+}
+
+// heapRegion is a region of n zeroed heap bytes.
+func heapRegion(n int) *region {
+	r := &region{mem: make([]byte, n), unmapped: new(atomic.Bool)}
+	r.unmapped.Store(true)
+	return r
 }
 
 // offLen and verLen are the sizes of an offset or slot and of a version in
@@ -112,7 +136,7 @@ func NewBase(writes []protocol.WriteItem, ver seqno.Seq) (*Base, error) {
 // the same few allocations however many entries it holds. put copies its
 // arguments. An empty base is nil.
 func BuildBase(ver seqno.Seq, each func(put func(key, val []byte))) (*Base, error) {
-	return buildBase(func(put func(key, val []byte, ver seqno.Seq) error) error {
+	return buildBase(nil, func(put func(key, val []byte, ver seqno.Seq) error) error {
 		var err error
 		each(func(key, val []byte) {
 			if err == nil {
@@ -123,10 +147,75 @@ func BuildBase(ver seqno.Seq, each func(put func(key, val []byte))) (*Base, erro
 	})
 }
 
-// buildBase is BuildBase with a version per entry and an each that can
-// fail, which a reopened store's scan needs; an error from each or put ends
-// the build with it.
-func buildBase(each func(put func(key, val []byte, ver seqno.Seq) error) error) (*Base, error) {
+// Entry is one entry of a base, as Merge takes it. A Deleted entry drops
+// its key.
+type Entry struct {
+	Key     string
+	Value   []byte
+	Version seqno.Seq
+	Deleted bool
+}
+
+// Merge returns the base of b's entries with ups put over them: an entry of
+// ups replaces b's entry of its key, or joins b's entries when b has none,
+// and a Deleted one drops b's entry of its key. ups must be in strictly
+// ascending key order. The merge is one ascending pass through buildBase;
+// when ups neither adds nor drops a key, the new base shares b's key region
+// and builds only its values and versions. b stays as it was, for whoever
+// still reads it.
+//
+// At most one replaced base waits on its finalizer per line of merges: when
+// the base b was merged from still holds its mapping, Merge collects before
+// it builds.
+func (b *Base) Merge(ups []Entry) (*Base, error) {
+	if len(ups) == 0 {
+		return b, nil
+	}
+	if b != nil && b.prev != nil && !b.prev.Load() {
+		runtime.GC()
+	}
+	keysOf := b
+	for _, u := range ups {
+		if u.Deleted || b.find(u.Key) < 0 {
+			keysOf = nil
+			break
+		}
+	}
+	merged, err := buildBase(keysOf, func(put func(key, val []byte, ver seqno.Seq) error) error {
+		var kb []byte
+		var err error
+		for i, j := 0, 0; err == nil && (i < b.Len() || j < len(ups)); {
+			if j == len(ups) || i < b.Len() && string(b.keyAt(i)) < ups[j].Key {
+				err = put(b.keyAt(i), b.value(i), b.version(i))
+				i++
+				continue
+			}
+			if i < b.Len() && string(b.keyAt(i)) == ups[j].Key {
+				i++
+			}
+			if !ups[j].Deleted {
+				kb = append(kb[:0], ups[j].Key...)
+				err = put(kb, ups[j].Value, ups[j].Version)
+			}
+			j++
+		}
+		runtime.KeepAlive(b)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if b != nil && merged != nil {
+		merged.prev = b.valIx.unmapped
+	}
+	return merged, nil
+}
+
+// buildBase builds a base with a version per entry from an each that can
+// fail, which a reopened store's scan and a merge need; an error from each
+// or put ends the build with it. keysOf, when not nil, is a base whose keys
+// the entries are, in order: the new base shares its key region.
+func buildBase(keysOf *Base, each func(put func(key, val []byte, ver seqno.Seq) error) error) (*Base, error) {
 	b := &Base{}
 	var nk, nv int
 	shared := true
@@ -144,51 +233,73 @@ func buildBase(each func(put func(key, val []byte, ver seqno.Seq) error) error) 
 	if uint64(nk) > math.MaxUint32 || uint64(nv) > math.MaxUint32 {
 		return nil, errArena
 	}
-	logSize := bits.Len(uint(2*b.n - 1)) // the table stays at most half full
-	b.shift = uint8(64 - logSize)
-	offs, nvers := offLen*(b.n+1), 0
+	offs := offLen * (b.n + 1)
+	if keysOf != nil {
+		if keysOf.n != b.n {
+			return nil, errPasses
+		}
+		b.keyIx, b.slots, b.keyOff, b.keys, b.shift = keysOf.keyIx, keysOf.slots, keysOf.keyOff, keysOf.keys, keysOf.shift
+	} else {
+		logSize := bits.Len(uint(2*b.n - 1)) // the table stays at most half full
+		b.shift = uint8(64 - logSize)
+		nslots := offLen << logSize
+		b.keyIx = newRegion(nslots + offs + nk)
+		idx := b.keyIx.mem
+		b.slots, idx = idx[:nslots:nslots], idx[nslots:]
+		b.keyOff, b.keys = idx[:offs:offs], idx[offs:]
+	}
+	nvers := 0
 	if !shared {
 		nvers = verLen * b.n
 	}
-	nslots := offLen << logSize
-	idx := allocIndex(b, nslots+2*offs+nvers+nk)
-	b.slots, idx = idx[:nslots:nslots], idx[nslots:]
-	b.keyOff, idx = idx[:offs:offs], idx[offs:]
-	b.valOff, idx = idx[:offs:offs], idx[offs:]
+	b.valIx = newRegion(offs + nvers)
+	b.valOff = b.valIx.mem[:offs:offs]
 	if !shared {
-		b.vers, idx = idx[:nvers:nvers], idx[nvers:]
+		b.vers = b.valIx.mem[offs:]
 	}
-	b.keys = idx
 	b.vals = make([]byte, 0, nv)
 	i, end := 0, 0
 	err = each(func(key, val []byte, ver seqno.Seq) error {
-		if i == b.n || end+len(key) > nk || len(b.vals)+len(val) > nv || (shared && ver != b.ver) {
+		if i == b.n || len(b.vals)+len(val) > nv || (shared && ver != b.ver) {
 			return errPasses
 		}
-		if i > 0 {
+		switch {
+		case keysOf != nil:
+			if !bytes.Equal(key, b.keyAt(i)) {
+				return errPasses
+			}
+		case end+len(key) > nk:
+			return errPasses
+		case i > 0:
 			if c := bytes.Compare(key, b.keyAt(i-1)); c == 0 {
 				return errBaseShape
 			} else if c < 0 {
 				return fmt.Errorf("statedb: base key %q after %q", key, b.keyAt(i-1))
 			}
 		}
-		end += copy(b.keys[end:], key)
+		if keysOf == nil {
+			end += copy(b.keys[end:], key)
+			putU32(b.keyOff, i+1, uint32(end))
+		}
 		b.vals = append(b.vals, val...)
 		if !shared {
 			ver.AppendTo(b.vers[verLen*i : verLen*i]) // in place: the slot has room
 		}
 		i++
-		putU32(b.keyOff, i, uint32(end))
 		putU32(b.valOff, i, uint32(len(b.vals)))
 		return nil
 	})
-	if err == nil && (i != b.n || end != nk || len(b.vals) != nv) {
+	if err == nil && (i != b.n || len(b.vals) != nv || (keysOf == nil && end != nk)) {
 		err = errPasses
 	}
 	if err != nil {
 		return nil, err
 	}
-	mask := uint64(1)<<logSize - 1
+	if keysOf != nil {
+		runtime.KeepAlive(keysOf)
+		return b, nil
+	}
+	mask := uint64(1)<<(64-b.shift) - 1
 	for i := 0; i < b.n; i++ {
 		p := probe(b.keyAt(i), b.shift)
 		for u32(b.slots, int(p)) != 0 {

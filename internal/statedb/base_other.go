@@ -2,5 +2,5 @@
 
 package statedb
 
-// allocIndex takes b's index from the heap where there is no mmap.
-func allocIndex(_ *Base, n int) []byte { return make([]byte, n) }
+// newRegion takes a region from the heap where there is no mmap.
+func newRegion(n int) *region { return heapRegion(n) }

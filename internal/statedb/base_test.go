@@ -181,7 +181,7 @@ func checkModel(t *testing.T, label string, db *DB, m *stateModel, keys []string
 // seeded with a genesis base takes random blocks of puts and deletes over
 // genesis and fresh keys — genesis keys deleted, re-put and deleted again —
 // and prunes at random horizons (rising, repeated, stepping back, past the
-// tip); clones are taken along the way. After every step the database and
+// tip); clones are taken and folds forced along the way. After every step the database and
 // every clone read exactly as a plain map-of-histories model does: Get,
 // GetAt at every readable snapshot, KeysInRange, Keys, ForEachLatest,
 // VersionCount and StateFingerprint.
@@ -200,6 +200,7 @@ func runBaseModel(t *testing.T, durable bool) {
 	for i := 0; i < 8; i++ {
 		keys = append(keys, fmt.Sprintf("n%02d", i))
 	}
+	folds := uint64(0)
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		storeDir := t.TempDir()
@@ -228,7 +229,7 @@ func runBaseModel(t *testing.T, durable bool) {
 		if err := seedWrites(db, genesis); err != nil {
 			t.Fatal(err)
 		}
-		if db.base.Len() != 16 {
+		if db.base.Load().Len() != 16 {
 			t.Fatalf("seed %d: genesis went to histories, not the base", seed)
 		}
 		m.apply(0, []BlockWrites{{Pos: 1, Writes: genesis}})
@@ -281,6 +282,11 @@ func runBaseModel(t *testing.T, durable bool) {
 			case r == 5:
 				clones = append(clones, cloned{db.Clone(), m.clone()})
 				step = "clone"
+			case r == 6:
+				before := db.Folds()
+				forceFold(db)
+				folds += db.Folds() - before
+				step = "fold"
 			}
 			label := fmt.Sprintf("seed %d block %d %s", seed, block, step)
 			checkModel(t, label, db, m, keys)
@@ -288,10 +294,53 @@ func runBaseModel(t *testing.T, durable bool) {
 				checkModel(t, fmt.Sprintf("%s clone %d", label, i), c.db, c.m, keys)
 			}
 		}
+		// A fresh key folded into the base and then deleted leaves the
+		// histories and the base as they were before it was written.
+		fresh := "n99"
+		withFresh := append(slices.Clone(keys), fresh)
+		db.PruneSnapshots(80)
+		m.prune(80)
+		forceFold(db)
+		hist, baseLen := historyCount(db), db.base.Load().Len()
+		for i, w := range []protocol.WriteItem{put(fresh, "fresh"), {Key: fresh, Delete: true}} {
+			block := uint64(81 + i)
+			txs := []BlockWrites{{Pos: 1, Writes: []protocol.WriteItem{w}}}
+			apply(t, db, block, txs...)
+			m.apply(block, txs)
+			db.PruneSnapshots(block)
+			m.prune(block)
+			forceFold(db)
+			label := fmt.Sprintf("seed %d block %d fresh key folded", seed, block)
+			checkModel(t, label, db, m, withFresh)
+			inBase := db.base.Load().find(fresh) >= 0
+			if h, n := historyCount(db), db.base.Load().Len(); h != hist || n != baseLen+1-i || inBase != (i == 0) {
+				t.Fatalf("%s: %d histories and %d base entries (%s in the base: %v), want %d and %d", label, h, n, fresh, inBase, hist, baseLen+1-i)
+			}
+		}
 		if kv != nil {
 			kv.Close()
 		}
 	}
+	if folds == 0 {
+		t.Error("no forced fold settled a history: the fold steps were vacuous")
+	}
+	t.Logf("%d forced folds settled histories", folds)
+}
+
+// forceFold folds db at once, however few histories it holds.
+func forceFold(db *DB) {
+	db.applyMu.Lock()
+	defer db.applyMu.Unlock()
+	db.fold()
+}
+
+// historyCount is how many keys hold a history, over every shard.
+func historyCount(db *DB) int {
+	n := 0
+	for i := range db.shards {
+		n += len(db.shards[i].hist)
+	}
+	return n
 }
 
 // seedWrites seeds db with writes as its genesis base at position 1 of

@@ -8,31 +8,34 @@ import (
 	"syscall"
 )
 
-// mapMin is the smallest index allocIndex maps. A smaller one — a test's or
+// mapMin is the smallest region newRegion maps. A smaller one — a test's or
 // a scenario's few keys — costs the heap little, and mapping it would leave
 // off-heap bytes the pacer cannot see piling up between collections.
 const mapMin = 64 << 10
 
-// mapped is the bytes of the live bases' mapped indexes.
+// mapped is the bytes of the live regions' mappings.
 var mapped atomic.Int64
 
-// allocIndex returns n zeroed bytes for b's index: an anonymous private
-// mapping, which a finalizer on b unmaps once b is unreachable, or the heap
-// for an index under mapMin or when the mapping fails. The bytes are read
-// and written the same way either way.
-func allocIndex(b *Base, n int) []byte {
+// newRegion returns a region of n zeroed bytes: an anonymous private
+// mapping, which a finalizer unmaps once the region is unreachable, or the
+// heap for fewer than mapMin bytes or when the mapping fails. The bytes are
+// read and written the same way either way.
+func newRegion(n int) *region {
 	if n < mapMin {
-		return make([]byte, n)
+		return heapRegion(n)
 	}
 	mem, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
-		return make([]byte, n)
+		return heapRegion(n)
 	}
 	mapped.Add(int64(n))
-	runtime.SetFinalizer(b, func(*Base) {
+	unmapped := new(atomic.Bool)
+	r := &region{mem: mem, unmapped: unmapped}
+	runtime.SetFinalizer(r, func(*region) {
 		// A failed unmap leaks address space only; there is no caller to tell.
 		_ = syscall.Munmap(mem)
 		mapped.Add(-int64(n))
+		unmapped.Store(true)
 	})
-	return mem
+	return r
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,6 +25,10 @@ type outliving struct {
 	baseKeys, inRange, rangeAfter   []string
 	latest                          map[string][]byte
 	preWrite                        map[string][]byte
+	// read after folds replaced the base: the replaced base's entries, the
+	// folded keys through the database, and a range across both folds
+	replaced, folded map[string][]byte
+	rangeFolded      []string
 }
 
 const (
@@ -64,6 +69,7 @@ func readMappedBase(t *testing.T, before int64) outliving {
 	out := outliving{
 		get: map[string][]byte{}, getAt: map[string][]byte{}, baseGet: map[string][]byte{},
 		shadowRead: map[string][]byte{}, latest: map[string][]byte{}, preWrite: map[string][]byte{},
+		replaced: map[string][]byte{}, folded: map[string][]byte{},
 	}
 	for i := 0; i < base.Len(); i++ {
 		out.baseKeys = append(out.baseKeys, base.Key(i))
@@ -94,6 +100,27 @@ func readMappedBase(t *testing.T, before int64) outliving {
 		out.latest[key] = vv.Value
 		return true
 	})
+	// The first fold settles block 1's writes of base keys into a base that
+	// shares the genesis's key region; the second adds a fresh key, so its
+	// base has a key region of its own.
+	db.PruneSnapshots(1)
+	mappedBefore := statedb.MappedBytes()
+	statedb.ForceFold(db)
+	if err := db.ApplyBlock(2, []statedb.BlockWrites{{Pos: 1, Writes: []protocol.WriteItem{{Key: "k1-fresh", Value: []byte("fresh")}}}}); err != nil {
+		t.Fatal(err)
+	}
+	db.PruneSnapshots(2)
+	statedb.ForceFold(db)
+	if db.Folds() != 2 || statedb.MappedBytes() == mappedBefore {
+		t.Fatalf("%d folds mapped %d bytes, want 2 folds and new mappings", db.Folds(), statedb.MappedBytes()-mappedBefore)
+	}
+	for i := 0; i < outlivingRw; i++ {
+		key := outlivingKey(i)
+		out.replaced[key], _, _ = base.Get(key)
+		vv, _ := db.Get(key)
+		out.folded[key] = vv.Value
+	}
+	out.rangeFolded = db.KeysInRange("k000", "k2", 2)
 	return out
 }
 
@@ -113,10 +140,11 @@ func settledMappedBytes() int64 {
 // TestBaseReadsOutliveTheBase keeps what every accessor of a mapped base
 // hands out — Get, GetAt, Base.Get, Base.Key, KeysInRange, ForEachLatest, a
 // shadow's Read, and a base key's pre-write version once a block overwrote
-// it — drops the base, the database and the shadow, collects until the
-// finalizer has unmapped the index, and then reads everything it kept
-// against a plain map. A key or value aliasing the unmapped index would
-// fault here.
+// it — and, once two folds replaced the base (one sharing its key region,
+// one not), what the replaced base and the folded ones hand out; drops the
+// bases, the database and the shadow, collects until the finalizers have
+// unmapped every region, and then reads everything it kept against a plain
+// map. A key or value aliasing an unmapped region would fault here.
 func TestBaseReadsOutliveTheBase(t *testing.T) {
 	before := settledMappedBytes()
 	out := readMappedBase(t, before)
@@ -163,9 +191,14 @@ func TestBaseReadsOutliveTheBase(t *testing.T) {
 	if !reflect.DeepEqual(out.inRange, inRange) || !reflect.DeepEqual(out.rangeAfter, rangeAfter) {
 		t.Fatalf("KeysInRange gave %d and %d keys, model %d and %d", len(out.inRange), len(out.rangeAfter), len(inRange), len(rangeAfter))
 	}
+	genesis("the replaced base's Get", out.replaced)
+	if rangeFolded := append(slices.Clone(out.baseKeys), "k1-fresh"); !reflect.DeepEqual(out.rangeFolded, rangeFolded) {
+		t.Fatalf("KeysInRange after the folds gave %d keys, model %d", len(out.rangeFolded), len(rangeFolded))
+	}
 	for i := 0; i < outlivingRw; i++ {
 		model[outlivingKey(i)] = "new"
 	}
+	genesis("Get of a folded key", out.folded)
 	if len(out.latest) != len(model) {
 		t.Fatalf("ForEachLatest visited %d keys, model %d", len(out.latest), len(model))
 	}
@@ -205,4 +238,87 @@ func TestGenesisBaseIsOffTheHeap(t *testing.T) {
 	}
 	t.Logf("the 100 000-account genesis adds %d KiB to the live heap", grew>>10)
 	runtime.KeepAlive(base)
+}
+
+// TestWrittenKeysFoldIntoTheBase writes every key of a 100 000-entry mapped
+// genesis once, 1 000 keys a block, into a database that prunes 11 blocks
+// behind its tip as a peer does and into an orderer's shadow, and then
+// takes both 12 empty blocks past the last write. What each holds on the
+// heap for a written key is then a share of the base's values, plus a map
+// history or entry for the keys written since its last fold, fewer than a
+// fold step: at most 100 B a key on the database and 80 B on the shadow,
+// where a history or an entry kept each key's first write for good (182 and
+// 126 B on these keys).
+func TestWrittenKeysFoldIntoTheBase(t *testing.T) {
+	const n, perBlock = 100000, 1000
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	genesis := func() *statedb.Base {
+		base, err := statedb.BuildBase(seqno.Commit(0, 1), func(put func(key, val []byte)) {
+			for i := 0; i < n; i++ {
+				put([]byte(outlivingKey(i)), []byte(fmt.Sprintf("%06d", i)))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base
+	}
+	blockWrites := func(b int) []protocol.WriteItem {
+		var ws []protocol.WriteItem
+		for i := (b - 1) * perBlock; i < b*perBlock && i < n; i++ {
+			ws = append(ws, protocol.WriteItem{Key: outlivingKey(i), Value: []byte(fmt.Sprintf("w%05d", i))})
+		}
+		return ws
+	}
+	const blocks = n/perBlock + 12
+	perKey := func(label string, before int64, keep any, bound int64) {
+		t.Helper()
+		grew := live() - before
+		runtime.KeepAlive(keep)
+		t.Logf("%s: %d B of heap per written key", label, grew/n)
+		if grew > bound*n {
+			t.Errorf("%s holds %d B of heap per written key past the horizon, want at most %d", label, grew/n, bound)
+		}
+	}
+
+	db, err := statedb.New(statedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SeedBase(0, genesis()); err != nil {
+		t.Fatal(err)
+	}
+	before := live()
+	for b := 1; b <= blocks; b++ {
+		if err := db.ApplyBlock(uint64(b), []statedb.BlockWrites{{Pos: 1, Writes: blockWrites(b)}}); err != nil {
+			t.Fatal(err)
+		}
+		if b > 11 {
+			db.PruneSnapshots(uint64(b - 11))
+		}
+	}
+	if vv, ok := db.Get(outlivingKey(n - 1)); !ok || string(vv.Value) != fmt.Sprintf("w%05d", n-1) {
+		t.Fatalf("the last written key reads %q %v", vv.Value, ok)
+	}
+	perKey("statedb.DB", before, db, 100)
+
+	shadow := validation.NewValueShadowState()
+	if err := shadow.SeedBase(genesis()); err != nil {
+		t.Fatal(err)
+	}
+	before = live()
+	for b := 1; b <= blocks; b++ {
+		tx := &protocol.Transaction{RWSet: protocol.RWSet{Writes: blockWrites(b)}}
+		shadow.ApplyRescued(uint64(b), []*protocol.Transaction{tx}, []protocol.ValidationCode{protocol.Valid}, nil)
+	}
+	if v, _, ok := shadow.Read(outlivingKey(n - 1)); !ok || string(v) != fmt.Sprintf("w%05d", n-1) {
+		t.Fatalf("the last written key reads %q %v", v, ok)
+	}
+	perKey("validation.ShadowState", before, shadow, 80)
 }

@@ -18,11 +18,10 @@
 // The state a database is loaded with — the genesis (SeedBase) or a durable
 // peer's reopened store (New) — is held as a Base: one immutable, sorted set
 // of entries, about a quarter of the memory the same keys take as map
-// entries. Its keys, offsets, versions and point index sit in one region
-// off the GC heap (an anonymous mapping, unmapped by a finalizer once the
-// base is unreachable), so the collector neither scans them nor keeps
-// headroom for them; only its values are on the heap, because reads hand
-// them out. Every key the package returns from a base is a copy. BuildBase
+// entries. Its keys, offsets, versions and point index sit in regions off
+// the GC heap (anonymous mappings, unmapped by a finalizer once no base
+// holds them), so the collector neither scans them nor keeps headroom for
+// them; only its values are on the heap, because reads hand them out. Every key the package returns from a base is a copy. BuildBase
 // makes a base from entries given in strictly ascending key order in two
 // passes, sizing the region and then writing each entry straight into it,
 // and refuses a key out of order or given twice; NewBase sorts a small
@@ -35,10 +34,22 @@
 // answers for it — exactly the versions it would hold had the base been
 // applied as a block — and a key without one reads its base entry. When
 // pruning leaves a base key's history a lone tombstone, the history stays,
-// emptied, so the base entry it hides cannot resurface. A range read
-// (KeysInRange) finds the base keys in range by binary search and scans the
-// histories whole, so it costs the base keys in range plus every key written
-// since the base was loaded, not the whole base.
+// emptied, so the base entry it hides cannot resurface, until the next fold
+// drops the key from the base and the history with it.
+//
+// The base does not stay the one the database was loaded with. Once the
+// histories have grown by Base.FoldStep (an eighth of the base) since the
+// last fold, the prune that finds them folds: every history that is one
+// live version at or below the horizon is merged into a new base, entry
+// versions and all (Base.Merge, one ascending pass, which shares the old
+// base's keys and probe table when it adds or drops no key), the new base
+// is published, and those histories go. An emptied history goes too, and
+// its key leaves the new base. A fold changes no read: the folded version is
+// the only one a readable snapshot could see, and a dropped key is deleted
+// at every readable snapshot. Tombstones and histories of several versions
+// stay. A range read (KeysInRange) finds the base keys in range by binary
+// search and scans the histories whole, so it costs the base keys in range
+// plus every key written since the last fold, not the whole base.
 //
 // # Concurrency
 //
@@ -50,14 +61,22 @@
 //   - per-key readers (Get, GetAt, VersionCount, KeysInRange) take one
 //     shard's read lock;
 //   - mutators (ApplyBlock, PruneSnapshots) take applyMu plus each touched
-//     shard's write lock;
+//     shard's write lock; a fold builds its base and the shards' new maps
+//     under applyMu alone, and takes each shard's write lock only to swap
+//     its map in;
 //   - whole-database views (Clone, ForEachLatest) take applyMu
 //     alone — it excludes every mutator, and concurrent shard readers are
 //     harmless; StateFingerprint takes it too, to read the running digest
 //     the mutators maintain.
 //
-// The base is set before the database is shared and never changes, so
-// readers take no lock for it.
+// The base is an atomic pointer. A fold publishes the new one before it
+// swaps out the maps that still hold the folded histories, and a point
+// reader loads it only after its history lookup missed, under the shard
+// lock: a miss that follows the swap follows the publish, so it reads the
+// new base, and one before the swap reads either, which agree on every key
+// without a history. A range read checks that the base it scanned is still
+// the published one and scans again if not, as ReadRange re-checks the
+// horizon. Readers never wait on a fold's build.
 //
 // Snapshot isolation does not depend on the locks: ApplyBlock publishes the
 // new height only after every shard write of the block has landed, and
@@ -69,7 +88,9 @@ package statedb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -141,9 +162,14 @@ type DB struct {
 	// only these keys can hold a version a later PruneSnapshots discards.
 	// Guarded by applyMu.
 	written []blockKey
-	// base is the state the database was loaded with; see the package
-	// comment. Set by New or SeedBase before the database is shared.
-	base *Base
+	// base is the state the database was loaded with and the writes folds
+	// settled since; see the package comment. A reader loads it after its
+	// history lookup missed, under that key's shard lock.
+	base atomic.Pointer[Base]
+	// settled is how many histories the last fold left (guarded by
+	// applyMu); the next fold waits until FoldStep more have gathered.
+	settled int
+	folds   atomic.Uint64
 }
 
 // blockKey records that block wrote key.
@@ -187,7 +213,7 @@ func New(opts Options) (*DB, error) {
 	}
 	// The store scans in ascending key order, the order a base is built in;
 	// the build scans it twice, to size the base and then to fill it.
-	db.base, err = buildBase(func(put func(key, val []byte, ver seqno.Seq) error) error {
+	base, err := buildBase(nil, func(put func(key, val []byte, ver seqno.Seq) error) error {
 		return opts.Backing.Scan([]byte(backingStatePrefix), func(k, raw []byte) error {
 			key := k[len(backingStatePrefix):]
 			if len(raw) < seqno.EncodedLen() {
@@ -203,7 +229,8 @@ func New(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.live = db.base.digest()
+	db.base.Store(base)
+	db.live = base.digest()
 	return db, nil
 }
 
@@ -245,7 +272,7 @@ func (db *DB) SeedBase(block uint64, base *Base) error {
 		return err
 	}
 	db.live = sum
-	db.base = base
+	db.base.Store(base)
 	db.height.Store(block)
 	db.hasAny.Store(true)
 	return nil
@@ -279,8 +306,9 @@ func (db *DB) Get(key string) (VersionedValue, bool) {
 	defer sh.mu.RUnlock()
 	versions, ok := sh.hist[key]
 	if !ok {
-		if i := db.base.find(key); i >= 0 {
-			return db.base.entry(i), true
+		base := db.base.Load()
+		if i := base.find(key); i >= 0 {
+			return base.entry(i), true
 		}
 		return VersionedValue{}, false
 	}
@@ -311,8 +339,9 @@ func (db *DB) GetAt(key string, asOfBlock uint64) (VersionedValue, bool, error) 
 	}
 	versions, ok := sh.hist[key]
 	if !ok {
-		if i := db.base.find(key); i >= 0 && db.base.version(i).Block <= asOfBlock {
-			return db.base.entry(i), true, nil
+		base := db.base.Load()
+		if i := base.find(key); i >= 0 && base.version(i).Block <= asOfBlock {
+			return base.entry(i), true, nil
 		}
 		return VersionedValue{}, false, nil
 	}
@@ -422,7 +451,7 @@ func (db *DB) ApplyBlock(block uint64, txWrites []BlockWrites, riders ...kvstore
 			sh.mu.Lock()
 			versions, ok := sh.hist[w.Key]
 			if !ok {
-				versions = db.base.history(w.Key)
+				versions = db.base.Load().history(w.Key)
 			}
 			sh.hist[w.Key] = append(versions, vv)
 			sh.mu.Unlock()
@@ -501,11 +530,88 @@ func (db *DB) PruneSnapshots(minSnapshotBlock uint64) {
 	if rest < cap(db.written)/4 { // let go of the capacity the largest block left
 		db.written = append([]blockKey(nil), db.written...)
 	}
+	histories := 0
+	for i := range db.shards {
+		histories += len(db.shards[i].hist)
+	}
+	if histories >= db.settled+db.base.Load().FoldStep() {
+		db.fold()
+	}
 }
+
+// FoldStep is how many histories (shadow entries, on an orderer) a state
+// over b gathers beyond those its last fold left before it folds again: an
+// eighth of b, and at least foldMin, so that a small state does not rebuild
+// its base every block.
+func (b *Base) FoldStep() int { return max(b.Len()/8, foldMin) }
+
+const foldMin = 1 << 10
+
+// fold merges every history that is one live version at or below the
+// horizon into a new base, drops from it every key whose history trimKey
+// emptied, publishes it and drops those histories. The caller holds
+// applyMu, which keeps every other writer of the histories out while fold
+// reads them, and readers run on: the base is built beside the one they
+// read, published before the histories go, and each shard's map is rebuilt
+// without the folded keys — Go maps never shrink — and swapped in under its
+// lock. A history of several versions, or of a tombstone, stays.
+func (db *DB) fold() {
+	horizon := db.horizon.Load()
+	settled := func(versions []VersionedValue) bool {
+		return len(versions) == 0 || len(versions) == 1 && !versions[0].Deleted && versions[0].Version.Block <= horizon
+	}
+	var ups []Entry
+	var kept [numShards]map[string][]VersionedValue
+	left := 0
+	for i := range db.shards {
+		hist := db.shards[i].hist
+		var keys []string
+		for key := range hist {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		n := len(ups)
+		for _, key := range keys {
+			if versions := hist[key]; len(versions) == 0 {
+				ups = append(ups, Entry{Key: key, Deleted: true})
+			} else if settled(versions) {
+				ups = append(ups, Entry{Key: key, Value: versions[0].Value, Version: versions[0].Version})
+			}
+		}
+		kept[i] = make(map[string][]VersionedValue, len(keys)-(len(ups)-n))
+		for _, key := range keys {
+			if versions := hist[key]; !settled(versions) {
+				kept[i][key] = versions
+			}
+		}
+		left += len(kept[i])
+	}
+	slices.SortFunc(ups, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	base, err := db.base.Load().Merge(ups)
+	if err != nil || len(ups) == 0 {
+		// Nothing settled, or a base past 4 GiB: the histories keep
+		// answering, and the next fold waits for another FoldStep.
+		db.settled = left + len(ups)
+		return
+	}
+	db.base.Store(base)
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		sh.hist = kept[i]
+		sh.mu.Unlock()
+	}
+	db.settled = left
+	db.folds.Add(1)
+}
+
+// Folds returns how many folds the database has made since it was opened.
+func (db *DB) Folds() uint64 { return db.folds.Load() }
 
 // trimKey cuts key's history to the latest version at or before horizon and
 // everything after it, and drops the key once that is a lone tombstone — or,
-// over a base key, empties its history, which keeps the base entry hidden.
+// over a base key, empties its history, which keeps the base entry hidden
+// until the next fold drops both.
 // The kept versions slide to the front of the same array, which later
 // appends then reuse (the shard's write lock keeps readers out meanwhile).
 func (db *DB) trimKey(sh *shard, key string, horizon uint64) {
@@ -522,7 +628,7 @@ func (db *DB) trimKey(sh *shard, key string, horizon uint64) {
 	}
 	if idx == len(versions)-1 && versions[idx].Deleted {
 		// Latest is a tombstone and nothing newer: the key is gone.
-		if db.base.find(key) >= 0 {
+		if db.base.Load().find(key) >= 0 {
 			sh.hist[key] = nil
 		} else {
 			delete(sh.hist, key)
@@ -543,7 +649,7 @@ func (db *DB) VersionCount(key string) int {
 	if versions, ok := sh.hist[key]; ok {
 		return len(versions)
 	}
-	if db.base.find(key) >= 0 {
+	if db.base.Load().find(key) >= 0 {
 		return 1
 	}
 	return 0
@@ -572,27 +678,42 @@ func (db *DB) ForEachLatest(fn func(key string, vv VersionedValue) bool) {
 			}
 		}
 	}
-	db.base.walk(0, db.base.Len(), func(i int, key []byte) bool {
-		return db.hasHistory(key) || fn(string(key), db.base.entry(i))
+	base := db.base.Load()
+	base.walk(0, base.Len(), func(i int, key []byte) bool {
+		return db.hasHistory(key) || fn(string(key), base.entry(i))
 	})
 }
 
 // KeysInRange returns, sorted, every key in [start, end) that is live at
 // the snapshot after block asOfBlock. The base's keys are found by binary
 // search, each in range then read under its shard's lock; the histories are
-// scanned whole, so the cost is linear in the keys written since the base
-// was loaded plus the base keys in range — acceptable for the
-// contract-visible state sizes this repository targets.
+// scanned whole, so the cost is linear in the keys written since the last
+// fold plus the base keys in range — acceptable for the contract-visible
+// state sizes this repository targets.
+//
+// A fold publishes its base before it drops the histories it folded, so a
+// scan that loads the same base before and after saw every key once: from
+// the histories, or from that base. One that sees a new base scans again.
 func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
+	for {
+		base := db.base.Load()
+		out := db.keysInRange(base, start, end, asOfBlock)
+		if db.base.Load() == base {
+			return out
+		}
+	}
+}
+
+func (db *DB) keysInRange(base *Base, start, end string, asOfBlock uint64) []string {
 	var out []string
-	lo, hi := db.base.span(start, end)
-	db.base.walk(lo, hi, func(i int, key []byte) bool {
+	lo, hi := base.span(start, end)
+	base.walk(lo, hi, func(i int, key []byte) bool {
 		sh := &db.shards[shardFor(key)]
 		sh.mu.RLock()
 		versions, ok := sh.hist[string(key)]
 		live := liveAt(versions, asOfBlock)
 		if !ok {
-			live = db.base.version(i).Block <= asOfBlock
+			live = base.version(i).Block <= asOfBlock
 		}
 		sh.mu.RUnlock()
 		if live {
@@ -606,7 +727,7 @@ func (db *DB) KeysInRange(start, end string, asOfBlock uint64) []string {
 		//sharp:orderinvariant matched keys are sorted once after the shard sweep, before return
 		for key, versions := range sh.hist {
 			// A base key was decided above, atomically with its history.
-			if key < start || (end != "" && key >= end) || db.base.find(key) >= 0 {
+			if key < start || (end != "" && key >= end) || base.find(key) >= 0 {
 				continue
 			}
 			if liveAt(versions, asOfBlock) {
@@ -638,7 +759,8 @@ func liveAt(versions []VersionedValue, asOfBlock uint64) bool {
 func (db *DB) Clone() *DB {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	out := &DB{live: db.live, written: append([]blockKey(nil), db.written...), base: db.base}
+	out := &DB{live: db.live, written: append([]blockKey(nil), db.written...), settled: db.settled}
+	out.base.Store(db.base.Load())
 	out.height.Store(db.height.Load())
 	out.hasAny.Store(db.hasAny.Load())
 	out.horizon.Store(db.horizon.Load())

@@ -85,6 +85,13 @@ const StageCheckpoint Stage = 48
 // is little else. Spans reads it.
 const StageGenesis Stage = 49
 
+// StageFold is a node's block-keyed stage, recorded once per fold of its
+// settled writes into a new base: on a peer, around the prune after the
+// block's apply (statedb.DB); on an orderer, from just before the shadow's
+// apply that folds first (validation.ShadowState) to the block's Sealed.
+// Spans reads it.
+const StageFold Stage = 50
+
 var stageNames = [...]string{
 	StageSubmit:     "submit",
 	StageOrder:      "order",
@@ -108,6 +115,8 @@ func (s Stage) String() string {
 		return "checkpoint"
 	case s == StageGenesis:
 		return "genesis"
+	case s == StageFold:
+		return "fold"
 	}
 	return "unknown"
 }
@@ -116,8 +125,10 @@ func (s Stage) String() string {
 func (s Stage) cut() bool { return s >= StageFormation && s < cutStageEnd }
 
 // blockKeyed reports whether s is a block-keyed stage: a cut stage,
-// StageCheckpoint or StageGenesis.
-func (s Stage) blockKeyed() bool { return s.cut() || s == StageCheckpoint || s == StageGenesis }
+// StageCheckpoint, StageGenesis or StageFold.
+func (s Stage) blockKeyed() bool {
+	return s.cut() || s == StageCheckpoint || s == StageGenesis || s == StageFold
+}
 
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {

@@ -2,6 +2,9 @@ package validation
 
 import (
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 
 	"fabricsharp/internal/conflict"
 	"fabricsharp/internal/protocol"
@@ -49,7 +52,11 @@ func (s dbVersions) Version(key string) (seqno.Seq, bool) {
 // The genesis sits under the entries as a statedb.Base (SeedBase): one
 // immutable, pointer-free copy of it, read where a key has no entry. Only
 // the keys blocks write take map entries, a deleted genesis key included
-// (its tombstone hides the base).
+// (its tombstone hides the base). Once the entries have grown by
+// statedb.Base.FoldStep since the last fold, ApplyRescued first folds every
+// live one into a new base (statedb.Base.Merge) and keeps only the
+// tombstones: the point depends on the stream alone, so every replica folds
+// at the same block, and no read answer changes.
 //
 // A ShadowState is confined to its orderer goroutine; it is not safe for
 // concurrent mutation (the read-only fan-out of a rescue run is fine — see
@@ -58,6 +65,7 @@ type ShadowState struct {
 	base    *statedb.Base
 	entries map[string]shadowEntry
 	height  uint64
+	settled int // entries the last fold left
 }
 
 type shadowEntry struct {
@@ -121,6 +129,9 @@ func (s *ShadowState) Version(key string) (seqno.Seq, bool) {
 // write of the same key lands last, exactly like the state database's
 // version-ordered history.
 func (s *ShadowState) ApplyRescued(block uint64, txs []*protocol.Transaction, codes []protocol.ValidationCode, rescued [][]protocol.WriteItem) {
+	if s.FoldDue() {
+		s.fold()
+	}
 	pos := protocol.CommitPositions(codes)
 	apply := func(i int, writes []protocol.WriteItem) {
 		ver := seqno.Commit(block, pos[i])
@@ -145,6 +156,41 @@ func (s *ShadowState) ApplyRescued(block uint64, txs []*protocol.Transaction, co
 		apply(i, rescued[i])
 	}
 	s.height = block
+}
+
+// FoldDue reports whether the next ApplyRescued folds first: whether the
+// entries have grown by the base's FoldStep since the last fold.
+func (s *ShadowState) FoldDue() bool { return len(s.entries) >= s.settled+s.base.FoldStep() }
+
+// fold merges every live entry into a new base and keeps the tombstones,
+// which hide what the base holds of their keys and which Len counts.
+func (s *ShadowState) fold() {
+	var ups []statedb.Entry
+	for key, e := range s.entries {
+		if !e.deleted {
+			ups = append(ups, statedb.Entry{Key: key, Value: e.value, Version: e.version})
+		}
+	}
+	slices.SortFunc(ups, func(a, b statedb.Entry) int { return strings.Compare(a.Key, b.Key) })
+	var dead []string
+	for key, e := range s.entries {
+		if e.deleted {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	s.settled = len(s.entries)
+	base, err := s.base.Merge(ups)
+	if err != nil {
+		// A base past 4 GiB: the entries keep answering, and the next
+		// fold waits for another FoldStep.
+		return
+	}
+	kept := make(map[string]shadowEntry, len(dead))
+	for _, key := range dead {
+		kept[key] = s.entries[key]
+	}
+	s.base, s.entries, s.settled = base, kept, len(dead)
 }
 
 // Height returns the last applied block number.

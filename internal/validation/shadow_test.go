@@ -249,8 +249,9 @@ func TestDBVersionsAdapter(t *testing.T) {
 // TestShadowBaseAgainstPlainMap holds a shadow seeded with a genesis base to
 // one seeded key by key into its entry map, as every shadow was before the
 // base: random blocks of valid, conflicting and rescued transactions put,
-// delete and re-put genesis and fresh keys, and after every block both
-// answer every Read, Version and Len alike.
+// delete and re-put genesis and fresh keys, folds are forced into the based
+// one at random blocks, and after every block both answer every Read,
+// Version and Len alike.
 func TestShadowBaseAgainstPlainMap(t *testing.T) {
 	var keys []string
 	var genesis []protocol.WriteItem
@@ -260,8 +261,9 @@ func TestShadowBaseAgainstPlainMap(t *testing.T) {
 	}
 	keys = append(keys, "n0", "n1", "n2", "n3")
 	genesisVer := seqno.Commit(0, 1)
+	folds := 0
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng, foldRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(-seed))
 		based, plain := NewValueShadowState(), NewValueShadowState()
 		base, err := statedb.NewBase(genesis, genesisVer)
 		if err != nil {
@@ -300,6 +302,13 @@ func TestShadowBaseAgainstPlainMap(t *testing.T) {
 			}
 			based.ApplyRescued(block, txs, codes, rescued)
 			plain.ApplyRescued(block, txs, codes, rescued)
+			if foldRng.Intn(5) == 0 {
+				before := based.base
+				based.fold()
+				if based.base != before {
+					folds++
+				}
+			}
 			for _, key := range keys {
 				v1, ver1, ok1 := based.Read(key)
 				v2, ver2, ok2 := plain.Read(key)
@@ -314,5 +323,8 @@ func TestShadowBaseAgainstPlainMap(t *testing.T) {
 				t.Fatalf("seed %d block %d: Len %d, plain map %d", seed, block, based.Len(), plain.Len())
 			}
 		}
+	}
+	if folds == 0 {
+		t.Error("no forced fold settled an entry: the fold steps were vacuous")
 	}
 }

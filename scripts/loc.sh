@@ -73,14 +73,22 @@
 # fabric.PeerConfig and metrics.Gauge, less the peer's own open and
 # Endorse (-264); transport.Conn.SetDeadline, identity.KOutOf and
 # identity.And (-18); less the simulator returning its first pipeline error
-# instead of panicking (+34).
+# instead of panicking (+34). Folding settled writes back into the base
+# raised it by 319, to 22402: Base.Merge, which drops deleted keys and shares
+# the key region when a merge adds or drops none, the base split into a key
+# and a value region, and the collection that keeps one replaced base
+# waiting on its finalizer (+114); the database's fold, its atomic base
+# pointer and KeysInRange's re-scan across a swap (+122); the shadow's fold
+# at a stream-determined block (+46); the fold span on the ring, through
+# commit.Block, Events.CutStage and sharpnet trace (+30); and the result
+# store's TxID-free value (+7); 87 of them comments.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22083
+CEILING=22402
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
