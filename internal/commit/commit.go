@@ -24,10 +24,11 @@ const historyBlocks = 11
 // with its valid writes. frame, when non-nil, is the canonical encoding the
 // block was decoded from. The caller is the tip's only writer and delivers
 // blocks in chain order; the block is not mutated, and nothing keeps a
-// reference to it once committed. tracer, when non-nil, records the
-// transactions' deliver, validate, commit and rescue stages and the block's
-// checkpoint and fold spans — write-only telemetry outside the deterministic
-// scope (see internal/trace).
+// reference to it once committed. tracer, when non-nil, records the block's
+// deliver, validate and commit stages once each (trace.Merge hands them to
+// the transactions the orderer sealed into it), each rescued transaction's
+// rescue stage, and the block's checkpoint and fold spans — write-only
+// telemetry outside the deterministic scope (see internal/trace).
 //
 // A delivered block carrying the orderer's precomputed shadow verdicts
 // (blk.Validation) is cross-checked byte for byte: the agreement property
@@ -46,17 +47,13 @@ const historyBlocks = 11
 // data hash is computed once.
 func Block(state *statedb.DB, tip *ledger.Tip, blk *ledger.Block, frame []byte, opts Options, tracer *trace.Tracer) error {
 	num := blk.Header.Number
-	for _, tx := range blk.Transactions {
-		tracer.Record(string(tx.ID), trace.StageDeliver, num)
-	}
+	tracer.Record("", trace.StageDeliver, num)
 	checked, err := tip.Check(blk)
 	if err != nil {
 		return fmt.Errorf("append block %d: %w", num, err)
 	}
 	res := ValidateBlock(state, blk, opts)
-	for _, tx := range blk.Transactions {
-		tracer.Record(string(tx.ID), trace.StageValidate, num)
-	}
+	tracer.Record("", trace.StageValidate, num)
 	if blk.Validation != nil {
 		if err := AssertVerdictsEqual(num, blk.Validation, res.Codes); err != nil {
 			return err
@@ -96,12 +93,10 @@ func Block(state *statedb.DB, tip *ledger.Tip, blk *ledger.Block, frame []byte, 
 			tracer.RecordSpan(num, trace.StageFold, pruneStart)
 		}
 	}
-	if tracer != nil {
-		for i, tx := range peerBlk.Transactions {
-			tracer.Record(string(tx.ID), trace.StageCommit, num)
-			if res.Codes[i] == protocol.Rescued {
-				tracer.Record(string(tx.ID), trace.StageRescue, num)
-			}
+	tracer.Record("", trace.StageCommit, num)
+	for i, code := range res.Codes {
+		if code == protocol.Rescued {
+			tracer.Record(string(blk.Transactions[i].ID), trace.StageRescue, num)
 		}
 	}
 	return nil

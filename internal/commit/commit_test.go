@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"fabricsharp/internal/chaincode"
 	"fabricsharp/internal/identity"
 	"fabricsharp/internal/kvstore"
 	"fabricsharp/internal/ledger"
@@ -502,5 +503,83 @@ func TestOneFoldLeavesOneSpan(t *testing.T) {
 	}
 	if vv, ok := state.Get("k01-000"); !ok || string(vv.Value) != "v" || state.VersionCount("k01-000") != 1 {
 		t.Errorf("a folded key reads %q %v", vv.Value, ok)
+	}
+}
+
+// TestPeerRecordsBlockStagesOncePerBlock: a peer delivers, validates and
+// commits a block whole, so its ring holds one deliver, validate and commit
+// event per block — no TxID, the block number as the event's block — plus a
+// rescue event per rescued transaction and the block-keyed spans, however
+// many transactions the blocks carry. Every block but the seed pays a→b,
+// then b→c over the same version of b: the second is an MVCC casualty the
+// rescue phase re-executes.
+func TestPeerRecordsBlockStagesOncePerBlock(t *testing.T) {
+	source, err := ledger.NewChain(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := statedb.New(statedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tip, tracer := &ledger.Tip{}, trace.New("peer0", "peer", 1<<12)
+	opts := Options{Options: validation.Options{MVCC: true}, Rescue: true, Registry: chaincode.NewRegistry(chaincode.Smallbank{})}
+	payment := func(id, from, to string) *protocol.Transaction {
+		tx := &protocol.Transaction{ID: protocol.TxID(id), Contract: "smallbank", Function: "send_payment", Args: []string{from, to, "1"}}
+		for _, key := range []string{chaincode.CheckingKey(from), chaincode.CheckingKey(to)} {
+			vv, _ := state.Get(key)
+			tx.RWSet.Reads = append(tx.RWSet.Reads, protocol.ReadItem{Key: key, Version: vv.Version})
+			tx.RWSet.Writes = append(tx.RWSet.Writes, protocol.WriteItem{Key: key, Value: []byte("100")})
+		}
+		tx.RWSet.Precompute()
+		return tx
+	}
+	const blocks = 20
+	for b := 1; b <= blocks; b++ {
+		var txs []*protocol.Transaction
+		if b == 1 {
+			seed := &protocol.Transaction{ID: "seed"}
+			for _, acct := range []string{"a", "b", "c"} {
+				seed.RWSet.Writes = append(seed.RWSet.Writes, protocol.WriteItem{Key: chaincode.CheckingKey(acct), Value: []byte("100")})
+			}
+			txs = append(txs, seed)
+		} else {
+			txs = append(txs, payment(fmt.Sprintf("b%d-ab", b), "a", "b"), payment(fmt.Sprintf("b%d-bc", b), "b", "c"))
+		}
+		blk, err := source.Seal(txs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Block(state, tip, blk, nil, opts, tracer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := tracer.Dump()
+	perBlock := map[uint64]map[trace.Stage]int{}
+	rescued, spans := 0, len(trace.Spans(d, trace.StageCheckpoint))+len(trace.Spans(d, trace.StageFold))
+	for _, ev := range d.Events {
+		switch ev.Stage {
+		case trace.StageDeliver, trace.StageValidate, trace.StageCommit:
+			if ev.TxID != "" {
+				t.Fatalf("a %v event keyed by transaction %q", ev.Stage, ev.TxID)
+			}
+			if perBlock[ev.Block] == nil {
+				perBlock[ev.Block] = map[trace.Stage]int{}
+			}
+			perBlock[ev.Block][ev.Stage]++
+		case trace.StageRescue:
+			rescued++
+		}
+	}
+	if rescued != blocks-1 {
+		t.Fatalf("%d rescue events, want one per payment block (%d)", rescued, blocks-1)
+	}
+	for b := uint64(1); b <= blocks; b++ {
+		if got := perBlock[b]; len(got) != 3 || got[trace.StageDeliver] != 1 || got[trace.StageValidate] != 1 || got[trace.StageCommit] != 1 {
+			t.Errorf("block %d stage events %v, want one deliver, validate and commit", b, got)
+		}
+	}
+	if got, want := d.Recorded, uint64(3*blocks+rescued+spans); got != want {
+		t.Errorf("ring recorded %d events over %d blocks, want %d: 3 a block, %d rescues, %d spans", got, blocks, want, rescued, spans)
 	}
 }

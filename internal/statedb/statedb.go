@@ -88,9 +88,7 @@ package statedb
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -560,33 +558,39 @@ func (db *DB) fold() {
 	settled := func(versions []VersionedValue) bool {
 		return len(versions) == 0 || len(versions) == 1 && !versions[0].Deleted && versions[0].Version.Block <= horizon
 	}
-	var ups []Entry
+	n := 0
+	for i := range db.shards {
+		n += len(db.shards[i].hist)
+	}
+	keys := make([]string, 0, n)
 	var kept [numShards]map[string][]VersionedValue
 	left := 0
 	for i := range db.shards {
-		hist := db.shards[i].hist
-		var keys []string
-		for key := range hist {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		n := len(ups)
-		for _, key := range keys {
-			if versions := hist[key]; len(versions) == 0 {
-				ups = append(ups, Entry{Key: key, Deleted: true})
-			} else if settled(versions) {
-				ups = append(ups, Entry{Key: key, Value: versions[0].Value, Version: versions[0].Version})
+		hist, from := db.shards[i].hist, len(keys)
+		//sharp:orderinvariant the settled keys of every shard are sorted once after the sweep, before any use
+		for key, versions := range hist {
+			if settled(versions) {
+				keys = append(keys, key)
 			}
 		}
-		kept[i] = make(map[string][]VersionedValue, len(keys)-(len(ups)-n))
-		for _, key := range keys {
-			if versions := hist[key]; !settled(versions) {
+		kept[i] = make(map[string][]VersionedValue, len(hist)-(len(keys)-from))
+		//sharp:orderinvariant copies each unsettled history into the rebuilt map under the same key; the map is the same in any visit order
+		for key, versions := range hist {
+			if !settled(versions) {
 				kept[i][key] = versions
 			}
 		}
 		left += len(kept[i])
 	}
-	slices.SortFunc(ups, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	sort.Strings(keys)
+	ups := make([]Entry, len(keys))
+	for j, key := range keys {
+		if versions := db.shards[shardFor(key)].hist[key]; len(versions) == 0 {
+			ups[j] = Entry{Key: key, Deleted: true}
+		} else {
+			ups[j] = Entry{Key: key, Value: versions[0].Value, Version: versions[0].Version}
+		}
+	}
 	base, err := db.base.Load().Merge(ups)
 	if err != nil || len(ups) == 0 {
 		// Nothing settled, or a base past 4 GiB: the histories keep

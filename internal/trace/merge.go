@@ -20,6 +20,9 @@ type Timeline struct {
 	// transaction to its block's tail instead of admitting it (the order
 	// stamp's detail, see Event.Block); zero — protocol.Valid — otherwise.
 	Deferred protocol.ValidationCode
+	// Block is the block the orderer sealed the transaction into (its seal
+	// stamp's block), 0 when no orderer's seal was dumped.
+	Block uint64
 }
 
 // Has reports whether stage was observed.
@@ -51,14 +54,27 @@ func (t *Timeline) Path() string {
 // latest stamp across peers: end-to-end latency means every observed peer
 // settled the transaction, matching the cluster's convergence contract.
 //
+// A peer records deliver, validate and commit once per block, keyed by the
+// block number instead of a TxID; Merge gives each transaction the latest
+// such stamps across peers of the block its seal names (Timeline.Block), so
+// a transaction no orderer's dump sealed gets none. Per-transaction peer
+// stamps merge as above.
+//
 // Joining assumes the nodes' clocks are comparable (same host, or tightly
 // synchronized); cross-host skew shows up as distorted — never negative,
 // Summarize clamps — stage gaps.
 func Merge(dumps []Dump) []Timeline {
 	byID := make(map[string]*Timeline)
+	blocks := make(map[uint64][NumStages + 1]int64)
 	for _, d := range dumps {
 		for _, ev := range d.Events {
 			if ev.Stage.blockKeyed() {
+				continue
+			}
+			if ev.TxID == "" {
+				st := blocks[ev.Block]
+				st[ev.Stage] = max(st[ev.Stage], ev.WallNS)
+				blocks[ev.Block] = st
 				continue
 			}
 			tl := byID[ev.TxID]
@@ -78,6 +94,9 @@ func Merge(dumps []Dump) []Timeline {
 			default:
 				if cur == 0 || ev.WallNS < cur {
 					tl.Stamp[ev.Stage] = ev.WallNS
+					if ev.Stage == StageSeal {
+						tl.Block = ev.Block
+					}
 				}
 			}
 		}
@@ -87,6 +106,12 @@ func Merge(dumps []Dump) []Timeline {
 		out = append(out, *tl)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TxID < out[j].TxID })
+	for i := range out {
+		st := blocks[out[i].Block]
+		for s := StageDeliver; s <= StageCommit; s++ {
+			out[i].Stamp[s] = max(out[i].Stamp[s], st[s])
+		}
+	}
 	return out
 }
 

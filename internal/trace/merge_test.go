@@ -265,3 +265,61 @@ func TestCheckpointSpans(t *testing.T) {
 		t.Errorf("merged timelines %+v, want the one transaction", tls)
 	}
 }
+
+// TestMergeJoinsPeerBlockStagesBySeal: a peer records deliver, validate and
+// commit once per block, with no TxID; Merge hands each transaction the
+// latest of those stamps across peers for the block its seal names. A
+// transaction no orderer sealed gets none, and a TxID that reads as a block
+// number is joined by its seal, never by its name.
+func TestMergeJoinsPeerBlockStagesBySeal(t *testing.T) {
+	dumps := []Dump{
+		{Node: "ord0", Role: "orderer", Events: []Event{
+			{TxID: "a", Stage: StageSubmit, WallNS: ms(1)},
+			{TxID: "a", Stage: StageSeal, Block: 1, WallNS: ms(3)},
+			{TxID: "12", Stage: StageSeal, Block: 1, WallNS: ms(3)},
+			{TxID: "b", Stage: StageSeal, Block: 2, WallNS: ms(8)},
+			{TxID: "unsealed", Stage: StageSubmit, WallNS: ms(9)},
+		}},
+		{Node: "peer0", Role: "peer", Events: []Event{
+			{Stage: StageDeliver, Block: 1, WallNS: ms(4)},
+			{Stage: StageValidate, Block: 1, WallNS: ms(5)},
+			{Stage: StageCommit, Block: 1, WallNS: ms(6)},
+			{TxID: "a", Stage: StageRescue, Block: 1, WallNS: ms(6)},
+			{Stage: StageDeliver, Block: 2, WallNS: ms(9)},
+			{Stage: StageValidate, Block: 2, WallNS: ms(10)},
+			{Stage: StageCommit, Block: 2, WallNS: ms(11)},
+			{Stage: StageDeliver, Block: 12, WallNS: ms(50)},
+			{Stage: StageCommit, Block: 12, WallNS: ms(51)},
+		}},
+		{Node: "peer1", Role: "peer", Events: []Event{
+			{Stage: StageDeliver, Block: 1, WallNS: ms(4.5)},
+			{Stage: StageValidate, Block: 1, WallNS: ms(4.8)},
+			{Stage: StageCommit, Block: 1, WallNS: ms(7)},
+		}},
+	}
+	got := map[string]Timeline{}
+	for _, tl := range Merge(dumps) {
+		got[tl.TxID] = tl
+	}
+	if len(got) != 4 {
+		t.Fatalf("merged %d timelines %v, want a, 12, b and unsealed", len(got), got)
+	}
+	want := map[string][4]int64{ // block, deliver, validate, commit
+		"a":        {1, ms(4.5), ms(5), ms(7)},
+		"12":       {1, ms(4.5), ms(5), ms(7)},
+		"b":        {2, ms(9), ms(10), ms(11)},
+		"unsealed": {0, 0, 0, 0},
+	}
+	for id, w := range want {
+		tl := got[id]
+		if g := [4]int64{int64(tl.Block), tl.Stamp[StageDeliver], tl.Stamp[StageValidate], tl.Stamp[StageCommit]}; g != w {
+			t.Errorf("%s: block, deliver, validate, commit = %v, want %v", id, g, w)
+		}
+	}
+	if a := got["a"]; a.Stamp[StageRescue] != ms(6) || a.Path() != "submit → seal → deliver → validate → commit → rescue" {
+		t.Errorf("a: rescue %d, path %q", a.Stamp[StageRescue], a.Path())
+	}
+	if b := got["b"]; b.Has(StageRescue) {
+		t.Errorf("b carries a rescue stamp %d", b.Stamp[StageRescue])
+	}
+}

@@ -13,7 +13,9 @@ const MaxTxIDLen = 48
 
 // DefaultRingSize is the per-node ring capacity when the config leaves it
 // unset: 128Ki events, 10 MiB of slots. A transaction leaves 3–4 events on
-// each node it crosses, so at 800 tx/s the ring holds the last ~40 s.
+// each orderer it crosses, so at 800 tx/s an orderer's ring holds the last
+// ~40 s; a peer leaves 3 per block and one per rescued transaction, so at
+// 100-transaction blocks its ring holds over an hour.
 const DefaultRingSize = 1 << 17
 
 // payloadWords is the per-slot payload: wall clock, block number, a packed

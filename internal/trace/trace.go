@@ -2,10 +2,10 @@
 // transaction moving through the pipeline leaves timestamped stage events
 // (submit → order → raft-commit → seal → deliver → validate →
 // commit/rescue) in a fixed-size lock-free ring buffer, cheap enough to
-// stay enabled under production load. Clients drain the rings over the
-// wire (MsgTraceReq) and join per-node timelines by TxID into end-to-end
-// stage latencies — the observability substrate behind `sharpnet load
-// -target-tps` and `sharpnet trace`.
+// stay enabled under production load; a peer records deliver, validate and
+// commit once per block. Clients drain the rings over the wire (MsgTraceReq)
+// and join them (Merge) into end-to-end stage latencies — the observability
+// substrate behind `sharpnet load -target-tps` and `sharpnet trace`.
 //
 // Determinism: the package is inside sharpvet's deterministic scope, but
 // recording is strictly write-only side telemetry — nothing in the
@@ -39,9 +39,10 @@ const (
 	// embedded.
 	StageSeal
 	// StageDeliver: a peer's block subscription received the sealed block
-	// carrying the transaction, and its commit began.
+	// carrying the transaction, and its commit began. This stage and the
+	// next two are recorded once per block, with an empty Event.TxID.
 	StageDeliver
-	// StageValidate: the peer derived the transaction's verdict.
+	// StageValidate: the peer derived the block's verdicts.
 	StageValidate
 	// StageCommit: the peer applied the block — the transaction's fate is
 	// settled on that replica.
@@ -132,7 +133,8 @@ func (s Stage) blockKeyed() bool {
 
 // Event is one recorded stage timestamp, decoded out of a ring.
 type Event struct {
-	// TxID is the transaction identifier (truncated to MaxTxIDLen bytes).
+	// TxID is the transaction identifier (truncated to MaxTxIDLen bytes);
+	// empty for a peer's once-per-block deliver, validate and commit.
 	TxID string
 	// Stage is the pipeline boundary crossed.
 	Stage Stage

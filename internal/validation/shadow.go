@@ -165,14 +165,14 @@ func (s *ShadowState) FoldDue() bool { return len(s.entries) >= s.settled+s.base
 // fold merges every live entry into a new base and keeps the tombstones,
 // which hide what the base holds of their keys and which Len counts.
 func (s *ShadowState) fold() {
-	var ups []statedb.Entry
+	ups := make([]statedb.Entry, 0, len(s.entries))
 	for key, e := range s.entries {
 		if !e.deleted {
 			ups = append(ups, statedb.Entry{Key: key, Value: e.value, Version: e.version})
 		}
 	}
 	slices.SortFunc(ups, func(a, b statedb.Entry) int { return strings.Compare(a.Key, b.Key) })
-	var dead []string
+	dead := make([]string, 0, len(s.entries)-len(ups))
 	for key, e := range s.entries {
 		if e.deleted {
 			dead = append(dead, key)

@@ -269,10 +269,15 @@ type ProposalResp struct {
 	Tx *protocol.Transaction
 }
 
-// EncodeProposalResp renders r canonically. The transaction body occupies
-// the remainder of the payload (present exactly when OK).
+// EncodeProposalResp renders r canonically, into one buffer sized up front.
+// The transaction body occupies the remainder of the payload (present
+// exactly when OK).
 func EncodeProposalResp(r *ProposalResp) []byte {
-	dst := codec.AppendBool(nil, r.OK)
+	size := 1 + 4 + len(r.Err)
+	if r.OK {
+		size += codec.TransactionSize(r.Tx)
+	}
+	dst := codec.AppendBool(make([]byte, 0, size), r.OK)
 	dst = codec.AppendString(dst, r.Err)
 	if r.OK {
 		dst = codec.AppendTransaction(dst, r.Tx)

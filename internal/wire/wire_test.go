@@ -271,6 +271,20 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// TestProposalRespEncodesInOneAllocation: an endorsement's response is
+// encoded into one buffer sized from the transaction, not grown by append,
+// and the buffer is exactly the encoding's length.
+func TestProposalRespEncodesInOneAllocation(t *testing.T) {
+	for _, pr := range []*ProposalResp{{OK: true, Tx: sampleTx(1)}, {Err: "unknown contract"}} {
+		if enc := EncodeProposalResp(pr); len(enc) != cap(enc) {
+			t.Errorf("ok=%v: %d bytes in a %d-byte buffer", pr.OK, len(enc), cap(enc))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { EncodeProposalResp(pr) }); allocs != 1 {
+			t.Errorf("ok=%v: EncodeProposalResp makes %.0f allocations, want 1", pr.OK, allocs)
+		}
+	}
+}
+
 func TestDecodeBoundsHostileCounts(t *testing.T) {
 	// A count field claiming 2^32-1 elements with no bytes behind it must
 	// fail cleanly (no huge allocation, no panic).

@@ -81,14 +81,20 @@
 # pointer and KeysInRange's re-scan across a swap (+122); the shadow's fold
 # at a stream-determined block (+46); the fold span on the ring, through
 # commit.Block, Events.CutStage and sharpnet trace (+30); and the result
-# store's TxID-free value (+7); 87 of them comments.
+# store's TxID-free value (+7); 87 of them comments. Recording a peer's
+# deliver, validate and commit once per block raised it by 33, to 22435:
+# trace.Merge's join of a peer's block stamps through each transaction's
+# seal, with Timeline.Block (+25, 8 of them comments), the stage and ring
+# docs (+4), EncodeProposalResp's buffer sized once (+5) and the database's
+# one sort of its settled keys (+4), less commit.Block's per-transaction
+# loops (-5).
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22402
+CEILING=22435
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
