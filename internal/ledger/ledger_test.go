@@ -570,3 +570,13 @@ func TestFailedSpillKeepsFramesHot(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeBlockRefusesAMalformedTransaction: a block whose transaction
+// record is whole but does not decode as a transaction is refused, never
+// returned with a nil transaction in its place.
+func TestDecodeBlockRefusesAMalformedTransaction(t *testing.T) {
+	frame := appendMetadata(codec.AppendBytes(appendHead(nil, Header{Number: 1}, 1), []byte{0xff}), nil, nil)
+	if blk, err := DecodeBlock(frame); err == nil {
+		t.Fatalf("decoded a block with transactions %v", blk.Transactions)
+	}
+}

@@ -16,6 +16,38 @@ import (
 
 const dialTimeout = 10 * time.Second
 
+// within runs f and reports whether it returned within d, failing the test
+// if it did not. The goroutine running f is left behind on failure.
+func within(t *testing.T, d time.Duration, what string, f func()) bool {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		t.Errorf("%s did not return within %s", what, d)
+		return false
+	}
+}
+
+// closeDeadlines holds each test's deadline for closing its nodes.
+var closeDeadlines sync.Map
+
+// closeAtCleanup closes a node when the test ends and fails the test if its
+// nodes have not all closed within 5 s of the first close: a lock held
+// across a blocked send would otherwise hang the test binary until go
+// test's timeout.
+func closeAtCleanup(t *testing.T, what string, stop func()) {
+	t.Cleanup(func() {
+		deadline, _ := closeDeadlines.LoadOrStore(t, time.Now().Add(5*time.Second))
+		within(t, time.Until(deadline.(time.Time)), "closing "+what, stop)
+	})
+}
+
 // bootCluster starts an orderer and n peers on ephemeral 127.0.0.1 ports,
 // registering cleanup. It returns the running nodes. A tune function may
 // adjust the orderer's config before it starts; the peers take its Rescue.
@@ -41,7 +73,7 @@ func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*Orderer
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ord.Close() })
+	closeAtCleanup(t, "the orderer", func() { ord.Close() })
 	peers := make([]*Peer, n)
 	for i := range peers {
 		p, err := StartPeer(PeerConfig{
@@ -55,7 +87,7 @@ func bootCluster(t *testing.T, system sched.System, n int, tune ...func(*Orderer
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
+		closeAtCleanup(t, "a peer", func() { p.Close() })
 		peers[i] = p
 	}
 	return ord, peers

@@ -62,7 +62,7 @@ func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *N
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	defer within(t, 5*time.Second, "Network.Close", n.Close)
 	client, err := n.NewClient("fixture")
 	if err != nil {
 		t.Fatal(err)
@@ -80,26 +80,30 @@ func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *N
 }
 
 // sealContended seals smallbank traffic that conflicts: three accounts, then
-// four clients each sending payments round the ring of them.
+// four clients each sending payments round the ring of them. The traffic
+// fails the test if it has not finished within a minute.
 func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Block {
 	t.Helper()
 	return sealChain(t, system, 4, func(client *NetworkClient) {
-		for i := 0; i < 3; i++ {
-			if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < payments; i++ {
-					client.Submit("smallbank", "send_payment", fmt.Sprintf("h%d", (w+i)%3), fmt.Sprintf("h%d", (w+i+1)%3), "1")
+		within(t, time.Minute, "the contended traffic", func() {
+			for i := 0; i < 3; i++ {
+				if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
+					t.Error(err)
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < payments; i++ {
+						client.Submit("smallbank", "send_payment", fmt.Sprintf("h%d", (w+i)%3), fmt.Sprintf("h%d", (w+i+1)%3), "1")
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	})
 }
 

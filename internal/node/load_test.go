@@ -40,7 +40,7 @@ func bootScenarioCluster(t *testing.T, system sched.System, n int, workload stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ord.Close() })
+	closeAtCleanup(t, "the orderer", func() { ord.Close() })
 	peers := make([]*Peer, n)
 	for i := range peers {
 		p, err := StartPeer(PeerConfig{
@@ -54,7 +54,7 @@ func bootScenarioCluster(t *testing.T, system sched.System, n int, workload stri
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
+		closeAtCleanup(t, "a peer", func() { p.Close() })
 		peers[i] = p
 	}
 	return ord, peers
@@ -253,4 +253,31 @@ func wantStages(t *testing.T, node string, d trace.Dump, stages ...trace.Stage) 
 			t.Errorf("%s ring has no %v events (stages seen: %v)", node, s, seen)
 		}
 	}
+}
+
+// TestLoadWorkersSubmitSideBySide: the load's workers submit concurrently,
+// so a block the size of the worker pool fills long before its timeout. A
+// worker that held a lock the others need across its submit would leave
+// one transaction per block, each waiting the timeout out.
+func TestLoadWorkersSubmitSideBySide(t *testing.T) {
+	const workers = 8
+	sc, _ := scenario.Get("msmallbank")
+	n := newTestNetwork(t, NetworkOptions{
+		System: sched.SystemSharp, Peers: 1, BlockSize: workers, BlockTimeout: time.Second,
+		Genesis: func() (*statedb.Base, error) { return sc.GenesisBase(scenario.Params{Accounts: 64}) },
+	})
+	within(t, 5*time.Second, "a 40-submission load", func() {
+		report, err := RunLoad(context.Background(), LoadOptions{
+			Orderers:  []string{n.orderer.Addr()},
+			Peers:     peerAddrs(n.peers),
+			TargetTPS: 4 * workers * 10,
+			Duration:  125 * time.Millisecond,
+			Accounts:  64,
+			Workers:   workers,
+			Seed:      1,
+		})
+		if err != nil || report.Failed > 0 {
+			t.Errorf("load: %v, %d failed", err, report.Failed)
+		}
+	})
 }

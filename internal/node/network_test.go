@@ -21,7 +21,7 @@ func newTestNetwork(t *testing.T, opts NetworkOptions) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(n.Close)
+	closeAtCleanup(t, "the network", n.Close)
 	return n
 }
 

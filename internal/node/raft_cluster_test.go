@@ -51,7 +51,7 @@ func startRaftOrderers(t *testing.T, system sched.System, n int, peerNames []str
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { o.Close() })
+		closeAtCleanup(t, "an orderer", func() { o.Close() })
 		ords[i] = o
 	}
 	return cfgs, ords, clientAddrs
@@ -115,7 +115,7 @@ func bootRaftCluster(t *testing.T, tune ...func(*OrdererConfig)) (ords []*Ordere
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
+		closeAtCleanup(t, "a peer", func() { p.Close() })
 		peers[i] = p
 	}
 	return ords, ordererAddrs, peers
@@ -349,14 +349,19 @@ func TestFollowerOrdererRestartCatchesUpUnderRaft(t *testing.T) {
 	// Crash a follower (not the leader: the cluster must keep sealing).
 	lead := waitRaftLeader(t, ords, 10*time.Second)
 	down := (lead + 1) % len(ords)
-	ords[down].Close()
+	within(t, 5*time.Second, "closing a follower", func() { ords[down].Close() })
 	ords[down] = nil
 
 	// Seal past the horizon while it is gone.
-	for i := 0; i < 8; i++ {
-		if _, err := client.Submit("kv", "put", fmt.Sprintf("h%d:k%d", i/4, i), "v2"); err != nil {
-			t.Fatal(err)
+	if !within(t, 30*time.Second, "8 submits", func() {
+		for i := 0; i < 8; i++ {
+			if _, err := client.Submit("kv", "put", fmt.Sprintf("h%d:k%d", i/4, i), "v2"); err != nil {
+				t.Error(err)
+				return
+			}
 		}
+	}) || t.Failed() {
+		t.FailNow()
 	}
 	liveIdx := lead
 	if ords[liveIdx] == nil {

@@ -412,3 +412,31 @@ func TestHistoryRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyBlockOnAClosedStoreFails: a block whose batch the store refuses
+// is not applied. ApplyBlock returns the store's error, and the database
+// stays at the height the store holds, so the peer fails instead of running
+// ahead of its durable state.
+func TestApplyBlockOnAClosedStoreFails(t *testing.T) {
+	kv, err := kvstore.Open(kvstore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(Options{Backing: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(t, db, 1, BlockWrites{Pos: 1, Writes: []protocol.WriteItem{put("k", "1")}})
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyBlock(2, []BlockWrites{{Pos: 1, Writes: []protocol.WriteItem{put("k", "2")}}}); err == nil {
+		t.Fatal("block 2 applied over a closed store")
+	}
+	if h := db.Height(); h != 1 {
+		t.Fatalf("height %d after a refused block, want 1", h)
+	}
+	if vv, ok := db.Get("k"); !ok || string(vv.Value) != "1" {
+		t.Fatalf("k = %q after a refused block, want 1", vv.Value)
+	}
+}

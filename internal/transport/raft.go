@@ -874,9 +874,10 @@ func (s *RaftService) Subscribe() (<-chan consensus.Sequenced, func()) {
 			if env.TxBytes != nil && env.Tx == nil {
 				tx, err := wire.DecodeTransaction(env.TxBytes)
 				if err != nil {
-					// Every entry's bytes were decoded or encoded as they
-					// entered the log.
-					panic(fmt.Sprintf("transport: raft entry %d: %v", next, err))
+					s.mu.Lock()
+					s.failLocked(fmt.Errorf("entry %d: %w", next, err))
+					s.mu.Unlock()
+					return
 				}
 				env.Tx = tx
 			}

@@ -12,7 +12,8 @@ import (
 )
 
 // submitTxs submits transaction envelopes tx<from> … tx<from+n-1> to s from
-// 64 goroutines, and fails the test if any submission does.
+// 64 goroutines, and fails the test if any submission does or if they have
+// not all returned within 30 s.
 func submitTxs(t *testing.T, s *RaftService, from, n int) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -33,7 +34,9 @@ func submitTxs(t *testing.T, s *RaftService, from, n int) {
 			}
 		}()
 	}
-	wg.Wait()
+	if !within(t, 30*time.Second, "the submits", wg.Wait) {
+		t.FailNow()
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatalf("submit: %v", err)
@@ -86,7 +89,7 @@ func TestWireRaftRestartedFollowerCatchesUpFromTheColdLog(t *testing.T) {
 	lead := waitLeader(t, svcs, 10*time.Second)
 	follower := (lead + 1) % 3
 	cfg := svcs[follower].cfg
-	svcs[follower].Close()
+	within(t, 5*time.Second, "RaftService.Close", svcs[follower].Close)
 	svcs[follower] = nil
 
 	submitTxs(t, svcs[lead], 0, 2*hotEntries)
@@ -142,28 +145,36 @@ func TestWireRaftLateSubscribeReplaysTheColdLog(t *testing.T) {
 }
 
 // TestWireRaftColdReadFailureFailsTheService: a cold entry the member
-// cannot read back ends its stream with the service's error, never with a
-// gap, and refuses further submits.
+// cannot read back — its file closed, or its record not decoding — ends its
+// stream with the service's error, never with a gap, and refuses further
+// submits.
 func TestWireRaftColdReadFailureFailsTheService(t *testing.T) {
-	s := startRaftCluster(t, 1, nil)[0]
-	for i := 0; i < 2*hotEntries; i++ {
-		if err := s.Submit(txEnv(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.mu.Lock()
-	_ = s.cold.file.Close()
-	s.mu.Unlock()
-	ch, cancel := s.Subscribe()
-	defer cancel()
-	for range ch {
-		t.Fatal("a stream delivered an entry it could not read")
-	}
-	if s.Err() == nil {
-		t.Fatal("the stream ended without the service failing")
-	}
-	if err := s.Submit(txEnv(2 * hotEntries)); err == nil {
-		t.Fatal("a failed service accepted a submit")
+	for name, spoil := range map[string]func(*coldLog){
+		"closed file":       func(l *coldLog) { _ = l.file.Close() },
+		"undecodable entry": func(l *coldLog) { l.offs[0]++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := startRaftCluster(t, 1, nil)[0]
+			for i := 0; i < 2*hotEntries; i++ {
+				if err := s.Submit(txEnv(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.mu.Lock()
+			spoil(s.cold)
+			s.mu.Unlock()
+			ch, cancel := s.Subscribe()
+			defer cancel()
+			for range ch {
+				t.Fatal("a stream delivered an entry it could not read")
+			}
+			if s.Err() == nil {
+				t.Fatal("the stream ended without the service failing")
+			}
+			if err := s.Submit(txEnv(2 * hotEntries)); err == nil {
+				t.Fatal("a failed service accepted a submit")
+			}
+		})
 	}
 }
 
@@ -203,5 +214,28 @@ func TestWireRaftFailedSpillKeepsEntriesHot(t *testing.T) {
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWireRaftUndecodableEntryFailsTheService: an entry whose transaction
+// bytes do not decode — bytes a caller submitted unchecked, or a cold record
+// read back wrong — ends the stream there with the service's error instead
+// of crashing the process.
+func TestWireRaftUndecodableEntryFailsTheService(t *testing.T) {
+	s := startRaftCluster(t, 1, nil)[0]
+	if err := s.Submit(consensus.Envelope{TxBytes: []byte{0xff}}); err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := s.Subscribe()
+	defer cancel()
+	within(t, 5*time.Second, "the stream", func() {
+		for seq := range ch {
+			if seq.Offset > 0 {
+				t.Errorf("delivered entry %d, whose transaction does not decode", seq.Offset+1)
+			}
+		}
+	})
+	if s.Err() == nil {
+		t.Fatal("the stream ended without the service failing")
 	}
 }

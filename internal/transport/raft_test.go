@@ -40,7 +40,7 @@ func startRaftCluster(t *testing.T, n int, mutate func(i int, cfg *RaftConfig)) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
+		t.Cleanup(func() { within(t, 5*time.Second, "RaftService.Close", s.Close) })
 		svcs[i] = s
 	}
 	return svcs
@@ -376,7 +376,7 @@ func TestWireRaftLeaderFailover(t *testing.T) {
 	// closed it must refuse outright.
 	for i, s := range svcs {
 		if s != nil && i != lead {
-			s.Close()
+			within(t, 5*time.Second, "RaftService.Close", s.Close)
 		}
 	}
 	if err := svcs[lead].Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "no-quorum"}); err == nil {
@@ -605,7 +605,7 @@ func startRaftMember(t *testing.T, addrs []string, i int, mutate func(cfg *RaftC
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() { within(t, 5*time.Second, "RaftService.Close", s.Close) })
 	return s
 }
 

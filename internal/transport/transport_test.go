@@ -36,7 +36,7 @@ func echoServer(t *testing.T) *Server {
 
 func TestConnCallRoundTrip(t *testing.T) {
 	s := echoServer(t)
-	defer s.Close()
+	defer shut(t, s)
 	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestConcurrentFramesArriveWholeAndInOrder(t *testing.T) {
 // both sides).
 func TestCallAllocations(t *testing.T) {
 	s := echoServer(t)
-	defer s.Close()
+	defer shut(t, s)
 	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +206,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// The handler's exit takes the server's lock while Close joins it.
+	within(t, 5*time.Second, "Server.Close", func() { _ = s.Close() })
 	select {
 	case err := <-errCh:
 		if err == nil {
@@ -229,11 +228,11 @@ func TestDoubleCloseIdempotence(t *testing.T) {
 		Deliver: func(*ledger.Block, []byte) error { return nil }}
 	sub.Start()
 	for i := 0; i < 2; i++ {
-		if err := s.Close(); err != nil {
-			t.Fatalf("server close #%d: %v", i+1, err)
+		if !within(t, 5*time.Second, "Server.Close", func() { _ = s.Close() }) {
+			t.Fatalf("server close #%d hung", i+1)
 		}
 		_ = c.Close()
-		sub.Close()
+		within(t, 5*time.Second, "Subscriber.Close", sub.Close)
 	}
 }
 
@@ -258,7 +257,7 @@ func TestMemAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	defer shut(t, b)
 	if a.Addr() == b.Addr() || a.Addr() == "mem:" {
 		t.Fatalf("fresh names %q and %q", a.Addr(), b.Addr())
 	}
@@ -396,7 +395,7 @@ func TestSubscriberReconnectAndCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer shut(t, srv)
 
 	var mu sync.Mutex
 	var got []uint64
@@ -424,7 +423,7 @@ func TestSubscriberReconnectAndCatchUp(t *testing.T) {
 		OnError: func(err error) { t.Errorf("subscriber error: %v", err) },
 	}
 	sub.Start()
-	defer sub.Close()
+	defer within(t, 5*time.Second, "Subscriber.Close", sub.Close)
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
@@ -492,17 +491,17 @@ func TestSubscriberSurvivesServerRestart(t *testing.T) {
 		},
 	}
 	sub.Start()
-	defer sub.Close()
+	defer within(t, 5*time.Second, "Subscriber.Close", sub.Close)
 
 	// Let the subscriber drain the first two blocks, then restart the
 	// server on the same address with the full chain.
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return height == 2 })
-	srv.Close()
+	shut(t, srv)
 	srv2, err := Listen(addr, serveAll(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
+	defer shut(t, srv2)
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):

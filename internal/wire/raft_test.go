@@ -174,3 +174,34 @@ func TestStatusRaftFieldsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, s)
 	}
 }
+
+// TestRaftAppendDecodeRejectsAMalformedTransaction: an entry whose
+// transaction record is whole but does not decode refuses the whole request,
+// so no entry reaches a follower's log without its decoded transaction.
+func TestRaftAppendDecodeRejectsAMalformedTransaction(t *testing.T) {
+	b := EncodeRaftAppend(&consensus.AppendRequest{
+		Term: 1, LeaderID: "a",
+		Entries: []consensus.LogEntry{{Term: 1, Env: consensus.Envelope{TxBytes: []byte{0xff}, SubmittedBy: "c"}}},
+	})
+	if req, err := DecodeRaftAppend(b); err == nil {
+		t.Fatalf("decoded an entry with transaction %v", req.Entries[0].Env.Tx)
+	}
+}
+
+// TestRaftResponseDecodersReturnZeroOnError: a response that does not decode
+// comes back as the zero response, whose term 0 every member ignores as
+// stale, so no caller can act on half a response.
+func TestRaftResponseDecodersReturnZeroOnError(t *testing.T) {
+	vote := EncodeRaftVoteResp(consensus.VoteResponse{From: "a", Term: 3, Granted: true})
+	for cut := range len(vote) {
+		if got, err := DecodeRaftVoteResp(vote[:cut]); err == nil || got != (consensus.VoteResponse{}) {
+			t.Fatalf("vote response cut at %d: %+v, %v", cut, got, err)
+		}
+	}
+	app := EncodeRaftAppendResp(consensus.AppendResponse{From: "a", Term: 3, Success: true, MatchIndex: 9})
+	for cut := range len(app) {
+		if got, err := DecodeRaftAppendResp(app[:cut]); err == nil || got != (consensus.AppendResponse{}) {
+			t.Fatalf("append response cut at %d: %+v, %v", cut, got, err)
+		}
+	}
+}
