@@ -1,8 +1,8 @@
 // Command sharpvet mechanically enforces the replica-identical determinism
 // contract (docs/determinism.md): it loads the whole module with the pure
-// stdlib toolchain (go/parser + go/types), resolves types, and runs
-// internal/analysis's one analyzer, maporder, over the consensus-critical
-// packages.
+// stdlib toolchain (go/parser + go/types), resolves types, and runs the
+// determinism & concurrency analyzer suite from internal/analysis over the
+// consensus-critical packages.
 //
 // Usage:
 //

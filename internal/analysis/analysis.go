@@ -15,12 +15,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // An Analyzer is one determinism check. Run is invoked once per loaded
 // package its Scope covers.
 type Analyzer struct {
-	// Name is the analyzer's identifier in diagnostics and the inventory.
+	// Name is the analyzer's identifier: the token used in
+	// "//sharp:allow <name> <reason>" directives and diagnostic output.
 	Name string
 	// Doc is a one-line description printed by `sharpvet -help`.
 	Doc string
@@ -72,5 +74,24 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the suite sharpvet runs.
-func Analyzers() []*Analyzer { return []*Analyzer{MapOrder} }
+// Analyzers returns the full suite in deterministic order. sharpvet runs
+// exactly this set; tests index it by name.
+func Analyzers() []*Analyzer {
+	all := []*Analyzer{
+		MapOrder,
+		ErrDrop,
+		LockAcross,
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	return all
+}
+
+// AnalyzerByName returns the named analyzer, or nil.
+func AnalyzerByName(name string) *Analyzer {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}

@@ -1,6 +1,9 @@
 package analysis
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // ModulePath is the import-path prefix of the module sharpvet polices.
 const ModulePath = "fabricsharp"
@@ -33,6 +36,22 @@ var deterministicPackages = map[string]bool{
 // outside it, and TestDeterministicPackagesImportNoAmbientState keeps the
 // clock, the environment and math/rand out of these.
 func DeterministicScope(pkgPath string) bool { return deterministicPackages[pkgPath] }
+
+// PackageScope returns a Scope covering the given module packages (named
+// by their path below ModulePath, e.g. "internal/transport").
+func PackageScope(rel ...string) Scope {
+	set := make(map[string]bool, len(rel))
+	for _, r := range rel {
+		set[ModulePath+"/"+r] = true
+	}
+	return func(pkgPath string) bool { return set[pkgPath] }
+}
+
+// ModuleScope covers every module package (used by errdrop: fatal
+// propagation paths must be checked module-wide, callers included).
+func ModuleScope(pkgPath string) bool {
+	return pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/")
+}
 
 // DeterministicPackages lists the covered packages, for docs and the CLI's
 // -contract listing.

@@ -7,9 +7,10 @@ import (
 	"strings"
 )
 
-// A Directive is one //sharp: suppression comment. One form exists:
+// A Directive is one //sharp: suppression comment. Two forms exist:
 //
 //	//sharp:orderinvariant <reason>   — silences maporder at this site
+//	//sharp:allow <analyzer> <reason> — silences the named analyzer
 //
 // A directive covers diagnostics on its own line (end-of-line comment) or,
 // when it stands alone, on the line immediately below (comment-above
@@ -28,6 +29,7 @@ type Directive struct {
 
 const (
 	orderInvariantPrefix = "//sharp:orderinvariant"
+	allowPrefix          = "//sharp:allow"
 	directivePrefix      = "//sharp:"
 )
 
@@ -57,14 +59,27 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) ([]*Directive, []
 }
 
 func parseDirective(text string, pos token.Position) (*Directive, error) {
-	if !strings.HasPrefix(text, orderInvariantPrefix) {
+	switch {
+	case strings.HasPrefix(text, orderInvariantPrefix):
+		reason := strings.TrimSpace(text[len(orderInvariantPrefix):])
+		if reason == "" {
+			return nil, fmt.Errorf("%s: //sharp:orderinvariant needs a reason", fmtPos(pos))
+		}
+		return &Directive{Analyzer: "maporder", Reason: reason, Pos: pos}, nil
+	case strings.HasPrefix(text, allowPrefix):
+		rest := strings.TrimSpace(text[len(allowPrefix):])
+		name, reason, _ := strings.Cut(rest, " ")
+		reason = strings.TrimSpace(reason)
+		if name == "" || reason == "" {
+			return nil, fmt.Errorf("%s: //sharp:allow needs an analyzer name and a reason", fmtPos(pos))
+		}
+		if AnalyzerByName(name) == nil {
+			return nil, fmt.Errorf("%s: //sharp:allow names unknown analyzer %q", fmtPos(pos), name)
+		}
+		return &Directive{Analyzer: name, Reason: reason, Pos: pos}, nil
+	default:
 		return nil, fmt.Errorf("%s: unknown //sharp: directive %q", fmtPos(pos), firstField(text))
 	}
-	reason := strings.TrimSpace(text[len(orderInvariantPrefix):])
-	if reason == "" {
-		return nil, fmt.Errorf("%s: //sharp:orderinvariant needs a reason", fmtPos(pos))
-	}
-	return &Directive{Analyzer: MapOrder.Name, Reason: reason, Pos: pos}, nil
 }
 
 // covers reports whether d suppresses a diagnostic from analyzer at pos:

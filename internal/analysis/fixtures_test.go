@@ -73,7 +73,7 @@ func collectExpectations(t *testing.T, mod *Module) []*expectation {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					for _, m := range wantRE.FindAllStringSubmatch(c.Text, -1) {
-						if m[2] != MapOrder.Name {
+						if AnalyzerByName(m[2]) == nil {
 							t.Fatalf("%s: want clause names unknown analyzer %q", fmtPos(mod.Fset.Position(c.Pos())), m[2])
 						}
 						pos := mod.Fset.Position(c.Pos())

@@ -10,7 +10,7 @@ import (
 func fixtureDirs() []*Directive {
 	return []*Directive{
 		{File: "internal/core/graph.go", Analyzer: "maporder", Reason: "bloom union commutes", Pos: token.Position{Filename: "g.go", Line: 3}},
-		{File: "internal/statedb/statedb.go", Analyzer: "maporder", Reason: "keyed copy", Pos: token.Position{Filename: "s.go", Line: 9}},
+		{File: "internal/transport/transport.go", Analyzer: "lockacross", Reason: "request/response pairing", Pos: token.Position{Filename: "t.go", Line: 9}},
 	}
 }
 
@@ -37,7 +37,7 @@ func TestInventoryDetectsDrift(t *testing.T) {
 	}
 
 	// A new, unrecorded directive in the tree.
-	grown := append(fixtureDirs(), &Directive{File: "internal/node/node.go", Analyzer: "maporder", Reason: "new one"})
+	grown := append(fixtureDirs(), &Directive{File: "internal/node/node.go", Analyzer: "errdrop", Reason: "new one"})
 	diffs, err := DiffInventory(path, grown)
 	if err != nil {
 		t.Fatal(err)

@@ -118,12 +118,12 @@ func collector(pass *Pass, body []ast.Stmt) types.Object {
 // appendTo returns v and args when s is `v = append(v, args…)`.
 func appendTo(pass *Pass, s *ast.AssignStmt) (types.Object, []ast.Expr) {
 	id, ok := s.Lhs[0].(*ast.Ident)
-	call, isCall := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
+	call, isCall := unparen(s.Rhs[0]).(*ast.CallExpr)
 	if !ok || !isCall || s.Tok != token.ASSIGN || !isBuiltin(pass, call, "append") || len(call.Args) < 2 {
 		return nil, nil
 	}
 	obj := pass.Info.Uses[id]
-	if base, ok := ast.Unparen(call.Args[0]).(*ast.Ident); !ok || obj == nil || pass.Info.Uses[base] != obj {
+	if base, ok := unparen(call.Args[0]).(*ast.Ident); !ok || obj == nil || pass.Info.Uses[base] != obj {
 		return nil, nil
 	}
 	return obj, call.Args[1:]
@@ -216,7 +216,7 @@ func isSortCallOver(pass *Pass, stmt ast.Stmt, obj types.Object) bool {
 
 // isBuiltin reports whether call invokes the named predeclared function.
 func isBuiltin(pass *Pass, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	id, ok := unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}

@@ -34,18 +34,24 @@ func within(t *testing.T, d time.Duration, what string, f func()) bool {
 	}
 }
 
-// closeDeadlines holds each test's deadline for closing its nodes.
-var closeDeadlines sync.Map
-
-// closeAtCleanup closes a node when the test ends and fails the test if its
-// nodes have not all closed within 5 s of the first close: a lock held
-// across a blocked send would otherwise hang the test binary until go
-// test's timeout.
+// closeAtCleanup closes a node when the test ends and fails the test if the
+// close has not returned within 5 s: a lock held across a blocked send would
+// otherwise hang the test binary until go test's timeout.
 func closeAtCleanup(t *testing.T, what string, stop func()) {
-	t.Cleanup(func() {
-		deadline, _ := closeDeadlines.LoadOrStore(t, time.Now().Add(5*time.Second))
-		within(t, time.Until(deadline.(time.Time)), "closing "+what, stop)
-	})
+	t.Cleanup(func() { within(t, 5*time.Second, "closing "+what, stop) })
+}
+
+// closeNow closes a node and fails the test now if the close returns an
+// error or has not returned within 5 s.
+func closeNow(t *testing.T, what string, close func() error) {
+	t.Helper()
+	var err error
+	if !within(t, 5*time.Second, "closing "+what, func() { err = close() }) {
+		t.FailNow()
+	}
+	if err != nil {
+		t.Fatalf("closing %s: %v", what, err)
+	}
 }
 
 // bootCluster starts an orderer and n peers on ephemeral 127.0.0.1 ports,

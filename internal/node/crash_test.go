@@ -44,7 +44,7 @@ func newBarePeer(t *testing.T, system sched.System, dir string, genesis ...proto
 	if err != nil {
 		return nil, err
 	}
-	t.Cleanup(func() { p.Close() })
+	closeAtCleanup(t, "a bare peer", func() { p.Close() })
 	return p, nil
 }
 
@@ -85,7 +85,7 @@ func sealChain(t *testing.T, system sched.System, blockSize int, drive func(c *N
 func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Block {
 	t.Helper()
 	return sealChain(t, system, 4, func(client *NetworkClient) {
-		within(t, time.Minute, "the contended traffic", func() {
+		if !within(t, time.Minute, "the contended traffic", func() {
 			for i := 0; i < 3; i++ {
 				if _, err := client.MustSubmit("smallbank", "create_account", fmt.Sprintf("h%d", i), "1000", "1000"); err != nil {
 					t.Error(err)
@@ -103,7 +103,9 @@ func sealContended(t *testing.T, system sched.System, payments int) []*ledger.Bl
 				}(w)
 			}
 			wg.Wait()
-		})
+		}) || t.Failed() {
+			t.FailNow()
+		}
 	})
 }
 

@@ -26,9 +26,7 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 	driveContended(t, client, 30, 2)
 
 	// Take peer1 down mid-stream and keep committing without it.
-	if err := peers[1].Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeNow(t, "peer1", peers[1].Close)
 	driveContended(t, client, 30, 2)
 
 	// A replacement peer1 starts empty and must catch up from block 1.
@@ -42,7 +40,7 @@ func TestPeerRestartCatchesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { reborn.Close() })
+	closeAtCleanup(t, "the restarted peer", func() { reborn.Close() })
 
 	awaitConvergence(t, ord, []string{peers[0].Addr(), reborn.Addr()})
 	if !bytes.Equal(reborn.Tip().TipHash(), peers[0].Tip().TipHash()) {
@@ -76,9 +74,7 @@ func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
 	}
 	defer client.Close()
 	// peer1 of the cluster steps aside for a durable peer1.
-	if err := peers[1].Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeNow(t, "peer1", peers[1].Close)
 	cfg := PeerConfig{
 		Name:         "peer1",
 		Listen:       "127.0.0.1:0",
@@ -92,23 +88,21 @@ func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { first.Close() })
+	closeAtCleanup(t, "the first durable peer", func() { first.Close() })
 	if first.ResumedAt() != 0 {
 		t.Fatalf("fresh store resumed at block %d", first.ResumedAt())
 	}
 	driveContended(t, client, 30, 2)
 	awaitConvergence(t, ord, []string{peers[0].Addr(), first.Addr()})
 	stored := first.State().Height()
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeNow(t, "the first durable peer", first.Close)
 	driveContended(t, client, 30, 2)
 
 	second, err := StartPeer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { second.Close() })
+	closeAtCleanup(t, "the reopened durable peer", func() { second.Close() })
 	if second.ResumedAt() != stored || stored == 0 {
 		t.Fatalf("restart resumed at block %d, the store was closed at %d", second.ResumedAt(), stored)
 	}
@@ -128,9 +122,7 @@ func durablePeerResumes(t *testing.T, system sched.System, rescue bool) {
 	// Where the restart landed: Rescued verdicts before and after it, and
 	// after it a transaction committed on a version the store held. The
 	// peer keeps no blocks; its store does.
-	if err := second.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeNow(t, "the reopened durable peer", second.Close)
 	store, err := kvstore.Open(kvstore.Options{Dir: cfg.DataDir})
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +193,7 @@ func TestOrdererCloseFailsInFlightSubmits(t *testing.T) {
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let some submits land
-	if err := ord.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeNow(t, "the orderer", ord.Close)
 	select {
 	case err := <-errCh:
 		if err == nil {

@@ -25,7 +25,10 @@ func TestOrdererRefusesMalformedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MustSubmit("kv", "put", "k", "v"); err != nil {
+	if !within(t, 30*time.Second, "a submit", func() { _, err = c.MustSubmit("kv", "put", "k", "v") }) {
+		t.FailNow()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	blocks, _, _ := n.OrdererChain().Status()
@@ -123,7 +126,7 @@ func TestClientsRefuseUndecodableAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer within(t, 5*time.Second, "Server.Close", func() { _ = srv.Close() })
 	addr := srv.Addr()
 	client, err := DialClient("c", []string{addr}, []string{addr}, dialTimeout)
 	if err != nil {

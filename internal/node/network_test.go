@@ -135,7 +135,7 @@ func TestSubmitFailsWhenTheNetworkCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := submitInFlight(t, n, c)
-	n.Close()
+	within(t, 5*time.Second, "Network.Close", n.Close)
 	out := <-done
 	if out.err == nil {
 		t.Fatalf("Submit returned %+v from a closed network", out.res)

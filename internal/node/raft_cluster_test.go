@@ -60,17 +60,27 @@ func startRaftOrderers(t *testing.T, system sched.System, n int, peerNames []str
 // waitRaftLeader polls until one live orderer leads, returning its index.
 func waitRaftLeader(t *testing.T, ords []*Orderer, timeout time.Duration) int {
 	t.Helper()
+	leader := -1
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for i, o := range ords {
-			if o != nil && o.Raft().IsLeader() {
-				return i
+	if !within(t, timeout+5*time.Second, "polling for a Raft leader", func() {
+		for leader < 0 && time.Now().Before(deadline) {
+			for i, o := range ords {
+				if o != nil && o.Raft().IsLeader() {
+					leader = i
+					break
+				}
+			}
+			if leader < 0 {
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
+	}) {
+		t.FailNow()
 	}
-	t.Fatal("no Raft leader elected")
-	return -1
+	if leader < 0 {
+		t.Fatal("no Raft leader elected")
+	}
+	return leader
 }
 
 // driveCommitted pushes txs contended read-modify-writes through the
@@ -140,7 +150,8 @@ func TestRaftClusterFailoverConvergence(t *testing.T) {
 
 	// Kill the leader mid-load; the survivors hold a quorum.
 	lead := waitRaftLeader(t, ords, 10*time.Second)
-	ords[lead].Close()
+	o := ords[lead]
+	within(t, 5*time.Second, "closing the leader", func() { o.Close() })
 	ords[lead] = nil
 
 	committed += driveCommitted(t, client, 60, 4)
@@ -236,7 +247,8 @@ func TestRaftLeaderKillWithRequestsParked(t *testing.T) {
 		}(i)
 	}
 	awaitParked(t, ords[lead], n+n/2)
-	ords[lead].Close()
+	o := ords[lead]
+	within(t, 5*time.Second, "closing the leader", func() { o.Close() })
 	wg.Wait()
 	if t.Failed() {
 		return
@@ -332,7 +344,7 @@ func TestFollowerOrdererRestartCatchesUpUnderRaft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { peer.Close() })
+	closeAtCleanup(t, "the peer", func() { peer.Close() })
 	client, err := DialClient("epoch", ordererAddrs, []string{peer.Addr()}, dialTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +361,8 @@ func TestFollowerOrdererRestartCatchesUpUnderRaft(t *testing.T) {
 	// Crash a follower (not the leader: the cluster must keep sealing).
 	lead := waitRaftLeader(t, ords, 10*time.Second)
 	down := (lead + 1) % len(ords)
-	within(t, 5*time.Second, "closing a follower", func() { ords[down].Close() })
+	o := ords[down]
+	within(t, 5*time.Second, "closing a follower", func() { o.Close() })
 	ords[down] = nil
 
 	// Seal past the horizon while it is gone.
@@ -379,7 +392,7 @@ func TestFollowerOrdererRestartCatchesUpUnderRaft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { reborn.Close() })
+	closeAtCleanup(t, "the restarted orderer", func() { reborn.Close() })
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		got := reborn.Chain()

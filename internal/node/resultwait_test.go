@@ -61,7 +61,7 @@ func startLoneOrderer(t *testing.T) *Orderer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ord.Close() })
+	closeAtCleanup(t, "the orderer", func() { ord.Close() })
 	return ord
 }
 
@@ -200,7 +200,7 @@ func TestOrdererCloseReleasesParkedRequests(t *testing.T) {
 	}
 	awaitParked(t, ord, n)
 	start := time.Now()
-	ord.Close()
+	within(t, 5*time.Second, "closing the orderer", func() { ord.Close() })
 	if took := time.Since(start); took > resultWaitBound/2 {
 		t.Fatalf("Close took %v with %d requests parked (bound %v)", took, n, resultWaitBound)
 	}
@@ -367,7 +367,7 @@ func countingRelay(t *testing.T, ord *Orderer, cut func(wire.MsgType) bool) (add
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { relay.Close() })
+	closeAtCleanup(t, "the relay", func() { relay.Close() })
 	return relay.Addr(), func() map[wire.MsgType]int {
 		mu.Lock()
 		defer mu.Unlock()

@@ -15,6 +15,7 @@ import (
 	"fabricsharp/internal/sched"
 	"fabricsharp/internal/statedb"
 	"fabricsharp/internal/transport"
+	"fabricsharp/internal/wire"
 	"fabricsharp/internal/workload"
 )
 
@@ -64,7 +65,11 @@ func driveScenario(t *testing.T, client *Client, gen workload.Generator, n int) 
 			pair = append(pair, tx)
 		}
 		for _, tx := range pair {
-			res, err := client.SubmitTx(tx)
+			var res wire.Result
+			var err error
+			if !within(t, 30*time.Second, "a submit", func() { res, err = client.SubmitTx(tx) }) {
+				t.FailNow()
+			}
 			if err != nil {
 				t.Fatalf("submit %s (%s.%s): %v", tx.ID, tx.Contract, tx.Function, err)
 			}
@@ -140,7 +145,7 @@ func TestScenarioChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { p.Close() })
+				closeAtCleanup(t, "a peer", func() { p.Close() })
 				peers[i] = p
 			}
 			// Drive through peer0 only: endorsement has no failover, and
@@ -161,16 +166,15 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			// Crash a follower orderer (the surviving quorum keeps sealing).
 			lead := waitRaftLeader(t, ords, 15*time.Second)
 			down := (lead + 1) % len(ords)
-			ords[down].Close()
+			o := ords[down]
+			within(t, 5*time.Second, "closing a follower orderer", func() { o.Close() })
 			ords[down] = nil
 
 			// Seal several blocks (BlockSize=4) while it is gone, losing
 			// peer1 partway through.
 			c, a := driveScenario(t, client, gen, 12)
 			committed, aborted = committed+c, aborted+a
-			if err := peers[1].Close(); err != nil {
-				t.Fatal(err)
-			}
+			closeNow(t, "peer1", peers[1].Close)
 			c, a = driveScenario(t, client, gen, 12)
 			committed, aborted = committed+c, aborted+a
 
@@ -182,12 +186,12 @@ func TestScenarioChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { reborn.Close() })
+			closeAtCleanup(t, "the restarted peer", func() { reborn.Close() })
 			rebornOrd, err := StartOrderer(cfgs[down])
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { rebornOrd.Close() })
+			closeAtCleanup(t, "the restarted orderer", func() { rebornOrd.Close() })
 			ords[down] = rebornOrd
 
 			c, a = driveScenario(t, client, gen, 8)

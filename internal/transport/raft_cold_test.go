@@ -101,7 +101,7 @@ func TestWireRaftRestartedFollowerCatchesUpFromTheColdLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reborn.Close)
+	t.Cleanup(func() { within(t, 5*time.Second, "RaftService.Close", reborn.Close) })
 	svcs[follower] = reborn
 	waitCommit(t, svcs, idx, 15*time.Second)
 
@@ -235,7 +235,11 @@ func TestWireRaftUndecodableEntryFailsTheService(t *testing.T) {
 			}
 		}
 	})
-	if s.Err() == nil {
+	var err error
+	if !within(t, 5*time.Second, "RaftService.Err", func() { err = s.Err() }) {
+		t.FailNow()
+	}
+	if err == nil {
 		t.Fatal("the stream ended without the service failing")
 	}
 }

@@ -46,45 +46,70 @@ func startRaftCluster(t *testing.T, n int, mutate func(i int, cfg *RaftConfig)) 
 	return svcs
 }
 
+// submitWithin submits env to s and returns the submit's error, failing the
+// test now if the submit has not returned within d.
+func submitWithin(t *testing.T, s *RaftService, env consensus.Envelope, d time.Duration) error {
+	t.Helper()
+	var err error
+	if !within(t, d, "a submit", func() { err = s.Submit(env) }) {
+		t.FailNow()
+	}
+	return err
+}
+
 // waitLeader polls until exactly one live member leads, returning its index.
 func waitLeader(t *testing.T, svcs []*RaftService, timeout time.Duration) int {
 	t.Helper()
+	leader := -1
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		leader := -1
-		for i, s := range svcs {
-			if s != nil && s.IsLeader() {
-				leader = i
+	if !within(t, timeout+5*time.Second, "polling for a leader", func() {
+		for leader < 0 && time.Now().Before(deadline) {
+			for i, s := range svcs {
+				if s != nil && s.IsLeader() {
+					leader = i
+				}
+			}
+			if leader < 0 {
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
-		if leader >= 0 {
-			return leader
-		}
-		time.Sleep(5 * time.Millisecond)
+	}) {
+		t.FailNow()
 	}
-	t.Fatal("no leader elected")
-	return -1
+	if leader < 0 {
+		t.Fatal("no leader elected")
+	}
+	return leader
 }
 
 // waitCommit polls until every live member's commit index reaches idx.
 func waitCommit(t *testing.T, svcs []*RaftService, idx uint64, timeout time.Duration) {
 	t.Helper()
+	behind := true
+	commits := make([]uint64, len(svcs))
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		behind := false
-		for _, s := range svcs {
-			if s != nil && s.CommitIndex() < idx {
-				behind = true
+	if !within(t, timeout+5*time.Second, "polling the commit indexes", func() {
+		for behind && time.Now().Before(deadline) {
+			behind = false
+			for i, s := range svcs {
+				if s != nil {
+					commits[i] = s.CommitIndex()
+					behind = behind || commits[i] < idx
+				}
+			}
+			if behind {
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
-		if !behind {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	}) {
+		t.FailNow()
+	}
+	if !behind {
+		return
 	}
 	for i, s := range svcs {
 		if s != nil {
-			t.Logf("member %d: commit %d (want %d)", i, s.CommitIndex(), idx)
+			t.Logf("member %d: commit %d (want %d)", i, commits[i], idx)
 		}
 	}
 	t.Fatalf("replication did not converge to index %d", idx)
@@ -189,7 +214,7 @@ func TestWireRaftLoneMemberLeadsAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() { within(t, 5*time.Second, "RaftService.Close", s.Close) })
 	first := txEnv(0)
 	if err := s.Submit(first); err != nil {
 		t.Fatalf("first submit after StartRaft: %v", err)
@@ -282,10 +307,15 @@ func TestWireRaftNotLeaderRedirect(t *testing.T) {
 		if i == lead {
 			continue
 		}
-		for s.Leader() != svcs[lead].cfg.ID && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
+		var err error
+		if !within(t, 10*time.Second, "a follower's redirect", func() {
+			for s.Leader() != svcs[lead].cfg.ID && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			err = s.Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "x"})
+		}) {
+			t.FailNow()
 		}
-		err := s.Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "x"})
 		var nl consensus.ErrNotLeader
 		if !asErrNotLeader(err, &nl) {
 			t.Fatalf("follower %d: got %v, want ErrNotLeader", i, err)
@@ -315,27 +345,25 @@ func TestWireRaftLeaderFailover(t *testing.T) {
 	})
 	lead := waitLeader(t, svcs, 10*time.Second)
 
-	for i := 0; i < 10; i++ {
-		if err := svcs[lead].Submit(consensus.Envelope{
-			SubmittedBy: "client", Commitment: fmt.Sprintf("pre%d", i),
-		}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	submit := func(what string) {
+		t.Helper()
+		if err := submitWithin(t, svcs[lead], consensus.Envelope{SubmittedBy: "client", Commitment: what}, 10*time.Second); err != nil {
+			t.Fatalf("submit %s: %v", what, err)
 		}
+	}
+	for i := 0; i < 10; i++ {
+		submit(fmt.Sprintf("pre%d", i))
 	}
 	before := svcs[lead].CommitIndex()
 	waitCommit(t, svcs, before, 10*time.Second)
 
-	svcs[lead].Close()
 	old := lead
+	within(t, 5*time.Second, "RaftService.Close", svcs[old].Close)
 	svcs[old] = nil
 	lead = waitLeader(t, svcs, 15*time.Second)
 
 	for i := 0; i < 10; i++ {
-		if err := svcs[lead].Submit(consensus.Envelope{
-			SubmittedBy: "client", Commitment: fmt.Sprintf("post%d", i),
-		}); err != nil {
-			t.Fatalf("post-failover submit %d: %v", i, err)
-		}
+		submit(fmt.Sprintf("post%d", i))
 	}
 	after := svcs[lead].CommitIndex()
 	if after < before+10 {
@@ -379,14 +407,14 @@ func TestWireRaftLeaderFailover(t *testing.T) {
 			within(t, 5*time.Second, "RaftService.Close", s.Close)
 		}
 	}
-	if err := svcs[lead].Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "no-quorum"}); err == nil {
+	if err := submitWithin(t, svcs[lead], consensus.Envelope{SubmittedBy: "client", Commitment: "no-quorum"}, 10*time.Second); err == nil {
 		t.Fatal("a one-of-three minority acknowledged a submission")
 	}
 	if got := svcs[lead].CommitIndex(); got != after {
 		t.Fatalf("commit index moved %d → %d without a quorum", after, got)
 	}
-	svcs[lead].Close()
-	if err := svcs[lead].Submit(consensus.Envelope{SubmittedBy: "client", Commitment: "late"}); err == nil {
+	within(t, 5*time.Second, "RaftService.Close", svcs[lead].Close)
+	if err := submitWithin(t, svcs[lead], consensus.Envelope{SubmittedBy: "client", Commitment: "late"}, 5*time.Second); err == nil {
 		t.Fatal("submit after close succeeded")
 	}
 }
@@ -414,9 +442,7 @@ func TestWireRaftReplicationUnderFrameLoss(t *testing.T) {
 
 	const n = 30
 	for i := 0; i < n; i++ {
-		if err := svcs[lead].Submit(consensus.Envelope{
-			SubmittedBy: "client", Commitment: fmt.Sprintf("lossy%d", i),
-		}); err != nil {
+		if err := submitWithin(t, svcs[lead], consensus.Envelope{SubmittedBy: "client", Commitment: fmt.Sprintf("lossy%d", i)}, 30*time.Second); err != nil {
 			// The leader may lose its lease under heavy loss; find the new
 			// one and keep going — the client retry path in miniature.
 			lead = waitLeader(t, svcs, 30*time.Second)
@@ -452,13 +478,13 @@ func TestWireRaftRestartCatchesUp(t *testing.T) {
 
 	cfgCopy := svcs[follower].cfg
 	termBefore := svcs[follower].Term()
-	svcs[follower].Close()
+	within(t, 5*time.Second, "RaftService.Close", svcs[follower].Close)
 	svcs[follower] = nil
 
 	for i := 0; i < 15; i++ {
-		if err := svcs[lead].Submit(consensus.Envelope{
+		if err := submitWithin(t, svcs[lead], consensus.Envelope{
 			SubmittedBy: "client", Commitment: fmt.Sprintf("while-down%d", i),
-		}); err != nil {
+		}, 10*time.Second); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -468,7 +494,7 @@ func TestWireRaftRestartCatchesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reborn.Close)
+	t.Cleanup(func() { within(t, 5*time.Second, "RaftService.Close", reborn.Close) })
 	if reborn.Term() < termBefore {
 		t.Fatalf("restart forgot its term: %d < %d", reborn.Term(), termBefore)
 	}
@@ -652,7 +678,7 @@ func TestWireRaftRestartedMemberDoesNotDisrupt(t *testing.T) {
 	lead := waitLeader(t, svcs, 10*time.Second)
 	term := svcs[lead].Term()
 	f := (lead + 1) % 3
-	svcs[f].Close()
+	within(t, 5*time.Second, "RaftService.Close", svcs[f].Close)
 	ms[f] = metrics.ConsensusMetrics{}
 	svcs[f] = startRaftMember(t, addrs, f, func(cfg *RaftConfig) { cfg.Dir, cfg.Metrics = dirs[f], &ms[f] })
 	if svcs[f].Term() == 0 {
@@ -662,10 +688,18 @@ func TestWireRaftRestartedMemberDoesNotDisrupt(t *testing.T) {
 	if n := ms[f].Elections.Value(); n != 0 {
 		t.Fatalf("the restarted member started %d elections while a leader was alive", n)
 	}
-	if !svcs[lead].IsLeader() || svcs[lead].Term() != term {
-		t.Fatalf("the sitting leader was disrupted: leads %v, term %d → %d", svcs[lead].IsLeader(), term, svcs[lead].Term())
+	var leads bool
+	var now uint64
+	var got string
+	if !within(t, 5*time.Second, "reading the members' state", func() {
+		leads, now, got = svcs[lead].IsLeader(), svcs[lead].Term(), svcs[f].Leader()
+	}) {
+		t.FailNow()
 	}
-	if got := svcs[f].Leader(); got != addrs[lead] {
+	if !leads || now != term {
+		t.Fatalf("the sitting leader was disrupted: leads %v, term %d → %d", leads, term, now)
+	}
+	if got != addrs[lead] {
 		t.Fatalf("the restarted member follows %q, want %q", got, addrs[lead])
 	}
 }
@@ -728,7 +762,8 @@ func lastIndex(s *RaftService) uint64 {
 }
 
 // submitConcurrently submits each envelope from a goroutine of its own,
-// starting one every gap, and fails the test if any submission does.
+// starting one every gap, and fails the test if any submission does or if
+// they have not all returned within 30 s.
 func submitConcurrently(t *testing.T, s *RaftService, envs []consensus.Envelope, gap time.Duration) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -741,7 +776,9 @@ func submitConcurrently(t *testing.T, s *RaftService, envs []consensus.Envelope,
 		}(i)
 		time.Sleep(gap)
 	}
-	wg.Wait()
+	if !within(t, 30*time.Second, "the submits", wg.Wait) {
+		t.FailNow()
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)

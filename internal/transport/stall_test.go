@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,14 +45,17 @@ func shut(t *testing.T, s *Server) {
 
 // stallListener binds addr and reads and drops every frame sent to it until
 // stall closes, then reads nothing more until the test ends: the sender on
-// the other end of the pipe blocks in Send.
-func stallListener(t *testing.T, addr string, stall <-chan struct{}) {
+// the other end of the pipe blocks in Send. It returns the number of
+// connections that have stopped reading.
+func stallListener(t *testing.T, addr string, stall <-chan struct{}) *atomic.Int32 {
 	t.Helper()
 	ended := make(chan struct{})
+	var stopped atomic.Int32
 	srv, err := Listen(addr, func(c *Conn) {
 		for {
 			select {
 			case <-stall:
+				stopped.Add(1)
 				<-ended
 				return
 			default:
@@ -65,6 +70,23 @@ func stallListener(t *testing.T, addr string, stall <-chan struct{}) {
 	}
 	t.Cleanup(func() { shut(t, srv) })
 	t.Cleanup(func() { close(ended) })
+	return &stopped
+}
+
+// waitParked waits until a goroutine is parked in a select in fn, the
+// function as a stack trace names it.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	waitFor(t, func() bool {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			state, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(state, "[select") && strings.HasPrefix(frames, fn+"(") {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // submitAll submits n transaction envelopes from n goroutines and returns
@@ -100,7 +122,7 @@ func TestMemDialHoldsNoRegistryLock(t *testing.T) {
 		}
 		dialed <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // the dial now waits for an accept
+	waitParked(t, "fabricsharp/internal/transport.dial") // the dial now waits for an accept
 	within(t, 2*time.Second, "Listen beside a waiting dial", func() {
 		if s, err := Listen("mem:", func(*Conn) {}); err == nil {
 			_ = s.Close()
@@ -227,7 +249,7 @@ func TestSubscriberResyncsPastAnUndecodableFrame(t *testing.T) {
 // member's lock, so a lone member keeps committing.
 func TestWireRaftUnreadSubscriptionDoesNotStallSubmit(t *testing.T) {
 	s := startRaftCluster(t, 1, nil)[0]
-	_, cancel := s.Subscribe()
+	ch, cancel := s.Subscribe()
 	defer cancel()
 	within(t, 5*time.Second, "1 000 submits beside an unread subscription", func() {
 		for i := range 1000 {
@@ -235,8 +257,8 @@ func TestWireRaftUnreadSubscriptionDoesNotStallSubmit(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if i%100 == 0 {
-				time.Sleep(10 * time.Millisecond) // the feeder fills the buffer
+			for i == cap(ch) && len(ch) < cap(ch) {
+				time.Sleep(time.Millisecond) // the feeder fills the buffer and waits
 			}
 		}
 	})
@@ -249,7 +271,7 @@ func TestWireRaftUnreadSubscriptionDoesNotStallSubmit(t *testing.T) {
 func TestWireRaftStalledFollowerDoesNotStallTheLeader(t *testing.T) {
 	addrs := memAddrs(t, 3)
 	stall := make(chan struct{})
-	stallListener(t, addrs[2], stall)
+	stopped := stallListener(t, addrs[2], stall)
 	svcs := make([]*RaftService, 2)
 	for i := range svcs {
 		svcs[i] = startRaftMember(t, addrs, i, func(cfg *RaftConfig) { cfg.SubmitTimeout = 3 * time.Second })
@@ -259,7 +281,9 @@ func TestWireRaftStalledFollowerDoesNotStallTheLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(stall)
-	time.Sleep(100 * time.Millisecond) // the sender to the stalled follower is now blocked in a send
+	// The leader's heartbeats reach the listener, which stops reading: its
+	// next frame to the stalled follower blocks the sender.
+	waitFor(t, func() bool { return stopped.Load() > 0 })
 	if !within(t, 5*time.Second, "100 submits past a stalled follower", func() {
 		if err := submitAll(lead, 1, 100); err != nil {
 			t.Error(err)
@@ -289,9 +313,12 @@ func TestWireRaftUnreadRepliesDoNotStallTheMember(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		go func() { _ = c.Send(req.typ, req.payload) }()
+		// A pipe's write returns once the member has read the frame; its
+		// answer then waits in the pipe.
+		if !within(t, 5*time.Second, "sending a request", func() { _ = c.Send(req.typ, req.payload) }) {
+			return
+		}
 	}
-	time.Sleep(50 * time.Millisecond) // both answers are now stuck in their pipes
 	within(t, 5*time.Second, "100 submits beside unread answers", func() {
 		if err := submitAll(s, 0, 100); err != nil {
 			t.Error(err)
@@ -310,8 +337,27 @@ func TestWireRaftCandidateWithStalledPeersKeepsTicking(t *testing.T) {
 	stallListener(t, addrs[1], stall)
 	stallListener(t, addrs[2], stall)
 	s := startRaftMember(t, addrs, 0, func(cfg *RaftConfig) { cfg.Heartbeat = 5 * time.Millisecond })
-	time.Sleep(200 * time.Millisecond) // 40 ticks: more re-sends than a vote queue holds
-	within(t, 2*time.Second, "Term", func() { s.Term() })
+	// The ticks' re-sends fill each vote queue behind its stuck sender.
+	waitFor(t, func() bool {
+		for _, p := range s.peers {
+			if len(p.votes) < cap(p.votes) {
+				return false
+			}
+		}
+		return true
+	})
+	// Every tick from here on queues a vote into full queues. The next
+	// election, a tick's doing, shows that the ticks go on.
+	var term, now uint64
+	within(t, 2*time.Second, "Term", func() { term = s.Term() })
+	for deadline := time.Now().Add(5 * time.Second); now <= term; time.Sleep(5 * time.Millisecond) {
+		if !within(t, 2*time.Second, "Term", func() { now = s.Term() }) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still in term %d after 5 s", term)
+		}
+	}
 }
 
 // TestWireRaftHandleRefusesMalformedFrames: a member drops a frame of each

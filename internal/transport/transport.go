@@ -94,6 +94,7 @@ func (c *Conn) Recv() (wire.MsgType, []byte, error) {
 func (c *Conn) Call(t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
+	//sharp:allow lockacross Call exists to serialize request/response pairs on one connection; holding reqMu across the round-trip is that serialization, and Send/Recv carry their own deadlines
 	if err := c.Send(t, payload); err != nil {
 		return 0, nil, err
 	}

@@ -207,7 +207,13 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	// The handler's exit takes the server's lock while Close joins it.
-	within(t, 5*time.Second, "Server.Close", func() { _ = s.Close() })
+	var closeErr error
+	if !within(t, 5*time.Second, "Server.Close", func() { closeErr = s.Close() }) {
+		t.FailNow()
+	}
+	if closeErr != nil {
+		t.Fatal(closeErr)
+	}
 	select {
 	case err := <-errCh:
 		if err == nil {
@@ -228,8 +234,12 @@ func TestDoubleCloseIdempotence(t *testing.T) {
 		Deliver: func(*ledger.Block, []byte) error { return nil }}
 	sub.Start()
 	for i := 0; i < 2; i++ {
-		if !within(t, 5*time.Second, "Server.Close", func() { _ = s.Close() }) {
+		var err error
+		if !within(t, 5*time.Second, "Server.Close", func() { err = s.Close() }) {
 			t.Fatalf("server close #%d hung", i+1)
+		}
+		if err != nil {
+			t.Fatalf("server close #%d: %v", i+1, err)
 		}
 		_ = c.Close()
 		within(t, 5*time.Second, "Subscriber.Close", sub.Close)
@@ -271,7 +281,7 @@ func TestMemAddresses(t *testing.T) {
 	if typ, p, err := c.Call(wire.MsgAck, []byte("ping")); err != nil || typ != wire.MsgAck || string(p) != "ping" {
 		t.Fatalf("call over %s: %v %q %v", a.Addr(), typ, p, err)
 	}
-	_ = a.Close()
+	shut(t, a)
 	if _, _, err := c.Recv(); err == nil {
 		t.Fatal("a conn outlived its server")
 	}
@@ -289,7 +299,7 @@ func TestMemAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("closing %s did not free it: %v", a.Addr(), err)
 	}
-	_ = again.Close()
+	shut(t, again)
 }
 
 func TestDialRetryGivesUp(t *testing.T) {

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # lint.sh — the local mirror of CI's lint job: formatting, go vet, the
-# windows and darwin builds, sharpvet's one analyzer, maporder (no map range
-# in a deterministic package unless sort-guarded or under a reviewed
-# //sharp:orderinvariant directive; docs/determinism.md), the line-count ratchet (scripts/loc.sh) and the
+# windows and darwin builds, the sharpvet determinism suite
+# (docs/determinism.md), the line-count ratchet (scripts/loc.sh) and the
 # check that every `go test -run` name in CI still names a test
 # (scripts/ci_names.sh). Run it before pushing; CI runs exactly these gates
 # and will reject what this rejects.
@@ -26,7 +25,7 @@ echo "== cross-compile for windows and darwin (the non-unix fallbacks, a second 
 GOOS=windows go build ./...
 GOOS=darwin go build ./...
 
-echo "== sharpvet maporder (replica-identical determinism contract)"
+echo "== sharpvet (replica-identical determinism contract)"
 # -list prints the suppression inventory after a clean run so reviewers see
 # every justified exception; any unsuppressed finding or inventory drift
 # exits nonzero.

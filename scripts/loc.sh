@@ -87,20 +87,17 @@
 # seal, with Timeline.Block (+25, 8 of them comments), the stage and ring
 # docs (+4), EncodeProposalResp's buffer sized once (+5) and the database's
 # one sort of its settled keys (+4), less commit.Block's per-transaction
-# loops (-5). Replacing the errdrop and lockacross analyzers with tier-1
-# tests lowered it by 545, to 21890: the two analyzers with their unparen,
-# which maporder now takes from go/ast (-490), ModuleScope and PackageScope
-# (-19), the //sharp:allow form, AnalyzerByName and the suite's sort (-36)
-# and the one allow directive (-1), less the Raft subscription failing the
-# service on an entry whose transaction does not decode instead of
-# panicking (+1).
+# loops (-5). Tier-1 tests for every errdrop and lockacross site raised it
+# by 1, to 22436: the Raft subscription failing the service on an entry
+# whose transaction does not decode instead of panicking. Both analyzers
+# stay, because three of their sites have plants that change no behaviour.
 # scripts/lint.sh and CI's lint job both run this.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=21890
+CEILING=22436
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './internal/analysis/testdata/*' \
